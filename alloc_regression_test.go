@@ -15,6 +15,7 @@ package xks
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -22,6 +23,7 @@ import (
 	"xks/internal/exec"
 	"xks/internal/trace"
 	"xks/internal/workload"
+	"xks/internal/xmltree"
 )
 
 // allocEngine builds the DBLP preset used by the Figure 5 benchmarks.
@@ -202,19 +204,15 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 		if nodes == 0 {
 			continue
 		}
-		// Budget: fixed search overhead, a per-kept-node share (the
-		// FragmentNode slice entries, Dewey/Matched strings), a
-		// per-fragment share (fragment build arenas, grouping arrays,
-		// Result slices) and a per-posting share well below one — the
-		// candidate stage must stay sublinear in allocations even though
-		// an unranked search materializes every fragment (unpruned
-		// fragments are proportional to the posting counts, hence the
-		// KeywordNodes term). Measured values sit at roughly half these
-		// coefficients.
-		ceiling := 128 +
-			12*float64(nodes) +
-			24*float64(res.Stats.NumLCAs) +
-			4*float64(res.Stats.KeywordNodes)
+		// Budget: fixed search overhead plus a per-fragment share (the
+		// candidate, the Fragment with its node slice, one Dewey buffer
+		// and the Matched slices, the pruning Result). Nothing is
+		// allocated per kept node, per fragment-tree node or per posting:
+		// fragment trees live in pooled memory (internal/prune), a
+		// fragment's Dewey strings share one buffer. Measured values sit
+		// at roughly half these coefficients (≈ 70 fixed, ≈ 12 per
+		// fragment).
+		ceiling := 160 + 24*float64(res.Stats.NumLCAs)
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, err := e.Search(context.Background(), Request{Query: q}); err != nil {
 				t.Fatal(err)
@@ -224,5 +222,38 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 			t.Errorf("Search(%q) allocates %.0f objects per run for %d kept nodes / %d LCAs / %d postings, ceiling %.0f",
 				q, allocs, nodes, res.Stats.NumLCAs, res.Stats.KeywordNodes, ceiling)
 		}
+	}
+}
+
+// TestWideGroupAllocsDoNotScale is the scaling guard of the pruneRTF
+// kernel: building and pruning a fragment whose root has 8192 same-label
+// children allocates what one with 1024 does — the fragment header and the
+// Result with its two slices, which grow in size, not in number. Nothing is
+// allocated per child: nodes, grouping and the used-cID table are pooled.
+func TestWideGroupAllocsDoNotScale(t *testing.T) {
+	measure := func(n int) float64 {
+		kids := []xmltree.E{{Label: "tag", Text: "beta"}}
+		for i := range n {
+			kids = append(kids, xmltree.E{Label: "item", Text: fmt.Sprintf("alpha w%05d", i)})
+		}
+		e := FromTree(xmltree.Build(xmltree.E{Label: "root", Kids: kids}))
+		p, err := e.plan("alpha beta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := e.params(Request{})
+		cands, err := exec.Candidates(context.Background(), p, params, 0)
+		if err != nil || len(cands) != 1 {
+			t.Fatalf("%d candidates, err %v; want the document root alone", len(cands), err)
+		}
+		if kept := exec.Materialize(cands[0], params); len(kept.Kept) != n+2 {
+			t.Fatalf("kept %d of %d nodes: the items differ in content and must all stay", len(kept.Kept), n+2)
+		}
+		return testing.AllocsPerRun(20, func() { exec.Materialize(cands[0], params) })
+	}
+	small, large := measure(1024), measure(8192)
+	t.Logf("build+prune allocations: %.0f at 1024 children, %.0f at 8192", small, large)
+	if large > small+2 { // slack for a collection emptying the pool mid-measurement
+		t.Errorf("build+prune allocates %.0f objects at 8192 children against %.0f at 1024: something is allocated per child", large, small)
 	}
 }

@@ -282,6 +282,7 @@ func BenchmarkStages(b *testing.B) {
 			for _, r := range rtfs {
 				f := prune.BuildFragmentIDs(tab, r, params.LabelOf, params.ContentOf, prune.Options{})
 				f.Prune(prune.ValidContributor, prune.Options{})
+				f.Release()
 			}
 		}
 	})

@@ -1081,15 +1081,30 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 		words:     p.IDFWords,
 		snip:      e.snip,
 	}
+	// All Dewey strings of the fragment are slices of one buffer, sized
+	// exactly so the builder never reallocates under the slices handed out.
+	var deweys strings.Builder
+	size := 0
+	for _, code := range kept.Kept {
+		size += code.StringLen()
+	}
+	deweys.Grow(size)
+	var (
+		scratch [64]byte
+		// Matched slices, one per distinct keyword mask among the
+		// fragment's keyword nodes.
+		matchedBuf [8]matchedWords
+		matched    = matchedBuf[:0]
+	)
 	events := c.RTF.KeywordNodes
 	j := 0
 	f.Nodes = make([]FragmentNode, 0, len(kept.KeptIDs))
-	var buf []byte // scratch for Dewey strings
 	for i, id := range kept.KeptIDs {
 		code := kept.Kept[i]
-		buf = code.AppendString(buf[:0])
+		start := deweys.Len()
+		deweys.Write(code.AppendString(scratch[:0]))
 		fn := FragmentNode{
-			Dewey: string(buf),
+			Dewey: deweys.String()[start:],
 			Label: e.src.labelOfID(id),
 			Text:  e.src.nodeTextID(id),
 			Level: code.Level(),
@@ -1100,15 +1115,29 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 		if j < len(events) && events[j].ID == id {
 			fn.IsKeywordNode = true
 			mask := events[j].Mask
-			for i, w := range p.Keywords {
-				if mask&(1<<uint(i)) != 0 {
-					fn.Matched = append(fn.Matched, w)
+			k := 0
+			for k < len(matched) && matched[k].mask != mask {
+				k++
+			}
+			if k == len(matched) {
+				matched = append(matched, matchedWords{mask: mask})
+				for i, w := range p.Keywords {
+					if mask&(1<<uint(i)) != 0 {
+						matched[k].words = append(matched[k].words, w)
+					}
 				}
 			}
+			fn.Matched = matched[k].words
 		}
 		f.Nodes = append(f.Nodes, fn)
 	}
 	return f
+}
+
+// matchedWords is the FragmentNode.Matched value of one keyword mask.
+type matchedWords struct {
+	mask  uint64
+	words []string
 }
 
 // assembledFragments reports how many fragments the engine has materialized

@@ -22,7 +22,8 @@ type FragmentNode struct {
 	Level int
 	// IsKeywordNode reports whether the node matched query keywords.
 	IsKeywordNode bool
-	// Matched lists the query keywords this node matched.
+	// Matched lists the query keywords this node matched. Nodes of one
+	// fragment that matched the same keywords share one slice: read-only.
 	Matched []string
 }
 
@@ -73,14 +74,9 @@ func (f *Fragment) Len() int { return len(f.Nodes) }
 
 // keepSet returns the kept codes keyed by dewey key, building the map on
 // first use (fragments are shared by the serving layer's cache, hence the
-// sync.Once). Fragments assembled by the eager reference path arrive with
-// the map pre-filled; the production path defers it until a renderer or
-// Contains asks.
+// sync.Once).
 func (f *Fragment) keepSet() map[string]bool {
 	f.keepOnce.Do(func() {
-		if f.keep != nil {
-			return
-		}
 		m := make(map[string]bool, len(f.kept))
 		var buf []byte
 		for _, c := range f.kept {

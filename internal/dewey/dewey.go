@@ -73,6 +73,19 @@ func (c Code) AppendString(b []byte) []byte {
 	return b
 }
 
+// StringLen returns len(c.String()) of a non-empty code without rendering
+// it, for callers that size one buffer for many codes.
+func (c Code) StringLen() int {
+	n := len(c) - 1 // the dots
+	for _, v := range c {
+		n++
+		for ; v >= 10; v /= 10 {
+			n++
+		}
+	}
+	return n
+}
+
 // Key returns a compact string usable as a map key. Unlike String it is not
 // human-oriented; two codes have equal keys exactly when Equal reports true.
 // Keys also sort in pre-order (each component is big-endian fixed width).

@@ -16,6 +16,7 @@ func TestParseString(t *testing.T) {
 		{"0", Code{0}, true},
 		{"0.2.0.1", Code{0, 2, 0, 1}, true},
 		{"10.20.30", Code{10, 20, 30}, true},
+		{"9.99.100.4294967295", Code{9, 99, 100, 4294967295}, true},
 		{"", nil, false},
 		{"0..1", nil, false},
 		{"a.b", nil, false},
@@ -39,6 +40,9 @@ func TestParseString(t *testing.T) {
 		}
 		if got.String() != c.in {
 			t.Errorf("String round trip: %q != %q", got.String(), c.in)
+		}
+		if got.StringLen() != len(c.in) {
+			t.Errorf("StringLen(%q) = %d", c.in, got.StringLen())
 		}
 	}
 }

@@ -291,10 +291,13 @@ func SortRanked(cands []*Candidate) {
 // Materialize runs the expensive half of the pipeline for one selected
 // candidate — the pruneRTF stage: constructing the annotated fragment tree
 // and filtering it under params.Mode. The caller (the xks package) turns
-// the ordered keep-set into a rendered Fragment.
+// the ordered keep-set into a rendered Fragment. The fragment tree lives in
+// pooled memory handed back here; the Result owns its slices.
 func Materialize(c *Candidate, params Params) *prune.Result {
 	f := prune.BuildFragmentIDs(params.Tab, c.RTF, params.LabelOf, params.ContentOf, params.Prune)
-	return f.Prune(params.Mode, params.Prune)
+	res := f.Prune(params.Mode, params.Prune)
+	f.Release()
+	return res
 }
 
 // TopK is a bounded, concurrency-safe accumulator of the K best candidates

@@ -215,14 +215,14 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 			t.Fatalf("candidate %d unscored despite Rank", i)
 		}
 		res := Materialize(c, params)
-		if res.Len() != 3 { // root + two keyword children
-			t.Fatalf("candidate %d kept %d nodes, want 3", i, res.Len())
+		if len(res.Kept) != 3 { // root + two keyword children
+			t.Fatalf("candidate %d kept %d nodes, want 3", i, len(res.Kept))
 		}
-		if !res.Contains(tab.Code(c.RTF.Root)) {
+		if res.KeptIDs[0] != c.RTF.Root {
 			t.Fatalf("candidate %d pruned its own root", i)
 		}
-		if len(res.KeptIDs) != res.Len() {
-			t.Fatalf("candidate %d KeptIDs len %d != Kept len %d", i, len(res.KeptIDs), res.Len())
+		if len(res.KeptIDs) != len(res.Kept) {
+			t.Fatalf("candidate %d KeptIDs len %d != Kept len %d", i, len(res.KeptIDs), len(res.Kept))
 		}
 	}
 	if cands[0].RTF.Root != mustID(code("0.0")) || cands[1].RTF.Root != mustID(code("0.1")) {

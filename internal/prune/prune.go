@@ -2,12 +2,15 @@
 // the paper) and the contributor-based pruning of the revised MaxMatch
 // baseline (Liu & Chen, VLDB 2008, adapted to RTFs).
 //
-// A Fragment is the annotated node tree of §4.1: every RTF node carries its
-// Dewey code, label, kList (tree keyword set as a bitmask — its integer
-// value is the paper's "key number"), and cID (the (min,max) word-pair
-// feature approximating the tree content set). Children information is
-// grouped per distinct label, with the sorted distinct child key numbers
-// (chkList) and child cIDs (chcIDList) the pruning step consults.
+// A Fragment is the annotated node tree of §4.1 in one flat slice: the RTF's
+// nodes in pre-order, each carrying its kList (tree keyword set as a bitmask
+// — its integer value is the paper's "key number"), its cID (the (min,max)
+// word-pair feature approximating the tree content set) and the index one
+// past its last descendant, so a node's children are reached by hopping
+// from subtree to subtree. Labels and Dewey codes are resolved only for the
+// nodes pruning actually looks at. The "Children Info" of §4.1 — per label,
+// the child count and the distinct child key numbers (chkList) — is
+// computed while filtering, for nodes with at least two children.
 //
 // Prune(ValidContributor) keeps exactly the valid contributors of
 // Definition 4: a child with a label unique among its siblings is always
@@ -21,18 +24,32 @@
 // exactly when some sibling's keyword set strictly covers its own,
 // regardless of labels and content.
 //
-// Fragments are built two ways: BuildFragment from a code-based rtf.RTF
-// (the reference and eager-baseline path) and BuildFragmentIDs from an
-// ID-based rtf.IDRTF over a node table (the production hot path — a single
-// path-stack pass with no string keys, no maps and zero-copy Dewey codes).
-// Both yield identical pruning results; cross-checked by tests.
+// Complexity contract. Building is O(path nodes + content words): every
+// node is created once by a path-stack pass over the keyword nodes (which
+// arrive in pre-order) and kList/cID are folded bottom-up in one reverse
+// sweep. Filtering is O(children · 2^k) for k query keywords: a child is
+// tested against the at most 2^k distinct key numbers of its label group,
+// never against its siblings. The per-parent sets (labels, rule 2(b)'s used
+// cIDs) live in one open-addressed hash table in the pooled memory, so a
+// wide sibling group costs a constant per child and allocates nothing. The
+// one exception is ExactContent, which compares a child's content set with
+// its kept equal-keyword siblings.
+//
+// Fragments are built from an ID-based rtf.IDRTF over a node table
+// (BuildFragmentIDs, the production path) or from a code-based rtf.RTF
+// (BuildFragment, the reference path of the crosscheck tests); both fill
+// the same layout and share Prune. The node slice and Prune's working
+// memory come from a pool: Release hands them back, and a Result never
+// aliases them.
 package prune
 
 import (
 	"fmt"
-	"slices"
-	"sort"
-	"strings"
+	"hash/maphash"
+	"maps"
+	"math/bits"
+	"sync"
+	"unsafe"
 
 	"xks/internal/dewey"
 	"xks/internal/nid"
@@ -81,77 +98,27 @@ type CID struct {
 
 func (c CID) String() string { return "(" + c.Min + "," + c.Max + ")" }
 
-// Less orders cIDs lexically, Min first.
-func (c CID) Less(o CID) bool {
-	if c.Min != o.Min {
-		return c.Min < o.Min
+// add widens c to cover the word w; the zero CID covers nothing.
+func (c *CID) add(w string) {
+	switch {
+	case c.Max == "":
+		c.Min, c.Max = w, w
+	case w < c.Min:
+		c.Min = w
+	case w > c.Max:
+		c.Max = w
 	}
-	return c.Max < o.Max
 }
 
-// Node is the §4.1 node data structure: "Self Info" fields plus per-label
-// children information.
-type Node struct {
-	Code  dewey.Code
-	Label string
-	// ID is the node's table ID when the fragment was built over a node
-	// table (BuildFragmentIDs), nid.None otherwise.
-	ID nid.ID
-	// KList is the tree keyword set TKv as a bitmask over the query
-	// keywords; its integer value is the paper's key number.
-	KList uint64
-	// CID is the (min,max) feature of the tree content set TCv.
-	CID CID
-	// IsKeywordNode reports whether the node itself matched some keyword.
-	IsKeywordNode bool
-	// Mask is the bitmask of keywords the node itself matches (zero for
-	// pure path nodes).
-	Mask uint64
-
-	Parent   *Node
-	Children []*Node // document order
-	// Items groups the children per distinct label, in first-occurrence
-	// order. Stored by value (one backing array per node) to keep the
-	// grouping allocation-light; iterate by index when a pointer is needed.
-	Items []LabelItem
-
-	content map[string]struct{} // full tree content set (ExactContent mode)
-}
-
-// HasContentWord reports whether w is in the node's tree content set. Only
-// populated when the fragment was built with exact content tracking.
-func (n *Node) HasContentWord(w string) bool {
-	_, ok := n.content[w]
-	return ok
-}
-
-// ContentSize returns the tree content set cardinality (exact mode only).
-func (n *Node) ContentSize() int { return len(n.content) }
-
-// LabelItem groups a node's children sharing one label ("Children Info").
-type LabelItem struct {
-	Label string
-	// Counter is the number of children with this label.
-	Counter int
-	// ChKList holds the sorted distinct key numbers of those children.
-	ChKList []uint64
-	// ChCIDs holds their sorted distinct cIDs.
-	ChCIDs []CID
-	// Children references the children in document order.
-	Children []*Node
-}
-
-// coveredByLarger reports whether some key number in the sorted chkList is
-// strictly larger than knum and a superset of it — the §4.1 bit trick for
-// rule 2(a).
-func (li *LabelItem) coveredByLarger(knum uint64) bool {
-	i := sort.Search(len(li.ChKList), func(j int) bool { return li.ChKList[j] > knum })
-	for ; i < len(li.ChKList); i++ {
-		if li.ChKList[i]&knum == knum {
-			return true
-		}
-	}
-	return false
+// node is the "Self Info" of §4.1 for one fragment node. Nodes sit in
+// pre-order, so node i's subtree is the index range [i, end) and its
+// children are i+1, nodes[i+1].end, … up to end.
+type node struct {
+	id     nid.ID // table ID; nid.None in code-built fragments
+	parent int32
+	end    int32
+	klist  uint64 // tree keyword set TKv; its integer value is the key number
+	cid    CID    // (min,max) feature of the tree content set TCv
 }
 
 // LabelFunc resolves a node's label from its Dewey code.
@@ -167,332 +134,250 @@ type IDLabelFunc func(nid.ID) string
 // table ID.
 type IDContentFunc func(nid.ID) []string
 
+// group is the "Children Info" of one label under the current parent.
+type group struct {
+	label string
+	count int32 // children with the label
+	first int32 // head of the label's chkList chain in scratch.knums; -1 when empty
+}
+
+// knum is one chkList entry: a distinct key number among the children of
+// one label group.
+type knum struct {
+	k       uint64
+	group   int32
+	next    int32 // next entry of the same group; -1 at the end
+	covered bool  // a key number of the group strictly contains k (rule 2a)
+	used    bool  // a child with this key number was already kept
+}
+
+// scratch is the pooled memory of one fragment: the node slice, the
+// builder's path stack and Prune's working arrays.
+type scratch struct {
+	nodes []node
+	stack []int32  // path from the fragment root to the current node
+	anc   []nid.ID // ancestors of the current keyword node below that path
+
+	keep []bool  // per node: kept by the filtering of its parent
+	slot []int32 // per node: its chkList entry in knums
+	kept []int32 // the kept nodes, in pre-order
+
+	groups []group
+	knums  []knum
+	// table is an open-addressed hash table over the children of the
+	// current parent (entry+1 per slot, 0 when free): first of labels to
+	// their groups, then of rule 2(b)'s used cIDs to the children that
+	// brought them in.
+	table []int32
+}
+
+var seed = maphash.MakeSeed()
+
+// resetTable empties the table and sizes it for m entries at most half full.
+func (s *scratch) resetTable(m int) {
+	s.table = resize(s.table, 1<<bits.Len(uint(2*m-1)))
+	clear(s.table)
+}
+
+// probe returns the table entry of hash h that same accepts; when there is
+// none it stores fresh under h and returns that.
+func (s *scratch) probe(h uint64, fresh int32, same func(entry int32) bool) int32 {
+	mask := uint64(len(s.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch entry := s.table[i] - 1; {
+		case entry < 0:
+			s.table[i] = fresh + 1
+			return fresh
+		case same(entry):
+			return entry
+		}
+	}
+}
+
+// maxRetainedBytes caps the node memory a Release keeps: a wide fragment
+// (the DBLP root has tens of thousands of nodes) must not pin megabytes in
+// the pool for the small fragments that follow.
+const maxRetainedBytes = 1 << 20
+
+var pool = sync.Pool{New: func() any {
+	return &scratch{stack: make([]int32, 0, 16), anc: make([]nid.ID, 0, 16)}
+}}
+
 // Fragment is one RTF materialized as an annotated node tree, ready for
-// pruning. Build it once and prune it under several modes.
+// pruning. Build it once, prune it under one or several modes, Release it.
+// It is not safe for concurrent use.
 type Fragment struct {
-	Root     *Node
-	nodes    []*Node          // every fragment node, in creation order
-	byKey    map[string]*Node // code-built fragments only
-	tab      *nid.Table       // ID-built fragments only
-	source   *rtf.RTF         // code-built fragments only
-	sourceID *rtf.IDRTF       // ID-built fragments only
-	exact    bool
+	s *scratch // nil once released
+
+	// ID-built fragments resolve codes and labels through the node table.
+	tab     *nid.Table
+	idLabel IDLabelFunc
+	// Code-built fragments carry their node codes, parallel to s.nodes.
+	codes     []dewey.Code
+	codeLabel LabelFunc
+
+	// content holds every node's full tree content set, parallel to
+	// s.nodes; nil unless built with ExactContent.
+	content []map[string]struct{}
 }
 
-// BuildFragment runs the constructing step of pruneRTF from a code-based
-// RTF: it materializes every node on the paths between the RTF root and its
-// keyword nodes, filling the §4.1 data structure. Keyword masks and content
-// features are transferred to every ancestor up to the RTF root (the
-// paper's lines 11–12). labelOf must resolve every path node's label;
-// contentOf must resolve each keyword node's content set.
-func BuildFragment(r *rtf.RTF, labelOf LabelFunc, contentOf ContentFunc, opts Options) *Fragment {
-	f := &Fragment{
-		byKey:  make(map[string]*Node),
-		source: r,
-		exact:  opts.ExactContent,
+func newFragment(events int, opts Options) *Fragment {
+	s := pool.Get().(*scratch)
+	// Two nodes per keyword node is the common shape (record + field).
+	if want := 2*events + 4; cap(s.nodes) < want {
+		s.nodes = make([]node, 0, want)
 	}
-	f.Root = f.ensure(r.Root, labelOf)
-	for _, ev := range r.KeywordNodes {
-		// Materialize the path from the root to the keyword node.
-		var prev *Node
-		for l := len(r.Root); l <= len(ev.Code); l++ {
-			n := f.ensure(ev.Code[:l].Clone(), labelOf)
-			if prev != nil && n.Parent == nil && n != f.Root {
-				n.Parent = prev
-				prev.Children = append(prev.Children, n)
-			}
-			prev = n
-		}
-		kn := f.byKey[ev.Code.Key()]
-		kn.IsKeywordNode = true
-		kn.Mask |= ev.Mask
-		words := contentOf(ev.Code)
-		// Transfer keyword mask and content feature to the node and every
-		// ancestor within the fragment.
-		for n := kn; n != nil; n = n.Parent {
-			n.KList |= ev.Mask
-			mergeContent(n, words, f.exact)
-		}
+	s.nodes, s.stack = s.nodes[:0], s.stack[:0]
+	f := &Fragment{s: s}
+	if opts.ExactContent {
+		f.content = make([]map[string]struct{}, 0, cap(s.nodes))
 	}
-	f.fillChildrenInfo()
 	return f
 }
 
-// BuildFragmentIDs is the ID form of BuildFragment: a single pass over the
-// RTF's keyword nodes (which arrive in pre-order) maintaining the path
-// stack from the RTF root to the current node, so every path node is
-// created exactly once, children land in document order, and node codes are
-// zero-copy sub-slices of the table arena.
+// BuildFragmentIDs runs the constructing step of pruneRTF over a node
+// table: a single pass over the RTF's keyword nodes (which arrive in
+// pre-order) maintaining the path stack from the RTF root to the current
+// node, so every path node is created exactly once, in document order.
+// Keyword masks and content features are then transferred to every ancestor
+// up to the RTF root (the paper's lines 11–12). labelOf must resolve every
+// path node's label; contentOf must resolve each keyword node's content set.
 func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf IDContentFunc, opts Options) *Fragment {
-	f := &Fragment{
-		tab:      t,
-		sourceID: r,
-		exact:    opts.ExactContent,
-	}
-	// Nodes come from a chunked arena: one allocation covers many nodes,
-	// and a full chunk starts a fresh one (never reallocating, so issued
-	// pointers stay valid).
-	arena := make([]Node, 0, len(r.KeywordNodes)*2+4)
-	newNode := func() *Node {
-		if len(arena) == cap(arena) {
-			arena = make([]Node, 0, 2*cap(arena))
-		}
-		arena = append(arena, Node{})
-		return &arena[len(arena)-1]
-	}
-	f.nodes = make([]*Node, 0, cap(arena))
-
-	root := newNode()
-	root.ID, root.Code, root.Label = r.Root, t.Code(r.Root), labelOf(r.Root)
-	f.Root = root
-	f.nodes = append(f.nodes, root)
-	rootDepth := int(t.Depth(r.Root))
-
-	stackBuf := [12]*Node{root}
-	stack := stackBuf[:1] // path from the RTF root to the current node
-	var ancBuf [12]nid.ID
-	anc := ancBuf[:0] // scratch: ancestors of the current event below the shared path
+	f := newFragment(len(r.KeywordNodes), opts)
+	f.tab, f.idLabel = t, labelOf
+	s := f.s
+	rootDepth := t.Depth(r.Root)
+	f.push(r.Root)
 	for _, ev := range r.KeywordNodes {
-		top := stack[len(stack)-1]
-		l := int(t.LCADepth(top.ID, ev.ID)) // depth of the deepest shared path node
-		stack = stack[:l-rootDepth+1]
-		anc = anc[:0]
-		for cur := ev.ID; int(t.Depth(cur)) > l; cur = t.Parent(cur) {
-			anc = append(anc, cur)
-		}
-		for j := len(anc) - 1; j >= 0; j-- {
-			id := anc[j]
-			parent := stack[len(stack)-1]
-			n := newNode()
-			n.ID, n.Code, n.Label, n.Parent = id, t.Code(id), labelOf(id), parent
-			parent.Children = append(parent.Children, n)
-			f.nodes = append(f.nodes, n)
-			stack = append(stack, n)
-		}
-		kn := stack[len(stack)-1]
-		kn.IsKeywordNode = true
-		kn.Mask |= ev.Mask
-		words := contentOf(ev.ID)
-		for n := kn; n != nil; n = n.Parent {
-			n.KList |= ev.Mask
-			mergeContent(n, words, f.exact)
-		}
-	}
-	f.fillChildrenInfo()
-	return f
-}
-
-func (f *Fragment) ensure(c dewey.Code, labelOf LabelFunc) *Node {
-	k := c.Key()
-	if n, ok := f.byKey[k]; ok {
-		return n
-	}
-	n := &Node{Code: c, Label: labelOf(c), ID: nid.None}
-	f.byKey[k] = n
-	f.nodes = append(f.nodes, n)
-	return n
-}
-
-func mergeContent(n *Node, words []string, exact bool) {
-	for _, w := range words {
-		if n.CID.Min == "" || w < n.CID.Min {
-			n.CID.Min = w
-		}
-		if w > n.CID.Max {
-			n.CID.Max = w
-		}
-	}
-	if exact {
-		if n.content == nil {
-			n.content = make(map[string]struct{}, len(words))
-		}
-		for _, w := range words {
-			n.content[w] = struct{}{}
-		}
-	}
-}
-
-func (f *Fragment) fillChildrenInfo() {
-	for _, n := range f.nodes {
-		if len(n.Children) == 0 {
-			continue
-		}
-		// Children are appended while walking keyword nodes in pre-order,
-		// so they already sit in document order; verify cheaply and only
-		// sort when an unsorted source (defensive) is detected.
-		if !sortedNodes(n.Children) {
-			sortNodesDoc(n.Children)
-		}
-		// Per-label grouping. The distinct labels under one node are few,
-		// so linear scans beat map allocations, and all items share four
-		// exact-size backing arrays (items, grouped children, key numbers,
-		// cIDs) instead of growing per-item slices.
-		nc := len(n.Children)
-		items := make([]LabelItem, 0, min(nc, 8))
-		repeated := false
-		for _, ch := range n.Children {
-			found := false
-			for i := range items {
-				if items[i].Label == ch.Label {
-					items[i].Counter++
-					found = true
-					repeated = true
-					break
-				}
-			}
-			if !found {
-				items = append(items, LabelItem{Label: ch.Label, Counter: 1})
-			}
-		}
-		grouped := make([]*Node, nc)
-		// The key-number and cID lists are only ever consulted for items
-		// with several children (rules 2a/2b); when every label is unique
-		// (the common shape), skip their backing arrays entirely.
-		var knums []uint64
-		var cids []CID
-		if repeated {
-			knums = make([]uint64, nc)
-			cids = make([]CID, nc)
-		}
-		off := 0
-		for i := range items {
-			li := &items[i]
-			c := li.Counter
-			li.Children = grouped[off : off : off+c] // grows within its segment only
-			if repeated {
-				li.ChKList = knums[off : off : off+c]
-				li.ChCIDs = cids[off : off : off+c]
-			}
-			off += c
-		}
-		for _, ch := range n.Children {
-			for i := range items {
-				li := &items[i]
-				if li.Label != ch.Label {
-					continue
-				}
-				li.Children = append(li.Children, ch)
-				if repeated {
-					if !containsU64(li.ChKList, ch.KList) {
-						li.ChKList = append(li.ChKList, ch.KList)
-					}
-					if !containsCID(li.ChCIDs, ch.CID) {
-						li.ChCIDs = append(li.ChCIDs, ch.CID)
-					}
-				}
+		// Climb from the keyword node to the deepest node already on the
+		// path stack; what was passed on the way is new.
+		s.anc = s.anc[:0]
+		for cur := ev.ID; ; cur = t.Parent(cur) {
+			d := int(t.Depth(cur) - rootDepth)
+			if d < len(s.stack) && s.nodes[s.stack[d]].id == cur {
+				s.stack = s.stack[:d+1]
 				break
 			}
+			s.anc = append(s.anc, cur)
 		}
-		for i := range items {
-			li := &items[i]
-			sortU64(li.ChKList)
-			sortCIDs(li.ChCIDs)
+		for j := len(s.anc) - 1; j >= 0; j-- {
+			f.push(s.anc[j])
 		}
-		n.Items = items
+		f.match(ev.Mask, contentOf(ev.ID))
+	}
+	f.fold()
+	return f
+}
+
+// BuildFragment is BuildFragmentIDs over a code-based RTF (whose keyword
+// nodes rtf.Build also yields in pre-order). Node codes alias the RTF's.
+func BuildFragment(r *rtf.RTF, labelOf LabelFunc, contentOf ContentFunc, opts Options) *Fragment {
+	f := newFragment(len(r.KeywordNodes), opts)
+	f.codeLabel = labelOf
+	s := f.s
+	f.codes = append(make([]dewey.Code, 0, cap(s.nodes)), r.Root)
+	f.push(nid.None)
+	for _, ev := range r.KeywordNodes {
+		shared := dewey.CommonPrefixLen(f.codes[s.stack[len(s.stack)-1]], ev.Code)
+		s.stack = s.stack[:shared-len(r.Root)+1]
+		for l := shared + 1; l <= len(ev.Code); l++ {
+			f.codes = append(f.codes, ev.Code[:l])
+			f.push(nid.None)
+		}
+		f.match(ev.Mask, contentOf(ev.Code))
+	}
+	f.fold()
+	return f
+}
+
+// push appends a node as the last child of the path stack's top and makes
+// it the new top.
+func (f *Fragment) push(id nid.ID) {
+	s := f.s
+	i := int32(len(s.nodes))
+	parent := int32(-1)
+	if len(s.stack) > 0 {
+		parent = s.stack[len(s.stack)-1]
+	}
+	s.nodes = append(s.nodes, node{id: id, parent: parent, end: i + 1})
+	s.stack = append(s.stack, i)
+	if f.content != nil {
+		f.content = append(f.content, nil)
 	}
 }
 
-// sortU64 and sortCIDs are allocation-free insertion sorts: child groups
-// are tiny, and sort.Slice would allocate a closure and swapper per call.
-func sortU64(xs []uint64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// match records a keyword event on the path stack's top.
+func (f *Fragment) match(mask uint64, words []string) {
+	i := f.s.stack[len(f.s.stack)-1]
+	n := &f.s.nodes[i]
+	n.klist |= mask
+	for _, w := range words {
+		n.cid.add(w)
+	}
+	if f.content != nil {
+		m := f.contentSet(i)
+		for _, w := range words {
+			m[w] = struct{}{}
 		}
 	}
 }
 
-func sortCIDs(xs []CID) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j].Less(xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// fold transfers every node's keyword set and content feature to its
+// parent, deepest nodes first, and closes the subtree ranges.
+func (f *Fragment) fold() {
+	nodes := f.s.nodes
+	for i := len(nodes) - 1; i > 0; i-- {
+		c := &nodes[i]
+		p := &nodes[c.parent]
+		p.klist |= c.klist
+		if c.cid.Max != "" {
+			p.cid.add(c.cid.Min)
+			p.cid.add(c.cid.Max)
 		}
-	}
-}
-
-func containsU64(xs []uint64, v uint64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsCID(xs []CID, v CID) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedNodes(ns []*Node) bool {
-	for i := 1; i < len(ns); i++ {
-		if nodeLess(ns[i], ns[i-1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sortNodesDoc orders nodes in document order without the closure and
-// swapper allocations of sort.Slice: insertion sort for the tiny slices
-// the hot path produces, slices.SortFunc (allocation-free generics)
-// otherwise.
-func sortNodesDoc(ns []*Node) {
-	if len(ns) < 16 {
-		for i := 1; i < len(ns); i++ {
-			for j := i; j > 0 && nodeLess(ns[j], ns[j-1]); j-- {
-				ns[j], ns[j-1] = ns[j-1], ns[j]
+		p.end = max(p.end, c.end)
+		if f.content != nil {
+			m := f.contentSet(c.parent)
+			for w := range f.content[i] {
+				m[w] = struct{}{}
 			}
 		}
-		return
 	}
-	slices.SortFunc(ns, func(a, b *Node) int {
-		if nodeLess(a, b) {
-			return -1
-		}
-		if nodeLess(b, a) {
-			return 1
-		}
-		return 0
-	})
 }
 
-// nodeLess orders fragment nodes in document order: by table ID when both
-// carry one (an integer compare), by Dewey code otherwise.
-func nodeLess(a, b *Node) bool {
-	if a.ID != nid.None && b.ID != nid.None {
-		return a.ID < b.ID
+// contentSet returns node i's tree content set, creating it when absent.
+func (f *Fragment) contentSet(i int32) map[string]struct{} {
+	if f.content[i] == nil {
+		f.content[i] = make(map[string]struct{})
 	}
-	return dewey.Compare(a.Code, b.Code) < 0
+	return f.content[i]
 }
 
-// NodeAt returns the fragment node with the given code, or nil.
-func (f *Fragment) NodeAt(c dewey.Code) *Node {
-	if f.byKey != nil {
-		return f.byKey[c.Key()]
+func (f *Fragment) label(i int32) string {
+	if f.codes != nil {
+		return f.codeLabel(f.codes[i])
 	}
-	for _, n := range f.nodes {
-		if dewey.Equal(n.Code, c) {
-			return n
-		}
+	return f.idLabel(f.s.nodes[i].id)
+}
+
+func (f *Fragment) code(i int32) dewey.Code {
+	if f.codes != nil {
+		return f.codes[i]
 	}
-	return nil
+	return f.tab.Code(f.s.nodes[i].id)
 }
 
 // Size returns the number of nodes in the unpruned fragment.
-func (f *Fragment) Size() int { return len(f.nodes) }
+func (f *Fragment) Size() int { return len(f.s.nodes) }
 
-// Source returns the code-based RTF the fragment was built from, or nil
-// for ID-built fragments (see SourceID).
-func (f *Fragment) Source() *rtf.RTF { return f.source }
-
-// SourceID returns the ID-based RTF the fragment was built from, or nil
-// for code-built fragments.
-func (f *Fragment) SourceID() *rtf.IDRTF { return f.sourceID }
+// Release returns the fragment's node and working memory to the pool. The
+// fragment must not be used afterwards; Results obtained from it stay valid.
+func (f *Fragment) Release() {
+	s := f.s
+	f.s = nil
+	if s != nil && cap(s.nodes)*int(unsafe.Sizeof(node{})) <= maxRetainedBytes {
+		pool.Put(s)
+	}
+}
 
 // Result is the outcome of pruning a fragment under one mode: the kept node
 // codes in pre-order.
@@ -507,191 +392,161 @@ type Result struct {
 	// the per-fragment effectiveness number the explain/tracing surfaces
 	// report.
 	Visited int
-	keep    map[string]bool // lazy; see KeepSet
-}
-
-// KeepSet returns the kept codes keyed by dewey key, built lazily on first
-// use (shared map; do not modify, do not call concurrently with itself).
-func (r *Result) KeepSet() map[string]bool {
-	if r.keep == nil {
-		m := make(map[string]bool, len(r.Kept))
-		var buf []byte
-		for _, c := range r.Kept {
-			buf = c.AppendKey(buf[:0])
-			m[string(buf)] = true
-		}
-		r.keep = m
-	}
-	return r.keep
-}
-
-// Contains reports whether the pruned fragment kept the node.
-func (r *Result) Contains(c dewey.Code) bool { return r.KeepSet()[c.Key()] }
-
-// Len returns the number of kept nodes.
-func (r *Result) Len() int { return len(r.Kept) }
-
-// Equal reports whether two results kept exactly the same node set.
-func (r *Result) Equal(o *Result) bool {
-	if len(r.Kept) != len(o.Kept) {
-		return false
-	}
-	for i := range r.Kept {
-		if !dewey.Equal(r.Kept[i], o.Kept[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Prune applies the selected filtering mechanism (the pruning step of
-// pruneRTF) and returns the kept node set. The fragment itself is not
-// mutated, so several modes can be applied to the same fragment.
+// pruneRTF) and returns the kept node set. The fragment's nodes are not
+// mutated, so several modes can be applied to the same fragment in turn.
 func (f *Fragment) Prune(mode Mode, opts Options) *Result {
-	// Breadth-first traversal; children of discarded nodes are never
-	// visited, discarding whole subtrees. The kept slice doubles as the
-	// BFS queue, since every visited node is kept.
-	kept := make([]*Node, 1, len(f.nodes))
-	kept[0] = f.Root
-	for qi := 0; qi < len(kept); qi++ {
-		n := kept[qi]
-		switch mode {
-		case NoPruning:
-			kept = append(kept, n.Children...)
-		case Contributor:
-			kept = appendContributors(kept, n)
-		default:
-			kept = appendValidContributors(kept, n, f.exact && opts.ExactContent)
+	s := f.s
+	nodes := s.nodes
+	s.keep = resize(s.keep, len(nodes))
+	clear(s.keep)
+	s.slot = resize(s.slot, len(nodes))
+	exact := f.content != nil && opts.ExactContent
+
+	// One pre-order sweep both filters and emits: a kept node flags its
+	// surviving children, which all lie ahead, and a discarded node's
+	// subtree is stepped over without being visited.
+	kept := resize(s.kept, len(nodes))[:0]
+	s.keep[0] = true
+	for i := int32(0); int(i) < len(nodes); {
+		if !s.keep[i] {
+			i = nodes[i].end
+			continue
 		}
+		kept = append(kept, i)
+		if nodes[i].end > i+1 {
+			f.filter(i, mode, exact)
+		}
+		i++
 	}
-	sortNodesDoc(kept)
-	res := &Result{Root: f.Root.Code, Kept: make([]dewey.Code, len(kept)), Visited: len(f.nodes)}
+	s.kept = kept
+
+	res := &Result{Kept: make([]dewey.Code, len(kept)), Visited: len(nodes)}
 	if f.tab != nil {
 		res.KeptIDs = make([]nid.ID, len(kept))
 	}
-	for i, n := range kept {
-		res.Kept[i] = n.Code
+	for j, i := range kept {
+		res.Kept[j] = f.code(i)
 		if f.tab != nil {
-			res.KeptIDs[i] = n.ID
+			res.KeptIDs[j] = nodes[i].id
 		}
 	}
+	res.Root = res.Kept[0]
 	return res
 }
 
-// appendValidContributors implements lines 16–26 of Algorithm 1, appending
-// the surviving children of n (in document order) to out.
-func appendValidContributors(out []*Node, n *Node, exact bool) []*Node {
-	start := len(out)
-	for ii := range n.Items {
-		li := &n.Items[ii]
-		if li.Counter == 1 {
-			// Rule 1: unique label among siblings — always a valid
-			// contributor.
-			out = append(out, li.Children[0])
-			continue
-		}
-		// Small stack buffers: sibling groups are tiny, so the seen-sets
-		// stay on the stack instead of allocating per group.
-		var (
-			knumBuf   [16]uint64
-			cidBuf    [16]CID
-			usedKNums = knumBuf[:0]
-			usedCIDs  = cidBuf[:0]
-			keptExact []*Node
-		)
-		for _, ch := range li.Children {
-			knum := ch.KList
-			if containsU64(usedKNums, knum) {
-				// Rule 2(b): equal keyword set — keep only if the content
-				// differs from every kept equal-keyword sibling.
-				if exact {
-					if !duplicateContent(ch, keptExact) {
-						out = append(out, ch)
-						keptExact = append(keptExact, ch)
-					}
-					continue
-				}
-				if !containsCID(usedCIDs, ch.CID) {
-					out = append(out, ch)
-					usedCIDs = append(usedCIDs, ch.CID)
-				}
-				continue
-			}
-			// Rule 2(a): discard when a same-label sibling's keyword set
-			// strictly covers this child's.
-			if li.coveredByLarger(knum) {
-				continue
-			}
-			out = append(out, ch)
-			usedKNums = append(usedKNums, knum)
-			if !containsCID(usedCIDs, ch.CID) {
-				usedCIDs = append(usedCIDs, ch.CID)
-			}
-			if exact {
-				keptExact = append(keptExact, ch)
-			}
-		}
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
-	if !sortedNodes(out[start:]) {
-		sortNodesDoc(out[start:])
-	}
-	return out
+	return b[:n]
 }
 
-func duplicateContent(ch *Node, kept []*Node) bool {
-	for _, k := range kept {
-		if k.KList != ch.KList || len(k.content) != len(ch.content) {
-			continue
+// filter flags the children of p that survive the mode's filtering — lines
+// 16–26 of Algorithm 1 for ValidContributor, MaxMatch's pruneMatches
+// condition (one group, labels and content ignored) for Contributor.
+func (f *Fragment) filter(p int32, mode Mode, exact bool) {
+	s := f.s
+	nodes, keep := s.nodes, s.keep
+	first, end := p+1, nodes[p].end
+	if nodes[first].end == end || mode == NoPruning {
+		// An only child has no sibling to lose against.
+		for c := first; c < end; c = nodes[c].end {
+			keep[c] = true
 		}
-		same := true
-		for w := range ch.content {
-			if _, ok := k.content[w]; !ok {
-				same = false
-				break
+		return
+	}
+
+	// Children Info: the label groups and each group's distinct key numbers.
+	m := 0
+	for c := first; c < end; c = nodes[c].end {
+		m++
+	}
+	s.groups, s.knums = s.groups[:0], s.knums[:0]
+	if mode == ValidContributor {
+		s.resetTable(m)
+	}
+	for c := first; c < end; c = nodes[c].end {
+		var l string
+		g := int32(0)
+		if mode == ValidContributor {
+			l = f.label(c)
+			g = s.probe(maphash.String(seed, l), int32(len(s.groups)), func(g int32) bool { return s.groups[g].label == l })
+		}
+		if int(g) == len(s.groups) {
+			s.groups = append(s.groups, group{label: l, first: -1})
+		}
+		s.groups[g].count++
+		s.slot[c] = s.knumOf(g, nodes[c].klist)
+	}
+	// Rule 2(a), once per distinct key number instead of once per child.
+	for i := range s.knums {
+		a := &s.knums[i]
+		for j := s.groups[a.group].first; j >= 0 && !a.covered; j = s.knums[j].next {
+			b := s.knums[j].k
+			a.covered = b != a.k && b&a.k == a.k
+		}
+	}
+
+	if mode == ValidContributor && !exact {
+		s.resetTable(m)
+	}
+	for c := first; c < end; c = nodes[c].end {
+		e := &s.knums[s.slot[c]]
+		switch {
+		case mode == ValidContributor && s.groups[e.group].count == 1:
+			// Rule 1: unique label among siblings — always a valid
+			// contributor.
+			keep[c] = true
+		case e.covered:
+			// A sibling (of the same label, for rule 2a) has a keyword set
+			// strictly covering this child's.
+		case mode == Contributor:
+			keep[c] = true
+		default:
+			// Rule 2(b): of the children with this keyword set keep the
+			// first, and later ones only when their content is new.
+			var dup bool
+			if exact {
+				dup = e.used && f.duplicateContent(first, c)
+			} else {
+				// Algorithm 1 keeps one used-cID list per label item, so a
+				// cID counts as used whichever key number brought it in.
+				cid := nodes[c].cid
+				h := maphash.String(seed, cid.Min) + 31*maphash.String(seed, cid.Max) + uint64(e.group)
+				w := s.probe(h, c, func(w int32) bool { return s.knums[s.slot[w]].group == e.group && nodes[w].cid == cid })
+				dup = e.used && w != c
 			}
+			e.used = true
+			keep[c] = !dup
 		}
-		if same {
+	}
+}
+
+// knumOf returns the chkList entry of key number k in label group g, adding
+// it when k is new to the group.
+func (s *scratch) knumOf(g int32, k uint64) int32 {
+	for i := s.groups[g].first; i >= 0; i = s.knums[i].next {
+		if s.knums[i].k == k {
+			return i
+		}
+	}
+	i := int32(len(s.knums))
+	s.knums = append(s.knums, knum{k: k, group: g, next: s.groups[g].first})
+	s.groups[g].first = i
+	return i
+}
+
+// duplicateContent reports whether a kept sibling before c, of c's label
+// and keyword set, has exactly c's tree content set.
+func (f *Fragment) duplicateContent(first, c int32) bool {
+	s := f.s
+	for w := first; w < c; w = s.nodes[w].end {
+		if s.keep[w] && s.slot[w] == s.slot[c] && maps.Equal(f.content[w], f.content[c]) {
 			return true
 		}
 	}
 	return false
-}
-
-// appendContributors implements MaxMatch's pruneMatches condition: child c
-// survives iff no sibling's keyword set strictly covers dMatch(c). Labels
-// and content are ignored.
-func appendContributors(out []*Node, n *Node) []*Node {
-	for _, ch := range n.Children {
-		covered := false
-		for _, sib := range n.Children {
-			if sib == ch {
-				continue
-			}
-			if sib.KList != ch.KList && sib.KList&ch.KList == ch.KList {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			out = append(out, ch)
-		}
-	}
-	return out
-}
-
-// Sketch renders the fragment's annotated nodes for debugging, in the style
-// of Figure 4(b): code, label, key number and cID per node.
-func (f *Fragment) Sketch() string {
-	ordered := make([]*Node, len(f.nodes))
-	copy(ordered, f.nodes)
-	sortNodesDoc(ordered)
-	var b strings.Builder
-	for _, n := range ordered {
-		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s", strings.Repeat("  ", len(n.Code)-len(f.Root.Code)), n.Code, n.Label, n.KList, n.CID)
-		if n.IsKeywordNode {
-			b.WriteString(" *")
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

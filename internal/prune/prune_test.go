@@ -1,6 +1,8 @@
 package prune
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +65,53 @@ func assertKept(t *testing.T, r *Result, want ...string) {
 	}
 }
 
+// nodeAt returns the index of the fragment node with the given code, or -1.
+func nodeAt(f *Fragment, code string) int32 {
+	c := dewey.MustParse(code)
+	for i := range f.s.nodes {
+		if dewey.Equal(f.code(int32(i)), c) {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+func contains(r *Result, code string) bool {
+	return slices.ContainsFunc(r.Kept, func(c dewey.Code) bool { return dewey.Equal(c, dewey.MustParse(code)) })
+}
+
+func equalKept(a, b *Result) bool {
+	return slices.EqualFunc(a.Kept, b.Kept, dewey.Equal)
+}
+
+// chkLists returns the Children Info filtering builds for node p: per label
+// group in first-occurrence order, the child count and the sorted distinct
+// child key numbers.
+func chkLists(f *Fragment, p int32) (counts []int32, chk [][]uint64) {
+	f.Prune(NoPruning, Options{}) // sizes the working arrays
+	f.filter(p, ValidContributor, false)
+	for _, g := range f.s.groups {
+		var ks []uint64
+		for i := g.first; i >= 0; i = f.s.knums[i].next {
+			ks = append(ks, f.s.knums[i].k)
+		}
+		slices.Sort(ks)
+		counts, chk = append(counts, g.count), append(chk, ks)
+	}
+	return counts, chk
+}
+
+// sketch renders the fragment's annotated nodes in the style of Figure
+// 4(b): code, label, key number and cID per node.
+func sketch(f *Fragment) string {
+	var b strings.Builder
+	for i, n := range f.s.nodes {
+		c := f.code(int32(i))
+		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s\n", strings.Repeat("  ", len(c)-len(f.code(0))), c, f.label(int32(i)), n.klist, n.cid)
+	}
+	return b.String()
+}
+
 // Figure 3(b): the raw RTF for Q1; ValidRTF keeps all of it (rule 1 saves
 // the uniquely-labelled title node — no false positive).
 func TestQ1ValidRTFKeepsTitle(t *testing.T) {
@@ -83,7 +132,7 @@ func TestQ1MaxMatchDiscardsTitle(t *testing.T) {
 	assertKept(t, res,
 		"0.2.1", "0.2.1.0", "0.2.1.0.0", "0.2.1.0.0.0",
 		"0.2.1.0.1", "0.2.1.0.1.0", "0.2.1.2")
-	if res.Contains(dewey.MustParse("0.2.1.1")) {
+	if contains(res, "0.2.1.1") {
 		t.Error("MaxMatch should discard the title node")
 	}
 }
@@ -154,56 +203,44 @@ func TestQ2BothFragmentsStable(t *testing.T) {
 		"0.2.0", "0.2.0.0", "0.2.0.0.0", "0.2.0.0.0.0", "0.2.0.1", "0.2.0.2")
 	ref := h.fragment(t, 1, Options{})
 	assertKept(t, ref.Prune(ValidContributor, Options{}), "0.2.0.3.0")
-	if !art.Prune(ValidContributor, Options{}).Equal(art.Prune(Contributor, Options{})) {
+	if !equalKept(art.Prune(ValidContributor, Options{}), art.Prune(Contributor, Options{})) {
 		t.Error("Q2 article fragment should be identical under both mechanisms")
 	}
 }
 
 // Figure 4(c)-style inspection of the constructed node data structure for
-// Q3: key numbers (our bit order: bit i = query keyword i) and label items.
+// Q3: key numbers (our bit order: bit i = query keyword i) and label groups.
 func TestQ3NodeDataStructure(t *testing.T) {
 	h := newHarness(t, paperdata.Publications(), paperdata.Q3)
 	f := h.fragment(t, 0, Options{})
 
 	// Q3 = vldb(b0) title(b1) xml(b2) keyword(b3) search(b4).
-	root := f.NodeAt(dewey.MustParse("0"))
-	if root == nil {
-		t.Fatal("root missing")
+	if k := f.s.nodes[0].klist; k != 0b11111 {
+		t.Errorf("root kList = %b, want 11111", k)
 	}
-	if root.KList != 0b11111 {
-		t.Errorf("root kList = %b, want 11111", root.KList)
-	}
-	if len(root.Items) != 2 {
-		t.Fatalf("root label items = %d, want 2 (title, Articles)", len(root.Items))
+	if counts, _ := chkLists(f, 0); len(counts) != 2 {
+		t.Fatalf("root label groups = %d, want 2 (title, Articles)", len(counts))
 	}
 
-	articles := f.NodeAt(dewey.MustParse("0.2"))
-	if articles.KList != 0b11110 {
-		t.Errorf("Articles kList = %b, want 11110", articles.KList)
+	articles := nodeAt(f, "0.2")
+	if k := f.s.nodes[articles].klist; k != 0b11110 {
+		t.Errorf("Articles kList = %b, want 11110", k)
 	}
-	if len(articles.Items) != 1 || articles.Items[0].Counter != 2 {
-		t.Fatalf("Articles should have one label item with counter 2, got %+v", articles.Items)
+	counts, chk := chkLists(f, articles)
+	if len(counts) != 1 || counts[0] != 2 {
+		t.Fatalf("Articles should have one label group with counter 2, got %v", counts)
 	}
-	chk := articles.Items[0].ChKList
-	if len(chk) != 2 || chk[0] != 0b00010 || chk[1] != 0b11110 {
-		t.Errorf("chkList = %b, want [10 11110]", chk)
+	if len(chk[0]) != 2 || chk[0][0] != 0b00010 || chk[0][1] != 0b11110 {
+		t.Errorf("chkList = %b, want [10 11110]", chk[0])
 	}
-	if !articles.Items[0].coveredByLarger(0b00010) {
-		t.Error("key number 2 should be covered by 30")
-	}
-	if articles.Items[0].coveredByLarger(0b11110) {
-		t.Error("the maximal key number should not be covered")
+	for _, e := range f.s.knums {
+		if e.covered != (e.k == 0b00010) {
+			t.Errorf("key number %b covered = %v: 2 is covered by 30, the maximal one is not", e.k, e.covered)
+		}
 	}
 
-	title00 := f.NodeAt(dewey.MustParse("0.0"))
-	if title00.KList != 0b00011 {
-		t.Errorf("node 0.0 kList = %b, want 11", title00.KList)
-	}
-	if !title00.IsKeywordNode {
-		t.Error("0.0 should be a keyword node")
-	}
-	if f.NodeAt(dewey.MustParse("0.2")).IsKeywordNode {
-		t.Error("0.2 is a pure path node")
+	if k := f.s.nodes[nodeAt(f, "0.0")].klist; k != 0b00011 {
+		t.Errorf("node 0.0 kList = %b, want 11", k)
 	}
 }
 
@@ -212,17 +249,15 @@ func TestQ3NodeDataStructure(t *testing.T) {
 func TestQ4CIDFeatures(t *testing.T) {
 	h := newHarness(t, paperdata.Team(), paperdata.Q4)
 	f := h.fragment(t, 0, Options{})
-	p0 := f.NodeAt(dewey.MustParse("0.1.0"))
-	if p0.CID != (CID{Min: "forward", Max: "position"}) {
-		t.Errorf("player 0 cID = %s", p0.CID)
+	p0 := f.s.nodes[nodeAt(f, "0.1.0")].cid
+	if p0 != (CID{Min: "forward", Max: "position"}) {
+		t.Errorf("player 0 cID = %s", p0)
 	}
-	p1 := f.NodeAt(dewey.MustParse("0.1.1"))
-	if p1.CID != (CID{Min: "guard", Max: "position"}) {
-		t.Errorf("player 1 cID = %s", p1.CID)
+	if p1 := f.s.nodes[nodeAt(f, "0.1.1")].cid; p1 != (CID{Min: "guard", Max: "position"}) {
+		t.Errorf("player 1 cID = %s", p1)
 	}
-	p2 := f.NodeAt(dewey.MustParse("0.1.2"))
-	if p2.CID != p0.CID {
-		t.Errorf("players 0 and 2 should share a cID: %s vs %s", p0.CID, p2.CID)
+	if p2 := f.s.nodes[nodeAt(f, "0.1.2")].cid; p2 != p0 {
+		t.Errorf("players 0 and 2 should share a cID: %s vs %s", p0, p2)
 	}
 }
 
@@ -234,12 +269,12 @@ func TestQ4ExactContent(t *testing.T) {
 	f := h.fragment(t, 0, opts)
 	res := f.Prune(ValidContributor, opts)
 	assertKept(t, res, "0", "0.0", "0.1", "0.1.0", "0.1.0.1", "0.1.1", "0.1.1.1")
-	p0 := f.NodeAt(dewey.MustParse("0.1.0"))
-	if !p0.HasContentWord("forward") || p0.HasContentWord("guard") {
-		t.Error("exact content set wrong for player 0")
+	p0 := f.content[nodeAt(f, "0.1.0")]
+	if _, guard := p0["guard"]; guard || len(p0) == 0 {
+		t.Errorf("exact content set wrong for player 0: %v", p0)
 	}
-	if p0.ContentSize() == 0 {
-		t.Error("ContentSize should be positive in exact mode")
+	if _, forward := p0["forward"]; !forward {
+		t.Errorf("exact content set of player 0 misses its position: %v", p0)
 	}
 }
 
@@ -272,7 +307,7 @@ func TestRootOnlyFragment(t *testing.T) {
 	ref := h.fragment(t, 1, Options{})
 	for _, mode := range []Mode{ValidContributor, Contributor, NoPruning} {
 		res := ref.Prune(mode, Options{})
-		if res.Len() != 1 || !res.Contains(dewey.MustParse("0.2.0.3.0")) {
+		if len(res.Kept) != 1 || !contains(res, "0.2.0.3.0") {
 			t.Errorf("mode %s: ref fragment = %v", mode, keptStrings(res))
 		}
 	}
@@ -298,20 +333,19 @@ func TestDiscardIsRecursive(t *testing.T) {
 	assertKept(t, res, "0", "0.0", "0.1", "0.1.0", "0.1.1")
 }
 
-func TestResultHelpers(t *testing.T) {
+// Prune leaves the fragment reusable: the same mode twice gives the same
+// result, another mode in between does not disturb it.
+func TestPruneRepeatable(t *testing.T) {
 	h := newHarness(t, paperdata.Team(), paperdata.Q4)
 	f := h.fragment(t, 0, Options{})
 	a := f.Prune(ValidContributor, Options{})
-	b := f.Prune(ValidContributor, Options{})
-	if !a.Equal(b) {
-		t.Error("identical prunes should be Equal")
-	}
 	c := f.Prune(Contributor, Options{})
-	if a.Equal(c) {
-		t.Error("different prunes should not be Equal")
+	b := f.Prune(ValidContributor, Options{})
+	if !equalKept(a, b) {
+		t.Error("identical prunes should be equal")
 	}
-	if !a.KeepSet()[dewey.MustParse("0.1.0").Key()] {
-		t.Error("KeepSet missing kept node")
+	if equalKept(a, c) {
+		t.Error("different prunes should not be equal")
 	}
 	if a.Root.String() != "0" {
 		t.Errorf("Root = %s", a.Root)
@@ -331,33 +365,10 @@ func TestFragmentAccessors(t *testing.T) {
 	if f.Size() != 9 {
 		t.Errorf("Size = %d, want 9", f.Size())
 	}
-	if f.Source() != h.rtfs[0] {
-		t.Error("Source mismatch")
+	if nodeAt(f, "9.9") != -1 {
+		t.Error("nodeAt absent should be -1")
 	}
-	if f.NodeAt(dewey.MustParse("9.9")) != nil {
-		t.Error("NodeAt absent should be nil")
-	}
-	sk := f.Sketch()
-	if !strings.Contains(sk, "0.1.0 (player)") || !strings.Contains(sk, "*") {
-		t.Errorf("Sketch output unexpected:\n%s", sk)
-	}
-}
-
-func BenchmarkBuildAndPrune(b *testing.B) {
-	tree := paperdata.Publications()
-	an := analysis.New()
-	ix := index.Build(tree, an)
-	_, sets, err := ix.KeywordSets(paperdata.Q3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rtfs := rtf.Build(lca.ELCAStackMerge(sets), sets)
-	labelOf := func(c dewey.Code) string { return tree.NodeAt(c).Label }
-	contentOf := func(c dewey.Code) []string { return an.ContentSet(tree.NodeAt(c).ContentPieces()...) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := BuildFragment(rtfs[0], labelOf, contentOf, Options{})
-		f.Prune(ValidContributor, Options{})
+	if sk := sketch(f); !strings.Contains(sk, "0.1.0 (player) k=2 cID=(forward,position)") {
+		t.Errorf("sketch output unexpected:\n%s", sk)
 	}
 }

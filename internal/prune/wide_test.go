@@ -1,0 +1,343 @@
+package prune
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"xks/internal/dewey"
+	"xks/internal/lca"
+	"xks/internal/nid"
+	"xks/internal/rtf"
+)
+
+// refNode is one node of a synthetic fragment, annotated the naive way:
+// every tree value is recomputed from the node's own subtree, nothing is
+// transferred along paths.
+type refNode struct {
+	code  dewey.Code
+	label string
+	mask  uint64   // keywords the node itself matches
+	words []string // its own content set
+	kids  []*refNode
+
+	tk      uint64              // tree keyword set
+	content map[string]struct{} // tree content set
+	cid     CID
+}
+
+func (n *refNode) annotate() {
+	n.tk, n.content = n.mask, map[string]struct{}{}
+	for _, w := range n.words {
+		n.content[w] = struct{}{}
+	}
+	for _, k := range n.kids {
+		k.annotate()
+		n.tk |= k.tk
+		maps.Copy(n.content, k.content)
+	}
+	if len(n.content) > 0 {
+		ws := slices.Sorted(maps.Keys(n.content))
+		n.cid = CID{Min: ws[0], Max: ws[len(ws)-1]}
+	}
+}
+
+// synthetic is a generated fragment in every form the builders take.
+type synthetic struct {
+	root   *refNode
+	tab    *nid.Table
+	idRTF  *rtf.IDRTF
+	rtf    *rtf.RTF
+	labels []string   // by table ID
+	words  [][]string // by table ID
+}
+
+func (s *synthetic) labelOfID(id nid.ID) string     { return s.labels[id] }
+func (s *synthetic) contentOfID(id nid.ID) []string { return s.words[id] }
+func (s *synthetic) labelOf(c dewey.Code) string    { return s.labels[s.id(c)] }
+func (s *synthetic) contentOf(c dewey.Code) []string {
+	return s.words[s.id(c)]
+}
+
+func (s *synthetic) id(c dewey.Code) nid.ID {
+	id, ok := s.tab.Find(c)
+	if !ok {
+		panic("unknown code " + c.String())
+	}
+	return id
+}
+
+// add registers n (nodes arrive in pre-order, so table IDs count up) and
+// its keyword event.
+func (s *synthetic) add(n *refNode, codes *[]dewey.Code) {
+	id := nid.ID(len(*codes))
+	*codes = append(*codes, n.code)
+	s.labels = append(s.labels, n.label)
+	s.words = append(s.words, n.words)
+	if n.mask != 0 {
+		s.idRTF.KeywordNodes = append(s.idRTF.KeywordNodes, lca.IDEvent{ID: id, Mask: n.mask})
+		s.rtf.KeywordNodes = append(s.rtf.KeywordNodes, lca.Event{Code: n.code, Mask: n.mask})
+	}
+	for _, k := range n.kids {
+		s.add(k, codes)
+	}
+}
+
+func finish(root *refNode) *synthetic {
+	root.annotate()
+	s := &synthetic{root: root, idRTF: &rtf.IDRTF{}, rtf: &rtf.RTF{Root: root.code}}
+	var codes []dewey.Code
+	s.add(root, &codes)
+	s.tab = nid.FromCodes(codes)
+	return s
+}
+
+// vocabulary is small on purpose: (min,max) features collide between
+// children whose content sets differ, and between children of different
+// keyword sets.
+var vocabulary = []string{"a", "b", "c", "d", "e", "f"}
+
+// randomWide generates a fragment whose root has n children over the given
+// number of labels and k query keywords. A child is a keyword node, the
+// parent of up to three keyword nodes, or both.
+func randomWide(rng *rand.Rand, n, labels, k int) *synthetic {
+	label := func() string { return fmt.Sprintf("l%d", rng.Intn(labels)) }
+	keyword := func(n *refNode) {
+		n.mask = 1 + uint64(rng.Intn(1<<k-1))
+		for range 1 + rng.Intn(3) {
+			if w := vocabulary[rng.Intn(len(vocabulary))]; !slices.Contains(n.words, w) {
+				n.words = append(n.words, w)
+			}
+		}
+	}
+	root := &refNode{code: dewey.Code{0}, label: "root"}
+	for i := range n {
+		c := &refNode{code: root.code.Child(uint32(i)), label: label()}
+		grandchildren := 0
+		if rng.Intn(10) < 3 {
+			grandchildren = 1 + rng.Intn(3)
+		}
+		if grandchildren == 0 || rng.Intn(2) == 0 {
+			keyword(c)
+		}
+		for j := range grandchildren {
+			g := &refNode{code: c.code.Child(uint32(j)), label: label()}
+			keyword(g)
+			c.kids = append(c.kids, g)
+		}
+		root.kids = append(root.kids, c)
+	}
+	return finish(root)
+}
+
+// naiveKept is the all-pairs reading of the filtering rules: every child is
+// compared with every sibling. It returns the kept codes in pre-order.
+func naiveKept(v *refNode, mode Mode, exact bool) []string {
+	out := []string{v.code.String()}
+	for i, u := range v.kids {
+		if naiveKeeps(v.kids, i, mode, exact) {
+			out = append(out, naiveKept(u, mode, exact)...)
+		}
+	}
+	return out
+}
+
+func strictlyCovers(w, u *refNode) bool { return w.tk != u.tk && w.tk&u.tk == u.tk }
+
+func naiveKeeps(sibs []*refNode, i int, mode Mode, exact bool) bool {
+	u := sibs[i]
+	// covered(x, group): some other member of group strictly covers x.
+	covered := func(x *refNode, sameLabel bool) bool {
+		for _, w := range sibs {
+			if w != x && (!sameLabel || w.label == x.label) && strictlyCovers(w, x) {
+				return true
+			}
+		}
+		return false
+	}
+	switch mode {
+	case NoPruning:
+		return true
+	case Contributor:
+		// MaxMatch: no sibling's keyword set strictly covers u's.
+		return !covered(u, false)
+	}
+	// Definition 4. Rule 1: a label unique among the siblings.
+	unique := true
+	for j, w := range sibs {
+		unique = unique && (j == i || w.label != u.label)
+	}
+	if unique {
+		return true
+	}
+	// Rule 2(a): no same-label sibling strictly covers u.
+	if covered(u, true) {
+		return false
+	}
+	// Rule 2(b): among same-label siblings of equal keyword set, equal
+	// content keeps only the first.
+	first := true
+	for _, w := range sibs[:i] {
+		if w.label != u.label {
+			continue
+		}
+		if w.tk == u.tk {
+			first = false
+			if exact && maps.EqualFunc(w.content, u.content, func(struct{}, struct{}) bool { return true }) {
+				return false
+			}
+		}
+	}
+	if exact || first {
+		return true
+	}
+	// With the cID feature, Algorithm 1 holds one used-cID list per label
+	// item: a later child of a keyword set already seen is dropped when
+	// any earlier surviving-rule-2(a) sibling of its label — whatever that
+	// sibling's keyword set — has its cID.
+	for _, w := range sibs[:i] {
+		if w.label == u.label && w.cid == u.cid && !covered(w, true) {
+			return false
+		}
+	}
+	return true
+}
+
+func codeStrings(cs []dewey.Code) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = c.String()
+	}
+	return out
+}
+
+var allModes = []Mode{ValidContributor, Contributor, NoPruning}
+
+// TestWideGroupsMatchNaive pits the kernel against the all-pairs rules on
+// seeded random sibling groups, through both builders.
+func TestWideGroupsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	sizes := []int{1, 2, 3, 5, 9, 17, 40, 150, 700, 5000}
+	for trial := range 120 {
+		n := sizes[trial%len(sizes)]
+		if n == 5000 && trial >= 3*len(sizes) {
+			n = 1 + rng.Intn(300) // three all-pairs passes at full width are enough
+		}
+		labels := 1 + rng.Intn(4)
+		if trial%7 == 0 {
+			labels = 12 // past the linearly scanned label list
+		}
+		s := randomWide(rng, n, labels, 1+rng.Intn(6))
+		for _, exact := range []bool{false, true} {
+			opts := Options{ExactContent: exact}
+			byID := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
+			byCode := BuildFragment(s.rtf, s.labelOf, s.contentOf, opts)
+			for _, mode := range allModes {
+				want := naiveKept(s.root, mode, exact)
+				for name, f := range map[string]*Fragment{"ids": byID, "codes": byCode} {
+					got := f.Prune(mode, opts)
+					if !slices.Equal(codeStrings(got.Kept), want) {
+						t.Fatalf("trial %d (%d children, %d labels) %s %s exact=%v:\n got %v\nwant %v",
+							trial, n, labels, name, mode, exact, codeStrings(got.Kept), want)
+					}
+					if got.Visited != f.Size() {
+						t.Fatalf("trial %d: Visited %d, fragment has %d nodes", trial, got.Visited, f.Size())
+					}
+				}
+			}
+			byID.Release()
+			byCode.Release()
+		}
+	}
+}
+
+// TestResultsOutliveScratch: Results own their memory. Four goroutines
+// build, prune and release fragments from the shared pool; every Result
+// they retained must still read as it did when it was produced.
+func TestResultsOutliveScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var frags []*synthetic
+	var want [][]string
+	for i := range 24 {
+		s := randomWide(rng, 1+rng.Intn(400), 1+rng.Intn(3), 1+rng.Intn(4))
+		frags = append(frags, s)
+		want = append(want, naiveKept(s.root, allModes[i%len(allModes)], false))
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			retained := make([]*Result, len(frags))
+			check := func(i int) {
+				r := retained[i]
+				if r == nil {
+					return
+				}
+				if !slices.Equal(codeStrings(r.Kept), want[i]) {
+					t.Errorf("goroutine %d: retained result of fragment %d changed", g, i)
+				}
+				for j, id := range r.KeptIDs {
+					if !dewey.Equal(frags[i].tab.Code(id), r.Kept[j]) {
+						t.Errorf("goroutine %d: fragment %d KeptIDs[%d] no longer matches Kept", g, i, j)
+					}
+				}
+			}
+			for round := range 40 {
+				i := (round*7 + g*5) % len(frags)
+				check(i)
+				s := frags[i]
+				f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{})
+				retained[i] = f.Prune(allModes[i%len(allModes)], Options{})
+				f.Release()
+			}
+			for i := range retained {
+				check(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameLabelChildren is the DBLP root in miniature: n children of one label,
+// each the parent of one keyword node, three keyword sets (one of them
+// covering the others), content features mostly distinct.
+func sameLabelChildren(n int) *synthetic {
+	root := &refNode{code: dewey.Code{0}, label: "dblp"}
+	for i := range n {
+		c := &refNode{code: root.code.Child(uint32(i)), label: "article"}
+		c.kids = []*refNode{{
+			code: c.code.Child(0), label: "title", mask: 1 + uint64(i%3),
+			words: []string{fmt.Sprintf("w%03d", i%211), fmt.Sprintf("w%03d", i*7%193)},
+		}}
+		root.kids = append(root.kids, c)
+	}
+	return finish(root)
+}
+
+var sink *Result
+
+// BenchmarkBuildAndPrune times the production path, BuildFragmentIDs +
+// Prune + Release. The wide cases must scale linearly: 8192 children cost
+// about twice 4096.
+func BenchmarkBuildAndPrune(b *testing.B) {
+	run := func(b *testing.B, s *synthetic, mode Mode) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{})
+			sink = f.Prune(mode, Options{})
+			f.Release()
+		}
+	}
+	small := randomWide(rand.New(rand.NewSource(1)), 4, 2, 3)
+	b.Run("small", func(b *testing.B) { run(b, small, ValidContributor) })
+	for _, n := range []int{4096, 8192} {
+		s := sameLabelChildren(n)
+		for _, mode := range []Mode{ValidContributor, Contributor} {
+			b.Run(fmt.Sprintf("wide/%d/%s", n, mode), func(b *testing.B) { run(b, s, mode) })
+		}
+	}
+}

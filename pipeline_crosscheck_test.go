@@ -96,7 +96,6 @@ func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.C
 		IsSLCA:    r.IsSLCA(allRoots),
 		rootCode:  r.Root,
 		kept:      kept.Kept,
-		keep:      kept.KeepSet(),
 		src:       e.src,
 		words:     idfWords,
 		snip:      e.snip,
