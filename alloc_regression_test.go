@@ -16,11 +16,14 @@ package xks
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
+	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/exec"
+	"xks/internal/store"
 	"xks/internal/trace"
 	"xks/internal/workload"
 	"xks/internal/xmltree"
@@ -255,5 +258,43 @@ func TestWideGroupAllocsDoNotScale(t *testing.T) {
 	t.Logf("build+prune allocations: %.0f at 1024 children, %.0f at 8192", small, large)
 	if large > small+2 { // slack for a collection emptying the pool mid-measurement
 		t.Errorf("build+prune allocates %.0f objects at 8192 children against %.0f at 1024: something is allocated per child", large, small)
+	}
+}
+
+// TestStoreWriteXMLAllocsDoNotScale: a store-backed WriteXML appends into a
+// pooled buffer, resolving labels and words by row index — no keep map, no
+// per-node key, string or fmt argument — so a fragment of thousands of
+// nodes allocates what one of a few does: nothing.
+func TestStoreWriteXMLAllocsDoNotScale(t *testing.T) {
+	tree := datagen.DBLP(datagen.DBLPConfig{
+		Seed:       3,
+		NumRecords: 1500,
+		Keywords:   []datagen.KeywordSpec{{Word: "alpha", Count: 900}, {Word: "beta", Count: 900}},
+	})
+	res, err := FromStore(store.Shred(tree, analysis.New())).Search(context.Background(), Request{Query: "alpha beta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := res.Fragments[0], res.Fragments[0]
+	for _, f := range res.Fragments {
+		if f.Len() < small.Len() {
+			small = f
+		}
+		if f.Len() > large.Len() {
+			large = f
+		}
+	}
+	if small.Len() > 10 || large.Len() < 1000 {
+		t.Fatalf("fragments have %d and %d nodes; want a handful and thousands", small.Len(), large.Len())
+	}
+	for _, f := range []*Fragment{small, large} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := f.WriteXML(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 { // slack for a collection emptying the pool mid-measurement
+			t.Errorf("WriteXML of a %d-node store-backed fragment allocates %.0f objects per run, want none", f.Len(), allocs)
+		}
 	}
 }

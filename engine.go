@@ -1077,6 +1077,7 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 		Pruned:    kept.Visited - len(kept.Kept),
 		rootCode:  rootCode,
 		kept:      kept.Kept,
+		keptIDs:   kept.KeptIDs,
 		src:       e.src,
 		words:     p.IDFWords,
 		snip:      e.snip,

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"xks/internal/dewey"
+	"xks/internal/nid"
 	"xks/internal/snippet"
 )
 
@@ -47,11 +48,14 @@ type Fragment struct {
 
 	rootCode dewey.Code
 	// kept is the ordered (pre-order) keep-set from pruning, carried
-	// through assembly so renderers never re-parse string keys; keep is
-	// the same set keyed by dewey key for membership tests, built lazily
-	// (via keepSet) because only renderers and Contains consult it — the
-	// search hot path never pays for the map.
+	// through assembly so renderers never re-parse string keys, and
+	// keptIDs the same nodes as table IDs (constant-time label and content
+	// lookups for the store renderer); keep is the same set keyed by dewey
+	// key for membership tests, built lazily (via keepSet) because only the
+	// tree renderer and Contains consult it — neither the search hot path
+	// nor a store-backed render pays for the map.
 	kept     []dewey.Code
+	keptIDs  []nid.ID
 	keep     map[string]bool
 	keepOnce sync.Once
 	src      docSource
@@ -140,7 +144,7 @@ func (f *Fragment) Snippet() string {
 // shared by the serving layer's cache).
 func (f *Fragment) ASCII() string {
 	f.asciiOnce.Do(func() {
-		f.asciiText = f.src.renderASCII(f.rootCode, f.kept, f.keepSet())
+		f.asciiText = f.src.renderASCII(f)
 	})
 	return f.asciiText
 }
@@ -150,23 +154,22 @@ func (f *Fragment) ASCII() string {
 // computed once and reused.
 func (f *Fragment) XML() string {
 	f.xmlOnce.Do(func() {
-		f.xmlText = f.src.renderXML(f.rootCode, f.kept, f.keepSet())
+		f.xmlText = f.src.renderXML(f)
 		f.xmlDone.Store(true)
 	})
 	return f.xmlText
 }
 
-// WriteXML streams the fragment's XML rendering into w — byte-identical to
-// XML(), but written incrementally so a large fragment flows straight into
-// a chunked response body under the consumer's backpressure instead of
-// buffering whole in memory. When the rendering was already memoized by
-// XML(), the cached string is written instead of re-rendering; WriteXML
-// itself does not populate the cache (a streamed fragment is typically
-// rendered exactly once).
+// WriteXML renders the fragment's XML into w — byte-identical to XML(),
+// but without building or retaining the string: the serving layer renders
+// each cached page once, straight into its encoded response bytes, and
+// keeps those instead. When the rendering was already memoized by XML(),
+// the cached string is written instead of re-rendering; WriteXML itself
+// does not populate the cache.
 func (f *Fragment) WriteXML(w io.Writer) error {
 	if f.xmlDone.Load() {
 		_, err := io.WriteString(w, f.xmlText)
 		return err
 	}
-	return f.src.renderXMLTo(w, f.rootCode, f.kept, f.keepSet())
+	return f.src.renderXMLTo(w, f)
 }

@@ -5,9 +5,20 @@
 // (r.Context(), optionally tightened by a timeout= deadline): a client that
 // disconnects or times out cancels the pipeline mid-stream. Search
 // execution is the staged pipeline of internal/exec: rank=1&limit=N
-// requests prune and assemble only the N returned fragments, and the
-// per-fragment XML below is rendered once per cached result, not once per
-// request.
+// requests prune and assemble only the N returned fragments.
+//
+// Encoding: one encoder (encode.go) writes every fragment record — the
+// buffered body's "fragments" elements and the NDJSON lines alike — with
+// the XML rendered straight into the record. A cached page is encoded at
+// most once: the request that first needs the records (for a buffered miss,
+// the miss itself) leaves them with the page's cache entry
+// (service.Page.Encoded), and every later hit, buffered or streamed, writes
+// those bytes behind a freshly encoded envelope. The bytes live and die
+// with the entry; snippets=1 responses and pages the cache does not hold
+// (truncated, pinned to an old snapshot) are encoded per request. Buffered
+// responses carry a Content-Length, "fragments" is always an array, and
+// records escape only what JSON requires — '<', '>' and '&' in the XML are
+// not \u-escaped.
 //
 // Endpoints:
 //
@@ -209,10 +220,12 @@ const maxAppendBody = 8 << 20
 
 // StatsResponse is the JSON shape of /stats.
 type StatsResponse struct {
-	Documents    int              `json:"documents"`
-	Generation   uint64           `json:"generation"`
-	CacheEntries int              `json:"cacheEntries"`
-	Server       service.Snapshot `json:"server"`
+	Documents    int    `json:"documents"`
+	Generation   uint64 `json:"generation"`
+	CacheEntries int    `json:"cacheEntries"`
+	// CacheBodyBytes is the encoded response bytes those entries retain.
+	CacheBodyBytes int64            `json:"cacheBodyBytes"`
+	Server         service.Snapshot `json:"server"`
 }
 
 // parseRequest builds the xks.Request from the query parameters; the error
@@ -451,10 +464,11 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, logger, StatsResponse{
-			Documents:    len(svc.Documents()),
-			Generation:   svc.Generation(),
-			CacheEntries: svc.CacheLen(),
-			Server:       svc.Metrics().Snapshot(),
+			Documents:      len(svc.Documents()),
+			Generation:     svc.Generation(),
+			CacheEntries:   svc.CacheLen(),
+			CacheBodyBytes: svc.CacheBodyBytes(),
+			Server:         svc.Metrics().Snapshot(),
 		})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -586,7 +600,7 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 			return
 		}
 
-		res, cached, err := svc.Search(ctx, req)
+		page, cached, err := svc.SearchPage(ctx, req)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				// The client went away; there is no one to answer.
@@ -597,44 +611,59 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 			return
 		}
 		if m := metaFrom(r.Context()); m != nil {
-			m.cached, m.truncated = cached, res.Truncated
+			m.cached, m.truncated = cached, page.Truncated
 		}
-		if res.Truncation != "" {
-			tr.Root().SetStr("truncation", string(res.Truncation))
+		if page.Truncation != "" {
+			tr.Root().SetStr("truncation", string(page.Truncation))
 		}
-		resp := Response{
-			Query:       req.Query,
-			Keywords:    res.Stats.Keywords,
-			NumLCAs:     res.Stats.NumLCAs,
-			ElapsedMS:   float64(res.Stats.Elapsed.Microseconds()) / 1000.0,
-			Cached:      cached,
-			Offset:      req.Offset,
-			Cursor:      string(res.Cursor),
-			Truncated:   res.Truncated,
-			Truncation:  string(res.Truncation),
-			PerDocument: res.PerDocument,
-		}
-		if res.NextOffset >= 0 {
-			resp.Next = strconv.Itoa(res.NextOffset)
-		}
-		for _, f := range res.Fragments {
-			resp.Fragments = append(resp.Fragments, ToFragment(f, withSnippets))
-		}
+		// Only the envelope is encoded per request; the records are the
+		// page's own bytes, encoded once and retained by its cache entry.
+		recs := pageRecords(svc, page, withSnippets).Bytes
+		var explainJSON []byte
 		if explain {
 			tr.Finish()
-			resp.Explain = tr.Root().JSON()
+			explainJSON, _ = json.Marshal(tr.Root().JSON()) // strings and finite numbers: cannot fail
 		}
-		writeJSON(w, logger, resp)
+		bp := bufs.Get().(*[]byte)
+		e := encoder{buf: (*bp)[:0]}
+		e.head(req, page.Results, cached)
+		head := len(e.buf)
+		e.tail(explainJSON)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.buf)+len(recs)))
+		for _, part := range [][]byte{e.buf[:head], recs, e.buf[head:]} {
+			if _, err := w.Write(part); err != nil {
+				break // the client went away
+			}
+		}
+		putBuf(bp, e.buf)
 	})
 	return withObservability(mux, logger)
 }
 
+// pageRecords returns the encoded fragment records of a page: the bytes its
+// cache entry retains (encoded by the first request to need them, which for
+// a buffered miss is the miss itself), or a fresh encoding when the page
+// keeps none or the request wants snippets, which the retained form omits.
+func pageRecords(svc *service.Service, p *service.Page, withSnippets bool) *service.Encoded {
+	encode := func() *service.Encoded {
+		svc.Metrics().ObserveEncode()
+		return encodeRecords(p.Fragments, withSnippets)
+	}
+	if withSnippets {
+		return encode()
+	}
+	return p.Encoded(encode)
+}
+
 // streamSearch serves /search?stream=1: NDJSON chunked output driven
 // directly off the service's fragment iterator — one fragment per line,
-// flushed as it materializes, then one StreamTrailer record. Errors before
-// the first fragment still map to proper status codes (400/404/410/504);
-// a failure after bytes are on the wire becomes a trailer with its "error"
-// field set. With explain set, the trailer carries tr's finished span tree.
+// flushed as it materializes, then one StreamTrailer record. A fragment
+// replayed from a ready page is served from that page's encoded records;
+// a live one is encoded as it arrives. Errors before the first fragment
+// still map to proper status codes (400/404/410/504); a failure after bytes
+// are on the wire becomes a trailer with its "error" field set. With
+// explain set, the trailer carries tr's finished span tree.
 func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Service, logger *slog.Logger, req xks.Request, withSnippets, explain bool, tr *trace.Trace) {
 	seq, trailer := svc.Stream(ctx, req)
 	var (
@@ -649,6 +678,14 @@ func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Servi
 		flusher, _ = w.(http.Flusher)
 		wrote = true
 	}
+	var (
+		replayed *service.Page    // the ready page recs belongs to
+		recs     *service.Encoded // its records
+		encoded  bool             // this response was counted as a page encode
+	)
+	bp := bufs.Get().(*[]byte)
+	live := encoder{buf: *bp} // encodes the fragments no ready page holds
+	defer func() { putBuf(bp, live.buf) }()
 	for f, err := range seq {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -666,7 +703,23 @@ func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Servi
 		if !wrote {
 			begin()
 		}
-		if err := writeFragmentLine(w, f, withSnippets); err != nil {
+		var rec []byte
+		if f.Page != nil && !withSnippets {
+			if f.Page != replayed {
+				replayed, recs = f.Page, pageRecords(svc, f.Page, false)
+			}
+			rec = line(recs, f.Index)
+		} else {
+			if !encoded {
+				encoded = true
+				svc.Metrics().ObserveEncode()
+			}
+			live.buf = live.buf[:0]
+			live.record(f.CorpusFragment, withSnippets)
+			live.raw("\n")
+			rec = live.buf
+		}
+		if _, err := w.Write(rec); err != nil {
 			// The connection is gone mid-line; nothing left to answer.
 			return
 		}
@@ -697,95 +750,11 @@ func flush(f http.Flusher) {
 	}
 }
 
-// fragmentMeta is the Fragment wire shape minus the xml field — the part
-// of a streamed NDJSON line that is marshaled whole; the xml value is then
-// streamed behind it (writeFragmentLine), so the record stays identical to
-// a marshaled Fragment without the rendering ever being buffered.
-type fragmentMeta struct {
-	Document  string  `json:"document,omitempty"`
-	Root      string  `json:"root"`
-	RootLabel string  `json:"rootLabel"`
-	IsSLCA    bool    `json:"isSlca"`
-	Score     float64 `json:"score,omitempty"`
-	Snippet   string  `json:"snippet,omitempty"`
-	Nodes     int     `json:"nodes"`
-}
-
-// writeFragmentLine writes one stream=1 NDJSON fragment record with the
-// XML rendered straight into the chunked body: the metadata fields are
-// marshaled normally, then the closing brace is replaced by an "xml" member
-// whose string value streams through a JSON escaper under the client's
-// backpressure. The bytes on the wire decode identically to
-// json.Marshal(ToFragment(f, withSnippets)).
-func writeFragmentLine(w io.Writer, f xks.CorpusFragment, withSnippets bool) error {
-	meta := fragmentMeta{
-		Document:  f.Document,
-		Root:      f.Root,
-		RootLabel: f.RootLabel,
-		IsSLCA:    f.IsSLCA,
-		Score:     f.Score,
-		Nodes:     f.Len(),
-	}
-	if withSnippets {
-		meta.Snippet = f.Snippet()
-	}
-	head, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(head[:len(head)-1]); err != nil { // strip closing '}'
-		return err
-	}
-	if _, err := io.WriteString(w, `,"xml":"`); err != nil {
-		return err
-	}
-	esc := jsonStringEscaper{w: w}
-	if err := f.WriteXML(&esc); err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, "\"}\n")
-	return err
-}
-
-// jsonStringEscaper escapes the bytes of a JSON string value on the fly:
-// quotes, backslashes and control characters are escaped, valid UTF-8
-// passes through untouched (encoding/json would escape <, > and & too —
-// an HTML-safety measure both encodings decode identically from).
-type jsonStringEscaper struct {
-	w   io.Writer
-	buf []byte
-}
-
-func (j *jsonStringEscaper) Write(p []byte) (int, error) {
-	b := j.buf[:0]
-	for _, c := range p {
-		switch {
-		case c == '"':
-			b = append(b, '\\', '"')
-		case c == '\\':
-			b = append(b, '\\', '\\')
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		case c < 0x20:
-			b = append(b, fmt.Sprintf(`\u%04x`, c)...)
-		default:
-			b = append(b, c)
-		}
-	}
-	j.buf = b[:0] // keep the grown capacity for the next chunk
-	if _, err := j.w.Write(b); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// ToFragment converts one result fragment to its NDJSON/JSON wire shape —
-// the single source of the fragment format, shared by the buffered
-// response, the stream=1 endpoint, and cmd/xksearch's -stream output.
+// ToFragment converts one result fragment to the shape its wire record
+// decodes into — what a Go client holds after json.Unmarshal, and what
+// cmd/xksearch's -stream output marshals. The server itself writes records
+// with encoder.record, which never builds the XML string this memoizes on
+// the fragment.
 func ToFragment(f xks.CorpusFragment, withSnippets bool) Fragment {
 	out := Fragment{
 		Document:  f.Document,

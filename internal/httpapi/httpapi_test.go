@@ -250,7 +250,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if out.CacheEntries != 1 {
 		t.Errorf("cacheEntries = %d, want 1", out.CacheEntries)
 	}
+	if out.CacheBodyBytes <= 0 {
+		t.Errorf("cacheBodyBytes = %d, want the one entry's encoded page", out.CacheBodyBytes)
+	}
 	s := out.Server
+	if s.ResponseEncodes != 1 {
+		t.Errorf("responseEncodes = %d, want 1 (the miss; the hit is served from its bytes)", s.ResponseEncodes)
+	}
 	if s.Requests != 3 || s.Errors != 1 || s.CacheHits != 1 || s.CacheMisses != 2 {
 		t.Errorf("server stats = %+v", s)
 	}

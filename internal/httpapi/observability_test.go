@@ -233,6 +233,14 @@ func TestMetricsExposition(t *testing.T) {
 	if first["xks_corpus_documents"] != 2 {
 		t.Fatalf("xks_corpus_documents = %v, want 2", first["xks_corpus_documents"])
 	}
+	// The buffered miss and the live stream each encoded a page; the hit was
+	// served from the bytes the miss left with its cache entry.
+	if first["xks_response_encodes_total"] != 2 {
+		t.Fatalf("xks_response_encodes_total = %v, want 2", first["xks_response_encodes_total"])
+	}
+	if first["xks_cache_body_bytes"] <= 0 {
+		t.Fatalf("xks_cache_body_bytes = %v, want > 0", first["xks_cache_body_bytes"])
+	}
 
 	checkHistogram(t, first, "xks_request_duration_seconds", "")
 	for _, stage := range []string{"plan", "candidates", "select", "materialize"} {
@@ -257,10 +265,15 @@ func TestMetricsExposition(t *testing.T) {
 		"xks_cache_hits_total", "xks_cache_misses_total",
 		"xks_collapsed_requests_total", "xks_streamed_requests_total",
 		"xks_truncated_results_total", "xks_request_duration_seconds_count",
+		"xks_response_encodes_total",
 	} {
 		if second[c] < first[c] {
 			t.Fatalf("counter %s went backwards: %v -> %v", c, first[c], second[c])
 		}
+	}
+	if second["xks_response_encodes_total"] != first["xks_response_encodes_total"] {
+		t.Fatalf("a cache hit encoded a page: xks_response_encodes_total %v -> %v",
+			first["xks_response_encodes_total"], second["xks_response_encodes_total"])
 	}
 	if second["xks_requests_total"] != first["xks_requests_total"]+1 {
 		t.Fatalf("xks_requests_total: %v -> %v, want +1", first["xks_requests_total"], second["xks_requests_total"])

@@ -2,9 +2,9 @@ package httpapi
 
 // Tests for the streaming XML render path: the stream=1 fragment lines
 // must decode identically to the buffered response even though their xml
-// member is escaped on the fly (jsonStringEscaper) and rendered straight
-// into the chunked body (Fragment.WriteXML) instead of being marshaled
-// from a buffered string.
+// member is escaped on the fly (encoder.Write) and rendered straight into
+// the record (Fragment.WriteXML) instead of being marshaled from a
+// buffered string.
 
 import (
 	"bytes"
@@ -68,10 +68,10 @@ func TestStreamedXMLMatchesBuffered(t *testing.T) {
 	}
 }
 
-// TestWriteFragmentLineWireShape pins a streamed line's bytes to decode
-// into exactly the Fragment that ToFragment marshals — the two encoders
+// TestRecordWireShape pins an encoded record's bytes to decode into exactly
+// the Fragment that ToFragment builds — encoder.record and encoding/json
 // are allowed to differ only in JSON escaping choices.
-func TestWriteFragmentLineWireShape(t *testing.T) {
+func TestRecordWireShape(t *testing.T) {
 	e := xks.FromStore(store.Shred(paperdata.Publications(), analysis.New()))
 	res, err := e.Search(t.Context(), xks.NewRequest("xml keyword", xks.Options{}))
 	if err != nil {
@@ -82,21 +82,16 @@ func TestWriteFragmentLineWireShape(t *testing.T) {
 	}
 	for i := range res.Fragments {
 		cf := xks.CorpusFragment{Document: "d.xml", Fragment: res.Fragments[i]}
-		var line bytes.Buffer
-		if err := writeFragmentLine(&line, cf, true); err != nil {
-			t.Fatal(err)
-		}
-		raw := line.Bytes()
-		if raw[len(raw)-1] != '\n' {
-			t.Fatalf("fragment %d: line not newline-terminated", i)
-		}
+		var e encoder
+		e.record(cf, true)
+		raw := e.buf
 		var got Fragment
 		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatalf("fragment %d: streamed line does not decode: %v\n%s", i, err, raw)
+			t.Fatalf("fragment %d: record does not decode: %v\n%s", i, err, raw)
 		}
 		want := ToFragment(cf, true)
 		if got != want {
-			t.Fatalf("fragment %d: streamed line decodes to %+v, want %+v", i, got, want)
+			t.Fatalf("fragment %d: record decodes to %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -115,8 +110,7 @@ func TestJSONStringEscaper(t *testing.T) {
 		"",
 	}
 	for _, in := range inputs {
-		var buf bytes.Buffer
-		esc := jsonStringEscaper{w: &buf}
+		var esc encoder
 		// Write in 3-byte chunks to exercise state across calls.
 		for b := []byte(in); len(b) > 0; {
 			n := min(3, len(b))
@@ -125,7 +119,7 @@ func TestJSONStringEscaper(t *testing.T) {
 			}
 			b = b[n:]
 		}
-		quoted := `"` + buf.String() + `"`
+		quoted := `"` + string(esc.buf) + `"`
 		var out string
 		if err := json.Unmarshal([]byte(quoted), &out); err != nil {
 			t.Fatalf("input %q: escaped form %s invalid: %v", in, quoted, err)

@@ -147,6 +147,19 @@ func (c *Cache[V]) Len() int {
 	return n
 }
 
+// Each calls fn with every live value, one shard at a time under that
+// shard's lock: fn must be quick and must not call back into the cache.
+func (c *Cache[V]) Each(fn func(V)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			fn(el.Value.(*entry[V]).val)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Purge drops every entry.
 func (c *Cache[V]) Purge() {
 	for i := range c.shards {

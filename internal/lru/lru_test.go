@@ -98,6 +98,18 @@ func TestPurge(t *testing.T) {
 	}
 }
 
+func TestEachVisitsLiveEntries(t *testing.T) {
+	c := New[int](2, 1)
+	c.Put("a", 0, 1)
+	c.Put("b", 0, 2)
+	c.Put("c", 0, 4) // evicts a
+	sum := 0
+	c.Each(func(v int) { sum += v })
+	if sum != 6 {
+		t.Fatalf("Each summed %d, want 6 (b and c)", sum)
+	}
+}
+
 func TestConcurrent(t *testing.T) {
 	c := New[int](128, 8)
 	var wg sync.WaitGroup

@@ -53,10 +53,10 @@ func TestGroupWaiterDetachesOnCancel(t *testing.T) {
 	started := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
+		_, _, err := g.do(context.Background(), "k", func() (*Page, error) {
 			close(started)
 			<-release
-			return &xks.CorpusResult{Query: "q"}, nil
+			return &Page{Results: &xks.Results{Query: "q"}}, nil
 		})
 		leaderDone <- err
 	}()
@@ -68,7 +68,7 @@ func TestGroupWaiterDetachesOnCancel(t *testing.T) {
 		cancel()
 	}()
 	begin := time.Now()
-	_, shared, err := g.do(ctx, "k", func() (*xks.CorpusResult, error) {
+	_, shared, err := g.do(ctx, "k", func() (*Page, error) {
 		t.Error("waiter must not execute")
 		return nil, nil
 	})
@@ -96,7 +96,7 @@ func TestGroupRetriesAfterLeaderCancelled(t *testing.T) {
 	started := make(chan struct{})
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	go func() {
-		g.do(leaderCtx, "k", func() (*xks.CorpusResult, error) {
+		g.do(leaderCtx, "k", func() (*Page, error) {
 			execs.Add(1)
 			close(started)
 			<-leaderCtx.Done()
@@ -108,9 +108,9 @@ func TestGroupRetriesAfterLeaderCancelled(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		val, _, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
+		val, _, err := g.do(context.Background(), "k", func() (*Page, error) {
 			execs.Add(1)
-			return &xks.CorpusResult{Query: "fresh"}, nil
+			return &Page{Results: &xks.Results{Query: "fresh"}}, nil
 		})
 		if err != nil || val == nil || val.Query != "fresh" {
 			t.Errorf("retrying waiter: val=%v err=%v", val, err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"xks"
 	"xks/internal/concurrent"
 )
 
@@ -27,7 +26,7 @@ type group struct {
 
 type call struct {
 	done chan struct{} // closed when val/err are settled
-	val  *xks.CorpusResult
+	val  *Page
 	err  error
 }
 
@@ -58,7 +57,7 @@ func notOurAnswer(c *call) bool {
 // path uses this so a streamed request can collapse onto an identical
 // buffered query without forcing streams — which are consumer-paced — to
 // lead flights themselves.
-func (g *group) poll(ctx context.Context, key string) (val *xks.Results, err error, ok bool) {
+func (g *group) poll(ctx context.Context, key string) (val *Page, err error, ok bool) {
 	g.mu.Lock()
 	c, inFlight := g.calls[key]
 	g.mu.Unlock()
@@ -81,7 +80,7 @@ func (g *group) poll(ctx context.Context, key string) (val *xks.Results, err err
 // after a cancelled leader); a waiter that detached on its own dead
 // context received nothing and reports shared=false, so the serving
 // layer's collapsed-request metric counts only real collapses.
-func (g *group) do(ctx context.Context, key string, fn func() (*xks.CorpusResult, error)) (val *xks.CorpusResult, shared bool, err error) {
+func (g *group) do(ctx context.Context, key string, fn func() (*Page, error)) (val *Page, shared bool, err error) {
 	for {
 		g.mu.Lock()
 		if g.calls == nil {

@@ -22,13 +22,13 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 	sharedCount := atomic.Int64{}
 	// Leader blocks inside fn until release closes, guaranteeing the
 	// other callers arrive while the call is in flight.
-	leaderDone := make(chan *xks.CorpusResult, 1)
+	leaderDone := make(chan *Page, 1)
 	go func() {
-		val, shared, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
+		val, shared, err := g.do(context.Background(), "k", func() (*Page, error) {
 			execs.Add(1)
 			close(started)
 			<-release
-			return &xks.CorpusResult{Query: "q"}, nil
+			return &Page{Results: &xks.Results{Query: "q"}}, nil
 		})
 		if shared || err != nil {
 			t.Errorf("leader: shared=%t err=%v", shared, err)
@@ -40,9 +40,9 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, shared, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
+			val, shared, err := g.do(context.Background(), "k", func() (*Page, error) {
 				execs.Add(1)
-				return &xks.CorpusResult{Query: "other"}, nil
+				return &Page{Results: &xks.Results{Query: "other"}}, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -76,7 +76,7 @@ func TestGroupDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			if _, _, err := g.do(context.Background(), key, func() (*xks.CorpusResult, error) {
+			if _, _, err := g.do(context.Background(), key, func() (*Page, error) {
 				execs.Add(1)
 				return nil, nil
 			}); err != nil {
@@ -93,13 +93,13 @@ func TestGroupDistinctKeysRunIndependently(t *testing.T) {
 func TestGroupPropagatesError(t *testing.T) {
 	var g group
 	boom := errors.New("boom")
-	_, _, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) { return nil, boom })
+	_, _, err := g.do(context.Background(), "k", func() (*Page, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
 	// The key is released after the call; the next call re-executes.
-	val, shared, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
-		return &xks.CorpusResult{}, nil
+	val, shared, err := g.do(context.Background(), "k", func() (*Page, error) {
+		return &Page{Results: &xks.Results{}}, nil
 	})
 	if val == nil || shared || err != nil {
 		t.Errorf("retry: val=%v shared=%t err=%v", val, shared, err)
@@ -113,7 +113,7 @@ func TestGroupLeaderPanicReleasesJoinersWithError(t *testing.T) {
 	errs := make(chan error, 1)
 	leaderErrs := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
+		_, _, err := g.do(context.Background(), "k", func() (*Page, error) {
 			close(started)
 			<-joined
 			panic("boom")
@@ -122,8 +122,8 @@ func TestGroupLeaderPanicReleasesJoinersWithError(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		val, shared, err := g.do(context.Background(), "k", func() (*xks.CorpusResult, error) {
-			return &xks.CorpusResult{}, nil
+		val, shared, err := g.do(context.Background(), "k", func() (*Page, error) {
+			return &Page{Results: &xks.Results{}}, nil
 		})
 		if !shared || val != nil {
 			t.Errorf("joiner: shared=%t val=%v", shared, val)

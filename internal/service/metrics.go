@@ -81,6 +81,11 @@ type Metrics struct {
 	// partial-page cache instead of recomputing the already-materialized
 	// prefix.
 	partialResumes atomic.Uint64
+	// encodes counts result pages the API layer encoded (ObserveEncode). A
+	// cache hit served from its entry's retained bytes encodes nothing, so
+	// hits rising while this stands still is the sign hits are served from
+	// bytes.
+	encodes atomic.Uint64
 
 	latency histogram
 	// stages breaks pipeline executions down by stage (indexed by the
@@ -110,6 +115,9 @@ type StoreOpenInfo struct {
 // /metrics. Servers that build their engine from a tree or an in-memory
 // store never call it, and the gauges stay absent.
 func (m *Metrics) SetStoreOpen(info StoreOpenInfo) { m.storeOpen.Store(&info) }
+
+// ObserveEncode counts one result page encoded by the API layer.
+func (m *Metrics) ObserveEncode() { m.encodes.Add(1) }
 
 // observe records one request latency in the histogram.
 func (m *Metrics) observe(d time.Duration) { m.latency.observe(d) }
@@ -158,11 +166,14 @@ type Snapshot struct {
 	PanicsRecovered uint64 `json:"panicsRecovered"`
 	// PartialResumes counts requests that resumed a truncated page from the
 	// partial-page cache.
-	PartialResumes uint64  `json:"partialPageResumes"`
-	AvgLatencyMS   float64 `json:"avgLatencyMs"`
-	P50LatencyMS   float64 `json:"p50LatencyMs"`
-	P95LatencyMS   float64 `json:"p95LatencyMs"`
-	P99LatencyMS   float64 `json:"p99LatencyMs"`
+	PartialResumes uint64 `json:"partialPageResumes"`
+	// ResponseEncodes counts result pages the API layer encoded; cache hits
+	// served from retained bytes do not add to it.
+	ResponseEncodes uint64  `json:"responseEncodes"`
+	AvgLatencyMS    float64 `json:"avgLatencyMs"`
+	P50LatencyMS    float64 `json:"p50LatencyMs"`
+	P95LatencyMS    float64 `json:"p95LatencyMs"`
+	P99LatencyMS    float64 `json:"p99LatencyMs"`
 }
 
 // Snapshot derives the aggregate view, estimating the latency percentiles
@@ -178,6 +189,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Truncated:       m.truncated.Load(),
 		PanicsRecovered: m.panics.Load(),
 		PartialResumes:  m.partialResumes.Load(),
+		ResponseEncodes: m.encodes.Load(),
 	}
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)

@@ -1,0 +1,63 @@
+package service
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"xks"
+)
+
+// Encoded is the wire form of a page's fragment records. The API layer's
+// encoder produces it and owns the layout; the service only retains it with
+// the page's cache entry and reports its size.
+type Encoded struct {
+	// Bytes holds the encoded records back to back.
+	Bytes []byte
+	// Ends[i] is the offset in Bytes just past record i.
+	Ends []int
+}
+
+// Page is one result page as SearchPage and Stream hand it to the API
+// layer: the results plus, when the page is a cache entry, the slot that
+// retains its encoded fragment records — so a cached page is encoded once,
+// not once per hit. The slot shares the entry's fate (same key, same
+// version token, same eviction); there is no second cache.
+type Page struct {
+	*xks.Results
+	cached bool // the page went into the cache: Encoded retains
+
+	mu  sync.Mutex // serializes the one encode of a cached page
+	enc atomic.Pointer[Encoded]
+}
+
+// Encoded returns the page's encoded fragment records, running encode to
+// produce them. A cache entry retains the result: encode runs at most once
+// however many requests race for it, and every later call returns the same
+// bytes. Any other page — truncated, pinned to an old snapshot, served with
+// the cache disabled — retains nothing and encodes per call.
+func (p *Page) Encoded(encode func() *Encoded) *Encoded {
+	if !p.cached {
+		return encode()
+	}
+	if e := p.enc.Load(); e != nil {
+		return e
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e := p.enc.Load(); e != nil {
+		return e
+	}
+	e := encode()
+	p.enc.Store(e)
+	return e
+}
+
+// StreamedFragment is one fragment of a Service.Stream. When it is replayed
+// from a ready page (a cache hit, a joined flight, a resumed partial page)
+// rather than materialized live, Page and Index locate it there, so a
+// consumer can serve it from the page's encoded records.
+type StreamedFragment struct {
+	xks.CorpusFragment
+	Page  *Page
+	Index int
+}

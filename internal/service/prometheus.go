@@ -36,6 +36,8 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 		"Requests that failed with a recovered pipeline panic instead of crashing the process.", m.panics.Load())
 	writeCounter(w, "xks_partial_resumes_total",
 		"Requests that resumed a truncated page from the partial-page cache.", m.partialResumes.Load())
+	writeCounter(w, "xks_response_encodes_total",
+		"Result pages encoded by the API layer (cache hits served from retained bytes encode nothing).", m.encodes.Load())
 
 	writeHistogram(w, "xks_request_duration_seconds",
 		"End-to-end request latency, including cache hits.", "", &m.latency)
@@ -72,6 +74,8 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 
 	writeGauge(w, "xks_cache_entries",
 		"Live entries in the query-result cache.", float64(sv.CacheLen()))
+	writeGauge(w, "xks_cache_body_bytes",
+		"Encoded response bytes retained by query-result cache entries.", float64(sv.CacheBodyBytes()))
 	writeGauge(w, "xks_corpus_generation",
 		"Data mutation generation of the corpus (changes on every append or document add).", float64(sv.Generation()))
 	docs := sv.Documents()

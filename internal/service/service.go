@@ -14,8 +14,9 @@
 //     next lookup; the searches behind it run the staged pipeline
 //     (internal/exec), so cached entries hold only the *selected*
 //     candidates in materialized form — a ranked Limit=10 corpus query
-//     caches 10 assembled fragments, each rendering (XML/ASCII) computed
-//     once and shared across hits;
+//     caches 10 assembled fragments, and the API layer's encoding of them
+//     (Page.Encoded) is computed once and retained with the entry, so a hit
+//     is served from bytes;
 //   - singleflight collapsing of concurrent identical queries, so a
 //     thundering herd of the same request costs one pipeline execution —
 //     context-aware: a waiter whose own context ends detaches immediately
@@ -23,8 +24,8 @@
 //   - live server metrics (request/error/cache counters and a latency
 //     histogram with p50/p95/p99) behind atomic counters.
 //
-// Cached *xks.CorpusResult values are shared between callers and must be
-// treated as immutable.
+// Cached pages (and the *xks.Results inside them) are shared between
+// callers and must be treated as immutable.
 package service
 
 import (
@@ -210,7 +211,7 @@ type Config struct {
 // Service wraps a Searcher with caching, singleflight, and metrics.
 type Service struct {
 	searcher Searcher
-	cache    *lru.Cache[*xks.CorpusResult]
+	cache    *lru.Cache[*Page]
 	// partials caches deadline-truncated pages (TruncMaterialize, bounded
 	// Limit) under the same key space as cache, so an identical retry
 	// resumes materialization at the cursor — re-entering the pipeline at
@@ -227,7 +228,7 @@ type Service struct {
 func New(s Searcher, cfg Config) *Service {
 	sv := &Service{searcher: s}
 	if cfg.CacheSize > 0 {
-		sv.cache = lru.New[*xks.CorpusResult](cfg.CacheSize, cfg.CacheShards)
+		sv.cache = lru.New[*Page](cfg.CacheSize, cfg.CacheShards)
 		sv.partials = lru.New[*xks.CorpusResult](cfg.CacheSize, cfg.CacheShards)
 	}
 	return sv
@@ -295,6 +296,21 @@ func (sv *Service) CacheLen() int {
 	return sv.cache.Len()
 }
 
+// CacheBodyBytes reports the encoded response bytes currently retained by
+// cache entries (Page.Encoded).
+func (sv *Service) CacheBodyBytes() int64 {
+	if sv.cache == nil {
+		return 0
+	}
+	var n int64
+	sv.cache.Each(func(p *Page) {
+		if e := p.enc.Load(); e != nil {
+			n += int64(len(e.Bytes))
+		}
+	})
+	return n
+}
+
 // cacheKey derives the cache/singleflight key from the canonicalized
 // request (xks.Request.Canonical: whitespace-normalized, case-folded query;
 // clamped pagination; no timeout — deeper normalization such as stemming
@@ -335,10 +351,19 @@ func (sv *Service) resolveStrategy(req xks.Request) xks.Strategy {
 	return req.Strategy
 }
 
-// Search serves one request — over the whole corpus, or over the document
-// named by req.Document when non-empty. cached reports whether the result
-// came from the cache. The returned result is shared with other callers —
-// do not mutate it.
+// Search is SearchPage for callers that want only the results.
+func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Results, cached bool, err error) {
+	p, cached, err := sv.SearchPage(ctx, req)
+	if err != nil {
+		return nil, false, err
+	}
+	return p.Results, cached, nil
+}
+
+// SearchPage serves one request — over the whole corpus, or over the
+// document named by req.Document when non-empty. cached reports whether the
+// page came from the cache. The returned page is shared with other callers
+// — do not mutate it.
 //
 // A request carrying a Cursor is validated here, against the same
 // generation cache entries are tagged with, before any cache lookup: a
@@ -352,7 +377,7 @@ func (sv *Service) resolveStrategy(req xks.Request) xks.Strategy {
 // its leader immediately. Truncated results (a BestEffort deadline expired
 // mid-page) are served but never cached — the next identical request runs
 // the pipeline again rather than replaying a partial page.
-func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Results, cached bool, err error) {
+func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page, cached bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -383,12 +408,12 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 		// corpus). Serve the pinned page directly, uncached — it belongs to
 		// an old snapshot no current cache entry should replay. Only a
 		// genuinely unresolvable snapshot surfaces ErrStaleCursor.
-		res, err = sv.searcher.Search(ctx, req)
+		res, err := sv.searcher.Search(ctx, req)
 		if err != nil {
 			return nil, false, err
 		}
 		sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
-		return res, false, nil
+		return &Page{Results: res}, false, nil
 	}
 	key := cacheKey(req, sv.resolveStrategy(req))
 	// Annotate the request's trace (when one is attached) with the serving
@@ -415,15 +440,15 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 		sp.SetStr("cache", "off")
 	}
 
-	res, shared, err := sv.flight.do(ctx, key, func() (*xks.Results, error) {
+	page, shared, err := sv.flight.do(ctx, key, func() (*Page, error) {
 		r, err := sv.searcher.Search(ctx, req)
-		if err == nil {
-			// Only real executions feed the per-stage histograms; cache
-			// hits and collapsed joins never ran the stages.
-			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-			sv.store(key, gen, req, r)
+		if err != nil {
+			return nil, err
 		}
-		return r, err
+		// Only real executions feed the per-stage histograms; cache
+		// hits and collapsed joins never ran the stages.
+		sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
+		return sv.store(key, gen, req, r), nil
 	})
 	if shared {
 		sv.metrics.collapsed.Add(1)
@@ -432,7 +457,7 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 	if err != nil {
 		return nil, false, err
 	}
-	return res, false, nil
+	return page, false, nil
 }
 
 // store routes one completed execution's page into the right cache: a full
@@ -440,19 +465,20 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 // into the partial-page cache (so an identical retry resumes at the
 // cursor), and everything else — candidate-stage truncations, whose
 // fragments were salvaged from a partial corpus and are not a definitive
-// prefix, and unbounded pages — nowhere.
-func (sv *Service) store(key string, gen uint64, req xks.Request, r *xks.Results) {
-	if sv.cache == nil {
-		return
-	}
-	if !r.Truncated {
-		sv.cache.Put(key, gen, r)
-		return
-	}
-	if r.Truncation == xks.TruncMaterialize && req.Limit > 0 &&
-		len(r.Fragments) > 0 && len(r.Fragments) < req.Limit {
+// prefix, and unbounded pages — nowhere. It returns the page to serve; only
+// a page that went into the main cache retains its encoding.
+func (sv *Service) store(key string, gen uint64, req xks.Request, r *xks.Results) *Page {
+	p := &Page{Results: r}
+	switch {
+	case sv.cache == nil:
+	case !r.Truncated:
+		p.cached = true
+		sv.cache.Put(key, gen, p)
+	case r.Truncation == xks.TruncMaterialize && req.Limit > 0 &&
+		len(r.Fragments) > 0 && len(r.Fragments) < req.Limit:
 		sv.partials.Put(key, gen, r)
 	}
+	return p
 }
 
 // resumePartial serves a cache miss from the partial-page cache when an
@@ -466,7 +492,7 @@ func (sv *Service) store(key string, gen uint64, req xks.Request, r *xks.Results
 // the full pipeline; the combined envelope carries the continuation's
 // cursor, truncation state, and stats (the prefix's cost was paid — and
 // reported — by the request that assembled it).
-func (sv *Service) resumePartial(ctx context.Context, key string, gen uint64, req xks.Request) (res *xks.Results, ok bool, err error) {
+func (sv *Service) resumePartial(ctx context.Context, key string, gen uint64, req xks.Request) (page *Page, ok bool, err error) {
 	if sv.partials == nil || req.Limit <= 0 {
 		return nil, false, nil
 	}
@@ -483,21 +509,21 @@ func (sv *Service) resumePartial(ctx context.Context, key string, gen uint64, re
 	cont.Offset += n
 	cont.Limit -= n
 	ckey := fmt.Sprintf("%s|partial:%d", key, n)
-	tail, _, err := sv.flight.do(ctx, ckey, func() (*xks.Results, error) {
+	tail, _, err := sv.flight.do(ctx, ckey, func() (*Page, error) {
 		r, err := sv.searcher.Search(ctx, cont)
-		if err == nil {
-			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
+		if err != nil {
+			return nil, err
 		}
-		return r, err
+		sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
+		return &Page{Results: r}, nil
 	})
 	if err != nil {
 		return nil, true, err
 	}
-	combined := *tail
+	combined := *tail.Results
 	combined.Fragments = append(append(
 		make([]xks.CorpusFragment, 0, n+len(tail.Fragments)), part.Fragments...), tail.Fragments...)
-	sv.store(key, gen, req, &combined)
-	return &combined, true, nil
+	return sv.store(key, gen, req, &combined), true, nil
 }
 
 // Stream serves one request as a fragment stream: the iterator yields
@@ -525,9 +551,9 @@ func (sv *Service) resumePartial(ctx context.Context, key string, gen uint64, re
 // scrolls are not collected for caching, keeping server-side memory O(1)
 // however large the result set; abandoned or truncated streams cache
 // nothing either way.
-func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results) {
+func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[StreamedFragment, error], func() *xks.Results) {
 	res := &xks.Results{Query: req.Query, NextOffset: -1}
-	seq := func(yield func(xks.CorpusFragment, error) bool) {
+	seq := func(yield func(StreamedFragment, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
@@ -546,7 +572,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 		req, err = req.ResolveCursor(gen)
 		if err != nil {
 			if !errors.Is(err, xks.ErrStaleCursor) {
-				yield(xks.CorpusFragment{}, err)
+				yield(StreamedFragment{}, err)
 				return
 			}
 			// Snapshot-pinned resume (see Search): the searcher can often
@@ -558,10 +584,10 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 				for f, ferr := range sseq {
 					if ferr != nil {
 						err = ferr
-						yield(xks.CorpusFragment{}, ferr)
+						yield(StreamedFragment{}, ferr)
 						return
 					}
-					if !yield(f, nil) {
+					if !yield(StreamedFragment{CorpusFragment: f}, nil) {
 						break
 					}
 				}
@@ -573,11 +599,11 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 			r, serr := sv.searcher.Search(ctx, req)
 			if serr != nil {
 				err = serr
-				yield(xks.CorpusFragment{}, serr)
+				yield(StreamedFragment{}, serr)
 				return
 			}
 			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-			*res = *replay(r, req, gen, yield)
+			*res = *replay(&Page{Results: r}, req, gen, yield)
 			return
 		}
 		key := cacheKey(req, sv.resolveStrategy(req))
@@ -600,7 +626,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 		if joined, jerr, ok := sv.flight.poll(ctx, key); ok {
 			if jerr != nil {
 				err = jerr
-				yield(xks.CorpusFragment{}, jerr)
+				yield(StreamedFragment{}, jerr)
 				return
 			}
 			sv.metrics.collapsed.Add(1)
@@ -614,7 +640,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 		if r, ok, perr := sv.resumePartial(ctx, key, gen, req); ok {
 			if perr != nil {
 				err = perr
-				yield(xks.CorpusFragment{}, perr)
+				yield(StreamedFragment{}, perr)
 				return
 			}
 			sp.SetStr("cache", "partial")
@@ -628,12 +654,11 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 			r, serr := sv.searcher.Search(ctx, req)
 			if serr != nil {
 				err = serr
-				yield(xks.CorpusFragment{}, serr)
+				yield(StreamedFragment{}, serr)
 				return
 			}
 			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-			sv.store(key, gen, req, r)
-			*res = *replay(r, req, gen, yield)
+			*res = *replay(sv.store(key, gen, req, r), req, gen, yield)
 			return
 		}
 		sseq, strailer := st.Stream(ctx, req)
@@ -651,7 +676,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 			if collect {
 				page = append(page, f)
 			}
-			if !yield(f, nil) {
+			if !yield(StreamedFragment{CorpusFragment: f}, nil) {
 				complete = false
 				break
 			}
@@ -659,7 +684,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 		t := strailer()
 		*res = *t
 		if err != nil {
-			yield(xks.CorpusFragment{}, err)
+			yield(StreamedFragment{}, err)
 			return
 		}
 		sv.metrics.observeStages(t.Stats.Stages, t.Truncated)
@@ -676,16 +701,16 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.C
 // trailer envelope for what the consumer actually took: a full drain keeps
 // the page's own cursor, an early break gets one re-pointed to resume
 // after the last yielded fragment.
-func replay(r *xks.Results, req xks.Request, gen uint64, yield func(xks.CorpusFragment, error) bool) *xks.Results {
+func replay(p *Page, req xks.Request, gen uint64, yield func(StreamedFragment, error) bool) *xks.Results {
 	n := 0
-	for _, f := range r.Fragments {
+	for i, f := range p.Fragments {
 		// The fragment reaches the consumer even when it stops the loop —
 		// yield delivered it before returning false — so it counts as
 		// received either way.
 		n++
-		if !yield(f, nil) {
+		if !yield(StreamedFragment{CorpusFragment: f, Page: p, Index: i}, nil) {
 			break
 		}
 	}
-	return r.ResumePoint(n, req, gen)
+	return p.ResumePoint(n, req, gen)
 }

@@ -465,7 +465,7 @@ func TestStreamServesCachesAndReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold = append(cold, f)
+		cold = append(cold, f.CorpusFragment)
 	}
 	if len(cold) == 0 {
 		t.Fatal("stream yielded nothing")
@@ -488,7 +488,7 @@ func TestStreamServesCachesAndReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm = append(warm, f)
+		warm = append(warm, f.CorpusFragment)
 	}
 	if len(warm) != len(cold) {
 		t.Fatalf("replayed %d fragments, want %d", len(warm), len(cold))

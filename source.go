@@ -19,9 +19,10 @@ import (
 // The hot path addresses nodes by table ID (labelOfID/contentOfID/
 // nodeTextID — constant-time, allocation-free lookups); the code-based
 // forms remain for the reference/eager paths and label-predicate display.
-// Renderers receive the kept node set twice: kept is the ordered
-// (pre-order) slice pruning produced, keep the same set keyed by dewey key
-// — the tree renderer wants the map, the store renderer the slice.
+// Renderers receive the fragment itself and take the view of the kept node
+// set they need: the tree renderer the dewey-keyed map (f.keepSet, built
+// on first use), the store renderer the ordered slices (f.kept, f.keptIDs)
+// — so a store-backed render never builds the map.
 type docSource interface {
 	labelOf(c dewey.Code) string
 	contentOf(c dewey.Code) []string
@@ -29,12 +30,11 @@ type docSource interface {
 	labelOfID(id nid.ID) string
 	contentOfID(id nid.ID) []string
 	nodeTextID(id nid.ID) string
-	renderASCII(root dewey.Code, kept []dewey.Code, keep map[string]bool) string
-	renderXML(root dewey.Code, kept []dewey.Code, keep map[string]bool) string
-	// renderXMLTo streams the XML rendering straight into w — the
-	// backpressure-friendly path the NDJSON streaming endpoint uses, so a
-	// large fragment never buffers whole in server memory.
-	renderXMLTo(w io.Writer, root dewey.Code, kept []dewey.Code, keep map[string]bool) error
+	renderASCII(f *Fragment) string
+	renderXML(f *Fragment) string
+	// renderXMLTo writes the XML rendering into w without building the
+	// string — the path the serving layer's response encoder uses.
+	renderXMLTo(w io.Writer, f *Fragment) error
 }
 
 // treeSource serves everything from the in-memory document tree.
@@ -150,37 +150,32 @@ func (s *treeSource) nodeTextID(id nid.ID) string {
 	return ""
 }
 
-func (s *treeSource) renderASCII(root dewey.Code, _ []dewey.Code, keep map[string]bool) string {
+func (s *treeSource) renderASCII(f *Fragment) string {
+	keep := f.keepSet()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(root)
+	n := s.tree.NodeAt(f.rootCode)
 	if n == nil {
 		return ""
 	}
 	return xmltree.ASCIITree(n, keep)
 }
 
-func (s *treeSource) renderXML(root dewey.Code, _ []dewey.Code, keep map[string]bool) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(root)
-	if n == nil {
-		return ""
-	}
+func (s *treeSource) renderXML(f *Fragment) string {
 	var b strings.Builder
-	if err := xmltree.WriteFragmentXML(&b, n, keep); err != nil {
+	if err := s.renderXMLTo(&b, f); err != nil {
 		return ""
 	}
 	return b.String()
 }
 
-func (s *treeSource) renderXMLTo(w io.Writer, root dewey.Code, _ []dewey.Code, keep map[string]bool) error {
-	// Held for the duration of the streamed write: a slow consumer delays
-	// writers, but never corrupts them. Appends are rare relative to reads
-	// and the fragments are small; revisit with a tee buffer if needed.
+func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
+	keep := f.keepSet()
+	// Held for the duration of the write: a slow w delays appends, but
+	// never corrupts them.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(root)
+	n := s.tree.NodeAt(f.rootCode)
 	if n == nil {
 		return nil
 	}
@@ -208,12 +203,12 @@ func (s *storeSource) contentOfID(id nid.ID) []string { return s.st.ContentAt(in
 
 func (s *storeSource) nodeTextID(id nid.ID) string { return "" }
 
-func (s *storeSource) renderASCII(root dewey.Code, kept []dewey.Code, _ map[string]bool) string {
+func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
-	for _, c := range kept {
-		b.WriteString(strings.Repeat("  ", len(c)-len(root)))
-		fmt.Fprintf(&b, "%s (%s)", c, s.st.LabelOf(c))
-		if words := s.st.ContentOf(c); len(words) > 0 {
+	for i, c := range f.kept {
+		b.WriteString(strings.Repeat("  ", len(c)-len(f.rootCode)))
+		fmt.Fprintf(&b, "%s (%s)", c, s.labelOfID(f.keptIDs[i]))
+		if words := s.contentOfID(f.keptIDs[i]); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
 		}
 		b.WriteByte('\n')
@@ -221,47 +216,70 @@ func (s *storeSource) renderASCII(root dewey.Code, kept []dewey.Code, _ map[stri
 	return b.String()
 }
 
-func (s *storeSource) renderXML(root dewey.Code, kept []dewey.Code, keep map[string]bool) string {
+func (s *storeSource) renderXML(f *Fragment) string {
 	var b strings.Builder
-	if err := s.renderXMLTo(&b, root, kept, keep); err != nil {
+	if err := s.renderXMLTo(&b, f); err != nil {
 		return ""
 	}
 	return b.String()
 }
 
-func (s *storeSource) renderXMLTo(w io.Writer, _ dewey.Code, kept []dewey.Code, _ map[string]bool) error {
-	var err error
-	var stack []dewey.Code
-	closeTo := func(depth int) {
-		for err == nil && len(stack) > depth {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			_, err = fmt.Fprintf(w, "%s</%s>\n", strings.Repeat("  ", len(stack)), s.st.LabelOf(top))
+// renderBufs recycles the store renderer's output buffers; renderFlush is
+// the size at which a render in progress hands what it has to the writer,
+// so a pooled buffer stays small however large the fragment.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const renderFlush = 32 << 10
+
+// renderXMLTo renders the element skeleton of the kept nodes (pre-order,
+// ancestor-closed) with each node's content words: tags, indentation and
+// words are appended to one pooled buffer, labels and words resolved by
+// row index.
+func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
+	bp := renderBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	defer func() { *bp = b; renderBufs.Put(bp) }()
+	var open [32]int32 // indices into f.kept of the elements still open
+	stack := open[:0]
+	indent := func(depth int) {
+		for ; depth > 0; depth-- {
+			b = append(b, ' ', ' ')
 		}
 	}
-	for _, c := range kept {
-		for err == nil && len(stack) > 0 && !stack[len(stack)-1].IsAncestorOf(c) {
-			closeTo(len(stack) - 1)
+	closeTop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		indent(len(stack))
+		b = append(b, '<', '/')
+		b = append(b, s.labelOfID(f.keptIDs[top])...)
+		b = append(b, '>', '\n')
+	}
+	for i, c := range f.kept {
+		for len(stack) > 0 && !f.kept[stack[len(stack)-1]].IsAncestorOf(c) {
+			closeTop()
 		}
-		if err != nil {
-			return err
+		indent(len(stack))
+		b = append(b, '<')
+		b = append(b, s.labelOfID(f.keptIDs[i])...)
+		b = append(b, '>')
+		for j, word := range s.contentOfID(f.keptIDs[i]) {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, word...)
 		}
-		ind := strings.Repeat("  ", len(stack))
-		label := s.st.LabelOf(c)
-		if _, err = fmt.Fprintf(w, "%s<%s>", ind, label); err != nil {
-			return err
-		}
-		if words := s.st.ContentOf(c); len(words) > 0 {
-			if _, err = io.WriteString(w, strings.Join(words, " ")); err != nil {
+		b = append(b, '\n')
+		stack = append(stack, int32(i))
+		if len(b) >= renderFlush {
+			if _, err := w.Write(b); err != nil {
 				return err
 			}
+			b = b[:0]
 		}
-		if _, err = io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		// Reopen: we emitted the start tag inline; push for closing later.
-		stack = append(stack, c)
 	}
-	closeTo(0)
+	for len(stack) > 0 {
+		closeTop()
+	}
+	_, err := w.Write(b)
 	return err
 }

@@ -1,12 +1,16 @@
 package xks
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"xks/internal/analysis"
+	"xks/internal/datagen"
+	"xks/internal/dewey"
 	"xks/internal/paperdata"
 	"xks/internal/store"
 )
@@ -122,5 +126,85 @@ func TestStoreBackedCompare(t *testing.T) {
 	}
 	if cmp.Ratios.CFR != 0 || cmp.NumRTFs != 1 {
 		t.Errorf("store-backed compare = %+v", cmp)
+	}
+}
+
+// referenceStoreXML is the store renderer as first written — every node
+// resolved by Dewey code through Store.LabelOf / ContentOf, formatted with
+// fmt — kept as the reference the append-based renderer must match byte
+// for byte.
+func referenceStoreXML(st *store.Store, kept []dewey.Code) string {
+	var b strings.Builder
+	var stack []dewey.Code
+	closeTop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		fmt.Fprintf(&b, "%s</%s>\n", strings.Repeat("  ", len(stack)), st.LabelOf(top))
+	}
+	for _, c := range kept {
+		for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOf(c) {
+			closeTop()
+		}
+		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), st.LabelOf(c), strings.Join(st.ContentOf(c), " "))
+		stack = append(stack, c)
+	}
+	for len(stack) > 0 {
+		closeTop()
+	}
+	return b.String()
+}
+
+// TestStoreRenderMatchesReference pins XML and WriteXML of store-backed
+// fragments — small ones and one larger than the renderer's flush threshold
+// — to the reference rendering.
+func TestStoreRenderMatchesReference(t *testing.T) {
+	tree := datagen.DBLP(datagen.DBLPConfig{
+		Seed:       3,
+		NumRecords: 1500,
+		Keywords:   []datagen.KeywordSpec{{Word: "alpha", Count: 900}, {Word: "beta", Count: 900}},
+	})
+	st := store.Shred(tree, analysis.New())
+	res, err := FromStore(st).Search(context.Background(), Request{Query: "alpha beta"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	for i, f := range res.Fragments {
+		want := referenceStoreXML(st, f.kept)
+		var streamed bytes.Buffer
+		if err := f.WriteXML(&streamed); err != nil {
+			t.Fatal(err)
+		}
+		if streamed.String() != want {
+			t.Fatalf("fragment %d (%s): WriteXML differs from the reference:\n%s\n----\n%s", i, f.Root, streamed.String(), want)
+		}
+		if f.XML() != want {
+			t.Fatalf("fragment %d (%s): XML differs from the reference", i, f.Root)
+		}
+		largest = max(largest, len(want))
+	}
+	if largest <= renderFlush {
+		t.Fatalf("largest fragment renders to %d bytes; want one past the %d-byte flush threshold", largest, renderFlush)
+	}
+}
+
+// TestStoreRenderBuildsNoKeepMap: only the tree renderer consults the
+// dewey-keyed keep map, so rendering a store-backed fragment must not build
+// it (one map entry and one key string per kept node, on every first
+// render).
+func TestStoreRenderBuildsNoKeepMap(t *testing.T) {
+	res, err := storeEngine(t).Search(context.Background(), Request{Query: paperdata.QLiuKeyword})
+	if err != nil || len(res.Fragments) == 0 {
+		t.Fatalf("%d fragments, err %v", len(res.Fragments), err)
+	}
+	for _, f := range res.Fragments {
+		f.XML()
+		f.ASCII()
+		if f.keep != nil {
+			t.Fatalf("fragment %s: rendering a store-backed fragment built the keep map", f.Root)
+		}
+		if !f.Contains(f.Root) || f.keep == nil {
+			t.Fatalf("fragment %s: Contains must still build and consult the map", f.Root)
+		}
 	}
 }
