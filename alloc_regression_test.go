@@ -19,6 +19,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
@@ -296,5 +297,75 @@ func TestStoreWriteXMLAllocsDoNotScale(t *testing.T) {
 		if allocs > 1 { // slack for a collection emptying the pool mid-measurement
 			t.Errorf("WriteXML of a %d-node store-backed fragment allocates %.0f objects per run, want none", f.Len(), allocs)
 		}
+	}
+}
+
+// TestTreeWriteXMLAllocsDoNotScale: a tree-backed WriteXML walks the kept
+// nodes by ID and appends into a pooled buffer — no keep map, no Dewey key
+// per child of a kept node — so a three-node fragment allocates the same
+// (nothing) under a root with 100 children and under one with 10 000.
+func TestTreeWriteXMLAllocsDoNotScale(t *testing.T) {
+	measure := func(n int) float64 {
+		kids := []xmltree.E{{Label: "item", Text: "alpha"}, {Label: "item", Text: "beta"}}
+		for i := range n {
+			kids = append(kids, xmltree.E{Label: "item", Text: fmt.Sprintf("w%05d", i)})
+		}
+		res, err := FromTree(xmltree.Build(xmltree.E{Label: "root", Kids: kids})).Search(context.Background(), Request{Query: "alpha beta"})
+		if err != nil || len(res.Fragments) != 1 || res.Fragments[0].Len() != 3 {
+			t.Fatalf("%d fragments, err %v; want the root with its two matching items", len(res.Fragments), err)
+		}
+		f := res.Fragments[0]
+		return testing.AllocsPerRun(20, func() {
+			if err := f.WriteXML(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(100), measure(10000)
+	if small > 1 || large > 1 { // slack for a collection emptying the pool mid-measurement
+		t.Errorf("WriteXML of a 3-node tree-backed fragment allocates %.0f objects under a 100-child root and %.0f under a 10 000-child root, want none", small, large)
+	}
+}
+
+// TestAppendAllocBytesDoNotScale pins "a write costs what it appends": the
+// same 256 tail appends allocate as many bytes on a 64 k-node document as on
+// a 2 k-node one. Node table, source tables, segment list and merged posting
+// lists all grow on shared backing arrays; copying any of them per append
+// (the source tables were, 32 B a node) shows up as a ratio in the tens. One
+// append before the window lets the exactly-sized arrays a fresh build leaves
+// grow once — a one-off that is proportional to the document.
+func TestAppendAllocBytesDoNotScale(t *testing.T) {
+	const record = "<inproceedings><author>new writer</author><title>alpha appended</title><year>2009</year></inproceedings>"
+	measure := func(records int) (nodes int, perAppend int64) {
+		tree := datagen.DBLP(datagen.DBLPConfig{Seed: 5, NumRecords: records, Keywords: []datagen.KeywordSpec{{Word: "alpha", Count: records / 4}}})
+		e := FromTree(tree)
+		nodes = tree.Size()
+		if err := e.AppendXML("0", record); err != nil {
+			t.Fatal(err)
+		}
+		return nodes, allocBytesPerRun(256, func() {
+			if err := e.AppendXML("0", record); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallNodes, small := measure(270)
+	largeNodes, large := measure(8600)
+	t.Logf("bytes per append: %d on %d nodes, %d on %d nodes", small, smallNodes, large, largeNodes)
+	if smallNodes > 2500 || largeNodes < 60000 {
+		t.Fatalf("documents have %d and %d nodes; want about 2 k and 64 k", smallNodes, largeNodes)
+	}
+	if float64(large) > 1.5*float64(small) {
+		t.Errorf("an append allocates %d bytes on %d nodes against %d on %d: something is copied per append in proportion to the document",
+			large, largeNodes, small, smallNodes)
+	}
+}
+
+// TestFragmentAllocSizeClass: an unlimited search allocates one Fragment per
+// answer (hundreds on the Figure 5 mix), so a field that tips the struct into
+// the next allocator size class costs every one of them 32 bytes.
+func TestFragmentAllocSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Fragment{}); size > 288 {
+		t.Errorf("Fragment is %d bytes, past the 288-byte size class", size)
 	}
 }

@@ -2,6 +2,7 @@ package xks
 
 import (
 	"fmt"
+	"time"
 
 	"xks/internal/delta"
 	"xks/internal/dewey"
@@ -17,12 +18,17 @@ import (
 // When the parent lies on the tree's rightmost spine (its subtree ends at
 // the current end of the node table — always true for the document root),
 // the write takes the delta fast path: the new nodes get the next dense
-// IDs at the table tail, their postings land in an immutable delta segment
-// (internal/delta), and a new head is published atomically. No existing ID
-// moves, no base posting list is rewritten, and the cost is proportional
-// to the appended subtree, not the index. Concurrent searches are safe and
-// unaffected: in-flight queries and outstanding cursors keep reading the
-// snapshot they pinned.
+// IDs at the tail of the node table and of the source's ID-aligned tables,
+// their postings land in an immutable delta segment, and a new head is
+// published atomically. Every one of those structures grows on shared
+// backing arrays (the discipline internal/delta's package comment states
+// once): no existing ID moves, no base posting list is rewritten, no table
+// is copied, and the cost is proportional to the appended subtree, not the
+// index — about 5 KB allocated for a four-node record on a 2 k-node and on
+// a 65 k-node document alike (TestAppendAllocBytesDoNotScale; it was 121 KB
+// and 2.6 MB while each append copied the source tables). Concurrent
+// searches are safe and unaffected: in-flight queries and outstanding
+// cursors keep reading the snapshot they pinned.
 //
 // Appending anywhere else would renumber IDs, so it falls back to a full
 // reindex under a new rebuild generation — correct but O(document), and
@@ -33,6 +39,15 @@ import (
 // Only tree-backed engines support appends (a store is a frozen shredded
 // snapshot).
 func (e *Engine) AppendXML(parentDewey, snippet string) error {
+	start := time.Now()
+	if err := e.appendXML(parentDewey, snippet); err != nil {
+		return err
+	}
+	e.counters.RecordAppend(time.Since(start))
+	return nil
+}
+
+func (e *Engine) appendXML(parentDewey, snippet string) error {
 	ts, parent, sub, err := e.prepareAppend(parentDewey, snippet)
 	if err != nil {
 		return err
@@ -92,9 +107,7 @@ func (e *Engine) AppendXML(parentDewey, snippet string) error {
 		seg, err = delta.NewSegment(start, nid.ID(tab.Len()), postings)
 		if err == nil {
 			ts.extend(nodes, words)
-			// Copy-on-append keeps earlier heads' segment slices immutable.
-			segs := append(h.Segs[:len(h.Segs):len(h.Segs)], seg)
-			e.head.Store(&delta.Head{RebuildGen: h.RebuildGen, Tab: tab, Base: h.Base, Segs: segs})
+			e.head.Store(h.Append(tab, seg))
 			return nil
 		}
 	}

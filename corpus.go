@@ -308,14 +308,19 @@ func (c *Corpus) Compact(ctx context.Context) (int, error) {
 }
 
 // DeltaInfo sums the per-document delta-index counters (segments,
-// postings, pinned snapshots, compactions) across the corpus.
+// postings, overlay size, pinned snapshots, appends, compactions) across
+// the corpus.
 func (c *Corpus) DeltaInfo() DeltaInfo {
 	var total DeltaInfo
 	for _, n := range c.names {
 		di := c.engines[n].DeltaInfo()
 		total.Segments += di.Segments
 		total.Postings += di.Postings
+		total.MergedLists += di.MergedLists
+		total.MergedIDs += di.MergedIDs
 		total.PinnedSnapshots += di.PinnedSnapshots
+		total.Appends += di.Appends
+		total.AppendSeconds += di.AppendSeconds
 		total.Compactions += di.Compactions
 		total.CompactionSeconds += di.CompactionSeconds
 	}

@@ -436,26 +436,36 @@ func (e *Engine) Index() *index.Index { return e.head.Load().Base }
 func (e *Engine) Generation() uint64 { return e.head.Load().Version() }
 
 // DeltaInfo summarizes the delta subsystem's state for one engine (or,
-// summed, a corpus): live write-side segments and postings, the
-// pinned-snapshot refcount, and compaction totals. Exposed on /metrics as
-// the xks_delta_* and xks_snapshots_pinned / xks_compactions_total /
-// xks_compaction_seconds families.
+// summed, a corpus): live write-side segments and postings, the words and
+// IDs the live merged-list overlay holds, the pinned-snapshot refcount, and
+// append and compaction totals. Exposed on /metrics as the xks_delta_*,
+// xks_appends_total / xks_append_duration_seconds and xks_snapshots_pinned /
+// xks_compactions_total / xks_compaction_seconds families.
 type DeltaInfo struct {
 	Segments          int64
 	Postings          int64
+	MergedLists       int64
+	MergedIDs         int64
 	PinnedSnapshots   int64
+	Appends           int64
+	AppendSeconds     float64
 	Compactions       int64
 	CompactionSeconds float64
 }
 
-// DeltaInfo reports the engine's delta-subsystem state: live segment and
-// posting gauges from the published head, pinned-snapshot and compaction
-// totals from the engine's counters.
+// DeltaInfo reports the engine's delta-subsystem state: live segment,
+// posting and overlay gauges from the published head, pinned-snapshot,
+// append and compaction totals from the engine's counters.
 func (e *Engine) DeltaInfo() DeltaInfo {
 	h := e.head.Load()
+	lists, ids := h.Merged()
 	info := DeltaInfo{
 		Segments:          int64(len(h.Segs)),
+		MergedLists:       int64(lists),
+		MergedIDs:         int64(ids),
 		PinnedSnapshots:   e.counters.Pinned(),
+		Appends:           e.counters.Appends(),
+		AppendSeconds:     e.counters.AppendSeconds(),
 		Compactions:       e.counters.Compactions(),
 		CompactionSeconds: e.counters.CompactionSeconds(),
 	}
@@ -1078,6 +1088,7 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 		rootCode:  rootCode,
 		kept:      kept.Kept,
 		keptIDs:   kept.KeptIDs,
+		st:        e.src.pin(),
 		src:       e.src,
 		words:     p.IDFWords,
 		snip:      e.snip,

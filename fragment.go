@@ -49,28 +49,35 @@ type Fragment struct {
 	rootCode dewey.Code
 	// kept is the ordered (pre-order) keep-set from pruning, carried
 	// through assembly so renderers never re-parse string keys, and
-	// keptIDs the same nodes as table IDs (constant-time label and content
-	// lookups for the store renderer); keep is the same set keyed by dewey
-	// key for membership tests, built lazily (via keepSet) because only the
-	// tree renderer and Contains consult it — neither the search hot path
-	// nor a store-backed render pays for the map.
-	kept     []dewey.Code
-	keptIDs  []nid.ID
-	keep     map[string]bool
-	keepOnce sync.Once
-	src      docSource
-	words    []string
-	snip     *snippet.Generator
+	// keptIDs the same nodes as table IDs (constant-time node lookups for
+	// the XML renderers); st is the tree source's ID-aligned tables as of
+	// materialization, which keptIDs index — held here so a fragment cached
+	// across a renumbering rebuild still renders its own nodes (nil when
+	// store-backed). keep is the same set keyed by dewey key for membership
+	// tests, built lazily (via keepSet) because only Contains and the ASCII
+	// tree renderer consult it — neither the search hot path nor an XML
+	// render pays for the map.
+	kept    []dewey.Code
+	keptIDs []nid.ID
+	st      *srcState
+	keep    map[string]bool
+	src     docSource
+	words   []string
+	snip    *snippet.Generator
 
 	// Rendered forms are computed once and shared: fragments are cached by
 	// the serving layer (internal/service) and may be rendered concurrently
 	// by many requests. xmlDone publishes xmlText to WriteXML without
 	// touching the Once (set inside xmlOnce.Do after xmlText is assigned).
-	xmlOnce   sync.Once
 	xmlText   string
-	xmlDone   atomic.Bool
-	asciiOnce sync.Once
 	asciiText string
+	// The Onces sit together so their 12 bytes each and the flag pack into
+	// 40: a search allocates one Fragment per answer, and this keeps the
+	// struct inside the 288-byte size class (TestFragmentAllocSizeClass).
+	keepOnce  sync.Once
+	xmlOnce   sync.Once
+	asciiOnce sync.Once
+	xmlDone   atomic.Bool
 }
 
 // Len returns the number of kept nodes.

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -201,7 +202,7 @@ func checkHistogram(t *testing.T, samples map[string]float64, name, labels strin
 }
 
 func TestMetricsExposition(t *testing.T) {
-	srv, _ := corpusServer(t)
+	srv, corpus := corpusServer(t)
 
 	// Drive some traffic: two identical searches (miss then hit), one
 	// streamed, one error.
@@ -277,6 +278,33 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if second["xks_requests_total"] != first["xks_requests_total"]+1 {
 		t.Fatalf("xks_requests_total: %v -> %v, want +1", first["xks_requests_total"], second["xks_requests_total"])
+	}
+
+	// The write side: an append is counted and timed and leaves merged lists
+	// in the live overlay; a compaction hands them to the base.
+	for _, fam := range []string{"xks_appends_total", "xks_append_duration_seconds_count", "xks_delta_merged_lists", "xks_delta_merged_ids"} {
+		if v, ok := second[fam]; !ok || v != 0 {
+			t.Fatalf("%s = %v (present %v) before any write, want 0", fam, v, ok)
+		}
+	}
+	if err := corpus.AppendXML("publications", "0", "<paper><title>fresh keyword</title></paper>"); err != nil {
+		t.Fatal(err)
+	}
+	written := scrape(t, srv.URL)
+	if written["xks_appends_total"] != 1 || written["xks_append_duration_seconds_count"] != 1 || written["xks_append_duration_seconds_sum"] <= 0 {
+		t.Fatalf("after one append: xks_appends_total %v, duration count %v sum %v", written["xks_appends_total"],
+			written["xks_append_duration_seconds_count"], written["xks_append_duration_seconds_sum"])
+	}
+	if lists, ids := written["xks_delta_merged_lists"], written["xks_delta_merged_ids"]; lists < 1 || ids < lists || written["xks_delta_segments"] != 1 {
+		t.Fatalf("after one append: %v merged lists holding %v IDs over %v segments", lists, ids, written["xks_delta_segments"])
+	}
+	if _, err := corpus.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	folded := scrape(t, srv.URL)
+	if folded["xks_delta_merged_lists"] != 0 || folded["xks_delta_merged_ids"] != 0 || folded["xks_appends_total"] != 1 {
+		t.Fatalf("after compaction: %v merged lists, %v IDs, %v appends; want 0, 0, 1",
+			folded["xks_delta_merged_lists"], folded["xks_delta_merged_ids"], folded["xks_appends_total"])
 	}
 }
 

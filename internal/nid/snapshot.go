@@ -6,7 +6,9 @@ package nid
 // give cheap structural sharing: one append allocates only the appended
 // rows, and every previously published header — or any prefix view of one —
 // stays a valid immutable table, because rows below a header's length are
-// never rewritten.
+// never rewritten. The engine's source tables, a head's segment list and the
+// merged posting lists grow by the same rule; internal/delta's package
+// comment states it once (who may extend, why a pinned reader is safe).
 
 import (
 	"fmt"

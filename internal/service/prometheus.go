@@ -64,6 +64,16 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 			"Live write-side delta segments awaiting compaction, summed over documents.", float64(di.Segments))
 		writeGauge(w, "xks_delta_postings",
 			"Postings held in delta segments (not yet folded into the base index).", float64(di.Postings))
+		writeGauge(w, "xks_delta_merged_lists",
+			"Words the live merged-list overlays hold a complete base-plus-delta posting list for (0 right after a compaction).", float64(di.MergedLists))
+		writeGauge(w, "xks_delta_merged_ids",
+			"IDs in the live merged-list overlays, base prefixes included.", float64(di.MergedIDs))
+		writeCounter(w, "xks_appends_total",
+			"Appends published (tail appends and renumbering rebuilds).", uint64(di.Appends))
+		fmt.Fprintf(w, "# HELP xks_append_duration_seconds Wall time of published appends, parse to publish.\n"+
+			"# TYPE xks_append_duration_seconds summary\n"+
+			"xks_append_duration_seconds_sum %s\nxks_append_duration_seconds_count %d\n",
+			formatFloat(di.AppendSeconds), di.Appends)
 		writeGauge(w, "xks_snapshots_pinned",
 			"Snapshots currently pinned by in-flight queries, cursors being resolved, or scripted leaks.", float64(di.PinnedSnapshots))
 		writeCounter(w, "xks_compactions_total",

@@ -121,6 +121,12 @@ func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.C
 		}
 		f.Nodes = append(f.Nodes, fn)
 	}
+	// The tree renderer walks table IDs, which the eager path never had: an
+	// eager fragment's XML is the reference writer's, filled in here.
+	f.xmlOnce.Do(func() {
+		f.xmlText = referenceTreeXML(e, f)
+		f.xmlDone.Store(true)
+	})
 	return f
 }
 

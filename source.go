@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"xks/internal/analysis"
 	"xks/internal/dewey"
@@ -19,10 +20,10 @@ import (
 // The hot path addresses nodes by table ID (labelOfID/contentOfID/
 // nodeTextID — constant-time, allocation-free lookups); the code-based
 // forms remain for the reference/eager paths and label-predicate display.
-// Renderers receive the fragment itself and take the view of the kept node
-// set they need: the tree renderer the dewey-keyed map (f.keepSet, built
-// on first use), the store renderer the ordered slices (f.kept, f.keptIDs)
-// — so a store-backed render never builds the map.
+// Renderers receive the fragment itself: both XML renderers walk its ordered
+// slices (f.kept, f.keptIDs) and resolve nodes by ID; only the ASCII tree
+// renderer and Contains take the dewey-keyed map (f.keepSet, built on first
+// use).
 type docSource interface {
 	labelOf(c dewey.Code) string
 	contentOf(c dewey.Code) []string
@@ -30,6 +31,9 @@ type docSource interface {
 	labelOfID(id nid.ID) string
 	contentOfID(id nid.ID) []string
 	nodeTextID(id nid.ID) string
+	// pin returns the ID-aligned tables a fragment materialized now renders
+	// from later (Fragment.st); nil when IDs address frozen storage.
+	pin() *srcState
 	renderASCII(f *Fragment) string
 	renderXML(f *Fragment) string
 	// renderXMLTo writes the XML rendering into w without building the
@@ -42,16 +46,18 @@ type docSource interface {
 // Concurrency: the tail-append write path mutates the tree (AppendChild
 // touches the parent's child slice and the tree's key map) while readers
 // walk it, so structural access is guarded by mu — shared for NodeAt
-// lookups and renders, exclusive for appendChild. The ID-aligned caches
-// live in an atomically swapped srcState instead: the hot path
-// (labelOfID/contentOfID during pruning and scoring) stays lock-free.
-// Appends extend the arrays and publish a longer state; a reader that
-// loaded an older state never indexes past its own length, so earlier
-// prefixes stay immutable. Snapshot renders of pre-append states remain
-// byte-identical because appends only add last children, which keep-map
-// filtering excludes.
+// lookups and ASCII renders, exclusive for appendChild. The ID-aligned
+// tables live in an atomically swapped srcState instead: the hot path
+// (labelOfID/contentOfID during pruning and scoring, XML rendering) stays
+// lock-free. The tables follow the shared-backing discipline of
+// internal/delta's package comment: extend (one writer, under the engine's
+// write mutex) appends rows on the arrays the previous state uses and
+// publishes a longer state; rows below a published length are never
+// rewritten and a reader never indexes past the length of the state it
+// loaded. A renumbering rebuild publishes fresh arrays (refresh) and leaves
+// the old ones to the fragments that pinned them.
 type treeSource struct {
-	mu    sync.RWMutex // guards tree structure (walks and renders vs appendChild)
+	mu    sync.RWMutex // guards tree structure (walks and ASCII renders vs appendChild)
 	tree  *xmltree.Tree
 	an    *analysis.Analyzer
 	state atomic.Pointer[srcState]
@@ -93,14 +99,17 @@ func (s *treeSource) appendChild(parent dewey.Code, e xmltree.E) (*xmltree.Node,
 
 // extend publishes a state with the new tail nodes appended — the delta
 // append path, where IDs of existing nodes are stable and only the tail
-// grows.
+// grows. The rows land on the previous state's arrays while their amortized
+// capacity lasts, so the cost is the appended rows, not the document.
 func (s *treeSource) extend(nodes []*xmltree.Node, words [][]string) {
 	st := s.state.Load()
 	s.state.Store(&srcState{
-		nodes: append(st.nodes[:len(st.nodes):len(st.nodes)], nodes...),
-		words: append(st.words[:len(st.words):len(st.words)], words...),
+		nodes: append(st.nodes, nodes...),
+		words: append(st.words, words...),
 	})
 }
+
+func (s *treeSource) pin() *srcState { return s.state.Load() }
 
 func (s *treeSource) nodeAt(c dewey.Code) *xmltree.Node {
 	s.mu.RLock()
@@ -169,17 +178,111 @@ func (s *treeSource) renderXML(f *Fragment) string {
 	return b.String()
 }
 
+// renderXMLTo writes the kept nodes (pre-order, ancestor-closed, the
+// fragment root first) as XML, byte for byte what xmltree.WriteFragmentXML
+// writes for the same keep set. Nodes are resolved by ID from the tables the
+// fragment pinned when it was materialized — a node's label, attributes and
+// text never change once it is attached — so the render takes no lock, looks
+// nothing up by Dewey key and never visits a child that was not kept. An
+// element has kept children exactly when the next kept node lies deeper.
 func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
-	keep := f.keepSet()
-	// Held for the duration of the write: a slow w delays appends, but
-	// never corrupts them.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(f.rootCode)
-	if n == nil {
-		return nil
+	bp := renderBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	defer func() { *bp = b; renderBufs.Put(bp) }()
+	var open [32]string // labels of the elements still open, outermost first
+	stack := open[:0]
+	closeTop := func() {
+		b = appendIndent(b, len(stack)-1)
+		b = append(b, '<', '/')
+		b = append(b, stack[len(stack)-1]...)
+		b = append(b, '>', '\n')
+		stack = stack[:len(stack)-1]
 	}
-	return xmltree.WriteFragmentXML(w, n, keep)
+	for i, id := range f.keptIDs {
+		n := f.st.nodes[id]
+		depth := len(f.kept[i]) - len(f.rootCode)
+		for len(stack) > depth {
+			closeTop()
+		}
+		b = appendIndent(b, depth)
+		b = append(b, '<')
+		b = append(b, n.Label...)
+		for _, a := range n.Attrs {
+			b = append(b, ' ')
+			b = append(b, a.Name...)
+			b = append(b, '=', '"')
+			b = appendXMLEscaped(b, a.Value)
+			b = append(b, '"')
+		}
+		keptKids := i+1 < len(f.kept) && len(f.kept[i+1]) > len(f.kept[i])
+		switch {
+		case keptKids:
+			b = append(b, '>')
+			b = appendXMLEscaped(b, n.Text)
+			b = append(b, '\n')
+			stack = append(stack, n.Label)
+		case n.Text == "":
+			b = append(b, '/', '>', '\n')
+		default:
+			b = append(b, '>')
+			b = appendXMLEscaped(b, n.Text)
+			b = append(b, '<', '/')
+			b = append(b, n.Label...)
+			b = append(b, '>', '\n')
+		}
+		if len(b) >= renderFlush {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	for len(stack) > 0 {
+		closeTop()
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, ' ', ' ')
+	}
+	return b
+}
+
+// appendXMLEscaped appends s the way xmltree's writer escapes it — the four
+// markup characters as entities, a byte that is not UTF-8 as U+FFFD —
+// copying the clean runs between them whole.
+func appendXMLEscaped(b []byte, s string) []byte {
+	clean := 0 // start of the run not yet copied
+	for i := 0; i < len(s); {
+		var esc string
+		switch c := s[i]; {
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '&':
+			esc = "&amp;"
+		case c == '"':
+			esc = "&quot;"
+		case c >= utf8.RuneSelf:
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			esc = string(utf8.RuneError)
+		default:
+			i++
+			continue
+		}
+		b = append(b, s[clean:i]...)
+		b = append(b, esc...)
+		i++
+		clean = i
+	}
+	return append(b, s[clean:]...)
 }
 
 // storeSource serves labels and content from the shredded tables. Node IDs
@@ -203,6 +306,8 @@ func (s *storeSource) contentOfID(id nid.ID) []string { return s.st.ContentAt(in
 
 func (s *storeSource) nodeTextID(id nid.ID) string { return "" }
 
+func (s *storeSource) pin() *srcState { return nil }
+
 func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
 	for i, c := range f.kept {
@@ -224,9 +329,9 @@ func (s *storeSource) renderXML(f *Fragment) string {
 	return b.String()
 }
 
-// renderBufs recycles the store renderer's output buffers; renderFlush is
-// the size at which a render in progress hands what it has to the writer,
-// so a pooled buffer stays small however large the fragment.
+// renderBufs recycles the XML renderers' output buffers; renderFlush is the
+// size at which a render in progress hands what it has to the writer, so a
+// pooled buffer stays small however large the fragment.
 var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const renderFlush = 32 << 10
@@ -241,15 +346,10 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 	defer func() { *bp = b; renderBufs.Put(bp) }()
 	var open [32]int32 // indices into f.kept of the elements still open
 	stack := open[:0]
-	indent := func(depth int) {
-		for ; depth > 0; depth-- {
-			b = append(b, ' ', ' ')
-		}
-	}
 	closeTop := func() {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		indent(len(stack))
+		b = appendIndent(b, len(stack))
 		b = append(b, '<', '/')
 		b = append(b, s.labelOfID(f.keptIDs[top])...)
 		b = append(b, '>', '\n')
@@ -258,7 +358,7 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		for len(stack) > 0 && !f.kept[stack[len(stack)-1]].IsAncestorOf(c) {
 			closeTop()
 		}
-		indent(len(stack))
+		b = appendIndent(b, len(stack))
 		b = append(b, '<')
 		b = append(b, s.labelOfID(f.keptIDs[i])...)
 		b = append(b, '>')
