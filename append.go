@@ -1,6 +1,7 @@
 package xks
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -34,20 +35,38 @@ import (
 // reindex under a new rebuild generation — correct but O(document), and
 // cursors issued before it resume as ErrStaleCursor. The fallback is not
 // snapshot-isolated: like the pre-delta engine, it must not race in-flight
-// reads of the same engine.
+// reads of the same engine. A caller that cannot rule those out — the
+// serving layer, a Corpus — uses AppendTail, which refuses such a parent
+// instead.
 //
 // Only tree-backed engines support appends (a store is a frozen shredded
 // snapshot).
 func (e *Engine) AppendXML(parentDewey, snippet string) error {
+	return e.timedAppend(parentDewey, snippet, false)
+}
+
+// ErrOffSpine is AppendTail's refusal of a parent that does not lie on the
+// document's rightmost spine.
+var ErrOffSpine = errors.New("parent is off the document's rightmost spine")
+
+// AppendTail is AppendXML restricted to the snapshot-isolated delta fast
+// path, safe against any number of concurrent searches: a parent off the
+// rightmost spine fails with ErrOffSpine and the document is left untouched,
+// where AppendXML would renumber it under the readers.
+func (e *Engine) AppendTail(parentDewey, snippet string) error {
+	return e.timedAppend(parentDewey, snippet, true)
+}
+
+func (e *Engine) timedAppend(parentDewey, snippet string, tailOnly bool) error {
 	start := time.Now()
-	if err := e.appendXML(parentDewey, snippet); err != nil {
+	if err := e.appendXML(parentDewey, snippet, tailOnly); err != nil {
 		return err
 	}
 	e.counters.RecordAppend(time.Since(start))
 	return nil
 }
 
-func (e *Engine) appendXML(parentDewey, snippet string) error {
+func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
 	ts, parent, sub, err := e.prepareAppend(parentDewey, snippet)
 	if err != nil {
 		return err
@@ -62,6 +81,9 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	if h.Tab.SubtreeEnd(pid) != nid.ID(h.Tab.Len()) {
 		// Off the rightmost spine: the appended subtree would splice into
 		// the middle of the pre-order, renumbering every later ID.
+		if tailOnly {
+			return fmt.Errorf("xks: %w: appending under %s would renumber the nodes after its subtree; append under a node whose subtree ends the document (the root always does)", ErrOffSpine, parent)
+		}
 		if _, err := ts.appendChild(parent, treeToE(sub.Root)); err != nil {
 			return err
 		}
@@ -178,8 +200,8 @@ func (e *Engine) prepareAppend(parentDewey, snippet string) (*treeSource, dewey.
 // it under a new rebuild generation. Caller holds e.mu.
 func (e *Engine) republishRebuilt(ts *treeSource) {
 	h := e.head.Load()
-	ix := index.Build(e.tree, e.an)
 	ts.refresh()
+	ix := index.BuildAnalyzed(e.tree, e.an, ts.pin().words)
 	e.head.Store(&delta.Head{RebuildGen: h.RebuildGen + 1, Tab: ix.Table(), Base: ix})
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"time"
 
+	"xks/internal/dewey"
 	"xks/internal/exec"
 	"xks/internal/index"
 	"xks/internal/metrics"
+	"xks/internal/nid"
 	"xks/internal/prune"
 )
 
@@ -63,13 +65,13 @@ func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) 
 	if err != nil {
 		return nil, err
 	}
-	validResults := make([]*prune.Result, len(cands))
+	validKept := make([][]nid.ID, len(cands))
 	params.Mode = prune.ValidContributor
 	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		validResults[i] = exec.Materialize(c, params)
+		validKept[i], _ = exec.Materialize(c, params)
 	}
 	cmp.ValidElapsed = time.Since(startValid)
 
@@ -80,23 +82,30 @@ func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) 
 	if err != nil {
 		return nil, err
 	}
-	maxResults := make([]*prune.Result, len(candsM))
+	maxKept := make([][]nid.ID, len(candsM))
 	params.Mode = prune.Contributor
 	for i, c := range candsM {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		maxResults[i] = exec.Materialize(c, params)
+		maxKept[i], _ = exec.Materialize(c, params)
 	}
 	cmp.MaxElapsed = time.Since(startMax)
 
 	cmp.NumRTFs = len(cands)
+	codes := func(ids []nid.ID) []dewey.Code {
+		out := make([]dewey.Code, len(ids))
+		for i, id := range ids {
+			out[i] = params.Tab.Code(id)
+		}
+		return out
+	}
 	pairs := make([]metrics.FragmentPair, len(cands))
 	for i := range cands {
 		pairs[i] = metrics.FragmentPair{
 			Root:  params.Tab.Code(cands[i].RTF.Root),
-			Valid: validResults[i].Kept,
-			Max:   maxResults[i].Kept,
+			Valid: codes(validKept[i]),
+			Max:   codes(maxKept[i]),
 		}
 	}
 	cmp.Ratios = metrics.Compute(pairs)

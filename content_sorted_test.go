@@ -1,0 +1,94 @@
+package xks
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"xks/internal/analysis"
+	"xks/internal/datagen"
+	"xks/internal/nid"
+	"xks/internal/store"
+)
+
+// requireSortedContent asserts the contract internal/prune builds on
+// (prune.IDContentFunc): the source hands every node's content set back in
+// lexical order, by ID and by code alike.
+func requireSortedContent(t *testing.T, name string, e *Engine) {
+	t.Helper()
+	tab := e.head.Load().Tab
+	sets := 0
+	for i := range tab.Len() {
+		id := nid.ID(i)
+		words := e.src.contentOfID(id)
+		if !slices.IsSorted(words) {
+			t.Fatalf("%s: node %s: content set %q is not sorted", name, tab.Code(id), words)
+		}
+		if byCode := e.src.contentOf(tab.Code(id)); !slices.Equal(byCode, words) {
+			t.Fatalf("%s: node %s: content by code %q, by ID %q", name, tab.Code(id), byCode, words)
+		}
+		if len(words) > 1 {
+			sets++
+		}
+	}
+	if sets == 0 {
+		t.Fatalf("%s: no node has two content words; the check is vacuous", name)
+	}
+}
+
+// TestContentSetsAreSorted walks every source a fragment can be pruned from:
+// the tree's tables after a build, after a tail append and after an off-spine
+// renumbering rebuild; a store as shredded, reopened as v3 on the heap and
+// mapped, and reloaded from the v1 and v2 row formats.
+func TestContentSetsAreSorted(t *testing.T) {
+	gen := func() *Engine {
+		return FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 9, NumRecords: 120, Keywords: []datagen.KeywordSpec{{Word: "zeta", Count: 40}, {Word: "alpha", Count: 40}}}))
+	}
+	e := gen()
+	requireSortedContent(t, "tree/built", e)
+	const record = `<inproceedings key="zz top"><title>Zeta beta Alpha</title><author>Omega Mu</author></inproceedings>`
+	if err := e.AppendTail("0", record); err != nil {
+		t.Fatal(err)
+	}
+	requireSortedContent(t, "tree/tail-append", e)
+	gen0 := e.head.Load().RebuildGen
+	if err := e.AppendXML("0.0", record); err != nil {
+		t.Fatal(err)
+	}
+	if e.head.Load().RebuildGen == gen0 {
+		t.Fatal("appending under 0.0 did not take the rebuild path")
+	}
+	requireSortedContent(t, "tree/off-spine-rebuild", e)
+
+	shredded := store.Shred(gen().tree, analysis.New())
+	requireSortedContent(t, "store/shredded", FromStore(shredded))
+	path := filepath.Join(t.TempDir(), "dblp.xks")
+	if err := shredded.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for name, mode := range map[string]StoreMode{"store/v3-heap": StoreHeap, "store/v3-mmap": StoreMmap} {
+		opened, err := OpenStoreMode(path, mode)
+		if err != nil {
+			if mode == StoreMmap {
+				t.Logf("mmap unavailable on this platform: %v", err)
+				continue
+			}
+			t.Fatal(err)
+		}
+		requireSortedContent(t, name, opened)
+		opened.Close()
+	}
+	for _, ver := range []uint32{1, 2} {
+		var buf bytes.Buffer
+		if err := shredded.SaveLegacy(&buf, ver); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := store.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSortedContent(t, fmt.Sprintf("store/v%d-rows", ver), FromStore(rows))
+	}
+}

@@ -278,15 +278,17 @@ func (c *Corpus) resolveSnapshot(req Request) (Request, []docSnap, uint64, error
 }
 
 // AppendXML appends a parsed XML snippet under the identified node of the
-// named document — the corpus face of Engine.AppendXML. Outstanding
-// cursors and cached pages, including corpus-wide ones, keep working: they
-// re-pin the snapshot they were issued against.
+// named document — the corpus face of Engine.AppendTail, because a corpus
+// is searched while it is written: the parent must lie on the document's
+// rightmost spine (ErrOffSpine otherwise). Outstanding cursors and cached
+// pages, including corpus-wide ones, keep working: they re-pin the snapshot
+// they were issued against.
 func (c *Corpus) AppendXML(doc, parentDewey, snippet string) error {
 	e := c.engines[doc]
 	if e == nil {
 		return fmt.Errorf("xks: %w: %q", ErrUnknownDocument, doc)
 	}
-	if err := e.AppendXML(parentDewey, snippet); err != nil {
+	if err := e.AppendTail(parentDewey, snippet); err != nil {
 		return fmt.Errorf("xks: document %s: %w", doc, err)
 	}
 	return nil

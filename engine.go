@@ -316,10 +316,11 @@ func LoadFile(path string) (*Engine, error) {
 // be mutated afterwards except through the engine's own AppendXML.
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
-	ix := index.Build(t, an)
+	src := newTreeSource(t, an)
+	ix := index.BuildAnalyzed(t, an, src.pin().words)
 	e := &Engine{
 		tree: t,
-		src:  newTreeSource(t, an),
+		src:  src,
 		an:   an,
 		snip: snippet.NewGenerator(an, snippet.Options{}),
 	}
@@ -1060,9 +1061,10 @@ func (e *Engine) contentOf(c dewey.Code) []string { return e.src.contentOf(c) }
 // pruneRTF (via exec.Materialize) followed by node and string assembly. It
 // is the only place fragments are built, so e.assembled counts exactly the
 // selected candidates. Everything runs on node IDs: keyword-node masks come
-// from a two-pointer merge of the (sorted) kept IDs and keyword events, and
-// Dewey codes surface only as zero-copy views rendered into the public
-// FragmentNode strings.
+// from a two-pointer merge of the (sorted) kept IDs and keyword events, a
+// kept node's label and text are read once from the source tables the
+// fragment pins, and Dewey codes surface only as zero-copy table views
+// rendered into the public FragmentNode strings.
 func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params) *Fragment {
 	e.assembled.Add(1)
 	if c.RTF.KeywordNodes == nil && c.Roots != nil {
@@ -1076,19 +1078,20 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 		}
 		c = &hydrated
 	}
-	kept := exec.Materialize(c, params)
+	kept, visited := exec.Materialize(c, params)
 	tab := params.Tab
 	rootCode := tab.Code(c.RTF.Root)
+	st := e.src.pin()
 	f := &Fragment{
 		Root:      rootCode.String(),
 		RootLabel: e.src.labelOfID(c.RTF.Root),
 		IsSLCA:    c.IsSLCA,
 		Score:     c.Score,
-		Pruned:    kept.Visited - len(kept.Kept),
+		Pruned:    visited - len(kept),
 		rootCode:  rootCode,
-		kept:      kept.Kept,
-		keptIDs:   kept.KeptIDs,
-		st:        e.src.pin(),
+		tab:       tab,
+		keptIDs:   kept,
+		st:        st,
 		src:       e.src,
 		words:     p.IDFWords,
 		snip:      e.snip,
@@ -1097,8 +1100,8 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 	// exactly so the builder never reallocates under the slices handed out.
 	var deweys strings.Builder
 	size := 0
-	for _, code := range kept.Kept {
-		size += code.StringLen()
+	for _, id := range kept {
+		size += tab.Code(id).StringLen()
 	}
 	deweys.Grow(size)
 	var (
@@ -1110,16 +1113,16 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 	)
 	events := c.RTF.KeywordNodes
 	j := 0
-	f.Nodes = make([]FragmentNode, 0, len(kept.KeptIDs))
-	for i, id := range kept.KeptIDs {
-		code := kept.Kept[i]
+	f.Nodes = make([]FragmentNode, 0, len(kept))
+	for _, id := range kept {
 		start := deweys.Len()
-		deweys.Write(code.AppendString(scratch[:0]))
-		fn := FragmentNode{
-			Dewey: deweys.String()[start:],
-			Label: e.src.labelOfID(id),
-			Text:  e.src.nodeTextID(id),
-			Level: code.Level(),
+		deweys.Write(tab.Code(id).AppendString(scratch[:0]))
+		fn := FragmentNode{Dewey: deweys.String()[start:], Level: int(tab.Depth(id))}
+		if st != nil {
+			n := st.nodes[id]
+			fn.Label, fn.Text = n.Label, n.Text
+		} else {
+			fn.Label = e.src.labelOfID(id)
 		}
 		for j < len(events) && events[j].ID < id {
 			j++

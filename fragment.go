@@ -47,17 +47,18 @@ type Fragment struct {
 	Pruned int
 
 	rootCode dewey.Code
-	// kept is the ordered (pre-order) keep-set from pruning, carried
-	// through assembly so renderers never re-parse string keys, and
-	// keptIDs the same nodes as table IDs (constant-time node lookups for
-	// the XML renderers); st is the tree source's ID-aligned tables as of
-	// materialization, which keptIDs index — held here so a fragment cached
-	// across a renumbering rebuild still renders its own nodes (nil when
-	// store-backed). keep is the same set keyed by dewey key for membership
-	// tests, built lazily (via keepSet) because only Contains and the ASCII
-	// tree renderer consult it — neither the search hot path nor an XML
-	// render pays for the map.
-	kept    []dewey.Code
+	// keptIDs is the ordered (pre-order, ancestor-closed) keep-set from
+	// pruning as IDs into tab, the node table of the snapshot the search
+	// read: a kept node's Dewey code and depth are zero-copy lookups there,
+	// so no renderer re-parses a string key and the fragment carries no
+	// Dewey slices of its own. st is the tree source's ID-aligned tables as
+	// of materialization, which keptIDs also index — held here so a fragment
+	// cached across a renumbering rebuild still renders its own nodes (nil
+	// when store-backed). keep is the same set keyed by dewey key for
+	// membership tests, built lazily (via keepSet) because only Contains and
+	// the ASCII tree renderer consult it — neither the search hot path nor
+	// an XML render pays for the map.
+	tab     *nid.Table
 	keptIDs []nid.ID
 	st      *srcState
 	keep    map[string]bool
@@ -88,10 +89,10 @@ func (f *Fragment) Len() int { return len(f.Nodes) }
 // sync.Once).
 func (f *Fragment) keepSet() map[string]bool {
 	f.keepOnce.Do(func() {
-		m := make(map[string]bool, len(f.kept))
+		m := make(map[string]bool, len(f.keptIDs))
 		var buf []byte
-		for _, c := range f.kept {
-			buf = c.AppendKey(buf[:0])
+		for _, id := range f.keptIDs {
+			buf = f.tab.Code(id).AppendKey(buf[:0])
 			m[string(buf)] = true
 		}
 		f.keep = m

@@ -10,6 +10,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -63,9 +64,13 @@ func (a *Analyzer) Tokens(s string) []string {
 }
 
 // ContentSet returns the distinct content words of the given pieces of text
-// (label, attribute values, text value), in unspecified order. This is the
-// Cv of the paper: the word set implied in a node's label, text and
-// attributes.
+// (label, attribute values, text value) in lexical order. This is the Cv of
+// the paper: the word set implied in a node's label, text and attributes.
+//
+// The order is a contract, the same one store.ContentAt/ContentOf keep: every
+// content set that reaches pruning is a sorted set, so the (min,max) cID
+// feature of §4.1 is its first and last word and internal/prune never scans
+// the rest (see prune.IDContentFunc).
 func (a *Analyzer) ContentSet(pieces ...string) []string {
 	var toks []string
 	for _, p := range pieces {
@@ -74,16 +79,8 @@ func (a *Analyzer) ContentSet(pieces ...string) []string {
 	if len(toks) == 0 {
 		return nil
 	}
-	seen := make(map[string]struct{}, len(toks))
-	out := toks[:0]
-	for _, t := range toks {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
+	slices.Sort(toks)
+	return slices.Compact(toks)
 }
 
 // Normalize lower-cases a single query keyword, returning "" if the keyword

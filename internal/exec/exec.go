@@ -210,11 +210,13 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 			return nil, serr
 		}
 		hulls := make([]rtf.IDRTF, len(scored))
+		slab := make([]Candidate, len(scored))
 		out := make([]*Candidate, len(scored))
 		for i, s := range scored {
 			isSLCA := !(i+1 < len(scored) && t.IsAncestorOf(s.Root, scored[i+1].Root))
 			hulls[i].Root = s.Root
-			out[i] = &Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: roots, IsSLCA: isSLCA, Score: s.Score}
+			slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: roots, IsSLCA: isSLCA, Score: s.Score}
+			out[i] = &slab[i]
 		}
 		sp.SetInt("candidates", int64(len(out)))
 		return out, nil
@@ -224,6 +226,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	if err != nil {
 		return nil, err
 	}
+	slab := make([]Candidate, len(rtfs))
 	out := make([]*Candidate, len(rtfs))
 	for i, r := range rtfs {
 		if i%scoreCheckInterval == scoreCheckInterval-1 {
@@ -234,7 +237,8 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 		// The kept roots are sorted and distinct, so r is an SLCA exactly
 		// when the next root is not its descendant.
 		isSLCA := !(i+1 < len(rtfs) && t.IsAncestorOf(r.Root, rtfs[i+1].Root))
-		c := &Candidate{Doc: doc, Seq: i, RTF: r, IsSLCA: isSLCA}
+		c := &slab[i]
+		*c = Candidate{Doc: doc, Seq: i, RTF: r, IsSLCA: isSLCA}
 		if params.Rank && params.Score != nil {
 			c.Score = params.Score(r.Root, r.KeywordNodes, p.IDFWords)
 		}
@@ -290,14 +294,15 @@ func SortRanked(cands []*Candidate) {
 
 // Materialize runs the expensive half of the pipeline for one selected
 // candidate — the pruneRTF stage: constructing the annotated fragment tree
-// and filtering it under params.Mode. The caller (the xks package) turns
-// the ordered keep-set into a rendered Fragment. The fragment tree lives in
-// pooled memory handed back here; the Result owns its slices.
-func Materialize(c *Candidate, params Params) *prune.Result {
+// and filtering it under params.Mode. It returns the kept node IDs in
+// pre-order and the node count of the unpruned tree; the caller (the xks
+// package) turns them into a rendered Fragment. The fragment tree lives in
+// pooled memory handed back here; the caller owns kept.
+func Materialize(c *Candidate, params Params) (kept []nid.ID, visited int) {
 	f := prune.BuildFragmentIDs(params.Tab, c.RTF, params.LabelOf, params.ContentOf, params.Prune)
-	res := f.Prune(params.Mode, params.Prune)
+	kept, visited = f.KeptIDs(params.Mode, params.Prune)
 	f.Release()
-	return res
+	return kept, visited
 }
 
 // TopK is a bounded, concurrency-safe accumulator of the K best candidates

@@ -214,15 +214,12 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		if c.Score == 0 {
 			t.Fatalf("candidate %d unscored despite Rank", i)
 		}
-		res := Materialize(c, params)
-		if len(res.Kept) != 3 { // root + two keyword children
-			t.Fatalf("candidate %d kept %d nodes, want 3", i, len(res.Kept))
+		kept, visited := Materialize(c, params)
+		if len(kept) != 3 || visited != 3 { // root + two keyword children
+			t.Fatalf("candidate %d kept %d of %d nodes, want 3 of 3", i, len(kept), visited)
 		}
-		if res.KeptIDs[0] != c.RTF.Root {
+		if kept[0] != c.RTF.Root {
 			t.Fatalf("candidate %d pruned its own root", i)
-		}
-		if len(res.KeptIDs) != len(res.Kept) {
-			t.Fatalf("candidate %d KeptIDs len %d != Kept len %d", i, len(res.KeptIDs), len(res.Kept))
 		}
 	}
 	if cands[0].RTF.Root != mustID(code("0.0")) || cands[1].RTF.Root != mustID(code("0.1")) {

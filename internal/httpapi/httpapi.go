@@ -195,6 +195,11 @@ type DocumentsResponse struct {
 // AppendRequest is the JSON body of POST /append: append the parsed XML
 // snippet under the node identified by the Dewey code parent (e.g. "0.2")
 // in the named document (doc may be empty on a single-document server).
+// The parent must lie on the document's rightmost spine — its subtree ends
+// the document, as the root's ("0") always does — so the write is a tail
+// append that concurrent searches never observe half-done. Any other parent
+// would renumber the nodes after it under those searches and is refused
+// with 409 Conflict, the reason in the body (xks.ErrOffSpine).
 type AppendRequest struct {
 	Doc    string `json:"doc"`
 	Parent string `json:"parent"`
@@ -296,16 +301,18 @@ func parseRequest(r *http.Request) (xks.Request, bool, error) {
 
 // status maps a search error to its HTTP status: 404 for unknown documents,
 // 504 for deadline-exceeded pipelines, 410 for cursors invalidated by an
-// index mutation (the error text carries the restart hint), 400 for
-// everything else (bad query shapes — xks.ErrEmptyQuery,
-// xks.ErrTooManyTerms, malformed predicates — and malformed or mismatched
-// cursors).
+// index mutation (the error text carries the restart hint), 409 for an
+// append whose parent is off the rightmost spine, 400 for everything else
+// (bad query shapes — xks.ErrEmptyQuery, xks.ErrTooManyTerms, malformed
+// predicates — and malformed or mismatched cursors).
 func status(err error) int {
 	switch {
 	case errors.Is(err, xks.ErrUnknownDocument):
 		return http.StatusNotFound
 	case errors.Is(err, xks.ErrStaleCursor):
 		return http.StatusGone
+	case errors.Is(err, xks.ErrOffSpine):
+		return http.StatusConflict
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, xks.ErrInternal):

@@ -76,12 +76,23 @@ func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
 	}
+	return build(t, a, func(_ nid.ID, n *xmltree.Node) []string { return a.ContentSet(n.ContentPieces()...) })
+}
+
+// BuildAnalyzed is Build for a caller that has analysed the tree with a
+// already: words[i] is the content set of the i-th node in pre-order (the
+// engine keeps those rows as its source tables and tokenises once).
+func BuildAnalyzed(t *xmltree.Tree, a *analysis.Analyzer, words [][]string) *Index {
+	return build(t, a, func(id nid.ID, _ *xmltree.Node) []string { return words[id] })
+}
+
+func build(t *xmltree.Tree, a *analysis.Analyzer, contentOf func(nid.ID, *xmltree.Node) []string) *Index {
 	ix := &Index{analyzer: a, postings: make(map[string][]nid.ID)}
 	b := nid.NewBuilder(t.Size())
 	t.Walk(func(n *xmltree.Node) bool {
 		ix.numNodes++
 		id := b.Add(n.Code)
-		for _, w := range a.ContentSet(n.ContentPieces()...) {
+		for _, w := range contentOf(id, n) {
 			ix.postings[w] = append(ix.postings[w], id)
 		}
 		return true

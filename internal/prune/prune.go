@@ -24,23 +24,37 @@
 // exactly when some sibling's keyword set strictly covers its own,
 // regardless of labels and content.
 //
-// Complexity contract. Building is O(path nodes + content words): every
-// node is created once by a path-stack pass over the keyword nodes (which
-// arrive in pre-order) and kList/cID are folded bottom-up in one reverse
-// sweep. Filtering is O(children · 2^k) for k query keywords: a child is
+// Complexity contract. Building is O(path nodes): every node is created once
+// by a path-stack pass over the keyword nodes (which arrive in pre-order) and
+// kList/cID are folded bottom-up in one reverse sweep. A keyword node's own
+// cID is O(1) whatever its content: content sets arrive sorted (the
+// IDContentFunc contract), so the (min,max) feature is the set's first and
+// last word — the paper's node record stores its cID, ours reads it off the
+// ends. Filtering is O(children · 2^k) for k query keywords: a child is
 // tested against the at most 2^k distinct key numbers of its label group,
 // never against its siblings. The per-parent sets (labels, rule 2(b)'s used
 // cIDs) live in one open-addressed hash table in the pooled memory, so a
 // wide sibling group costs a constant per child and allocates nothing. The
-// one exception is ExactContent, which compares a child's content set with
-// its kept equal-keyword siblings.
+// one exception is ExactContent, which reads every word into per-node
+// content sets and compares a child's set with its kept equal-keyword
+// siblings.
 //
 // Fragments are built from an ID-based rtf.IDRTF over a node table
 // (BuildFragmentIDs, the production path) or from a code-based rtf.RTF
 // (BuildFragment, the reference path of the crosscheck tests); both fill
-// the same layout and share Prune. The node slice and Prune's working
-// memory come from a pool: Release hands them back, and a Result never
-// aliases them.
+// the same layout and share one filtering pass, which KeptIDs returns as
+// node IDs (the engine path) and Prune also as Dewey codes.
+//
+// Pooling. The node slice and the filtering pass's working arrays come from
+// a sync.Pool; Release hands them back whatever their size, and results
+// never alias them. A search whose RTF is the document root (tens of
+// thousands of nodes — most Figure 5 queries return it as an ELCA) reuses
+// the previous search's arrays instead of allocating and zeroing megabytes.
+// The pool is the only bound on what stays resident: an entry idle for two
+// garbage collections is dropped, and until then it holds what the largest
+// recent fragment needed, about 65 bytes a node — 6.6 MB of live heap after
+// the Figure 5 mix on the 65 k-node DBLP document, where the fig5-full
+// workload's peak RSS reads 220 → 226 MB against a run-to-run spread of 10.
 package prune
 
 import (
@@ -49,7 +63,6 @@ import (
 	"maps"
 	"math/bits"
 	"sync"
-	"unsafe"
 
 	"xks/internal/dewey"
 	"xks/internal/nid"
@@ -98,15 +111,19 @@ type CID struct {
 
 func (c CID) String() string { return "(" + c.Min + "," + c.Max + ")" }
 
-// add widens c to cover the word w; the zero CID covers nothing.
-func (c *CID) add(w string) {
+// merge widens c to cover o; the zero CID covers nothing.
+func (c *CID) merge(o CID) {
 	switch {
+	case o.Max == "":
 	case c.Max == "":
-		c.Min, c.Max = w, w
-	case w < c.Min:
-		c.Min = w
-	case w > c.Max:
-		c.Max = w
+		*c = o
+	default:
+		if o.Min < c.Min {
+			c.Min = o.Min
+		}
+		if o.Max > c.Max {
+			c.Max = o.Max
+		}
 	}
 }
 
@@ -124,14 +141,20 @@ type node struct {
 // LabelFunc resolves a node's label from its Dewey code.
 type LabelFunc func(dewey.Code) string
 
-// ContentFunc resolves the content word set Cv of a keyword node.
+// ContentFunc resolves the content word set Cv of a keyword node from its
+// Dewey code, under the contract of IDContentFunc.
 type ContentFunc func(dewey.Code) []string
 
 // IDLabelFunc resolves a node's label from its table ID.
 type IDLabelFunc func(nid.ID) string
 
 // IDContentFunc resolves the content word set Cv of a keyword node from its
-// table ID.
+// table ID. The set must come back in lexical order (duplicates are
+// harmless), as analysis.ContentSet and the store's ContentAt/ContentOf
+// return it: the builder takes words[0] and words[len-1] as the node's cID
+// and reads nothing between. An unsorted set does not fail, it yields a
+// wrong cID and with it a wrong rule 2(b) decision; this package's tests run
+// under a hook that rejects one. Only ExactContent reads every word.
 type IDContentFunc func(nid.ID) []string
 
 // group is the "Children Info" of one label under the current parent.
@@ -193,11 +216,6 @@ func (s *scratch) probe(h uint64, fresh int32, same func(entry int32) bool) int3
 		}
 	}
 }
-
-// maxRetainedBytes caps the node memory a Release keeps: a wide fragment
-// (the DBLP root has tens of thousands of nodes) must not pin megabytes in
-// the pool for the small fragments that follow.
-const maxRetainedBytes = 1 << 20
 
 var pool = sync.Pool{New: func() any {
 	return &scratch{stack: make([]int32, 0, 16), anc: make([]nid.ID, 0, 16)}
@@ -306,13 +324,21 @@ func (f *Fragment) push(id nid.ID) {
 	}
 }
 
-// match records a keyword event on the path stack's top.
+// checkContent is nil outside this package's tests, which set it to fail on a
+// content set that breaks the sorted-set contract of IDContentFunc.
+var checkContent func(words []string)
+
+// match records a keyword event on the path stack's top. words is a sorted
+// set, so its ends are the node's own (min,max).
 func (f *Fragment) match(mask uint64, words []string) {
+	if checkContent != nil {
+		checkContent(words)
+	}
 	i := f.s.stack[len(f.s.stack)-1]
 	n := &f.s.nodes[i]
 	n.klist |= mask
-	for _, w := range words {
-		n.cid.add(w)
+	if len(words) > 0 {
+		n.cid.merge(CID{Min: words[0], Max: words[len(words)-1]})
 	}
 	if f.content != nil {
 		m := f.contentSet(i)
@@ -330,10 +356,7 @@ func (f *Fragment) fold() {
 		c := &nodes[i]
 		p := &nodes[c.parent]
 		p.klist |= c.klist
-		if c.cid.Max != "" {
-			p.cid.add(c.cid.Min)
-			p.cid.add(c.cid.Max)
-		}
+		p.cid.merge(c.cid)
 		p.end = max(p.end, c.end)
 		if f.content != nil {
 			m := f.contentSet(c.parent)
@@ -370,11 +393,10 @@ func (f *Fragment) code(i int32) dewey.Code {
 func (f *Fragment) Size() int { return len(f.s.nodes) }
 
 // Release returns the fragment's node and working memory to the pool. The
-// fragment must not be used afterwards; Results obtained from it stay valid.
+// fragment must not be used afterwards; results obtained from it stay valid.
 func (f *Fragment) Release() {
-	s := f.s
-	f.s = nil
-	if s != nil && cap(s.nodes)*int(unsafe.Sizeof(node{})) <= maxRetainedBytes {
+	if s := f.s; s != nil {
+		f.s = nil
 		pool.Put(s)
 	}
 }
@@ -395,9 +417,41 @@ type Result struct {
 }
 
 // Prune applies the selected filtering mechanism (the pruning step of
-// pruneRTF) and returns the kept node set. The fragment's nodes are not
-// mutated, so several modes can be applied to the same fragment in turn.
+// pruneRTF) and returns the kept node set as Dewey codes — the view the
+// code-built reference path and stage replays read — beside the IDs. The
+// fragment's nodes are not mutated, so several modes can be applied to the
+// same fragment in turn.
 func (f *Fragment) Prune(mode Mode, opts Options) *Result {
+	kept := f.sweep(mode, opts)
+	res := &Result{Kept: make([]dewey.Code, len(kept)), Visited: len(f.s.nodes)}
+	for j, i := range kept {
+		res.Kept[j] = f.code(i)
+	}
+	if f.tab != nil {
+		res.KeptIDs = f.ids(kept)
+	}
+	res.Root = res.Kept[0]
+	return res
+}
+
+// KeptIDs is Prune for the engine path, which never looks at a Dewey slice:
+// Result.KeptIDs and Result.Visited without the Result. The fragment must
+// have been built over a node table.
+func (f *Fragment) KeptIDs(mode Mode, opts Options) (kept []nid.ID, visited int) {
+	return f.ids(f.sweep(mode, opts)), len(f.s.nodes)
+}
+
+func (f *Fragment) ids(kept []int32) []nid.ID {
+	out := make([]nid.ID, len(kept))
+	for j, i := range kept {
+		out[j] = f.s.nodes[i].id
+	}
+	return out
+}
+
+// sweep is the one filtering pass: it returns the kept nodes' indices in
+// pre-order, in pooled memory that the next sweep or Release reclaims.
+func (f *Fragment) sweep(mode Mode, opts Options) []int32 {
 	s := f.s
 	nodes := s.nodes
 	s.keep = resize(s.keep, len(nodes))
@@ -422,19 +476,7 @@ func (f *Fragment) Prune(mode Mode, opts Options) *Result {
 		i++
 	}
 	s.kept = kept
-
-	res := &Result{Kept: make([]dewey.Code, len(kept)), Visited: len(nodes)}
-	if f.tab != nil {
-		res.KeptIDs = make([]nid.ID, len(kept))
-	}
-	for j, i := range kept {
-		res.Kept[j] = f.code(i)
-		if f.tab != nil {
-			res.KeptIDs[j] = nodes[i].id
-		}
-	}
-	res.Root = res.Kept[0]
-	return res
+	return kept
 }
 
 func resize[T any](b []T, n int) []T {

@@ -112,6 +112,7 @@ func randomWide(rng *rand.Rand, n, labels, k int) *synthetic {
 				n.words = append(n.words, w)
 			}
 		}
+		slices.Sort(n.words) // the sorted-set contract of IDContentFunc
 	}
 	root := &refNode{code: dewey.Code{0}, label: "root"}
 	for i := range n {
@@ -309,10 +310,9 @@ func sameLabelChildren(n int) *synthetic {
 	root := &refNode{code: dewey.Code{0}, label: "dblp"}
 	for i := range n {
 		c := &refNode{code: root.code.Child(uint32(i)), label: "article"}
-		c.kids = []*refNode{{
-			code: c.code.Child(0), label: "title", mask: 1 + uint64(i%3),
-			words: []string{fmt.Sprintf("w%03d", i%211), fmt.Sprintf("w%03d", i*7%193)},
-		}}
+		words := []string{fmt.Sprintf("w%03d", i%211), fmt.Sprintf("w%03d", i*7%193)}
+		slices.Sort(words)
+		c.kids = []*refNode{{code: c.code.Child(0), label: "title", mask: 1 + uint64(i%3), words: words}}
 		root.kids = append(root.kids, c)
 	}
 	return finish(root)

@@ -90,7 +90,10 @@ type Versioner interface {
 }
 
 // Appender is the optional write surface of a Searcher: append a parsed
-// XML snippet under the identified parent node of the named document.
+// XML snippet under the identified parent node of the named document. The
+// service runs appends beside searches, so implementations take only the
+// snapshot-isolated tail path and refuse any other parent with
+// xks.ErrOffSpine.
 type Appender interface {
 	AppendXML(doc, parentDewey, snippet string) error
 }
@@ -179,12 +182,13 @@ func (s SingleDoc) Generation() uint64 { return s.Engine.Generation() }
 // document is the whole corpus, so request scoping adds nothing.
 func (s SingleDoc) VersionFor(req xks.Request) uint64 { return s.Engine.Generation() }
 
-// AppendXML appends to the wrapped engine; doc must name it (or be empty).
+// AppendXML tail-appends to the wrapped engine; doc must name it (or be
+// empty).
 func (s SingleDoc) AppendXML(doc, parentDewey, snippet string) error {
 	if doc != "" && doc != s.Name {
 		return fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, doc)
 	}
-	return s.Engine.AppendXML(parentDewey, snippet)
+	return s.Engine.AppendTail(parentDewey, snippet)
 }
 
 // Compact folds the wrapped engine's delta segments.
@@ -244,10 +248,10 @@ func (sv *Service) Generation() uint64 { return sv.searcher.Generation() }
 func (sv *Service) Metrics() *Metrics { return &sv.metrics }
 
 // Append forwards a document append to the searcher's write surface. The
-// error reports searchers without one (Appender). Snapshot-pinned cursors
-// and cached pages survive the append: cache entries are tagged with
-// request-scoped version tokens, so only pages that could observe the
-// appended document go stale.
+// error reports searchers without one (Appender) and parents the tail path
+// cannot take (xks.ErrOffSpine). Snapshot-pinned cursors and cached pages
+// survive the append: cache entries are tagged with request-scoped version
+// tokens, so only pages that could observe the appended document go stale.
 func (sv *Service) Append(doc, parentDewey, snippet string) error {
 	a, ok := sv.searcher.(Appender)
 	if !ok {

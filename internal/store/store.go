@@ -110,13 +110,11 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 			Level:     uint16(n.Level()),
 			LabelPath: append([]uint32(nil), path...),
 		}
+		if len(words) > 0 {
+			// ContentSet returns a sorted set: its ends are the cID.
+			row.CIDMin, row.CIDMax = words[0], words[len(words)-1]
+		}
 		for _, w := range words {
-			if row.CIDMin == "" || w < row.CIDMin {
-				row.CIDMin = w
-			}
-			if w > row.CIDMax {
-				row.CIDMax = w
-			}
 			s.values = append(s.values, ValueRow{Keyword: w, Dewey: n.Code, LabelID: id})
 		}
 		s.elements = append(s.elements, row)

@@ -22,6 +22,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/lca"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
 	"xks/internal/prune"
 	"xks/internal/rank"
@@ -90,12 +91,24 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 
 // eagerAssemble is the pre-refactor Engine.assemble.
 func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
+	// A Fragment carries its keep-set as table IDs; the code-built eager path
+	// has none, so look each kept code up.
+	tab := e.head.Load().Tab
+	keptIDs := make([]nid.ID, len(kept.Kept))
+	for i, c := range kept.Kept {
+		id, ok := tab.Find(c)
+		if !ok {
+			panic("eager fragment kept a node outside the table: " + c.String())
+		}
+		keptIDs[i] = id
+	}
 	f := &Fragment{
 		Root:      r.Root.String(),
 		RootLabel: e.src.labelOf(r.Root),
 		IsSLCA:    r.IsSLCA(allRoots),
 		rootCode:  r.Root,
-		kept:      kept.Kept,
+		tab:       tab,
+		keptIDs:   keptIDs,
 		src:       e.src,
 		words:     idfWords,
 		snip:      e.snip,

@@ -17,20 +17,20 @@ import (
 
 // docSource abstracts where node labels, content and rendering come from:
 // the parsed tree (FromTree / Load*) or the shredded store (FromStore).
-// The hot path addresses nodes by table ID (labelOfID/contentOfID/
-// nodeTextID — constant-time, allocation-free lookups); the code-based
-// forms remain for the reference/eager paths and label-predicate display.
-// Renderers receive the fragment itself: both XML renderers walk its ordered
-// slices (f.kept, f.keptIDs) and resolve nodes by ID; only the ASCII tree
-// renderer and Contains take the dewey-keyed map (f.keepSet, built on first
-// use).
+// The hot path addresses nodes by table ID (labelOfID/contentOfID —
+// constant-time, allocation-free lookups — and, for a tree's labels and
+// texts during assembly, the pinned srcState directly); the code-based forms
+// remain for the reference/eager paths and label-predicate display.
+// Renderers receive the fragment itself: both XML renderers walk its kept IDs
+// (f.keptIDs, pre-order and ancestor-closed), resolve nodes by ID and read
+// depths off the fragment's node table; only the ASCII tree renderer and
+// Contains take the dewey-keyed map (f.keepSet, built on first use).
 type docSource interface {
 	labelOf(c dewey.Code) string
 	contentOf(c dewey.Code) []string
 	nodeText(c dewey.Code) string
 	labelOfID(id nid.ID) string
 	contentOfID(id nid.ID) []string
-	nodeTextID(id nid.ID) string
 	// pin returns the ID-aligned tables a fragment materialized now renders
 	// from later (Fragment.st); nil when IDs address frozen storage.
 	pin() *srcState
@@ -152,13 +152,6 @@ func (s *treeSource) contentOfID(id nid.ID) []string {
 	return nil
 }
 
-func (s *treeSource) nodeTextID(id nid.ID) string {
-	if st := s.state.Load(); int(id) < len(st.nodes) {
-		return st.nodes[id].Text
-	}
-	return ""
-}
-
 func (s *treeSource) renderASCII(f *Fragment) string {
 	keep := f.keepSet()
 	s.mu.RLock()
@@ -198,9 +191,11 @@ func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		b = append(b, '>', '\n')
 		stack = stack[:len(stack)-1]
 	}
+	rootDepth := f.tab.Depth(f.keptIDs[0])
 	for i, id := range f.keptIDs {
 		n := f.st.nodes[id]
-		depth := len(f.kept[i]) - len(f.rootCode)
+		d := f.tab.Depth(id)
+		depth := int(d - rootDepth)
 		for len(stack) > depth {
 			closeTop()
 		}
@@ -214,7 +209,7 @@ func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 			b = appendXMLEscaped(b, a.Value)
 			b = append(b, '"')
 		}
-		keptKids := i+1 < len(f.kept) && len(f.kept[i+1]) > len(f.kept[i])
+		keptKids := i+1 < len(f.keptIDs) && f.tab.Depth(f.keptIDs[i+1]) > d
 		switch {
 		case keptKids:
 			b = append(b, '>')
@@ -304,16 +299,15 @@ func (s *storeSource) labelOfID(id nid.ID) string { return s.st.LabelAt(int(id))
 
 func (s *storeSource) contentOfID(id nid.ID) []string { return s.st.ContentAt(int(id)) }
 
-func (s *storeSource) nodeTextID(id nid.ID) string { return "" }
-
 func (s *storeSource) pin() *srcState { return nil }
 
 func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
-	for i, c := range f.kept {
+	for _, id := range f.keptIDs {
+		c := f.tab.Code(id)
 		b.WriteString(strings.Repeat("  ", len(c)-len(f.rootCode)))
-		fmt.Fprintf(&b, "%s (%s)", c, s.labelOfID(f.keptIDs[i]))
-		if words := s.contentOfID(f.keptIDs[i]); len(words) > 0 {
+		fmt.Fprintf(&b, "%s (%s)", c, s.labelOfID(id))
+		if words := s.contentOfID(id); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
 		}
 		b.WriteByte('\n')
@@ -344,32 +338,35 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 	bp := renderBufs.Get().(*[]byte)
 	b := (*bp)[:0]
 	defer func() { *bp = b; renderBufs.Put(bp) }()
-	var open [32]int32 // indices into f.kept of the elements still open
+	var open [32]nid.ID // the elements still open, outermost first
 	stack := open[:0]
 	closeTop := func() {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		b = appendIndent(b, len(stack))
 		b = append(b, '<', '/')
-		b = append(b, s.labelOfID(f.keptIDs[top])...)
+		b = append(b, s.labelOfID(top)...)
 		b = append(b, '>', '\n')
 	}
-	for i, c := range f.kept {
-		for len(stack) > 0 && !f.kept[stack[len(stack)-1]].IsAncestorOf(c) {
+	rootDepth := f.tab.Depth(f.keptIDs[0])
+	for _, id := range f.keptIDs {
+		// Ancestor-closed pre-order: the open elements are exactly the
+		// node's ancestors once the stack is as deep as the node.
+		for depth := int(f.tab.Depth(id) - rootDepth); len(stack) > depth; {
 			closeTop()
 		}
 		b = appendIndent(b, len(stack))
 		b = append(b, '<')
-		b = append(b, s.labelOfID(f.keptIDs[i])...)
+		b = append(b, s.labelOfID(id)...)
 		b = append(b, '>')
-		for j, word := range s.contentOfID(f.keptIDs[i]) {
+		for j, word := range s.contentOfID(id) {
 			if j > 0 {
 				b = append(b, ' ')
 			}
 			b = append(b, word...)
 		}
 		b = append(b, '\n')
-		stack = append(stack, int32(i))
+		stack = append(stack, id)
 		if len(b) >= renderFlush {
 			if _, err := w.Write(b); err != nil {
 				return err
