@@ -67,9 +67,17 @@ func (e *Engine) timedAppend(parentDewey, snippet string, tailOnly bool) error {
 }
 
 func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
-	ts, parent, sub, err := e.prepareAppend(parentDewey, snippet)
+	ts, ok := e.src.(*treeSource)
+	if e.tree == nil || !ok {
+		return fmt.Errorf("xks: AppendXML requires a tree-backed engine")
+	}
+	parent, err := dewey.Parse(parentDewey)
 	if err != nil {
-		return err
+		return fmt.Errorf("xks: bad parent code: %w", err)
+	}
+	sub, err := xmltree.ParseString(snippet)
+	if err != nil {
+		return fmt.Errorf("xks: bad snippet: %w", err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -138,62 +146,6 @@ func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
 	// the engine stays consistent rather than erroring half-applied.
 	e.republishRebuilt(ts)
 	return err
-}
-
-// AppendXMLBaseline is the pre-delta append path, retained as the
-// benchmark baseline (xkbench -append): each new node is spliced into the
-// node table at its pre-order position, renumbering every later ID across
-// every posting list — O(index) per node. It requires a compacted engine
-// (the splice mutates the base in place) and, unlike AppendXML, must not
-// run concurrently with searches.
-func (e *Engine) AppendXMLBaseline(parentDewey, snippet string) error {
-	ts, parent, sub, err := e.prepareAppend(parentDewey, snippet)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := e.head.Load()
-	if len(h.Segs) > 0 {
-		return fmt.Errorf("xks: baseline append requires a compacted engine (pending delta segments)")
-	}
-	node, err := ts.appendChild(parent, treeToE(sub.Root))
-	if err != nil {
-		return err
-	}
-	var rec func(n *xmltree.Node)
-	rec = func(n *xmltree.Node) {
-		h.Base.Insert(n.Code, e.an.ContentSet(n.ContentPieces()...))
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	rec(node)
-	ts.refresh()
-	// The splice renumbered IDs in place: publish under a new rebuild
-	// generation so cursors and caches cannot read across it.
-	e.head.Store(&delta.Head{RebuildGen: h.RebuildGen + 1, Tab: h.Base.Table(), Base: h.Base})
-	return nil
-}
-
-// prepareAppend validates the shared preconditions of both append paths.
-func (e *Engine) prepareAppend(parentDewey, snippet string) (*treeSource, dewey.Code, *xmltree.Tree, error) {
-	if e.tree == nil {
-		return nil, nil, nil, fmt.Errorf("xks: AppendXML requires a tree-backed engine")
-	}
-	ts, ok := e.src.(*treeSource)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("xks: AppendXML requires a tree-backed engine")
-	}
-	parent, err := dewey.Parse(parentDewey)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("xks: bad parent code: %w", err)
-	}
-	sub, err := xmltree.ParseString(snippet)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("xks: bad snippet: %w", err)
-	}
-	return ts, parent, sub, nil
 }
 
 // republishRebuilt reindexes the mutated tree from scratch and publishes

@@ -16,8 +16,6 @@ import (
 	"xks/internal/concurrent"
 	"xks/internal/exec"
 	"xks/internal/fault"
-	"xks/internal/planner"
-	"xks/internal/query"
 	"xks/internal/trace"
 )
 
@@ -329,52 +327,6 @@ func (c *Corpus) DeltaInfo() DeltaInfo {
 	return total
 }
 
-// ResolveStrategy reports the strategy the planner resolves req to at the
-// corpus level: the corpus-wide aggregate of the per-document decisions,
-// computed from merged index statistics and summed per-term posting mass.
-// Caching layers fold this into their keys so a statistics change that flips
-// the plan cannot replay a page cached under a different algorithm. A
-// document-filtered request delegates to that document's engine; unparseable
-// queries and empty corpora fall back to the requested strategy (such
-// requests error or come back empty before any algorithm runs).
-func (c *Corpus) ResolveStrategy(req Request) Strategy {
-	if req.Document != "" {
-		if e := c.engines[req.Document]; e != nil {
-			return e.ResolveStrategy(req)
-		}
-		return req.Strategy
-	}
-	if len(c.names) == 0 {
-		return req.Strategy
-	}
-	first := c.engines[c.names[0]]
-	if req.Strategy != Auto || req.Semantics != SLCAOnly {
-		// Fixed strategies and ELCA semantics normalize identically in
-		// every document; the first engine's resolution is the corpus's.
-		return first.ResolveStrategy(req)
-	}
-	terms, err := query.Parse(req.Query, first.an)
-	if err != nil {
-		return req.Strategy
-	}
-	sizes := make([]int, len(terms))
-	var st planner.Stats
-	for _, n := range c.names {
-		e := c.engines[n]
-		v := e.currentView()
-		st = planner.Merge(st, v.snap.Stats())
-		for i, t := range terms {
-			w := t.Keyword
-			if w == "" {
-				w = e.an.Normalize(t.Label)
-			}
-			sizes[i] += v.snap.Frequency(w)
-		}
-		v.release()
-	}
-	return publicStrategy(planner.Decide(sizes, st, planner.Default).Strategy)
-}
-
 // CorpusFragment tags a fragment with its source document.
 type CorpusFragment struct {
 	Document string
@@ -419,11 +371,6 @@ type Results struct {
 	// checks; NextOffset remains as the raw-offset shim.
 	NextOffset int
 }
-
-// CorpusResult is the pre-streaming name of the result envelope.
-//
-// Deprecated: use Results.
-type CorpusResult = Results
 
 // AsCorpus wraps a single-document result in the corpus result shape,
 // tagging every fragment with doc.

@@ -234,7 +234,7 @@ func TestCorpusRankedLimitedDeterministic(t *testing.T) {
 	}
 	opts := Options{Rank: true, Limit: 4}
 
-	signature := func(res *CorpusResult) string {
+	signature := func(res *Results) string {
 		s := ""
 		for _, f := range res.Fragments {
 			s += fmt.Sprintf("%s/%s/%.9f;", f.Document, f.Root, f.Score)

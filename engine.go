@@ -155,24 +155,12 @@ func (s Strategy) plannerStrategy() planner.Strategy {
 	}
 }
 
-// publicStrategy maps a resolved planner strategy back onto the public knob.
-func publicStrategy(s planner.Strategy) Strategy {
-	switch s {
-	case planner.IndexedEager:
-		return IndexedEager
-	case planner.ScanMerge:
-		return ScanMerge
-	default:
-		return Auto
-	}
-}
-
-// Options configures one search in the pre-Request API.
+// Options is the search configuration of the pre-Request API: the part of
+// a Request that picks what is computed (algorithm, semantics, ranking, page
+// size). NewRequest converts; internal/axioms and the crosscheck grids still
+// take their configurations in this shape.
 //
-// Deprecated: build a Request instead (NewRequest converts). Options
-// remains the parameter of the deprecated *Opts entrypoints, which exist so
-// pre-Request callers and the crosscheck tests keep pinning byte-identical
-// behavior.
+// Deprecated: build a Request instead.
 type Options struct {
 	// Algorithm is the pruning mechanism (default ValidRTF).
 	Algorithm Algorithm
@@ -800,7 +788,7 @@ func (e *Engine) planAt(v *view, queryText string) (exec.Plan, error) {
 // behavior), Auto consults the snapshot's statistics and the calibrated
 // cost model. ELCA semantics always evaluates via the stack merge — there
 // is no indexed variant — so the resolved strategy is normalized to
-// ScanMerge there, keeping explain output and cache keys honest.
+// ScanMerge there, keeping explain output honest.
 func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
 	var d planner.Decision
 	if req.Strategy != Auto {
@@ -816,26 +804,6 @@ func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
 		d.Strategy = planner.ScanMerge
 	}
 	return d
-}
-
-// ResolveStrategy reports the strategy the planner resolves req to against
-// the engine's current statistics. Caching layers fold this into their keys
-// so a statistics refresh that flips the plan cannot replay a page cached
-// under a different algorithm. Planning errors (unparseable query, no
-// postings) fall back to the requested strategy — such requests error or
-// come back empty before any algorithm runs.
-func (e *Engine) ResolveStrategy(req Request) Strategy {
-	v := e.currentView()
-	defer v.release()
-	var p exec.Plan
-	if req.Strategy == Auto {
-		var err error
-		p, err = e.planAt(v, req.Query)
-		if err != nil {
-			return req.Strategy
-		}
-	}
-	return publicStrategy(e.decideAt(v, req, p).Strategy)
 }
 
 // stampPlan annotates a plan span with the planner's decision — the chosen
@@ -1032,8 +1000,8 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 }
 
 // resolveSets is the Dewey-code view of resolveIDSetsAt over the newest
-// state, serving the reference/eager paths and stage benchmarks. Codes are
-// zero-copy views into the node table.
+// state, serving the reference/eager path the crosschecks compare against.
+// Codes are zero-copy views into the node table.
 func (e *Engine) resolveSets(queryText string) (display, idfWords []string, sets [][]dewey.Code, err error) {
 	v := e.currentView()
 	defer v.release()
@@ -1160,11 +1128,11 @@ type matchedWords struct {
 // contract).
 func (e *Engine) assembledFragments() uint64 { return e.assembled.Load() }
 
-// plan, params, resolveIDSets and currentScorer are the snapshot-free
-// shims over the newest state, serving in-package tests and benchmarks
-// that exercise one pipeline stage in isolation. The returned structures
-// stay valid after the pin is released — pinning is accounting, not
-// lifetime (the garbage collector owns the memory).
+// plan, params and currentScorer are the snapshot-free shims over the
+// newest state, serving in-package tests that exercise one pipeline stage
+// in isolation. The returned structures stay valid after the pin is
+// released — pinning is accounting, not lifetime (the garbage collector
+// owns the memory).
 
 func (e *Engine) plan(queryText string) (exec.Plan, error) {
 	v := e.currentView()
@@ -1176,12 +1144,6 @@ func (e *Engine) params(req Request) exec.Params {
 	v := e.currentView()
 	defer v.release()
 	return e.paramsAt(v, req)
-}
-
-func (e *Engine) resolveIDSets(queryText string) (display, idfWords []string, sets [][]nid.ID, err error) {
-	v := e.currentView()
-	defer v.release()
-	return e.resolveIDSetsAt(v, queryText)
 }
 
 func (e *Engine) currentScorer() *rank.Scorer {

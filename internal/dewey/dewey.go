@@ -308,21 +308,6 @@ func SearchGE(cs []Code, c Code) int {
 	return lo
 }
 
-// SearchLE returns the index of the last code in the pre-order-sorted slice
-// cs that is <= c, or -1 if all codes follow c.
-func SearchLE(cs []Code, c Code) int {
-	lo, hi := 0, len(cs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if Compare(cs[mid], c) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
 // Dedup removes duplicate codes from a pre-order-sorted slice, in place,
 // returning the shortened slice.
 func Dedup(cs []Code) []Code {

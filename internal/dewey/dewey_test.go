@@ -265,28 +265,6 @@ func TestSearchGE(t *testing.T) {
 	}
 }
 
-func TestSearchLE(t *testing.T) {
-	cs := []Code{MustParse("0.0"), MustParse("0.1"), MustParse("0.1.2"), MustParse("0.3")}
-	cases := []struct {
-		q    string
-		want int
-	}{
-		{"0", -1},
-		{"0.0", 0},
-		{"0.0.5", 0},
-		{"0.1", 1},
-		{"0.1.2", 2},
-		{"0.2", 2},
-		{"0.3", 3},
-		{"0.4", 3},
-	}
-	for _, c := range cases {
-		if got := SearchLE(cs, MustParse(c.q)); got != c.want {
-			t.Errorf("SearchLE(%s) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
 func TestDedup(t *testing.T) {
 	cs := []Code{MustParse("0.0"), MustParse("0.0"), MustParse("0.1"), MustParse("0.1"), MustParse("0.1"), MustParse("0.2")}
 	got := Dedup(cs)

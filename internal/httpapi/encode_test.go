@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -214,6 +215,48 @@ func TestWireEquivalence(t *testing.T) {
 		}
 		if answers == 0 {
 			t.Fatalf("%s: no fragments compared", name)
+		}
+	}
+}
+
+// TestStrategyLeavesTheBodyUnchanged: every strategy computes the same
+// answer, which is what lets the service key a page on the strategy the
+// request names and never on what the planner resolved it to. Over the same
+// grid, the body served under strategy=scan and strategy=indexed is the body
+// served under Auto, byte for byte outside elapsedMs — each its own cache
+// entry, each a miss.
+func TestStrategyLeavesTheBodyUnchanged(t *testing.T) {
+	tree := wireTree()
+	backings := map[string]*xks.Engine{
+		"tree":  xks.FromTree(tree),
+		"store": xks.FromStore(store.Shred(tree, analysis.New())),
+	}
+	elapsed := regexp.MustCompile(`"elapsedMs":[^,]+`)
+	for name, engine := range backings {
+		svc := service.New(service.SingleDoc{Name: "dblp", Engine: engine}, service.Config{CacheSize: 256})
+		h := NewHandler(svc, nil)
+		body := func(path string) []byte {
+			b := serve(t, h, path).Body.Bytes()
+			if !bytes.Contains(b, []byte(`"cached":false`)) {
+				t.Fatalf("%s %s: not a miss", name, path)
+			}
+			return elapsed.ReplaceAll(b, nil)
+		}
+		for _, algo := range []string{"validrtf", "maxmatch", "raw"} {
+			for _, slca := range []string{"0", "1"} {
+				for _, shape := range []string{"", "&rank=1&limit=3", "&limit=2"} {
+					path := "/search?q=alpha+beta&algo=" + algo + "&slca=" + slca + shape
+					want := body(path)
+					if !bytes.Contains(want, []byte(`"root"`)) {
+						t.Fatalf("%s %s: no fragments to compare", name, path)
+					}
+					for _, strategy := range []string{"scan", "indexed"} {
+						if got := body(path + "&strategy=" + strategy); !bytes.Equal(got, want) {
+							t.Fatalf("%s %s: strategy=%s changes the body:\n%s\n----\n%s", name, path, strategy, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -134,7 +134,7 @@ func atoi(t *testing.T, s string) int {
 // slower than the request's deadline.
 type stuckSearcher struct{}
 
-func (stuckSearcher) Search(ctx context.Context, req xks.Request) (*xks.CorpusResult, error) {
+func (stuckSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }

@@ -108,38 +108,6 @@ func build(t *xmltree.Tree, a *analysis.Analyzer, contentOf func(nid.ID, *xmltre
 	return ix
 }
 
-// FromPostings constructs an index directly from word → posting-list data.
-// The caller's lists are copied, never sorted in place or retained, so a
-// loaded index can not alias mutable caller data. The node table is the
-// ancestor closure of the posting codes — exactly the nodes the pipeline
-// can reach (every LCA and path node is a prefix of some keyword node).
-func FromPostings(postings map[string][]dewey.Code, numNodes int, a *analysis.Analyzer) *Index {
-	if a == nil {
-		a = analysis.New()
-	}
-	total := 0
-	for _, list := range postings {
-		total += len(list)
-	}
-	all := make([]dewey.Code, 0, total)
-	for _, list := range postings {
-		all = append(all, list...)
-	}
-	tab := nid.FromCodes(all)
-	idPostings := make(map[string][]nid.ID, len(postings))
-	for w, list := range postings {
-		ids := make([]nid.ID, 0, len(list))
-		for _, c := range list {
-			if id, ok := tab.Find(c); ok {
-				ids = append(ids, id)
-			}
-		}
-		sortIDList(ids)
-		idPostings[w] = dedupIDList(ids)
-	}
-	return &Index{analyzer: a, tab: tab, postings: idPostings, numNodes: numNodes}
-}
-
 // FromIDPostings constructs an index from already-resolved ID posting lists
 // over an existing node table (the store's load path). Lists are sorted and
 // deduplicated defensively; they are retained, not copied.
@@ -364,51 +332,6 @@ func (ix *Index) KeywordSetIDs(query string) (words []string, sets [][]nid.ID, e
 		sets[i] = list
 	}
 	return words, sets, nil
-}
-
-// Insert adds one node's postings incrementally (used by the engine's
-// append path). The node (and any missing ancestors) is spliced into the
-// node table at its pre-order position, renumbering later IDs across every
-// posting list; each word's posting list then receives the new ID at its
-// sorted position. Inserting an already-present (word, code) pair is a
-// no-op. Not safe for use concurrently with readers.
-func (ix *Index) Insert(c dewey.Code, words []string) {
-	if ix.lazy != nil {
-		// Compressed lists are immutable views (possibly into mmap-ed
-		// memory); flatten the whole vocabulary into mutable heap lists
-		// before the first mutation. In practice only tree-backed engines
-		// append, so this path is defensive.
-		flat := make(map[string][]nid.ID, len(ix.lazy))
-		for w, lp := range ix.lazy {
-			flat[w] = slices.Clone(lp.decode(&ix.decoded))
-		}
-		ix.postings = flat
-		ix.lazy = nil
-	}
-	ix.numNodes++
-	id, created := ix.tab.Insert(c)
-	// Replay the table's renumbering on the stored IDs: for each splice
-	// position, every ID at or after it shifted up by one.
-	for _, pos := range created {
-		for _, list := range ix.postings {
-			for i, v := range list {
-				if v >= pos {
-					list[i] = v + 1
-				}
-			}
-		}
-	}
-	for _, w := range words {
-		list := ix.postings[w]
-		i := sort.Search(len(list), func(j int) bool { return list[j] >= id })
-		if i < len(list) && list[i] == id {
-			continue
-		}
-		list = append(list, 0)
-		copy(list[i+1:], list[i:])
-		list[i] = id
-		ix.postings[w] = list
-	}
 }
 
 // Postings exposes a copy of the word → posting map in Dewey code form,

@@ -133,17 +133,6 @@ func TestPostingListsArePreOrderSorted(t *testing.T) {
 	}
 }
 
-func TestFromPostingsSortsDefensively(t *testing.T) {
-	p := map[string][]dewey.Code{
-		"w": {dewey.MustParse("0.2"), dewey.MustParse("0.1")},
-	}
-	ix := FromPostings(p, 3, nil)
-	sameCodes(t, ix.Lookup("w"), codes("0.1", "0.2"), "sorted postings")
-	if ix.NumNodes() != 3 {
-		t.Errorf("NumNodes = %d", ix.NumNodes())
-	}
-}
-
 func TestPostingsCopyIsShallow(t *testing.T) {
 	ix := pubIndex()
 	p := ix.Postings()
@@ -166,32 +155,5 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Build(tr, a)
-	}
-}
-
-func TestInsertIncremental(t *testing.T) {
-	ix := pubIndex()
-	before := ix.NumNodes()
-	c := dewey.MustParse("0.3")
-	ix.Insert(c, []string{"zebra", "keyword"})
-	if ix.NumNodes() != before+1 {
-		t.Errorf("NumNodes = %d, want %d", ix.NumNodes(), before+1)
-	}
-	sameCodes(t, ix.Lookup("zebra"), codes("0.3"), "new word postings")
-	// "keyword" postings stay sorted with the new code inserted in place.
-	sameCodes(t, ix.Lookup("keyword"), codes("0.2.0.1", "0.2.0.2", "0.2.0.3.0", "0.3"), "merged postings")
-	// Inserting the same pair again is a no-op for the lists.
-	ix.Insert(c, []string{"keyword"})
-	sameCodes(t, ix.Lookup("keyword"), codes("0.2.0.1", "0.2.0.2", "0.2.0.3.0", "0.3"), "idempotent postings")
-}
-
-func TestInsertKeepsOrderAtFront(t *testing.T) {
-	ix := pubIndex()
-	ix.Insert(dewey.MustParse("0.0.0"), []string{"keyword"})
-	got := ix.Lookup("keyword")
-	for i := 1; i < len(got); i++ {
-		if dewey.Compare(got[i-1], got[i]) >= 0 {
-			t.Fatalf("postings unsorted after front insert: %v", got)
-		}
 	}
 }

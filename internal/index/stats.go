@@ -12,9 +12,8 @@ const maxDepthBuckets = 32
 // Stats returns the planner statistics for this index. They are computed
 // lazily on first use (one pass over the node table and posting lists) and
 // cached; a store load that carries persisted statistics preempts the scan
-// via SetStats. Statistics are advisory — plans never change answers — so
-// they are deliberately not invalidated by Insert: slightly stale numbers
-// after an append only cost performance, never correctness.
+// via SetStats. The index is immutable, so they never go stale; the
+// postings a delta segment adds are counted by the snapshot that holds it.
 func (ix *Index) Stats() planner.Stats {
 	ix.statsOnce.Do(func() {
 		if !ix.statsSet {

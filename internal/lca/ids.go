@@ -276,18 +276,12 @@ func ELCAStackMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 	return out
 }
 
-// ELCAStackMergeIDsCtx is ELCAStackMergeIDs with periodic cancellation
-// checks inside the k-way merge loop: every ctxCheckInterval events it
-// consults ctx and abandons the merge mid-stream with ctx.Err() when the
-// context is done, so a cancelled search stops paying for postings it will
-// never return.
-func ELCAStackMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
-	return ELCAStackMergeIDsOrderedCtx(ctx, t, sets, nil)
-}
-
-// ELCAStackMergeIDsOrderedCtx is ELCAStackMergeIDsCtx with the planner's
-// merge order feeding the loser tree (nil = query order). The output is
-// independent of the order.
+// ELCAStackMergeIDsOrderedCtx is ELCAStackMergeIDs with periodic
+// cancellation checks inside the k-way merge loop — every ctxCheckInterval
+// events it consults ctx and abandons the merge mid-stream with ctx.Err()
+// when the context is done, so a cancelled search stops paying for postings
+// it will never return — and with the planner's merge order feeding the
+// loser tree (nil = query order). The output is independent of the order.
 func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
 	out, events, err := elcaStackMergeIDs(ctx, t, sets, order)
 	if err != nil {
@@ -297,20 +291,14 @@ func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid
 	return out, nil
 }
 
-// SLCAScanMergeIDs computes the SLCA set by scanning the full k-way merge —
-// the Scan Eager strategy. The SLCAs are exactly the ELCAs with no ELCA
-// proper descendant (any deeper all-keyword subtree would itself contain an
-// SLCA, which is always an ELCA), so the stack merge result filtered through
-// removeAncestorIDs equals SLCAIDs; property tests pin the equivalence.
-// Preferable to the indexed variant when the keyword frequencies are of
-// similar magnitude — the planner picks between the two.
-func SLCAScanMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _ := SLCAScanMergeIDsCtx(context.Background(), t, sets, nil)
-	return out
-}
-
-// SLCAScanMergeIDsCtx is SLCAScanMergeIDs with cancellation checks and the
-// planner's merge order (nil = query order).
+// SLCAScanMergeIDsCtx computes the SLCA set by scanning the full k-way
+// merge — the Scan Eager strategy — with cancellation checks and the
+// planner's merge order (nil = query order). The SLCAs are exactly the ELCAs
+// with no ELCA proper descendant (any deeper all-keyword subtree would itself
+// contain an SLCA, which is always an ELCA), so the stack merge result
+// filtered through removeAncestorIDs equals SLCAIDs; property tests pin the
+// equivalence. Preferable to the indexed variant when the keyword frequencies
+// are of similar magnitude — the planner picks between the two.
 func SLCAScanMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
 	elcas, events, err := elcaStackMergeIDs(ctx, t, sets, order)
 	if err != nil {
@@ -412,7 +400,7 @@ func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 }
 
 // SLCAIDsCtx is SLCAIDs with periodic cancellation checks over the
-// smallest-list scan, mirroring ELCAStackMergeIDsCtx.
+// smallest-list scan, mirroring ELCAStackMergeIDsOrderedCtx.
 func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
 	return slcaIDs(ctx, t, sets)
 }

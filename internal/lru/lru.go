@@ -159,14 +159,3 @@ func (c *Cache[V]) Each(fn func(V)) {
 		s.mu.Unlock()
 	}
 }
-
-// Purge drops every entry.
-func (c *Cache[V]) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*list.Element)
-		s.order.Init()
-		s.mu.Unlock()
-	}
-}

@@ -85,19 +85,6 @@ func TestShardRounding(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New[int](8, 2)
-	c.Put("a", 0, 1)
-	c.Put("b", 0, 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Purge = %d", c.Len())
-	}
-	if _, ok := c.Get("a", 0); ok {
-		t.Error("purged entry still present")
-	}
-}
-
 func TestEachVisitsLiveEntries(t *testing.T) {
 	c := New[int](2, 1)
 	c.Put("a", 0, 1)

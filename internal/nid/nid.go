@@ -12,9 +12,9 @@
 // free. The design follows the node-numbering used by the Indexed Stack /
 // DIL-style XML keyword systems (Xu & Papakonstantinou EDBT 2008, XRank).
 //
-// A Table is immutable during searches; Insert (used by the engine's append
-// path) renumbers IDs and must be externally synchronized with readers,
-// like the index it backs.
+// A Table is never mutated after it is built: a tail append derives a new
+// table with Extend (snapshot.go), which shares the old one's backing arrays
+// and leaves every existing ID where it was.
 package nid
 
 import (
@@ -148,53 +148,6 @@ func (t *Table) searchGE(c dewey.Code) int {
 	return lo
 }
 
-// Insert adds the node with code c (and any missing ancestors) to the
-// table, renumbering the IDs of every node at or after each insertion
-// point. It returns the node's ID and the insertion positions of the newly
-// created nodes in creation order (shallowest first); each position is the
-// ID the node received at the moment it was inserted, so a caller keeping
-// external ID references (e.g. posting lists) replays the same shifts by
-// incrementing every stored ID >= pos once per created position, in order.
-// When the code is already present, created is empty.
-//
-// Insert must not run concurrently with readers.
-func (t *Table) Insert(c dewey.Code) (id ID, created []ID) {
-	parent := None
-	for l := 1; l <= len(c); l++ {
-		prefix := c[:l]
-		pos := t.searchGE(prefix)
-		if pos < len(t.parent) && dewey.Equal(t.Code(ID(pos)), prefix) {
-			parent = ID(pos)
-			continue
-		}
-		t.insertAt(pos, prefix, parent)
-		created = append(created, ID(pos))
-		parent = ID(pos)
-	}
-	return parent, created
-}
-
-// insertAt splices one node into position pos. The parent, being a proper
-// prefix, always precedes pos and is unaffected by the shift.
-func (t *Table) insertAt(pos int, c dewey.Code, parent ID) {
-	off := uint32(len(t.arena))
-	t.arena = append(t.arena, c...)
-	t.parent = append(t.parent, 0)
-	copy(t.parent[pos+1:], t.parent[pos:])
-	t.parent[pos] = parent
-	t.depth = append(t.depth, 0)
-	copy(t.depth[pos+1:], t.depth[pos:])
-	t.depth[pos] = int32(len(c) - 1)
-	t.off = append(t.off, 0)
-	copy(t.off[pos+1:], t.off[pos:])
-	t.off[pos] = off
-	for i := range t.parent {
-		if i != pos && t.parent[i] >= ID(pos) {
-			t.parent[i]++
-		}
-	}
-}
-
 // Builder assembles a Table from codes fed in pre-order. Missing ancestors
 // are synthesized, so any pre-order code stream yields an ancestor-closed
 // table. Adding a code equal to the previous one returns the existing ID.
@@ -272,10 +225,6 @@ func (t *Table) Columns() (parent []ID, depth []int32, off, arena []uint32) {
 // CRC-valid but adversarial bytes can return wrong answers, never index
 // out of bounds. Deeper semantic invariants (pre-order code ordering) are
 // not checked; they cost a full scan and only affect result correctness.
-//
-// Tables adopted this way must not be mutated via Insert while the backing
-// memory is shared; Insert's append-based splicing would reallocate, which
-// is safe, but the renumbering pass writes into the parent column in place.
 func FromColumns(parent []ID, depth []int32, off, arena []uint32) (*Table, error) {
 	n := len(parent)
 	if len(depth) != n || len(off) != n {

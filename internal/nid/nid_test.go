@@ -97,43 +97,6 @@ func TestTableAgainstDeweyReference(t *testing.T) {
 	}
 }
 
-// TestInsertRenumbers: splicing nodes mid-table shifts IDs exactly the way
-// Insert reports, and keeps the table sorted and ancestor-closed.
-func TestInsertRenumbers(t *testing.T) {
-	tab := FromCodes(codes("0.0", "0.2"))
-	before := tab.Len() // 0, 0.0, 0.2
-	if before != 3 {
-		t.Fatalf("Len = %d, want 3", before)
-	}
-	// Insert 0.1.0: creates 0.1 and 0.1.0 between 0.0 and 0.2.
-	id, created := tab.Insert(dewey.MustParse("0.1.0"))
-	if len(created) != 2 {
-		t.Fatalf("created = %v, want two nodes", created)
-	}
-	if got := tab.Code(id).String(); got != "0.1.0" {
-		t.Fatalf("inserted id resolves to %s", got)
-	}
-	want := []string{"0", "0.0", "0.1", "0.1.0", "0.2"}
-	for i, w := range want {
-		if got := tab.Code(ID(i)).String(); got != w {
-			t.Fatalf("after insert, Code(%d) = %s, want %s", i, got, w)
-		}
-	}
-	// Parents stay coherent after the shift.
-	if p := tab.Parent(id); tab.Code(p).String() != "0.1" {
-		t.Fatalf("parent of 0.1.0 = %s", tab.Code(p))
-	}
-	last, ok := tab.Find(dewey.MustParse("0.2"))
-	if !ok || tab.Parent(last) != 0 {
-		t.Fatalf("0.2 parent broken after shift: %v %v", last, tab.Parent(last))
-	}
-	// Re-inserting an existing code is a no-op.
-	id2, created2 := tab.Insert(dewey.MustParse("0.1.0"))
-	if id2 != id || len(created2) != 0 {
-		t.Fatalf("re-insert: id %d created %v", id2, created2)
-	}
-}
-
 // TestBuilderOutOfOrderPanics pins the dense-ID invariant guard.
 func TestBuilderOutOfOrderPanics(t *testing.T) {
 	defer func() {

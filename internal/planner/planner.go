@@ -65,57 +65,17 @@ type Stats struct {
 	// histogram is persisted so future models can use the shape.
 	DepthHist []int64
 
-	// Docs is the number of distinct documents the statistics cover: 1
-	// for a single-document index, the engine count for corpus-merged
-	// statistics.
+	// Docs is the number of distinct documents the statistics cover (1:
+	// an index holds one document; the store format persists the field).
 	Docs int
-}
-
-// Merge combines statistics from two indexes (corpus aggregation): counts
-// add, means are weighted by posting mass, maxima take the max.
-func Merge(a, b Stats) Stats {
-	if a.Docs == 0 {
-		return b
-	}
-	if b.Docs == 0 {
-		return a
-	}
-	out := Stats{
-		Nodes:       a.Nodes + b.Nodes,
-		Words:       a.Words + b.Words, // upper bound; vocabularies overlap
-		Postings:    a.Postings + b.Postings,
-		MaxPostings: max(a.MaxPostings, b.MaxPostings),
-		MaxDepth:    max(a.MaxDepth, b.MaxDepth),
-		Docs:        a.Docs + b.Docs,
-	}
-	if tot := a.Postings + b.Postings; tot > 0 {
-		out.AvgDepth = (a.AvgDepth*float64(a.Postings) + b.AvgDepth*float64(b.Postings)) / float64(tot)
-	}
-	if nodes := a.Nodes + b.Nodes; nodes > 0 {
-		out.AvgFanout = (a.AvgFanout*float64(a.Nodes) + b.AvgFanout*float64(b.Nodes)) / float64(nodes)
-	}
-	n := max(len(a.DepthHist), len(b.DepthHist))
-	if n > 0 {
-		out.DepthHist = make([]int64, n)
-		for i := range out.DepthHist {
-			if i < len(a.DepthHist) {
-				out.DepthHist[i] += a.DepthHist[i]
-			}
-			if i < len(b.DepthHist) {
-				out.DepthHist[i] += b.DepthHist[i]
-			}
-		}
-	}
-	return out
 }
 
 // Overlay folds a delta-segment summary into base statistics: counts add,
 // maxima take the larger, and the averaged shape metrics (depth, fanout,
 // histogram) stay the base's. Delta segments are small relative to the
 // base and the statistics are advisory — they steer cost estimates, never
-// answers — so the base's shape remains the better predictor. Unlike
-// Merge, an overlay never changes Docs: base and delta describe the same
-// document.
+// answers — so the base's shape remains the better predictor. Docs is
+// unchanged: base and delta describe the same document.
 func Overlay(base Stats, nodes, words, postings, maxPostings int) Stats {
 	base.Nodes += nodes
 	base.Words += words // upper bound; base and delta vocabularies overlap
@@ -140,11 +100,11 @@ type CostModel struct {
 	ChainStep float64
 }
 
-// Default is the cost model calibrated against `xkbench -planner` on the
-// Figure-5 workload mixes (DBLP + XMark generators): the measured crossover
-// has ScanMerge winning while the posting lists are within roughly an order
-// of magnitude of each other and IndexedEager winning beyond that, which
-// these ratios reproduce.
+// Default is the cost model calibrated on the Figure-5 workload mixes (DBLP
+// + XMark generators; bench/ reports planner.scan_share and
+// planner.decide_us over them): the measured crossover has ScanMerge winning
+// while the posting lists are within roughly an order of magnitude of each
+// other and IndexedEager winning beyond that, which these ratios reproduce.
 var Default = CostModel{
 	ScanEvent: 6,
 	ProbeStep: 4,

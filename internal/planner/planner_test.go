@@ -121,24 +121,3 @@ func TestOrderString(t *testing.T) {
 		t.Errorf("empty OrderString = %q", got)
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := Stats{Nodes: 10, Words: 4, Postings: 20, MaxPostings: 9, MaxDepth: 3,
-		AvgDepth: 2, AvgFanout: 1.5, DepthHist: []int64{1, 2, 17}, Docs: 1}
-	b := Stats{Nodes: 30, Words: 6, Postings: 60, MaxPostings: 30, MaxDepth: 5,
-		AvgDepth: 4, AvgFanout: 2.5, DepthHist: []int64{0, 0, 10, 50}, Docs: 2}
-	m := Merge(a, b)
-	if m.Nodes != 40 || m.Postings != 80 || m.MaxPostings != 30 || m.MaxDepth != 5 || m.Docs != 3 {
-		t.Errorf("Merge = %+v", m)
-	}
-	wantDepth := (2.0*20 + 4.0*60) / 80
-	if m.AvgDepth != wantDepth {
-		t.Errorf("AvgDepth = %v, want %v", m.AvgDepth, wantDepth)
-	}
-	if len(m.DepthHist) != 4 || m.DepthHist[2] != 27 || m.DepthHist[3] != 50 {
-		t.Errorf("DepthHist = %v", m.DepthHist)
-	}
-	if got := Merge(Stats{}, a); got.Nodes != a.Nodes || got.Docs != 1 {
-		t.Errorf("Merge(zero, a) = %+v", got)
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"xks/internal/dewey"
-	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
 )
@@ -37,14 +36,11 @@ type IndexStats interface {
 	NumNodes() int
 }
 
-// NewScorer builds a scorer whose IDF derives from the posting-list sizes
-// of the given index: idf(w) = log(1 + N/df(w)).
-func NewScorer(ix *index.Index) *Scorer { return NewScorerFrom(ix) }
-
-// NewScorerFrom is NewScorer over any IndexStats source, letting snapshot
-// views score with IDF weights reflecting exactly the nodes they can see —
-// the same floating-point op order as an index freshly rebuilt at that
-// state, so scores stay bit-identical.
+// NewScorerFrom builds a scorer whose IDF derives from the posting-list
+// sizes of the given source: idf(w) = log(1 + N/df(w)). Any IndexStats
+// source serves, letting snapshot views score with IDF weights reflecting
+// exactly the nodes they can see — the same floating-point op order as an
+// index freshly rebuilt at that state, so scores stay bit-identical.
 func NewScorerFrom(ix IndexStats) *Scorer {
 	return &Scorer{
 		Decay: 0.8,
@@ -53,8 +49,6 @@ func NewScorerFrom(ix IndexStats) *Scorer {
 			if df == 0 {
 				return 0
 			}
-			// NumNodes is read per call so incremental index updates
-			// (index.Insert) are reflected without rebuilding the scorer.
 			return math.Log1p(float64(ix.NumNodes()) / df)
 		},
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestNewScorerIDF(t *testing.T) {
 	ix := index.Build(paperdata.Publications(), analysis.New())
-	s := NewScorer(ix)
+	s := NewScorerFrom(ix)
 	rare := s.IDF("vldb")      // frequency 1
 	common := s.IDF("keyword") // frequency 3
 	if rare <= common {

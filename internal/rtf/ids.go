@@ -15,7 +15,7 @@ import (
 )
 
 // ctxCheckInterval is the number of dispatched merge events between context
-// checks in BuildIDsCtx, mirroring the interval of the lca stage.
+// checks in BuildIDsPlanned, mirroring the interval of the lca stage.
 const ctxCheckInterval = 4096
 
 // IDRTF is one relaxed tightest fragment in ID form: its root (an
@@ -46,15 +46,11 @@ func BuildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
 	return out
 }
 
-// BuildIDsCtx is BuildIDs with periodic cancellation checks inside both
-// dispatch passes: every ctxCheckInterval merged events it consults ctx and
-// abandons the build mid-stream with ctx.Err() when the context is done.
-func BuildIDsCtx(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID) ([]*IDRTF, error) {
-	return buildIDs(ctx, t, lcas, sets, nil, false)
-}
-
-// BuildIDsPlanned is BuildIDsCtx with the planner's merge order feeding the
-// loser tree (nil = query order) and, when skip is set, subtree galloping:
+// BuildIDsPlanned is BuildIDs with periodic cancellation checks inside both
+// dispatch passes — every ctxCheckInterval merged events it consults ctx and
+// abandons the build mid-stream with ctx.Err() when the context is done —
+// and with the planner's merge order feeding the loser tree (nil = query
+// order) and, when skip is set, subtree galloping:
 // whenever an event lands outside every interesting LCA subtree, all merge
 // sources jump directly to the next LCA root instead of draining the gap
 // event by event. Both knobs are output-neutral (property-tested): skipped

@@ -53,16 +53,6 @@ func (r *RTF) PathNodes() []dewey.Code {
 	return out
 }
 
-// KeepSet returns the fragment's node set keyed by dewey key, the form the
-// serializers consume.
-func (r *RTF) KeepSet() map[string]bool {
-	out := map[string]bool{}
-	for _, c := range r.PathNodes() {
-		out[c.Key()] = true
-	}
-	return out
-}
-
 // Mask returns the union of the keyword masks of the fragment's keyword
 // nodes.
 func (r *RTF) Mask() uint64 {

@@ -180,21 +180,6 @@ func TestMask(t *testing.T) {
 	}
 }
 
-func TestKeepSet(t *testing.T) {
-	r := &RTF{Root: dewey.MustParse("0"), KeywordNodes: []lca.Event{
-		{Code: dewey.MustParse("0.2.1"), Mask: 1},
-	}}
-	keep := r.KeepSet()
-	for _, c := range []string{"0", "0.2", "0.2.1"} {
-		if !keep[dewey.MustParse(c).Key()] {
-			t.Errorf("KeepSet missing %s", c)
-		}
-	}
-	if len(keep) != 3 {
-		t.Errorf("KeepSet size = %d", len(keep))
-	}
-}
-
 func randomSets(rng *rand.Rand, k int) [][]dewey.Code {
 	sets := make([][]dewey.Code, k)
 	for i := range sets {

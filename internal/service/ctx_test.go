@@ -29,17 +29,17 @@ func TestCacheKeyNoConcatenationCollisions(t *testing.T) {
 		{{Query: "a", Document: "b0"}, {Query: "a", Document: "b", Limit: 0}},
 	}
 	for _, p := range pairs {
-		if cacheKey(p[0], xks.Auto) == cacheKey(p[1], xks.Auto) {
-			t.Errorf("cacheKey collision: %+v and %+v -> %q", p[0], p[1], cacheKey(p[0], xks.Auto))
+		if cacheKey(p[0]) == cacheKey(p[1]) {
+			t.Errorf("cacheKey collision: %+v and %+v -> %q", p[0], p[1], cacheKey(p[0]))
 		}
 	}
 	// Pagination fields are part of the key: pages are distinct entries.
-	if cacheKey(xks.Request{Query: "q", Offset: 0}, xks.Auto) == cacheKey(xks.Request{Query: "q", Offset: 10}, xks.Auto) {
+	if cacheKey(xks.Request{Query: "q", Offset: 0}) == cacheKey(xks.Request{Query: "q", Offset: 10}) {
 		t.Error("offset must be part of the cache key")
 	}
 	// Timeout is not: a result is the same however long it was allowed to
 	// take.
-	if cacheKey(xks.Request{Query: "q"}, xks.Auto) != cacheKey(xks.Request{Query: "q", Timeout: time.Second}, xks.Auto) {
+	if cacheKey(xks.Request{Query: "q"}) != cacheKey(xks.Request{Query: "q", Timeout: time.Second}) {
 		t.Error("timeout must not be part of the cache key")
 	}
 }
@@ -128,7 +128,7 @@ func TestGroupRetriesAfterLeaderCancelled(t *testing.T) {
 // pipeline.
 type blockingSearcher struct{}
 
-func (blockingSearcher) Search(ctx context.Context, req xks.Request) (*xks.CorpusResult, error) {
+func (blockingSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }

@@ -148,31 +148,33 @@ func TestGroupLeaderPanicReleasesJoinersWithError(t *testing.T) {
 }
 
 func TestCacheKeyNormalization(t *testing.T) {
-	base := cacheKey(xks.Request{Query: "xml keyword"}, xks.Auto)
-	if cacheKey(xks.Request{Query: "  XML   Keyword "}, xks.Auto) != base {
+	base := cacheKey(xks.Request{Query: "xml keyword"})
+	if cacheKey(xks.Request{Query: "  XML   Keyword "}) != base {
 		t.Error("whitespace/case folding should not change the key")
 	}
-	if cacheKey(xks.Request{Query: "keyword xml"}, xks.Auto) == base {
+	if cacheKey(xks.Request{Query: "keyword xml"}) == base {
 		t.Error("term order is part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Document: "doc.xml"}, xks.Auto) == base {
+	if cacheKey(xks.Request{Query: "xml keyword", Document: "doc.xml"}) == base {
 		t.Error("document filter is part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Rank: true}, xks.Auto) == base {
+	if cacheKey(xks.Request{Query: "xml keyword", Rank: true}) == base {
 		t.Error("options are part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Limit: 3}, xks.Auto) == base {
+	if cacheKey(xks.Request{Query: "xml keyword", Limit: 3}) == base {
 		t.Error("limit is part of the key")
 	}
 }
 
 func TestCacheKeyStrategy(t *testing.T) {
-	base := cacheKey(xks.Request{Query: "xml keyword"}, xks.ScanMerge)
-	if cacheKey(xks.Request{Query: "xml keyword", Strategy: xks.ScanMerge}, xks.ScanMerge) == base {
+	auto := cacheKey(xks.Request{Query: "xml keyword"})
+	scan := cacheKey(xks.Request{Query: "xml keyword", Strategy: xks.ScanMerge})
+	indexed := cacheKey(xks.Request{Query: "xml keyword", Strategy: xks.IndexedEager})
+	if auto == scan || auto == indexed || scan == indexed {
 		t.Error("the requested strategy is part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword"}, xks.IndexedEager) == base {
-		t.Error("the planner-resolved strategy is part of the key")
+	if cacheKey(xks.Request{Query: "xml keyword", Strategy: xks.ScanMerge, Timeout: time.Second}) != scan {
+		t.Error("timeout must not be part of the key")
 	}
 }
 

@@ -42,13 +42,18 @@ import (
 )
 
 // Searcher is the search surface the service builds on. *xks.Corpus
-// implements it directly; wrap a single *xks.Engine with SingleDoc.
+// implements it directly; wrap a single *xks.Engine with SingleDoc. It is
+// the one required interface of six: a searcher that also implements
+// Streamer (lazy fragment streams), Versioner (request-scoped version
+// tokens), Appender (tail appends), Compactor (delta folds) or
+// DeltaReporter (delta-index gauges) gets the matching service feature,
+// discovered by type assertion.
 type Searcher interface {
 	// Search runs the request — over every document, or over the one named
 	// by req.Document when non-empty; the error wraps
 	// xks.ErrUnknownDocument for names the searcher does not hold.
 	// Cancelling ctx (or req.Timeout) aborts the pipeline with ctx.Err().
-	Search(ctx context.Context, req xks.Request) (*xks.CorpusResult, error)
+	Search(ctx context.Context, req xks.Request) (*xks.Results, error)
 	// Documents lists the searchable documents.
 	Documents() []xks.DocumentInfo
 	// Generation changes whenever the underlying data changes; the cache
@@ -65,18 +70,6 @@ type Searcher interface {
 // stream.
 type Streamer interface {
 	Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results)
-}
-
-// Planner is the optional planning surface of a Searcher: it reports the
-// strategy the cost-based query planner resolves a request to. The service
-// folds the resolution into its cache keys, so two requests the planner
-// would execute differently — say Strategy=Auto before and after a
-// statistics change flips the plan — never share an entry, and an explicit
-// Strategy=ScanMerge request never replays a page cached under an Auto
-// resolution that happened to pick IndexedEager. Searchers without the
-// method key on the requested strategy alone.
-type Planner interface {
-	ResolveStrategy(req xks.Request) xks.Strategy
 }
 
 // Versioner is the optional request-scoped versioning surface of a
@@ -116,13 +109,11 @@ type DeltaReporter interface {
 var (
 	_ Searcher      = (*xks.Corpus)(nil)
 	_ Streamer      = (*xks.Corpus)(nil)
-	_ Planner       = (*xks.Corpus)(nil)
 	_ Versioner     = (*xks.Corpus)(nil)
 	_ Appender      = (*xks.Corpus)(nil)
 	_ Compactor     = (*xks.Corpus)(nil)
 	_ DeltaReporter = (*xks.Corpus)(nil)
 	_ Streamer      = SingleDoc{}
-	_ Planner       = SingleDoc{}
 	_ Versioner     = SingleDoc{}
 	_ Appender      = SingleDoc{}
 	_ Compactor     = SingleDoc{}
@@ -136,7 +127,7 @@ type SingleDoc struct {
 	Engine *xks.Engine
 }
 
-func (s SingleDoc) Search(ctx context.Context, req xks.Request) (*xks.CorpusResult, error) {
+func (s SingleDoc) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	if req.Document != "" && req.Document != s.Name {
 		return nil, fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, req.Document)
 	}
@@ -197,11 +188,6 @@ func (s SingleDoc) Compact(ctx context.Context) (int, error) { return s.Engine.C
 // DeltaInfo reports the wrapped engine's delta-subsystem state.
 func (s SingleDoc) DeltaInfo() xks.DeltaInfo { return s.Engine.DeltaInfo() }
 
-// ResolveStrategy delegates planning to the engine (Planner interface).
-func (s SingleDoc) ResolveStrategy(req xks.Request) xks.Strategy {
-	return s.Engine.ResolveStrategy(req)
-}
-
 // Config sizes the service.
 type Config struct {
 	// CacheSize is the maximum number of cached query results; 0 disables
@@ -223,7 +209,7 @@ type Service struct {
 	// already finished. Entries are generation-tagged like the main cache;
 	// full-page semantics are untouched (a completed page always lands in
 	// cache, never here).
-	partials *lru.Cache[*xks.CorpusResult]
+	partials *lru.Cache[*xks.Results]
 	flight   group
 	metrics  Metrics
 }
@@ -233,7 +219,7 @@ func New(s Searcher, cfg Config) *Service {
 	sv := &Service{searcher: s}
 	if cfg.CacheSize > 0 {
 		sv.cache = lru.New[*Page](cfg.CacheSize, cfg.CacheShards)
-		sv.partials = lru.New[*xks.CorpusResult](cfg.CacheSize, cfg.CacheShards)
+		sv.partials = lru.New[*xks.Results](cfg.CacheSize, cfg.CacheShards)
 	}
 	return sv
 }
@@ -322,9 +308,14 @@ func (sv *Service) CacheBodyBytes() int64 {
 // length-prefixed so no two distinct requests can concatenate to the same
 // key — with plain separators, a separator embedded in the query could
 // alias another request's document filter.
-// resolved is the planner's resolution of req.Strategy, keyed alongside the
-// requested strategy so a plan flip invalidates instead of aliasing.
-func cacheKey(req xks.Request, resolved xks.Strategy) string {
+//
+// The requested Strategy is keyed; what the planner resolves it to is not.
+// Every strategy computes the same answer, so a page cached under one plan
+// is the right page under any other, and the statistics a plan depends on
+// only change with the data, which already retires the entry through its
+// version token. A request is therefore planned once, by the pipeline, and
+// a cache hit plans nothing.
+func cacheKey(req xks.Request) string {
 	req = req.Canonical()
 	var b []byte
 	b = strconv.AppendInt(b, int64(len(req.Query)), 10)
@@ -339,20 +330,10 @@ func cacheKey(req xks.Request, resolved xks.Strategy) string {
 	b = strconv.AppendInt(b, int64(len(req.Cursor)), 10)
 	b = append(b, ':')
 	b = append(b, req.Cursor...)
-	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d.%d.%d",
+	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d.%d",
 		req.Algorithm, req.Semantics, req.ExactContent, req.Rank, req.Limit, req.Offset,
-		req.Strategy, resolved)
+		req.Strategy)
 	return string(b)
-}
-
-// resolveStrategy asks the searcher's planner (when it has one) what req's
-// Strategy resolves to; every strategy is output-identical, so this feeds
-// cache keys only.
-func (sv *Service) resolveStrategy(req xks.Request) xks.Strategy {
-	if p, ok := sv.searcher.(Planner); ok {
-		return p.ResolveStrategy(req)
-	}
-	return req.Strategy
 }
 
 // Search is SearchPage for callers that want only the results.
@@ -419,7 +400,7 @@ func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page,
 		sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
 		return &Page{Results: res}, false, nil
 	}
-	key := cacheKey(req, sv.resolveStrategy(req))
+	key := cacheKey(req)
 	// Annotate the request's trace (when one is attached) with the serving
 	// decisions the pipeline itself cannot see; a nil span makes these
 	// free no-ops.
@@ -610,7 +591,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[Strea
 			*res = *replay(&Page{Results: r}, req, gen, yield)
 			return
 		}
-		key := cacheKey(req, sv.resolveStrategy(req))
+		key := cacheKey(req)
 		sp := trace.SpanFromContext(ctx)
 		sp.SetInt("generation", int64(gen))
 		if sv.cache != nil {

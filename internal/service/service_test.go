@@ -164,7 +164,7 @@ type countingSearcher struct {
 	delay time.Duration
 }
 
-func (cs *countingSearcher) Search(ctx context.Context, req xks.Request) (*xks.CorpusResult, error) {
+func (cs *countingSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	cs.execs.Add(1)
 	if cs.delay > 0 {
 		time.Sleep(cs.delay)
@@ -611,48 +611,6 @@ func ExampleService_Search() {
 	// Output:
 	// 1 false
 	// true
-}
-
-// flippingPlanner wraps a searcher with a controllable strategy resolution,
-// standing in for index statistics that change between requests.
-type flippingPlanner struct {
-	service.Searcher
-	resolved atomic.Int64
-}
-
-func (f *flippingPlanner) ResolveStrategy(req xks.Request) xks.Strategy {
-	return xks.Strategy(f.resolved.Load())
-}
-
-// TestPlanFlipInvalidatesCache: the cache key must incorporate the
-// planner-resolved strategy, so a statistics refresh that flips an Auto
-// plan cannot replay a page cached under the other algorithm.
-func TestPlanFlipInvalidatesCache(t *testing.T) {
-	fp := &flippingPlanner{Searcher: testCorpus(t)}
-	fp.resolved.Store(int64(xks.ScanMerge))
-	sv := service.New(fp, service.Config{CacheSize: 16})
-
-	req := xks.Request{Query: "liu keyword", Semantics: xks.SLCAOnly}
-	if _, cached, err := sv.Search(context.Background(), req); err != nil || cached {
-		t.Fatalf("first search: cached=%t err=%v", cached, err)
-	}
-	if _, cached, err := sv.Search(context.Background(), req); err != nil || !cached {
-		t.Fatalf("stable plan should hit: cached=%t err=%v", cached, err)
-	}
-
-	fp.resolved.Store(int64(xks.IndexedEager)) // the plan flips
-	if _, cached, err := sv.Search(context.Background(), req); err != nil || cached {
-		t.Fatalf("flipped plan must miss: cached=%t err=%v", cached, err)
-	}
-	// The corpus really does implement the Planner surface end to end: a
-	// real service over it resolves strategies without the fake.
-	real := service.New(testCorpus(t), service.Config{CacheSize: 16})
-	if _, cached, err := real.Search(context.Background(), req); err != nil || cached {
-		t.Fatalf("real corpus search: cached=%t err=%v", cached, err)
-	}
-	if _, cached, err := real.Search(context.Background(), req); err != nil || !cached {
-		t.Fatalf("real corpus repeat should hit: cached=%t err=%v", cached, err)
-	}
 }
 
 // TestAppendDoesNotEvictOtherDocuments pins the narrowed invalidation the

@@ -520,18 +520,6 @@ func (s *Store) Save(w io.Writer) error {
 	return s.save(w, version)
 }
 
-// SaveLegacy writes the store in a superseded row format (1 or 2) —
-// compatibility tooling for the upgrade tests and the cold-open benchmark,
-// which needs real v2 images to measure the old parse path against. New
-// files should use Save. Column-backed stores (loaded from v3) cannot be
-// downgraded.
-func (s *Store) SaveLegacy(w io.Writer, ver uint32) error {
-	if ver != versionV1 && ver != versionV2 {
-		return fmt.Errorf("store: SaveLegacy supports versions 1 and 2, not %d", ver)
-	}
-	return s.save(w, ver)
-}
-
 // save writes the store at an explicit format version; the v1/v2 arms exist
 // so tests can pin backward compatibility of the reader.
 func (s *Store) save(w io.Writer, ver uint32) error {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"xks/internal/analysis"
@@ -126,8 +127,9 @@ func TestV3RoundTrip(t *testing.T) {
 }
 
 // TestBackwardCompatV1V2 pins that v1 and v2 images still load through the
-// restructured reader, present the same surface as the source store, and
-// upgrade cleanly to v3.
+// restructured reader, present the same surface as the source store — every
+// row's content set in lexical order, the contract internal/prune builds on
+// — and upgrade cleanly to v3.
 func TestBackwardCompatV1V2(t *testing.T) {
 	s := shredPaper(t)
 	for _, ver := range []uint32{versionV1, versionV2} {
@@ -143,6 +145,19 @@ func TestBackwardCompatV1V2(t *testing.T) {
 			t.Fatalf("v%d load mode %q, want rows", ver, loaded.Mode())
 		}
 		assertSameSurface(t, s, loaded)
+		sets := 0
+		for i := 0; i < loaded.NumNodes(); i++ {
+			words := loaded.ContentAt(i)
+			if !slices.IsSorted(words) {
+				t.Fatalf("v%d row %d: content set %q is not sorted", ver, i, words)
+			}
+			if len(words) > 1 {
+				sets++
+			}
+		}
+		if sets == 0 {
+			t.Fatalf("v%d: no row has two content words; the check is vacuous", ver)
+		}
 		// Upgrade: the row-loaded store re-saves as v3 and still matches.
 		var up bytes.Buffer
 		if err := loaded.Save(&up); err != nil {

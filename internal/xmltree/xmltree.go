@@ -130,7 +130,7 @@ func (t *Tree) MaxDepth() int {
 }
 
 // rebuildIndex recomputes Dewey codes, parents and the code index for the
-// whole tree. Called after structural edits (see AddChild / RemoveNode).
+// whole tree. Called after structural edits (see AddChild).
 func (t *Tree) rebuildIndex() {
 	t.byKey = make(map[string]*Node)
 	t.size = 0
@@ -168,8 +168,7 @@ func (t *Tree) AddChild(parent dewey.Code, e E) (*Node, error) {
 // AppendChild appends a new subtree under the given parent and indexes only
 // the new nodes — an O(new subtree) operation. Appending at the end of the
 // child list never renumbers existing nodes, which is what makes
-// incremental maintenance sound (contrast RemoveNode, which renumbers and
-// therefore rebuilds).
+// incremental maintenance sound.
 func (t *Tree) AppendChild(parent dewey.Code, e E) (*Node, error) {
 	p := t.NodeAt(parent)
 	if p == nil {
@@ -191,26 +190,6 @@ func (t *Tree) AppendChild(parent dewey.Code, e E) (*Node, error) {
 	}
 	rec(n, parent.Child(ordinal))
 	return n, nil
-}
-
-// RemoveNode deletes the subtree rooted at the given code and re-indexes.
-func (t *Tree) RemoveNode(c dewey.Code) error {
-	n := t.NodeAt(c)
-	if n == nil {
-		return fmt.Errorf("xmltree: no node at %s", c)
-	}
-	if n.Parent == nil {
-		return fmt.Errorf("xmltree: cannot remove the root")
-	}
-	sibs := n.Parent.Children
-	for i, s := range sibs {
-		if s == n {
-			n.Parent.Children = append(sibs[:i], sibs[i+1:]...)
-			break
-		}
-	}
-	t.rebuildIndex()
-	return nil
 }
 
 // Clone returns a deep copy of the tree.

@@ -6,8 +6,7 @@ package xks
 // eagerCorpusSearch below are line-for-line ports of the pre-pipeline
 // Engine.Search and Corpus.Search; the tests assert byte-identical output
 // across all three algorithms × both semantics, with and without ranking
-// and limits. bench_test.go reuses the eager path as the baseline for
-// BenchmarkCorpusTopK.
+// and limits.
 
 import (
 	"context"
@@ -146,7 +145,7 @@ func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.C
 // eagerCorpusSearch is the pre-refactor Corpus.Search: full per-document
 // eager searches fanned out across workers, merged in document order,
 // stable-sorted by score when ranking, then truncated.
-func eagerCorpusSearch(c *Corpus, query string, opts Options) (*CorpusResult, error) {
+func eagerCorpusSearch(c *Corpus, query string, opts Options) (*Results, error) {
 	mergedLimit := opts.Limit
 	docOpts := opts
 	docOpts.Limit = 0
@@ -165,7 +164,7 @@ func eagerCorpusSearch(c *Corpus, query string, opts Options) (*CorpusResult, er
 	if err != nil {
 		return nil, err
 	}
-	merged := &CorpusResult{Query: query, PerDocument: map[string]int{}}
+	merged := &Results{Query: query, PerDocument: map[string]int{}}
 	for i, o := range outs {
 		name, res := o.name, o.res
 		if i == 0 {
@@ -258,7 +257,7 @@ func TestPipelineMatchesEagerEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: eager: %v", label, err)
 				}
-				got, err := e.SearchOpts(q, opts)
+				got, err := e.Search(context.Background(), NewRequest(q, opts))
 				if err != nil {
 					t.Fatalf("%s: pipeline: %v", label, err)
 				}
@@ -320,7 +319,7 @@ func TestPipelineMatchesEagerCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: eager: %v", label, err)
 					}
-					got, err := c.SearchOpts(q, opts)
+					got, err := c.Search(context.Background(), NewRequest(q, opts))
 					if err != nil {
 						t.Fatalf("%s: pipeline: %v", label, err)
 					}
@@ -374,7 +373,7 @@ func TestLateMaterializationAssemblesOnlySelected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.SearchOpts(q, Options{})
+		res, err := c.Search(context.Background(), NewRequest(q, Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +386,7 @@ func TestLateMaterializationAssemblesOnlySelected(t *testing.T) {
 	}
 
 	before := corpusAssembled(c)
-	res, err := c.SearchOpts(query, Options{Rank: true, Limit: limit})
+	res, err := c.Search(context.Background(), NewRequest(query, Options{Rank: true, Limit: limit}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,56 +406,4 @@ func corpusAssembled(c *Corpus) uint64 {
 		n += e.assembledFragments()
 	}
 	return n
-}
-
-// TestDeprecatedWrappersMatchRequestAPI pins the deprecated pre-Request
-// signatures to the context-aware API: each wrapper must produce exactly
-// what Search/Compare produce for the equivalent Request (and hence, via
-// the crosschecks above, exactly what the old signatures always produced).
-func TestDeprecatedWrappersMatchRequestAPI(t *testing.T) {
-	e := FromTree(paperdata.Publications())
-	opts := Options{Rank: true, Limit: 2}
-
-	wrapped, err := e.SearchOpts(paperdata.Q1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := e.Search(context.Background(), NewRequest(paperdata.Q1, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameFragments(t, "SearchOpts", direct.Fragments, wrapped.Fragments)
-
-	cmpWrapped, err := e.CompareOpts(paperdata.Q1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmpDirect, err := e.Compare(context.Background(), Request{Query: paperdata.Q1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmpWrapped.NumRTFs != cmpDirect.NumRTFs || cmpWrapped.Ratios != cmpDirect.Ratios {
-		t.Fatalf("CompareOpts: %+v vs %+v", cmpWrapped.Ratios, cmpDirect.Ratios)
-	}
-
-	c := NewCorpus()
-	c.Add("pubs", FromTree(paperdata.Publications()))
-	cw, err := c.SearchOpts(paperdata.Q1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cd, err := c.Search(context.Background(), NewRequest(paperdata.Q1, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cw.Fragments) != len(cd.Fragments) {
-		t.Fatalf("Corpus.SearchOpts: %d vs %d fragments", len(cw.Fragments), len(cd.Fragments))
-	}
-	dw, err := c.SearchDocumentOpts("pubs", paperdata.Q1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dw.Fragments) != len(cd.Fragments) {
-		t.Fatalf("SearchDocumentOpts: %d vs %d fragments", len(dw.Fragments), len(cd.Fragments))
-	}
 }

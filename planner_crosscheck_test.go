@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"xks/internal/paperdata"
+	"xks/internal/trace"
 	"xks/internal/workload"
 )
 
@@ -129,15 +130,14 @@ func TestAutoMatchesFixedStrategiesCorpus(t *testing.T) {
 	}
 }
 
-// TestResolveStrategyMatchesExecution pins the caching contract: the
-// strategy ResolveStrategy reports for a request is exactly the one the
-// planner resolves during execution, and it is never Auto.
-func TestResolveStrategyMatchesExecution(t *testing.T) {
+// TestExecutedStrategyOnPlanSpan pins what a request executes as, read off
+// the one plan span a traced search records: the algorithm is never Auto,
+// ELCA semantics always runs the stack merge, and a fixed SLCA strategy runs
+// as itself.
+func TestExecutedStrategyOnPlanSpan(t *testing.T) {
 	e := crosscheckDBLPEngine(t, 10)
 	// Workload queries match the generated document, so planning succeeds
-	// and resolution must commit to a concrete strategy. (Unmatchable
-	// queries fall back to the requested strategy by contract — they error
-	// or come back empty before any algorithm runs.)
+	// and the planner must commit to a concrete strategy.
 	w := workload.DBLP()
 	var queries []string
 	for _, abbrev := range w.Queries[:2] {
@@ -147,30 +147,41 @@ func TestResolveStrategyMatchesExecution(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
+	executed := func(req Request) string {
+		t.Helper()
+		tr := trace.New("search")
+		if _, err := e.Search(trace.NewContext(context.Background(), tr), req); err != nil {
+			t.Fatal(err)
+		}
+		var algorithm string
+		plans := 0
+		for _, sp := range tr.Root().JSON().Children {
+			if sp.Name == "plan" {
+				plans++
+				algorithm, _ = sp.Attrs["algorithm"].(string)
+			}
+		}
+		if plans != 1 {
+			t.Fatalf("%+v: %d plan spans, want 1", req, plans)
+		}
+		return algorithm
+	}
 	for _, q := range queries {
 		for _, sem := range []Semantics{AllLCA, SLCAOnly} {
-			req := Request{Query: q, Semantics: sem}
-			resolved := e.ResolveStrategy(req)
-			if resolved == Auto {
-				t.Fatalf("%q %v: ResolveStrategy returned Auto", q, sem)
+			auto := executed(Request{Query: q, Semantics: sem})
+			if auto != ScanMerge.String() && auto != IndexedEager.String() {
+				t.Fatalf("%q %v: Auto executed as %q", q, sem, auto)
 			}
-			if sem != SLCAOnly && resolved != ScanMerge {
-				t.Fatalf("%q %v: ELCA semantics must resolve to ScanMerge, got %v", q, sem, resolved)
+			if sem != SLCAOnly && auto != ScanMerge.String() {
+				t.Fatalf("%q %v: ELCA semantics must execute ScanMerge, got %s", q, sem, auto)
 			}
-			// Resolution is deterministic for fixed statistics.
-			if again := e.ResolveStrategy(req); again != resolved {
-				t.Fatalf("%q %v: resolution flapped %v -> %v", q, sem, resolved, again)
-			}
-			// Fixed requests resolve to themselves.
 			for _, strat := range []Strategy{IndexedEager, ScanMerge} {
-				fixed := req
-				fixed.Strategy = strat
 				want := strat
 				if sem != SLCAOnly {
 					want = ScanMerge
 				}
-				if got := e.ResolveStrategy(fixed); got != want {
-					t.Fatalf("%q %v strategy %v: resolved to %v, want %v", q, sem, strat, got, want)
+				if got := executed(Request{Query: q, Semantics: sem, Strategy: strat}); got != want.String() {
+					t.Fatalf("%q %v strategy %v: executed as %s, want %s", q, sem, strat, got, want)
 				}
 			}
 		}

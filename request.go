@@ -60,8 +60,8 @@ type Request struct {
 	// rarest-first, and enable dispatch galloping. Fixed strategies pin
 	// the algorithm and run in query order (the planner-off baseline).
 	// Every strategy returns byte-identical results — the knob only moves
-	// work around — so it is not part of the cursor fingerprint; caching
-	// layers key on the planner-resolved strategy instead.
+	// work around — so it is not part of the cursor fingerprint, and a
+	// caching layer has no need to know what Auto resolved to.
 	Strategy Strategy
 	// ExactContent replaces the (min,max) cID approximation of rule 2(b)
 	// with exact tree-content-set comparison (ablation switch).
@@ -118,8 +118,7 @@ func (b Budget) String() string {
 	return "Strict"
 }
 
-// NewRequest builds a Request from the legacy query+Options pair, easing
-// migration from the deprecated (query string, opts Options) signatures.
+// NewRequest builds a Request from a query and the legacy Options struct.
 func NewRequest(queryText string, opts Options) Request {
 	return Request{
 		Query:        queryText,
