@@ -126,20 +126,16 @@ func main() {
 		}()
 	}
 
-	// Resolve the source into one corpus-shaped stream; buffered output
-	// drains it, -stream prints each fragment the moment it materializes.
-	var (
-		seq     iter.Seq2[xks.CorpusFragment, error]
-		trailer func() *xks.Results
-		showDoc bool
-	)
+	// Resolve the source into the one backend the HTTP server serves too;
+	// buffered output drains its stream, -stream prints each fragment the
+	// moment it materializes.
+	var backend service.Backend
 	if *dir != "" {
 		corpus, err := xks.LoadDir(*dir)
 		if err != nil {
 			fatal(err)
 		}
-		seq, trailer = corpus.Stream(ctx, req)
-		showDoc = true
+		backend = corpus
 	} else {
 		var (
 			engine *xks.Engine
@@ -156,9 +152,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The same engine-to-corpus stream adapter the HTTP server uses.
-		seq, trailer = service.SingleDoc{Name: name, Engine: engine}.Stream(ctx, req)
+		backend = service.SingleDoc{Name: name, Engine: engine}
 	}
+	seq, trailer := backend.Stream(ctx, req)
+	showDoc := *dir != ""
 
 	if *stream {
 		streamOut(seq, trailer)

@@ -118,7 +118,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var searcher service.Searcher
+	var backend service.Backend
 	var openInfo *service.StoreOpenInfo
 	switch {
 	case *dir != "":
@@ -127,7 +127,7 @@ func main() {
 			fatal(err)
 		}
 		c.Workers = *workers
-		searcher = c
+		backend = c
 		logger.Info("loaded corpus", slog.Int("documents", c.Len()), slog.String("dir", *dir))
 	case *storeF != "":
 		var mode xks.StoreMode
@@ -154,7 +154,7 @@ func main() {
 			MappedBytes: info.MappedBytes,
 			HeapBytes:   info.FileBytes - info.MappedBytes,
 		}
-		searcher = service.SingleDoc{Name: filepath.Base(*storeF), Engine: engine}
+		backend = service.SingleDoc{Name: filepath.Base(*storeF), Engine: engine}
 		logger.Info("loaded store",
 			slog.Int("words", engine.Index().NumWords()),
 			slog.String("mode", info.Mode),
@@ -166,11 +166,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		searcher = service.SingleDoc{Name: filepath.Base(*file), Engine: engine}
+		backend = service.SingleDoc{Name: filepath.Base(*file), Engine: engine}
 		logger.Info("loaded document", slog.Int("words", engine.Index().NumWords()))
 	}
 
-	svc := service.New(searcher, service.Config{CacheSize: *cacheSize})
+	svc := service.New(backend, service.Config{CacheSize: *cacheSize})
 	logger.Info("query cache", slog.Int("entries", *cacheSize))
 	if openInfo != nil {
 		svc.Metrics().SetStoreOpen(*openInfo)

@@ -13,7 +13,7 @@ import (
 
 // requireSortedContent asserts the contract internal/prune builds on
 // (prune.IDContentFunc): the source hands every node's content set back in
-// lexical order, by ID and by code alike.
+// lexical order.
 func requireSortedContent(t *testing.T, name string, e *Engine) {
 	t.Helper()
 	tab := e.head.Load().Tab
@@ -23,9 +23,6 @@ func requireSortedContent(t *testing.T, name string, e *Engine) {
 		words := e.src.contentOfID(id)
 		if !slices.IsSorted(words) {
 			t.Fatalf("%s: node %s: content set %q is not sorted", name, tab.Code(id), words)
-		}
-		if byCode := e.src.contentOf(tab.Code(id)); !slices.Equal(byCode, words) {
-			t.Fatalf("%s: node %s: content by code %q, by ID %q", name, tab.Code(id), byCode, words)
 		}
 		if len(words) > 1 {
 			sets++

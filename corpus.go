@@ -8,14 +8,12 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"xks/internal/concurrent"
 	"xks/internal/exec"
-	"xks/internal/fault"
 	"xks/internal/trace"
 )
 
@@ -29,7 +27,8 @@ var ErrUnknownDocument = errors.New("unknown document")
 type Corpus struct {
 	names   []string
 	engines map[string]*Engine
-	// Workers bounds the per-search concurrency (0 = GOMAXPROCS).
+	// Workers bounds the concurrency of a search's per-document candidate
+	// fan-out (0 = GOMAXPROCS).
 	Workers int
 	// regIDs gives every registration a unique nonce (regSeq), so a
 	// replaced document can never satisfy a snapshot recorded against its
@@ -373,12 +372,13 @@ type Results struct {
 }
 
 // AsCorpus wraps a single-document result in the corpus result shape,
-// tagging every fragment with doc.
+// tagging every fragment with doc; PerDocument is the document's candidate
+// total, as in every corpus result.
 func (r *Result) AsCorpus(doc string) *Results {
 	out := &Results{
 		Query:       r.Query,
 		Stats:       r.Stats,
-		PerDocument: map[string]int{doc: len(r.Fragments)},
+		PerDocument: map[string]int{doc: r.Stats.NumLCAs},
 		Cursor:      r.Cursor,
 		Truncated:   r.Truncated,
 		Truncation:  r.Truncation,
@@ -390,155 +390,54 @@ func (r *Result) AsCorpus(doc string) *Results {
 	return out
 }
 
-// Search fans the query out to every document and merges the results.
-// With req.Rank set, fragments are ordered by descending score across
-// documents; otherwise the merged list deterministically follows document
-// insertion order (and document order within each document). req.Limit and
-// req.Offset page the merged list; NextOffset reports where the following
-// page starts. When req.Document is set, the search covers that document
-// alone (equivalent to SearchDocument). A keyword missing from one document
-// simply yields no fragments there; the query fails only if it is
-// unsearchable (e.g. all stop words).
+// Search fans the query out to every document and merges the results: it
+// drains Stream and collects the page. With req.Rank set, fragments are
+// ordered by descending score across documents; otherwise the merged list
+// deterministically follows document insertion order (and document order
+// within each document). req.Limit and req.Offset page the merged list;
+// NextOffset reports where the following page starts. When req.Document is
+// set, the search covers that document alone (equivalent to
+// SearchDocument). A keyword missing from one document simply yields no
+// fragments there; the query fails only if it is unsearchable (e.g. all stop
+// words).
 //
 // Execution is staged (internal/exec): per-document workers run only the
 // cheap plan and candidate stages; candidates stream into a shared merge —
 // a bounded top-K heap when ranking with a limit — and fragments are
-// materialized only for the merged selection. A ranked search over N
-// documents with Limit=10 assembles exactly 10 fragments. Ordering is
-// deterministic regardless of worker interleaving: the ranked order is a
-// strict total order (score, then document insertion order, then document
-// order), matching a stable score sort of the eagerly merged lists.
+// materialized, one after another, only for the merged selection. A ranked
+// search over N documents with Limit=10 assembles exactly 10 fragments.
+// Ordering is deterministic regardless of worker interleaving: the ranked
+// order is a strict total order (score, then document insertion order, then
+// document order), matching a stable score sort of the eagerly merged lists.
 //
 // ctx cancellation (and req.Timeout) stops the fan-out: no further
 // documents are dispatched, in-flight candidate stages abandon their merge
 // loops mid-stream, every worker goroutine is joined, and Search returns
 // ctx.Err(). With req.Budget set to BestEffort, a deadline that expires
 // mid-materialization instead returns the fragments finished so far with
-// Truncated set (materialization runs serially in that mode so partial
-// work survives).
+// Truncated set.
 func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if req.Document != "" {
-		return c.SearchDocument(ctx, req.Document, req)
-	}
-	req, vec, gen, err := c.resolveSnapshot(req)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := req.applyTimeout(ctx)
-	defer cancel()
-
-	start := time.Now()
-	outs, selected, merged, err := c.gather(ctx, req, vec)
-	defer releaseAll(outs)
-	materialize := func(cand *exec.Candidate) (CorpusFragment, error) {
-		o := outs[cand.Doc]
-		// The expired outer ctx (not a detached salvage one) feeds the
-		// injection point so scripted deadline faults resolve immediately;
-		// assembly itself never consults a context.
-		f, merr := o.eng.materializeSafe(ctx, o.name, cand, o.plan, o.params)
-		if merr != nil {
-			return CorpusFragment{}, merr
-		}
-		return CorpusFragment{Document: o.name, Fragment: f}, nil
-	}
-	if err != nil {
-		if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
-			// The candidate fan-out did not finish: gather still returns the
-			// envelope aggregated over the documents that completed — real
-			// partial stats instead of a zero struct — plus the selection
-			// salvaged from them. Materialize that page on a detached
-			// context (the deadline is already spent; the work is bounded
-			// by the page size) so finished candidate stages are not thrown
-			// away.
-			merged.Truncated = true
-			merged.Truncation = TruncCandidates
-			if len(selected) > 0 {
-				frags, merr := concurrent.MapCtx(context.WithoutCancel(ctx), selected, c.Workers, materialize)
-				if merr == nil {
-					merged.Fragments = frags
-				}
-			}
-			merged.Stats.Elapsed = time.Since(start)
-			// Truncated before selection finished: the total is unknown
-			// (the salvaged page covers only the completed documents), so
-			// the page resumes from its own start — an empty cursor would
-			// read as "exhausted" and silently end the scroll.
-			truncationCursor(&merged.NextOffset, &merged.Cursor, req, gen)
-			return merged, nil
-		}
-		return nil, err
-	}
-
-	sp := trace.SpanFromContext(ctx)
-	matSp := sp.Child("materialize")
-	matStart := time.Now()
+	seq, trailer := c.Stream(ctx, req)
 	var frags []CorpusFragment
-	if req.Budget == BestEffort {
-		// Chunked fan-out: the same worker parallelism, with a deadline
-		// check between chunks, so an expiring deadline truncates the page
-		// to the chunks already finished instead of discarding everything
-		// the workers produced (concurrent.MapCtx drops partial output on
-		// error). Chunk size trades truncation granularity against join
-		// overhead.
-		chunk := c.Workers
-		if chunk <= 0 {
-			chunk = runtime.GOMAXPROCS(0)
-		}
-		chunk *= 4
-		for lo := 0; lo < len(selected); lo += chunk {
-			part, err := concurrent.MapCtx(ctx, selected[lo:min(lo+chunk, len(selected))], c.Workers, materialize)
-			if err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
-					merged.Truncated = true
-					merged.Truncation = TruncMaterialize
-					break
-				}
-				return nil, err
-			}
-			frags = append(frags, part...)
-		}
-	} else {
-		// Materialize only the selection, fanned out across the same worker
-		// budget (engines are immutable and concurrency-safe; job order
-		// keeps the merged order deterministic).
-		frags, err = concurrent.MapCtx(ctx, selected, c.Workers, materialize)
+	for f, err := range seq {
 		if err != nil {
 			return nil, err
 		}
+		frags = append(frags, f)
 	}
-	merged.Stats.Stages.Materialize = time.Since(matStart)
-	var prunedNodes int64
-	for _, f := range frags {
-		prunedNodes += int64(f.Pruned)
-	}
-	matSp.SetInt("fragments", int64(len(frags)))
-	matSp.SetInt("prunedNodes", prunedNodes)
-	matSp.End()
-	if len(frags) > 0 {
-		merged.Fragments = frags
-	}
-	lastDoc, lastSeq := 0, 0
-	if len(frags) > 0 {
-		last := selected[len(frags)-1]
-		lastDoc, lastSeq = last.Doc, last.Seq
-	}
-	pageCursor(&merged.NextOffset, &merged.Cursor, req, gen, len(frags), merged.Stats.NumLCAs, lastDoc, lastSeq, merged.Truncated)
-	merged.Stats.Elapsed = time.Since(start)
-	return merged, nil
+	res := trailer()
+	res.Fragments = frags
+	return res, nil
 }
 
 // docOut is one document's candidate-stage output within a corpus search.
 type docOut struct {
-	name   string
-	eng    *Engine
-	plan   exec.Plan
-	params exec.Params
-	// cands is nil in the streamed top-K path: candidates live only in
-	// the bounded heap, so memory stays O(K), not O(total candidates).
-	cands []*exec.Candidate
+	name string
+	eng  *Engine
+	// docStage's cands is nil in the streamed top-K path: candidates live
+	// only in the bounded heap, so memory stays O(K), not O(total
+	// candidates).
+	docStage
 	// n is the candidate count (PerDocument / NumLCAs aggregation).
 	n int
 	// release unpins the engine snapshot this document's stage ran
@@ -561,8 +460,7 @@ func releaseAll(outs []docOut) {
 // candidate fan-out, the shared (top-K) merge, and selection — and returns
 // the per-document outputs, the selected pagination window (nothing pruned
 // or assembled yet), and the result envelope with stats and PerDocument
-// filled. Search and Stream differ only in how they materialize the
-// selection. req must already be cursor-resolved and clamped; vec is the
+// filled. req must already be cursor-resolved and clamped; vec is the
 // snapshot vector resolveSnapshot pinned the request to (each document's
 // candidate stage runs against its recorded engine version, so a resumed
 // cursor reads exactly the state its first page did); ctx carries any
@@ -575,22 +473,19 @@ func releaseAll(outs []docOut) {
 // BestEffort truncation reports the work actually done (keywords, partial
 // candidate counts, stage timings) instead of a zero Stats struct.
 func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docOut, []*exec.Candidate, *Results, error) {
-	mergedLimit := req.Limit // applied to the merged selection; per-doc stages stay complete
-	docReq := req
-	docReq.Limit, docReq.Offset = 0, 0
-	docReq.Timeout = 0 // already applied to ctx
-
 	sp := trace.SpanFromContext(ctx)
 
 	// Streaming merge: with Rank and a limit, workers offer candidates into
 	// the shared bounded heap as each document's candidate stage finishes;
-	// everything that falls off the heap is never materialized. The heap
-	// holds the whole pagination window so the page can start at Offset; a
-	// window so large it overflows int can never be reached, so that shape
-	// falls through to the full-sort path (which pages safely).
+	// everything that falls off the heap is never materialized, and each
+	// document's stage skips per-candidate event lists (score-without-events;
+	// the few selected candidates hydrate lazily). The heap holds the whole
+	// pagination window so the page can start at Offset; a window so large it
+	// overflows int can never be reached, so that shape falls through to the
+	// full-sort path (which pages safely).
 	var topk *exec.TopK
-	if req.Rank && mergedLimit > 0 {
-		if window := req.Offset + mergedLimit; window > 0 {
+	if req.Rank && req.Limit > 0 {
+		if window := req.Offset + req.Limit; window > 0 {
 			topk = exec.NewTopK(window)
 		}
 	}
@@ -603,38 +498,32 @@ func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docO
 	outs, err := concurrent.MapCtx(ctx, docIdx, c.Workers, func(i int) (docOut, error) {
 		name := vec[i].name
 		eng := c.engines[name]
-		// Chaos injection points: a scripted store-read or candidate-stage
-		// fault targeted at this document fails (or panics — MapCtx recovers)
-		// here, exercising the same degradation paths a real fault would.
-		ferr := fault.Inject(ctx, fault.PointStoreRead, name)
-		if ferr == nil {
-			ferr = fault.Inject(ctx, fault.PointCandidates, name)
-		}
-		if ferr != nil {
-			if ctx.Err() != nil {
-				return docOut{}, ferr // the shared deadline expired; no document to blame
-			}
-			return docOut{}, fmt.Errorf("xks: document %s: %w", name, ferr)
-		}
 		// Each document gets its own child span (concurrent-safe); the
 		// engine's plan and the lca/rtf sub-stages hang under it.
 		docSp := candSp.Child("doc:" + name)
-		// With the shared top-K heap, each document materializes at most the
-		// merged page: skip per-candidate event lists and hydrate the few
-		// selected candidates lazily (score-without-events).
-		p, params, cands, release, err := eng.searchCandidates(trace.ContextWithSpan(ctx, docSp), docReq, i, topk != nil, vec[i].ver)
-		docSp.End()
+		defer docSp.End()
+		out := docOut{name: name, eng: eng}
+		v, err := eng.viewAtVersion(vec[i].ver)
+		if err == nil {
+			// req's Limit and Offset describe the merged page; the stage reads
+			// them only to decide on score-without-events.
+			out.docStage, err = eng.candidateStage(trace.ContextWithSpan(ctx, docSp), v, req, name, i)
+			if err != nil {
+				// The fan-out drops failed outputs, so a pin travelling
+				// inside one would leak.
+				v.release()
+			}
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return docOut{}, err // the shared context failed; no document to blame
 			}
 			return docOut{}, fmt.Errorf("xks: document %s: %w", name, err)
 		}
-		out := docOut{name: name, eng: eng, plan: p, params: params, n: len(cands), release: release}
+		out.n, out.release = len(out.cands), v.release
 		if topk != nil {
-			topk.Offer(cands...)
-		} else {
-			out.cands = cands
+			topk.Offer(out.cands...)
+			out.cands = nil
 		}
 		return out, nil
 	})
@@ -671,7 +560,7 @@ func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docO
 			// corpus so the caller can materialize an honest best-effort
 			// page instead of discarding finished work. The error still
 			// propagates — the caller owns the Truncated marking.
-			selected := selectAcross(topk, outs, req, mergedLimit)
+			selected := selectAcross(topk, outs, req)
 			merged.Stats.Selected = len(selected)
 			return outs, selected, merged, err
 		}
@@ -684,7 +573,7 @@ func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docO
 	// the single-document path uses, over the document-order concatenation.
 	selSp := sp.Child("select")
 	selStart := time.Now()
-	selected := selectAcross(topk, outs, req, mergedLimit)
+	selected := selectAcross(topk, outs, req)
 	merged.Stats.Stages.Select = time.Since(selStart)
 	merged.Stats.Selected = len(selected)
 	selSp.SetInt("candidates", int64(merged.Stats.NumLCAs))
@@ -698,43 +587,43 @@ func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docO
 // ran, otherwise the standard Select over the document-order concatenation
 // of completed documents (o.eng == nil marks a document whose candidate
 // stage did not finish; it contributed nothing).
-func selectAcross(topk *exec.TopK, outs []docOut, req Request, mergedLimit int) []*exec.Candidate {
+func selectAcross(topk *exec.TopK, outs []docOut, req Request) []*exec.Candidate {
 	if topk != nil {
-		return exec.Page(topk.Ranked(), req.Offset, mergedLimit)
+		return exec.Page(topk.Ranked(), req.Offset, req.Limit)
 	}
 	var all []*exec.Candidate
 	for _, o := range outs {
 		all = append(all, o.cands...)
 	}
-	return exec.Select(all, exec.Params{Rank: req.Rank, Limit: mergedLimit, Offset: req.Offset})
+	return exec.Select(all, exec.Params{Rank: req.Rank, Limit: req.Limit, Offset: req.Offset})
 }
 
-// Fragments is the streaming variant of Search — the corpus-level mirror of
-// Engine.Fragments. The candidate fan-out and the shared top-K selection
-// run eagerly (selection needs every document's candidates), but fragments
-// materialize one by one as the iterator is consumed, in exactly the order
-// Search returns them. Breaking out of the loop early — a disconnecting
-// client, a filled page, a deadline — leaves every unvisited candidate
-// unassembled: pruneRTF and node/string assembly run only for the
-// fragments actually yielded. A non-nil error is yielded once (with a zero
-// CorpusFragment) and ends the sequence. Callers that also need the
-// envelope (cursor, stats, truncation) use Stream.
+// Fragments is Stream for callers that do not need the envelope: the same
+// iterator, the trailer discarded.
 func (c *Corpus) Fragments(ctx context.Context, req Request) iter.Seq2[CorpusFragment, error] {
 	seq, _ := c.Stream(ctx, req)
 	return seq
 }
 
-// Stream begins a streamed corpus search: the fragment iterator plus a
-// trailer. Once the loop ends (drained, broken, errored, or truncated) the
+// Stream is the one way a request executes on a corpus — the corpus-level
+// mirror of Engine.Stream: the fragment iterator plus a trailer. The
+// candidate fan-out and the shared top-K selection run eagerly when the loop
+// starts (selection needs every document's candidates), but fragments
+// materialize one by one as the iterator is consumed, in result order.
+// Breaking out of the loop early — a disconnecting client, a filled page, a
+// deadline — leaves every unvisited candidate unassembled: pruneRTF and
+// node/string assembly run only for the fragments actually yielded. A
+// non-nil error is yielded once (with a zero CorpusFragment) and ends the
+// sequence. Once the loop ends (drained, broken, errored, or truncated) the
 // trailer func returns the Results envelope for the fragments actually
 // yielded — stats, the Truncated marker, and the Cursor resuming after the
 // last yielded fragment, so an abandoned stream is still resumable. The
-// yielded fragments themselves are not retained in the trailer (collect
-// them from the iterator if a buffered page is needed), so consuming an
-// unbounded result set stays O(1) server-side. The trailer's value is
-// unspecified while the iterator is still running. Request.Document routes
-// to the named document's engine stream, with the cursor validated against
-// the corpus generation either way.
+// yielded fragments themselves are not retained in the trailer (Search
+// collects them from the iterator), so consuming an unbounded result set
+// stays O(1) server-side. The trailer's value is unspecified while the
+// iterator is still running. Request.Document routes to the named document's
+// engine stream, with the cursor validated against the corpus generation
+// either way.
 func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragment, error], func() *Results) {
 	res := &Results{Query: req.Query, PerDocument: map[string]int{}, NextOffset: -1}
 	seq := func(yield func(CorpusFragment, error) bool) {
@@ -757,35 +646,28 @@ func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragm
 		defer func() { res.Stats.Elapsed = time.Since(start) }()
 		outs, selected, merged, err := c.gather(ctx, req, vec)
 		defer releaseAll(outs)
-		if err != nil {
-			if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
-				// Partial stats from the documents that finished (see
-				// gather) instead of an Elapsed-only zero struct, and the
-				// selection salvaged from them yielded as a best-effort
-				// page (assembly ignores the spent deadline; the work is
-				// bounded by the page size).
-				res.Stats = merged.Stats
-				res.PerDocument = merged.PerDocument
-				res.Truncated = true
-				res.Truncation = TruncCandidates
-				truncationCursor(&res.NextOffset, &res.Cursor, req, gen)
-				for _, cand := range selected {
-					o := outs[cand.Doc]
-					cf, merr := o.eng.materializeSafe(ctx, o.name, cand, o.plan, o.params)
-					if merr != nil {
-						return
-					}
-					if !yield(CorpusFragment{Document: o.name, Fragment: cf}, nil) {
-						return
-					}
-				}
-				return
-			}
+		// Candidate-stage salvage: the fan-out died on a BestEffort deadline.
+		// gather still returns the envelope aggregated over the documents
+		// that completed — real partial stats instead of a zero struct — plus
+		// the selection salvaged from them, which is yielded below as a
+		// best-effort page: assembly ignores the spent deadline, and the work
+		// is bounded by the page size.
+		salvage := err != nil && req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded)
+		if err != nil && !salvage {
 			yield(CorpusFragment{}, err)
 			return
 		}
 		res.Stats = merged.Stats
 		res.PerDocument = merged.PerDocument
+		if salvage {
+			// Truncated before selection finished: the total is unknown (the
+			// salvaged page covers only the completed documents), so the page
+			// resumes from its own start — an empty cursor would read as
+			// "exhausted" and silently end the scroll.
+			res.Truncated = true
+			res.Truncation = TruncCandidates
+			truncationCursor(&res.NextOffset, &res.Cursor, req, gen)
+		}
 
 		sp := trace.SpanFromContext(ctx)
 		matSp := sp.Child("materialize")
@@ -795,35 +677,35 @@ func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragm
 			matSp.SetInt("fragments", int64(yielded))
 			matSp.SetInt("prunedNodes", prunedNodes)
 			matSp.End()
-			pageCursor(&res.NextOffset, &res.Cursor, req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
+			if !salvage {
+				pageCursor(&res.NextOffset, &res.Cursor, req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
+			}
 		}()
 		for _, cand := range selected {
-			if cerr := ctx.Err(); cerr != nil {
-				if req.Budget == BestEffort && errors.Is(cerr, context.DeadlineExceeded) {
-					res.Truncated = true
-					res.Truncation = TruncMaterialize
-					return
-				}
-				yield(CorpusFragment{}, cerr)
-				return
-			}
 			o := outs[cand.Doc]
-			matStart := time.Now()
-			f, merr := o.eng.materializeSafe(ctx, o.name, cand, o.plan, o.params)
-			res.Stats.Stages.Materialize += time.Since(matStart)
-			if merr != nil {
-				if req.Budget == BestEffort && errors.Is(merr, context.DeadlineExceeded) {
+			var f *Fragment
+			err := ctx.Err()
+			if err == nil || salvage {
+				// The expired ctx still feeds the injection point, so scripted
+				// deadline faults resolve immediately.
+				matStart := time.Now()
+				f, err = o.eng.materializeSafe(ctx, o.name, cand, o.plan, o.params)
+				res.Stats.Stages.Materialize += time.Since(matStart)
+			}
+			if err != nil {
+				switch {
+				case salvage: // the page is what was salvaged before the failure
+				case req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded):
 					res.Truncated = true
 					res.Truncation = TruncMaterialize
-					return
+				default:
+					yield(CorpusFragment{}, err)
 				}
-				yield(CorpusFragment{}, merr)
 				return
 			}
-			cf := CorpusFragment{Document: o.name, Fragment: f}
-			prunedNodes += int64(cf.Pruned)
+			prunedNodes += int64(f.Pruned)
 			yielded, lastDoc, lastSeq = yielded+1, cand.Doc, cand.Seq
-			if !yield(cf, nil) {
+			if !yield(CorpusFragment{Document: o.name, Fragment: f}, nil) {
 				return
 			}
 		}
@@ -831,20 +713,25 @@ func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragm
 	return seq, func() *Results { return res }
 }
 
-// pinDocRequest resolves a document-filtered request's corpus cursor and
-// rewrites it in the engine's own cursor dialect, pinned to the engine
-// version the snapshot vector recorded for the document — so a resumed
-// scroll reads exactly the state its first page did even after appends.
-// The returned token is what the next page's corpus cursor must be
-// stamped with.
-func (c *Corpus) pinDocRequest(req Request) (Request, uint64, error) {
+// streamDocument is the Request.Document arm of Stream: the named engine's
+// stream with fragments tagged. The corpus cursor is resolved and rewritten
+// in the engine's own cursor dialect, pinned to the engine version the
+// snapshot vector recorded for the document — so a resumed scroll reads
+// exactly the state its first page did even after appends — and the cursor
+// of the next page is re-anchored to the corpus snapshot token (an
+// engine-issued cursor would pin the engine's own version, which serving
+// layers validating against the corpus could not honor; mutations to other
+// corpus documents never stale it).
+func (c *Corpus) streamDocument(ctx context.Context, req Request, res *Results, yield func(CorpusFragment, error) bool) {
+	name := req.Document
 	req, vec, gen, err := c.resolveSnapshot(req)
 	if err != nil {
-		return req, 0, err
+		yield(CorpusFragment{}, err)
+		return
 	}
 	var ver uint64
 	for _, ds := range vec {
-		if ds.name == req.Document {
+		if ds.name == name {
 			ver = ds.ver
 			break
 		}
@@ -852,24 +739,10 @@ func (c *Corpus) pinDocRequest(req Request) (Request, uint64, error) {
 	if ver == 0 {
 		// A resumed corpus-wide vector that never pinned this document:
 		// the document postdates the cursor.
-		return req, 0, fmt.Errorf("%w: document %q is not in the cursor's snapshot", ErrStaleCursor, req.Document)
-	}
-	req.Cursor = encodeCursor(cursorState{gen: ver, offset: req.Offset, fp: req.fingerprint()})
-	return req, gen, nil
-}
-
-// streamDocument is the Request.Document arm of Stream: the named engine's
-// stream with fragments tagged and the cursor re-anchored to the corpus
-// snapshot token (an engine-issued cursor would pin the engine's own
-// version, which serving layers validating against the corpus could not
-// honor).
-func (c *Corpus) streamDocument(ctx context.Context, req Request, res *Results, yield func(CorpusFragment, error) bool) {
-	name := req.Document
-	req, gen, err := c.pinDocRequest(req)
-	if err != nil {
-		yield(CorpusFragment{}, err)
+		yield(CorpusFragment{}, fmt.Errorf("%w: document %q is not in the cursor's snapshot", ErrStaleCursor, name))
 		return
 	}
+	req.Cursor = encodeCursor(cursorState{gen: ver, offset: req.Offset, fp: req.fingerprint()})
 	seq, trailer := c.engines[name].Stream(ctx, req)
 	defer func() {
 		t := trailer().AsCorpus(name)
@@ -880,7 +753,7 @@ func (c *Corpus) streamDocument(ctx context.Context, req Request, res *Results, 
 	}()
 	for f, err := range seq {
 		if err != nil {
-			if ctx == nil || ctx.Err() == nil {
+			if ctx.Err() == nil {
 				err = fmt.Errorf("xks: document %s: %w", name, err)
 			}
 			yield(CorpusFragment{}, err)
@@ -892,29 +765,14 @@ func (c *Corpus) streamDocument(ctx context.Context, req Request, res *Results, 
 	}
 }
 
-// SearchDocument searches a single named document of the corpus, returning
-// the result in the corpus shape; req.Document is normalized to name (so
-// cursor fingerprints stay consistent however the caller routed here). The
-// error wraps ErrUnknownDocument when name is not in the corpus. Cursors
-// are validated against — and issued at — the document-scoped snapshot
-// token, so mutations to other corpus documents never stale them.
+// SearchDocument is Search over the single document name (req.Document is
+// set to it, so cursor fingerprints stay consistent however the caller
+// routed here). The error wraps ErrUnknownDocument when name is not in the
+// corpus.
 func (c *Corpus) SearchDocument(ctx context.Context, name string, req Request) (*Results, error) {
+	if c.engines[name] == nil {
+		return nil, fmt.Errorf("xks: %w: %q", ErrUnknownDocument, name)
+	}
 	req.Document = name
-	req, gen, err := c.pinDocRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.engines[name].Search(ctx, req)
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, err // the caller's context failed; no document to blame
-		}
-		return nil, fmt.Errorf("xks: document %s: %w", name, err)
-	}
-	out := res.AsCorpus(name)
-	if out.NextOffset >= 0 {
-		// Re-anchor the engine-issued cursor to the corpus generation.
-		out.Cursor = encodeCursor(cursorState{gen: gen, offset: out.NextOffset, fp: req.fingerprint()})
-	}
-	return out, nil
+	return c.Search(ctx, req)
 }

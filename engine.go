@@ -37,7 +37,6 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/concurrent"
 	"xks/internal/delta"
-	"xks/internal/dewey"
 	"xks/internal/exec"
 	"xks/internal/fault"
 	"xks/internal/index"
@@ -578,11 +577,12 @@ type Result struct {
 }
 
 // Search runs the staged pipeline (plan → candidates → select →
-// materialize; see internal/exec) and returns the meaningful fragments.
-// Query terms may carry XSearch-style label predicates ("title:xml",
-// "author:"); see internal/query. A term that matches nothing yields an
-// empty result (no fragment can cover the query), not an error; queries
-// with no searchable term at all fail with ErrEmptyQuery.
+// materialize; see internal/exec) and returns the meaningful fragments: it
+// drains Stream and collects the page. Query terms may carry XSearch-style
+// label predicates ("title:xml", "author:"); see internal/query. A term that
+// matches nothing yields an empty result (no fragment can cover the query),
+// not an error; queries with no searchable term at all fail with
+// ErrEmptyQuery.
 //
 // ctx cancellation (and req.Timeout) aborts the pipeline mid-stream with
 // ctx.Err(): the candidate stage checks the context every few thousand
@@ -593,50 +593,42 @@ type Result struct {
 // single engine holds one document (see Corpus for the filterable
 // collection).
 func (e *Engine) Search(ctx context.Context, req Request) (*Result, error) {
-	seq, trailer := e.stream(ctx, req, true)
-	for _, err := range seq {
+	seq, trailer := e.Stream(ctx, req)
+	var frags []*Fragment
+	for f, err := range seq {
 		if err != nil {
 			return nil, err
 		}
+		frags = append(frags, f)
 	}
-	return trailer(), nil
+	res := trailer()
+	res.Fragments = frags
+	return res, nil
 }
 
-// Fragments is the streaming variant of Search: it runs plan, candidates
-// and selection eagerly, then materializes fragments one by one as the
-// iterator is consumed — in the same order Search returns them. Breaking
-// out of the loop early leaves the remaining candidates unassembled, so a
-// caller that stops after the first few fragments pays pruning and assembly
-// for exactly those. A non-nil error is yielded once (with a nil fragment)
-// and ends the sequence; ctx is checked before every fragment. Callers that
-// also need the envelope (cursor, stats, truncation) use Stream.
+// Fragments is Stream for callers that do not need the envelope: the same
+// iterator, the trailer discarded.
 func (e *Engine) Fragments(ctx context.Context, req Request) iter.Seq2[*Fragment, error] {
-	// The trailer is discarded, so the stream does not retain yielded
-	// fragments: consuming an unbounded result set stays O(1) server-side.
-	seq, _ := e.stream(ctx, req, false)
+	seq, _ := e.Stream(ctx, req)
 	return seq
 }
 
-// Stream begins a streamed search: the fragment iterator plus a trailer.
-// The iterator behaves exactly like Fragments — selection runs eagerly,
-// materialization lazily, an early break skips pruneRTF and assembly for
-// every unvisited candidate. Once the loop ends (drained, broken, errored,
-// or truncated), the trailer func returns the Result envelope for the
+// Stream is the one way a request executes on an engine: the fragment
+// iterator plus a trailer. Plan, candidates and selection run eagerly when
+// the loop starts; fragments then materialize one by one as the iterator is
+// consumed, in result order, so breaking out early leaves the remaining
+// candidates unassembled — a caller that stops after the first few
+// fragments pays pruneRTF and assembly for exactly those. A non-nil error is
+// yielded once (with a nil fragment) and ends the sequence; ctx is checked
+// before every fragment. Once the loop ends (drained, broken, errored, or
+// truncated), the trailer func returns the Result envelope for the
 // fragments actually yielded: stats, the Truncated marker, and the Cursor
 // resuming after the last yielded fragment — so an abandoned stream is
-// still resumable. The yielded fragments themselves are not retained in
-// the trailer (collect them from the iterator if a buffered page is
-// needed), so consuming an unbounded result set stays O(1) server-side.
-// The trailer's value is unspecified while the iterator is still running.
+// still resumable. The yielded fragments themselves are not retained in the
+// trailer (Search collects them from the iterator), so consuming an
+// unbounded result set stays O(1) server-side. The trailer's value is
+// unspecified while the iterator is still running.
 func (e *Engine) Stream(ctx context.Context, req Request) (iter.Seq2[*Fragment, error], func() *Result) {
-	return e.stream(ctx, req, false)
-}
-
-// stream is the shared core of Fragments, Stream and Search. keep selects
-// whether yielded fragments accumulate in the trailer envelope: Search
-// drains with keep=true (its Result carries the page); the public
-// iterators pass false so streaming consumers retain nothing.
-func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[*Fragment, error], func() *Result) {
 	res := &Result{Query: req.Query, NextOffset: -1}
 	seq := func(yield func(*Fragment, error) bool) {
 		if ctx == nil {
@@ -666,45 +658,14 @@ func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[
 		// (the untraced common case) makes every call below a free no-op.
 		sp := trace.SpanFromContext(ctx)
 
-		// Chaos injection point: a scripted store-read fault fails the
-		// search here, before planning touches the document source.
-		if err := fault.Inject(ctx, fault.PointStoreRead, ""); err != nil {
-			yield(nil, err)
-			return
+		st, err := e.candidateStage(ctx, v, req, "", 0)
+		res.Stats.Stages.Plan = st.planTime
+		res.Stats.Keywords = st.plan.Keywords
+		res.Stats.KeywordNodes = st.plan.KeywordNodes()
+		if !st.start.IsZero() { // the candidate stage ran
+			res.Stats.Stages.Candidates = time.Since(st.start)
+			defer func() { res.Stats.Elapsed = time.Since(st.start) }()
 		}
-
-		planSp := sp.Child("plan")
-		planStart := time.Now()
-		p, err := e.planAt(v, req.Query)
-		if err == nil {
-			p.Decision = e.decideAt(v, req, p)
-		}
-		res.Stats.Stages.Plan = time.Since(planStart)
-		res.Stats.Keywords = p.Keywords
-		planSp.SetInt("keywordNodes", int64(p.KeywordNodes()))
-		planSp.SetInt("terms", int64(len(p.Keywords)))
-		if err == nil {
-			stampPlan(planSp, p)
-		}
-		stampSnapshot(planSp, v, &e.counters)
-		planSp.End()
-		if err != nil {
-			var nm *index.ErrNoMatch
-			if errors.As(err, &nm) {
-				return
-			}
-			yield(nil, err)
-			return
-		}
-		res.Stats.KeywordNodes = p.KeywordNodes()
-
-		start := time.Now()
-		defer func() { res.Stats.Elapsed = time.Since(start) }()
-		params := e.paramsAt(v, req)
-		candSp := sp.Child("candidates")
-		cands, err := safeCandidates(trace.ContextWithSpan(ctx, candSp), "", p, params, 0)
-		res.Stats.Stages.Candidates = time.Since(start)
-		candSp.End()
 		if err != nil {
 			if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
 				// Truncated before selection finished: the total is
@@ -719,10 +680,13 @@ func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[
 			yield(nil, err)
 			return
 		}
-		total := len(cands)
+		if len(st.plan.Sets) == 0 {
+			return // a keyword matches nothing: no fragment can cover the query
+		}
+		total := len(st.cands)
 		selSp := sp.Child("select")
 		selStart := time.Now()
-		selected := exec.Select(cands, params)
+		selected := exec.Select(st.cands, st.params)
 		res.Stats.Stages.Select = time.Since(selStart)
 		selSp.SetInt("candidates", int64(total))
 		selSp.SetInt("selected", int64(len(selected)))
@@ -740,7 +704,14 @@ func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[
 			pageCursor(&res.NextOffset, &res.Cursor, req, gen, yielded, total, lastDoc, lastSeq, res.Truncated)
 		}()
 		for _, c := range selected {
-			if err := ctx.Err(); err != nil {
+			var f *Fragment
+			err := ctx.Err()
+			if err == nil {
+				matStart := time.Now()
+				f, err = e.materializeSafe(ctx, "", c, st.plan, st.params)
+				res.Stats.Stages.Materialize += time.Since(matStart)
+			}
+			if err != nil {
 				if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
 					res.Truncated = true
 					res.Truncation = TruncMaterialize
@@ -749,22 +720,7 @@ func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[
 				yield(nil, err)
 				return
 			}
-			matStart := time.Now()
-			f, merr := e.materializeSafe(ctx, "", c, p, params)
-			res.Stats.Stages.Materialize += time.Since(matStart)
-			if merr != nil {
-				if req.Budget == BestEffort && errors.Is(merr, context.DeadlineExceeded) {
-					res.Truncated = true
-					res.Truncation = TruncMaterialize
-					return
-				}
-				yield(nil, merr)
-				return
-			}
 			prunedNodes += int64(f.Pruned)
-			if keep {
-				res.Fragments = append(res.Fragments, f)
-			}
 			yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
 			if !yield(f, nil) {
 				return
@@ -772,6 +728,78 @@ func (e *Engine) stream(ctx context.Context, req Request, keep bool) (iter.Seq2[
 		}
 	}
 	return seq, func() *Result { return res }
+}
+
+// docStage is one document's plan → candidates output: what selection and
+// materialization need (the Params are the ones the candidates were
+// generated under; materialization must reuse them), plus the stage
+// timings. start is when the candidate stage began, and stays zero when it
+// never did — the plan failed, or a keyword matches nothing in the document
+// (plan then carries the display keywords and no Sets, and cands is empty).
+type docStage struct {
+	plan     exec.Plan
+	params   exec.Params
+	cands    []*exec.Candidate
+	planTime time.Duration
+	start    time.Time
+}
+
+// candidateStage plans req over the pinned view v and runs its candidate
+// stage — the one place either happens, whether the engine is the whole
+// pipeline (label "", Engine.Stream: the candidate stage gets its own span)
+// or one document of a corpus fan-out (label is its name, doc its insertion
+// index, and the caller's per-document span holds plan, lca and rtf side by
+// side). It runs under panic isolation and the chaos harness's store-read and
+// candidates injection points: a panicking merge, like an injected fault,
+// surfaces as the stage's error — a *PanicError wrapping ErrInternal —
+// instead of unwinding through an iterator or a worker goroutine. An
+// unmatchable keyword is not an error. The caller keeps v pinned until it is
+// done materializing: the Params close over snapshot state.
+func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label string, doc int) (st docStage, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = concurrent.Recovered(r)
+		}
+	}()
+	// Chaos injection point: a scripted store-read fault fails the search
+	// here, before planning touches the document source.
+	if err := fault.Inject(ctx, fault.PointStoreRead, label); err != nil {
+		return st, err
+	}
+	sp := trace.SpanFromContext(ctx)
+	planSp := sp.Child("plan")
+	planStart := time.Now()
+	st.plan, err = e.planAt(v, req.Query)
+	if err == nil {
+		st.plan.Decision = e.decideAt(v, req, st.plan)
+	}
+	st.planTime = time.Since(planStart)
+	planSp.SetInt("keywordNodes", int64(st.plan.KeywordNodes()))
+	planSp.SetInt("terms", int64(len(st.plan.Keywords)))
+	if err == nil {
+		stampPlan(planSp, st.plan)
+	}
+	stampSnapshot(planSp, v, &e.counters)
+	planSp.End()
+	if err != nil {
+		var nm *index.ErrNoMatch
+		if errors.As(err, &nm) {
+			err = nil
+		}
+		return st, err
+	}
+	st.start = time.Now()
+	st.params = e.paramsAt(v, req)
+	if label == "" {
+		candSp := sp.Child("candidates")
+		defer candSp.End()
+		ctx = trace.ContextWithSpan(ctx, candSp)
+	}
+	if err := fault.Inject(ctx, fault.PointCandidates, label); err != nil {
+		return st, err
+	}
+	st.cands, err = exec.Candidates(ctx, st.plan, st.params, doc)
+	return st, err
 }
 
 // planAt runs the planning stage over one resolved snapshot: the query
@@ -855,24 +883,6 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 	}
 }
 
-// safeCandidates runs the candidate stage under panic isolation and the
-// chaos harness's candidates injection point: a panicking merge (or an
-// injected fault) surfaces as this stage's error — a *PanicError wrapping
-// ErrInternal for panics — instead of unwinding through the iterator into
-// the caller. label is the document name for corpus searches, "" for
-// single-engine ones.
-func safeCandidates(ctx context.Context, label string, p exec.Plan, params exec.Params, doc int) (cands []*exec.Candidate, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = concurrent.Recovered(r)
-		}
-	}()
-	if ferr := fault.Inject(ctx, fault.PointCandidates, label); ferr != nil {
-		return nil, ferr
-	}
-	return exec.Candidates(ctx, p, params, doc)
-}
-
 // materializeSafe runs materialize under panic isolation and the chaos
 // harness's materialize injection point: one poisoned candidate degrades
 // into a structured error (a *PanicError wrapping ErrInternal) for this
@@ -890,67 +900,6 @@ func (e *Engine) materializeSafe(ctx context.Context, label string, c *exec.Cand
 		return nil, ferr
 	}
 	return e.materialize(c, p, params), nil
-}
-
-// searchCandidates runs the plan and candidate stages only, leaving
-// selection and materialization to the caller (Corpus.Search merges
-// candidates across documents before materializing). An unmatchable
-// keyword yields an empty candidate list, not an error, mirroring Search;
-// doc tags the candidates for corpus merges. deferEvents forces the
-// score-without-events candidate stage regardless of req's own paging
-// fields — corpus searches zero per-document Limit but still materialize
-// only the merged top-K page. The returned Params are the ones the
-// candidates were generated under; materialization must reuse them.
-//
-// version pins the snapshot the stages read: 0 means the newest head, any
-// other value re-pins the exact state a corpus-level cursor was issued
-// against. The returned release func unpins the snapshot; it is non-nil
-// exactly when the error is nil, and the caller must invoke it after
-// materializing — the Params close over snapshot state. On error the pin
-// is already released internally (the corpus fan-out drops partial
-// outputs, so a pin travelling inside an error path would leak).
-func (e *Engine) searchCandidates(ctx context.Context, req Request, doc int, deferEvents bool, version uint64) (exec.Plan, exec.Params, []*exec.Candidate, func(), error) {
-	var v *view
-	if version == 0 {
-		v = e.currentView()
-	} else {
-		var err error
-		v, err = e.viewAtVersion(version)
-		if err != nil {
-			return exec.Plan{}, exec.Params{}, nil, nil, err
-		}
-	}
-	params := e.paramsAt(v, req)
-	if deferEvents && req.Rank {
-		params.DeferEvents = true
-	}
-	sp := trace.SpanFromContext(ctx)
-	planSp := sp.Child("plan")
-	p, err := e.planAt(v, req.Query)
-	if err == nil {
-		p.Decision = e.decideAt(v, req, p)
-	}
-	planSp.SetInt("keywordNodes", int64(p.KeywordNodes()))
-	planSp.SetInt("terms", int64(len(p.Keywords)))
-	if err == nil {
-		stampPlan(planSp, p)
-	}
-	stampSnapshot(planSp, v, &e.counters)
-	planSp.End()
-	if err != nil {
-		var nm *index.ErrNoMatch
-		if errors.As(err, &nm) {
-			return p, params, nil, v.release, nil
-		}
-		v.release()
-		return p, params, nil, nil, err
-	}
-	cands, err := exec.Candidates(ctx, p, params, doc)
-	if err != nil {
-		v.release()
-		return p, params, nil, nil, err
-	}
-	return p, params, cands, v.release, nil
 }
 
 // resolveIDSetsAt turns the query text into per-term ID posting lists over
@@ -998,32 +947,6 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 	}
 	return display, idfWords, sets, nil
 }
-
-// resolveSets is the Dewey-code view of resolveIDSetsAt over the newest
-// state, serving the reference/eager path the crosschecks compare against.
-// Codes are zero-copy views into the node table.
-func (e *Engine) resolveSets(queryText string) (display, idfWords []string, sets [][]dewey.Code, err error) {
-	v := e.currentView()
-	defer v.release()
-	display, idfWords, idSets, err := e.resolveIDSetsAt(v, queryText)
-	if err != nil {
-		return display, idfWords, nil, err
-	}
-	tab := v.snap.Table()
-	sets = make([][]dewey.Code, len(idSets))
-	for i, s := range idSets {
-		cs := make([]dewey.Code, len(s))
-		for j, id := range s {
-			cs[j] = tab.Code(id)
-		}
-		sets[i] = cs
-	}
-	return display, idfWords, sets, nil
-}
-
-func (e *Engine) labelOf(c dewey.Code) string { return e.src.labelOf(c) }
-
-func (e *Engine) contentOf(c dewey.Code) []string { return e.src.contentOf(c) }
 
 // materialize runs the materialization stage for one selected candidate:
 // pruneRTF (via exec.Materialize) followed by node and string assembly. It

@@ -127,19 +127,15 @@ func (f *Fragment) KeywordNodes() []FragmentNode {
 // paper cites as related).
 func (f *Fragment) Snippet() string {
 	var sources []snippet.Source
-	for _, n := range f.Nodes {
+	for i, n := range f.Nodes {
 		if !n.IsKeywordNode {
-			continue
-		}
-		c, err := dewey.Parse(n.Dewey)
-		if err != nil {
 			continue
 		}
 		text := n.Text
 		if text == "" {
 			// Store-backed fragments have no raw text; use the content
-			// words instead.
-			text = strings.Join(f.src.contentOf(c), " ")
+			// words instead (keptIDs[i] is the ID of Nodes[i]).
+			text = strings.Join(f.src.contentOfID(f.keptIDs[i]), " ")
 		}
 		sources = append(sources, snippet.Source{Label: n.Label, Text: text})
 	}

@@ -1,8 +1,6 @@
-// Package concurrent runs query batches across worker goroutines. The
-// engine is immutable after construction, so N workers can share it; the
-// experiment harness uses this to cut wall-clock time on multi-core
-// machines without perturbing per-query timing (each query still times its
-// own pipeline).
+// Package concurrent fans jobs out across worker goroutines under panic
+// isolation. Engines are concurrency-safe, so N workers can share them; the
+// corpus uses this for its per-document candidate fan-out.
 package concurrent
 
 import (
@@ -48,18 +46,15 @@ type Result[T any] struct {
 	Err   error
 }
 
-// Map runs fn over every job on up to workers goroutines (default
+// MapCtx runs fn over every job on up to workers goroutines (default
 // GOMAXPROCS) and returns the results in job order. The first error is
 // returned alongside the partial results; remaining jobs still run.
-func Map[J, T any](jobs []J, workers int, fn func(J) (T, error)) ([]T, error) {
-	return MapCtx(nil, jobs, workers, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, workers
-// stop picking up new jobs and MapCtx returns ctx.Err() (in-flight fn calls
-// still finish — fn is expected to observe ctx itself for mid-job
-// cancellation). Every worker goroutine is joined before MapCtx returns, so
-// a cancelled fan-out leaks nothing. A nil ctx never cancels.
+//
+// Cancellation is cooperative: once ctx is done, workers stop picking up
+// new jobs and MapCtx returns ctx.Err() (in-flight fn calls still finish —
+// fn is expected to observe ctx itself for mid-job cancellation). Every
+// worker goroutine is joined before MapCtx returns, so a cancelled fan-out
+// leaks nothing. A nil ctx never cancels.
 //
 // Panic isolation: a panicking fn does not crash the process (an unrecovered
 // panic on a worker goroutine would — no http.Server recovery reaches
@@ -136,12 +131,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// ForEach is Map without per-job results.
-func ForEach[J any](jobs []J, workers int, fn func(J) error) error {
-	_, err := Map(jobs, workers, func(j J) (struct{}, error) {
-		return struct{}{}, fn(j)
-	})
-	return err
 }

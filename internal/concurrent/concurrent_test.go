@@ -13,7 +13,7 @@ func TestMapOrderPreserved(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = i
 	}
-	out, err := Map(jobs, 8, func(j int) (int, error) { return j * j, nil })
+	out, err := MapCtx(nil, jobs, 8, func(j int) (int, error) { return j * j, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMapAllJobsRunDespiteError(t *testing.T) {
 	var ran int64
 	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	boom := errors.New("boom")
-	_, err := Map(jobs, 4, func(j int) (int, error) {
+	_, err := MapCtx(nil, jobs, 4, func(j int) (int, error) {
 		atomic.AddInt64(&ran, 1)
 		if j == 2 {
 			return 0, boom
@@ -46,7 +46,7 @@ func TestMapAllJobsRunDespiteError(t *testing.T) {
 func TestMapSingleWorkerSequential(t *testing.T) {
 	order := []int{}
 	jobs := []int{3, 1, 4, 1, 5}
-	_, err := Map(jobs, 1, func(j int) (int, error) {
+	_, err := MapCtx(nil, jobs, 1, func(j int) (int, error) {
 		order = append(order, j) // safe: single worker
 		return j, nil
 	})
@@ -61,38 +61,23 @@ func TestMapSingleWorkerSequential(t *testing.T) {
 }
 
 func TestMapZeroWorkersDefaults(t *testing.T) {
-	out, err := Map([]int{1, 2, 3}, 0, func(j int) (int, error) { return j + 1, nil })
+	out, err := MapCtx(nil, []int{1, 2, 3}, 0, func(j int) (int, error) { return j + 1, nil })
 	if err != nil || len(out) != 3 || out[2] != 4 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
 func TestMapEmptyJobs(t *testing.T) {
-	out, err := Map(nil, 4, func(j int) (int, error) { return j, nil })
+	out, err := MapCtx(nil, nil, 4, func(j int) (int, error) { return j, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
 func TestMapMoreWorkersThanJobs(t *testing.T) {
-	out, err := Map([]int{7}, 64, func(j int) (int, error) { return j, nil })
+	out, err := MapCtx(nil, []int{7}, 64, func(j int) (int, error) { return j, nil })
 	if err != nil || len(out) != 1 || out[0] != 7 {
 		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum int64
-	err := ForEach([]int{1, 2, 3, 4}, 2, func(j int) error {
-		atomic.AddInt64(&sum, int64(j))
-		return nil
-	})
-	if err != nil || sum != 10 {
-		t.Fatalf("sum=%d err=%v", sum, err)
-	}
-	boom := errors.New("x")
-	if err := ForEach([]int{1}, 2, func(int) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -107,14 +92,14 @@ func BenchmarkMapParallel(b *testing.B) {
 	}
 	b.Run("workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Map(jobs, 1, work); err != nil {
+			if _, err := MapCtx(nil, jobs, 1, work); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("workers=max", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Map(jobs, 0, work); err != nil {
+			if _, err := MapCtx(nil, jobs, 0, work); err != nil {
 				b.Fatal(err)
 			}
 		}

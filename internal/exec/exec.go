@@ -3,7 +3,7 @@
 // to the paper's four-stage algorithm:
 //
 //	plan        — the parsed query resolved to posting sets D1..Dk
-//	              (Engine.resolveSets; carried here as a Plan value)
+//	              (Engine.planAt; carried here as a Plan value)
 //	candidates  — getLCA → getRTF on node IDs (internal/nid), producing
 //	              one lightweight scored Candidate per fragment root:
 //	              root ID, keyword events, score — no node
@@ -25,13 +25,13 @@
 // candidate in document order, so their materialized output is identical
 // to the pre-pipeline eager path (crosschecked in the xks tests).
 //
-// The streaming consumers (Engine.Stream, Corpus.Fragments/Stream, the
-// NDJSON HTTP path) drive the same stages with one difference: the
-// materialize stage runs lazily, one candidate per iterator step, so an
-// early break — client disconnect, page boundary, best-effort deadline —
-// pays pruning and assembly for exactly the fragments yielded. Candidate
-// Doc/Seq double as the cursor resume key the xks package embeds in its
-// opaque pagination tokens.
+// Engine.Stream and Corpus.Stream are the only drivers of these stages
+// (Search drains them, the NDJSON HTTP path hands them on): the materialize
+// stage runs lazily, one candidate per iterator step, so an early break —
+// client disconnect, page boundary, best-effort deadline — pays pruning and
+// assembly for exactly the fragments yielded. Candidate Doc/Seq double as
+// the cursor resume key the xks package embeds in its opaque pagination
+// tokens.
 package exec
 
 import (

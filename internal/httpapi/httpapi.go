@@ -527,7 +527,7 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 			return
 		}
 		// Apply the deadline here, at the serving boundary, so it holds for
-		// any Searcher behind the service; engines then see Timeout == 0
+		// any backend behind the service; engines then see Timeout == 0
 		// and simply inherit this context.
 		timeout := req.Timeout
 		if timeout == 0 {

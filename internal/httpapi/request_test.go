@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"xks"
-	"xks/internal/service"
+	"xks/internal/fault"
 )
 
 // TestStatusMapping pins the error → status translation the handler relies
@@ -130,23 +130,15 @@ func atoi(t *testing.T, s string) int {
 	return n
 }
 
-// stuckSearcher parks until its context ends — a stand-in for a pipeline
-// slower than the request's deadline.
-type stuckSearcher struct{}
-
-func (stuckSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-func (stuckSearcher) Documents() []xks.DocumentInfo { return nil }
-func (stuckSearcher) Generation() uint64            { return 0 }
-
 // TestDeadlineExceededIs504: a search that outlives its timeout= deadline
-// comes back as 504 Gateway Timeout.
+// comes back as 504 Gateway Timeout. The pipeline slower than the request's
+// deadline is a real one whose candidate stage is scripted to park until
+// its context ends.
 func TestDeadlineExceededIs504(t *testing.T) {
-	svc := service.New(stuckSearcher{}, service.Config{})
-	srv := httptest.NewServer(NewHandler(svc, nil))
-	t.Cleanup(srv.Close)
+	srv := resilienceServer(t, nil, fault.NewPlan(fault.Rule{
+		Point:  fault.PointCandidates,
+		Action: fault.Action{UntilDeadline: true},
+	}))
 
 	resp, err := http.Get(srv.URL + "/search?q=liu&timeout=10ms")
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 var (
 	benchOnce     sync.Once
-	benchSearcher service.Searcher
+	benchSearcher service.Backend
 )
 
 // benchQueries is a repeated-query workload: a small hot set hit over and
@@ -24,7 +24,7 @@ var benchQueries = []string{
 	"keyword ranking",
 }
 
-func benchSetup(b *testing.B) service.Searcher {
+func benchSetup(b *testing.B) service.Backend {
 	benchOnce.Do(func() {
 		specs := []datagen.KeywordSpec{
 			{Word: "lca", Count: 120},

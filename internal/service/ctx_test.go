@@ -126,20 +126,22 @@ func TestGroupRetriesAfterLeaderCancelled(t *testing.T) {
 
 // blockingSearcher parks until its context ends, standing in for a slow
 // pipeline.
-type blockingSearcher struct{}
-
-func (blockingSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
+func blockingSearcher(t *testing.T) Backend {
+	e, err := xks.LoadString(`<doc/>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Buffered{Backend: SingleDoc{Name: "doc", Engine: e}, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
 }
-func (blockingSearcher) Documents() []xks.DocumentInfo { return nil }
-func (blockingSearcher) Generation() uint64            { return 0 }
 
 // TestServiceSearchPropagatesDeadline: a deadline on the caller's context
-// reaches the searcher and surfaces as context.DeadlineExceeded, counted as
+// reaches the backend and surfaces as context.DeadlineExceeded, counted as
 // an error in the metrics.
 func TestServiceSearchPropagatesDeadline(t *testing.T) {
-	sv := New(blockingSearcher{}, Config{CacheSize: 8})
+	sv := New(blockingSearcher(t), Config{CacheSize: 8})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	_, cached, err := sv.Search(ctx, xks.Request{Query: "q"})

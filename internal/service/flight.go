@@ -30,12 +30,6 @@ type call struct {
 	err  error
 }
 
-// isCtxErr reports whether err is (or wraps) a context cancellation or
-// deadline error.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // notOurAnswer reports whether a finished call's outcome is specific to the
 // leader's own request conditions rather than to the query: its context
 // died, or its BestEffort deadline truncated the page. Neither may be
@@ -43,7 +37,7 @@ func isCtxErr(err error) bool {
 // generous deadline must get full results, not the leader's partial page —
 // so joiners re-enter and one of them leads a fresh execution.
 func notOurAnswer(c *call) bool {
-	if isCtxErr(c.err) {
+	if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
 		return true
 	}
 	return c.err == nil && c.val != nil && c.val.Truncated

@@ -77,9 +77,8 @@ type Metrics struct {
 	// with a rising panic counter is the signal panic isolation is doing
 	// its job and something underneath is broken.
 	panics atomic.Uint64
-	// partialResumes counts requests that resumed a truncated page from the
-	// partial-page cache instead of recomputing the already-materialized
-	// prefix.
+	// partialResumes counts requests that resumed a truncated page from its
+	// cached prefix instead of recomputing the fragments already assembled.
 	partialResumes atomic.Uint64
 	// encodes counts result pages the API layer encoded (ObserveEncode). A
 	// cache hit served from its entry's retained bytes encodes nothing, so
@@ -164,8 +163,8 @@ type Snapshot struct {
 	// PanicsRecovered counts requests that failed with a recovered panic
 	// (xks.ErrInternal) instead of crashing the process.
 	PanicsRecovered uint64 `json:"panicsRecovered"`
-	// PartialResumes counts requests that resumed a truncated page from the
-	// partial-page cache.
+	// PartialResumes counts requests that resumed a truncated page from its
+	// cached prefix.
 	PartialResumes uint64 `json:"partialPageResumes"`
 	// ResponseEncodes counts result pages the API layer encoded; cache hits
 	// served from retained bytes do not add to it.

@@ -24,7 +24,7 @@ type Encoded struct {
 // version token, same eviction); there is no second cache.
 type Page struct {
 	*xks.Results
-	cached bool // the page went into the cache: Encoded retains
+	cached bool // the page is a cache entry served as a hit: Encoded retains
 
 	mu  sync.Mutex // serializes the one encode of a cached page
 	enc atomic.Pointer[Encoded]
@@ -33,8 +33,9 @@ type Page struct {
 // Encoded returns the page's encoded fragment records, running encode to
 // produce them. A cache entry retains the result: encode runs at most once
 // however many requests race for it, and every later call returns the same
-// bytes. Any other page — truncated, pinned to an old snapshot, served with
-// the cache disabled — retains nothing and encodes per call.
+// bytes. Any other page — truncated (a cached prefix included), pinned to an
+// old snapshot, served with the cache disabled — retains nothing and encodes
+// per call.
 func (p *Page) Encoded(encode func() *Encoded) *Encoded {
 	if !p.cached {
 		return encode()

@@ -1,12 +1,13 @@
 package service_test
 
-// Partial-page cache tests: a deadline-truncated (TruncMaterialize) page
-// is remembered under its request key, an identical retry resumes
-// materialization at the cursor instead of reassembling the finished
-// prefix, a completed stitch is promoted to the main cache, and
-// candidate-stage salvage pages — whose fragments are not a definitive
-// prefix of the true order — are never cached. The fault-injection harness
-// (internal/fault) makes the first request's truncation deterministic.
+// Resumable-prefix tests: a deadline-truncated (TruncMaterialize) page is
+// kept in the cache under its request key — never served as a hit — an
+// identical retry resumes materialization at the cursor instead of
+// reassembling the finished prefix, a completed stitch overwrites the prefix
+// with the full page, and candidate-stage salvage pages — whose fragments
+// are not a definitive prefix of the true order — are never kept. The
+// fault-injection harness (internal/fault) makes the first request's
+// truncation deterministic.
 
 import (
 	"context"
@@ -20,17 +21,14 @@ import (
 )
 
 // partialCorpus builds a ten-copy corpus (one matching fragment each for
-// the workload query) with serial materialization (Workers=1), so the
-// BestEffort materialize loop runs in chunks of four and an injected
-// deadline exhaustion on the fifth fragment leaves a four-fragment
-// partial page.
+// the workload query): an injected deadline exhaustion on the fifth
+// fragment's materialization leaves a four-fragment partial page.
 func partialCorpus(t *testing.T) *xks.Corpus {
 	t.Helper()
 	c := xks.NewCorpus()
 	for _, n := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
 		c.Add(n, xks.FromTree(paperdata.Publications()))
 	}
-	c.Workers = 1
 	return c
 }
 
@@ -82,6 +80,9 @@ func TestPartialPageResumeStitchesAndPromotes(t *testing.T) {
 	}
 
 	sv, req, part := truncatedFirstPage(t, limit)
+	if n := sv.CacheLen(); n != 1 {
+		t.Fatalf("CacheLen = %d after the truncated page, want 1: the prefix is an entry of the one cache", n)
+	}
 
 	// Identical retry, no faults: resumes from the partial page.
 	full, cached, err := sv.Search(context.Background(), req)
@@ -111,10 +112,13 @@ func TestPartialPageResumeStitchesAndPromotes(t *testing.T) {
 		t.Errorf("partialPageResumes = %d, want 1", s.PartialResumes)
 	}
 
-	// The stitched page was promoted to the main cache.
+	// The stitched page overwrote the prefix: one entry still, and it hits.
+	if n := sv.CacheLen(); n != 1 {
+		t.Fatalf("CacheLen = %d after the stitch, want 1: the full page replaces its prefix under the same key", n)
+	}
 	again, cached, err := sv.Search(context.Background(), req)
 	if err != nil || !cached {
-		t.Fatalf("third search: cached=%t err=%v, want a main-cache hit", cached, err)
+		t.Fatalf("third search: cached=%t err=%v, want a cache hit", cached, err)
 	}
 	if len(again.Fragments) != limit {
 		t.Fatalf("promoted page has %d fragments, want %d", len(again.Fragments), limit)
@@ -156,7 +160,7 @@ func TestPartialPageResumeServesStream(t *testing.T) {
 // TestSalvagedPageNotCachedAsPartial pins the cache-exclusion rule:
 // a candidate-stage salvage page (TruncCandidates) covers only the
 // documents that finished, so it is not a definitive prefix and must not
-// seed the partial-page cache — the retry runs the full pipeline.
+// be kept as a resumable prefix — the retry runs the full pipeline.
 func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
 
@@ -191,6 +195,6 @@ func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 		t.Fatalf("retry page has %d fragments, want 6", len(full.Fragments))
 	}
 	if s := sv.Metrics().Snapshot(); s.PartialResumes != 0 {
-		t.Errorf("partialPageResumes = %d, want 0: salvage pages must not seed the partial cache", s.PartialResumes)
+		t.Errorf("partialPageResumes = %d, want 0: salvage pages must not be kept as a prefix", s.PartialResumes)
 	}
 }

@@ -35,7 +35,7 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 	writeCounter(w, "xks_panic_recovered_total",
 		"Requests that failed with a recovered pipeline panic instead of crashing the process.", m.panics.Load())
 	writeCounter(w, "xks_partial_resumes_total",
-		"Requests that resumed a truncated page from the partial-page cache.", m.partialResumes.Load())
+		"Requests that resumed a truncated page from its cached prefix.", m.partialResumes.Load())
 	writeCounter(w, "xks_response_encodes_total",
 		"Result pages encoded by the API layer (cache hits served from retained bytes encode nothing).", m.encodes.Load())
 
@@ -59,31 +59,30 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 			"Store file bytes materialized on the Go heap at open.", float64(so.HeapBytes))
 	}
 
-	if di, ok := sv.DeltaInfo(); ok {
-		writeGauge(w, "xks_delta_segments",
-			"Live write-side delta segments awaiting compaction, summed over documents.", float64(di.Segments))
-		writeGauge(w, "xks_delta_postings",
-			"Postings held in delta segments (not yet folded into the base index).", float64(di.Postings))
-		writeGauge(w, "xks_delta_merged_lists",
-			"Words the live merged-list overlays hold a complete base-plus-delta posting list for (0 right after a compaction).", float64(di.MergedLists))
-		writeGauge(w, "xks_delta_merged_ids",
-			"IDs in the live merged-list overlays, base prefixes included.", float64(di.MergedIDs))
-		writeCounter(w, "xks_appends_total",
-			"Appends published (tail appends and renumbering rebuilds).", uint64(di.Appends))
-		fmt.Fprintf(w, "# HELP xks_append_duration_seconds Wall time of published appends, parse to publish.\n"+
-			"# TYPE xks_append_duration_seconds summary\n"+
-			"xks_append_duration_seconds_sum %s\nxks_append_duration_seconds_count %d\n",
-			formatFloat(di.AppendSeconds), di.Appends)
-		writeGauge(w, "xks_snapshots_pinned",
-			"Snapshots currently pinned by in-flight queries, cursors being resolved, or scripted leaks.", float64(di.PinnedSnapshots))
-		writeCounter(w, "xks_compactions_total",
-			"Delta-to-base compactions completed.", uint64(di.Compactions))
-		writeGauge(w, "xks_compaction_seconds",
-			"Total wall time spent folding delta segments into base indexes.", di.CompactionSeconds)
-	}
+	di := sv.backend.DeltaInfo()
+	writeGauge(w, "xks_delta_segments",
+		"Live write-side delta segments awaiting compaction, summed over documents.", float64(di.Segments))
+	writeGauge(w, "xks_delta_postings",
+		"Postings held in delta segments (not yet folded into the base index).", float64(di.Postings))
+	writeGauge(w, "xks_delta_merged_lists",
+		"Words the live merged-list overlays hold a complete base-plus-delta posting list for (0 right after a compaction).", float64(di.MergedLists))
+	writeGauge(w, "xks_delta_merged_ids",
+		"IDs in the live merged-list overlays, base prefixes included.", float64(di.MergedIDs))
+	writeCounter(w, "xks_appends_total",
+		"Appends published (tail appends and renumbering rebuilds).", uint64(di.Appends))
+	fmt.Fprintf(w, "# HELP xks_append_duration_seconds Wall time of published appends, parse to publish.\n"+
+		"# TYPE xks_append_duration_seconds summary\n"+
+		"xks_append_duration_seconds_sum %s\nxks_append_duration_seconds_count %d\n",
+		formatFloat(di.AppendSeconds), di.Appends)
+	writeGauge(w, "xks_snapshots_pinned",
+		"Snapshots currently pinned by in-flight queries, cursors being resolved, or scripted leaks.", float64(di.PinnedSnapshots))
+	writeCounter(w, "xks_compactions_total",
+		"Delta-to-base compactions completed.", uint64(di.Compactions))
+	writeGauge(w, "xks_compaction_seconds",
+		"Total wall time spent folding delta segments into base indexes.", di.CompactionSeconds)
 
 	writeGauge(w, "xks_cache_entries",
-		"Live entries in the query-result cache.", float64(sv.CacheLen()))
+		"Live entries in the query-result cache (full pages and resumable truncated prefixes).", float64(sv.CacheLen()))
 	writeGauge(w, "xks_cache_body_bytes",
 		"Encoded response bytes retained by query-result cache entries.", float64(sv.CacheBodyBytes()))
 	writeGauge(w, "xks_corpus_generation",

@@ -4,19 +4,23 @@
 //
 // It provides:
 //
-//   - Searcher, one search entrypoint unifying a single xks.Engine (via
-//     the SingleDoc adapter) and a multi-document xks.Corpus — one method
-//     taking a context.Context and an xks.Request (the request's Document
-//     field carries the document filter);
+//   - Backend, the one surface the service builds on — a fragment stream plus
+//     versioning, the document list, tail appends, compaction and the delta
+//     gauges — implemented by *xks.Corpus and, for a single xks.Engine, by
+//     the SingleDoc adapter. A request executes one way, the backend's stream
+//     driven by one function (run): a buffered page is that stream drained, a
+//     streamed response the same stream handed on fragment by fragment;
 //   - a sharded LRU query-result cache (internal/lru) keyed by the
-//     canonicalized Request, invalidated by data generation:
-//     Engine.AppendXML bumps the generation, so stale entries die on their
-//     next lookup; the searches behind it run the staged pipeline
-//     (internal/exec), so cached entries hold only the *selected*
-//     candidates in materialized form — a ranked Limit=10 corpus query
-//     caches 10 assembled fragments, and the API layer's encoding of them
-//     (Page.Encoded) is computed once and retained with the entry, so a hit
-//     is served from bytes;
+//     canonicalized Request, invalidated by data generation: an append
+//     changes the version token, so stale entries die on their next lookup;
+//     the searches behind it run the staged pipeline (internal/exec), so
+//     cached entries hold only the *selected* candidates in materialized
+//     form — a ranked Limit=10 corpus query caches 10 assembled fragments,
+//     and the API layer's encoding of them (Page.Encoded) is computed once
+//     and retained with the entry, so a hit is served from bytes. The same
+//     cache holds resumable prefixes: an entry whose page is Truncated is
+//     never served as a hit — an identical retry resumes materialization
+//     after it, and the completed page overwrites it under the same key;
 //   - singleflight collapsing of concurrent identical queries, so a
 //     thundering herd of the same request costs one pipeline execution —
 //     context-aware: a waiter whose own context ends detaches immediately
@@ -33,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"strconv"
 	"time"
 
@@ -41,123 +46,68 @@ import (
 	"xks/internal/trace"
 )
 
-// Searcher is the search surface the service builds on. *xks.Corpus
-// implements it directly; wrap a single *xks.Engine with SingleDoc. It is
-// the one required interface of six: a searcher that also implements
-// Streamer (lazy fragment streams), Versioner (request-scoped version
-// tokens), Appender (tail appends), Compactor (delta folds) or
-// DeltaReporter (delta-index gauges) gets the matching service feature,
-// discovered by type assertion.
-type Searcher interface {
-	// Search runs the request — over every document, or over the one named
-	// by req.Document when non-empty; the error wraps
-	// xks.ErrUnknownDocument for names the searcher does not hold.
-	// Cancelling ctx (or req.Timeout) aborts the pipeline with ctx.Err().
-	Search(ctx context.Context, req xks.Request) (*xks.Results, error)
+// Backend is what the service serves: *xks.Corpus implements it directly;
+// wrap a single *xks.Engine with SingleDoc. It is an interface only so that
+// tests can substitute fakes.
+type Backend interface {
+	// Stream runs the request — over every document, or over the one named
+	// by req.Document when non-empty — as a lazily materializing fragment
+	// iterator plus a trailer func that, once the loop ends, reports the
+	// envelope (cursor, stats, truncation) for the fragments actually
+	// yielded. An error is yielded once and ends the sequence: it wraps
+	// xks.ErrUnknownDocument for names the backend does not hold, and
+	// cancelling ctx (or req.Timeout) aborts the pipeline with ctx.Err().
+	Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results)
 	// Documents lists the searchable documents.
 	Documents() []xks.DocumentInfo
-	// Generation changes whenever the underlying data changes; the cache
-	// tags entries with it to detect staleness.
-	Generation() uint64
-}
-
-// Streamer is the optional streaming surface of a Searcher: a lazily
-// materializing fragment iterator plus a trailer func that, once the loop
-// ends, reports the envelope (cursor, stats, truncation) for the fragments
-// actually yielded. *xks.Corpus implements it; SingleDoc adapts an engine.
-// Service.Stream uses it to serve NDJSON responses without buffering a
-// page, falling back to the buffered Search when the searcher does not
-// stream.
-type Streamer interface {
-	Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results)
-}
-
-// Versioner is the optional request-scoped versioning surface of a
-// Searcher: the token caching layers should tag req's entries with. A
-// snapshot-aware searcher narrows it — a document-filtered request gets a
-// token covering only that document, so appends to other documents never
-// evict its cached pages. Searchers without the method fall back to the
-// global Generation.
-type Versioner interface {
+	// VersionFor is the token req's cache entries are tagged with and its
+	// cursors validated against; it changes whenever data req can observe
+	// changes. A corpus narrows it — a document-filtered request gets a
+	// token covering only that document, so appends to other documents never
+	// evict its cached pages. The zero Request asks for the token of the
+	// whole backend.
 	VersionFor(req xks.Request) uint64
-}
-
-// Appender is the optional write surface of a Searcher: append a parsed
-// XML snippet under the identified parent node of the named document. The
-// service runs appends beside searches, so implementations take only the
-// snapshot-isolated tail path and refuse any other parent with
-// xks.ErrOffSpine.
-type Appender interface {
+	// AppendXML appends a parsed XML snippet under the identified parent
+	// node of the named document. The service runs appends beside searches,
+	// so implementations take only the snapshot-isolated tail path and
+	// refuse any other parent with xks.ErrOffSpine.
 	AppendXML(doc, parentDewey, snippet string) error
-}
-
-// Compactor is the optional maintenance surface of a Searcher: fold
-// accumulated delta segments into the base index, returning how many were
-// folded.
-type Compactor interface {
+	// Compact folds accumulated delta segments into the base index,
+	// returning how many were folded.
 	Compact(ctx context.Context) (int, error)
-}
-
-// DeltaReporter is the optional delta-index introspection surface of a
-// Searcher; the Prometheus endpoint exports its counters as the
-// xks_delta_* / xks_snapshots_pinned / xks_compactions_total /
-// xks_compaction_seconds families.
-type DeltaReporter interface {
+	// DeltaInfo reports the delta-index counters the Prometheus endpoint
+	// exports as the xks_delta_* / xks_snapshots_pinned /
+	// xks_compactions_total / xks_compaction_seconds families.
 	DeltaInfo() xks.DeltaInfo
 }
 
 var (
-	_ Searcher      = (*xks.Corpus)(nil)
-	_ Streamer      = (*xks.Corpus)(nil)
-	_ Versioner     = (*xks.Corpus)(nil)
-	_ Appender      = (*xks.Corpus)(nil)
-	_ Compactor     = (*xks.Corpus)(nil)
-	_ DeltaReporter = (*xks.Corpus)(nil)
-	_ Streamer      = SingleDoc{}
-	_ Versioner     = SingleDoc{}
-	_ Appender      = SingleDoc{}
-	_ Compactor     = SingleDoc{}
-	_ DeltaReporter = SingleDoc{}
+	_ Backend = (*xks.Corpus)(nil)
+	_ Backend = SingleDoc{}
 )
 
-// SingleDoc adapts one engine to the Searcher interface under a document
+// SingleDoc adapts one engine to the Backend interface under a document
 // name, so a single-file server and a corpus server share one serving path.
 type SingleDoc struct {
 	Name   string
 	Engine *xks.Engine
 }
 
-func (s SingleDoc) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	if req.Document != "" && req.Document != s.Name {
-		return nil, fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, req.Document)
-	}
-	res, err := s.Engine.Search(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return res.AsCorpus(s.Name), nil
-}
-
 // Stream adapts the engine's fragment stream to the corpus shape, tagging
 // fragments and the trailer with the document name.
 func (s SingleDoc) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results) {
-	if req.Document != "" && req.Document != s.Name {
-		err := fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, req.Document)
-		return func(yield func(xks.CorpusFragment, error) bool) {
-			yield(xks.CorpusFragment{}, err)
-		}, func() *xks.Results { return &xks.Results{Query: req.Query, NextOffset: -1} }
-	}
 	seq, trailer := s.Engine.Stream(ctx, req)
 	wrapped := func(yield func(xks.CorpusFragment, error) bool) {
-		for f, err := range seq {
-			if err != nil {
-				yield(xks.CorpusFragment{}, err)
-				return
-			}
-			if !yield(xks.CorpusFragment{Document: s.Name, Fragment: f}, nil) {
-				return
-			}
+		if req.Document != "" && req.Document != s.Name {
+			yield(xks.CorpusFragment{}, fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, req.Document))
+			return
 		}
+		seq(func(f *xks.Fragment, err error) bool {
+			if err != nil {
+				return yield(xks.CorpusFragment{}, err)
+			}
+			return yield(xks.CorpusFragment{Document: s.Name, Fragment: f}, nil)
+		})
 	}
 	return wrapped, func() *xks.Results { return trailer().AsCorpus(s.Name) }
 }
@@ -166,8 +116,6 @@ func (s SingleDoc) Documents() []xks.DocumentInfo {
 	ix := s.Engine.Index()
 	return []xks.DocumentInfo{{Name: s.Name, Words: ix.NumWords(), Nodes: ix.NumNodes()}}
 }
-
-func (s SingleDoc) Generation() uint64 { return s.Engine.Generation() }
 
 // VersionFor reports the engine's snapshot version token — the single
 // document is the whole corpus, so request scoping adds nothing.
@@ -198,87 +146,50 @@ type Config struct {
 	CacheShards int
 }
 
-// Service wraps a Searcher with caching, singleflight, and metrics.
+// Service wraps a Backend with caching, singleflight, and metrics.
 type Service struct {
-	searcher Searcher
-	cache    *lru.Cache[*Page]
-	// partials caches deadline-truncated pages (TruncMaterialize, bounded
-	// Limit) under the same key space as cache, so an identical retry
-	// resumes materialization at the cursor — re-entering the pipeline at
-	// Offset+len(prefix) — instead of reassembling the fragments that
-	// already finished. Entries are generation-tagged like the main cache;
-	// full-page semantics are untouched (a completed page always lands in
-	// cache, never here).
-	partials *lru.Cache[*xks.Results]
-	flight   group
-	metrics  Metrics
+	backend Backend
+	// cache holds full pages (hits) and, under the same keys, Truncated
+	// prefixes of bounded pages that an identical retry resumes from; store
+	// decides what goes in.
+	cache   *lru.Cache[*Page]
+	flight  group
+	metrics Metrics
 }
 
-// New builds the service over a searcher.
-func New(s Searcher, cfg Config) *Service {
-	sv := &Service{searcher: s}
+// New builds the service over a backend.
+func New(b Backend, cfg Config) *Service {
+	sv := &Service{backend: b}
 	if cfg.CacheSize > 0 {
 		sv.cache = lru.New[*Page](cfg.CacheSize, cfg.CacheShards)
-		sv.partials = lru.New[*xks.Results](cfg.CacheSize, cfg.CacheShards)
 	}
 	return sv
 }
 
 // Documents lists the searchable documents.
-func (sv *Service) Documents() []xks.DocumentInfo { return sv.searcher.Documents() }
+func (sv *Service) Documents() []xks.DocumentInfo { return sv.backend.Documents() }
 
-// Generation exposes the searcher's current data generation.
-func (sv *Service) Generation() uint64 { return sv.searcher.Generation() }
+// Generation exposes the backend's current data generation: the version
+// token of a request that can observe every document.
+func (sv *Service) Generation() uint64 { return sv.backend.VersionFor(xks.Request{}) }
 
 // Metrics exposes the live counters (read with Metrics().Snapshot()).
 func (sv *Service) Metrics() *Metrics { return &sv.metrics }
 
-// Append forwards a document append to the searcher's write surface. The
-// error reports searchers without one (Appender) and parents the tail path
-// cannot take (xks.ErrOffSpine). Snapshot-pinned cursors and cached pages
-// survive the append: cache entries are tagged with request-scoped version
-// tokens, so only pages that could observe the appended document go stale.
+// Append forwards a document append to the backend; the error reports
+// parents the tail path cannot take (xks.ErrOffSpine). Cache entries are
+// tagged with request-scoped version tokens, so only pages that could
+// observe the appended document go stale.
 func (sv *Service) Append(doc, parentDewey, snippet string) error {
-	a, ok := sv.searcher.(Appender)
-	if !ok {
-		return fmt.Errorf("xks: this searcher does not support appends")
-	}
-	return a.AppendXML(doc, parentDewey, snippet)
+	return sv.backend.AppendXML(doc, parentDewey, snippet)
 }
 
-// Compact forwards to the searcher's maintenance surface (Compactor),
-// folding accumulated delta segments into the base. Version tokens do not
-// change, so cached pages and outstanding cursors survive.
-func (sv *Service) Compact(ctx context.Context) (int, error) {
-	c, ok := sv.searcher.(Compactor)
-	if !ok {
-		return 0, fmt.Errorf("xks: this searcher does not support compaction")
-	}
-	return c.Compact(ctx)
-}
+// Compact folds the backend's accumulated delta segments into the base.
+// Version tokens do not change: cached pages and outstanding cursors survive.
+func (sv *Service) Compact(ctx context.Context) (int, error) { return sv.backend.Compact(ctx) }
 
-// DeltaInfo reports the searcher's delta-index state; ok is false when the
-// searcher does not expose one (DeltaReporter).
-func (sv *Service) DeltaInfo() (xks.DeltaInfo, bool) {
-	d, ok := sv.searcher.(DeltaReporter)
-	if !ok {
-		return xks.DeltaInfo{}, false
-	}
-	return d.DeltaInfo(), true
-}
-
-// generationFor is the version token req's cache entries are tagged with:
-// the searcher's request-scoped token when it has one (Versioner), the
-// global generation otherwise.
-func (sv *Service) generationFor(req xks.Request) uint64 {
-	if v, ok := sv.searcher.(Versioner); ok {
-		return v.VersionFor(req)
-	}
-	return sv.searcher.Generation()
-}
-
-// CacheLen reports the number of live cache entries (0 when caching is
-// disabled).
+// CacheLen reports the number of live cache entries, resumable prefixes
+// included (0 when caching is disabled).
 func (sv *Service) CacheLen() int {
 	if sv.cache == nil {
 		return 0
@@ -307,7 +218,8 @@ func (sv *Service) CacheBodyBytes() int64 {
 // happens inside the engine). The variable-length fields are
 // length-prefixed so no two distinct requests can concatenate to the same
 // key — with plain separators, a separator embedded in the query could
-// alias another request's document filter.
+// alias another request's document filter. The cursor is not keyed: admit
+// resolves it into Offset first, and a pinned request is never cached.
 //
 // The requested Strategy is keyed; what the planner resolves it to is not.
 // Every strategy computes the same answer, so a page cached under one plan
@@ -324,16 +236,172 @@ func cacheKey(req xks.Request) string {
 	b = strconv.AppendInt(b, int64(len(req.Document)), 10)
 	b = append(b, ':')
 	b = append(b, req.Document...)
-	// Cursors are resolved to an Offset (and cleared) before keying; the
-	// raw token is still mixed in defensively so an unresolved request can
-	// never alias a resolved one.
-	b = strconv.AppendInt(b, int64(len(req.Cursor)), 10)
-	b = append(b, ':')
-	b = append(b, req.Cursor...)
 	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d.%d",
 		req.Algorithm, req.Semantics, req.ExactContent, req.Rank, req.Limit, req.Offset,
 		req.Strategy)
 	return string(b)
+}
+
+// lookup is what the front half SearchPage and Stream share (admit) found
+// out about a request before anything executes.
+type lookup struct {
+	// req is the request with its cursor resolved into Offset — unless the
+	// cursor is pinned, in which case it is the request as received.
+	req xks.Request
+	// gen is the version token req's cache entry is tagged with.
+	gen uint64
+	// key is the cache and singleflight key. It is empty for a pinned
+	// cursor: one from an older version token that the backend may still
+	// resolve, because cursors pin the snapshot they were issued at (delta
+	// truncation in the engine, the snapshot registry in the corpus). Such a
+	// page is served straight from the backend, uncached — no current cache
+	// entry should replay an old snapshot — and only a genuinely
+	// unresolvable one surfaces xks.ErrStaleCursor.
+	key string
+	// hit is the cached page; prefix a cached Truncated prefix of it that a
+	// retry resumes from. At most one is set.
+	hit, prefix *Page
+}
+
+func (l *lookup) pinned() bool { return l.key == "" }
+
+// admit is the front half of every request: version token → cursor
+// resolution → cache lookup. The token is captured before searching: if the
+// data mutates while the pipeline runs, the entry is stored under the old
+// token and dies on its next lookup instead of serving stale results
+// forever. A cursor is validated against that same token before any cache
+// lookup: a replay against a different query shape fails with
+// xks.ErrCursorMismatch, an undecodable one with xks.ErrBadCursor, and one
+// from an older token is pinned.
+func (sv *Service) admit(ctx context.Context, req xks.Request) (l lookup, err error) {
+	l.gen = sv.backend.VersionFor(req)
+	l.req, err = req.ResolveCursor(l.gen)
+	if err != nil {
+		if errors.Is(err, xks.ErrStaleCursor) {
+			err = nil
+		}
+		return l, err
+	}
+	l.key = cacheKey(l.req)
+	// Annotate the request's trace (when one is attached) with the serving
+	// decisions the pipeline itself cannot see; a nil span makes these
+	// free no-ops.
+	sp := trace.SpanFromContext(ctx)
+	sp.SetInt("generation", int64(l.gen))
+	if sv.cache == nil {
+		sp.SetStr("cache", "off")
+		return l, nil
+	}
+	if p, ok := sv.cache.Get(l.key, l.gen); ok {
+		if !p.Truncated {
+			sv.metrics.hits.Add(1)
+			sp.SetStr("cache", "hit")
+			l.hit = p
+			return l, nil
+		}
+		l.prefix = p
+	}
+	sv.metrics.misses.Add(1)
+	sp.SetStr("cache", "miss")
+	return l, nil
+}
+
+// run is the one place the backend executes. It drives the backend's
+// stream for req, handing each fragment to yield as it materializes (nil
+// for a buffered page) and collecting the page when collect is set, and
+// returns the stream's envelope — the collected page as its Fragments — and
+// whether the stream ran to its end rather than being abandoned by yield.
+// Only these executions feed the per-stage histograms; cache hits and
+// collapsed joins never ran the stages.
+func (sv *Service) run(ctx context.Context, req xks.Request, collect bool, yield func(StreamedFragment, error) bool) (res *xks.Results, drained bool, err error) {
+	seq, trailer := sv.backend.Stream(ctx, req)
+	// The loop body is a closure the backend calls, so every variable it
+	// writes costs the request a heap allocation: it writes one.
+	var loop struct {
+		page      []xks.CorpusFragment
+		err       error
+		abandoned bool
+	}
+	for f, err := range seq {
+		if err != nil {
+			loop.err = err
+			break
+		}
+		if collect {
+			loop.page = append(loop.page, f)
+		}
+		if yield != nil && !yield(StreamedFragment{CorpusFragment: f}, nil) {
+			loop.abandoned = true
+			break
+		}
+	}
+	if loop.err != nil {
+		return nil, false, loop.err
+	}
+	res = trailer()
+	sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
+	res.Fragments = loop.page
+	return res, !loop.abandoned, nil
+}
+
+// buffered drains the backend's stream for req into a page, under the
+// singleflight group: concurrent callers with the same flight key share one
+// execution and the page it stored for l.
+func (sv *Service) buffered(ctx context.Context, flightKey string, req xks.Request, l *lookup) (*Page, bool, error) {
+	return sv.flight.do(ctx, flightKey, func() (*Page, error) {
+		r, _, err := sv.run(ctx, req, true, nil)
+		if err != nil {
+			return nil, err
+		}
+		return sv.store(l, r), nil
+	})
+}
+
+// store puts one completed execution's page where an identical request
+// will find it and returns the page to serve: a full page becomes the key's
+// cache entry (and retains its encoding); a bounded page the deadline cut
+// short mid-materialization becomes the key's resumable prefix; anything
+// else — candidate-stage truncations, whose fragments were salvaged from a
+// partial corpus and are not a definitive prefix, unbounded pages — is not
+// kept. Nor is a page without a lookup: it is no request's whole answer.
+func (sv *Service) store(l *lookup, r *xks.Results) *Page {
+	p := &Page{Results: r}
+	switch {
+	case l == nil || sv.cache == nil:
+	case !r.Truncated:
+		p.cached = true
+		sv.cache.Put(l.key, l.gen, p)
+	case r.Truncation == xks.TruncMaterialize && l.req.Limit > 0 &&
+		len(r.Fragments) > 0 && len(r.Fragments) < l.req.Limit:
+		sv.cache.Put(l.key, l.gen, p)
+	}
+	return p
+}
+
+// resume serves a request whose cache entry is a truncated prefix of its
+// page: the pipeline re-enters at the cursor — Offset advanced past the
+// prefix, Limit shrunk to the remainder, a derived singleflight key so
+// concurrent retries still collapse — and the prefix is stitched onto
+// whatever the continuation yields, instead of reassembling the fragments
+// that already finished. A completed stitch overwrites the entry with the
+// full page; a still-truncated one with the longer prefix. The combined
+// envelope carries the continuation's cursor, truncation state, and stats
+// (the prefix's cost was paid — and reported — by the request that
+// assembled it).
+func (sv *Service) resume(ctx context.Context, l *lookup) (*Page, error) {
+	sv.metrics.partialResumes.Add(1)
+	prefix := l.prefix.Fragments
+	cont := l.req
+	cont.Offset += len(prefix)
+	cont.Limit -= len(prefix)
+	tail, _, err := sv.buffered(ctx, l.key+"|partial:"+strconv.Itoa(len(prefix)), cont, nil)
+	if err != nil {
+		return nil, err
+	}
+	trace.SpanFromContext(ctx).SetStr("cache", "partial")
+	combined := *tail.Results
+	combined.Fragments = slices.Concat(prefix, tail.Fragments)
+	return sv.store(l, &combined), nil
 }
 
 // Search is SearchPage for callers that want only the results.
@@ -346,22 +414,15 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 }
 
 // SearchPage serves one request — over the whole corpus, or over the
-// document named by req.Document when non-empty. cached reports whether the
-// page came from the cache. The returned page is shared with other callers
-// — do not mutate it.
-//
-// A request carrying a Cursor is validated here, against the same
-// generation cache entries are tagged with, before any cache lookup: a
-// stale token fails with xks.ErrStaleCursor (the data mutated since the
-// page was issued), a replay against a different query shape with
-// xks.ErrCursorMismatch, an undecodable one with xks.ErrBadCursor.
+// document named by req.Document when non-empty — as a buffered page: the
+// cached one (cached is then set), or the backend's stream drained. The
+// returned page is shared with other callers — do not mutate it.
 //
 // ctx cancellation (and req.Timeout) aborts the request with ctx.Err():
 // a cancelled cache hit is still served, a cancelled pipeline execution is
 // abandoned mid-stream, and a cancelled singleflight waiter detaches from
-// its leader immediately. Truncated results (a BestEffort deadline expired
-// mid-page) are served but never cached — the next identical request runs
-// the pipeline again rather than replaying a partial page.
+// its leader immediately. A Truncated page (a BestEffort deadline expired
+// mid-page) is never a hit: the next identical request runs the pipeline.
 func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page, cached bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -375,166 +436,60 @@ func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page,
 		sv.metrics.observe(time.Since(start))
 	}()
 
-	// Capture the version token before searching: if the data mutates while
-	// the pipeline runs, the entry is stored under the old token and dies
-	// on its next lookup instead of serving stale results forever. The
-	// token is request-scoped (generationFor): a document-filtered entry is
-	// tagged with its own document's token, so appends elsewhere in the
-	// corpus never evict it.
-	gen := sv.generationFor(req)
-	req, err = req.ResolveCursor(gen)
-	if err != nil {
-		if !errors.Is(err, xks.ErrStaleCursor) {
-			return nil, false, err
-		}
-		// The cursor does not match the current token, but the searcher may
-		// still resolve it: cursors pin the snapshot they were issued at
-		// (delta truncation in the engine, the snapshot registry in the
-		// corpus). Serve the pinned page directly, uncached — it belongs to
-		// an old snapshot no current cache entry should replay. Only a
-		// genuinely unresolvable snapshot surfaces ErrStaleCursor.
-		res, err := sv.searcher.Search(ctx, req)
-		if err != nil {
-			return nil, false, err
-		}
-		sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
-		return &Page{Results: res}, false, nil
-	}
-	key := cacheKey(req)
-	// Annotate the request's trace (when one is attached) with the serving
-	// decisions the pipeline itself cannot see; a nil span makes these
-	// free no-ops.
-	sp := trace.SpanFromContext(ctx)
-	sp.SetInt("generation", int64(gen))
-	if sv.cache != nil {
-		if hit, ok := sv.cache.Get(key, gen); ok {
-			sv.metrics.hits.Add(1)
-			sp.SetStr("cache", "hit")
-			return hit, true, nil
-		}
-		sv.metrics.misses.Add(1)
-		sp.SetStr("cache", "miss")
-		if r, ok, perr := sv.resumePartial(ctx, key, gen, req); ok {
-			if perr != nil {
-				return nil, false, perr
-			}
-			sp.SetStr("cache", "partial")
-			return r, false, nil
-		}
-	} else {
-		sp.SetStr("cache", "off")
-	}
-
-	page, shared, err := sv.flight.do(ctx, key, func() (*Page, error) {
-		r, err := sv.searcher.Search(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		// Only real executions feed the per-stage histograms; cache
-		// hits and collapsed joins never ran the stages.
-		sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-		return sv.store(key, gen, req, r), nil
-	})
-	if shared {
-		sv.metrics.collapsed.Add(1)
-		sp.SetBool("collapsed", true)
-	}
+	l, err := sv.admit(ctx, req)
 	if err != nil {
 		return nil, false, err
 	}
-	return page, false, nil
+	if l.hit != nil {
+		return l.hit, true, nil
+	}
+	page, err = sv.miss(ctx, l)
+	return page, false, err
 }
 
-// store routes one completed execution's page into the right cache: a full
-// page into the main cache, a materialize-truncated bounded partial page
-// into the partial-page cache (so an identical retry resumes at the
-// cursor), and everything else — candidate-stage truncations, whose
-// fragments were salvaged from a partial corpus and are not a definitive
-// prefix, and unbounded pages — nowhere. It returns the page to serve; only
-// a page that went into the main cache retains its encoding.
-func (sv *Service) store(key string, gen uint64, req xks.Request, r *xks.Results) *Page {
-	p := &Page{Results: r}
+// miss produces the buffered page of a request the cache could not answer.
+// It takes the lookup by value, so a hit never pays for moving one to the
+// heap.
+func (sv *Service) miss(ctx context.Context, l lookup) (*Page, error) {
 	switch {
-	case sv.cache == nil:
-	case !r.Truncated:
-		p.cached = true
-		sv.cache.Put(key, gen, p)
-	case r.Truncation == xks.TruncMaterialize && req.Limit > 0 &&
-		len(r.Fragments) > 0 && len(r.Fragments) < req.Limit:
-		sv.partials.Put(key, gen, r)
-	}
-	return p
-}
-
-// resumePartial serves a cache miss from the partial-page cache when an
-// earlier identical request materialized a truncated prefix of this page:
-// the pipeline re-enters at the cursor — Offset advanced past the prefix,
-// Limit shrunk to the remainder, a derived singleflight key so concurrent
-// retries still collapse — and the cached prefix is stitched onto whatever
-// the continuation yields. A completed stitch is promoted to the main
-// cache; a still-truncated one replaces the partial entry with the longer
-// prefix. ok=false means no usable partial page exists and the caller runs
-// the full pipeline; the combined envelope carries the continuation's
-// cursor, truncation state, and stats (the prefix's cost was paid — and
-// reported — by the request that assembled it).
-func (sv *Service) resumePartial(ctx context.Context, key string, gen uint64, req xks.Request) (page *Page, ok bool, err error) {
-	if sv.partials == nil || req.Limit <= 0 {
-		return nil, false, nil
-	}
-	part, found := sv.partials.Get(key, gen)
-	if !found {
-		return nil, false, nil
-	}
-	n := len(part.Fragments)
-	if n == 0 || n >= req.Limit {
-		return nil, false, nil
-	}
-	sv.metrics.partialResumes.Add(1)
-	cont := req
-	cont.Offset += n
-	cont.Limit -= n
-	ckey := fmt.Sprintf("%s|partial:%d", key, n)
-	tail, _, err := sv.flight.do(ctx, ckey, func() (*Page, error) {
-		r, err := sv.searcher.Search(ctx, cont)
+	case l.pinned():
+		res, _, err := sv.run(ctx, l.req, true, nil)
 		if err != nil {
 			return nil, err
 		}
-		sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-		return &Page{Results: r}, nil
-	})
-	if err != nil {
-		return nil, true, err
+		return &Page{Results: res}, nil
+	case l.prefix != nil:
+		return sv.resume(ctx, &l)
 	}
-	combined := *tail.Results
-	combined.Fragments = append(append(
-		make([]xks.CorpusFragment, 0, n+len(tail.Fragments)), part.Fragments...), tail.Fragments...)
-	return sv.store(key, gen, req, &combined), true, nil
+	page, shared, err := sv.buffered(ctx, l.key, l.req, &l)
+	if shared {
+		sv.metrics.collapsed.Add(1)
+		trace.SpanFromContext(ctx).SetBool("collapsed", true)
+	}
+	return page, err
 }
 
 // Stream serves one request as a fragment stream: the iterator yields
-// materialized fragments as the pipeline produces them, and the trailer
-// func — valid once the loop ends — carries the envelope (cursor, stats,
-// truncation) for what was actually yielded; like the searcher streams
-// underneath, the trailer never retains the fragments themselves. Sources,
-// in order:
+// fragments as the pipeline materializes them, and the trailer func — valid
+// once the loop ends — carries the envelope (cursor, stats, truncation) for
+// what was actually yielded; like the backend streams underneath, it never
+// retains the fragments themselves. Sources, in order:
 //
 //   - a cache hit replays the cached page fragment by fragment;
 //   - a miss with an identical buffered query already in flight joins it
 //     (singleflight) and replays its page;
-//   - otherwise the searcher's own stream runs (Streamer), lazily — a
-//     consumer that breaks early leaves the remaining candidates
-//     unmaterialized; searchers that cannot stream fall back to one
-//     buffered Search.
+//   - a miss whose cache entry is a truncated prefix resumes it (buffered,
+//     like a hit) and replays the stitched page;
+//   - otherwise the backend's stream runs, lazily — a consumer that breaks
+//     early leaves the remaining candidates unmaterialized.
 //
 // A consumer that abandons a replayed page early still gets an honest
-// trailer: the cursor is re-pointed to resume after the last fragment it
-// received (ResumePoint), not after the page it never saw.
+// trailer, re-pointed to resume after the last fragment it received.
 //
 // A live stream with a bounded page (Limit > 0) that drains completely
-// (and was not truncated) caches its page under the generation snapshot,
-// so the next identical request — buffered or streamed — hits. Unbounded
-// scrolls are not collected for caching, keeping server-side memory O(1)
-// however large the result set; abandoned or truncated streams cache
+// caches its page, so the next identical request — buffered or streamed —
+// hits. Unbounded scrolls are not collected for caching, keeping server-side
+// memory O(1) however large the result set; an abandoned stream caches
 // nothing either way.
 func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[StreamedFragment, error], func() *xks.Results) {
 	res := &xks.Results{Query: req.Query, NextOffset: -1}
@@ -546,137 +501,51 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[Strea
 		sv.metrics.requests.Add(1)
 		sv.metrics.streamed.Add(1)
 		var err error
+		// Every failure below happens before the consumer could have
+		// stopped the loop, so the one error is yielded from here.
 		defer func() {
 			if err != nil {
 				sv.metrics.observeError(err)
+				yield(StreamedFragment{}, err)
 			}
 			sv.metrics.observe(time.Since(start))
 		}()
 
-		gen := sv.generationFor(req)
-		req, err = req.ResolveCursor(gen)
+		l, err := sv.admit(ctx, req)
 		if err != nil {
-			if !errors.Is(err, xks.ErrStaleCursor) {
-				yield(StreamedFragment{}, err)
-				return
-			}
-			// Snapshot-pinned resume (see Search): the searcher can often
-			// still resolve a cursor whose token predates the current
-			// snapshot. Stream it directly, uncached.
-			err = nil
-			if st, ok := sv.searcher.(Streamer); ok {
-				sseq, strailer := st.Stream(ctx, req)
-				for f, ferr := range sseq {
-					if ferr != nil {
-						err = ferr
-						yield(StreamedFragment{}, ferr)
-						return
-					}
-					if !yield(StreamedFragment{CorpusFragment: f}, nil) {
-						break
-					}
-				}
-				t := strailer()
-				*res = *t
-				sv.metrics.observeStages(t.Stats.Stages, t.Truncated)
-				return
-			}
-			r, serr := sv.searcher.Search(ctx, req)
-			if serr != nil {
-				err = serr
-				yield(StreamedFragment{}, serr)
-				return
-			}
-			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-			*res = *replay(&Page{Results: r}, req, gen, yield)
 			return
 		}
-		key := cacheKey(req)
-		sp := trace.SpanFromContext(ctx)
-		sp.SetInt("generation", int64(gen))
-		if sv.cache != nil {
-			if hit, ok := sv.cache.Get(key, gen); ok {
-				sv.metrics.hits.Add(1)
-				sp.SetStr("cache", "hit")
-				*res = *replay(hit, req, gen, yield)
+		ready := l.hit
+		if ready == nil && !l.pinned() {
+			// Join an identical buffered execution already in flight
+			// instead of running the pipeline a second time; failing that,
+			// resume a truncated prefix of this exact page.
+			var joined bool
+			if ready, err, joined = sv.flight.poll(ctx, l.key); joined && err == nil {
+				sv.metrics.collapsed.Add(1)
+				trace.SpanFromContext(ctx).SetBool("collapsed", true)
+			} else if !joined && l.prefix != nil {
+				ready, err = sv.resume(ctx, &l)
+			}
+			if err != nil {
 				return
 			}
-			sv.metrics.misses.Add(1)
-			sp.SetStr("cache", "miss")
-		} else {
-			sp.SetStr("cache", "off")
 		}
-		// Join an identical buffered execution already in flight instead
-		// of running the pipeline a second time.
-		if joined, jerr, ok := sv.flight.poll(ctx, key); ok {
-			if jerr != nil {
-				err = jerr
-				yield(StreamedFragment{}, jerr)
-				return
-			}
-			sv.metrics.collapsed.Add(1)
-			sp.SetBool("collapsed", true)
-			*res = *replay(joined, req, gen, yield)
+		if ready != nil {
+			*res = *replay(ready, l.req, l.gen, yield)
 			return
 		}
-		// A truncated prefix of this exact page may be cached: resume at
-		// the cursor (buffered, like a cache-hit replay) instead of
-		// reassembling the fragments that already finished.
-		if r, ok, perr := sv.resumePartial(ctx, key, gen, req); ok {
-			if perr != nil {
-				err = perr
-				yield(StreamedFragment{}, perr)
-				return
-			}
-			sp.SetStr("cache", "partial")
-			*res = *replay(r, req, gen, yield)
-			return
-		}
-
-		st, ok := sv.searcher.(Streamer)
-		if !ok {
-			// Buffered fallback for searchers that cannot stream.
-			r, serr := sv.searcher.Search(ctx, req)
-			if serr != nil {
-				err = serr
-				yield(StreamedFragment{}, serr)
-				return
-			}
-			sv.metrics.observeStages(r.Stats.Stages, r.Truncated)
-			*res = *replay(sv.store(key, gen, req, r), req, gen, yield)
-			return
-		}
-		sseq, strailer := st.Stream(ctx, req)
 		// Collect the page for caching only when it is bounded: an
 		// unlimited scroll must not pin every streamed fragment in memory.
-		collect := sv.cache != nil && req.Limit > 0
-		var page []xks.CorpusFragment
-		complete := true
-		for f, ferr := range sseq {
-			if ferr != nil {
-				err = ferr
-				complete = false
-				break
-			}
-			if collect {
-				page = append(page, f)
-			}
-			if !yield(StreamedFragment{CorpusFragment: f}, nil) {
-				complete = false
-				break
-			}
-		}
-		t := strailer()
-		*res = *t
+		collect := sv.cache != nil && l.req.Limit > 0 && !l.pinned()
+		t, drained, err := sv.run(ctx, l.req, collect, yield)
 		if err != nil {
-			yield(StreamedFragment{}, err)
 			return
 		}
-		sv.metrics.observeStages(t.Stats.Stages, t.Truncated)
-		if complete && collect {
-			full := *t
-			full.Fragments = page
-			sv.store(key, gen, req, &full)
+		*res = *t
+		res.Fragments = nil
+		if drained && collect {
+			sv.store(&l, t)
 		}
 	}
 	return seq, func() *xks.Results { return res }

@@ -156,24 +156,25 @@ func TestCorpusAddInvalidatesCache(t *testing.T) {
 	}
 }
 
-// countingSearcher wraps a Searcher, counting and optionally slowing the
+// countingSearcher wraps a backend, counting and optionally slowing the
 // underlying executions so singleflight collapsing is observable.
 type countingSearcher struct {
-	service.Searcher
+	service.Buffered
 	execs atomic.Int64
-	delay time.Duration
 }
 
-func (cs *countingSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	cs.execs.Add(1)
-	if cs.delay > 0 {
-		time.Sleep(cs.delay)
-	}
-	return cs.Searcher.Search(ctx, req)
+func newCountingSearcher(inner service.Backend, delay time.Duration) *countingSearcher {
+	cs := &countingSearcher{}
+	cs.Buffered = service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+		cs.execs.Add(1)
+		time.Sleep(delay)
+		return service.Drain(ctx, inner, req)
+	}}
+	return cs
 }
 
 func TestSingleflightCollapsesHerd(t *testing.T) {
-	cs := &countingSearcher{Searcher: testCorpus(t), delay: 50 * time.Millisecond}
+	cs := newCountingSearcher(testCorpus(t), 50*time.Millisecond)
 	// Cache disabled: every request would run the pipeline without
 	// singleflight.
 	sv := service.New(cs, service.Config{})
@@ -357,24 +358,21 @@ func TestCursorScrollStalenessAndMismatch(t *testing.T) {
 
 // truncatingSearcher marks every result truncated, standing in for a
 // pipeline whose best-effort deadline always expires mid-page.
-type truncatingSearcher struct {
-	service.Searcher
-}
-
-func (ts truncatingSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	r, err := ts.Searcher.Search(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	rr := *r
-	rr.Truncated = true
-	return &rr, nil
+func truncatingSearcher(inner service.Backend) service.Backend {
+	return service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+		r, err := service.Drain(ctx, inner, req)
+		if err != nil {
+			return nil, err
+		}
+		r.Truncated = true
+		return r, nil
+	}}
 }
 
 // TestTruncatedResultsNotCached: a partial (truncated) page must never be
 // served from the cache as if it were the full answer.
 func TestTruncatedResultsNotCached(t *testing.T) {
-	sv := service.New(truncatingSearcher{Searcher: testCorpus(t)}, service.Config{CacheSize: 16})
+	sv := service.New(truncatingSearcher(testCorpus(t)), service.Config{CacheSize: 16})
 	for i := 0; i < 3; i++ {
 		res, cached, err := sv.Search(context.Background(), xks.Request{Query: "liu keyword", Budget: xks.BestEffort})
 		if err != nil {
@@ -395,22 +393,24 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 // truncateOnceSearcher truncates its first execution (after a delay long
 // enough for joiners to pile up) and answers fully from then on.
 type truncateOnceSearcher struct {
-	service.Searcher
+	service.Buffered
 	calls atomic.Int64
-	delay time.Duration
 }
 
-func (ts *truncateOnceSearcher) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
-	n := ts.calls.Add(1)
-	r, err := ts.Searcher.Search(ctx, req)
-	if err != nil || n > 1 {
-		return r, err
-	}
-	time.Sleep(ts.delay)
-	rr := *r
-	rr.Truncated = true
-	rr.Fragments = rr.Fragments[:1]
-	return &rr, nil
+func newTruncateOnceSearcher(inner service.Backend, delay time.Duration) *truncateOnceSearcher {
+	ts := &truncateOnceSearcher{}
+	ts.Buffered = service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+		n := ts.calls.Add(1)
+		r, err := service.Drain(ctx, inner, req)
+		if err != nil || n > 1 {
+			return r, err
+		}
+		time.Sleep(delay)
+		r.Truncated = true
+		r.Fragments = r.Fragments[:1]
+		return r, nil
+	}}
+	return ts
 }
 
 // TestFlightDoesNotShareTruncatedPage: a leader whose BestEffort deadline
@@ -418,7 +418,7 @@ func (ts *truncateOnceSearcher) Search(ctx context.Context, req xks.Request) (*x
 // joiners — a Strict waiter with a generous deadline re-runs the pipeline
 // and gets full results.
 func TestFlightDoesNotShareTruncatedPage(t *testing.T) {
-	ts := &truncateOnceSearcher{Searcher: testCorpus(t), delay: 50 * time.Millisecond}
+	ts := newTruncateOnceSearcher(testCorpus(t), 50*time.Millisecond)
 	sv := service.New(ts, service.Config{}) // cache off: the flight is the only sharing path
 
 	var wg sync.WaitGroup
@@ -568,7 +568,7 @@ func TestStreamServesCachesAndReplays(t *testing.T) {
 // identical buffered query is mid-flight joins it (singleflight) and
 // replays its page instead of running the pipeline twice.
 func TestStreamJoinsInflightBufferedQuery(t *testing.T) {
-	cs := &countingSearcher{Searcher: testCorpus(t), delay: 50 * time.Millisecond}
+	cs := newCountingSearcher(testCorpus(t), 50*time.Millisecond)
 	sv := service.New(cs, service.Config{}) // cache off: only the flight can collapse
 
 	var wg sync.WaitGroup

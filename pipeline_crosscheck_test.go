@@ -29,11 +29,61 @@ import (
 	"xks/internal/workload"
 )
 
+// codeSource is the Dewey-code view of an engine's node table and document
+// source the eager reference path runs on: a code resolves to its table ID
+// (nid.Table.Find) and the ID accessors answer.
+type codeSource struct {
+	e   *Engine
+	tab *nid.Table
+}
+
+func codeSourceOf(e *Engine) codeSource { return codeSource{e: e, tab: e.head.Load().Tab} }
+
+func (s codeSource) id(c dewey.Code) nid.ID {
+	id, ok := s.tab.Find(c)
+	if !ok {
+		panic("eager path looked up a node outside the table: " + c.String())
+	}
+	return id
+}
+
+func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.labelOfID(s.id(c)) }
+
+func (s codeSource) contentOf(c dewey.Code) []string { return s.e.src.contentOfID(s.id(c)) }
+
+// nodeText is the node's own text; the store keeps none.
+func (s codeSource) nodeText(c dewey.Code) string {
+	if st := s.e.src.pin(); st != nil {
+		return st.nodes[s.id(c)].Text
+	}
+	return ""
+}
+
+// resolveSets is the Dewey-code view of resolveIDSetsAt over the newest
+// state.
+func (s codeSource) resolveSets(queryText string) (display, idfWords []string, sets [][]dewey.Code, err error) {
+	v := s.e.currentView()
+	defer v.release()
+	display, idfWords, idSets, err := s.e.resolveIDSetsAt(v, queryText)
+	if err != nil {
+		return display, idfWords, nil, err
+	}
+	sets = make([][]dewey.Code, len(idSets))
+	for i, ids := range idSets {
+		sets[i] = make([]dewey.Code, len(ids))
+		for j, id := range ids {
+			sets[i][j] = s.tab.Code(id)
+		}
+	}
+	return display, idfWords, sets, nil
+}
+
 // eagerSearch is the pre-refactor Engine.Search: assemble every fragment,
 // then rank, then truncate.
 func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 	res := &Result{Query: queryText, NextOffset: -1}
-	words, idfWords, sets, err := e.resolveSets(queryText)
+	src := codeSourceOf(e)
+	words, idfWords, sets, err := src.resolveSets(queryText)
 	if err != nil {
 		var nm *index.ErrNoMatch
 		if errors.As(err, &nm) {
@@ -62,9 +112,9 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragment(r, e.labelOf, e.contentOf, pruneOpts)
+		f := prune.BuildFragment(r, src.labelOf, src.contentOf, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
-		res.Fragments = append(res.Fragments, eagerAssemble(e, r, kept, allRoots, words, idfWords))
+		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}
 
 	if opts.Rank {
@@ -89,21 +139,17 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 }
 
 // eagerAssemble is the pre-refactor Engine.assemble.
-func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
+func eagerAssemble(src codeSource, r *rtf.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
 	// A Fragment carries its keep-set as table IDs; the code-built eager path
 	// has none, so look each kept code up.
-	tab := e.head.Load().Tab
+	e, tab := src.e, src.tab
 	keptIDs := make([]nid.ID, len(kept.Kept))
 	for i, c := range kept.Kept {
-		id, ok := tab.Find(c)
-		if !ok {
-			panic("eager fragment kept a node outside the table: " + c.String())
-		}
-		keptIDs[i] = id
+		keptIDs[i] = src.id(c)
 	}
 	f := &Fragment{
 		Root:      r.Root.String(),
-		RootLabel: e.src.labelOf(r.Root),
+		RootLabel: src.labelOf(r.Root),
 		IsSLCA:    r.IsSLCA(allRoots),
 		rootCode:  r.Root,
 		tab:       tab,
@@ -119,8 +165,8 @@ func eagerAssemble(e *Engine, r *rtf.RTF, kept *prune.Result, allRoots []dewey.C
 	for _, c := range kept.Kept {
 		fn := FragmentNode{
 			Dewey: c.String(),
-			Label: e.src.labelOf(c),
-			Text:  e.src.nodeText(c),
+			Label: src.labelOf(c),
+			Text:  src.nodeText(c),
 			Level: c.Level(),
 		}
 		if mask, ok := matched[c.Key()]; ok {
@@ -154,7 +200,7 @@ func eagerCorpusSearch(c *Corpus, query string, opts Options) (*Results, error) 
 		name string
 		res  *Result
 	}
-	outs, err := concurrent.Map(c.Names(), c.Workers, func(name string) (docOut, error) {
+	outs, err := concurrent.MapCtx(nil, c.Names(), c.Workers, func(name string) (docOut, error) {
 		res, err := eagerSearch(c.engines[name], query, docOpts)
 		if err != nil {
 			return docOut{}, fmt.Errorf("xks: document %s: %w", name, err)

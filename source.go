@@ -17,18 +17,14 @@ import (
 
 // docSource abstracts where node labels, content and rendering come from:
 // the parsed tree (FromTree / Load*) or the shredded store (FromStore).
-// The hot path addresses nodes by table ID (labelOfID/contentOfID —
-// constant-time, allocation-free lookups — and, for a tree's labels and
-// texts during assembly, the pinned srcState directly); the code-based forms
-// remain for the reference/eager paths and label-predicate display.
+// Nodes are addressed by table ID (labelOfID/contentOfID — constant-time,
+// allocation-free lookups — and, for a tree's labels and texts during
+// assembly, the pinned srcState directly).
 // Renderers receive the fragment itself: both XML renderers walk its kept IDs
 // (f.keptIDs, pre-order and ancestor-closed), resolve nodes by ID and read
 // depths off the fragment's node table; only the ASCII tree renderer and
 // Contains take the dewey-keyed map (f.keepSet, built on first use).
 type docSource interface {
-	labelOf(c dewey.Code) string
-	contentOf(c dewey.Code) []string
-	nodeText(c dewey.Code) string
 	labelOfID(id nid.ID) string
 	contentOfID(id nid.ID) []string
 	// pin returns the ID-aligned tables a fragment materialized now renders
@@ -45,8 +41,8 @@ type docSource interface {
 //
 // Concurrency: the tail-append write path mutates the tree (AppendChild
 // touches the parent's child slice and the tree's key map) while readers
-// walk it, so structural access is guarded by mu — shared for NodeAt
-// lookups and ASCII renders, exclusive for appendChild. The ID-aligned
+// walk it, so structural access is guarded by mu — shared for ASCII
+// renders, exclusive for appendChild. The ID-aligned
 // tables live in an atomically swapped srcState instead: the hot path
 // (labelOfID/contentOfID during pruning and scoring, XML rendering) stays
 // lock-free. The tables follow the shared-backing discipline of
@@ -110,33 +106,6 @@ func (s *treeSource) extend(nodes []*xmltree.Node, words [][]string) {
 }
 
 func (s *treeSource) pin() *srcState { return s.state.Load() }
-
-func (s *treeSource) nodeAt(c dewey.Code) *xmltree.Node {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.NodeAt(c)
-}
-
-func (s *treeSource) labelOf(c dewey.Code) string {
-	if n := s.nodeAt(c); n != nil {
-		return n.Label
-	}
-	return ""
-}
-
-func (s *treeSource) contentOf(c dewey.Code) []string {
-	if n := s.nodeAt(c); n != nil {
-		return s.an.ContentSet(n.ContentPieces()...)
-	}
-	return nil
-}
-
-func (s *treeSource) nodeText(c dewey.Code) string {
-	if n := s.nodeAt(c); n != nil {
-		return n.Text
-	}
-	return ""
-}
 
 func (s *treeSource) labelOfID(id nid.ID) string {
 	if st := s.state.Load(); int(id) < len(st.nodes) {
@@ -288,12 +257,6 @@ func appendXMLEscaped(b []byte, s string) []byte {
 type storeSource struct {
 	st *store.Store
 }
-
-func (s *storeSource) labelOf(c dewey.Code) string { return s.st.LabelOf(c) }
-
-func (s *storeSource) contentOf(c dewey.Code) []string { return s.st.ContentOf(c) }
-
-func (s *storeSource) nodeText(c dewey.Code) string { return "" }
 
 func (s *storeSource) labelOfID(id nid.ID) string { return s.st.LabelAt(int(id)) }
 
