@@ -262,6 +262,39 @@ func TestWideGroupAllocsDoNotScale(t *testing.T) {
 	}
 }
 
+// TestUnrankedPageAllocsDoNotScale pins the deferred-events page: an
+// unranked SLCA limit=10 page builds its candidates from the roots alone and
+// hydrates events for its ten fragments only, so it allocates the same
+// number of objects whether the query has 40 roots or 400 — nothing per
+// root that the page does not return.
+func TestUnrankedPageAllocsDoNotScale(t *testing.T) {
+	measure := func(records int) float64 {
+		kids := make([]xmltree.E, records)
+		for i := range kids {
+			kids[i] = xmltree.E{Label: "paper", Kids: []xmltree.E{
+				{Label: "title", Text: fmt.Sprintf("alpha beta w%05d", i)},
+				{Label: "year", Text: "y2009"},
+			}}
+		}
+		e := FromTree(xmltree.Build(xmltree.E{Label: "dblp", Kids: kids}))
+		req := Request{Query: "alpha beta", Semantics: SLCAOnly, Limit: 10}
+		res, err := e.Search(context.Background(), req)
+		if err != nil || res.Stats.NumLCAs != records || len(res.Fragments) != 10 {
+			t.Fatalf("%d roots, %d fragments, err %v; want %d roots and a page of 10", res.Stats.NumLCAs, len(res.Fragments), err, records)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Search(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(40), measure(400)
+	t.Logf("unranked SLCA limit=10 page allocations: %.0f at 40 roots, %.0f at 400", small, large)
+	if large > small+2 { // slack for a collection emptying a pool mid-measurement
+		t.Errorf("an unranked limit=10 page allocates %.0f objects over 400 roots against %.0f over 40: something is allocated per root", large, small)
+	}
+}
+
 // TestStoreWriteXMLAllocsDoNotScale: a store-backed WriteXML appends into a
 // pooled buffer, resolving labels and words by row index — no keep map, no
 // per-node key, string or fmt argument — so a fragment of thousands of

@@ -109,25 +109,23 @@ func (s Semantics) String() string {
 	return "AllLCA"
 }
 
-// Strategy selects how the LCA stage of a search is evaluated
-// (Request.Strategy). Unlike Algorithm and Semantics — which change the
-// answer — every strategy returns byte-identical fragments; the knob only
-// decides how the work is done, and the crosscheck tests pin the
-// equivalence.
+// Strategy is the planner knob of a search (Request.Strategy): it governs
+// merge order and dispatch galloping only, never the LCA algorithm (SLCA
+// always runs the galloping indexed kernel, ELCA the stack merge). Unlike
+// Algorithm and Semantics, every strategy returns byte-identical fragments;
+// the crosscheck tests pin the equivalence.
 type Strategy int
 
 const (
 	// Auto (the default) engages the cost-based planner: per-term posting
-	// statistics order the k-way merge rarest-first, enable subtree
-	// galloping in the RTF dispatch, and pick between IndexedEager and
-	// ScanMerge from the estimated costs (internal/planner).
+	// statistics order the k-way merge rarest-first and enable subtree
+	// galloping in the RTF dispatch (internal/planner).
 	Auto Strategy = iota
-	// IndexedEager pins the paper's Indexed Lookup Eager algorithm for
-	// SLCA evaluation: the rarest list drives indexed lookups into the
-	// others. Runs in query order — the pre-planner behavior.
+	// IndexedEager pins the planner-off baseline: query order, no
+	// galloping.
 	IndexedEager
-	// ScanMerge pins the scan-eager evaluation: every posting list streams
-	// through the k-way merge. Runs in query order.
+	// ScanMerge pins the same planner-off baseline as IndexedEager; it
+	// remains as the name of the retired scan-merge SLCA strategy.
 	ScanMerge
 )
 
@@ -139,18 +137,6 @@ func (s Strategy) String() string {
 		return "ScanMerge"
 	default:
 		return "Auto"
-	}
-}
-
-// plannerStrategy maps the public knob onto the planner's enum.
-func (s Strategy) plannerStrategy() planner.Strategy {
-	switch s {
-	case IndexedEager:
-		return planner.IndexedEager
-	case ScanMerge:
-		return planner.ScanMerge
-	default:
-		return planner.Auto
 	}
 }
 
@@ -811,26 +797,26 @@ func (e *Engine) planAt(v *view, queryText string) (exec.Plan, error) {
 	return exec.Plan{Keywords: words, IDFWords: idfWords, Sets: sets}, err
 }
 
-// decideAt resolves the planner decision for one planned query: fixed
-// strategies map straight through (query order, no galloping — the baseline
-// behavior), Auto consults the snapshot's statistics and the calibrated
-// cost model. ELCA semantics always evaluates via the stack merge — there
-// is no indexed variant — so the resolved strategy is normalized to
-// ScanMerge there, keeping explain output honest.
+// decideAt resolves the planner decision for one planned query: a fixed
+// strategy is the planner-off baseline (query order, no galloping), Auto
+// consults the snapshot's statistics and the calibrated cost model. The
+// strategy is then normalized to what runs, keeping explain output honest:
+// ELCA semantics always evaluates via the stack merge (ScanMerge), SLCA via
+// the galloping indexed kernel (IndexedEager).
 func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
-	var d planner.Decision
+	ran := planner.ScanMerge
+	if req.Semantics == SLCAOnly {
+		ran = planner.IndexedEager
+	}
 	if req.Strategy != Auto {
-		d = planner.Fixed(req.Strategy.plannerStrategy())
-	} else {
-		sizes := make([]int, len(p.Sets))
-		for i, s := range p.Sets {
-			sizes[i] = len(s)
-		}
-		d = planner.Decide(sizes, v.snap.Stats(), planner.Default)
+		return planner.Fixed(ran)
 	}
-	if req.Semantics != SLCAOnly {
-		d.Strategy = planner.ScanMerge
+	sizes := make([]int, len(p.Sets))
+	for i, s := range p.Sets {
+		sizes[i] = len(s)
 	}
+	d := planner.Decide(sizes, v.snap.Stats(), planner.Default)
+	d.Strategy = ran
 	return d
 }
 
@@ -875,9 +861,9 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 			return scorer.ScoreIDs(tab, root, events, words)
 		},
 		Incremental: scorer.Incremental,
-		// A ranked, limited search materializes only one page: skip
-		// per-candidate event lists and hydrate the selected few lazily.
-		DeferEvents: req.Rank && req.Limit > 0,
+		// A limited search materializes only one page: skip per-candidate
+		// event lists and hydrate the selected few lazily.
+		DeferEvents: req.Limit > 0,
 		LabelOf:     e.src.labelOfID,
 		ContentOf:   e.src.contentOfID,
 	}

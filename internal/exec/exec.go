@@ -7,7 +7,10 @@
 //	candidates  — getLCA → getRTF on node IDs (internal/nid), producing
 //	              one lightweight scored Candidate per fragment root:
 //	              root ID, keyword events, score — no node
-//	              materialization, no strings
+//	              materialization, no strings. A bounded page defers
+//	              the events (Params.DeferEvents): ranked, one dispatch
+//	              pass folds them into scores; unranked, the roots
+//	              alone are the candidates and getRTF does not run
 //	select      — top-K under (score desc, doc asc, seq asc) when ranking
 //	              with a limit (a bounded heap, streamable across
 //	              concurrent per-document producers), full ordering when
@@ -21,9 +24,13 @@
 // nothing else), so pruning and assembly costs scale with the number of
 // *returned* fragments, not the number of matching fragments. Ranked
 // corpus search over N documents with Limit=10 prunes and assembles
-// exactly 10 fragments. Unranked and unlimited searches select every
-// candidate in document order, so their materialized output is identical
-// to the pre-pipeline eager path (crosschecked in the xks tests).
+// exactly 10 fragments, and any limited search gathers keyword events for
+// those 10 only (rtf.EventsFor at materialization). Every ELCA/SLCA root
+// covers the query, so the candidate count — the envelope's total — is the
+// root count whether or not the events were gathered. Unranked and
+// unlimited searches select every candidate in document order, so their
+// materialized output is identical to the pre-pipeline eager path
+// (crosschecked in the xks tests).
 //
 // Engine.Stream and Corpus.Stream are the only drivers of these stages
 // (Search drains them, the NDJSON HTTP path hands them on): the materialize
@@ -101,13 +108,14 @@ type Params struct {
 	// Rank is set).
 	Score func(root nid.ID, events []lca.IDEvent, words []string) float64
 	// Incremental returns a per-query incremental scorer; together with
-	// DeferEvents it enables the score-without-events candidate stage.
+	// DeferEvents and Rank it enables the score-without-events candidate
+	// stage.
 	Incremental func(words []string) *rank.IncrementalScorer
-	// DeferEvents drops per-candidate keyword-event lists during ranked
-	// candidate generation (scores are accumulated during dispatch
-	// instead); materialization hydrates events lazily for the few
-	// selected candidates via rtf.EventsFor. Set when only a bounded page
-	// of a ranked search will ever be materialized.
+	// DeferEvents says a limit bounds the page: candidates carry no
+	// keyword-event lists, and materialization hydrates events for the few
+	// selected ones via rtf.EventsFor. A ranked stage still runs one
+	// dispatch pass, accumulating scores instead of events; an unranked one
+	// takes the LCA roots as its candidates and runs no dispatch at all.
 	DeferEvents bool
 	// LabelOf and ContentOf resolve node labels and content word sets for
 	// the pruning step.
@@ -154,9 +162,10 @@ func (c *Candidate) better(o *Candidate) bool {
 }
 
 // Candidates runs the candidate stage: getLCA over the plan's posting sets
-// (SLCA or the ELCA stack merge), getRTF dispatch, and — when ranking —
-// scoring of each root from its keyword events. doc tags the candidates for
-// corpus merges.
+// (the galloping SLCA kernel or the ELCA stack merge), getRTF dispatch
+// unless an unranked page defers the events, and — when ranking — scoring
+// of each root from its keyword events. doc tags the candidates for corpus
+// merges.
 //
 // ctx is checked upfront, periodically inside the k-way merge loops of the
 // LCA and RTF stages (every few thousand events), and periodically between
@@ -183,13 +192,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	lcaSp := sp.Child("lca")
 	lctx := trace.ContextWithSpan(ctx, lcaSp)
 	if params.SLCAOnly {
-		// The planner's strategy choice: scan the full merge, or drive
-		// indexed lookups from the rarest list (the legacy default).
-		if d.Strategy == planner.ScanMerge {
-			roots, err = lca.SLCAScanMergeIDsCtx(lctx, t, p.Sets, d.Order)
-		} else {
-			roots, err = lca.SLCAIDsCtx(lctx, t, p.Sets)
-		}
+		roots, err = lca.SLCAIDsCtx(lctx, t, p.Sets)
 	} else {
 		roots, err = lca.ELCAStackMergeIDsOrderedCtx(lctx, t, p.Sets, d.Order)
 	}
@@ -197,30 +200,27 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	if err != nil {
 		return nil, err
 	}
-	rtfSp := sp.Child("rtf")
-	rctx := trace.ContextWithSpan(ctx, rtfSp)
-	if params.DeferEvents && params.Rank && params.Incremental != nil {
-		// Score-without-events: one dispatch pass folds every event into
-		// per-root accumulators; selected candidates hydrate their event
-		// lists lazily at materialization (rtf.EventsFor via Roots).
-		scored, serr := rtf.BuildScoredIDsCtx(rctx, t, roots, p.Sets,
-			params.Incremental(p.IDFWords), d.Order, d.Skip)
-		rtfSp.End()
-		if serr != nil {
-			return nil, serr
+	if params.DeferEvents && (!params.Rank || params.Incremental != nil) {
+		// Events only for the page. Ranked: one dispatch pass folds every
+		// event into per-root scores (score-without-events). Unranked: no
+		// dispatch at all. Either way the selected few hydrate their event
+		// lists at materialization (rtf.EventsFor via Roots).
+		var scored []rtf.ScoredID
+		if params.Rank {
+			rtfSp := sp.Child("rtf")
+			scored, err = rtf.BuildScoredIDsCtx(trace.ContextWithSpan(ctx, rtfSp), t, roots, p.Sets,
+				params.Incremental(p.IDFWords), d.Order, d.Skip)
+			rtfSp.End()
+			if err != nil {
+				return nil, err
+			}
 		}
-		hulls := make([]rtf.IDRTF, len(scored))
-		slab := make([]Candidate, len(scored))
-		out := make([]*Candidate, len(scored))
-		for i, s := range scored {
-			isSLCA := !(i+1 < len(scored) && t.IsAncestorOf(s.Root, scored[i+1].Root))
-			hulls[i].Root = s.Root
-			slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: roots, IsSLCA: isSLCA, Score: s.Score}
-			out[i] = &slab[i]
-		}
+		out := deferredCandidates(t, roots, scored, doc)
 		sp.SetInt("candidates", int64(len(out)))
 		return out, nil
 	}
+	rtfSp := sp.Child("rtf")
+	rctx := trace.ContextWithSpan(ctx, rtfSp)
 	rtfs, err := rtf.BuildIDsPlanned(rctx, t, roots, p.Sets, d.Order, d.Skip)
 	rtfSp.End()
 	if err != nil {
@@ -246,6 +246,26 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	}
 	sp.SetInt("candidates", int64(len(out)))
 	return out, nil
+}
+
+// deferredCandidates builds event-less candidates, one per root: every
+// ELCA/SLCA root covers the query (TestEveryRootCovers), so the roots are
+// the candidates, and a scored pass, when there is one, kept them all in
+// order. Each candidate shares roots for rtf.EventsFor.
+func deferredCandidates(t *nid.Table, roots []nid.ID, scored []rtf.ScoredID, doc int) []*Candidate {
+	hulls := make([]rtf.IDRTF, len(roots))
+	slab := make([]Candidate, len(roots))
+	out := make([]*Candidate, len(roots))
+	for i, r := range roots {
+		hulls[i].Root = r
+		slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: roots,
+			IsSLCA: !(i+1 < len(roots) && t.IsAncestorOf(r, roots[i+1]))}
+		if scored != nil {
+			slab[i].Score = scored[i].Score
+		}
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 // Select applies the selection stage to one document's candidates: ranked

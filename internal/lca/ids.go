@@ -1,10 +1,12 @@
 // ID-based variants of the getLCA stage: the production hot path runs on
-// dense node IDs (internal/nid) instead of dewey.Code values. Posting lists
-// are []nid.ID, the merged keyword-node stream is produced by a streaming
-// k-way loser-tree merge (no materialized event slice), and LCA/ancestor
-// tests are parent-chain walks on the node table, so the whole stage
-// allocates only its result. The code-based implementations in lca.go are
-// kept as the cross-checked reference (and for the eager baseline path).
+// dense node IDs (internal/nid), LCA/ancestor tests are parent-chain walks on
+// the node table, and the stage allocates only its result. ELCA roots come
+// from one stack pass over the streamed k-way loser-tree merge; SLCA roots
+// from one kernel, whatever strategy was requested: Indexed Lookup Eager
+// driven by the smallest list S₁, with a forward-only galloping cursor per
+// other list instead of a binary search over the whole list per probe — cost
+// O(|S₁|·(k−1)·(log gap + depth)). The code-based implementations in lca.go
+// are the cross-checked reference.
 
 package lca
 
@@ -291,22 +293,12 @@ func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid
 	return out, nil
 }
 
-// SLCAScanMergeIDsCtx computes the SLCA set by scanning the full k-way
-// merge — the Scan Eager strategy — with cancellation checks and the
-// planner's merge order (nil = query order). The SLCAs are exactly the ELCAs
-// with no ELCA proper descendant (any deeper all-keyword subtree would itself
-// contain an SLCA, which is always an ELCA), so the stack merge result
-// filtered through removeAncestorIDs equals SLCAIDs; property tests pin the
-// equivalence. Preferable to the indexed variant when the keyword frequencies
-// are of similar magnitude — the planner picks between the two.
-func SLCAScanMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
-	elcas, events, err := elcaStackMergeIDs(ctx, t, sets, order)
-	if err != nil {
-		return nil, err
-	}
-	out := removeAncestorIDs(t, elcas)
-	reportMerge(ctx, events, len(out))
-	return out, nil
+// SLCAScanMergeIDsCtx is SLCAIDsCtx under the signature of the retired
+// scan-merge strategy: the galloping kernel reads only the neighbourhoods of
+// the smallest list's nodes, so it beats a full merge scan at every skew, and
+// its output is independent of the merge order, which it ignores.
+func SLCAScanMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, _ []int) ([]nid.ID, error) {
+	return slcaIDs(ctx, t, sets)
 }
 
 // reportMerge stamps the stage span with the merge's actual cost — one
@@ -392,7 +384,7 @@ func elcaStackMergeIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID, order
 
 // SLCAIDs is the ID form of SLCA (Indexed Lookup Eager): for every node of
 // the smallest list, chain-LCA it with the closest node of every other
-// list, then remove non-minimal candidates. Identical output to SLCA modulo
+// list, keeping only minimal candidates. Identical output to SLCA modulo
 // representation.
 func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 	out, _ := slcaIDs(nil, t, sets)
@@ -405,98 +397,105 @@ func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, e
 	return slcaIDs(ctx, t, sets)
 }
 
+// slcaIDs is the SLCA kernel. For each node v of the smallest list, in
+// pre-order, a forward-only galloping cursor per other list Sᵢ finds v's
+// pre-order successor in Sᵢ (and so its predecessor), and x = lca(x, u)
+// chains with the deeper LCA of the two. x stays an ancestor-or-self of v,
+// and the LCA of x with any u is the shallower of x and lca(v, u), whose
+// depth peaks at v's two neighbours; so this is exactly ILE's
+// x = lca(x, closest(Sᵢ, x)) chain. Candidates arrive in the order of their
+// v, so a candidate either sits at or before the last kept root — then it is
+// that root's ancestor-or-self and not smallest, and since x only climbs the
+// chain stops as soon as it gets there — or after it, replacing it when it is
+// a descendant. The kept list stays sorted without a sort.
 func slcaIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	for _, s := range sets {
+	smallest := 0
+	for i, s := range sets {
 		if len(s) == 0 {
 			return nil, nil
 		}
-	}
-	smallest := 0
-	for i, s := range sets {
 		if len(s) < len(sets[smallest]) {
 			smallest = i
 		}
 	}
-	candidates := make([]nid.ID, 0, len(sets[smallest]))
-	for n, v := range sets[smallest] {
+	var posBuf [8]int
+	pos := posBuf[:]
+	if len(sets) > len(posBuf) {
+		pos = make([]int, len(sets))
+	}
+	rarest := sets[smallest]
+	out := make([]nid.ID, 0, len(rarest))
+	for n, v := range rarest {
 		if ctx != nil && n%ctxCheckInterval == ctxCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		x := v
-		ok := true
+		floor := nid.None // x at or above the last kept root is not smallest
+		if len(out) > 0 {
+			floor = out[len(out)-1]
+		}
 		for i, s := range sets {
 			if i == smallest {
 				continue
 			}
-			u := closestID(t, s, x)
-			x = t.LCA(x, u)
-			if x == nid.None {
-				ok = false
+			p := gallopGE(s, pos[i], v)
+			pos[i] = p
+			// Ancestors-or-self of x order by depth in pre-order, and None
+			// sorts below every node, so max picks the deeper LCA.
+			u := nid.None
+			if p < len(s) {
+				u = t.LCA(x, s[p])
+			}
+			if u != x && p > 0 {
+				u = max(u, t.LCA(x, s[p-1]))
+			}
+			if x = u; x <= floor {
 				break
 			}
 		}
-		if ok {
-			candidates = append(candidates, x)
+		switch {
+		case x <= floor: // not smallest, or no common ancestor at all
+		case floor != nid.None && t.IsAncestorOf(floor, x):
+			out[len(out)-1] = x
+		default:
+			out = append(out, x)
 		}
 	}
-	sortIDs(candidates)
-	candidates = dedupIDs(candidates)
-	out := removeAncestorIDs(t, candidates)
 	if sp := trace.SpanFromContext(ctx); sp != nil {
-		sp.SetInt("mergeEvents", int64(len(sets[smallest])))
+		sp.SetInt("mergeEvents", int64(len(rarest)))
 		sp.SetInt("roots", int64(len(out)))
 	}
 	return out, nil
 }
 
-// closestID returns the node of the sorted list whose LCA with x is
-// deepest: one of x's two pre-order neighbours (IDs order in pre-order).
-func closestID(t *nid.Table, list []nid.ID, x nid.ID) nid.ID {
-	i := sort.Search(len(list), func(j int) bool { return list[j] >= x })
-	switch {
-	case i == len(list):
-		return list[i-1]
-	case i == 0:
-		return list[i]
+// gallopGE returns the index of the first node of s at or after lo that is
+// >= v: doubling steps from lo, then a binary search inside the last step.
+func gallopGE(s []nid.ID, lo int, v nid.ID) int {
+	if lo >= len(s) || s[lo] >= v {
+		return lo
 	}
-	lm, rm := list[i-1], list[i]
-	if t.LCADepth(lm, x) >= t.LCADepth(rm, x) {
-		return lm
+	step := 1
+	for lo+step < len(s) && s[lo+step] < v {
+		lo += step
+		step *= 2
 	}
-	return rm
-}
-
-// removeAncestorIDs keeps only the nodes with no proper descendant in the
-// sorted, deduplicated list.
-func removeAncestorIDs(t *nid.Table, sorted []nid.ID) []nid.ID {
-	out := sorted[:0]
-	for i, c := range sorted {
-		if i+1 < len(sorted) && t.IsAncestorOf(c, sorted[i+1]) {
-			continue
+	hi := min(lo+step, len(s))
+	for lo++; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		out = append(out, c)
 	}
-	return out
+	return lo
 }
 
 func sortIDs(ids []nid.ID) {
 	slices.Sort(ids)
-}
-
-func dedupIDs(ids []nid.ID) []nid.ID {
-	if len(ids) == 0 {
-		return ids
-	}
-	out := ids[:1]
-	for _, c := range ids[1:] {
-		if out[len(out)-1] != c {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -1,15 +1,16 @@
 // Package planner implements the cost-based query planner: it aggregates
-// per-index statistics collected at build time, estimates the cost of the
-// two SLCA evaluation strategies the engine implements, and decides — per
-// query — which strategy to run and in which order the posting lists should
-// feed the k-way merge.
+// per-index statistics collected at build time and decides — per query — in
+// which order the posting lists feed the k-way merge and whether the RTF
+// dispatch gallops between roots. It also estimates a scan-merge and an
+// indexed-lookup SLCA evaluation for explain output, but the engine no
+// longer runs what it picks: SLCA always runs the galloping indexed kernel
+// (internal/lca), ELCA the stack merge, and the decision carries what ran.
 //
-// The planner never changes answers. Both strategies are proven (and
-// property-tested) to produce identical results, and the rarest-first merge
-// order is a pure leaf permutation of the loser tree whose coalesced event
-// stream is independent of term order. The decision therefore only moves
-// work around; crosscheck tests pin byte-identical fragments between Auto
-// and every fixed strategy.
+// The planner never changes answers: the rarest-first order is a leaf
+// permutation of the loser tree whose coalesced event stream is independent
+// of term order, and galloping skips only events that dispatch nowhere.
+// Crosscheck tests pin byte-identical fragments between Auto and every
+// fixed strategy.
 package planner
 
 import (
@@ -17,7 +18,9 @@ import (
 	"strconv"
 )
 
-// Strategy selects how the LCA stage evaluates a query.
+// Strategy names an LCA evaluation strategy: what a fixed request pins, what
+// Decide estimates cheapest, and — once the engine normalizes a decision —
+// the algorithm that ran (IndexedEager for SLCA, ScanMerge for ELCA).
 type Strategy int
 
 const (

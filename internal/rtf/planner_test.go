@@ -123,13 +123,24 @@ func TestBuildScoredIDsMatchesMaterialized(t *testing.T) {
 }
 
 // Lazy hydration must reconstruct exactly the event list the eager build
-// dispatched to each covering root.
+// dispatched to each covering root, over ELCA roots (windows with and
+// without nested roots) and SLCA roots, for k past mergeWindow's stack
+// buffers.
 func TestEventsForMatchesBuildIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 150; trial++ {
-		k := 1 + rng.Intn(5)
+	flat, nested := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(9)
 		tab, sets, roots := randomDispatchInput(rng, 20+rng.Intn(250), k)
-		for _, r := range BuildIDs(tab, roots, sets) {
+		if trial%2 == 1 {
+			roots = lca.SLCAIDs(tab, sets)
+		}
+		for i, r := range BuildIDs(tab, roots, sets) {
+			if end := tab.SubtreeEnd(r.Root); i+1 < len(roots) && roots[i+1] < end {
+				nested++
+			} else {
+				flat++
+			}
 			got := EventsFor(tab, r.Root, roots, sets)
 			if len(got) != len(r.KeywordNodes) {
 				t.Fatalf("trial %d root %d: %d events, want %d", trial, r.Root, len(got), len(r.KeywordNodes))
@@ -141,5 +152,8 @@ func TestEventsForMatchesBuildIDs(t *testing.T) {
 				}
 			}
 		}
+	}
+	if flat == 0 || nested == 0 {
+		t.Fatalf("hydrated %d windows without and %d with nested roots; want both shapes", flat, nested)
 	}
 }

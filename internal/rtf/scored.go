@@ -1,14 +1,19 @@
-// Score-without-events dispatch: ranked searches that will materialize only
-// a few selected candidates don't need each candidate's keyword-event list —
-// only its score. BuildScoredIDsCtx folds every dispatched event straight
-// into per-root score accumulators (bit-identical to scoring the
-// materialized list, see rank.IncrementalScorer) and EventsFor reconstructs
-// the event list lazily for the candidates that actually get materialized.
+// Events only for the page: searches that will materialize only a few
+// selected candidates don't need each candidate's keyword-event list.
+// Ranked ones need its score, so BuildScoredIDsCtx folds every dispatched
+// event straight into per-root score accumulators (bit-identical to scoring
+// the materialized list, see rank.IncrementalScorer); unranked ones need
+// nothing beyond the roots. EventsFor then reconstructs the event list
+// lazily for the candidates that actually get materialized. Its fast path —
+// a subtree window holding no other root, so every SLCA and most ELCAs —
+// merges the posting lists' window slices into one exactly-sized slice, with
+// no Merger, no window headers on the heap and no append growth.
 
 package rtf
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"xks/internal/lca"
@@ -69,8 +74,11 @@ func BuildScoredIDsCtx(ctx context.Context, t *nid.Table, lcas []nid.ID, sets []
 // pre-order interesting-LCA list of the same query (including non-covering
 // roots — deeper partial roots steal events from their ancestors), and sets
 // the query's posting lists. Only the contiguous pre-order window of root's
-// subtree is merged, so hydrating one selected candidate costs the subtree,
-// not the document.
+// subtree is read, so hydrating one selected candidate costs the subtree,
+// not the document. A window that holds no other root (every SLCA, most
+// ELCAs) dispatches all its keyword nodes to root, so its events are the
+// window's coalesced merge (mergeWindow); a window with nested roots replays
+// the dispatch inside it.
 func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []lca.IDEvent {
 	end := t.SubtreeEnd(root)
 	lo := sort.Search(len(allRoots), func(i int) bool { return allRoots[i] >= root })
@@ -78,21 +86,51 @@ func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []
 		return nil
 	}
 	hi := lo + sort.Search(len(allRoots)-lo, func(i int) bool { return allRoots[lo+i] >= end })
+	var buf [8][]nid.ID
+	win, n := buf[:0], 0
+	for _, s := range sets {
+		a := sort.Search(len(s), func(j int) bool { return s[j] >= root })
+		b := a + sort.Search(len(s)-a, func(j int) bool { return s[a+j] >= end })
+		win, n = append(win, s[a:b]), n+b-a
+	}
+	if hi == lo+1 {
+		return mergeWindow(win, end, n)
+	}
 	// Roots outside [root, end) can't be dispatch targets for events inside
 	// it: any other ancestor-or-self of such an event is an ancestor of
 	// root, hence shallower than root itself.
-	sub := allRoots[lo:hi]
-	windowed := make([][]nid.ID, len(sets))
-	for i, s := range sets {
-		a := sort.Search(len(s), func(j int) bool { return s[j] >= root })
-		b := a + sort.Search(len(s)-a, func(j int) bool { return s[a+j] >= end })
-		windowed[i] = s[a:b]
-	}
 	var events []lca.IDEvent
-	dispatch(nil, t, sub, windowed, nil, false, func(i int, ev lca.IDEvent) {
+	dispatch(nil, t, allRoots[lo:hi], slices.Clone(win), nil, false, func(i int, ev lca.IDEvent) {
 		if i == 0 {
 			events = append(events, ev)
 		}
 	})
 	return events
+}
+
+// mergeWindow merges the windows (n IDs in all, each below end) into one
+// exactly-sized event slice, OR-ing the masks of shared nodes: the merged
+// stream without a Merger (a query has a few terms, so scanning the heads
+// beats a loser tree).
+func mergeWindow(win [][]nid.ID, end nid.ID, n int) []lca.IDEvent {
+	events := make([]lca.IDEvent, 0, n)
+	for {
+		next := end
+		for _, w := range win {
+			if len(w) > 0 && w[0] < next {
+				next = w[0]
+			}
+		}
+		if next == end {
+			return events
+		}
+		var mask uint64
+		for i, w := range win {
+			if len(w) > 0 && w[0] == next {
+				mask |= 1 << uint(i)
+				win[i] = w[1:]
+			}
+		}
+		events = append(events, lca.IDEvent{ID: next, Mask: mask})
+	}
 }

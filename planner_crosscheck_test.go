@@ -131,9 +131,9 @@ func TestAutoMatchesFixedStrategiesCorpus(t *testing.T) {
 }
 
 // TestExecutedStrategyOnPlanSpan pins what a request executes as, read off
-// the one plan span a traced search records: the algorithm is never Auto,
-// ELCA semantics always runs the stack merge, and a fixed SLCA strategy runs
-// as itself.
+// the one plan span a traced search records: whatever strategy is requested,
+// ELCA semantics runs the stack merge (ScanMerge) and SLCA semantics the
+// galloping indexed kernel (IndexedEager).
 func TestExecutedStrategyOnPlanSpan(t *testing.T) {
 	e := crosscheckDBLPEngine(t, 10)
 	// Workload queries match the generated document, so planning succeeds
@@ -168,18 +168,11 @@ func TestExecutedStrategyOnPlanSpan(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, sem := range []Semantics{AllLCA, SLCAOnly} {
-			auto := executed(Request{Query: q, Semantics: sem})
-			if auto != ScanMerge.String() && auto != IndexedEager.String() {
-				t.Fatalf("%q %v: Auto executed as %q", q, sem, auto)
+			want := ScanMerge
+			if sem == SLCAOnly {
+				want = IndexedEager
 			}
-			if sem != SLCAOnly && auto != ScanMerge.String() {
-				t.Fatalf("%q %v: ELCA semantics must execute ScanMerge, got %s", q, sem, auto)
-			}
-			for _, strat := range []Strategy{IndexedEager, ScanMerge} {
-				want := strat
-				if sem != SLCAOnly {
-					want = ScanMerge
-				}
+			for _, strat := range []Strategy{Auto, IndexedEager, ScanMerge} {
 				if got := executed(Request{Query: q, Semantics: sem, Strategy: strat}); got != want.String() {
 					t.Fatalf("%q %v strategy %v: executed as %s, want %s", q, sem, strat, got, want)
 				}

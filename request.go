@@ -54,14 +54,15 @@ type Request struct {
 	Algorithm Algorithm
 	// Semantics picks the fragment roots (default AllLCA).
 	Semantics Semantics
-	// Strategy selects the LCA evaluation strategy. The default, Auto,
-	// engages the cost-based planner: posting-list statistics pick between
-	// the scan-merge and indexed-eager algorithms, order the k-way merge
-	// rarest-first, and enable dispatch galloping. Fixed strategies pin
-	// the algorithm and run in query order (the planner-off baseline).
-	// Every strategy returns byte-identical results — the knob only moves
-	// work around — so it is not part of the cursor fingerprint, and a
-	// caching layer has no need to know what Auto resolved to.
+	// Strategy is the planner knob. The default, Auto, engages the
+	// cost-based planner: posting-list statistics order the k-way merge
+	// rarest-first and enable dispatch galloping. Fixed strategies run in
+	// query order without galloping (the planner-off baseline). No strategy
+	// picks the LCA algorithm: SLCA always runs the galloping indexed kernel
+	// and ELCA the stack merge. Every strategy returns byte-identical
+	// results — the knob only moves work around — so it is not part of the
+	// cursor fingerprint, and a caching layer has no need to know what Auto
+	// resolved to.
 	Strategy Strategy
 	// ExactContent replaces the (min,max) cID approximation of rule 2(b)
 	// with exact tree-content-set comparison (ablation switch).
