@@ -30,10 +30,11 @@ func main() {
 
 	switch {
 	case *inspect != "":
-		s, err := store.LoadFile(*inspect)
+		s, err := store.OpenFile(*inspect, store.OpenOptions{})
 		if err != nil {
 			fatal(err)
 		}
+		defer s.Close()
 		if *keyword != "" {
 			posts := s.Postings(*keyword)
 			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(posts))

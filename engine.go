@@ -322,8 +322,8 @@ func FromStore(st *store.Store) *Engine {
 type StoreMode int
 
 const (
-	// StoreAuto maps v3 files read-only where the platform supports it and
-	// falls back to the heap otherwise; v1/v2 files load row-backed.
+	// StoreAuto maps the store file read-only where the platform supports
+	// it and falls back to the heap otherwise.
 	StoreAuto StoreMode = iota
 	// StoreMmap requires a memory-mapped v3 file and fails otherwise.
 	StoreMmap
@@ -360,9 +360,9 @@ func OpenStoreMode(path string, mode StoreMode) (*Engine, error) {
 
 // StoreInfo describes how a store-backed engine's data is resident.
 type StoreInfo struct {
-	// Mode is "rows" (v1/v2 heap structures), "v3-heap" (v3 sections in one
-	// heap buffer), "v3-mmap" (v3 sections in a read-only file mapping), or
-	// "memory" for tree-backed engines.
+	// Mode is "v3-mmap" (v3 sections in a read-only file mapping),
+	// "v3-heap" (v3 columns on the heap: read whole from a file or shredded
+	// in memory), or "memory" for tree-backed engines.
 	Mode string
 	// MappedBytes is the size of the read-only file mapping, 0 unless
 	// Mode is "v3-mmap".

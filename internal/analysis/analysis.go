@@ -67,7 +67,7 @@ func (a *Analyzer) Tokens(s string) []string {
 // (label, attribute values, text value) in lexical order. This is the Cv of
 // the paper: the word set implied in a node's label, text and attributes.
 //
-// The order is a contract, the same one store.ContentAt/ContentOf keep: every
+// The order is a contract, the same one store.ContentAt keeps: every
 // content set that reaches pruning is a sorted set, so the (min,max) cID
 // feature of §4.1 is its first and last word and internal/prune never scans
 // the rest (see prune.IDContentFunc).

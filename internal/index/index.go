@@ -12,7 +12,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -97,38 +96,16 @@ func build(t *xmltree.Tree, a *analysis.Analyzer, contentOf func(nid.ID, *xmltre
 		}
 		return true
 	})
+	// IDs are handed out in walk order, so every list is sorted already.
 	ix.tab = b.Table()
-	// Pre-order walk yields sorted postings already; keep the sort as a
-	// defensive invariant for postings assembled by other builders.
-	for _, list := range ix.postings {
-		if !sortedIDs(list) {
-			sortIDList(list)
-		}
-	}
 	return ix
-}
-
-// FromIDPostings constructs an index from already-resolved ID posting lists
-// over an existing node table (the store's load path). Lists are sorted and
-// deduplicated defensively; they are retained, not copied.
-func FromIDPostings(tab *nid.Table, postings map[string][]nid.ID, numNodes int, a *analysis.Analyzer) *Index {
-	if a == nil {
-		a = analysis.New()
-	}
-	for w, list := range postings {
-		if !sortedIDs(list) {
-			sortIDList(list)
-		}
-		postings[w] = dedupIDList(list)
-	}
-	return &Index{analyzer: a, tab: tab, postings: postings, numNodes: numNodes}
 }
 
 // FromSortedIDPostings constructs an index from posting lists the caller
 // guarantees are already sorted and duplicate-free (the delta compactor's
-// fold path). Unlike FromIDPostings there is no defensive pass: lists are
-// retained exactly as given and never written, so they may alias posting
-// lists of another live index that concurrent readers are using.
+// fold path). Lists are retained exactly as given and never written, so
+// they may alias posting lists of another live index that concurrent
+// readers are using.
 func FromSortedIDPostings(tab *nid.Table, postings map[string][]nid.ID, numNodes int, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
@@ -181,32 +158,6 @@ func (ix *Index) eachList(fn func(list []nid.ID)) {
 	for _, list := range ix.postings {
 		fn(list)
 	}
-}
-
-func sortedIDs(list []nid.ID) bool {
-	for i := 1; i < len(list); i++ {
-		if list[i-1] > list[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortIDList(list []nid.ID) {
-	slices.Sort(list)
-}
-
-func dedupIDList(list []nid.ID) []nid.ID {
-	if len(list) == 0 {
-		return list
-	}
-	out := list[:1]
-	for _, id := range list[1:] {
-		if out[len(out)-1] != id {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Analyzer returns the analyzer the index was built with.

@@ -24,7 +24,7 @@ func (ix *Index) Stats() planner.Stats {
 	return ix.stats
 }
 
-// SetStats installs precomputed statistics (the store's v2 load path), so
+// SetStats installs precomputed statistics (every store-backed index), so
 // opening a persisted index plans without rescanning posting lists. It must
 // be called before the first Stats call to take effect.
 func (ix *Index) SetStats(st planner.Stats) {
@@ -43,9 +43,8 @@ func (ix *Index) computeStats() planner.Stats {
 	var depthSum int64
 	var hist [maxDepthBuckets]int64
 	maxBucket := 0
-	// On compressed-backed indexes this decodes every list — the store
-	// persists statistics precisely so SetStats preempts this scan; the
-	// fallback only runs for hand-assembled indexes.
+	// On compressed-backed indexes this would decode every list; those are
+	// the store's, and it installs its persisted statistics via SetStats.
 	ix.eachList(func(list []nid.ID) {
 		st.Postings += len(list)
 		if len(list) > st.MaxPostings {

@@ -50,8 +50,8 @@ func (s Strategy) String() string {
 }
 
 // Stats aggregates the per-index statistics the planner consumes. They are
-// collected once per index (lazily at first use, or restored from a v2
-// store without a rescan) and are advisory: plans never affect answers, so
+// collected once per index (lazily at first use, or restored from a store
+// file without a rescan) and are advisory: plans never affect answers, so
 // slightly stale statistics after an append only cost performance.
 type Stats struct {
 	Nodes    int // elements in the node table

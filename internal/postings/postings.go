@@ -207,7 +207,8 @@ func (l List) blockBase(b int) int64 {
 
 // decodeBlock decodes block b into buf (len >= BlockSize), returning the
 // number of IDs decoded. Malformed varints (overrun, overflow, zero delta)
-// fail with an error, never a panic.
+// and a last ID other than the skip table's fail with an error, never a
+// panic.
 func (l List) decodeBlock(b int, buf []nid.ID) (int, error) {
 	lo, hi, n := l.blockBounds(b)
 	data := l.data[lo:hi]
@@ -224,6 +225,11 @@ func (l List) decodeBlock(b int, buf []nid.ID) (int, error) {
 		}
 		buf[i] = nid.ID(prev)
 		pos += w
+	}
+	// The next block's deltas start from this entry, and SeekGE trusts it
+	// to bound the block: a payload that disagrees with it is malformed.
+	if last, _ := l.skipEntry(b); prev != int64(last) {
+		return 0, fmt.Errorf("postings: block %d ends at ID %d, skip table says %d", b, prev, last)
 	}
 	return n, nil
 }

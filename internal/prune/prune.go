@@ -150,7 +150,7 @@ type IDLabelFunc func(nid.ID) string
 
 // IDContentFunc resolves the content word set Cv of a keyword node from its
 // table ID. The set must come back in lexical order (duplicates are
-// harmless), as analysis.ContentSet and the store's ContentAt/ContentOf
+// harmless), as analysis.ContentSet and the store's ContentAt
 // return it: the builder takes words[0] and words[len-1] as the node's cID
 // and reads nothing between. An unsorted set does not fail, it yields a
 // wrong cID and with it a wrong rule 2(b) decision; this package's tests run

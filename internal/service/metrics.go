@@ -100,7 +100,7 @@ type Metrics struct {
 }
 
 // StoreOpenInfo describes one store-file open: wall time, the resulting
-// backing mode ("v3-mmap", "v3-heap" or "rows"), and the byte split
+// backing mode ("v3-mmap" or "v3-heap"), and the byte split
 // between the read-only mapping (paged in on demand by the OS) and heap
 // allocations.
 type StoreOpenInfo struct {

@@ -10,25 +10,19 @@ import (
 	"xks/internal/paperdata"
 )
 
-// FuzzLoad checks the binary readers — the v1/v2 row parser and the v3
-// section-directory reader — never panic on corrupted input and either fail
-// cleanly or return a structurally valid store.
+// FuzzLoad checks the v3 section-directory reader never panics on corrupted
+// input and either fails cleanly or returns a structurally valid store. A
+// header of any other version must fail.
 func FuzzLoad(f *testing.F) {
-	st := Shred(paperdata.Publications(), analysis.New())
-	var v3buf, v2buf, v1buf bytes.Buffer
-	if err := st.Save(&v3buf); err != nil {
+	var buf bytes.Buffer
+	if err := Shred(paperdata.Publications(), analysis.New()).Save(&buf); err != nil {
 		f.Fatal(err)
 	}
-	if err := st.save(&v2buf, versionV2); err != nil {
-		f.Fatal(err)
-	}
-	if err := st.save(&v1buf, versionV1); err != nil {
-		f.Fatal(err)
-	}
-	v3 := v3buf.Bytes()
+	v3 := buf.Bytes()
+	v2 := append([]byte(nil), v3...)
+	binary.BigEndian.PutUint32(v2[len(magic):], 2)
 	f.Add(v3)
-	f.Add(v2buf.Bytes())
-	f.Add(v1buf.Bytes())
+	f.Add(v2)
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -48,6 +42,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(v3[:len(v3)/2])
 	f.Add(v3[:len(v3)-3])
 	f.Add(v3[:dirEnd-16])
+	f.Add(corrupt(12, 0x07, true))         // section count → 0
 	f.Add(corrupt(len(v3)-5, 0x40, false)) // flip a late section byte
 	f.Add(corrupt(dirEnd+8, 0x01, false))  // section byte under the CRC
 	f.Add(corrupt(20, 0xAA, true))         // entry 0 CRC field
@@ -55,36 +50,29 @@ func FuzzLoad(f *testing.F) {
 	f.Add(corrupt(32, 0xFF, true))         // entry 0 length → out of bounds
 	f.Add(corrupt(16+32*4+8, 0x7F, true))  // entry 4 offset
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data))
+		s, err := openV3FromBytes(data)
 		if err != nil {
 			return
 		}
-		// A successfully loaded store must be self-consistent.
-		if c := s.cols; c != nil {
-			if s.NumNodes() != c.tab.Len() {
-				t.Fatal("NumNodes inconsistent with node table")
-			}
-			for i, w := range c.terms {
-				want := c.lists[i].Len()
-				if want == 0 {
-					t.Fatalf("keyword %q has an empty posting list", w)
-				}
-				// Varint payloads stay lazy behind the section CRC, so a
-				// fuzzer that recomputes checksums can smuggle malformed
-				// bytes past open; decode must then fail cleanly — never
-				// panic, never return a partial list.
-				if got := len(s.Postings(w)); got != 0 && got != want {
-					t.Fatalf("keyword %q decodes to %d of %d postings", w, got, want)
-				}
-			}
-			return
+		if v := binary.BigEndian.Uint32(data[len(magic):]); v != versionV3 {
+			t.Fatalf("version %d image opened", v)
 		}
-		if s.NumNodes() != len(s.elements) {
-			t.Fatal("NumNodes inconsistent with element table")
+		// A successfully opened store must be self-consistent.
+		for i := 0; i < s.NumNodes(); i++ {
+			s.LabelAt(i)
+			s.ContentAt(i)
 		}
-		for _, w := range s.Keywords() {
-			if len(s.Postings(w)) == 0 {
-				t.Fatalf("keyword %q has empty postings", w)
+		for i, w := range s.terms {
+			want := s.lists[i].Len()
+			if want == 0 {
+				t.Fatalf("keyword %q has an empty posting list", w)
+			}
+			// Varint payloads stay lazy behind the section CRC, so a
+			// fuzzer that recomputes checksums can smuggle malformed
+			// bytes past open; decode must then fail cleanly — never
+			// panic, never return a partial list.
+			if got := len(s.Postings(w)); got != 0 && got != want {
+				t.Fatalf("keyword %q decodes to %d of %d postings", w, got, want)
 			}
 		}
 	})

@@ -1,18 +1,18 @@
 package store
 
 import (
-	"bytes"
-	"math"
 	"reflect"
 	"testing"
 
 	"xks/internal/analysis"
 	"xks/internal/index"
 	"xks/internal/paperdata"
+	"xks/internal/xmltree"
 )
 
-// A v2 file must round-trip the planner statistics exactly, and the loaded
-// store must install them on BuildIndex without recomputation.
+// The stats section (the encoding format v2 introduced) must round-trip the
+// planner statistics exactly, and the opened store must install them on
+// BuildIndex without recomputation.
 func TestStatsRoundTripV2(t *testing.T) {
 	s := pubStore()
 	want := s.Stats()
@@ -23,72 +23,34 @@ func TestStatsRoundTripV2(t *testing.T) {
 	if want.Words == 0 || want.MaxPostings == 0 || want.AvgDepth <= 0 || want.AvgFanout <= 0 {
 		t.Fatalf("degenerate stats: %+v", want)
 	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	loaded, err := openV3FromBytes(saveBytes(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.statsSet {
-		t.Fatal("v2 load did not restore persisted statistics")
-	}
-	got := loaded.Stats()
-	if !reflect.DeepEqual(got, want) {
+	if got := loaded.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if ixStats := loaded.BuildIndex(analysis.New()).Stats(); !reflect.DeepEqual(ixStats, want) {
-		t.Fatalf("BuildIndex stats:\n got %+v\nwant %+v", ixStats, want)
+	ix := loaded.BuildIndex(analysis.New())
+	if got := ix.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BuildIndex stats:\n got %+v\nwant %+v", got, want)
+	}
+	if n := ix.DecodedLists(); n != 0 {
+		t.Fatalf("BuildIndex stats decoded %d posting lists, want 0", n)
 	}
 }
 
-// The v1 reader must keep working: a file written at the old version loads,
-// and statistics come back lazily recomputed with identical values.
-func TestLoadV1Compat(t *testing.T) {
-	s := pubStore()
-	var buf bytes.Buffer
-	if err := s.save(&buf, versionV1); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("v1 file failed to load: %v", err)
-	}
-	if loaded.statsSet {
-		t.Fatal("v1 load claims persisted statistics")
-	}
-	if loaded.NumNodes() != s.NumNodes() || loaded.NumValues() != s.NumValues() {
-		t.Fatalf("v1 tables: %d/%d nodes/values, want %d/%d",
-			loaded.NumNodes(), loaded.NumValues(), s.NumNodes(), s.NumValues())
-	}
-	if got, want := loaded.Stats(), s.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 recomputed stats:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// Store-side statistics (what v2 files persist) must agree with the
-// index-side lazy scan: the planner must decide identically whether the
-// engine came from FromTree or OpenStore.
+// Store statistics (what the stats section persists) must equal the
+// index-side scan over the tree exactly: the planner must decide
+// identically whether the engine came from FromTree or OpenStore.
 func TestStoreStatsMatchIndexScan(t *testing.T) {
-	tree := paperdata.Publications()
-	s := Shred(tree, analysis.New())
-	fromStore := s.Stats()
-	fromIndex := index.Build(tree, analysis.New()).Stats()
-	if fromStore.Nodes != fromIndex.Nodes ||
-		fromStore.Words != fromIndex.Words ||
-		fromStore.Postings != fromIndex.Postings ||
-		fromStore.MaxPostings != fromIndex.MaxPostings ||
-		fromStore.MaxDepth != fromIndex.MaxDepth {
-		t.Fatalf("counts diverge:\n store %+v\n index %+v", fromStore, fromIndex)
-	}
-	if math.Abs(fromStore.AvgDepth-fromIndex.AvgDepth) > 1e-9 {
-		t.Fatalf("AvgDepth: store %v, index %v", fromStore.AvgDepth, fromIndex.AvgDepth)
-	}
-	if math.Abs(fromStore.AvgFanout-fromIndex.AvgFanout) > 1e-9 {
-		t.Fatalf("AvgFanout: store %v, index %v", fromStore.AvgFanout, fromIndex.AvgFanout)
-	}
-	if !reflect.DeepEqual(fromStore.DepthHist, fromIndex.DepthHist) {
-		t.Fatalf("DepthHist: store %v, index %v", fromStore.DepthHist, fromIndex.DepthHist)
+	for name, tree := range map[string]*xmltree.Tree{
+		"publications": paperdata.Publications(),
+		"team":         paperdata.Team(),
+	} {
+		fromStore := Shred(tree, analysis.New()).Stats()
+		fromIndex := index.Build(tree, analysis.New()).Stats()
+		if !reflect.DeepEqual(fromStore, fromIndex) {
+			t.Fatalf("%s:\n store %+v\n index %+v", name, fromStore, fromIndex)
+		}
 	}
 }

@@ -2,18 +2,32 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/index"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
 )
 
 func pubStore() *Store {
 	return Shred(paperdata.Publications(), analysis.New())
+}
+
+// saveBytes returns the v3 image Save writes for s.
+func saveBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestShredCounts(t *testing.T) {
@@ -50,31 +64,34 @@ func TestPostingsMatchIndex(t *testing.T) {
 	}
 }
 
+// TestElementLookup resolves one element row by Dewey code: its label,
+// level, label number sequence (through the node table's parent links) and
+// content feature.
 func TestElementLookup(t *testing.T) {
 	s := pubStore()
-	row, ok := s.Element(dewey.MustParse("0.2.0.1"))
+	id, ok := s.tab.Find(dewey.MustParse("0.2.0.1"))
 	if !ok {
 		t.Fatal("element 0.2.0.1 missing")
 	}
-	if s.Label(row.LabelID) != "title" {
-		t.Errorf("label = %q", s.Label(row.LabelID))
+	if got := s.LabelAt(int(id)); got != "title" {
+		t.Errorf("label = %q", got)
 	}
-	if row.Level != 3 {
-		t.Errorf("level = %d", row.Level)
+	if d := s.tab.Depth(id); d != 3 {
+		t.Errorf("level = %d", d)
 	}
 	// Label path: Publications → Articles → article → title.
 	wantPath := []string{"Publications", "Articles", "article", "title"}
 	var gotPath []string
-	for _, id := range row.LabelPath {
-		gotPath = append(gotPath, s.Label(id))
+	for a := id; a != nid.None; a = s.tab.Parent(a) {
+		gotPath = append([]string{s.LabelAt(int(a))}, gotPath...)
 	}
 	if !reflect.DeepEqual(gotPath, wantPath) {
 		t.Errorf("label path = %v, want %v", gotPath, wantPath)
 	}
-	if row.CIDMin == "" || row.CIDMax == "" || row.CIDMin > row.CIDMax {
-		t.Errorf("content feature = (%q,%q)", row.CIDMin, row.CIDMax)
+	if words := s.ContentAt(int(id)); len(words) == 0 || !slices.IsSorted(words) {
+		t.Errorf("content set = %q, want a non-empty sorted set", words)
 	}
-	if _, ok := s.Element(dewey.MustParse("9.9")); ok {
+	if _, ok := s.tab.Find(dewey.MustParse("9.9")); ok {
 		t.Error("absent element found")
 	}
 	if s.LabelOf(dewey.MustParse("0.2")) != "Articles" {
@@ -82,6 +99,9 @@ func TestElementLookup(t *testing.T) {
 	}
 	if s.LabelOf(dewey.MustParse("9.9")) != "" {
 		t.Error("LabelOf absent should be empty")
+	}
+	if s.LabelAt(-1) != "" || s.LabelAt(s.NumNodes()) != "" {
+		t.Error("LabelAt out of range should be empty")
 	}
 }
 
@@ -115,34 +135,16 @@ func TestKeywordsSorted(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip reads a saved image back from memory (the path
+// OpenFile's heap mode takes after its one read).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	s := pubStore()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(bytes.NewReader(buf.Bytes()))
+	back, err := openV3FromBytes(saveBytes(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumNodes() != s.NumNodes() || back.NumLabels() != s.NumLabels() || back.NumValues() != s.NumValues() {
-		t.Fatalf("counts differ after round trip: %d/%d/%d vs %d/%d/%d",
-			back.NumNodes(), back.NumLabels(), back.NumValues(),
-			s.NumNodes(), s.NumLabels(), s.NumValues())
-	}
-	for _, w := range s.Keywords() {
-		a, b := s.Postings(w), back.Postings(w)
-		if len(a) != len(b) {
-			t.Fatalf("postings(%q) differ", w)
-		}
-		for i := range a {
-			if !dewey.Equal(a[i], b[i]) {
-				t.Fatalf("postings(%q)[%d] differ", w, i)
-			}
-		}
-	}
-	row, ok := back.Element(dewey.MustParse("0.2.0.1"))
-	if !ok || back.Label(row.LabelID) != "title" {
+	assertSameSurface(t, s, back)
+	if id, ok := back.tab.Find(dewey.MustParse("0.2.0.1")); !ok || back.LabelAt(int(id)) != "title" {
 		t.Error("element table corrupted by round trip")
 	}
 }
@@ -153,55 +155,38 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadFile(path)
+	back, err := OpenFile(path, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	if back.NumNodes() != s.NumNodes() {
 		t.Error("file round trip lost nodes")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Error("LoadFile on absent path should fail")
+	if _, err := OpenFile(filepath.Join(t.TempDir(), "absent"), OpenOptions{}); err == nil {
+		t.Error("OpenFile on absent path should fail")
 	}
 }
 
 func TestLoadRejectsCorruption(t *testing.T) {
-	s := pubStore()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
+	data := saveBytes(t, pubStore())
+	corrupt := map[string][]byte{
+		"empty":     nil,
+		"truncated": data[:len(data)-6],
 	}
-	data := buf.Bytes()
-
-	// Bad magic.
 	bad := append([]byte{}, data...)
 	bad[0] ^= 0xFF
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted magic accepted")
-	}
-
-	// Flipped payload byte → checksum mismatch.
+	corrupt["magic"] = bad
 	bad = append([]byte{}, data...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted payload accepted")
-	}
-
-	// Truncated file.
-	if _, err := Load(bytes.NewReader(data[:len(data)-6])); err == nil {
-		t.Error("truncated file accepted")
-	}
-
-	// Wrong version.
+	bad[len(bad)/2] ^= 0x01 // section checksum mismatch
+	corrupt["payload"] = bad
 	bad = append([]byte{}, data...)
 	bad[len(magic)+3] = 99
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Error("wrong version accepted")
-	}
-
-	// Empty input.
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
+	corrupt["version"] = bad
+	for name, b := range corrupt {
+		if _, err := openV3FromBytes(b); err == nil {
+			t.Errorf("%s: corrupted image accepted", name)
+		}
 	}
 }
 
@@ -244,59 +229,63 @@ func BenchmarkShred(b *testing.B) {
 }
 
 func BenchmarkSaveLoad(b *testing.B) {
-	s := pubStore()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saveBytes(b, pubStore())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(data)); err != nil {
+		if _, err := openV3FromBytes(data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// TestChildren reads a node's children off the element table: the nodes
+// one level below it in its pre-order subtree, in document order.
 func TestChildren(t *testing.T) {
 	s := pubStore()
-	kids := s.Children(dewey.MustParse("0"))
-	if len(kids) != 3 {
-		t.Fatalf("root children = %d, want 3", len(kids))
-	}
-	wantLabels := []string{"title", "year", "Articles"}
-	for i, k := range kids {
-		if s.Label(k.LabelID) != wantLabels[i] {
-			t.Errorf("child %d label = %q, want %q", i, s.Label(k.LabelID), wantLabels[i])
+	children := func(code string) []string {
+		id, ok := s.tab.Find(dewey.MustParse(code))
+		if !ok {
+			return nil
 		}
+		var out []string
+		for c := id + 1; c < s.tab.SubtreeEnd(id); c++ {
+			if s.tab.Parent(c) == id {
+				out = append(out, s.LabelAt(int(c)))
+			}
+		}
+		return out
 	}
-	// Depth-2 lookup skips grandchildren.
-	arts := s.Children(dewey.MustParse("0.2"))
-	if len(arts) != 2 || s.Label(arts[0].LabelID) != "article" {
-		t.Errorf("Articles children = %v", arts)
+	if got, want := children("0"), []string{"title", "year", "Articles"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("root children = %v, want %v", got, want)
 	}
-	if got := s.Children(dewey.MustParse("0.0")); len(got) != 0 {
-		t.Errorf("leaf children = %d", len(got))
+	if got, want := children("0.2"), []string{"article", "article"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Articles children = %v, want %v", got, want)
 	}
-	if got := s.Children(dewey.MustParse("9.9")); len(got) != 0 {
-		t.Errorf("absent node children = %d", len(got))
+	if got := children("0.0"); len(got) != 0 {
+		t.Errorf("leaf children = %v", got)
+	}
+	if got := children("9.9"); len(got) != 0 {
+		t.Errorf("absent node children = %v", got)
 	}
 }
 
+// TestContentOf resolves a node's content set by Dewey code.
 func TestContentOf(t *testing.T) {
 	s := pubStore()
-	words := s.ContentOf(dewey.MustParse("0.0"))
-	if len(words) != 2 || words[0] != "title" || words[1] != "vldb" {
-		t.Errorf("ContentOf(0.0) = %v", words)
+	id, ok := s.tab.Find(dewey.MustParse("0.0"))
+	if !ok {
+		t.Fatal("node 0.0 missing")
 	}
-	if got := s.ContentOf(dewey.MustParse("9.9")); got != nil {
-		t.Errorf("ContentOf absent = %v", got)
+	if words := s.ContentAt(int(id)); !reflect.DeepEqual(words, []string{"title", "vldb"}) {
+		t.Errorf("ContentAt(0.0) = %v", words)
 	}
-	// Lazy index is stable across calls.
-	again := s.ContentOf(dewey.MustParse("0.0"))
-	if len(again) != 2 {
-		t.Errorf("second ContentOf = %v", again)
+	if got := s.ContentAt(s.NumNodes()); got != nil {
+		t.Errorf("ContentAt out of range = %v", got)
+	}
+	// The lazily resolved word table is stable across calls.
+	if again := s.ContentAt(int(id)); len(again) != 2 {
+		t.Errorf("second ContentAt = %v", again)
 	}
 }
 
@@ -323,11 +312,7 @@ var errFull = bytes.ErrTooLarge
 
 func TestSaveWriterFailuresAtEveryOffset(t *testing.T) {
 	s := pubStore()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Len()
+	full := len(saveBytes(t, s))
 	// Failing at a sample of offsets across the file must always surface an
 	// error, never a silent truncation.
 	for _, limit := range []int{0, 4, len(magic), len(magic) + 2, full / 4, full / 2, full - 5} {
@@ -344,15 +329,41 @@ func TestSaveFileUnwritablePath(t *testing.T) {
 	}
 }
 
+// TestLoadOversizedFieldsRejected pins that counts claiming more than their
+// section holds fail the open, even with every checksum recomputed to match.
 func TestLoadOversizedFieldsRejected(t *testing.T) {
-	// Craft a header claiming a preposterous string length: magic + version
-	// + label count 1 + string length 2^30.
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	buf.Write([]byte{0, 0, 0, 1})    // version
-	buf.Write([]byte{0, 0, 0, 1})    // one label
-	buf.Write([]byte{0x40, 0, 0, 0}) // string length 2^30
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("oversized string length accepted")
+	data := saveBytes(t, pubStore())
+	// patch overwrites a u32 at offset at inside section id, little-endian
+	// unless big, then recomputes the section and header checksums.
+	patch := func(id uint32, at int, v uint32, big bool) []byte {
+		c := append([]byte(nil), data...)
+		dirEnd := 16 + 32*int(binary.LittleEndian.Uint32(c[12:16]))
+		for e := 16; e < dirEnd; e += 32 {
+			if binary.LittleEndian.Uint32(c[e:]) != id {
+				continue
+			}
+			off := binary.LittleEndian.Uint64(c[e+8:])
+			sec := c[off : off+binary.LittleEndian.Uint64(c[e+16:])]
+			if big {
+				binary.BigEndian.PutUint32(sec[at:], v)
+			} else {
+				binary.LittleEndian.PutUint32(sec[at:], v)
+			}
+			binary.LittleEndian.PutUint32(c[e+4:], crc32.ChecksumIEEE(sec))
+		}
+		binary.LittleEndian.PutUint32(c[dirEnd:], crc32.ChecksumIEEE(c[:dirEnd]))
+		return c
+	}
+	cases := map[string][]byte{
+		"label count":    patch(secLabels, 0, 1<<30, false),
+		"label length":   patch(secLabels, 4, 1<<30, false),
+		"node count":     patch(secNodes, 0, 1<<30, false),
+		"term count":     patch(secTerms, 0, 1<<30, false),
+		"histogram size": patch(secStats, 40, 1<<30, true),
+	}
+	for name, c := range cases {
+		if _, err := openV3FromBytes(c); err == nil {
+			t.Errorf("%s: oversized field accepted", name)
+		}
 	}
 }

@@ -6,11 +6,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"xks/internal/analysis"
 	"xks/internal/dewey"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
 )
 
@@ -19,9 +22,9 @@ func shredPaper(t *testing.T) *Store {
 	return Shred(paperdata.Publications(), analysis.New())
 }
 
-// assertSameSurface pins the full public query surface of b to a: labels,
-// vocabulary, postings, element rows (including synthesized ones), content
-// sets, children and statistics.
+// assertSameSurface pins the query surface of b to a: sizes, labels,
+// statistics, vocabulary, postings, and every node's code, label and
+// content set (sorted, the contract internal/prune builds on).
 func assertSameSurface(t *testing.T, a, b *Store) {
 	t.Helper()
 	if a.NumNodes() != b.NumNodes() || a.NumLabels() != b.NumLabels() || a.NumValues() != b.NumValues() {
@@ -33,231 +36,153 @@ func assertSameSurface(t *testing.T, a, b *Store) {
 			t.Fatalf("label %d: %q != %q", i, a.Label(uint32(i)), b.Label(uint32(i)))
 		}
 	}
-	ka, kb := a.Keywords(), b.Keywords()
-	if len(ka) != len(kb) {
-		t.Fatalf("keyword count %d != %d", len(ka), len(kb))
+	if sa, sb := a.Stats(), b.Stats(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("stats mismatch: %+v != %+v", sa, sb)
 	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("keyword %d: %q != %q", i, ka[i], kb[i])
-		}
-		pa, pb := a.Postings(ka[i]), b.Postings(kb[i])
-		if len(pa) != len(pb) {
-			t.Fatalf("keyword %q: %d vs %d postings", ka[i], len(pa), len(pb))
-		}
-		for j := range pa {
-			if !dewey.Equal(pa[j], pb[j]) {
-				t.Fatalf("keyword %q posting %d: %v != %v", ka[i], j, pa[j], pb[j])
-			}
+	ka, kb := a.Keywords(), b.Keywords()
+	if !slices.Equal(ka, kb) {
+		t.Fatalf("keywords differ: %d vs %d", len(ka), len(kb))
+	}
+	for _, w := range ka {
+		pa, pb := a.Postings(w), b.Postings(w)
+		if len(pa) == 0 || !slices.EqualFunc(pa, pb, dewey.Equal) {
+			t.Fatalf("keyword %q: postings %v vs %v", w, pa, pb)
 		}
 	}
 	for i := 0; i < a.NumNodes(); i++ {
-		ra, oka := a.ElementAt(i)
-		rb, okb := b.ElementAt(i)
-		if oka != okb {
-			t.Fatalf("element %d presence mismatch", i)
+		if !dewey.Equal(a.tab.Code(nid.ID(i)), b.tab.Code(nid.ID(i))) {
+			t.Fatalf("node %d: code %v != %v", i, a.tab.Code(nid.ID(i)), b.tab.Code(nid.ID(i)))
 		}
-		if !dewey.Equal(ra.Dewey, rb.Dewey) || ra.LabelID != rb.LabelID || ra.Level != rb.Level ||
-			ra.CIDMin != rb.CIDMin || ra.CIDMax != rb.CIDMax {
-			t.Fatalf("element %d: %+v != %+v", i, ra, rb)
-		}
-		if len(ra.LabelPath) != len(rb.LabelPath) {
-			t.Fatalf("element %d label path length %d != %d", i, len(ra.LabelPath), len(rb.LabelPath))
-		}
-		for j := range ra.LabelPath {
-			if ra.LabelPath[j] != rb.LabelPath[j] {
-				t.Fatalf("element %d label path %d: %d != %d", i, j, ra.LabelPath[j], rb.LabelPath[j])
-			}
+		if a.LabelAt(i) != b.LabelAt(i) {
+			t.Fatalf("node %d: label %q != %q", i, a.LabelAt(i), b.LabelAt(i))
 		}
 		ca, cb := a.ContentAt(i), b.ContentAt(i)
-		if len(ca) != len(cb) {
-			t.Fatalf("element %d content %v != %v", i, ca, cb)
+		if !slices.Equal(ca, cb) || !slices.IsSorted(cb) {
+			t.Fatalf("node %d: content %q != %q", i, ca, cb)
 		}
-		for j := range ca {
-			if ca[j] != cb[j] {
-				t.Fatalf("element %d content word %d: %q != %q", i, j, ca[j], cb[j])
-			}
-		}
-		chA, chB := a.Children(ra.Dewey), b.Children(rb.Dewey)
-		if len(chA) != len(chB) {
-			t.Fatalf("element %d children %d != %d", i, len(chA), len(chB))
-		}
-		for j := range chA {
-			if !dewey.Equal(chA[j].Dewey, chB[j].Dewey) || chA[j].LabelID != chB[j].LabelID {
-				t.Fatalf("element %d child %d mismatch", i, j)
-			}
-		}
-	}
-	sa, sb := a.Stats(), b.Stats()
-	if sa.Nodes != sb.Nodes || sa.Words != sb.Words || sa.Postings != sb.Postings ||
-		sa.MaxPostings != sb.MaxPostings || sa.MaxDepth != sb.MaxDepth {
-		t.Fatalf("stats mismatch: %+v != %+v", sa, sb)
 	}
 }
 
-// TestV3RoundTrip pins a shredded store byte-surface-identical through the
-// v3 save/load cycle, and the re-save of the loaded (column-backed) store
+// TestV3RoundTrip pins Shred → SaveFile → OpenFile to the shredded store's
+// surface in every open mode, and the re-save of the opened store
 // bit-identical to the first save — the writer round-trips lists it never
 // decoded.
 func TestV3RoundTrip(t *testing.T) {
 	s := shredPaper(t)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "pub.xks")
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	first := append([]byte(nil), buf.Bytes()...)
-	loaded, err := Load(bytes.NewReader(first))
+	first, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.cols == nil {
-		t.Fatal("v3 load did not produce a column-backed store")
+	modes := []OpenMode{OpenAuto, OpenHeap}
+	if mmapSupported {
+		modes = append(modes, OpenMmap)
 	}
-	if got := loaded.Mode(); got != "v3-heap" {
-		t.Fatalf("Mode() = %q, want v3-heap", got)
-	}
-	assertSameSurface(t, s, loaded)
-	var again bytes.Buffer
-	if err := loaded.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, again.Bytes()) {
-		t.Fatal("column-backed re-save is not bit-identical to the original v3 image")
-	}
-}
-
-// TestBackwardCompatV1V2 pins that v1 and v2 images still load through the
-// restructured reader, present the same surface as the source store — every
-// row's content set in lexical order, the contract internal/prune builds on
-// — and upgrade cleanly to v3.
-func TestBackwardCompatV1V2(t *testing.T) {
-	s := shredPaper(t)
-	for _, ver := range []uint32{versionV1, versionV2} {
-		var buf bytes.Buffer
-		if err := s.save(&buf, ver); err != nil {
-			t.Fatalf("save v%d: %v", ver, err)
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	for _, mode := range modes {
+		loaded, err := OpenFile(path, OpenOptions{Mode: mode})
 		if err != nil {
-			t.Fatalf("load v%d: %v", ver, err)
-		}
-		if loaded.cols != nil || loaded.Mode() != "rows" {
-			t.Fatalf("v%d load mode %q, want rows", ver, loaded.Mode())
+			t.Fatalf("mode %d: %v", mode, err)
 		}
 		assertSameSurface(t, s, loaded)
-		sets := 0
-		for i := 0; i < loaded.NumNodes(); i++ {
-			words := loaded.ContentAt(i)
-			if !slices.IsSorted(words) {
-				t.Fatalf("v%d row %d: content set %q is not sorted", ver, i, words)
-			}
-			if len(words) > 1 {
-				sets++
-			}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatal(err)
 		}
-		if sets == 0 {
-			t.Fatalf("v%d: no row has two content words; the check is vacuous", ver)
+		if !bytes.Equal(first, again.Bytes()) {
+			t.Fatalf("mode %d: re-save is not bit-identical to the original image", mode)
 		}
-		// Upgrade: the row-loaded store re-saves as v3 and still matches.
-		var up bytes.Buffer
-		if err := loaded.Save(&up); err != nil {
-			t.Fatalf("upgrade save from v%d: %v", ver, err)
-		}
-		upgraded, err := Load(bytes.NewReader(up.Bytes()))
-		if err != nil {
-			t.Fatalf("load upgraded v%d: %v", ver, err)
-		}
-		assertSameSurface(t, s, upgraded)
+		loaded.Close()
 	}
 }
 
-// TestSaveDowngradeRejected pins that a column-backed store refuses the row
-// formats (it has no row tables to write).
-func TestSaveDowngradeRejected(t *testing.T) {
-	s := shredPaper(t)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ver := range []uint32{versionV1, versionV2} {
-		if err := loaded.save(&bytes.Buffer{}, ver); err == nil {
-			t.Fatalf("column-backed save to v%d did not error", ver)
+// TestOpenFileRejectsV1V2 pins that the retired row formats fail to open in
+// every mode, with an error telling the operator how to upgrade.
+func TestOpenFileRejectsV1V2(t *testing.T) {
+	image := saveBytes(t, shredPaper(t))
+	dir := t.TempDir()
+	for _, ver := range []uint32{1, 2} {
+		old := append([]byte(nil), image...)
+		binary.BigEndian.PutUint32(old[len(magic):], ver)
+		path := filepath.Join(dir, "old.xks")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []OpenMode{OpenAuto, OpenHeap, OpenMmap} {
+			s, err := OpenFile(path, OpenOptions{Mode: mode})
+			if err == nil {
+				s.Close()
+				t.Fatalf("v%d file opened under mode %d", ver, mode)
+			}
+			if !strings.Contains(err.Error(), "xkshred") {
+				t.Fatalf("v%d, mode %d: error %q does not name xkshred", ver, mode, err)
+			}
 		}
 	}
 }
 
-// TestOpenFileModes exercises the three open modes against v3 and v2 files:
-// mode strings, mapped-byte accounting, the v2-mmap rejection and Close.
+// TestOpenFileModes exercises the three open modes: mode strings,
+// mapped- and file-byte accounting for each way a store is created, and
+// Close.
 func TestOpenFileModes(t *testing.T) {
 	s := shredPaper(t)
-	dir := t.TempDir()
-	v3path := filepath.Join(dir, "v3.xks")
-	if err := s.SaveFile(v3path); err != nil {
+	if s.Mode() != "v3-heap" || s.MappedBytes() != 0 || s.FileBytes() != 0 {
+		t.Fatalf("shredded: mode %q mapped %d file %d", s.Mode(), s.MappedBytes(), s.FileBytes())
+	}
+	path := filepath.Join(t.TempDir(), "v3.xks")
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	v2path := filepath.Join(dir, "v2.xks")
-	var v2buf bytes.Buffer
-	if err := s.save(&v2buf, versionV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v2path, v2buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	heap, err := OpenFile(v3path, OpenOptions{Mode: OpenHeap})
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if heap.Mode() != "v3-heap" || heap.MappedBytes() != 0 || heap.FileBytes() == 0 {
-		t.Fatalf("heap open: mode %q mapped %d file %d", heap.Mode(), heap.MappedBytes(), heap.FileBytes())
+	size := fi.Size()
+	fromBytes, err := openV3FromBytes(saveBytes(t, s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertSameSurface(t, s, heap)
+	if fromBytes.FileBytes() != 0 {
+		t.Fatalf("image read from memory: FileBytes %d, want 0", fromBytes.FileBytes())
+	}
+
+	heap, err := OpenFile(path, OpenOptions{Mode: OpenHeap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heap.Mode() != "v3-heap" || heap.MappedBytes() != 0 || heap.FileBytes() != size {
+		t.Fatalf("heap open: mode %q mapped %d file %d, want file %d", heap.Mode(), heap.MappedBytes(), heap.FileBytes(), size)
+	}
 	if err := heap.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if mmapSupported {
-		mapped, err := OpenFile(v3path, OpenOptions{Mode: OpenMmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mapped.Mode() != "v3-mmap" || mapped.MappedBytes() != mapped.FileBytes() || mapped.MappedBytes() == 0 {
-			t.Fatalf("mmap open: mode %q mapped %d file %d", mapped.Mode(), mapped.MappedBytes(), mapped.FileBytes())
-		}
-		assertSameSurface(t, s, mapped)
-		if err := mapped.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := mapped.Close(); err != nil {
-			t.Fatal("second Close must be a no-op, got", err)
-		}
-
-		auto, err := OpenFile(v3path, OpenOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if auto.Mode() != "v3-mmap" {
-			t.Fatalf("auto open mode %q, want v3-mmap", auto.Mode())
-		}
-		auto.Close()
-
-		if _, err := OpenFile(v2path, OpenOptions{Mode: OpenMmap}); err == nil {
-			t.Fatal("mmap open of a v2 file did not error")
-		}
+	if !mmapSupported {
+		return
 	}
-
-	rows, err := OpenFile(v2path, OpenOptions{})
+	mapped, err := OpenFile(path, OpenOptions{Mode: OpenMmap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Mode() != "rows" || rows.FileBytes() == 0 {
-		t.Fatalf("v2 open: mode %q file %d", rows.Mode(), rows.FileBytes())
+	if mapped.Mode() != "v3-mmap" || mapped.MappedBytes() != size || mapped.FileBytes() != size {
+		t.Fatalf("mmap open: mode %q mapped %d file %d, want %d", mapped.Mode(), mapped.MappedBytes(), mapped.FileBytes(), size)
 	}
-	assertSameSurface(t, s, rows)
+	if err := mapped.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Close(); err != nil {
+		t.Fatal("second Close must be a no-op, got", err)
+	}
+	auto, err := OpenFile(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Mode() != "v3-mmap" {
+		t.Fatalf("auto open mode %q, want v3-mmap", auto.Mode())
+	}
+	auto.Close()
 }
 
 // TestOpenV3Corruption pins the deterministic failure modes of the section
@@ -265,12 +190,7 @@ func TestOpenFileModes(t *testing.T) {
 // directory offsets and out-of-bounds lengths must all error — never panic,
 // never return a store.
 func TestOpenV3Corruption(t *testing.T) {
-	s := shredPaper(t)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v3 := buf.Bytes()
+	v3 := saveBytes(t, shredPaper(t))
 	dirEnd := 16 + 32*int(binary.LittleEndian.Uint32(v3[12:16]))
 	fixHeader := func(c []byte) []byte {
 		binary.LittleEndian.PutUint32(c[dirEnd:], crc32.ChecksumIEEE(c[:dirEnd]))
@@ -299,9 +219,6 @@ func TestOpenV3Corruption(t *testing.T) {
 	for name, data := range cases {
 		if _, err := openV3FromBytes(data); err == nil {
 			t.Errorf("%s: corrupted image opened without error", name)
-		}
-		if _, err := Load(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: corrupted stream loaded without error", name)
 		}
 	}
 }

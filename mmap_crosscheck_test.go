@@ -11,9 +11,11 @@ import (
 	"xks/internal/store"
 )
 
-// assertSameResults pins two engines' search results byte-identical for one
-// request: fragment headers, node lists and rendered XML.
-func assertSameResults(t *testing.T, label string, want, got *Engine, req Request) {
+// assertSameResults pins two engines' search results identical for one
+// request: fragment headers and node lists, and with rendered set also each
+// node's text and the rendered XML. A store keeps content words, not text,
+// so only store-backed engines compare rendered.
+func assertSameResults(t *testing.T, label string, want, got *Engine, req Request, rendered bool) {
 	t.Helper()
 	a, err := want.Search(context.Background(), req)
 	if err != nil {
@@ -23,8 +25,8 @@ func assertSameResults(t *testing.T, label string, want, got *Engine, req Reques
 	if err != nil {
 		t.Fatalf("%s: search: %v", label, err)
 	}
-	if len(a.Fragments) != len(b.Fragments) {
-		t.Fatalf("%s: %d vs %d fragments", label, len(a.Fragments), len(b.Fragments))
+	if a.Stats.NumLCAs != b.Stats.NumLCAs || len(a.Fragments) != len(b.Fragments) {
+		t.Fatalf("%s: %d/%d vs %d/%d fragments/LCAs", label, len(a.Fragments), a.Stats.NumLCAs, len(b.Fragments), b.Stats.NumLCAs)
 	}
 	for i := range a.Fragments {
 		fa, fb := a.Fragments[i], b.Fragments[i]
@@ -36,21 +38,22 @@ func assertSameResults(t *testing.T, label string, want, got *Engine, req Reques
 		}
 		for j := range fa.Nodes {
 			na, nb := fa.Nodes[j], fb.Nodes[j]
-			if na.Dewey != nb.Dewey || na.Label != nb.Label || na.Text != nb.Text ||
-				na.IsKeywordNode != nb.IsKeywordNode {
+			if na.Dewey != nb.Dewey || na.Label != nb.Label || na.Level != nb.Level ||
+				na.IsKeywordNode != nb.IsKeywordNode || (rendered && na.Text != nb.Text) {
 				t.Fatalf("%s fragment %d node %d: %+v vs %+v", label, i, j, na, nb)
 			}
 		}
-		if fa.XML() != fb.XML() {
+		if rendered && fa.XML() != fb.XML() {
 			t.Fatalf("%s fragment %d: XML differs:\n%s\n----\n%s", label, i, fa.XML(), fb.XML())
 		}
 	}
 }
 
-// TestMmapCrosscheck pins search results byte-identical across the three
-// store backings — in-RAM rows (shredded, never persisted), v3-heap and
-// v3-mmap — for every algorithm and both semantics, on a corpus large
-// enough to exercise multi-block compressed postings.
+// TestMmapCrosscheck pins every store backing — shredded in memory (never
+// persisted), v3-heap and v3-mmap — to the tree-backed engine over the same
+// document, for every algorithm and both semantics, on a corpus large
+// enough to exercise multi-block compressed postings. The persisted
+// backings must also render byte-identically to the in-memory one.
 func TestMmapCrosscheck(t *testing.T) {
 	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 11, NumRecords: 300, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 160}, {Word: "keyword", Count: 90}, {Word: "search", Count: 40},
@@ -60,13 +63,14 @@ func TestMmapCrosscheck(t *testing.T) {
 	if err := shredded.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	rows := FromStore(shredded)
+	ref := FromTree(tree)
+	inMemory := FromStore(shredded)
 	heap, err := OpenStoreMode(path, StoreHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer heap.Close()
-	engines := map[string]*Engine{"v3-heap": heap}
+	engines := map[string]*Engine{"shred": inMemory, "v3-heap": heap}
 	if info := heap.StoreInfo(); info.Mode != "v3-heap" {
 		t.Fatalf("heap engine mode %q", info.Mode)
 	}
@@ -77,7 +81,7 @@ func TestMmapCrosscheck(t *testing.T) {
 			t.Fatalf("mmap engine info %+v", info)
 		}
 		engines["v3-mmap"] = mapped
-	} else if info := heap.StoreInfo(); info.Mode == "v3-heap" {
+	} else {
 		t.Logf("mmap unavailable on this platform: %v", err)
 	}
 	queries := []string{"xml keyword", "xml keyword search", "xml"}
@@ -86,7 +90,11 @@ func TestMmapCrosscheck(t *testing.T) {
 			for _, algo := range []Algorithm{ValidRTF, MaxMatch, RawRTF} {
 				for _, sem := range []Semantics{AllLCA, SLCAOnly} {
 					req := NewRequest(q, Options{Algorithm: algo, Semantics: sem})
-					assertSameResults(t, name+"/"+q+"/"+algo.String()+"/"+sem.String(), rows, e, req)
+					label := name + "/" + q + "/" + algo.String() + "/" + sem.String()
+					assertSameResults(t, label, ref, e, req, false)
+					if e != inMemory {
+						assertSameResults(t, label, inMemory, e, req, true)
+					}
 				}
 			}
 		}

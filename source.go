@@ -250,8 +250,8 @@ func appendXMLEscaped(b []byte, s string) []byte {
 }
 
 // storeSource serves labels and content from the shredded tables. Node IDs
-// equal element row indices (store.BuildIndex builds the table over the
-// element rows in order), so ID lookups are direct row accesses. Original
+// equal element row indices (store.BuildIndex shares the store's node
+// table), so ID lookups are direct column accesses. Original
 // text values are not stored (only their content words are), so rendering
 // shows the element skeleton with each node's content words.
 type storeSource struct {

@@ -11,6 +11,7 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/dewey"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
 	"xks/internal/store"
 )
@@ -130,10 +131,10 @@ func TestStoreBackedCompare(t *testing.T) {
 }
 
 // referenceStoreXML is the store renderer as first written — every node
-// resolved by Dewey code through Store.LabelOf / ContentOf, formatted with
-// fmt — kept as the reference the append-based renderer must match byte
-// for byte.
-func referenceStoreXML(st *store.Store, kept []dewey.Code) string {
+// resolved by Dewey code through Store.LabelOf and the node table's Find,
+// formatted with fmt — kept as the reference the append-based renderer must
+// match byte for byte.
+func referenceStoreXML(st *store.Store, tab *nid.Table, kept []dewey.Code) string {
 	var b strings.Builder
 	var stack []dewey.Code
 	closeTop := func() {
@@ -145,7 +146,8 @@ func referenceStoreXML(st *store.Store, kept []dewey.Code) string {
 		for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOf(c) {
 			closeTop()
 		}
-		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), st.LabelOf(c), strings.Join(st.ContentOf(c), " "))
+		id, _ := tab.Find(c)
+		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), st.LabelOf(c), strings.Join(st.ContentAt(int(id)), " "))
 		stack = append(stack, c)
 	}
 	for len(stack) > 0 {
@@ -164,7 +166,8 @@ func TestStoreRenderMatchesReference(t *testing.T) {
 		Keywords:   []datagen.KeywordSpec{{Word: "alpha", Count: 900}, {Word: "beta", Count: 900}},
 	})
 	st := store.Shred(tree, analysis.New())
-	res, err := FromStore(st).Search(context.Background(), Request{Query: "alpha beta"})
+	e := FromStore(st)
+	res, err := e.Search(context.Background(), Request{Query: "alpha beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestStoreRenderMatchesReference(t *testing.T) {
 		for j, n := range f.Nodes {
 			kept[j] = dewey.MustParse(n.Dewey)
 		}
-		want := referenceStoreXML(st, kept)
+		want := referenceStoreXML(st, e.Index().Table(), kept)
 		var streamed bytes.Buffer
 		if err := f.WriteXML(&streamed); err != nil {
 			t.Fatal(err)
