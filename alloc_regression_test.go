@@ -69,9 +69,9 @@ func TestPlanStageAllocs(t *testing.T) {
 }
 
 // TestCandidateStageAllocs pins the candidate stage over every workload
-// query: getLCA (streamed merge + ID stack), getRTF (two-pass exact-size
-// dispatch) and scoring must allocate only their results — no per-posting,
-// per-event or per-path-node garbage.
+// query: getLCA and getRTF (one streamed merge + ID stack, runs copied into
+// one exact-size arena) and scoring must allocate only their results — no
+// per-posting, per-event or per-path-node garbage.
 func TestCandidateStageAllocs(t *testing.T) {
 	e, queries := allocEngine(t)
 	params := e.params(Request{Rank: true})
@@ -292,6 +292,54 @@ func TestUnrankedPageAllocsDoNotScale(t *testing.T) {
 	t.Logf("unranked SLCA limit=10 page allocations: %.0f at 40 roots, %.0f at 400", small, large)
 	if large > small+2 { // slack for a collection emptying a pool mid-measurement
 		t.Errorf("an unranked limit=10 page allocates %.0f objects over 400 roots against %.0f over 40: something is allocated per root", large, small)
+	}
+}
+
+// TestELCACandidateAllocs pins the one-pass ELCA candidate stage: the stack
+// merge hands each root its run in a pooled buffer, and the runs land in one
+// exactly-sized arena, so an unlimited ELCA search's candidate stage
+// allocates as many objects on a 20 000-record document as on a 2 000-record
+// one — nothing per event, per root or per posting.
+func TestELCACandidateAllocs(t *testing.T) {
+	w := workload.DBLP()
+	queries, err := w.ExpandAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(records int) (allocs []float64, roots int) {
+		specs, err := w.Specs(0, float64(records)/20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: records, Keywords: specs}))
+		params := e.params(Request{})
+		for _, q := range queries {
+			p, err := e.plan(q)
+			if err != nil {
+				t.Fatalf("plan(%q): %v", q, err)
+			}
+			cands, err := exec.Candidates(context.Background(), p, params, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots += len(cands)
+			allocs = append(allocs, testing.AllocsPerRun(10, func() {
+				exec.Candidates(context.Background(), p, params, 0) //nolint:errcheck
+			}))
+		}
+		return allocs, roots
+	}
+	small, smallRoots := measure(2000)
+	large, largeRoots := measure(20000)
+	t.Logf("candidate stage over %d queries: %d roots at 2 000 records, %d at 20 000", len(queries), smallRoots, largeRoots)
+	if largeRoots < 5*smallRoots {
+		t.Fatalf("%d roots at 20 000 records against %d at 2 000: the documents do not scale the stage", largeRoots, smallRoots)
+	}
+	for i, q := range queries {
+		if large[i] > small[i]+2 { // slack for a collection emptying the pool mid-measurement
+			t.Errorf("Candidates(%q) allocates %.0f objects at 20 000 records against %.0f at 2 000: something is allocated per event, root or posting",
+				q, large[i], small[i])
+		}
 	}
 }
 

@@ -7,10 +7,13 @@
 //	candidates  — getLCA → getRTF on node IDs (internal/nid), producing
 //	              one lightweight scored Candidate per fragment root:
 //	              root ID, keyword events, score — no node
-//	              materialization, no strings. A bounded page defers
-//	              the events (Params.DeferEvents): ranked, one dispatch
-//	              pass folds them into scores; unranked, the roots
-//	              alone are the candidates and getRTF does not run
+//	              materialization, no strings. No request merges its
+//	              posting lists twice: ELCA's stack merge dispatches
+//	              getRTF's keyword nodes as its roots pop, and SLCA
+//	              roots take their subtree windows. A bounded page
+//	              defers the events (Params.DeferEvents): ranked, they
+//	              are folded into scores and dropped; unranked, the
+//	              roots alone are the candidates and getRTF does not run
 //	select      — top-K under (score desc, doc asc, seq asc) when ranking
 //	              with a limit (a bounded heap, streamable across
 //	              concurrent per-document producers), full ordering when
@@ -42,7 +45,9 @@
 package exec
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -113,9 +118,9 @@ type Params struct {
 	Incremental func(words []string) *rank.IncrementalScorer
 	// DeferEvents says a limit bounds the page: candidates carry no
 	// keyword-event lists, and materialization hydrates events for the few
-	// selected ones via rtf.EventsFor. A ranked stage still runs one
-	// dispatch pass, accumulating scores instead of events; an unranked one
-	// takes the LCA roots as its candidates and runs no dispatch at all.
+	// selected ones via rtf.EventsFor. A ranked stage still dispatches every
+	// event once, folding it into its root's score; an unranked one takes
+	// the LCA roots as its candidates and runs no dispatch at all.
 	DeferEvents bool
 	// LabelOf and ContentOf resolve node labels and content word sets for
 	// the pruning step.
@@ -161,15 +166,25 @@ func (c *Candidate) better(o *Candidate) bool {
 	return c.Seq < o.Seq
 }
 
-// Candidates runs the candidate stage: getLCA over the plan's posting sets
-// (the galloping SLCA kernel or the ELCA stack merge), getRTF dispatch
-// unless an unranked page defers the events, and — when ranking — scoring
-// of each root from its keyword events. doc tags the candidates for corpus
-// merges.
+// Candidates runs the candidate stage — getLCA, getRTF and, when ranking,
+// scoring — merging the plan's posting sets at most once. doc tags the
+// candidates for corpus merges.
 //
-// ctx is checked upfront, periodically inside the k-way merge loops of the
-// LCA and RTF stages (every few thousand events), and periodically between
-// scored candidates, so a cancelled or deadlined context abandons the stage
+//   - A page that gathers no events takes the roots of the galloping SLCA
+//     kernel or the ELCA stack merge as its candidates; a ranked SLCA one
+//     scores them in one dispatch pass that folds each event into its root's
+//     score (rtf.BuildScoredIDsCtx). The selected few hydrate their events at
+//     materialization (rtf.EventsFor via Roots).
+//   - Otherwise every root's keyword events land in pooled scratch in the
+//     same pass: the ELCA stack merge hands each root its run as it pops
+//     (lca.ELCAStackDispatch), SLCA roots take their subtree windows
+//     (rtf.DispatchWindows). A ranked ELCA page folds each run into its
+//     root's score and keeps none; the rest copy the runs into one
+//     exactly-sized arena their candidates slice.
+//
+// ctx is checked upfront, periodically inside the merge loops of the LCA and
+// RTF stages (every few thousand events), and periodically between scored
+// candidates, so a cancelled or deadlined context abandons the stage
 // mid-stream with ctx.Err() instead of draining the posting lists. ctx must
 // not be nil; use context.Background() to run uncancellable.
 func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candidate, error) {
@@ -179,90 +194,149 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t := params.Tab
+	t, d := params.Tab, p.Decision
+	// deferred: the candidates carry no events. gather: every root's events
+	// are collected (all but an unranked page and a ranked SLCA one).
+	deferred := params.DeferEvents && (!params.Rank || params.Incremental != nil)
+	gather := !deferred || params.Rank && !params.SLCAOnly
+	var (
+		buf   []lca.IDEvent
+		runs  []rootRun
+		total int
+		sink  func(root nid.ID, events []lca.IDEvent)
+	)
+	if gather {
+		sc := runScratchPool.Get().(*runScratch)
+		if n := p.KeywordNodes(); len(sc.buf) < n {
+			sc.buf = make([]lca.IDEvent, n)
+		}
+		buf, runs = sc.buf, sc.runs[:0]
+		defer func() {
+			sc.runs = runs
+			runScratchPool.Put(sc)
+		}()
+		sink = func(root nid.ID, events []lca.IDEvent) {
+			runs = append(runs, rootRun{root, events})
+			total += len(events)
+		}
+	}
 	// Traced requests get one child span per sub-stage (getLCA, getRTF),
 	// each annotated by the stage itself with its event counters; untraced
 	// requests pay one nil context lookup and no allocations.
 	sp := trace.SpanFromContext(ctx)
-	var (
-		roots []nid.ID
-		err   error
-	)
-	d := p.Decision
 	lcaSp := sp.Child("lca")
-	lctx := trace.ContextWithSpan(ctx, lcaSp)
+	var (
+		roots  []nid.ID
+		scored []rtf.ScoredID
+		err    error
+	)
 	if params.SLCAOnly {
-		roots, err = lca.SLCAIDsCtx(lctx, t, p.Sets)
+		roots, err = lca.SLCAIDsCtx(trace.ContextWithSpan(ctx, lcaSp), t, p.Sets)
 	} else {
-		roots, err = lca.ELCAStackMergeIDsOrderedCtx(lctx, t, p.Sets, d.Order)
+		roots, err = lca.ELCAStackDispatch(trace.ContextWithSpan(ctx, lcaSp), t, p.Sets, d.Order, buf, sink)
+		// The runs arrive in post-order.
+		slices.SortFunc(runs, func(a, b rootRun) int { return cmp.Compare(a.root, b.root) })
 	}
 	lcaSp.End()
-	if err != nil {
-		return nil, err
-	}
-	if params.DeferEvents && (!params.Rank || params.Incremental != nil) {
-		// Events only for the page. Ranked: one dispatch pass folds every
-		// event into per-root scores (score-without-events). Unranked: no
-		// dispatch at all. Either way the selected few hydrate their event
-		// lists at materialization (rtf.EventsFor via Roots).
-		var scored []rtf.ScoredID
-		if params.Rank {
-			rtfSp := sp.Child("rtf")
-			scored, err = rtf.BuildScoredIDsCtx(trace.ContextWithSpan(ctx, rtfSp), t, roots, p.Sets,
-				params.Incremental(p.IDFWords), d.Order, d.Skip)
-			rtfSp.End()
-			if err != nil {
-				return nil, err
-			}
+	if err == nil && params.SLCAOnly && (gather || params.Rank) {
+		rtfSp := sp.Child("rtf")
+		rctx := trace.ContextWithSpan(ctx, rtfSp)
+		if gather {
+			err = rtf.DispatchWindows(rctx, t, roots, p.Sets, buf, sink)
+		} else {
+			scored, err = rtf.BuildScoredIDsCtx(rctx, t, roots, p.Sets, params.Incremental(p.IDFWords), d.Order, d.Skip)
 		}
-		out := deferredCandidates(t, roots, scored, doc)
-		sp.SetInt("candidates", int64(len(out)))
-		return out, nil
+		rtfSp.End()
 	}
-	rtfSp := sp.Child("rtf")
-	rctx := trace.ContextWithSpan(ctx, rtfSp)
-	rtfs, err := rtf.BuildIDsPlanned(rctx, t, roots, p.Sets, d.Order, d.Skip)
-	rtfSp.End()
 	if err != nil {
 		return nil, err
 	}
-	slab := make([]Candidate, len(rtfs))
-	out := make([]*Candidate, len(rtfs))
-	for i, r := range rtfs {
+	var shared []nid.ID
+	if deferred {
+		shared = roots
+	}
+	out := newCandidates(t, roots, shared, doc)
+	for i, s := range scored {
+		out[i].Score = s.Score
+	}
+	// runs[i] is now roots[i]'s run. A ranked ELCA page folds it into the
+	// root's score; the rest copy it into the arena.
+	var (
+		inc   *rank.IncrementalScorer
+		acc   []float64
+		arena []lca.IDEvent
+	)
+	switch {
+	case !deferred:
+		arena = make([]lca.IDEvent, 0, total)
+	case gather:
+		inc = params.Incremental(p.IDFWords)
+		acc = make([]float64, 2*inc.K())
+	}
+	for i, r := range runs {
 		if i%scoreCheckInterval == scoreCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		// The kept roots are sorted and distinct, so r is an SLCA exactly
-		// when the next root is not its descendant.
-		isSLCA := !(i+1 < len(rtfs) && t.IsAncestorOf(r.Root, rtfs[i+1].Root))
-		c := &slab[i]
-		*c = Candidate{Doc: doc, Seq: i, RTF: r, IsSLCA: isSLCA}
-		if params.Rank && params.Score != nil {
-			c.Score = params.Score(r.Root, r.KeywordNodes, p.IDFWords)
+		c := out[i]
+		if deferred {
+			c.Score = foldScore(inc, acc, t, r.root, r.events)
+			continue
 		}
-		out[i] = c
+		n := len(arena)
+		arena = append(arena, r.events...)
+		c.RTF.KeywordNodes = arena[n:len(arena):len(arena)]
+		if params.Rank && params.Score != nil {
+			c.Score = params.Score(r.root, c.RTF.KeywordNodes, p.IDFWords)
+		}
 	}
 	sp.SetInt("candidates", int64(len(out)))
 	return out, nil
 }
 
-// deferredCandidates builds event-less candidates, one per root: every
-// ELCA/SLCA root covers the query (TestEveryRootCovers), so the roots are
-// the candidates, and a scored pass, when there is one, kept them all in
-// order. Each candidate shares roots for rtf.EventsFor.
-func deferredCandidates(t *nid.Table, roots []nid.ID, scored []rtf.ScoredID, doc int) []*Candidate {
+// runScratch is the pooled working memory of a candidate stage that gathers
+// events: the buffer the producers write every root's run into (Σ|Dᵢ|
+// events), and the (root, run) pairs they hand back. Nothing in it outlives
+// the stage.
+type runScratch struct {
+	buf  []lca.IDEvent
+	runs []rootRun
+}
+
+type rootRun struct {
+	root   nid.ID
+	events []lca.IDEvent
+}
+
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// foldScore feeds one root's events to the incremental scorer in document
+// order, as rtf.BuildScoredIDsCtx's dispatch does, so the score is
+// bit-identical to its. acc (2·K floats) is scratch.
+func foldScore(inc *rank.IncrementalScorer, acc []float64, t *nid.Table, root nid.ID, events []lca.IDEvent) float64 {
+	clear(acc)
+	best, extra := acc[:inc.K()], acc[inc.K():]
+	for _, ev := range events {
+		inc.Update(best, extra, int(t.Depth(ev.ID)-t.Depth(root)), ev.Mask)
+	}
+	return inc.Finish(best, extra)
+}
+
+// newCandidates builds one candidate per root, in document order: every
+// ELCA/SLCA root covers the query (TestEveryRootCovers), so the roots are the
+// candidates. Each shares shared as its Roots (nil when the events are not
+// deferred).
+func newCandidates(t *nid.Table, roots, shared []nid.ID, doc int) []*Candidate {
 	hulls := make([]rtf.IDRTF, len(roots))
 	slab := make([]Candidate, len(roots))
 	out := make([]*Candidate, len(roots))
 	for i, r := range roots {
 		hulls[i].Root = r
-		slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: roots,
+		// The roots are sorted and distinct, so r is an SLCA exactly when
+		// the next root is not its descendant.
+		slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: shared,
 			IsSLCA: !(i+1 < len(roots) && t.IsAncestorOf(r, roots[i+1]))}
-		if scored != nil {
-			slab[i].Score = scored[i].Score
-		}
 		out[i] = &slab[i]
 	}
 	return out

@@ -136,8 +136,8 @@ func (ix *Index) DecodedLists() int64 { return ix.decoded.Load() }
 
 // LookupList returns the compressed posting list for the word when the
 // index is compressed-backed; ok is false for in-RAM indexes and unknown
-// words. Callers wanting a streaming merge build iterators from it (they
-// satisfy lca.Merger's Source) instead of forcing a full decode.
+// words. Callers wanting to stream it build an Iterator from it instead of
+// forcing a full decode.
 func (ix *Index) LookupList(word string) (postings.List, bool) {
 	lp := ix.lazy[word]
 	if lp == nil {

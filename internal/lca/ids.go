@@ -1,19 +1,19 @@
 // ID-based variants of the getLCA stage: the production hot path runs on
 // dense node IDs (internal/nid), LCA/ancestor tests are parent-chain walks on
 // the node table, and the stage allocates only its result. ELCA roots come
-// from one stack pass over the streamed k-way loser-tree merge; SLCA roots
-// from one kernel, whatever strategy was requested: Indexed Lookup Eager
-// driven by the smallest list S₁, with a forward-only galloping cursor per
-// other list instead of a binary search over the whole list per probe — cost
-// O(|S₁|·(k−1)·(log gap + depth)). The code-based implementations in lca.go
-// are the cross-checked reference.
+// from one stack pass over the streamed k-way loser-tree merge, which given a
+// sink is getRTF's dispatch as well, so an ELCA request merges its posting
+// lists once. SLCA roots come from one kernel, whatever strategy was
+// requested: Indexed Lookup Eager driven by the smallest list S₁, with a
+// forward-only galloping cursor per other list instead of a binary search
+// over the whole list per probe — cost O(|S₁|·(k−1)·(log gap + depth)). The
+// code-based implementations in lca.go are the cross-checked reference.
 
 package lca
 
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"xks/internal/nid"
 	"xks/internal/trace"
@@ -35,38 +35,17 @@ type IDEvent struct {
 // mergeSentinel orders after every valid ID (IDs are int32).
 const mergeSentinel = int64(1) << 40
 
-// Source is a stream of strictly increasing node IDs — the shape the
-// Merger consumes when posting lists are not materialized slices (e.g. the
-// block-compressed lists of internal/postings, whose Iterator satisfies
-// this interface structurally). Next consumes and returns the next ID;
-// SeekGE discards every remaining ID below target, then consumes and
-// returns the first remaining one (which may be below target only if the
-// stream's head already was — callers here never ask that). Both return
-// ok=false on exhaustion.
-type Source interface {
-	Next() (nid.ID, bool)
-	SeekGE(target nid.ID) (nid.ID, bool)
-}
-
 // Merger streams the pre-order merge of k ID posting lists, OR-ing the
 // masks of equal IDs — the DIL-style merged stream of XRank, without
 // materializing it. It is a classic loser tree over the (sentinel-padded)
-// sources: each Next pops the winner and replays one leaf-to-root path,
-// O(log k) comparisons per event.
-//
-// Two leaf representations share the tree: materialized []nid.ID lists
-// (lists/pos — the in-RAM hot path, pure slice indexing with no interface
-// dispatch) and Source streams (srcs/head — compressed iterators, one
-// interface call per consumed element with the current head cached in
-// head[s]). Exactly one of lists/srcs is non-nil.
+// lists: each Next pops the winner and replays one leaf-to-root path,
+// O(log k) comparisons per event, by pure slice indexing.
 type Merger struct {
 	lists [][]nid.ID
 	pos   []int
-	srcs  []Source
-	head  []int64  // srcs mode: current unconsumed key per leaf; sentinel = exhausted
 	bit   []uint64 // nil = bit[s] is 1<<s; else per-leaf mask bit (ordered merge)
 	loser []int32  // internal nodes 1..n-1: loser of the match played there
-	win   int32    // current overall winner (source index)
+	win   int32    // current overall winner (list index)
 	n     int      // number of leaves (power of two >= len(lists))
 }
 
@@ -109,45 +88,6 @@ func NewMergerOrdered(lists [][]nid.ID, order []int) *Merger {
 	return m
 }
 
-// NewMergerSources builds a merger over ID streams instead of materialized
-// lists — the disk-native path, where each Source is typically a
-// postings.Iterator decoding a block-compressed list on demand. order has
-// the same contract as in NewMergerOrdered (nil = given order). The merged
-// event stream is byte-identical to a slice-backed merger over the decoded
-// lists (crosscheck-tested).
-func NewMergerSources(srcs []Source, order []int) *Merger {
-	k := len(srcs)
-	n := 1
-	for n < k {
-		n *= 2
-	}
-	m := &Merger{
-		srcs:  srcs,
-		head:  make([]int64, k),
-		loser: make([]int32, n),
-		n:     n,
-	}
-	if order != nil && len(order) == k {
-		permuted := make([]Source, k)
-		bit := make([]uint64, k)
-		for leaf, src := range order {
-			permuted[leaf] = srcs[src]
-			bit[leaf] = 1 << uint(src)
-		}
-		m.srcs = permuted
-		m.bit = bit
-	}
-	for s, src := range m.srcs {
-		if v, ok := src.Next(); ok {
-			m.head[s] = int64(v)
-		} else {
-			m.head[s] = mergeSentinel
-		}
-	}
-	m.rebuild()
-	return m
-}
-
 // rebuild replays the full tournament bottom-up from the current positions;
 // win[i] is the winner of the subtree rooted at internal node i, loser[i]
 // the loser of its match. O(n); allocation-free for k <= 64 (the query
@@ -172,52 +112,31 @@ func (m *Merger) rebuild() {
 	m.win = win[1]
 }
 
-// SkipTo advances every source past all IDs below target and replays the
-// tournament, so the next event is the first with ID >= target. The common
-// case — the current winner already sits at or past target — returns
-// without touching the tree, so callers can invoke it unconditionally.
+// SkipTo advances every list past all IDs below target (galloping from its
+// position) and replays the tournament, so the next event is the first with
+// ID >= target. The common case — the current winner already sits at or past
+// target — returns without touching the tree, so callers can invoke it
+// unconditionally.
 func (m *Merger) SkipTo(target nid.ID) {
 	if m.key(m.win) >= int64(target) {
 		return
 	}
-	if m.srcs != nil {
-		for s, src := range m.srcs {
-			if m.head[s] >= int64(target) {
-				continue
-			}
-			if v, ok := src.SeekGE(target); ok {
-				m.head[s] = int64(v)
-			} else {
-				m.head[s] = mergeSentinel
-			}
-		}
-	} else {
-		for s, list := range m.lists {
-			p := m.pos[s]
-			if p < len(list) && list[p] < target {
-				m.pos[s] = p + sort.Search(len(list)-p, func(i int) bool { return list[p+i] >= target })
-			}
-		}
+	for s, list := range m.lists {
+		m.pos[s] = gallopGE(list, m.pos[s], target)
 	}
 	m.rebuild()
 }
 
-// key returns the source's current head as an int64, or the sentinel when
-// the source (or padding leaf) is exhausted.
+// key returns the list's current head as an int64, or the sentinel when the
+// list (or padding leaf) is exhausted.
 func (m *Merger) key(s int32) int64 {
-	if m.srcs != nil {
-		if int(s) >= len(m.srcs) {
-			return mergeSentinel
-		}
-		return m.head[s]
-	}
 	if int(s) >= len(m.lists) || m.pos[s] >= len(m.lists[s]) {
 		return mergeSentinel
 	}
 	return int64(m.lists[s][m.pos[s]])
 }
 
-// less orders sources by current key, ties by source index (which keeps the
+// less orders lists by current key, ties by list index (which keeps the
 // merge deterministic; equal keys are coalesced by Next either way).
 func (m *Merger) less(a, b int32) bool {
 	ka, kb := m.key(a), m.key(b)
@@ -227,15 +146,7 @@ func (m *Merger) less(a, b int32) bool {
 // advance pops the current winner's head and replays its path to the root.
 func (m *Merger) advance() {
 	s := m.win
-	if m.srcs != nil {
-		if v, ok := m.srcs[s].Next(); ok {
-			m.head[s] = int64(v)
-		} else {
-			m.head[s] = mergeSentinel
-		}
-	} else {
-		m.pos[s]++
-	}
+	m.pos[s]++
 	cur := s
 	for i := (m.n + int(s)) / 2; i >= 1; i /= 2 {
 		if m.less(m.loser[i], cur) {
@@ -268,29 +179,18 @@ func (m *Merger) Next() (ev IDEvent, ok bool) {
 	return ev, true
 }
 
-// ELCAStackMergeIDs is the ID form of ELCAStackMerge: one pass over the
-// streamed merge of the posting lists, maintaining the stack of path nodes
-// (as IDs) from the root to the current event with residual and subtree
-// masks. Identical output to ELCAStackMerge modulo representation; verified
-// by cross-check tests.
+// ELCAStackMergeIDs is the ID form of ELCAStackMerge: ELCAStackDispatch
+// without a sink. Identical output to ELCAStackMerge modulo representation;
+// verified by cross-check tests.
 func ELCAStackMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _, _ := elcaStackMergeIDs(nil, t, sets, nil)
+	out, _ := ELCAStackDispatch(context.Background(), t, sets, nil, nil, nil)
 	return out
 }
 
-// ELCAStackMergeIDsOrderedCtx is ELCAStackMergeIDs with periodic
-// cancellation checks inside the k-way merge loop — every ctxCheckInterval
-// events it consults ctx and abandons the merge mid-stream with ctx.Err()
-// when the context is done, so a cancelled search stops paying for postings
-// it will never return — and with the planner's merge order feeding the
-// loser tree (nil = query order). The output is independent of the order.
+// ELCAStackMergeIDsOrderedCtx is ELCAStackDispatch without a sink: the ELCA
+// roots alone.
 func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
-	out, events, err := elcaStackMergeIDs(ctx, t, sets, order)
-	if err != nil {
-		return nil, err
-	}
-	reportMerge(ctx, events, len(out))
-	return out, nil
+	return ELCAStackDispatch(ctx, t, sets, order, nil, nil)
 }
 
 // SLCAScanMergeIDsCtx is SLCAIDsCtx under the signature of the retired
@@ -301,85 +201,123 @@ func SLCAScanMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, _ [
 	return slcaIDs(ctx, t, sets)
 }
 
-// reportMerge stamps the stage span with the merge's actual cost — one
-// report per merge, never per event: the span lookup is a single context
-// read, free when the request is untraced.
-func reportMerge(ctx context.Context, events, roots int) {
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		sp.SetInt("mergeEvents", int64(events))
-		sp.SetInt("roots", int64(roots))
-	}
+// elcaEntry is one path node on the ELCA stack: the keywords its subtree
+// holds, the ones its residual (the subtree minus every all-keyword child
+// subtree) holds, and where its subtree's pending events start.
+type elcaEntry struct {
+	id                nid.ID
+	mark              int
+	residual, subtree uint64
 }
 
-func elcaStackMergeIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, int, error) {
+// ELCAStackDispatch is the ELCA stack kernel: one pass over the streamed
+// merge of the posting lists, keeping the stack of path nodes from the root
+// to the current event, returning the ELCAs in pre-order.
+//
+// Given a sink it is getRTF's dispatch too. A keyword node belongs to its
+// deepest ELCA ancestor-or-self, and the stack pops deepest first, so when an
+// ELCA pops, its RTF events are exactly the events pushed since it was
+// pushed: deeper ELCAs have taken theirs, and a non-ELCA entry leaves its own
+// to its parent. Each ELCA's run goes to sink as it pops — in post-order, as
+// a capacity-capped slice of buf that stays valid as long as buf. Pending
+// events fill buf from the bottom and each run is copied to the top, below
+// the one before, so buf must hold Σ|Dᵢ| events and never needs more. A nil
+// sink writes no events.
+//
+// ctx is consulted every ctxCheckInterval events, abandoning the merge with
+// ctx.Err(), and its span gets the merge's counters. order is the planner's
+// loser-tree leaf order (nil = query order); the output is independent of it.
+func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int, buf []IDEvent, sink func(root nid.ID, events []IDEvent)) ([]nid.ID, error) {
 	k := len(sets)
 	if k == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
-	for _, s := range sets {
+	rarest := 0
+	for i, s := range sets {
 		if len(s) == 0 {
-			return nil, 0, nil
+			return nil, nil
+		}
+		if len(s) < len(sets[rarest]) {
+			rarest = i
 		}
 	}
 	full := FullMask(k)
 	m := NewMergerOrdered(sets, order)
-
 	var (
-		ids      []nid.ID // ids[d] = path node at depth d
-		residual []uint64
-		subtree  []uint64
-		result   []nid.ID
+		stack []elcaEntry // stack[d] = path node at depth d
+		// Each ELCA holds a witness of every keyword that no other ELCA's
+		// residual holds, so there are at most |D_rarest| of them.
+		result     = make([]nid.ID, 0, len(sets[rarest]))
+		pending    = 0        // buf[:pending]: events no ELCA has taken yet
+		top        = len(buf) // buf[top:]: the runs handed to sink
+		dispatched = 0
 	)
 	pop := func(toLen int) {
-		for len(ids) > toLen {
-			top := len(ids) - 1
-			if residual[top] == full {
-				result = append(result, ids[top])
-			}
-			if top >= 1 {
-				subtree[top-1] |= subtree[top]
-				if subtree[top] != full {
-					residual[top-1] |= residual[top]
+		for len(stack) > toLen {
+			d := len(stack) - 1
+			e := stack[d]
+			if e.residual == full {
+				result = append(result, e.id)
+				if sink != nil {
+					run := buf[e.mark:pending]
+					top -= len(run)
+					copy(buf[top:], run)
+					sink(e.id, buf[top:top+len(run):top+len(run)])
+					dispatched += len(run)
+					pending = e.mark
 				}
 			}
-			ids = ids[:top]
-			residual = residual[:top]
-			subtree = subtree[:top]
+			if d >= 1 {
+				stack[d-1].subtree |= e.subtree
+				if e.subtree != full {
+					stack[d-1].residual |= e.residual
+				}
+			}
+			stack = stack[:d]
 		}
 	}
 	events := 0
-	for n := 0; ; n++ {
-		if ctx != nil && n%ctxCheckInterval == ctxCheckInterval-1 {
+	for ; ; events++ {
+		if events%ctxCheckInterval == ctxCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		ev, ok := m.Next()
 		if !ok {
 			break
 		}
-		events++
 		l := 0
-		if len(ids) > 0 {
-			l = int(t.LCADepth(ids[len(ids)-1], ev.ID)) + 1
+		if len(stack) > 0 {
+			l = int(t.LCADepth(stack[len(stack)-1].id, ev.ID)) + 1
 		}
 		pop(l)
 		d := int(t.Depth(ev.ID))
-		for len(ids) <= d {
-			ids = append(ids, 0)
-			residual = append(residual, 0)
-			subtree = append(subtree, 0)
+		for len(stack) <= d {
+			stack = append(stack, elcaEntry{mark: pending})
 		}
 		for i, cur := d, ev.ID; i >= l; i-- {
-			ids[i] = cur
+			stack[i].id = cur
 			cur = t.Parent(cur)
 		}
-		residual[d] |= ev.Mask
-		subtree[d] |= ev.Mask
+		stack[d].residual |= ev.Mask
+		stack[d].subtree |= ev.Mask
+		if sink != nil {
+			buf[pending] = ev
+			pending++
+		}
 	}
 	pop(0)
 	sortIDs(result)
-	return result, events, nil
+	if sp := trace.SpanFromContext(ctx); sp != nil {
+		sp.SetInt("mergeEvents", int64(events))
+		sp.SetInt("roots", int64(len(result)))
+		if sink != nil {
+			sp.SetInt("dispatchedEvents", int64(dispatched))
+			sp.SetInt("coveringRTFs", int64(len(result)))
+		}
+	}
+	return result, nil
 }
 
 // SLCAIDs is the ID form of SLCA (Indexed Lookup Eager): for every node of
@@ -392,7 +330,7 @@ func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 }
 
 // SLCAIDsCtx is SLCAIDs with periodic cancellation checks over the
-// smallest-list scan, mirroring ELCAStackMergeIDsOrderedCtx.
+// smallest-list scan, mirroring ELCAStackDispatch.
 func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
 	return slcaIDs(ctx, t, sets)
 }

@@ -122,10 +122,12 @@ type Decision struct {
 	// k-way merge (Order[leaf] = original term index). nil means query
 	// order — the planner-off baseline.
 	Order []int
-	// Skip enables subtree galloping in the RTF dispatch: when an event
-	// lands outside every interesting root, all merge sources jump
-	// directly to the next root. Output-neutral (the skipped events
-	// dispatch nowhere); enabled by Auto plans.
+	// Skip enables subtree galloping in the RTF dispatch pass a ranked
+	// SLCA page scores with (every other request dispatches in its LCA
+	// pass or reads subtree windows): when an event lands outside every
+	// interesting root, all merge sources jump directly to the next root.
+	// Output-neutral (the skipped events dispatch nowhere); enabled by
+	// Auto plans.
 	Skip bool
 
 	// EstScan and EstIndexed are the model's cost estimates (work units)

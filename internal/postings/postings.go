@@ -254,9 +254,8 @@ func (l List) Decode() ([]nid.ID, error) {
 }
 
 // Iterator streams a List in increasing ID order, decoding one block at a
-// time, with skip-table-driven SeekGE. It satisfies the source interface
-// lca.Merger consumes, so the k-way merge can run directly over compressed
-// lists. The zero Iterator is invalid; obtain one from List.Iterator.
+// time, with skip-table-driven SeekGE. The zero Iterator is invalid; obtain
+// one from List.Iterator.
 type Iterator struct {
 	l      List
 	block  int // next block to decode

@@ -1,8 +1,11 @@
-// ID-based variant of the getRTF stage: dispatch runs on dense node IDs
-// over the streamed posting-list merge, so building the per-LCA partitions
-// allocates only the partitions themselves — no merged event slice, no
-// string-keyed root map, no Dewey clones. The code-based Build in rtf.go is
-// kept as the cross-checked reference (and for the eager baseline path).
+// getRTF as a pass of its own, on dense node IDs: BuildIDs dispatches every
+// keyword node of the streamed posting-list merge to its deepest interesting
+// LCA. No request runs it any more — the ELCA stack merge dispatches in its
+// own pass (lca.ELCAStackDispatch) and SLCA roots take their subtree windows
+// (DispatchWindows) — so BuildIDs is the tests' reference for both, and
+// BuildIDsPlanned what the bench harness replays. Its dispatch loop still
+// serves BuildScoredIDsCtx and EventsFor's nested windows. The code-based
+// Build in rtf.go is the reference BuildIDs is cross-checked against.
 
 package rtf
 
@@ -42,12 +45,12 @@ func (r *IDRTF) Mask() uint64 {
 // LCA node whose dispatched nodes cover the whole query, in pre-order of
 // their roots. Identical output to Build modulo representation.
 func BuildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
-	out, _ := buildIDs(nil, t, lcas, sets, nil, false)
+	out, _ := BuildIDsPlanned(context.Background(), t, lcas, sets, nil, false)
 	return out
 }
 
-// BuildIDsPlanned is BuildIDs with periodic cancellation checks inside both
-// dispatch passes — every ctxCheckInterval merged events it consults ctx and
+// BuildIDsPlanned is BuildIDs with periodic cancellation checks inside the
+// dispatch pass — every ctxCheckInterval merged events it consults ctx and
 // abandons the build mid-stream with ctx.Err() when the context is done —
 // and with the planner's merge order feeding the loser tree (nil = query
 // order) and, when skip is set, subtree galloping:
@@ -57,57 +60,30 @@ func BuildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
 // events dispatch nowhere, and the coalesced merge stream is independent of
 // leaf order.
 func BuildIDsPlanned(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, order []int, skip bool) ([]*IDRTF, error) {
-	return buildIDs(ctx, t, lcas, sets, order, skip)
-}
-
-func buildIDs(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, order []int, skip bool) ([]*IDRTF, error) {
 	if len(lcas) == 0 {
 		return nil, nil
 	}
-	full := lca.FullMask(len(sets))
-
 	rtfs := make([]IDRTF, len(lcas))
-	out := make([]*IDRTF, len(lcas))
 	for i, a := range lcas {
 		rtfs[i].Root = a
-		out[i] = &rtfs[i]
 	}
-
-	// Two merge passes over the streamed events: the first counts each
-	// root's partition, the second fills exact-size segments of one shared
-	// event arena — integer merges are cheap enough that counting twice
-	// beats growing len(lcas) slices append by append.
-	counts := make([]int32, len(lcas))
 	total, err := dispatch(ctx, t, lcas, sets, order, skip, func(i int, ev lca.IDEvent) {
-		counts[i]++
+		rtfs[i].KeywordNodes = append(rtfs[i].KeywordNodes, ev)
 	})
 	if err != nil {
 		return nil, err
 	}
-	arena := make([]lca.IDEvent, 0, total)
-	for i := range out {
-		n := int(counts[i])
-		out[i].KeywordNodes = arena[len(arena) : len(arena) : len(arena)+n]
-		arena = arena[:len(arena)+n]
-	}
-	if _, err := dispatch(ctx, t, lcas, sets, order, skip, func(i int, ev lca.IDEvent) {
-		out[i].KeywordNodes = append(out[i].KeywordNodes, ev)
-	}); err != nil {
-		return nil, err
-	}
-
-	kept := out[:0]
-	for _, r := range out {
-		if r.Mask() == full {
-			kept = append(kept, r)
+	full := lca.FullMask(len(sets))
+	var kept []*IDRTF
+	for i := range rtfs {
+		if rtfs[i].Mask() == full {
+			kept = append(kept, &rtfs[i])
 		}
 	}
-	// One report per build, never per event: free when the request is
-	// untraced (a single context read).
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		sp.SetInt("dispatchedEvents", int64(total))
 		sp.SetInt("coveringRTFs", int64(len(kept)))
-		sp.SetInt("partialRTFs", int64(len(out)-len(kept)))
+		sp.SetInt("partialRTFs", int64(len(rtfs)-len(kept)))
 	}
 	return kept, nil
 }

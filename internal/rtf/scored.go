@@ -8,6 +8,8 @@
 // a subtree window holding no other root, so every SLCA and most ELCAs —
 // merges the posting lists' window slices into one exactly-sized slice, with
 // no Merger, no window headers on the heap and no append growth.
+// DispatchWindows is the same fast path over every root of an unlimited SLCA
+// request, writing all the windows into one buffer.
 
 package rtf
 
@@ -32,8 +34,9 @@ type ScoredID struct {
 // and returns, in pre-order, every root whose dispatched nodes cover the
 // whole query, scored as if its event list had been materialized and passed
 // to Scorer.ScoreIDs (same floating-point operations in the same order).
-// Compared to BuildIDsPlanned it performs one merge pass instead of two and
-// allocates O(roots) accumulators instead of O(events) arenas.
+// Compared to BuildIDsPlanned it allocates O(roots) accumulators instead of
+// O(events) event lists. Ranked SLCA pages run it; a ranked ELCA page scores
+// the runs of the stack merge that found its roots instead.
 func BuildScoredIDsCtx(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, sc *rank.IncrementalScorer, order []int, skip bool) ([]ScoredID, error) {
 	if len(lcas) == 0 {
 		return nil, nil
@@ -94,7 +97,7 @@ func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []
 		win, n = append(win, s[a:b]), n+b-a
 	}
 	if hi == lo+1 {
-		return mergeWindow(win, end, n)
+		return mergeWindow(make([]lca.IDEvent, 0, n), win, end)
 	}
 	// Roots outside [root, end) can't be dispatch targets for events inside
 	// it: any other ancestor-or-self of such an event is an ancestor of
@@ -108,12 +111,46 @@ func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []
 	return events
 }
 
-// mergeWindow merges the windows (n IDs in all, each below end) into one
-// exactly-sized event slice, OR-ing the masks of shared nodes: the merged
-// stream without a Merger (a query has a few terms, so scanning the heads
-// beats a loser tree).
-func mergeWindow(win [][]nid.ID, end nid.ID, n int) []lca.IDEvent {
-	events := make([]lca.IDEvent, 0, n)
+// DispatchWindows is getRTF over roots that never nest, such as every SLCA
+// answer: no root's subtree holds another, so a root's keyword events are its
+// whole subtree window of the posting lists, merged (mergeWindow) — no
+// dispatch stack, no Merger, and only the windows are read. The windows are
+// merged in root order into buf, which must hold Σ|Dᵢ| events, and each goes
+// to sink as a capacity-capped slice of buf. ctx is consulted every ctxCheckInterval events, and its span
+// gets the dispatch counters.
+func DispatchWindows(ctx context.Context, t *nid.Table, roots []nid.ID, sets [][]nid.ID, buf []lca.IDEvent, sink func(root nid.ID, events []lca.IDEvent)) error {
+	rest := slices.Clone(sets) // each list past the windows merged so far
+	win := make([][]nid.ID, len(sets))
+	used, check := 0, ctxCheckInterval
+	for _, r := range roots {
+		if used >= check {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			check = used + ctxCheckInterval
+		}
+		end := t.SubtreeEnd(r)
+		for i, s := range rest {
+			a, _ := slices.BinarySearch(s, r)
+			b, _ := slices.BinarySearch(s[a:], end)
+			win[i], rest[i] = s[a:a+b], s[a+b:]
+		}
+		run := mergeWindow(buf[used:used:len(buf)], win, end)
+		sink(r, run[:len(run):len(run)])
+		used += len(run)
+	}
+	if sp := trace.SpanFromContext(ctx); sp != nil {
+		sp.SetInt("dispatchedEvents", int64(used))
+		sp.SetInt("coveringRTFs", int64(len(roots)))
+	}
+	return nil
+}
+
+// mergeWindow appends the merge of the windows (each below end) to dst,
+// OR-ing the masks of shared nodes: the merged stream without a Merger (a
+// query has a few terms, so scanning the heads beats a loser tree). A dst
+// with room for every window ID never grows.
+func mergeWindow(dst []lca.IDEvent, win [][]nid.ID, end nid.ID) []lca.IDEvent {
 	for {
 		next := end
 		for _, w := range win {
@@ -122,7 +159,7 @@ func mergeWindow(win [][]nid.ID, end nid.ID, n int) []lca.IDEvent {
 			}
 		}
 		if next == end {
-			return events
+			return dst
 		}
 		var mask uint64
 		for i, w := range win {
@@ -131,6 +168,6 @@ func mergeWindow(win [][]nid.ID, end nid.ID, n int) []lca.IDEvent {
 				win[i] = w[1:]
 			}
 		}
-		events = append(events, lca.IDEvent{ID: next, Mask: mask})
+		dst = append(dst, lca.IDEvent{ID: next, Mask: mask})
 	}
 }

@@ -42,14 +42,13 @@ import (
 // from a file every slice (labels and terms included) is a zero-copy view
 // into data.
 type Store struct {
-	labels     []string          // label table: ID → label
-	labelIDs   map[string]uint32 // label → ID
-	tab        *nid.Table        // element table: node IDs in pre-order
-	nodeLabels []uint32          // element table's label column, by node ID
-	terms      []string          // value table: the sorted vocabulary
-	lists      []postings.List   // lists[i] is terms[i]'s compressed postings
-	wordOff    []uint32          // CSR: node i's terms are termIDs[wordOff[i]:wordOff[i+1]],
-	termIDs    []uint32          // ascending, so its words come out lexical
+	labels     []string        // label table: ID → label
+	tab        *nid.Table      // element table: node IDs in pre-order
+	nodeLabels []uint32        // element table's label column, by node ID
+	terms      []string        // value table: the sorted vocabulary
+	lists      []postings.List // lists[i] is terms[i]'s compressed postings
+	wordOff    []uint32        // CSR: node i's terms are termIDs[wordOff[i]:wordOff[i+1]],
+	termIDs    []uint32        // ascending, so its words come out lexical
 	stats      planner.Stats
 
 	// nodeWords resolves termIDs to strings on first use, so ContentAt is a
@@ -75,10 +74,17 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
-	s := &Store{labelIDs: map[string]uint32{}}
+	s := &Store{}
+	labelIDs := map[string]uint32{}
 	words := make([][]string, 0, t.Size())
 	t.Walk(func(n *xmltree.Node) bool {
-		s.nodeLabels = append(s.nodeLabels, s.internLabel(n.Label))
+		id, ok := labelIDs[n.Label]
+		if !ok {
+			id = uint32(len(s.labels))
+			s.labels = append(s.labels, n.Label)
+			labelIDs[n.Label] = id
+		}
+		s.nodeLabels = append(s.nodeLabels, id)
 		words = append(words, an.ContentSet(n.ContentPieces()...))
 		return true
 	})
@@ -108,16 +114,6 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	return s
 }
 
-func (s *Store) internLabel(l string) uint32 {
-	if id, ok := s.labelIDs[l]; ok {
-		return id
-	}
-	id := uint32(len(s.labels))
-	s.labels = append(s.labels, l)
-	s.labelIDs[l] = id
-	return id
-}
-
 // NumNodes returns the number of element rows.
 func (s *Store) NumNodes() int { return s.tab.Len() }
 
@@ -133,12 +129,6 @@ func (s *Store) Label(id uint32) string {
 		return ""
 	}
 	return s.labels[id]
-}
-
-// LabelID resolves a label to its ID.
-func (s *Store) LabelID(label string) (uint32, bool) {
-	id, ok := s.labelIDs[label]
-	return id, ok
 }
 
 // findTerm locates a keyword in the sorted vocabulary.

@@ -107,15 +107,23 @@ func TestElementLookup(t *testing.T) {
 
 func TestLabelHelpers(t *testing.T) {
 	s := pubStore()
-	id, ok := s.LabelID("article")
-	if !ok {
-		t.Fatal("article label missing")
+	// Every node's label resolves through the label table, and every label
+	// of the table is some node's.
+	used := map[string]bool{}
+	for i := range s.NumNodes() {
+		l := s.LabelAt(i)
+		if l == "" {
+			t.Fatalf("node %d has no label", i)
+		}
+		used[l] = true
 	}
-	if s.Label(id) != "article" {
-		t.Error("Label/LabelID not inverse")
+	if !used["article"] || len(used) != s.NumLabels() {
+		t.Errorf("node labels %v, %d in the label table", used, s.NumLabels())
 	}
-	if _, ok := s.LabelID("nonexistent"); ok {
-		t.Error("absent label found")
+	for id := range s.NumLabels() {
+		if !used[s.Label(uint32(id))] {
+			t.Errorf("label %d (%q) labels no node", id, s.Label(uint32(id)))
+		}
 	}
 	if s.Label(9999) != "" {
 		t.Error("out-of-range label should be empty")

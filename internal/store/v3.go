@@ -368,7 +368,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		return nil, fmt.Errorf("store: implausible label count %d", nLabels)
 	}
 	labels := make([]string, 0, nLabels)
-	labelMap := make(map[string]uint32, nLabels)
 	cursor := 4
 	for i := uint32(0); i < nLabels; i++ {
 		if cursor+4 > len(sec) {
@@ -382,7 +381,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		lab := stringView(sec[cursor : cursor+l])
 		cursor += l
 		labels = append(labels, lab)
-		labelMap[lab] = i
 	}
 
 	// Nodes → nid.Table (zero-copy columns).
@@ -537,7 +535,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	}
 	return &Store{
 		labels:     labels,
-		labelIDs:   labelMap,
 		tab:        tab,
 		nodeLabels: nodeLabels,
 		terms:      terms,
