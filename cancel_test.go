@@ -285,9 +285,9 @@ func TestBestEffortBudgetTruncatesMidMaterialization(t *testing.T) {
 			t.Fatalf("fragment %d: %s, want prefix %s", i, f.Root, full.Fragments[i].Root)
 		}
 	}
-	if res.Cursor == "" || res.NextOffset != len(res.Fragments) {
-		t.Fatalf("truncated page: Cursor=%q NextOffset=%d, want resumable at %d",
-			res.Cursor, res.NextOffset, len(res.Fragments))
+	if next := nextOffset(t, res.Cursor); next != len(res.Fragments) {
+		t.Fatalf("truncated page: Cursor=%q resumes at %d, want %d",
+			res.Cursor, next, len(res.Fragments))
 	}
 	rest, err := e.Search(context.Background(), Request{Query: q, Cursor: res.Cursor})
 	if err != nil {

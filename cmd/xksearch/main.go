@@ -5,8 +5,7 @@
 // Usage:
 //
 //	xksearch -file doc.xml [-algo validrtf|maxmatch|raw] [-slca] [-rank]
-//	         [-strategy auto|indexed|scan] [-limit N] [-cursor tok]
-//	         [-timeout 5s] [-best-effort]
+//	         [-limit N] [-cursor tok] [-timeout 5s] [-best-effort]
 //	         [-format ascii|xml|snippet] [-stream] "keyword query"
 //	xksearch -store doc.xks "keyword query"          # search a shredded store
 //	xksearch -dir corpus/ -rank -limit 10 "query"    # search a directory-corpus
@@ -16,7 +15,7 @@
 // document. Query terms may carry label predicates: "title:xml author:
 // keyword". -limit pages through large result sets: when more results
 // remain the tool prints an opaque resume token, and -cursor continues the
-// scroll from it (the deprecated -offset raw-offset alias still works).
+// scroll from it.
 // -timeout bounds the search, which aborts mid-pipeline with an error once
 // exceeded — unless -best-effort is set, in which case the fragments
 // finished in time are printed with a TRUNCATED marker. -stream switches
@@ -50,12 +49,10 @@ func main() {
 		storeF  = flag.String("store", "", "shredded store file to search instead of an XML document")
 		dir     = flag.String("dir", "", "directory of *.xml files to search as one corpus")
 		algo    = flag.String("algo", "validrtf", "pruning algorithm: validrtf, maxmatch or raw")
-		strat   = flag.String("strategy", "auto", "LCA evaluation strategy: auto (cost-based planner), indexed or scan")
 		slca    = flag.Bool("slca", false, "restrict fragment roots to smallest LCAs")
 		rankIt  = flag.Bool("rank", false, "order fragments by relevance score")
 		limit   = flag.Int("limit", 0, "maximum number of fragments (0 = all)")
 		cursor  = flag.String("cursor", "", "resume a previous page from its printed cursor token")
-		offset  = flag.Int("offset", 0, "deprecated: raw fragment offset; resume with -cursor instead")
 		timeout = flag.Duration("timeout", 0, "abort the search after this long (0 = no deadline)")
 		bestEff = flag.Bool("best-effort", false, "with -timeout: print the fragments finished in time instead of failing")
 		stream  = flag.Bool("stream", false, "emit NDJSON fragments as they materialize, plus a trailer record")
@@ -81,7 +78,6 @@ func main() {
 		Query:        strings.Join(flag.Args(), " "),
 		Rank:         *rankIt,
 		Limit:        *limit,
-		Offset:       *offset,
 		Cursor:       xks.Cursor(*cursor),
 		Timeout:      *timeout,
 		ExactContent: *exact,
@@ -101,16 +97,6 @@ func main() {
 	}
 	if *slca {
 		req.Semantics = xks.SLCAOnly
-	}
-	switch strings.ToLower(*strat) {
-	case "auto":
-		req.Strategy = xks.Auto
-	case "indexed", "indexedeager":
-		req.Strategy = xks.IndexedEager
-	case "scan", "scanmerge":
-		req.Strategy = xks.ScanMerge
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strat))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -24,8 +24,8 @@
 // exceeded timeout= deadline (default and cap: 30s) cancels the pipeline
 // mid-stream. limit= pages through large result sets via the opaque
 // generation-aware "cursor" token in responses (pass it back as cursor=;
-// a cursor invalidated by an append comes back 410 Gone, and the
-// deprecated offset=/"next" raw-offset pair keeps working as a shim).
+// a cursor whose snapshot is gone comes back 410 Gone, and offset= is a
+// 400: the cursor is the only way to page).
 // stream=1 switches /search to NDJSON chunked output — one fragment per
 // line as the pipeline materializes it, a trailer record carrying the
 // cursor and stats — and budget=best-effort converts a mid-page deadline
@@ -43,9 +43,8 @@
 // Endpoints:
 //
 //	GET /search?q=keyword+query[&doc=name][&algo=validrtf|maxmatch|raw]
-//	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&offset=N]
-//	           [&timeout=dur][&budget=best-effort][&snippets=1][&stream=1]
-//	           [&explain=1]
+//	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&timeout=dur]
+//	           [&budget=best-effort][&snippets=1][&stream=1][&explain=1]
 //	GET /documents
 //	GET /stats
 //	GET /metrics

@@ -10,11 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
-
-	"xks/internal/concurrent"
-	"xks/internal/exec"
-	"xks/internal/trace"
 )
 
 // ErrUnknownDocument is wrapped by document-filtered searches when the
@@ -224,54 +219,67 @@ func vectorHash(vec []docSnap) uint64 {
 
 // resolveSnapshot is the corpus entry point's cursor-and-snapshot
 // resolution: it clamps paging, builds the snapshot vector the request
-// will serve (all documents, or just req.Document when filtered), records
-// it in the registry, and — when the request carries a cursor — re-pins
-// the exact vector the cursor's page was issued against. The returned
-// request has the cursor folded into Offset; the returned version token is
-// what the next page's cursor must be stamped with.
+// will serve (all documents, or just req.Document when filtered — a
+// one-entry vector), records it in the registry, and — when the request
+// carries a cursor — re-pins the exact vector the cursor's page was issued
+// against. It returns the request with the cursor folded into Offset, every
+// document of the vector pinned at its recorded engine version (the caller
+// releases them), and the version token the next page's cursor must be
+// stamped with.
 //
 // A cursor goes ErrStaleCursor only when its snapshot is unresolvable: the
 // registry evicted the entry, a pinned document was replaced or removed,
-// or (detected later, in the engine) a renumbering rebuild discarded the
-// pinned version. Appends and compactions never stale a cursor.
-func (c *Corpus) resolveSnapshot(req Request) (Request, []docSnap, uint64, error) {
+// or a renumbering rebuild discarded the pinned version. Appends and
+// compactions never stale a cursor.
+func (c *Corpus) resolveSnapshot(req Request) (Request, []docRead, uint64, error) {
 	req = req.clampPaging()
-	var cur []docSnap
+	var vec []docSnap
 	if req.Document != "" {
 		e := c.engines[req.Document]
 		if e == nil {
 			return req, nil, 0, fmt.Errorf("xks: %w: %q", ErrUnknownDocument, req.Document)
 		}
-		cur = []docSnap{{name: req.Document, reg: c.regIDs[req.Document], ver: e.Generation()}}
+		vec = []docSnap{{name: req.Document, reg: c.regIDs[req.Document], ver: e.Generation()}}
 	} else {
-		cur = c.currentVector()
+		vec = c.currentVector()
 	}
-	curV := vectorHash(cur)
-	c.snaps.put(curV, cur)
-	if req.Cursor == "" {
-		return req, cur, curV, nil
-	}
-	st, err := req.Cursor.decode()
-	if err != nil {
-		return req, nil, 0, err
-	}
-	if st.fp != req.fingerprint() {
-		return req, nil, 0, ErrCursorMismatch
-	}
-	req.Offset, req.Cursor = st.offset, ""
-	if st.gen == curV {
-		return req, cur, curV, nil
-	}
-	vec, ok := c.snaps.get(st.gen)
-	if !ok {
-		return req, nil, 0, fmt.Errorf("%w: snapshot evicted from the corpus registry", ErrStaleCursor)
-	}
-	for _, ds := range vec {
-		if e := c.engines[ds.name]; e == nil || c.regIDs[ds.name] != ds.reg {
-			return req, nil, 0, fmt.Errorf("%w: document %q changed since the cursor was issued", ErrStaleCursor, ds.name)
+	gen := vectorHash(vec)
+	c.snaps.put(gen, vec)
+	if req.Cursor != "" {
+		st, err := req.Cursor.decode()
+		if err != nil {
+			return req, nil, 0, err
+		}
+		if st.fp != req.fingerprint() {
+			return req, nil, 0, ErrCursorMismatch
+		}
+		req.Offset, req.Cursor = st.offset, ""
+		if st.gen != gen {
+			var ok bool
+			if vec, ok = c.snaps.get(st.gen); !ok {
+				return req, nil, 0, fmt.Errorf("%w: snapshot evicted from the corpus registry", ErrStaleCursor)
+			}
+			gen = st.gen
+		}
+		if req.Document != "" && (len(vec) != 1 || vec[0].name != req.Document) {
+			return req, nil, 0, fmt.Errorf("%w: document %q is not the cursor's snapshot", ErrStaleCursor, req.Document)
 		}
 	}
-	return req, vec, st.gen, nil
+	docs := make([]docRead, len(vec))
+	for i, ds := range vec {
+		e := c.engines[ds.name]
+		if e == nil || c.regIDs[ds.name] != ds.reg {
+			releaseAll(docs[:i])
+			return req, nil, 0, fmt.Errorf("%w: document %q changed since the cursor was issued", ErrStaleCursor, ds.name)
+		}
+		v, err := e.viewAtVersion(ds.ver)
+		if err != nil {
+			releaseAll(docs[:i])
+			return req, nil, 0, fmt.Errorf("xks: document %s: %w", ds.name, err)
+		}
+		docs[i] = docRead{name: ds.name, eng: e, v: v}
+	}
+	return req, docs, gen, nil
 }
 
 // AppendXML appends a parsed XML snippet under the identified node of the
@@ -363,12 +371,6 @@ type Results struct {
 	// normalized query terms, KeywordNodes and NumLCAs sum over documents,
 	// and Elapsed is the wall-clock time of the whole fan-out.
 	Stats Stats
-	// NextOffset is the Request.Offset of the next page when the merged
-	// result set extends past this one, and -1 when it is exhausted.
-	//
-	// Deprecated: resume with Cursor, which survives index mutation
-	// checks; NextOffset remains as the raw-offset shim.
-	NextOffset int
 }
 
 // AsCorpus wraps a single-document result in the corpus result shape,
@@ -382,7 +384,6 @@ func (r *Result) AsCorpus(doc string) *Results {
 		Cursor:      r.Cursor,
 		Truncated:   r.Truncated,
 		Truncation:  r.Truncation,
-		NextOffset:  r.NextOffset,
 	}
 	for _, f := range r.Fragments {
 		out.Fragments = append(out.Fragments, CorpusFragment{Document: doc, Fragment: f})
@@ -394,10 +395,10 @@ func (r *Result) AsCorpus(doc string) *Results {
 // drains Stream and collects the page. With req.Rank set, fragments are
 // ordered by descending score across documents; otherwise the merged list
 // deterministically follows document insertion order (and document order
-// within each document). req.Limit and req.Offset page the merged list;
-// NextOffset reports where the following page starts. When req.Document is
-// set, the search covers that document alone (equivalent to
-// SearchDocument). A keyword missing from one document simply yields no
+// within each document). req.Limit pages the merged list; Cursor resumes
+// the following page. When req.Document is set, the search covers that
+// document alone (the error wraps ErrUnknownDocument when the corpus has no
+// such document). A keyword missing from one document simply yields no
 // fragments there; the query fails only if it is unsearchable (e.g. all stop
 // words).
 //
@@ -430,184 +431,9 @@ func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
 	return res, nil
 }
 
-// docOut is one document's candidate-stage output within a corpus search.
-type docOut struct {
-	name string
-	eng  *Engine
-	// docStage's cands is nil in the streamed top-K path: candidates live
-	// only in the bounded heap, so memory stays O(K), not O(total
-	// candidates).
-	docStage
-	// n is the candidate count (PerDocument / NumLCAs aggregation).
-	n int
-	// release unpins the engine snapshot this document's stage ran
-	// against; the caller drops every pin once materialization is done.
-	release func()
-}
-
-// releaseAll unpins every completed document's snapshot after a corpus
-// search finishes with its outputs (pins are pure accounting — the
-// fragments already materialized stay valid).
-func releaseAll(outs []docOut) {
-	for _, o := range outs {
-		if o.release != nil {
-			o.release()
-		}
-	}
-}
-
-// gather runs the cheap half of a corpus search — the per-document plan and
-// candidate fan-out, the shared (top-K) merge, and selection — and returns
-// the per-document outputs, the selected pagination window (nothing pruned
-// or assembled yet), and the result envelope with stats and PerDocument
-// filled. req must already be cursor-resolved and clamped; vec is the
-// snapshot vector resolveSnapshot pinned the request to (each document's
-// candidate stage runs against its recorded engine version, so a resumed
-// cursor reads exactly the state its first page did); ctx carries any
-// deadline (and the trace span, when the request is traced). Completed
-// entries in the returned outs hold snapshot release funcs — the caller
-// must releaseAll them after materializing.
-//
-// On error the envelope still comes back non-nil, aggregated over the
-// documents whose candidate stage completed before the failure, so a
-// BestEffort truncation reports the work actually done (keywords, partial
-// candidate counts, stage timings) instead of a zero Stats struct.
-func (c *Corpus) gather(ctx context.Context, req Request, vec []docSnap) ([]docOut, []*exec.Candidate, *Results, error) {
-	sp := trace.SpanFromContext(ctx)
-
-	// Streaming merge: with Rank and a limit, workers offer candidates into
-	// the shared bounded heap as each document's candidate stage finishes;
-	// everything that falls off the heap is never materialized, and each
-	// document's stage skips per-candidate event lists (score-without-events;
-	// the few selected candidates hydrate lazily). The heap holds the whole
-	// pagination window so the page can start at Offset; a window so large it
-	// overflows int can never be reached, so that shape falls through to the
-	// full-sort path (which pages safely).
-	var topk *exec.TopK
-	if req.Rank && req.Limit > 0 {
-		if window := req.Offset + req.Limit; window > 0 {
-			topk = exec.NewTopK(window)
-		}
-	}
-	docIdx := make([]int, len(vec))
-	for i := range docIdx {
-		docIdx[i] = i
-	}
-	candSp := sp.Child("candidates")
-	candStart := time.Now()
-	outs, err := concurrent.MapCtx(ctx, docIdx, c.Workers, func(i int) (docOut, error) {
-		name := vec[i].name
-		eng := c.engines[name]
-		// Each document gets its own child span (concurrent-safe); the
-		// engine's plan and the lca/rtf sub-stages hang under it.
-		docSp := candSp.Child("doc:" + name)
-		defer docSp.End()
-		out := docOut{name: name, eng: eng}
-		v, err := eng.viewAtVersion(vec[i].ver)
-		if err == nil {
-			// req's Limit and Offset describe the merged page; the stage reads
-			// them only to decide on score-without-events.
-			out.docStage, err = eng.candidateStage(trace.ContextWithSpan(ctx, docSp), v, req, name, i)
-			if err != nil {
-				// The fan-out drops failed outputs, so a pin travelling
-				// inside one would leak.
-				v.release()
-			}
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return docOut{}, err // the shared context failed; no document to blame
-			}
-			return docOut{}, fmt.Errorf("xks: document %s: %w", name, err)
-		}
-		out.n, out.release = len(out.cands), v.release
-		if topk != nil {
-			topk.Offer(out.cands...)
-			out.cands = nil
-		}
-		return out, nil
-	})
-
-	merged := &Results{Query: req.Query, PerDocument: map[string]int{}, NextOffset: -1}
-	// Per-document planning runs inside the concurrent fan-out, so the
-	// corpus-level breakdown folds Plan into Candidates (the per-document
-	// split is still visible in the trace span tree).
-	merged.Stats.Stages.Candidates = time.Since(candStart)
-	// concurrent.MapCtx returns results in job order, so ranging over outs
-	// aggregates in document insertion order regardless of which worker
-	// finished first. Under cancellation the fan-out may have died
-	// mid-flight; completed entries (eng != nil) still aggregate so a
-	// truncated page carries real partial stats.
-	for _, o := range outs {
-		if o.eng == nil {
-			continue
-		}
-		if merged.Stats.Keywords == nil {
-			merged.Stats.Keywords = o.plan.Keywords
-		}
-		merged.Stats.KeywordNodes += o.plan.KeywordNodes()
-		merged.Stats.NumLCAs += o.n
-		merged.PerDocument[o.name] = o.n
-	}
-	candSp.SetInt("documents", int64(len(vec)))
-	candSp.SetInt("candidates", int64(merged.Stats.NumLCAs))
-	candSp.End()
-	if err != nil {
-		if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
-			// Candidate-stage salvage: the fan-out died on the deadline, but
-			// every completed document's candidate set (and the shared top-K
-			// heap the workers fed) is intact. Select over that partial
-			// corpus so the caller can materialize an honest best-effort
-			// page instead of discarding finished work. The error still
-			// propagates — the caller owns the Truncated marking.
-			selected := selectAcross(topk, outs, req)
-			merged.Stats.Selected = len(selected)
-			return outs, selected, merged, err
-		}
-		return outs, nil, merged, err
-	}
-
-	// Select across documents. Candidates are cheap handles; nothing has
-	// been pruned or assembled yet. The streamed heap already holds the
-	// ranked pagination window; the remaining shapes run the same Select
-	// the single-document path uses, over the document-order concatenation.
-	selSp := sp.Child("select")
-	selStart := time.Now()
-	selected := selectAcross(topk, outs, req)
-	merged.Stats.Stages.Select = time.Since(selStart)
-	merged.Stats.Selected = len(selected)
-	selSp.SetInt("candidates", int64(merged.Stats.NumLCAs))
-	selSp.SetInt("selected", int64(len(selected)))
-	selSp.End()
-	return outs, selected, merged, nil
-}
-
-// selectAcross runs the merged selection over the per-document candidate
-// outputs: the shared top-K heap's pagination window when the streamed merge
-// ran, otherwise the standard Select over the document-order concatenation
-// of completed documents (o.eng == nil marks a document whose candidate
-// stage did not finish; it contributed nothing).
-func selectAcross(topk *exec.TopK, outs []docOut, req Request) []*exec.Candidate {
-	if topk != nil {
-		return exec.Page(topk.Ranked(), req.Offset, req.Limit)
-	}
-	var all []*exec.Candidate
-	for _, o := range outs {
-		all = append(all, o.cands...)
-	}
-	return exec.Select(all, exec.Params{Rank: req.Rank, Limit: req.Limit, Offset: req.Offset})
-}
-
-// Fragments is Stream for callers that do not need the envelope: the same
-// iterator, the trailer discarded.
-func (c *Corpus) Fragments(ctx context.Context, req Request) iter.Seq2[CorpusFragment, error] {
-	seq, _ := c.Stream(ctx, req)
-	return seq
-}
-
 // Stream is the one way a request executes on a corpus — the corpus-level
 // mirror of Engine.Stream: the fragment iterator plus a trailer. The
-// candidate fan-out and the shared top-K selection run eagerly when the loop
+// candidate stage and the shared (top-K) selection run eagerly when the loop
 // starts (selection needs every document's candidates), but fragments
 // materialize one by one as the iterator is consumed, in result order.
 // Breaking out of the loop early — a disconnecting client, a filled page, a
@@ -621,158 +447,23 @@ func (c *Corpus) Fragments(ctx context.Context, req Request) iter.Seq2[CorpusFra
 // yielded fragments themselves are not retained in the trailer (Search
 // collects them from the iterator), so consuming an unbounded result set
 // stays O(1) server-side. The trailer's value is unspecified while the
-// iterator is still running. Request.Document routes to the named document's
-// engine stream, with the cursor validated against the corpus generation
-// either way.
+// iterator is still running. Request.Document narrows the snapshot vector to
+// the named document; its cursors carry the corpus token like any other.
 func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragment, error], func() *Results) {
-	res := &Results{Query: req.Query, PerDocument: map[string]int{}, NextOffset: -1}
+	res := &Results{Query: req.Query, PerDocument: map[string]int{}}
 	seq := func(yield func(CorpusFragment, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		if req.Document != "" {
-			c.streamDocument(ctx, req, res, yield)
-			return
+		req, docs, gen, err := c.resolveSnapshot(req)
+		if err == nil {
+			err = runRequest(ctx, req, gen, docs, c.Workers, res, func(doc string, f *Fragment) bool {
+				return yield(CorpusFragment{Document: doc, Fragment: f}, nil)
+			})
 		}
-		req, vec, gen, err := c.resolveSnapshot(req)
 		if err != nil {
 			yield(CorpusFragment{}, err)
-			return
-		}
-		ctx, cancel := req.applyTimeout(ctx)
-		defer cancel()
-
-		start := time.Now()
-		defer func() { res.Stats.Elapsed = time.Since(start) }()
-		outs, selected, merged, err := c.gather(ctx, req, vec)
-		defer releaseAll(outs)
-		// Candidate-stage salvage: the fan-out died on a BestEffort deadline.
-		// gather still returns the envelope aggregated over the documents
-		// that completed — real partial stats instead of a zero struct — plus
-		// the selection salvaged from them, which is yielded below as a
-		// best-effort page: assembly ignores the spent deadline, and the work
-		// is bounded by the page size.
-		salvage := err != nil && req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded)
-		if err != nil && !salvage {
-			yield(CorpusFragment{}, err)
-			return
-		}
-		res.Stats = merged.Stats
-		res.PerDocument = merged.PerDocument
-		if salvage {
-			// Truncated before selection finished: the total is unknown (the
-			// salvaged page covers only the completed documents), so the page
-			// resumes from its own start — an empty cursor would read as
-			// "exhausted" and silently end the scroll.
-			res.Truncated = true
-			res.Truncation = TruncCandidates
-			truncationCursor(&res.NextOffset, &res.Cursor, req, gen)
-		}
-
-		sp := trace.SpanFromContext(ctx)
-		matSp := sp.Child("materialize")
-		yielded, lastDoc, lastSeq := 0, 0, 0
-		var prunedNodes int64
-		defer func() {
-			matSp.SetInt("fragments", int64(yielded))
-			matSp.SetInt("prunedNodes", prunedNodes)
-			matSp.End()
-			if !salvage {
-				pageCursor(&res.NextOffset, &res.Cursor, req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
-			}
-		}()
-		for _, cand := range selected {
-			o := outs[cand.Doc]
-			var f *Fragment
-			err := ctx.Err()
-			if err == nil || salvage {
-				// The expired ctx still feeds the injection point, so scripted
-				// deadline faults resolve immediately.
-				matStart := time.Now()
-				f, err = o.eng.materializeSafe(ctx, o.name, cand, o.plan, o.params)
-				res.Stats.Stages.Materialize += time.Since(matStart)
-			}
-			if err != nil {
-				switch {
-				case salvage: // the page is what was salvaged before the failure
-				case req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded):
-					res.Truncated = true
-					res.Truncation = TruncMaterialize
-				default:
-					yield(CorpusFragment{}, err)
-				}
-				return
-			}
-			prunedNodes += int64(f.Pruned)
-			yielded, lastDoc, lastSeq = yielded+1, cand.Doc, cand.Seq
-			if !yield(CorpusFragment{Document: o.name, Fragment: f}, nil) {
-				return
-			}
 		}
 	}
 	return seq, func() *Results { return res }
-}
-
-// streamDocument is the Request.Document arm of Stream: the named engine's
-// stream with fragments tagged. The corpus cursor is resolved and rewritten
-// in the engine's own cursor dialect, pinned to the engine version the
-// snapshot vector recorded for the document — so a resumed scroll reads
-// exactly the state its first page did even after appends — and the cursor
-// of the next page is re-anchored to the corpus snapshot token (an
-// engine-issued cursor would pin the engine's own version, which serving
-// layers validating against the corpus could not honor; mutations to other
-// corpus documents never stale it).
-func (c *Corpus) streamDocument(ctx context.Context, req Request, res *Results, yield func(CorpusFragment, error) bool) {
-	name := req.Document
-	req, vec, gen, err := c.resolveSnapshot(req)
-	if err != nil {
-		yield(CorpusFragment{}, err)
-		return
-	}
-	var ver uint64
-	for _, ds := range vec {
-		if ds.name == name {
-			ver = ds.ver
-			break
-		}
-	}
-	if ver == 0 {
-		// A resumed corpus-wide vector that never pinned this document:
-		// the document postdates the cursor.
-		yield(CorpusFragment{}, fmt.Errorf("%w: document %q is not in the cursor's snapshot", ErrStaleCursor, name))
-		return
-	}
-	req.Cursor = encodeCursor(cursorState{gen: ver, offset: req.Offset, fp: req.fingerprint()})
-	seq, trailer := c.engines[name].Stream(ctx, req)
-	defer func() {
-		t := trailer().AsCorpus(name)
-		if t.NextOffset >= 0 {
-			t.Cursor = encodeCursor(cursorState{gen: gen, offset: t.NextOffset, fp: req.fingerprint()})
-		}
-		*res = *t
-	}()
-	for f, err := range seq {
-		if err != nil {
-			if ctx.Err() == nil {
-				err = fmt.Errorf("xks: document %s: %w", name, err)
-			}
-			yield(CorpusFragment{}, err)
-			return
-		}
-		if !yield(CorpusFragment{Document: name, Fragment: f}, nil) {
-			return
-		}
-	}
-}
-
-// SearchDocument is Search over the single document name (req.Document is
-// set to it, so cursor fingerprints stay consistent however the caller
-// routed here). The error wraps ErrUnknownDocument when name is not in the
-// corpus.
-func (c *Corpus) SearchDocument(ctx context.Context, name string, req Request) (*Results, error) {
-	if c.engines[name] == nil {
-		return nil, fmt.Errorf("xks: %w: %q", ErrUnknownDocument, name)
-	}
-	req.Document = name
-	return c.Search(ctx, req)
 }

@@ -61,8 +61,10 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 		}
 	}
 
-	// SearchDocument still reaches the store-backed engine.
-	one, err := c.SearchDocument(context.Background(), "store.xks", NewRequest(paperdata.Q1, Options{}))
+	// A document-filtered search still reaches the store-backed engine.
+	oneReq := NewRequest(paperdata.Q1, Options{})
+	oneReq.Document = "store.xks"
+	one, err := c.Search(context.Background(), oneReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,8 @@ func TestCorpusFragmentsStreams(t *testing.T) {
 		}
 
 		var streamed []CorpusFragment
-		for f, err := range c.Fragments(context.Background(), Request{Query: q, Rank: rank}) {
+		all, _ := c.Stream(context.Background(), Request{Query: q, Rank: rank})
+		for f, err := range all {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,8 +135,8 @@ func TestCorpusFragmentsStreams(t *testing.T) {
 		}
 		// The abandoned stream is resumable from its trailer.
 		res := trailer()
-		if res.Cursor == "" || res.NextOffset != 2 {
-			t.Fatalf("rank=%v: abandoned stream Cursor=%q NextOffset=%d, want resumable at 2", rank, res.Cursor, res.NextOffset)
+		if next := nextOffset(t, res.Cursor); next != 2 {
+			t.Fatalf("rank=%v: abandoned stream Cursor=%q resumes at %d, want 2", rank, res.Cursor, next)
 		}
 		rest, err := c.Search(context.Background(), Request{Query: q, Rank: rank, Cursor: res.Cursor})
 		if err != nil {
@@ -146,7 +149,8 @@ func TestCorpusFragmentsStreams(t *testing.T) {
 
 	// An unknown document filter surfaces through the iterator.
 	var got error
-	for _, err := range c.Fragments(context.Background(), Request{Query: q, Document: "absent.xml"}) {
+	absent, _ := c.Stream(context.Background(), Request{Query: q, Document: "absent.xml"})
+	for _, err := range absent {
 		got = err
 	}
 	if !errors.Is(got, ErrUnknownDocument) {

@@ -54,6 +54,18 @@ func TestCorpusSearchBothDocuments(t *testing.T) {
 	}
 }
 
+// TestEmptyCorpusSearch: a corpus with no documents answers every page
+// shape with an empty page.
+func TestEmptyCorpusSearch(t *testing.T) {
+	c := NewCorpus()
+	for _, req := range []Request{{Query: "xml"}, {Query: "xml", Rank: true, Limit: 3}, {Query: "xml", Limit: 3}} {
+		res, err := c.Search(context.Background(), req)
+		if err != nil || len(res.Fragments) != 0 || res.Cursor != "" || res.Stats.NumLCAs != 0 {
+			t.Fatalf("%+v: %+v, %v", req, res, err)
+		}
+	}
+}
+
 func TestCorpusRankAcrossDocuments(t *testing.T) {
 	c := testCorpus(t)
 	res, err := c.Search(context.Background(), NewRequest("name", Options{Rank: true}))
@@ -195,7 +207,7 @@ func TestCorpusSearchAggregatesStats(t *testing.T) {
 
 func TestCorpusSearchDocument(t *testing.T) {
 	c := testCorpus(t)
-	res, err := c.SearchDocument(context.Background(), "publications", NewRequest("liu keyword", Options{}))
+	res, err := c.Search(context.Background(), Request{Query: "liu keyword", Document: "publications"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +220,7 @@ func TestCorpusSearchDocument(t *testing.T) {
 	if res.Stats.NumLCAs != 2 {
 		t.Errorf("NumLCAs = %d", res.Stats.NumLCAs)
 	}
-	if _, err := c.SearchDocument(context.Background(), "absent", NewRequest("liu", Options{})); !errors.Is(err, ErrUnknownDocument) {
+	if _, err := c.Search(context.Background(), Request{Query: "liu", Document: "absent"}); !errors.Is(err, ErrUnknownDocument) {
 		t.Errorf("unknown document error = %v", err)
 	}
 }

@@ -82,7 +82,8 @@ func encodeCursor(s cursorState) Cursor {
 }
 
 // decode parses the token; every malformation comes back wrapping
-// ErrBadCursor.
+// ErrBadCursor, and every token it accepts is the one encodeCursor mints
+// for the decoded state.
 func (c Cursor) decode() (cursorState, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(string(c))
 	if err != nil {
@@ -110,8 +111,10 @@ func (c Cursor) decode() (cursorState, error) {
 			*ints[i] = int(v)
 		}
 	}
-	if len(raw) != 0 {
-		return cursorState{}, fmt.Errorf("%w: trailing bytes", ErrBadCursor)
+	// One state, one token: trailing bytes, overlong varints and stray
+	// padding bits would otherwise decode too.
+	if encodeCursor(s) != c {
+		return cursorState{}, fmt.Errorf("%w: not a canonical token", ErrBadCursor)
 	}
 	return s, nil
 }
@@ -120,11 +123,10 @@ const maxInt = int(^uint(0) >> 1)
 
 // ResumePoint returns a copy of the envelope re-pointed to resume after
 // the first n fragments of its page, with Fragments dropped (the consumer
-// already received them): Cursor and NextOffset are recomputed for
-// position req.Offset+n. A serving layer replaying a buffered page to a
-// streaming consumer that stopped early uses this to hand back an honest
-// trailer — the original page's cursor would skip the fragments the
-// consumer never saw.
+// already received them): Cursor is recomputed for position req.Offset+n.
+// A serving layer replaying a buffered page to a streaming consumer that
+// stopped early uses this to hand back an honest trailer — the original
+// page's cursor would skip the fragments the consumer never saw.
 //
 // The re-pointed cursor is stamped with the generation the page itself was
 // issued at (decoded from its own cursor) whenever the page carries one,
@@ -144,34 +146,31 @@ func (r *Results) ResumePoint(n int, req Request, gen uint64) *Results {
 	if st, err := r.Cursor.decode(); err == nil {
 		gen = st.gen
 	}
-	out.NextOffset, out.Cursor = -1, ""
-	pageCursor(&out.NextOffset, &out.Cursor, req.clampPaging(), gen, n, r.Stats.NumLCAs, 0, 0, false)
+	out.Cursor = pageCursor(req.clampPaging(), gen, n, r.Stats.NumLCAs, 0, 0, false)
 	return &out
 }
 
-// truncationCursor stamps a resume-here cursor onto an envelope truncated
+// truncationCursor is the resume-here cursor of an envelope truncated
 // before selection finished (a BestEffort deadline expiring in the plan or
 // candidate stage): the total is unknown, but the resume position is
 // exactly where this page started, so the scroll stays resumable instead
 // of looking exhausted.
-func truncationCursor(next *int, cursor *Cursor, req Request, gen uint64) {
-	*next = req.Offset
-	*cursor = encodeCursor(cursorState{gen: gen, offset: req.Offset, fp: req.fingerprint()})
+func truncationCursor(req Request, gen uint64) Cursor {
+	return encodeCursor(cursorState{gen: gen, offset: req.Offset, fp: req.fingerprint()})
 }
 
-// pageCursor stamps the next-page cursor (and the deprecated NextOffset
-// shim) onto a result envelope: yielded fragments were returned starting at
-// req.Offset, total is the candidate count before paging, and last is the
-// final candidate materialized (nil when none were). A cursor is issued
-// whenever unreturned results remain — including a truncated page that
-// yielded nothing, so a best-effort client can retry from the same spot.
-func pageCursor(next *int, cursor *Cursor, req Request, gen uint64, yielded, total int, lastDoc, lastSeq int, truncated bool) {
+// pageCursor is the next-page cursor of a result envelope: yielded
+// fragments were returned starting at req.Offset, total is the candidate
+// count before paging, and lastDoc/lastSeq key the final candidate
+// materialized. A cursor is issued whenever unreturned results remain —
+// including a truncated page that yielded nothing, so a best-effort client
+// can retry from the same spot — and is empty otherwise.
+func pageCursor(req Request, gen uint64, yielded, total int, lastDoc, lastSeq int, truncated bool) Cursor {
 	n := req.Offset + yielded
 	if n >= total || (yielded == 0 && !truncated) {
-		return
+		return ""
 	}
-	*next = n
-	*cursor = encodeCursor(cursorState{
+	return encodeCursor(cursorState{
 		gen:    gen,
 		offset: n,
 		doc:    lastDoc,

@@ -1,8 +1,8 @@
 package xks
 
 // Tests for the opaque generation-aware cursor: token round-trips,
-// validation failures (malformed / mismatched / stale), precedence over the
-// deprecated Offset shim, and full cursor walks matching offset walks.
+// validation failures (malformed / mismatched / stale), precedence over a
+// raw Offset, and full cursor walks matching offset walks.
 
 import (
 	"context"
@@ -125,8 +125,8 @@ func TestEngineCursorWalkMatchesOffsetWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			pages = append(pages, res.Fragments...)
-			if (res.Cursor == "") != (res.NextOffset < 0) {
-				t.Fatalf("cursor %q disagrees with NextOffset %d", res.Cursor, res.NextOffset)
+			if next := nextOffset(t, res.Cursor); res.Cursor != "" && next != len(pages) {
+				t.Fatalf("cursor %q resumes at %d after %d fragments", res.Cursor, next, len(pages))
 			}
 			if res.Cursor == "" {
 				break
@@ -190,8 +190,11 @@ func TestCorpusCursorWalk(t *testing.T) {
 		if _, err := c.Search(context.Background(), Request{Query: q, Document: name, Limit: 1, Cursor: p1.Cursor}); err != nil {
 			t.Fatalf("filtered cursor resume: %v", err)
 		}
-		if _, err := c.SearchDocument(context.Background(), name, Request{Query: q, Limit: 1, Cursor: p1.Cursor}); err != nil {
-			t.Fatalf("SearchDocument cursor resume: %v", err)
+		seq, _ := c.Stream(context.Background(), Request{Query: q, Document: name, Limit: 1, Cursor: p1.Cursor})
+		for _, err := range seq {
+			if err != nil {
+				t.Fatalf("filtered Stream cursor resume: %v", err)
+			}
 		}
 	}
 

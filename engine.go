@@ -19,7 +19,7 @@
 //
 // Every search takes a context.Context and a Request: cancelling the
 // context (or setting Request.Timeout) aborts the pipeline mid-stream, and
-// Request.Limit/Offset page through large result sets.
+// Request.Limit with the result's Cursor pages through large result sets.
 package xks
 
 import (
@@ -107,37 +107,6 @@ func (s Semantics) String() string {
 		return "SLCAOnly"
 	}
 	return "AllLCA"
-}
-
-// Strategy is the planner knob of a search (Request.Strategy): it governs
-// merge order and dispatch galloping only, never the LCA algorithm (SLCA
-// always runs the galloping indexed kernel, ELCA the stack merge). Unlike
-// Algorithm and Semantics, every strategy returns byte-identical fragments;
-// the crosscheck tests pin the equivalence.
-type Strategy int
-
-const (
-	// Auto (the default) engages the cost-based planner: per-term posting
-	// statistics order the k-way merge rarest-first and enable subtree
-	// galloping in the RTF dispatch (internal/planner).
-	Auto Strategy = iota
-	// IndexedEager pins the planner-off baseline: query order, no
-	// galloping.
-	IndexedEager
-	// ScanMerge pins the same planner-off baseline as IndexedEager; it
-	// remains as the name of the retired scan-merge SLCA strategy.
-	ScanMerge
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case IndexedEager:
-		return "IndexedEager"
-	case ScanMerge:
-		return "ScanMerge"
-	default:
-		return "Auto"
-	}
 }
 
 // Options is the search configuration of the pre-Request API: the part of
@@ -478,10 +447,10 @@ func (e *Engine) Compact(ctx context.Context) (int, error) {
 // StageStats breaks one search's wall-clock time down by pipeline stage
 // (plan → candidates → select → materialize; see internal/exec). The
 // timings are recorded on every search — no tracing required, and the
-// struct is a value, so the breakdown is allocation-free. For corpus
-// searches Plan is folded into Candidates: per-document planning runs
-// inside the concurrent candidate fan-out, so the two are not separable at
-// the corpus level (the per-document split is still visible in the trace
+// struct is a value, so the breakdown is allocation-free. For a search over
+// several documents Plan is folded into Candidates: per-document planning
+// runs inside the concurrent candidate fan-out, so the two are not separable
+// at the corpus level (the per-document split is still visible in the trace
 // span tree when the request is traced). Materialize accumulates the time
 // spent assembling fragments, which for streaming consumers excludes the
 // time the consumer held the iterator between fragments.
@@ -504,10 +473,10 @@ const (
 	TruncNone TruncationReason = ""
 	// TruncCandidates: the BestEffort deadline expired during the plan or
 	// candidate stage, before selection finished. The total is unknown and
-	// the cursor resumes from the page's own start. Single-engine pages are
-	// empty; corpus pages salvage the documents whose candidate stage
-	// finished in time, so the page holds a best-effort selection over that
-	// partial corpus (re-running the cursor recomputes the true page).
+	// the cursor resumes from the page's own start. A one-document page is
+	// empty; a search over several documents salvages those whose candidate
+	// stage finished in time, so the page holds a best-effort selection over
+	// that partial corpus (re-running the cursor recomputes the true page).
 	TruncCandidates TruncationReason = "deadline-candidates"
 	// TruncMaterialize: the BestEffort deadline expired during the
 	// materialize stage. The page holds every fragment that finished in
@@ -554,12 +523,6 @@ type Result struct {
 	// Truncation says which stage the deadline expired in when Truncated
 	// is set (TruncNone otherwise).
 	Truncation TruncationReason
-	// NextOffset is the Request.Offset of the next page when the result
-	// set extends past this one, and -1 when it is exhausted.
-	//
-	// Deprecated: resume with Cursor, which survives index mutation
-	// checks; NextOffset remains as the raw-offset shim.
-	NextOffset int
 }
 
 // Search runs the staged pipeline (plan → candidates → select →
@@ -574,10 +537,9 @@ type Result struct {
 // ctx.Err(): the candidate stage checks the context every few thousand
 // merge events, materialization checks it between fragments. With Rank and
 // Limit set, selection runs before materialization: only the candidates of
-// the requested page are pruned and assembled into fragments; NextOffset
-// reports where the following page starts. req.Document is ignored — a
-// single engine holds one document (see Corpus for the filterable
-// collection).
+// the requested page are pruned and assembled into fragments; Cursor
+// resumes the following page. req.Document is ignored — a single engine
+// holds one document (see Corpus for the filterable collection).
 func (e *Engine) Search(ctx context.Context, req Request) (*Result, error) {
 	seq, trailer := e.Stream(ctx, req)
 	var frags []*Fragment
@@ -590,13 +552,6 @@ func (e *Engine) Search(ctx context.Context, req Request) (*Result, error) {
 	res := trailer()
 	res.Fragments = frags
 	return res, nil
-}
-
-// Fragments is Stream for callers that do not need the envelope: the same
-// iterator, the trailer discarded.
-func (e *Engine) Fragments(ctx context.Context, req Request) iter.Seq2[*Fragment, error] {
-	seq, _ := e.Stream(ctx, req)
-	return seq
 }
 
 // Stream is the one way a request executes on an engine: the fragment
@@ -615,7 +570,7 @@ func (e *Engine) Fragments(ctx context.Context, req Request) iter.Seq2[*Fragment
 // unbounded result set stays O(1) server-side. The trailer's value is
 // unspecified while the iterator is still running.
 func (e *Engine) Stream(ctx context.Context, req Request) (iter.Seq2[*Fragment, error], func() *Result) {
-	res := &Result{Query: req.Query, NextOffset: -1}
+	res := &Result{Query: req.Query}
 	seq := func(yield func(*Fragment, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()
@@ -625,95 +580,268 @@ func (e *Engine) Stream(ctx context.Context, req Request) (iter.Seq2[*Fragment, 
 			yield(nil, err)
 			return
 		}
-		// gen is the snapshot's version: cursors issued from this page
-		// re-pin exactly this state, whatever is appended meanwhile.
-		gen := v.snap.Version()
-		release := v.release
-		// Chaos injection point: a scripted snapshot-pin fault makes the
-		// engine skip the release — the refcount-leak scenario the chaos
-		// suite proves the pinned gauge detects.
-		if ferr := fault.Inject(ctx, fault.PointSnapshotPin, ""); ferr != nil {
-			release = func() {}
-		}
-		defer release()
 		res.Request = req
-		ctx, cancel := req.applyTimeout(ctx)
-		defer cancel()
-
-		// One child span per stage when the request is traced; a nil span
-		// (the untraced common case) makes every call below a free no-op.
-		sp := trace.SpanFromContext(ctx)
-
-		st, err := e.candidateStage(ctx, v, req, "", 0)
-		res.Stats.Stages.Plan = st.planTime
-		res.Stats.Keywords = st.plan.Keywords
-		res.Stats.KeywordNodes = st.plan.KeywordNodes()
-		if !st.start.IsZero() { // the candidate stage ran
-			res.Stats.Stages.Candidates = time.Since(st.start)
-			defer func() { res.Stats.Elapsed = time.Since(st.start) }()
-		}
+		// The snapshot's version stamps the next page's cursor, which
+		// re-pins exactly this state whatever is appended meanwhile.
+		var page Results
+		err = runRequest(ctx, req, v.snap.Version(), []docRead{{eng: e, v: v}}, 0, &page,
+			func(_ string, f *Fragment) bool { return yield(f, nil) })
+		res.Stats, res.Cursor, res.Truncated, res.Truncation = page.Stats, page.Cursor, page.Truncated, page.Truncation
 		if err != nil {
-			if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
-				// Truncated before selection finished: the total is
-				// unknown, but the page is still resumable from its own
-				// start — an empty cursor here would read as "exhausted"
-				// and silently end the scroll.
-				res.Truncated = true
-				res.Truncation = TruncCandidates
-				truncationCursor(&res.NextOffset, &res.Cursor, req, gen)
-				return
-			}
 			yield(nil, err)
-			return
-		}
-		if len(st.plan.Sets) == 0 {
-			return // a keyword matches nothing: no fragment can cover the query
-		}
-		total := len(st.cands)
-		selSp := sp.Child("select")
-		selStart := time.Now()
-		selected := exec.Select(st.cands, st.params)
-		res.Stats.Stages.Select = time.Since(selStart)
-		selSp.SetInt("candidates", int64(total))
-		selSp.SetInt("selected", int64(len(selected)))
-		selSp.End()
-		res.Stats.NumLCAs = total
-		res.Stats.Selected = len(selected)
-
-		matSp := sp.Child("materialize")
-		yielded, lastDoc, lastSeq := 0, 0, 0
-		var prunedNodes int64
-		defer func() {
-			matSp.SetInt("fragments", int64(yielded))
-			matSp.SetInt("prunedNodes", prunedNodes)
-			matSp.End()
-			pageCursor(&res.NextOffset, &res.Cursor, req, gen, yielded, total, lastDoc, lastSeq, res.Truncated)
-		}()
-		for _, c := range selected {
-			var f *Fragment
-			err := ctx.Err()
-			if err == nil {
-				matStart := time.Now()
-				f, err = e.materializeSafe(ctx, "", c, st.plan, st.params)
-				res.Stats.Stages.Materialize += time.Since(matStart)
-			}
-			if err != nil {
-				if req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded) {
-					res.Truncated = true
-					res.Truncation = TruncMaterialize
-					return
-				}
-				yield(nil, err)
-				return
-			}
-			prunedNodes += int64(f.Pruned)
-			yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
-			if !yield(f, nil) {
-				return
-			}
 		}
 	}
 	return seq, func() *Result { return res }
+}
+
+// docRead is one document a request reads: its engine, the snapshot pinned
+// for it, and the name that labels its fault-injection points, its errors and
+// its fragments ("" for a bare engine). runRequest fills in the rest.
+type docRead struct {
+	name string
+	eng  *Engine
+	v    *view
+	docStage
+	// n is the document's candidate count; counted marks a document whose
+	// stage output enters the envelope — one whose stage finished, or a lone
+	// document, whose plan is reported even when its candidates are not.
+	n       int
+	counted bool
+	// leak is set by a scripted snapshot-pin fault: the pin is never
+	// released, the refcount leak the chaos suite proves the pinned gauge
+	// detects.
+	leak bool
+}
+
+// releaseAll unpins every document's snapshot once a request is done with
+// its fragments (pins are pure accounting; what was materialized stays
+// valid).
+func releaseAll(docs []docRead) {
+	for _, d := range docs {
+		if !d.leak {
+			d.v.release()
+		}
+	}
+}
+
+// runRequest is the one request loop, behind Engine.Stream and
+// Corpus.Stream alike: the candidate stage over docs, selection, then the
+// lazy materialize loop under the BestEffort rules, and the page cursor. req
+// is resolved (cursor folded into Offset, paging clamped), gen is the version
+// token the next page's cursor is stamped with, and docs are the documents to
+// read, each pinned; every pin is released before runRequest returns. The
+// envelope goes to res (PerDocument only when non-nil), and the fragments to
+// yield, in result order, until it returns false: breaking out early leaves
+// the remaining candidates unassembled, and the cursor resumes after the last
+// fragment yielded. The error is the request's failure, for the caller to
+// yield.
+//
+// A lone document runs its candidate stage inline; several fan out across up
+// to workers goroutines (candidates). A BestEffort deadline that expires in
+// the candidate stage salvages a page from the documents that finished — a
+// lone document has none, so its page is empty — stamped with a cursor that
+// resumes from the page's own start: the total is unknown, and an empty
+// cursor would read as "exhausted" and silently end the scroll. One that
+// expires mid-materialization truncates the page after the last fragment
+// finished.
+func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, workers int, res *Results, yield func(doc string, f *Fragment) bool) error {
+	for i := range docs {
+		docs[i].leak = fault.Inject(ctx, fault.PointSnapshotPin, docs[i].name) != nil
+	}
+	defer releaseAll(docs)
+	ctx, cancel := req.applyTimeout(ctx)
+	defer cancel()
+	// One child span per stage when the request is traced; a nil span (the
+	// untraced common case) makes every call below a free no-op.
+	sp := trace.SpanFromContext(ctx)
+
+	topk, start, err := candidates(ctx, req, docs, workers, res)
+	if !start.IsZero() { // the candidate stage ran
+		defer func() { res.Stats.Elapsed = time.Since(start) }()
+	}
+	salvage := err != nil && req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded)
+	if err != nil && !salvage {
+		return err
+	}
+	if salvage {
+		res.Truncated, res.Truncation = true, TruncCandidates
+		res.Cursor = truncationCursor(req, gen)
+	}
+	if len(docs) == 1 && (salvage || len(docs[0].plan.Sets) == 0) {
+		return nil // nothing to select: no fragment can cover the query
+	}
+
+	// Candidates are cheap handles; nothing has been pruned or assembled yet.
+	var selSp *trace.Span
+	if !salvage {
+		selSp = sp.Child("select")
+	}
+	selStart := time.Now()
+	selected := selectAcross(topk, docs, req)
+	res.Stats.Stages.Select = time.Since(selStart)
+	res.Stats.Selected = len(selected)
+	selSp.SetInt("candidates", int64(res.Stats.NumLCAs))
+	selSp.SetInt("selected", int64(len(selected)))
+	selSp.End()
+
+	matSp := sp.Child("materialize")
+	yielded, lastDoc, lastSeq := 0, 0, 0
+	var prunedNodes int64
+	defer func() {
+		matSp.SetInt("fragments", int64(yielded))
+		matSp.SetInt("prunedNodes", prunedNodes)
+		matSp.End()
+		if !salvage {
+			res.Cursor = pageCursor(req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
+		}
+	}()
+	for _, c := range selected {
+		d := &docs[c.Doc]
+		var f *Fragment
+		err := ctx.Err()
+		if err == nil || salvage {
+			// A salvaged page assembles under the spent deadline, bounded by
+			// the page size; the expired ctx still feeds the injection point,
+			// so scripted deadline faults resolve immediately.
+			matStart := time.Now()
+			f, err = d.eng.materializeSafe(ctx, d.name, c, d.plan, d.params)
+			res.Stats.Stages.Materialize += time.Since(matStart)
+		}
+		if err != nil {
+			switch {
+			case salvage: // the page is what was salvaged before the failure
+			case req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded):
+				res.Truncated, res.Truncation = true, TruncMaterialize
+			default:
+				return docErr(ctx, d.name, err)
+			}
+			return nil
+		}
+		prunedNodes += int64(f.Pruned)
+		yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
+		if !yield(d.name, f) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// candidates runs the candidate stage over docs and folds its output into
+// res: keywords, keyword nodes, candidate totals and the stage timings, from
+// every counted document. A lone document runs it inline, under its own
+// candidates span, with the plan timed apart. Several fan out concurrently,
+// each under a doc:<name> span beneath candidates with the plan timed inside
+// the stage; a ranked page with a limit then streams every document's
+// candidates into the returned top-K heap, so what falls off it is never
+// materialized (and each stage skips per-candidate event lists; the few
+// selected hydrate lazily). start is when the stage began, zero when a lone
+// document's never did. On error the envelope still covers the documents
+// that finished, so a BestEffort truncation reports the work actually done.
+func candidates(ctx context.Context, req Request, docs []docRead, workers int, res *Results) (*exec.TopK, time.Time, error) {
+	if len(docs) == 1 {
+		d := &docs[0]
+		var err error
+		d.docStage, err = d.eng.candidateStage(ctx, d.v, req, d.name, 0, true)
+		d.counted = true
+		if err == nil {
+			d.n = len(d.cands)
+		}
+		res.Stats.Stages.Plan = d.planTime
+		if !d.start.IsZero() {
+			res.Stats.Stages.Candidates = time.Since(d.start)
+		}
+		countDocs(docs, res)
+		return nil, d.start, docErr(ctx, d.name, err)
+	}
+	// The heap holds the whole pagination window so the page can start at
+	// Offset; a window so large it overflows int can never be reached, so
+	// that shape falls through to the full selection (which pages safely).
+	var topk *exec.TopK
+	if window := req.Offset + req.Limit; req.Rank && req.Limit > 0 && window > 0 {
+		topk = exec.NewTopK(window)
+	}
+	idx := make([]int, len(docs))
+	for i := range idx {
+		idx[i] = i
+	}
+	candSp := trace.SpanFromContext(ctx).Child("candidates")
+	start := time.Now()
+	_, err := concurrent.MapCtx(ctx, idx, workers, func(i int) (struct{}, error) {
+		d := &docs[i]
+		// Each document gets its own child span (concurrent-safe); the
+		// engine's plan and the lca/rtf sub-stages hang under it.
+		docSp := candSp.Child("doc:" + d.name)
+		defer docSp.End()
+		// req's Limit and Offset describe the merged page; the stage reads
+		// them only to decide on score-without-events.
+		st, err := d.eng.candidateStage(trace.ContextWithSpan(ctx, docSp), d.v, req, d.name, i, false)
+		if err != nil {
+			return struct{}{}, docErr(ctx, d.name, err)
+		}
+		d.docStage, d.n, d.counted = st, len(st.cands), true
+		if topk != nil {
+			topk.Offer(d.cands...)
+			d.cands = nil // memory stays O(K), not O(candidates)
+		}
+		return struct{}{}, nil
+	})
+	// Per-document planning runs inside the fan-out, so the corpus-level
+	// breakdown folds Plan into Candidates (the per-document split is still
+	// visible in the trace span tree).
+	res.Stats.Stages.Candidates = time.Since(start)
+	countDocs(docs, res)
+	candSp.SetInt("documents", int64(len(docs)))
+	candSp.SetInt("candidates", int64(res.Stats.NumLCAs))
+	candSp.End()
+	return topk, start, err
+}
+
+// countDocs aggregates the counted documents' stage output into res, in
+// document order whichever worker finished first.
+func countDocs(docs []docRead, res *Results) {
+	for i := range docs {
+		d := &docs[i]
+		if !d.counted {
+			continue
+		}
+		if res.Stats.Keywords == nil {
+			res.Stats.Keywords = d.plan.Keywords
+		}
+		res.Stats.KeywordNodes += d.plan.KeywordNodes()
+		res.Stats.NumLCAs += d.n
+		if res.PerDocument != nil {
+			res.PerDocument[d.name] = d.n
+		}
+	}
+}
+
+// selectAcross runs the merged selection: the top-K heap's pagination window
+// when the streamed merge ran, otherwise Select over the document-order
+// concatenation of the documents' candidates — a lone document's own slice,
+// uncopied.
+func selectAcross(topk *exec.TopK, docs []docRead, req Request) []*exec.Candidate {
+	if topk != nil {
+		return exec.Page(topk.Ranked(), req.Offset, req.Limit)
+	}
+	params := exec.Params{Rank: req.Rank, Limit: req.Limit, Offset: req.Offset}
+	if len(docs) == 1 {
+		return exec.Select(docs[0].cands, params)
+	}
+	var all []*exec.Candidate
+	for _, d := range docs {
+		all = append(all, d.cands...)
+	}
+	return exec.Select(all, params)
+}
+
+// docErr names the document a request failed in, unless the request reads
+// a bare engine or the shared context failed, which no document is to blame
+// for.
+func docErr(ctx context.Context, name string, err error) error {
+	if err == nil || name == "" || ctx.Err() != nil {
+		return err
+	}
+	return fmt.Errorf("xks: document %s: %w", name, err)
 }
 
 // docStage is one document's plan → candidates output: what selection and
@@ -731,17 +859,18 @@ type docStage struct {
 }
 
 // candidateStage plans req over the pinned view v and runs its candidate
-// stage — the one place either happens, whether the engine is the whole
-// pipeline (label "", Engine.Stream: the candidate stage gets its own span)
-// or one document of a corpus fan-out (label is its name, doc its insertion
-// index, and the caller's per-document span holds plan, lca and rtf side by
-// side). It runs under panic isolation and the chaos harness's store-read and
-// candidates injection points: a panicking merge, like an injected fault,
-// surfaces as the stage's error — a *PanicError wrapping ErrInternal —
-// instead of unwinding through an iterator or a worker goroutine. An
-// unmatchable keyword is not an error. The caller keeps v pinned until it is
-// done materializing: the Params close over snapshot state.
-func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label string, doc int) (st docStage, err error) {
+// stage — the one place either happens. label names the document for the
+// fault-injection points and doc is its index in the request's documents.
+// Inline, the document is the whole request and the candidate stage gets its
+// own span; otherwise it is one document of a fan-out, and the caller's
+// per-document span holds plan, lca and rtf side by side. It runs under
+// panic isolation and the chaos harness's store-read and candidates
+// injection points: a panicking merge, like an injected fault, surfaces as
+// the stage's error — a *PanicError wrapping ErrInternal — instead of
+// unwinding through an iterator or a worker goroutine. An unmatchable
+// keyword is not an error. The caller keeps v pinned until it is done
+// materializing: the Params close over snapshot state.
+func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label string, doc int, inline bool) (st docStage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = concurrent.Recovered(r)
@@ -776,7 +905,7 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	}
 	st.start = time.Now()
 	st.params = e.paramsAt(v, req)
-	if label == "" {
+	if inline {
 		candSp := sp.Child("candidates")
 		defer candSp.End()
 		ctx = trace.ContextWithSpan(ctx, candSp)
@@ -797,26 +926,22 @@ func (e *Engine) planAt(v *view, queryText string) (exec.Plan, error) {
 	return exec.Plan{Keywords: words, IDFWords: idfWords, Sets: sets}, err
 }
 
-// decideAt resolves the planner decision for one planned query: a fixed
-// strategy is the planner-off baseline (query order, no galloping), Auto
-// consults the snapshot's statistics and the calibrated cost model. The
-// strategy is then normalized to what runs, keeping explain output honest:
-// ELCA semantics always evaluates via the stack merge (ScanMerge), SLCA via
-// the galloping indexed kernel (IndexedEager).
+// decideAt resolves the planner decision for one planned query from the
+// snapshot's statistics and the calibrated cost model: the merge order and
+// dispatch galloping, plus the cost estimates explain shows. The strategy is
+// then stamped with what runs, keeping explain output honest: ELCA semantics
+// always evaluates via the stack merge (ScanMerge), SLCA via the galloping
+// indexed kernel (IndexedEager).
 func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
-	ran := planner.ScanMerge
-	if req.Semantics == SLCAOnly {
-		ran = planner.IndexedEager
-	}
-	if req.Strategy != Auto {
-		return planner.Fixed(ran)
-	}
 	sizes := make([]int, len(p.Sets))
 	for i, s := range p.Sets {
 		sizes[i] = len(s)
 	}
 	d := planner.Decide(sizes, v.snap.Stats(), planner.Default)
-	d.Strategy = ran
+	d.Strategy = planner.ScanMerge
+	if req.Semantics == SLCAOnly {
+		d.Strategy = planner.IndexedEager
+	}
 	return d
 }
 

@@ -35,13 +35,14 @@
 // materialized output is identical to the pre-pipeline eager path
 // (crosschecked in the xks tests).
 //
-// Engine.Stream and Corpus.Stream are the only drivers of these stages
-// (Search drains them, the NDJSON HTTP path hands them on): the materialize
-// stage runs lazily, one candidate per iterator step, so an early break —
-// client disconnect, page boundary, best-effort deadline — pays pruning and
-// assembly for exactly the fragments yielded. Candidate Doc/Seq double as
-// the cursor resume key the xks package embeds in its opaque pagination
-// tokens.
+// One request loop in the xks package drives these stages, behind both
+// Engine.Stream and Corpus.Stream (Search drains them, the NDJSON HTTP path
+// hands them on): one document runs the candidate stage inline, several fan
+// out concurrently, and the materialize stage runs lazily, one candidate per
+// iterator step, so an early break — client disconnect, page boundary,
+// best-effort deadline — pays pruning and assembly for exactly the fragments
+// yielded. Candidate Doc/Seq double as the cursor resume key the xks package
+// embeds in its opaque pagination tokens, the only way a page is resumed.
 package exec
 
 import (

@@ -150,10 +150,6 @@ func (e *encoder) head(req xks.Request, res *xks.Results, cached bool) {
 	e.float(float64(res.Stats.Elapsed.Microseconds()) / 1000.0)
 	e.raw(`,"cached":`)
 	e.buf = strconv.AppendBool(e.buf, cached)
-	if req.Offset != 0 {
-		e.raw(`,"offset":`)
-		e.int(req.Offset)
-	}
 	if res.Cursor != "" {
 		e.raw(`,"cursor":`)
 		e.str(string(res.Cursor))
@@ -164,11 +160,6 @@ func (e *encoder) head(req xks.Request, res *xks.Results, cached bool) {
 	if res.Truncation != "" {
 		e.raw(`,"truncation":`)
 		e.str(string(res.Truncation))
-	}
-	if res.NextOffset >= 0 {
-		e.raw(`,"next":"`)
-		e.int(res.NextOffset)
-		e.raw(`"`)
 	}
 	if len(res.PerDocument) > 0 {
 		docs := make([]string, 0, len(res.PerDocument))

@@ -23,9 +23,8 @@
 // Endpoints:
 //
 //	GET /search?q=keyword+query[&doc=name][&algo=validrtf|maxmatch|raw]
-//	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&offset=N]
-//	           [&timeout=dur][&budget=best-effort][&snippets=1][&stream=1]
-//	           [&explain=1]
+//	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&timeout=dur]
+//	           [&budget=best-effort][&snippets=1][&stream=1][&explain=1]
 //	GET /documents
 //	GET /stats
 //	GET /metrics
@@ -51,8 +50,9 @@
 // Pagination: responses whose result set extends past the returned page
 // carry an opaque "cursor" token; pass it back as cursor= to resume. The
 // token pins the data generation, so a page boundary can never silently
-// shift under a concurrent append. The "next"/offset= raw-offset pair
-// remains as a deprecated shim. With budget=best-effort, a deadline that
+// shift under a concurrent append. The cursor is the only way to page: an
+// offset= parameter is a 400 rather than silently ignored, which would
+// replay the first page. With budget=best-effort, a deadline that
 // expires mid-page returns the fragments finished so far with
 // "truncated":true (plus a machine-readable "truncation" reason naming the
 // stage the deadline expired in, and a cursor to resume) instead of a 504.
@@ -102,8 +102,8 @@ import (
 // arbitrarily long; it is also the implicit deadline when none is given.
 const MaxTimeout = 30 * time.Second
 
-// MaxPageParam caps limit= and offset= so a crafted request cannot ask the
-// pipeline for an absurd pagination window.
+// MaxPageParam caps limit= so a crafted request cannot ask the pipeline for
+// an absurd page.
 const MaxPageParam = 1 << 20
 
 // Options configures the optional observability surfaces of the handler.
@@ -147,7 +147,6 @@ type Response struct {
 	NumLCAs   int      `json:"numLcas"`
 	ElapsedMS float64  `json:"elapsedMs"`
 	Cached    bool     `json:"cached"`
-	Offset    int      `json:"offset,omitempty"`
 	// Cursor is the opaque, generation-aware resume token of the next
 	// page; pass it back as cursor=. Empty when the result set is
 	// exhausted.
@@ -158,12 +157,7 @@ type Response struct {
 	// Truncation names the stage the deadline expired in when Truncated is
 	// set: "deadline-candidates" (empty page, unknown total) or
 	// "deadline-materialize" (partial page of finished fragments).
-	Truncation string `json:"truncation,omitempty"`
-	// Next is the offset= of the next page.
-	//
-	// Deprecated: resume with Cursor, which fails loudly (410) instead of
-	// shifting silently when the index mutates mid-scroll.
-	Next        string         `json:"next,omitempty"`
+	Truncation  string         `json:"truncation,omitempty"`
 	PerDocument map[string]int `json:"perDocument,omitempty"`
 	Fragments   []Fragment     `json:"fragments"`
 	// Explain is the finished trace span tree, present with explain=1.
@@ -176,7 +170,6 @@ type Response struct {
 type StreamTrailer struct {
 	Trailer    bool     `json:"trailer"` // always true; marks the record
 	Cursor     string   `json:"cursor,omitempty"`
-	Next       string   `json:"next,omitempty"` // deprecated offset shim
 	Truncated  bool     `json:"truncated,omitempty"`
 	Truncation string   `json:"truncation,omitempty"`
 	Keywords   []string `json:"keywords,omitempty"`
@@ -253,15 +246,6 @@ func parseRequest(r *http.Request) (xks.Request, bool, error) {
 	if q.Get("slca") == "1" {
 		req.Semantics = xks.SLCAOnly
 	}
-	switch q.Get("strategy") {
-	case "", "auto":
-	case "indexed", "indexedeager":
-		req.Strategy = xks.IndexedEager
-	case "scan", "scanmerge":
-		req.Strategy = xks.ScanMerge
-	default:
-		return req, false, errors.New("unknown strategy")
-	}
 	if q.Get("rank") == "1" {
 		req.Rank = true
 	}
@@ -272,12 +256,8 @@ func parseRequest(r *http.Request) (xks.Request, bool, error) {
 		}
 		req.Limit = n
 	}
-	if o := q.Get("offset"); o != "" {
-		n, err := strconv.Atoi(o)
-		if err != nil || n < 0 || n > MaxPageParam {
-			return req, false, errors.New("bad offset")
-		}
-		req.Offset = n
+	if q.Has("offset") {
+		return req, false, errors.New(`offset= is not supported: page with the response's cursor as cursor=`)
 	}
 	if cur := q.Get("cursor"); cur != "" {
 		req.Cursor = xks.Cursor(cur)
@@ -545,7 +525,6 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 		if explain || opts.SlowQuery > 0 {
 			tr = trace.New("search")
 			tr.Root().SetStr("algorithm", req.Algorithm.String())
-			tr.Root().SetStr("strategy", req.Strategy.String())
 			ctx = trace.NewContext(ctx, tr)
 		}
 		defer func() {
@@ -781,7 +760,7 @@ func ToFragment(f xks.CorpusFragment, withSnippets bool) Fragment {
 // ToStreamTrailer builds the NDJSON trailer record for a stream's envelope
 // — the single source of the trailer format, shared with cmd/xksearch.
 func ToStreamTrailer(t *xks.Results) StreamTrailer {
-	tr := StreamTrailer{
+	return StreamTrailer{
 		Trailer:    true,
 		Cursor:     string(t.Cursor),
 		Truncated:  t.Truncated,
@@ -790,10 +769,6 @@ func ToStreamTrailer(t *xks.Results) StreamTrailer {
 		NumLCAs:    t.Stats.NumLCAs,
 		ElapsedMS:  float64(t.Stats.Elapsed.Microseconds()) / 1000.0,
 	}
-	if t.NextOffset >= 0 {
-		tr.Next = strconv.Itoa(t.NextOffset)
-	}
-	return tr
 }
 
 func writeJSON(w http.ResponseWriter, logger *slog.Logger, v any) {

@@ -9,6 +9,8 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -84,6 +86,41 @@ func materializeDeadline(ctx context.Context) context.Context {
 		Count:  1,
 		Action: fault.Action{UntilDeadline: true},
 	}))
+}
+
+// candidatesDeadline scripts every candidate stage to park until the
+// request's deadline.
+func candidatesDeadline(ctx context.Context) context.Context {
+	return fault.NewContext(ctx, fault.NewPlan(fault.Rule{
+		Point:  fault.PointCandidates,
+		Action: fault.Action{UntilDeadline: true},
+	}))
+}
+
+// withoutResumeKey re-mints a cursor token without the resume key of the
+// last fragment yielded (a zero document and sequence), the dialect doc=
+// cursors were issued in before they carried one: the same snapshot, offset
+// and fingerprint.
+func withoutResumeKey(t *testing.T, tok xks.Cursor) string {
+	t.Helper()
+	raw, err := base64.RawURLEncoding.DecodeString(string(tok))
+	if err != nil || len(raw) == 0 {
+		t.Fatalf("cursor %q does not decode: %v", tok, err)
+	}
+	out := raw[:1:1] // the layout version
+	raw = raw[1:]
+	for i := range 5 { // gen, offset, doc, seq, fingerprint
+		v, n := binary.Uvarint(raw)
+		if n <= 0 {
+			t.Fatalf("cursor %q: truncated payload", tok)
+		}
+		raw = raw[n:]
+		if i == 2 || i == 3 {
+			v = 0
+		}
+		out = binary.AppendUvarint(out, v)
+	}
+	return base64.RawURLEncoding.EncodeToString(out)
 }
 
 var elapsedMember = regexp.MustCompile(`"elapsedMs":[^,]+`)
@@ -181,7 +218,7 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil || !tr.Trailer {
 				t.Fatalf("%s: last line is not a trailer (%v): %s", what, err, lines[len(lines)-1])
 			}
-			if env.Cursor != tr.Cursor || env.Next != tr.Next || env.NumLCAs != tr.NumLCAs ||
+			if env.Cursor != tr.Cursor || env.NumLCAs != tr.NumLCAs ||
 				env.Truncated != tr.Truncated || env.Truncation != tr.Truncation ||
 				!reflect.DeepEqual(env.Keywords, tr.Keywords) || tr.Error != "" {
 				t.Fatalf("%s: body envelope %+v, trailer %+v", what, env, tr)
@@ -208,9 +245,28 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 		if len(page2.Fragments) != 2 || page2.Fragments[0].Root == page1.Fragments[0].Root {
 			t.Fatalf("%s: the cursor did not advance", b.name)
 		}
-		if one := check(svc, base+"&limit=2&doc="+b.doc, nil); len(one.PerDocument) != 1 || one.Fragments[0].Document != b.doc {
-			t.Fatalf("%s: doc= page: perDocument %v, first fragment from %q", b.name, one.PerDocument, one.Fragments[0].Document)
+		docPath := base + "&limit=2&doc=" + b.doc
+		one := check(svc, docPath, nil)
+		if len(one.PerDocument) != 1 || one.Fragments[0].Document != b.doc || one.Cursor == "" {
+			t.Fatalf("%s: doc= page: perDocument %v, first fragment from %q, cursor %q", b.name, one.PerDocument, one.Fragments[0].Document, one.Cursor)
 		}
+		docFollow := docPath + "&cursor=" + url.QueryEscape(string(one.Cursor))
+		docPage2 := check(svc, docFollow, nil)
+		// A doc= cursor minted without the resume key resumes to the same page.
+		samePage(t, b.name+" doc= cursor without its resume key", check(svc, docPath+"&cursor="+url.QueryEscape(withoutResumeKey(t, one.Cursor)), nil), docPage2)
+		// A BestEffort deadline in a lone document's candidate stage: an empty
+		// page that still reports the query's keywords and keyword nodes, the
+		// document with no candidates counted, and a cursor that resumes at
+		// the page's own start.
+		stalled := check(svc, base+"&limit=5&doc="+b.doc+"&budget=best-effort", candidatesDeadline)
+		if !stalled.Truncated || stalled.Truncation != xks.TruncCandidates || len(stalled.Fragments) != 0 ||
+			!reflect.DeepEqual(stalled.Stats.Keywords, []string{"alpha", "beta"}) || stalled.Stats.KeywordNodes == 0 ||
+			!reflect.DeepEqual(stalled.PerDocument, map[string]int{b.doc: 0}) || stalled.Cursor == "" {
+			t.Fatalf("%s: stalled doc= page: truncated=%t (%q), %d fragments, stats %+v, perDocument %v, cursor %q", b.name,
+				stalled.Truncated, stalled.Truncation, len(stalled.Fragments), stalled.Stats, stalled.PerDocument, stalled.Cursor)
+		}
+		retry := check(svc, base+"&limit=5&doc="+b.doc+"&cursor="+url.QueryEscape(string(stalled.Cursor)), nil)
+		samePage(t, b.name+" stalled doc= page retried", retry, check(svc, base+"&limit=5&doc="+b.doc, nil))
 		cut := check(svc, base+"&limit=5&budget=best-effort", materializeDeadline)
 		if !cut.Truncated || cut.Truncation != xks.TruncMaterialize || len(cut.Fragments) != 2 || cut.Cursor == "" {
 			t.Fatalf("%s: best-effort page: truncated=%t (%q), %d fragments, cursor %q",
@@ -220,18 +276,43 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 		if !b.appends {
 			continue
 		}
+		if other := otherDocument(svc, b.doc); other != "" {
+			// A tail append to another document does not shift a doc= scroll.
+			if err := svc.Append(other, "0", `<inproceedings><title>alpha beta elsewhere</title></inproceedings>`); err != nil {
+				t.Fatal(err)
+			}
+			samePage(t, b.name+" doc= page 2 after an append elsewhere", check(svc, docFollow, nil), docPage2)
+		}
 		// A cursor issued before an append pins its snapshot: page 2 is served
 		// straight from the backend, uncached, and is the page 2 from before.
 		if err := svc.Append(b.doc, "0", `<inproceedings><title>alpha beta appended</title></inproceedings>`); err != nil {
 			t.Fatal(err)
 		}
-		pinned := check(svc, follow, nil)
-		for i, f := range pinned.Fragments {
-			if want := page2.Fragments[i]; f.Document != want.Document || f.Root != want.Root {
-				t.Fatalf("%s: pinned page 2 fragment %d is %s/%s, was %s/%s", b.name, i, f.Document, f.Root, want.Document, want.Root)
-			}
+		samePage(t, b.name+" pinned page 2", check(svc, follow, nil), page2)
+	}
+}
+
+// samePage fails unless got holds the fragments of want, in order.
+func samePage(t *testing.T, what string, got, want *service.Page) {
+	t.Helper()
+	if len(got.Fragments) != len(want.Fragments) {
+		t.Fatalf("%s: %d fragments, want %d", what, len(got.Fragments), len(want.Fragments))
+	}
+	for i, f := range got.Fragments {
+		if w := want.Fragments[i]; f.Document != w.Document || f.Root != w.Root {
+			t.Fatalf("%s: fragment %d is %s/%s, want %s/%s", what, i, f.Document, f.Root, w.Document, w.Root)
 		}
 	}
+}
+
+// otherDocument names a document of svc other than doc, or "".
+func otherDocument(svc *service.Service, doc string) string {
+	for _, d := range svc.Documents() {
+		if d.Name != doc {
+			return d.Name
+		}
+	}
+	return ""
 }
 
 // TestPerDocumentHasOneMeaning: perDocument holds per-document candidate

@@ -5,16 +5,21 @@ package httpapi
 // behavior (504).
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 
 	"xks"
 	"xks/internal/fault"
+	"xks/internal/service"
 )
 
 // TestStatusMapping pins the error → status translation the handler relies
@@ -81,8 +86,8 @@ func TestSentinelErrorsOverHTTP(t *testing.T) {
 	}
 }
 
-// TestPaginationCursor walks a multi-fragment result via the "next" cursor
-// and asserts the pages tile the unpaged result.
+// TestPaginationCursor walks a multi-fragment result via the "cursor"
+// token and asserts the pages tile the unpaged result.
 func TestPaginationCursor(t *testing.T) {
 	srv, _ := corpusServer(t)
 
@@ -90,25 +95,22 @@ func TestPaginationCursor(t *testing.T) {
 	if len(full.Fragments) < 2 {
 		t.Fatalf("need several fragments to page, got %d", len(full.Fragments))
 	}
-	if full.Next != "" {
-		t.Fatalf("unpaged response carries next=%q", full.Next)
+	if full.Cursor != "" {
+		t.Fatalf("unpaged response carries cursor=%q", full.Cursor)
 	}
 
 	var pages []Fragment
-	cursor := "0"
+	cursor := ""
 	for {
-		code, page := getJSON(t, srv.URL+"/search?q=name&limit=1&offset="+cursor)
+		code, page := getJSON(t, srv.URL+"/search?q=name&limit=1&cursor="+url.QueryEscape(cursor))
 		if code != http.StatusOK {
-			t.Fatalf("page at offset %s: status %d", cursor, code)
-		}
-		if page.Offset != atoi(t, cursor) {
-			t.Fatalf("page echoes offset %d, requested %s", page.Offset, cursor)
+			t.Fatalf("page at cursor %q: status %d", cursor, code)
 		}
 		pages = append(pages, page.Fragments...)
-		if page.Next == "" {
+		if page.Cursor == "" {
 			break
 		}
-		cursor = page.Next
+		cursor = page.Cursor
 	}
 	if len(pages) != len(full.Fragments) {
 		t.Fatalf("cursor walk yielded %d fragments, full response %d", len(pages), len(full.Fragments))
@@ -119,15 +121,6 @@ func TestPaginationCursor(t *testing.T) {
 				pages[i].Document, pages[i].Root, full.Fragments[i].Document, full.Fragments[i].Root)
 		}
 	}
-}
-
-func atoi(t *testing.T, s string) int {
-	t.Helper()
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }
 
 // TestDeadlineExceededIs504: a search that outlives its timeout= deadline
@@ -160,5 +153,59 @@ func TestTimeoutParamCapped(t *testing.T) {
 	}
 	if req.Timeout != MaxTimeout {
 		t.Fatalf("Timeout = %v, want clamped to %v", req.Timeout, MaxTimeout)
+	}
+}
+
+// TestCursorOnlyWire: the cursor is the only way to page. offset= is a 400
+// naming cursor= (ignoring it would silently replay page 1), and no answer —
+// buffered or stream=1, miss or hit, corpus-wide or doc=, first page or a
+// cursor follow-up — carries a "next" or an "offset" member.
+func TestCursorOnlyWire(t *testing.T) {
+	for _, b := range streamBackends() {
+		backend := b.build(t)
+		handler := func() http.Handler { return NewHandler(service.New(backend, service.Config{CacheSize: 64}), nil) }
+		h := handler()
+		for _, path := range []string{
+			"/search?q=alpha+beta&offset=1",
+			"/search?q=alpha+beta&limit=2&offset=0",
+			"/search?q=alpha+beta&offset=1&stream=1",
+			"/search?q=alpha+beta&offset=1&doc=" + b.doc,
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "cursor=") {
+				t.Fatalf("%s %s: status %d: %s; want a 400 naming cursor=", b.name, path, rec.Code, rec.Body)
+			}
+		}
+		for _, first := range []string{"/search?q=alpha+beta&limit=2", "/search?q=alpha+beta&limit=2&doc=" + b.doc} {
+			page1 := decodeBody(t, serve(t, h, first))
+			if page1.Cursor == "" {
+				t.Fatalf("%s %s: a 2-fragment page issued no cursor", b.name, first)
+			}
+			for _, shape := range []string{"", "&stream=1"} {
+				h := handler() // the first answer of each shape is a miss
+				for _, path := range []string{first, first + "&cursor=" + url.QueryEscape(page1.Cursor)} {
+					for _, disposition := range []string{"miss", "hit"} {
+						what := fmt.Sprintf("%s %s%s (%s)", b.name, path, shape, disposition)
+						body := serve(t, h, path+shape).Body.Bytes()
+						records := [][]byte{body}
+						if shape != "" {
+							records = bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+						}
+						for _, rec := range records {
+							var members map[string]json.RawMessage
+							if err := json.Unmarshal(rec, &members); err != nil {
+								t.Fatalf("%s: %v\n%s", what, err, rec)
+							}
+							for _, gone := range []string{"next", "offset"} {
+								if _, ok := members[gone]; ok {
+									t.Fatalf("%s: the answer carries %q: %s", what, gone, rec)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

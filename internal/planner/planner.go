@@ -9,8 +9,9 @@
 // The planner never changes answers: the rarest-first order is a leaf
 // permutation of the loser tree whose coalesced event stream is independent
 // of term order, and galloping skips only events that dispatch nowhere.
-// Crosscheck tests pin byte-identical fragments between Auto and every
-// fixed strategy.
+// internal/exec's one-pass tests and internal/rtf's scored-build tests pin
+// that a random order and galloping leave roots, events and score bits
+// unchanged.
 package planner
 
 import (
@@ -18,13 +19,14 @@ import (
 	"strconv"
 )
 
-// Strategy names an LCA evaluation strategy: what a fixed request pins, what
-// Decide estimates cheapest, and — once the engine normalizes a decision —
-// the algorithm that ran (IndexedEager for SLCA, ScanMerge for ELCA).
+// Strategy names an LCA evaluation strategy: what Decide estimates
+// cheapest, and — once the engine stamps a decision — the algorithm that ran
+// (IndexedEager for SLCA, ScanMerge for ELCA).
 type Strategy int
 
 const (
-	// Auto lets the planner resolve the strategy from index statistics.
+	// Auto is the zero value: a strategy not yet resolved. Decide never
+	// returns it.
 	Auto Strategy = iota
 	// IndexedEager drives evaluation from the rarest posting list using
 	// indexed lookups into the other lists (the paper's Indexed Lookup
@@ -127,7 +129,7 @@ type Decision struct {
 	// pass or reads subtree windows): when an event lands outside every
 	// interesting root, all merge sources jump directly to the next root.
 	// Output-neutral (the skipped events dispatch nowhere); enabled by
-	// Auto plans.
+	// Decide.
 	Skip bool
 
 	// EstScan and EstIndexed are the model's cost estimates (work units)
@@ -159,17 +161,7 @@ func (d Decision) OrderString(n int) string {
 	return string(b)
 }
 
-// Fixed returns the decision for an explicitly requested strategy: that
-// strategy, query order, no galloping — the exact pre-planner behavior,
-// which doubles as the planner-off baseline in benchmarks.
-func Fixed(s Strategy) Decision {
-	if s == Auto {
-		s = IndexedEager // legacy default for the SLCA path
-	}
-	return Decision{Strategy: s}
-}
-
-// Decide resolves an Auto plan for a query whose terms have the given
+// Decide resolves the plan for a query whose terms have the given
 // posting-list sizes. The returned decision orders the merge rarest-first,
 // enables dispatch galloping, and picks the strategy whose estimated cost
 // is lower under the model.

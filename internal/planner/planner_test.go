@@ -98,18 +98,6 @@ func TestDecideMonotoneInSkew(t *testing.T) {
 	}
 }
 
-func TestFixed(t *testing.T) {
-	for _, s := range []Strategy{IndexedEager, ScanMerge} {
-		d := Fixed(s)
-		if d.Strategy != s || d.Order != nil || d.Skip {
-			t.Errorf("Fixed(%v) = %+v", s, d)
-		}
-	}
-	if d := Fixed(Auto); d.Strategy != IndexedEager {
-		t.Errorf("Fixed(Auto) = %+v, want legacy IndexedEager", d)
-	}
-}
-
 func TestOrderString(t *testing.T) {
 	if got := (Decision{Order: []int{2, 0, 1}}).OrderString(3); got != "2,0,1" {
 		t.Errorf("OrderString = %q", got)

@@ -19,7 +19,7 @@ type Buffered struct {
 }
 
 func (b Buffered) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results) {
-	res := &xks.Results{Query: req.Query, NextOffset: -1}
+	res := &xks.Results{Query: req.Query}
 	seq := func(yield func(xks.CorpusFragment, error) bool) {
 		r, err := b.Search(ctx, req)
 		if err != nil {

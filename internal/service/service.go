@@ -11,8 +11,10 @@
 //     driven by one function (run): a buffered page is that stream drained, a
 //     streamed response the same stream handed on fragment by fragment;
 //   - a sharded LRU query-result cache (internal/lru) keyed by the
-//     canonicalized Request, invalidated by data generation: an append
-//     changes the version token, so stale entries die on their next lookup;
+//     canonicalized Request with its cursor resolved into the window it
+//     names (Offset), invalidated by data generation: an append changes the
+//     version token, so stale entries die on their next lookup, and a cursor
+//     from an older token is served uncached from the snapshot it pins;
 //     the searches behind it run the staged pipeline (internal/exec), so
 //     cached entries hold only the *selected* candidates in materialized
 //     form — a ranked Limit=10 corpus query caches 10 assembled fragments,
@@ -221,12 +223,11 @@ func (sv *Service) CacheBodyBytes() int64 {
 // alias another request's document filter. The cursor is not keyed: admit
 // resolves it into Offset first, and a pinned request is never cached.
 //
-// The requested Strategy is keyed; what the planner resolves it to is not.
-// Every strategy computes the same answer, so a page cached under one plan
-// is the right page under any other, and the statistics a plan depends on
-// only change with the data, which already retires the entry through its
-// version token. A request is therefore planned once, by the pipeline, and
-// a cache hit plans nothing.
+// The plan is not keyed either: the planner orders the merge, which never
+// changes the answer, and the statistics it reads only change with the
+// data, which already retires the entry through its version token. A
+// request is therefore planned once, by the pipeline, and a cache hit plans
+// nothing.
 func cacheKey(req xks.Request) string {
 	req = req.Canonical()
 	var b []byte
@@ -236,9 +237,8 @@ func cacheKey(req xks.Request) string {
 	b = strconv.AppendInt(b, int64(len(req.Document)), 10)
 	b = append(b, ':')
 	b = append(b, req.Document...)
-	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d.%d",
-		req.Algorithm, req.Semantics, req.ExactContent, req.Rank, req.Limit, req.Offset,
-		req.Strategy)
+	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d",
+		req.Algorithm, req.Semantics, req.ExactContent, req.Rank, req.Limit, req.Offset)
 	return string(b)
 }
 
@@ -492,7 +492,7 @@ func (sv *Service) miss(ctx context.Context, l lookup) (*Page, error) {
 // memory O(1) however large the result set; an abandoned stream caches
 // nothing either way.
 func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[StreamedFragment, error], func() *xks.Results) {
-	res := &xks.Results{Query: req.Query, NextOffset: -1}
+	res := &xks.Results{Query: req.Query}
 	seq := func(yield func(StreamedFragment, error) bool) {
 		if ctx == nil {
 			ctx = context.Background()

@@ -81,7 +81,7 @@ func (s codeSource) resolveSets(queryText string) (display, idfWords []string, s
 // eagerSearch is the pre-refactor Engine.Search: assemble every fragment,
 // then rank, then truncate.
 func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
-	res := &Result{Query: queryText, NextOffset: -1}
+	res := &Result{Query: queryText}
 	src := codeSourceOf(e)
 	words, idfWords, sets, err := src.resolveSets(queryText)
 	if err != nil {

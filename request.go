@@ -36,10 +36,10 @@ type PanicError = concurrent.PanicError
 
 // Request describes one search: the query text, an optional document
 // filter, the algorithm knobs, and the pagination window. It is the unit of
-// serving — every search entrypoint (Engine.Search, Engine.Fragments,
-// Corpus.Search, the service and HTTP layers) takes a context.Context and a
-// Request, so one value carries everything a request needs and cancellation
-// or deadlines propagate end to end.
+// serving — every search entrypoint (Engine and Corpus Search and Stream, the
+// service and HTTP layers) takes a context.Context and a Request, so one
+// value carries everything a request needs and cancellation or deadlines
+// propagate end to end.
 //
 // The zero value of every field is the default: ValidRTF pruning, AllLCA
 // semantics, document order, no limit, first page, no per-request timeout.
@@ -54,16 +54,6 @@ type Request struct {
 	Algorithm Algorithm
 	// Semantics picks the fragment roots (default AllLCA).
 	Semantics Semantics
-	// Strategy is the planner knob. The default, Auto, engages the
-	// cost-based planner: posting-list statistics order the k-way merge
-	// rarest-first and enable dispatch galloping. Fixed strategies run in
-	// query order without galloping (the planner-off baseline). No strategy
-	// picks the LCA algorithm: SLCA always runs the galloping indexed kernel
-	// and ELCA the stack merge. Every strategy returns byte-identical
-	// results — the knob only moves work around — so it is not part of the
-	// cursor fingerprint, and a caching layer has no need to know what Auto
-	// resolved to.
-	Strategy Strategy
 	// ExactContent replaces the (min,max) cID approximation of rule 2(b)
 	// with exact tree-content-set comparison (ablation switch).
 	ExactContent bool
@@ -73,12 +63,11 @@ type Request struct {
 	// Limit bounds the returned fragments when positive — the page size.
 	Limit int
 	// Offset skips that many fragments of the result order before Limit
-	// applies.
-	//
-	// Deprecated: resume with Cursor instead. A raw offset silently shifts
-	// when the index mutates mid-scroll; the cursor pins the page boundary
-	// to the data generation it was issued at. Offset keeps working as a
-	// shim, and a non-empty Cursor takes precedence over it.
+	// applies: the window a Cursor resolves into (ResolveCursor), which is
+	// what caching layers key on. To page, pass the previous result's
+	// Cursor instead — it pins the page boundary to the snapshot it was
+	// issued at, where a raw offset would shift when the index mutates
+	// mid-scroll. A non-empty Cursor takes precedence over Offset.
 	Offset int
 	// Cursor resumes a previous page: pass the Cursor of an earlier
 	// result to continue the scroll. The token is validated before the
@@ -209,9 +198,9 @@ func (r Request) applyTimeout(ctx context.Context) (context.Context, context.Can
 }
 
 // clampPaging zeroes negative Limit/Offset at the execution entrypoints,
-// so windows and NextOffset cursors match the canonical form caching
-// layers key on — a raw negative offset must not execute differently from
-// its canonicalized cache key.
+// so windows and cursors match the canonical form caching layers key on — a
+// raw negative offset must not execute differently from its canonicalized
+// cache key.
 func (r Request) clampPaging() Request {
 	if r.Limit < 0 {
 		r.Limit = 0

@@ -35,8 +35,23 @@ func TestNewRequestMapsOptions(t *testing.T) {
 	}
 }
 
-// TestEnginePagination walks a multi-fragment result page by page via
-// NextOffset and asserts the concatenation equals the unpaged result.
+// nextOffset is the position a page's cursor resumes at, -1 when the page
+// issued none (the result set is exhausted).
+func nextOffset(t testing.TB, c Cursor) int {
+	t.Helper()
+	if c == "" {
+		return -1
+	}
+	st, err := c.decode()
+	if err != nil {
+		t.Fatalf("cursor %q: %v", c, err)
+	}
+	return st.offset
+}
+
+// TestEnginePagination walks a multi-fragment result page by page, each
+// page at the raw Offset the previous page's cursor resumes at, and asserts
+// the concatenation equals the unpaged result.
 func TestEnginePagination(t *testing.T) {
 	e, queries := figure5Engine(t)
 	q := richestQuery(t, e, queries)
@@ -48,8 +63,8 @@ func TestEnginePagination(t *testing.T) {
 		if len(full.Fragments) < 3 {
 			t.Skipf("query %q yields %d fragments; need a few pages", q, len(full.Fragments))
 		}
-		if full.NextOffset != -1 {
-			t.Fatalf("unpaged search: NextOffset = %d, want -1", full.NextOffset)
+		if full.Cursor != "" {
+			t.Fatalf("unpaged search: Cursor = %q, want none", full.Cursor)
 		}
 
 		var pages []*Fragment
@@ -60,13 +75,14 @@ func TestEnginePagination(t *testing.T) {
 				t.Fatal(err)
 			}
 			pages = append(pages, res.Fragments...)
-			if res.NextOffset < 0 {
+			next := nextOffset(t, res.Cursor)
+			if next < 0 {
 				break
 			}
-			if res.NextOffset != req.Offset+len(res.Fragments) {
-				t.Fatalf("NextOffset = %d after offset %d + %d fragments", res.NextOffset, req.Offset, len(res.Fragments))
+			if next != req.Offset+len(res.Fragments) {
+				t.Fatalf("cursor resumes at %d after offset %d + %d fragments", next, req.Offset, len(res.Fragments))
 			}
-			req.Offset = res.NextOffset
+			req.Offset = next
 		}
 		if len(pages) != len(full.Fragments) {
 			t.Fatalf("rank=%v: paged walk yielded %d fragments, full search %d", rank, len(pages), len(full.Fragments))
@@ -80,8 +96,8 @@ func TestEnginePagination(t *testing.T) {
 
 		// An offset past the end is an empty page, not an error.
 		res, err := e.Search(context.Background(), Request{Query: q, Rank: rank, Offset: len(full.Fragments) + 5})
-		if err != nil || len(res.Fragments) != 0 || res.NextOffset != -1 {
-			t.Fatalf("past-the-end page: %d fragments, NextOffset %d, err %v", len(res.Fragments), res.NextOffset, err)
+		if err != nil || len(res.Fragments) != 0 || res.Cursor != "" {
+			t.Fatalf("past-the-end page: %d fragments, Cursor %q, err %v", len(res.Fragments), res.Cursor, err)
 		}
 	}
 }
@@ -107,10 +123,11 @@ func TestCorpusPagination(t *testing.T) {
 				t.Fatal(err)
 			}
 			pages = append(pages, res.Fragments...)
-			if res.NextOffset < 0 {
+			next := nextOffset(t, res.Cursor)
+			if next < 0 {
 				break
 			}
-			req.Offset = res.NextOffset
+			req.Offset = next
 		}
 		if len(pages) != len(full.Fragments) {
 			t.Fatalf("rank=%v: paged walk yielded %d fragments, full search %d", rank, len(pages), len(full.Fragments))
@@ -138,9 +155,9 @@ func TestNegativePagingClampedAtExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Fragments) != len(want.Fragments) || got.NextOffset != want.NextOffset {
-		t.Fatalf("negative offset: %d fragments / NextOffset %d, want %d / %d",
-			len(got.Fragments), got.NextOffset, len(want.Fragments), want.NextOffset)
+	if len(got.Fragments) != len(want.Fragments) || got.Cursor != want.Cursor {
+		t.Fatalf("negative offset: %d fragments / Cursor %q, want %d / %q",
+			len(got.Fragments), got.Cursor, len(want.Fragments), want.Cursor)
 	}
 	for i := range got.Fragments {
 		if got.Fragments[i].Root != want.Fragments[i].Root {
@@ -173,15 +190,15 @@ func TestHugePaginationWindowIsSafe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}
-		if len(res.Fragments) != 0 || res.NextOffset != -1 {
-			t.Fatalf("offset %d: %d fragments, NextOffset %d", off, len(res.Fragments), res.NextOffset)
+		if len(res.Fragments) != 0 || res.Cursor != "" {
+			t.Fatalf("offset %d: %d fragments, Cursor %q", off, len(res.Fragments), res.Cursor)
 		}
 	}
 }
 
 // TestCorpusSearchDocumentFilter pins Request.Document routing: a corpus
-// search with the filter set equals SearchDocument, and an unknown name
-// fails with ErrUnknownDocument.
+// search with the filter set equals the named document's own engine search,
+// and an unknown name fails with ErrUnknownDocument.
 func TestCorpusSearchDocumentFilter(t *testing.T) {
 	c := NewCorpus()
 	c.Add("pubs", FromTree(paperdata.Publications()))
@@ -191,12 +208,17 @@ func TestCorpusSearchDocumentFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := c.SearchDocument(context.Background(), "pubs", Request{Query: "liu keyword"})
+	direct, err := c.Engine("pubs").Search(context.Background(), Request{Query: "liu keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(via.PerDocument, direct.PerDocument) || len(via.Fragments) != len(direct.Fragments) {
-		t.Fatalf("filtered Search %+v vs SearchDocument %+v", via.PerDocument, direct.PerDocument)
+	if want := map[string]int{"pubs": direct.Stats.NumLCAs}; !reflect.DeepEqual(via.PerDocument, want) || len(via.Fragments) != len(direct.Fragments) {
+		t.Fatalf("filtered Search %+v vs the engine's %+v", via.PerDocument, want)
+	}
+	for i, f := range via.Fragments {
+		if f.Document != "pubs" || f.Root != direct.Fragments[i].Root {
+			t.Fatalf("fragment %d: %s/%s vs the engine's %s", i, f.Document, f.Root, direct.Fragments[i].Root)
+		}
 	}
 	if _, err := c.Search(context.Background(), Request{Query: "liu", Document: "absent"}); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("unknown document filter: err = %v", err)
@@ -218,7 +240,8 @@ func TestFragmentsStreams(t *testing.T) {
 	}
 
 	var streamed []*Fragment
-	for f, err := range e.Fragments(context.Background(), Request{Query: q, Rank: true}) {
+	all, _ := e.Stream(context.Background(), Request{Query: q, Rank: true})
+	for f, err := range all {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +260,8 @@ func TestFragmentsStreams(t *testing.T) {
 	// Early break: exactly the consumed fragments are assembled.
 	before := e.assembledFragments()
 	n := 0
-	for _, err := range e.Fragments(context.Background(), Request{Query: q, Rank: true}) {
+	prefix, _ := e.Stream(context.Background(), Request{Query: q, Rank: true})
+	for _, err := range prefix {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +277,8 @@ func TestFragmentsStreams(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var got error
-	for _, err := range e.Fragments(ctx, Request{Query: q}) {
+	cancelled, _ := e.Stream(ctx, Request{Query: q})
+	for _, err := range cancelled {
 		got = err
 		break
 	}
@@ -263,7 +288,8 @@ func TestFragmentsStreams(t *testing.T) {
 
 	// An unsearchable query yields its error.
 	got = nil
-	for _, err := range e.Fragments(context.Background(), Request{Query: "the of"}) {
+	unsearchable, _ := e.Stream(context.Background(), Request{Query: "the of"})
+	for _, err := range unsearchable {
 		got = err
 	}
 	if !errors.Is(got, ErrEmptyQuery) {
