@@ -229,11 +229,44 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 	}
 }
 
+// TestMaterializeAllocs pins pruneRTF's per-fragment object count: the
+// fragment handle lives in the pooled scratch with the node array, and
+// neither building nor filtering allocates, so materializing a candidate
+// allocates its kept-ID slice and nothing else, under ValidRTF (which reads
+// content sets for rule 2(b)) and MaxMatch alike. AllocsPerRun's average
+// rounds down, which absorbs a collection emptying the pool mid-measurement.
+func TestMaterializeAllocs(t *testing.T) {
+	e, queries := allocEngine(t)
+	fragments := 0
+	for _, algo := range []Algorithm{ValidRTF, MaxMatch} {
+		params := e.params(Request{Algorithm: algo})
+		for _, q := range queries {
+			p, err := e.plan(q)
+			if err != nil {
+				t.Fatalf("plan(%q): %v", q, err)
+			}
+			cands, err := exec.Candidates(context.Background(), p, params, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cands {
+				fragments++
+				if allocs := testing.AllocsPerRun(10, func() { exec.Materialize(c, params) }); allocs > 1 {
+					t.Fatalf("%s: materializing a %q fragment allocates %.0f objects, want 1 (the kept IDs)", algo, q, allocs)
+				}
+			}
+		}
+	}
+	if fragments == 0 {
+		t.Fatal("the workload materialized no fragment")
+	}
+}
+
 // TestWideGroupAllocsDoNotScale is the scaling guard of the pruneRTF
 // kernel: building and pruning a fragment whose root has 8192 same-label
-// children allocates what one with 1024 does — the fragment header and the
-// Result with its two slices, which grow in size, not in number. Nothing is
-// allocated per child: nodes, grouping and the used-cID table are pooled.
+// children allocates what one with 1024 does — the kept-ID slice, which
+// grows in size, not in number. Nothing is allocated per child: nodes,
+// grouping and the used-cID table are pooled.
 func TestWideGroupAllocsDoNotScale(t *testing.T) {
 	measure := func(n int) float64 {
 		kids := []xmltree.E{{Label: "tag", Text: "beta"}}

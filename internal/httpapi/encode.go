@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -66,10 +65,12 @@ func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
 
 // str appends s as a quoted JSON string. These strings can carry bytes from
 // outside (the query, a document named after its file), so invalid UTF-8 is
-// replaced the way encoding/json does rather than put on the wire.
+// replaced the way encoding/json does rather than put on the wire: each byte
+// that does not start a valid sequence becomes one U+FFFD, which is what a
+// conversion to runes does.
 func (e *encoder) str(s string) {
 	if !utf8.ValidString(s) {
-		s = strings.ToValidUTF8(s, "\uFFFD")
+		s = string([]rune(s))
 	}
 	e.buf = append(e.buf, '"')
 	e.buf = appendEscaped(e.buf, s)

@@ -4,13 +4,16 @@
 //
 // A Fragment is the annotated node tree of §4.1 in one flat slice: the RTF's
 // nodes in pre-order, each carrying its kList (tree keyword set as a bitmask
-// — its integer value is the paper's "key number"), its cID (the (min,max)
-// word-pair feature approximating the tree content set) and the index one
-// past its last descendant, so a node's children are reached by hopping
-// from subtree to subtree. Labels and Dewey codes are resolved only for the
-// nodes pruning actually looks at. The "Children Info" of §4.1 — per label,
-// the child count and the distinct child key numbers (chkList) — is
-// computed while filtering, for nodes with at least two children.
+// — its integer value is the paper's "key number"), the index one past its
+// last descendant, so a node's children are reached by hopping from subtree
+// to subtree, and the number of keyword events before it, so its subtree's
+// events are one contiguous run of the RTF's. The cID (the (min,max)
+// word-pair feature approximating the tree content set) is read off that run
+// when rule 2(b) asks for it, and only then. Labels and Dewey codes are
+// resolved only for the nodes pruning actually looks at. The "Children
+// Info" of §4.1 — per label, the child count and the distinct child key
+// numbers (chkList) — is computed while filtering, for nodes with at least
+// two children.
 //
 // Prune(ValidContributor) keeps exactly the valid contributors of
 // Definition 4: a child with a label unique among its siblings is always
@@ -24,20 +27,24 @@
 // exactly when some sibling's keyword set strictly covers its own,
 // regardless of labels and content.
 //
-// Complexity contract. Building is O(path nodes): every node is created once
-// by a path-stack pass over the keyword nodes (which arrive in pre-order) and
-// kList/cID are folded bottom-up in one reverse sweep. A keyword node's own
-// cID is O(1) whatever its content: content sets arrive sorted (the
-// IDContentFunc contract), so the (min,max) feature is the set's first and
-// last word — the paper's node record stores its cID, ours reads it off the
-// ends. Filtering is O(children · 2^k) for k query keywords: a child is
-// tested against the at most 2^k distinct key numbers of its label group,
-// never against its siblings. The per-parent sets (labels, rule 2(b)'s used
-// cIDs) live in one open-addressed hash table in the pooled memory, so a
-// wide sibling group costs a constant per child and allocates nothing. The
-// one exception is ExactContent, which reads every word into per-node
-// content sets and compares a child's set with its kept equal-keyword
-// siblings.
+// Complexity contract. Building is O(path nodes) and reads no content set:
+// every node is created once, as a 24-byte record holding no pointers, by a
+// path-stack pass over the keyword nodes (which arrive in pre-order), and
+// kList is folded bottom-up in one reverse sweep. A cID costs the events of
+// the node's subtree, and only children that reach rule 2(b) — a ValidRTF
+// child with a same-label sibling and a key number no such sibling covers —
+// have one computed, so cIDs cost O(events under rule-2(b) children), at
+// most events × depth; MaxMatch and the raw fragment read no content at all.
+// Each event adds O(1) whatever its content: content sets arrive sorted (the
+// IDContentFunc contract), so the (min,max) feature is the min and max of
+// the sets' first and last words. Filtering is O(children · 2^k) for k query
+// keywords: a child is tested against the at most 2^k distinct key numbers
+// of its label group, never against its siblings. The per-parent sets
+// (labels, rule 2(b)'s used cIDs) live in one open-addressed hash table in
+// the pooled memory, so a wide sibling group costs a constant per child and
+// allocates nothing. The one exception is ExactContent, which reads every
+// word into per-node content sets while building and compares a child's set
+// with its kept equal-keyword siblings.
 //
 // Fragments are built from an ID-based rtf.IDRTF over a node table
 // (BuildFragmentIDs, the production path) or from a code-based rtf.RTF
@@ -45,16 +52,16 @@
 // the same layout and share one filtering pass, which KeptIDs returns as
 // node IDs (the engine path) and Prune also as Dewey codes.
 //
-// Pooling. The node slice and the filtering pass's working arrays come from
-// a sync.Pool; Release hands them back whatever their size, and results
-// never alias them. A search whose RTF is the document root (tens of
-// thousands of nodes — most Figure 5 queries return it as an ELCA) reuses
-// the previous search's arrays instead of allocating and zeroing megabytes.
-// The pool is the only bound on what stays resident: an entry idle for two
-// garbage collections is dropped, and until then it holds what the largest
-// recent fragment needed, about 65 bytes a node — 6.6 MB of live heap after
-// the Figure 5 mix on the 65 k-node DBLP document, where the fig5-full
-// workload's peak RSS reads 220 → 226 MB against a run-to-run spread of 10.
+// Pooling. The Fragment handle, the node slice and the filtering pass's
+// working arrays come from a sync.Pool; Release hands them back whatever
+// their size, and results never alias them. A search whose RTF is the
+// document root (tens of thousands of nodes — most Figure 5 queries return
+// it as an ELCA) reuses the previous search's arrays instead of allocating
+// and zeroing megabytes. The pool is the only bound on what stays resident:
+// an entry idle for two garbage collections is dropped, and until then it
+// holds what the largest recent fragment needed, about 43 bytes a node with
+// the node array's slack — 1.5 MB of live heap after the fig5-full mix,
+// whose largest fragment (the DBLP document root) has 36 k nodes.
 package prune
 
 import (
@@ -65,6 +72,7 @@ import (
 	"sync"
 
 	"xks/internal/dewey"
+	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/rtf"
 )
@@ -129,13 +137,16 @@ func (c *CID) merge(o CID) {
 
 // node is the "Self Info" of §4.1 for one fragment node. Nodes sit in
 // pre-order, so node i's subtree is the index range [i, end) and its
-// children are i+1, nodes[i+1].end, … up to end.
+// children are i+1, nodes[i+1].end, … up to end. Keyword events arrive in
+// pre-order too, so the subtree's events are the run [ev, nodes[end].ev) —
+// up to the last event when end is the fragment's size. The record holds no
+// pointer, so the collector never scans the node array.
 type node struct {
 	id     nid.ID // table ID; nid.None in code-built fragments
 	parent int32
 	end    int32
+	ev     int32  // keyword events matched before the node was pushed
 	klist  uint64 // tree keyword set TKv; its integer value is the key number
-	cid    CID    // (min,max) feature of the tree content set TCv
 }
 
 // LabelFunc resolves a node's label from its Dewey code.
@@ -151,10 +162,12 @@ type IDLabelFunc func(nid.ID) string
 // IDContentFunc resolves the content word set Cv of a keyword node from its
 // table ID. The set must come back in lexical order (duplicates are
 // harmless), as analysis.ContentSet and the store's ContentAt
-// return it: the builder takes words[0] and words[len-1] as the node's cID
-// and reads nothing between. An unsorted set does not fail, it yields a
-// wrong cID and with it a wrong rule 2(b) decision; this package's tests run
-// under a hook that rejects one. Only ExactContent reads every word.
+// return it: a cID takes words[0] and words[len-1] and reads nothing
+// between. An unsorted set does not fail, it yields a wrong cID and with it
+// a wrong rule 2(b) decision; this package's tests run under a hook that
+// rejects one where a cID reads it. Only ExactContent reads every word, and
+// without it the function is called only for the keyword nodes under
+// children that reach rule 2(b).
 type IDContentFunc func(nid.ID) []string
 
 // group is the "Children Info" of one label under the current parent.
@@ -174,9 +187,16 @@ type knum struct {
 	used    bool  // a child with this key number was already kept
 }
 
-// scratch is the pooled memory of one fragment: the node slice, the
-// builder's path stack and Prune's working arrays.
+// usedCID is one entry of rule 2(b)'s used-cID list of a label group.
+type usedCID struct {
+	cid   CID
+	group int32
+}
+
+// scratch is the pooled memory of one fragment: the handle itself, the node
+// slice, the builder's path stack and Prune's working arrays.
 type scratch struct {
+	frag  Fragment
 	nodes []node
 	stack []int32  // path from the fragment root to the current node
 	anc   []nid.ID // ancestors of the current keyword node below that path
@@ -187,10 +207,10 @@ type scratch struct {
 
 	groups []group
 	knums  []knum
+	cids   []usedCID // the current parent's cIDs computed for rule 2(b)
 	// table is an open-addressed hash table over the children of the
 	// current parent (entry+1 per slot, 0 when free): first of labels to
-	// their groups, then of rule 2(b)'s used cIDs to the children that
-	// brought them in.
+	// their groups, then of rule 2(b)'s used cIDs to their cids entries.
 	table []int32
 }
 
@@ -227,12 +247,19 @@ var pool = sync.Pool{New: func() any {
 type Fragment struct {
 	s *scratch // nil once released
 
-	// ID-built fragments resolve codes and labels through the node table.
-	tab     *nid.Table
-	idLabel IDLabelFunc
+	// ID-built fragments resolve codes and labels through the node table,
+	// and content sets through the RTF's keyword events.
+	tab       *nid.Table
+	idLabel   IDLabelFunc
+	idEvents  []lca.IDEvent
+	idContent IDContentFunc
 	// Code-built fragments carry their node codes, parallel to s.nodes.
-	codes     []dewey.Code
-	codeLabel LabelFunc
+	codes       []dewey.Code
+	codeLabel   LabelFunc
+	codeEvents  []lca.Event
+	codeContent ContentFunc
+
+	events int32 // keyword events matched so far: all of them once built
 
 	// content holds every node's full tree content set, parallel to
 	// s.nodes; nil unless built with ExactContent.
@@ -246,23 +273,26 @@ func newFragment(events int, opts Options) *Fragment {
 		s.nodes = make([]node, 0, want)
 	}
 	s.nodes, s.stack = s.nodes[:0], s.stack[:0]
-	f := &Fragment{s: s}
+	s.frag = Fragment{s: s}
 	if opts.ExactContent {
-		f.content = make([]map[string]struct{}, 0, cap(s.nodes))
+		s.frag.content = make([]map[string]struct{}, 0, cap(s.nodes))
 	}
-	return f
+	return &s.frag
 }
 
 // BuildFragmentIDs runs the constructing step of pruneRTF over a node
 // table: a single pass over the RTF's keyword nodes (which arrive in
 // pre-order) maintaining the path stack from the RTF root to the current
 // node, so every path node is created exactly once, in document order.
-// Keyword masks and content features are then transferred to every ancestor
-// up to the RTF root (the paper's lines 11–12). labelOf must resolve every
-// path node's label; contentOf must resolve each keyword node's content set.
+// Keyword masks are then transferred to every ancestor up to the RTF root
+// (the paper's lines 11–12). labelOf must resolve every path node's label;
+// contentOf must resolve a keyword node's content set, and is called only
+// where a cID is read (or for every keyword node under ExactContent). The
+// fragment reads r's events until it is released.
 func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf IDContentFunc, opts Options) *Fragment {
 	f := newFragment(len(r.KeywordNodes), opts)
 	f.tab, f.idLabel = t, labelOf
+	f.idEvents, f.idContent = r.KeywordNodes, contentOf
 	s := f.s
 	rootDepth := t.Depth(r.Root)
 	f.push(r.Root)
@@ -281,7 +311,7 @@ func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf
 		for j := len(s.anc) - 1; j >= 0; j-- {
 			f.push(s.anc[j])
 		}
-		f.match(ev.Mask, contentOf(ev.ID))
+		f.match(ev.Mask)
 	}
 	f.fold()
 	return f
@@ -292,6 +322,7 @@ func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf
 func BuildFragment(r *rtf.RTF, labelOf LabelFunc, contentOf ContentFunc, opts Options) *Fragment {
 	f := newFragment(len(r.KeywordNodes), opts)
 	f.codeLabel = labelOf
+	f.codeEvents, f.codeContent = r.KeywordNodes, contentOf
 	s := f.s
 	f.codes = append(make([]dewey.Code, 0, cap(s.nodes)), r.Root)
 	f.push(nid.None)
@@ -302,7 +333,7 @@ func BuildFragment(r *rtf.RTF, labelOf LabelFunc, contentOf ContentFunc, opts Op
 			f.codes = append(f.codes, ev.Code[:l])
 			f.push(nid.None)
 		}
-		f.match(ev.Mask, contentOf(ev.Code))
+		f.match(ev.Mask)
 	}
 	f.fold()
 	return f
@@ -317,46 +348,36 @@ func (f *Fragment) push(id nid.ID) {
 	if len(s.stack) > 0 {
 		parent = s.stack[len(s.stack)-1]
 	}
-	s.nodes = append(s.nodes, node{id: id, parent: parent, end: i + 1})
+	s.nodes = append(s.nodes, node{id: id, parent: parent, end: i + 1, ev: f.events})
 	s.stack = append(s.stack, i)
 	if f.content != nil {
 		f.content = append(f.content, nil)
 	}
 }
 
-// checkContent is nil outside this package's tests, which set it to fail on a
-// content set that breaks the sorted-set contract of IDContentFunc.
-var checkContent func(words []string)
-
-// match records a keyword event on the path stack's top. words is a sorted
-// set, so its ends are the node's own (min,max).
-func (f *Fragment) match(mask uint64, words []string) {
-	if checkContent != nil {
-		checkContent(words)
-	}
+// match records the next keyword event on the path stack's top. Only
+// ExactContent reads its content set here.
+func (f *Fragment) match(mask uint64) {
 	i := f.s.stack[len(f.s.stack)-1]
-	n := &f.s.nodes[i]
-	n.klist |= mask
-	if len(words) > 0 {
-		n.cid.merge(CID{Min: words[0], Max: words[len(words)-1]})
-	}
+	f.s.nodes[i].klist |= mask
 	if f.content != nil {
 		m := f.contentSet(i)
-		for _, w := range words {
+		for _, w := range f.words(f.events) {
 			m[w] = struct{}{}
 		}
 	}
+	f.events++
 }
 
-// fold transfers every node's keyword set and content feature to its
-// parent, deepest nodes first, and closes the subtree ranges.
+// fold transfers every node's keyword set (and content set, under
+// ExactContent) to its parent, deepest nodes first, and closes the subtree
+// ranges.
 func (f *Fragment) fold() {
 	nodes := f.s.nodes
 	for i := len(nodes) - 1; i > 0; i-- {
 		c := &nodes[i]
 		p := &nodes[c.parent]
 		p.klist |= c.klist
-		p.cid.merge(c.cid)
 		p.end = max(p.end, c.end)
 		if f.content != nil {
 			m := f.contentSet(c.parent)
@@ -373,6 +394,40 @@ func (f *Fragment) contentSet(i int32) map[string]struct{} {
 		f.content[i] = make(map[string]struct{})
 	}
 	return f.content[i]
+}
+
+// words returns the content set of keyword event e.
+func (f *Fragment) words(e int32) []string {
+	if f.codes != nil {
+		return f.codeContent(f.codeEvents[e].Code)
+	}
+	return f.idContent(f.idEvents[e].ID)
+}
+
+// checkContent is nil outside this package's tests, which set it to fail on a
+// content set that breaks the sorted-set contract of IDContentFunc.
+var checkContent func(words []string)
+
+// cid computes node i's cID, the (min,max) of its tree content set, from its
+// subtree's run of keyword events: each content set is sorted, so its ends
+// are its own (min,max).
+func (f *Fragment) cid(i int32) CID {
+	nodes := f.s.nodes
+	last := f.events
+	if end := nodes[i].end; int(end) < len(nodes) {
+		last = nodes[end].ev
+	}
+	var c CID
+	for e := nodes[i].ev; e < last; e++ {
+		words := f.words(e)
+		if checkContent != nil {
+			checkContent(words)
+		}
+		if len(words) > 0 {
+			c.merge(CID{Min: words[0], Max: words[len(words)-1]})
+		}
+	}
+	return c
 }
 
 func (f *Fragment) label(i int32) string {
@@ -392,11 +447,16 @@ func (f *Fragment) code(i int32) dewey.Code {
 // Size returns the number of nodes in the unpruned fragment.
 func (f *Fragment) Size() int { return len(f.s.nodes) }
 
-// Release returns the fragment's node and working memory to the pool. The
-// fragment must not be used afterwards; results obtained from it stay valid.
+// Release returns the fragment to the pool; results obtained from it stay
+// valid. Release a fragment once and use it no more. The handle is itself
+// pooled memory: Release clears it, so a second Release right after finds
+// nothing to return, but the next build may hand the same handle out again,
+// and a Release through a stale pointer would then return that fragment.
 func (f *Fragment) Release() {
 	if s := f.s; s != nil {
-		f.s = nil
+		// The pool keeps nothing of the fragment's: no table, function or
+		// event slice stays reachable from it.
+		*f = Fragment{}
 		pool.Put(s)
 	}
 }
@@ -534,6 +594,7 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 
 	if mode == ValidContributor && !exact {
 		s.resetTable(m)
+		s.cids = s.cids[:0]
 	}
 	for c := first; c < end; c = nodes[c].end {
 		e := &s.knums[s.slot[c]]
@@ -556,10 +617,14 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 			} else {
 				// Algorithm 1 keeps one used-cID list per label item, so a
 				// cID counts as used whichever key number brought it in.
-				cid := nodes[c].cid
+				cid := f.cid(c)
 				h := maphash.String(seed, cid.Min) + 31*maphash.String(seed, cid.Max) + uint64(e.group)
-				w := s.probe(h, c, func(w int32) bool { return s.knums[s.slot[w]].group == e.group && nodes[w].cid == cid })
-				dup = e.used && w != c
+				fresh := int32(len(s.cids))
+				w := s.probe(h, fresh, func(w int32) bool { return s.cids[w].group == e.group && s.cids[w].cid == cid })
+				if w == fresh {
+					s.cids = append(s.cids, usedCID{cid, e.group})
+				}
+				dup = e.used && w != fresh
 			}
 			e.used = true
 			keep[c] = !dup

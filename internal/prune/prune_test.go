@@ -107,7 +107,7 @@ func sketch(f *Fragment) string {
 	var b strings.Builder
 	for i, n := range f.s.nodes {
 		c := f.code(int32(i))
-		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s\n", strings.Repeat("  ", len(c)-len(f.code(0))), c, f.label(int32(i)), n.klist, n.cid)
+		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s\n", strings.Repeat("  ", len(c)-len(f.code(0))), c, f.label(int32(i)), n.klist, f.cid(int32(i)))
 	}
 	return b.String()
 }
@@ -249,14 +249,14 @@ func TestQ3NodeDataStructure(t *testing.T) {
 func TestQ4CIDFeatures(t *testing.T) {
 	h := newHarness(t, paperdata.Team(), paperdata.Q4)
 	f := h.fragment(t, 0, Options{})
-	p0 := f.s.nodes[nodeAt(f, "0.1.0")].cid
+	p0 := f.cid(nodeAt(f, "0.1.0"))
 	if p0 != (CID{Min: "forward", Max: "position"}) {
 		t.Errorf("player 0 cID = %s", p0)
 	}
-	if p1 := f.s.nodes[nodeAt(f, "0.1.1")].cid; p1 != (CID{Min: "guard", Max: "position"}) {
+	if p1 := f.cid(nodeAt(f, "0.1.1")); p1 != (CID{Min: "guard", Max: "position"}) {
 		t.Errorf("player 1 cID = %s", p1)
 	}
-	if p2 := f.s.nodes[nodeAt(f, "0.1.2")].cid; p2 != p0 {
+	if p2 := f.cid(nodeAt(f, "0.1.2")); p2 != p0 {
 		t.Errorf("players 0 and 2 should share a cID: %s vs %s", p0, p2)
 	}
 }

@@ -134,6 +134,183 @@ func randomWide(rng *rand.Rand, n, labels, k int) *synthetic {
 	return finish(root)
 }
 
+// randomDeep generates a fragment of n nodes of random shape and depth over
+// three labels: a new node hangs under one of the latest few nodes (so paths
+// run deep) or under any earlier one (so sibling groups form at every
+// level). Every leaf, and about a third of the inner nodes, is a keyword
+// node.
+func randomDeep(rng *rand.Rand, n, k int) *synthetic {
+	root := &refNode{code: dewey.Code{0}, label: "root"}
+	all := []*refNode{root}
+	for range n - 1 {
+		p := all[rng.Intn(len(all))]
+		if rng.Intn(3) > 0 {
+			p = all[len(all)-1-rng.Intn(min(3, len(all)))]
+		}
+		c := &refNode{code: p.code.Child(uint32(len(p.kids))), label: fmt.Sprintf("l%d", rng.Intn(3))}
+		p.kids = append(p.kids, c)
+		all = append(all, c)
+	}
+	for _, v := range all {
+		if len(v.kids) > 0 && rng.Intn(3) > 0 {
+			continue
+		}
+		v.mask = 1 + uint64(rng.Intn(1<<k-1))
+		for range rng.Intn(3) { // some keyword nodes have no content words
+			if w := vocabulary[rng.Intn(len(vocabulary))]; !slices.Contains(v.words, w) {
+				v.words = append(v.words, w)
+			}
+		}
+		slices.Sort(v.words)
+	}
+	return finish(root)
+}
+
+// refNodes indexes the reference tree under v by Dewey string.
+func refNodes(v *refNode, into map[string]*refNode) map[string]*refNode {
+	into[v.code.String()] = v
+	for _, k := range v.kids {
+		refNodes(k, into)
+	}
+	return into
+}
+
+// syntheticFragments is the differential corpus of the on-demand cID tests:
+// wide sibling groups and deep random trees.
+func syntheticFragments(rng *rand.Rand) []*synthetic {
+	var out []*synthetic
+	for i := range 60 {
+		out = append(out, randomWide(rng, 1+rng.Intn(80), 1+rng.Intn(4), 1+rng.Intn(5)))
+		out = append(out, randomDeep(rng, 1+rng.Intn(30+i*4), 1+rng.Intn(5)))
+	}
+	return out
+}
+
+// TestOnDemandCIDMatchesNaive: the cID read off a node's run of keyword
+// events is, for every node of every synthetic fragment and under both
+// builders, the (min,max) of the node's whole tree content set.
+func TestOnDemandCIDMatchesNaive(t *testing.T) {
+	for n, s := range syntheticFragments(rand.New(rand.NewSource(31))) {
+		ref := refNodes(s.root, map[string]*refNode{})
+		for _, exact := range []bool{false, true} {
+			opts := Options{ExactContent: exact}
+			byID := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
+			byCode := BuildFragment(s.rtf, s.labelOf, s.contentOf, opts)
+			for name, f := range map[string]*Fragment{"ids": byID, "codes": byCode} {
+				if f.Size() != len(ref) {
+					t.Fatalf("fragment %d %s: %d nodes, the reference tree has %d", n, name, f.Size(), len(ref))
+				}
+				for i := range int32(f.Size()) {
+					c := f.code(i).String()
+					if got, want := f.cid(i), ref[c].cid; got != want {
+						t.Fatalf("fragment %d %s exact=%v: node %s cID %v, its tree content set gives %v", n, name, exact, c, got, want)
+					}
+				}
+			}
+			byID.Release()
+			byCode.Release()
+		}
+	}
+}
+
+// eventsUnder counts the keyword nodes of v's subtree.
+func eventsUnder(v *refNode) int {
+	n := 0
+	if v.mask != 0 {
+		n++
+	}
+	for _, k := range v.kids {
+		n += eventsUnder(k)
+	}
+	return n
+}
+
+func height(v *refNode) int {
+	h := 0
+	for _, k := range v.kids {
+		h = max(h, height(k))
+	}
+	return h + 1
+}
+
+// ruleTwoBReads is what ValidContributor pruning must read: below every node
+// the naive rules keep, the keyword nodes under each child that reaches rule
+// 2(b) — a child with a same-label sibling and no same-label sibling whose
+// keyword set strictly covers its own.
+func ruleTwoBReads(v *refNode) int {
+	n := 0
+	for i, u := range v.kids {
+		same, covered := 0, false
+		for _, w := range v.kids {
+			if w.label == u.label {
+				same++
+				covered = covered || strictlyCovers(w, u)
+			}
+		}
+		if same > 1 && !covered {
+			n += eventsUnder(u)
+		}
+		if naiveKeeps(v.kids, i, ValidContributor, false) {
+			n += ruleTwoBReads(u)
+		}
+	}
+	return n
+}
+
+// TestContentReadsOnDemand counts the content sets pruning reads, through
+// both builders: MaxMatch and the raw fragment read none, ValidRTF reads
+// exactly the keyword nodes under children that reach rule 2(b) — never
+// more than events × depth — and ExactContent reads every keyword node once,
+// while building.
+func TestContentReadsOnDemand(t *testing.T) {
+	for n, s := range syntheticFragments(rand.New(rand.NewSource(32))) {
+		reads := 0
+		byID := func(id nid.ID) []string { reads++; return s.contentOfID(id) }
+		byCode := func(c dewey.Code) []string { reads++; return s.contentOf(c) }
+		build := func(codes bool, opts Options) *Fragment {
+			if codes {
+				return BuildFragment(s.rtf, s.labelOf, byCode, opts)
+			}
+			return BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, byID, opts)
+		}
+		events := len(s.idRTF.KeywordNodes)
+		want := ruleTwoBReads(s.root)
+		if bound := events * height(s.root); want > bound {
+			t.Fatalf("fragment %d: rule 2(b) reaches %d events, past events × depth = %d", n, want, bound)
+		}
+		for _, codes := range []bool{false, true} {
+			reads = 0
+			f := build(codes, Options{})
+			if reads != 0 {
+				t.Fatalf("fragment %d codes=%v: building read %d content sets, want 0", n, codes, reads)
+			}
+			for _, mode := range []Mode{Contributor, NoPruning} {
+				f.Prune(mode, Options{})
+				if reads != 0 {
+					t.Fatalf("fragment %d codes=%v: %s read %d content sets, want 0", n, codes, mode, reads)
+				}
+			}
+			f.Prune(ValidContributor, Options{})
+			if reads != want {
+				t.Fatalf("fragment %d codes=%v: ValidContributor read %d content sets, want %d (the events under rule-2(b) children)", n, codes, reads, want)
+			}
+			f.Release()
+
+			reads = 0
+			opts := Options{ExactContent: true}
+			f = build(codes, opts)
+			if reads != events {
+				t.Fatalf("fragment %d codes=%v: an ExactContent build read %d content sets for %d keyword nodes", n, codes, reads, events)
+			}
+			f.Prune(ValidContributor, opts)
+			if reads != events {
+				t.Fatalf("fragment %d codes=%v: ExactContent pruning read %d more content sets, want 0", n, codes, reads-events)
+			}
+			f.Release()
+		}
+	}
+}
+
 // naiveKept is the all-pairs reading of the filtering rules: every child is
 // compared with every sibling. It returns the kept codes in pre-order.
 func naiveKept(v *refNode, mode Mode, exact bool) []string {
