@@ -229,6 +229,35 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 	}
 }
 
+// TestSingleDocumentSearchAllocs pins whole single-document searches to an
+// exact object count. Engine.Stream hands the request loop a one-entry
+// document vector that stays on its stack (only the corpus fan-out copies
+// its vector for the workers), and the pipeline parameters carry no
+// per-search closure besides the scorer's Incremental. A query that matches
+// nothing stops after planning; an SLCA limit=10 page runs every stage.
+// AllocsPerRun's average rounds down, which absorbs a collection emptying a
+// pool mid-measurement.
+func TestSingleDocumentSearchAllocs(t *testing.T) {
+	e, queries := allocEngine(t)
+	for _, c := range []struct {
+		req  Request
+		want float64
+	}{
+		{Request{Query: "zzzunmatched"}, 20},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 41},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := e.Search(context.Background(), c.req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("Search(%q, slca=%v, limit=%d) allocates %.0f objects per run, want exactly %.0f",
+				c.req.Query, c.req.Semantics == SLCAOnly, c.req.Limit, got, c.want)
+		}
+	}
+}
+
 // TestMaterializeAllocs pins pruneRTF's per-fragment object count: the
 // fragment handle lives in the pooled scratch with the node array, and
 // neither building nor filtering allocates, so materializing a candidate

@@ -29,6 +29,7 @@ import (
 	"io"
 	"iter"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,6 @@ import (
 	"xks/internal/exec"
 	"xks/internal/fault"
 	"xks/internal/index"
-	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/planner"
 	"xks/internal/prune"
@@ -764,10 +764,14 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 	for i := range idx {
 		idx[i] = i
 	}
+	// The workers fill a copy of docs: a slice they captured would escape
+	// to the heap whoever passed it, and a lone document's one-entry vector,
+	// which never fans out, stays on its caller's stack.
+	fan := slices.Clone(docs)
 	candSp := trace.SpanFromContext(ctx).Child("candidates")
 	start := time.Now()
 	_, err := concurrent.MapCtx(ctx, idx, workers, func(i int) (struct{}, error) {
-		d := &docs[i]
+		d := &fan[i]
 		// Each document gets its own child span (concurrent-safe); the
 		// engine's plan and the lca/rtf sub-stages hang under it.
 		docSp := candSp.Child("doc:" + d.name)
@@ -785,6 +789,7 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 		}
 		return struct{}{}, nil
 	})
+	copy(docs, fan) // every worker has been joined
 	// Per-document planning runs inside the fan-out, so the corpus-level
 	// breakdown folds Plan into Candidates (the per-document split is still
 	// visible in the trace span tree).
@@ -972,20 +977,15 @@ func stampSnapshot(sp *trace.Span, v *view, c *delta.Counters) {
 // the resolved snapshot's node table and scorer plus the engine's document
 // source.
 func (e *Engine) paramsAt(v *view, req Request) exec.Params {
-	tab := v.snap.Table()
-	scorer := v.scorer
 	return exec.Params{
-		Tab:      tab,
-		SLCAOnly: req.Semantics == SLCAOnly,
-		Mode:     req.Algorithm.mode(),
-		Prune:    prune.Options{ExactContent: req.ExactContent},
-		Rank:     req.Rank,
-		Limit:    req.Limit,
-		Offset:   req.Offset,
-		Score: func(root nid.ID, events []lca.IDEvent, words []string) float64 {
-			return scorer.ScoreIDs(tab, root, events, words)
-		},
-		Incremental: scorer.Incremental,
+		Tab:         v.snap.Table(),
+		SLCAOnly:    req.Semantics == SLCAOnly,
+		Mode:        req.Algorithm.mode(),
+		Prune:       prune.Options{ExactContent: req.ExactContent},
+		Rank:        req.Rank,
+		Limit:       req.Limit,
+		Offset:      req.Offset,
+		Incremental: v.scorer.Incremental,
 		// A limited search materializes only one page: skip per-candidate
 		// event lists and hydrate the selected few lazily.
 		DeferEvents: req.Limit > 0,

@@ -39,7 +39,7 @@ type Fragment struct {
 	IsSLCA bool
 	// Nodes are the kept nodes in pre-order.
 	Nodes []FragmentNode
-	// Score is the ranking score (populated when Options.Rank is set).
+	// Score is the ranking score (populated when Request.Rank is set).
 	Score float64
 	// Pruned is the number of nodes the pruning mechanism removed from the
 	// unpruned fragment tree (so Pruned+len(Nodes) is the tree's full

@@ -103,18 +103,6 @@ func (c Code) AppendKey(b []byte) []byte {
 	return b
 }
 
-// FromKey reverses Key.
-func FromKey(k string) (Code, error) {
-	if len(k)%4 != 0 {
-		return nil, fmt.Errorf("dewey: key length %d not a multiple of 4", len(k))
-	}
-	c := make(Code, len(k)/4)
-	for i := range c {
-		c[i] = uint32(k[4*i])<<24 | uint32(k[4*i+1])<<16 | uint32(k[4*i+2])<<8 | uint32(k[4*i+3])
-	}
-	return c, nil
-}
-
 // Clone returns an independent copy of c.
 func (c Code) Clone() Code {
 	if c == nil {
@@ -228,23 +216,6 @@ func LCA(a, b Code) Code {
 	return a[:i]
 }
 
-// LCAAll returns the lowest common ancestor of all given codes. With no
-// arguments it returns nil; with one it returns that code itself. The
-// result aliases the first code (a prefix sub-slice).
-func LCAAll(codes ...Code) Code {
-	if len(codes) == 0 {
-		return nil
-	}
-	acc := codes[0]
-	for _, c := range codes[1:] {
-		acc = LCA(acc, c)
-		if acc == nil {
-			return nil
-		}
-	}
-	return acc
-}
-
 // CommonPrefixLen returns the number of leading components a and b share.
 func CommonPrefixLen(a, b Code) int {
 	n := len(a)
@@ -291,34 +262,4 @@ func sortCodes(cs []Code) {
 	}
 	sortCodes(cs[:hi+1])
 	sortCodes(cs[lo:])
-}
-
-// SearchGE returns the index of the first code in the pre-order-sorted slice
-// cs that is >= c, or len(cs) if all codes precede c.
-func SearchGE(cs []Code, c Code) int {
-	lo, hi := 0, len(cs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if Compare(cs[mid], c) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Dedup removes duplicate codes from a pre-order-sorted slice, in place,
-// returning the shortened slice.
-func Dedup(cs []Code) []Code {
-	if len(cs) == 0 {
-		return cs
-	}
-	out := cs[:1]
-	for _, c := range cs[1:] {
-		if !Equal(out[len(out)-1], c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -123,20 +123,6 @@ func TestLCA(t *testing.T) {
 	}
 }
 
-func TestLCAAll(t *testing.T) {
-	got := LCAAll(MustParse("0.2.0.0.0.0"), MustParse("0.2.0.1"), MustParse("0.2.0.2"))
-	if got.String() != "0.2.0" {
-		t.Errorf("LCAAll = %s, want 0.2.0", got)
-	}
-	if LCAAll() != nil {
-		t.Error("LCAAll() should be nil")
-	}
-	one := LCAAll(MustParse("0.1.2"))
-	if one.String() != "0.1.2" {
-		t.Errorf("LCAAll(x) = %s", one)
-	}
-}
-
 func TestParentChildLevel(t *testing.T) {
 	c := MustParse("0.2.0")
 	if got := c.Parent().String(); got != "0.2" {
@@ -177,22 +163,6 @@ func TestChildDoesNotAliasParentStorage(t *testing.T) {
 	b := c.Child(1)
 	if !Equal(a, MustParse("0.1.0")) || !Equal(b, MustParse("0.1.1")) {
 		t.Fatalf("children corrupted: %s %s", a, b)
-	}
-}
-
-func TestKeyRoundTrip(t *testing.T) {
-	for _, s := range []string{"0", "0.2.0.1", "4294967295.0.7"} {
-		c := MustParse(s)
-		back, err := FromKey(c.Key())
-		if err != nil {
-			t.Fatalf("FromKey error: %v", err)
-		}
-		if !Equal(back, c) {
-			t.Errorf("Key round trip %s -> %s", c, back)
-		}
-	}
-	if _, err := FromKey("abc"); err == nil {
-		t.Error("FromKey on odd-length key should fail")
 	}
 }
 
@@ -240,39 +210,6 @@ func TestSortMatchesStdSort(t *testing.T) {
 				t.Fatalf("trial %d: Sort mismatch at %d: %s vs %s", trial, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-func TestSearchGE(t *testing.T) {
-	cs := []Code{MustParse("0.0"), MustParse("0.1"), MustParse("0.1.2"), MustParse("0.3")}
-	cases := []struct {
-		q    string
-		want int
-	}{
-		{"0", 0},
-		{"0.0", 0},
-		{"0.0.5", 1},
-		{"0.1", 1},
-		{"0.1.2", 2},
-		{"0.2", 3},
-		{"0.3", 3},
-		{"0.4", 4},
-	}
-	for _, c := range cases {
-		if got := SearchGE(cs, MustParse(c.q)); got != c.want {
-			t.Errorf("SearchGE(%s) = %d, want %d", c.q, got, c.want)
-		}
-	}
-}
-
-func TestDedup(t *testing.T) {
-	cs := []Code{MustParse("0.0"), MustParse("0.0"), MustParse("0.1"), MustParse("0.1"), MustParse("0.1"), MustParse("0.2")}
-	got := Dedup(cs)
-	if len(got) != 3 {
-		t.Fatalf("Dedup len = %d, want 3", len(got))
-	}
-	if Dedup(nil) != nil {
-		t.Error("Dedup(nil) should be nil")
 	}
 }
 
@@ -346,20 +283,5 @@ func BenchmarkLCA(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		LCA(x, y)
-	}
-}
-
-func BenchmarkSearchGE(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	cs := make([]Code, 10000)
-	for i := range cs {
-		cs[i] = randomCode(rng)
-	}
-	Sort(cs)
-	q := MustParse("2.1.0")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SearchGE(cs, q)
 	}
 }

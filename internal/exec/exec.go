@@ -18,9 +18,9 @@
 //	              with a limit (a bounded heap, streamable across
 //	              concurrent per-document producers), full ordering when
 //	              ranking without one, document order otherwise
-//	materialize — the expensive per-fragment work (pruneRTF: BuildFragment
-//	              + Prune, then node/string assembly in the xks package),
-//	              run only for the selected candidates
+//	materialize — the expensive per-fragment work (pruneRTF:
+//	              BuildFragmentIDs + KeptIDs, then node/string assembly in
+//	              the xks package), run only for the selected candidates
 //
 // The late-materialization contract: a Candidate is cheap — selection
 // consults only the fragment root and its keyword events (scoring needs
@@ -91,8 +91,8 @@ func (p Plan) KeywordNodes() int {
 }
 
 // Params configures candidate generation, selection and materialization for
-// one search. Tab/LabelOf/ContentOf/Score close over the owning engine's
-// node table, document source and scorer.
+// one search. Tab/Incremental/LabelOf/ContentOf close over the owning
+// engine's node table, scorer and document source.
 type Params struct {
 	// Tab is the document's node table; every ID in the plan's posting
 	// sets, the candidates and the pruning results refers into it.
@@ -110,12 +110,9 @@ type Params struct {
 	// Offset skips that many candidates of the selection order before the
 	// limit applies — the pagination window is [Offset, Offset+Limit).
 	Offset int
-	// Score rates one fragment root from its keyword events (required when
-	// Rank is set).
-	Score func(root nid.ID, events []lca.IDEvent, words []string) float64
-	// Incremental returns a per-query incremental scorer; together with
-	// DeferEvents and Rank it enables the score-without-events candidate
-	// stage.
+	// Incremental returns a per-query incremental scorer (required when Rank
+	// is set): the candidate stage folds every root's keyword events into it,
+	// whether it keeps the events or, under DeferEvents, drops them.
 	Incremental func(words []string) *rank.IncrementalScorer
 	// DeferEvents says a limit bounds the page: candidates carry no
 	// keyword-event lists, and materialization hydrates events for the few
@@ -179,9 +176,10 @@ func (c *Candidate) better(o *Candidate) bool {
 //   - Otherwise every root's keyword events land in pooled scratch in the
 //     same pass: the ELCA stack merge hands each root its run as it pops
 //     (lca.ELCAStackDispatch), SLCA roots take their subtree windows
-//     (rtf.DispatchWindows). A ranked ELCA page folds each run into its
-//     root's score and keeps none; the rest copy the runs into one
-//     exactly-sized arena their candidates slice.
+//     (rtf.DispatchWindows). A ranked stage folds each run into its root's
+//     score with the query's one IncrementalScorer; a ranked ELCA page then
+//     keeps no run, and the rest copy the runs into one exactly-sized arena
+//     their candidates slice.
 //
 // ctx is checked upfront, periodically inside the merge loops of the LCA and
 // RTF stages (every few thousand events), and periodically between scored
@@ -198,7 +196,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	t, d := params.Tab, p.Decision
 	// deferred: the candidates carry no events. gather: every root's events
 	// are collected (all but an unranked page and a ranked SLCA one).
-	deferred := params.DeferEvents && (!params.Rank || params.Incremental != nil)
+	deferred := params.DeferEvents
 	gather := !deferred || params.Rank && !params.SLCAOnly
 	var (
 		buf   []lca.IDEvent
@@ -260,19 +258,19 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	for i, s := range scored {
 		out[i].Score = s.Score
 	}
-	// runs[i] is now roots[i]'s run. A ranked ELCA page folds it into the
-	// root's score; the rest copy it into the arena.
+	// runs[i] is now roots[i]'s run. A ranked stage folds it into the root's
+	// score; all but a page copy it into the arena.
 	var (
 		inc   *rank.IncrementalScorer
 		acc   []float64
 		arena []lca.IDEvent
 	)
-	switch {
-	case !deferred:
-		arena = make([]lca.IDEvent, 0, total)
-	case gather:
+	if params.Rank && gather {
 		inc = params.Incremental(p.IDFWords)
 		acc = make([]float64, 2*inc.K())
+	}
+	if !deferred {
+		arena = make([]lca.IDEvent, 0, total)
 	}
 	for i, r := range runs {
 		if i%scoreCheckInterval == scoreCheckInterval-1 {
@@ -281,15 +279,13 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 			}
 		}
 		c := out[i]
-		if deferred {
+		if inc != nil {
 			c.Score = foldScore(inc, acc, t, r.root, r.events)
-			continue
 		}
-		n := len(arena)
-		arena = append(arena, r.events...)
-		c.RTF.KeywordNodes = arena[n:len(arena):len(arena)]
-		if params.Rank && params.Score != nil {
-			c.Score = params.Score(r.root, c.RTF.KeywordNodes, p.IDFWords)
+		if !deferred {
+			n := len(arena)
+			arena = append(arena, r.events...)
+			c.RTF.KeywordNodes = arena[n:len(arena):len(arena)]
 		}
 	}
 	sp.SetInt("candidates", int64(len(out)))
@@ -314,7 +310,8 @@ var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // foldScore feeds one root's events to the incremental scorer in document
 // order, as rtf.BuildScoredIDsCtx's dispatch does, so the score is
-// bit-identical to its. acc (2·K floats) is scratch.
+// bit-identical to its and to the Dewey-code reference's. acc (2·K floats)
+// is scratch.
 func foldScore(inc *rank.IncrementalScorer, acc []float64, t *nid.Table, root nid.ID, events []lca.IDEvent) float64 {
 	clear(acc)
 	best, extra := acc[:inc.K()], acc[inc.K():]

@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"xks/internal/dewey"
-	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/prune"
+	"xks/internal/rank"
 )
 
 func mkCand(doc, seq int, score float64) *Candidate {
@@ -188,14 +188,12 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		"0.0.0": "x", "0.0.1": "y", "0.1.0": "x", "0.1.1": "y",
 	}
 	params := Params{
-		Tab:  tab,
-		Rank: true,
-		Score: func(root nid.ID, events []lca.IDEvent, words []string) float64 {
-			return float64(len(events)) + 1/float64(len(tab.Code(root)))
-		},
-		LabelOf:   func(id nid.ID) string { return labels[tab.Code(id).String()] },
-		ContentOf: func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
-		Mode:      prune.ValidContributor,
+		Tab:         tab,
+		Rank:        true,
+		Incremental: (&rank.Scorer{}).Incremental,
+		LabelOf:     func(id nid.ID) string { return labels[tab.Code(id).String()] },
+		ContentOf:   func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
+		Mode:        prune.ValidContributor,
 	}
 	cands, err := Candidates(context.Background(), p, params, 3)
 	if err != nil {

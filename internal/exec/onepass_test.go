@@ -24,6 +24,7 @@ import (
 	"xks/internal/nid"
 	"xks/internal/planner"
 	"xks/internal/rank"
+	"xks/internal/reference"
 	"xks/internal/rtf"
 	"xks/internal/workload"
 	"xks/internal/xmltree"
@@ -81,14 +82,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		idf[words[i]] = 0.5 + 4*rng.Float64()
 	}
 	scorer := &rank.Scorer{Decay: 0.8, IDF: func(w string) float64 { return idf[w] }}
-	params := Params{
-		Tab:  tab,
-		Rank: true,
-		Score: func(root nid.ID, events []lca.IDEvent, words []string) float64 {
-			return scorer.ScoreIDs(tab, root, events, words)
-		},
-		Incremental: scorer.Incremental,
-	}
+	params := Params{Tab: tab, Rank: true, Incremental: scorer.Incremental}
 	plan := Plan{IDFWords: words, Sets: sets, Decision: planner.Decision{Order: order, Skip: rng.Intn(2) == 0}}
 
 	for _, slca := range []bool{false, true} {
@@ -121,7 +115,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		requireRuns(t, label, got, want)
 
 		// Unlimited and ranked: every candidate carries its events and the
-		// score ScoreIDs gives them.
+		// score the Dewey-code reference gives them.
 		unlimited := params
 		unlimited.SLCAOnly = slca
 		cands, err := Candidates(ctx, plan, unlimited, 0)
@@ -137,7 +131,12 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		}
 		requireRuns(t, label+" unlimited", got, want)
 		for i, c := range cands {
-			if ref := scorer.ScoreIDs(tab, want[i].Root, want[i].KeywordNodes, words); math.Float64bits(c.Score) != math.Float64bits(ref) {
+			events := make([]reference.Event, len(want[i].KeywordNodes))
+			for j, ev := range want[i].KeywordNodes {
+				events[j] = reference.Event{Code: tab.Code(ev.ID), Mask: ev.Mask}
+			}
+			ref := reference.Score(scorer.Decay, scorer.IDF, tab.Code(want[i].Root), events, words)
+			if math.Float64bits(c.Score) != math.Float64bits(ref) {
 				t.Fatalf("%s: unlimited score of root %d is %v, want %v", label, c.RTF.Root, c.Score, ref)
 			}
 		}

@@ -7,7 +7,8 @@
 // requested: Indexed Lookup Eager driven by the smallest list S₁, with a
 // forward-only galloping cursor per other list instead of a binary search
 // over the whole list per probe — cost O(|S₁|·(k−1)·(log gap + depth)). The
-// code-based implementations in lca.go are the cross-checked reference.
+// Dewey-code forms in internal/reference are what the tests check them
+// against.
 
 package lca
 
@@ -179,8 +180,8 @@ func (m *Merger) Next() (ev IDEvent, ok bool) {
 	return ev, true
 }
 
-// ELCAStackMergeIDs is the ID form of ELCAStackMerge: ELCAStackDispatch
-// without a sink. Identical output to ELCAStackMerge modulo representation;
+// ELCAStackMergeIDs is the ID form of reference.ELCAStackMerge:
+// ELCAStackDispatch without a sink. Identical output modulo representation;
 // verified by cross-check tests.
 func ELCAStackMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 	out, _ := ELCAStackDispatch(context.Background(), t, sets, nil, nil, nil)
@@ -320,9 +321,9 @@ func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order
 	return result, nil
 }
 
-// SLCAIDs is the ID form of SLCA (Indexed Lookup Eager): for every node of
-// the smallest list, chain-LCA it with the closest node of every other
-// list, keeping only minimal candidates. Identical output to SLCA modulo
+// SLCAIDs is the ID form of reference.SLCA (Indexed Lookup Eager): for
+// every node of the smallest list, chain-LCA it with the closest node of
+// every other list, keeping only minimal candidates. Identical output modulo
 // representation.
 func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 	out, _ := slcaIDs(nil, t, sets)

@@ -6,6 +6,7 @@ import (
 
 	"xks/internal/dewey"
 	"xks/internal/nid"
+	"xks/internal/reference"
 )
 
 // idHarness maps random code posting sets onto a node table so the ID
@@ -15,8 +16,7 @@ type idHarness struct {
 	sets [][]nid.ID
 }
 
-func harness(t *testing.T, sets [][]dewey.Code) idHarness {
-	t.Helper()
+func harness(sets [][]dewey.Code) idHarness {
 	var all []dewey.Code
 	for _, s := range sets {
 		all = append(all, s...)
@@ -27,7 +27,7 @@ func harness(t *testing.T, sets [][]dewey.Code) idHarness {
 		for _, c := range s {
 			id, ok := tab.Find(c)
 			if !ok {
-				t.Fatalf("code %s missing from table", c)
+				panic("code " + c.String() + " missing from the table built over it")
 			}
 			h.sets[i] = append(h.sets[i], id)
 		}
@@ -35,7 +35,12 @@ func harness(t *testing.T, sets [][]dewey.Code) idHarness {
 	return h
 }
 
+// codesOf maps IDs back to codes; no IDs map to nil, as the references
+// return no codes.
 func (h idHarness) codesOf(ids []nid.ID) []dewey.Code {
+	if len(ids) == 0 {
+		return nil
+	}
 	out := make([]dewey.Code, len(ids))
 	for i, id := range ids {
 		out[i] = h.tab.Code(id)
@@ -57,7 +62,7 @@ func randomCodeSets(rng *rand.Rand, k int) [][]dewey.Code {
 			sets[i] = append(sets[i], c)
 		}
 		dewey.Sort(sets[i])
-		sets[i] = dewey.Dedup(sets[i])
+		sets[i] = reference.Dedup(sets[i])
 	}
 	return sets
 }
@@ -80,16 +85,16 @@ func TestMergerMatchesMergeSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		sets := randomCodeSets(rng, 1+rng.Intn(5))
-		h := harness(t, sets)
-		want := MergeSets(sets)
+		h := harness(sets)
+		want := reference.MergeSets(sets)
 		m := NewMerger(h.sets)
-		var got []Event
+		var got []reference.Event
 		for {
 			ev, ok := m.Next()
 			if !ok {
 				break
 			}
-			got = append(got, Event{Code: h.tab.Code(ev.ID), Mask: ev.Mask})
+			got = append(got, reference.Event{Code: h.tab.Code(ev.ID), Mask: ev.Mask})
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d events, want %d", trial, len(got), len(want))
@@ -109,8 +114,8 @@ func TestELCAStackMergeIDsMatchesCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 1000; trial++ {
 		sets := randomCodeSets(rng, 1+rng.Intn(4))
-		h := harness(t, sets)
-		want := ELCAStackMerge(sets)
+		h := harness(sets)
+		want := reference.ELCAStackMerge(sets)
 		got := h.codesOf(ELCAStackMergeIDs(h.tab, h.sets))
 		if !sameCodeSlices(got, want) {
 			t.Fatalf("trial %d: %v vs %v (sets %v)", trial, got, want, sets)
@@ -124,8 +129,8 @@ func TestSLCAIDsMatchesCodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 1000; trial++ {
 		sets := randomCodeSets(rng, 1+rng.Intn(4))
-		h := harness(t, sets)
-		want := SLCA(sets)
+		h := harness(sets)
+		want := reference.SLCA(sets)
 		got := h.codesOf(SLCAIDs(h.tab, h.sets))
 		if !sameCodeSlices(got, want) {
 			t.Fatalf("trial %d: %v vs %v (sets %v)", trial, got, want, sets)
@@ -135,7 +140,7 @@ func TestSLCAIDsMatchesCodes(t *testing.T) {
 
 // TestMergerSingleList: the k=1 degenerate shape streams the list as-is.
 func TestMergerSingleList(t *testing.T) {
-	h := harness(t, [][]dewey.Code{{dewey.MustParse("0.0"), dewey.MustParse("0.1")}})
+	h := harness([][]dewey.Code{{dewey.MustParse("0.0"), dewey.MustParse("0.1")}})
 	m := NewMerger(h.sets)
 	for i := 0; i < 2; i++ {
 		ev, ok := m.Next()

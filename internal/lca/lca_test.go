@@ -8,6 +8,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
@@ -49,7 +50,7 @@ func wantCodes(t *testing.T, got []dewey.Code, want ...string) {
 // node 0.2.0.3.0 and the article 0.2.0 is an additional interesting LCA.
 func TestQ2SLCAAndELCA(t *testing.T) {
 	sets := setsFor(t, paperdata.Q2, true)
-	wantCodes(t, SLCA(sets), "0.2.0.3.0")
+	wantCodes(t, reference.SLCA(sets), "0.2.0.3.0")
 	for name, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0.2.0", "0.2.0.3.0")
 		_ = name
@@ -59,7 +60,7 @@ func TestQ2SLCAAndELCA(t *testing.T) {
 // Paper, Example 1/6: for Q3 the only interesting LCA (and SLCA) is the root.
 func TestQ3RootOnly(t *testing.T) {
 	sets := setsFor(t, paperdata.Q3, true)
-	wantCodes(t, SLCA(sets), "0")
+	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")
 	}
@@ -68,7 +69,7 @@ func TestQ3RootOnly(t *testing.T) {
 // Paper, Example 2 [false positive]: for Q1 the only SLCA is article 0.2.1.
 func TestQ1SLCA(t *testing.T) {
 	sets := setsFor(t, paperdata.Q1, true)
-	wantCodes(t, SLCA(sets), "0.2.1")
+	wantCodes(t, reference.SLCA(sets), "0.2.1")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0.2.1")
 	}
@@ -78,7 +79,7 @@ func TestQ1SLCA(t *testing.T) {
 // segment; the root is the only LCA.
 func TestQ4TeamRoot(t *testing.T) {
 	sets := setsFor(t, paperdata.Q4, false)
-	wantCodes(t, SLCA(sets), "0")
+	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")
 	}
@@ -88,7 +89,7 @@ func TestQ4TeamRoot(t *testing.T) {
 // keywords.
 func TestQ5TeamRoot(t *testing.T) {
 	sets := setsFor(t, paperdata.Q5, false)
-	wantCodes(t, SLCA(sets), "0")
+	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")
 	}
@@ -99,26 +100,31 @@ func TestQ5TeamRoot(t *testing.T) {
 // witness lies under the all-containing player node, so it is excluded.
 func TestGassolPositionPlayerOnly(t *testing.T) {
 	sets := setsFor(t, "Gassol position", false)
-	wantCodes(t, SLCA(sets), "0.1.0")
+	wantCodes(t, reference.SLCA(sets), "0.1.0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0.1.0")
 	}
 }
 
+// elcaImpls are the ELCA computations the paper-query tests hold to the same
+// answer: the two references and the production stack merge on node IDs.
 func elcaImpls() map[string]func([][]dewey.Code) []dewey.Code {
 	return map[string]func([][]dewey.Code) []dewey.Code{
-		"stack":    ELCAStackMerge,
-		"dispatch": ELCAIndexedDispatch,
-		"naive":    ELCANaive,
+		"stack": reference.ELCAStackMerge,
+		"naive": reference.ELCANaive,
+		"ids": func(sets [][]dewey.Code) []dewey.Code {
+			h := harness(sets)
+			return h.codesOf(ELCAStackMergeIDs(h.tab, h.sets))
+		},
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if got := SLCA(nil); got != nil {
+	if got := reference.SLCA(nil); got != nil {
 		t.Errorf("SLCA(nil) = %v", got)
 	}
 	empty := [][]dewey.Code{{dewey.MustParse("0.1")}, {}}
-	if got := SLCA(empty); got != nil {
+	if got := reference.SLCA(empty); got != nil {
 		t.Errorf("SLCA with empty list = %v", got)
 	}
 	for name, f := range elcaImpls() {
@@ -139,7 +145,7 @@ func TestSingleKeyword(t *testing.T) {
 		dewey.MustParse("0.1.2"),
 		dewey.MustParse("0.3"),
 	}}
-	wantCodes(t, SLCA(sets), "0.1.2", "0.3")
+	wantCodes(t, reference.SLCA(sets), "0.1.2", "0.3")
 	// ELCA additionally keeps 0.1: its own occurrence is a witness not
 	// contained in any all-containing descendant... 0.1 itself matches, and
 	// the occurrence at 0.1 is not under 0.1.2.
@@ -153,7 +159,7 @@ func TestMergeSets(t *testing.T) {
 		{dewey.MustParse("0.1"), dewey.MustParse("0.3")},
 		{dewey.MustParse("0.1"), dewey.MustParse("0.2")},
 	}
-	ev := MergeSets(sets)
+	ev := reference.MergeSets(sets)
 	if len(ev) != 3 {
 		t.Fatalf("MergeSets len = %d, want 3", len(ev))
 	}
@@ -183,25 +189,6 @@ func TestFullMask(t *testing.T) {
 	}
 }
 
-func TestLowestAllContaining(t *testing.T) {
-	slcas := []dewey.Code{dewey.MustParse("0.2.0.3.0")}
-	cases := []struct{ x, want string }{
-		{"0.2.0.3.0", "0.2.0.3.0"},   // the SLCA itself
-		{"0.2.0.3.0.1", "0.2.0.3.0"}, // below the SLCA
-		{"0.2.0.1", "0.2.0"},         // sibling branch: deepest common ancestor with SLCA
-		{"0.0", "0"},                 // far branch: only the root covers an SLCA
-	}
-	for _, c := range cases {
-		got := LowestAllContaining(slcas, dewey.MustParse(c.x))
-		if got.String() != c.want {
-			t.Errorf("LowestAllContaining(%s) = %s, want %s", c.x, got, c.want)
-		}
-	}
-	if got := LowestAllContaining(nil, dewey.MustParse("0.1")); got != nil {
-		t.Errorf("LowestAllContaining with no SLCAs = %v", got)
-	}
-}
-
 // randomSets builds k random posting lists over a synthetic tree universe.
 func randomSets(rng *rand.Rand, k int) [][]dewey.Code {
 	sets := make([][]dewey.Code, k)
@@ -225,23 +212,21 @@ func randomSets(rng *rand.Rand, k int) [][]dewey.Code {
 	return sets
 }
 
-// Property: the three ELCA implementations agree, and SLCA agrees with its
-// naive reference, over thousands of random inputs.
+// Property: the ELCA stack merge agrees with the naive definition, and SLCA
+// with its naive reference, over thousands of random inputs.
 func TestImplementationsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3000; trial++ {
 		k := 1 + rng.Intn(4)
 		sets := randomSets(rng, k)
 
-		slcaFast := SLCA(sets)
-		slcaRef := SLCANaive(sets)
+		slcaFast := reference.SLCA(sets)
+		slcaRef := reference.SLCANaive(sets)
 		assertSame(t, trial, "SLCA", slcaFast, slcaRef, sets)
 
-		stack := ELCAStackMerge(sets)
-		disp := ELCAIndexedDispatch(sets)
-		naive := ELCANaive(sets)
+		stack := reference.ELCAStackMerge(sets)
+		naive := reference.ELCANaive(sets)
 		assertSame(t, trial, "ELCA stack vs naive", stack, naive, sets)
-		assertSame(t, trial, "ELCA dispatch vs naive", disp, naive, sets)
 	}
 }
 
@@ -262,8 +247,8 @@ func TestSLCASubsetOfELCA(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 1000; trial++ {
 		sets := randomSets(rng, 1+rng.Intn(3))
-		slcas := SLCA(sets)
-		elcas := ELCAStackMerge(sets)
+		slcas := reference.SLCA(sets)
+		elcas := reference.ELCAStackMerge(sets)
 		em := map[string]bool{}
 		for _, e := range elcas {
 			em[e.Key()] = true
@@ -295,7 +280,7 @@ func TestSLCAAntichain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 1000; trial++ {
 		sets := randomSets(rng, 1+rng.Intn(3))
-		slcas := SLCA(sets)
+		slcas := reference.SLCA(sets)
 		for i := range slcas {
 			for j := range slcas {
 				if i != j && slcas[i].IsAncestorOf(slcas[j]) {
@@ -307,32 +292,20 @@ func TestSLCAAntichain(t *testing.T) {
 }
 
 func BenchmarkSLCA(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	sets := benchmarkSets(rng, 3, 2000)
+	h := harness(benchmarkSets(rand.New(rand.NewSource(5)), 3, 2000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SLCA(sets)
+		SLCAIDs(h.tab, h.sets)
 	}
 }
 
 func BenchmarkELCAStackMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	sets := benchmarkSets(rng, 3, 2000)
+	h := harness(benchmarkSets(rand.New(rand.NewSource(5)), 3, 2000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ELCAStackMerge(sets)
-	}
-}
-
-func BenchmarkELCAIndexedDispatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	sets := benchmarkSets(rng, 3, 2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ELCAIndexedDispatch(sets)
+		ELCAStackMergeIDs(h.tab, h.sets)
 	}
 }
 

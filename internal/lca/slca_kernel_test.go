@@ -12,6 +12,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
+	"xks/internal/reference"
 )
 
 // randomTree returns the pre-order codes of a random single-rooted tree of
@@ -81,9 +82,9 @@ func checkKernel(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, na
 			codeSets[i] = append(codeSets[i], tab.Code(id))
 		}
 	}
-	want := SLCA(codeSets)
+	want := reference.SLCA(codeSets)
 	if naive {
-		if ref := SLCANaive(codeSets); !sameCodeSlices(ref, want) {
+		if ref := reference.SLCANaive(codeSets); !sameCodeSlices(ref, want) {
 			t.Fatalf("%s: the references disagree: ILE %v, naive %v", label, want, ref)
 		}
 	}

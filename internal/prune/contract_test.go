@@ -14,7 +14,7 @@ import (
 )
 
 // TestMain holds every test of the package to the sorted-set contract of
-// IDContentFunc/ContentFunc: a content set that a cID reads out of order
+// IDContentFunc: a content set that a cID reads out of order
 // fails the run, naming the set.
 func TestMain(m *testing.M) {
 	checkContent = func(words []string) {

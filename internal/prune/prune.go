@@ -46,11 +46,9 @@
 // word into per-node content sets while building and compares a child's set
 // with its kept equal-keyword siblings.
 //
-// Fragments are built from an ID-based rtf.IDRTF over a node table
-// (BuildFragmentIDs, the production path) or from a code-based rtf.RTF
-// (BuildFragment, the reference path of the crosscheck tests); both fill
-// the same layout and share one filtering pass, which KeptIDs returns as
-// node IDs (the engine path) and Prune also as Dewey codes.
+// A fragment is built from an rtf.IDRTF over a node table
+// (BuildFragmentIDs) and filtered in one pass, which KeptIDs returns as node
+// IDs (the engine path) and Prune also as Dewey codes.
 //
 // Pooling. The Fragment handle, the node slice and the filtering pass's
 // working arrays come from a sync.Pool; Release hands them back whatever
@@ -142,19 +140,12 @@ func (c *CID) merge(o CID) {
 // up to the last event when end is the fragment's size. The record holds no
 // pointer, so the collector never scans the node array.
 type node struct {
-	id     nid.ID // table ID; nid.None in code-built fragments
+	id     nid.ID // table ID
 	parent int32
 	end    int32
 	ev     int32  // keyword events matched before the node was pushed
 	klist  uint64 // tree keyword set TKv; its integer value is the key number
 }
-
-// LabelFunc resolves a node's label from its Dewey code.
-type LabelFunc func(dewey.Code) string
-
-// ContentFunc resolves the content word set Cv of a keyword node from its
-// Dewey code, under the contract of IDContentFunc.
-type ContentFunc func(dewey.Code) []string
 
 // IDLabelFunc resolves a node's label from its table ID.
 type IDLabelFunc func(nid.ID) string
@@ -247,17 +238,12 @@ var pool = sync.Pool{New: func() any {
 type Fragment struct {
 	s *scratch // nil once released
 
-	// ID-built fragments resolve codes and labels through the node table,
-	// and content sets through the RTF's keyword events.
+	// Codes and labels resolve through the node table, content sets
+	// through the RTF's keyword events.
 	tab       *nid.Table
 	idLabel   IDLabelFunc
 	idEvents  []lca.IDEvent
 	idContent IDContentFunc
-	// Code-built fragments carry their node codes, parallel to s.nodes.
-	codes       []dewey.Code
-	codeLabel   LabelFunc
-	codeEvents  []lca.Event
-	codeContent ContentFunc
 
 	events int32 // keyword events matched so far: all of them once built
 
@@ -310,28 +296,6 @@ func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf
 		}
 		for j := len(s.anc) - 1; j >= 0; j-- {
 			f.push(s.anc[j])
-		}
-		f.match(ev.Mask)
-	}
-	f.fold()
-	return f
-}
-
-// BuildFragment is BuildFragmentIDs over a code-based RTF (whose keyword
-// nodes rtf.Build also yields in pre-order). Node codes alias the RTF's.
-func BuildFragment(r *rtf.RTF, labelOf LabelFunc, contentOf ContentFunc, opts Options) *Fragment {
-	f := newFragment(len(r.KeywordNodes), opts)
-	f.codeLabel = labelOf
-	f.codeEvents, f.codeContent = r.KeywordNodes, contentOf
-	s := f.s
-	f.codes = append(make([]dewey.Code, 0, cap(s.nodes)), r.Root)
-	f.push(nid.None)
-	for _, ev := range r.KeywordNodes {
-		shared := dewey.CommonPrefixLen(f.codes[s.stack[len(s.stack)-1]], ev.Code)
-		s.stack = s.stack[:shared-len(r.Root)+1]
-		for l := shared + 1; l <= len(ev.Code); l++ {
-			f.codes = append(f.codes, ev.Code[:l])
-			f.push(nid.None)
 		}
 		f.match(ev.Mask)
 	}
@@ -398,9 +362,6 @@ func (f *Fragment) contentSet(i int32) map[string]struct{} {
 
 // words returns the content set of keyword event e.
 func (f *Fragment) words(e int32) []string {
-	if f.codes != nil {
-		return f.codeContent(f.codeEvents[e].Code)
-	}
 	return f.idContent(f.idEvents[e].ID)
 }
 
@@ -431,16 +392,10 @@ func (f *Fragment) cid(i int32) CID {
 }
 
 func (f *Fragment) label(i int32) string {
-	if f.codes != nil {
-		return f.codeLabel(f.codes[i])
-	}
 	return f.idLabel(f.s.nodes[i].id)
 }
 
 func (f *Fragment) code(i int32) dewey.Code {
-	if f.codes != nil {
-		return f.codes[i]
-	}
 	return f.tab.Code(f.s.nodes[i].id)
 }
 
@@ -466,8 +421,7 @@ func (f *Fragment) Release() {
 type Result struct {
 	Root dewey.Code
 	Kept []dewey.Code
-	// KeptIDs parallels Kept with table IDs when the fragment was built
-	// over a node table (BuildFragmentIDs); nil otherwise.
+	// KeptIDs parallels Kept with table IDs.
 	KeptIDs []nid.ID
 	// Visited is the node count of the unpruned fragment tree, so
 	// Visited-len(Kept) is how many nodes the pruning mechanism removed —
@@ -477,26 +431,21 @@ type Result struct {
 }
 
 // Prune applies the selected filtering mechanism (the pruning step of
-// pruneRTF) and returns the kept node set as Dewey codes — the view the
-// code-built reference path and stage replays read — beside the IDs. The
-// fragment's nodes are not mutated, so several modes can be applied to the
-// same fragment in turn.
+// pruneRTF) and returns the kept node set as Dewey codes — the view tests and
+// stage replays read — beside the IDs. The fragment's nodes are not mutated,
+// so several modes can be applied to the same fragment in turn.
 func (f *Fragment) Prune(mode Mode, opts Options) *Result {
 	kept := f.sweep(mode, opts)
-	res := &Result{Kept: make([]dewey.Code, len(kept)), Visited: len(f.s.nodes)}
+	res := &Result{Kept: make([]dewey.Code, len(kept)), KeptIDs: f.ids(kept), Visited: len(f.s.nodes)}
 	for j, i := range kept {
 		res.Kept[j] = f.code(i)
-	}
-	if f.tab != nil {
-		res.KeptIDs = f.ids(kept)
 	}
 	res.Root = res.Kept[0]
 	return res
 }
 
 // KeptIDs is Prune for the engine path, which never looks at a Dewey slice:
-// Result.KeptIDs and Result.Visited without the Result. The fragment must
-// have been built over a node table.
+// Result.KeptIDs and Result.Visited without the Result.
 func (f *Fragment) KeptIDs(mode Mode, opts Options) (kept []nid.ID, visited int) {
 	return f.ids(f.sweep(mode, opts)), len(f.s.nodes)
 }

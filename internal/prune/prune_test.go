@@ -10,16 +10,20 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/lca"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/rtf"
 	"xks/internal/xmltree"
 )
 
-// harness builds all fragments for a query over a tree.
+// harness builds all fragments for a query over a tree: the RTFs of the
+// Dewey-code getRTF, carried over to the index's node table.
 type harness struct {
 	tree *xmltree.Tree
 	an   *analysis.Analyzer
-	rtfs []*rtf.RTF
+	tab  *nid.Table
+	rtfs []*rtf.IDRTF
 }
 
 func newHarness(t *testing.T, tree *xmltree.Tree, query string) *harness {
@@ -30,15 +34,30 @@ func newHarness(t *testing.T, tree *xmltree.Tree, query string) *harness {
 	if err != nil {
 		t.Fatalf("KeywordSets(%q): %v", query, err)
 	}
-	return &harness{tree: tree, an: an, rtfs: rtf.Build(lca.ELCAStackMerge(sets), sets)}
+	h := &harness{tree: tree, an: an, tab: ix.Table()}
+	id := func(c dewey.Code) nid.ID {
+		id, ok := h.tab.Find(c)
+		if !ok {
+			t.Fatalf("code %s missing from the node table", c)
+		}
+		return id
+	}
+	for _, r := range reference.Build(reference.ELCAStackMerge(sets), sets) {
+		ir := &rtf.IDRTF{Root: id(r.Root)}
+		for _, ev := range r.KeywordNodes {
+			ir.KeywordNodes = append(ir.KeywordNodes, lca.IDEvent{ID: id(ev.Code), Mask: ev.Mask})
+		}
+		h.rtfs = append(h.rtfs, ir)
+	}
+	return h
 }
 
-func (h *harness) labelOf(c dewey.Code) string {
-	return h.tree.NodeAt(c).Label
+func (h *harness) labelOf(id nid.ID) string {
+	return h.tree.NodeAt(h.tab.Code(id)).Label
 }
 
-func (h *harness) contentOf(c dewey.Code) []string {
-	return h.an.ContentSet(h.tree.NodeAt(c).ContentPieces()...)
+func (h *harness) contentOf(id nid.ID) []string {
+	return h.an.ContentSet(h.tree.NodeAt(h.tab.Code(id)).ContentPieces()...)
 }
 
 func (h *harness) fragment(t *testing.T, i int, opts Options) *Fragment {
@@ -46,7 +65,7 @@ func (h *harness) fragment(t *testing.T, i int, opts Options) *Fragment {
 	if i >= len(h.rtfs) {
 		t.Fatalf("only %d fragments", len(h.rtfs))
 	}
-	return BuildFragment(h.rtfs[i], h.labelOf, h.contentOf, opts)
+	return BuildFragmentIDs(h.tab, h.rtfs[i], h.labelOf, h.contentOf, opts)
 }
 
 func keptStrings(r *Result) []string {

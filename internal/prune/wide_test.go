@@ -45,30 +45,17 @@ func (n *refNode) annotate() {
 	}
 }
 
-// synthetic is a generated fragment in every form the builders take.
+// synthetic is a generated fragment over its own node table.
 type synthetic struct {
 	root   *refNode
 	tab    *nid.Table
 	idRTF  *rtf.IDRTF
-	rtf    *rtf.RTF
 	labels []string   // by table ID
 	words  [][]string // by table ID
 }
 
 func (s *synthetic) labelOfID(id nid.ID) string     { return s.labels[id] }
 func (s *synthetic) contentOfID(id nid.ID) []string { return s.words[id] }
-func (s *synthetic) labelOf(c dewey.Code) string    { return s.labels[s.id(c)] }
-func (s *synthetic) contentOf(c dewey.Code) []string {
-	return s.words[s.id(c)]
-}
-
-func (s *synthetic) id(c dewey.Code) nid.ID {
-	id, ok := s.tab.Find(c)
-	if !ok {
-		panic("unknown code " + c.String())
-	}
-	return id
-}
 
 // add registers n (nodes arrive in pre-order, so table IDs count up) and
 // its keyword event.
@@ -79,7 +66,6 @@ func (s *synthetic) add(n *refNode, codes *[]dewey.Code) {
 	s.words = append(s.words, n.words)
 	if n.mask != 0 {
 		s.idRTF.KeywordNodes = append(s.idRTF.KeywordNodes, lca.IDEvent{ID: id, Mask: n.mask})
-		s.rtf.KeywordNodes = append(s.rtf.KeywordNodes, lca.Event{Code: n.code, Mask: n.mask})
 	}
 	for _, k := range n.kids {
 		s.add(k, codes)
@@ -88,7 +74,7 @@ func (s *synthetic) add(n *refNode, codes *[]dewey.Code) {
 
 func finish(root *refNode) *synthetic {
 	root.annotate()
-	s := &synthetic{root: root, idRTF: &rtf.IDRTF{}, rtf: &rtf.RTF{Root: root.code}}
+	s := &synthetic{root: root, idRTF: &rtf.IDRTF{}}
 	var codes []dewey.Code
 	s.add(root, &codes)
 	s.tab = nid.FromCodes(codes)
@@ -187,28 +173,23 @@ func syntheticFragments(rng *rand.Rand) []*synthetic {
 }
 
 // TestOnDemandCIDMatchesNaive: the cID read off a node's run of keyword
-// events is, for every node of every synthetic fragment and under both
-// builders, the (min,max) of the node's whole tree content set.
+// events is, for every node of every synthetic fragment, the (min,max) of the
+// node's whole tree content set.
 func TestOnDemandCIDMatchesNaive(t *testing.T) {
 	for n, s := range syntheticFragments(rand.New(rand.NewSource(31))) {
 		ref := refNodes(s.root, map[string]*refNode{})
 		for _, exact := range []bool{false, true} {
-			opts := Options{ExactContent: exact}
-			byID := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
-			byCode := BuildFragment(s.rtf, s.labelOf, s.contentOf, opts)
-			for name, f := range map[string]*Fragment{"ids": byID, "codes": byCode} {
-				if f.Size() != len(ref) {
-					t.Fatalf("fragment %d %s: %d nodes, the reference tree has %d", n, name, f.Size(), len(ref))
-				}
-				for i := range int32(f.Size()) {
-					c := f.code(i).String()
-					if got, want := f.cid(i), ref[c].cid; got != want {
-						t.Fatalf("fragment %d %s exact=%v: node %s cID %v, its tree content set gives %v", n, name, exact, c, got, want)
-					}
+			f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{ExactContent: exact})
+			if f.Size() != len(ref) {
+				t.Fatalf("fragment %d: %d nodes, the reference tree has %d", n, f.Size(), len(ref))
+			}
+			for i := range int32(f.Size()) {
+				c := f.code(i).String()
+				if got, want := f.cid(i), ref[c].cid; got != want {
+					t.Fatalf("fragment %d exact=%v: node %s cID %v, its tree content set gives %v", n, exact, c, got, want)
 				}
 			}
-			byID.Release()
-			byCode.Release()
+			f.Release()
 		}
 	}
 }
@@ -257,57 +238,46 @@ func ruleTwoBReads(v *refNode) int {
 	return n
 }
 
-// TestContentReadsOnDemand counts the content sets pruning reads, through
-// both builders: MaxMatch and the raw fragment read none, ValidRTF reads
-// exactly the keyword nodes under children that reach rule 2(b) — never
-// more than events × depth — and ExactContent reads every keyword node once,
-// while building.
+// TestContentReadsOnDemand counts the content sets pruning reads: MaxMatch
+// and the raw fragment read none, ValidRTF reads exactly the keyword nodes
+// under children that reach rule 2(b) — never more than events × depth — and
+// ExactContent reads every keyword node once, while building.
 func TestContentReadsOnDemand(t *testing.T) {
 	for n, s := range syntheticFragments(rand.New(rand.NewSource(32))) {
 		reads := 0
-		byID := func(id nid.ID) []string { reads++; return s.contentOfID(id) }
-		byCode := func(c dewey.Code) []string { reads++; return s.contentOf(c) }
-		build := func(codes bool, opts Options) *Fragment {
-			if codes {
-				return BuildFragment(s.rtf, s.labelOf, byCode, opts)
-			}
-			return BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, byID, opts)
-		}
+		contentOf := func(id nid.ID) []string { reads++; return s.contentOfID(id) }
 		events := len(s.idRTF.KeywordNodes)
 		want := ruleTwoBReads(s.root)
 		if bound := events * height(s.root); want > bound {
 			t.Fatalf("fragment %d: rule 2(b) reaches %d events, past events × depth = %d", n, want, bound)
 		}
-		for _, codes := range []bool{false, true} {
-			reads = 0
-			f := build(codes, Options{})
-			if reads != 0 {
-				t.Fatalf("fragment %d codes=%v: building read %d content sets, want 0", n, codes, reads)
-			}
-			for _, mode := range []Mode{Contributor, NoPruning} {
-				f.Prune(mode, Options{})
-				if reads != 0 {
-					t.Fatalf("fragment %d codes=%v: %s read %d content sets, want 0", n, codes, mode, reads)
-				}
-			}
-			f.Prune(ValidContributor, Options{})
-			if reads != want {
-				t.Fatalf("fragment %d codes=%v: ValidContributor read %d content sets, want %d (the events under rule-2(b) children)", n, codes, reads, want)
-			}
-			f.Release()
-
-			reads = 0
-			opts := Options{ExactContent: true}
-			f = build(codes, opts)
-			if reads != events {
-				t.Fatalf("fragment %d codes=%v: an ExactContent build read %d content sets for %d keyword nodes", n, codes, reads, events)
-			}
-			f.Prune(ValidContributor, opts)
-			if reads != events {
-				t.Fatalf("fragment %d codes=%v: ExactContent pruning read %d more content sets, want 0", n, codes, reads-events)
-			}
-			f.Release()
+		f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, contentOf, Options{})
+		if reads != 0 {
+			t.Fatalf("fragment %d: building read %d content sets, want 0", n, reads)
 		}
+		for _, mode := range []Mode{Contributor, NoPruning} {
+			f.Prune(mode, Options{})
+			if reads != 0 {
+				t.Fatalf("fragment %d: %s read %d content sets, want 0", n, mode, reads)
+			}
+		}
+		f.Prune(ValidContributor, Options{})
+		if reads != want {
+			t.Fatalf("fragment %d: ValidContributor read %d content sets, want %d (the events under rule-2(b) children)", n, reads, want)
+		}
+		f.Release()
+
+		reads = 0
+		opts := Options{ExactContent: true}
+		f = BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, contentOf, opts)
+		if reads != events {
+			t.Fatalf("fragment %d: an ExactContent build read %d content sets for %d keyword nodes", n, reads, events)
+		}
+		f.Prune(ValidContributor, opts)
+		if reads != events {
+			t.Fatalf("fragment %d: ExactContent pruning read %d more content sets, want 0", n, reads-events)
+		}
+		f.Release()
 	}
 }
 
@@ -395,7 +365,7 @@ func codeStrings(cs []dewey.Code) []string {
 var allModes = []Mode{ValidContributor, Contributor, NoPruning}
 
 // TestWideGroupsMatchNaive pits the kernel against the all-pairs rules on
-// seeded random sibling groups, through both builders.
+// seeded random sibling groups.
 func TestWideGroupsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	sizes := []int{1, 2, 3, 5, 9, 17, 40, 150, 700, 5000}
@@ -411,23 +381,19 @@ func TestWideGroupsMatchNaive(t *testing.T) {
 		s := randomWide(rng, n, labels, 1+rng.Intn(6))
 		for _, exact := range []bool{false, true} {
 			opts := Options{ExactContent: exact}
-			byID := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
-			byCode := BuildFragment(s.rtf, s.labelOf, s.contentOf, opts)
+			f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
 			for _, mode := range allModes {
 				want := naiveKept(s.root, mode, exact)
-				for name, f := range map[string]*Fragment{"ids": byID, "codes": byCode} {
-					got := f.Prune(mode, opts)
-					if !slices.Equal(codeStrings(got.Kept), want) {
-						t.Fatalf("trial %d (%d children, %d labels) %s %s exact=%v:\n got %v\nwant %v",
-							trial, n, labels, name, mode, exact, codeStrings(got.Kept), want)
-					}
-					if got.Visited != f.Size() {
-						t.Fatalf("trial %d: Visited %d, fragment has %d nodes", trial, got.Visited, f.Size())
-					}
+				got := f.Prune(mode, opts)
+				if !slices.Equal(codeStrings(got.Kept), want) {
+					t.Fatalf("trial %d (%d children, %d labels) %s exact=%v:\n got %v\nwant %v",
+						trial, n, labels, mode, exact, codeStrings(got.Kept), want)
+				}
+				if got.Visited != f.Size() {
+					t.Fatalf("trial %d: Visited %d, fragment has %d nodes", trial, got.Visited, f.Size())
 				}
 			}
-			byID.Release()
-			byCode.Release()
+			f.Release()
 		}
 	}
 }

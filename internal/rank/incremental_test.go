@@ -8,11 +8,12 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/lca"
 	"xks/internal/nid"
+	"xks/internal/reference"
 )
 
-// The incremental scorer must be bit-identical to ScoreIDs when fed the same
-// events in the same order — the planner's score-without-events mode depends
-// on it.
+// The incremental scorer must be bit-identical to the Dewey-code reference
+// score when fed the same events in the same order — every ranked request
+// depends on it.
 func TestIncrementalMatchesScoreIDsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -47,7 +48,11 @@ func TestIncrementalMatchesScoreIDsBitwise(t *testing.T) {
 			}
 		}
 
-		want := s.ScoreIDs(tab, root, events, words)
+		codeEvents := make([]reference.Event, len(events))
+		for i, ev := range events {
+			codeEvents[i] = reference.Event{Code: tab.Code(ev.ID), Mask: ev.Mask}
+		}
+		want := reference.Score(s.Decay, s.IDF, tab.Code(root), codeEvents, words)
 
 		inc := s.Incremental(words)
 		best := make([]float64, inc.K())
@@ -59,7 +64,10 @@ func TestIncrementalMatchesScoreIDsBitwise(t *testing.T) {
 		got := inc.Finish(best, extra)
 
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: incremental score %v != ScoreIDs %v (bitwise)", trial, got, want)
+			t.Fatalf("trial %d: incremental score %v != reference %v (bitwise)", trial, got, want)
+		}
+		if wrapped := s.ScoreIDs(tab, root, events, words); math.Float64bits(wrapped) != math.Float64bits(want) {
+			t.Fatalf("trial %d: ScoreIDs %v != reference %v (bitwise)", trial, wrapped, want)
 		}
 	}
 }

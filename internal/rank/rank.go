@@ -12,9 +12,7 @@ package rank
 
 import (
 	"math"
-	"sort"
 
-	"xks/internal/dewey"
 	"xks/internal/lca"
 	"xks/internal/nid"
 )
@@ -54,99 +52,28 @@ func NewScorerFrom(ix IndexStats) *Scorer {
 	}
 }
 
-// Score rates one fragment: root is the fragment root, events its keyword
-// nodes with their match masks, and words the query keywords in mask-bit
-// order. Higher is better.
-func (s *Scorer) Score(root dewey.Code, events []lca.Event, words []string) float64 {
-	decay := s.Decay
-	if decay <= 0 || decay > 1 {
-		decay = 0.8
-	}
-	// Per keyword, take the best (closest to the root) occurrence and add a
-	// small bonus for additional occurrences, so a fragment with the same
-	// best occurrences but more support ranks higher.
-	best := make([]float64, len(words))
-	extra := make([]float64, len(words))
-	for _, ev := range events {
-		dist := len(ev.Code) - len(root)
-		if dist < 0 {
-			dist = 0
-		}
-		w := math.Pow(decay, float64(dist))
-		for i := range words {
-			if ev.Mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			contrib := w * s.idf(words[i])
-			if contrib > best[i] {
-				extra[i] += best[i]
-				best[i] = contrib
-			} else {
-				extra[i] += contrib
-			}
-		}
-	}
-	score := 0.0
-	for i := range words {
-		score += best[i] + 0.1*extra[i]
-	}
-	return score
-}
-
-// ScoreIDs is the ID form of Score, used by the production pipeline: node
-// depths come from the table instead of code lengths. It performs exactly
-// the same floating-point operations in the same order as Score, so the two
-// forms produce bit-identical scores (the crosscheck tests rely on this).
+// ScoreIDs rates one fragment: root is the fragment root, events its
+// keyword nodes with their match masks, and words the query keywords in
+// mask-bit order. Higher is better. It is the incremental fold over the
+// materialized events, for callers holding a whole list; the request path
+// folds its own runs into one IncrementalScorer per query instead.
 func (s *Scorer) ScoreIDs(t *nid.Table, root nid.ID, events []lca.IDEvent, words []string) float64 {
-	decay := s.Decay
-	if decay <= 0 || decay > 1 {
-		decay = 0.8
-	}
-	// Typical queries have a handful of keywords; keep the per-keyword
-	// accumulators on the stack then (scoring runs once per candidate).
-	var buf [16]float64 // zeroed per call
-	var best, extra []float64
-	if len(words) <= 8 {
-		best = buf[:len(words):8]
-		extra = buf[8 : 8+len(words)]
-	} else {
-		best = make([]float64, len(words))
-		extra = make([]float64, len(words))
-	}
-	rootDepth := t.Depth(root)
+	inc := s.Incremental(words)
+	best, extra := make([]float64, inc.K()), make([]float64, inc.K())
 	for _, ev := range events {
-		dist := int(t.Depth(ev.ID) - rootDepth)
-		if dist < 0 {
-			dist = 0
-		}
-		w := math.Pow(decay, float64(dist))
-		for i := range words {
-			if ev.Mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			contrib := w * s.idf(words[i])
-			if contrib > best[i] {
-				extra[i] += best[i]
-				best[i] = contrib
-			} else {
-				extra[i] += contrib
-			}
-		}
+		inc.Update(best, extra, int(t.Depth(ev.ID)-t.Depth(root)), ev.Mask)
 	}
-	score := 0.0
-	for i := range words {
-		score += best[i] + 0.1*extra[i]
-	}
-	return score
+	return inc.Finish(best, extra)
 }
 
-// IncrementalScorer scores roots one keyword event at a time, without ever
-// materializing the event list — the score-without-events dispatch mode uses
-// it to fold each event into per-root accumulators as the RTF stage streams
-// by. IDF weights are precomputed per query term, and Update/Finish perform
-// exactly the floating-point operations ScoreIDs performs in the same order,
-// so for events fed in dispatch (document) order the final score is
-// bit-identical to ScoreIDs over the materialized list (pinned by tests).
+// IncrementalScorer is the one implementation of the score: it scores roots
+// one keyword event at a time, without ever materializing the event list —
+// the score-without-events dispatch mode folds each event into per-root
+// accumulators as the RTF stage streams by, and the unlimited ranked path
+// folds each root's run. IDF weights are precomputed per query term, and
+// Update/Finish perform exactly the floating-point operations the Dewey-code
+// reference.Score performs, in the same order, so for events fed in document
+// order the score is bit-identical to it (pinned by tests).
 type IncrementalScorer struct {
 	decay float64
 	idf   []float64
@@ -206,21 +133,4 @@ func (s *Scorer) idf(word string) float64 {
 		return 1
 	}
 	return s.IDF(word)
-}
-
-// Ranked pairs an index into a fragment list with its score.
-type Ranked struct {
-	Index int
-	Score float64
-}
-
-// Order returns the fragment indices ordered by descending score, breaking
-// ties by ascending index (document order).
-func Order(scores []float64) []Ranked {
-	out := make([]Ranked, len(scores))
-	for i, s := range scores {
-		out[i] = Ranked{Index: i, Score: s}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out
 }

@@ -1,14 +1,13 @@
-package lca
+package reference
 
-// The definitions themselves, as test references: quadratic and
-// map-based, never on a request path.
+// The definitions themselves: quadratic and map-based.
 
 import "xks/internal/dewey"
 
 // ELCANaive computes the interesting LCA set straight from the definition.
 // It materializes the all-containing predicate for every candidate prefix
 // and tests each candidate's witnesses; exponential care is not needed but
-// it is O(n²·depth) and intended only as a test reference.
+// it is O(n²·depth).
 func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 	k := len(sets)
 	if k == 0 {
@@ -82,8 +81,7 @@ func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 	return out
 }
 
-// SLCANaive computes the SLCA set straight from the definition, as a test
-// reference.
+// SLCANaive computes the SLCA set straight from the definition.
 func SLCANaive(sets [][]dewey.Code) []dewey.Code {
 	k := len(sets)
 	if k == 0 {

@@ -1,31 +1,30 @@
-// Package rtf constructs Relaxed Tightest Fragments (Definition 2 of the
-// paper): one fragment per interesting LCA node, holding the keyword nodes
-// dispatched to it and all path nodes between them and the root.
+// Relaxed Tightest Fragments (Definition 2 of the paper) on Dewey codes: one
+// fragment per interesting LCA node, holding the keyword nodes dispatched to
+// it and all path nodes between them and the root.
 //
-// The production path is Build (the paper's getRTF): every keyword node is
-// dispatched to the deepest interesting LCA that is its ancestor-or-self
-// ("the last RTF in the pre-order LCA list whose root is an ancestor of or
-// the same as the node"); keyword nodes with no such ancestor do not join
-// any fragment. Fragments whose keyword nodes fail to cover the whole query
-// are discarded, mirroring the semantics of the Indexed Stack getLCA stage.
+// Build is the paper's getRTF: every keyword node is dispatched to the
+// deepest interesting LCA that is its ancestor-or-self ("the last RTF in the
+// pre-order LCA list whose root is an ancestor of or the same as the node");
+// keyword nodes with no such ancestor do not join any fragment. Fragments
+// whose keyword nodes fail to cover the whole query are discarded, mirroring
+// the semantics of the Indexed Stack getLCA stage. rtf.BuildIDs is its ID
+// form.
 //
 // BruteForce implements Definitions 1 and 2 literally (enumerating the
 // extended keyword node combination set ECTQ and filtering it by the three
 // RTF rules). It is exponential and exists to anchor Build to the formal
-// semantics in tests on small instances, such as the paper's Examples 3–4.
-package rtf
+// semantics on small instances, such as the paper's Examples 3–4.
 
-import (
-	"xks/internal/dewey"
-	"xks/internal/lca"
-)
+package reference
+
+import "xks/internal/dewey"
 
 // RTF is one relaxed tightest fragment: its root (an interesting LCA node)
 // and the keyword nodes dispatched to it, in pre-order, each carrying the
 // bitmask of query keywords it matches.
 type RTF struct {
 	Root         dewey.Code
-	KeywordNodes []lca.Event
+	KeywordNodes []Event
 }
 
 // PathNodes returns all Dewey codes of the fragment: the root, the keyword
@@ -66,7 +65,7 @@ func (r *RTF) Mask() uint64 {
 // IsSLCA reports whether the fragment's root is a smallest LCA, i.e. has no
 // interesting LCA below it among the given pre-order-sorted roots.
 func (r *RTF) IsSLCA(allRoots []dewey.Code) bool {
-	i := dewey.SearchGE(allRoots, r.Root)
+	i := SearchGE(allRoots, r.Root)
 	// r.Root itself is at position i; a descendant root, if any, follows it.
 	if i+1 < len(allRoots) && r.Root.IsAncestorOf(allRoots[i+1]) {
 		return false
@@ -83,8 +82,8 @@ func Build(lcas []dewey.Code, sets [][]dewey.Code) []*RTF {
 	if len(lcas) == 0 {
 		return nil
 	}
-	events := lca.MergeSets(sets)
-	full := lca.FullMask(len(sets))
+	events := MergeSets(sets)
+	full := fullMask(len(sets))
 
 	byRoot := make(map[string]*RTF, len(lcas))
 	out := make([]*RTF, 0, len(lcas))
@@ -129,7 +128,7 @@ func Build(lcas []dewey.Code, sets [][]dewey.Code) []*RTF {
 // BruteForce enumerates the extended keyword node combination set ECTQ
 // (Definition 1) over the posting lists and filters it with the three rules
 // of Definition 2, returning the surviving partitions as RTFs sorted by
-// root. Exponential in the posting list sizes; test use only.
+// root. Exponential in the posting list sizes.
 func BruteForce(sets [][]dewey.Code) []*RTF {
 	k := len(sets)
 	if k == 0 {
@@ -163,7 +162,7 @@ func BruteForce(sets [][]dewey.Code) []*RTF {
 		for _, c := range v {
 			set[c.Key()] = true
 		}
-		eligible = append(eligible, cand{v: v, lca: dewey.LCAAll(v...), set: set})
+		eligible = append(eligible, cand{v: v, lca: LCAAll(v...), set: set})
 	}
 	var out []*RTF
 	for i, c := range eligible {
@@ -192,9 +191,8 @@ func BruteForce(sets [][]dewey.Code) []*RTF {
 	return out
 }
 
-// EnumerateECTQ exposes the ECTQ enumeration of Definition 1 for tests:
-// each element is a distinct union of per-keyword nonempty subsets,
-// pre-order sorted.
+// EnumerateECTQ exposes the ECTQ enumeration of Definition 1: each element
+// is a distinct union of per-keyword nonempty subsets, pre-order sorted.
 func EnumerateECTQ(sets [][]dewey.Code) [][]dewey.Code {
 	combos := enumerateECTQ(sets)
 	out := make([][]dewey.Code, len(combos))
@@ -291,7 +289,7 @@ func lcaOfSubsets(subs ...[]dewey.Code) dewey.Code {
 	for _, s := range subs {
 		all = append(all, s...)
 	}
-	return dewey.LCAAll(all...)
+	return LCAAll(all...)
 }
 
 // passesRules1And3 checks conditions 1 and 3 of Definition 2 for the
@@ -299,7 +297,7 @@ func lcaOfSubsets(subs ...[]dewey.Code) dewey.Code {
 // BruteForce itself).
 func passesRules1And3(v []dewey.Code, sets [][]dewey.Code) bool {
 	k := len(sets)
-	a := dewey.LCAAll(v...)
+	a := LCAAll(v...)
 	if a == nil {
 		return false
 	}
@@ -377,7 +375,7 @@ func forEachProduct(choices [][][]dewey.Code, fn func([][]dewey.Code) bool) {
 }
 
 func comboToRTF(v []dewey.Code, sets [][]dewey.Code) *RTF {
-	root := dewey.LCAAll(v...)
+	root := LCAAll(v...)
 	r := &RTF{Root: root}
 	for _, c := range v {
 		var mask uint64
@@ -389,7 +387,7 @@ func comboToRTF(v []dewey.Code, sets [][]dewey.Code) *RTF {
 				}
 			}
 		}
-		r.KeywordNodes = append(r.KeywordNodes, lca.Event{Code: c, Mask: mask})
+		r.KeywordNodes = append(r.KeywordNodes, Event{Code: c, Mask: mask})
 	}
 	return r
 }

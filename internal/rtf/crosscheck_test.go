@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"xks/internal/dewey"
-	"xks/internal/lca"
+	"xks/internal/reference"
 )
 
 // Build (the paper's getRTF over interesting LCAs) and BruteForce
@@ -29,8 +29,8 @@ func TestBuildVsDefinitionRelationship(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		k := 1 + rng.Intn(2)
 		sets := randomSets(rng, k)
-		fast := Build(lca.ELCAStackMerge(sets), sets)
-		slow := BruteForce(sets)
+		fast := reference.Build(reference.ELCAStackMerge(sets), sets)
+		slow := reference.BruteForce(sets)
 		if len(fast) != len(slow) {
 			t.Fatalf("trial %d: root sets differ: %v vs %v (sets %v)", trial, roots(fast), roots(slow), sets)
 		}

@@ -1,12 +1,21 @@
-// getRTF as a pass of its own, on dense node IDs: BuildIDs dispatches every
-// keyword node of the streamed posting-list merge to its deepest interesting
-// LCA. No request runs it any more — the ELCA stack merge dispatches in its
-// own pass (lca.ELCAStackDispatch) and SLCA roots take their subtree windows
-// (DispatchWindows) — so BuildIDs is the tests' reference for both, and
-// BuildIDsPlanned what the bench harness replays. Its dispatch loop still
-// serves BuildScoredIDsCtx and EventsFor's nested windows. The code-based
-// Build in rtf.go is the reference BuildIDs is cross-checked against.
-
+// Package rtf is the getRTF stage on dense node IDs: it gives every Relaxed
+// Tightest Fragment (Definition 2 of the paper) its keyword nodes — each one
+// dispatched to the deepest interesting LCA that is its ancestor-or-self, a
+// fragment kept only when its nodes cover the whole query.
+//
+// What requests run: an ELCA request's stack merge dispatches in its own
+// pass (lca.ELCAStackDispatch); SLCA roots, which never nest, take their
+// subtree windows of the posting lists (DispatchWindows); a ranked SLCA page
+// folds each dispatched event into its root's score without keeping it
+// (BuildScoredIDsCtx); and a bounded page hydrates the events of the few
+// fragments it returns (EventsFor).
+//
+// BuildIDs is getRTF as a pass of its own: no request runs it, so it is the
+// tests' reference for the producers above, and BuildIDsPlanned is what the
+// bench harness replays. Its dispatch loop serves BuildScoredIDsCtx and
+// EventsFor's nested windows. The Dewey-code Build and the literal
+// Definitions 1–2 enumeration it is checked against live in
+// internal/reference.
 package rtf
 
 import (
@@ -39,11 +48,11 @@ func (r *IDRTF) Mask() uint64 {
 	return m
 }
 
-// BuildIDs is the ID form of Build: given the sorted interesting LCA nodes
-// and the ID posting lists D1..Dk, it dispatches every keyword node to the
-// deepest LCA node that is its ancestor-or-self and returns one IDRTF per
-// LCA node whose dispatched nodes cover the whole query, in pre-order of
-// their roots. Identical output to Build modulo representation.
+// BuildIDs is the ID form of reference.Build: given the sorted interesting
+// LCA nodes and the ID posting lists D1..Dk, it dispatches every keyword node
+// to the deepest LCA node that is its ancestor-or-self and returns one IDRTF
+// per LCA node whose dispatched nodes cover the whole query, in pre-order of
+// their roots. Identical output modulo representation.
 func BuildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
 	out, _ := BuildIDsPlanned(context.Background(), t, lcas, sets, nil, false)
 	return out

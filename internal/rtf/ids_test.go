@@ -7,6 +7,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/lca"
 	"xks/internal/nid"
+	"xks/internal/reference"
 )
 
 // TestBuildIDsMatchesBuild cross-checks the ID dispatch against the
@@ -34,10 +35,10 @@ func TestBuildIDsMatchesBuild(t *testing.T) {
 			}
 		}
 
-		roots := lca.ELCAStackMerge(sets)
+		roots := reference.ELCAStackMerge(sets)
 		idRoots := lca.ELCAStackMergeIDs(tab, idSets)
 
-		want := Build(roots, sets)
+		want := reference.Build(roots, sets)
 		got := BuildIDs(tab, idRoots, idSets)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d fragments vs %d", trial, len(got), len(want))

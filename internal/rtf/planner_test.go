@@ -10,6 +10,7 @@ import (
 	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/rank"
+	"xks/internal/reference"
 )
 
 // randomDispatchInput builds a random table, k skewed posting lists, and
@@ -87,7 +88,8 @@ func TestBuildIDsPlannedMatchesPlain(t *testing.T) {
 }
 
 // The scored single-pass build must keep the same covering roots and give
-// each the bitwise-identical score ScoreIDs gives its materialized events.
+// each the bitwise-identical score the Dewey-code reference gives its
+// materialized events.
 func TestBuildScoredIDsMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 150; trial++ {
@@ -114,7 +116,11 @@ func TestBuildScoredIDsMatchesMaterialized(t *testing.T) {
 			if s.Root != want[i].Root {
 				t.Fatalf("trial %d: root %d = %d, want %d", trial, i, s.Root, want[i].Root)
 			}
-			ref := scorer.ScoreIDs(tab, want[i].Root, want[i].KeywordNodes, words)
+			events := make([]reference.Event, len(want[i].KeywordNodes))
+			for j, ev := range want[i].KeywordNodes {
+				events[j] = reference.Event{Code: tab.Code(ev.ID), Mask: ev.Mask}
+			}
+			ref := reference.Score(scorer.Decay, scorer.IDF, tab.Code(want[i].Root), events, words)
 			if math.Float64bits(s.Score) != math.Float64bits(ref) {
 				t.Fatalf("trial %d root %d: score %v != %v (bitwise)", trial, s.Root, s.Score, ref)
 			}

@@ -2,6 +2,7 @@ package rtf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xks/internal/analysis"
@@ -9,6 +10,7 @@ import (
 	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
@@ -25,12 +27,12 @@ func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
 	return sets
 }
 
-func buildFor(t *testing.T, query string, pub bool) []*RTF {
+func buildFor(t *testing.T, query string, pub bool) []*reference.RTF {
 	sets := setsFor(t, query, pub)
-	return Build(lca.ELCAStackMerge(sets), sets)
+	return reference.Build(reference.ELCAStackMerge(sets), sets)
 }
 
-func roots(rs []*RTF) []string {
+func roots(rs []*reference.RTF) []string {
 	out := make([]string, len(rs))
 	for i, r := range rs {
 		out[i] = r.Root.String()
@@ -38,7 +40,7 @@ func roots(rs []*RTF) []string {
 	return out
 }
 
-func knodeStrings(r *RTF) []string {
+func knodeStrings(r *reference.RTF) []string {
 	out := make([]string, len(r.KeywordNodes))
 	for i, ev := range r.KeywordNodes {
 		out[i] = ev.Code.String()
@@ -77,8 +79,8 @@ func TestExample4Partitions(t *testing.T) {
 // paper's running example.
 func TestExample4BruteForceAgrees(t *testing.T) {
 	sets := setsFor(t, paperdata.QLiuKeyword, true)
-	fast := Build(lca.ELCAStackMerge(sets), sets)
-	slow := BruteForce(sets)
+	fast := reference.Build(reference.ELCAStackMerge(sets), sets)
+	slow := reference.BruteForce(sets)
 	if len(fast) != len(slow) {
 		t.Fatalf("fast %v vs brute %v", roots(fast), roots(slow))
 	}
@@ -96,13 +98,13 @@ func TestExample4BruteForceAgrees(t *testing.T) {
 // the ref node occurs in both posting lists).
 func TestExample3ECTQCount(t *testing.T) {
 	sets := setsFor(t, paperdata.QLiuKeyword, true)
-	combos := EnumerateECTQ(sets)
+	combos := reference.EnumerateECTQ(sets)
 	if len(combos) != 11 {
 		t.Fatalf("|ECTQ| = %d, want 11", len(combos))
 	}
 	// Every combination covers both keywords.
 	for _, v := range combos {
-		if len(projection(v, sets[0])) == 0 || len(projection(v, sets[1])) == 0 {
+		if !meets(v, sets[0]) || !meets(v, sets[1]) {
 			t.Errorf("combination %v misses a keyword", v)
 		}
 	}
@@ -159,25 +161,32 @@ func TestQ4TeamRTF(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if got := Build(nil, nil); got != nil {
+	if got := reference.Build(nil, nil); got != nil {
 		t.Errorf("Build(nil,nil) = %v", got)
 	}
-	if got := BruteForce(nil); got != nil {
+	if got := reference.BruteForce(nil); got != nil {
 		t.Errorf("BruteForce(nil) = %v", got)
 	}
-	if got := BruteForce([][]dewey.Code{{}}); got != nil {
+	if got := reference.BruteForce([][]dewey.Code{{}}); got != nil {
 		t.Errorf("BruteForce with empty list = %v", got)
 	}
 }
 
 func TestMask(t *testing.T) {
-	r := &RTF{Root: dewey.MustParse("0"), KeywordNodes: []lca.Event{
+	r := &reference.RTF{Root: dewey.MustParse("0"), KeywordNodes: []reference.Event{
 		{Code: dewey.MustParse("0.1"), Mask: 1},
 		{Code: dewey.MustParse("0.2"), Mask: 2},
 	}}
 	if r.Mask() != 3 {
 		t.Errorf("Mask = %b", r.Mask())
 	}
+}
+
+// meets reports whether the combination v holds a node of the posting list.
+func meets(v, list []dewey.Code) bool {
+	return slices.ContainsFunc(v, func(c dewey.Code) bool {
+		return slices.ContainsFunc(list, func(x dewey.Code) bool { return dewey.Equal(x, c) })
+	})
 }
 
 func randomSets(rng *rand.Rand, k int) [][]dewey.Code {
@@ -214,8 +223,8 @@ func TestBuildInvariantsRandom(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		k := 1 + rng.Intn(3)
 		sets := randomSets(rng, k)
-		lcas := lca.ELCAStackMerge(sets)
-		rs := Build(lcas, sets)
+		lcas := reference.ELCAStackMerge(sets)
+		rs := reference.Build(lcas, sets)
 		full := lca.FullMask(k)
 
 		seenRoot := map[string]bool{}
@@ -236,7 +245,7 @@ func TestBuildInvariantsRandom(t *testing.T) {
 				seenNode[ev.Code.Key()] = r.Root.String()
 				all = append(all, ev.Code)
 			}
-			if got := dewey.LCAAll(all...); !dewey.Equal(got, r.Root) {
+			if got := reference.LCAAll(all...); !dewey.Equal(got, r.Root) {
 				t.Fatalf("trial %d: LCA of partition = %s, root = %s", trial, got, r.Root)
 			}
 		}
@@ -264,7 +273,7 @@ func TestPathNodesAncestorClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 500; trial++ {
 		sets := randomSets(rng, 1+rng.Intn(3))
-		rs := Build(lca.ELCAStackMerge(sets), sets)
+		rs := reference.Build(reference.ELCAStackMerge(sets), sets)
 		for _, r := range rs {
 			nodes := r.PathNodes()
 			keep := map[string]bool{}
@@ -286,27 +295,10 @@ func TestPathNodesAncestorClosed(t *testing.T) {
 }
 
 func BenchmarkBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	sets := make([][]dewey.Code, 3)
-	for i := range sets {
-		m := map[string]dewey.Code{}
-		for j := 0; j < 2000; j++ {
-			depth := 2 + rng.Intn(8)
-			c := make(dewey.Code, depth+1)
-			for d := 1; d <= depth; d++ {
-				c[d] = uint32(rng.Intn(10))
-			}
-			m[c.Key()] = c
-		}
-		for _, c := range m {
-			sets[i] = append(sets[i], c)
-		}
-		dewey.Sort(sets[i])
-	}
-	lcas := lca.ELCAStackMerge(sets)
+	tab, sets, roots := randomDispatchInput(rand.New(rand.NewSource(9)), 6000, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(lcas, sets)
+		BuildIDs(tab, roots, sets)
 	}
 }

@@ -33,7 +33,7 @@ type ScoredID struct {
 // BuildScoredIDsCtx runs one planned dispatch pass over the posting lists
 // and returns, in pre-order, every root whose dispatched nodes cover the
 // whole query, scored as if its event list had been materialized and passed
-// to Scorer.ScoreIDs (same floating-point operations in the same order).
+// to Scorer.ScoreIDs (the same incremental fold, events in the same order).
 // Compared to BuildIDsPlanned it allocates O(roots) accumulators instead of
 // O(events) event lists. Ranked SLCA pages run it; a ranked ELCA page scores
 // the runs of the stack merge that found its roots instead.

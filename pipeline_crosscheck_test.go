@@ -24,7 +24,7 @@ import (
 	"xks/internal/nid"
 	"xks/internal/paperdata"
 	"xks/internal/prune"
-	"xks/internal/rank"
+	"xks/internal/reference"
 	"xks/internal/rtf"
 	"xks/internal/workload"
 )
@@ -49,7 +49,15 @@ func (s codeSource) id(c dewey.Code) nid.ID {
 
 func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.labelOfID(s.id(c)) }
 
-func (s codeSource) contentOf(c dewey.Code) []string { return s.e.src.contentOfID(s.id(c)) }
+// idRTF carries a Dewey-code RTF over to the table, for the one pruneRTF
+// builder.
+func (s codeSource) idRTF(r *reference.RTF) *rtf.IDRTF {
+	out := &rtf.IDRTF{Root: s.id(r.Root), KeywordNodes: make([]lca.IDEvent, len(r.KeywordNodes))}
+	for i, ev := range r.KeywordNodes {
+		out.KeywordNodes[i] = lca.IDEvent{ID: s.id(ev.Code), Mask: ev.Mask}
+	}
+	return out
+}
 
 // nodeText is the node's own text; the store keeps none.
 func (s codeSource) nodeText(c dewey.Code) string {
@@ -99,11 +107,11 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 
 	var roots []dewey.Code
 	if opts.Semantics == SLCAOnly {
-		roots = lca.SLCA(sets)
+		roots = reference.SLCA(sets)
 	} else {
-		roots = lca.ELCAStackMerge(sets)
+		roots = reference.ELCAStackMerge(sets)
 	}
-	rtfs := rtf.Build(roots, sets)
+	rtfs := reference.Build(roots, sets)
 	res.Stats.NumLCAs = len(rtfs)
 
 	pruneOpts := prune.Options{ExactContent: opts.ExactContent}
@@ -112,7 +120,7 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragment(r, src.labelOf, src.contentOf, pruneOpts)
+		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.labelOfID, e.src.contentOfID, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
 		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}
@@ -122,10 +130,11 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		// rtfs[i].KeywordNodes, still in document order at this point.
 		scores := make([]float64, len(res.Fragments))
 		for i := range res.Fragments {
-			scores[i] = e.currentScorer().Score(rtfs[i].Root, rtfs[i].KeywordNodes, idfWords)
+			sc := e.currentScorer()
+			scores[i] = reference.Score(sc.Decay, sc.IDF, rtfs[i].Root, rtfs[i].KeywordNodes, idfWords)
 			res.Fragments[i].Score = scores[i]
 		}
-		ordered := rank.Order(scores)
+		ordered := reference.Order(scores)
 		ranked := make([]*Fragment, len(ordered))
 		for i, r := range ordered {
 			ranked[i] = res.Fragments[r.Index]
@@ -139,21 +148,15 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 }
 
 // eagerAssemble is the pre-refactor Engine.assemble.
-func eagerAssemble(src codeSource, r *rtf.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
-	// A Fragment carries its keep-set as table IDs; the code-built eager path
-	// has none, so look each kept code up.
+func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
 	e, tab := src.e, src.tab
-	keptIDs := make([]nid.ID, len(kept.Kept))
-	for i, c := range kept.Kept {
-		keptIDs[i] = src.id(c)
-	}
 	f := &Fragment{
 		Root:      r.Root.String(),
 		RootLabel: src.labelOf(r.Root),
 		IsSLCA:    r.IsSLCA(allRoots),
 		rootCode:  r.Root,
 		tab:       tab,
-		keptIDs:   keptIDs,
+		keptIDs:   kept.KeptIDs,
 		src:       e.src,
 		words:     idfWords,
 		snip:      e.snip,
