@@ -233,7 +233,8 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 // exact object count. Engine.Stream hands the request loop a one-entry
 // document vector that stays on its stack (only the corpus fan-out copies
 // its vector for the workers), and the pipeline parameters carry no
-// per-search closure besides the scorer's Incremental. A query that matches
+// per-search closure besides the scorer's Incremental and the source's
+// contentOfID: labels travel as the pinned label column. A query that matches
 // nothing stops after planning; an SLCA limit=10 page runs every stage.
 // AllocsPerRun's average rounds down, which absorbs a collection emptying a
 // pool mid-measurement.
@@ -244,7 +245,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 20},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 41},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 40},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {

@@ -163,6 +163,10 @@ type Engine struct {
 type view struct {
 	snap   *delta.Snapshot
 	scorer *rank.Scorer
+	// src is the document source's tables, pinned after the snapshot: a
+	// writer extends them before it publishes the head that makes new IDs
+	// visible, so they cover every ID the snapshot holds.
+	src *srcState
 }
 
 func (v *view) release() { v.snap.Release() }
@@ -173,7 +177,7 @@ func (e *Engine) viewAt(h *delta.Head, n int) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &view{snap: snap, scorer: rank.NewScorerFrom(snap)}, nil
+	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.pin()}, nil
 }
 
 // currentView pins the engine's newest published state. Resolving a head
@@ -279,7 +283,7 @@ func FromStore(st *store.Store) *Engine {
 	ix := st.BuildIndex(an)
 	e := &Engine{
 		st:   st,
-		src:  &storeSource{st: st},
+		src:  newStoreSource(st),
 		an:   an,
 		snip: snippet.NewGenerator(an, snippet.Options{}),
 	}
@@ -704,7 +708,7 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 			// the page size; the expired ctx still feeds the injection point,
 			// so scripted deadline faults resolve immediately.
 			matStart := time.Now()
-			f, err = d.eng.materializeSafe(ctx, d.name, c, d.plan, d.params)
+			f, err = d.eng.materializeSafe(ctx, d.name, c, d.v.src, d.plan, d.params)
 			res.Stats.Stages.Materialize += time.Since(matStart)
 		}
 		if err != nil {
@@ -974,8 +978,8 @@ func stampSnapshot(sp *trace.Span, v *view, c *delta.Counters) {
 }
 
 // paramsAt maps the public request onto pipeline parameters, closing over
-// the resolved snapshot's node table and scorer plus the engine's document
-// source.
+// the resolved snapshot's node table and scorer, the label column pinned
+// with it, and the engine's document source.
 func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 	return exec.Params{
 		Tab:         v.snap.Table(),
@@ -989,7 +993,7 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 		// A limited search materializes only one page: skip per-candidate
 		// event lists and hydrate the selected few lazily.
 		DeferEvents: req.Limit > 0,
-		LabelOf:     e.src.labelOfID,
+		Labels:      v.src.labels,
 		ContentOf:   e.src.contentOfID,
 	}
 }
@@ -1001,7 +1005,7 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 // iterator sequences where no http.Server recovery applies. The fragment
 // assembly itself never consults ctx, so callers salvaging a truncated page
 // may pass an already-expired context.
-func (e *Engine) materializeSafe(ctx context.Context, label string, c *exec.Candidate, p exec.Plan, params exec.Params) (f *Fragment, err error) {
+func (e *Engine) materializeSafe(ctx context.Context, label string, c *exec.Candidate, st *srcState, p exec.Plan, params exec.Params) (f *Fragment, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = concurrent.Recovered(r)
@@ -1010,13 +1014,14 @@ func (e *Engine) materializeSafe(ctx context.Context, label string, c *exec.Cand
 	if ferr := fault.Inject(ctx, fault.PointMaterialize, label); ferr != nil {
 		return nil, ferr
 	}
-	return e.materialize(c, p, params), nil
+	return e.materialize(c, st, p, params), nil
 }
 
 // resolveIDSetsAt turns the query text into per-term ID posting lists over
 // one snapshot's node table. Plain keywords read straight off the merged
-// base+delta lists (shared slices where no delta touches the term); label
-// predicates filter postings through the document source's labels. It
+// base+delta lists (shared slices where no delta touches the term); a label
+// predicate is matched once per dictionary label and keeps the postings
+// whose label ID matched. It
 // returns the display strings, the words used for IDF scoring, and the
 // sets D1..Dk.
 func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords []string, sets [][]nid.ID, err error) {
@@ -1043,9 +1048,14 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 		idfWords[i] = word
 		postings := v.snap.LookupIDs(word)
 		if t.Label != "" {
+			labels := v.src.labels
+			match := make([]bool, len(labels.Names))
+			for l, name := range labels.Names {
+				match[l] = t.MatchesLabel(name)
+			}
 			var filtered []nid.ID
 			for _, id := range postings {
-				if t.MatchesLabel(e.src.labelOfID(id)) {
+				if match[labels.IDs[id]] {
 					filtered = append(filtered, id)
 				}
 			}
@@ -1064,10 +1074,11 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 // is the only place fragments are built, so e.assembled counts exactly the
 // selected candidates. Everything runs on node IDs: keyword-node masks come
 // from a two-pointer merge of the (sorted) kept IDs and keyword events, a
-// kept node's label and text are read once from the source tables the
-// fragment pins, and Dewey codes surface only as zero-copy table views
-// rendered into the public FragmentNode strings.
-func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params) *Fragment {
+// kept node's label comes from the label column of st — the source tables
+// the request pinned, which the fragment renders from — and a tree node's
+// text from st's node, and Dewey codes surface only as zero-copy table
+// views rendered into the public FragmentNode strings.
+func (e *Engine) materialize(c *exec.Candidate, st *srcState, p exec.Plan, params exec.Params) *Fragment {
 	e.assembled.Add(1)
 	if c.RTF.KeywordNodes == nil && c.Roots != nil {
 		// The candidate stage deferred event materialization
@@ -1083,10 +1094,10 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 	kept, visited := exec.Materialize(c, params)
 	tab := params.Tab
 	rootCode := tab.Code(c.RTF.Root)
-	st := e.src.pin()
+	labels := st.labels
 	f := &Fragment{
 		Root:      rootCode.String(),
-		RootLabel: e.src.labelOfID(c.RTF.Root),
+		RootLabel: labels.Of(c.RTF.Root),
 		IsSLCA:    c.IsSLCA,
 		Score:     c.Score,
 		Pruned:    visited - len(kept),
@@ -1119,12 +1130,9 @@ func (e *Engine) materialize(c *exec.Candidate, p exec.Plan, params exec.Params)
 	for _, id := range kept {
 		start := deweys.Len()
 		deweys.Write(tab.Code(id).AppendString(scratch[:0]))
-		fn := FragmentNode{Dewey: deweys.String()[start:], Level: int(tab.Depth(id))}
-		if st != nil {
-			n := st.nodes[id]
-			fn.Label, fn.Text = n.Label, n.Text
-		} else {
-			fn.Label = e.src.labelOfID(id)
+		fn := FragmentNode{Dewey: deweys.String()[start:], Label: labels.Of(id), Level: int(tab.Depth(id))}
+		if st.nodes != nil {
+			fn.Text = st.nodes[id].Text
 		}
 		for j < len(events) && events[j].ID < id {
 			j++

@@ -51,10 +51,10 @@ type Fragment struct {
 	// pruning as IDs into tab, the node table of the snapshot the search
 	// read: a kept node's Dewey code and depth are zero-copy lookups there,
 	// so no renderer re-parses a string key and the fragment carries no
-	// Dewey slices of its own. st is the tree source's ID-aligned tables as
-	// of materialization, which keptIDs also index — held here so a fragment
-	// cached across a renumbering rebuild still renders its own nodes (nil
-	// when store-backed). keep is the same set keyed by dewey key for
+	// Dewey slices of its own. st is the source's ID-aligned tables as of
+	// materialization, which keptIDs also index — held here so a fragment
+	// cached across a renumbering rebuild still renders its own nodes (for
+	// a store, its frozen label column). keep is the same set keyed by dewey key for
 	// membership tests, built lazily (via keepSet) because only Contains and
 	// the ASCII tree renderer consult it — neither the search hot path nor
 	// an XML render pays for the map.

@@ -19,7 +19,7 @@
 //	              concurrent per-document producers), full ordering when
 //	              ranking without one, document order otherwise
 //	materialize — the expensive per-fragment work (pruneRTF:
-//	              BuildFragmentIDs + KeptIDs, then node/string assembly in
+//	              BuildFragment + KeptIDs, then node/string assembly in
 //	              the xks package), run only for the selected candidates
 //
 // The late-materialization contract: a Candidate is cheap — selection
@@ -91,7 +91,7 @@ func (p Plan) KeywordNodes() int {
 }
 
 // Params configures candidate generation, selection and materialization for
-// one search. Tab/Incremental/LabelOf/ContentOf close over the owning
+// one search. Tab, Incremental, Labels and ContentOf come from the owning
 // engine's node table, scorer and document source.
 type Params struct {
 	// Tab is the document's node table; every ID in the plan's posting
@@ -120,9 +120,10 @@ type Params struct {
 	// event once, folding it into its root's score; an unranked one takes
 	// the LCA roots as its candidates and runs no dispatch at all.
 	DeferEvents bool
-	// LabelOf and ContentOf resolve node labels and content word sets for
-	// the pruning step.
-	LabelOf   prune.IDLabelFunc
+	// Labels is the document's label column, pinned with the request's
+	// snapshot, and ContentOf resolves content word sets: what the pruning
+	// step groups children by and reads cIDs from.
+	Labels    prune.Labels
 	ContentOf prune.IDContentFunc
 }
 
@@ -391,7 +392,7 @@ func SortRanked(cands []*Candidate) {
 // package) turns them into a rendered Fragment. The fragment tree lives in
 // pooled memory handed back here; the caller owns kept.
 func Materialize(c *Candidate, params Params) (kept []nid.ID, visited int) {
-	f := prune.BuildFragmentIDs(params.Tab, c.RTF, params.LabelOf, params.ContentOf, params.Prune)
+	f := prune.BuildFragment(params.Tab, c.RTF, params.Labels, params.ContentOf, params.Prune)
 	kept, visited = f.KeptIDs(params.Mode, params.Prune)
 	f.Release()
 	return kept, visited

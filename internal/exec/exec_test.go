@@ -187,11 +187,21 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		"0": "root", "0.0": "item", "0.1": "item",
 		"0.0.0": "x", "0.0.1": "y", "0.1.0": "x", "0.1.1": "y",
 	}
+	var column prune.Labels
+	names := map[string]uint32{}
+	for id := range nid.ID(tab.Len()) {
+		l := labels[tab.Code(id).String()]
+		if _, ok := names[l]; !ok {
+			names[l] = uint32(len(column.Names))
+			column.Names = append(column.Names, l)
+		}
+		column.IDs = append(column.IDs, names[l])
+	}
 	params := Params{
 		Tab:         tab,
 		Rank:        true,
 		Incremental: (&rank.Scorer{}).Incremental,
-		LabelOf:     func(id nid.ID) string { return labels[tab.Code(id).String()] },
+		Labels:      column,
 		ContentOf:   func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
 		Mode:        prune.ValidContributor,
 	}

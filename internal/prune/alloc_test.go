@@ -23,7 +23,7 @@ func TestPruneScratchReuseAllocBytes(t *testing.T) {
 	const slack = 16 << 10
 	s := sameLabelChildren(25000)
 	run := func() (nodes, kept int) {
-		f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{})
+		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
 		ids, nodes := f.KeptIDs(ValidContributor, Options{})
 		f.Release()
 		return nodes, len(ids)

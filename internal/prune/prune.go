@@ -9,11 +9,12 @@
 // to subtree, and the number of keyword events before it, so its subtree's
 // events are one contiguous run of the RTF's. The cID (the (min,max)
 // word-pair feature approximating the tree content set) is read off that run
-// when rule 2(b) asks for it, and only then. Labels and Dewey codes are
-// resolved only for the nodes pruning actually looks at. The "Children
-// Info" of §4.1 — per label, the child count and the distinct child key
-// numbers (chkList) — is computed while filtering, for nodes with at least
-// two children.
+// when rule 2(b) asks for it, and only then. A node's label is an integer,
+// its ID in the document's label column (Labels), read only for the
+// children ValidContributor filtering groups; Dewey codes are resolved only
+// for the results. The "Children Info" of §4.1 — per label, the child count
+// and the distinct child key numbers (chkList) — is computed while
+// filtering, for nodes with at least two children.
 //
 // Prune(ValidContributor) keeps exactly the valid contributors of
 // Definition 4: a child with a label unique among its siblings is always
@@ -39,16 +40,22 @@
 // IDContentFunc contract), so the (min,max) feature is the min and max of
 // the sets' first and last words. Filtering is O(children · 2^k) for k query
 // keywords: a child is tested against the at most 2^k distinct key numbers
-// of its label group, never against its siblings. The per-parent sets
-// (labels, rule 2(b)'s used cIDs) live in one open-addressed hash table in
-// the pooled memory, so a wide sibling group costs a constant per child and
-// allocates nothing. The one exception is ExactContent, which reads every
-// word into per-node content sets while building and compares a child's set
-// with its kept equal-keyword siblings.
+// of its label group, never against its siblings. A child finds its label
+// group in one slot per dictionary label, and the slots are epoch-stamped:
+// each parent bumps a counter, and a slot stamped by an earlier parent reads
+// as empty, so no parent and no fragment clears them and a parent costs
+// O(children) however many labels the document has. Rule 2(b)'s used cIDs
+// live in an open-addressed hash table, the only hashing filtering does. All
+// of it is pooled memory, so a wide sibling group costs a constant per child
+// and allocates nothing. The one exception is ExactContent, which reads
+// every word into per-node content sets while building and compares a
+// child's set with its kept equal-keyword siblings.
 //
-// A fragment is built from an rtf.IDRTF over a node table
-// (BuildFragmentIDs) and filtered in one pass, which KeptIDs returns as node
-// IDs (the engine path) and Prune also as Dewey codes.
+// A fragment is built from an rtf.IDRTF over a node table and the
+// document's label column (BuildFragment) and filtered in one pass, which
+// KeptIDs returns as node IDs (the engine path) and Prune also as Dewey
+// codes. BuildFragmentIDs is the same build for a caller holding a label
+// function instead of a column.
 //
 // Pooling. The Fragment handle, the node slice and the filtering pass's
 // working arrays come from a sync.Pool; Release hands them back whatever
@@ -59,7 +66,8 @@
 // an entry idle for two garbage collections is dropped, and until then it
 // holds what the largest recent fragment needed, about 43 bytes a node with
 // the node array's slack — 1.5 MB of live heap after the fig5-full mix,
-// whose largest fragment (the DBLP document root) has 36 k nodes.
+// whose largest fragment (the DBLP document root) has 36 k nodes — plus 8
+// bytes a label of the largest label dictionary it served.
 package prune
 
 import (
@@ -147,6 +155,17 @@ type node struct {
 	klist  uint64 // tree keyword set TKv; its integer value is the key number
 }
 
+// Labels is a document's label column: the node with table ID id is labelled
+// Names[IDs[id]], and every ID in IDs is below len(Names). Both slices are
+// read-only.
+type Labels struct {
+	IDs   []uint32 // label ID per table ID
+	Names []string // the label dictionary
+}
+
+// Of returns the label of the node with table ID id.
+func (l Labels) Of(id nid.ID) string { return l.Names[l.IDs[id]] }
+
 // IDLabelFunc resolves a node's label from its table ID.
 type IDLabelFunc func(nid.ID) string
 
@@ -163,9 +182,16 @@ type IDContentFunc func(nid.ID) []string
 
 // group is the "Children Info" of one label under the current parent.
 type group struct {
-	label string
 	count int32 // children with the label
 	first int32 // head of the label's chkList chain in scratch.knums; -1 when empty
+}
+
+// labelSlot is one label's entry in the per-label slots: its group under the
+// parent whose filter pass stamped it, and no group when epoch is not the
+// current pass's.
+type labelSlot struct {
+	epoch uint32
+	group int32
 }
 
 // knum is one chkList entry: a distinct key number among the children of
@@ -191,17 +217,22 @@ type scratch struct {
 	nodes []node
 	stack []int32  // path from the fragment root to the current node
 	anc   []nid.ID // ancestors of the current keyword node below that path
+	local []uint32 // per node: its label ID, when BuildFragmentIDs interned them
 
 	keep []bool  // per node: kept by the filtering of its parent
 	slot []int32 // per node: its chkList entry in knums
 	kept []int32 // the kept nodes, in pre-order
 
 	groups []group
-	knums  []knum
-	cids   []usedCID // the current parent's cIDs computed for rule 2(b)
-	// table is an open-addressed hash table over the children of the
-	// current parent (entry+1 per slot, 0 when free): first of labels to
-	// their groups, then of rule 2(b)'s used cIDs to their cids entries.
+	// byLabel has a slot per dictionary label; epoch numbers the
+	// ValidContributor filter passes, so a slot whose stamp is older than
+	// the current pass is empty without being cleared.
+	byLabel []labelSlot
+	epoch   uint32
+	knums   []knum
+	cids    []usedCID // the current parent's cIDs computed for rule 2(b)
+	// table is an open-addressed hash table over the cids of the current
+	// parent (entry+1 per slot, 0 when free).
 	table []int32
 }
 
@@ -213,18 +244,30 @@ func (s *scratch) resetTable(m int) {
 	clear(s.table)
 }
 
-// probe returns the table entry of hash h that same accepts; when there is
-// none it stores fresh under h and returns that.
-func (s *scratch) probe(h uint64, fresh int32, same func(entry int32) bool) int32 {
+// usedBefore reports whether group g's used-cID list already holds c, and
+// adds c when it does not.
+func (s *scratch) usedBefore(g int32, c CID) bool {
+	h := maphash.String(seed, c.Min) + 31*maphash.String(seed, c.Max) + uint64(g)
 	mask := uint64(len(s.table) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		switch entry := s.table[i] - 1; {
-		case entry < 0:
-			s.table[i] = fresh + 1
-			return fresh
-		case same(entry):
-			return entry
+		switch w := s.table[i] - 1; {
+		case w < 0:
+			s.table[i] = int32(len(s.cids)) + 1
+			s.cids = append(s.cids, usedCID{c, g})
+			return false
+		case s.cids[w].group == g && s.cids[w].cid == c:
+			return true
 		}
+	}
+}
+
+// nextEpoch starts a filter pass over the per-label slots. When the counter
+// wraps, every stamp is wiped, the array's whole capacity included, so no
+// stamp of an earlier round can pass for one of the new round.
+func (s *scratch) nextEpoch() {
+	if s.epoch++; s.epoch == 0 {
+		clear(s.byLabel[:cap(s.byLabel)])
+		s.epoch = 1
 	}
 }
 
@@ -238,10 +281,13 @@ var pool = sync.Pool{New: func() any {
 type Fragment struct {
 	s *scratch // nil once released
 
-	// Codes and labels resolve through the node table, content sets
-	// through the RTF's keyword events.
+	// Codes resolve through the node table, labels through the label
+	// column (labels, by table ID; s.local, by node index, when labels is
+	// nil), content sets through the RTF's keyword events. Every label ID is
+	// below nlabels.
 	tab       *nid.Table
-	idLabel   IDLabelFunc
+	labels    []uint32
+	nlabels   int
 	idEvents  []lca.IDEvent
 	idContent IDContentFunc
 
@@ -266,18 +312,18 @@ func newFragment(events int, opts Options) *Fragment {
 	return &s.frag
 }
 
-// BuildFragmentIDs runs the constructing step of pruneRTF over a node
-// table: a single pass over the RTF's keyword nodes (which arrive in
-// pre-order) maintaining the path stack from the RTF root to the current
-// node, so every path node is created exactly once, in document order.
-// Keyword masks are then transferred to every ancestor up to the RTF root
-// (the paper's lines 11–12). labelOf must resolve every path node's label;
-// contentOf must resolve a keyword node's content set, and is called only
-// where a cID is read (or for every keyword node under ExactContent). The
-// fragment reads r's events until it is released.
-func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf IDContentFunc, opts Options) *Fragment {
+// BuildFragment runs the constructing step of pruneRTF over a node table:
+// a single pass over the RTF's keyword nodes (which arrive in pre-order)
+// maintaining the path stack from the RTF root to the current node, so every
+// path node is created exactly once, in document order. Keyword masks are
+// then transferred to every ancestor up to the RTF root (the paper's lines
+// 11–12). labels must cover every table ID of the fragment; contentOf must
+// resolve a keyword node's content set, and is called only where a cID is
+// read (or for every keyword node under ExactContent). The fragment reads
+// r's events and the label column until it is released.
+func BuildFragment(t *nid.Table, r *rtf.IDRTF, labels Labels, contentOf IDContentFunc, opts Options) *Fragment {
 	f := newFragment(len(r.KeywordNodes), opts)
-	f.tab, f.idLabel = t, labelOf
+	f.tab, f.labels, f.nlabels = t, labels.IDs, len(labels.Names)
 	f.idEvents, f.idContent = r.KeywordNodes, contentOf
 	s := f.s
 	rootDepth := t.Depth(r.Root)
@@ -300,6 +346,28 @@ func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf
 		f.match(ev.Mask)
 	}
 	f.fold()
+	return f
+}
+
+// BuildFragmentIDs is BuildFragment for a caller that resolves labels one
+// node at a time: labelOf's strings for the fragment's nodes are interned
+// into a column of the fragment's own, and filtering groups through it as it
+// groups through a document's.
+func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf IDContentFunc, opts Options) *Fragment {
+	f := BuildFragment(t, r, Labels{}, contentOf, opts)
+	s := f.s
+	s.local = resize(s.local, len(s.nodes))
+	ids := map[string]uint32{}
+	for i, n := range s.nodes {
+		l := labelOf(n.id)
+		id, ok := ids[l]
+		if !ok {
+			id = uint32(len(ids))
+			ids[l] = id
+		}
+		s.local[i] = id
+	}
+	f.nlabels = len(ids)
 	return f
 }
 
@@ -391,8 +459,12 @@ func (f *Fragment) cid(i int32) CID {
 	return c
 }
 
-func (f *Fragment) label(i int32) string {
-	return f.idLabel(f.s.nodes[i].id)
+// labelID returns node i's label ID.
+func (f *Fragment) labelID(i int32) uint32 {
+	if f.labels == nil {
+		return f.s.local[i]
+	}
+	return f.labels[f.s.nodes[i].id]
 }
 
 func (f *Fragment) code(i int32) dewey.Code {
@@ -409,8 +481,8 @@ func (f *Fragment) Size() int { return len(f.s.nodes) }
 // and a Release through a stale pointer would then return that fragment.
 func (f *Fragment) Release() {
 	if s := f.s; s != nil {
-		// The pool keeps nothing of the fragment's: no table, function or
-		// event slice stays reachable from it.
+		// The pool keeps nothing of the fragment's: no table, label column,
+		// function or event slice stays reachable from it.
 		*f = Fragment{}
 		pool.Put(s)
 	}
@@ -466,6 +538,8 @@ func (f *Fragment) sweep(mode Mode, opts Options) []int32 {
 	s.keep = resize(s.keep, len(nodes))
 	clear(s.keep)
 	s.slot = resize(s.slot, len(nodes))
+	// The label slots keep their stale stamps: every pass stamps anew.
+	s.byLabel = resize(s.byLabel, f.nlabels)
 	exact := f.content != nil && opts.ExactContent
 
 	// One pre-order sweep both filters and emits: a kept node flags its
@@ -511,23 +585,23 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 	}
 
 	// Children Info: the label groups and each group's distinct key numbers.
-	m := 0
-	for c := first; c < end; c = nodes[c].end {
-		m++
-	}
 	s.groups, s.knums = s.groups[:0], s.knums[:0]
 	if mode == ValidContributor {
-		s.resetTable(m)
+		s.nextEpoch()
 	}
+	m := 0 // children of p
 	for c := first; c < end; c = nodes[c].end {
-		var l string
+		m++
 		g := int32(0)
 		if mode == ValidContributor {
-			l = f.label(c)
-			g = s.probe(maphash.String(seed, l), int32(len(s.groups)), func(g int32) bool { return s.groups[g].label == l })
+			l := &s.byLabel[f.labelID(c)]
+			if l.epoch != s.epoch {
+				*l = labelSlot{epoch: s.epoch, group: int32(len(s.groups))}
+			}
+			g = l.group
 		}
 		if int(g) == len(s.groups) {
-			s.groups = append(s.groups, group{label: l, first: -1})
+			s.groups = append(s.groups, group{first: -1})
 		}
 		s.groups[g].count++
 		s.slot[c] = s.knumOf(g, nodes[c].klist)
@@ -541,10 +615,7 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 		}
 	}
 
-	if mode == ValidContributor && !exact {
-		s.resetTable(m)
-		s.cids = s.cids[:0]
-	}
+	cidsReady := false // the used-cID table is reset on the first rule 2(b) child
 	for c := first; c < end; c = nodes[c].end {
 		e := &s.knums[s.slot[c]]
 		switch {
@@ -564,16 +635,14 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 			if exact {
 				dup = e.used && f.duplicateContent(first, c)
 			} else {
+				if !cidsReady {
+					s.resetTable(m)
+					s.cids = s.cids[:0]
+					cidsReady = true
+				}
 				// Algorithm 1 keeps one used-cID list per label item, so a
 				// cID counts as used whichever key number brought it in.
-				cid := f.cid(c)
-				h := maphash.String(seed, cid.Min) + 31*maphash.String(seed, cid.Max) + uint64(e.group)
-				fresh := int32(len(s.cids))
-				w := s.probe(h, fresh, func(w int32) bool { return s.cids[w].group == e.group && s.cids[w].cid == cid })
-				if w == fresh {
-					s.cids = append(s.cids, usedCID{cid, e.group})
-				}
-				dup = e.used && w != fresh
+				dup = s.usedBefore(e.group, f.cid(c)) && e.used
 			}
 			e.used = true
 			keep[c] = !dup

@@ -122,11 +122,11 @@ func chkLists(f *Fragment, p int32) (counts []int32, chk [][]uint64) {
 
 // sketch renders the fragment's annotated nodes in the style of Figure
 // 4(b): code, label, key number and cID per node.
-func sketch(f *Fragment) string {
+func sketch(f *Fragment, labelOf IDLabelFunc) string {
 	var b strings.Builder
 	for i, n := range f.s.nodes {
 		c := f.code(int32(i))
-		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s\n", strings.Repeat("  ", len(c)-len(f.code(0))), c, f.label(int32(i)), n.klist, f.cid(int32(i)))
+		fmt.Fprintf(&b, "%s%s (%s) k=%d cID=%s\n", strings.Repeat("  ", len(c)-len(f.code(0))), c, labelOf(n.id), n.klist, f.cid(int32(i)))
 	}
 	return b.String()
 }
@@ -387,7 +387,7 @@ func TestFragmentAccessors(t *testing.T) {
 	if nodeAt(f, "9.9") != -1 {
 		t.Error("nodeAt absent should be -1")
 	}
-	if sk := sketch(f); !strings.Contains(sk, "0.1.0 (player) k=2 cID=(forward,position)") {
+	if sk := sketch(f, h.labelOf); !strings.Contains(sk, "0.1.0 (player) k=2 cID=(forward,position)") {
 		t.Errorf("sketch output unexpected:\n%s", sk)
 	}
 }

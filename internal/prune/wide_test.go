@@ -3,6 +3,7 @@ package prune
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -51,6 +52,7 @@ type synthetic struct {
 	tab    *nid.Table
 	idRTF  *rtf.IDRTF
 	labels []string   // by table ID
+	column Labels     // labels interned: the label column BuildFragment reads
 	words  [][]string // by table ID
 }
 
@@ -78,7 +80,25 @@ func finish(root *refNode) *synthetic {
 	var codes []dewey.Code
 	s.add(root, &codes)
 	s.tab = nid.FromCodes(codes)
+	s.column = internLabels(s.labels, nil)
 	return s
+}
+
+// internLabels builds the label column of labels (by table ID) over a
+// dictionary that starts with extra, unused names.
+func internLabels(labels, extra []string) Labels {
+	col := Labels{Names: slices.Clone(extra)}
+	ids := map[string]uint32{}
+	for _, l := range labels {
+		id, ok := ids[l]
+		if !ok {
+			id = uint32(len(col.Names))
+			col.Names = append(col.Names, l)
+			ids[l] = id
+		}
+		col.IDs = append(col.IDs, id)
+	}
+	return col
 }
 
 // vocabulary is small on purpose: (min,max) features collide between
@@ -161,12 +181,17 @@ func refNodes(v *refNode, into map[string]*refNode) map[string]*refNode {
 	return into
 }
 
-// syntheticFragments is the differential corpus of the on-demand cID tests:
-// wide sibling groups and deep random trees.
+// syntheticFragments is the differential corpus of the on-demand cID and
+// label-column tests: wide sibling groups over up to four labels or up to
+// 200, and deep random trees.
 func syntheticFragments(rng *rand.Rand) []*synthetic {
 	var out []*synthetic
 	for i := range 60 {
-		out = append(out, randomWide(rng, 1+rng.Intn(80), 1+rng.Intn(4), 1+rng.Intn(5)))
+		labels := 1 + rng.Intn(4)
+		if i%2 == 1 {
+			labels = 1 + rng.Intn(200)
+		}
+		out = append(out, randomWide(rng, 1+rng.Intn(80), labels, 1+rng.Intn(5)))
 		out = append(out, randomDeep(rng, 1+rng.Intn(30+i*4), 1+rng.Intn(5)))
 	}
 	return out
@@ -381,7 +406,7 @@ func TestWideGroupsMatchNaive(t *testing.T) {
 		s := randomWide(rng, n, labels, 1+rng.Intn(6))
 		for _, exact := range []bool{false, true} {
 			opts := Options{ExactContent: exact}
-			f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
+			f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, opts)
 			for _, mode := range allModes {
 				want := naiveKept(s.root, mode, exact)
 				got := f.Prune(mode, opts)
@@ -434,7 +459,7 @@ func TestResultsOutliveScratch(t *testing.T) {
 				i := (round*7 + g*5) % len(frags)
 				check(i)
 				s := frags[i]
-				f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{})
+				f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
 				retained[i] = f.Prune(allModes[i%len(allModes)], Options{})
 				f.Release()
 			}
@@ -463,14 +488,14 @@ func sameLabelChildren(n int) *synthetic {
 
 var sink *Result
 
-// BenchmarkBuildAndPrune times the production path, BuildFragmentIDs +
+// BenchmarkBuildAndPrune times the production path, BuildFragment +
 // Prune + Release. The wide cases must scale linearly: 8192 children cost
 // about twice 4096.
 func BenchmarkBuildAndPrune(b *testing.B) {
 	run := func(b *testing.B, s *synthetic, mode Mode) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, Options{})
+			f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
 			sink = f.Prune(mode, Options{})
 			f.Release()
 		}
@@ -484,3 +509,92 @@ func BenchmarkBuildAndPrune(b *testing.B) {
 		}
 	}
 }
+
+// TestLabelColumnMatchesStringAdapter: grouping through a document's label
+// column and through BuildFragmentIDs' interning of label strings keeps the
+// same nodes and visits as many, in every mode and both content modes. The
+// column's dictionary is shuffled and padded with labels no node carries, so
+// its IDs share nothing with the adapter's first-come numbering.
+func TestLabelColumnMatchesStringAdapter(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for n, s := range syntheticFragments(rng) {
+		extra := make([]string, rng.Intn(50))
+		for i := range extra {
+			extra[i] = fmt.Sprintf("unused%d", i)
+		}
+		col := internLabels(s.labels, extra)
+		perm := rng.Perm(len(col.Names))
+		shuffled := Labels{Names: make([]string, len(col.Names))}
+		for old, name := range col.Names {
+			shuffled.Names[perm[old]] = name
+		}
+		for _, id := range col.IDs {
+			shuffled.IDs = append(shuffled.IDs, uint32(perm[id]))
+		}
+		for _, exact := range []bool{false, true} {
+			opts := Options{ExactContent: exact}
+			byColumn := BuildFragment(s.tab, s.idRTF, shuffled, s.contentOfID, opts)
+			byString := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
+			for _, mode := range allModes {
+				got, gotVisited := byColumn.KeptIDs(mode, opts)
+				want, wantVisited := byString.KeptIDs(mode, opts)
+				if !slices.Equal(got, want) || gotVisited != wantVisited {
+					t.Fatalf("fragment %d %s exact=%v: column keeps %v of %d, adapter %v of %d",
+						n, mode, exact, got, gotVisited, want, wantVisited)
+				}
+			}
+			byColumn.Release()
+			byString.Release()
+		}
+	}
+}
+
+// TestLabelStampsSurviveWraparound: when the filter-pass counter wraps, the
+// per-label slots are wiped, so the small stamps an earlier round left
+// cannot pass for the new round's and misgroup a child.
+func TestLabelStampsSurviveWraparound(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for n, s := range syntheticFragments(rng) {
+		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
+		want, _ := f.KeptIDs(ValidContributor, Options{})
+		for range 2 {
+			slots := f.s.byLabel[:cap(f.s.byLabel)]
+			for i := range slots {
+				slots[i] = labelSlot{epoch: uint32(1 + rng.Intn(8)), group: int32(rng.Intn(4))}
+			}
+			f.s.epoch = math.MaxUint32 - uint32(rng.Intn(3))
+			if got, _ := f.KeptIDs(ValidContributor, Options{}); !slices.Equal(got, want) {
+				t.Fatalf("fragment %d: after the counter wrapped the kept IDs are %v, want %v", n, got, want)
+			}
+		}
+		f.Release()
+	}
+}
+
+// BenchmarkPruneSmallFragmentManyLabels prunes a 10-node fragment whose
+// labels are spread over a dictionary of 100 and of 100 000 labels: the
+// epoch-stamped slots make a fragment cost the same over either.
+func BenchmarkPruneSmallFragmentManyLabels(b *testing.B) {
+	s := randomWide(rand.New(rand.NewSource(5)), 9, 3, 3)
+	for _, size := range []int{100, 100000} {
+		col := Labels{Names: make([]string, size)}
+		for i := range col.Names {
+			col.Names[i] = fmt.Sprintf("l%d", i)
+		}
+		for _, l := range s.labels {
+			id := 0
+			fmt.Sscanf(l, "l%d", &id) // "root" reads as label 0
+			col.IDs = append(col.IDs, uint32((id*7919+1)%size))
+		}
+		b.Run(fmt.Sprintf("labels=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := BuildFragment(s.tab, s.idRTF, col, s.contentOfID, Options{})
+				sinkIDs, _ = f.KeptIDs(ValidContributor, Options{})
+				f.Release()
+			}
+		})
+	}
+}
+
+var sinkIDs []nid.ID

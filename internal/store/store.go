@@ -175,6 +175,14 @@ func (s *Store) LabelAt(i int) string {
 	return s.Label(s.nodeLabels[i])
 }
 
+// LabelIDs returns the element table's label column, by node ID: row i is
+// labelled Labels()[LabelIDs()[i]]. It is the labelids section itself,
+// zero-copy under mmap; callers must not modify it.
+func (s *Store) LabelIDs() []uint32 { return s.nodeLabels }
+
+// Labels returns the label table, by label ID; callers must not modify it.
+func (s *Store) Labels() []string { return s.labels }
+
 // Keywords returns the distinct keywords in lexical order.
 func (s *Store) Keywords() []string { return slices.Clone(s.terms) }
 

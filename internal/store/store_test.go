@@ -375,3 +375,24 @@ func TestLoadOversizedFieldsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelColumnAccessors: LabelIDs and Labels are the label column and
+// table LabelAt reads, for a shredded store and one read back from its image.
+func TestLabelColumnAccessors(t *testing.T) {
+	shredded := pubStore()
+	read, err := openV3FromBytes(saveBytes(t, shredded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{shredded, read} {
+		ids, names := s.LabelIDs(), s.Labels()
+		if len(ids) != s.NumNodes() || len(names) != s.NumLabels() {
+			t.Fatalf("%d label IDs for %d nodes, %d names for %d labels", len(ids), s.NumNodes(), len(names), s.NumLabels())
+		}
+		for i, id := range ids {
+			if names[id] != s.LabelAt(i) {
+				t.Fatalf("node %d: column says %q, LabelAt %q", i, names[id], s.LabelAt(i))
+			}
+		}
+	}
+}

@@ -47,7 +47,7 @@ func (s codeSource) id(c dewey.Code) nid.ID {
 	return id
 }
 
-func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.labelOfID(s.id(c)) }
+func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.pin().labels.Of(s.id(c)) }
 
 // idRTF carries a Dewey-code RTF over to the table, for the one pruneRTF
 // builder.
@@ -61,7 +61,7 @@ func (s codeSource) idRTF(r *reference.RTF) *rtf.IDRTF {
 
 // nodeText is the node's own text; the store keeps none.
 func (s codeSource) nodeText(c dewey.Code) string {
-	if st := s.e.src.pin(); st != nil {
+	if st := s.e.src.pin(); st.nodes != nil {
 		return st.nodes[s.id(c)].Text
 	}
 	return ""
@@ -120,7 +120,7 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.labelOfID, e.src.contentOfID, pruneOpts)
+		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.pin().labels.Of, e.src.contentOfID, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
 		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}

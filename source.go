@@ -11,24 +11,26 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/nid"
+	"xks/internal/prune"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
 
 // docSource abstracts where node labels, content and rendering come from:
 // the parsed tree (FromTree / Load*) or the shredded store (FromStore).
-// Nodes are addressed by table ID (labelOfID/contentOfID — constant-time,
-// allocation-free lookups — and, for a tree's labels and texts during
-// assembly, the pinned srcState directly).
+// Nodes are addressed by table ID. Labels come from one ID-aligned label
+// column and dictionary (prune.Labels) that both sources publish in their
+// srcState: the tree interns its element names, the store hands out its v3
+// labelids section and label table. contentOfID is a constant-time,
+// allocation-free lookup; a tree's texts are read off the pinned srcState.
 // Renderers receive the fragment itself: both XML renderers walk its kept IDs
 // (f.keptIDs, pre-order and ancestor-closed), resolve nodes by ID and read
 // depths off the fragment's node table; only the ASCII tree renderer and
 // Contains take the dewey-keyed map (f.keepSet, built on first use).
 type docSource interface {
-	labelOfID(id nid.ID) string
 	contentOfID(id nid.ID) []string
-	// pin returns the ID-aligned tables a fragment materialized now renders
-	// from later (Fragment.st); nil when IDs address frozen storage.
+	// pin returns the ID-aligned tables a request reads its labels from and
+	// the fragments it materializes render from later (Fragment.st).
 	pin() *srcState
 	renderASCII(f *Fragment) string
 	renderXML(f *Fragment) string
@@ -44,27 +46,35 @@ type docSource interface {
 // walk it, so structural access is guarded by mu — shared for ASCII
 // renders, exclusive for appendChild. The ID-aligned
 // tables live in an atomically swapped srcState instead: the hot path
-// (labelOfID/contentOfID during pruning and scoring, XML rendering) stays
-// lock-free. The tables follow the shared-backing discipline of
+// (labels and contentOfID during pruning, XML rendering) stays lock-free.
+// The tables follow the shared-backing discipline of
 // internal/delta's package comment: extend (one writer, under the engine's
 // write mutex) appends rows on the arrays the previous state uses and
 // publishes a longer state; rows below a published length are never
 // rewritten and a reader never indexes past the length of the state it
-// loaded. A renumbering rebuild publishes fresh arrays (refresh) and leaves
-// the old ones to the fragments that pinned them.
+// loaded. New labels go at the dictionary's tail the same way, so a reader
+// never finds a label ID its dictionary does not cover. A renumbering
+// rebuild publishes fresh arrays (refresh) and leaves the old ones to the
+// fragments that pinned them.
 type treeSource struct {
 	mu    sync.RWMutex // guards tree structure (walks and ASCII renders vs appendChild)
 	tree  *xmltree.Tree
 	an    *analysis.Analyzer
 	state atomic.Pointer[srcState]
+	// dict maps a label to its dictionary ID; only the writer (refresh,
+	// extend) reads or writes it.
+	dict map[string]uint32
 }
 
-// srcState is one published version of the pre-order node list and each
-// node's analyzed content set. A node table ID doubles as an index into
-// both (the engine's table is built over the same pre-order walk).
+// srcState is one published version of a source's ID-aligned tables: the
+// label column (4 bytes a node) and dictionary, and for a tree the
+// pre-order node list and each node's analyzed content set. A node table
+// ID indexes each of them (the engine's table is built over the same
+// pre-order walk). A store's state has labels only.
 type srcState struct {
-	nodes []*xmltree.Node
-	words [][]string
+	labels prune.Labels
+	nodes  []*xmltree.Node
+	words  [][]string
 }
 
 func newTreeSource(t *xmltree.Tree, an *analysis.Analyzer) *treeSource {
@@ -77,11 +87,26 @@ func newTreeSource(t *xmltree.Tree, an *analysis.Analyzer) *treeSource {
 // changed shape (the renumbering rebuild path).
 func (s *treeSource) refresh() {
 	nodes := s.tree.Nodes()
-	words := make([][]string, len(nodes))
+	st := &srcState{nodes: nodes, words: make([][]string, len(nodes))}
+	st.labels.IDs = make([]uint32, len(nodes))
+	s.dict = map[string]uint32{}
 	for i, n := range nodes {
-		words[i] = s.an.ContentSet(n.ContentPieces()...)
+		st.words[i] = s.an.ContentSet(n.ContentPieces()...)
+		st.labels.IDs[i] = s.intern(&st.labels.Names, n.Label)
 	}
-	s.state.Store(&srcState{nodes: nodes, words: words})
+	s.state.Store(st)
+}
+
+// intern returns label's dictionary ID, appending label to *names when it
+// is new.
+func (s *treeSource) intern(names *[]string, label string) uint32 {
+	id, ok := s.dict[label]
+	if !ok {
+		id = uint32(len(*names))
+		*names = append(*names, label)
+		s.dict[label] = id
+	}
+	return id
 }
 
 // appendChild splices e under parent as its last child (exclusive lock —
@@ -99,20 +124,18 @@ func (s *treeSource) appendChild(parent dewey.Code, e xmltree.E) (*xmltree.Node,
 // capacity lasts, so the cost is the appended rows, not the document.
 func (s *treeSource) extend(nodes []*xmltree.Node, words [][]string) {
 	st := s.state.Load()
+	labels := st.labels
+	for _, n := range nodes {
+		labels.IDs = append(labels.IDs, s.intern(&labels.Names, n.Label))
+	}
 	s.state.Store(&srcState{
-		nodes: append(st.nodes, nodes...),
-		words: append(st.words, words...),
+		labels: labels,
+		nodes:  append(st.nodes, nodes...),
+		words:  append(st.words, words...),
 	})
 }
 
 func (s *treeSource) pin() *srcState { return s.state.Load() }
-
-func (s *treeSource) labelOfID(id nid.ID) string {
-	if st := s.state.Load(); int(id) < len(st.nodes) {
-		return st.nodes[id].Label
-	}
-	return ""
-}
 
 func (s *treeSource) contentOfID(id nid.ID) []string {
 	if st := s.state.Load(); int(id) < len(st.words) {
@@ -251,25 +274,29 @@ func appendXMLEscaped(b []byte, s string) []byte {
 
 // storeSource serves labels and content from the shredded tables. Node IDs
 // equal element row indices (store.BuildIndex shares the store's node
-// table), so ID lookups are direct column accesses. Original
-// text values are not stored (only their content words are), so rendering
-// shows the element skeleton with each node's content words.
+// table), so ID lookups are direct column accesses; its one srcState holds
+// the store's label column and table as they are (zero-copy under mmap).
+// Original text values are not stored (only their content words are), so
+// rendering shows the element skeleton with each node's content words.
 type storeSource struct {
-	st *store.Store
+	st    *store.Store
+	state *srcState
 }
 
-func (s *storeSource) labelOfID(id nid.ID) string { return s.st.LabelAt(int(id)) }
+func newStoreSource(st *store.Store) *storeSource {
+	return &storeSource{st: st, state: &srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}}}
+}
 
 func (s *storeSource) contentOfID(id nid.ID) []string { return s.st.ContentAt(int(id)) }
 
-func (s *storeSource) pin() *srcState { return nil }
+func (s *storeSource) pin() *srcState { return s.state }
 
 func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
 	for _, id := range f.keptIDs {
 		c := f.tab.Code(id)
 		b.WriteString(strings.Repeat("  ", len(c)-len(f.rootCode)))
-		fmt.Fprintf(&b, "%s (%s)", c, s.labelOfID(id))
+		fmt.Fprintf(&b, "%s (%s)", c, s.state.labels.Of(id))
 		if words := s.contentOfID(id); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
 		}
@@ -308,7 +335,7 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		stack = stack[:len(stack)-1]
 		b = appendIndent(b, len(stack))
 		b = append(b, '<', '/')
-		b = append(b, s.labelOfID(top)...)
+		b = append(b, s.state.labels.Of(top)...)
 		b = append(b, '>', '\n')
 	}
 	rootDepth := f.tab.Depth(f.keptIDs[0])
@@ -320,7 +347,7 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		}
 		b = appendIndent(b, len(stack))
 		b = append(b, '<')
-		b = append(b, s.labelOfID(id)...)
+		b = append(b, s.state.labels.Of(id)...)
 		b = append(b, '>')
 		for j, word := range s.contentOfID(id) {
 			if j > 0 {
