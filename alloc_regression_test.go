@@ -24,6 +24,7 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/exec"
+	"xks/internal/nid"
 	"xks/internal/store"
 	"xks/internal/trace"
 	"xks/internal/workload"
@@ -44,6 +45,18 @@ func allocEngine(t *testing.T) (*Engine, []string) {
 	}
 	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 400, Keywords: specs})
 	return FromTree(tree), queries
+}
+
+// stageCandidates runs the candidate stage uncancellably and hands its borrowed
+// events straight back, as a request does once its materialize loop ends:
+// the candidates' keyword events must not be read afterwards.
+func stageCandidates(p exec.Plan, params exec.Params) []*exec.Candidate {
+	cands, release, err := exec.Candidates(context.Background(), p, params, 0)
+	if err != nil {
+		panic(err)
+	}
+	release()
+	return cands
 }
 
 // TestPlanStageAllocs pins the planning stage: query parse + ID posting
@@ -69,8 +82,8 @@ func TestPlanStageAllocs(t *testing.T) {
 }
 
 // TestCandidateStageAllocs pins the candidate stage over every workload
-// query: getLCA and getRTF (one streamed merge + ID stack, runs copied into
-// one exact-size arena) and scoring must allocate only their results — no
+// query: getLCA and getRTF (one streamed merge + ID stack, runs borrowed
+// from one pooled buffer) and scoring must allocate only their results — no
 // per-posting, per-event or per-path-node garbage.
 func TestCandidateStageAllocs(t *testing.T) {
 	e, queries := allocEngine(t)
@@ -80,17 +93,15 @@ func TestCandidateStageAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan(%q): %v", q, err)
 		}
-		cands, _ := exec.Candidates(context.Background(), p, params, 0)
-		// Budget: a fixed overhead (merger, stacks, root/count/arena
-		// slices) plus a small per-candidate share (IDRTF headers and the
+		n := len(stageCandidates(p, params))
+		// Budget: a fixed overhead (merger, stacks, root/count slices, the
+		// release) plus a small per-candidate share (IDRTF headers and the
 		// scored Candidate structs).
-		ceiling := 48 + 4*float64(len(cands))
-		allocs := testing.AllocsPerRun(20, func() {
-			exec.Candidates(context.Background(), p, params, 0) //nolint:errcheck
-		})
+		ceiling := 48 + 4*float64(n)
+		allocs := testing.AllocsPerRun(20, func() { stageCandidates(p, params) })
 		if allocs > ceiling {
 			t.Errorf("Candidates(%q) allocates %.0f objects per run for %d candidates, ceiling %.0f",
-				q, allocs, len(cands), ceiling)
+				q, allocs, n, ceiling)
 		}
 	}
 }
@@ -125,12 +136,8 @@ func TestTracingOffAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan(%q): %v", q, err)
 		}
-		base := testing.AllocsPerRun(20, func() {
-			exec.Candidates(ctx, p, params, 0) //nolint:errcheck
-		})
-		again := testing.AllocsPerRun(20, func() {
-			exec.Candidates(ctx, p, params, 0) //nolint:errcheck
-		})
+		base := testing.AllocsPerRun(20, func() { stageCandidates(p, params) })
+		again := testing.AllocsPerRun(20, func() { stageCandidates(p, params) })
 		if base != again {
 			t.Errorf("Candidates(%q) allocations unstable untraced: %.0f vs %.0f", q, base, again)
 		}
@@ -150,43 +157,20 @@ func allocBytesPerRun(runs int, f func()) int64 {
 	return int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
 }
 
-// TestDeferredEventsAllocBytes pins the score-without-events win: a ranked
-// candidate stage that defers event materialization (what ranked+limited
-// engine searches and every ranked corpus fan-out run) must allocate
-// meaningfully fewer heap bytes than the eager stage, because candidates
-// that will never be materialized never get their per-candidate
-// keyword-event lists built — scores come from the shared accumulator
-// arena. The byte dimension matters here: the eager path's cost is a few
-// large event slices, not many small objects, so an object count alone
-// would miss a regression.
-func TestDeferredEventsAllocBytes(t *testing.T) {
-	e, queries := allocEngine(t)
-	eager := e.params(Request{Rank: true})
-	deferred := eager
-	deferred.DeferEvents = true
-	var eagerBytes, deferredBytes int64
-	for _, q := range queries {
-		p, err := e.plan(q)
-		if err != nil {
-			t.Fatalf("plan(%q): %v", q, err)
-		}
-		eagerBytes += allocBytesPerRun(20, func() {
-			exec.Candidates(context.Background(), p, eager, 0) //nolint:errcheck
-		})
-		deferredBytes += allocBytesPerRun(20, func() {
-			exec.Candidates(context.Background(), p, deferred, 0) //nolint:errcheck
-		})
+// steadyAllocBytes reports the heap bytes one call of f allocates once its
+// pools are warm: the least of a few calls, so a call that finds a pool
+// emptied — by a collection, or by the P it pooled on going out of reach —
+// does not count.
+func steadyAllocBytes(f func()) uint64 {
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
-	if deferredBytes >= eagerBytes {
-		t.Fatalf("deferred candidate stage allocates %d bytes per query mix, eager %d — no win",
-			deferredBytes, eagerBytes)
-	}
-	// The measured win on the DBLP mix is well past half; require a fifth
-	// so noise cannot mask a real regression without tripping on jitter.
-	if float64(deferredBytes) > 0.8*float64(eagerBytes) {
-		t.Errorf("deferred candidate stage allocates %d bytes vs eager %d (%.0f%%), want at least a 20%% reduction",
-			deferredBytes, eagerBytes, 100*float64(deferredBytes)/float64(eagerBytes))
-	}
+	return best
 }
 
 // TestSearchAllocsPerFragment pins the full pipeline loosely: a complete
@@ -229,23 +213,61 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 	}
 }
 
+// TestSearchAllocsPerBlock pins page-scoped materialization: a collected
+// page is assembled a block of up to 64 candidates at a time, into one
+// allocation each for the block's fragments, nodes, kept IDs and Dewey bytes
+// (the request's Matched slices, one per keyword mask, are fixed overhead),
+// so a Search with n fragments allocates at most a fixed overhead plus four
+// objects per ⌈n/64⌉ — at 2 000 and at 20 000 papers, unlimited under both
+// semantics and both pruning mechanisms, and ranked. Nothing is allocated per
+// fragment, per node or per event. The ceiling allows a fifth per block.
+func TestSearchAllocsPerBlock(t *testing.T) {
+	const fixed, perBlock = 64, 5
+	for _, n := range []int{2000, 20000} {
+		e := FromTree(paperTree(n))
+		blocks := (n + blockSize - 1) / blockSize
+		for _, req := range []Request{
+			{Query: blockQuery},
+			{Query: blockQuery, Algorithm: MaxMatch},
+			{Query: blockQuery, Semantics: SLCAOnly},
+			{Query: blockQuery, Rank: true},
+		} {
+			res, err := e.Search(context.Background(), req)
+			if err != nil || len(res.Fragments) != n {
+				t.Fatalf("%d fragments, err %v; want %d", len(res.Fragments), err, n)
+			}
+			allocs := testing.AllocsPerRun(2, func() {
+				if _, err := e.Search(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%d fragments (%d blocks), %s/%s rank=%v: %.0f objects", n, blocks, req.Semantics, req.Algorithm, req.Rank, allocs)
+			if ceiling := float64(fixed + perBlock*blocks); allocs > ceiling {
+				t.Errorf("Search(%s/%s rank=%v) over %d fragments allocates %.0f objects, ceiling %.0f: something is allocated per fragment",
+					req.Semantics, req.Algorithm, req.Rank, n, allocs, ceiling)
+			}
+		}
+	}
+}
+
 // TestSingleDocumentSearchAllocs pins whole single-document searches to an
-// exact object count. Engine.Stream hands the request loop a one-entry
-// document vector that stays on its stack (only the corpus fan-out copies
-// its vector for the workers), and the pipeline parameters carry no
-// per-search closure besides the scorer's Incremental and the source's
-// contentOfID: labels travel as the pinned label column. A query that matches
-// nothing stops after planning; an SLCA limit=10 page runs every stage.
-// AllocsPerRun's average rounds down, which absorbs a collection emptying a
-// pool mid-measurement.
+// exact object count. Engine.Search runs the request loop itself, not through
+// Stream's iterator, and hands it a one-entry document vector that stays on
+// its stack (only the corpus fan-out copies its vector for the workers); the
+// pipeline parameters carry no per-search closure besides the scorer's
+// Incremental and the source's contentOfID: labels travel as the pinned label
+// column. A query that matches nothing stops after planning; an SLCA limit=10
+// page runs every stage and assembles its page as one block. AllocsPerRun's
+// average rounds down, which absorbs a collection emptying a pool
+// mid-measurement.
 func TestSingleDocumentSearchAllocs(t *testing.T) {
 	e, queries := allocEngine(t)
 	for _, c := range []struct {
 		req  Request
 		want float64
 	}{
-		{Request{Query: "zzzunmatched"}, 20},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 40},
+		{Request{Query: "zzzunmatched"}, 14},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 33},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -260,14 +282,16 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 }
 
 // TestMaterializeAllocs pins pruneRTF's per-fragment object count: the
-// fragment handle lives in the pooled scratch with the node array, and
-// neither building nor filtering allocates, so materializing a candidate
-// allocates its kept-ID slice and nothing else, under ValidRTF (which reads
-// content sets for rule 2(b)) and MaxMatch alike. AllocsPerRun's average
-// rounds down, which absorbs a collection emptying the pool mid-measurement.
+// fragment handle lives in the pooled scratch with the node array, neither
+// building nor filtering allocates, and the kept IDs are appended to the
+// caller's staging buffer, so materializing a candidate into a buffer with
+// room allocates nothing, under ValidRTF (which reads content sets for rule
+// 2(b)) and MaxMatch alike. AllocsPerRun's average rounds down, which absorbs
+// a collection emptying the pool mid-measurement.
 func TestMaterializeAllocs(t *testing.T) {
 	e, queries := allocEngine(t)
 	fragments := 0
+	var buf []nid.ID
 	for _, algo := range []Algorithm{ValidRTF, MaxMatch} {
 		params := e.params(Request{Algorithm: algo})
 		for _, q := range queries {
@@ -275,16 +299,17 @@ func TestMaterializeAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan(%q): %v", q, err)
 			}
-			cands, err := exec.Candidates(context.Background(), p, params, 0)
+			cands, release, err := exec.Candidates(context.Background(), p, params, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range cands {
 				fragments++
-				if allocs := testing.AllocsPerRun(10, func() { exec.Materialize(c, params) }); allocs > 1 {
-					t.Fatalf("%s: materializing a %q fragment allocates %.0f objects, want 1 (the kept IDs)", algo, q, allocs)
+				if allocs := testing.AllocsPerRun(10, func() { buf, _ = exec.Materialize(buf[:0], c.RTF, params) }); allocs != 0 {
+					t.Fatalf("%s: materializing a %q fragment allocates %.0f objects, want 0", algo, q, allocs)
 				}
 			}
+			release()
 		}
 	}
 	if fragments == 0 {
@@ -309,14 +334,15 @@ func TestWideGroupAllocsDoNotScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := e.params(Request{})
-		cands, err := exec.Candidates(context.Background(), p, params, 0)
+		cands, release, err := exec.Candidates(context.Background(), p, params, 0)
 		if err != nil || len(cands) != 1 {
 			t.Fatalf("%d candidates, err %v; want the document root alone", len(cands), err)
 		}
-		if kept, _ := exec.Materialize(cands[0], params); len(kept) != n+2 {
+		defer release()
+		if kept, _ := exec.Materialize(nil, cands[0].RTF, params); len(kept) != n+2 {
 			t.Fatalf("kept %d of %d nodes: the items differ in content and must all stay", len(kept), n+2)
 		}
-		return testing.AllocsPerRun(20, func() { exec.Materialize(cands[0], params) })
+		return testing.AllocsPerRun(20, func() { exec.Materialize(nil, cands[0].RTF, params) })
 	}
 	small, large := measure(1024), measure(8192)
 	t.Logf("build+prune allocations: %.0f at 1024 children, %.0f at 8192", small, large)
@@ -359,42 +385,58 @@ func TestUnrankedPageAllocsDoNotScale(t *testing.T) {
 }
 
 // TestELCACandidateAllocs pins the one-pass ELCA candidate stage: the stack
-// merge hands each root its run in a pooled buffer, and the runs land in one
-// exactly-sized arena, so an unlimited ELCA search's candidate stage
+// merge hands each root its run in a pooled buffer, and the candidates borrow
+// the runs where they lie, so an unlimited ELCA search's candidate stage
 // allocates as many objects on a 20 000-record document as on a 2 000-record
-// one — nothing per event, per root or per posting.
+// one — nothing per event, per root or per posting. In bytes, gathering every
+// root's events costs what taking the roots alone does (an unranked page's
+// stage, which gathers none): the events are never copied.
 func TestELCACandidateAllocs(t *testing.T) {
 	w := workload.DBLP()
 	queries, err := w.ExpandAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(records int) (allocs []float64, roots int) {
+	// gatherSlack covers the release func and allocator rounding; a copy of
+	// the events would cost 16 bytes each, thousands of them per query.
+	const gatherSlack = 256
+	measure := func(records int) (allocs []float64, roots, events int) {
 		specs, err := w.Specs(0, float64(records)/20000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: records, Keywords: specs}))
 		params := e.params(Request{})
+		rootsOnly := params
+		rootsOnly.DeferEvents = true
 		for _, q := range queries {
 			p, err := e.plan(q)
 			if err != nil {
 				t.Fatalf("plan(%q): %v", q, err)
 			}
-			cands, err := exec.Candidates(context.Background(), p, params, 0)
+			cands, release, err := exec.Candidates(context.Background(), p, params, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			roots += len(cands)
-			allocs = append(allocs, testing.AllocsPerRun(10, func() {
-				exec.Candidates(context.Background(), p, params, 0) //nolint:errcheck
-			}))
+			for _, c := range cands {
+				events += len(c.RTF.KeywordNodes)
+			}
+			release()
+			gather := steadyAllocBytes(func() { stageCandidates(p, params) })
+			bare := steadyAllocBytes(func() { stageCandidates(p, rootsOnly) })
+			if gather > bare+gatherSlack {
+				t.Errorf("at %d records, Candidates(%q) gathering its events allocates %d bytes against %d for the roots alone: the events are copied",
+					records, q, gather, bare)
+			}
+			allocs = append(allocs, testing.AllocsPerRun(10, func() { stageCandidates(p, params) }))
 		}
-		return allocs, roots
+		return allocs, roots, events
 	}
-	small, smallRoots := measure(2000)
-	large, largeRoots := measure(20000)
-	t.Logf("candidate stage over %d queries: %d roots at 2 000 records, %d at 20 000", len(queries), smallRoots, largeRoots)
+	small, smallRoots, smallEvents := measure(2000)
+	large, largeRoots, largeEvents := measure(20000)
+	t.Logf("candidate stage over %d queries: %d roots / %d events at 2 000 records, %d / %d at 20 000",
+		len(queries), smallRoots, smallEvents, largeRoots, largeEvents)
 	if largeRoots < 5*smallRoots {
 		t.Fatalf("%d roots at 20 000 records against %d at 2 000: the documents do not scale the stage", largeRoots, smallRoots)
 	}
@@ -505,9 +547,10 @@ func TestAppendAllocBytesDoNotScale(t *testing.T) {
 	}
 }
 
-// TestFragmentAllocSizeClass: an unlimited search allocates one Fragment per
-// answer (hundreds on the Figure 5 mix), so a field that tips the struct into
-// the next allocator size class costs every one of them 32 bytes.
+// TestFragmentAllocSizeClass: a stream — every page the HTTP server builds —
+// allocates one Fragment per answer (a block of one), so a field that tips
+// the struct into the next allocator size class costs every one of them 32
+// bytes.
 func TestFragmentAllocSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Fragment{}); size > 288 {
 		t.Errorf("Fragment is %d bytes, past the 288-byte size class", size)

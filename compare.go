@@ -57,42 +57,27 @@ func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) 
 		return nil, err
 	}
 	params := e.paramsAt(v, req)
-	params.Limit, params.Offset = 0, 0 // the ratios need every fragment
+	// The ratios need every fragment, with its keyword events.
+	params.Limit, params.Offset, params.DeferEvents = 0, 0, false
 
-	// Timed ValidRTF pipeline.
+	// Timed ValidRTF pipeline, then the timed MaxMatch pipeline (recomputing
+	// the candidate stage so both sides are measured end to end).
+	params.Mode = prune.ValidContributor
 	startValid := time.Now()
-	cands, err := exec.Candidates(ctx, p, params, 0)
+	validKept, err := keepSets(ctx, p, params)
 	if err != nil {
 		return nil, err
-	}
-	validKept := make([][]nid.ID, len(cands))
-	params.Mode = prune.ValidContributor
-	for i, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		validKept[i], _ = exec.Materialize(c, params)
 	}
 	cmp.ValidElapsed = time.Since(startValid)
-
-	// Timed MaxMatch pipeline (recomputing the candidate stage so both
-	// sides are measured end to end).
+	params.Mode = prune.Contributor
 	startMax := time.Now()
-	candsM, err := exec.Candidates(ctx, p, params, 0)
+	maxKept, err := keepSets(ctx, p, params)
 	if err != nil {
 		return nil, err
-	}
-	maxKept := make([][]nid.ID, len(candsM))
-	params.Mode = prune.Contributor
-	for i, c := range candsM {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		maxKept[i], _ = exec.Materialize(c, params)
 	}
 	cmp.MaxElapsed = time.Since(startMax)
 
-	cmp.NumRTFs = len(cands)
+	cmp.NumRTFs = len(validKept.roots)
 	codes := func(ids []nid.ID) []dewey.Code {
 		out := make([]dewey.Code, len(ids))
 		for i, id := range ids {
@@ -100,14 +85,47 @@ func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) 
 		}
 		return out
 	}
-	pairs := make([]metrics.FragmentPair, len(cands))
-	for i := range cands {
+	pairs := make([]metrics.FragmentPair, len(validKept.roots))
+	for i, root := range validKept.roots {
 		pairs[i] = metrics.FragmentPair{
-			Root:  params.Tab.Code(cands[i].RTF.Root),
-			Valid: codes(validKept[i]),
-			Max:   codes(maxKept[i]),
+			Root:  params.Tab.Code(root),
+			Valid: codes(validKept.at(i)),
+			Max:   codes(maxKept.at(i)),
 		}
 	}
 	cmp.Ratios = metrics.Compute(pairs)
 	return cmp, nil
 }
+
+// keptSlab is one pruning mode's outcome over every candidate: the fragment
+// roots, and every keep-set back to back in one slab, candidate i's being
+// kept[off[i]:off[i+1]].
+type keptSlab struct {
+	roots []nid.ID
+	kept  []nid.ID
+	off   []int
+}
+
+// keepSets runs one of Compare's pipelines: the candidate stage, then
+// pruneRTF under params.Mode for every candidate, checking ctx between
+// candidates. The candidates' borrowed events go back once the loop ends.
+func keepSets(ctx context.Context, p exec.Plan, params exec.Params) (keptSlab, error) {
+	cands, release, err := exec.Candidates(ctx, p, params, 0)
+	if err != nil {
+		return keptSlab{}, err
+	}
+	defer release()
+	s := keptSlab{roots: make([]nid.ID, len(cands)), off: make([]int, 1, len(cands)+1)}
+	for i, c := range cands {
+		if err := ctx.Err(); err != nil {
+			return keptSlab{}, err
+		}
+		s.roots[i] = c.RTF.Root
+		s.kept, _ = exec.Materialize(s.kept, c.RTF, params)
+		s.off = append(s.off, len(s.kept))
+	}
+	return s, nil
+}
+
+// at is candidate i's keep-set.
+func (s keptSlab) at(i int) []nid.ID { return s.kept[s.off[i]:s.off[i+1]] }

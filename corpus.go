@@ -391,22 +391,24 @@ func (r *Result) AsCorpus(doc string) *Results {
 	return out
 }
 
-// Search fans the query out to every document and merges the results: it
-// drains Stream and collects the page. With req.Rank set, fragments are
-// ordered by descending score across documents; otherwise the merged list
-// deterministically follows document insertion order (and document order
-// within each document). req.Limit pages the merged list; Cursor resumes
-// the following page. When req.Document is set, the search covers that
-// document alone (the error wraps ErrUnknownDocument when the corpus has no
-// such document). A keyword missing from one document simply yields no
+// Search fans the query out to every document and merges the results: the
+// request loop behind Stream, collected into a page. With req.Rank set,
+// fragments are ordered by descending score across documents; otherwise the
+// merged list deterministically follows document insertion order (and
+// document order within each document). req.Limit pages the merged list;
+// Cursor resumes the following page. When req.Document is set, the search
+// covers that document alone (the error wraps ErrUnknownDocument when the
+// corpus has no such document). A keyword missing from one document simply yields no
 // fragments there; the query fails only if it is unsearchable (e.g. all stop
 // words).
 //
 // Execution is staged (internal/exec): per-document workers run only the
 // cheap plan and candidate stages; candidates stream into a shared merge —
 // a bounded top-K heap when ranking with a limit — and fragments are
-// materialized, one after another, only for the merged selection. A ranked
-// search over N documents with Limit=10 assembles exactly 10 fragments.
+// materialized only for the merged selection, in blocks of up to 64 as in
+// Engine.Search (Stream materializes one at a time; the fragments are the
+// same, byte for byte). A ranked search over N documents with Limit=10
+// assembles exactly 10 fragments.
 // Ordering is deterministic regardless of worker interleaving: the ranked
 // order is a strict total order (score, then document insertion order, then
 // document order), matching a stable score sort of the eagerly merged lists.
@@ -418,16 +420,17 @@ func (r *Result) AsCorpus(doc string) *Results {
 // mid-materialization instead returns the fragments finished so far with
 // Truncated set.
 func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
-	seq, trailer := c.Stream(ctx, req)
-	var frags []CorpusFragment
-	for f, err := range seq {
-		if err != nil {
-			return nil, err
+	res := &Results{Query: req.Query, PerDocument: map[string]int{}}
+	err := c.run(ctx, req, blockSize, res, func(doc string, f *Fragment) bool {
+		if res.Fragments == nil {
+			res.Fragments = make([]CorpusFragment, 0, res.Stats.Selected)
 		}
-		frags = append(frags, f)
+		res.Fragments = append(res.Fragments, CorpusFragment{Document: doc, Fragment: f})
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	res := trailer()
-	res.Fragments = frags
 	return res, nil
 }
 
@@ -435,35 +438,44 @@ func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
 // mirror of Engine.Stream: the fragment iterator plus a trailer. The
 // candidate stage and the shared (top-K) selection run eagerly when the loop
 // starts (selection needs every document's candidates), but fragments
-// materialize one by one as the iterator is consumed, in result order.
-// Breaking out of the loop early — a disconnecting client, a filled page, a
-// deadline — leaves every unvisited candidate unassembled: pruneRTF and
-// node/string assembly run only for the fragments actually yielded. A
-// non-nil error is yielded once (with a zero CorpusFragment) and ends the
-// sequence. Once the loop ends (drained, broken, errored, or truncated) the
-// trailer func returns the Results envelope for the fragments actually
-// yielded — stats, the Truncated marker, and the Cursor resuming after the
-// last yielded fragment, so an abandoned stream is still resumable. The
-// yielded fragments themselves are not retained in the trailer (Search
-// collects them from the iterator), so consuming an unbounded result set
-// stays O(1) server-side. The trailer's value is unspecified while the
-// iterator is still running. Request.Document narrows the snapshot vector to
-// the named document; its cursors carry the corpus token like any other.
+// materialize one by one (a block of one) as the iterator is consumed, in
+// result order. Breaking out of the loop early — a disconnecting client, a
+// filled page, a deadline — leaves every unvisited candidate unassembled:
+// pruneRTF and node/string assembly run only for the fragments actually
+// yielded. A non-nil error is yielded once (with a zero CorpusFragment) and
+// ends the sequence. Once the loop ends (drained, broken, errored, or
+// truncated) the trailer func returns the Results envelope for the fragments
+// actually yielded — stats, the Truncated marker, and the Cursor resuming
+// after the last yielded fragment, so an abandoned stream is still
+// resumable. The yielded fragments themselves are not retained in the
+// trailer, so consuming an unbounded result set stays O(1) server-side. The
+// trailer's value is unspecified while the iterator is still running.
+// Request.Document narrows the snapshot vector to the named document; its
+// cursors carry the corpus token like any other.
 func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragment, error], func() *Results) {
 	res := &Results{Query: req.Query, PerDocument: map[string]int{}}
 	seq := func(yield func(CorpusFragment, error) bool) {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		req, docs, gen, err := c.resolveSnapshot(req)
-		if err == nil {
-			err = runRequest(ctx, req, gen, docs, c.Workers, res, func(doc string, f *Fragment) bool {
-				return yield(CorpusFragment{Document: doc, Fragment: f}, nil)
-			})
-		}
+		err := c.run(ctx, req, 1, res, func(doc string, f *Fragment) bool {
+			return yield(CorpusFragment{Document: doc, Fragment: f}, nil)
+		})
 		if err != nil {
 			yield(CorpusFragment{}, err)
 		}
 	}
 	return seq, func() *Results { return res }
+}
+
+// run is the corpus's front end to runRequest, behind Search and Stream: it
+// resolves req's snapshot vector (and cursor), then runs the loop
+// materializing block candidates at a time, filling res's envelope as it
+// goes.
+func (c *Corpus) run(ctx context.Context, req Request, block int, res *Results, yield func(string, *Fragment) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	req, docs, gen, err := c.resolveSnapshot(req)
+	if err != nil {
+		return err
+	}
+	return runRequest(ctx, req, gen, docs, c.Workers, block, res, yield)
 }

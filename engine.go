@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math/bits"
 	"os"
 	"slices"
 	"strings"
@@ -41,6 +42,7 @@ import (
 	"xks/internal/exec"
 	"xks/internal/fault"
 	"xks/internal/index"
+	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/planner"
 	"xks/internal/prune"
@@ -530,72 +532,87 @@ type Result struct {
 }
 
 // Search runs the staged pipeline (plan → candidates → select →
-// materialize; see internal/exec) and returns the meaningful fragments: it
-// drains Stream and collects the page. Query terms may carry XSearch-style
-// label predicates ("title:xml", "author:"); see internal/query. A term that
-// matches nothing yields an empty result (no fragment can cover the query),
-// not an error; queries with no searchable term at all fail with
+// materialize; see internal/exec) and returns the meaningful fragments: the
+// request loop behind Stream, collected into a page. Query terms may carry
+// XSearch-style label predicates ("title:xml", "author:"); see internal/query.
+// A term that matches nothing yields an empty result (no fragment can cover
+// the query), not an error; queries with no searchable term at all fail with
 // ErrEmptyQuery.
+//
+// Search drains the page anyway, so it materializes the selected candidates
+// in blocks of up to 64 rather than one at a time as Stream does: a block is
+// pruned candidate by candidate, then assembled at once, so its fragments
+// share a few exact-size backing arrays (see Fragment) instead of costing
+// several allocations each. The fragments are the ones Stream yields, byte
+// for byte.
 //
 // ctx cancellation (and req.Timeout) aborts the pipeline mid-stream with
 // ctx.Err(): the candidate stage checks the context every few thousand
-// merge events, materialization checks it between fragments. With Rank and
-// Limit set, selection runs before materialization: only the candidates of
-// the requested page are pruned and assembled into fragments; Cursor
-// resumes the following page. req.Document is ignored — a single engine
-// holds one document (see Corpus for the filterable collection).
+// merge events, materialization checks it before pruning each candidate.
+// With Rank and Limit set, selection runs before materialization: only the
+// candidates of the requested page are pruned and assembled into fragments;
+// Cursor resumes the following page. req.Document is ignored — a single
+// engine holds one document (see Corpus for the filterable collection).
 func (e *Engine) Search(ctx context.Context, req Request) (*Result, error) {
-	seq, trailer := e.Stream(ctx, req)
-	var frags []*Fragment
-	for f, err := range seq {
-		if err != nil {
-			return nil, err
+	res := &Result{Query: req.Query}
+	var page Results
+	err := e.run(ctx, req, blockSize, res, &page, func(_ string, f *Fragment) bool {
+		if res.Fragments == nil {
+			res.Fragments = make([]*Fragment, 0, page.Stats.Selected)
 		}
-		frags = append(frags, f)
+		res.Fragments = append(res.Fragments, f)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	res := trailer()
-	res.Fragments = frags
 	return res, nil
 }
 
 // Stream is the one way a request executes on an engine: the fragment
 // iterator plus a trailer. Plan, candidates and selection run eagerly when
-// the loop starts; fragments then materialize one by one as the iterator is
-// consumed, in result order, so breaking out early leaves the remaining
-// candidates unassembled — a caller that stops after the first few
+// the loop starts; fragments then materialize one by one (a block of one) as
+// the iterator is consumed, in result order, so breaking out early leaves the
+// remaining candidates unassembled — a caller that stops after the first few
 // fragments pays pruneRTF and assembly for exactly those. A non-nil error is
 // yielded once (with a nil fragment) and ends the sequence; ctx is checked
 // before every fragment. Once the loop ends (drained, broken, errored, or
-// truncated), the trailer func returns the Result envelope for the
-// fragments actually yielded: stats, the Truncated marker, and the Cursor
-// resuming after the last yielded fragment — so an abandoned stream is
-// still resumable. The yielded fragments themselves are not retained in the
-// trailer (Search collects them from the iterator), so consuming an
-// unbounded result set stays O(1) server-side. The trailer's value is
-// unspecified while the iterator is still running.
+// truncated), the trailer func returns the Result envelope for the fragments
+// actually yielded: stats, the Truncated marker, and the Cursor resuming
+// after the last yielded fragment — so an abandoned stream is still
+// resumable. The yielded fragments themselves are not retained in the
+// trailer, so consuming an unbounded result set stays O(1) server-side. The
+// trailer's value is unspecified while the iterator is still running.
 func (e *Engine) Stream(ctx context.Context, req Request) (iter.Seq2[*Fragment, error], func() *Result) {
 	res := &Result{Query: req.Query}
 	seq := func(yield func(*Fragment, error) bool) {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		req, v, err := e.resolveRequest(req)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		res.Request = req
-		// The snapshot's version stamps the next page's cursor, which
-		// re-pins exactly this state whatever is appended meanwhile.
 		var page Results
-		err = runRequest(ctx, req, v.snap.Version(), []docRead{{eng: e, v: v}}, 0, &page,
-			func(_ string, f *Fragment) bool { return yield(f, nil) })
-		res.Stats, res.Cursor, res.Truncated, res.Truncation = page.Stats, page.Cursor, page.Truncated, page.Truncation
+		err := e.run(ctx, req, 1, res, &page, func(_ string, f *Fragment) bool { return yield(f, nil) })
 		if err != nil {
 			yield(nil, err)
 		}
 	}
 	return seq, func() *Result { return res }
+}
+
+// run is the engine's front end to runRequest, behind Search and Stream: it
+// resolves req's cursor and snapshot, runs the loop materializing block
+// candidates at a time, and fills res's envelope from page, which runRequest
+// fills as it goes (Search reads the selection size off it).
+func (e *Engine) run(ctx context.Context, req Request, block int, res *Result, page *Results, yield func(string, *Fragment) bool) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	req, v, err := e.resolveRequest(req)
+	if err != nil {
+		return err
+	}
+	res.Request = req
+	// The snapshot's version stamps the next page's cursor, which re-pins
+	// exactly this state whatever is appended meanwhile.
+	err = runRequest(ctx, req, v.snap.Version(), []docRead{{eng: e, v: v}}, 0, block, page, yield)
+	res.Stats, res.Cursor, res.Truncated, res.Truncation = page.Stats, page.Cursor, page.Truncated, page.Truncation
+	return err
 }
 
 // docRead is one document a request reads: its engine, the snapshot pinned
@@ -617,28 +634,35 @@ type docRead struct {
 	leak bool
 }
 
-// releaseAll unpins every document's snapshot once a request is done with
-// its fragments (pins are pure accounting; what was materialized stays
-// valid).
+// releaseAll hands back every document's borrowed candidate events and
+// unpins its snapshot once a request is done with its candidates: the
+// materialize loop has ended, drained, broken, errored or truncated. No
+// fragment references an event, and pins are pure accounting, so what was
+// materialized stays valid.
 func releaseAll(docs []docRead) {
 	for _, d := range docs {
+		if d.releaseEvents != nil {
+			d.releaseEvents()
+		}
 		if !d.leak {
 			d.v.release()
 		}
 	}
 }
 
-// runRequest is the one request loop, behind Engine.Stream and
-// Corpus.Stream alike: the candidate stage over docs, selection, then the
-// lazy materialize loop under the BestEffort rules, and the page cursor. req
+// runRequest is the one request loop, behind Search and Stream of Engine and
+// Corpus alike: the candidate stage over docs, selection, then the lazy
+// materialize loop under the BestEffort rules, and the page cursor. req
 // is resolved (cursor folded into Offset, paging clamped), gen is the version
 // token the next page's cursor is stamped with, and docs are the documents to
 // read, each pinned; every pin is released before runRequest returns. The
 // envelope goes to res (PerDocument only when non-nil), and the fragments to
 // yield, in result order, until it returns false: breaking out early leaves
 // the remaining candidates unassembled, and the cursor resumes after the last
-// fragment yielded. The error is the request's failure, for the caller to
-// yield.
+// fragment yielded. The selected candidates materialize block candidates at
+// a time (blockScratch.fill): 1 for a stream, so it prunes and assembles
+// exactly what it yields, blockSize for a page that is collected whole. The
+// error is the request's failure, for the caller to yield.
 //
 // A lone document runs its candidate stage inline; several fan out across up
 // to workers goroutines (candidates). A BestEffort deadline that expires in
@@ -648,7 +672,7 @@ func releaseAll(docs []docRead) {
 // cursor would read as "exhausted" and silently end the scroll. One that
 // expires mid-materialization truncates the page after the last fragment
 // finished.
-func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, workers int, res *Results, yield func(doc string, f *Fragment) bool) error {
+func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, workers, block int, res *Results, yield func(doc string, f *Fragment) bool) error {
 	for i := range docs {
 		docs[i].leak = fault.Inject(ctx, fault.PointSnapshotPin, docs[i].name) != nil
 	}
@@ -689,6 +713,8 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 	selSp.End()
 
 	matSp := sp.Child("materialize")
+	b := blockPool.Get().(*blockScratch)
+	defer b.release()
 	yielded, lastDoc, lastSeq := 0, 0, 0
 	var prunedNodes int64
 	defer func() {
@@ -699,17 +725,19 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 			res.Cursor = pageCursor(req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
 		}
 	}()
-	for _, c := range selected {
-		d := &docs[c.Doc]
-		var f *Fragment
-		err := ctx.Err()
-		if err == nil || salvage {
-			// A salvaged page assembles under the spent deadline, bounded by
-			// the page size; the expired ctx still feeds the injection point,
-			// so scripted deadline faults resolve immediately.
-			matStart := time.Now()
-			f, err = d.eng.materializeSafe(ctx, d.name, c, d.v.src, d.plan, d.params)
-			res.Stats.Stages.Materialize += time.Since(matStart)
+	for len(selected) > 0 {
+		blk := selected[:min(block, len(selected))]
+		selected = selected[len(blk):]
+		matStart := time.Now()
+		frags, err := b.fill(ctx, blk, docs, salvage)
+		res.Stats.Stages.Materialize += time.Since(matStart)
+		for i := range frags {
+			f, c := &frags[i], blk[i]
+			prunedNodes += int64(f.Pruned)
+			yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
+			if !yield(docs[c.Doc].name, f) {
+				return nil
+			}
 		}
 		if err != nil {
 			switch {
@@ -717,13 +745,8 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 			case req.Budget == BestEffort && errors.Is(err, context.DeadlineExceeded):
 				res.Truncated, res.Truncation = true, TruncMaterialize
 			default:
-				return docErr(ctx, d.name, err)
+				return docErr(ctx, docs[blk[len(frags)].Doc].name, err)
 			}
-			return nil
-		}
-		prunedNodes += int64(f.Pruned)
-		yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
-		if !yield(d.name, f) {
 			return nil
 		}
 	}
@@ -860,11 +883,14 @@ func docErr(ctx context.Context, name string, err error) error {
 // never did — the plan failed, or a keyword matches nothing in the document
 // (plan then carries the display keywords and no Sets, and cands is empty).
 type docStage struct {
-	plan     exec.Plan
-	params   exec.Params
-	cands    []*exec.Candidate
-	planTime time.Duration
-	start    time.Time
+	plan   exec.Plan
+	params exec.Params
+	cands  []*exec.Candidate
+	// releaseEvents hands back the pooled buffer the candidates' keyword
+	// events are borrowed from (exec.Candidates); releaseAll calls it.
+	releaseEvents func()
+	planTime      time.Duration
+	start         time.Time
 }
 
 // candidateStage plans req over the pinned view v and runs its candidate
@@ -922,7 +948,7 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	if err := fault.Inject(ctx, fault.PointCandidates, label); err != nil {
 		return st, err
 	}
-	st.cands, err = exec.Candidates(ctx, st.plan, st.params, doc)
+	st.cands, st.releaseEvents, err = exec.Candidates(ctx, st.plan, st.params, doc)
 	return st, err
 }
 
@@ -998,25 +1024,6 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 	}
 }
 
-// materializeSafe runs materialize under panic isolation and the chaos
-// harness's materialize injection point: one poisoned candidate degrades
-// into a structured error (a *PanicError wrapping ErrInternal) for this
-// search instead of crashing the process — materialization runs inside
-// iterator sequences where no http.Server recovery applies. The fragment
-// assembly itself never consults ctx, so callers salvaging a truncated page
-// may pass an already-expired context.
-func (e *Engine) materializeSafe(ctx context.Context, label string, c *exec.Candidate, st *srcState, p exec.Plan, params exec.Params) (f *Fragment, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = concurrent.Recovered(r)
-		}
-	}()
-	if ferr := fault.Inject(ctx, fault.PointMaterialize, label); ferr != nil {
-		return nil, ferr
-	}
-	return e.materialize(c, st, p, params), nil
-}
-
 // resolveIDSetsAt turns the query text into per-term ID posting lists over
 // one snapshot's node table. Plain keywords read straight off the merged
 // base+delta lists (shared slices where no delta touches the term); a label
@@ -1069,100 +1076,202 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 	return display, idfWords, sets, nil
 }
 
-// materialize runs the materialization stage for one selected candidate:
-// pruneRTF (via exec.Materialize) followed by node and string assembly. It
-// is the only place fragments are built, so e.assembled counts exactly the
-// selected candidates. Everything runs on node IDs: keyword-node masks come
-// from a two-pointer merge of the (sorted) kept IDs and keyword events, a
-// kept node's label comes from the label column of st — the source tables
-// the request pinned, which the fragment renders from — and a tree node's
-// text from st's node, and Dewey codes surface only as zero-copy table
-// views rendered into the public FragmentNode strings.
-func (e *Engine) materialize(c *exec.Candidate, st *srcState, p exec.Plan, params exec.Params) *Fragment {
-	e.assembled.Add(1)
-	if c.RTF.KeywordNodes == nil && c.Roots != nil {
-		// The candidate stage deferred event materialization
-		// (score-without-events); hydrate this selected candidate's event
-		// list by replaying the dispatch inside its subtree window.
-		hydrated := *c
-		hydrated.RTF = &rtf.IDRTF{
-			Root:         c.RTF.Root,
-			KeywordNodes: rtf.EventsFor(params.Tab, c.RTF.Root, c.Roots, p.Sets),
-		}
-		c = &hydrated
-	}
-	kept, visited := exec.Materialize(c, params)
-	tab := params.Tab
-	rootCode := tab.Code(c.RTF.Root)
-	labels := st.labels
-	f := &Fragment{
-		Root:      rootCode.String(),
-		RootLabel: labels.Of(c.RTF.Root),
-		IsSLCA:    c.IsSLCA,
-		Score:     c.Score,
-		Pruned:    visited - len(kept),
-		rootCode:  rootCode,
-		tab:       tab,
-		keptIDs:   kept,
-		st:        st,
-		src:       e.src,
-		words:     p.IDFWords,
-		snip:      e.snip,
-	}
-	// All Dewey strings of the fragment are slices of one buffer, sized
-	// exactly so the builder never reallocates under the slices handed out.
-	var deweys strings.Builder
-	size := 0
-	for _, id := range kept {
-		size += tab.Code(id).StringLen()
-	}
-	deweys.Grow(size)
-	var (
-		scratch [64]byte
-		// Matched slices, one per distinct keyword mask among the
-		// fragment's keyword nodes.
-		matchedBuf [8]matchedWords
-		matched    = matchedBuf[:0]
-	)
-	events := c.RTF.KeywordNodes
-	j := 0
-	f.Nodes = make([]FragmentNode, 0, len(kept))
-	for _, id := range kept {
-		start := deweys.Len()
-		deweys.Write(tab.Code(id).AppendString(scratch[:0]))
-		fn := FragmentNode{Dewey: deweys.String()[start:], Label: labels.Of(id), Level: int(tab.Depth(id))}
-		if st.nodes != nil {
-			fn.Text = st.nodes[id].Text
-		}
-		for j < len(events) && events[j].ID < id {
-			j++
-		}
-		if j < len(events) && events[j].ID == id {
-			fn.IsKeywordNode = true
-			mask := events[j].Mask
-			k := 0
-			for k < len(matched) && matched[k].mask != mask {
-				k++
+// blockSize is how many selected candidates a collected page (Search,
+// Corpus.Search) prunes before assembling them at once. It bounds what a
+// retained fragment keeps alive: the backing arrays of its block.
+const blockSize = 64
+
+// fill runs the materialization stage over one block of selected candidates
+// in result order — the only place fragments are built, so each engine's
+// assembled counter counts exactly its selected candidates that became
+// fragments. It has two phases:
+//
+//   - prune, per candidate: the context check (skipped on a salvaged page,
+//     which assembles under its spent deadline, bounded by the page size),
+//     the chaos harness's materialize injection point, then pruneRTF
+//     (exec.Materialize), all under panic isolation — one poisoned candidate
+//     degrades into a structured error (a *PanicError wrapping ErrInternal)
+//     for this search instead of crashing the process, since materialization
+//     runs inside iterator sequences where no http.Server recovery applies.
+//     The keep-sets are staged in one pooled buffer.
+//   - assemble, once for the pruned prefix (assemble).
+//
+// A failure at candidate i returns the block's first i fragments with the
+// error; no later candidate is pruned.
+func (b *blockScratch) fill(ctx context.Context, blk []*exec.Candidate, docs []docRead, salvage bool) ([]Fragment, error) {
+	b.kept, b.pruned = b.kept[:0], b.pruned[:0]
+	var err error
+	for _, c := range blk {
+		if !salvage {
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			if k == len(matched) {
-				matched = append(matched, matchedWords{mask: mask})
-				for i, w := range p.Keywords {
-					if mask&(1<<uint(i)) != 0 {
-						matched[k].words = append(matched[k].words, w)
-					}
-				}
-			}
-			fn.Matched = matched[k].words
 		}
-		f.Nodes = append(f.Nodes, fn)
+		if err = b.prune(ctx, c, &docs[c.Doc]); err != nil {
+			break
+		}
 	}
-	return f
+	return b.assemble(docs), err
+}
+
+// blockScratch is the pooled staging memory of one request's materialize
+// stage, which fills it a block at a time: every pruned candidate's kept IDs
+// back to back in kept, per candidate what assembly needs, and the request's
+// Matched slices.
+type blockScratch struct {
+	kept    []nid.ID
+	pruned  []prunedCand
+	matched matchedSet
+}
+
+// prunedCand is one pruned candidate awaiting assembly: its keyword events
+// (hydrated if the candidate stage deferred them), and how many nodes it kept
+// (its run of blockScratch.kept) of how many visited.
+type prunedCand struct {
+	c          *exec.Candidate
+	events     []lca.IDEvent
+	n, visited int
+}
+
+// matchedSet is a request's FragmentNode.Matched values, one slice per
+// keyword mask, shared by every fragment the request assembles (read-only):
+// the masks of a query's keyword nodes are few, its fragments many.
+type matchedSet struct {
+	keywords []string
+	masks    []matchedWords
 }
 
 // matchedWords is the FragmentNode.Matched value of one keyword mask.
 type matchedWords struct {
 	mask  uint64
 	words []string
+}
+
+// use makes keywords, a plan's in mask-bit order, the words the masks name;
+// another plan's keywords (another document's, in principle) start afresh.
+func (m *matchedSet) use(keywords []string) {
+	if !slices.Equal(m.keywords, keywords) {
+		m.keywords, m.masks = keywords, m.masks[:0]
+	}
+}
+
+// of returns the Matched slice of a keyword mask, building it on the mask's
+// first keyword node.
+func (m *matchedSet) of(mask uint64) []string {
+	for _, mw := range m.masks {
+		if mw.mask == mask {
+			return mw.words
+		}
+	}
+	words := make([]string, 0, bits.OnesCount64(mask))
+	for i, w := range m.keywords {
+		if mask&(1<<uint(i)) != 0 {
+			words = append(words, w)
+		}
+	}
+	m.masks = append(m.masks, matchedWords{mask: mask, words: words})
+	return words
+}
+
+var blockPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// release clears what would keep a request's candidates, events or fragments
+// reachable from the pool, and hands the block back.
+func (b *blockScratch) release() {
+	clear(b.pruned[:cap(b.pruned)])
+	clear(b.matched.masks[:cap(b.matched.masks)])
+	b.matched = matchedSet{masks: b.matched.masks[:0]}
+	blockPool.Put(b)
+}
+
+// prune is fill's prune phase for one candidate of document d.
+func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = concurrent.Recovered(r)
+		}
+	}()
+	if err := fault.Inject(ctx, fault.PointMaterialize, d.name); err != nil {
+		return err
+	}
+	r := c.RTF
+	if r.KeywordNodes == nil && c.Roots != nil {
+		// The candidate stage deferred event materialization
+		// (score-without-events); hydrate this selected candidate's event
+		// list by replaying the dispatch inside its subtree window.
+		r = &rtf.IDRTF{Root: r.Root, KeywordNodes: rtf.EventsFor(d.params.Tab, r.Root, c.Roots, d.plan.Sets)}
+	}
+	n := len(b.kept)
+	kept, visited := exec.Materialize(b.kept, r, d.params)
+	b.kept = kept
+	b.pruned = append(b.pruned, prunedCand{c: c, events: r.KeywordNodes, n: len(kept) - n, visited: visited})
+	return nil
+}
+
+// assemble is fill's assemble phase: it turns the pruned candidates into
+// Fragments with one exact-size allocation each for the fragments, their
+// nodes, their kept IDs and their Dewey bytes; the Matched slices come from
+// the request's matched set. Everything runs on node IDs:
+// keyword-node masks come from a two-pointer merge of the (sorted) kept IDs
+// and keyword events, a kept node's label comes from the label column of the
+// source tables its request pinned — which the fragment renders from — and
+// a tree node's text from the pinned nodes, and Dewey codes surface only as
+// zero-copy table views rendered into the public strings. A fragment's Root
+// is its first node's Dewey string: the keep-set is ancestor-closed, so the
+// root is always kept, first.
+func (b *blockScratch) assemble(docs []docRead) []Fragment {
+	if len(b.pruned) == 0 {
+		return nil
+	}
+	frags := make([]Fragment, len(b.pruned))
+	nodes := make([]FragmentNode, len(b.kept))
+	ids := slices.Clone(b.kept)
+	size, off := 0, 0
+	for _, p := range b.pruned {
+		tab := docs[p.c.Doc].params.Tab
+		for _, id := range ids[off : off+p.n] {
+			size += tab.Code(id).StringLen()
+		}
+		off += p.n
+	}
+	// All Dewey strings of the block are slices of one buffer, sized exactly
+	// so the builder never reallocates under the slices handed out.
+	var deweys strings.Builder
+	deweys.Grow(size)
+	var scratch [64]byte
+	off = 0
+	for i, p := range b.pruned {
+		d := &docs[p.c.Doc]
+		d.eng.assembled.Add(1)
+		tab, st := d.params.Tab, d.v.src
+		kept := ids[off : off+p.n : off+p.n]
+		fn := nodes[off : off+p.n : off+p.n]
+		off += p.n
+		b.matched.use(d.plan.Keywords)
+		events, j := p.events, 0
+		for k, id := range kept {
+			start := deweys.Len()
+			deweys.Write(tab.Code(id).AppendString(scratch[:0]))
+			n := &fn[k]
+			n.Dewey, n.Label, n.Level = deweys.String()[start:], st.labels.Of(id), int(tab.Depth(id))
+			if st.nodes != nil {
+				n.Text = st.nodes[id].Text
+			}
+			for j < len(events) && events[j].ID < id {
+				j++
+			}
+			if j < len(events) && events[j].ID == id {
+				n.IsKeywordNode = true
+				n.Matched = b.matched.of(events[j].Mask)
+			}
+		}
+		f := &frags[i]
+		f.Root, f.RootLabel, f.IsSLCA, f.Score = fn[0].Dewey, fn[0].Label, p.c.IsSLCA, p.c.Score
+		f.Nodes, f.Pruned = fn, p.visited-p.n
+		f.tab, f.keptIDs, f.st = tab, kept, st
+		f.src, f.words, f.snip = d.eng.src, d.plan.IDFWords, d.eng.snip
+	}
+	return frags
 }
 
 // assembledFragments reports how many fragments the engine has materialized

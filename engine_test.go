@@ -256,6 +256,31 @@ func TestCompareQ5Identical(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresPagination: Compare's ratios cover every fragment
+// whatever the request's page, so a limit must not leave the candidates
+// without their keyword events (a bounded page defers them) and every
+// fragment pruned to its bare root.
+func TestCompareIgnoresPagination(t *testing.T) {
+	e := FromTree(paperTree(20))
+	want, err := e.Compare(context.Background(), Request{Query: blockQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Ratios.CFR == 1 {
+		t.Fatalf("ratios %+v: the papers must prune differently under the two mechanisms", want.Ratios)
+	}
+	for _, req := range []Request{{Query: blockQuery, Limit: 5}, {Query: blockQuery, Rank: true, Limit: 5}} {
+		got, err := e.Compare(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRTFs != want.NumRTFs || got.Ratios != want.Ratios {
+			t.Errorf("Compare(limit=%d rank=%v) = %d RTFs %+v, want %d %+v", req.Limit, req.Rank,
+				got.NumRTFs, got.Ratios, want.NumRTFs, want.Ratios)
+		}
+	}
+}
+
 func TestCompareNoMatch(t *testing.T) {
 	e := teamEngine(t)
 	cmp, err := e.Compare(context.Background(), NewRequest("zebra position", Options{}))

@@ -24,13 +24,20 @@ type FragmentNode struct {
 	// IsKeywordNode reports whether the node matched query keywords.
 	IsKeywordNode bool
 	// Matched lists the query keywords this node matched. Nodes of one
-	// fragment that matched the same keywords share one slice: read-only.
+	// search's fragments that matched the same keywords share one slice:
+	// read-only.
 	Matched []string
 }
 
-// Fragment is one meaningful RTF of a search result.
+// Fragment is one meaningful RTF of a search result. Its exported fields
+// are read-only: the fragments a Search or Corpus.Search collects are
+// assembled a block of up to 64 at a time, and the fragments of one block
+// share backing arrays — their Nodes, their Dewey and Root strings, their
+// kept IDs — so a retained fragment keeps at most its block's 64 fragments
+// alive. A streamed fragment is a block of one.
 type Fragment struct {
-	// Root is the Dewey code of the fragment's interesting LCA node.
+	// Root is the Dewey code of the fragment's interesting LCA node: the
+	// first node's Dewey string (the root is always kept, first).
 	Root string
 	// RootLabel is that node's element name.
 	RootLabel string
@@ -46,18 +53,17 @@ type Fragment struct {
 	// size) — the per-fragment effectiveness number tracing reports.
 	Pruned int
 
-	rootCode dewey.Code
-	// keptIDs is the ordered (pre-order, ancestor-closed) keep-set from
-	// pruning as IDs into tab, the node table of the snapshot the search
-	// read: a kept node's Dewey code and depth are zero-copy lookups there,
-	// so no renderer re-parses a string key and the fragment carries no
-	// Dewey slices of its own. st is the source's ID-aligned tables as of
-	// materialization, which keptIDs also index — held here so a fragment
-	// cached across a renumbering rebuild still renders its own nodes (for
-	// a store, its frozen label column). keep is the same set keyed by dewey key for
-	// membership tests, built lazily (via keepSet) because only Contains and
-	// the ASCII tree renderer consult it — neither the search hot path nor
-	// an XML render pays for the map.
+	// keptIDs is the ordered (pre-order, ancestor-closed, so root first)
+	// keep-set from pruning as IDs into tab, the node table of the snapshot
+	// the search read: a kept node's Dewey code and depth are zero-copy
+	// lookups there, so no renderer re-parses a string key and the fragment
+	// carries no Dewey slices of its own. st is the source's ID-aligned
+	// tables as of materialization, which keptIDs also index — held here so
+	// a fragment cached across a renumbering rebuild still renders its own
+	// nodes (for a store, its frozen label column). keep is the same set
+	// keyed by dewey key for membership tests, built lazily (via keepSet)
+	// because only Contains and the ASCII tree renderer consult it — neither
+	// the search hot path nor an XML render pays for the map.
 	tab     *nid.Table
 	keptIDs []nid.ID
 	st      *srcState
@@ -73,7 +79,7 @@ type Fragment struct {
 	xmlText   string
 	asciiText string
 	// The Onces sit together so their 12 bytes each and the flag pack into
-	// 40: a search allocates one Fragment per answer, and this keeps the
+	// 40: a stream allocates one Fragment per answer, and this keeps the
 	// struct inside the 288-byte size class (TestFragmentAllocSizeClass).
 	keepOnce  sync.Once
 	xmlOnce   sync.Once

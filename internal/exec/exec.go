@@ -19,8 +19,9 @@
 //	              concurrent per-document producers), full ordering when
 //	              ranking without one, document order otherwise
 //	materialize — the expensive per-fragment work (pruneRTF:
-//	              BuildFragment + KeptIDs, then node/string assembly in
-//	              the xks package), run only for the selected candidates
+//	              BuildFragment + AppendKeptIDs, then node/string
+//	              assembly in the xks package), run only for the
+//	              selected candidates
 //
 // The late-materialization contract: a Candidate is cheap — selection
 // consults only the fragment root and its keyword events (scoring needs
@@ -35,14 +36,16 @@
 // materialized output is identical to the pre-pipeline eager path
 // (crosschecked in the xks tests).
 //
-// One request loop in the xks package drives these stages, behind both
-// Engine.Stream and Corpus.Stream (Search drains them, the NDJSON HTTP path
-// hands them on): one document runs the candidate stage inline, several fan
-// out concurrently, and the materialize stage runs lazily, one candidate per
-// iterator step, so an early break — client disconnect, page boundary,
-// best-effort deadline — pays pruning and assembly for exactly the fragments
-// yielded. Candidate Doc/Seq double as the cursor resume key the xks package
-// embeds in its opaque pagination tokens, the only way a page is resumed.
+// One request loop in the xks package drives these stages, behind Search
+// and Stream of both Engine and Corpus (the NDJSON HTTP path hands a Stream
+// on): one document runs the candidate stage inline, several fan out
+// concurrently, and the materialize stage runs lazily, a block of selected
+// candidates at a time — one per iterator step for a Stream, so an early
+// break (client disconnect, page boundary, best-effort deadline) pays
+// pruning and assembly for exactly the fragments yielded, and up to 64 for a
+// page Search collects whole. Candidate Doc/Seq double as the cursor resume
+// key the xks package embeds in its opaque pagination tokens, the only way a
+// page is resumed.
 package exec
 
 import (
@@ -179,20 +182,29 @@ func (c *Candidate) better(o *Candidate) bool {
 //     (lca.ELCAStackDispatch), SLCA roots take their subtree windows
 //     (rtf.DispatchWindows). A ranked stage folds each run into its root's
 //     score with the query's one IncrementalScorer; a ranked ELCA page then
-//     keeps no run, and the rest copy the runs into one exactly-sized arena
-//     their candidates slice.
+//     keeps no run, and every other candidate borrows its run where the
+//     producers left it: RTF.KeywordNodes is a capacity-clipped slice of the
+//     pooled buffer, copied nowhere.
+//
+// Borrowed runs are valid until release is called, which hands the buffer
+// back to the pool for the next request to overwrite: the caller calls it
+// exactly once, after its last read of any candidate's KeywordNodes, and must
+// not let a run escape into anything that outlives the call. release is never
+// nil; it is a no-op when nothing was borrowed (and on error, which releases
+// everything itself).
 //
 // ctx is checked upfront, periodically inside the merge loops of the LCA and
 // RTF stages (every few thousand events), and periodically between scored
 // candidates, so a cancelled or deadlined context abandons the stage
 // mid-stream with ctx.Err() instead of draining the posting lists. ctx must
 // not be nil; use context.Background() to run uncancellable.
-func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candidate, error) {
+func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*Candidate, release func(), err error) {
+	release = noRelease
 	if len(p.Sets) == 0 {
-		return nil, nil
+		return nil, release, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, release, err
 	}
 	t, d := params.Tab, p.Decision
 	// deferred: the candidates carry no events. gather: every root's events
@@ -200,10 +212,9 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	deferred := params.DeferEvents
 	gather := !deferred || params.Rank && !params.SLCAOnly
 	var (
-		buf   []lca.IDEvent
-		runs  []rootRun
-		total int
-		sink  func(root nid.ID, events []lca.IDEvent)
+		buf  []lca.IDEvent
+		runs []rootRun
+		sink func(root nid.ID, events []lca.IDEvent)
 	)
 	if gather {
 		sc := runScratchPool.Get().(*runScratch)
@@ -213,11 +224,15 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 		buf, runs = sc.buf, sc.runs[:0]
 		defer func() {
 			sc.runs = runs
-			runScratchPool.Put(sc)
+			// Only an unlimited stage's candidates keep their runs.
+			if !deferred && err == nil {
+				release = func() { runScratchPool.Put(sc) }
+			} else {
+				runScratchPool.Put(sc)
+			}
 		}()
 		sink = func(root nid.ID, events []lca.IDEvent) {
 			runs = append(runs, rootRun{root, events})
-			total += len(events)
 		}
 	}
 	// Traced requests get one child span per sub-stage (getLCA, getRTF),
@@ -228,7 +243,6 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 	var (
 		roots  []nid.ID
 		scored []rtf.ScoredID
-		err    error
 	)
 	if params.SLCAOnly {
 		roots, err = lca.SLCAIDsCtx(trace.ContextWithSpan(ctx, lcaSp), t, p.Sets)
@@ -249,7 +263,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 		rtfSp.End()
 	}
 	if err != nil {
-		return nil, err
+		return nil, release, err
 	}
 	var shared []nid.ID
 	if deferred {
@@ -260,23 +274,19 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 		out[i].Score = s.Score
 	}
 	// runs[i] is now roots[i]'s run. A ranked stage folds it into the root's
-	// score; all but a page copy it into the arena.
+	// score; all but a page borrow it.
 	var (
-		inc   *rank.IncrementalScorer
-		acc   []float64
-		arena []lca.IDEvent
+		inc *rank.IncrementalScorer
+		acc []float64
 	)
 	if params.Rank && gather {
 		inc = params.Incremental(p.IDFWords)
 		acc = make([]float64, 2*inc.K())
 	}
-	if !deferred {
-		arena = make([]lca.IDEvent, 0, total)
-	}
 	for i, r := range runs {
 		if i%scoreCheckInterval == scoreCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, release, err
 			}
 		}
 		c := out[i]
@@ -284,19 +294,21 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) ([]*Candida
 			c.Score = foldScore(inc, acc, t, r.root, r.events)
 		}
 		if !deferred {
-			n := len(arena)
-			arena = append(arena, r.events...)
-			c.RTF.KeywordNodes = arena[n:len(arena):len(arena)]
+			c.RTF.KeywordNodes = r.events[:len(r.events):len(r.events)]
 		}
 	}
 	sp.SetInt("candidates", int64(len(out)))
-	return out, nil
+	return out, release, nil
 }
+
+// noRelease is the release of a candidate stage that borrowed nothing.
+func noRelease() {}
 
 // runScratch is the pooled working memory of a candidate stage that gathers
 // events: the buffer the producers write every root's run into (Σ|Dᵢ|
-// events), and the (root, run) pairs they hand back. Nothing in it outlives
-// the stage.
+// events), and the (root, run) pairs they hand back. The runs stay in buf,
+// each written once and never moved, so an unlimited stage's candidates
+// borrow them until the caller's release.
 type runScratch struct {
 	buf  []lca.IDEvent
 	runs []rootRun
@@ -386,14 +398,16 @@ func SortRanked(cands []*Candidate) {
 }
 
 // Materialize runs the expensive half of the pipeline for one selected
-// candidate — the pruneRTF stage: constructing the annotated fragment tree
-// and filtering it under params.Mode. It returns the kept node IDs in
-// pre-order and the node count of the unpruned tree; the caller (the xks
-// package) turns them into a rendered Fragment. The fragment tree lives in
-// pooled memory handed back here; the caller owns kept.
-func Materialize(c *Candidate, params Params) (kept []nid.ID, visited int) {
-	f := prune.BuildFragment(params.Tab, c.RTF, params.Labels, params.ContentOf, params.Prune)
-	kept, visited = f.KeptIDs(params.Mode, params.Prune)
+// candidate's RTF r — the pruneRTF stage: constructing the annotated
+// fragment tree and filtering it under params.Mode. It appends the kept node
+// IDs, in pre-order and root first, to dst and returns the extended slice
+// with the node count of the unpruned tree, so a caller pruning a block of
+// candidates stages every keep-set in one buffer; the caller (the xks
+// package) turns them into rendered Fragments. The fragment tree lives in
+// pooled memory handed back here.
+func Materialize(dst []nid.ID, r *rtf.IDRTF, params Params) (kept []nid.ID, visited int) {
+	f := prune.BuildFragment(params.Tab, r, params.Labels, params.ContentOf, params.Prune)
+	kept, visited = f.AppendKeptIDs(dst, params.Mode, params.Prune)
 	f.Release()
 	return kept, visited
 }

@@ -205,10 +205,11 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		ContentOf:   func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
 		Mode:        prune.ValidContributor,
 	}
-	cands, err := Candidates(context.Background(), p, params, 3)
+	cands, release, err := Candidates(context.Background(), p, params, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	if len(cands) != 2 {
 		t.Fatalf("got %d candidates, want 2", len(cands))
 	}
@@ -222,7 +223,7 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		if c.Score == 0 {
 			t.Fatalf("candidate %d unscored despite Rank", i)
 		}
-		kept, visited := Materialize(c, params)
+		kept, visited := Materialize(nil, c.RTF, params)
 		if len(kept) != 3 || visited != 3 { // root + two keyword children
 			t.Fatalf("candidate %d kept %d of %d nodes, want 3 of 3", i, len(kept), visited)
 		}
@@ -236,7 +237,7 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 }
 
 func TestCandidatesEmptyPlan(t *testing.T) {
-	if got, err := Candidates(context.Background(), Plan{}, Params{}, 0); got != nil || err != nil {
+	if got, _, err := Candidates(context.Background(), Plan{}, Params{}, 0); got != nil || err != nil {
 		t.Fatalf("empty plan produced %d candidates", len(got))
 	}
 }

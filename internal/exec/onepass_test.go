@@ -118,7 +118,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		// score the Dewey-code reference gives them.
 		unlimited := params
 		unlimited.SLCAOnly = slca
-		cands, err := Candidates(ctx, plan, unlimited, 0)
+		cands, release, err := Candidates(ctx, plan, unlimited, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,15 +140,17 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 				t.Fatalf("%s: unlimited score of root %d is %v, want %v", label, c.RTF.Root, c.Score, ref)
 			}
 		}
+		release()
 
 		// A ranked page: scores bit-identical to the scoring dispatch pass,
 		// no events kept.
 		page := unlimited
 		page.DeferEvents = true
-		cands, err = Candidates(ctx, plan, page, 0)
+		cands, release, err = Candidates(ctx, plan, page, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		release()
 		scored, err := rtf.BuildScoredIDsCtx(ctx, tab, roots, sets, scorer.Incremental(words), order, plan.Decision.Skip)
 		if err != nil {
 			t.Fatal(err)

@@ -24,7 +24,7 @@ func TestPruneScratchReuseAllocBytes(t *testing.T) {
 	s := sameLabelChildren(25000)
 	run := func() (nodes, kept int) {
 		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
-		ids, nodes := f.KeptIDs(ValidContributor, Options{})
+		ids, nodes := f.AppendKeptIDs(nil, ValidContributor, Options{})
 		f.Release()
 		return nodes, len(ids)
 	}

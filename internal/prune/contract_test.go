@@ -33,14 +33,14 @@ func TestUnsortedContentSetIsCaught(t *testing.T) {
 	s := sameLabelChildren(3)
 	f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, func(nid.ID) []string { return []string{"b", "a"} }, Options{})
 	defer f.Release()
-	f.KeptIDs(Contributor, Options{})
-	f.KeptIDs(NoPruning, Options{})
+	f.AppendKeptIDs(nil, Contributor, Options{})
+	f.AppendKeptIDs(nil, NoPruning, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("an unsorted content set went through rule 2(b) unnoticed")
 		}
 	}()
-	f.KeptIDs(ValidContributor, Options{})
+	f.AppendKeptIDs(nil, ValidContributor, Options{})
 }
 
 // TestEndsFoldEqualsFullScan: on a sorted set, taking only the first and

@@ -53,8 +53,8 @@
 //
 // A fragment is built from an rtf.IDRTF over a node table and the
 // document's label column (BuildFragment) and filtered in one pass, which
-// KeptIDs returns as node IDs (the engine path) and Prune also as Dewey
-// codes. BuildFragmentIDs is the same build for a caller holding a label
+// AppendKeptIDs appends to a caller's buffer as node IDs (the engine path)
+// and Prune also returns as Dewey codes. BuildFragmentIDs is the same build for a caller holding a label
 // function instead of a column.
 //
 // Pooling. The Fragment handle, the node slice and the filtering pass's
@@ -75,6 +75,7 @@ import (
 	"hash/maphash"
 	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"xks/internal/dewey"
@@ -467,10 +468,6 @@ func (f *Fragment) labelID(i int32) uint32 {
 	return f.labels[f.s.nodes[i].id]
 }
 
-func (f *Fragment) code(i int32) dewey.Code {
-	return f.tab.Code(f.s.nodes[i].id)
-}
-
 // Size returns the number of nodes in the unpruned fragment.
 func (f *Fragment) Size() int { return len(f.s.nodes) }
 
@@ -507,27 +504,26 @@ type Result struct {
 // stage replays read — beside the IDs. The fragment's nodes are not mutated,
 // so several modes can be applied to the same fragment in turn.
 func (f *Fragment) Prune(mode Mode, opts Options) *Result {
-	kept := f.sweep(mode, opts)
-	res := &Result{Kept: make([]dewey.Code, len(kept)), KeptIDs: f.ids(kept), Visited: len(f.s.nodes)}
-	for j, i := range kept {
-		res.Kept[j] = f.code(i)
+	ids, visited := f.AppendKeptIDs(nil, mode, opts)
+	res := &Result{Kept: make([]dewey.Code, len(ids)), KeptIDs: ids, Visited: visited}
+	for j, id := range ids {
+		res.Kept[j] = f.tab.Code(id)
 	}
 	res.Root = res.Kept[0]
 	return res
 }
 
-// KeptIDs is Prune for the engine path, which never looks at a Dewey slice:
-// Result.KeptIDs and Result.Visited without the Result.
-func (f *Fragment) KeptIDs(mode Mode, opts Options) (kept []nid.ID, visited int) {
-	return f.ids(f.sweep(mode, opts)), len(f.s.nodes)
-}
-
-func (f *Fragment) ids(kept []int32) []nid.ID {
-	out := make([]nid.ID, len(kept))
-	for j, i := range kept {
-		out[j] = f.s.nodes[i].id
+// AppendKeptIDs is Prune for the engine path, which never looks at a Dewey
+// slice: it appends the kept node IDs, in pre-order, to dst and returns the
+// extended slice with Result.Visited, so a caller pruning many fragments
+// stages every keep-set in one buffer. The root is always kept, first.
+func (f *Fragment) AppendKeptIDs(dst []nid.ID, mode Mode, opts Options) ([]nid.ID, int) {
+	kept := f.sweep(mode, opts)
+	dst = slices.Grow(dst, len(kept))
+	for _, i := range kept {
+		dst = append(dst, f.s.nodes[i].id)
 	}
-	return out
+	return dst, len(f.s.nodes)
 }
 
 // sweep is the one filtering pass: it returns the kept nodes' indices in

@@ -17,6 +17,11 @@ import (
 	"xks/internal/xmltree"
 )
 
+// code returns node i's Dewey code.
+func (f *Fragment) code(i int32) dewey.Code {
+	return f.tab.Code(f.s.nodes[i].id)
+}
+
 // harness builds all fragments for a query over a tree: the RTFs of the
 // Dewey-code getRTF, carried over to the index's node table.
 type harness struct {

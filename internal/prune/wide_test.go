@@ -536,8 +536,8 @@ func TestLabelColumnMatchesStringAdapter(t *testing.T) {
 			byColumn := BuildFragment(s.tab, s.idRTF, shuffled, s.contentOfID, opts)
 			byString := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
 			for _, mode := range allModes {
-				got, gotVisited := byColumn.KeptIDs(mode, opts)
-				want, wantVisited := byString.KeptIDs(mode, opts)
+				got, gotVisited := byColumn.AppendKeptIDs(nil, mode, opts)
+				want, wantVisited := byString.AppendKeptIDs(nil, mode, opts)
 				if !slices.Equal(got, want) || gotVisited != wantVisited {
 					t.Fatalf("fragment %d %s exact=%v: column keeps %v of %d, adapter %v of %d",
 						n, mode, exact, got, gotVisited, want, wantVisited)
@@ -556,14 +556,14 @@ func TestLabelStampsSurviveWraparound(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for n, s := range syntheticFragments(rng) {
 		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
-		want, _ := f.KeptIDs(ValidContributor, Options{})
+		want, _ := f.AppendKeptIDs(nil, ValidContributor, Options{})
 		for range 2 {
 			slots := f.s.byLabel[:cap(f.s.byLabel)]
 			for i := range slots {
 				slots[i] = labelSlot{epoch: uint32(1 + rng.Intn(8)), group: int32(rng.Intn(4))}
 			}
 			f.s.epoch = math.MaxUint32 - uint32(rng.Intn(3))
-			if got, _ := f.KeptIDs(ValidContributor, Options{}); !slices.Equal(got, want) {
+			if got, _ := f.AppendKeptIDs(nil, ValidContributor, Options{}); !slices.Equal(got, want) {
 				t.Fatalf("fragment %d: after the counter wrapped the kept IDs are %v, want %v", n, got, want)
 			}
 		}
@@ -590,7 +590,7 @@ func BenchmarkPruneSmallFragmentManyLabels(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f := BuildFragment(s.tab, s.idRTF, col, s.contentOfID, Options{})
-				sinkIDs, _ = f.KeptIDs(ValidContributor, Options{})
+				sinkIDs, _ = f.AppendKeptIDs(nil, ValidContributor, Options{})
 				f.Release()
 			}
 		})

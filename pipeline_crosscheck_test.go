@@ -154,7 +154,6 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 		Root:      r.Root.String(),
 		RootLabel: src.labelOf(r.Root),
 		IsSLCA:    r.IsSLCA(allRoots),
-		rootCode:  r.Root,
 		tab:       tab,
 		keptIDs:   kept.KeptIDs,
 		src:       e.src,

@@ -148,7 +148,7 @@ func (s *treeSource) renderASCII(f *Fragment) string {
 	keep := f.keepSet()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(f.rootCode)
+	n := s.tree.NodeAt(f.tab.Code(f.keptIDs[0]))
 	if n == nil {
 		return ""
 	}
@@ -293,9 +293,10 @@ func (s *storeSource) pin() *srcState { return s.state }
 
 func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
+	rootDepth := f.tab.Depth(f.keptIDs[0])
 	for _, id := range f.keptIDs {
 		c := f.tab.Code(id)
-		b.WriteString(strings.Repeat("  ", len(c)-len(f.rootCode)))
+		b.WriteString(strings.Repeat("  ", int(f.tab.Depth(id)-rootDepth)))
 		fmt.Fprintf(&b, "%s (%s)", c, s.state.labels.Of(id))
 		if words := s.contentOfID(id); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
