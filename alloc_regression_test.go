@@ -17,6 +17,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"iter"
+	"math/bits"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -250,6 +252,93 @@ func TestSearchAllocsPerBlock(t *testing.T) {
 	}
 }
 
+// TestStreamAllocsAmortized pins window slabs: a stream prunes and assembles
+// one candidate at a time, but carves its fragments, nodes, kept IDs and
+// Dewey bytes from slabs sized for windows of 1, 2, 4, … fragments (up to a
+// block), so draining n fragments allocates at most c·⌈log₂ n⌉ + k objects
+// more than stopping after the first — c = 4 slabs per window, k measured —
+// not several per fragment. Measured over these requests: 14–21 at n = 50
+// (ceiling 40), 41–47 at n = 500 (ceiling 52), for Engine.Stream and
+// Corpus.Stream alike; windows stop growing at a block of 64, so a longer
+// stream costs four objects per 64 fragments.
+func TestStreamAllocsAmortized(t *testing.T) {
+	const c, k = 4, 16
+	for _, n := range []int{50, 500} {
+		e := FromTree(paperTree(n))
+		corpus := NewCorpus()
+		corpus.Add("papers", FromTree(paperTree(n)))
+		ceiling := float64(c*bits.Len(uint(n-1)) + k)
+		for _, req := range []Request{
+			{Query: blockQuery},
+			{Query: blockQuery, Algorithm: MaxMatch},
+			{Query: blockQuery, Semantics: SLCAOnly, Rank: true},
+			{Query: blockQuery, Rank: true, Limit: n},
+		} {
+			what := fmt.Sprintf("%d fragments, %s/%s rank=%v limit=%d", n, req.Semantics, req.Algorithm, req.Rank, req.Limit)
+			engine := func() iter.Seq2[*Fragment, error] {
+				seq, _ := e.Stream(context.Background(), req)
+				return seq
+			}
+			fan := func() iter.Seq2[CorpusFragment, error] {
+				seq, _ := corpus.Stream(context.Background(), req)
+				return seq
+			}
+			for name, extra := range map[string]float64{
+				"Engine.Stream": streamAllocs(t, engine, n) - streamAllocs(t, engine, 1),
+				"Corpus.Stream": streamAllocs(t, fan, n) - streamAllocs(t, fan, 1),
+			} {
+				t.Logf("%s %s: %.0f objects past the first fragment", name, what, extra)
+				if extra > ceiling {
+					t.Errorf("%s over %s: draining allocates %.0f objects more than the first fragment, ceiling %.0f: something is allocated per fragment",
+						name, what, extra, ceiling)
+				}
+			}
+		}
+	}
+}
+
+// streamAllocs is the objects one run of stream allocates when its consumer
+// takes the first take fragments, which must be there.
+func streamAllocs[F any](t *testing.T, stream func() iter.Seq2[F, error], take int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(10, func() {
+		n := 0
+		for _, err := range stream() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n++; n == take {
+				break
+			}
+		}
+		if n != take {
+			t.Fatalf("the stream yielded %d fragments, want %d", n, take)
+		}
+	})
+}
+
+// TestRankedPageHydratesIntoScratch pins deferred-event hydration: a ranked
+// page with a limit scores its candidates without keyword events and
+// hydrates the selected few into the block's pooled event buffer, so a page
+// of 64 fragments allocates what a page of 10 does — not one event slice per
+// fragment.
+func TestRankedPageHydratesIntoScratch(t *testing.T) {
+	e := FromTree(paperTree(500))
+	for _, sem := range []Semantics{AllLCA, SLCAOnly} {
+		allocs := func(limit int) float64 {
+			req := Request{Query: blockQuery, Semantics: sem, Rank: true, Limit: limit}
+			return testing.AllocsPerRun(50, func() {
+				if res, err := e.Search(context.Background(), req); err != nil || len(res.Fragments) != limit {
+					t.Fatalf("limit=%d: %v", limit, err)
+				}
+			})
+		}
+		if ten, full := allocs(10), allocs(blockSize); ten != full {
+			t.Errorf("%s: a ranked page allocates %.0f objects at limit=10 and %.0f at limit=%d; want the same", sem, ten, full, blockSize)
+		}
+	}
+}
+
 // TestSingleDocumentSearchAllocs pins whole single-document searches to an
 // exact object count. Engine.Search runs the request loop itself, not through
 // Stream's iterator, and hands it a one-entry document vector that stays on
@@ -257,7 +346,8 @@ func TestSearchAllocsPerBlock(t *testing.T) {
 // pipeline parameters carry no per-search closure besides the scorer's
 // Incremental and the source's contentOfID: labels travel as the pinned label
 // column. A query that matches nothing stops after planning; an SLCA limit=10
-// page runs every stage and assembles its page as one block. AllocsPerRun's
+// page runs every stage, hydrates its deferred events into the block's pooled
+// buffer and assembles its page as one block. AllocsPerRun's
 // average rounds down, which absorbs a collection emptying a pool
 // mid-measurement.
 func TestSingleDocumentSearchAllocs(t *testing.T) {
@@ -267,7 +357,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 33},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 32},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -547,10 +637,10 @@ func TestAppendAllocBytesDoNotScale(t *testing.T) {
 	}
 }
 
-// TestFragmentAllocSizeClass: a stream — every page the HTTP server builds —
-// allocates one Fragment per answer (a block of one), so a field that tips
-// the struct into the next allocator size class costs every one of them 32
-// bytes.
+// TestFragmentAllocSizeClass: fragments are carved by value from their
+// block's or window's slab, so the struct's size is paid once per fragment
+// every request assembles; it has fit the 288-byte size class, and a field
+// that tips it past costs every fragment the bytes.
 func TestFragmentAllocSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Fragment{}); size > 288 {
 		t.Errorf("Fragment is %d bytes, past the 288-byte size class", size)

@@ -5,7 +5,8 @@ package xks
 // tests hold the two to the same answers, field by field, across every
 // configuration axis and at the block boundaries; hold faults and deadlines
 // to the same prefix; and, under the race detector, hold the candidates'
-// borrowed event buffer to its request's lifetime.
+// borrowed event buffer to its request's lifetime and a stream's window
+// slabs to the fragments carved from them.
 
 import (
 	"context"
@@ -395,10 +396,7 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 	digest := func(p blockPage) string {
 		var b strings.Builder
 		for _, f := range p.frags {
-			fmt.Fprintf(&b, "%s %v %x %d\n%s\n", f.Root, f.IsSLCA, math.Float64bits(f.Score), f.Pruned, f.XML())
-			for _, n := range f.Nodes {
-				fmt.Fprintf(&b, "%s %s %s %d %v %v\n", n.Dewey, n.Label, n.Text, n.Level, n.IsKeywordNode, n.Matched)
-			}
+			b.WriteString(fragmentDigest(f.Fragment))
 		}
 		return b.String()
 	}
@@ -472,5 +470,84 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 		if err != nil || digest(p) != after[i] {
 			t.Fatalf("request %+v after the storm: err %v, or the answer differs from the serial one after the append", req, err)
 		}
+	}
+}
+
+// fragmentDigest spells out everything a fragment answers: its envelope
+// fields, its rendered XML and every kept node.
+func fragmentDigest(f *Fragment) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %v %x %d\n%s\n", f.Root, f.IsSLCA, math.Float64bits(f.Score), f.Pruned, f.XML())
+	for _, n := range f.Nodes {
+		fmt.Fprintf(&b, "%s %s %s %d %v %v\n", n.Dewey, n.Label, n.Text, n.Level, n.IsKeywordNode, n.Matched)
+	}
+	return b.String()
+}
+
+// TestStreamSlabsOutliveRequest holds a stream's window slabs to the
+// fragments carved from them: once a stream ends, its scratch goes back to
+// the pool and the next request takes it, while goroutines still hold the
+// finished stream's fragments and render them. Every retained fragment must
+// keep answering what it answered — it would not if release kept a slab for
+// the next request to carve into (and under -race the overlapping write and
+// read are reported). CI runs it under -race.
+func TestStreamSlabsOutliveRequest(t *testing.T) {
+	e := FromTree(paperTree(150))
+	reqs := []Request{
+		{Query: blockQuery},
+		{Query: blockQuery, Algorithm: MaxMatch},
+		{Query: blockQuery, Semantics: SLCAOnly, Rank: true},
+		{Query: blockQuery, Rank: true, Limit: 40},
+	}
+	want := make([][]string, len(reqs))
+	for i, req := range reqs {
+		res, err := e.Search(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range res.Fragments {
+			want[i] = append(want[i], fragmentDigest(f))
+		}
+	}
+	type retained struct {
+		req   int
+		frags []*Fragment
+	}
+	var (
+		wg   sync.WaitGroup
+		kept []retained
+	)
+	check := func(r retained) {
+		for j, f := range r.frags {
+			if got := fragmentDigest(f); got != want[r.req][j] {
+				t.Errorf("request %+v fragment %d changed after its stream ended:\n%s\nwant\n%s", reqs[r.req], j, got, want[r.req][j])
+				return
+			}
+		}
+	}
+	for range 10 {
+		for i, req := range reqs {
+			r := retained{req: i}
+			seq, _ := e.Stream(context.Background(), req)
+			for f, err := range seq {
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.frags = append(r.frags, f)
+			}
+			if len(r.frags) != len(want[i]) {
+				t.Fatalf("request %+v streamed %d fragments, want %d", req, len(r.frags), len(want[i]))
+			}
+			kept = append(kept, r)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check(r) // while the next streams assemble
+			}()
+		}
+	}
+	wg.Wait()
+	for _, r := range kept {
+		check(r)
 	}
 }

@@ -113,8 +113,8 @@ func main() {
 	}
 
 	// Resolve the source into the one backend the HTTP server serves too;
-	// buffered output drains its stream, -stream prints each fragment the
-	// moment it materializes.
+	// buffered output is its Search, -stream prints each fragment of its
+	// Stream the moment it materializes.
 	var backend service.Backend
 	if *dir != "" {
 		corpus, err := xks.LoadDir(*dir)
@@ -140,22 +140,15 @@ func main() {
 		}
 		backend = service.SingleDoc{Name: name, Engine: engine}
 	}
-	seq, trailer := backend.Stream(ctx, req)
-	showDoc := *dir != ""
-
 	if *stream {
-		streamOut(seq, trailer)
+		streamOut(backend.Stream(ctx, req))
 		return
 	}
-
-	var frags []xks.CorpusFragment
-	for f, err := range seq {
-		if err != nil {
-			fatal(err)
-		}
-		frags = append(frags, f)
+	res, err := backend.Search(ctx, req)
+	if err != nil {
+		fatal(err)
 	}
-	res := trailer()
+	frags, showDoc := res.Fragments, *dir != ""
 	if *stats {
 		fmt.Printf("keywords: %v\nkeyword nodes: %d\nfragments: %d\nelapsed: %v\n",
 			res.Stats.Keywords, res.Stats.KeywordNodes, res.Stats.NumLCAs, res.Stats.Elapsed)

@@ -385,8 +385,11 @@ func (r *Result) AsCorpus(doc string) *Results {
 		Truncated:   r.Truncated,
 		Truncation:  r.Truncation,
 	}
-	for _, f := range r.Fragments {
-		out.Fragments = append(out.Fragments, CorpusFragment{Document: doc, Fragment: f})
+	if len(r.Fragments) > 0 {
+		out.Fragments = make([]CorpusFragment, len(r.Fragments))
+		for i, f := range r.Fragments {
+			out.Fragments[i] = CorpusFragment{Document: doc, Fragment: f}
+		}
 	}
 	return out
 }
@@ -442,12 +445,14 @@ func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
 // result order. Breaking out of the loop early — a disconnecting client, a
 // filled page, a deadline — leaves every unvisited candidate unassembled:
 // pruneRTF and node/string assembly run only for the fragments actually
-// yielded. A non-nil error is yielded once (with a zero CorpusFragment) and
-// ends the sequence. Once the loop ends (drained, broken, errored, or
-// truncated) the trailer func returns the Results envelope for the fragments
-// actually yielded — stats, the Truncated marker, and the Cursor resuming
-// after the last yielded fragment, so an abandoned stream is still
-// resumable. The yielded fragments themselves are not retained in the
+// yielded. As in Engine.Stream, the fragments are carved from slabs sized for
+// windows of 1, 2, 4, … up to 64 fragments, and a retained fragment keeps its
+// window's slabs alive. A non-nil error is yielded once (with a zero
+// CorpusFragment) and ends the sequence. Once the loop ends (drained, broken,
+// errored, or truncated) the trailer func returns the Results envelope for
+// the fragments actually yielded — stats, the Truncated marker, and the
+// Cursor resuming after the last yielded fragment, so an abandoned stream is
+// still resumable. The yielded fragments themselves are not retained in the
 // trailer, so consuming an unbounded result set stays O(1) server-side. The
 // trailer's value is unspecified while the iterator is still running.
 // Request.Document narrows the snapshot vector to the named document; its

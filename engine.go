@@ -542,9 +542,8 @@ type Result struct {
 // Search drains the page anyway, so it materializes the selected candidates
 // in blocks of up to 64 rather than one at a time as Stream does: a block is
 // pruned candidate by candidate, then assembled at once, so its fragments
-// share a few exact-size backing arrays (see Fragment) instead of costing
-// several allocations each. The fragments are the ones Stream yields, byte
-// for byte.
+// share a few exact-size backing arrays (see Fragment). The fragments are the
+// ones Stream yields, byte for byte.
 //
 // ctx cancellation (and req.Timeout) aborts the pipeline mid-stream with
 // ctx.Err(): the candidate stage checks the context every few thousand
@@ -574,7 +573,11 @@ func (e *Engine) Search(ctx context.Context, req Request) (*Result, error) {
 // the loop starts; fragments then materialize one by one (a block of one) as
 // the iterator is consumed, in result order, so breaking out early leaves the
 // remaining candidates unassembled — a caller that stops after the first few
-// fragments pays pruneRTF and assembly for exactly those. A non-nil error is
+// fragments pays pruneRTF and assembly for exactly those. Only the backing
+// arrays are shared ahead of time: the fragments are carved from slabs sized
+// for windows of 1, 2, 4, … up to 64 fragments, so a drained stream costs a
+// few allocations per window rather than per fragment, and a retained
+// fragment keeps its window's slabs alive. A non-nil error is
 // yielded once (with a nil fragment) and ends the sequence; ctx is checked
 // before every fragment. Once the loop ends (drained, broken, errored, or
 // truncated), the trailer func returns the Result envelope for the fragments
@@ -661,8 +664,9 @@ func releaseAll(docs []docRead) {
 // the remaining candidates unassembled, and the cursor resumes after the last
 // fragment yielded. The selected candidates materialize block candidates at
 // a time (blockScratch.fill): 1 for a stream, so it prunes and assembles
-// exactly what it yields, blockSize for a page that is collected whole. The
-// error is the request's failure, for the caller to yield.
+// exactly what it yields (into slabs shared across its window), blockSize for
+// a page that is collected whole. The error is the request's failure, for the
+// caller to yield.
 //
 // A lone document runs its candidate stage inline; several fan out across up
 // to workers goroutines (candidates). A BestEffort deadline that expires in
@@ -729,7 +733,7 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 		blk := selected[:min(block, len(selected))]
 		selected = selected[len(blk):]
 		matStart := time.Now()
-		frags, err := b.fill(ctx, blk, docs, salvage)
+		frags, err := b.fill(ctx, blk, docs, salvage, len(selected))
 		res.Stats.Stages.Materialize += time.Since(matStart)
 		for i := range frags {
 			f, c := &frags[i], blk[i]
@@ -1078,7 +1082,8 @@ func (e *Engine) resolveIDSetsAt(v *view, queryText string) (display, idfWords [
 
 // blockSize is how many selected candidates a collected page (Search,
 // Corpus.Search) prunes before assembling them at once. It bounds what a
-// retained fragment keeps alive: the backing arrays of its block.
+// retained fragment keeps alive: the backing arrays of its block, or of its
+// window of a stream (blockScratch.assemble).
 const blockSize = 64
 
 // fill runs the materialization stage over one block of selected candidates
@@ -1094,12 +1099,13 @@ const blockSize = 64
 //     for this search instead of crashing the process, since materialization
 //     runs inside iterator sequences where no http.Server recovery applies.
 //     The keep-sets are staged in one pooled buffer.
-//   - assemble, once for the pruned prefix (assemble).
+//   - assemble, once for the pruned prefix (assemble). rest is how many
+//     selected candidates follow the block.
 //
 // A failure at candidate i returns the block's first i fragments with the
 // error; no later candidate is pruned.
-func (b *blockScratch) fill(ctx context.Context, blk []*exec.Candidate, docs []docRead, salvage bool) ([]Fragment, error) {
-	b.kept, b.pruned = b.kept[:0], b.pruned[:0]
+func (b *blockScratch) fill(ctx context.Context, blk []*exec.Candidate, docs []docRead, salvage bool, rest int) ([]Fragment, error) {
+	b.kept, b.pruned, b.events = b.kept[:0], b.pruned[:0], b.events[:0]
 	var err error
 	for _, c := range blk {
 		if !salvage {
@@ -1111,17 +1117,49 @@ func (b *blockScratch) fill(ctx context.Context, blk []*exec.Candidate, docs []d
 			break
 		}
 	}
-	return b.assemble(docs), err
+	if err != nil {
+		rest = 0 // the request assembles nothing more
+	}
+	return b.assemble(docs, rest), err
 }
 
 // blockScratch is the pooled staging memory of one request's materialize
 // stage, which fills it a block at a time: every pruned candidate's kept IDs
-// back to back in kept, per candidate what assembly needs, and the request's
-// Matched slices.
+// back to back in kept, the events it hydrated back to back in events, per
+// candidate what assembly needs, and the request's Matched slices. The slabs
+// the request's fragments are carved from are the request's alone: release
+// drops them.
 type blockScratch struct {
 	kept    []nid.ID
+	events  []lca.IDEvent
+	rtf     rtf.IDRTF // a hydrated candidate's RTF, as exec.Materialize reads it
 	pruned  []prunedCand
 	matched matchedSet
+	slabs   slabs
+}
+
+// slabs are the backing arrays a request's fragments are carved from, and
+// what the request has assembled so far: fragments, kept nodes, Dewey bytes.
+type slabs struct {
+	frags  []Fragment
+	nodes  []FragmentNode
+	ids    []nid.ID
+	deweys strings.Builder
+
+	nf, nk, bytes int
+}
+
+// carve returns the next n elements of *slab, first replacing it with a
+// fresh array of n+more elements when its spare capacity is short of n. The
+// elements carved before stay where they are: fragments already handed out
+// view them.
+func carve[T any](slab *[]T, n, more int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, n+more)
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // prunedCand is one pruned candidate awaiting assembly: its keyword events
@@ -1175,12 +1213,15 @@ func (m *matchedSet) of(mask uint64) []string {
 
 var blockPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-// release clears what would keep a request's candidates, events or fragments
-// reachable from the pool, and hands the block back.
+// release clears what would keep a request's candidates or fragments
+// reachable from the pool, and hands the block back. It drops the slabs
+// outright: the request's fragments may outlive it, and the next request must
+// never carve into an array they view.
 func (b *blockScratch) release() {
 	clear(b.pruned[:cap(b.pruned)])
 	clear(b.matched.masks[:cap(b.matched.masks)])
 	b.matched = matchedSet{masks: b.matched.masks[:0]}
+	b.slabs = slabs{}
 	blockPool.Put(b)
 }
 
@@ -1198,8 +1239,12 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 	if r.KeywordNodes == nil && c.Roots != nil {
 		// The candidate stage deferred event materialization
 		// (score-without-events); hydrate this selected candidate's event
-		// list by replaying the dispatch inside its subtree window.
-		r = &rtf.IDRTF{Root: r.Root, KeywordNodes: rtf.EventsFor(d.params.Tab, r.Root, c.Roots, d.plan.Sets)}
+		// list into the block's buffer by replaying the dispatch inside its
+		// subtree window.
+		n := len(b.events)
+		b.events = rtf.AppendEventsFor(b.events, d.params.Tab, r.Root, c.Roots, d.plan.Sets)
+		b.rtf = rtf.IDRTF{Root: r.Root, KeywordNodes: b.events[n:len(b.events):len(b.events)]}
+		r = &b.rtf
 	}
 	n := len(b.kept)
 	kept, visited := exec.Materialize(b.kept, r, d.params)
@@ -1209,9 +1254,15 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 }
 
 // assemble is fill's assemble phase: it turns the pruned candidates into
-// Fragments with one exact-size allocation each for the fragments, their
-// nodes, their kept IDs and their Dewey bytes; the Matched slices come from
-// the request's matched set. Everything runs on node IDs:
+// Fragments carved from the request's slabs — the fragments, their nodes,
+// their kept IDs and their Dewey bytes; the Matched slices come from the
+// request's matched set. A slab too short for the block is replaced by one
+// sized for the block plus a forecast of the fragments that follow in its
+// window, at the request's running average size: the window is w = min(the
+// selected candidates not yet assembled, the fragments assembled so far,
+// blockSize), so a page's blocks of 64 (whose window is the block) get
+// exact-size slabs, and a stream's blocks of one share slabs of 1, 2, 4, …
+// fragments. Everything runs on node IDs:
 // keyword-node masks come from a two-pointer merge of the (sorted) kept IDs
 // and keyword events, a kept node's label comes from the label column of the
 // source tables its request pinned — which the fragment renders from — and
@@ -1219,25 +1270,34 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 // zero-copy table views rendered into the public strings. A fragment's Root
 // is its first node's Dewey string: the keep-set is ancestor-closed, so the
 // root is always kept, first.
-func (b *blockScratch) assemble(docs []docRead) []Fragment {
-	if len(b.pruned) == 0 {
+func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
+	nf, nk := len(b.pruned), len(b.kept)
+	if nf == 0 {
 		return nil
 	}
-	frags := make([]Fragment, len(b.pruned))
-	nodes := make([]FragmentNode, len(b.kept))
-	ids := slices.Clone(b.kept)
 	size, off := 0, 0
 	for _, p := range b.pruned {
 		tab := docs[p.c.Doc].params.Tab
-		for _, id := range ids[off : off+p.n] {
+		for _, id := range b.kept[off : off+p.n] {
 			size += tab.Code(id).StringLen()
 		}
 		off += p.n
 	}
-	// All Dewey strings of the block are slices of one buffer, sized exactly
-	// so the builder never reallocates under the slices handed out.
-	var deweys strings.Builder
-	deweys.Grow(size)
+	sl := &b.slabs
+	sl.nf, sl.nk, sl.bytes = sl.nf+nf, sl.nk+nk, sl.bytes+size
+	more := min(nf+rest, sl.nf, blockSize) - nf // fragments forecast past the block
+	frags := carve(&sl.frags, nf, more)
+	nodes := carve(&sl.nodes, nk, sl.nk*more/sl.nf)
+	ids := carve(&sl.ids, nk, sl.nk*more/sl.nf)
+	copy(ids, b.kept)
+	// Dewey strings are slices of the builder's buffer, so it must never
+	// reallocate under the strings handed out: a block that does not fit
+	// starts a new one.
+	deweys := &sl.deweys
+	if deweys.Cap()-deweys.Len() < size {
+		*deweys = strings.Builder{}
+		deweys.Grow(size + sl.bytes*more/sl.nf)
+	}
 	var scratch [64]byte
 	off = 0
 	for i, p := range b.pruned {

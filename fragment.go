@@ -30,11 +30,12 @@ type FragmentNode struct {
 }
 
 // Fragment is one meaningful RTF of a search result. Its exported fields
-// are read-only: the fragments a Search or Corpus.Search collects are
-// assembled a block of up to 64 at a time, and the fragments of one block
-// share backing arrays — their Nodes, their Dewey and Root strings, their
-// kept IDs — so a retained fragment keeps at most its block's 64 fragments
-// alive. A streamed fragment is a block of one.
+// are read-only: fragments are carved from backing arrays shared with the
+// other fragments of their block (a Search or Corpus.Search page, assembled
+// up to 64 at a time) or of their window (a stream's windows of 1, 2, 4, …
+// up to 64 fragments) — their Nodes, their Dewey and Root strings, their
+// kept IDs — so a retained fragment keeps at most 64 fragments' arrays
+// alive.
 type Fragment struct {
 	// Root is the Dewey code of the fragment's interesting LCA node: the
 	// first node's Dewey string (the root is always kept, first).
@@ -79,8 +80,8 @@ type Fragment struct {
 	xmlText   string
 	asciiText string
 	// The Onces sit together so their 12 bytes each and the flag pack into
-	// 40: a stream allocates one Fragment per answer, and this keeps the
-	// struct inside the 288-byte size class (TestFragmentAllocSizeClass).
+	// 40: every assembled fragment pays the struct's size in its slab, and
+	// this keeps it within 288 bytes (TestFragmentAllocSizeClass).
 	keepOnce  sync.Once
 	xmlOnce   sync.Once
 	asciiOnce sync.Once

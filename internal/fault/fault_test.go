@@ -103,17 +103,24 @@ func TestInjectUntilDeadline(t *testing.T) {
 }
 
 func TestLeakCheckCatchesLeak(t *testing.T) {
+	// A goroutine from before the snapshot that exits inside the check's
+	// window — as an earlier test's runner does when the machine is loaded —
+	// must not offset the leaked one: the check compares IDs, not counts.
+	old, oldDone := make(chan struct{}), make(chan struct{})
+	go func() { defer close(oldDone); <-old }()
 	check := LeakCheck()
-	stop := make(chan struct{})
-	go func() { <-stop }()
-	// The blocked goroutine above must be reported... but without waiting
-	// the full grace period in the happy-path suite, use a shortened probe:
-	// LeakCheck's check blocks ~2s when leaking, so only assert the
-	// non-empty dump, then release the goroutine and assert clean.
-	if dump := check(); dump == "" {
-		t.Fatal("leak not detected")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() { defer close(done); <-stop }()
+	close(old)
+	<-oldDone
+	// The blocked goroutine must be reported (the check waits out its
+	// two-second grace period first)...
+	if dump := check(); !strings.Contains(dump, "TestLeakCheckCatchesLeak") {
+		t.Fatalf("leak not detected; dump:\n%s", dump)
 	}
+	// ...and once it has exited, the state is clean.
 	close(stop)
+	<-done
 	if dump := check(); dump != "" {
 		t.Fatalf("clean state reported as leak:\n%s", dump)
 	}

@@ -1,10 +1,11 @@
 package httpapi
 
-// A request executes one way — the backend's stream — and a buffered page
-// is that stream drained. These tests hold the two faces of it against each
-// other: over every backend and request shape the page equals the collected
-// stream plus its trailer, the encoded body is the NDJSON lines re-framed,
-// and a page answers the same bytes whichever face filled its cache entry.
+// A request runs one request loop with two faces: a buffered page is the
+// backend's Search, a streamed response (stream=1) its Stream. These tests
+// hold the two against each other through the service: over every backend
+// and request shape the page equals the collected stream plus its trailer,
+// the encoded body is the NDJSON lines re-framed, and a page answers the
+// same bytes whichever face filled its cache entry.
 
 import (
 	"bytes"

@@ -19,6 +19,7 @@ import (
 type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint64
+	onDrop func(V)
 }
 
 type shard[V any] struct {
@@ -61,6 +62,20 @@ func New[V any](capacity, shards int) *Cache[V] {
 		c.shards[i].order = list.New()
 	}
 	return c
+}
+
+// OnDrop registers fn to be called with every value the cache lets go of:
+// the least recently used entry a Put evicts, the value a Put replaces, and
+// a stale entry a Get drops. fn runs under that value's shard lock, so it
+// must be quick and must not call back into the cache. Register it before
+// the cache is shared.
+func (c *Cache[V]) OnDrop(fn func(V)) { c.onDrop = fn }
+
+// drop hands a value the cache let go of to the OnDrop hook.
+func (c *Cache[V]) drop(v V) {
+	if c.onDrop != nil {
+		c.onDrop(v)
+	}
 }
 
 func nextPow2(n int) int {
@@ -108,6 +123,7 @@ func (c *Cache[V]) Get(key string, gen uint64) (V, bool) {
 	if ent.gen != gen {
 		s.order.Remove(el)
 		delete(s.items, key)
+		c.drop(ent.val)
 		var zero V
 		return zero, false
 	}
@@ -123,15 +139,17 @@ func (c *Cache[V]) Put(key string, gen uint64, val V) {
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
 		ent := el.Value.(*entry[V])
+		old := ent.val
 		ent.gen, ent.val = gen, val
 		s.order.MoveToFront(el)
+		c.drop(old)
 		return
 	}
 	s.items[key] = s.order.PushFront(&entry[V]{key: key, gen: gen, val: val})
 	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*entry[V]).key)
+		oldest := s.order.Remove(s.order.Back()).(*entry[V])
+		delete(s.items, oldest.key)
+		c.drop(oldest.val)
 	}
 }
 
@@ -145,17 +163,4 @@ func (c *Cache[V]) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Each calls fn with every live value, one shard at a time under that
-// shard's lock: fn must be quick and must not call back into the cache.
-func (c *Cache[V]) Each(fn func(V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			fn(el.Value.(*entry[V]).val)
-		}
-		s.mu.Unlock()
-	}
 }

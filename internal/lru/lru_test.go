@@ -2,6 +2,7 @@ package lru
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 )
@@ -85,15 +86,24 @@ func TestShardRounding(t *testing.T) {
 	}
 }
 
-func TestEachVisitsLiveEntries(t *testing.T) {
+// TestOnDropSeesEveryDroppedValue: every value put is either live or was
+// handed to the hook exactly once — evicted, replaced, or dropped stale.
+func TestOnDropSeesEveryDroppedValue(t *testing.T) {
 	c := New[int](2, 1)
+	dropped := map[int]int{}
+	c.OnDrop(func(v int) { dropped[v]++ })
 	c.Put("a", 0, 1)
 	c.Put("b", 0, 2)
-	c.Put("c", 0, 4) // evicts a
-	sum := 0
-	c.Each(func(v int) { sum += v })
-	if sum != 6 {
-		t.Fatalf("Each summed %d, want 6 (b and c)", sum)
+	c.Put("a", 0, 3)                // replaces 1
+	c.Put("c", 0, 4)                // evicts b (2)
+	if _, ok := c.Get("a", 1); ok { // stale: drops 3
+		t.Fatal("a stale entry was served")
+	}
+	if _, ok := c.Get("c", 0); !ok {
+		t.Fatal("live entry c missing")
+	}
+	if want := map[int]int{1: 1, 2: 1, 3: 1}; !maps.Equal(dropped, want) {
+		t.Fatalf("dropped %v, want %v", dropped, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xks/internal/dewey"
@@ -135,6 +136,8 @@ func TestBuildScoredIDsMatchesMaterialized(t *testing.T) {
 func TestEventsForMatchesBuildIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	flat, nested := 0, 0
+	// acc hydrates every window back to back, as a page's block does.
+	var acc []lca.IDEvent
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(9)
 		tab, sets, roots := randomDispatchInput(rng, 20+rng.Intn(250), k)
@@ -148,6 +151,10 @@ func TestEventsForMatchesBuildIDs(t *testing.T) {
 				flat++
 			}
 			got := EventsFor(tab, r.Root, roots, sets)
+			n := len(acc)
+			if acc = AppendEventsFor(acc, tab, r.Root, roots, sets); !slices.Equal(acc[n:], got) {
+				t.Fatalf("trial %d root %d: AppendEventsFor appended %v, EventsFor returned %v", trial, r.Root, acc[n:], got)
+			}
 			if len(got) != len(r.KeywordNodes) {
 				t.Fatalf("trial %d root %d: %d events, want %d", trial, r.Root, len(got), len(r.KeywordNodes))
 			}

@@ -83,10 +83,16 @@ func BuildScoredIDsCtx(ctx context.Context, t *nid.Table, lcas []nid.ID, sets []
 // window's coalesced merge (mergeWindow); a window with nested roots replays
 // the dispatch inside it.
 func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []lca.IDEvent {
+	return AppendEventsFor(nil, t, root, allRoots, sets)
+}
+
+// AppendEventsFor is EventsFor appending the events to dst, so a caller that
+// hydrates many candidates reuses one buffer.
+func AppendEventsFor(dst []lca.IDEvent, t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []lca.IDEvent {
 	end := t.SubtreeEnd(root)
 	lo := sort.Search(len(allRoots), func(i int) bool { return allRoots[i] >= root })
 	if lo == len(allRoots) || allRoots[lo] != root {
-		return nil
+		return dst
 	}
 	hi := lo + sort.Search(len(allRoots)-lo, func(i int) bool { return allRoots[lo+i] >= end })
 	var buf [8][]nid.ID
@@ -97,18 +103,17 @@ func EventsFor(t *nid.Table, root nid.ID, allRoots []nid.ID, sets [][]nid.ID) []
 		win, n = append(win, s[a:b]), n+b-a
 	}
 	if hi == lo+1 {
-		return mergeWindow(make([]lca.IDEvent, 0, n), win, end)
+		return mergeWindow(slices.Grow(dst, n), win, end)
 	}
 	// Roots outside [root, end) can't be dispatch targets for events inside
 	// it: any other ancestor-or-self of such an event is an ancestor of
 	// root, hence shallower than root itself.
-	var events []lca.IDEvent
 	dispatch(nil, t, allRoots[lo:hi], slices.Clone(win), nil, false, func(i int, ev lca.IDEvent) {
 		if i == 0 {
-			events = append(events, ev)
+			dst = append(dst, ev)
 		}
 	})
-	return events
+	return dst
 }
 
 // DispatchWindows is getRTF over roots that never nest, such as every SLCA

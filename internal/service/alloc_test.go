@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xks"
+	"xks/internal/datagen"
 	"xks/internal/service"
 )
 
@@ -40,6 +41,53 @@ func TestSearchPageHitAllocs(t *testing.T) {
 	for _, q := range []string{"liu keyword", "liu keyword xml search", "title:xml author:liu keyword"} {
 		if allocs, _ := hit(xks.Request{Query: q}); allocs > 12 {
 			t.Errorf("a hit on %q allocates %v times, want <= 12: the request is being planned for its cache key", q, allocs)
+		}
+	}
+}
+
+// TestColdMissAllocs pins a cache miss — every request of a server whose
+// cache cannot answer it — to what the backend's collected page costs: the
+// buffered page is one Search, assembled as one block, so a ranked SLCA page
+// of 40 fragments allocates what one of 10 does, over a single document and
+// a corpus alike. The two objects between them are the Matched slices of the
+// keyword masks only the longer page meets ([alpha] and [beta]; both pages
+// hold [alpha beta]). Draining the backend's stream instead costs several
+// objects per fragment.
+func TestColdMissAllocs(t *testing.T) {
+	tree := func(seed int64) *xks.Engine {
+		return xks.FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: seed, NumRecords: 400, Keywords: []datagen.KeywordSpec{
+			{Word: "alpha", Count: 200}, {Word: "beta", Count: 200},
+		}}))
+	}
+	corpus := xks.NewCorpus()
+	corpus.Add("a", tree(3))
+	corpus.Add("b", tree(4))
+	corpus.Workers = 1
+	for _, b := range []struct {
+		name      string
+		be        service.Backend
+		ten, more float64
+	}{
+		{"single", service.SingleDoc{Name: "dblp", Engine: tree(3)}, 69, 71},
+		{"corpus", corpus, 118, 120},
+	} {
+		sv := service.New(b.be, service.Config{}) // no cache: every request misses
+		for _, c := range []struct {
+			limit int
+			want  float64
+		}{{10, b.ten}, {40, b.more}} {
+			req := xks.Request{Query: "alpha beta", Semantics: xks.SLCAOnly, Rank: true, Limit: c.limit}
+			if p, _, err := sv.SearchPage(context.Background(), req); err != nil || len(p.Fragments) != c.limit {
+				t.Fatalf("%s: limit=%d page: err %v", b.name, c.limit, err)
+			}
+			got := testing.AllocsPerRun(50, func() {
+				if _, _, err := sv.SearchPage(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != c.want {
+				t.Errorf("%s: a cold miss of a limit=%d page allocates %.0f objects, want exactly %.0f", b.name, c.limit, got, c.want)
+			}
 		}
 	}
 }

@@ -131,7 +131,7 @@ func blockingSearcher(t *testing.T) Backend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Buffered{Backend: SingleDoc{Name: "doc", Engine: e}, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	return Buffered{Backend: SingleDoc{Name: "doc", Engine: e}, Page: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}

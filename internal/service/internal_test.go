@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,5 +216,77 @@ func TestMetricsOverflowBucket(t *testing.T) {
 	s := m.Snapshot()
 	if s.P50LatencyMS != 5000 {
 		t.Errorf("overflow p50 = %v, want clamped to 5000ms", s.P50LatencyMS)
+	}
+}
+
+// genBackend is a fake whose version token the test moves, so cached
+// entries go stale; its page is one fragment per Limit slot, and the first
+// page of a BestEffort request is cut after one fragment mid-materialization
+// (a resumable prefix).
+type genBackend struct {
+	Buffered
+	gen atomic.Uint64
+}
+
+func (g *genBackend) VersionFor(xks.Request) uint64 { return g.gen.Load() }
+
+func newGenBackend() *genBackend {
+	g := &genBackend{}
+	g.Page = func(_ context.Context, req xks.Request) (*xks.Results, error) {
+		r := &xks.Results{Query: req.Query, Fragments: make([]xks.CorpusFragment, max(req.Limit, 1))}
+		if req.Budget == xks.BestEffort && req.Offset == 0 && req.Limit > 1 {
+			r.Fragments, r.Truncated, r.Truncation = r.Fragments[:1], true, xks.TruncMaterialize
+		}
+		return r, nil
+	}
+	return g
+}
+
+// TestCacheBodyBytesIsTheWalk: the maintained xks_cache_body_bytes count
+// equals the walk over the live entries' retained encodings after mixed
+// traffic — LRU evictions, stale-generation drops, replaced entries,
+// resumable prefixes completed, and encodes racing the drops.
+func TestCacheBodyBytesIsTheWalk(t *testing.T) {
+	g := newGenBackend()
+	sv := New(g, Config{CacheSize: 16, CacheShards: 4})
+	query := func(i int) xks.Request { return xks.Request{Query: fmt.Sprintf("q%d", i%40), Limit: 2} }
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 400 {
+				req := query(i*7 + w)
+				if i%5 == 0 {
+					req.Budget = xks.BestEffort
+				}
+				if i%97 == 0 {
+					g.gen.Add(1)
+				}
+				p, _, err := sv.SearchPage(context.Background(), req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Encoded(func() *Encoded { return &Encoded{Bytes: make([]byte, 1+(i+w)%13)} })
+			}
+		}()
+	}
+	wg.Wait()
+	// The walk visits every key the traffic used; a lookup at the current
+	// generation drops what went stale, which the count must follow too.
+	var walk int64
+	for i := range 40 {
+		if p, ok := sv.cache.Get(cacheKey(query(i)), g.gen.Load()); ok && p.retained != nil {
+			if e := p.enc.Load(); e != nil {
+				walk += int64(len(e.Bytes))
+			}
+		}
+	}
+	if got := sv.CacheBodyBytes(); got != walk || walk == 0 {
+		t.Fatalf("CacheBodyBytes = %d, the walk over the live entries = %d (want equal and > 0)", got, walk)
+	}
+	if s := sv.Metrics().Snapshot(); s.PartialResumes == 0 {
+		t.Fatal("no truncated prefix was resumed: the traffic misses a replacement path")
 	}
 }

@@ -24,10 +24,16 @@ type Encoded struct {
 // version token, same eviction); there is no second cache.
 type Page struct {
 	*xks.Results
-	cached bool // the page is a cache entry served as a hit: Encoded retains
+	// retained is set when the page is a cache entry served as a hit:
+	// Encoded retains, adding the bytes to this count of what the cache's
+	// entries hold (the service's xks_cache_body_bytes).
+	retained *atomic.Int64
 
 	mu  sync.Mutex // serializes the one encode of a cached page
 	enc atomic.Pointer[Encoded]
+	// held is what the page added to retained, or -1 once the cache let go
+	// of it (dropped): an encode that finishes after that adds nothing.
+	held atomic.Int64
 }
 
 // Encoded returns the page's encoded fragment records, running encode to
@@ -37,7 +43,7 @@ type Page struct {
 // old snapshot, served with the cache disabled — retains nothing and encodes
 // per call.
 func (p *Page) Encoded(encode func() *Encoded) *Encoded {
-	if !p.cached {
+	if p.retained == nil {
 		return encode()
 	}
 	if e := p.enc.Load(); e != nil {
@@ -50,7 +56,18 @@ func (p *Page) Encoded(encode func() *Encoded) *Encoded {
 	}
 	e := encode()
 	p.enc.Store(e)
+	if n := int64(len(e.Bytes)); p.held.CompareAndSwap(0, n) {
+		p.retained.Add(n)
+	}
 	return e
+}
+
+// dropped is the cache's OnDrop hook: the entry's retained bytes leave the
+// count, and an encode still running keeps its bytes out of it.
+func (p *Page) dropped() {
+	if n := p.held.Swap(-1); n > 0 {
+		p.retained.Add(-n)
+	}
 }
 
 // StreamedFragment is one fragment of a Service.Stream. When it is replayed

@@ -4,12 +4,13 @@
 //
 // It provides:
 //
-//   - Backend, the one surface the service builds on — a fragment stream plus
-//     versioning, the document list, tail appends, compaction and the delta
-//     gauges — implemented by *xks.Corpus and, for a single xks.Engine, by
-//     the SingleDoc adapter. A request executes one way, the backend's stream
-//     driven by one function (run): a buffered page is that stream drained, a
-//     streamed response the same stream handed on fragment by fragment;
+//   - Backend, the one surface the service builds on — a collected page and a
+//     fragment stream of the same request loop, plus versioning, the document
+//     list, tail appends, compaction and the delta gauges — implemented by
+//     *xks.Corpus and, for a single xks.Engine, by the SingleDoc adapter. A
+//     buffered page is the backend's Search, which materializes its page a
+//     block at a time; a streamed response (stream=1) is its Stream, handed on
+//     fragment by fragment. The two are the same fragments and envelope;
 //   - a sharded LRU query-result cache (internal/lru) keyed by the
 //     canonicalized Request with its cursor resolved into the window it
 //     names (Offset), invalidated by data generation: an append changes the
@@ -41,6 +42,7 @@ import (
 	"iter"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"xks"
@@ -52,13 +54,19 @@ import (
 // wrap a single *xks.Engine with SingleDoc. It is an interface only so that
 // tests can substitute fakes.
 type Backend interface {
-	// Stream runs the request — over every document, or over the one named
-	// by req.Document when non-empty — as a lazily materializing fragment
+	// Search runs the request — over every document, or over the one named
+	// by req.Document when non-empty — and collects its page: what a drained
+	// Stream yields plus its trailer, fragment for fragment, materialized a
+	// block at a time. Every buffered page the service builds is a Search.
+	// The error wraps xks.ErrUnknownDocument for names the backend does not
+	// hold, and cancelling ctx (or req.Timeout) aborts the pipeline with
+	// ctx.Err().
+	Search(ctx context.Context, req xks.Request) (*xks.Results, error)
+	// Stream runs the same request as a lazily materializing fragment
 	// iterator plus a trailer func that, once the loop ends, reports the
 	// envelope (cursor, stats, truncation) for the fragments actually
-	// yielded. An error is yielded once and ends the sequence: it wraps
-	// xks.ErrUnknownDocument for names the backend does not hold, and
-	// cancelling ctx (or req.Timeout) aborts the pipeline with ctx.Err().
+	// yielded; the service runs it only for a streamed response (stream=1).
+	// An error is yielded once and ends the sequence, as Search returns it.
 	Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results)
 	// Documents lists the searchable documents.
 	Documents() []xks.DocumentInfo
@@ -95,13 +103,33 @@ type SingleDoc struct {
 	Engine *xks.Engine
 }
 
+// holds fails unless doc names the wrapped engine (or is empty).
+func (s SingleDoc) holds(doc string) error {
+	if doc != "" && doc != s.Name {
+		return fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, doc)
+	}
+	return nil
+}
+
+// Search runs the engine's collected page and tags it with the document name.
+func (s SingleDoc) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	if err := s.holds(req.Document); err != nil {
+		return nil, err
+	}
+	r, err := s.Engine.Search(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return r.AsCorpus(s.Name), nil
+}
+
 // Stream adapts the engine's fragment stream to the corpus shape, tagging
 // fragments and the trailer with the document name.
 func (s SingleDoc) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results) {
 	seq, trailer := s.Engine.Stream(ctx, req)
 	wrapped := func(yield func(xks.CorpusFragment, error) bool) {
-		if req.Document != "" && req.Document != s.Name {
-			yield(xks.CorpusFragment{}, fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, req.Document))
+		if err := s.holds(req.Document); err != nil {
+			yield(xks.CorpusFragment{}, err)
 			return
 		}
 		seq(func(f *xks.Fragment, err error) bool {
@@ -126,8 +154,8 @@ func (s SingleDoc) VersionFor(req xks.Request) uint64 { return s.Engine.Generati
 // AppendXML tail-appends to the wrapped engine; doc must name it (or be
 // empty).
 func (s SingleDoc) AppendXML(doc, parentDewey, snippet string) error {
-	if doc != "" && doc != s.Name {
-		return fmt.Errorf("xks: %w: %q", xks.ErrUnknownDocument, doc)
+	if err := s.holds(doc); err != nil {
+		return err
 	}
 	return s.Engine.AppendTail(parentDewey, snippet)
 }
@@ -154,9 +182,12 @@ type Service struct {
 	// cache holds full pages (hits) and, under the same keys, Truncated
 	// prefixes of bounded pages that an identical retry resumes from; store
 	// decides what goes in.
-	cache   *lru.Cache[*Page]
-	flight  group
-	metrics Metrics
+	cache *lru.Cache[*Page]
+	// bodyBytes counts the encoded bytes the cache's entries retain: added
+	// by the one encode an entry keeps, subtracted when the cache drops it.
+	bodyBytes atomic.Int64
+	flight    group
+	metrics   Metrics
 }
 
 // New builds the service over a backend.
@@ -164,6 +195,7 @@ func New(b Backend, cfg Config) *Service {
 	sv := &Service{backend: b}
 	if cfg.CacheSize > 0 {
 		sv.cache = lru.New[*Page](cfg.CacheSize, cfg.CacheShards)
+		sv.cache.OnDrop((*Page).dropped)
 	}
 	return sv
 }
@@ -200,19 +232,9 @@ func (sv *Service) CacheLen() int {
 }
 
 // CacheBodyBytes reports the encoded response bytes currently retained by
-// cache entries (Page.Encoded).
-func (sv *Service) CacheBodyBytes() int64 {
-	if sv.cache == nil {
-		return 0
-	}
-	var n int64
-	sv.cache.Each(func(p *Page) {
-		if e := p.enc.Load(); e != nil {
-			n += int64(len(e.Bytes))
-		}
-	})
-	return n
-}
+// cache entries (Page.Encoded): a maintained count, so a scrape walks
+// nothing.
+func (sv *Service) CacheBodyBytes() int64 { return sv.bodyBytes.Load() }
 
 // cacheKey derives the cache/singleflight key from the canonicalized
 // request (xks.Request.Canonical: whitespace-normalized, case-folded query;
@@ -306,14 +328,24 @@ func (sv *Service) admit(ctx context.Context, req xks.Request) (l lookup, err er
 	return l, nil
 }
 
-// run is the one place the backend executes. It drives the backend's
-// stream for req, handing each fragment to yield as it materializes (nil
-// for a buffered page) and collecting the page when collect is set, and
+// search and stream are the two places the backend executes, and the only
+// executions that feed the per-stage histograms: cache hits and collapsed
+// joins never ran the stages. search runs the backend's collected page for
+// req.
+func (sv *Service) search(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	res, err := sv.backend.Search(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
+	return res, nil
+}
+
+// stream drives the backend's stream for req, handing each fragment to
+// yield as it materializes and collecting the page when collect is set, and
 // returns the stream's envelope — the collected page as its Fragments — and
 // whether the stream ran to its end rather than being abandoned by yield.
-// Only these executions feed the per-stage histograms; cache hits and
-// collapsed joins never ran the stages.
-func (sv *Service) run(ctx context.Context, req xks.Request, collect bool, yield func(StreamedFragment, error) bool) (res *xks.Results, drained bool, err error) {
+func (sv *Service) stream(ctx context.Context, req xks.Request, collect bool, yield func(StreamedFragment, error) bool) (res *xks.Results, drained bool, err error) {
 	seq, trailer := sv.backend.Stream(ctx, req)
 	// The loop body is a closure the backend calls, so every variable it
 	// writes costs the request a heap allocation: it writes one.
@@ -330,7 +362,7 @@ func (sv *Service) run(ctx context.Context, req xks.Request, collect bool, yield
 		if collect {
 			loop.page = append(loop.page, f)
 		}
-		if yield != nil && !yield(StreamedFragment{CorpusFragment: f}, nil) {
+		if !yield(StreamedFragment{CorpusFragment: f}, nil) {
 			loop.abandoned = true
 			break
 		}
@@ -344,12 +376,12 @@ func (sv *Service) run(ctx context.Context, req xks.Request, collect bool, yield
 	return res, !loop.abandoned, nil
 }
 
-// buffered drains the backend's stream for req into a page, under the
-// singleflight group: concurrent callers with the same flight key share one
-// execution and the page it stored for l.
+// buffered runs the backend's page for req under the singleflight group:
+// concurrent callers with the same flight key share one execution and the
+// page it stored for l.
 func (sv *Service) buffered(ctx context.Context, flightKey string, req xks.Request, l *lookup) (*Page, bool, error) {
 	return sv.flight.do(ctx, flightKey, func() (*Page, error) {
-		r, _, err := sv.run(ctx, req, true, nil)
+		r, err := sv.search(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -369,7 +401,7 @@ func (sv *Service) store(l *lookup, r *xks.Results) *Page {
 	switch {
 	case l == nil || sv.cache == nil:
 	case !r.Truncated:
-		p.cached = true
+		p.retained = &sv.bodyBytes
 		sv.cache.Put(l.key, l.gen, p)
 	case r.Truncation == xks.TruncMaterialize && l.req.Limit > 0 &&
 		len(r.Fragments) > 0 && len(r.Fragments) < l.req.Limit:
@@ -415,7 +447,7 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 
 // SearchPage serves one request — over the whole corpus, or over the
 // document named by req.Document when non-empty — as a buffered page: the
-// cached one (cached is then set), or the backend's stream drained. The
+// cached one (cached is then set), or the backend's Search. The
 // returned page is shared with other callers — do not mutate it.
 //
 // ctx cancellation (and req.Timeout) aborts the request with ctx.Err():
@@ -453,7 +485,7 @@ func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page,
 func (sv *Service) miss(ctx context.Context, l lookup) (*Page, error) {
 	switch {
 	case l.pinned():
-		res, _, err := sv.run(ctx, l.req, true, nil)
+		res, err := sv.search(ctx, l.req)
 		if err != nil {
 			return nil, err
 		}
@@ -538,7 +570,7 @@ func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[Strea
 		// Collect the page for caching only when it is bounded: an
 		// unlimited scroll must not pin every streamed fragment in memory.
 		collect := sv.cache != nil && l.req.Limit > 0 && !l.pinned()
-		t, drained, err := sv.run(ctx, l.req, collect, yield)
+		t, drained, err := sv.stream(ctx, l.req, collect, yield)
 		if err != nil {
 			return
 		}

@@ -165,10 +165,10 @@ type countingSearcher struct {
 
 func newCountingSearcher(inner service.Backend, delay time.Duration) *countingSearcher {
 	cs := &countingSearcher{}
-	cs.Buffered = service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	cs.Buffered = service.Buffered{Backend: inner, Page: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
 		cs.execs.Add(1)
 		time.Sleep(delay)
-		return service.Drain(ctx, inner, req)
+		return inner.Search(ctx, req)
 	}}
 	return cs
 }
@@ -359,8 +359,8 @@ func TestCursorScrollStalenessAndMismatch(t *testing.T) {
 // truncatingSearcher marks every result truncated, standing in for a
 // pipeline whose best-effort deadline always expires mid-page.
 func truncatingSearcher(inner service.Backend) service.Backend {
-	return service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
-		r, err := service.Drain(ctx, inner, req)
+	return service.Buffered{Backend: inner, Page: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+		r, err := inner.Search(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -399,9 +399,9 @@ type truncateOnceSearcher struct {
 
 func newTruncateOnceSearcher(inner service.Backend, delay time.Duration) *truncateOnceSearcher {
 	ts := &truncateOnceSearcher{}
-	ts.Buffered = service.Buffered{Backend: inner, Search: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	ts.Buffered = service.Buffered{Backend: inner, Page: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
 		n := ts.calls.Add(1)
-		r, err := service.Drain(ctx, inner, req)
+		r, err := inner.Search(ctx, req)
 		if err != nil || n > 1 {
 			return r, err
 		}
