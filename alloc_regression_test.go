@@ -53,7 +53,7 @@ func allocEngine(t *testing.T) (*Engine, []string) {
 // events straight back, as a request does once its materialize loop ends:
 // the candidates' keyword events must not be read afterwards.
 func stageCandidates(p exec.Plan, params exec.Params) []*exec.Candidate {
-	cands, release, err := exec.Candidates(context.Background(), p, params, 0)
+	cands, _, release, err := exec.Candidates(context.Background(), p, params, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -345,9 +345,11 @@ func TestRankedPageHydratesIntoScratch(t *testing.T) {
 // its stack (only the corpus fan-out copies its vector for the workers); the
 // pipeline parameters carry no per-search closure besides the scorer's
 // Incremental and the source's contentOfID: labels travel as the pinned label
-// column. A query that matches nothing stops after planning; an SLCA limit=10
-// page runs every stage, hydrates its deferred events into the block's pooled
-// buffer and assembles its page as one block. AllocsPerRun's
+// column, and an untraced plan is never rendered for explain. A query that
+// matches nothing stops after planning; an SLCA limit=10 page runs every
+// stage, with its roots in the candidate stage's pooled columns and handles
+// for its window of ten alone, hydrates its deferred events into the block's
+// pooled buffer and assembles its page as one block. AllocsPerRun's
 // average rounds down, which absorbs a collection emptying a pool
 // mid-measurement.
 func TestSingleDocumentSearchAllocs(t *testing.T) {
@@ -357,7 +359,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 32},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 28},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -389,7 +391,7 @@ func TestMaterializeAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan(%q): %v", q, err)
 			}
-			cands, release, err := exec.Candidates(context.Background(), p, params, 0)
+			cands, _, release, err := exec.Candidates(context.Background(), p, params, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +426,7 @@ func TestWideGroupAllocsDoNotScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := e.params(Request{})
-		cands, release, err := exec.Candidates(context.Background(), p, params, 0)
+		cands, _, release, err := exec.Candidates(context.Background(), p, params, 0)
 		if err != nil || len(cands) != 1 {
 			t.Fatalf("%d candidates, err %v; want the document root alone", len(cands), err)
 		}
@@ -474,6 +476,44 @@ func TestUnrankedPageAllocsDoNotScale(t *testing.T) {
 	}
 }
 
+// TestRankedPageAllocBytesDoNotScale pins the window of a ranked page: the
+// candidate stage keeps its roots, scores and scoring accumulators in pooled
+// columns and builds handles for the page's ten roots alone, so a ranked
+// SLCA limit=10 page allocates the same bytes whether the query has about 80
+// roots or about 3 200 — here over one generated document, with the roots
+// grown by the keywords' planted counts and the page's fragments alike in
+// size. Before the window the stage allocated about 175 bytes per root.
+func TestRankedPageAllocBytesDoNotScale(t *testing.T) {
+	const slack = 512 // allocator rounding of the page's own output
+	measure := func(count int) (roots, nodes int, bytes uint64) {
+		e := FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 5, NumRecords: 10000, Keywords: []datagen.KeywordSpec{
+			{Word: "alpha", Count: count}, {Word: "beta", Count: count},
+		}}))
+		req := Request{Query: "alpha beta", Semantics: SLCAOnly, Rank: true, Limit: 10}
+		res, err := e.Search(context.Background(), req)
+		if err != nil || len(res.Fragments) != 10 {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		for _, f := range res.Fragments {
+			nodes += len(f.Nodes)
+		}
+		return res.Stats.NumLCAs, nodes, steadyAllocBytes(func() {
+			if _, err := e.Search(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fewRoots, fewNodes, few := measure(1000)
+	manyRoots, manyNodes, many := measure(8000)
+	t.Logf("ranked SLCA limit=10 page: %d bytes over %d roots, %d over %d", few, fewRoots, many, manyRoots)
+	if fewRoots > 150 || manyRoots < 2500 || fewNodes != manyNodes {
+		t.Fatalf("pages over %d and %d roots with %d and %d nodes: want about 100 and thousands of roots, pages alike", fewRoots, manyRoots, fewNodes, manyNodes)
+	}
+	if many > few+slack {
+		t.Errorf("a ranked limit=10 page allocates %d bytes over %d roots against %d over %d: something is allocated per root", many, manyRoots, few, fewRoots)
+	}
+}
+
 // TestELCACandidateAllocs pins the one-pass ELCA candidate stage: the stack
 // merge hands each root its run in a pooled buffer, and the candidates borrow
 // the runs where they lie, so an unlimited ELCA search's candidate stage
@@ -504,7 +544,7 @@ func TestELCACandidateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan(%q): %v", q, err)
 			}
-			cands, release, err := exec.Candidates(context.Background(), p, params, 0)
+			cands, _, release, err := exec.Candidates(context.Background(), p, params, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

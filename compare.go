@@ -110,7 +110,7 @@ type keptSlab struct {
 // pruneRTF under params.Mode for every candidate, checking ctx between
 // candidates. The candidates' borrowed events go back once the loop ends.
 func keepSets(ctx context.Context, p exec.Plan, params exec.Params) (keptSlab, error) {
-	cands, release, err := exec.Candidates(ctx, p, params, 0)
+	cands, _, release, err := exec.Candidates(ctx, p, params, 0)
 	if err != nil {
 		return keptSlab{}, err
 	}

@@ -626,10 +626,9 @@ type docRead struct {
 	eng  *Engine
 	v    *view
 	docStage
-	// n is the document's candidate count; counted marks a document whose
-	// stage output enters the envelope — one whose stage finished, or a lone
-	// document, whose plan is reported even when its candidates are not.
-	n       int
+	// counted marks a document whose stage output enters the envelope — one
+	// whose stage finished, or a lone document, whose plan is reported even
+	// when its candidates are not.
 	counted bool
 	// leak is set by a scripted snapshot-pin fault: the pin is never
 	// released, the refcount leak the chaos suite proves the pinned gauge
@@ -637,11 +636,12 @@ type docRead struct {
 	leak bool
 }
 
-// releaseAll hands back every document's borrowed candidate events and
-// unpins its snapshot once a request is done with its candidates: the
-// materialize loop has ended, drained, broken, errored or truncated. No
-// fragment references an event, and pins are pure accounting, so what was
-// materialized stays valid.
+// releaseAll hands back every document's candidate-stage scratch (the
+// events and roots its candidates borrow) and unpins its snapshot once a
+// request is done with its candidates: the materialize loop has ended,
+// drained, broken, errored or truncated. No fragment references an event or
+// a root, and pins are pure accounting, so what was materialized stays
+// valid.
 func releaseAll(docs []docRead) {
 	for _, d := range docs {
 		if d.releaseEvents != nil {
@@ -774,9 +774,6 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 		var err error
 		d.docStage, err = d.eng.candidateStage(ctx, d.v, req, d.name, 0, true)
 		d.counted = true
-		if err == nil {
-			d.n = len(d.cands)
-		}
 		res.Stats.Stages.Plan = d.planTime
 		if !d.start.IsZero() {
 			res.Stats.Stages.Candidates = time.Since(d.start)
@@ -808,12 +805,14 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 		docSp := candSp.Child("doc:" + d.name)
 		defer docSp.End()
 		// req's Limit and Offset describe the merged page; the stage reads
-		// them only to decide on score-without-events.
+		// them to decide on score-without-events and to build handles only
+		// for the document's first Offset+Limit roots, all the merged page
+		// can take from it.
 		st, err := d.eng.candidateStage(trace.ContextWithSpan(ctx, docSp), d.v, req, d.name, i, false)
 		if err != nil {
 			return struct{}{}, docErr(ctx, d.name, err)
 		}
-		d.docStage, d.n, d.counted = st, len(st.cands), true
+		d.docStage, d.counted = st, true
 		if topk != nil {
 			topk.Offer(d.cands...)
 			d.cands = nil // memory stays O(K), not O(candidates)
@@ -853,8 +852,9 @@ func countDocs(docs []docRead, res *Results) {
 
 // selectAcross runs the merged selection: the top-K heap's pagination window
 // when the streamed merge ran, otherwise Select over the document-order
-// concatenation of the documents' candidates — a lone document's own slice,
-// uncopied.
+// concatenation of the documents' windows — a lone document's own slice,
+// uncopied. Each window holds the first Offset+Limit roots of its document's
+// selection order, so the concatenation holds every root the page takes.
 func selectAcross(topk *exec.TopK, docs []docRead, req Request) []*exec.Candidate {
 	if topk != nil {
 		return exec.Page(topk.Ranked(), req.Offset, req.Limit)
@@ -889,9 +889,13 @@ func docErr(ctx context.Context, name string, err error) error {
 type docStage struct {
 	plan   exec.Plan
 	params exec.Params
-	cands  []*exec.Candidate
-	// releaseEvents hands back the pooled buffer the candidates' keyword
-	// events are borrowed from (exec.Candidates); releaseAll calls it.
+	// cands are the handles of the roots a page could return, n the
+	// document's root count, the total the envelope reports.
+	cands []*exec.Candidate
+	n     int
+	// releaseEvents hands back the pooled scratch the candidates' keyword
+	// events and roots are borrowed from (exec.Candidates); releaseAll calls
+	// it.
 	releaseEvents func()
 	planTime      time.Duration
 	start         time.Time
@@ -952,7 +956,7 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	if err := fault.Inject(ctx, fault.PointCandidates, label); err != nil {
 		return st, err
 	}
-	st.cands, st.releaseEvents, err = exec.Candidates(ctx, st.plan, st.params, doc)
+	st.cands, st.n, st.releaseEvents, err = exec.Candidates(ctx, st.plan, st.params, doc)
 	return st, err
 }
 
@@ -988,6 +992,9 @@ func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
 // algorithm, the merge order, and the model's cost estimates, next to the
 // actual event counters the downstream stages report.
 func stampPlan(sp *trace.Span, p exec.Plan) {
+	if sp == nil {
+		return // untraced: OrderString would allocate for nobody
+	}
 	d := p.Decision
 	sp.SetStr("algorithm", d.Strategy.String())
 	sp.SetStr("termOrder", d.OrderString(len(p.Sets)))

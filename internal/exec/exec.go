@@ -5,8 +5,8 @@
 //	plan        — the parsed query resolved to posting sets D1..Dk
 //	              (Engine.planAt; carried here as a Plan value)
 //	candidates  — getLCA → getRTF on node IDs (internal/nid), producing
-//	              one lightweight scored Candidate per fragment root:
-//	              root ID, keyword events, score — no node
+//	              one lightweight scored Candidate per fragment root the
+//	              page could return: root ID, keyword events, score — no node
 //	              materialization, no strings. No request merges its
 //	              posting lists twice: ELCA's stack merge dispatches
 //	              getRTF's keyword nodes as its roots pop, and SLCA
@@ -23,18 +23,20 @@
 //	              assembly in the xks package), run only for the
 //	              selected candidates
 //
-// The late-materialization contract: a Candidate is cheap — selection
-// consults only the fragment root and its keyword events (scoring needs
-// nothing else), so pruning and assembly costs scale with the number of
-// *returned* fragments, not the number of matching fragments. Ranked
-// corpus search over N documents with Limit=10 prunes and assembles
+// The late-materialization contract: a page builds handles for its window
+// only. The candidate stage keeps every root, and its score when ranking, in
+// pooled columns, and builds a *Candidate for each of the first
+// Offset+Limit roots of the selection order alone, so selection, pruning and
+// assembly costs scale with the number of *returned* fragments, not the
+// number of matching fragments. Ranked corpus search over N documents with
+// Limit=10 offers at most 10 handles per document, prunes and assembles
 // exactly 10 fragments, and any limited search gathers keyword events for
-// those 10 only (rtf.EventsFor at materialization). Every ELCA/SLCA root
-// covers the query, so the candidate count — the envelope's total — is the
-// root count whether or not the events were gathered. Unranked and
-// unlimited searches select every candidate in document order, so their
-// materialized output is identical to the pre-pipeline eager path
-// (crosschecked in the xks tests).
+// those 10 only (rtf.AppendEventsFor at materialization). Every ELCA/SLCA
+// root covers the query, so the candidate count — the envelope's total — is
+// the root count Candidates reports, whether or not the events were gathered
+// or the handles built. Unranked and unlimited searches select every
+// candidate in document order, so their materialized output is identical to
+// the pre-pipeline eager path (crosschecked in the xks tests).
 //
 // One request loop in the xks package drives these stages, behind Search
 // and Stream of both Engine and Corpus (the NDJSON HTTP path hands a Stream
@@ -144,10 +146,12 @@ type Candidate struct {
 	// Under Params.DeferEvents its KeywordNodes is nil; Roots then carries
 	// what lazy hydration needs.
 	RTF *rtf.IDRTF
-	// Roots is the full interesting-LCA list of the candidate's query
-	// (shared across the document's candidates), kept only when events
-	// were deferred: rtf.EventsFor needs every root — covering or not —
-	// to replay the dispatch inside the candidate's subtree.
+	// Roots is the full interesting-LCA list of the candidate's query,
+	// borrowed from the candidate stage's pooled scratch (shared across the
+	// document's candidates, valid until the stage's release) and set only
+	// when events were deferred: rtf.AppendEventsFor needs every root —
+	// covering or not — to replay the dispatch inside the candidate's
+	// subtree.
 	Roots []nid.ID
 	// IsSLCA reports whether the root is a smallest LCA.
 	IsSLCA bool
@@ -169,14 +173,20 @@ func (c *Candidate) better(o *Candidate) bool {
 }
 
 // Candidates runs the candidate stage — getLCA, getRTF and, when ranking,
-// scoring — merging the plan's posting sets at most once. doc tags the
-// candidates for corpus merges.
+// scoring — merging the plan's posting sets at most once, and returns n, the
+// document's root count (the total a page reports), with handles for the
+// roots a page could return: the window of the first Offset+Limit roots in
+// selection order (score descending, then Seq, when ranking; document order
+// otherwise), or every root when Limit is not positive or the window would
+// overflow. The handles come in document order, Seq being each root's
+// position among all n, and doc tags them for corpus merges. The per-root
+// working data — roots, scores, runs, the window — lives in pooled scratch.
 //
 //   - A page that gathers no events takes the roots of the galloping SLCA
 //     kernel or the ELCA stack merge as its candidates; a ranked SLCA one
 //     scores them in one dispatch pass that folds each event into its root's
-//     score (rtf.BuildScoredIDsCtx). The selected few hydrate their events at
-//     materialization (rtf.EventsFor via Roots).
+//     score (rtf.AppendScores). The selected few hydrate their events at
+//     materialization (rtf.AppendEventsFor via Roots).
 //   - Otherwise every root's keyword events land in pooled scratch in the
 //     same pass: the ELCA stack merge hands each root its run as it pops
 //     (lca.ELCAStackDispatch), SLCA roots take their subtree windows
@@ -186,53 +196,47 @@ func (c *Candidate) better(o *Candidate) bool {
 //     producers left it: RTF.KeywordNodes is a capacity-clipped slice of the
 //     pooled buffer, copied nowhere.
 //
-// Borrowed runs are valid until release is called, which hands the buffer
-// back to the pool for the next request to overwrite: the caller calls it
-// exactly once, after its last read of any candidate's KeywordNodes, and must
-// not let a run escape into anything that outlives the call. release is never
-// nil; it is a no-op when nothing was borrowed (and on error, which releases
-// everything itself).
+// Borrowed runs and Roots (a deferred candidate's view of the root column)
+// are valid until release is called, which hands the scratch back to the
+// pool for the next request to overwrite: the caller calls it exactly once,
+// after its last read of any candidate's KeywordNodes or Roots, and must not
+// let either escape into anything that outlives the call. release is never
+// nil; on error it is a no-op (the stage released everything itself).
 //
 // ctx is checked upfront, periodically inside the merge loops of the LCA and
 // RTF stages (every few thousand events), and periodically between scored
 // candidates, so a cancelled or deadlined context abandons the stage
 // mid-stream with ctx.Err() instead of draining the posting lists. ctx must
 // not be nil; use context.Background() to run uncancellable.
-func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*Candidate, release func(), err error) {
+func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*Candidate, n int, release func(), err error) {
 	release = noRelease
 	if len(p.Sets) == 0 {
-		return nil, release, nil
+		return nil, 0, release, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, release, err
+		return nil, 0, release, err
 	}
 	t, d := params.Tab, p.Decision
 	// deferred: the candidates carry no events. gather: every root's events
 	// are collected (all but an unranked page and a ranked SLCA one).
 	deferred := params.DeferEvents
 	gather := !deferred || params.Rank && !params.SLCAOnly
-	var (
-		buf  []lca.IDEvent
-		runs []rootRun
-		sink func(root nid.ID, events []lca.IDEvent)
-	)
+	sc := runScratchPool.Get().(*runScratch)
+	defer func() {
+		if err == nil {
+			release = sc.put
+		} else {
+			sc.put()
+		}
+	}()
+	sc.runs = sc.runs[:0]
+	var sink func(root nid.ID, events []lca.IDEvent)
 	if gather {
-		sc := runScratchPool.Get().(*runScratch)
 		if n := p.KeywordNodes(); len(sc.buf) < n {
 			sc.buf = make([]lca.IDEvent, n)
 		}
-		buf, runs = sc.buf, sc.runs[:0]
-		defer func() {
-			sc.runs = runs
-			// Only an unlimited stage's candidates keep their runs.
-			if !deferred && err == nil {
-				release = func() { runScratchPool.Put(sc) }
-			} else {
-				runScratchPool.Put(sc)
-			}
-		}()
 		sink = func(root nid.ID, events []lca.IDEvent) {
-			runs = append(runs, rootRun{root, events})
+			sc.runs = append(sc.runs, rootRun{root, events})
 		}
 	}
 	// Traced requests get one child span per sub-stage (getLCA, getRTF),
@@ -240,78 +244,69 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 	// requests pay one nil context lookup and no allocations.
 	sp := trace.SpanFromContext(ctx)
 	lcaSp := sp.Child("lca")
-	var (
-		roots  []nid.ID
-		scored []rtf.ScoredID
-	)
+	lctx := trace.ContextWithSpan(ctx, lcaSp)
 	if params.SLCAOnly {
-		roots, err = lca.SLCAIDsCtx(trace.ContextWithSpan(ctx, lcaSp), t, p.Sets)
+		sc.roots, err = lca.AppendSLCAIDs(lctx, sc.roots[:0], t, p.Sets)
 	} else {
-		roots, err = lca.ELCAStackDispatch(trace.ContextWithSpan(ctx, lcaSp), t, p.Sets, d.Order, buf, sink)
+		sc.roots, err = lca.ELCAStackDispatch(lctx, sc.roots[:0], t, p.Sets, d.Order, sc.buf, sink)
 		// The runs arrive in post-order.
-		slices.SortFunc(runs, func(a, b rootRun) int { return cmp.Compare(a.root, b.root) })
+		slices.SortFunc(sc.runs, func(a, b rootRun) int { return cmp.Compare(a.root, b.root) })
 	}
 	lcaSp.End()
+	roots := sc.roots
 	if err == nil && params.SLCAOnly && (gather || params.Rank) {
 		rtfSp := sp.Child("rtf")
 		rctx := trace.ContextWithSpan(ctx, rtfSp)
 		if gather {
-			err = rtf.DispatchWindows(rctx, t, roots, p.Sets, buf, sink)
+			err = rtf.DispatchWindows(rctx, t, roots, p.Sets, sc.buf, sink)
 		} else {
-			scored, err = rtf.BuildScoredIDsCtx(rctx, t, roots, p.Sets, params.Incremental(p.IDFWords), d.Order, d.Skip)
+			sc.scores, err = rtf.AppendScores(rctx, sc.scores[:0], &sc.scoring, t, roots, p.Sets, params.Incremental(p.IDFWords), d.Order, d.Skip)
 		}
 		rtfSp.End()
 	}
 	if err != nil {
-		return nil, release, err
-	}
-	var shared []nid.ID
-	if deferred {
-		shared = roots
-	}
-	out := newCandidates(t, roots, shared, doc)
-	for i, s := range scored {
-		out[i].Score = s.Score
+		return nil, 0, release, err
 	}
 	// runs[i] is now roots[i]'s run. A ranked stage folds it into the root's
 	// score; all but a page borrow it.
-	var (
-		inc *rank.IncrementalScorer
-		acc []float64
-	)
 	if params.Rank && gather {
-		inc = params.Incremental(p.IDFWords)
-		acc = make([]float64, 2*inc.K())
-	}
-	for i, r := range runs {
-		if i%scoreCheckInterval == scoreCheckInterval-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, release, err
+		inc := params.Incremental(p.IDFWords)
+		sc.acc = slices.Grow(sc.acc[:0], 2*inc.K())[:2*inc.K()]
+		sc.scores = sc.scores[:0]
+		for i, r := range sc.runs {
+			if i%scoreCheckInterval == scoreCheckInterval-1 {
+				if err := ctx.Err(); err != nil {
+					return nil, 0, release, err
+				}
 			}
-		}
-		c := out[i]
-		if inc != nil {
-			c.Score = foldScore(inc, acc, t, r.root, r.events)
-		}
-		if !deferred {
-			c.RTF.KeywordNodes = r.events[:len(r.events):len(r.events)]
+			sc.scores = append(sc.scores, foldScore(inc, sc.acc, t, r.root, r.events))
 		}
 	}
-	sp.SetInt("candidates", int64(len(out)))
-	return out, release, nil
+	sp.SetInt("candidates", int64(len(roots)))
+	return sc.window(params, doc), len(roots), release, nil
 }
 
 // noRelease is the release of a candidate stage that borrowed nothing.
 func noRelease() {}
 
-// runScratch is the pooled working memory of a candidate stage that gathers
-// events: the buffer the producers write every root's run into (Σ|Dᵢ|
-// events), and the (root, run) pairs they hand back. The runs stay in buf,
-// each written once and never moved, so an unlimited stage's candidates
-// borrow them until the caller's release.
+// runScratch is the pooled working memory of a candidate stage, in columns
+// aligned with the roots: the roots themselves, their scores when ranking
+// (and the scoring pass's accumulators), and, when the stage gathers events,
+// the buffer the producers write every root's run into (Σ|Dᵢ| events) and
+// the (root, run) pairs they hand back. The runs stay in buf, each written
+// once and never moved, so the candidates borrow them, and deferred ones the
+// roots, until the caller's release.
 type runScratch struct {
-	buf  []lca.IDEvent
-	runs []rootRun
+	roots   []nid.ID
+	scores  []float64
+	scoring rtf.ScoreScratch // a ranked page's scoring pass
+	acc     []float64        // foldScore's accumulators
+	picks   []pick           // a ranked window
+	buf     []lca.IDEvent
+	runs    []rootRun
+	// put hands the scratch back to the pool: a stage's release, made once
+	// per scratch so that handing it out allocates nothing.
+	put func()
 }
 
 type rootRun struct {
@@ -319,12 +314,19 @@ type rootRun struct {
 	events []lca.IDEvent
 }
 
-var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+var runScratchPool sync.Pool
+
+func init() {
+	runScratchPool.New = func() any {
+		sc := new(runScratch)
+		sc.put = func() { runScratchPool.Put(sc) }
+		return sc
+	}
+}
 
 // foldScore feeds one root's events to the incremental scorer in document
-// order, as rtf.BuildScoredIDsCtx's dispatch does, so the score is
-// bit-identical to its and to the Dewey-code reference's. acc (2·K floats)
-// is scratch.
+// order, as rtf.AppendScores' dispatch does, so the score is bit-identical to
+// its and to the Dewey-code reference's. acc (2·K floats) is scratch.
 func foldScore(inc *rank.IncrementalScorer, acc []float64, t *nid.Table, root nid.ID, events []lca.IDEvent) float64 {
 	clear(acc)
 	best, extra := acc[:inc.K()], acc[inc.K():]
@@ -334,21 +336,67 @@ func foldScore(inc *rank.IncrementalScorer, acc []float64, t *nid.Table, root ni
 	return inc.Finish(best, extra)
 }
 
-// newCandidates builds one candidate per root, in document order: every
-// ELCA/SLCA root covers the query (TestEveryRootCovers), so the roots are the
-// candidates. Each shares shared as its Roots (nil when the events are not
-// deferred).
-func newCandidates(t *nid.Table, roots, shared []nid.ID, doc int) []*Candidate {
-	hulls := make([]rtf.IDRTF, len(roots))
-	slab := make([]Candidate, len(roots))
-	out := make([]*Candidate, len(roots))
-	for i, r := range roots {
-		hulls[i].Root = r
+// pick is a root a ranked window weighs: its score and document-order index,
+// under the ranked order within one document.
+type pick struct {
+	score float64
+	seq   int32
+}
+
+func (a pick) better(b pick) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.seq < b.seq
+}
+
+// handle is a candidate and the RTF it points to, allocated together.
+type handle struct {
+	c Candidate
+	r rtf.IDRTF
+}
+
+// window builds the handles Candidates returns, in document order: every
+// root, or only the first w = Offset+Limit of the selection order when the
+// page bounds it below the root count — the first w roots unranked, the best
+// w by score (a bounded heap of picks) ranked. Every ELCA/SLCA root covers
+// the query (TestEveryRootCovers), so the roots are the candidates.
+func (sc *runScratch) window(params Params, doc int) []*Candidate {
+	t, roots, scores := params.Tab, sc.roots, sc.scores
+	m := len(roots)
+	var picks []pick // nil: the first m roots
+	if w := params.Offset + params.Limit; params.Limit > 0 && w > 0 && w < m {
+		m = w
+		if params.Rank {
+			h := boundedHeap[pick]{k: w, h: sc.picks[:0]}
+			for i, s := range scores {
+				h.offer(pick{s, int32(i)})
+			}
+			slices.SortFunc(h.h, func(a, b pick) int { return cmp.Compare(a.seq, b.seq) })
+			sc.picks, picks = h.h, h.h
+		}
+	}
+	hs := make([]handle, m)
+	out := make([]*Candidate, m)
+	for j := range hs {
+		i := j
+		if picks != nil {
+			i = int(picks[j].seq)
+		}
+		h, r := &hs[j], roots[i]
 		// The roots are sorted and distinct, so r is an SLCA exactly when
 		// the next root is not its descendant.
-		slab[i] = Candidate{Doc: doc, Seq: i, RTF: &hulls[i], Roots: shared,
-			IsSLCA: !(i+1 < len(roots) && t.IsAncestorOf(r, roots[i+1]))}
-		out[i] = &slab[i]
+		h.c = Candidate{Doc: doc, Seq: i, RTF: &h.r, IsSLCA: !(i+1 < len(roots) && t.IsAncestorOf(r, roots[i+1]))}
+		h.r.Root = r
+		if params.Rank {
+			h.c.Score = scores[i]
+		}
+		if params.DeferEvents {
+			h.c.Roots = roots
+		} else {
+			h.r.KeywordNodes = sc.runs[i].events // capacity-clipped by the producer
+		}
+		out[j] = &h.c
 	}
 	return out
 }
@@ -358,7 +406,9 @@ func newCandidates(t *nid.Table, roots, shared []nid.ID, doc int) []*Candidate {
 // applies), unranked searches keep document order; a positive limit
 // truncates either way, and a positive offset skips the first Offset
 // candidates of the selection order before the limit applies — the
-// pagination window [Offset, Offset+Limit) of the full ordering.
+// pagination window [Offset, Offset+Limit) of the full ordering. Candidates'
+// window holds the first Offset+Limit of that ordering, so selecting over it
+// pages exactly as selecting over every root would.
 func Select(cands []*Candidate, params Params) []*Candidate {
 	if !params.Rank {
 		return Page(cands, params.Offset, params.Limit)
@@ -414,13 +464,13 @@ func Materialize(dst []nid.ID, r *rtf.IDRTF, params Params) (kept []nid.ID, visi
 
 // TopK is a bounded, concurrency-safe accumulator of the K best candidates
 // under the ranked total order. Per-document workers Offer their candidates
-// as they produce them; because the order is strict (Doc, Seq break every
-// tie), the surviving set is independent of arrival order, so concurrent
-// corpus searches stay deterministic.
+// as they produce them — at most their window of Offset+Limit each, which
+// is K; because the order is strict (Doc, Seq break every tie), the
+// surviving set is independent of arrival order, so concurrent corpus
+// searches stay deterministic.
 type TopK struct {
 	mu sync.Mutex
-	k  int
-	h  []*Candidate // min-heap: worst surviving candidate at the root
+	h  boundedHeap[*Candidate]
 }
 
 // NewTopK returns an accumulator keeping the k best candidates (k must be
@@ -428,7 +478,7 @@ type TopK struct {
 // so a huge k — e.g. a request paging far past any real result set — costs
 // nothing up front.
 func NewTopK(k int) *TopK {
-	return &TopK{k: k, h: make([]*Candidate, 0, min(k, 1024))}
+	return &TopK{h: boundedHeap[*Candidate]{k: k, h: make([]*Candidate, 0, min(k, 1024))}}
 }
 
 // Offer considers candidates for the top K.
@@ -436,16 +486,7 @@ func (t *TopK) Offer(cands ...*Candidate) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, c := range cands {
-		if len(t.h) < t.k {
-			t.h = append(t.h, c)
-			t.up(len(t.h) - 1)
-			continue
-		}
-		if !c.better(t.h[0]) {
-			continue
-		}
-		t.h[0] = c
-		t.down(0)
+		t.h.offer(c)
 	}
 }
 
@@ -453,42 +494,60 @@ func (t *TopK) Offer(cands ...*Candidate) {
 // drained; further Offer calls start from empty.
 func (t *TopK) Ranked() []*Candidate {
 	t.mu.Lock()
-	out := t.h
-	t.h = make([]*Candidate, 0, min(t.k, 1024))
+	out := t.h.h
+	t.h.h = nil
 	t.mu.Unlock()
 	SortRanked(out)
 	return out
 }
 
-// worse is the heap order: the root holds the candidate every other
-// survivor beats.
-func (t *TopK) worse(i, j int) bool { return t.h[j].better(t.h[i]) }
+// boundedHeap keeps the k best of the elements offered, under their better
+// order: a heap whose root is the worst survivor, which a better newcomer
+// replaces.
+type boundedHeap[T interface{ better(T) bool }] struct {
+	k int
+	h []T
+}
 
-func (t *TopK) up(i int) {
+func (b *boundedHeap[T]) offer(x T) {
+	if len(b.h) < b.k {
+		b.h = append(b.h, x)
+		b.up(len(b.h) - 1)
+	} else if x.better(b.h[0]) {
+		b.h[0] = x
+		b.down(0)
+	}
+}
+
+// worse is the heap order: the root holds the element every other survivor
+// beats.
+func (b *boundedHeap[T]) worse(i, j int) bool { return b.h[j].better(b.h[i]) }
+
+func (b *boundedHeap[T]) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.worse(i, p) {
+		if !b.worse(i, p) {
 			break
 		}
-		t.h[i], t.h[p] = t.h[p], t.h[i]
+		b.h[i], b.h[p] = b.h[p], b.h[i]
 		i = p
 	}
 }
 
-func (t *TopK) down(i int) {
+func (b *boundedHeap[T]) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < len(t.h) && t.worse(l, m) {
+		if l < len(b.h) && b.worse(l, m) {
 			m = l
 		}
-		if r < len(t.h) && t.worse(r, m) {
+		if r < len(b.h) && b.worse(r, m) {
 			m = r
 		}
 		if m == i {
 			return
 		}
-		t.h[i], t.h[m] = t.h[m], t.h[i]
+		b.h[i], b.h[m] = b.h[m], b.h[i]
 		i = m
 	}
 }

@@ -205,7 +205,7 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		ContentOf:   func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
 		Mode:        prune.ValidContributor,
 	}
-	cands, release, err := Candidates(context.Background(), p, params, 3)
+	cands, _, release, err := Candidates(context.Background(), p, params, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 }
 
 func TestCandidatesEmptyPlan(t *testing.T) {
-	if got, _, err := Candidates(context.Background(), Plan{}, Params{}, 0); got != nil || err != nil {
+	if got, _, _, err := Candidates(context.Background(), Plan{}, Params{}, 0); got != nil || err != nil {
 		t.Fatalf("empty plan produced %d candidates", len(got))
 	}
 }

@@ -96,7 +96,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 			}
 		} else {
 			roots = lca.ELCAStackMergeIDs(tab, sets)
-			sinkRoots, err := lca.ELCAStackDispatch(ctx, tab, sets, order, exactBuf(sets), collect(&got))
+			sinkRoots, err := lca.ELCAStackDispatch(ctx, nil, tab, sets, order, exactBuf(sets), collect(&got))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		// score the Dewey-code reference gives them.
 		unlimited := params
 		unlimited.SLCAOnly = slca
-		cands, release, err := Candidates(ctx, plan, unlimited, 0)
+		cands, _, release, err := Candidates(ctx, plan, unlimited, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		// no events kept.
 		page := unlimited
 		page.DeferEvents = true
-		cands, release, err = Candidates(ctx, plan, page, 0)
+		cands, _, release, err = Candidates(ctx, plan, page, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,14 @@
 // ID-based variants of the getLCA stage: the production hot path runs on
 // dense node IDs (internal/nid), LCA/ancestor tests are parent-chain walks on
-// the node table, and the stage allocates only its result. ELCA roots come
-// from one stack pass over the streamed k-way loser-tree merge, which given a
-// sink is getRTF's dispatch as well, so an ELCA request merges its posting
-// lists once. SLCA roots come from one kernel, whatever strategy was
-// requested: Indexed Lookup Eager driven by the smallest list S₁, with a
-// forward-only galloping cursor per other list instead of a binary search
-// over the whole list per probe — cost O(|S₁|·(k−1)·(log gap + depth)). The
-// Dewey-code forms in internal/reference are what the tests check them
-// against.
+// the node table, and a stage allocates nothing but its result, which it
+// appends to the caller's slice. ELCA roots come from one stack pass over the
+// streamed k-way loser-tree merge, which given a sink is getRTF's dispatch as
+// well, so an ELCA request merges its posting lists once. SLCA roots come
+// from one kernel, whatever strategy was requested: Indexed Lookup Eager
+// driven by the smallest list S₁, with a forward-only galloping cursor per
+// other list instead of a binary search over the whole list per probe — cost
+// O(|S₁|·(k−1)·(log gap + depth)). The Dewey-code forms in internal/reference
+// are what the tests check them against.
 
 package lca
 
@@ -184,14 +184,14 @@ func (m *Merger) Next() (ev IDEvent, ok bool) {
 // ELCAStackDispatch without a sink. Identical output modulo representation;
 // verified by cross-check tests.
 func ELCAStackMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _ := ELCAStackDispatch(context.Background(), t, sets, nil, nil, nil)
+	out, _ := ELCAStackDispatch(context.Background(), nil, t, sets, nil, nil, nil)
 	return out
 }
 
 // ELCAStackMergeIDsOrderedCtx is ELCAStackDispatch without a sink: the ELCA
 // roots alone.
 func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
-	return ELCAStackDispatch(ctx, t, sets, order, nil, nil)
+	return ELCAStackDispatch(ctx, nil, t, sets, order, nil, nil)
 }
 
 // SLCAScanMergeIDsCtx is SLCAIDsCtx under the signature of the retired
@@ -199,7 +199,7 @@ func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid
 // the smallest list's nodes, so it beats a full merge scan at every skew, and
 // its output is independent of the merge order, which it ignores.
 func SLCAScanMergeIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, _ []int) ([]nid.ID, error) {
-	return slcaIDs(ctx, t, sets)
+	return AppendSLCAIDs(ctx, nil, t, sets)
 }
 
 // elcaEntry is one path node on the ELCA stack: the keywords its subtree
@@ -213,7 +213,7 @@ type elcaEntry struct {
 
 // ELCAStackDispatch is the ELCA stack kernel: one pass over the streamed
 // merge of the posting lists, keeping the stack of path nodes from the root
-// to the current event, returning the ELCAs in pre-order.
+// to the current event, appending the ELCAs to dst in pre-order.
 //
 // Given a sink it is getRTF's dispatch too. A keyword node belongs to its
 // deepest ELCA ancestor-or-self, and the stack pops deepest first, so when an
@@ -228,15 +228,15 @@ type elcaEntry struct {
 // ctx is consulted every ctxCheckInterval events, abandoning the merge with
 // ctx.Err(), and its span gets the merge's counters. order is the planner's
 // loser-tree leaf order (nil = query order); the output is independent of it.
-func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int, buf []IDEvent, sink func(root nid.ID, events []IDEvent)) ([]nid.ID, error) {
+func ELCAStackDispatch(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][]nid.ID, order []int, buf []IDEvent, sink func(root nid.ID, events []IDEvent)) ([]nid.ID, error) {
 	k := len(sets)
 	if k == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	rarest := 0
 	for i, s := range sets {
 		if len(s) == 0 {
-			return nil, nil
+			return dst, nil
 		}
 		if len(s) < len(sets[rarest]) {
 			rarest = i
@@ -248,7 +248,8 @@ func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order
 		stack []elcaEntry // stack[d] = path node at depth d
 		// Each ELCA holds a witness of every keyword that no other ELCA's
 		// residual holds, so there are at most |D_rarest| of them.
-		result     = make([]nid.ID, 0, len(sets[rarest]))
+		result     = slices.Grow(dst, len(sets[rarest]))
+		base       = len(dst)
 		pending    = 0        // buf[:pending]: events no ELCA has taken yet
 		top        = len(buf) // buf[top:]: the runs handed to sink
 		dispatched = 0
@@ -309,13 +310,13 @@ func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order
 		}
 	}
 	pop(0)
-	sortIDs(result)
+	slices.Sort(result[base:])
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		sp.SetInt("mergeEvents", int64(events))
-		sp.SetInt("roots", int64(len(result)))
+		sp.SetInt("roots", int64(len(result)-base))
 		if sink != nil {
 			sp.SetInt("dispatchedEvents", int64(dispatched))
-			sp.SetInt("coveringRTFs", int64(len(result)))
+			sp.SetInt("coveringRTFs", int64(len(result)-base))
 		}
 	}
 	return result, nil
@@ -326,18 +327,19 @@ func ELCAStackDispatch(ctx context.Context, t *nid.Table, sets [][]nid.ID, order
 // every other list, keeping only minimal candidates. Identical output modulo
 // representation.
 func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _ := slcaIDs(nil, t, sets)
+	out, _ := AppendSLCAIDs(nil, nil, t, sets)
 	return out
 }
 
 // SLCAIDsCtx is SLCAIDs with periodic cancellation checks over the
 // smallest-list scan, mirroring ELCAStackDispatch.
 func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
-	return slcaIDs(ctx, t, sets)
+	return AppendSLCAIDs(ctx, nil, t, sets)
 }
 
-// slcaIDs is the SLCA kernel. For each node v of the smallest list, in
-// pre-order, a forward-only galloping cursor per other list Sᵢ finds v's
+// AppendSLCAIDs is the SLCA kernel, appending the roots to dst (a nil ctx is
+// never checked). For each node v of the smallest list, in pre-order, a
+// forward-only galloping cursor per other list Sᵢ finds v's
 // pre-order successor in Sᵢ (and so its predecessor), and x = lca(x, u)
 // chains with the deeper LCA of the two. x stays an ancestor-or-self of v,
 // and the LCA of x with any u is the shallower of x and lca(v, u), whose
@@ -347,14 +349,14 @@ func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, e
 // that root's ancestor-or-self and not smallest, and since x only climbs the
 // chain stops as soon as it gets there — or after it, replacing it when it is
 // a descendant. The kept list stays sorted without a sort.
-func slcaIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
+func AppendSLCAIDs(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
 	if len(sets) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	smallest := 0
 	for i, s := range sets {
 		if len(s) == 0 {
-			return nil, nil
+			return dst, nil
 		}
 		if len(s) < len(sets[smallest]) {
 			smallest = i
@@ -366,7 +368,7 @@ func slcaIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, erro
 		pos = make([]int, len(sets))
 	}
 	rarest := sets[smallest]
-	out := make([]nid.ID, 0, len(rarest))
+	out, base := slices.Grow(dst, len(rarest)), len(dst)
 	for n, v := range rarest {
 		if ctx != nil && n%ctxCheckInterval == ctxCheckInterval-1 {
 			if err := ctx.Err(); err != nil {
@@ -375,7 +377,7 @@ func slcaIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, erro
 		}
 		x := v
 		floor := nid.None // x at or above the last kept root is not smallest
-		if len(out) > 0 {
+		if len(out) > base {
 			floor = out[len(out)-1]
 		}
 		for i, s := range sets {
@@ -407,7 +409,7 @@ func slcaIDs(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, erro
 	}
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		sp.SetInt("mergeEvents", int64(len(rarest)))
-		sp.SetInt("roots", int64(len(out)))
+		sp.SetInt("roots", int64(len(out)-base))
 	}
 	return out, nil
 }
@@ -433,8 +435,4 @@ func gallopGE(s []nid.ID, lo int, v nid.ID) int {
 		}
 	}
 	return lo
-}
-
-func sortIDs(ids []nid.ID) {
-	slices.Sort(ids)
 }

@@ -3,6 +3,7 @@ package lca
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xks/internal/dewey"
@@ -33,7 +34,7 @@ func randomIDSets(rng *rand.Rand, nodes, k int) (*nid.Table, [][]nid.ID) {
 				sets[i] = append(sets[i], id)
 			}
 		}
-		sortIDs(sets[i])
+		slices.Sort(sets[i])
 	}
 	return t, sets
 }

@@ -7,15 +7,15 @@
 // pass (lca.ELCAStackDispatch); SLCA roots, which never nest, take their
 // subtree windows of the posting lists (DispatchWindows); a ranked SLCA page
 // folds each dispatched event into its root's score without keeping it
-// (BuildScoredIDsCtx); and a bounded page hydrates the events of the few
+// (AppendScores); and a bounded page hydrates the events of the few
 // fragments it returns (EventsFor).
 //
 // BuildIDs is getRTF as a pass of its own: no request runs it, so it is the
 // tests' reference for the producers above, and BuildIDsPlanned is what the
-// bench harness replays. Its dispatch loop serves BuildScoredIDsCtx and
-// EventsFor's nested windows. The Dewey-code Build and the literal
-// Definitions 1–2 enumeration it is checked against live in
-// internal/reference.
+// bench harness replays, with BuildScoredIDsCtx, AppendScores' filtering
+// form. Its dispatch loop serves AppendScores and EventsFor's nested
+// windows. The Dewey-code Build and the literal Definitions 1–2 enumeration
+// it is checked against live in internal/reference.
 package rtf
 
 import (

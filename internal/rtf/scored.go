@@ -1,6 +1,6 @@
 // Events only for the page: searches that will materialize only a few
 // selected candidates don't need each candidate's keyword-event list.
-// Ranked ones need its score, so BuildScoredIDsCtx folds every dispatched
+// Ranked ones need its score, so AppendScores folds every dispatched
 // event straight into per-root score accumulators (bit-identical to scoring
 // the materialized list, see rank.IncrementalScorer); unranked ones need
 // nothing beyond the roots. EventsFor then reconstructs the event list
@@ -34,42 +34,68 @@ type ScoredID struct {
 // and returns, in pre-order, every root whose dispatched nodes cover the
 // whole query, scored as if its event list had been materialized and passed
 // to Scorer.ScoreIDs (the same incremental fold, events in the same order).
-// Compared to BuildIDsPlanned it allocates O(roots) accumulators instead of
-// O(events) event lists. Ranked SLCA pages run it; a ranked ELCA page scores
-// the runs of the stack merge that found its roots instead.
+// It is AppendScores keeping the covering roots.
 func BuildScoredIDsCtx(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, sc *rank.IncrementalScorer, order []int, skip bool) ([]ScoredID, error) {
-	if len(lcas) == 0 {
-		return nil, nil
-	}
-	full := lca.FullMask(len(sets))
-	k := sc.K()
-	masks := make([]uint64, len(lcas))
-	acc := make([]float64, 2*k*len(lcas)) // per root: best[0:k], extra[k:2k]
-	total, err := dispatch(ctx, t, lcas, sets, order, skip, func(i int, ev lca.IDEvent) {
-		masks[i] |= ev.Mask
-		off := 2 * k * i
-		sc.Update(acc[off:off+k], acc[off+k:off+2*k], int(t.Depth(ev.ID)-t.Depth(lcas[i])), ev.Mask)
-	})
+	var s ScoreScratch
+	scores, err := AppendScores(ctx, make([]float64, 0, len(lcas)), &s, t, lcas, sets, sc, order, skip)
 	if err != nil {
 		return nil, err
 	}
+	full := lca.FullMask(len(sets))
 	kept := make([]ScoredID, 0, len(lcas))
-	for i, m := range masks {
-		if m != full {
-			continue
+	for i, score := range scores {
+		if s.masks[i] == full {
+			kept = append(kept, ScoredID{Root: lcas[i], Score: score})
+		}
+	}
+	return kept, nil
+}
+
+// ScoreScratch is AppendScores' reusable working memory, aligned with the
+// roots it scores: per root the scorer's accumulators, best[0:K] and
+// extra[K:2K], and the mask of the keywords its dispatched nodes cover. The
+// zero value is ready to use.
+type ScoreScratch struct {
+	acc   []float64
+	masks []uint64
+}
+
+// AppendScores is the scoring dispatch pass of a ranked SLCA page: it appends
+// to dst one score per root of lcas, aligned with lcas, folding every
+// dispatched event straight into its root's accumulators in s, so it
+// allocates nothing per event or, once s has grown, per root. A root whose
+// dispatched nodes miss a keyword (no LCA root does) scores what it got.
+func AppendScores(ctx context.Context, dst []float64, s *ScoreScratch, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, sc *rank.IncrementalScorer, order []int, skip bool) ([]float64, error) {
+	if len(lcas) == 0 {
+		return dst, nil
+	}
+	k := sc.K()
+	s.acc = slices.Grow(s.acc[:0], 2*k*len(lcas))[:2*k*len(lcas)]
+	s.masks = slices.Grow(s.masks[:0], len(lcas))[:len(lcas)]
+	clear(s.acc)
+	clear(s.masks)
+	total, err := dispatch(ctx, t, lcas, sets, order, skip, func(i int, ev lca.IDEvent) {
+		s.masks[i] |= ev.Mask
+		off := 2 * k * i
+		sc.Update(s.acc[off:off+k], s.acc[off+k:off+2*k], int(t.Depth(ev.ID)-t.Depth(lcas[i])), ev.Mask)
+	})
+	if err != nil {
+		return dst, err
+	}
+	full, covering := lca.FullMask(len(sets)), 0
+	for i, m := range s.masks {
+		if m == full {
+			covering++
 		}
 		off := 2 * k * i
-		kept = append(kept, ScoredID{
-			Root:  lcas[i],
-			Score: sc.Finish(acc[off:off+k], acc[off+k:off+2*k]),
-		})
+		dst = append(dst, sc.Finish(s.acc[off:off+k], s.acc[off+k:off+2*k]))
 	}
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		sp.SetInt("dispatchedEvents", int64(total))
-		sp.SetInt("coveringRTFs", int64(len(kept)))
-		sp.SetInt("partialRTFs", int64(len(lcas)-len(kept)))
+		sp.SetInt("coveringRTFs", int64(covering))
+		sp.SetInt("partialRTFs", int64(len(lcas)-covering))
 	}
-	return kept, nil
+	return dst, nil
 }
 
 // EventsFor reconstructs the keyword-event list of the RTF rooted at root,

@@ -68,8 +68,8 @@ func TestColdMissAllocs(t *testing.T) {
 		be        service.Backend
 		ten, more float64
 	}{
-		{"single", service.SingleDoc{Name: "dblp", Engine: tree(3)}, 69, 71},
-		{"corpus", corpus, 118, 120},
+		{"single", service.SingleDoc{Name: "dblp", Engine: tree(3)}, 60, 62},
+		{"corpus", corpus, 103, 105},
 	} {
 		sv := service.New(b.be, service.Config{}) // no cache: every request misses
 		for _, c := range []struct {
