@@ -349,7 +349,8 @@ func TestRankedPageHydratesIntoScratch(t *testing.T) {
 // matches nothing stops after planning; an SLCA limit=10 page runs every
 // stage, with its roots in the candidate stage's pooled columns and handles
 // for its window of ten alone, hydrates its deferred events into the block's
-// pooled buffer and assembles its page as one block. AllocsPerRun's
+// pooled buffer and assembles its page as one block, its Matched slices
+// carved from one array. AllocsPerRun's
 // average rounds down, which absorbs a collection emptying a pool
 // mid-measurement.
 func TestSingleDocumentSearchAllocs(t *testing.T) {
@@ -359,7 +360,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 28},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 27},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -643,6 +644,39 @@ func TestTreeWriteXMLAllocsDoNotScale(t *testing.T) {
 	}
 }
 
+// TestEncodedPageAllocsNoMemo: the serving layer encodes a collected page
+// through WriteXML, which renders from the fragment's view and leaves the
+// render memo alone, so a page searched and then written fragment by
+// fragment allocates what the search alone does and holds no memo, tree-
+// and store-backed.
+func TestEncodedPageAllocsNoMemo(t *testing.T) {
+	for _, backing := range blockBackings {
+		e := backing.build(t, 200)
+		search := func() []*Fragment {
+			res, err := e.Search(context.Background(), Request{Query: blockQuery})
+			if err != nil || len(res.Fragments) != 200 {
+				t.Fatalf("%s: %d fragments, err %v", backing.name, len(res.Fragments), err)
+			}
+			return res.Fragments
+		}
+		searched := testing.AllocsPerRun(20, func() { search() })
+		written := testing.AllocsPerRun(20, func() {
+			for _, f := range search() {
+				if err := f.WriteXML(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+				if f.memo.Load() != nil {
+					t.Fatalf("%s: WriteXML installed fragment %s's render memo", backing.name, f.Root)
+				}
+			}
+		})
+		if written != searched {
+			t.Errorf("%s: a 200-fragment page allocates %.0f objects searched and written, %.0f searched alone; want the same",
+				backing.name, written, searched)
+		}
+	}
+}
+
 // TestAppendAllocBytesDoNotScale pins "a write costs what it appends": the
 // same 256 tail appends allocate as many bytes on a 64 k-node document as on
 // a 2 k-node one. Node table, source tables, segment list and merged posting
@@ -679,10 +713,21 @@ func TestAppendAllocBytesDoNotScale(t *testing.T) {
 
 // TestFragmentAllocSizeClass: fragments are carved by value from their
 // block's or window's slab, so the struct's size is paid once per fragment
-// every request assembles; it has fit the 288-byte size class, and a field
-// that tips it past costs every fragment the bytes.
+// every request assembles. The per-document context and the render memos
+// sit behind one pointer each, which keeps it at 120 bytes; a field that
+// grows it costs every fragment the bytes.
 func TestFragmentAllocSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Fragment{}); size > 288 {
-		t.Errorf("Fragment is %d bytes, past the 288-byte size class", size)
+	if size := unsafe.Sizeof(Fragment{}); size > 120 {
+		t.Errorf("Fragment is %d bytes, want at most 120", size)
+	}
+}
+
+// TestFragmentNodeAllocSizeClass: kept nodes are carved by value from their
+// block's or window's slab, one per kept node of every answer, so the
+// record's size is most of a materialized answer's bytes. It carries no
+// text (Fragment.NodeText) and packs Level beside IsKeywordNode: 64 bytes.
+func TestFragmentNodeAllocSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(FragmentNode{}); size > 64 {
+		t.Errorf("FragmentNode is %d bytes, want at most 64", size)
 	}
 }

@@ -192,7 +192,7 @@ func requireSamePage(t *testing.T, label string, got, want blockPage) {
 		}
 		for j := range a.Nodes {
 			na, nb := a.Nodes[j], b.Nodes[j]
-			if na.Dewey != nb.Dewey || na.Label != nb.Label || na.Text != nb.Text || na.Level != nb.Level ||
+			if na.Dewey != nb.Dewey || na.Label != nb.Label || a.NodeText(j) != b.NodeText(j) || na.Level != nb.Level ||
 				na.IsKeywordNode != nb.IsKeywordNode || !slices.Equal(na.Matched, nb.Matched) {
 				t.Fatalf("%s fragment %d node %d: %+v, stream %+v", label, i, j, na, nb)
 			}
@@ -478,8 +478,8 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 func fragmentDigest(f *Fragment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %v %x %d\n%s\n", f.Root, f.IsSLCA, math.Float64bits(f.Score), f.Pruned, f.XML())
-	for _, n := range f.Nodes {
-		fmt.Fprintf(&b, "%s %s %s %d %v %v\n", n.Dewey, n.Label, n.Text, n.Level, n.IsKeywordNode, n.Matched)
+	for i, n := range f.Nodes {
+		fmt.Fprintf(&b, "%s %s %s %d %v %v\n", n.Dewey, n.Label, f.NodeText(i), n.Level, n.IsKeywordNode, n.Matched)
 	}
 	return b.String()
 }

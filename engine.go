@@ -159,16 +159,20 @@ type Engine struct {
 	assembled atomic.Uint64
 }
 
-// view is one query's resolved read state: a pinned snapshot plus the
-// scorer whose IDF weights reflect exactly the nodes that snapshot sees.
-// Callers must release it exactly once when the query finishes.
+// view is one query's resolved read state of one document: a pinned
+// snapshot plus the scorer whose IDF weights reflect exactly the nodes that
+// snapshot sees. Callers must release it exactly once when the query
+// finishes; the query's fragments keep rendering from it (pins are
+// accounting, not lifetime).
 type view struct {
 	snap   *delta.Snapshot
 	scorer *rank.Scorer
 	// src is the document source's tables, pinned after the snapshot: a
 	// writer extends them before it publishes the head that makes new IDs
 	// visible, so they cover every ID the snapshot holds.
-	src *srcState
+	src   *srcState
+	eng   *Engine
+	words []string // the plan's IDF words, set before any fragment exists
 }
 
 func (v *view) release() { v.snap.Release() }
@@ -179,7 +183,7 @@ func (e *Engine) viewAt(h *delta.Head, n int) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.pin()}, nil
+	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.pin(), eng: e}, nil
 }
 
 // currentView pins the engine's newest published state. Resolving a head
@@ -930,6 +934,7 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	st.plan, err = e.planAt(v, req.Query)
 	if err == nil {
 		st.plan.Decision = e.decideAt(v, req, st.plan)
+		v.words = st.plan.IDFWords
 	}
 	st.planTime = time.Since(planStart)
 	planSp.SetInt("keywordNodes", int64(st.plan.KeywordNodes()))
@@ -1180,10 +1185,12 @@ type prunedCand struct {
 
 // matchedSet is a request's FragmentNode.Matched values, one slice per
 // keyword mask, shared by every fragment the request assembles (read-only):
-// the masks of a query's keyword nodes are few, its fragments many.
+// the masks of a query's keyword nodes are few, its fragments many. The
+// slices are carved from slab, the request's alone like its other slabs.
 type matchedSet struct {
 	keywords []string
 	masks    []matchedWords
+	slab     []string
 }
 
 // matchedWords is the FragmentNode.Matched value of one keyword mask.
@@ -1201,14 +1208,15 @@ func (m *matchedSet) use(keywords []string) {
 }
 
 // of returns the Matched slice of a keyword mask, building it on the mask's
-// first keyword node.
+// first keyword node. A slab that runs short is replaced by one with room for
+// a few more masks of the plan's k keywords: 4k words.
 func (m *matchedSet) of(mask uint64) []string {
 	for _, mw := range m.masks {
 		if mw.mask == mask {
 			return mw.words
 		}
 	}
-	words := make([]string, 0, bits.OnesCount64(mask))
+	words := carve(&m.slab, bits.OnesCount64(mask), 4*len(m.keywords))[:0]
 	for i, w := range m.keywords {
 		if mask&(1<<uint(i)) != 0 {
 			words = append(words, w)
@@ -1272,8 +1280,8 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 // fragments. Everything runs on node IDs:
 // keyword-node masks come from a two-pointer merge of the (sorted) kept IDs
 // and keyword events, a kept node's label comes from the label column of the
-// source tables its request pinned — which the fragment renders from — and
-// a tree node's text from the pinned nodes, and Dewey codes surface only as
+// source tables its request pinned — which the fragment renders from, and
+// reads a tree node's text from (NodeText) — and Dewey codes surface only as
 // zero-copy table views rendered into the public strings. A fragment's Root
 // is its first node's Dewey string: the keep-set is ancestor-closed, so the
 // root is always kept, first.
@@ -1310,7 +1318,7 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 	for i, p := range b.pruned {
 		d := &docs[p.c.Doc]
 		d.eng.assembled.Add(1)
-		tab, st := d.params.Tab, d.v.src
+		tab, labels := d.params.Tab, d.v.src.labels
 		kept := ids[off : off+p.n : off+p.n]
 		fn := nodes[off : off+p.n : off+p.n]
 		off += p.n
@@ -1320,10 +1328,7 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 			start := deweys.Len()
 			deweys.Write(tab.Code(id).AppendString(scratch[:0]))
 			n := &fn[k]
-			n.Dewey, n.Label, n.Level = deweys.String()[start:], st.labels.Of(id), int(tab.Depth(id))
-			if st.nodes != nil {
-				n.Text = st.nodes[id].Text
-			}
+			n.Dewey, n.Label, n.Level = deweys.String()[start:], labels.Of(id), tab.Depth(id)
 			for j < len(events) && events[j].ID < id {
 				j++
 			}
@@ -1335,8 +1340,7 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 		f := &frags[i]
 		f.Root, f.RootLabel, f.IsSLCA, f.Score = fn[0].Dewey, fn[0].Label, p.c.IsSLCA, p.c.Score
 		f.Nodes, f.Pruned = fn, p.visited-p.n
-		f.tab, f.keptIDs, f.st = tab, kept, st
-		f.src, f.words, f.snip = d.eng.src, d.plan.IDFWords, d.eng.snip
+		f.v, f.keptIDs = d.v, kept
 	}
 	return frags
 }

@@ -214,7 +214,7 @@ func TestFragmentNodeMetadata(t *testing.T) {
 		t.Errorf("first keyword node = %+v", kns[0])
 	}
 	for _, n := range f.Nodes {
-		if n.Level != len(strings.Split(n.Dewey, "."))-1 {
+		if int(n.Level) != len(strings.Split(n.Dewey, "."))-1 {
 			t.Errorf("level mismatch for %s", n.Dewey)
 		}
 	}

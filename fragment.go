@@ -11,16 +11,15 @@ import (
 	"xks/internal/snippet"
 )
 
-// FragmentNode is one kept node of a meaningful fragment.
+// FragmentNode is one kept node of a meaningful fragment: 64 bytes, paid per
+// kept node of every answer. Its text is Fragment.NodeText.
 type FragmentNode struct {
 	// Dewey is the node's Dewey code in dotted form, e.g. "0.2.0.1".
 	Dewey string
 	// Label is the element name.
 	Label string
-	// Text is the element's own text value, if any.
-	Text string
 	// Level is the node depth in the document (root = 0).
-	Level int
+	Level int32
 	// IsKeywordNode reports whether the node matched query keywords.
 	IsKeywordNode bool
 	// Matched lists the query keywords this node matched. Nodes of one
@@ -35,7 +34,8 @@ type FragmentNode struct {
 // up to 64 at a time) or of their window (a stream's windows of 1, 2, 4, …
 // up to 64 fragments) — their Nodes, their Dewey and Root strings, their
 // kept IDs — so a retained fragment keeps at most 64 fragments' arrays
-// alive.
+// alive. The render memos sit behind a pointer that the first XML, ASCII or
+// Contains call fills: a page that is only encoded (WriteXML) has none.
 type Fragment struct {
 	// Root is the Dewey code of the fragment's interesting LCA node: the
 	// first node's Dewey string (the root is always kept, first).
@@ -54,57 +54,61 @@ type Fragment struct {
 	// size) — the per-fragment effectiveness number tracing reports.
 	Pruned int
 
-	// keptIDs is the ordered (pre-order, ancestor-closed, so root first)
-	// keep-set from pruning as IDs into tab, the node table of the snapshot
-	// the search read: a kept node's Dewey code and depth are zero-copy
-	// lookups there, so no renderer re-parses a string key and the fragment
-	// carries no Dewey slices of its own. st is the source's ID-aligned
-	// tables as of materialization, which keptIDs also index — held here so
-	// a fragment cached across a renumbering rebuild still renders its own
-	// nodes (for a store, its frozen label column). keep is the same set
-	// keyed by dewey key for membership tests, built lazily (via keepSet)
-	// because only Contains and the ASCII tree renderer consult it — neither
-	// the search hot path nor an XML render pays for the map.
-	tab     *nid.Table
+	// v is what every fragment of the document shares in its request: the
+	// snapshot's node table, which keptIDs (the pre-order, ancestor-closed
+	// keep-set from pruning) index — a kept node's Dewey code and depth are
+	// zero-copy lookups there — and the source tables pinned with it, so a
+	// fragment cached across a renumbering rebuild still renders its own
+	// nodes (for a store, its frozen label column).
+	v       *view
 	keptIDs []nid.ID
-	st      *srcState
-	keep    map[string]bool
-	src     docSource
-	words   []string
-	snip    *snippet.Generator
+	memo    atomic.Pointer[fragMemo]
+}
 
-	// Rendered forms are computed once and shared: fragments are cached by
-	// the serving layer (internal/service) and may be rendered concurrently
-	// by many requests. xmlDone publishes xmlText to WriteXML without
-	// touching the Once (set inside xmlOnce.Do after xmlText is assigned).
-	xmlText   string
-	asciiText string
-	// The Onces sit together so their 12 bytes each and the flag pack into
-	// 40: every assembled fragment pays the struct's size in its slab, and
-	// this keeps it within 288 bytes (TestFragmentAllocSizeClass).
-	keepOnce  sync.Once
-	xmlOnce   sync.Once
-	asciiOnce sync.Once
-	xmlDone   atomic.Bool
+// fragMemo is a fragment's rendered forms, computed once and shared: the
+// serving layer caches fragments, and many requests may render one at once.
+// keep is the kept set by dewey key (Contains, the tree's ASCII renderer).
+// xmlDone publishes xmlText to WriteXML without touching the Once.
+type fragMemo struct {
+	keep                         map[string]bool
+	xmlText, asciiText           string
+	keepOnce, xmlOnce, asciiOnce sync.Once
+	xmlDone                      atomic.Bool
+}
+
+// memos returns the fragment's memo; racing first calls install one.
+func (f *Fragment) memos() *fragMemo {
+	if f.memo.Load() == nil {
+		f.memo.CompareAndSwap(nil, new(fragMemo))
+	}
+	return f.memo.Load()
 }
 
 // Len returns the number of kept nodes.
 func (f *Fragment) Len() int { return len(f.Nodes) }
 
-// keepSet returns the kept codes keyed by dewey key, building the map on
-// first use (fragments are shared by the serving layer's cache, hence the
-// sync.Once).
+// NodeText returns Nodes[i]'s own text, read from the pinned source tables
+// of a tree-backed engine; a store-backed engine keeps none and returns "".
+func (f *Fragment) NodeText(i int) string {
+	if nodes := f.v.src.nodes; nodes != nil {
+		return nodes[f.keptIDs[i]].Text
+	}
+	return ""
+}
+
+// keepSet returns the kept codes keyed by dewey key, built on first use.
 func (f *Fragment) keepSet() map[string]bool {
-	f.keepOnce.Do(func() {
-		m := make(map[string]bool, len(f.keptIDs))
+	m := f.memos()
+	m.keepOnce.Do(func() {
+		keep := make(map[string]bool, len(f.keptIDs))
 		var buf []byte
 		for _, id := range f.keptIDs {
-			buf = f.tab.Code(id).AppendKey(buf[:0])
-			m[string(buf)] = true
+			buf = f.v.snap.Table().Code(id).AppendKey(buf[:0])
+			keep[string(buf)] = true
 		}
-		f.keep = m
+		m.keep = keep
 	})
-	return f.keep
+	return m.keep
 }
 
 // Contains reports whether the fragment kept the node with the given Dewey
@@ -138,15 +142,15 @@ func (f *Fragment) Snippet() string {
 		if !n.IsKeywordNode {
 			continue
 		}
-		text := n.Text
+		text := f.NodeText(i)
 		if text == "" {
 			// Store-backed fragments have no raw text; use the content
 			// words instead (keptIDs[i] is the ID of Nodes[i]).
-			text = strings.Join(f.src.contentOfID(f.keptIDs[i]), " ")
+			text = strings.Join(f.v.eng.src.contentOfID(f.keptIDs[i]), " ")
 		}
 		sources = append(sources, snippet.Source{Label: n.Label, Text: text})
 	}
-	return f.snip.Generate(sources, f.words)
+	return f.v.eng.snip.Generate(sources, f.v.words)
 }
 
 // ASCII renders the fragment as an indented tree in the style of the
@@ -154,21 +158,25 @@ func (f *Fragment) Snippet() string {
 // raw text. The rendering is computed once and reused (fragments are
 // shared by the serving layer's cache).
 func (f *Fragment) ASCII() string {
-	f.asciiOnce.Do(func() {
-		f.asciiText = f.src.renderASCII(f)
+	m := f.memos()
+	m.asciiOnce.Do(func() {
+		m.asciiText = f.v.eng.src.renderASCII(f)
 	})
-	return f.asciiText
+	return m.asciiText
 }
 
 // XML serializes the fragment as an XML snippet. Store-backed fragments
 // render the element skeleton with content words. The rendering is
 // computed once and reused.
 func (f *Fragment) XML() string {
-	f.xmlOnce.Do(func() {
-		f.xmlText = f.src.renderXML(f)
-		f.xmlDone.Store(true)
+	m := f.memos()
+	m.xmlOnce.Do(func() {
+		var b strings.Builder
+		f.v.eng.src.renderXMLTo(&b, f) // a Builder's writes cannot fail
+		m.xmlText = b.String()
+		m.xmlDone.Store(true)
 	})
-	return f.xmlText
+	return m.xmlText
 }
 
 // WriteXML renders the fragment's XML into w — byte-identical to XML(),
@@ -176,11 +184,11 @@ func (f *Fragment) XML() string {
 // each cached page once, straight into its encoded response bytes, and
 // keeps those instead. When the rendering was already memoized by XML(),
 // the cached string is written instead of re-rendering; WriteXML itself
-// does not populate the cache.
+// neither populates the cache nor allocates the memo.
 func (f *Fragment) WriteXML(w io.Writer) error {
-	if f.xmlDone.Load() {
-		_, err := io.WriteString(w, f.xmlText)
+	if m := f.memo.Load(); m != nil && m.xmlDone.Load() {
+		_, err := io.WriteString(w, m.xmlText)
 		return err
 	}
-	return f.src.renderXMLTo(w, f)
+	return f.v.eng.src.renderXMLTo(w, f)
 }

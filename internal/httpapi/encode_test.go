@@ -50,7 +50,7 @@ func serve(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder
 // requestOf parses path the way the handler does.
 func requestOf(t *testing.T, path string) (xks.Request, bool) {
 	t.Helper()
-	req, snippets, err := parseRequest(httptest.NewRequest(http.MethodGet, path, nil))
+	req, snippets, err := parseRequest(httptest.NewRequest(http.MethodGet, path, nil).URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}

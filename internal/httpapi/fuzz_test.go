@@ -28,7 +28,7 @@ func FuzzParseRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: raw}}
-		req, _, err := parseRequest(r)
+		req, _, err := parseRequest(r.URL.Query())
 		if err != nil {
 			return
 		}

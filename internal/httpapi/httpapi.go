@@ -88,6 +88,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -226,10 +227,9 @@ type StatsResponse struct {
 	Server         service.Snapshot `json:"server"`
 }
 
-// parseRequest builds the xks.Request from the query parameters; the error
-// message is returned to the client with a 400.
-func parseRequest(r *http.Request) (xks.Request, bool, error) {
-	q := r.URL.Query()
+// parseRequest builds the xks.Request from the parsed query parameters;
+// the error message is returned to the client with a 400.
+func parseRequest(q url.Values) (xks.Request, bool, error) {
 	req := xks.Request{Query: q.Get("q"), Document: q.Get("doc")}
 	if req.Query == "" {
 		return req, false, fmt.Errorf(`missing "q" parameter: %w`, xks.ErrEmptyQuery)
@@ -501,7 +501,8 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 	}
 	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		req, withSnippets, err := parseRequest(r)
+		params := r.URL.Query()
+		req, withSnippets, err := parseRequest(params)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -520,7 +521,7 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 		// explain=1 returns the span tree to the client; a slow-query
 		// threshold traces every search so the ones that cross it can be
 		// logged with their full breakdown.
-		explain := r.URL.Query().Get("explain") == "1"
+		explain := params.Get("explain") == "1"
 		var tr *trace.Trace
 		if explain || opts.SlowQuery > 0 {
 			tr = trace.New("search")
@@ -581,7 +582,7 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 			return
 		}
 
-		if r.URL.Query().Get("stream") == "1" {
+		if params.Get("stream") == "1" {
 			streamSearch(ctx, w, svc, logger, req, withSnippets, explain, tr)
 			return
 		}

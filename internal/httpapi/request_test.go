@@ -147,7 +147,7 @@ func TestDeadlineExceededIs504(t *testing.T) {
 // honored (the parse keeps the request well-formed).
 func TestTimeoutParamCapped(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/search?q=x&timeout=10h", nil)
-	req, _, err := parseRequest(r)
+	req, _, err := parseRequest(r.URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,10 @@ func TestSearchPageHitAllocs(t *testing.T) {
 // cache cannot answer it — to what the backend's collected page costs: the
 // buffered page is one Search, assembled as one block, so a ranked SLCA page
 // of 40 fragments allocates what one of 10 does, over a single document and
-// a corpus alike. The two objects between them are the Matched slices of the
-// keyword masks only the longer page meets ([alpha] and [beta]; both pages
-// hold [alpha beta]). Draining the backend's stream instead costs several
-// objects per fragment.
+// a corpus alike — also when the longer page meets keyword masks the shorter
+// does not ([alpha] and [beta]; both pages hold [alpha beta]): a request's
+// Matched slices are carved from one array. Draining the backend's stream
+// instead costs several objects per fragment.
 func TestColdMissAllocs(t *testing.T) {
 	tree := func(seed int64) *xks.Engine {
 		return xks.FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: seed, NumRecords: 400, Keywords: []datagen.KeywordSpec{
@@ -68,8 +68,8 @@ func TestColdMissAllocs(t *testing.T) {
 		be        service.Backend
 		ten, more float64
 	}{
-		{"single", service.SingleDoc{Name: "dblp", Engine: tree(3)}, 60, 62},
-		{"corpus", corpus, 103, 105},
+		{"single", service.SingleDoc{Name: "dblp", Engine: tree(3)}, 60, 60},
+		{"corpus", corpus, 103, 103},
 	} {
 		sv := service.New(b.be, service.Config{}) // no cache: every request misses
 		for _, c := range []struct {

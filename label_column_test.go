@@ -61,7 +61,7 @@ func sameFragments(t *testing.T, label string, want, got []*Fragment) {
 		}
 		for j, wn := range w.Nodes {
 			gn := g.Nodes[j]
-			if gn.Dewey != wn.Dewey || gn.Label != wn.Label || gn.Text != wn.Text || gn.Level != wn.Level ||
+			if gn.Dewey != wn.Dewey || gn.Label != wn.Label || g.NodeText(j) != w.NodeText(j) || gn.Level != wn.Level ||
 				gn.IsKeywordNode != wn.IsKeywordNode || !slices.Equal(gn.Matched, wn.Matched) {
 				t.Fatalf("%s fragment %d node %d: %+v, want %+v", label, i, j, gn, wn)
 			}

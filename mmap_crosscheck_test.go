@@ -39,7 +39,7 @@ func assertSameResults(t *testing.T, label string, want, got *Engine, req Reques
 		for j := range fa.Nodes {
 			na, nb := fa.Nodes[j], fb.Nodes[j]
 			if na.Dewey != nb.Dewey || na.Label != nb.Label || na.Level != nb.Level ||
-				na.IsKeywordNode != nb.IsKeywordNode || (rendered && na.Text != nb.Text) {
+				na.IsKeywordNode != nb.IsKeywordNode || (rendered && fa.NodeText(j) != fb.NodeText(j)) {
 				t.Fatalf("%s fragment %d node %d: %+v vs %+v", label, i, j, na, nb)
 			}
 		}

@@ -59,14 +59,6 @@ func (s codeSource) idRTF(r *reference.RTF) *rtf.IDRTF {
 	return out
 }
 
-// nodeText is the node's own text; the store keeps none.
-func (s codeSource) nodeText(c dewey.Code) string {
-	if st := s.e.src.pin(); st.nodes != nil {
-		return st.nodes[s.id(c)].Text
-	}
-	return ""
-}
-
 // resolveSets is the Dewey-code view of resolveIDSetsAt over the newest
 // state.
 func (s codeSource) resolveSets(queryText string) (display, idfWords []string, sets [][]dewey.Code, err error) {
@@ -149,16 +141,16 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 
 // eagerAssemble is the pre-refactor Engine.assemble.
 func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoots []dewey.Code, words, idfWords []string) *Fragment {
-	e, tab := src.e, src.tab
+	e := src.e
+	v := e.currentView()
+	v.release()
+	v.words = idfWords
 	f := &Fragment{
 		Root:      r.Root.String(),
 		RootLabel: src.labelOf(r.Root),
 		IsSLCA:    r.IsSLCA(allRoots),
-		tab:       tab,
+		v:         v,
 		keptIDs:   kept.KeptIDs,
-		src:       e.src,
-		words:     idfWords,
-		snip:      e.snip,
 	}
 	matched := map[string]uint64{}
 	for _, ev := range r.KeywordNodes {
@@ -168,8 +160,7 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 		fn := FragmentNode{
 			Dewey: c.String(),
 			Label: src.labelOf(c),
-			Text:  src.nodeText(c),
-			Level: c.Level(),
+			Level: int32(c.Level()),
 		}
 		if mask, ok := matched[c.Key()]; ok {
 			fn.IsKeywordNode = true
@@ -183,9 +174,10 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 	}
 	// The tree renderer walks table IDs, which the eager path never had: an
 	// eager fragment's XML is the reference writer's, filled in here.
-	f.xmlOnce.Do(func() {
-		f.xmlText = referenceTreeXML(e, f)
-		f.xmlDone.Store(true)
+	m := f.memos()
+	m.xmlOnce.Do(func() {
+		m.xmlText = referenceTreeXML(e, f)
+		m.xmlDone.Store(true)
 	})
 	return f
 }
@@ -253,6 +245,11 @@ func requireSameFragments(t *testing.T, label string, want, got []*Fragment) {
 		if !reflect.DeepEqual(w.Nodes, g.Nodes) {
 			t.Fatalf("%s fragment %d (%s): nodes differ\neager: %+v\npipeline: %+v",
 				label, i, w.Root, w.Nodes, g.Nodes)
+		}
+		for j := range w.Nodes {
+			if w.NodeText(j) != g.NodeText(j) {
+				t.Fatalf("%s fragment %d (%s) node %d: text %q vs %q", label, i, w.Root, j, w.NodeText(j), g.NodeText(j))
+			}
 		}
 		if w.XML() != g.XML() {
 			t.Fatalf("%s fragment %d (%s): XML differs\neager:\n%s\npipeline:\n%s",

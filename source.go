@@ -30,12 +30,11 @@ import (
 type docSource interface {
 	contentOfID(id nid.ID) []string
 	// pin returns the ID-aligned tables a request reads its labels from and
-	// the fragments it materializes render from later (Fragment.st).
+	// the fragments it materializes render from later (view.src).
 	pin() *srcState
 	renderASCII(f *Fragment) string
-	renderXML(f *Fragment) string
-	// renderXMLTo writes the XML rendering into w without building the
-	// string — the path the serving layer's response encoder uses.
+	// renderXMLTo writes the XML rendering into w: XML's string, or straight
+	// into the serving layer's response bytes.
 	renderXMLTo(w io.Writer, f *Fragment) error
 }
 
@@ -148,19 +147,11 @@ func (s *treeSource) renderASCII(f *Fragment) string {
 	keep := f.keepSet()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(f.tab.Code(f.keptIDs[0]))
+	n := s.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0]))
 	if n == nil {
 		return ""
 	}
 	return xmltree.ASCIITree(n, keep)
-}
-
-func (s *treeSource) renderXML(f *Fragment) string {
-	var b strings.Builder
-	if err := s.renderXMLTo(&b, f); err != nil {
-		return ""
-	}
-	return b.String()
 }
 
 // renderXMLTo writes the kept nodes (pre-order, ancestor-closed, the
@@ -183,10 +174,11 @@ func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		b = append(b, '>', '\n')
 		stack = stack[:len(stack)-1]
 	}
-	rootDepth := f.tab.Depth(f.keptIDs[0])
+	tab, nodes := f.v.snap.Table(), f.v.src.nodes
+	rootDepth := tab.Depth(f.keptIDs[0])
 	for i, id := range f.keptIDs {
-		n := f.st.nodes[id]
-		d := f.tab.Depth(id)
+		n := nodes[id]
+		d := tab.Depth(id)
 		depth := int(d - rootDepth)
 		for len(stack) > depth {
 			closeTop()
@@ -201,7 +193,7 @@ func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 			b = appendXMLEscaped(b, a.Value)
 			b = append(b, '"')
 		}
-		keptKids := i+1 < len(f.keptIDs) && f.tab.Depth(f.keptIDs[i+1]) > d
+		keptKids := i+1 < len(f.keptIDs) && tab.Depth(f.keptIDs[i+1]) > d
 		switch {
 		case keptKids:
 			b = append(b, '>')
@@ -293,23 +285,16 @@ func (s *storeSource) pin() *srcState { return s.state }
 
 func (s *storeSource) renderASCII(f *Fragment) string {
 	var b strings.Builder
-	rootDepth := f.tab.Depth(f.keptIDs[0])
+	tab := f.v.snap.Table()
+	rootDepth := tab.Depth(f.keptIDs[0])
 	for _, id := range f.keptIDs {
-		c := f.tab.Code(id)
-		b.WriteString(strings.Repeat("  ", int(f.tab.Depth(id)-rootDepth)))
+		c := tab.Code(id)
+		b.WriteString(strings.Repeat("  ", int(tab.Depth(id)-rootDepth)))
 		fmt.Fprintf(&b, "%s (%s)", c, s.state.labels.Of(id))
 		if words := s.contentOfID(id); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func (s *storeSource) renderXML(f *Fragment) string {
-	var b strings.Builder
-	if err := s.renderXMLTo(&b, f); err != nil {
-		return ""
 	}
 	return b.String()
 }
@@ -339,11 +324,12 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		b = append(b, s.state.labels.Of(top)...)
 		b = append(b, '>', '\n')
 	}
-	rootDepth := f.tab.Depth(f.keptIDs[0])
+	tab := f.v.snap.Table()
+	rootDepth := tab.Depth(f.keptIDs[0])
 	for _, id := range f.keptIDs {
 		// Ancestor-closed pre-order: the open elements are exactly the
 		// node's ancestors once the stack is as deep as the node.
-		for depth := int(f.tab.Depth(id) - rootDepth); len(stack) > depth; {
+		for depth := int(tab.Depth(id) - rootDepth); len(stack) > depth; {
 			closeTop()
 		}
 		b = appendIndent(b, len(stack))

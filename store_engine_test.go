@@ -207,10 +207,10 @@ func TestStoreRenderBuildsNoKeepMap(t *testing.T) {
 	for _, f := range res.Fragments {
 		f.XML()
 		f.ASCII()
-		if f.keep != nil {
+		if f.memo.Load().keep != nil {
 			t.Fatalf("fragment %s: rendering a store-backed fragment built the keep map", f.Root)
 		}
-		if !f.Contains(f.Root) || f.keep == nil {
+		if !f.Contains(f.Root) || f.memo.Load().keep == nil {
 			t.Fatalf("fragment %s: Contains must still build and consult the map", f.Root)
 		}
 	}

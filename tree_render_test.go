@@ -31,7 +31,7 @@ var renderQueries = []string{
 // fragment's Dewey-keyed keep map.
 func referenceTreeXML(e *Engine, f *Fragment) string {
 	var b strings.Builder
-	xmltree.WriteFragmentXML(&b, e.tree.NodeAt(f.tab.Code(f.keptIDs[0])), f.keepSet()) // a Builder's writes cannot fail
+	xmltree.WriteFragmentXML(&b, e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), f.keepSet()) // a Builder's writes cannot fail
 	return b.String()
 }
 
