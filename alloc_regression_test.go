@@ -20,6 +20,7 @@ import (
 	"iter"
 	"math/bits"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -195,8 +196,8 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 			continue
 		}
 		// Budget: fixed search overhead plus a per-fragment share (the
-		// candidate, the Fragment with its node slice, one Dewey buffer
-		// and the Matched slices, the pruning Result). Nothing is
+		// candidate, the Fragment with its node slice, one Dewey buffer,
+		// the pruning Result). Nothing is
 		// allocated per kept node, per fragment-tree node or per posting:
 		// fragment trees live in pooled memory (internal/prune), a
 		// fragment's Dewey strings share one buffer. Measured values sit
@@ -217,8 +218,7 @@ func TestSearchAllocsPerFragment(t *testing.T) {
 
 // TestSearchAllocsPerBlock pins page-scoped materialization: a collected
 // page is assembled a block of up to 64 candidates at a time, into one
-// allocation each for the block's fragments, nodes, kept IDs and Dewey bytes
-// (the request's Matched slices, one per keyword mask, are fixed overhead),
+// allocation each for the block's fragments, nodes, kept IDs and Dewey bytes,
 // so a Search with n fragments allocates at most a fixed overhead plus four
 // objects per ⌈n/64⌉ — at 2 000 and at 20 000 papers, unlimited under both
 // semantics and both pruning mechanisms, and ranked. Nothing is allocated per
@@ -344,15 +344,15 @@ func TestRankedPageHydratesIntoScratch(t *testing.T) {
 // Stream's iterator, and hands it a one-entry document vector that stays on
 // its stack (only the corpus fan-out copies its vector for the workers); the
 // pipeline parameters carry no per-search closure besides the scorer's
-// Incremental and the source's contentOfID: labels travel as the pinned label
+// Incremental and the pinned content reader: labels travel as the pinned label
 // column, and an untraced plan is never rendered for explain. A query that
 // matches nothing stops after planning; an SLCA limit=10 page runs every
 // stage, with its roots in the candidate stage's pooled columns and handles
 // for its window of ten alone, hydrates its deferred events into the block's
-// pooled buffer and assembles its page as one block, its Matched slices
-// carved from one array. AllocsPerRun's
-// average rounds down, which absorbs a collection emptying a pool
-// mid-measurement.
+// pooled buffer and assembles its page as one block; its kept nodes hold
+// keyword masks, not matched-keyword slices, which saved the page's 27th
+// object (the request's array of them). AllocsPerRun's average rounds down,
+// which absorbs a collection emptying a pool mid-measurement.
 func TestSingleDocumentSearchAllocs(t *testing.T) {
 	e, queries := allocEngine(t)
 	for _, c := range []struct {
@@ -360,7 +360,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 27},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 26},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -724,10 +724,35 @@ func TestFragmentAllocSizeClass(t *testing.T) {
 
 // TestFragmentNodeAllocSizeClass: kept nodes are carved by value from their
 // block's or window's slab, one per kept node of every answer, so the
-// record's size is most of a materialized answer's bytes. It carries no
-// text (Fragment.NodeText) and packs Level beside IsKeywordNode: 64 bytes.
+// record's size is most of a materialized answer's bytes. It is the Dewey
+// string and the keyword mask; label, level, text and matched keywords are
+// Fragment accessors over the kept IDs: 24 bytes.
 func TestFragmentNodeAllocSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(FragmentNode{}); size > 64 {
-		t.Errorf("FragmentNode is %d bytes, want at most 64", size)
+	if size := unsafe.Sizeof(FragmentNode{}); size > 24 {
+		t.Errorf("FragmentNode is %d bytes, want at most 24", size)
+	}
+}
+
+// TestNodeMatchedAllocs: NodeMatched of a node that matched one keyword, or
+// keywords adjacent in the query, is a view of the plan's keywords and
+// allocates nothing.
+func TestNodeMatchedAllocs(t *testing.T) {
+	e := FromTree(xmltree.Build(xmltree.E{Label: "r", Kids: []xmltree.E{
+		{Label: "a", Text: "alpha"}, {Label: "b", Text: "beta gamma"}, {Label: "c", Text: "alpha gamma"},
+	}}))
+	res, err := e.Search(context.Background(), Request{Query: "alpha beta gamma"})
+	if err != nil || len(res.Fragments) != 1 {
+		t.Fatalf("%v fragments, err %v", res, err)
+	}
+	f := res.Fragments[0]
+	for i, want := range map[int][]string{1: {"alpha"}, 2: {"beta", "gamma"}, 3: {"alpha", "gamma"}} {
+		if got := f.NodeMatched(i); !slices.Equal(got, want) {
+			t.Fatalf("node %s matched %q, want %q", f.Nodes[i].Dewey, got, want)
+		}
+	}
+	for _, i := range []int{1, 2} {
+		if allocs := testing.AllocsPerRun(100, func() { f.NodeMatched(i) }); allocs != 0 {
+			t.Errorf("NodeMatched of %s (%q) allocates %.0f objects, want 0", f.Nodes[i].Dewey, f.NodeMatched(i), allocs)
+		}
 	}
 }

@@ -191,10 +191,8 @@ func requireSamePage(t *testing.T, label string, got, want blockPage) {
 				b.Document, b.Root, b.RootLabel, b.IsSLCA, b.Score, b.Pruned, len(b.Nodes))
 		}
 		for j := range a.Nodes {
-			na, nb := a.Nodes[j], b.Nodes[j]
-			if na.Dewey != nb.Dewey || na.Label != nb.Label || a.NodeText(j) != b.NodeText(j) || na.Level != nb.Level ||
-				na.IsKeywordNode != nb.IsKeywordNode || !slices.Equal(na.Matched, nb.Matched) {
-				t.Fatalf("%s fragment %d node %d: %+v, stream %+v", label, i, j, na, nb)
+			if !sameNode(a.Fragment, b.Fragment, j) || a.NodeText(j) != b.NodeText(j) {
+				t.Fatalf("%s fragment %d node %d: %s, stream %s", label, i, j, nodeFacts(a.Fragment, j), nodeFacts(b.Fragment, j))
 			}
 		}
 		if a.XML() != b.XML() {
@@ -478,8 +476,8 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 func fragmentDigest(f *Fragment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %v %x %d\n%s\n", f.Root, f.IsSLCA, math.Float64bits(f.Score), f.Pruned, f.XML())
-	for i, n := range f.Nodes {
-		fmt.Fprintf(&b, "%s %s %s %d %v %v\n", n.Dewey, n.Label, f.NodeText(i), n.Level, n.IsKeywordNode, n.Matched)
+	for i := range f.Nodes {
+		fmt.Fprintf(&b, "%s %s\n", nodeFacts(f, i), f.NodeText(i))
 	}
 	return b.String()
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"math/bits"
 	"os"
 	"slices"
 	"strings"
@@ -170,9 +169,12 @@ type view struct {
 	// src is the document source's tables, pinned after the snapshot: a
 	// writer extends them before it publishes the head that makes new IDs
 	// visible, so they cover every ID the snapshot holds.
-	src   *srcState
-	eng   *Engine
-	words []string // the plan's IDF words, set before any fragment exists
+	src *srcState
+	eng *Engine
+	// words are the plan's IDF words and keywords its display keywords in
+	// mask-bit order (Fragment.NodeMatched), both set before any fragment
+	// exists.
+	words, keywords []string
 }
 
 func (v *view) release() { v.snap.Release() }
@@ -934,7 +936,7 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	st.plan, err = e.planAt(v, req.Query)
 	if err == nil {
 		st.plan.Decision = e.decideAt(v, req, st.plan)
-		v.words = st.plan.IDFWords
+		v.words, v.keywords = st.plan.IDFWords, st.plan.Keywords
 	}
 	st.planTime = time.Since(planStart)
 	planSp.SetInt("keywordNodes", int64(st.plan.KeywordNodes()))
@@ -1020,8 +1022,8 @@ func stampSnapshot(sp *trace.Span, v *view, c *delta.Counters) {
 }
 
 // paramsAt maps the public request onto pipeline parameters, closing over
-// the resolved snapshot's node table and scorer, the label column pinned
-// with it, and the engine's document source.
+// the resolved snapshot's node table and scorer, and the label column and
+// content sets pinned with it.
 func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 	return exec.Params{
 		Tab:         v.snap.Table(),
@@ -1036,7 +1038,7 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 		// event lists and hydrate the selected few lazily.
 		DeferEvents: req.Limit > 0,
 		Labels:      v.src.labels,
-		ContentOf:   e.src.contentOfID,
+		ContentOf:   v.src.content,
 	}
 }
 
@@ -1137,17 +1139,15 @@ func (b *blockScratch) fill(ctx context.Context, blk []*exec.Candidate, docs []d
 
 // blockScratch is the pooled staging memory of one request's materialize
 // stage, which fills it a block at a time: every pruned candidate's kept IDs
-// back to back in kept, the events it hydrated back to back in events, per
-// candidate what assembly needs, and the request's Matched slices. The slabs
-// the request's fragments are carved from are the request's alone: release
-// drops them.
+// back to back in kept, the events it hydrated back to back in events, and per
+// candidate what assembly needs. The slabs the request's fragments are carved
+// from are the request's alone: release drops them.
 type blockScratch struct {
-	kept    []nid.ID
-	events  []lca.IDEvent
-	rtf     rtf.IDRTF // a hydrated candidate's RTF, as exec.Materialize reads it
-	pruned  []prunedCand
-	matched matchedSet
-	slabs   slabs
+	kept   []nid.ID
+	events []lca.IDEvent
+	rtf    rtf.IDRTF // a hydrated candidate's RTF, as exec.Materialize reads it
+	pruned []prunedCand
+	slabs  slabs
 }
 
 // slabs are the backing arrays a request's fragments are carved from, and
@@ -1183,49 +1183,6 @@ type prunedCand struct {
 	n, visited int
 }
 
-// matchedSet is a request's FragmentNode.Matched values, one slice per
-// keyword mask, shared by every fragment the request assembles (read-only):
-// the masks of a query's keyword nodes are few, its fragments many. The
-// slices are carved from slab, the request's alone like its other slabs.
-type matchedSet struct {
-	keywords []string
-	masks    []matchedWords
-	slab     []string
-}
-
-// matchedWords is the FragmentNode.Matched value of one keyword mask.
-type matchedWords struct {
-	mask  uint64
-	words []string
-}
-
-// use makes keywords, a plan's in mask-bit order, the words the masks name;
-// another plan's keywords (another document's, in principle) start afresh.
-func (m *matchedSet) use(keywords []string) {
-	if !slices.Equal(m.keywords, keywords) {
-		m.keywords, m.masks = keywords, m.masks[:0]
-	}
-}
-
-// of returns the Matched slice of a keyword mask, building it on the mask's
-// first keyword node. A slab that runs short is replaced by one with room for
-// a few more masks of the plan's k keywords: 4k words.
-func (m *matchedSet) of(mask uint64) []string {
-	for _, mw := range m.masks {
-		if mw.mask == mask {
-			return mw.words
-		}
-	}
-	words := carve(&m.slab, bits.OnesCount64(mask), 4*len(m.keywords))[:0]
-	for i, w := range m.keywords {
-		if mask&(1<<uint(i)) != 0 {
-			words = append(words, w)
-		}
-	}
-	m.masks = append(m.masks, matchedWords{mask: mask, words: words})
-	return words
-}
-
 var blockPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // release clears what would keep a request's candidates or fragments
@@ -1234,8 +1191,6 @@ var blockPool = sync.Pool{New: func() any { return new(blockScratch) }}
 // never carve into an array they view.
 func (b *blockScratch) release() {
 	clear(b.pruned[:cap(b.pruned)])
-	clear(b.matched.masks[:cap(b.matched.masks)])
-	b.matched = matchedSet{masks: b.matched.masks[:0]}
 	b.slabs = slabs{}
 	blockPool.Put(b)
 }
@@ -1270,19 +1225,18 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 
 // assemble is fill's assemble phase: it turns the pruned candidates into
 // Fragments carved from the request's slabs — the fragments, their nodes,
-// their kept IDs and their Dewey bytes; the Matched slices come from the
-// request's matched set. A slab too short for the block is replaced by one
-// sized for the block plus a forecast of the fragments that follow in its
-// window, at the request's running average size: the window is w = min(the
-// selected candidates not yet assembled, the fragments assembled so far,
-// blockSize), so a page's blocks of 64 (whose window is the block) get
+// their kept IDs and their Dewey bytes. A slab too short for the block is
+// replaced by one sized for the block plus a forecast of the fragments that
+// follow in its window, at the request's running average size: the window is
+// w = min(the selected candidates not yet assembled, the fragments assembled
+// so far, blockSize), so a page's blocks of 64 (whose window is the block) get
 // exact-size slabs, and a stream's blocks of one share slabs of 1, 2, 4, …
-// fragments. Everything runs on node IDs:
-// keyword-node masks come from a two-pointer merge of the (sorted) kept IDs
-// and keyword events, a kept node's label comes from the label column of the
-// source tables its request pinned — which the fragment renders from, and
-// reads a tree node's text from (NodeText) — and Dewey codes surface only as
-// zero-copy table views rendered into the public strings. A fragment's Root
+// fragments. Everything runs on node IDs: a kept node is its Dewey string and
+// its keyword mask, from a two-pointer merge of the (sorted) kept IDs and
+// keyword events; its label, depth, text and matched keywords are read later,
+// by ID, from the view its request pinned (Fragment.NodeLabel and the other
+// accessors). Dewey codes surface only as zero-copy table views rendered into
+// the public strings. A fragment's Root
 // is its first node's Dewey string: the keep-set is ancestor-closed, so the
 // root is always kept, first.
 func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
@@ -1318,27 +1272,25 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 	for i, p := range b.pruned {
 		d := &docs[p.c.Doc]
 		d.eng.assembled.Add(1)
-		tab, labels := d.params.Tab, d.v.src.labels
+		tab := d.params.Tab
 		kept := ids[off : off+p.n : off+p.n]
 		fn := nodes[off : off+p.n : off+p.n]
 		off += p.n
-		b.matched.use(d.plan.Keywords)
 		events, j := p.events, 0
 		for k, id := range kept {
 			start := deweys.Len()
 			deweys.Write(tab.Code(id).AppendString(scratch[:0]))
 			n := &fn[k]
-			n.Dewey, n.Label, n.Level = deweys.String()[start:], labels.Of(id), tab.Depth(id)
+			n.Dewey = deweys.String()[start:]
 			for j < len(events) && events[j].ID < id {
 				j++
 			}
 			if j < len(events) && events[j].ID == id {
-				n.IsKeywordNode = true
-				n.Matched = b.matched.of(events[j].Mask)
+				n.mask = events[j].Mask
 			}
 		}
 		f := &frags[i]
-		f.Root, f.RootLabel, f.IsSLCA, f.Score = fn[0].Dewey, fn[0].Label, p.c.IsSLCA, p.c.Score
+		f.Root, f.RootLabel, f.IsSLCA, f.Score = fn[0].Dewey, d.v.src.labels.Of(kept[0]), p.c.IsSLCA, p.c.Score
 		f.Nodes, f.Pruned = fn, p.visited-p.n
 		f.v, f.keptIDs = d.v, kept
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,15 +207,20 @@ func TestFragmentNodeMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Fragments[0]
-	kns := f.KeywordNodes()
+	var kns []int
+	for i, n := range f.Nodes {
+		if n.IsKeywordNode() {
+			kns = append(kns, i)
+		}
+	}
 	if len(kns) != 3 {
-		t.Fatalf("keyword nodes = %+v", kns)
+		t.Fatalf("keyword nodes = %v", kns)
 	}
-	if kns[0].Dewey != "0.0" || len(kns[0].Matched) != 1 || kns[0].Matched[0] != "grizzlies" {
-		t.Errorf("first keyword node = %+v", kns[0])
+	if first := kns[0]; f.Nodes[first].Dewey != "0.0" || !slices.Equal(f.NodeMatched(first), []string{"grizzlies"}) {
+		t.Errorf("first keyword node = %s", nodeFacts(f, first))
 	}
-	for _, n := range f.Nodes {
-		if int(n.Level) != len(strings.Split(n.Dewey, "."))-1 {
+	for i, n := range f.Nodes {
+		if f.NodeLevel(i) != len(strings.Split(n.Dewey, "."))-1 {
 			t.Errorf("level mismatch for %s", n.Dewey)
 		}
 	}

@@ -2,6 +2,7 @@ package xks
 
 import (
 	"io"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,22 +12,20 @@ import (
 	"xks/internal/snippet"
 )
 
-// FragmentNode is one kept node of a meaningful fragment: 64 bytes, paid per
-// kept node of every answer. Its text is Fragment.NodeText.
+// FragmentNode is one kept node of a meaningful fragment: 24 bytes, paid per
+// kept node of every answer — its Dewey code and the mask of the query
+// keywords it matched. Everything else about Nodes[i] is read by ID from the
+// tables its request pinned: Fragment.NodeLabel, NodeLevel, NodeText and
+// NodeMatched.
 type FragmentNode struct {
 	// Dewey is the node's Dewey code in dotted form, e.g. "0.2.0.1".
 	Dewey string
-	// Label is the element name.
-	Label string
-	// Level is the node depth in the document (root = 0).
-	Level int32
-	// IsKeywordNode reports whether the node matched query keywords.
-	IsKeywordNode bool
-	// Matched lists the query keywords this node matched. Nodes of one
-	// search's fragments that matched the same keywords share one slice:
-	// read-only.
-	Matched []string
+	// mask has bit i set when the node matched the query's i-th keyword.
+	mask uint64
 }
+
+// IsKeywordNode reports whether the node matched query keywords.
+func (n FragmentNode) IsKeywordNode() bool { return n.mask != 0 }
 
 // Fragment is one meaningful RTF of a search result. Its exported fields
 // are read-only: fragments are carved from backing arrays shared with the
@@ -34,13 +33,16 @@ type FragmentNode struct {
 // up to 64 at a time) or of their window (a stream's windows of 1, 2, 4, …
 // up to 64 fragments) — their Nodes, their Dewey and Root strings, their
 // kept IDs — so a retained fragment keeps at most 64 fragments' arrays
-// alive. The render memos sit behind a pointer that the first XML, ASCII or
-// Contains call fills: a page that is only encoded (WriteXML) has none.
+// alive. A kept node's facts beyond its Dewey code (NodeLabel, NodeLevel,
+// NodeText, NodeMatched) are read by ID from the tables its request pinned,
+// so they hold across later writes to the engine. The render memos sit
+// behind a pointer that the first XML, ASCII or Contains call fills: a page
+// that is only encoded (WriteXML) has none.
 type Fragment struct {
 	// Root is the Dewey code of the fragment's interesting LCA node: the
 	// first node's Dewey string (the root is always kept, first).
 	Root string
-	// RootLabel is that node's element name.
+	// RootLabel is that node's element name: NodeLabel(0).
 	RootLabel string
 	// IsSLCA reports whether the root is a smallest LCA (no interesting
 	// LCA below it).
@@ -57,9 +59,9 @@ type Fragment struct {
 	// v is what every fragment of the document shares in its request: the
 	// snapshot's node table, which keptIDs (the pre-order, ancestor-closed
 	// keep-set from pruning) index — a kept node's Dewey code and depth are
-	// zero-copy lookups there — and the source tables pinned with it, so a
-	// fragment cached across a renumbering rebuild still renders its own
-	// nodes (for a store, its frozen label column).
+	// zero-copy lookups there — the source tables pinned with it, so a
+	// fragment cached across a renumbering rebuild still reads and renders
+	// its own nodes (labels, texts, content sets), and the plan's keywords.
 	v       *view
 	keptIDs []nid.ID
 	memo    atomic.Pointer[fragMemo]
@@ -87,6 +89,14 @@ func (f *Fragment) memos() *fragMemo {
 // Len returns the number of kept nodes.
 func (f *Fragment) Len() int { return len(f.Nodes) }
 
+// NodeLabel returns Nodes[i]'s element name, read from the pinned label
+// column.
+func (f *Fragment) NodeLabel(i int) string { return f.v.src.labels.Of(f.keptIDs[i]) }
+
+// NodeLevel returns Nodes[i]'s depth in the document (root = 0), read from
+// the pinned node table.
+func (f *Fragment) NodeLevel(i int) int { return int(f.v.snap.Table().Depth(f.keptIDs[i])) }
+
 // NodeText returns Nodes[i]'s own text, read from the pinned source tables
 // of a tree-backed engine; a store-backed engine keeps none and returns "".
 func (f *Fragment) NodeText(i int) string {
@@ -94,6 +104,27 @@ func (f *Fragment) NodeText(i int) string {
 		return nodes[f.keptIDs[i]].Text
 	}
 	return ""
+}
+
+// NodeMatched lists the query keywords Nodes[i] matched, in query order (nil
+// for a node that matched none). When the matched keywords are adjacent in
+// the query — always so for one — the list is a capped view of the plan's
+// keywords, shared and read-only; otherwise it is built on each call.
+func (f *Fragment) NodeMatched(i int) []string {
+	m := f.Nodes[i].mask
+	if m == 0 {
+		return nil
+	}
+	kw := f.v.keywords
+	lo, hi := bits.TrailingZeros64(m), 64-bits.LeadingZeros64(m)
+	if bits.OnesCount64(m) == hi-lo {
+		return kw[lo:hi:hi]
+	}
+	out := make([]string, 0, bits.OnesCount64(m))
+	for ; m != 0; m &= m - 1 {
+		out = append(out, kw[bits.TrailingZeros64(m)])
+	}
+	return out
 }
 
 // keepSet returns the kept codes keyed by dewey key, built on first use.
@@ -121,17 +152,6 @@ func (f *Fragment) Contains(deweyCode string) bool {
 	return f.keepSet()[c.Key()]
 }
 
-// KeywordNodes returns the kept nodes that matched query keywords.
-func (f *Fragment) KeywordNodes() []FragmentNode {
-	var out []FragmentNode
-	for _, n := range f.Nodes {
-		if n.IsKeywordNode {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Snippet returns a query-biased one-line summary of the fragment: every
 // query keyword shown highlighted in its surrounding text, labelled by the
 // element it occurs in (in the spirit of the snippet generation work the
@@ -139,16 +159,17 @@ func (f *Fragment) KeywordNodes() []FragmentNode {
 func (f *Fragment) Snippet() string {
 	var sources []snippet.Source
 	for i, n := range f.Nodes {
-		if !n.IsKeywordNode {
+		if !n.IsKeywordNode() {
 			continue
 		}
 		text := f.NodeText(i)
 		if text == "" {
-			// Store-backed fragments have no raw text; use the content
-			// words instead (keptIDs[i] is the ID of Nodes[i]).
-			text = strings.Join(f.v.eng.src.contentOfID(f.keptIDs[i]), " ")
+			// Store-backed fragments have no raw text, and a keyword matched
+			// through a label or an attribute none of its own: use the
+			// content words the request pinned instead.
+			text = strings.Join(f.v.src.content(f.keptIDs[i]), " ")
 		}
-		sources = append(sources, snippet.Source{Label: n.Label, Text: text})
+		sources = append(sources, snippet.Source{Label: f.NodeLabel(i), Text: text})
 	}
 	return f.v.eng.snip.Generate(sources, f.v.words)
 }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
+	"xks/internal/delta"
 	"xks/internal/store"
+	"xks/internal/xmltree"
 )
 
 // nodeTextQueries are the requests TestNodeTextParity renders.
@@ -54,7 +58,19 @@ func TestNodeTextParity(t *testing.T) {
 	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 17, NumRecords: 30, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 9}, {Word: "keyword", Count: 6}, {Word: "search", Count: 5},
 	}})
-	path := filepath.Join(t.TempDir(), "dblp.xks")
+	for name, e := range servedThreeWays(t, tree) {
+		file, want := golden(t, "nodetext", name)
+		if got := nodeTextRender(t, e); got != want {
+			t.Errorf("%s: rendered\n%s\nwant (%s)\n%s", name, got, file, want)
+		}
+	}
+}
+
+// servedThreeWays serves tree tree-backed ("tree"), v3-heap and v3-mmap; the
+// stores close when the test ends.
+func servedThreeWays(t *testing.T, tree *xmltree.Tree) map[string]*Engine {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "doc.xks")
 	if err := store.Shred(tree, analysis.New()).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -64,22 +80,186 @@ func TestNodeTextParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer e.Close()
+		t.Cleanup(func() { e.Close() })
 		engines[name] = e
 	}
-	for name, e := range engines {
-		golden := "store.golden"
-		if name == "tree" {
-			golden = "tree.golden"
+	return engines
+}
+
+// golden reads the file of testdata/dir that the engine servedThreeWays
+// named name answers to: tree.golden, or store.golden for both store modes.
+func golden(t *testing.T, dir, name string) (file, text string) {
+	t.Helper()
+	file = "store.golden"
+	if name == "tree" {
+		file = "tree.golden"
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file, string(b)
+}
+
+// nodeFacts spells out what Nodes[i] answers besides its text: Dewey code,
+// label, level, keyword flag and matched keywords.
+func nodeFacts(f *Fragment, i int) string {
+	n := f.Nodes[i]
+	return fmt.Sprintf("%s %s %d %v %q", n.Dewey, f.NodeLabel(i), f.NodeLevel(i), n.IsKeywordNode(), f.NodeMatched(i))
+}
+
+// sameNode reports whether a.Nodes[i] and b.Nodes[i] answer alike
+// (nodeFacts).
+func sameNode(a, b *Fragment, i int) bool {
+	return a.Nodes[i] == b.Nodes[i] && a.NodeLabel(i) == b.NodeLabel(i) && a.NodeLevel(i) == b.NodeLevel(i) &&
+		slices.Equal(a.NodeMatched(i), b.NodeMatched(i))
+}
+
+// nodeFactsQueries are the queries TestNodeFactsParity asks. A node of the
+// generated document matches "xml" and "search" but not "keyword", so the
+// second query has a mask whose bits are not contiguous.
+var nodeFactsQueries = []string{"xml keyword", "xml keyword search", "title:xml search", "search xml"}
+
+// nodeFactsRender spells out every kept node's facts (nodeFacts) for
+// nodeFactsQueries under ELCA/SLCA × ValidRTF/MaxMatch. gap reports whether
+// some node's mask has non-contiguous bits.
+func nodeFactsRender(t *testing.T, e *Engine) (out string, gap bool) {
+	t.Helper()
+	var b strings.Builder
+	for _, sem := range []Semantics{AllLCA, SLCAOnly} {
+		for _, algo := range []Algorithm{ValidRTF, MaxMatch} {
+			for _, q := range nodeFactsQueries {
+				res, err := e.Search(context.Background(), Request{Query: q, Semantics: sem, Algorithm: algo})
+				if err != nil {
+					t.Fatalf("Search(%q, %v, %v): %v", q, sem, algo, err)
+				}
+				fmt.Fprintf(&b, "# %q %v %v: %d fragments\n", q, sem, algo, len(res.Fragments))
+				for _, f := range res.Fragments {
+					fmt.Fprintf(&b, "fragment %s %s\n", f.Root, f.RootLabel)
+					for i, n := range f.Nodes {
+						fmt.Fprintf(&b, "%s\n", nodeFacts(f, i))
+						gap = gap || bits.OnesCount64(n.mask) != 64-bits.LeadingZeros64(n.mask)-bits.TrailingZeros64(n.mask)
+					}
+				}
+			}
 		}
-		want, err := os.ReadFile(filepath.Join("testdata", "nodetext", golden))
+	}
+	return b.String(), gap
+}
+
+// TestNodeFactsParity pins what a kept node answers through the Fragment
+// accessors — Dewey, NodeLabel, NodeLevel, IsKeywordNode and NodeMatched —
+// over one generated document served tree-backed, v3-heap and v3-mmap, to
+// the output captured when each node still carried its label, level and
+// matched keywords in FragmentNode fields (testdata/nodefacts: tree.golden,
+// and store.golden for both store modes).
+func TestNodeFactsParity(t *testing.T) {
+	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 23, NumRecords: 30, Keywords: []datagen.KeywordSpec{
+		{Word: "xml", Count: 12}, {Word: "keyword", Count: 6}, {Word: "search", Count: 10},
+	}})
+	for name, e := range servedThreeWays(t, tree) {
+		file, want := golden(t, "nodefacts", name)
+		got, gap := nodeFactsRender(t, e)
+		if got != want {
+			t.Errorf("%s: node facts\n%s\nwant (%s)\n%s", name, got, file, want)
+		}
+		if !gap {
+			t.Errorf("%s: no kept node matched keywords with non-contiguous mask bits; the check is vacuous", name)
+		}
+	}
+}
+
+// TestRetainedSnippetReadsPinnedContent: a keyword matched through an
+// attribute (or a label) has no own text, so the snippet shows the node's
+// content words instead, read from the tables the request pinned. A
+// renumbering AppendXML republishes the engine's tables with every later
+// ID moved; a fragment returned before it must keep its snippet.
+func TestRetainedSnippetReadsPinnedContent(t *testing.T) {
+	e, err := LoadString(`<bib><a><x>first words here</x></a><b><paper kind="keyword"><t>xml search</t></paper></b></bib>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Search(context.Background(), Request{Query: "keyword xml"})
+	if err != nil || len(res.Fragments) == 0 {
+		t.Fatalf("%v, err %v", res, err)
+	}
+	f := res.Fragments[0]
+	const want = "paper: [keyword] kind paper … t: [xml] search"
+	if got := f.Snippet(); got != want {
+		t.Fatalf("snippet %q, want %q", got, want)
+	}
+	if err := e.AppendXML("0.0", "<y>zebra zulu yak</y>"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Snippet(); got != want {
+		t.Errorf("after a renumbering append the retained fragment's snippet is %q, want %q", got, want)
+	}
+}
+
+// TestRetainedFragmentsKeepTheirAnswers keeps a page's fragments across a
+// tail append, a Compact and a renumbering AppendXML, none of them rendered
+// before the writes, then reads every node accessor, NodeText, Snippet, XML
+// and ASCII of each from 8 goroutines at once: each answers what a fragment
+// of the same page read before the writes answered. "article" matches the
+// DBLP records through their labels and key attributes, so their snippets
+// read content words. CI runs it under -race.
+func TestRetainedFragmentsKeepTheirAnswers(t *testing.T) {
+	e := FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 5, NumRecords: 40, Keywords: []datagen.KeywordSpec{
+		{Word: "xml", Count: 15}, {Word: "search", Count: 10},
+	}}))
+	reqs := []Request{
+		{Query: "article xml"},
+		{Query: "xml search", Algorithm: MaxMatch},
+		{Query: "article search", Semantics: SLCAOnly},
+		{Query: "xml article", Rank: true, Limit: 5},
+	}
+	digest := func(f *Fragment) string {
+		return fragmentDigest(f) + f.RootLabel + "\n" + f.Snippet() + "\n" + f.ASCII()
+	}
+	var want []string
+	var kept []*Fragment
+	for _, req := range reqs {
+		read, err := e.Search(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := nodeTextRender(t, e); got != string(want) {
-			t.Errorf("%s: rendered\n%s\nwant (%s)\n%s", name, got, golden, want)
+		for _, f := range read.Fragments {
+			want = append(want, digest(f))
 		}
+		page, err := e.Search(context.Background(), req)
+		if err != nil || len(page.Fragments) != len(read.Fragments) || len(page.Fragments) == 0 {
+			t.Fatalf("%+v: %d fragments, then %v; err %v", req, len(read.Fragments), page, err)
+		}
+		kept = append(kept, page.Fragments...)
 	}
+	if err := e.AppendXML("0", `<article key="rec/article/new"><title>xml search fresh</title></article>`); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.Compact(context.Background()); n != 1 || err != nil {
+		t.Fatalf("Compact folded %d segments, err %v; want 1", n, err)
+	}
+	before, _ := delta.UnpackVersion(e.Generation())
+	if err := e.AppendXML("0.0", `<note>xml article search</note>`); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := delta.UnpackVersion(e.Generation()); after == before {
+		t.Fatal("the append under 0.0 did not renumber the document")
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range kept {
+				i := (k + g*len(kept)/8) % len(kept)
+				if got := digest(kept[i]); got != want[i] {
+					t.Errorf("goroutine %d: retained fragment %s answers\n%s\nwant\n%s", g, kept[i].Root, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFragmentMemoConcurrentRender: for each fragment of a page, eight

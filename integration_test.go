@@ -64,8 +64,8 @@ func TestIntegrationEveryFragmentCoversQuery(t *testing.T) {
 				keywords := res.Stats.Keywords
 				for _, f := range res.Fragments {
 					covered := map[string]bool{}
-					for _, n := range f.KeywordNodes() {
-						for _, m := range n.Matched {
+					for i := range f.Nodes {
+						for _, m := range f.NodeMatched(i) {
 							covered[m] = true
 						}
 					}

@@ -18,6 +18,7 @@ package axioms
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xks"
@@ -160,12 +161,10 @@ func CheckQueryConsistency(tree *xmltree.Tree, query, extraKeyword string, opts 
 			continue // shrunk or unchanged version of an old result
 		}
 		found := false
-		for _, n := range f.KeywordNodes() {
-			for _, m := range n.Matched {
-				if m == norm {
-					found = true
-					break
-				}
+		for i := range f.Nodes {
+			if slices.Contains(f.NodeMatched(i), norm) {
+				found = true
+				break
 			}
 		}
 		if !found {

@@ -59,11 +59,9 @@ func sameFragments(t *testing.T, label string, want, got []*Fragment) {
 		if g.Root != w.Root || g.RootLabel != w.RootLabel || g.IsSLCA != w.IsSLCA || len(g.Nodes) != len(w.Nodes) {
 			t.Fatalf("%s fragment %d: %s %s/%d nodes, want %s %s/%d", label, i, g.Root, g.RootLabel, len(g.Nodes), w.Root, w.RootLabel, len(w.Nodes))
 		}
-		for j, wn := range w.Nodes {
-			gn := g.Nodes[j]
-			if gn.Dewey != wn.Dewey || gn.Label != wn.Label || g.NodeText(j) != w.NodeText(j) || gn.Level != wn.Level ||
-				gn.IsKeywordNode != wn.IsKeywordNode || !slices.Equal(gn.Matched, wn.Matched) {
-				t.Fatalf("%s fragment %d node %d: %+v, want %+v", label, i, j, gn, wn)
+		for j := range w.Nodes {
+			if !sameNode(g, w, j) || g.NodeText(j) != w.NodeText(j) {
+				t.Fatalf("%s fragment %d node %d: %s, want %s", label, i, j, nodeFacts(g, j), nodeFacts(w, j))
 			}
 		}
 		if g.XML() != w.XML() {

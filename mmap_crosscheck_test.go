@@ -37,10 +37,8 @@ func assertSameResults(t *testing.T, label string, want, got *Engine, req Reques
 			t.Fatalf("%s fragment %d: %d vs %d nodes", label, i, fa.Len(), fb.Len())
 		}
 		for j := range fa.Nodes {
-			na, nb := fa.Nodes[j], fb.Nodes[j]
-			if na.Dewey != nb.Dewey || na.Label != nb.Label || na.Level != nb.Level ||
-				na.IsKeywordNode != nb.IsKeywordNode || (rendered && fa.NodeText(j) != fb.NodeText(j)) {
-				t.Fatalf("%s fragment %d node %d: %+v vs %+v", label, i, j, na, nb)
+			if !sameNode(fa, fb, j) || (rendered && fa.NodeText(j) != fb.NodeText(j)) {
+				t.Fatalf("%s fragment %d node %d: %s vs %s", label, i, j, nodeFacts(fa, j), nodeFacts(fb, j))
 			}
 		}
 		if rendered && fa.XML() != fb.XML() {

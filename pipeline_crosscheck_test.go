@@ -112,7 +112,7 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.pin().labels.Of, e.src.contentOfID, pruneOpts)
+		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.pin().labels.Of, e.src.pin().content, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
 		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}
@@ -144,7 +144,7 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 	e := src.e
 	v := e.currentView()
 	v.release()
-	v.words = idfWords
+	v.words, v.keywords = idfWords, words
 	f := &Fragment{
 		Root:      r.Root.String(),
 		RootLabel: src.labelOf(r.Root),
@@ -157,20 +157,7 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 		matched[ev.Code.Key()] = ev.Mask
 	}
 	for _, c := range kept.Kept {
-		fn := FragmentNode{
-			Dewey: c.String(),
-			Label: src.labelOf(c),
-			Level: int32(c.Level()),
-		}
-		if mask, ok := matched[c.Key()]; ok {
-			fn.IsKeywordNode = true
-			for i, w := range words {
-				if mask&(1<<uint(i)) != 0 {
-					fn.Matched = append(fn.Matched, w)
-				}
-			}
-		}
-		f.Nodes = append(f.Nodes, fn)
+		f.Nodes = append(f.Nodes, FragmentNode{Dewey: c.String(), mask: matched[c.Key()]})
 	}
 	// The tree renderer walks table IDs, which the eager path never had: an
 	// eager fragment's XML is the reference writer's, filled in here.
@@ -247,8 +234,8 @@ func requireSameFragments(t *testing.T, label string, want, got []*Fragment) {
 				label, i, w.Root, w.Nodes, g.Nodes)
 		}
 		for j := range w.Nodes {
-			if w.NodeText(j) != g.NodeText(j) {
-				t.Fatalf("%s fragment %d (%s) node %d: text %q vs %q", label, i, w.Root, j, w.NodeText(j), g.NodeText(j))
+			if !sameNode(w, g, j) || w.NodeText(j) != g.NodeText(j) {
+				t.Fatalf("%s fragment %d (%s) node %d: %s %q vs %s %q", label, i, w.Root, j, nodeFacts(w, j), w.NodeText(j), nodeFacts(g, j), g.NodeText(j))
 			}
 		}
 		if w.XML() != g.XML() {

@@ -2,6 +2,7 @@ package xks
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,19 +28,15 @@ func TestLabelPredicateRestrictsMatches(t *testing.T) {
 	// The plain query's fragment carries both skyline occurrences (title
 	// and abstract); the predicate query's carries only the title.
 	var plainSkyline, predSkyline []string
-	for _, n := range plain.Fragments[0].KeywordNodes() {
-		for _, m := range n.Matched {
-			if m == "skyline" {
-				plainSkyline = append(plainSkyline, n.Dewey)
-			}
+	for i, n := range plain.Fragments[0].Nodes {
+		if slices.Contains(plain.Fragments[0].NodeMatched(i), "skyline") {
+			plainSkyline = append(plainSkyline, n.Dewey)
 		}
 	}
 	// Matched entries carry the full term syntax for predicate terms.
-	for _, n := range pred.Fragments[0].KeywordNodes() {
-		for _, m := range n.Matched {
-			if m == "title:skyline" {
-				predSkyline = append(predSkyline, n.Dewey)
-			}
+	for i, n := range pred.Fragments[0].Nodes {
+		if slices.Contains(pred.Fragments[0].NodeMatched(i), "title:skyline") {
+			predSkyline = append(predSkyline, n.Dewey)
 		}
 	}
 	if len(plainSkyline) != 2 {

@@ -21,16 +21,16 @@ import (
 // Nodes are addressed by table ID. Labels come from one ID-aligned label
 // column and dictionary (prune.Labels) that both sources publish in their
 // srcState: the tree interns its element names, the store hands out its v3
-// labelids section and label table. contentOfID is a constant-time,
-// allocation-free lookup; a tree's texts are read off the pinned srcState.
-// Renderers receive the fragment itself: both XML renderers walk its kept IDs
-// (f.keptIDs, pre-order and ancestor-closed), resolve nodes by ID and read
-// depths off the fragment's node table; only the ASCII tree renderer and
-// Contains take the dewey-keyed map (f.keepSet, built on first use).
+// labelids section and label table. Content sets (srcState.content) and a
+// tree's texts are read off the pinned srcState too. Renderers receive the
+// fragment itself: both XML renderers walk its kept IDs (f.keptIDs, pre-order
+// and ancestor-closed), resolve nodes by ID and read depths off the
+// fragment's node table; only the ASCII tree renderer and Contains take the
+// dewey-keyed map (f.keepSet, built on first use).
 type docSource interface {
-	contentOfID(id nid.ID) []string
-	// pin returns the ID-aligned tables a request reads its labels from and
-	// the fragments it materializes render from later (view.src).
+	// pin returns the ID-aligned tables a request reads its labels and
+	// content sets from and the fragments it materializes read and render
+	// from later (view.src).
 	pin() *srcState
 	renderASCII(f *Fragment) string
 	// renderXMLTo writes the XML rendering into w: XML's string, or straight
@@ -45,7 +45,7 @@ type docSource interface {
 // walk it, so structural access is guarded by mu — shared for ASCII
 // renders, exclusive for appendChild. The ID-aligned
 // tables live in an atomically swapped srcState instead: the hot path
-// (labels and contentOfID during pruning, XML rendering) stays lock-free.
+// (labels and content sets during pruning, XML rendering) stays lock-free.
 // The tables follow the shared-backing discipline of
 // internal/delta's package comment: extend (one writer, under the engine's
 // write mutex) appends rows on the arrays the previous state uses and
@@ -69,11 +69,23 @@ type treeSource struct {
 // label column (4 bytes a node) and dictionary, and for a tree the
 // pre-order node list and each node's analyzed content set. A node table
 // ID indexes each of them (the engine's table is built over the same
-// pre-order walk). A store's state has labels only.
+// pre-order walk). A store's state has its labels and the store, whose
+// content sets it reads.
 type srcState struct {
 	labels prune.Labels
 	nodes  []*xmltree.Node
 	words  [][]string
+	store  *store.Store
+}
+
+// content returns node id's analyzed content set (sorted, read-only): a
+// tree's word row or the store's content column, a constant-time,
+// allocation-free lookup either way.
+func (s *srcState) content(id nid.ID) []string {
+	if s.store != nil {
+		return s.store.ContentAt(int(id))
+	}
+	return s.words[id]
 }
 
 func newTreeSource(t *xmltree.Tree, an *analysis.Analyzer) *treeSource {
@@ -135,13 +147,6 @@ func (s *treeSource) extend(nodes []*xmltree.Node, words [][]string) {
 }
 
 func (s *treeSource) pin() *srcState { return s.state.Load() }
-
-func (s *treeSource) contentOfID(id nid.ID) []string {
-	if st := s.state.Load(); int(id) < len(st.words) {
-		return st.words[id]
-	}
-	return nil
-}
 
 func (s *treeSource) renderASCII(f *Fragment) string {
 	keep := f.keepSet()
@@ -271,15 +276,12 @@ func appendXMLEscaped(b []byte, s string) []byte {
 // Original text values are not stored (only their content words are), so
 // rendering shows the element skeleton with each node's content words.
 type storeSource struct {
-	st    *store.Store
 	state *srcState
 }
 
 func newStoreSource(st *store.Store) *storeSource {
-	return &storeSource{st: st, state: &srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}}}
+	return &storeSource{state: &srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}, store: st}}
 }
-
-func (s *storeSource) contentOfID(id nid.ID) []string { return s.st.ContentAt(int(id)) }
 
 func (s *storeSource) pin() *srcState { return s.state }
 
@@ -291,7 +293,7 @@ func (s *storeSource) renderASCII(f *Fragment) string {
 		c := tab.Code(id)
 		b.WriteString(strings.Repeat("  ", int(tab.Depth(id)-rootDepth)))
 		fmt.Fprintf(&b, "%s (%s)", c, s.state.labels.Of(id))
-		if words := s.contentOfID(id); len(words) > 0 {
+		if words := s.state.content(id); len(words) > 0 {
 			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
 		}
 		b.WriteByte('\n')
@@ -336,7 +338,7 @@ func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 		b = append(b, '<')
 		b = append(b, s.state.labels.Of(id)...)
 		b = append(b, '>')
-		for j, word := range s.contentOfID(id) {
+		for j, word := range s.state.content(id) {
 			if j > 0 {
 				b = append(b, ' ')
 			}

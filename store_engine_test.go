@@ -52,9 +52,9 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 						q, algo, i, fa.Len(), fb.Len(), fa.ASCII(), fb.ASCII())
 				}
 				for j := range fa.Nodes {
-					if fa.Nodes[j].Dewey != fb.Nodes[j].Dewey || fa.Nodes[j].Label != fb.Nodes[j].Label {
-						t.Errorf("%q/%s fragment %d node %d differs: %+v vs %+v",
-							q, algo, i, j, fa.Nodes[j], fb.Nodes[j])
+					if fa.Nodes[j].Dewey != fb.Nodes[j].Dewey || fa.NodeLabel(j) != fb.NodeLabel(j) {
+						t.Errorf("%q/%s fragment %d node %d differs: %s vs %s",
+							q, algo, i, j, nodeFacts(fa, j), nodeFacts(fb, j))
 					}
 				}
 			}
