@@ -25,14 +25,25 @@ var nodeTextQueries = []Request{
 	{Query: "xml keyword", Semantics: SLCAOnly, Algorithm: MaxMatch},
 	{Query: "xml search", Rank: true, Limit: 4},
 	{Query: "title:keyword"},
+	{Query: "xml keyword", Algorithm: RawRTF},
 }
 
-// nodeTextRender spells out what e's fragments render for nodeTextQueries:
-// each kept node's text, the snippet, the XML and the ASCII tree.
-func nodeTextRender(t *testing.T, e *Engine) string {
+// renderDocQueries are the requests TestNodeTextParity renders over
+// renderDoc: each of renderQueries pruned and whole.
+func renderDocQueries() []Request {
+	var reqs []Request
+	for _, q := range renderQueries {
+		reqs = append(reqs, Request{Query: q}, Request{Query: q, Algorithm: RawRTF})
+	}
+	return reqs
+}
+
+// nodeTextRender spells out what e's fragments render for reqs: each kept
+// node's text, the snippet, the XML and the ASCII tree.
+func nodeTextRender(t *testing.T, e *Engine, reqs []Request) string {
 	t.Helper()
 	var b strings.Builder
-	for _, req := range nodeTextQueries {
+	for _, req := range reqs {
 		res, err := e.Search(context.Background(), req)
 		if err != nil {
 			t.Fatalf("Search(%+v): %v", req, err)
@@ -50,18 +61,34 @@ func nodeTextRender(t *testing.T, e *Engine) string {
 }
 
 // TestNodeTextParity pins what fragments render from the tables their
-// request pinned — NodeText, Snippet, XML and ASCII — over one generated
-// document served tree-backed, v3-heap and v3-mmap, to the output captured
-// when each node still carried its text in a FragmentNode field
-// (testdata/nodetext: tree.golden, and store.golden for both store modes).
+// request pinned — NodeText, Snippet, XML and ASCII — over two documents
+// served tree-backed, v3-heap and v3-mmap: a generated one, to the output
+// captured when each node still carried its text in a FragmentNode field
+// (testdata/nodetext), and renderDoc, whose attributes, markup to escape,
+// text beside kept children and empty leaves take every form a renderer
+// chooses between (testdata/renderdoc). Each directory has tree.golden, and
+// store.golden for both store modes.
 func TestNodeTextParity(t *testing.T) {
-	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 17, NumRecords: 30, Keywords: []datagen.KeywordSpec{
+	dblp := datagen.DBLP(datagen.DBLPConfig{Seed: 17, NumRecords: 30, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 9}, {Word: "keyword", Count: 6}, {Word: "search", Count: 5},
 	}})
-	for name, e := range servedThreeWays(t, tree) {
-		file, want := golden(t, "nodetext", name)
-		if got := nodeTextRender(t, e); got != want {
-			t.Errorf("%s: rendered\n%s\nwant (%s)\n%s", name, got, file, want)
+	doc, err := xmltree.ParseString(renderDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir  string
+		tree *xmltree.Tree
+		reqs []Request
+	}{
+		{"nodetext", dblp, nodeTextQueries},
+		{"renderdoc", doc, renderDocQueries()},
+	} {
+		for name, e := range servedThreeWays(t, c.tree) {
+			file, want := golden(t, c.dir, name)
+			if got := nodeTextRender(t, e, c.reqs); got != want {
+				t.Errorf("%s %s: rendered\n%s\nwant (%s)\n%s", c.dir, name, got, file, want)
+			}
 		}
 	}
 }
