@@ -645,10 +645,9 @@ func TestTreeWriteXMLAllocsDoNotScale(t *testing.T) {
 }
 
 // TestEncodedPageAllocsNoMemo: the serving layer encodes a collected page
-// through WriteXML, which renders from the fragment's view and leaves the
-// render memo alone, so a page searched and then written fragment by
-// fragment allocates what the search alone does and holds no memo, tree-
-// and store-backed.
+// through WriteXML, which renders from the fragment's view into pooled
+// buffers, so a page searched and then written fragment by fragment
+// allocates what the search alone does, tree- and store-backed.
 func TestEncodedPageAllocsNoMemo(t *testing.T) {
 	for _, backing := range blockBackings {
 		e := backing.build(t, 200)
@@ -664,9 +663,6 @@ func TestEncodedPageAllocsNoMemo(t *testing.T) {
 			for _, f := range search() {
 				if err := f.WriteXML(io.Discard); err != nil {
 					t.Fatal(err)
-				}
-				if f.memo.Load() != nil {
-					t.Fatalf("%s: WriteXML installed fragment %s's render memo", backing.name, f.Root)
 				}
 			}
 		})
@@ -713,12 +709,12 @@ func TestAppendAllocBytesDoNotScale(t *testing.T) {
 
 // TestFragmentAllocSizeClass: fragments are carved by value from their
 // block's or window's slab, so the struct's size is paid once per fragment
-// every request assembles. The per-document context and the render memos
-// sit behind one pointer each, which keeps it at 120 bytes; a field that
-// grows it costs every fragment the bytes.
+// every request assembles. The per-document context sits behind one pointer
+// and nothing is memoized, which keeps it at 112 bytes; a field that grows
+// it costs every fragment the bytes.
 func TestFragmentAllocSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Fragment{}); size > 120 {
-		t.Errorf("Fragment is %d bytes, want at most 120", size)
+	if size := unsafe.Sizeof(Fragment{}); size > 112 {
+		t.Errorf("Fragment is %d bytes, want at most 112", size)
 	}
 }
 

@@ -67,8 +67,7 @@ func (e *Engine) timedAppend(parentDewey, snippet string, tailOnly bool) error {
 }
 
 func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
-	ts, ok := e.src.(*treeSource)
-	if e.tree == nil || !ok {
+	if e.tree == nil {
 		return fmt.Errorf("xks: AppendXML requires a tree-backed engine")
 	}
 	parent, err := dewey.Parse(parentDewey)
@@ -92,14 +91,14 @@ func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
 		if tailOnly {
 			return fmt.Errorf("xks: %w: appending under %s would renumber the nodes after its subtree; append under a node whose subtree ends the document (the root always does)", ErrOffSpine, parent)
 		}
-		if _, err := ts.appendChild(parent, treeToE(sub.Root)); err != nil {
+		if _, err := e.tree.AppendChild(parent, treeToE(sub.Root)); err != nil {
 			return err
 		}
-		e.republishRebuilt(ts)
+		e.republishRebuilt()
 		return nil
 	}
 
-	node, err := ts.appendChild(parent, treeToE(sub.Root))
+	node, err := e.tree.AppendChild(parent, treeToE(sub.Root))
 	if err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
 		var seg *delta.Segment
 		seg, err = delta.NewSegment(start, nid.ID(tab.Len()), postings)
 		if err == nil {
-			ts.extend(nodes, words)
+			e.extend(nodes, words)
 			e.head.Store(h.Append(tab, seg))
 			return nil
 		}
@@ -144,16 +143,15 @@ func (e *Engine) appendXML(parentDewey, snippet string, tailOnly bool) error {
 	// The tree already holds the new subtree but the tail publish failed
 	// (unreachable through the spine check above); reindex from the tree so
 	// the engine stays consistent rather than erroring half-applied.
-	e.republishRebuilt(ts)
+	e.republishRebuilt()
 	return err
 }
 
 // republishRebuilt reindexes the mutated tree from scratch and publishes
 // it under a new rebuild generation. Caller holds e.mu.
-func (e *Engine) republishRebuilt(ts *treeSource) {
+func (e *Engine) republishRebuilt() {
 	h := e.head.Load()
-	ts.refresh()
-	ix := index.BuildAnalyzed(e.tree, e.an, ts.pin().words)
+	ix := index.BuildAnalyzed(e.tree, e.an, e.refresh().words)
 	e.head.Store(&delta.Head{RebuildGen: h.RebuildGen + 1, Tab: ix.Table(), Base: ix})
 }
 

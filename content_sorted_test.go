@@ -20,7 +20,7 @@ func requireSortedContent(t *testing.T, name string, e *Engine) {
 	sets := 0
 	for i := range tab.Len() {
 		id := nid.ID(i)
-		words := e.src.pin().content(id)
+		words := e.src.Load().content(id)
 		if !slices.IsSorted(words) {
 			t.Fatalf("%s: node %s: content set %q is not sorted", name, tab.Code(id), words)
 		}

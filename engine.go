@@ -131,21 +131,25 @@ type Options struct {
 	Limit int
 }
 
-// Engine is a concurrency-safe search engine over one XML document: a
-// document source (the parsed tree, or the shredded store) plus its
-// inverted keyword index, published as an atomically swapped delta head
-// (base index + append segments; internal/delta). Reads resolve a pinned
-// snapshot at entry and never block; writes (AppendXML, Compact) serialize
-// on an internal mutex and publish a new head.
+// Engine is a concurrency-safe search engine over one XML document: its
+// document source (srcState: the tables of the parsed tree or of the
+// shredded store) plus its inverted keyword index, each published
+// atomically — the index as a delta head (base index + append segments;
+// internal/delta). Reads pin a snapshot and the source tables at entry and
+// never block, and no read path walks the live tree; writes (AppendXML,
+// Compact) serialize on an internal mutex and publish new versions.
 type Engine struct {
 	tree *xmltree.Tree // nil for store-backed engines
 	st   *store.Store  // nil for tree-backed engines
-	src  docSource
+	src  atomic.Pointer[srcState]
+	// dict maps a tree's labels to their IDs in the published label
+	// dictionary; only the writer (refresh, extend, under mu) touches it.
+	dict map[string]uint32
 	an   *analysis.Analyzer
 	snip *snippet.Generator
 
 	// head is the current index state; mu serializes the writers that
-	// replace it. counters carries the delta subsystem's observability
+	// replace it and src, and that alone touch tree and dict. counters carries the delta subsystem's observability
 	// state (pinned snapshots, compactions).
 	head     atomic.Pointer[delta.Head]
 	mu       sync.Mutex
@@ -166,9 +170,10 @@ type Engine struct {
 type view struct {
 	snap   *delta.Snapshot
 	scorer *rank.Scorer
-	// src is the document source's tables, pinned after the snapshot: a
-	// writer extends them before it publishes the head that makes new IDs
-	// visible, so they cover every ID the snapshot holds.
+	// src is the document source, pinned after the snapshot: a writer
+	// extends it before it publishes the head that makes new IDs visible,
+	// so it covers every ID the snapshot holds. The query's fragments read
+	// and render from src and the snapshot's table alone.
 	src *srcState
 	eng *Engine
 	// words are the plan's IDF words and keywords its display keywords in
@@ -185,7 +190,7 @@ func (e *Engine) viewAt(h *delta.Head, n int) (*view, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.pin(), eng: e}, nil
+	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.Load(), eng: e}, nil
 }
 
 // currentView pins the engine's newest published state. Resolving a head
@@ -270,14 +275,8 @@ func LoadFile(path string) (*Engine, error) {
 // be mutated afterwards except through the engine's own AppendXML.
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
-	src := newTreeSource(t, an)
-	ix := index.BuildAnalyzed(t, an, src.pin().words)
-	e := &Engine{
-		tree: t,
-		src:  src,
-		an:   an,
-		snip: snippet.NewGenerator(an, snippet.Options{}),
-	}
+	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an, snippet.Options{})}
+	ix := index.BuildAnalyzed(t, an, e.refresh().words)
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }
@@ -289,12 +288,8 @@ func FromTree(t *xmltree.Tree) *Engine {
 func FromStore(st *store.Store) *Engine {
 	an := analysis.New()
 	ix := st.BuildIndex(an)
-	e := &Engine{
-		st:   st,
-		src:  newStoreSource(st),
-		an:   an,
-		snip: snippet.NewGenerator(an, snippet.Options{}),
-	}
+	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an, snippet.Options{})}
+	e.src.Store(&srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}, store: st})
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }

@@ -3,9 +3,8 @@ package xks
 import (
 	"io"
 	"math/bits"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"xks/internal/dewey"
 	"xks/internal/nid"
@@ -35,9 +34,8 @@ func (n FragmentNode) IsKeywordNode() bool { return n.mask != 0 }
 // kept IDs — so a retained fragment keeps at most 64 fragments' arrays
 // alive. A kept node's facts beyond its Dewey code (NodeLabel, NodeLevel,
 // NodeText, NodeMatched) are read by ID from the tables its request pinned,
-// so they hold across later writes to the engine. The render memos sit
-// behind a pointer that the first XML, ASCII or Contains call fills: a page
-// that is only encoded (WriteXML) has none.
+// so they hold across later writes to the engine. XML, WriteXML, ASCII and
+// Contains read those tables too, on each call: a fragment memoizes nothing.
 type Fragment struct {
 	// Root is the Dewey code of the fragment's interesting LCA node: the
 	// first node's Dewey string (the root is always kept, first).
@@ -64,26 +62,6 @@ type Fragment struct {
 	// its own nodes (labels, texts, content sets), and the plan's keywords.
 	v       *view
 	keptIDs []nid.ID
-	memo    atomic.Pointer[fragMemo]
-}
-
-// fragMemo is a fragment's rendered forms, computed once and shared: the
-// serving layer caches fragments, and many requests may render one at once.
-// keep is the kept set by dewey key (Contains, the tree's ASCII renderer).
-// xmlDone publishes xmlText to WriteXML without touching the Once.
-type fragMemo struct {
-	keep                         map[string]bool
-	xmlText, asciiText           string
-	keepOnce, xmlOnce, asciiOnce sync.Once
-	xmlDone                      atomic.Bool
-}
-
-// memos returns the fragment's memo; racing first calls install one.
-func (f *Fragment) memos() *fragMemo {
-	if f.memo.Load() == nil {
-		f.memo.CompareAndSwap(nil, new(fragMemo))
-	}
-	return f.memo.Load()
 }
 
 // Len returns the number of kept nodes.
@@ -127,29 +105,20 @@ func (f *Fragment) NodeMatched(i int) []string {
 	return out
 }
 
-// keepSet returns the kept codes keyed by dewey key, built on first use.
-func (f *Fragment) keepSet() map[string]bool {
-	m := f.memos()
-	m.keepOnce.Do(func() {
-		keep := make(map[string]bool, len(f.keptIDs))
-		var buf []byte
-		for _, id := range f.keptIDs {
-			buf = f.v.snap.Table().Code(id).AppendKey(buf[:0])
-			keep[string(buf)] = true
-		}
-		m.keep = keep
-	})
-	return m.keep
-}
-
 // Contains reports whether the fragment kept the node with the given Dewey
-// code (dotted form).
+// code (dotted form): the code's ID in the pinned node table, looked up in
+// the kept IDs (ascending, being pre-order).
 func (f *Fragment) Contains(deweyCode string) bool {
 	c, err := dewey.Parse(deweyCode)
 	if err != nil {
 		return false
 	}
-	return f.keepSet()[c.Key()]
+	id, ok := f.v.snap.Table().Find(c)
+	if !ok {
+		return false
+	}
+	_, kept := slices.BinarySearch(f.keptIDs, id)
+	return kept
 }
 
 // Snippet returns a query-biased one-line summary of the fragment: every
@@ -176,40 +145,21 @@ func (f *Fragment) Snippet() string {
 
 // ASCII renders the fragment as an indented tree in the style of the
 // paper's figures. Store-backed fragments show content words instead of
-// raw text. The rendering is computed once and reused (fragments are
-// shared by the serving layer's cache).
-func (f *Fragment) ASCII() string {
-	m := f.memos()
-	m.asciiOnce.Do(func() {
-		m.asciiText = f.v.eng.src.renderASCII(f)
-	})
-	return m.asciiText
-}
+// raw text.
+func (f *Fragment) ASCII() string { return f.v.src.ascii(f.v.snap.Table(), f.keptIDs) }
 
 // XML serializes the fragment as an XML snippet. Store-backed fragments
-// render the element skeleton with content words. The rendering is
-// computed once and reused.
+// render the element skeleton with content words.
 func (f *Fragment) XML() string {
-	m := f.memos()
-	m.xmlOnce.Do(func() {
-		var b strings.Builder
-		f.v.eng.src.renderXMLTo(&b, f) // a Builder's writes cannot fail
-		m.xmlText = b.String()
-		m.xmlDone.Store(true)
-	})
-	return m.xmlText
+	var b strings.Builder
+	f.WriteXML(&b) // a Builder's writes cannot fail
+	return b.String()
 }
 
 // WriteXML renders the fragment's XML into w — byte-identical to XML(),
-// but without building or retaining the string: the serving layer renders
-// each cached page once, straight into its encoded response bytes, and
-// keeps those instead. When the rendering was already memoized by XML(),
-// the cached string is written instead of re-rendering; WriteXML itself
-// neither populates the cache nor allocates the memo.
+// but without building the string: the serving layer renders each cached
+// page once, straight into its encoded response bytes, and keeps those
+// instead.
 func (f *Fragment) WriteXML(w io.Writer) error {
-	if m := f.memo.Load(); m != nil && m.xmlDone.Load() {
-		_, err := io.WriteString(w, m.xmlText)
-		return err
-	}
-	return f.v.eng.src.renderXMLTo(w, f)
+	return f.v.src.writeXML(w, f.v.snap.Table(), f.keptIDs)
 }

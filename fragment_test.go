@@ -289,13 +289,11 @@ func TestRetainedFragmentsKeepTheirAnswers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFragmentMemoConcurrentRender: for each fragment of a page, eight
-// goroutines render it through XML, ASCII, Contains and WriteXML at once.
-// Every call returns what a fresh single-threaded render of the same
-// fragment returns, every goroutine sees the one memo the first call
-// installed, and that memo holds all three renderings. CI runs it under
-// -race.
-func TestFragmentMemoConcurrentRender(t *testing.T) {
+// TestFragmentConcurrentRender: for each fragment of a page, eight
+// goroutines render it through XML, ASCII, Contains and WriteXML at once,
+// and every call returns what a fresh single-threaded render of the same
+// fragment returns. CI runs it under -race.
+func TestFragmentConcurrentRender(t *testing.T) {
 	const page = 32
 	for _, backing := range blockBackings {
 		e := backing.build(t, page)
@@ -318,8 +316,7 @@ func TestFragmentMemoConcurrentRender(t *testing.T) {
 			}
 			var start, done sync.WaitGroup
 			start.Add(1)
-			memos := make([]*fragMemo, 8)
-			for g := range memos {
+			for g := range 8 {
 				done.Add(1)
 				go func() {
 					defer done.Done()
@@ -344,23 +341,11 @@ func TestFragmentMemoConcurrentRender(t *testing.T) {
 								t.Errorf("%s: WriteXML = %q, %v; want %q", backing.name, w.String(), err, wantXML)
 							}
 						}
-						if memos[g] == nil {
-							memos[g] = f.memo.Load() // nil only while nothing but WriteXML ran
-						}
 					}
 				}()
 			}
 			start.Done()
 			done.Wait()
-			m := f.memo.Load()
-			for g, seen := range memos {
-				if seen != m {
-					t.Fatalf("%s fragment %s: goroutine %d saw memo %p, the fragment holds %p: want one memo, installed once", backing.name, f.Root, g, seen, m)
-				}
-			}
-			if !m.xmlDone.Load() || m.asciiText != wantASCII || m.keep == nil {
-				t.Fatalf("%s fragment %s: the installed memo lacks a rendering its callers computed", backing.name, f.Root)
-			}
 		}
 	}
 }

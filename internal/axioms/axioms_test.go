@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xks"
@@ -145,8 +146,9 @@ func TestAxiomsRandomized(t *testing.T) {
 		}
 		for _, v := range vs {
 			if !v.Holds {
-				t.Fatalf("trial %d: %s failed: %s\n%s", i, v.Property, v.Detail,
-					xmltree.ASCIITree(tree.Root, nil))
+				var doc strings.Builder
+				xmltree.WriteXML(&doc, tree.Root) // a Builder's writes cannot fail
+				t.Fatalf("trial %d: %s failed: %s\n%s", i, v.Property, v.Detail, doc.String())
 			}
 		}
 	}

@@ -740,8 +740,8 @@ func flush(f http.Flusher) {
 // ToFragment converts one result fragment to the shape its wire record
 // decodes into — what a Go client holds after json.Unmarshal, and what
 // cmd/xksearch's -stream output marshals. The server itself writes records
-// with encoder.record, which never builds the XML string this memoizes on
-// the fragment.
+// with encoder.record, which streams the XML through Fragment.WriteXML
+// instead of building the string this renders.
 func ToFragment(f xks.CorpusFragment, withSnippets bool) Fragment {
 	out := Fragment{
 		Document:  f.Document,

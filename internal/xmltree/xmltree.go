@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"xks/internal/dewey"
 )
@@ -342,16 +343,14 @@ func writeNode(w io.Writer, n *Node, depth int, keep map[string]bool) error {
 		return nil
 	}
 	ind := strings.Repeat("  ", depth)
-	var b strings.Builder
-	b.WriteString(ind)
-	b.WriteByte('<')
-	b.WriteString(n.Label)
+	b := append([]byte(ind), '<')
+	b = append(b, n.Label...)
 	for _, a := range n.Attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Name)
-		b.WriteString(`="`)
-		xmlEscape(&b, a.Value)
-		b.WriteByte('"')
+		b = append(b, ' ')
+		b = append(b, a.Name...)
+		b = append(b, '=', '"')
+		b = AppendEscaped(b, a.Value)
+		b = append(b, '"')
 	}
 	keptKids := 0
 	for _, c := range n.Children {
@@ -360,23 +359,18 @@ func writeNode(w io.Writer, n *Node, depth int, keep map[string]bool) error {
 		}
 	}
 	if n.Text == "" && keptKids == 0 {
-		b.WriteString("/>\n")
-		_, err := io.WriteString(w, b.String())
+		_, err := w.Write(append(b, "/>\n"...))
 		return err
 	}
-	b.WriteByte('>')
-	if n.Text != "" {
-		xmlEscape(&b, n.Text)
-	}
+	b = append(b, '>')
+	b = AppendEscaped(b, n.Text)
 	if keptKids == 0 {
-		b.WriteString("</")
-		b.WriteString(n.Label)
-		b.WriteString(">\n")
-		_, err := io.WriteString(w, b.String())
+		b = append(b, "</"...)
+		b = append(b, n.Label...)
+		_, err := w.Write(append(b, ">\n"...))
 		return err
 	}
-	b.WriteByte('\n')
-	if _, err := io.WriteString(w, b.String()); err != nil {
+	if _, err := w.Write(append(b, '\n')); err != nil {
 		return err
 	}
 	for _, c := range n.Children {
@@ -409,45 +403,38 @@ func validXMLName(s string) bool {
 	return true
 }
 
-func xmlEscape(b *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '&':
-			b.WriteString("&amp;")
-		case '"':
-			b.WriteString("&quot;")
+// AppendEscaped appends s to b as XML character data or an attribute
+// value: the four markup characters as entities, a byte that is not UTF-8 as
+// U+FFFD, the clean runs between them copied whole.
+func AppendEscaped(b []byte, s string) []byte {
+	clean := 0 // start of the run not yet copied
+	for i := 0; i < len(s); {
+		var esc string
+		switch c := s[i]; {
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '&':
+			esc = "&amp;"
+		case c == '"':
+			esc = "&quot;"
+		case c >= utf8.RuneSelf:
+			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+			esc = string(utf8.RuneError)
 		default:
-			b.WriteRune(r)
+			i++
+			continue
 		}
+		b = append(b, s[clean:i]...)
+		b = append(b, esc...)
+		i++
+		clean = i
 	}
-}
-
-// ASCIITree renders the subtree rooted at root as an indented tree in the
-// style of the paper's figures ("0.2.0.1 (title) "Keyword Search""),
-// restricted to the kept codes if keep is non-nil.
-func ASCIITree(root *Node, keep map[string]bool) string {
-	var b strings.Builder
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
-		if keep != nil && !keep[n.Code.Key()] {
-			return
-		}
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.String())
-		if n.Text != "" {
-			fmt.Fprintf(&b, " %q", n.Text)
-		}
-		b.WriteByte('\n')
-		for _, c := range n.Children {
-			rec(c, depth+1)
-		}
-	}
-	rec(root, 0)
-	return b.String()
+	return append(b, s[clean:]...)
 }
 
 // LabelHistogram counts nodes per label, useful for dataset statistics.

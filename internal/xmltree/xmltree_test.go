@@ -226,19 +226,6 @@ func TestWriteFragmentXML(t *testing.T) {
 	}
 }
 
-func TestASCIITree(t *testing.T) {
-	tr, _ := ParseString(sampleXML)
-	full := ASCIITree(tr.Root, nil)
-	if !strings.Contains(full, `0.0 (title) "VLDB"`) {
-		t.Errorf("ASCIITree missing node:\n%s", full)
-	}
-	keep := map[string]bool{dewey.MustParse("0").Key(): true, dewey.MustParse("0.1").Key(): true}
-	partial := ASCIITree(tr.Root, keep)
-	if strings.Contains(partial, "Articles") {
-		t.Errorf("ASCIITree leaked pruned node:\n%s", partial)
-	}
-}
-
 func TestLabelHistogramAndSortedLabels(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
 	h := tr.LabelHistogram()

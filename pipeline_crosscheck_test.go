@@ -47,7 +47,7 @@ func (s codeSource) id(c dewey.Code) nid.ID {
 	return id
 }
 
-func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.pin().labels.Of(s.id(c)) }
+func (s codeSource) labelOf(c dewey.Code) string { return s.e.src.Load().labels.Of(s.id(c)) }
 
 // idRTF carries a Dewey-code RTF over to the table, for the one pruneRTF
 // builder.
@@ -112,7 +112,7 @@ func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.pin().labels.Of, e.src.pin().content, pruneOpts)
+		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.Load().labels.Of, e.src.Load().content, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
 		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}
@@ -159,13 +159,6 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 	for _, c := range kept.Kept {
 		f.Nodes = append(f.Nodes, FragmentNode{Dewey: c.String(), mask: matched[c.Key()]})
 	}
-	// The tree renderer walks table IDs, which the eager path never had: an
-	// eager fragment's XML is the reference writer's, filled in here.
-	m := f.memos()
-	m.xmlOnce.Do(func() {
-		m.xmlText = referenceTreeXML(e, f)
-		m.xmlDone.Store(true)
-	})
 	return f
 }
 

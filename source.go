@@ -1,76 +1,39 @@
 package xks
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 	"sync"
-	"sync/atomic"
-	"unicode/utf8"
 
-	"xks/internal/analysis"
-	"xks/internal/dewey"
 	"xks/internal/nid"
 	"xks/internal/prune"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
 
-// docSource abstracts where node labels, content and rendering come from:
-// the parsed tree (FromTree / Load*) or the shredded store (FromStore).
-// Nodes are addressed by table ID. Labels come from one ID-aligned label
-// column and dictionary (prune.Labels) that both sources publish in their
-// srcState: the tree interns its element names, the store hands out its v3
-// labelids section and label table. Content sets (srcState.content) and a
-// tree's texts are read off the pinned srcState too. Renderers receive the
-// fragment itself: both XML renderers walk its kept IDs (f.keptIDs, pre-order
-// and ancestor-closed), resolve nodes by ID and read depths off the
-// fragment's node table; only the ASCII tree renderer and Contains take the
-// dewey-keyed map (f.keepSet, built on first use).
-type docSource interface {
-	// pin returns the ID-aligned tables a request reads its labels and
-	// content sets from and the fragments it materializes read and render
-	// from later (view.src).
-	pin() *srcState
-	renderASCII(f *Fragment) string
-	// renderXMLTo writes the XML rendering into w: XML's string, or straight
-	// into the serving layer's response bytes.
-	renderXMLTo(w io.Writer, f *Fragment) error
-}
-
-// treeSource serves everything from the in-memory document tree.
+// srcState is the document source: one published version of the tables a
+// node table ID indexes. Both backings have the label column (4 bytes a
+// node) and dictionary. A tree's state adds the pre-order node list and each
+// node's analyzed content set (the engine's table is built over the same
+// pre-order walk); a store's adds the store, whose content column it reads
+// (node IDs equal element row indices, since store.BuildIndex shares the
+// store's node table).
 //
-// Concurrency: the tail-append write path mutates the tree (AppendChild
-// touches the parent's child slice and the tree's key map) while readers
-// walk it, so structural access is guarded by mu — shared for ASCII
-// renders, exclusive for appendChild. The ID-aligned
-// tables live in an atomically swapped srcState instead: the hot path
-// (labels and content sets during pruning, XML rendering) stays lock-free.
-// The tables follow the shared-backing discipline of
-// internal/delta's package comment: extend (one writer, under the engine's
-// write mutex) appends rows on the arrays the previous state uses and
-// publishes a longer state; rows below a published length are never
+// A request pins the state current after its snapshot (view.src), and its
+// fragments read labels, texts and content sets and render from that state
+// and the snapshot's node table alone — never from the engine or its live
+// tree — so a fragment answers alike across later writes.
+//
+// A tree-backed engine publishes its states under the shared-backing
+// discipline of internal/delta's package comment: extend (one writer, under
+// the engine's write mutex) appends rows on the arrays the previous state
+// uses and publishes a longer state; rows below a published length are never
 // rewritten and a reader never indexes past the length of the state it
 // loaded. New labels go at the dictionary's tail the same way, so a reader
 // never finds a label ID its dictionary does not cover. A renumbering
 // rebuild publishes fresh arrays (refresh) and leaves the old ones to the
-// fragments that pinned them.
-type treeSource struct {
-	mu    sync.RWMutex // guards tree structure (walks and ASCII renders vs appendChild)
-	tree  *xmltree.Tree
-	an    *analysis.Analyzer
-	state atomic.Pointer[srcState]
-	// dict maps a label to its dictionary ID; only the writer (refresh,
-	// extend) reads or writes it.
-	dict map[string]uint32
-}
-
-// srcState is one published version of a source's ID-aligned tables: the
-// label column (4 bytes a node) and dictionary, and for a tree the
-// pre-order node list and each node's analyzed content set. A node table
-// ID indexes each of them (the engine's table is built over the same
-// pre-order walk). A store's state has its labels and the store, whose
-// content sets it reads.
+// fragments that pinned them. A store-backed engine publishes one state: the
+// store's label column and table as they are (zero-copy under mmap).
 type srcState struct {
 	labels prune.Labels
 	nodes  []*xmltree.Node
@@ -88,131 +51,122 @@ func (s *srcState) content(id nid.ID) []string {
 	return s.words[id]
 }
 
-func newTreeSource(t *xmltree.Tree, an *analysis.Analyzer) *treeSource {
-	s := &treeSource{tree: t, an: an}
-	s.refresh()
-	return s
-}
-
-// refresh rebuilds the ID-aligned caches from scratch after the tree
-// changed shape (the renumbering rebuild path).
-func (s *treeSource) refresh() {
-	nodes := s.tree.Nodes()
+// refresh publishes source tables rebuilt from the whole tree — at
+// construction, and after an append renumbered IDs — and returns them.
+// Caller holds e.mu or has not yet shared e.
+func (e *Engine) refresh() *srcState {
+	nodes := e.tree.Nodes()
 	st := &srcState{nodes: nodes, words: make([][]string, len(nodes))}
 	st.labels.IDs = make([]uint32, len(nodes))
-	s.dict = map[string]uint32{}
+	e.dict = map[string]uint32{}
 	for i, n := range nodes {
-		st.words[i] = s.an.ContentSet(n.ContentPieces()...)
-		st.labels.IDs[i] = s.intern(&st.labels.Names, n.Label)
+		st.words[i] = e.an.ContentSet(n.ContentPieces()...)
+		st.labels.IDs[i] = e.intern(&st.labels.Names, n.Label)
 	}
-	s.state.Store(st)
+	e.src.Store(st)
+	return st
 }
 
 // intern returns label's dictionary ID, appending label to *names when it
-// is new.
-func (s *treeSource) intern(names *[]string, label string) uint32 {
-	id, ok := s.dict[label]
+// is new. Caller holds e.mu.
+func (e *Engine) intern(names *[]string, label string) uint32 {
+	id, ok := e.dict[label]
 	if !ok {
 		id = uint32(len(*names))
 		*names = append(*names, label)
-		s.dict[label] = id
+		e.dict[label] = id
 	}
 	return id
-}
-
-// appendChild splices e under parent as its last child (exclusive lock —
-// readers walking the tree see either before or after, never a torn
-// child slice) and returns the attached subtree root.
-func (s *treeSource) appendChild(parent dewey.Code, e xmltree.E) (*xmltree.Node, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tree.AppendChild(parent, e)
 }
 
 // extend publishes a state with the new tail nodes appended — the delta
 // append path, where IDs of existing nodes are stable and only the tail
 // grows. The rows land on the previous state's arrays while their amortized
 // capacity lasts, so the cost is the appended rows, not the document.
-func (s *treeSource) extend(nodes []*xmltree.Node, words [][]string) {
-	st := s.state.Load()
+// Caller holds e.mu.
+func (e *Engine) extend(nodes []*xmltree.Node, words [][]string) {
+	st := e.src.Load()
 	labels := st.labels
 	for _, n := range nodes {
-		labels.IDs = append(labels.IDs, s.intern(&labels.Names, n.Label))
+		labels.IDs = append(labels.IDs, e.intern(&labels.Names, n.Label))
 	}
-	s.state.Store(&srcState{
+	e.src.Store(&srcState{
 		labels: labels,
 		nodes:  append(st.nodes, nodes...),
 		words:  append(st.words, words...),
 	})
 }
 
-func (s *treeSource) pin() *srcState { return s.state.Load() }
+// renderBufs recycles writeXML's output buffers; renderFlush is the size at
+// which a render in progress hands what it has to the writer, so a pooled
+// buffer stays small however large the fragment.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-func (s *treeSource) renderASCII(f *Fragment) string {
-	keep := f.keepSet()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := s.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0]))
-	if n == nil {
-		return ""
-	}
-	return xmltree.ASCIITree(n, keep)
-}
+const renderFlush = 32 << 10
 
-// renderXMLTo writes the kept nodes (pre-order, ancestor-closed, the
-// fragment root first) as XML, byte for byte what xmltree.WriteFragmentXML
-// writes for the same keep set. Nodes are resolved by ID from the tables the
-// fragment pinned when it was materialized — a node's label, attributes and
-// text never change once it is attached — so the render takes no lock, looks
-// nothing up by Dewey key and never visits a child that was not kept. An
-// element has kept children exactly when the next kept node lies deeper.
-func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
+// writeXML writes the nodes kept (IDs of tab: pre-order, ancestor-closed,
+// the fragment root first) as XML into w. A tree row opens with its
+// attributes and escaped text, byte for byte what xmltree.WriteFragmentXML
+// writes for the same keep set: an element closes on its own line when it
+// has kept children — exactly when the next kept node lies deeper — and
+// an empty leaf closes itself. A store keeps no text, only content words,
+// so its row renders the element skeleton: the words on the open tag's
+// line, and every element closed on its own line.
+func (s *srcState) writeXML(w io.Writer, tab *nid.Table, kept []nid.ID) error {
 	bp := renderBufs.Get().(*[]byte)
 	b := (*bp)[:0]
 	defer func() { *bp = b; renderBufs.Put(bp) }()
 	var open [32]string // labels of the elements still open, outermost first
 	stack := open[:0]
 	closeTop := func() {
-		b = appendIndent(b, len(stack)-1)
-		b = append(b, '<', '/')
-		b = append(b, stack[len(stack)-1]...)
-		b = append(b, '>', '\n')
+		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		b = appendIndent(b, len(stack))
+		b = append(b, '<', '/')
+		b = append(b, top...)
+		b = append(b, '>', '\n')
 	}
-	tab, nodes := f.v.snap.Table(), f.v.src.nodes
-	rootDepth := tab.Depth(f.keptIDs[0])
-	for i, id := range f.keptIDs {
-		n := nodes[id]
+	rootDepth := tab.Depth(kept[0])
+	for i, id := range kept {
+		// Ancestor-closed pre-order: the open elements are exactly the
+		// node's ancestors once the stack is as deep as the node.
 		d := tab.Depth(id)
-		depth := int(d - rootDepth)
-		for len(stack) > depth {
+		for len(stack) > int(d-rootDepth) {
 			closeTop()
 		}
-		b = appendIndent(b, depth)
+		label := s.labels.Of(id)
+		b = appendIndent(b, len(stack))
 		b = append(b, '<')
-		b = append(b, n.Label...)
-		for _, a := range n.Attrs {
-			b = append(b, ' ')
-			b = append(b, a.Name...)
-			b = append(b, '=', '"')
-			b = appendXMLEscaped(b, a.Value)
-			b = append(b, '"')
-		}
-		keptKids := i+1 < len(f.keptIDs) && tab.Depth(f.keptIDs[i+1]) > d
-		switch {
-		case keptKids:
+		b = append(b, label...)
+		if s.store != nil {
 			b = append(b, '>')
-			b = appendXMLEscaped(b, n.Text)
+			b = appendWords(b, s.store.ContentAt(int(id)))
 			b = append(b, '\n')
-			stack = append(stack, n.Label)
-		case n.Text == "":
-			b = append(b, '/', '>', '\n')
-		default:
-			b = append(b, '>')
-			b = appendXMLEscaped(b, n.Text)
-			b = append(b, '<', '/')
-			b = append(b, n.Label...)
-			b = append(b, '>', '\n')
+			stack = append(stack, label)
+		} else {
+			n := s.nodes[id]
+			for _, a := range n.Attrs {
+				b = append(b, ' ')
+				b = append(b, a.Name...)
+				b = append(b, '=', '"')
+				b = xmltree.AppendEscaped(b, a.Value)
+				b = append(b, '"')
+			}
+			switch {
+			case i+1 < len(kept) && tab.Depth(kept[i+1]) > d:
+				b = append(b, '>')
+				b = xmltree.AppendEscaped(b, n.Text)
+				b = append(b, '\n')
+				stack = append(stack, label)
+			case n.Text == "":
+				b = append(b, '/', '>', '\n')
+			default:
+				b = append(b, '>')
+				b = xmltree.AppendEscaped(b, n.Text)
+				b = append(b, '<', '/')
+				b = append(b, label...)
+				b = append(b, '>', '\n')
+			}
 		}
 		if len(b) >= renderFlush {
 			if _, err := w.Write(b); err != nil {
@@ -226,6 +180,33 @@ func (s *treeSource) renderXMLTo(w io.Writer, f *Fragment) error {
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// ascii renders the nodes kept (as for writeXML) as an indented tree in the
+// style of the paper's figures, one "0.2.0.1 (title)" line a node: a tree
+// row ends in its quoted text, a store row in its content words in braces.
+func (s *srcState) ascii(tab *nid.Table, kept []nid.ID) string {
+	var b []byte
+	rootDepth := tab.Depth(kept[0])
+	for _, id := range kept {
+		b = appendIndent(b, int(tab.Depth(id)-rootDepth))
+		b = tab.Code(id).AppendString(b)
+		b = append(b, ' ', '(')
+		b = append(b, s.labels.Of(id)...)
+		b = append(b, ')')
+		if s.store != nil {
+			if words := s.store.ContentAt(int(id)); len(words) > 0 {
+				b = append(b, ' ', '{')
+				b = appendWords(b, words)
+				b = append(b, '}')
+			}
+		} else if text := s.nodes[id].Text; text != "" {
+			b = append(b, ' ')
+			b = strconv.AppendQuote(b, text)
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
 }
 
 func appendIndent(b []byte, depth int) []byte {
@@ -235,127 +216,13 @@ func appendIndent(b []byte, depth int) []byte {
 	return b
 }
 
-// appendXMLEscaped appends s the way xmltree's writer escapes it — the four
-// markup characters as entities, a byte that is not UTF-8 as U+FFFD —
-// copying the clean runs between them whole.
-func appendXMLEscaped(b []byte, s string) []byte {
-	clean := 0 // start of the run not yet copied
-	for i := 0; i < len(s); {
-		var esc string
-		switch c := s[i]; {
-		case c == '<':
-			esc = "&lt;"
-		case c == '>':
-			esc = "&gt;"
-		case c == '&':
-			esc = "&amp;"
-		case c == '"':
-			esc = "&quot;"
-		case c >= utf8.RuneSelf:
-			if r, size := utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || size != 1 {
-				i += size
-				continue
-			}
-			esc = string(utf8.RuneError)
-		default:
-			i++
-			continue
+// appendWords appends a store row's content words, space-separated.
+func appendWords(b []byte, words []string) []byte {
+	for j, word := range words {
+		if j > 0 {
+			b = append(b, ' ')
 		}
-		b = append(b, s[clean:i]...)
-		b = append(b, esc...)
-		i++
-		clean = i
+		b = append(b, word...)
 	}
-	return append(b, s[clean:]...)
-}
-
-// storeSource serves labels and content from the shredded tables. Node IDs
-// equal element row indices (store.BuildIndex shares the store's node
-// table), so ID lookups are direct column accesses; its one srcState holds
-// the store's label column and table as they are (zero-copy under mmap).
-// Original text values are not stored (only their content words are), so
-// rendering shows the element skeleton with each node's content words.
-type storeSource struct {
-	state *srcState
-}
-
-func newStoreSource(st *store.Store) *storeSource {
-	return &storeSource{state: &srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}, store: st}}
-}
-
-func (s *storeSource) pin() *srcState { return s.state }
-
-func (s *storeSource) renderASCII(f *Fragment) string {
-	var b strings.Builder
-	tab := f.v.snap.Table()
-	rootDepth := tab.Depth(f.keptIDs[0])
-	for _, id := range f.keptIDs {
-		c := tab.Code(id)
-		b.WriteString(strings.Repeat("  ", int(tab.Depth(id)-rootDepth)))
-		fmt.Fprintf(&b, "%s (%s)", c, s.state.labels.Of(id))
-		if words := s.state.content(id); len(words) > 0 {
-			fmt.Fprintf(&b, " {%s}", strings.Join(words, " "))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// renderBufs recycles the XML renderers' output buffers; renderFlush is the
-// size at which a render in progress hands what it has to the writer, so a
-// pooled buffer stays small however large the fragment.
-var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const renderFlush = 32 << 10
-
-// renderXMLTo renders the element skeleton of the kept nodes (pre-order,
-// ancestor-closed) with each node's content words: tags, indentation and
-// words are appended to one pooled buffer, labels and words resolved by
-// row index.
-func (s *storeSource) renderXMLTo(w io.Writer, f *Fragment) error {
-	bp := renderBufs.Get().(*[]byte)
-	b := (*bp)[:0]
-	defer func() { *bp = b; renderBufs.Put(bp) }()
-	var open [32]nid.ID // the elements still open, outermost first
-	stack := open[:0]
-	closeTop := func() {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		b = appendIndent(b, len(stack))
-		b = append(b, '<', '/')
-		b = append(b, s.state.labels.Of(top)...)
-		b = append(b, '>', '\n')
-	}
-	tab := f.v.snap.Table()
-	rootDepth := tab.Depth(f.keptIDs[0])
-	for _, id := range f.keptIDs {
-		// Ancestor-closed pre-order: the open elements are exactly the
-		// node's ancestors once the stack is as deep as the node.
-		for depth := int(tab.Depth(id) - rootDepth); len(stack) > depth; {
-			closeTop()
-		}
-		b = appendIndent(b, len(stack))
-		b = append(b, '<')
-		b = append(b, s.state.labels.Of(id)...)
-		b = append(b, '>')
-		for j, word := range s.state.content(id) {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = append(b, word...)
-		}
-		b = append(b, '\n')
-		stack = append(stack, id)
-		if len(b) >= renderFlush {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
-		}
-	}
-	for len(stack) > 0 {
-		closeTop()
-	}
-	_, err := w.Write(b)
-	return err
+	return b
 }

@@ -194,24 +194,3 @@ func TestStoreRenderMatchesReference(t *testing.T) {
 		t.Fatalf("largest fragment renders to %d bytes; want one past the %d-byte flush threshold", largest, renderFlush)
 	}
 }
-
-// TestStoreRenderBuildsNoKeepMap: only the tree renderer consults the
-// dewey-keyed keep map, so rendering a store-backed fragment must not build
-// it (one map entry and one key string per kept node, on every first
-// render).
-func TestStoreRenderBuildsNoKeepMap(t *testing.T) {
-	res, err := storeEngine(t).Search(context.Background(), Request{Query: paperdata.QLiuKeyword})
-	if err != nil || len(res.Fragments) == 0 {
-		t.Fatalf("%d fragments, err %v", len(res.Fragments), err)
-	}
-	for _, f := range res.Fragments {
-		f.XML()
-		f.ASCII()
-		if f.memo.Load().keep != nil {
-			t.Fatalf("fragment %s: rendering a store-backed fragment built the keep map", f.Root)
-		}
-		if !f.Contains(f.Root) || f.memo.Load().keep == nil {
-			t.Fatalf("fragment %s: Contains must still build and consult the map", f.Root)
-		}
-	}
-}

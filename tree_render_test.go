@@ -3,9 +3,11 @@ package xks
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"xks/internal/dewey"
 	"xks/internal/xmltree"
 )
 
@@ -26,13 +28,69 @@ var renderQueries = []string{
 	"empty beta", "note alpha", "mixed gamma", "lib", "shelf top",
 }
 
+// keepMap is the fragment's kept set keyed by Dewey key, the form
+// xmltree's recursive writer and asciiTree filter the live tree by.
+func keepMap(f *Fragment) map[string]bool {
+	keep := make(map[string]bool, len(f.keptIDs))
+	for _, id := range f.keptIDs {
+		keep[f.v.snap.Table().Code(id).Key()] = true
+	}
+	return keep
+}
+
 // referenceTreeXML is the rendering the tree source produced before it walked
 // kept IDs: xmltree's recursive writer over the live tree, filtered by the
 // fragment's Dewey-keyed keep map.
 func referenceTreeXML(e *Engine, f *Fragment) string {
 	var b strings.Builder
-	xmltree.WriteFragmentXML(&b, e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), f.keepSet()) // a Builder's writes cannot fail
+	xmltree.WriteFragmentXML(&b, e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f)) // a Builder's writes cannot fail
 	return b.String()
+}
+
+// referenceTreeASCII is the ASCII rendering the tree source produced before
+// it walked kept IDs: asciiTree over the live tree and the keep map.
+func referenceTreeASCII(e *Engine, f *Fragment) string {
+	return asciiTree(e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+}
+
+// asciiTree renders the subtree rooted at root as an indented tree in the
+// style of the paper's figures ("0.2.0.1 (title) "Keyword Search""),
+// restricted to the kept codes if keep is non-nil.
+func asciiTree(root *xmltree.Node, keep map[string]bool) string {
+	var b strings.Builder
+	var rec func(n *xmltree.Node, depth int)
+	rec = func(n *xmltree.Node, depth int) {
+		if keep != nil && !keep[n.Code.Key()] {
+			return
+		}
+		b.WriteString(strings.Repeat("  ", depth))
+		b.WriteString(n.String())
+		if n.Text != "" {
+			fmt.Fprintf(&b, " %q", n.Text)
+		}
+		b.WriteByte('\n')
+		for _, c := range n.Children {
+			rec(c, depth+1)
+		}
+	}
+	rec(root, 0)
+	return b.String()
+}
+
+func TestASCIITree(t *testing.T) {
+	tr, err := xmltree.ParseString(renderDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := asciiTree(tr.Root, nil)
+	if !strings.Contains(full, `0.0.0.0 (title) "Alpha \"quoted\" <beta>"`) {
+		t.Errorf("asciiTree missing node:\n%s", full)
+	}
+	keep := map[string]bool{dewey.MustParse("0").Key(): true, dewey.MustParse("0.1").Key(): true}
+	partial := asciiTree(tr.Root, keep)
+	if strings.Contains(partial, "Alpha") || !strings.Contains(partial, `0.1 (shelf)`) {
+		t.Errorf("asciiTree leaked a pruned node or lost a kept one:\n%s", partial)
+	}
 }
 
 func allFragments(t *testing.T, e *Engine, queries []string) []*Fragment {
@@ -52,10 +110,9 @@ func allFragments(t *testing.T, e *Engine, queries []string) []*Fragment {
 	return out
 }
 
-// requireReferenceXML renders every fragment with WriteXML — never XML(),
-// whose memo would answer for the renderer from then on — and returns the
-// renderings.
-func requireReferenceXML(t *testing.T, e *Engine, frags []*Fragment) []string {
+// requireReference renders every fragment with WriteXML, XML and ASCII,
+// requires each to match its reference, and returns the XML renderings.
+func requireReference(t *testing.T, e *Engine, frags []*Fragment) []string {
 	t.Helper()
 	out := make([]string, len(frags))
 	for i, f := range frags {
@@ -64,19 +121,22 @@ func requireReferenceXML(t *testing.T, e *Engine, frags []*Fragment) []string {
 		if err := f.WriteXML(&streamed); err != nil {
 			t.Fatal(err)
 		}
-		if streamed.String() != want {
-			t.Fatalf("fragment %s: WriteXML differs from the reference:\n%s\n----\n%s", f.Root, streamed.String(), want)
+		if streamed.String() != want || f.XML() != want {
+			t.Fatalf("fragment %s: WriteXML or XML differs from the reference:\n%s\n----\n%s", f.Root, streamed.String(), want)
+		}
+		if got, want := f.ASCII(), referenceTreeASCII(e, f); got != want {
+			t.Fatalf("fragment %s: ASCII differs from the reference:\n%s\n----\n%s", f.Root, got, want)
 		}
 		out[i] = want
 	}
 	return out
 }
 
-// TestTreeRenderMatchesReference pins the tree-backed XML renderer, byte for
-// byte, to xmltree.WriteFragmentXML over every algorithm and semantics — on a
-// parsed document, on a built one whose text is not valid UTF-8, after tail
-// appends, and for fragments materialized before an off-spine append
-// renumbered every ID behind them.
+// TestTreeRenderMatchesReference pins the tree-backed renderers, byte for
+// byte, to xmltree.WriteFragmentXML and asciiTree over every algorithm and
+// semantics — on a parsed document, on a built one whose text is not valid
+// UTF-8, after tail appends, and for fragments materialized before an
+// off-spine append renumbered every ID behind them.
 func TestTreeRenderMatchesReference(t *testing.T) {
 	e, err := LoadString(renderDoc)
 	if err != nil {
@@ -86,7 +146,7 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 	if len(frags) < 40 {
 		t.Fatalf("only %d fragments; the queries no longer match the document", len(frags))
 	}
-	before := requireReferenceXML(t, e, frags)
+	before := requireReference(t, e, frags)
 	forms := map[string]bool{}
 	for _, x := range before {
 		for _, form := range []string{`<empty/>`, `<tag k="v"/>`, `<note/>`, "mixed text &amp; more\n", `&lt;top &quot;shelf&quot;&gt;`, `Alpha &quot;quoted&quot; &lt;beta&gt;</title>`} {
@@ -102,15 +162,15 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 	built := FromTree(xmltree.Build(xmltree.E{Label: "r", Attrs: []xmltree.Attr{{Name: "a", Value: "x\xffy"}}, Kids: []xmltree.E{
 		{Label: "p", Text: "alpha \xc3\x28 café � <&>"}, {Label: "p", Text: "beta\xf0\x9f"},
 	}}))
-	requireReferenceXML(t, built, allFragments(t, built, []string{"alpha beta", "alpha", "x beta"}))
+	requireReference(t, built, allFragments(t, built, []string{"alpha beta", "alpha", "x beta"}))
 
 	// Tail appends: fragments from before keep rendering what they kept, new
 	// ones see the new nodes.
 	if err := e.AppendXML("0", `<shelf id="s3"><book><title>alpha beta &amp; gamma</title></book></shelf>`); err != nil {
 		t.Fatal(err)
 	}
-	requireReferenceXML(t, e, frags)
-	requireReferenceXML(t, e, allFragments(t, e, renderQueries))
+	requireReference(t, e, frags)
+	requireReference(t, e, allFragments(t, e, renderQueries))
 
 	// Off the rightmost spine: the rebuild renumbers IDs, and the fragments
 	// materialized before it render from the tables they pinned.
@@ -121,10 +181,10 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 	if e.Generation()>>32 == gen>>32 {
 		t.Fatal("the append under 0.0 did not renumber")
 	}
-	for i, got := range requireReferenceXML(t, e, frags) {
+	for i, got := range requireReference(t, e, frags) {
 		if got != before[i] {
 			t.Fatalf("fragment %s renders differently after a renumbering append:\n%s\n----\n%s", frags[i].Root, got, before[i])
 		}
 	}
-	requireReferenceXML(t, e, allFragments(t, e, renderQueries))
+	requireReference(t, e, allFragments(t, e, renderQueries))
 }
