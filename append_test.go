@@ -32,8 +32,8 @@ func TestAppendXMLMatchesRebuild(t *testing.T) {
 	reference := FromTree(rebuilt)
 
 	for _, q := range []string{paperdata.Q2, paperdata.Q3, "kong keyword", "liu keyword search"} {
-		a, errA := incremental.Search(context.Background(), NewRequest(q, Options{Rank: true}))
-		b, errB := reference.Search(context.Background(), NewRequest(q, Options{Rank: true}))
+		a, errA := incremental.Search(context.Background(), Request{Query: q, Rank: true})
+		b, errB := reference.Search(context.Background(), Request{Query: q, Rank: true})
 		if errA != nil || errB != nil {
 			t.Fatalf("%q: %v / %v", q, errA, errB)
 		}
@@ -66,14 +66,14 @@ func toE(n *xmltree.Node) xmltree.E { return treeToE(n) }
 
 func TestAppendXMLNewKeywordBecomesSearchable(t *testing.T) {
 	e := FromTree(paperdata.Team())
-	if res, _ := e.Search(context.Background(), NewRequest("conley position", Options{})); res != nil && len(res.Fragments) != 0 {
+	if res, _ := e.Search(context.Background(), Request{Query: "conley position"}); res != nil && len(res.Fragments) != 0 {
 		t.Fatal("conley should not match before append")
 	}
 	err := e.AppendXML("0.1", `<player><name>Conley</name><position>guard</position></player>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(context.Background(), NewRequest("conley position", Options{}))
+	res, err := e.Search(context.Background(), Request{Query: "conley position"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAppendXMLMonotone(t *testing.T) {
 	e := FromTree(paperdata.Team())
 	prev := 0
 	for i := 0; i < 5; i++ {
-		res, err := e.Search(context.Background(), NewRequest("grizzlies position", Options{}))
+		res, err := e.Search(context.Background(), Request{Query: "grizzlies position"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func TestDeadlineAbortsFigure5ScaleSearch(t *testing.T) {
 	// crosscheck tests keep) has no deadline to exceed: it completes every
 	// query the deadlined Request aborted.
 	for _, q := range queries {
-		res, err := eagerSearch(e, q, Options{})
+		res, err := eagerSearch(e, q, Request{})
 		if err != nil {
 			t.Fatalf("eagerSearch(%q): %v", q, err)
 		}

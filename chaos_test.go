@@ -61,7 +61,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 	})
 	ctx := fault.NewContext(context.Background(), plan)
 
-	_, err := c.Search(ctx, NewRequest(paperdata.Q1, Options{}))
+	_, err := c.Search(ctx, Request{Query: paperdata.Q1})
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -78,7 +78,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 
 	// The same corpus still serves: the panic poisoned one request, not
 	// the engine.
-	res, err := c.Search(context.Background(), NewRequest(paperdata.Q1, Options{}))
+	res, err := c.Search(context.Background(), Request{Query: paperdata.Q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 func TestChaosMaterializePanicIsolated(t *testing.T) {
 	leakCheck(t)
 	c := chaosCorpus(t)
-	req := NewRequest(paperdata.Q1, Options{Rank: true, Limit: 4})
+	req := Request{Query: paperdata.Q1, Rank: true, Limit: 4}
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointMaterialize,
@@ -148,7 +148,7 @@ func TestChaosStoreReadFault(t *testing.T) {
 		Count:  1,
 		Action: fault.Action{Err: fault.ErrInjected},
 	})
-	_, err := c.Search(fault.NewContext(context.Background(), plan), NewRequest(paperdata.Q1, Options{}))
+	_, err := c.Search(fault.NewContext(context.Background(), plan), Request{Query: paperdata.Q1})
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want the injected sentinel", err)
 	}
@@ -168,7 +168,7 @@ func TestChaosSlowStageBoundedByDeadline(t *testing.T) {
 		Point:  fault.PointCandidates,
 		Action: fault.Action{Delay: 30 * time.Second},
 	})
-	req := NewRequest(paperdata.Q1, Options{})
+	req := Request{Query: paperdata.Q1}
 	req.Timeout = 50 * time.Millisecond
 
 	start := time.Now()
@@ -195,7 +195,7 @@ func TestChaosDeadlineSalvagesCandidates(t *testing.T) {
 		Label:  "d.xml",
 		Action: fault.Action{UntilDeadline: true},
 	})
-	req := NewRequest(paperdata.Q1, Options{Rank: true, Limit: 6})
+	req := Request{Query: paperdata.Q1, Rank: true, Limit: 6}
 	req.Budget = BestEffort
 	req.Timeout = 150 * time.Millisecond
 
@@ -253,7 +253,7 @@ func TestChaosDeadlineStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := NewRequest(paperdata.Q1, Options{Rank: true, Limit: 4})
+			req := Request{Query: paperdata.Q1, Rank: true, Limit: 4}
 			req.Budget = BestEffort
 			req.Timeout = 80 * time.Millisecond
 			res, err := c.Search(fault.NewContext(context.Background(), plan), req)

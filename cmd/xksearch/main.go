@@ -35,6 +35,7 @@ import (
 	"iter"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 
 	"xks"
@@ -126,19 +127,21 @@ func main() {
 		var (
 			engine *xks.Engine
 			err    error
-			name   string
+			path   string
 		)
 		if *storeF != "" {
-			engine, err = xks.OpenStore(*storeF)
-			name = *storeF
+			path = *storeF
+			engine, err = xks.OpenStore(path)
 		} else {
-			engine, err = xks.LoadFile(*file)
-			name = *file
+			path = *file
+			engine, err = xks.LoadFile(path)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		backend = service.SingleDoc{Name: name, Engine: engine}
+		// Named by its base name, as xkserver names a -file or -store
+		// document, so both transports emit one format.
+		backend = service.SingleDoc{Name: filepath.Base(path), Engine: engine}
 	}
 	if *stream {
 		streamOut(backend.Stream(ctx, req))

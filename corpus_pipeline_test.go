@@ -21,7 +21,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 	c.Add("tree.xml", FromTree(paperdata.Publications()))
 	c.Add("store.xks", FromStore(store.Shred(paperdata.Publications(), analysis.New())))
 
-	res, err := c.Search(context.Background(), NewRequest(paperdata.Q1, Options{}))
+	res, err := c.Search(context.Background(), Request{Query: paperdata.Q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 
 	// Ranked + limited across the mixed corpus still materializes only the
 	// selection, and store-backed fragments survive it.
-	ranked, err := c.Search(context.Background(), NewRequest(paperdata.Q1, Options{Rank: true, Limit: 2}))
+	ranked, err := c.Search(context.Background(), Request{Query: paperdata.Q1, Rank: true, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 	}
 
 	// A document-filtered search still reaches the store-backed engine.
-	oneReq := NewRequest(paperdata.Q1, Options{})
+	oneReq := Request{Query: paperdata.Q1}
 	oneReq.Document = "store.xks"
 	one, err := c.Search(context.Background(), oneReq)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestCorpusRankedLimitedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Rank: true, Limit: 4}
+	opts := Request{Rank: true, Limit: 4}
 
 	signature := func(res *Results) string {
 		s := ""
@@ -245,7 +245,7 @@ func TestCorpusRankedLimitedDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	base, err := c.Search(context.Background(), NewRequest(q, opts))
+	base, err := c.Search(context.Background(), withQuery(opts, q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCorpusRankedLimitedDeterministic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := c.Search(context.Background(), NewRequest(q, opts))
+				res, err := c.Search(context.Background(), withQuery(opts, q))
 				if err != nil {
 					errs <- err
 					return

@@ -21,7 +21,7 @@ func testCorpus(t *testing.T) *Corpus {
 func TestCorpusSearchMergesDocuments(t *testing.T) {
 	c := testCorpus(t)
 	// "keyword" matches only the publications document.
-	res, err := c.Search(context.Background(), NewRequest("liu keyword", Options{}))
+	res, err := c.Search(context.Background(), Request{Query: "liu keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCorpusSearchMergesDocuments(t *testing.T) {
 func TestCorpusSearchBothDocuments(t *testing.T) {
 	c := testCorpus(t)
 	// "name" matches via labels in both documents.
-	res, err := c.Search(context.Background(), NewRequest("name", Options{}))
+	res, err := c.Search(context.Background(), Request{Query: "name"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEmptyCorpusSearch(t *testing.T) {
 
 func TestCorpusRankAcrossDocuments(t *testing.T) {
 	c := testCorpus(t)
-	res, err := c.Search(context.Background(), NewRequest("name", Options{Rank: true}))
+	res, err := c.Search(context.Background(), Request{Query: "name", Rank: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCorpusRankAcrossDocuments(t *testing.T) {
 
 func TestCorpusLimitAfterMerge(t *testing.T) {
 	c := testCorpus(t)
-	res, err := c.Search(context.Background(), NewRequest("name", Options{Limit: 1}))
+	res, err := c.Search(context.Background(), Request{Query: "name", Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCorpusLimitAfterMerge(t *testing.T) {
 
 func TestCorpusUnsearchableQueryFails(t *testing.T) {
 	c := testCorpus(t)
-	if _, err := c.Search(context.Background(), NewRequest("the of", Options{})); err == nil {
+	if _, err := c.Search(context.Background(), Request{Query: "the of"}); err == nil {
 		t.Error("stop-word query should fail")
 	}
 }
@@ -133,7 +133,7 @@ func TestLoadDir(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	res, err := c.Search(context.Background(), NewRequest("keyword", Options{}))
+	res, err := c.Search(context.Background(), Request{Query: "keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestLoadDir(t *testing.T) {
 func TestCorpusUnrankedOrderDeterministic(t *testing.T) {
 	c := testCorpus(t)
 	c.Workers = 4
-	baseline, err := c.Search(context.Background(), NewRequest("name", Options{}))
+	baseline, err := c.Search(context.Background(), Request{Query: "name"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCorpusUnrankedOrderDeterministic(t *testing.T) {
 		}
 	}
 	for run := 0; run < 20; run++ {
-		res, err := c.Search(context.Background(), NewRequest("name", Options{}))
+		res, err := c.Search(context.Background(), Request{Query: "name"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestCorpusUnrankedOrderDeterministic(t *testing.T) {
 
 func TestCorpusSearchAggregatesStats(t *testing.T) {
 	c := testCorpus(t)
-	res, err := c.Search(context.Background(), NewRequest("name", Options{}))
+	res, err := c.Search(context.Background(), Request{Query: "name"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCorpusConcurrentSafety(t *testing.T) {
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func() {
-			_, err := c.Search(context.Background(), NewRequest("name", Options{Rank: true}))
+			_, err := c.Search(context.Background(), Request{Query: "name", Rank: true})
 			done <- err
 		}()
 	}

@@ -97,9 +97,12 @@ func TestEveryRootCovers(t *testing.T) {
 				t.Fatalf("%s %q: %v", c.name, q, err)
 			}
 			for _, slca := range []bool{false, true} {
-				roots := lca.ELCAStackMergeIDs(tab, p.Sets)
+				roots, err := lca.ELCAStackMergeIDsOrderedCtx(context.Background(), tab, p.Sets, nil)
 				if slca {
-					roots = lca.SLCAIDs(tab, p.Sets)
+					roots, err = lca.SLCAIDsCtx(context.Background(), tab, p.Sets)
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 				covering, err := rtf.BuildIDsPlanned(context.Background(), tab, roots, p.Sets, nil, true)
 				if err != nil {

@@ -69,11 +69,11 @@ func requireSameResults(t *testing.T, phase string, ref, grown *Engine) {
 		for _, opts := range crosscheckOptions() {
 			label := fmt.Sprintf("%s %q %s/%s rank=%v limit=%d",
 				phase, q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit)
-			want, err := ref.Search(context.Background(), NewRequest(q, opts))
+			want, err := ref.Search(context.Background(), withQuery(opts, q))
 			if err != nil {
 				t.Fatalf("%s: rebuilt: %v", label, err)
 			}
-			got, err := grown.Search(context.Background(), NewRequest(q, opts))
+			got, err := grown.Search(context.Background(), withQuery(opts, q))
 			if err != nil {
 				t.Fatalf("%s: grown: %v", label, err)
 			}
@@ -159,11 +159,11 @@ func TestDeltaCorpusMatchesRebuilt(t *testing.T) {
 			for _, opts := range crosscheckOptions() {
 				label := fmt.Sprintf("%s corpus %q %s/%s rank=%v limit=%d",
 					phase, q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit)
-				want, err := ref.Search(context.Background(), NewRequest(q, opts))
+				want, err := ref.Search(context.Background(), withQuery(opts, q))
 				if err != nil {
 					t.Fatalf("%s: rebuilt: %v", label, err)
 				}
-				got, err := live.Search(context.Background(), NewRequest(q, opts))
+				got, err := live.Search(context.Background(), withQuery(opts, q))
 				if err != nil {
 					t.Fatalf("%s: grown: %v", label, err)
 				}

@@ -110,27 +110,6 @@ func (s Semantics) String() string {
 	return "AllLCA"
 }
 
-// Options is the search configuration of the pre-Request API: the part of
-// a Request that picks what is computed (algorithm, semantics, ranking, page
-// size). NewRequest converts; internal/axioms and the crosscheck grids still
-// take their configurations in this shape.
-//
-// Deprecated: build a Request instead.
-type Options struct {
-	// Algorithm is the pruning mechanism (default ValidRTF).
-	Algorithm Algorithm
-	// Semantics picks the fragment roots (default AllLCA).
-	Semantics Semantics
-	// ExactContent replaces the (min,max) cID approximation of rule 2(b)
-	// with exact tree-content-set comparison (ablation switch).
-	ExactContent bool
-	// Rank orders fragments by descending relevance score instead of
-	// document order.
-	Rank bool
-	// Limit truncates the fragment list when positive.
-	Limit int
-}
-
 // Engine is a concurrency-safe search engine over one XML document: its
 // document source (srcState: the tables of the parsed tree or of the
 // shredded store) plus its inverted keyword index, each published
@@ -275,7 +254,7 @@ func LoadFile(path string) (*Engine, error) {
 // be mutated afterwards except through the engine's own AppendXML.
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
-	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an, snippet.Options{})}
+	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an)}
 	ix := index.BuildAnalyzed(t, an, e.refresh().words)
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
@@ -288,7 +267,7 @@ func FromTree(t *xmltree.Tree) *Engine {
 func FromStore(st *store.Store) *Engine {
 	an := analysis.New()
 	ix := st.BuildIndex(an)
-	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an, snippet.Options{})}
+	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an)}
 	e.src.Store(&srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}, store: st})
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
@@ -789,17 +768,13 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 	if window := req.Offset + req.Limit; req.Rank && req.Limit > 0 && window > 0 {
 		topk = exec.NewTopK(window)
 	}
-	idx := make([]int, len(docs))
-	for i := range idx {
-		idx[i] = i
-	}
 	// The workers fill a copy of docs: a slice they captured would escape
 	// to the heap whoever passed it, and a lone document's one-entry vector,
 	// which never fans out, stays on its caller's stack.
 	fan := slices.Clone(docs)
 	candSp := trace.SpanFromContext(ctx).Child("candidates")
 	start := time.Now()
-	_, err := concurrent.MapCtx(ctx, idx, workers, func(i int) (struct{}, error) {
+	err := concurrent.Each(ctx, len(docs), workers, func(i int) error {
 		d := &fan[i]
 		// Each document gets its own child span (concurrent-safe); the
 		// engine's plan and the lca/rtf sub-stages hang under it.
@@ -811,14 +786,14 @@ func candidates(ctx context.Context, req Request, docs []docRead, workers int, r
 		// can take from it.
 		st, err := d.eng.candidateStage(trace.ContextWithSpan(ctx, docSp), d.v, req, d.name, i, false)
 		if err != nil {
-			return struct{}{}, docErr(ctx, d.name, err)
+			return docErr(ctx, d.name, err)
 		}
 		d.docStage, d.counted = st, true
 		if topk != nil {
 			topk.Offer(d.cands...)
 			d.cands = nil // memory stays O(K), not O(candidates)
 		}
-		return struct{}{}, nil
+		return nil
 	})
 	copy(docs, fan) // every worker has been joined
 	// Per-document planning runs inside the fan-out, so the corpus-level
@@ -1290,33 +1265,4 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 		f.v, f.keptIDs = d.v, kept
 	}
 	return frags
-}
-
-// assembledFragments reports how many fragments the engine has materialized
-// since construction (test/benchmark hook for the late-materialization
-// contract).
-func (e *Engine) assembledFragments() uint64 { return e.assembled.Load() }
-
-// plan, params and currentScorer are the snapshot-free shims over the
-// newest state, serving in-package tests that exercise one pipeline stage
-// in isolation. The returned structures stay valid after the pin is
-// released — pinning is accounting, not lifetime (the garbage collector
-// owns the memory).
-
-func (e *Engine) plan(queryText string) (exec.Plan, error) {
-	v := e.currentView()
-	defer v.release()
-	return e.planAt(v, queryText)
-}
-
-func (e *Engine) params(req Request) exec.Params {
-	v := e.currentView()
-	defer v.release()
-	return e.paramsAt(v, req)
-}
-
-func (e *Engine) currentScorer() *rank.Scorer {
-	v := e.currentView()
-	defer v.release()
-	return v.scorer
 }

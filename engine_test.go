@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"xks/internal/exec"
 	"xks/internal/paperdata"
+	"xks/internal/rank"
 	"xks/internal/xmltree"
 )
 
@@ -34,7 +36,7 @@ func fragmentRoots(res *Result) []string {
 
 func TestSearchQ3DefaultValidRTF(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q3, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestSearchQ3DefaultValidRTF(t *testing.T) {
 
 func TestSearchQ3MaxMatch(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q3, Options{Algorithm: MaxMatch}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3, Algorithm: MaxMatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestSearchQ3MaxMatch(t *testing.T) {
 
 func TestSearchQ3Raw(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q3, Options{Algorithm: RawRTF}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3, Algorithm: RawRTF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestSearchQ3Raw(t *testing.T) {
 
 func TestSearchQ2TwoFragments(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestSearchQ2TwoFragments(t *testing.T) {
 
 func TestSearchQ2SLCAOnly(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{Semantics: SLCAOnly}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Semantics: SLCAOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func TestSearchQ2SLCAOnly(t *testing.T) {
 
 func TestSearchNoMatchKeywordYieldsEmpty(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest("liu zebra", Options{}))
+	res, err := e.Search(context.Background(), Request{Query: "liu zebra"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +135,10 @@ func TestSearchNoMatchKeywordYieldsEmpty(t *testing.T) {
 
 func TestSearchUnusableQueryErrors(t *testing.T) {
 	e := pubEngine(t)
-	if _, err := e.Search(context.Background(), NewRequest("the of and", Options{})); !errors.Is(err, ErrEmptyQuery) {
+	if _, err := e.Search(context.Background(), Request{Query: "the of and"}); !errors.Is(err, ErrEmptyQuery) {
 		t.Errorf("stop-word-only query: err = %v, want ErrEmptyQuery", err)
 	}
-	if _, err := e.Search(context.Background(), NewRequest("", Options{})); !errors.Is(err, ErrEmptyQuery) {
+	if _, err := e.Search(context.Background(), Request{Query: ""}); !errors.Is(err, ErrEmptyQuery) {
 		t.Errorf("empty query: err = %v, want ErrEmptyQuery", err)
 	}
 	var b strings.Builder
@@ -151,7 +153,7 @@ func TestSearchUnusableQueryErrors(t *testing.T) {
 
 func TestSearchRankOrdersBySpecificity(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{Rank: true}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Rank: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestSearchRankOrdersBySpecificity(t *testing.T) {
 
 func TestSearchLimit(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{Limit: 1}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestSearchLimit(t *testing.T) {
 
 func TestFragmentRendering(t *testing.T) {
 	e := teamEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q4, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func TestFragmentRendering(t *testing.T) {
 
 func TestFragmentNodeMetadata(t *testing.T) {
 	e := teamEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q4, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestFragmentNodeMetadata(t *testing.T) {
 
 func TestCompareQ4(t *testing.T) {
 	e := teamEngine(t)
-	cmp, err := e.Compare(context.Background(), NewRequest(paperdata.Q4, Options{}))
+	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestCompareQ4(t *testing.T) {
 
 func TestCompareQ5Identical(t *testing.T) {
 	e := teamEngine(t)
-	cmp, err := e.Compare(context.Background(), NewRequest(paperdata.Q5, Options{}))
+	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +291,7 @@ func TestCompareIgnoresPagination(t *testing.T) {
 
 func TestCompareNoMatch(t *testing.T) {
 	e := teamEngine(t)
-	cmp, err := e.Compare(context.Background(), NewRequest("zebra position", Options{}))
+	cmp, err := e.Compare(context.Background(), Request{Query: "zebra position"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestLoadVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e1.Search(context.Background(), NewRequest("hello world", Options{}))
+	res, err := e1.Search(context.Background(), Request{Query: "hello world"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +363,7 @@ func TestConcurrentSearches(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		for _, q := range queries {
 			go func(q string) {
-				_, err := e.Search(context.Background(), NewRequest(q, Options{Rank: true}))
+				_, err := e.Search(context.Background(), Request{Query: q, Rank: true})
 				done <- err
 			}(q)
 		}
@@ -380,11 +382,11 @@ func TestExactContentOption(t *testing.T) {
 		{Label: "item", Text: "alpha keyword middle zebra"},
 	}})
 	e := FromTree(tree)
-	approx, err := e.Search(context.Background(), NewRequest("special keyword", Options{}))
+	approx, err := e.Search(context.Background(), Request{Query: "special keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := e.Search(context.Background(), NewRequest("special keyword", Options{ExactContent: true}))
+	exact, err := e.Search(context.Background(), Request{Query: "special keyword", ExactContent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +398,7 @@ func TestExactContentOption(t *testing.T) {
 
 func TestFragmentSnippet(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +416,7 @@ func TestFragmentSnippet(t *testing.T) {
 
 func TestFragmentSnippetStoreBacked(t *testing.T) {
 	e := storeEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,4 +424,33 @@ func TestFragmentSnippetStoreBacked(t *testing.T) {
 	if !strings.Contains(strings.ToLower(sn), "[liu]") {
 		t.Errorf("store-backed snippet = %q", sn)
 	}
+}
+
+// assembledFragments reports how many fragments the engine has materialized
+// since construction, the observable half of the late-materialization
+// contract.
+func (e *Engine) assembledFragments() uint64 { return e.assembled.Load() }
+
+// plan, params and currentScorer are the snapshot-free shims over the
+// newest state, serving in-package tests that exercise one pipeline stage
+// in isolation. The returned structures stay valid after the pin is
+// released — pinning is accounting, not lifetime (the garbage collector
+// owns the memory).
+
+func (e *Engine) plan(queryText string) (exec.Plan, error) {
+	v := e.currentView()
+	defer v.release()
+	return e.planAt(v, queryText)
+}
+
+func (e *Engine) params(req Request) exec.Params {
+	v := e.currentView()
+	defer v.release()
+	return e.paramsAt(v, req)
+}
+
+func (e *Engine) currentScorer() *rank.Scorer {
+	v := e.currentView()
+	defer v.release()
+	return v.scorer
 }

@@ -27,7 +27,7 @@ func ExampleEngine_Search() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := engine.Search(context.Background(), xks.NewRequest("relevant match data", xks.Options{}))
+	res, err := engine.Search(context.Background(), xks.Request{Query: "relevant match data"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func ExampleEngine_Search() {
 }
 
 // MaxMatch's contributor rule can discard more than ValidRTF keeps.
-func ExampleOptions_algorithm() {
+func ExampleEngine_Search_algorithm() {
 	engine, err := xks.LoadString(exampleDoc)
 	if err != nil {
 		log.Fatal(err)
@@ -47,8 +47,8 @@ func ExampleOptions_algorithm() {
 	// "match" occurs only in the title, "keyword" in both title and
 	// abstract: MaxMatch discards the abstract (strict keyword-set subset
 	// of its sibling) while ValidRTF keeps it (unique label, rule 1).
-	valid, _ := engine.Search(context.Background(), xks.NewRequest("vldb match keyword", xks.Options{}))
-	maxm, _ := engine.Search(context.Background(), xks.NewRequest("vldb match keyword", xks.Options{Algorithm: xks.MaxMatch}))
+	valid, _ := engine.Search(context.Background(), xks.Request{Query: "vldb match keyword"})
+	maxm, _ := engine.Search(context.Background(), xks.Request{Query: "vldb match keyword", Algorithm: xks.MaxMatch})
 	fmt.Printf("ValidRTF keeps %d nodes, MaxMatch keeps %d\n",
 		valid.Fragments[0].Len(), maxm.Fragments[0].Len())
 	// Output:
@@ -61,7 +61,7 @@ func ExampleEngine_Search_predicates() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := engine.Search(context.Background(), xks.NewRequest("title:skyline query", xks.Options{}))
+	res, err := engine.Search(context.Background(), xks.Request{Query: "title:skyline query"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func ExampleEngine_Compare() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cmp, err := engine.Compare(context.Background(), xks.NewRequest("xml keyword search", xks.Options{}))
+	cmp, err := engine.Compare(context.Background(), xks.Request{Query: "xml keyword search"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,13 +51,13 @@ func TestIntegrationEveryFragmentCoversQuery(t *testing.T) {
 	for _, setup := range []func(*testing.T) (*Engine, []string){dblpTestEngine, xmarkTestEngine} {
 		engine, queries := setup(t)
 		for _, q := range queries {
-			for _, opts := range []Options{
+			for _, opts := range []Request{
 				{},
 				{Algorithm: MaxMatch},
 				{Algorithm: RawRTF},
 				{Semantics: SLCAOnly},
 			} {
-				res, err := engine.Search(context.Background(), NewRequest(q, opts))
+				res, err := engine.Search(context.Background(), withQuery(opts, q))
 				if err != nil {
 					t.Fatalf("%q: %v", q, err)
 				}
@@ -86,7 +86,7 @@ func TestIntegrationEveryFragmentCoversQuery(t *testing.T) {
 func TestIntegrationRootUniquenessAndSLCASubset(t *testing.T) {
 	engine, queries := xmarkTestEngine(t)
 	for _, q := range queries {
-		all, err := engine.Search(context.Background(), NewRequest(q, Options{}))
+		all, err := engine.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestIntegrationRootUniquenessAndSLCASubset(t *testing.T) {
 			}
 			seen[f.Root] = true
 		}
-		slca, err := engine.Search(context.Background(), NewRequest(q, Options{Semantics: SLCAOnly}))
+		slca, err := engine.Search(context.Background(), Request{Query: q, Semantics: SLCAOnly})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,12 +121,12 @@ func TestIntegrationRootUniquenessAndSLCASubset(t *testing.T) {
 func TestIntegrationPruningContainment(t *testing.T) {
 	engine, queries := dblpTestEngine(t)
 	for _, q := range queries[:10] {
-		raw, err := engine.Search(context.Background(), NewRequest(q, Options{Algorithm: RawRTF}))
+		raw, err := engine.Search(context.Background(), Request{Query: q, Algorithm: RawRTF})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, algo := range []Algorithm{ValidRTF, MaxMatch} {
-			res, err := engine.Search(context.Background(), NewRequest(q, Options{Algorithm: algo}))
+			res, err := engine.Search(context.Background(), Request{Query: q, Algorithm: algo})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,15 +164,15 @@ func TestIntegrationPruningContainment(t *testing.T) {
 func TestIntegrationCompareConsistency(t *testing.T) {
 	engine, queries := xmarkTestEngine(t)
 	for _, q := range queries[:8] {
-		cmp, err := engine.Compare(context.Background(), NewRequest(q, Options{}))
+		cmp, err := engine.Compare(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		valid, err := engine.Search(context.Background(), NewRequest(q, Options{}))
+		valid, err := engine.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxm, err := engine.Search(context.Background(), NewRequest(q, Options{Algorithm: MaxMatch}))
+		maxm, err := engine.Search(context.Background(), Request{Query: q, Algorithm: MaxMatch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +213,11 @@ func TestIntegrationStoreRoundTripAtScale(t *testing.T) {
 	st := store.Shred(engine.Tree(), analysis.New())
 	fromStore := FromStore(st)
 	for _, q := range queries[:8] {
-		a, err := engine.Search(context.Background(), NewRequest(q, Options{}))
+		a, err := engine.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fromStore.Search(context.Background(), NewRequest(q, Options{}))
+		b, err := fromStore.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,11 +237,11 @@ func TestIntegrationStoreRoundTripAtScale(t *testing.T) {
 func TestIntegrationRankingPermutation(t *testing.T) {
 	engine, queries := xmarkTestEngine(t)
 	for _, q := range queries[:8] {
-		plain, err := engine.Search(context.Background(), NewRequest(q, Options{}))
+		plain, err := engine.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranked, err := engine.Search(context.Background(), NewRequest(q, Options{Rank: true}))
+		ranked, err := engine.Search(context.Background(), Request{Query: q, Rank: true})
 		if err != nil {
 			t.Fatal(err)
 		}

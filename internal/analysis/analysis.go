@@ -18,42 +18,17 @@ import (
 // Analyzer turns raw text into content words. The zero value is not usable;
 // construct one with New.
 type Analyzer struct {
-	stop       map[string]struct{}
-	keepDigits bool
-}
-
-// Option configures an Analyzer.
-type Option func(*Analyzer)
-
-// WithStopWords replaces the default stop list. Passing an empty slice
-// disables stop-word filtering.
-func WithStopWords(words []string) Option {
-	return func(a *Analyzer) {
-		a.stop = make(map[string]struct{}, len(words))
-		for _, w := range words {
-			a.stop[strings.ToLower(w)] = struct{}{}
-		}
-	}
-}
-
-// WithDigits keeps purely numeric tokens (they are dropped by default, the
-// way the paper's shredder only records "interesting words").
-func WithDigits() Option {
-	return func(a *Analyzer) { a.keepDigits = true }
+	stop map[string]struct{}
 }
 
 // New returns an Analyzer with the default English stop list.
-func New(opts ...Option) *Analyzer {
-	a := &Analyzer{stop: defaultStopSet()}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
+func New() *Analyzer {
+	return &Analyzer{stop: defaultStopSet()}
 }
 
-// Tokens splits s into lower-cased word tokens, dropping stop words and (by
-// default) purely numeric tokens. Tokens preserve input order and may
-// repeat.
+// Tokens splits s into lower-cased word tokens, dropping stop words and
+// purely numeric tokens (the way the paper's shredder only records
+// "interesting words"). Tokens preserve input order and may repeat.
 func (a *Analyzer) Tokens(s string) []string {
 	if s == "" {
 		return nil
@@ -110,12 +85,6 @@ func (a *Analyzer) NormalizeQuery(q string) []string {
 	return out
 }
 
-// IsStopWord reports whether w (any case) is on the analyzer's stop list.
-func (a *Analyzer) IsStopWord(w string) bool {
-	_, ok := a.stop[strings.ToLower(w)]
-	return ok
-}
-
 func (a *Analyzer) appendTokens(dst *[]string, s string) {
 	start := -1
 	hasLetter := false
@@ -123,13 +92,12 @@ func (a *Analyzer) appendTokens(dst *[]string, s string) {
 		if start < 0 {
 			return
 		}
-		tok := strings.ToLower(s[start:end])
-		start = -1
-		if !hasLetter && !a.keepDigits {
-			hasLetter = false
+		word, letters := s[start:end], hasLetter
+		start, hasLetter = -1, false
+		if !letters {
 			return
 		}
-		hasLetter = false
+		tok := strings.ToLower(word)
 		if _, stop := a.stop[tok]; stop {
 			return
 		}

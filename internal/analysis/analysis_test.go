@@ -21,7 +21,7 @@ func TestTokensBasic(t *testing.T) {
 		{"   ", nil},
 		{"Liu,Chen;Wong", []string{"liu", "chen", "wong"}},
 		{"foo-bar_baz", []string{"foo", "bar", "baz"}},
-		{"2008", nil},                   // pure digits dropped by default
+		{"2008", nil},                   // pure digits dropped
 		{"VLDB 2008", []string{"vldb"}}, // year dropped, venue kept
 		{"B2B x86", []string{"b2b", "x86"}},
 	}
@@ -30,15 +30,6 @@ func TestTokensBasic(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("Tokens(%q) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestTokensKeepDigits(t *testing.T) {
-	a := New(WithDigits())
-	got := a.Tokens("VLDB 2008")
-	want := []string{"vldb", "2008"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokens = %v, want %v", got, want)
 	}
 }
 
@@ -83,37 +74,11 @@ func TestNormalizeQuery(t *testing.T) {
 
 func TestIsStopWord(t *testing.T) {
 	a := New()
-	if !a.IsStopWord("The") {
-		t.Error("The should be a stop word")
+	if got := a.Tokens("The"); got != nil {
+		t.Errorf("Tokens(The) = %v: The should be a stop word", got)
 	}
-	if a.IsStopWord("keyword") {
-		t.Error("keyword should not be a stop word")
-	}
-}
-
-func TestWithStopWordsOverride(t *testing.T) {
-	a := New(WithStopWords([]string{"xml"}))
-	got := a.Tokens("the xml keyword")
-	want := []string{"the", "keyword"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokens with custom stop list = %v, want %v", got, want)
-	}
-	empty := New(WithStopWords(nil))
-	got = empty.Tokens("the keyword")
-	want = []string{"the", "keyword"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokens with empty stop list = %v, want %v", got, want)
-	}
-}
-
-func TestDefaultStopWordsCopy(t *testing.T) {
-	w := DefaultStopWords()
-	if len(w) == 0 {
-		t.Fatal("empty default stop list")
-	}
-	w[0] = "MUTATED"
-	if DefaultStopWords()[0] == "MUTATED" {
-		t.Error("DefaultStopWords returns shared storage")
+	if got := a.Tokens("keyword"); !reflect.DeepEqual(got, []string{"keyword"}) {
+		t.Errorf("Tokens(keyword) = %v: keyword should not be a stop word", got)
 	}
 }
 
@@ -132,7 +97,7 @@ func TestTokensIdempotent(t *testing.T) {
 	a := New()
 	f := func(s string) bool {
 		for _, tok := range a.Tokens(s) {
-			if tok == "" || a.IsStopWord(tok) {
+			if _, stop := a.stop[tok]; tok == "" || stop {
 				return false
 			}
 			again := a.Tokens(tok)

@@ -38,11 +38,3 @@ func defaultStopSet() map[string]struct{} {
 	}
 	return m
 }
-
-// DefaultStopWords returns a copy of the default stop list, for callers that
-// want to extend it.
-func DefaultStopWords() []string {
-	out := make([]string, len(englishStopWords))
-	copy(out, englishStopWords)
-	return out
-}

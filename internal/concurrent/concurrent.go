@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrInternal is the sentinel under every recovered panic: a worker (or any
@@ -39,34 +40,27 @@ func Recovered(v any) *PanicError {
 	return &PanicError{Value: v, Stack: debug.Stack()}
 }
 
-// Result pairs a job index with its outcome.
-type Result[T any] struct {
-	Index int
-	Value T
-	Err   error
-}
-
-// MapCtx runs fn over every job on up to workers goroutines (default
-// GOMAXPROCS) and returns the results in job order. The first error is
-// returned alongside the partial results; remaining jobs still run.
+// Each calls fn(i) for every i in [0, n) on up to workers goroutines
+// (default GOMAXPROCS) and returns the error of the lowest i that failed;
+// the remaining calls still run.
 //
 // Cancellation is cooperative: once ctx is done, workers stop picking up
-// new jobs and MapCtx returns ctx.Err() (in-flight fn calls still finish —
-// fn is expected to observe ctx itself for mid-job cancellation). Every
-// worker goroutine is joined before MapCtx returns, so a cancelled fan-out
+// new indices and Each returns ctx.Err() (in-flight fn calls still finish —
+// fn is expected to observe ctx itself for mid-call cancellation). Every
+// worker goroutine is joined before Each returns, so a cancelled fan-out
 // leaks nothing. A nil ctx never cancels.
 //
 // Panic isolation: a panicking fn does not crash the process (an unrecovered
 // panic on a worker goroutine would — no http.Server recovery reaches
-// here). The panic is recovered into that job's error as a *PanicError
-// (wrapping ErrInternal, stack captured), so one poisoned job degrades the
+// here). The panic is recovered into that call's error as a *PanicError
+// (wrapping ErrInternal, stack captured), so one poisoned call degrades the
 // fan-out into a structured error instead of killing the server.
-func MapCtx[J, T any](ctx context.Context, jobs []J, workers int, fn func(J) (T, error)) ([]T, error) {
+func Each(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
 	ctxErr := func() error {
 		if ctx == nil {
@@ -74,54 +68,46 @@ func MapCtx[J, T any](ctx context.Context, jobs []J, workers int, fn func(J) (T,
 		}
 		return ctx.Err()
 	}
-	call := func(j J) (out T, err error) {
+	call := func(i int) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = Recovered(r)
 			}
 		}()
-		return fn(j)
+		return fn(i)
 	}
-	out := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
+	errs := make([]error, n)
 	if workers <= 1 {
-		for i, j := range jobs {
+		for i := range n {
 			if err := ctxErr(); err != nil {
-				return out, err
+				return err
 			}
-			out[i], errs[i] = call(j)
+			errs[i] = call(i)
 		}
-		return out, firstError(errs)
+		return firstError(errs)
 	}
 	var (
 		wg   sync.WaitGroup
-		next int
-		mu   sync.Mutex
+		next atomic.Int64
 	)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctxErr() != nil {
+			for ctxErr() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(jobs) {
-					return
-				}
-				out[i], errs[i] = call(jobs[i])
+				errs[i] = call(i)
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctxErr(); err != nil {
-		return out, err
+		return err
 	}
-	return out, firstError(errs)
+	return firstError(errs)
 }
 
 func firstError(errs []error) error {

@@ -9,11 +9,11 @@ import (
 )
 
 func TestMapOrderPreserved(t *testing.T) {
-	jobs := make([]int, 100)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	out, err := MapCtx(nil, jobs, 8, func(j int) (int, error) { return j * j, nil })
+	out := make([]int, 100)
+	err := Each(nil, len(out), 8, func(i int) error {
+		out[i] = i * i
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,81 +25,93 @@ func TestMapOrderPreserved(t *testing.T) {
 }
 
 func TestMapAllJobsRunDespiteError(t *testing.T) {
-	var ran int64
-	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	var ran atomic.Int64
 	boom := errors.New("boom")
-	_, err := MapCtx(nil, jobs, 4, func(j int) (int, error) {
-		atomic.AddInt64(&ran, 1)
-		if j == 2 {
-			return 0, boom
+	err := Each(nil, 8, 4, func(i int) error {
+		ran.Add(1)
+		if i == 2 {
+			return boom
 		}
-		return j, nil
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if ran != int64(len(jobs)) {
-		t.Errorf("ran %d of %d jobs", ran, len(jobs))
+	if ran.Load() != 8 {
+		t.Errorf("ran %d of 8 calls", ran.Load())
 	}
 }
 
 func TestMapSingleWorkerSequential(t *testing.T) {
-	order := []int{}
-	jobs := []int{3, 1, 4, 1, 5}
-	_, err := MapCtx(nil, jobs, 1, func(j int) (int, error) {
-		order = append(order, j) // safe: single worker
-		return j, nil
+	var order []int
+	err := Each(nil, 5, 1, func(i int) error {
+		order = append(order, i) // safe: single worker
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		if order[i] != jobs[i] {
+	for i := range 5 {
+		if order[i] != i {
 			t.Fatalf("order = %v", order)
 		}
 	}
 }
 
 func TestMapZeroWorkersDefaults(t *testing.T) {
-	out, err := MapCtx(nil, []int{1, 2, 3}, 0, func(j int) (int, error) { return j + 1, nil })
-	if err != nil || len(out) != 3 || out[2] != 4 {
+	out := make([]int, 3)
+	err := Each(nil, len(out), 0, func(i int) error {
+		out[i] = i + 1
+		return nil
+	})
+	if err != nil || out[2] != 3 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
 func TestMapEmptyJobs(t *testing.T) {
-	out, err := MapCtx(nil, nil, 4, func(j int) (int, error) { return j, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("out=%v err=%v", out, err)
+	err := Each(nil, 0, 4, func(int) error {
+		t.Error("fn called for an empty range")
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("err=%v", err)
 	}
 }
 
 func TestMapMoreWorkersThanJobs(t *testing.T) {
-	out, err := MapCtx(nil, []int{7}, 64, func(j int) (int, error) { return j, nil })
-	if err != nil || len(out) != 1 || out[0] != 7 {
-		t.Fatalf("out=%v err=%v", out, err)
+	var calls atomic.Int64
+	err := Each(nil, 1, 64, func(i int) error {
+		calls.Add(1)
+		if i != 0 {
+			t.Errorf("fn(%d) for a one-element range", i)
+		}
+		return nil
+	})
+	if err != nil || calls.Load() != 1 {
+		t.Fatalf("calls=%d err=%v", calls.Load(), err)
 	}
 }
 
 func BenchmarkMapParallel(b *testing.B) {
-	jobs := make([]int, 256)
-	work := func(j int) (int, error) {
+	work := func(j int) error {
 		s := 0
 		for i := 0; i < 10000; i++ {
 			s += i ^ j
 		}
-		return s, nil
+		_ = s
+		return nil
 	}
 	b.Run("workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MapCtx(nil, jobs, 1, work); err != nil {
+			if err := Each(nil, 256, 1, work); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("workers=max", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := MapCtx(nil, jobs, 0, work); err != nil {
+			if err := Each(nil, 256, 0, work); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -108,12 +120,13 @@ func BenchmarkMapParallel(b *testing.B) {
 
 func TestMapCtxRecoversWorkerPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-		out, err := MapCtx(context.Background(), jobs, workers, func(j int) (int, error) {
-			if j == 3 {
+		out := make([]int, 8)
+		err := Each(context.Background(), len(out), workers, func(i int) error {
+			if i == 3 {
 				panic("poisoned job")
 			}
-			return j * 10, nil
+			out[i] = i * 10
+			return nil
 		})
 		if !errors.Is(err, ErrInternal) {
 			t.Fatalf("workers=%d: err = %v, want ErrInternal", workers, err)
@@ -125,8 +138,8 @@ func TestMapCtxRecoversWorkerPanic(t *testing.T) {
 		if pe.Value != "poisoned job" || len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: PanicError = {%v, %d stack bytes}", workers, pe.Value, len(pe.Stack))
 		}
-		// Other jobs still completed (partial results alongside the error).
-		if workers > 1 && out[7] != 70 {
+		// The other calls still completed.
+		if out[7] != 70 {
 			t.Errorf("workers=%d: out[7] = %d, want 70", workers, out[7])
 		}
 	}
@@ -139,13 +152,13 @@ func TestMapCtxPanicDoesNotKillProcess(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		MapCtx(context.Background(), make([]int, 64), 8, func(int) (int, error) {
+		Each(context.Background(), 64, 8, func(int) error {
 			panic("every job panics")
 		})
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("MapCtx did not return")
+		t.Fatal("Each did not return")
 	}
 }

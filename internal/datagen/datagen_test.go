@@ -6,6 +6,7 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/index"
+	"xks/internal/stats"
 	"xks/internal/xmltree"
 )
 
@@ -51,8 +52,8 @@ func TestDBLPShape(t *testing.T) {
 	if hist["author"] < 200 {
 		t.Errorf("author count = %d, want >= 200", hist["author"])
 	}
-	if tree.MaxDepth() != 2 {
-		t.Errorf("DBLP depth = %d, want 2 (shallow records)", tree.MaxDepth())
+	if d := stats.Analyze(tree, 0).MaxDepth; d != 2 {
+		t.Errorf("DBLP depth = %d, want 2 (shallow records)", d)
 	}
 	kinds := hist["article"] + hist["inproceedings"] + hist["phdthesis"]
 	if kinds != 200 {
@@ -95,8 +96,8 @@ func TestXMarkDeterministicAndShape(t *testing.T) {
 	if hist["open_auction"] != 30 || hist["closed_auction"] != 15 {
 		t.Errorf("auctions = %d/%d", hist["open_auction"], hist["closed_auction"])
 	}
-	if a.MaxDepth() < 5 {
-		t.Errorf("XMark depth = %d, want >= 5 (deep records)", a.MaxDepth())
+	if d := stats.Analyze(a, 0).MaxDepth; d < 5 {
+		t.Errorf("XMark depth = %d, want >= 5 (deep records)", d)
 	}
 	// All six regions present.
 	for _, rg := range xmarkRegions {

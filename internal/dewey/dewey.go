@@ -176,16 +176,6 @@ func (c Code) IsAncestorOrSelf(b Code) bool {
 	return true
 }
 
-// Parent returns the code of the parent node, or nil for the root (or a nil
-// code). The result aliases c (a prefix sub-slice); callers needing an
-// independent copy must Clone it.
-func (c Code) Parent() Code {
-	if len(c) <= 1 {
-		return nil
-	}
-	return c[:len(c)-1]
-}
-
 // Child returns the code of the i-th child of c.
 func (c Code) Child(i uint32) Code {
 	out := make(Code, len(c)+1)

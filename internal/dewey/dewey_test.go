@@ -125,14 +125,12 @@ func TestLCA(t *testing.T) {
 
 func TestParentChildLevel(t *testing.T) {
 	c := MustParse("0.2.0")
-	if got := c.Parent().String(); got != "0.2" {
-		t.Errorf("Parent = %s", got)
-	}
-	if got := c.Child(3).String(); got != "0.2.0.3" {
+	child := c.Child(3)
+	if got := child.String(); got != "0.2.0.3" {
 		t.Errorf("Child = %s", got)
 	}
-	if MustParse("0").Parent() != nil {
-		t.Error("root Parent should be nil")
+	if parent := child[:len(child)-1]; !Equal(parent, c) {
+		t.Errorf("parent of Child = %s, want %s", parent, c)
 	}
 	if got := MustParse("0").Level(); got != 0 {
 		t.Errorf("root Level = %d", got)

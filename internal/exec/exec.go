@@ -402,23 +402,15 @@ func (sc *runScratch) window(params Params, doc int) []*Candidate {
 }
 
 // Select applies the selection stage to one document's candidates: ranked
-// searches order by descending score (via a bounded heap when a limit
-// applies), unranked searches keep document order; a positive limit
-// truncates either way, and a positive offset skips the first Offset
-// candidates of the selection order before the limit applies — the
-// pagination window [Offset, Offset+Limit) of the full ordering. Candidates'
-// window holds the first Offset+Limit of that ordering, so selecting over it
-// pages exactly as selecting over every root would.
+// searches order by descending score, unranked searches keep document
+// order; a positive offset skips the first Offset candidates of the
+// selection order and a positive limit truncates — the pagination window
+// [Offset, Offset+Limit) of the full ordering. Candidates' window holds the
+// first Offset+Limit of that ordering, so selecting over it pages exactly
+// as selecting over every root would.
 func Select(cands []*Candidate, params Params) []*Candidate {
 	if !params.Rank {
 		return Page(cands, params.Offset, params.Limit)
-	}
-	// window > 0 guards Offset+Limit overflowing int: an unreachable
-	// window pages to empty through the full-sort path below.
-	if window := params.Offset + params.Limit; params.Limit > 0 && window > 0 && window < len(cands) {
-		t := NewTopK(window)
-		t.Offer(cands...)
-		return Page(t.Ranked(), params.Offset, params.Limit)
 	}
 	out := make([]*Candidate, len(cands))
 	copy(out, cands)

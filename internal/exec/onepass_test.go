@@ -90,12 +90,12 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		var roots []nid.ID
 		var got []onePassRun
 		if slca {
-			roots = lca.SLCAIDs(tab, sets)
+			roots, _ = lca.SLCAIDsCtx(ctx, tab, sets)
 			if err := rtf.DispatchWindows(ctx, tab, roots, sets, exactBuf(sets), collect(&got)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			roots = lca.ELCAStackMergeIDs(tab, sets)
+			roots, _ = lca.ELCAStackMergeIDsOrderedCtx(ctx, tab, sets, nil)
 			sinkRoots, err := lca.ELCAStackDispatch(ctx, nil, tab, sets, order, exactBuf(sets), collect(&got))
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +111,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 			}
 			slices.SortFunc(got, func(a, b onePassRun) int { return cmp.Compare(a.root, b.root) })
 		}
-		want := rtf.BuildIDs(tab, roots, sets)
+		want, _ := rtf.BuildIDsPlanned(ctx, tab, roots, sets, nil, false)
 		requireRuns(t, label, got, want)
 
 		// Unlimited and ranked: every candidate carries its events and the

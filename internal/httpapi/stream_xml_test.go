@@ -73,7 +73,7 @@ func TestStreamedXMLMatchesBuffered(t *testing.T) {
 // are allowed to differ only in JSON escaping choices.
 func TestRecordWireShape(t *testing.T) {
 	e := xks.FromStore(store.Shred(paperdata.Publications(), analysis.New()))
-	res, err := e.Search(t.Context(), xks.NewRequest("xml keyword", xks.Options{}))
+	res, err := e.Search(t.Context(), xks.Request{Query: "xml keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,6 @@ type Merger struct {
 	n     int      // number of leaves (power of two >= len(lists))
 }
 
-// NewMerger builds a streaming merger over the pre-order-sorted posting
-// lists.
-func NewMerger(lists [][]nid.ID) *Merger {
-	return NewMergerOrdered(lists, nil)
-}
-
 // NewMergerOrdered builds a merger whose loser-tree leaves hold the lists in
 // the given order (order[leaf] = original list index — the planner's
 // rarest-first permutation) while every emitted event still carries the
@@ -178,14 +172,6 @@ func (m *Merger) Next() (ev IDEvent, ok bool) {
 		}
 	}
 	return ev, true
-}
-
-// ELCAStackMergeIDs is the ID form of reference.ELCAStackMerge:
-// ELCAStackDispatch without a sink. Identical output modulo representation;
-// verified by cross-check tests.
-func ELCAStackMergeIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _ := ELCAStackDispatch(context.Background(), nil, t, sets, nil, nil, nil)
-	return out
 }
 
 // ELCAStackMergeIDsOrderedCtx is ELCAStackDispatch without a sink: the ELCA
@@ -322,16 +308,10 @@ func ELCAStackDispatch(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][
 	return result, nil
 }
 
-// SLCAIDs is the ID form of reference.SLCA (Indexed Lookup Eager): for
+// SLCAIDsCtx is the ID form of reference.SLCA (Indexed Lookup Eager): for
 // every node of the smallest list, chain-LCA it with the closest node of
 // every other list, keeping only minimal candidates. Identical output modulo
-// representation.
-func SLCAIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
-	out, _ := AppendSLCAIDs(nil, nil, t, sets)
-	return out
-}
-
-// SLCAIDsCtx is SLCAIDs with periodic cancellation checks over the
+// representation. It checks for cancellation periodically over the
 // smallest-list scan, mirroring ELCAStackDispatch.
 func SLCAIDsCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID) ([]nid.ID, error) {
 	return AppendSLCAIDs(ctx, nil, t, sets)

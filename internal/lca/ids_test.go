@@ -1,6 +1,7 @@
 package lca
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestMergerMatchesMergeSets(t *testing.T) {
 		sets := randomCodeSets(rng, 1+rng.Intn(5))
 		h := harness(sets)
 		want := reference.MergeSets(sets)
-		m := NewMerger(h.sets)
+		m := NewMergerOrdered(h.sets, nil)
 		var got []reference.Event
 		for {
 			ev, ok := m.Next()
@@ -116,7 +117,7 @@ func TestELCAStackMergeIDsMatchesCodes(t *testing.T) {
 		sets := randomCodeSets(rng, 1+rng.Intn(4))
 		h := harness(sets)
 		want := reference.ELCAStackMerge(sets)
-		got := h.codesOf(ELCAStackMergeIDs(h.tab, h.sets))
+		got := h.codesOf(elcaIDs(h.tab, h.sets))
 		if !sameCodeSlices(got, want) {
 			t.Fatalf("trial %d: %v vs %v (sets %v)", trial, got, want, sets)
 		}
@@ -131,17 +132,29 @@ func TestSLCAIDsMatchesCodes(t *testing.T) {
 		sets := randomCodeSets(rng, 1+rng.Intn(4))
 		h := harness(sets)
 		want := reference.SLCA(sets)
-		got := h.codesOf(SLCAIDs(h.tab, h.sets))
+		got := h.codesOf(slcaIDs(h.tab, h.sets))
 		if !sameCodeSlices(got, want) {
 			t.Fatalf("trial %d: %v vs %v (sets %v)", trial, got, want, sets)
 		}
 	}
 }
 
+// elcaIDs runs the ELCA stack merge in query order, uncancelled.
+func elcaIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
+	out, _ := ELCAStackMergeIDsOrderedCtx(context.Background(), t, sets, nil)
+	return out
+}
+
+// slcaIDs runs the SLCA kernel, uncancelled.
+func slcaIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
+	out, _ := AppendSLCAIDs(nil, nil, t, sets)
+	return out
+}
+
 // TestMergerSingleList: the k=1 degenerate shape streams the list as-is.
 func TestMergerSingleList(t *testing.T) {
 	h := harness([][]dewey.Code{{dewey.MustParse("0.0"), dewey.MustParse("0.1")}})
-	m := NewMerger(h.sets)
+	m := NewMergerOrdered(h.sets, nil)
 	for i := 0; i < 2; i++ {
 		ev, ok := m.Next()
 		if !ok || ev.Mask != 1 {

@@ -114,7 +114,7 @@ func elcaImpls() map[string]func([][]dewey.Code) []dewey.Code {
 		"naive": reference.ELCANaive,
 		"ids": func(sets [][]dewey.Code) []dewey.Code {
 			h := harness(sets)
-			return h.codesOf(ELCAStackMergeIDs(h.tab, h.sets))
+			return h.codesOf(elcaIDs(h.tab, h.sets))
 		},
 	}
 }
@@ -296,7 +296,7 @@ func BenchmarkSLCA(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SLCAIDs(h.tab, h.sets)
+		slcaIDs(h.tab, h.sets)
 	}
 }
 
@@ -305,7 +305,7 @@ func BenchmarkELCAStackMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ELCAStackMergeIDs(h.tab, h.sets)
+		elcaIDs(h.tab, h.sets)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestOrderedMergerStreamIndependentOfOrder(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(6)
 		_, sets := randomIDSets(rng, 20+rng.Intn(200), k)
-		want := drain(NewMerger(sets))
+		want := drain(NewMergerOrdered(sets, nil))
 		order := rng.Perm(k)
 		got := drain(NewMergerOrdered(sets, order))
 		if len(got) != len(want) {
@@ -79,7 +79,7 @@ func TestMergerSkipToMatchesDrain(t *testing.T) {
 		tab, sets := randomIDSets(rng, 20+rng.Intn(150), k)
 		target := nid.ID(rng.Intn(tab.Len() + 1))
 
-		ref := NewMerger(sets)
+		ref := NewMergerOrdered(sets, nil)
 		var want []IDEvent
 		for {
 			ev, ok := ref.Next()
@@ -138,7 +138,7 @@ func TestSLCAScanMergeMatchesIndexed(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(5)
 		tab, sets := randomIDSets(rng, 20+rng.Intn(250), k)
-		elcas := ELCAStackMergeIDs(tab, sets)
+		elcas := elcaIDs(tab, sets)
 		var want []nid.ID
 		for i, c := range elcas {
 			if i+1 == len(elcas) || !tab.IsAncestorOf(c, elcas[i+1]) {
@@ -170,7 +170,7 @@ func TestELCAOrderedMatchesUnordered(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(5)
 		tab, sets := randomIDSets(rng, 20+rng.Intn(250), k)
-		want := ELCAStackMergeIDs(tab, sets)
+		want := elcaIDs(tab, sets)
 		got, err := ELCAStackMergeIDsOrderedCtx(context.Background(), tab, sets, rng.Perm(k))
 		if err != nil {
 			t.Fatal(err)

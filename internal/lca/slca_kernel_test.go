@@ -89,7 +89,7 @@ func checkKernel(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, na
 		}
 	}
 	got := make([]dewey.Code, 0, len(want))
-	for _, id := range SLCAIDs(tab, sets) {
+	for _, id := range slcaIDs(tab, sets) {
 		got = append(got, tab.Code(id))
 	}
 	if !sameCodeSlices(got, want) {
@@ -99,7 +99,7 @@ func checkKernel(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, na
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(scan, SLCAIDs(tab, sets)) {
+	if !slices.Equal(scan, slcaIDs(tab, sets)) {
 		t.Fatalf("%s: the scan-merge entry point diverged", label)
 	}
 }

@@ -15,7 +15,7 @@ import (
 func FuzzPostingsFromBytes(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, BlockSize, BlockSize + 1} {
-		enc := Encode(randomList(r, n, 7))
+		enc := AppendEncode(nil, randomList(r, n, 7))
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 		f.Add(enc[:len(enc)-1])
@@ -35,7 +35,7 @@ func FuzzPostingsFromBytes(f *testing.F) {
 				break
 			}
 		}
-		it.Reset()
+		it = l.Iterator()
 		for id, ok := it.Next(); ok; id, ok = it.Next() {
 			walked = append(walked, id)
 		}

@@ -3,13 +3,13 @@
 // skip table, decoded lazily per term.
 //
 // A posting list is a strictly increasing sequence of node IDs
-// (internal/nid). Encode splits it into blocks of BlockSize IDs; each block
-// stores its values as uvarint deltas from the previous value (the previous
-// block's last ID at a block boundary, -1 before the very first value, so
-// every delta is >= 1). A fixed-width skip table in front of the data —
-// one {last ID, byte offset} pair per block — lets an Iterator jump to the
-// first block that can contain a target ID without touching the bytes in
-// between, which is what makes the k-way merge's SkipTo galloping work on
+// (internal/nid). AppendEncode splits it into blocks of BlockSize IDs; each
+// block stores its values as uvarint deltas from the previous value (the
+// previous block's last ID at a block boundary, -1 before the very first
+// value, so every delta is >= 1). A fixed-width skip table in front of the
+// data — one {last ID, byte offset} pair per block — lets an Iterator jump to
+// the first block that can contain a target ID without touching the bytes
+// in between, which is what makes the k-way merge's SkipTo galloping work on
 // compressed lists.
 //
 // A List is a zero-copy view over the encoded bytes (typically a sub-slice
@@ -61,7 +61,7 @@ type List struct {
 func numBlocks(n int) int { return (n + BlockSize - 1) / BlockSize }
 
 // AppendEncode appends the encoded form of ids to dst and returns the
-// extended slice. ids must be strictly increasing and non-negative; Encode
+// extended slice. ids must be strictly increasing and non-negative; it
 // panics otherwise (encoding runs at store-write time, where a mis-sorted
 // list is a builder bug, not an input error).
 func AppendEncode(dst []byte, ids []nid.ID) []byte {
@@ -84,7 +84,7 @@ func AppendEncode(dst []byte, ids []nid.ID) []byte {
 		binary.LittleEndian.PutUint32(entry[4:], uint32(len(dst)-dataStart))
 		for _, id := range ids[lo:hi] {
 			if int64(id) <= prev {
-				panic(fmt.Sprintf("postings: Encode called with non-increasing ID %d after %d", id, prev))
+				panic(fmt.Sprintf("postings: AppendEncode called with non-increasing ID %d after %d", id, prev))
 			}
 			w := binary.PutUvarint(varint[:], uint64(int64(id)-prev))
 			dst = append(dst, varint[:w]...)
@@ -94,9 +94,6 @@ func AppendEncode(dst []byte, ids []nid.ID) []byte {
 	binary.LittleEndian.PutUint32(dst[head+4:], uint32(len(dst)-dataStart))
 	return dst
 }
-
-// Encode returns the encoded form of ids (see AppendEncode).
-func Encode(ids []nid.ID) []byte { return AppendEncode(nil, ids) }
 
 // EncodedLen returns the number of bytes the encoded form of a List
 // occupies, so callers slicing a concatenated blob can recover section
@@ -268,12 +265,6 @@ type Iterator struct {
 // Iterator returns a fresh iterator positioned before the first ID.
 func (l List) Iterator() *Iterator {
 	return &Iterator{l: l}
-}
-
-// Reset rewinds the iterator to the start of its list, reusing the block
-// buffer.
-func (it *Iterator) Reset() {
-	it.block, it.bufLen, it.bufPos, it.err = 0, 0, 0, nil
 }
 
 // Err returns the decode error that ended iteration early, if any. A

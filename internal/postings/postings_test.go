@@ -32,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 		randomList(r, 10*BlockSize+17, 7),
 	}
 	for ci, ids := range cases {
-		enc := Encode(ids)
+		enc := AppendEncode(nil, ids)
 		l, err := FromBytes(enc)
 		if err != nil {
 			t.Fatalf("case %d: FromBytes: %v", ci, err)
@@ -74,7 +74,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestFromBytesTrailingBytesIgnored(t *testing.T) {
 	ids := []nid.ID{1, 5, 9}
-	enc := append(Encode(ids), 0xAA, 0xBB)
+	enc := append(AppendEncode(nil, ids), 0xAA, 0xBB)
 	l, err := FromBytes(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestSeekGE(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(5*BlockSize)
 		ids := randomList(r, n, 1+r.Intn(20))
-		l, err := FromBytes(Encode(ids))
+		l, err := FromBytes(AppendEncode(nil, ids))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestSeekGE(t *testing.T) {
 // consumed prefix: the head of the remaining stream comes back.
 func TestSeekGEBackwardTarget(t *testing.T) {
 	ids := []nid.ID{10, 20, 30, 40}
-	l, _ := FromBytes(Encode(ids))
+	l, _ := FromBytes(AppendEncode(nil, ids))
 	it := l.Iterator()
 	if v, _ := it.Next(); v != 10 {
 		t.Fatal("first Next")
@@ -163,7 +163,7 @@ func TestSeekGEBackwardTarget(t *testing.T) {
 // TestMalformedNeverPanics drives the decoder over corrupted encodings.
 func TestMalformedNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	base := Encode(randomList(r, 3*BlockSize+7, 5))
+	base := AppendEncode(nil, randomList(r, 3*BlockSize+7, 5))
 	for trial := 0; trial < 2000; trial++ {
 		b := append([]byte(nil), base...)
 		switch r.Intn(3) {
@@ -192,7 +192,7 @@ func TestMalformedNeverPanics(t *testing.T) {
 				break
 			}
 		}
-		it.Reset()
+		it = l.Iterator()
 		for target := nid.ID(0); ; target += 37 {
 			if _, ok := it.SeekGE(target); !ok {
 				break
@@ -204,7 +204,7 @@ func TestMalformedNeverPanics(t *testing.T) {
 func BenchmarkDecode(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	ids := randomList(r, 64*BlockSize, 9)
-	l, _ := FromBytes(Encode(ids))
+	l, _ := FromBytes(AppendEncode(nil, ids))
 	buf := make([]nid.ID, 0, len(ids))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

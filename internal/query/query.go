@@ -43,9 +43,6 @@ type Term struct {
 	Raw string
 }
 
-// IsLabelOnly reports whether the term matches by label alone.
-func (t Term) IsLabelOnly() bool { return t.Keyword == "" && t.Label != "" }
-
 // String renders the term in input syntax.
 func (t Term) String() string {
 	if t.Label == "" {
@@ -112,15 +109,4 @@ func Parse(q string, an *analysis.Analyzer) ([]Term, error) {
 		return nil, fmt.Errorf("query: %d terms, at most %d supported: %w", len(out), MaxTerms, ErrTooManyTerms)
 	}
 	return out, nil
-}
-
-// HasPredicates reports whether any term carries a label predicate; plain
-// queries take the fast path through the inverted index alone.
-func HasPredicates(terms []Term) bool {
-	for _, t := range terms {
-		if t.Label != "" {
-			return true
-		}
-	}
-	return false
 }

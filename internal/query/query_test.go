@@ -15,8 +15,8 @@ func TestParsePlain(t *testing.T) {
 	if len(terms) != 2 || terms[0].Keyword != "xml" || terms[1].Keyword != "keyword" {
 		t.Fatalf("terms = %+v", terms)
 	}
-	if HasPredicates(terms) {
-		t.Error("plain query should have no predicates")
+	if terms[0].Label != "" || terms[1].Label != "" {
+		t.Errorf("plain query has predicates: %+v", terms)
 	}
 }
 
@@ -28,14 +28,11 @@ func TestParseLabelPredicate(t *testing.T) {
 	if len(terms) != 2 {
 		t.Fatalf("terms = %+v", terms)
 	}
-	if terms[0].Label != "title" || terms[0].Keyword != "xml" || terms[0].IsLabelOnly() {
+	if terms[0].Label != "title" || terms[0].Keyword != "xml" {
 		t.Errorf("term 0 = %+v", terms[0])
 	}
-	if terms[1].Label != "author" || !terms[1].IsLabelOnly() {
+	if terms[1].Label != "author" || terms[1].Keyword != "" {
 		t.Errorf("term 1 = %+v", terms[1])
-	}
-	if !HasPredicates(terms) {
-		t.Error("HasPredicates should be true")
 	}
 	if terms[0].String() != "title:xml" || terms[1].String() != "author:" {
 		t.Errorf("String() = %q / %q", terms[0].String(), terms[1].String())

@@ -7,8 +7,8 @@
 // pre-order LCA list whose root is an ancestor of or the same as the node");
 // keyword nodes with no such ancestor do not join any fragment. Fragments
 // whose keyword nodes fail to cover the whole query are discarded, mirroring
-// the semantics of the Indexed Stack getLCA stage. rtf.BuildIDs is its ID
-// form.
+// the semantics of the Indexed Stack getLCA stage. rtf.BuildIDsPlanned is
+// its ID form.
 //
 // BruteForce implements Definitions 1 and 2 literally (enumerating the
 // extended keyword node combination set ECTQ and filtering it by the three

@@ -10,12 +10,12 @@
 // (AppendScores); and a bounded page hydrates the events of the few
 // fragments it returns (EventsFor).
 //
-// BuildIDs is getRTF as a pass of its own: no request runs it, so it is the
-// tests' reference for the producers above, and BuildIDsPlanned is what the
-// bench harness replays, with BuildScoredIDsCtx, AppendScores' filtering
-// form. Its dispatch loop serves AppendScores and EventsFor's nested
-// windows. The Dewey-code Build and the literal Definitions 1–2 enumeration
-// it is checked against live in internal/reference.
+// BuildIDsPlanned is getRTF as a pass of its own: no request runs it, so it
+// is the tests' reference for the producers above and what the bench
+// harness replays, with BuildScoredIDsCtx, AppendScores' filtering form.
+// Its dispatch loop serves AppendScores and EventsFor's nested windows. The
+// Dewey-code Build and the literal Definitions 1–2 enumeration it is checked
+// against live in internal/reference.
 package rtf
 
 import (
@@ -48,17 +48,12 @@ func (r *IDRTF) Mask() uint64 {
 	return m
 }
 
-// BuildIDs is the ID form of reference.Build: given the sorted interesting
-// LCA nodes and the ID posting lists D1..Dk, it dispatches every keyword node
-// to the deepest LCA node that is its ancestor-or-self and returns one IDRTF
-// per LCA node whose dispatched nodes cover the whole query, in pre-order of
-// their roots. Identical output modulo representation.
-func BuildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
-	out, _ := BuildIDsPlanned(context.Background(), t, lcas, sets, nil, false)
-	return out
-}
-
-// BuildIDsPlanned is BuildIDs with periodic cancellation checks inside the
+// BuildIDsPlanned is the ID form of reference.Build: given the sorted
+// interesting LCA nodes and the ID posting lists D1..Dk, it dispatches every
+// keyword node to the deepest LCA node that is its ancestor-or-self and
+// returns one IDRTF per LCA node whose dispatched nodes cover the whole
+// query, in pre-order of their roots. Identical output modulo
+// representation. It checks for cancellation periodically inside the
 // dispatch pass — every ctxCheckInterval merged events it consults ctx and
 // abandons the build mid-stream with ctx.Err() when the context is done —
 // and with the planner's merge order feeding the loser tree (nil = query

@@ -1,6 +1,7 @@
 package rtf
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,6 +14,14 @@ import (
 // TestBuildIDsMatchesBuild cross-checks the ID dispatch against the
 // code-based Build over random posting sets: same roots, same partitions,
 // same masks, in the same order.
+// buildIDs is getRTF as a pass of its own, in query order and without
+// skipping or cancellation: the tests' reference for the producers requests
+// run.
+func buildIDs(t *nid.Table, lcas []nid.ID, sets [][]nid.ID) []*IDRTF {
+	out, _ := BuildIDsPlanned(context.Background(), t, lcas, sets, nil, false)
+	return out
+}
+
 func TestBuildIDsMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 1000; trial++ {
@@ -36,10 +45,10 @@ func TestBuildIDsMatchesBuild(t *testing.T) {
 		}
 
 		roots := reference.ELCAStackMerge(sets)
-		idRoots := lca.ELCAStackMergeIDs(tab, idSets)
+		idRoots, _ := lca.ELCAStackMergeIDsOrderedCtx(context.Background(), tab, idSets, nil)
 
 		want := reference.Build(roots, sets)
-		got := BuildIDs(tab, idRoots, idSets)
+		got := buildIDs(tab, idRoots, idSets)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d fragments vs %d", trial, len(got), len(want))
 		}

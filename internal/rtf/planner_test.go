@@ -47,7 +47,7 @@ func randomDispatchInput(rng *rand.Rand, nodes, k int) (*nid.Table, [][]nid.ID, 
 			}
 		}
 	}
-	roots := lca.ELCAStackMergeIDs(t, sets)
+	roots, _ := lca.ELCAStackMergeIDsOrderedCtx(context.Background(), t, sets, nil)
 	return t, sets, roots
 }
 
@@ -75,7 +75,7 @@ func TestBuildIDsPlannedMatchesPlain(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		k := 1 + rng.Intn(5)
 		tab, sets, roots := randomDispatchInput(rng, 20+rng.Intn(250), k)
-		want := BuildIDs(tab, roots, sets)
+		want := buildIDs(tab, roots, sets)
 		for _, skip := range []bool{false, true} {
 			got, err := BuildIDsPlanned(context.Background(), tab, roots, sets, rng.Perm(k), skip)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestBuildScoredIDsMatchesMaterialized(t *testing.T) {
 		}
 		scorer := &rank.Scorer{Decay: 0.8, IDF: func(w string) float64 { return idf[w] }}
 
-		want := BuildIDs(tab, roots, sets)
+		want := buildIDs(tab, roots, sets)
 		got, err := BuildScoredIDsCtx(context.Background(), tab, roots, sets,
 			scorer.Incremental(words), rng.Perm(k), rng.Intn(2) == 0)
 		if err != nil {
@@ -142,9 +142,9 @@ func TestEventsForMatchesBuildIDs(t *testing.T) {
 		k := 1 + rng.Intn(9)
 		tab, sets, roots := randomDispatchInput(rng, 20+rng.Intn(250), k)
 		if trial%2 == 1 {
-			roots = lca.SLCAIDs(tab, sets)
+			roots, _ = lca.SLCAIDsCtx(context.Background(), tab, sets)
 		}
-		for i, r := range BuildIDs(tab, roots, sets) {
+		for i, r := range buildIDs(tab, roots, sets) {
 			if end := tab.SubtreeEnd(r.Root); i+1 < len(roots) && roots[i+1] < end {
 				nested++
 			} else {

@@ -285,7 +285,7 @@ func TestPathNodesAncestorClosed(t *testing.T) {
 			}
 			for _, c := range nodes {
 				if len(c) > len(r.Root) {
-					if !keep[c.Parent().Key()] {
+					if !keep[c[:len(c)-1].Key()] {
 						t.Fatalf("trial %d: parent of %s missing", trial, c)
 					}
 				}
@@ -299,6 +299,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildIDs(tab, roots, sets)
+		buildIDs(tab, roots, sets)
 	}
 }

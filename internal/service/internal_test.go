@@ -245,11 +245,22 @@ func newGenBackend() *genBackend {
 // TestCacheBodyBytesIsTheWalk: the maintained xks_cache_body_bytes count
 // equals the walk over the live entries' retained encodings after mixed
 // traffic — LRU evictions, stale-generation drops, replaced entries,
-// resumable prefixes completed, and encodes racing the drops.
+// resumable prefixes completed, and encodes racing the drops. Whether the
+// concurrent traffic resumes a prefix depends on how its goroutines
+// interleave, so one key takes a truncate-then-retry of its own first.
 func TestCacheBodyBytesIsTheWalk(t *testing.T) {
 	g := newGenBackend()
-	sv := New(g, Config{CacheSize: 16, CacheShards: 4})
+	sv := New(g, Config{CacheSize: 16})
 	query := func(i int) xks.Request { return xks.Request{Query: fmt.Sprintf("q%d", i%40), Limit: 2} }
+	retried := xks.Request{Query: "retried", Limit: 2}
+	for _, budget := range []xks.Budget{xks.BestEffort, xks.Strict} {
+		retried.Budget = budget
+		p, _, err := sv.SearchPage(context.Background(), retried)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Encoded(func() *Encoded { return &Encoded{Bytes: make([]byte, 5)} })
+	}
 	var wg sync.WaitGroup
 	for w := range 8 {
 		wg.Add(1)
@@ -276,8 +287,12 @@ func TestCacheBodyBytesIsTheWalk(t *testing.T) {
 	// The walk visits every key the traffic used; a lookup at the current
 	// generation drops what went stale, which the count must follow too.
 	var walk int64
-	for i := range 40 {
-		if p, ok := sv.cache.Get(cacheKey(query(i)), g.gen.Load()); ok && p.retained != nil {
+	for i := range 41 {
+		req := retried
+		if i < 40 {
+			req = query(i)
+		}
+		if p, ok := sv.cache.Get(cacheKey(req), g.gen.Load()); ok && p.retained != nil {
 			if e := p.enc.Load(); e != nil {
 				walk += int64(len(e.Bytes))
 			}

@@ -39,7 +39,7 @@ func truncatedFirstPage(t *testing.T, limit int) (*service.Service, xks.Request,
 	t.Helper()
 	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
 
-	req := xks.NewRequest(paperdata.Q1, xks.Options{Rank: true, Limit: limit})
+	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: limit}
 	req.Budget = xks.BestEffort
 	req.Timeout = 200 * time.Millisecond
 
@@ -71,7 +71,7 @@ func TestPartialPageResumeStitchesAndPromotes(t *testing.T) {
 	const limit = 8
 	// Fault-free baseline on an identical corpus: what the full page holds.
 	baseline, err := partialCorpus(t).Search(context.Background(),
-		xks.NewRequest(paperdata.Q1, xks.Options{Rank: true, Limit: limit}))
+		xks.Request{Query: paperdata.Q1, Rank: true, Limit: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPartialPageResumeServesStream(t *testing.T) {
 func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
 
-	req := xks.NewRequest(paperdata.Q1, xks.Options{Rank: true, Limit: 6})
+	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: 6}
 	req.Budget = xks.BestEffort
 	req.Timeout = 150 * time.Millisecond
 

@@ -171,10 +171,11 @@ type Config struct {
 	// CacheSize is the maximum number of cached query results; 0 disables
 	// caching entirely (singleflight and metrics stay on).
 	CacheSize int
-	// CacheShards is the cache shard count (default 16, rounded to a
-	// power of two).
-	CacheShards int
 }
+
+// cacheShards is the cache's lock count; lru.New lowers it for a cache of
+// fewer than 16 entries, so each shard holds at least one.
+const cacheShards = 16
 
 // Service wraps a Backend with caching, singleflight, and metrics.
 type Service struct {
@@ -194,7 +195,7 @@ type Service struct {
 func New(b Backend, cfg Config) *Service {
 	sv := &Service{backend: b}
 	if cfg.CacheSize > 0 {
-		sv.cache = lru.New[*Page](cfg.CacheSize, cfg.CacheShards)
+		sv.cache = lru.New[*Page](cfg.CacheSize, cacheShards)
 		sv.cache.OnDrop((*Page).dropped)
 	}
 	return sv
@@ -267,8 +268,10 @@ func cacheKey(req xks.Request) string {
 // lookup is what the front half SearchPage and Stream share (admit) found
 // out about a request before anything executes.
 type lookup struct {
-	// req is the request with its cursor resolved into Offset — unless the
-	// cursor is pinned, in which case it is the request as received.
+	// req is the request with its cursor resolved into Offset; it keeps the
+	// cursor, so the backend computes the page on the snapshot the cursor
+	// pins even when the data changes after admission. A pinned cursor's
+	// request is the request as received.
 	req xks.Request
 	// gen is the version token req's cache entry is tagged with.
 	gen uint64
@@ -304,6 +307,7 @@ func (sv *Service) admit(ctx context.Context, req xks.Request) (l lookup, err er
 		}
 		return l, err
 	}
+	l.req.Cursor = req.Cursor
 	l.key = cacheKey(l.req)
 	// Annotate the request's trace (when one is attached) with the serving
 	// decisions the pipeline itself cannot see; a nil span makes these
@@ -411,9 +415,10 @@ func (sv *Service) store(l *lookup, r *xks.Results) *Page {
 }
 
 // resume serves a request whose cache entry is a truncated prefix of its
-// page: the pipeline re-enters at the cursor — Offset advanced past the
-// prefix, Limit shrunk to the remainder, a derived singleflight key so
-// concurrent retries still collapse — and the prefix is stitched onto
+// page: the pipeline re-enters at the prefix's cursor — which resumes after
+// the prefix on the snapshot it was cut from — with Limit shrunk to the
+// remainder and a derived singleflight key so concurrent retries still
+// collapse, and the prefix is stitched onto
 // whatever the continuation yields, instead of reassembling the fragments
 // that already finished. A completed stitch overwrites the entry with the
 // full page; a still-truncated one with the longer prefix. The combined
@@ -426,6 +431,7 @@ func (sv *Service) resume(ctx context.Context, l *lookup) (*Page, error) {
 	cont := l.req
 	cont.Offset += len(prefix)
 	cont.Limit -= len(prefix)
+	cont.Cursor = l.prefix.Cursor
 	tail, _, err := sv.buffered(ctx, l.key+"|partial:"+strconv.Itoa(len(prefix)), cont, nil)
 	if err != nil {
 		return nil, err

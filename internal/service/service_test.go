@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,7 +214,7 @@ func TestSingleflightCollapsesHerd(t *testing.T) {
 // goroutines under -race.
 func TestConcurrentHammer(t *testing.T) {
 	c := testCorpus(t)
-	sv := service.New(c, service.Config{CacheSize: 32, CacheShards: 4})
+	sv := service.New(c, service.Config{CacheSize: 32})
 	queries := []string{"liu keyword", "name", "xml", "search liu", "title:xml"}
 	docs := []string{"", "publications", "team"}
 
@@ -274,7 +275,7 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 func TestCacheEvictionUnderPressure(t *testing.T) {
-	sv := service.New(testCorpus(t), service.Config{CacheSize: 4, CacheShards: 1})
+	sv := service.New(testCorpus(t), service.Config{CacheSize: 4})
 	for i := 0; i < 20; i++ {
 		if _, _, err := sv.Search(context.Background(), xks.Request{Query: "name", Limit: i + 1}); err != nil {
 			t.Fatal(err)
@@ -367,6 +368,69 @@ func truncatingSearcher(inner service.Backend) service.Backend {
 		r.Truncated = true
 		return r, nil
 	}}
+}
+
+// appendingBackend tail-appends to its engine before delegating the first
+// Search after it is armed: an append that lands between the service's
+// admission of a request and the backend's pin of a snapshot.
+type appendingBackend struct {
+	service.SingleDoc
+	armed bool
+}
+
+func (b *appendingBackend) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
+	if b.armed {
+		b.armed = false
+		if err := b.Engine.AppendTail("0", "<b><t>xml search</t></b>"); err != nil {
+			return nil, err
+		}
+	}
+	return b.SingleDoc.Search(ctx, req)
+}
+
+// TestCursorPageReadsItsCursorSnapshot: a cursor page is computed on the
+// snapshot its cursor pins, even when an append lands after the service
+// admitted the request. On the newest head the appended record, ranked
+// first, would shift the page and repeat page 1's fragment.
+func TestCursorPageReadsItsCursorSnapshot(t *testing.T) {
+	e, err := xks.LoadString("<lib>" + strings.Repeat("<b><x><t>xml</t><u>search</u></x></b>", 3) + "</lib>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := xks.Request{Query: "xml search", Rank: true, Limit: 1}
+	first, err := e.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := req
+	next.Cursor = first.Cursor
+	want, err := e.Search(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	be := &appendingBackend{SingleDoc: service.SingleDoc{Name: "lib", Engine: e}}
+	sv := service.New(be, service.Config{CacheSize: 16})
+	page1, _, err := sv.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page1.Fragments[0].Root != first.Fragments[0].Root || page1.Cursor != first.Cursor {
+		t.Fatalf("page 1 = %s (cursor %q), want %s (cursor %q)",
+			page1.Fragments[0].Root, page1.Cursor, first.Fragments[0].Root, first.Cursor)
+	}
+	be.armed = true
+	page2, _, err := sv.Search(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page2.Fragments) != 1 {
+		t.Fatalf("cursor page has %d fragments, want 1", len(page2.Fragments))
+	}
+	if got := page2.Fragments[0].Root; got != want.Fragments[0].Root {
+		t.Fatalf("cursor page = %s, want the engine's %s", got, want.Fragments[0].Root)
+	}
 }
 
 // TestTruncatedResultsNotCached: a partial (truncated) page must never be

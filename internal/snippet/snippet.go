@@ -15,34 +15,17 @@ import (
 	"xks/internal/analysis"
 )
 
-// Options tunes snippet generation.
-type Options struct {
-	// Window is the number of context words kept on each side of a
-	// keyword occurrence (default 3).
-	Window int
-	// MaxWords caps the total snippet length in words (default 40).
-	MaxWords int
-	// Highlight wraps matched keywords; defaults to "[" and "]".
-	HighlightL, HighlightR string
-	// Ellipsis joins non-adjacent extracts (default " … ").
-	Ellipsis string
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 3
-	}
-	if o.MaxWords <= 0 {
-		o.MaxWords = 40
-	}
-	if o.HighlightL == "" && o.HighlightR == "" {
-		o.HighlightL, o.HighlightR = "[", "]"
-	}
-	if o.Ellipsis == "" {
-		o.Ellipsis = " … "
-	}
-	return o
-}
+const (
+	// window is the number of context words kept on each side of a
+	// keyword occurrence.
+	window = 3
+	// maxWords caps the total snippet length in words.
+	maxWords = 40
+	// highlightL and highlightR wrap matched keywords.
+	highlightL, highlightR = "[", "]"
+	// ellipsis joins non-adjacent extracts.
+	ellipsis = " … "
+)
 
 // Source is one text-bearing node of a fragment, in document order.
 type Source struct {
@@ -54,17 +37,16 @@ type Source struct {
 
 // Generator builds snippets with a shared analyzer.
 type Generator struct {
-	an   *analysis.Analyzer
-	opts Options
+	an *analysis.Analyzer
 }
 
 // NewGenerator returns a snippet generator; a nil analyzer uses the
 // default.
-func NewGenerator(an *analysis.Analyzer, opts Options) *Generator {
+func NewGenerator(an *analysis.Analyzer) *Generator {
 	if an == nil {
 		an = analysis.New()
 	}
-	return &Generator{an: an, opts: opts.withDefaults()}
+	return &Generator{an: an}
 }
 
 type extract struct {
@@ -93,7 +75,7 @@ func (g *Generator) Generate(sources []Source, keywords []string) string {
 	// Greedy selection: first pass favours extracts that add unseen
 	// keywords; second pass fills the remaining budget in document order.
 	seen := map[string]bool{}
-	budget := g.opts.MaxWords
+	budget := maxWords
 	chosen := make([]bool, len(extracts))
 	for i, ex := range extracts {
 		adds := false
@@ -131,7 +113,7 @@ func (g *Generator) Generate(sources []Source, keywords []string) string {
 		}
 		parts = append(parts, body)
 	}
-	return strings.Join(parts, g.opts.Ellipsis)
+	return strings.Join(parts, ellipsis)
 }
 
 // extractFrom finds keyword occurrences in one source and cuts highlighted
@@ -150,11 +132,11 @@ func (g *Generator) extractFrom(src Source, kw map[string]bool) []extract {
 			continue
 		}
 		hitAt[i] = norm
-		lo := i - g.opts.Window
+		lo := i - window
 		if lo < 0 {
 			lo = 0
 		}
-		hi := i + g.opts.Window + 1
+		hi := i + window + 1
 		if hi > len(raw) {
 			hi = len(raw)
 		}
@@ -172,7 +154,7 @@ func (g *Generator) extractFrom(src Source, kw map[string]bool) []extract {
 		for i := sp.lo; i < sp.hi; i++ {
 			w := raw[i]
 			if hitAt[i] != "" {
-				w = g.opts.HighlightL + w + g.opts.HighlightR
+				w = highlightL + w + highlightR
 				ex.hits[hitAt[i]] = true
 			}
 			ex.words = append(ex.words, w)
@@ -194,8 +176,8 @@ func (g *Generator) fallback(sources []Source) string {
 		if len(words) == 0 {
 			continue
 		}
-		if len(words) > g.opts.MaxWords {
-			words = append(words[:g.opts.MaxWords], "…")
+		if len(words) > maxWords {
+			words = append(words[:maxWords], "…")
 		}
 		body := strings.Join(words, " ")
 		if src.Label != "" {

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-func gen(opts Options) *Generator { return NewGenerator(nil, opts) }
+func gen() *Generator { return NewGenerator(nil) }
 
 func TestGenerateHighlightsKeywords(t *testing.T) {
-	g := gen(Options{})
+	g := gen()
 	out := g.Generate([]Source{
 		{Label: "title", Text: "Efficient XML Keyword Search over large documents"},
 	}, []string{"keyword", "search"})
@@ -21,14 +21,14 @@ func TestGenerateHighlightsKeywords(t *testing.T) {
 }
 
 func TestGenerateWindow(t *testing.T) {
-	g := gen(Options{Window: 1})
+	g := gen()
 	out := g.Generate([]Source{
-		{Text: "one two three keyword five six seven"},
+		{Text: "zero one two three keyword five six seven eight"},
 	}, []string{"keyword"})
-	if !strings.Contains(out, "three [keyword] five") {
+	if !strings.Contains(out, "one two three [keyword] five six seven") {
 		t.Errorf("window cut wrong: %q", out)
 	}
-	if strings.Contains(out, "two") || strings.Contains(out, "six") {
+	if strings.Contains(out, "zero") || strings.Contains(out, "eight") {
 		t.Errorf("window too wide: %q", out)
 	}
 	// Ellipses mark both truncated sides.
@@ -38,7 +38,7 @@ func TestGenerateWindow(t *testing.T) {
 }
 
 func TestGenerateMergesOverlaps(t *testing.T) {
-	g := gen(Options{Window: 2})
+	g := gen()
 	out := g.Generate([]Source{
 		{Text: "alpha keyword beta search gamma"},
 	}, []string{"keyword", "search"})
@@ -50,37 +50,53 @@ func TestGenerateMergesOverlaps(t *testing.T) {
 }
 
 func TestGenerateCoversAllKeywordsFirst(t *testing.T) {
-	g := gen(Options{Window: 1, MaxWords: 8})
-	out := g.Generate([]Source{
-		{Text: "alpha alpha alpha alpha alpha"}, // no keywords
-		{Text: "xx keyword yy"},                 // keyword 1
-		{Text: "aa keyword bb"},                 // keyword 1 again
-		{Text: "cc search dd"},                  // keyword 2
-	}, []string{"keyword", "search"})
+	g := gen()
+	// Six 7-word extracts of keyword 1 fill the 40-word budget before the
+	// source of keyword 2 in document order.
+	sources := []Source{{Text: "alpha alpha alpha alpha alpha"}} // no keywords
+	for i := 0; i < 6; i++ {
+		sources = append(sources, Source{Text: "aa bb cc keyword dd ee ff"})
+	}
+	sources = append(sources, Source{Text: "aa bb cc search dd ee ff"})
+	out := g.Generate(sources, []string{"keyword", "search"})
 	if !strings.Contains(out, "[keyword]") || !strings.Contains(out, "[search]") {
 		t.Errorf("coverage sacrificed to repetition: %q", out)
+	}
+	// Extracts of different sources are joined by an ellipsis.
+	if !strings.Contains(out, "ff … aa") {
+		t.Errorf("extracts not joined by an ellipsis: %q", out)
 	}
 }
 
 func TestGenerateBudget(t *testing.T) {
-	g := gen(Options{Window: 10, MaxWords: 5})
-	out := g.Generate([]Source{
-		{Text: "w1 w2 w3 w4 w5 w6 w7 keyword w8 w9 w10 w11 w12"},
-	}, []string{"keyword"})
-	// The only extract exceeds the budget entirely: nothing fits, fall back
-	// to leading words.
-	if len(strings.Fields(out)) > 7 {
-		t.Errorf("budget exceeded: %q", out)
+	g := gen()
+	// Ten 7-word extracts: only five fit the 40-word budget.
+	var sources []Source
+	for i := 0; i < 10; i++ {
+		sources = append(sources, Source{Text: "aa bb cc keyword dd ee ff"})
+	}
+	out := g.Generate(sources, []string{"keyword"})
+	words := 0
+	for _, w := range strings.Fields(out) {
+		if w != "…" {
+			words++
+		}
+	}
+	if words > maxWords || strings.Count(out, "[keyword]") != 5 {
+		t.Errorf("budget not kept (%d words): %q", words, out)
 	}
 }
 
 func TestGenerateFallbackNoMatches(t *testing.T) {
-	g := gen(Options{MaxWords: 3})
+	g := gen()
 	out := g.Generate([]Source{
-		{Label: "abstract", Text: "completely unrelated text body here"},
+		{Label: "abstract", Text: "completely unrelated text body here" + strings.Repeat(" filler", maxWords)},
 	}, []string{"zebra"})
 	if !strings.HasPrefix(out, "abstract: completely unrelated text") {
 		t.Errorf("fallback = %q", out)
+	}
+	if n := len(strings.Fields(out)); n != 1+maxWords+1 { // label, words, "…"
+		t.Errorf("fallback has %d fields, want %d: %q", n, maxWords+2, out)
 	}
 	if !strings.HasSuffix(out, "…") {
 		t.Errorf("fallback should mark truncation: %q", out)
@@ -88,7 +104,7 @@ func TestGenerateFallbackNoMatches(t *testing.T) {
 }
 
 func TestGenerateEmptySources(t *testing.T) {
-	g := gen(Options{})
+	g := gen()
 	if out := g.Generate(nil, []string{"x"}); out != "" {
 		t.Errorf("empty sources produced %q", out)
 	}
@@ -97,19 +113,8 @@ func TestGenerateEmptySources(t *testing.T) {
 	}
 }
 
-func TestCustomHighlightAndEllipsis(t *testing.T) {
-	g := gen(Options{HighlightL: "<b>", HighlightR: "</b>", Ellipsis: " // ", Window: 0})
-	out := g.Generate([]Source{
-		{Text: "aa keyword bb"},
-		{Text: "cc search dd"},
-	}, []string{"keyword", "search"})
-	if !strings.Contains(out, "<b>keyword</b>") || !strings.Contains(out, " // ") {
-		t.Errorf("custom options ignored: %q", out)
-	}
-}
-
 func TestStopWordsNeverMatch(t *testing.T) {
-	g := gen(Options{})
+	g := gen()
 	out := g.Generate([]Source{{Text: "the keyword the"}}, []string{"the", "keyword"})
 	if strings.Contains(out, "[the]") {
 		t.Errorf("stop word highlighted: %q", out)
@@ -117,7 +122,7 @@ func TestStopWordsNeverMatch(t *testing.T) {
 }
 
 func TestPunctuationAroundKeywords(t *testing.T) {
-	g := gen(Options{Window: 1})
+	g := gen()
 	out := g.Generate([]Source{{Text: "intro (Keyword), outro"}}, []string{"keyword"})
 	if !strings.Contains(out, "[(Keyword),]") {
 		t.Errorf("punctuated match lost: %q", out)
@@ -125,7 +130,7 @@ func TestPunctuationAroundKeywords(t *testing.T) {
 }
 
 func BenchmarkGenerate(b *testing.B) {
-	g := gen(Options{})
+	g := gen()
 	src := []Source{
 		{Label: "title", Text: "Efficient XML Keyword Search over large document collections"},
 		{Label: "abstract", Text: strings.Repeat("filler words about data management and query processing ", 20) + "with keyword search semantics"},

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"xks/internal/index"
 	"xks/internal/xmltree"
 )
 
@@ -89,25 +88,6 @@ func Analyze(t *xmltree.Tree, topN int) *Report {
 		r.TopLabels = r.TopLabels[:topN]
 	}
 	return r
-}
-
-// KeywordFrequencies reports the posting-list size of each word, sorted
-// descending, limited to topN (0 = all).
-func KeywordFrequencies(ix *index.Index, topN int) []LabelCount {
-	var out []LabelCount
-	for _, w := range ix.Words() {
-		out = append(out, LabelCount{Label: w, Count: ix.Frequency(w)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Label < out[j].Label
-	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
-	}
-	return out
 }
 
 // String renders the report as an aligned text block.

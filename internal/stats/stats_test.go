@@ -4,9 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"xks/internal/analysis"
-	"xks/internal/datagen"
-	"xks/internal/index"
 	"xks/internal/paperdata"
 	"xks/internal/xmltree"
 )
@@ -20,7 +17,7 @@ func TestAnalyzePublications(t *testing.T) {
 	if r.MaxDepth != 5 {
 		t.Errorf("MaxDepth = %d, want 5", r.MaxDepth)
 	}
-	if r.Labels != len(tree.SortedLabels()) {
+	if r.Labels != len(tree.LabelHistogram()) {
 		t.Errorf("Labels = %d", r.Labels)
 	}
 	sum := 0
@@ -57,35 +54,6 @@ func TestTopLabelsSortedAndLimited(t *testing.T) {
 		if r.TopLabels[i-1].Count < r.TopLabels[i].Count {
 			t.Fatalf("TopLabels not sorted: %+v", r.TopLabels)
 		}
-	}
-}
-
-func TestKeywordFrequencies(t *testing.T) {
-	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 50, Keywords: []datagen.KeywordSpec{
-		{Word: "xml", Count: 9},
-	}})
-	ix := index.Build(tree, analysis.New())
-	freqs := KeywordFrequencies(ix, 0)
-	if len(freqs) == 0 {
-		t.Fatal("no frequencies")
-	}
-	for i := 1; i < len(freqs); i++ {
-		if freqs[i-1].Count < freqs[i].Count {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	found := false
-	for _, f := range freqs {
-		if f.Label == "xml" && f.Count == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("injected keyword frequency not reported")
-	}
-	limited := KeywordFrequencies(ix, 5)
-	if len(limited) != 5 {
-		t.Errorf("limit ignored: %d", len(limited))
 	}
 }
 

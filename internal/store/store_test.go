@@ -36,8 +36,8 @@ func TestShredCounts(t *testing.T) {
 	if s.NumNodes() != tree.Size() {
 		t.Errorf("NumNodes = %d, want %d", s.NumNodes(), tree.Size())
 	}
-	if s.NumLabels() != len(tree.SortedLabels()) {
-		t.Errorf("NumLabels = %d, want %d", s.NumLabels(), len(tree.SortedLabels()))
+	if s.NumLabels() != len(tree.LabelHistogram()) {
+		t.Errorf("NumLabels = %d, want %d", s.NumLabels(), len(tree.LabelHistogram()))
 	}
 	if s.NumValues() == 0 {
 		t.Error("no value rows")

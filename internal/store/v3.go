@@ -34,7 +34,7 @@ package store
 //	terms      u32 count, u32 blobLen, offs u32[count+1], blob bytes
 //	           (terms strictly increasing; term i = blob[offs[i]:offs[i+1]])
 //	postings   u32 count, u32 reserved, offs u32[count+1], concatenated
-//	           postings.Encode blobs (list i = blob[offs[i]:offs[i+1]])
+//	           postings.AppendEncode blobs (list i = blob[offs[i]:offs[i+1]])
 //	nodewords  u32 n, u32 total, wordOff u32[n+1], termIDs u32[total] —
 //	           CSR of each node's term IDs, ascending per node
 //	stats      planner statistics (appendStats)

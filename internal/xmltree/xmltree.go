@@ -16,7 +16,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -80,16 +79,6 @@ func (t *Tree) NodeAt(c dewey.Code) *Node {
 	return t.byKey[c.Key()]
 }
 
-// MustNodeAt returns the node at the code given in dotted text form and
-// panics if absent. Intended for tests.
-func (t *Tree) MustNodeAt(s string) *Node {
-	n := t.NodeAt(dewey.MustParse(s))
-	if n == nil {
-		panic(fmt.Sprintf("xmltree: no node at %s", s))
-	}
-	return n
-}
-
 // Walk visits every node in pre-order. Returning false from fn prunes the
 // node's subtree from the traversal.
 func (t *Tree) Walk(fn func(*Node) bool) {
@@ -116,18 +105,6 @@ func (t *Tree) Nodes() []*Node {
 		return true
 	})
 	return out
-}
-
-// MaxDepth returns the deepest node level in the tree.
-func (t *Tree) MaxDepth() int {
-	max := 0
-	t.Walk(func(n *Node) bool {
-		if l := n.Level(); l > max {
-			max = l
-		}
-		return true
-	})
-	return max
 }
 
 // rebuildIndex recomputes Dewey codes, parents and the code index for the
@@ -327,21 +304,10 @@ func Build(rootElem E) *Tree {
 
 // WriteXML serializes the subtree rooted at n with two-space indentation.
 func WriteXML(w io.Writer, n *Node) error {
-	return writeNode(w, n, 0, nil)
+	return writeNode(w, n, 0)
 }
 
-// WriteFragmentXML serializes only the nodes of the subtree rooted at root
-// whose Dewey codes are in keep. keep must be ancestor-closed with respect
-// to root (every kept node's ancestors up to root are kept), which holds for
-// all fragments produced in this repository.
-func WriteFragmentXML(w io.Writer, root *Node, keep map[string]bool) error {
-	return writeNode(w, root, 0, keep)
-}
-
-func writeNode(w io.Writer, n *Node, depth int, keep map[string]bool) error {
-	if keep != nil && !keep[n.Code.Key()] {
-		return nil
-	}
+func writeNode(w io.Writer, n *Node, depth int) error {
 	ind := strings.Repeat("  ", depth)
 	b := append([]byte(ind), '<')
 	b = append(b, n.Label...)
@@ -352,19 +318,13 @@ func writeNode(w io.Writer, n *Node, depth int, keep map[string]bool) error {
 		b = AppendEscaped(b, a.Value)
 		b = append(b, '"')
 	}
-	keptKids := 0
-	for _, c := range n.Children {
-		if keep == nil || keep[c.Code.Key()] {
-			keptKids++
-		}
-	}
-	if n.Text == "" && keptKids == 0 {
+	if n.Text == "" && len(n.Children) == 0 {
 		_, err := w.Write(append(b, "/>\n"...))
 		return err
 	}
 	b = append(b, '>')
 	b = AppendEscaped(b, n.Text)
-	if keptKids == 0 {
+	if len(n.Children) == 0 {
 		b = append(b, "</"...)
 		b = append(b, n.Label...)
 		_, err := w.Write(append(b, ">\n"...))
@@ -374,7 +334,7 @@ func writeNode(w io.Writer, n *Node, depth int, keep map[string]bool) error {
 		return err
 	}
 	for _, c := range n.Children {
-		if err := writeNode(w, c, depth+1, keep); err != nil {
+		if err := writeNode(w, c, depth+1); err != nil {
 			return err
 		}
 	}
@@ -445,15 +405,4 @@ func (t *Tree) LabelHistogram() map[string]int {
 		return true
 	})
 	return h
-}
-
-// SortedLabels returns the distinct labels in lexical order.
-func (t *Tree) SortedLabels() []string {
-	h := t.LabelHistogram()
-	out := make([]string, 0, len(h))
-	for l := range h {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

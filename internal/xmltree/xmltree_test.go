@@ -2,7 +2,9 @@ package xmltree
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,15 +34,15 @@ func TestParseBasic(t *testing.T) {
 	if got := tr.Size(); got != 7 {
 		t.Errorf("Size = %d, want 7", got)
 	}
-	title := tr.MustNodeAt("0.0")
+	title := tr.NodeAt(dewey.MustParse("0.0"))
 	if title.Label != "title" || title.Text != "VLDB" {
 		t.Errorf("node 0.0 = %s %q", title, title.Text)
 	}
-	art := tr.MustNodeAt("0.2.0")
+	art := tr.NodeAt(dewey.MustParse("0.2.0"))
 	if art.Label != "article" || len(art.Attrs) != 1 || art.Attrs[0] != (Attr{"id", "a1"}) {
 		t.Errorf("article attrs = %v", art.Attrs)
 	}
-	if art.Parent != tr.MustNodeAt("0.2") {
+	if art.Parent != tr.NodeAt(dewey.MustParse("0.2")) {
 		t.Error("parent pointer wrong")
 	}
 	if tr.NodeAt(dewey.MustParse("0.9")) != nil {
@@ -64,8 +66,8 @@ func TestParseConcatenatesText(t *testing.T) {
 	if tr.Root.Text != "hello world" {
 		t.Errorf("root text = %q", tr.Root.Text)
 	}
-	if tr.MustNodeAt("0.0").Text != "inner" {
-		t.Errorf("inner text = %q", tr.MustNodeAt("0.0").Text)
+	if tr.NodeAt(dewey.MustParse("0.0")).Text != "inner" {
+		t.Errorf("inner text = %q", tr.NodeAt(dewey.MustParse("0.0")).Text)
 	}
 }
 
@@ -120,13 +122,13 @@ func TestNodesSortedPreOrder(t *testing.T) {
 
 func TestContentPieces(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
-	art := tr.MustNodeAt("0.2.0")
+	art := tr.NodeAt(dewey.MustParse("0.2.0"))
 	got := strings.Join(art.ContentPieces(), "|")
 	want := "article|id|a1"
 	if got != want {
 		t.Errorf("ContentPieces = %q, want %q", got, want)
 	}
-	title := tr.MustNodeAt("0.0")
+	title := tr.NodeAt(dewey.MustParse("0.0"))
 	got = strings.Join(title.ContentPieces(), "|")
 	if got != "title|VLDB" {
 		t.Errorf("ContentPieces = %q", got)
@@ -146,7 +148,7 @@ func TestAddChild(t *testing.T) {
 	if n.Code.String() != "0.2.1" {
 		t.Errorf("new node code = %s, want 0.2.1", n.Code)
 	}
-	if tr.MustNodeAt("0.2.1.0").Text != "New" {
+	if tr.NodeAt(dewey.MustParse("0.2.1.0")).Text != "New" {
 		t.Error("grandchild not indexed")
 	}
 	if _, err := tr.AddChild(dewey.MustParse("9.9"), E{Label: "x"}); err == nil {
@@ -157,8 +159,8 @@ func TestAddChild(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
 	cp := tr.Clone()
-	cp.MustNodeAt("0.0").Text = "MUTATED"
-	if tr.MustNodeAt("0.0").Text != "VLDB" {
+	cp.NodeAt(dewey.MustParse("0.0")).Text = "MUTATED"
+	if tr.NodeAt(dewey.MustParse("0.0")).Text != "VLDB" {
 		t.Error("Clone shares nodes with original")
 	}
 	if cp.Size() != tr.Size() {
@@ -206,44 +208,16 @@ func TestWriteXMLEscapes(t *testing.T) {
 	}
 }
 
-func TestWriteFragmentXML(t *testing.T) {
-	tr, _ := ParseString(sampleXML)
-	keep := map[string]bool{
-		dewey.MustParse("0").Key():     true,
-		dewey.MustParse("0.2").Key():   true,
-		dewey.MustParse("0.2.0").Key(): true,
-	}
-	var buf bytes.Buffer
-	if err := WriteFragmentXML(&buf, tr.Root, keep); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Contains(out, "VLDB") || strings.Contains(out, "abstract") {
-		t.Errorf("fragment leaked pruned nodes:\n%s", out)
-	}
-	if !strings.Contains(out, "<article") {
-		t.Errorf("fragment missing kept node:\n%s", out)
-	}
-}
-
 func TestLabelHistogramAndSortedLabels(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
 	h := tr.LabelHistogram()
 	if h["title"] != 2 || h["Publications"] != 1 {
 		t.Errorf("histogram = %v", h)
 	}
-	labels := tr.SortedLabels()
-	for i := 1; i < len(labels); i++ {
-		if labels[i-1] >= labels[i] {
-			t.Errorf("labels not sorted: %v", labels)
-		}
-	}
-}
-
-func TestMaxDepth(t *testing.T) {
-	tr, _ := ParseString(sampleXML)
-	if got := tr.MaxDepth(); got != 3 {
-		t.Errorf("MaxDepth = %d, want 3", got)
+	labels := slices.Sorted(maps.Keys(h))
+	want := []string{"Articles", "Publications", "abstract", "article", "title", "year"}
+	if !slices.Equal(labels, want) {
+		t.Errorf("sorted labels = %v, want %v", labels, want)
 	}
 }
 

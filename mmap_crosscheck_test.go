@@ -87,7 +87,7 @@ func TestMmapCrosscheck(t *testing.T) {
 		for _, q := range queries {
 			for _, algo := range []Algorithm{ValidRTF, MaxMatch, RawRTF} {
 				for _, sem := range []Semantics{AllLCA, SLCAOnly} {
-					req := NewRequest(q, Options{Algorithm: algo, Semantics: sem})
+					req := Request{Query: q, Algorithm: algo, Semantics: sem}
 					label := name + "/" + q + "/" + algo.String() + "/" + sem.String()
 					assertSameResults(t, label, ref, e, req, false)
 					if e != inMemory {
@@ -120,7 +120,7 @@ func TestOpenStoreLazyDecode(t *testing.T) {
 	if n := e.Index().DecodedLists(); n != 0 {
 		t.Fatalf("open decoded %d posting lists eagerly, want 0", n)
 	}
-	if _, err := e.Search(context.Background(), NewRequest("xml keyword", Options{})); err != nil {
+	if _, err := e.Search(context.Background(), Request{Query: "xml keyword"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.Index().DecodedLists(); n != 2 {

@@ -80,7 +80,7 @@ func (s codeSource) resolveSets(queryText string) (display, idfWords []string, s
 
 // eagerSearch is the pre-refactor Engine.Search: assemble every fragment,
 // then rank, then truncate.
-func eagerSearch(e *Engine, queryText string, opts Options) (*Result, error) {
+func eagerSearch(e *Engine, queryText string, opts Request) (*Result, error) {
 	res := &Result{Query: queryText}
 	src := codeSourceOf(e)
 	words, idfWords, sets, err := src.resolveSets(queryText)
@@ -165,28 +165,27 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 // eagerCorpusSearch is the pre-refactor Corpus.Search: full per-document
 // eager searches fanned out across workers, merged in document order,
 // stable-sorted by score when ranking, then truncated.
-func eagerCorpusSearch(c *Corpus, query string, opts Options) (*Results, error) {
+func eagerCorpusSearch(c *Corpus, query string, opts Request) (*Results, error) {
 	mergedLimit := opts.Limit
 	docOpts := opts
 	docOpts.Limit = 0
 
-	type docOut struct {
-		name string
-		res  *Result
-	}
-	outs, err := concurrent.MapCtx(nil, c.Names(), c.Workers, func(name string) (docOut, error) {
-		res, err := eagerSearch(c.engines[name], query, docOpts)
+	names := c.Names()
+	outs := make([]*Result, len(names))
+	err := concurrent.Each(nil, len(names), c.Workers, func(i int) error {
+		res, err := eagerSearch(c.engines[names[i]], query, docOpts)
 		if err != nil {
-			return docOut{}, fmt.Errorf("xks: document %s: %w", name, err)
+			return fmt.Errorf("xks: document %s: %w", names[i], err)
 		}
-		return docOut{name: name, res: res}, nil
+		outs[i] = res
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	merged := &Results{Query: query, PerDocument: map[string]int{}}
-	for i, o := range outs {
-		name, res := o.name, o.res
+	for i, res := range outs {
+		name := names[i]
 		if i == 0 {
 			merged.Stats.Keywords = res.Stats.Keywords
 		}
@@ -242,13 +241,14 @@ func requireSameFragments(t *testing.T, label string, want, got []*Fragment) {
 	}
 }
 
-// crosscheckOptions is the options grid the crosscheck tests sweep: every
-// algorithm × both semantics × {plain, ranked, ranked+limited, limited}.
-func crosscheckOptions() []Options {
-	var out []Options
+// crosscheckOptions is the grid of request shapes (requests without a
+// query) the crosscheck tests sweep: every algorithm × both semantics ×
+// {plain, ranked, ranked+limited, limited}.
+func crosscheckOptions() []Request {
+	var out []Request
 	for _, algo := range []Algorithm{ValidRTF, MaxMatch, RawRTF} {
 		for _, sem := range []Semantics{AllLCA, SLCAOnly} {
-			for _, shape := range []Options{
+			for _, shape := range []Request{
 				{},
 				{Rank: true},
 				{Rank: true, Limit: 2},
@@ -262,6 +262,12 @@ func crosscheckOptions() []Options {
 		}
 	}
 	return out
+}
+
+// withQuery returns the request shape with its query set.
+func withQuery(shape Request, q string) Request {
+	shape.Query = q
+	return shape
 }
 
 // TestPipelineMatchesEagerEngine crosschecks Engine.Search against the
@@ -282,7 +288,7 @@ func TestPipelineMatchesEagerEngine(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: eager: %v", label, err)
 				}
-				got, err := e.Search(context.Background(), NewRequest(q, opts))
+				got, err := e.Search(context.Background(), withQuery(opts, q))
 				if err != nil {
 					t.Fatalf("%s: pipeline: %v", label, err)
 				}
@@ -325,7 +331,7 @@ func TestPipelineMatchesEagerCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []string{paperdata.Q1, paperdata.QLiuKeyword, q}
-	shapes := []Options{
+	shapes := []Request{
 		{},
 		{Rank: true},
 		{Rank: true, Limit: 5},
@@ -344,7 +350,7 @@ func TestPipelineMatchesEagerCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: eager: %v", label, err)
 					}
-					got, err := c.Search(context.Background(), NewRequest(q, opts))
+					got, err := c.Search(context.Background(), withQuery(opts, q))
 					if err != nil {
 						t.Fatalf("%s: pipeline: %v", label, err)
 					}
@@ -398,7 +404,7 @@ func TestLateMaterializationAssemblesOnlySelected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Search(context.Background(), NewRequest(q, Options{}))
+		res, err := c.Search(context.Background(), Request{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +417,7 @@ func TestLateMaterializationAssemblesOnlySelected(t *testing.T) {
 	}
 
 	before := corpusAssembled(c)
-	res, err := c.Search(context.Background(), NewRequest(query, Options{Rank: true, Limit: limit}))
+	res, err := c.Search(context.Background(), Request{Query: query, Rank: true, Limit: limit})
 	if err != nil {
 		t.Fatal(err)
 	}

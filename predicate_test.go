@@ -14,11 +14,11 @@ import (
 func TestLabelPredicateRestrictsMatches(t *testing.T) {
 	e := FromTree(paperdata.Publications())
 
-	plain, err := e.Search(context.Background(), NewRequest("wong skyline", Options{}))
+	plain, err := e.Search(context.Background(), Request{Query: "wong skyline"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := e.Search(context.Background(), NewRequest("wong title:skyline", Options{}))
+	pred, err := e.Search(context.Background(), Request{Query: "wong title:skyline"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestLabelPredicateRestrictsMatches(t *testing.T) {
 // that element.
 func TestLabelOnlyTerm(t *testing.T) {
 	e := FromTree(paperdata.Publications())
-	res, err := e.Search(context.Background(), NewRequest("author: skyline", Options{}))
+	res, err := e.Search(context.Background(), Request{Query: "author: skyline"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestLabelOnlyTerm(t *testing.T) {
 // keywords that match nothing.
 func TestPredicateNoMatch(t *testing.T) {
 	e := FromTree(paperdata.Publications())
-	res, err := e.Search(context.Background(), NewRequest("abstract:wong", Options{})) // "wong" only in a name node
+	res, err := e.Search(context.Background(), Request{Query: "abstract:wong"}) // "wong" only in a name node
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Fragments) != 0 {
 		t.Errorf("fragments = %d, want 0", len(res.Fragments))
 	}
-	res, err = e.Search(context.Background(), NewRequest("zebra: keyword", Options{})) // no <zebra> elements
+	res, err = e.Search(context.Background(), Request{Query: "zebra: keyword"}) // no <zebra> elements
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPredicateNoMatch(t *testing.T) {
 func TestPredicateErrors(t *testing.T) {
 	e := FromTree(paperdata.Publications())
 	for _, bad := range []string{":", "a:b:c", "title:the"} {
-		if _, err := e.Search(context.Background(), NewRequest(bad, Options{})); err == nil {
+		if _, err := e.Search(context.Background(), Request{Query: bad}); err == nil {
 			t.Errorf("Search(%q) should fail", bad)
 		}
 	}
@@ -99,7 +99,7 @@ func TestPredicateErrors(t *testing.T) {
 // Predicate labels are case-insensitive.
 func TestPredicateLabelCaseInsensitive(t *testing.T) {
 	e := FromTree(paperdata.Publications())
-	res, err := e.Search(context.Background(), NewRequest("TITLE:skyline wong", Options{}))
+	res, err := e.Search(context.Background(), Request{Query: "TITLE:skyline wong"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestPredicateLabelCaseInsensitive(t *testing.T) {
 // the store-backed engine.
 func TestPredicateIntegration(t *testing.T) {
 	eTree := FromTree(paperdata.Publications())
-	res, err := eTree.Search(context.Background(), NewRequest("title:skyline wong", Options{Rank: true}))
+	res, err := eTree.Search(context.Background(), Request{Query: "title:skyline wong", Rank: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Fragments) != 1 || res.Fragments[0].Score <= 0 {
 		t.Errorf("ranked predicate search = %+v", res.Fragments)
 	}
-	cmp, err := eTree.Compare(context.Background(), NewRequest("title:keyword liu", Options{}))
+	cmp, err := eTree.Compare(context.Background(), Request{Query: "title:keyword liu"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestPredicateAgainstStoreEngine(t *testing.T) {
 	eTree := FromTree(paperdata.Publications())
 	eStore := storeEngine(t)
 	for _, q := range []string{"title:skyline wong", "author: skyline", "ref:liu keyword"} {
-		a, errA := eTree.Search(context.Background(), NewRequest(q, Options{}))
-		b, errB := eStore.Search(context.Background(), NewRequest(q, Options{}))
+		a, errA := eTree.Search(context.Background(), Request{Query: q})
+		b, errB := eStore.Search(context.Background(), Request{Query: q})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%q: error mismatch: %v vs %v", q, errA, errB)
 		}
@@ -157,12 +157,12 @@ func TestPredicateAgainstStoreEngine(t *testing.T) {
 // mirror the plain semantics.
 func TestPredicateEquivalentToPlainWhenUnrestrictive(t *testing.T) {
 	e := FromTree(paperdata.Publications())
-	plain, err := e.Search(context.Background(), NewRequest(paperdata.Q2, Options{}))
+	plain, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ":liu :keyword" is plain syntax through the colon parser.
-	pred, err := e.Search(context.Background(), NewRequest(":liu :keyword", Options{}))
+	pred, err := e.Search(context.Background(), Request{Query: ":liu :keyword"})
 	if err != nil {
 		t.Fatal(err)
 	}

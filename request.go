@@ -108,18 +108,6 @@ func (b Budget) String() string {
 	return "Strict"
 }
 
-// NewRequest builds a Request from a query and the legacy Options struct.
-func NewRequest(queryText string, opts Options) Request {
-	return Request{
-		Query:        queryText,
-		Algorithm:    opts.Algorithm,
-		Semantics:    opts.Semantics,
-		ExactContent: opts.ExactContent,
-		Rank:         opts.Rank,
-		Limit:        opts.Limit,
-	}
-}
-
 // Canonical returns the request in canonical form: the query
 // whitespace-normalized and case-folded (deeper normalization — stemming,
 // stop words — happens inside the engine) and negative Limit/Offset clamped

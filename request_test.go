@@ -26,15 +26,6 @@ func TestRequestCanonical(t *testing.T) {
 	}
 }
 
-func TestNewRequestMapsOptions(t *testing.T) {
-	opts := Options{Algorithm: MaxMatch, Semantics: SLCAOnly, ExactContent: true, Rank: true, Limit: 7}
-	req := NewRequest("q", opts)
-	want := Request{Query: "q", Algorithm: MaxMatch, Semantics: SLCAOnly, ExactContent: true, Rank: true, Limit: 7}
-	if req != want {
-		t.Errorf("NewRequest = %+v, want %+v", req, want)
-	}
-}
-
 // nextOffset is the position a page's cursor resumes at, -1 when the page
 // issued none (the result set is exhausted).
 func nextOffset(t testing.TB, c Cursor) int {

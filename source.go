@@ -106,12 +106,12 @@ const renderFlush = 32 << 10
 
 // writeXML writes the nodes kept (IDs of tab: pre-order, ancestor-closed,
 // the fragment root first) as XML into w. A tree row opens with its
-// attributes and escaped text, byte for byte what xmltree.WriteFragmentXML
-// writes for the same keep set: an element closes on its own line when it
-// has kept children — exactly when the next kept node lies deeper — and
-// an empty leaf closes itself. A store keeps no text, only content words,
-// so its row renders the element skeleton: the words on the open tag's
-// line, and every element closed on its own line.
+// attributes and escaped text, byte for byte what xmltree.WriteXML writes
+// for the subtree restricted to the same keep set: an element closes on its
+// own line when it has kept children — exactly when the next kept node lies
+// deeper — and an empty leaf closes itself. A store keeps no text, only
+// content words, so its row renders the element skeleton: the words on the
+// open tag's line, and every element closed on its own line.
 func (s *srcState) writeXML(w io.Writer, tab *nid.Table, kept []nid.ID) error {
 	bp := renderBufs.Get().(*[]byte)
 	b := (*bp)[:0]

@@ -30,12 +30,12 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 	queries := []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword}
 	for _, q := range queries {
 		for _, algo := range []Algorithm{ValidRTF, MaxMatch, RawRTF} {
-			opts := Options{Algorithm: algo}
-			a, err := fromTree.Search(context.Background(), NewRequest(q, opts))
+			opts := Request{Algorithm: algo}
+			a, err := fromTree.Search(context.Background(), withQuery(opts, q))
 			if err != nil {
 				t.Fatalf("tree search %q: %v", q, err)
 			}
-			b, err := fromStore.Search(context.Background(), NewRequest(q, opts))
+			b, err := fromStore.Search(context.Background(), withQuery(opts, q))
 			if err != nil {
 				t.Fatalf("store search %q: %v", q, err)
 			}
@@ -64,7 +64,7 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 
 func TestStoreBackedRendering(t *testing.T) {
 	e := storeEngine(t)
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q3, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(context.Background(), NewRequest(paperdata.Q4, Options{}))
+	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 
 func TestStoreBackedCompare(t *testing.T) {
 	e := FromStore(store.Shred(paperdata.Team(), analysis.New()))
-	cmp, err := e.Compare(context.Background(), NewRequest(paperdata.Q4, Options{}))
+	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}

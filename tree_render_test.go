@@ -39,12 +39,77 @@ func keepMap(f *Fragment) map[string]bool {
 }
 
 // referenceTreeXML is the rendering the tree source produced before it walked
-// kept IDs: xmltree's recursive writer over the live tree, filtered by the
-// fragment's Dewey-keyed keep map.
+// kept IDs: fragmentXML over the live tree, filtered by the fragment's
+// Dewey-keyed keep map.
 func referenceTreeXML(e *Engine, f *Fragment) string {
+	return fragmentXML(e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+}
+
+// fragmentXML serializes the nodes of the subtree rooted at root whose
+// Dewey codes are in keep (ancestor-closed with respect to root), in
+// xmltree.WriteXML's layout: xmltree's recursive writer as it was before
+// fragments rendered from their kept IDs.
+func fragmentXML(root *xmltree.Node, keep map[string]bool) string {
 	var b strings.Builder
-	xmltree.WriteFragmentXML(&b, e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f)) // a Builder's writes cannot fail
+	var rec func(n *xmltree.Node, depth int)
+	rec = func(n *xmltree.Node, depth int) {
+		ind := strings.Repeat("  ", depth)
+		line := append([]byte(ind), '<')
+		line = append(line, n.Label...)
+		for _, a := range n.Attrs {
+			line = append(line, ' ')
+			line = append(line, a.Name...)
+			line = append(line, '=', '"')
+			line = xmltree.AppendEscaped(line, a.Value)
+			line = append(line, '"')
+		}
+		var kids []*xmltree.Node
+		for _, c := range n.Children {
+			if keep[c.Code.Key()] {
+				kids = append(kids, c)
+			}
+		}
+		if n.Text == "" && len(kids) == 0 {
+			b.Write(append(line, "/>\n"...))
+			return
+		}
+		line = append(line, '>')
+		line = xmltree.AppendEscaped(line, n.Text)
+		if len(kids) == 0 {
+			b.Write(append(line, "</"+n.Label+">\n"...))
+			return
+		}
+		b.Write(append(line, '\n'))
+		for _, c := range kids {
+			rec(c, depth+1)
+		}
+		fmt.Fprintf(&b, "%s</%s>\n", ind, n.Label)
+	}
+	if keep[root.Code.Key()] {
+		rec(root, 0)
+	}
 	return b.String()
+}
+
+func TestWriteFragmentXML(t *testing.T) {
+	tr, err := xmltree.ParseString(renderDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]bool{
+		dewey.MustParse("0").Key():     true,
+		dewey.MustParse("0.1").Key():   true,
+		dewey.MustParse("0.1.0").Key(): true,
+	}
+	want := `<lib name="a &amp; b">
+  <shelf id="s2">
+    <book/>
+  </shelf>
+</lib>
+`
+	if got := fragmentXML(tr.Root, keep); got != want {
+		t.Errorf("fragmentXML =\n%s\nwant\n%s", got, want)
+	}
 }
 
 // referenceTreeASCII is the ASCII rendering the tree source produced before
