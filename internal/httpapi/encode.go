@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
 	"strconv"
@@ -191,6 +192,13 @@ func (e *encoder) tail(explain []byte) {
 		e.buf = append(e.buf, explain...)
 	}
 	e.raw("}\n")
+}
+
+// trailerLine appends st as an NDJSON line, in the form an encoding/json
+// Encoder writes it: the marshaled record, then a newline.
+func (e *encoder) trailerLine(st StreamTrailer) {
+	b, _ := json.Marshal(st) // strings, bools and finite numbers: cannot fail
+	e.buf = append(append(e.buf, b...), '\n')
 }
 
 // bufs recycles encode buffers. A page is encoded into one, then copied

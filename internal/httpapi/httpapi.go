@@ -58,10 +58,13 @@
 // stage the deadline expired in, and a cursor to resume) instead of a 504.
 //
 // Streaming: stream=1 switches /search to NDJSON chunked output — one
-// fragment object per line, written (and flushed, when the ResponseWriter
-// supports http.Flusher) as the pipeline materializes it, with no page
+// fragment object per line as the pipeline materializes it, with no page
 // buffering; the final line is a trailer record ({"trailer":true, ...})
-// carrying the cursor, stats, and the truncation marker. A mid-stream
+// carrying the cursor, stats, and the truncation marker. Lines are batched
+// and flushed (when the ResponseWriter supports http.Flusher) after
+// fragments 1, 2, 4, 8, …: the first reaches the client before the second
+// materializes, fragment k by the time fragment 2^⌈log₂ k⌉ has (or once
+// 64 KB has built up), and the trailer with the last batch. A mid-stream
 // failure appears as a trailer with an "error" field, since the 200 status
 // is already on the wire.
 //
@@ -367,7 +370,7 @@ func newRequestID() string {
 // statusWriter captures the response status and byte count for the access
 // line. It always implements http.Flusher — delegating when the wrapped
 // writer supports it, no-op otherwise — so the NDJSON streaming path keeps
-// its per-fragment flushes through the middleware.
+// its flush points through the middleware.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -645,74 +648,81 @@ func pageRecords(svc *service.Service, p *service.Page, withSnippets bool) *serv
 
 // streamSearch serves /search?stream=1: NDJSON chunked output driven
 // directly off the service's fragment iterator — one fragment per line,
-// flushed as it materializes, then one StreamTrailer record. A fragment
-// replayed from a ready page is served from that page's encoded records;
-// a live one is encoded as it arrives. Errors before the first fragment
-// still map to proper status codes (400/404/410/504); a failure after bytes
-// are on the wire becomes a trailer with its "error" field set. With
-// explain set, the trailer carries tr's finished span tree.
+// then one StreamTrailer record. The lines collect in one batch that goes
+// to w once per flush point: written and flushed after fragments 1, 2, 4,
+// 8, … (fragment k is on the wire by the time fragment 2^⌈log₂ k⌉ has
+// materialized), written once it holds streamBatch bytes, and written with
+// the trailer at the end, which the handler's return flushes — so n
+// fragments cost bits.Len(n)+1 socket writes. A fragment replayed from a
+// ready page is served from that page's encoded records; a live one is
+// encoded as it arrives. Errors before the first fragment still map to
+// proper status codes (400/404/410/504); a failure after bytes are on the
+// wire becomes a trailer with its "error" field set. With explain set, the
+// trailer carries tr's finished span tree.
 func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Service, logger *slog.Logger, req xks.Request, withSnippets, explain bool, tr *trace.Trace) {
 	seq, trailer := svc.Stream(ctx, req)
-	var (
-		enc     *json.Encoder
-		flusher http.Flusher
-		wrote   bool
-	)
 	begin := func() {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
-		enc = json.NewEncoder(w)
-		flusher, _ = w.(http.Flusher)
-		wrote = true
 	}
+	flusher, _ := w.(http.Flusher)
 	var (
 		replayed *service.Page    // the ready page recs belongs to
 		recs     *service.Encoded // its records
 		encoded  bool             // this response was counted as a page encode
+		n        int              // fragments in the body so far
 	)
 	bp := bufs.Get().(*[]byte)
-	live := encoder{buf: *bp} // encodes the fragments no ready page holds
-	defer func() { putBuf(bp, live.buf) }()
+	batch := encoder{buf: (*bp)[:0]} // the lines not yet handed to w
+	defer func() { putBuf(bp, batch.buf) }()
+	// send hands the batch to w, flushing it to the client when flush is
+	// set; false means the connection is gone.
+	send := func(flush bool) bool {
+		_, err := w.Write(batch.buf)
+		batch.buf = batch.buf[:0]
+		if err == nil && flush && flusher != nil {
+			flusher.Flush()
+		}
+		return err == nil
+	}
 	for f, err := range seq {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				return // the client went away; there is no one to answer
 			}
 			logInternal(logger, ctx, err)
-			if !wrote {
+			if n == 0 {
 				http.Error(w, errorBody(err), status(err))
 				return
 			}
-			enc.Encode(StreamTrailer{Trailer: true, Error: errorBody(err)})
-			flush(flusher)
+			batch.trailerLine(StreamTrailer{Trailer: true, Error: errorBody(err)})
+			send(false) // handler return flushes
 			return
 		}
-		if !wrote {
+		if n == 0 {
 			begin()
 		}
-		var rec []byte
 		if f.Page != nil && !withSnippets {
 			if f.Page != replayed {
 				replayed, recs = f.Page, pageRecords(svc, f.Page, false)
 			}
-			rec = line(recs, f.Index)
+			batch.buf = append(batch.buf, line(recs, f.Index)...)
 		} else {
 			if !encoded {
 				encoded = true
 				svc.Metrics().ObserveEncode()
 			}
-			live.buf = live.buf[:0]
-			live.record(f.CorpusFragment, withSnippets)
-			live.raw("\n")
-			rec = live.buf
+			batch.record(f.CorpusFragment, withSnippets)
+			batch.raw("\n")
 		}
-		if _, err := w.Write(rec); err != nil {
-			// The connection is gone mid-line; nothing left to answer.
-			return
+		n++
+		if flush := n&(n-1) == 0; flush || len(batch.buf) >= streamBatch {
+			if !send(flush) {
+				return // the connection is gone; nothing left to answer
+			}
 		}
-		flush(flusher)
 	}
-	if !wrote {
+	if n == 0 {
 		begin()
 	}
 	t := trailer()
@@ -727,15 +737,13 @@ func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Servi
 		tr.Finish()
 		st.Explain = tr.Root().JSON()
 	}
-	enc.Encode(st)
-	flush(flusher)
+	batch.trailerLine(st)
+	send(false) // handler return flushes and ends the chunked body
 }
 
-func flush(f http.Flusher) {
-	if f != nil {
-		f.Flush()
-	}
-}
+// streamBatch is the size at which a stream's batch is written out between
+// flush points, so one large fragment — or a run of them — is not held back.
+const streamBatch = 64 << 10
 
 // ToFragment converts one result fragment to the shape its wire record
 // decodes into — what a Go client holds after json.Unmarshal, and what
