@@ -26,7 +26,7 @@ func TestAppendXMLMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rebuilt.AddChild(mustCode(t, "0.2"), toE(sub.Root)); err != nil {
+	if _, err := rebuilt.AppendChild(mustCode(t, "0.2"), toE(sub.Root)); err != nil {
 		t.Fatal(err)
 	}
 	reference := FromTree(rebuilt)

@@ -116,7 +116,7 @@ func searchAround(base *xmltree.Tree, parent dewey.Code, sub xmltree.E, req xks.
 		return nil, nil, nil, err
 	}
 	extended := base.Clone()
-	node, err := extended.AddChild(parent, sub)
+	node, err := extended.AppendChild(parent, sub)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -242,7 +242,7 @@ func Example_axioms() {
 		{Label: "position", Text: "guard"},
 	}}
 	extended := tree.Clone()
-	if _, err := extended.AddChild(dewey.MustParse("0.1"), newPlayer); err != nil {
+	if _, err := extended.AppendChild(dewey.MustParse("0.1"), newPlayer); err != nil {
 		log.Fatal(err)
 	}
 	after, err := xks.FromTree(extended).Search(ctx, xks.Request{Query: paperdata.Q4})

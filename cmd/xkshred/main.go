@@ -36,10 +36,11 @@ func main() {
 		}
 		defer s.Close()
 		if *keyword != "" {
-			posts := s.Postings(*keyword)
-			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(posts))
-			for _, c := range posts {
-				fmt.Printf("  %s (%s)\n", c, s.LabelOf(c))
+			ix := s.BuildIndex(analysis.New())
+			ids := ix.LookupIDs(*keyword)
+			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(ids))
+			for _, id := range ids {
+				fmt.Printf("  %s (%s)\n", ix.Table().Code(id), s.LabelAt(int(id)))
 			}
 			return
 		}

@@ -246,20 +246,17 @@ func (c *Corpus) resolveSnapshot(req Request) (Request, []docRead, uint64, error
 	gen := vectorHash(vec)
 	c.snaps.put(gen, vec)
 	if req.Cursor != "" {
-		st, err := req.Cursor.decode()
-		if err != nil {
+		var issued uint64
+		var err error
+		if req, issued, err = req.foldCursor(); err != nil {
 			return req, nil, 0, err
 		}
-		if st.fp != req.fingerprint() {
-			return req, nil, 0, ErrCursorMismatch
-		}
-		req.Offset, req.Cursor = st.offset, ""
-		if st.gen != gen {
+		if issued != gen {
 			var ok bool
-			if vec, ok = c.snaps.get(st.gen); !ok {
+			if vec, ok = c.snaps.get(issued); !ok {
 				return req, nil, 0, fmt.Errorf("%w: snapshot evicted from the corpus registry", ErrStaleCursor)
 			}
-			gen = st.gen
+			gen = issued
 		}
 		if req.Document != "" && (len(vec) != 1 || vec[0].name != req.Document) {
 			return req, nil, 0, fmt.Errorf("%w: document %q is not the cursor's snapshot", ErrStaleCursor, req.Document)

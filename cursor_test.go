@@ -272,3 +272,46 @@ func TestAppendXMLEngineCursorLifecycle(t *testing.T) {
 		t.Fatalf("post-rebuild: err = %v, want ErrStaleCursor", err)
 	}
 }
+
+// TestCursorMismatchIsOneError: a cursor replayed against a different query
+// fails with the same wrapped error on every entry point that resolves it —
+// ResolveCursor, Engine.Search and Stream, Corpus.Search and Stream.
+func TestCursorMismatchIsOneError(t *testing.T) {
+	e := pubEngine(t)
+	c := NewCorpus()
+	c.Add("pub.xml", e)
+	ctx := context.Background()
+	page, err := e.Search(ctx, Request{Query: paperdata.Q2, Limit: 1})
+	if err != nil || page.Cursor == "" {
+		t.Fatalf("page 1: cursor %q, err %v", page.Cursor, err)
+	}
+	cpage, err := c.Search(ctx, Request{Query: paperdata.Q2, Limit: 1})
+	if err != nil || cpage.Cursor == "" {
+		t.Fatalf("corpus page 1: cursor %q, err %v", cpage.Cursor, err)
+	}
+	other := Request{Query: paperdata.Q3, Limit: 1, Cursor: page.Cursor}
+	corpusOther := Request{Query: paperdata.Q3, Limit: 1, Cursor: cpage.Cursor}
+
+	_, errResolve := other.ResolveCursor(e.Generation())
+	_, errSearch := e.Search(ctx, other)
+	var errStream error
+	seq, _ := e.Stream(ctx, other)
+	for _, err := range seq {
+		errStream = err
+	}
+	_, errCorpus := c.Search(ctx, corpusOther)
+	var errCorpusStream error
+	cseq, _ := c.Stream(ctx, corpusOther)
+	for _, err := range cseq {
+		errCorpusStream = err
+	}
+	for name, err := range map[string]error{"Engine.Search": errSearch, "Engine.Stream": errStream,
+		"Corpus.Search": errCorpus, "Corpus.Stream": errCorpusStream} {
+		if !errors.Is(err, ErrCursorMismatch) || err.Error() != errResolve.Error() {
+			t.Errorf("%s: err = %v, want %v", name, err, errResolve)
+		}
+	}
+	if !errors.Is(errResolve, ErrCursorMismatch) || errResolve.Error() == ErrCursorMismatch.Error() {
+		t.Errorf("ResolveCursor: err = %v, want ErrCursorMismatch wrapped with the reason", errResolve)
+	}
+}

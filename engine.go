@@ -210,19 +210,14 @@ func (e *Engine) resolveRequest(req Request) (Request, *view, error) {
 	if req.Cursor == "" {
 		return req, e.currentView(), nil
 	}
-	st, err := req.Cursor.decode()
+	req, issued, err := req.foldCursor()
 	if err != nil {
 		return req, nil, err
 	}
-	if st.fp != req.fingerprint() {
-		return req, nil, ErrCursorMismatch
-	}
-	v, err := e.viewAtVersion(st.gen)
+	v, err := e.viewAtVersion(issued)
 	if err != nil {
 		return req, nil, err
 	}
-	req.Offset = st.offset
-	req.Cursor = ""
 	return req, v, nil
 }
 

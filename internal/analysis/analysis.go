@@ -69,22 +69,6 @@ func (a *Analyzer) Normalize(word string) string {
 	return toks[0]
 }
 
-// NormalizeQuery normalizes every keyword of a whitespace-separated query,
-// dropping empties and duplicates while preserving first-occurrence order.
-func (a *Analyzer) NormalizeQuery(q string) []string {
-	toks := a.Tokens(q)
-	seen := make(map[string]struct{}, len(toks))
-	var out []string
-	for _, t := range toks {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
-}
-
 func (a *Analyzer) appendTokens(dst *[]string, s string) {
 	start := -1
 	hasLetter := false

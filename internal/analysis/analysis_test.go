@@ -63,15 +63,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestNormalizeQuery(t *testing.T) {
-	a := New()
-	got := a.NormalizeQuery("XML the XML keyword")
-	want := []string{"xml", "keyword"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("NormalizeQuery = %v, want %v", got, want)
-	}
-}
-
 func TestIsStopWord(t *testing.T) {
 	a := New()
 	if got := a.Tokens("The"); got != nil {

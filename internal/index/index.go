@@ -2,12 +2,11 @@
 // for each content word w, the pre-order-sorted list of keyword nodes whose
 // content set Cv contains w (the paper's Di sets).
 //
-// Postings are stored as dense node IDs over a per-document node table
-// (internal/nid) — 4 bytes per entry, integer pre-order comparison — and
-// converted back to Dewey codes only at the compatibility accessors
-// (Lookup, KeywordSets, Postings), which serve the reference/eager paths
-// and tests. The index is immutable after Build and safe for concurrent
-// readers.
+// Postings are dense node IDs over a per-document node table (internal/nid)
+// — 4 bytes per entry, integer pre-order comparison — and the index hands
+// them out only in that form (LookupIDs); a caller wanting a node's Dewey
+// code reads it from the table (Table().Code). The index is immutable after
+// Build and safe for concurrent readers.
 package index
 
 import (
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"xks/internal/analysis"
-	"xks/internal/dewey"
 	"xks/internal/nid"
 	"xks/internal/planner"
 	"xks/internal/postings"
@@ -192,24 +190,6 @@ func (ix *Index) LookupIDs(word string) []nid.ID {
 	return ix.postings[word]
 }
 
-// Lookup returns the posting list Di for the (already normalized) word as
-// Dewey codes, or nil if the word does not occur. The code values are
-// zero-copy views into the node table; callers must not modify them.
-func (ix *Index) Lookup(word string) []dewey.Code {
-	return ix.codesOf(ix.LookupIDs(word))
-}
-
-func (ix *Index) codesOf(ids []nid.ID) []dewey.Code {
-	if ids == nil {
-		return nil
-	}
-	out := make([]dewey.Code, len(ids))
-	for i, id := range ids {
-		out[i] = ix.tab.Code(id)
-	}
-	return out
-}
-
 // Frequency returns the number of keyword nodes containing the word. On a
 // compressed-backed index this reads the list header — no decode — so the
 // planner and scorer cost nothing at open time.
@@ -244,61 +224,4 @@ type ErrNoMatch struct{ Word string }
 
 func (e *ErrNoMatch) Error() string {
 	return fmt.Sprintf("index: no node contains keyword %q", e.Word)
-}
-
-// KeywordSets normalizes the raw query keywords and returns their posting
-// lists D1..Dk (as Dewey code views) in query order along with the
-// normalized keywords. It fails with *ErrNoMatch if any keyword matches
-// nothing (then no fragment can cover the query), and with a plain error if
-// the query normalizes to nothing or to more than 64 keywords (the kList
-// bitmask width).
-func (ix *Index) KeywordSets(query string) (words []string, sets [][]dewey.Code, err error) {
-	words, idSets, err := ix.KeywordSetIDs(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	sets = make([][]dewey.Code, len(idSets))
-	for i, s := range idSets {
-		sets[i] = ix.codesOf(s)
-	}
-	return words, sets, nil
-}
-
-// KeywordSetIDs is KeywordSets in ID form: the posting lists are the shared
-// ID slices, with no per-call materialization.
-func (ix *Index) KeywordSetIDs(query string) (words []string, sets [][]nid.ID, err error) {
-	words = ix.analyzer.NormalizeQuery(query)
-	if len(words) == 0 {
-		return nil, nil, fmt.Errorf("index: query %q contains no searchable keywords", query)
-	}
-	if len(words) > 64 {
-		return nil, nil, fmt.Errorf("index: query has %d keywords; at most 64 supported", len(words))
-	}
-	sets = make([][]nid.ID, len(words))
-	for i, w := range words {
-		list := ix.LookupIDs(w)
-		if len(list) == 0 {
-			return nil, nil, &ErrNoMatch{Word: w}
-		}
-		sets[i] = list
-	}
-	return words, sets, nil
-}
-
-// Postings exposes a copy of the word → posting map in Dewey code form,
-// used when shredding an index into the store. The code values are
-// zero-copy views into the node table. On a compressed-backed index this
-// decodes the full vocabulary.
-func (ix *Index) Postings() map[string][]dewey.Code {
-	out := make(map[string][]dewey.Code, ix.NumWords())
-	if ix.lazy != nil {
-		for w, lp := range ix.lazy {
-			out[w] = ix.codesOf(lp.decode(&ix.decoded))
-		}
-		return out
-	}
-	for w, l := range ix.postings {
-		out[w] = ix.codesOf(l)
-	}
-	return out
 }

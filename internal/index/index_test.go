@@ -1,7 +1,8 @@
 package index
 
 import (
-	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"xks/internal/analysis"
@@ -14,23 +15,21 @@ func pubIndex() *Index {
 	return Build(paperdata.Publications(), analysis.New())
 }
 
-func codes(ss ...string) []dewey.Code {
-	out := make([]dewey.Code, len(ss))
-	for i, s := range ss {
-		out[i] = dewey.MustParse(s)
+// lookup returns the word's posting list as dotted Dewey codes, read
+// through LookupIDs and the index's node table.
+func lookup(ix *Index, word string) []string {
+	ids := ix.LookupIDs(word)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = ix.Table().Code(id).String()
 	}
 	return out
 }
 
-func sameCodes(t *testing.T, got, want []dewey.Code, label string) {
+func sameCodes(t *testing.T, got []string, want []string, label string) {
 	t.Helper()
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("%s: got %v, want %v", label, got, want)
-	}
-	for i := range got {
-		if !dewey.Equal(got[i], want[i]) {
-			t.Fatalf("%s: got %v, want %v", label, got, want)
-		}
 	}
 }
 
@@ -38,24 +37,24 @@ func sameCodes(t *testing.T, got, want []dewey.Code, label string) {
 // Figure 1(a) instance.
 func TestExample3KeywordSets(t *testing.T) {
 	ix := pubIndex()
-	sameCodes(t, ix.Lookup("liu"), codes("0.2.0.0.0.0", "0.2.0.3.0"), "D(liu)")
-	sameCodes(t, ix.Lookup("keyword"), codes("0.2.0.1", "0.2.0.2", "0.2.0.3.0"), "D(keyword)")
+	sameCodes(t, lookup(ix, "liu"), []string{"0.2.0.0.0.0", "0.2.0.3.0"}, "D(liu)")
+	sameCodes(t, lookup(ix, "keyword"), []string{"0.2.0.1", "0.2.0.2", "0.2.0.3.0"}, "D(keyword)")
 }
 
 // Example 6 of the paper: keyword node sets for Q3 on Figure 1(a).
 func TestExample6KeywordSets(t *testing.T) {
 	ix := pubIndex()
-	sameCodes(t, ix.Lookup("vldb"), codes("0.0"), "D(vldb)")
-	sameCodes(t, ix.Lookup("title"), codes("0.0", "0.2.0.1", "0.2.1.1"), "D(title)")
+	sameCodes(t, lookup(ix, "vldb"), []string{"0.0"}, "D(vldb)")
+	sameCodes(t, lookup(ix, "title"), []string{"0.0", "0.2.0.1", "0.2.1.1"}, "D(title)")
 	for _, w := range []string{"xml", "search"} {
-		sameCodes(t, ix.Lookup(w), codes("0.2.0.1", "0.2.0.2", "0.2.0.3.0"), "D("+w+")")
+		sameCodes(t, lookup(ix, w), []string{"0.2.0.1", "0.2.0.2", "0.2.0.3.0"}, "D("+w+")")
 	}
 }
 
 func TestLabelsMatchAsKeywords(t *testing.T) {
 	ix := pubIndex()
 	// Every "name" element matches the keyword "name" via its label.
-	sameCodes(t, ix.Lookup("name"), codes("0.2.0.0.0.0", "0.2.1.0.0.0", "0.2.1.0.1.0"), "D(name)")
+	sameCodes(t, lookup(ix, "name"), []string{"0.2.0.0.0.0", "0.2.1.0.0.0", "0.2.1.0.1.0"}, "D(name)")
 }
 
 func TestAttributesMatchAsKeywords(t *testing.T) {
@@ -63,36 +62,39 @@ func TestAttributesMatchAsKeywords(t *testing.T) {
 		{Label: "item", Attrs: []xmltree.Attr{{Name: "category", Value: "skyline stuff"}}},
 	}})
 	ix := Build(tr, nil)
-	sameCodes(t, ix.Lookup("skyline"), codes("0.0"), "D(skyline) via attribute value")
-	sameCodes(t, ix.Lookup("category"), codes("0.0"), "D(category) via attribute name")
+	sameCodes(t, lookup(ix, "skyline"), []string{"0.0"}, "D(skyline) via attribute value")
+	sameCodes(t, lookup(ix, "category"), []string{"0.0"}, "D(category) via attribute name")
 }
 
+// TestKeywordSetsQuery: the keyword sets of Q2 ("Liu keyword") are the
+// posting lists of its two keywords, two and three nodes long.
 func TestKeywordSetsQuery(t *testing.T) {
 	ix := pubIndex()
-	words, sets, err := ix.KeywordSets(paperdata.Q2) // "Liu keyword"
-	if err != nil {
-		t.Fatal(err)
+	if got := ix.Analyzer().Tokens(paperdata.Q2); !slices.Equal(got, []string{"liu", "keyword"}) {
+		t.Fatalf("words = %v", got)
 	}
-	if len(words) != 2 || words[0] != "liu" || words[1] != "keyword" {
-		t.Fatalf("words = %v", words)
-	}
-	if len(sets) != 2 || len(sets[0]) != 2 || len(sets[1]) != 3 {
-		t.Fatalf("sets = %v", sets)
+	if len(ix.LookupIDs("liu")) != 2 || len(ix.LookupIDs("keyword")) != 3 {
+		t.Fatalf("sets = %v, %v", ix.LookupIDs("liu"), ix.LookupIDs("keyword"))
 	}
 }
 
+// TestKeywordSetsErrors: a stop-word-only query has no keyword, and a word
+// no node contains has no posting list, which the engine reports as
+// *ErrNoMatch.
 func TestKeywordSetsErrors(t *testing.T) {
 	ix := pubIndex()
-	if _, _, err := ix.KeywordSets("the of and"); err == nil {
-		t.Error("stop-word-only query should fail")
+	if got := ix.Analyzer().Tokens("the of and"); len(got) != 0 {
+		t.Errorf("stop-word-only query has keywords %v", got)
 	}
-	_, _, err := ix.KeywordSets("liu zebra")
-	var nm *ErrNoMatch
-	if !errors.As(err, &nm) || nm.Word != "zebra" {
-		t.Errorf("want ErrNoMatch{zebra}, got %v", err)
+	if ix.LookupIDs("zebra") != nil || ix.Frequency("zebra") != 0 || slices.Contains(ix.Words(), "zebra") {
+		t.Error("zebra should have no posting list")
 	}
-	if nm.Error() == "" {
-		t.Error("empty error text")
+	if len(ix.LookupIDs("liu")) == 0 {
+		t.Error("liu should have a posting list")
+	}
+	nm := &ErrNoMatch{Word: "zebra"}
+	if !strings.Contains(nm.Error(), `"zebra"`) {
+		t.Errorf("error text %q does not name the word", nm.Error())
 	}
 }
 
@@ -124,29 +126,32 @@ func TestFrequencyAndStats(t *testing.T) {
 func TestPostingListsArePreOrderSorted(t *testing.T) {
 	ix := pubIndex()
 	for _, w := range ix.Words() {
-		list := ix.Lookup(w)
+		list := ix.LookupIDs(w)
 		for i := 1; i < len(list); i++ {
-			if dewey.Compare(list[i-1], list[i]) >= 0 {
-				t.Fatalf("postings for %q not strictly pre-order sorted: %v", w, list)
+			if list[i-1] >= list[i] || dewey.Compare(ix.Table().Code(list[i-1]), ix.Table().Code(list[i])) >= 0 {
+				t.Fatalf("postings for %q not strictly pre-order sorted: %v", w, lookup(ix, w))
 			}
 		}
 	}
 }
 
+// TestPostingsCopyIsShallow: the vocabulary Words returns is the caller's
+// copy; changing it leaves the index's posting lists alone.
 func TestPostingsCopyIsShallow(t *testing.T) {
 	ix := pubIndex()
-	p := ix.Postings()
-	delete(p, "keyword")
-	if ix.Frequency("keyword") != 3 {
-		t.Error("Postings map deletion affected index")
+	words := ix.Words()
+	i := slices.Index(words, "keyword")
+	words[i] = "zebra"
+	if ix.Frequency("keyword") != 3 || len(ix.LookupIDs("keyword")) != 3 || !slices.Contains(ix.Words(), "keyword") {
+		t.Error("changing the Words copy affected the index")
 	}
 }
 
 func TestBuildNilAnalyzerDefaults(t *testing.T) {
 	ix := Build(paperdata.Team(), nil)
-	sameCodes(t, ix.Lookup("gassol"), codes("0.1.0.0"), "D(gassol)")
-	sameCodes(t, ix.Lookup("position"), codes("0.1.0.1", "0.1.1.1", "0.1.2.1"), "D(position)")
-	sameCodes(t, ix.Lookup("grizzlies"), codes("0.0"), "D(grizzlies)")
+	sameCodes(t, lookup(ix, "gassol"), []string{"0.1.0.0"}, "D(gassol)")
+	sameCodes(t, lookup(ix, "position"), []string{"0.1.0.1", "0.1.1.1", "0.1.2.1"}, "D(position)")
+	sameCodes(t, lookup(ix, "grizzlies"), []string{"0.0"}, "D(grizzlies)")
 }
 
 func BenchmarkBuild(b *testing.B) {

@@ -35,7 +35,7 @@ func newHarness(t *testing.T, tree *xmltree.Tree, query string) *harness {
 	t.Helper()
 	an := analysis.New()
 	ix := index.Build(tree, an)
-	_, sets, err := ix.KeywordSets(query)
+	_, sets, err := reference.KeywordSets(ix, query)
 	if err != nil {
 		t.Fatalf("KeywordSets(%q): %v", query, err)
 	}

@@ -3,14 +3,17 @@
 // keyword stream, Indexed Lookup Eager and Scan Eager SLCA, the ELCA stack
 // merge, and the naive ELCA/SLCA definitions), getRTF (Build, and
 // Definitions 1–2 enumerated literally by BruteForce) and the XRank-style
-// fragment score. Every production stage has exactly one implementation, on
+// fragment score, plus KeywordSets, which states a query as those forms
+// read it. Every production stage has exactly one implementation, on
 // node IDs, in internal/lca, internal/rtf, internal/prune and internal/rank;
 // these are the formal models it is held to.
 //
 // Only _test.go files import this package: CI fails when it appears among
 // the dependencies of any non-test package of the module, and its lines are
-// left out of the production line count. It imports nothing of the
-// pipeline's own, so the tests of every pipeline package can reach it.
+// left out of the production line count. Of the pipeline's own packages it
+// imports only internal/index (for KeywordSets, the tests' one source of
+// Dewey-code posting sets), so the tests of every package the index does
+// not depend on can reach it.
 package reference
 
 import "xks/internal/dewey"

@@ -19,8 +19,7 @@ func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
 	if !pub {
 		tree = paperdata.Team()
 	}
-	ix := index.Build(tree, analysis.New())
-	_, sets, err := ix.KeywordSets(query)
+	_, sets, err := reference.KeywordSets(index.Build(tree, analysis.New()), query)
 	if err != nil {
 		t.Fatalf("KeywordSets(%q): %v", query, err)
 	}

@@ -62,6 +62,7 @@ func FuzzLoad(f *testing.F) {
 			s.LabelAt(i)
 			s.ContentAt(i)
 		}
+		ix := s.BuildIndex(nil)
 		for i, w := range s.terms {
 			want := s.lists[i].Len()
 			if want == 0 {
@@ -71,7 +72,7 @@ func FuzzLoad(f *testing.F) {
 			// fuzzer that recomputes checksums can smuggle malformed
 			// bytes past open; decode must then fail cleanly — never
 			// panic, never return a partial list.
-			if got := len(s.Postings(w)); got != 0 && got != want {
+			if got := len(ix.LookupIDs(w)); got != 0 && got != want {
 				t.Fatalf("keyword %q decodes to %d of %d postings", w, got, want)
 			}
 		}

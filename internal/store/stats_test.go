@@ -15,7 +15,7 @@ import (
 // BuildIndex without recomputation.
 func TestStatsRoundTripV2(t *testing.T) {
 	s := pubStore()
-	want := s.Stats()
+	want := s.stats
 	if want.Nodes != s.NumNodes() || want.Postings != s.NumValues() {
 		t.Fatalf("stats: Nodes=%d Postings=%d, want %d/%d",
 			want.Nodes, want.Postings, s.NumNodes(), s.NumValues())
@@ -27,7 +27,7 @@ func TestStatsRoundTripV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Stats(); !reflect.DeepEqual(got, want) {
+	if got := loaded.stats; !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got, want)
 	}
 	ix := loaded.BuildIndex(analysis.New())
@@ -47,7 +47,7 @@ func TestStoreStatsMatchIndexScan(t *testing.T) {
 		"publications": paperdata.Publications(),
 		"team":         paperdata.Team(),
 	} {
-		fromStore := Shred(tree, analysis.New()).Stats()
+		fromStore := Shred(tree, analysis.New()).stats
 		fromIndex := index.Build(tree, analysis.New()).Stats()
 		if !reflect.DeepEqual(fromStore, fromIndex) {
 			t.Fatalf("%s:\n store %+v\n index %+v", name, fromStore, fromIndex)

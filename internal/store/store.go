@@ -26,11 +26,9 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 
 	"xks/internal/analysis"
-	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/planner"
@@ -131,40 +129,6 @@ func (s *Store) Label(id uint32) string {
 	return s.labels[id]
 }
 
-// findTerm locates a keyword in the sorted vocabulary.
-func (s *Store) findTerm(keyword string) (int, bool) {
-	i := sort.SearchStrings(s.terms, keyword)
-	return i, i < len(s.terms) && s.terms[i] == keyword
-}
-
-// Postings returns the pre-order-sorted Dewey codes of the nodes containing
-// the keyword — the SQL "SELECT dewey FROM value WHERE keyword = ?" of the
-// paper's getKeywordNodes.
-func (s *Store) Postings(keyword string) []dewey.Code {
-	t, ok := s.findTerm(keyword)
-	if !ok {
-		return nil
-	}
-	ids, err := s.lists[t].Decode()
-	if err != nil {
-		return nil // unreachable behind the section CRCs
-	}
-	out := make([]dewey.Code, len(ids))
-	for i, id := range ids {
-		out[i] = s.tab.Code(id)
-	}
-	return out
-}
-
-// LabelOf resolves a node's label by its Dewey code, or "" when absent.
-func (s *Store) LabelOf(c dewey.Code) string {
-	id, ok := s.tab.Find(c)
-	if !ok {
-		return ""
-	}
-	return s.LabelAt(int(id))
-}
-
 // LabelAt resolves the label of the i-th element row (element rows are in
 // pre-order, so the row index doubles as the node ID of the index built by
 // BuildIndex). It returns "" when out of range.
@@ -213,11 +177,6 @@ func (s *Store) ContentAt(i int) []string {
 	}
 	return s.nodeWords[s.wordOff[i]:s.wordOff[i+1]]
 }
-
-// Stats returns the planner statistics of the shredded document: the
-// index's scan at Shred, the persisted stats section after OpenFile.
-// BuildIndex installs them on the index it assembles.
-func (s *Store) Stats() planner.Stats { return s.stats }
 
 // SaveFile writes the store to a file.
 func (s *Store) SaveFile(path string) error {

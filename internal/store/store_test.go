@@ -14,6 +14,7 @@ import (
 	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func pubStore() *Store {
@@ -47,19 +48,18 @@ func TestShredCounts(t *testing.T) {
 func TestPostingsMatchIndex(t *testing.T) {
 	s := pubStore()
 	ix := index.Build(paperdata.Publications(), analysis.New())
+	fromStore := s.BuildIndex(nil)
 	for _, w := range ix.Words() {
-		fromIx := ix.Lookup(w)
-		fromStore := s.Postings(w)
-		if len(fromIx) != len(fromStore) {
-			t.Fatalf("postings(%q): store %d vs index %d", w, len(fromStore), len(fromIx))
+		_, want, errIx := reference.KeywordSets(ix, w)
+		_, got, errStore := reference.KeywordSets(fromStore, w)
+		if errIx != nil || errStore != nil {
+			t.Fatalf("postings(%q): index %v, store %v", w, errIx, errStore)
 		}
-		for i := range fromIx {
-			if !dewey.Equal(fromIx[i], fromStore[i]) {
-				t.Fatalf("postings(%q) differ at %d", w, i)
-			}
+		if !slices.EqualFunc(want[0], got[0], dewey.Equal) {
+			t.Fatalf("postings(%q): store %v vs index %v", w, got[0], want[0])
 		}
 	}
-	if s.Postings("zebra") != nil {
+	if fromStore.LookupIDs("zebra") != nil {
 		t.Error("postings for absent keyword should be nil")
 	}
 }
@@ -94,11 +94,8 @@ func TestElementLookup(t *testing.T) {
 	if _, ok := s.tab.Find(dewey.MustParse("9.9")); ok {
 		t.Error("absent element found")
 	}
-	if s.LabelOf(dewey.MustParse("0.2")) != "Articles" {
-		t.Errorf("LabelOf = %q", s.LabelOf(dewey.MustParse("0.2")))
-	}
-	if s.LabelOf(dewey.MustParse("9.9")) != "" {
-		t.Error("LabelOf absent should be empty")
+	if id, ok := s.tab.Find(dewey.MustParse("0.2")); !ok || s.LabelAt(int(id)) != "Articles" {
+		t.Errorf("label of 0.2 = %q", s.LabelAt(int(id)))
 	}
 	if s.LabelAt(-1) != "" || s.LabelAt(s.NumNodes()) != "" {
 		t.Error("LabelAt out of range should be empty")
@@ -203,8 +200,8 @@ func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 	an := analysis.New()
 	fromStore := s.BuildIndex(an)
 	fromTree := index.Build(paperdata.Publications(), an)
-	_, setsA, errA := fromStore.KeywordSets(paperdata.Q3)
-	_, setsB, errB := fromTree.KeywordSets(paperdata.Q3)
+	_, setsA, errA := reference.KeywordSets(fromStore, paperdata.Q3)
+	_, setsB, errB := reference.KeywordSets(fromTree, paperdata.Q3)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
@@ -222,7 +219,7 @@ func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 
 func TestShredNilAnalyzer(t *testing.T) {
 	s := Shred(paperdata.Team(), nil)
-	if got := len(s.Postings("gassol")); got != 1 {
+	if got := len(s.BuildIndex(nil).LookupIDs("gassol")); got != 1 {
 		t.Errorf("postings(gassol) = %d", got)
 	}
 }

@@ -36,16 +36,17 @@ func assertSameSurface(t *testing.T, a, b *Store) {
 			t.Fatalf("label %d: %q != %q", i, a.Label(uint32(i)), b.Label(uint32(i)))
 		}
 	}
-	if sa, sb := a.Stats(), b.Stats(); !reflect.DeepEqual(sa, sb) {
+	if sa, sb := a.stats, b.stats; !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("stats mismatch: %+v != %+v", sa, sb)
 	}
 	ka, kb := a.Keywords(), b.Keywords()
 	if !slices.Equal(ka, kb) {
 		t.Fatalf("keywords differ: %d vs %d", len(ka), len(kb))
 	}
+	ia, ib := a.BuildIndex(nil), b.BuildIndex(nil)
 	for _, w := range ka {
-		pa, pb := a.Postings(w), b.Postings(w)
-		if len(pa) == 0 || !slices.EqualFunc(pa, pb, dewey.Equal) {
+		pa, pb := ia.LookupIDs(w), ib.LookupIDs(w)
+		if len(pa) == 0 || !slices.Equal(pa, pb) {
 			t.Fatalf("keyword %q: postings %v vs %v", w, pa, pb)
 		}
 	}

@@ -169,17 +169,6 @@ func (s *Span) set(a Attr) {
 	s.mu.Unlock()
 }
 
-// Duration returns the span's duration: the stamped one after End, the
-// time elapsed so far before it. Zero on nil.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.durationLocked()
-}
-
 func (s *Span) durationLocked() time.Duration {
 	if s.done {
 		return s.dur

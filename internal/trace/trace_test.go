@@ -9,6 +9,17 @@ import (
 	"time"
 )
 
+// Duration returns the span's duration: the stamped one after End, the
+// time elapsed so far before it. Zero on nil.
+func (s *Span) Duration() time.Duration {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.durationLocked()
+}
+
 // TestNilSafety drives every Span method through the untraced path: a
 // context without a trace yields a nil span, and the whole instrumentation
 // chain must no-op instead of panicking.

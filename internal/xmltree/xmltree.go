@@ -108,7 +108,7 @@ func (t *Tree) Nodes() []*Node {
 }
 
 // rebuildIndex recomputes Dewey codes, parents and the code index for the
-// whole tree. Called after structural edits (see AddChild).
+// whole tree: after Parse, Build and Clone construct one.
 func (t *Tree) rebuildIndex() {
 	t.byKey = make(map[string]*Node)
 	t.size = 0
@@ -127,20 +127,6 @@ func (t *Tree) rebuildIndex() {
 	}
 	t.Root.Parent = nil
 	rec(t.Root, dewey.Code{0})
-}
-
-// AddChild appends a new subtree (given as a builder element) under the node
-// with the given code and re-indexes the tree. It returns the new node. Used
-// by the axiomatic-property tests (data monotonicity / consistency).
-func (t *Tree) AddChild(parent dewey.Code, e E) (*Node, error) {
-	p := t.NodeAt(parent)
-	if p == nil {
-		return nil, fmt.Errorf("xmltree: no node at %s", parent)
-	}
-	n := e.node()
-	p.Children = append(p.Children, n)
-	t.rebuildIndex()
-	return n, nil
 }
 
 // AppendChild appends a new subtree under the given parent and indexes only

@@ -135,15 +135,15 @@ func TestContentPieces(t *testing.T) {
 	}
 }
 
-func TestAddChild(t *testing.T) {
+func TestAppendChild(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
 	before := tr.Size()
-	n, err := tr.AddChild(dewey.MustParse("0.2"), E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}})
+	n, err := tr.AppendChild(dewey.MustParse("0.2"), E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != before+2 {
-		t.Errorf("Size after AddChild = %d, want %d", tr.Size(), before+2)
+		t.Errorf("Size after AppendChild = %d, want %d", tr.Size(), before+2)
 	}
 	if n.Code.String() != "0.2.1" {
 		t.Errorf("new node code = %s, want 0.2.1", n.Code)
@@ -151,8 +151,8 @@ func TestAddChild(t *testing.T) {
 	if tr.NodeAt(dewey.MustParse("0.2.1.0")).Text != "New" {
 		t.Error("grandchild not indexed")
 	}
-	if _, err := tr.AddChild(dewey.MustParse("9.9"), E{Label: "x"}); err == nil {
-		t.Error("AddChild at absent code should fail")
+	if _, err := tr.AppendChild(dewey.MustParse("9.9"), E{Label: "x"}); err == nil {
+		t.Error("AppendChild at absent code should fail")
 	}
 }
 
@@ -305,20 +305,20 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-func TestAppendChildIncrementalMatchesAddChild(t *testing.T) {
+// TestAppendChildIncrementalMatchesReparse: appending indexes only the new
+// nodes, and leaves the tree exactly as a parse of the extended document
+// numbers and indexes it.
+func TestAppendChildIncrementalMatchesReparse(t *testing.T) {
 	a, _ := ParseString(sampleXML)
-	b, _ := ParseString(sampleXML)
+	b, _ := ParseString(strings.Replace(sampleXML, "</Articles>", "<article><title>New</title></article></Articles>", 1))
 	sub := E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}}
 	na, err := a.AppendChild(dewey.MustParse("0.2"), sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := b.AddChild(dewey.MustParse("0.2"), sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dewey.Equal(na.Code, nb.Code) {
-		t.Fatalf("codes differ: %s vs %s", na.Code, nb.Code)
+	nb := b.NodeAt(dewey.MustParse("0.2.1"))
+	if nb == nil || !dewey.Equal(na.Code, nb.Code) || na.Label != nb.Label {
+		t.Fatalf("appended node %s, parsed node %v", na.Code, nb)
 	}
 	an, bn := a.Nodes(), b.Nodes()
 	if len(an) != len(bn) || a.Size() != b.Size() {
@@ -327,6 +327,9 @@ func TestAppendChildIncrementalMatchesAddChild(t *testing.T) {
 	for i := range an {
 		if !dewey.Equal(an[i].Code, bn[i].Code) || an[i].Label != bn[i].Label {
 			t.Fatalf("node %d differs: %s vs %s", i, an[i], bn[i])
+		}
+		if got := a.NodeAt(bn[i].Code); got != an[i] {
+			t.Fatalf("node %s: indexed %v, walked %v", bn[i].Code, got, an[i])
 		}
 	}
 	// Index consistency after the incremental path.

@@ -119,13 +119,8 @@ func (b Budget) String() string {
 // Cursor is left as-is: it resolves to an Offset only against a live data
 // generation (ResolveCursor), which serving layers do before keying.
 func (r Request) Canonical() Request {
+	r = r.clampPaging()
 	r.Query = strings.Join(strings.Fields(strings.ToLower(r.Query)), " ")
-	if r.Limit < 0 {
-		r.Limit = 0
-	}
-	if r.Offset < 0 {
-		r.Offset = 0
-	}
 	r.Timeout = 0
 	r.Budget = Strict
 	return r
@@ -160,20 +155,32 @@ func (r Request) ResolveCursor(gen uint64) (Request, error) {
 	if r.Cursor == "" {
 		return r, nil
 	}
-	st, err := r.Cursor.decode()
+	out, issued, err := r.foldCursor()
 	if err != nil {
 		return r, err
 	}
-	if st.fp != r.fingerprint() {
-		return r, fmt.Errorf("%w: the cursor's query shape does not match this request", ErrCursorMismatch)
-	}
-	if st.gen != gen {
+	if issued != gen {
 		return r, fmt.Errorf("%w: issued at generation %d, data is now at %d; restart from the first page",
-			ErrStaleCursor, st.gen, gen)
+			ErrStaleCursor, issued, gen)
 	}
-	r.Offset = st.offset
-	r.Cursor = ""
-	return r, nil
+	return out, nil
+}
+
+// foldCursor is the cursor resolution every entry point shares: it decodes
+// r.Cursor, checks that it was issued for r's order-defining fields, and
+// folds its resume position into Offset, clearing Cursor. It returns the
+// version token the cursor was issued at, for the caller to check or re-pin.
+// Errors wrap ErrBadCursor or ErrCursorMismatch.
+func (r Request) foldCursor() (Request, uint64, error) {
+	st, err := r.Cursor.decode()
+	if err != nil {
+		return r, 0, err
+	}
+	if st.fp != r.fingerprint() {
+		return r, 0, fmt.Errorf("%w: the cursor's query shape does not match this request", ErrCursorMismatch)
+	}
+	r.Offset, r.Cursor = st.offset, ""
+	return r, st.gen, nil
 }
 
 // applyTimeout derives the request deadline from ctx when Timeout is set.

@@ -131,23 +131,27 @@ func TestStoreBackedCompare(t *testing.T) {
 }
 
 // referenceStoreXML is the store renderer as first written — every node
-// resolved by Dewey code through Store.LabelOf and the node table's Find,
-// formatted with fmt — kept as the reference the append-based renderer must
-// match byte for byte.
+// resolved by Dewey code through the node table's Find, its label and
+// content read from the store's rows, formatted with fmt — kept as the
+// reference the append-based renderer must match byte for byte.
 func referenceStoreXML(st *store.Store, tab *nid.Table, kept []dewey.Code) string {
 	var b strings.Builder
 	var stack []dewey.Code
+	labelOf := func(c dewey.Code) string {
+		id, _ := tab.Find(c)
+		return st.LabelAt(int(id))
+	}
 	closeTop := func() {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		fmt.Fprintf(&b, "%s</%s>\n", strings.Repeat("  ", len(stack)), st.LabelOf(top))
+		fmt.Fprintf(&b, "%s</%s>\n", strings.Repeat("  ", len(stack)), labelOf(top))
 	}
 	for _, c := range kept {
 		for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOf(c) {
 			closeTop()
 		}
 		id, _ := tab.Find(c)
-		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), st.LabelOf(c), strings.Join(st.ContentAt(int(id)), " "))
+		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), labelOf(c), strings.Join(st.ContentAt(int(id)), " "))
 		stack = append(stack, c)
 	}
 	for len(stack) > 0 {
