@@ -2,6 +2,9 @@ package xks
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +29,7 @@ func TestAppendXMLMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rebuilt.AppendChild(mustCode(t, "0.2"), toE(sub.Root)); err != nil {
+	if err := rebuilt.AppendChild(mustCode(t, "0.2"), sub.Root); err != nil {
 		t.Fatal(err)
 	}
 	reference := FromTree(rebuilt)
@@ -61,8 +64,6 @@ func mustCode(t *testing.T, s string) (c []uint32) {
 	}
 	return c
 }
-
-func toE(n *xmltree.Node) xmltree.E { return treeToE(n) }
 
 func TestAppendXMLNewKeywordBecomesSearchable(t *testing.T) {
 	e := FromTree(paperdata.Team())
@@ -102,6 +103,63 @@ func TestAppendXMLErrors(t *testing.T) {
 	}
 }
 
+// requireOffSpineRefused appends snippet under parent, which must lie off
+// the document's rightmost spine, and fails t unless AppendXML refuses it
+// with ErrOffSpine and leaves the engine's version and tree size as they
+// were.
+func requireOffSpineRefused(t *testing.T, e *Engine, parent, snippet string) {
+	t.Helper()
+	gen, size := e.Generation(), e.Tree().Size()
+	if err := e.AppendXML(parent, snippet); !errors.Is(err, ErrOffSpine) {
+		t.Fatalf("AppendXML(%q) = %v, want ErrOffSpine", parent, err)
+	}
+	if e.Generation() != gen || e.Tree().Size() != size {
+		t.Fatalf("refused append changed the engine: version %d -> %d, tree size %d -> %d", gen, e.Generation(), size, e.Tree().Size())
+	}
+}
+
+// An off-spine append is refused with ErrOffSpine and publishes nothing:
+// the version, the tree, the source tables and every answer are those from
+// before the call, and a tail append still lands afterwards.
+func TestAppendXMLOffSpineLeavesEngineUntouched(t *testing.T) {
+	e := FromTree(paperdata.Publications())
+	if err := e.AppendXML("0", `<article><title>xml keyword</title></article>`); err != nil {
+		t.Fatal(err)
+	}
+	answers := func() []string {
+		var out []string
+		for _, q := range []string{paperdata.Q2, paperdata.Q3, "xml keyword", "kong"} {
+			res, err := e.Search(context.Background(), Request{Query: q, Rank: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range res.Fragments {
+				out = append(out, q+": "+f.ASCII())
+			}
+		}
+		return out
+	}
+	before, rows, delta := answers(), len(e.src.Load().nodes), e.DeltaInfo()
+	for _, parent := range []string{"0.0", "0.2", "0.2.0.0.0"} {
+		requireOffSpineRefused(t, e, parent, `<article><title>kong xml keyword</title></article>`)
+	}
+	if got := answers(); !slices.Equal(got, before) {
+		t.Fatalf("answers changed after refused appends:\n%q\nwant\n%q", got, before)
+	}
+	if got := len(e.src.Load().nodes); got != rows {
+		t.Fatalf("source tables hold %d rows after refused appends, want %d", got, rows)
+	}
+	if got := e.DeltaInfo(); got.Segments != delta.Segments || got.Appends != delta.Appends {
+		t.Fatalf("delta state %+v after refused appends, want %+v", got, delta)
+	}
+	if err := e.AppendXML("0", `<article><title>kong</title></article>`); err != nil {
+		t.Fatalf("tail append after refusals: %v", err)
+	}
+	if res, _ := e.Search(context.Background(), Request{Query: "kong"}); res == nil || len(res.Fragments) != 1 {
+		t.Fatalf("kong after the tail append: %v", res)
+	}
+}
+
 // Repeated appends keep data monotonicity: fragment counts never decrease
 // for a fixed query.
 func TestAppendXMLMonotone(t *testing.T) {
@@ -120,5 +178,57 @@ func TestAppendXMLMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTailAppendTokensArePinned pins the version tokens and first-page
+// cursors a sequence of tail appends yields on an engine and on a
+// two-document corpus. A token and the cursor bytes that embed it must not
+// change meaning across releases: a cursor a client holds keeps resuming.
+func TestTailAppendTokensArePinned(t *testing.T) {
+	ctx := context.Background()
+	e := FromTree(paperdata.Publications())
+	c := NewCorpus()
+	c.Add("pub", FromTree(paperdata.Publications()))
+	c.Add("team", FromTree(paperdata.Team()))
+	var got []string
+	record := func() {
+		t.Helper()
+		res, err := e.Search(ctx, Request{Query: "xml keyword", Limit: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := c.Search(ctx, Request{Query: "xml keyword", Limit: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%d %s | %d %d %s", e.Generation(), res.Cursor,
+			c.Generation(), c.VersionFor(Request{Document: "team"}), cres.Cursor))
+	}
+	record()
+	for _, rec := range []string{
+		`<article><title>xml keyword ranking</title></article>`,
+		`<article><title>keyword search</title><abstract>xml</abstract></article>`,
+		`<book><title>xml</title></book>`,
+	} {
+		if err := e.AppendXML("0", rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AppendXML("pub", "0", rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AppendXML("team", "0", `<player><name>xml keyword</name></player>`); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+	want := []string{
+		"20 AhQBAADhiZql19CNlIgB | 13547143800018946839 9707413277831106748 ApeWj4qq8MeAvAEBAADhiZql19CNlIgB",
+		"22 AhYBAADhiZql19CNlIgB | 12233467836919121447 14172044091766285566 AqeM7LXpxYDjqQEBAADhiZql19CNlIgB",
+		"25 AhkBAADhiZql19CNlIgB | 15156791431838860842 2542814103867258144 AqqMwuuMsO-r0gEBAADhiZql19CNlIgB",
+		"27 AhsBAADhiZql19CNlIgB | 7844442313574255714 7007444917802436962 AuKYjM2P18PubAEAAOGJmqXX0I2UiAE",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("tokens and cursors after each append:\n got %q\nwant %q", got, want)
 	}
 }

@@ -116,8 +116,8 @@ func searchAround(base *xmltree.Tree, parent dewey.Code, sub xmltree.E, req xks.
 		return nil, nil, nil, err
 	}
 	extended := base.Clone()
-	node, err := extended.AppendChild(parent, sub)
-	if err != nil {
+	node := xmltree.Build(sub).Root
+	if err := extended.AppendChild(parent, node); err != nil {
 		return nil, nil, nil, err
 	}
 	after, err := xks.FromTree(extended).Search(context.Background(), req)
@@ -242,7 +242,7 @@ func Example_axioms() {
 		{Label: "position", Text: "guard"},
 	}}
 	extended := tree.Clone()
-	if _, err := extended.AppendChild(dewey.MustParse("0.1"), newPlayer); err != nil {
+	if err := extended.AppendChild(dewey.MustParse("0.1"), xmltree.Build(newPlayer).Root); err != nil {
 		log.Fatal(err)
 	}
 	after, err := xks.FromTree(extended).Search(ctx, xks.Request{Query: paperdata.Q4})

@@ -413,7 +413,7 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 	e := FromTree(paperTree(n))
 	before := serial(e)
 	twin := FromTree(paperTree(n))
-	if err := twin.AppendTail("0", record); err != nil {
+	if err := twin.AppendXML("0", record); err != nil {
 		t.Fatal(err)
 	}
 	after := serial(twin)
@@ -433,7 +433,7 @@ func TestBorrowedEventsConcurrentSearchStream(t *testing.T) {
 			for round := range 12 {
 				if g == 0 && round == 6 {
 					once.Do(func() {
-						if err := e.AppendTail("0", record); err != nil {
+						if err := e.AppendXML("0", record); err != nil {
 							panic(err)
 						}
 						close(appended)

@@ -36,8 +36,11 @@ func main() {
 		}
 		defer s.Close()
 		if *keyword != "" {
-			ix := s.BuildIndex(analysis.New())
-			ids := ix.LookupIDs(*keyword)
+			// The word is analyzed as a query keyword is (query.Parse), so
+			// "XML" finds the postings a search for it reads.
+			an := analysis.New()
+			ix := s.BuildIndex(an)
+			ids := ix.LookupIDs(an.Normalize(*keyword))
 			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(ids))
 			for _, id := range ids {
 				fmt.Printf("  %s (%s)\n", ix.Table().Code(id), s.LabelAt(int(id)))

@@ -34,8 +34,8 @@ func requireSortedContent(t *testing.T, name string, e *Engine) {
 }
 
 // TestContentSetsAreSorted walks every source a fragment can be pruned from:
-// the tree's tables after a build, after a tail append and after an off-spine
-// renumbering rebuild; a store as shredded and reopened as v3 on the heap and
+// the tree's tables after a build, after a tail append and after a refused
+// off-spine append; a store as shredded and reopened as v3 on the heap and
 // mapped. (A reload from the v1 and v2 row formats is checked where those
 // can be written: internal/store's TestBackwardCompatV1V2.)
 func TestContentSetsAreSorted(t *testing.T) {
@@ -45,18 +45,12 @@ func TestContentSetsAreSorted(t *testing.T) {
 	e := gen()
 	requireSortedContent(t, "tree/built", e)
 	const record = `<inproceedings key="zz top"><title>Zeta beta Alpha</title><author>Omega Mu</author></inproceedings>`
-	if err := e.AppendTail("0", record); err != nil {
+	if err := e.AppendXML("0", record); err != nil {
 		t.Fatal(err)
 	}
 	requireSortedContent(t, "tree/tail-append", e)
-	gen0 := e.head.Load().RebuildGen
-	if err := e.AppendXML("0.0", record); err != nil {
-		t.Fatal(err)
-	}
-	if e.head.Load().RebuildGen == gen0 {
-		t.Fatal("appending under 0.0 did not take the rebuild path")
-	}
-	requireSortedContent(t, "tree/off-spine-rebuild", e)
+	requireOffSpineRefused(t, e, "0.0", record)
+	requireSortedContent(t, "tree/off-spine-refused", e)
 
 	shredded := store.Shred(gen().tree, analysis.New())
 	requireSortedContent(t, "store/shredded", FromStore(shredded))

@@ -169,9 +169,9 @@ func (c *Corpus) Documents() []DocumentInfo {
 // Generation reports the corpus version token: the hash of the current
 // snapshot vector (every document's name, registration nonce, and engine
 // version, in insertion order). It changes whenever a document is added,
-// replaced, appended to, or rebuilt, so caching layers can tag entries
-// with it and detect staleness. Compaction does not change it — folding
-// delta segments into the base is invisible to readers.
+// replaced, or appended to, so caching layers can tag entries with it and
+// detect staleness. Compaction does not change it — folding delta segments
+// into the base is invisible to readers.
 func (c *Corpus) Generation() uint64 {
 	return vectorHash(c.currentVector())
 }
@@ -228,9 +228,8 @@ func vectorHash(vec []docSnap) uint64 {
 // stamped with.
 //
 // A cursor goes ErrStaleCursor only when its snapshot is unresolvable: the
-// registry evicted the entry, a pinned document was replaced or removed,
-// or a renumbering rebuild discarded the pinned version. Appends and
-// compactions never stale a cursor.
+// registry evicted the entry, or a pinned document was replaced or
+// removed. Appends and compactions never stale a cursor.
 func (c *Corpus) resolveSnapshot(req Request) (Request, []docRead, uint64, error) {
 	req = req.clampPaging()
 	var vec []docSnap
@@ -269,7 +268,7 @@ func (c *Corpus) resolveSnapshot(req Request) (Request, []docRead, uint64, error
 			releaseAll(docs[:i])
 			return req, nil, 0, fmt.Errorf("%w: document %q changed since the cursor was issued", ErrStaleCursor, ds.name)
 		}
-		v, err := e.viewAtVersion(ds.ver)
+		v, err := e.viewAt(e.head.Load(), int(ds.ver))
 		if err != nil {
 			releaseAll(docs[:i])
 			return req, nil, 0, fmt.Errorf("xks: document %s: %w", ds.name, err)
@@ -280,17 +279,17 @@ func (c *Corpus) resolveSnapshot(req Request) (Request, []docRead, uint64, error
 }
 
 // AppendXML appends a parsed XML snippet under the identified node of the
-// named document — the corpus face of Engine.AppendTail, because a corpus
-// is searched while it is written: the parent must lie on the document's
-// rightmost spine (ErrOffSpine otherwise). Outstanding cursors and cached
-// pages, including corpus-wide ones, keep working: they re-pin the snapshot
-// they were issued against.
+// named document — the corpus face of Engine.AppendXML, so the parent must
+// lie on the document's rightmost spine (ErrOffSpine otherwise). It may run
+// concurrently with searches. Outstanding cursors and cached pages,
+// including corpus-wide ones, keep working: they re-pin the snapshot they
+// were issued against.
 func (c *Corpus) AppendXML(doc, parentDewey, snippet string) error {
 	e := c.engines[doc]
 	if e == nil {
 		return fmt.Errorf("xks: %w: %q", ErrUnknownDocument, doc)
 	}
-	if err := e.AppendTail(parentDewey, snippet); err != nil {
+	if err := e.AppendXML(parentDewey, snippet); err != nil {
 		return fmt.Errorf("xks: document %s: %w", doc, err)
 	}
 	return nil
@@ -346,9 +345,10 @@ type Results struct {
 	Fragments []CorpusFragment
 	// Cursor is the opaque resume token of the next page when the merged
 	// result set extends past this one, and empty when it is exhausted.
-	// It is generation-aware: replaying it after an AppendXML or
-	// Corpus.Add fails with ErrStaleCursor instead of serving a silently
-	// shifted page.
+	// It pins the snapshot it was issued at: replayed after an AppendXML it
+	// resumes that snapshot's order, and replayed after Corpus.Add replaced
+	// one of its documents it fails with ErrStaleCursor instead of serving
+	// a silently shifted page.
 	Cursor Cursor
 	// Truncated reports that a BestEffort deadline expired mid-pipeline:
 	// Fragments holds everything finished in time, and Cursor resumes

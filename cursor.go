@@ -16,8 +16,8 @@ import (
 //     snapshot, so a cursor survives concurrent appends and compactions
 //     (the page boundary cannot shift: the cursor keeps reading the state
 //     it was issued against) and fails as ErrStaleCursor only when the
-//     snapshot is no longer resolvable (a renumbering rebuild, document
-//     replacement, or corpus registry eviction);
+//     snapshot is not resolvable (a node count past the engine's head,
+//     document replacement, or corpus registry eviction);
 //   - the resume position (the offset of the next unreturned fragment,
 //     plus the document/sequence key of the last one yielded);
 //   - a fingerprint of the order-defining request fields, so a cursor
@@ -35,11 +35,12 @@ type Cursor string
 var (
 	// ErrBadCursor reports a token that does not decode.
 	ErrBadCursor = errors.New("malformed cursor")
-	// ErrStaleCursor reports a cursor whose issuing snapshot can no longer
-	// be resolved. Tail appends and compactions do NOT stale a cursor —
-	// resumption re-pins the snapshot it was issued at; what does is a
-	// renumbering rebuild (a non-tail append), replacing or removing a
-	// corpus document, or the corpus snapshot registry evicting the entry.
+	// ErrStaleCursor reports a cursor whose issuing snapshot cannot be
+	// resolved. Appends and compactions do NOT stale a cursor — resumption
+	// re-pins the snapshot it was issued at; what does is a node count the
+	// engine never published (a forged cursor, or one from a longer history
+	// of the document), replacing or removing a corpus document, or the
+	// corpus snapshot registry evicting the entry.
 	ErrStaleCursor = errors.New("stale cursor")
 	// ErrCursorMismatch reports a cursor replayed against a request whose
 	// order-defining fields (query, document filter, algorithm, semantics,
@@ -55,8 +56,7 @@ const cursorVersion = 2
 // cursorState is the decoded payload of a Cursor.
 type cursorState struct {
 	// gen is the version token of the snapshot the cursor was issued at:
-	// an engine's packed (rebuild generation, node count) pair, or a
-	// corpus's snapshot-vector hash.
+	// an engine's node count, or a corpus's snapshot-vector hash.
 	gen uint64
 	// offset is the resume position: the selection-order index of the
 	// first fragment the next page should return. Because a cursor is

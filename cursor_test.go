@@ -7,6 +7,7 @@ package xks
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"xks/internal/paperdata"
@@ -234,10 +235,12 @@ func TestCorpusCursorWalk(t *testing.T) {
 // TestAppendXMLEngineCursorLifecycle covers the single-engine mutation
 // path: a tail append lands in the delta index without renumbering, so a
 // pre-append cursor resumes against its pinned snapshot (the appended
-// content invisible to it); only a non-tail append — a renumbering rebuild
-// — makes the cursor die loudly.
+// content invisible to it); a refused off-spine append changes nothing;
+// and a cursor the engine cannot resolve — one issued on a longer history
+// — dies loudly.
 func TestAppendXMLEngineCursorLifecycle(t *testing.T) {
-	e, err := LoadString(`<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper></bib>`)
+	const doc = `<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper></bib>`
+	e, err := LoadString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +267,27 @@ func TestAppendXMLEngineCursorLifecycle(t *testing.T) {
 	if pinned.Stats.NumLCAs != 2 {
 		t.Fatalf("pinned scroll sees %d candidates, want the pre-append 2", pinned.Stats.NumLCAs)
 	}
-	// ...and dies after a non-tail append renumbers the document.
-	if err := e.AppendXML("0.0", `<note>search aside</note>`); err != nil {
+	// ...serves the same page after a refused off-spine append...
+	requireOffSpineRefused(t, e, "0.0", `<note>search aside</note>`)
+	again, err := e.Search(context.Background(), Request{Query: "search", Limit: 1, Cursor: page1.Cursor})
+	if err != nil {
+		t.Fatalf("post-refusal: err = %v, want snapshot-pinned resume", err)
+	}
+	if got, want := fragmentRoots(again), fragmentRoots(pinned); !slices.Equal(got, want) || again.Cursor != pinned.Cursor {
+		t.Fatalf("post-refusal page 2 %v (cursor %q), want %v (cursor %q)", got, again.Cursor, want, pinned.Cursor)
+	}
+	// ...while a cursor issued on the grown document is stale on an engine
+	// that never saw the append: its snapshot lies past that engine's head.
+	grown, err := e.Search(context.Background(), Request{Query: "search", Limit: 1})
+	if err != nil || grown.Cursor == "" {
+		t.Fatalf("grown page 1: cursor %q, err %v", grown.Cursor, err)
+	}
+	fresh, err := LoadString(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Search(context.Background(), Request{Query: "search", Limit: 1, Cursor: page1.Cursor}); !errors.Is(err, ErrStaleCursor) {
-		t.Fatalf("post-rebuild: err = %v, want ErrStaleCursor", err)
+	if _, err := fresh.Search(context.Background(), Request{Query: "search", Limit: 1, Cursor: grown.Cursor}); !errors.Is(err, ErrStaleCursor) {
+		t.Fatalf("longer-history cursor: err = %v, want ErrStaleCursor", err)
 	}
 }
 

@@ -163,11 +163,13 @@ type view struct {
 
 func (v *view) release() { v.snap.Release() }
 
-// viewAt resolves and pins the snapshot of head h at n nodes.
+// viewAt resolves and pins the snapshot of head h at n nodes: a version
+// token is the node count, and h.At refuses a count past the head or one
+// that splits an append (a forged or future token) with ErrStaleCursor.
 func (e *Engine) viewAt(h *delta.Head, n int) (*view, error) {
 	snap, err := h.At(n, &e.counters)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v; restart from the first page", ErrStaleCursor, err)
 	}
 	return &view{snap: snap, scorer: rank.NewScorerFrom(snap), src: e.src.Load(), eng: e}, nil
 }
@@ -184,27 +186,10 @@ func (e *Engine) currentView() *view {
 	return v
 }
 
-// viewAtVersion resolves and pins the snapshot a packed version token
-// names, failing with ErrStaleCursor when the token is from another
-// rebuild generation (IDs were renumbered) or past the current head.
-func (e *Engine) viewAtVersion(version uint64) (*view, error) {
-	h := e.head.Load()
-	g, n := delta.UnpackVersion(version)
-	if g != h.RebuildGen {
-		return nil, fmt.Errorf("%w: index was rebuilt since the cursor was issued; restart from the first page", ErrStaleCursor)
-	}
-	v, err := e.viewAt(h, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v; restart from the first page", ErrStaleCursor, err)
-	}
-	return v, nil
-}
-
 // resolveRequest resolves the request's read snapshot: cursorless requests
 // pin the newest head; a cursor re-pins the exact snapshot it was issued
-// against (same rebuild generation, same node count), which stays
-// resolvable across later appends and compactions — only a renumbering
-// rebuild (or document replacement) makes it ErrStaleCursor.
+// against (the node count it carries), which stays resolvable across later
+// appends and compactions.
 func (e *Engine) resolveRequest(req Request) (Request, *view, error) {
 	req = req.clampPaging()
 	if req.Cursor == "" {
@@ -214,7 +199,7 @@ func (e *Engine) resolveRequest(req Request) (Request, *view, error) {
 	if err != nil {
 		return req, nil, err
 	}
-	v, err := e.viewAtVersion(issued)
+	v, err := e.viewAt(e.head.Load(), int(issued))
 	if err != nil {
 		return req, nil, err
 	}
@@ -350,13 +335,11 @@ func (e *Engine) Tree() *xmltree.Tree { return e.tree }
 // query paths resolve snapshots instead of reading the base directly.
 func (e *Engine) Index() *index.Index { return e.head.Load().Base }
 
-// Generation reports the engine's current version token: the packed
-// (rebuild generation, node count) pair of the newest published head
-// (delta.PackVersion). It grows with every append, is unchanged by
-// compaction, and jumps to a fresh rebuild generation when an append
-// renumbers IDs. Caching layers (internal/service) compare tokens to
-// detect stale cached results; cursors embed the token to re-pin their
-// issuing snapshot.
+// Generation reports the engine's current version token: the node count
+// of the newest published head. It grows with every append and is
+// unchanged by compaction. Caching layers (internal/service) compare
+// tokens to detect stale cached results; cursors embed the token to re-pin
+// their issuing snapshot.
 func (e *Engine) Generation() uint64 { return e.head.Load().Version() }
 
 // DeltaInfo summarizes the delta subsystem's state for one engine (or,
@@ -420,7 +403,7 @@ func (e *Engine) Compact(ctx context.Context) (int, error) {
 	if err := fault.Inject(ctx, fault.PointCompact, ""); err != nil {
 		return 0, err
 	}
-	e.head.Store(&delta.Head{RebuildGen: h.RebuildGen, Tab: h.Tab, Base: folded})
+	e.head.Store(&delta.Head{Tab: h.Tab, Base: folded})
 	e.counters.RecordCompaction(time.Since(start))
 	return len(h.Segs), nil
 }

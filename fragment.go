@@ -58,8 +58,8 @@ type Fragment struct {
 	// snapshot's node table, which keptIDs (the pre-order, ancestor-closed
 	// keep-set from pruning) index — a kept node's Dewey code and depth are
 	// zero-copy lookups there — the source tables pinned with it, so a
-	// fragment cached across a renumbering rebuild still reads and renders
-	// its own nodes (labels, texts, content sets), and the plan's keywords.
+	// fragment cached across later appends reads and renders only its own
+	// request's nodes (labels, texts, content sets), and the plan's keywords.
 	v       *view
 	keptIDs []nid.ID
 }

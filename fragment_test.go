@@ -14,7 +14,6 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
-	"xks/internal/delta"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
@@ -199,8 +198,8 @@ func TestNodeFactsParity(t *testing.T) {
 // TestRetainedSnippetReadsPinnedContent: a keyword matched through an
 // attribute (or a label) has no own text, so the snippet shows the node's
 // content words instead, read from the tables the request pinned. A
-// renumbering AppendXML republishes the engine's tables with every later
-// ID moved; a fragment returned before it must keep its snippet.
+// fragment returned before an off-spine AppendXML (refused) and a tail
+// append under the fragment's own root must keep its snippet.
 func TestRetainedSnippetReadsPinnedContent(t *testing.T) {
 	e, err := LoadString(`<bib><a><x>first words here</x></a><b><paper kind="keyword"><t>xml search</t></paper></b></bib>`)
 	if err != nil {
@@ -215,17 +214,21 @@ func TestRetainedSnippetReadsPinnedContent(t *testing.T) {
 	if got := f.Snippet(); got != want {
 		t.Fatalf("snippet %q, want %q", got, want)
 	}
-	if err := e.AppendXML("0.0", "<y>zebra zulu yak</y>"); err != nil {
+	requireOffSpineRefused(t, e, "0.0", "<y>zebra zulu yak</y>")
+	if got := f.Snippet(); got != want {
+		t.Errorf("after a refused append the retained fragment's snippet is %q, want %q", got, want)
+	}
+	if err := e.AppendXML(f.Root, "<t>keyword xml again</t>"); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Snippet(); got != want {
-		t.Errorf("after a renumbering append the retained fragment's snippet is %q, want %q", got, want)
+		t.Errorf("after a tail append under its root the retained fragment's snippet is %q, want %q", got, want)
 	}
 }
 
 // TestRetainedFragmentsKeepTheirAnswers keeps a page's fragments across a
-// tail append, a Compact and a renumbering AppendXML, none of them rendered
-// before the writes, then reads every node accessor, NodeText, Snippet, XML
+// tail append, a Compact, a refused off-spine AppendXML and a second tail
+// append, none of them rendered before the writes, then reads every node accessor, NodeText, Snippet, XML
 // and ASCII of each from 8 goroutines at once: each answers what a fragment
 // of the same page read before the writes answered. "article" matches the
 // DBLP records through their labels and key attributes, so their snippets
@@ -265,12 +268,9 @@ func TestRetainedFragmentsKeepTheirAnswers(t *testing.T) {
 	if n, err := e.Compact(context.Background()); n != 1 || err != nil {
 		t.Fatalf("Compact folded %d segments, err %v; want 1", n, err)
 	}
-	before, _ := delta.UnpackVersion(e.Generation())
-	if err := e.AppendXML("0.0", `<note>xml article search</note>`); err != nil {
+	requireOffSpineRefused(t, e, "0.0", `<note>xml article search</note>`)
+	if err := e.AppendXML("0", `<article key="rec/article/newer"><title>xml article search</title></article>`); err != nil {
 		t.Fatal(err)
-	}
-	if after, _ := delta.UnpackVersion(e.Generation()); after == before {
-		t.Fatal("the append under 0.0 did not renumber the document")
 	}
 	var wg sync.WaitGroup
 	for g := range 8 {

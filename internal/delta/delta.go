@@ -29,12 +29,11 @@
 //     the rows below it were written, never reads past it, and the writer
 //     only stores at or beyond the longest published length — on growth it
 //     copies to a new array and leaves the old one to its readers.
-//   - What a fold epoch owns: the heads published between two folds (or
-//     renumbering rebuilds) share one base and one merged-list overlay. For
-//     every word a live segment touches the overlay keeps the complete list
-//     base[w] ++ segment IDs in one append-only slice: the base list is
-//     copied once, on first touch, with headroom, and later appends extend
-//     it in place. Fold hands those lists, capped at their length, to the
+//   - What a fold epoch owns: the heads published between two folds share
+//     one base and one merged-list overlay. For every word a live segment
+//     touches the overlay keeps the complete list base[w] ++ segment IDs in
+//     one append-only slice: the base list is copied once, on first touch,
+//     with headroom, and later appends extend it in place. Fold hands those lists, capped at their length, to the
 //     new base and the next epoch starts an empty overlay, so a list owned
 //     by a base is never written again.
 //
@@ -43,15 +42,15 @@
 // inside n (a prefix of the head's), and posting lists cut at the first
 // ID >= n — the overlay's list for a touched word, the base's otherwise.
 // A lookup is one map probe plus that cut (free when the list already ends
-// below n) and allocates nothing, however many segments are live. Any node
-// count that was ever published as a head remains resolvable from every
-// later head of the same rebuild generation — appends only grow the tail,
-// and compaction (Fold) rewrites which structure holds the postings but
-// never renumbers an ID — which is what lets cursors and caches pin a
-// snapshot instead of dying whenever anything changed. Snapshots are
-// refcounted (pinned) for observability and leak detection; the memory
-// itself is reclaimed by the garbage collector once the last pinned
-// snapshot referencing a retired epoch is released.
+// below n) and allocates nothing, however many segments are live. A head's
+// version token is its node count, and any count that was ever published
+// as a head remains resolvable from every later head — appends only grow
+// the tail, and compaction (Fold) rewrites which structure holds the
+// postings but never renumbers an ID — which is what lets cursors and
+// caches pin a snapshot instead of dying whenever anything changed.
+// Snapshots are refcounted (pinned) for observability and leak detection;
+// the memory itself is reclaimed by the garbage collector once the last
+// pinned snapshot referencing a retired epoch is released.
 //
 // Measured: a four-node append allocates about 5 KB on a 2 k-node and on a
 // 65 k-node document alike (TestAppendAllocBytesDoNotScale; 121 KB and
@@ -74,25 +73,10 @@ import (
 	"xks/internal/planner"
 )
 
-// ErrNoSnapshot reports a version that no head can resolve: a different
-// rebuild generation (the table was renumbered by a non-tail append or a
-// document replacement) or a node count that never was a published
-// boundary. Callers surface it as a stale cursor.
+// ErrNoSnapshot reports a node count the head cannot resolve: past its end
+// (a forged token, or one from a longer history) or inside an append's
+// range, never a published boundary. Callers surface it as a stale cursor.
 var ErrNoSnapshot = errors.New("delta: no snapshot at requested version")
-
-// PackVersion encodes a (rebuild generation, node count) pair as one uint64
-// version token: the high 32 bits count renumbering rebuilds, the low 32
-// bits the table length. Within one rebuild generation the version grows
-// with every append and is untouched by compaction, so a version uniquely
-// names a logical index state.
-func PackVersion(rebuildGen uint64, n int) uint64 {
-	return rebuildGen<<32 | uint64(uint32(n))
-}
-
-// UnpackVersion splits a version token back into its parts.
-func UnpackVersion(v uint64) (rebuildGen uint64, n int) {
-	return v >> 32, int(v & 0xffffffff)
-}
 
 // Segment is one append batch's postings: an immutable mini-index over the
 // contiguous ID range [Start, End) that a single append added at the tail
@@ -139,12 +123,9 @@ func NewSegment(start, end nid.ID, postings map[string][]nid.ID) (*Segment, erro
 // immutable once published; the engine swaps them with an atomic pointer
 // and derives each next one with Append.
 type Head struct {
-	// RebuildGen counts renumbering rebuilds (non-tail appends, document
-	// replacement). Snapshots never cross a rebuild: IDs changed meaning.
-	RebuildGen uint64
-	Tab        *nid.Table
-	Base       *index.Index
-	Segs       []*Segment
+	Tab  *nid.Table
+	Base *index.Index
+	Segs []*Segment
 
 	// ov is the fold epoch's merged-list overlay. Append hands it from head
 	// to head; a head written as a literal builds its own on first use
@@ -153,8 +134,10 @@ type Head struct {
 	ovOnce sync.Once
 }
 
-// Version returns the head's version token.
-func (h *Head) Version() uint64 { return PackVersion(h.RebuildGen, h.Tab.Len()) }
+// Version returns the head's version token: its node count, which grows
+// with every append and is untouched by compaction, so a version uniquely
+// names a logical index state.
+func (h *Head) Version() uint64 { return uint64(h.Tab.Len()) }
 
 // Append returns the head that follows h once seg — the postings of the
 // rows tab adds beyond h.Tab — is published: same base, the segment list
@@ -166,7 +149,7 @@ func (h *Head) Version() uint64 { return PackVersion(h.RebuildGen, h.Tab.Len()) 
 func (h *Head) Append(tab *nid.Table, seg *Segment) *Head {
 	ov := h.merged()
 	ov.add(h.Base, seg)
-	return &Head{RebuildGen: h.RebuildGen, Tab: tab, Base: h.Base, Segs: append(h.Segs, seg), ov: ov}
+	return &Head{Tab: tab, Base: h.Base, Segs: append(h.Segs, seg), ov: ov}
 }
 
 // merged returns the head's overlay. A head that did not come from Append
@@ -236,11 +219,10 @@ func (ov *overlay) lookup(word string) ([]nid.ID, bool) {
 }
 
 // At resolves (and pins) the snapshot of this head at n nodes. n must be a
-// boundary some head of this rebuild generation published: at most the
-// current length, and never splitting a segment. The visible segments are
-// a prefix of the head's, taken as a subslice. The returned snapshot is
-// pinned against c (Release unpins); pass the same Counters the engine
-// reports from.
+// boundary some head published: at most the current length, and never
+// splitting a segment. The visible segments are a prefix of the head's,
+// taken as a subslice. The returned snapshot is pinned against c (Release
+// unpins); pass the same Counters the engine reports from.
 func (h *Head) At(n int, c *Counters) (*Snapshot, error) {
 	if n < 0 || n > h.Tab.Len() {
 		return nil, fmt.Errorf("%w: %d nodes, head has %d", ErrNoSnapshot, n, h.Tab.Len())
@@ -256,7 +238,6 @@ func (h *Head) At(n int, c *Counters) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %d nodes splits segment [%d, %d)", ErrNoSnapshot, n, sg.Start, sg.End)
 	}
 	s := &Snapshot{
-		version:  PackVersion(h.RebuildGen, n),
 		n:        n,
 		tab:      tab,
 		base:     h.Base,
@@ -279,7 +260,6 @@ func (h *Head) At(n int, c *Counters) (*Snapshot, error) {
 // (LookupIDs / Frequency / NumNodes / Stats), merging base and delta
 // transparently.
 type Snapshot struct {
-	version  uint64
 	n        int
 	tab      *nid.Table
 	base     *index.Index
@@ -290,8 +270,8 @@ type Snapshot struct {
 	release  sync.Once
 }
 
-// Version returns the packed version token the snapshot serves at.
-func (s *Snapshot) Version() uint64 { return s.version }
+// Version returns the version token the snapshot serves at: its node count.
+func (s *Snapshot) Version() uint64 { return uint64(s.n) }
 
 // Table returns the node table view, with Len() == NumNodes().
 func (s *Snapshot) Table() *nid.Table { return s.tab }

@@ -55,20 +55,27 @@ func testHead(t *testing.T) *Head {
 	return &Head{Tab: tab, Base: base, Segs: []*Segment{seg1, seg2}}
 }
 
+// TestVersionPacking: a version token packs nothing but the node count — a
+// head's is its table length, a snapshot's the count it was resolved at —
+// and a fold leaves it unchanged.
 func TestVersionPacking(t *testing.T) {
-	for _, c := range []struct {
-		gen uint64
-		n   int
-	}{{0, 0}, {0, 7}, {3, 1 << 20}, {1 << 30, 0xffffffff}} {
-		v := PackVersion(c.gen, c.n)
-		g, n := UnpackVersion(v)
-		if g != c.gen || n != c.n {
-			t.Errorf("round trip (%d, %d) -> %d -> (%d, %d)", c.gen, c.n, v, g, n)
-		}
-	}
 	h := testHead(t)
-	if g, n := UnpackVersion(h.Version()); g != 0 || n != 7 {
-		t.Errorf("head version = (%d, %d), want (0, 7)", g, n)
+	if v := h.Version(); v != uint64(h.Tab.Len()) || v != 7 {
+		t.Errorf("head version = %d, want its table length 7 (%d)", v, h.Tab.Len())
+	}
+	for _, n := range []int{3, 5, 7} {
+		s, err := h.At(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Version() != uint64(n) {
+			t.Errorf("snapshot at %d nodes has version %d", n, s.Version())
+		}
+		s.Release()
+	}
+	folded := &Head{Tab: h.Tab, Base: Fold(h)}
+	if folded.Version() != h.Version() {
+		t.Errorf("fold moved the version %d -> %d", h.Version(), folded.Version())
 	}
 }
 

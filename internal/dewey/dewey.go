@@ -86,33 +86,6 @@ func (c Code) StringLen() int {
 	return n
 }
 
-// Key returns a compact string usable as a map key. Unlike String it is not
-// human-oriented; two codes have equal keys exactly when Equal reports true.
-// Keys also sort in pre-order (each component is big-endian fixed width).
-func (c Code) Key() string {
-	return string(c.AppendKey(make([]byte, 0, len(c)*4)))
-}
-
-// AppendKey appends the Key form of c to b and returns the extended buffer,
-// letting callers that key many codes reuse one scratch buffer instead of
-// allocating per Key call.
-func (c Code) AppendKey(b []byte) []byte {
-	for _, v := range c {
-		b = append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	return b
-}
-
-// Clone returns an independent copy of c.
-func (c Code) Clone() Code {
-	if c == nil {
-		return nil
-	}
-	out := make(Code, len(c))
-	copy(out, c)
-	return out
-}
-
 // Level reports the depth of the node: the root (Code{0}) is level 0.
 func (c Code) Level() int {
 	if len(c) == 0 {
@@ -149,61 +122,12 @@ func Compare(a, b Code) int {
 // Equal reports whether a and b denote the same node.
 func Equal(a, b Code) bool { return Compare(a, b) == 0 }
 
-// IsAncestorOf reports whether a is a proper ancestor of b (a ≺a b in the
-// paper's notation): a is a strict prefix of b.
-func (c Code) IsAncestorOf(b Code) bool {
-	if len(c) >= len(b) {
-		return false
-	}
-	for i, v := range c {
-		if b[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// IsAncestorOrSelf reports whether c is an ancestor of b or equal to b.
-func (c Code) IsAncestorOrSelf(b Code) bool {
-	if len(c) > len(b) {
-		return false
-	}
-	for i, v := range c {
-		if b[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Child returns the code of the i-th child of c.
 func (c Code) Child(i uint32) Code {
 	out := make(Code, len(c)+1)
 	copy(out, c)
 	out[len(c)] = i
 	return out
-}
-
-// LCA returns the lowest common ancestor of a and b: their longest common
-// prefix. If either code is nil the result is nil. The result aliases a (a
-// prefix sub-slice); codes are treated as immutable throughout the engine,
-// so no defensive copy is made.
-func LCA(a, b Code) Code {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	if i == 0 {
-		return nil // distinct roots: no common ancestor (cannot happen in one tree)
-	}
-	return a[:i]
 }
 
 // CommonPrefixLen returns the number of leading components a and b share.

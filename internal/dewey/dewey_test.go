@@ -2,6 +2,7 @@ package dewey
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -81,48 +82,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestAncestor(t *testing.T) {
-	cases := []struct {
-		a, b       string
-		anc, ancOS bool
-	}{
-		{"0", "0.2.0.1", true, true},
-		{"0.2", "0.2.0.1", true, true},
-		{"0.2.0.1", "0.2.0.1", false, true},
-		{"0.2.0.1", "0.2", false, false},
-		{"0.1", "0.2.0", false, false},
-		{"0.2.0", "0.2.1", false, false},
-	}
-	for _, c := range cases {
-		a, b := MustParse(c.a), MustParse(c.b)
-		if got := a.IsAncestorOf(b); got != c.anc {
-			t.Errorf("%s.IsAncestorOf(%s) = %v, want %v", a, b, got, c.anc)
-		}
-		if got := a.IsAncestorOrSelf(b); got != c.ancOS {
-			t.Errorf("%s.IsAncestorOrSelf(%s) = %v, want %v", a, b, got, c.ancOS)
-		}
-	}
-}
-
-func TestLCA(t *testing.T) {
-	cases := []struct{ a, b, want string }{
-		{"0.2.0.1", "0.2.0.3", "0.2.0"},
-		{"0.2.0.1", "0.2.0.1", "0.2.0.1"},
-		{"0.2.0.1", "0.2", "0.2"},
-		{"0.0", "0.2.0.3.0", "0"},
-		{"0", "0", "0"},
-	}
-	for _, c := range cases {
-		got := LCA(MustParse(c.a), MustParse(c.b))
-		if got.String() != c.want {
-			t.Errorf("LCA(%s,%s) = %s, want %s", c.a, c.b, got, c.want)
-		}
-	}
-	if LCA(nil, MustParse("0.1")) != nil {
-		t.Error("LCA(nil, x) should be nil")
-	}
-}
-
 func TestParentChildLevel(t *testing.T) {
 	c := MustParse("0.2.0")
 	child := c.Child(3)
@@ -143,42 +102,12 @@ func TestParentChildLevel(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	c := MustParse("0.1.2")
-	d := c.Clone()
-	d[2] = 9
-	if c[2] != 2 {
-		t.Error("Clone shares storage with original")
-	}
-	if Code(nil).Clone() != nil {
-		t.Error("nil Clone should be nil")
-	}
-}
-
 func TestChildDoesNotAliasParentStorage(t *testing.T) {
 	c := MustParse("0.1")
 	a := c.Child(0)
 	b := c.Child(1)
 	if !Equal(a, MustParse("0.1.0")) || !Equal(b, MustParse("0.1.1")) {
 		t.Fatalf("children corrupted: %s %s", a, b)
-	}
-}
-
-func TestKeyOrderMatchesCompare(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		a := randomCode(rng)
-		b := randomCode(rng)
-		cmpKeys := 0
-		ka, kb := a.Key(), b.Key()
-		if ka < kb {
-			cmpKeys = -1
-		} else if ka > kb {
-			cmpKeys = 1
-		}
-		if got := Compare(a, b); got != cmpKeys {
-			t.Fatalf("Compare(%s,%s)=%d but key order %d", a, b, got, cmpKeys)
-		}
 	}
 }
 
@@ -211,27 +140,6 @@ func TestSortMatchesStdSort(t *testing.T) {
 	}
 }
 
-// Property: LCA is commutative, idempotent and is an ancestor-or-self of both
-// arguments.
-func TestLCAProperties(t *testing.T) {
-	f := func(aRaw, bRaw []uint8) bool {
-		a := codeFromBytes(aRaw)
-		b := codeFromBytes(bRaw)
-		l := LCA(a, b)
-		l2 := LCA(b, a)
-		if !Equal(l, l2) {
-			return false
-		}
-		if l == nil {
-			return len(a) == 0 || len(b) == 0 || a[0] != b[0]
-		}
-		return l.IsAncestorOrSelf(a) && l.IsAncestorOrSelf(b) && Equal(LCA(l, a), l)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Compare defines a total order consistent with ancestor
 // relations: an ancestor always precedes its descendants.
 func TestAncestorPrecedesDescendant(t *testing.T) {
@@ -240,14 +148,14 @@ func TestAncestorPrecedesDescendant(t *testing.T) {
 		if len(a) == 0 {
 			return true
 		}
-		b := a.Clone()
+		b := slices.Clone(a)
 		for _, e := range extra {
 			b = append(b, uint32(e%4))
 		}
 		if len(extra) == 0 {
 			return Compare(a, b) == 0
 		}
-		return a.IsAncestorOf(b) && Compare(a, b) < 0
+		return CommonPrefixLen(a, b) == len(a) && Compare(a, b) < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -272,14 +180,5 @@ func BenchmarkCompare(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Compare(x, y)
-	}
-}
-
-func BenchmarkLCA(b *testing.B) {
-	x := MustParse("0.2.0.1.5.3.2")
-	y := MustParse("0.2.0.4.5.3.4")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		LCA(x, y)
 	}
 }

@@ -194,9 +194,9 @@ type DocumentsResponse struct {
 // in the named document (doc may be empty on a single-document server).
 // The parent must lie on the document's rightmost spine — its subtree ends
 // the document, as the root's ("0") always does — so the write is a tail
-// append that concurrent searches never observe half-done. Any other parent
-// would renumber the nodes after it under those searches and is refused
-// with 409 Conflict, the reason in the body (xks.ErrOffSpine).
+// append that concurrent searches never observe half-done. Any other
+// parent is refused with 409 Conflict, the reason in the body
+// (xks.ErrOffSpine), and the document is left as it was.
 type AppendRequest struct {
 	Doc    string `json:"doc"`
 	Parent string `json:"parent"`

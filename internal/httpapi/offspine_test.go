@@ -18,10 +18,9 @@ import (
 // TestChaosOffSpineAppendStorm: the write surface takes only the
 // snapshot-isolated tail path. Off-spine and tail appends storm a live
 // server while searches run; an off-spine parent is refused with 409 and the
-// reason (it used to reach the renumbering rebuild, which rewrites the
-// ID-aligned tables under in-flight readers), a tail append succeeds, and no
-// search ever resolves a node against the wrong table: every answer to
-// "alpha" is a title element. Run under -race.
+// reason, a tail append succeeds, and no search ever resolves a node against
+// the wrong table: every answer to "alpha" is a title element. Run under
+// -race.
 func TestChaosOffSpineAppendStorm(t *testing.T) {
 	const papers, appends, readers = 40, 60, 3
 	var doc strings.Builder

@@ -6,7 +6,9 @@ package httpapi
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -153,13 +155,15 @@ func TestStreamCursorWalk(t *testing.T) {
 	}
 }
 
-// TestCursorSurvivesAppendStaleOnRebuild covers the mutation contract end
-// to end: scroll page 1, tail-append to the document, and the page-2
-// cursor still works — it re-pins the snapshot it was issued at and serves
-// the pre-append page 2. Only a non-tail append (a renumbering rebuild)
-// kills it with 410 Gone and a restart hint.
+// TestCursorSurvivesAppendStaleOnRebuild covers the mutation
+// contract end to end: scroll page 1, tail-append to the document, and the
+// page-2 cursor still works — it re-pins the snapshot it was issued at and
+// serves the pre-append page 2, as it does after a refused off-spine
+// append. Only a cursor the engine cannot resolve (one issued on a longer
+// history of the document) gets 410 Gone and a restart hint.
 func TestCursorSurvivesAppendStaleOnRebuild(t *testing.T) {
-	engine, err := xks.LoadString(`<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper></bib>`)
+	const doc = `<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper></bib>`
+	engine, err := xks.LoadString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +193,33 @@ func TestCursorSurvivesAppendStaleOnRebuild(t *testing.T) {
 	if len(after.Fragments) != 1 || after.Fragments[0].Root != before.Fragments[0].Root {
 		t.Fatalf("pinned page 2 = %+v, want the pre-append page 2 (%s)", after.Fragments, before.Fragments[0].Root)
 	}
-	// A non-tail append renumbers every node: the pinned snapshot is gone
-	// and the cursor is 410 Gone, with the restart hint in the body.
-	if err := engine.AppendXML("0.0", `<note>search aside</note>`); err != nil {
+	// An off-spine append is refused and changes nothing: same version,
+	// same page 2.
+	gen := engine.Generation()
+	if err := engine.AppendXML("0.0", `<note>search aside</note>`); !errors.Is(err, xks.ErrOffSpine) {
+		t.Fatalf("off-spine append: err = %v, want ErrOffSpine", err)
+	}
+	code, again := getJSON(t, srv.URL+"/search?q=search&limit=1&cursor="+url.QueryEscape(page1.Cursor))
+	if engine.Generation() != gen || code != http.StatusOK || len(again.Fragments) != 1 || again.Fragments[0].Root != before.Fragments[0].Root {
+		t.Fatalf("post-refusal page 2: version %d -> %d, status %d, %+v", gen, engine.Generation(), code, again.Fragments)
+	}
+	// A cursor issued on a longer history of the document names a snapshot
+	// past this engine's head: 410 Gone, with the restart hint in the body.
+	longer, err := xks.LoadString(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(srv.URL + "/search?q=search&limit=1&cursor=" + url.QueryEscape(page1.Cursor))
+	for range 2 {
+		if err := longer.AppendXML("0", `<paper><title>search elsewhere</title></paper>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ahead, err := longer.Search(context.Background(), xks.Request{Query: "search", Limit: 1})
+	if err != nil || ahead.Cursor == "" {
+		t.Fatalf("longer history page 1: cursor %q, err %v", ahead.Cursor, err)
+	}
+	stale := url.QueryEscape(string(ahead.Cursor))
+	resp, err := http.Get(srv.URL + "/search?q=search&limit=1&cursor=" + stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +227,20 @@ func TestCursorSurvivesAppendStaleOnRebuild(t *testing.T) {
 	n, _ := resp.Body.Read(body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("post-rebuild cursor: status = %d, want 410", resp.StatusCode)
+		t.Fatalf("longer-history cursor: status = %d, want 410", resp.StatusCode)
 	}
 	if !strings.Contains(string(body[:n]), "restart") {
 		t.Errorf("410 body carries no restart hint: %q", body[:n])
 	}
 	// The streaming path maps it identically (the error precedes any
 	// fragment, so the status is still available).
-	resp, err = http.Get(srv.URL + "/search?q=search&limit=1&stream=1&cursor=" + url.QueryEscape(page1.Cursor))
+	resp, err = http.Get(srv.URL + "/search?q=search&limit=1&stream=1&cursor=" + stale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("post-rebuild stream cursor: status = %d, want 410", resp.StatusCode)
+		t.Fatalf("longer-history stream cursor: status = %d, want 410", resp.StatusCode)
 	}
 }
 

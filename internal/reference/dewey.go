@@ -2,6 +2,38 @@ package reference
 
 import "xks/internal/dewey"
 
+// LCA returns the lowest common ancestor of a and b: their longest common
+// prefix, aliasing a. It is nil when either code is nil or the codes share
+// no root.
+func LCA(a, b dewey.Code) dewey.Code {
+	if i := dewey.CommonPrefixLen(a, b); i > 0 {
+		return a[:i]
+	}
+	return nil
+}
+
+// IsAncestor reports whether a is a proper ancestor of b (a ≺a b in the
+// paper's notation): a strict prefix of b.
+func IsAncestor(a, b dewey.Code) bool {
+	return len(a) < len(b) && dewey.CommonPrefixLen(a, b) == len(a)
+}
+
+// IsAncestorOrSelf reports whether a is an ancestor of b or equal to b.
+func IsAncestorOrSelf(a, b dewey.Code) bool {
+	return len(a) <= len(b) && dewey.CommonPrefixLen(a, b) == len(a)
+}
+
+// Key returns a compact string usable as a map key: two codes have equal
+// keys exactly when dewey.Equal reports true, and keys sort in pre-order
+// (each component is big-endian fixed width).
+func Key(c dewey.Code) string {
+	b := make([]byte, 0, len(c)*4)
+	for _, v := range c {
+		b = append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	return string(b)
+}
+
 // LCAAll returns the lowest common ancestor of all given codes. With no
 // arguments it returns nil; with one it returns that code itself. The
 // result aliases the first code (a prefix sub-slice).
@@ -11,7 +43,7 @@ func LCAAll(codes ...dewey.Code) dewey.Code {
 	}
 	acc := codes[0]
 	for _, c := range codes[1:] {
-		acc = dewey.LCA(acc, c)
+		acc = LCA(acc, c)
 		if acc == nil {
 			return nil
 		}

@@ -2,7 +2,11 @@ package reference
 
 // The definitions themselves: quadratic and map-based.
 
-import "xks/internal/dewey"
+import (
+	"slices"
+
+	"xks/internal/dewey"
+)
 
 // ELCANaive computes the interesting LCA set straight from the definition.
 // It materializes the all-containing predicate for every candidate prefix
@@ -24,7 +28,7 @@ func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 		for _, x := range s {
 			for l := 1; l <= len(x); l++ {
 				p := x[:l]
-				cands[p.Key()] = p.Clone()
+				cands[Key(p)] = slices.Clone(p)
 			}
 		}
 	}
@@ -32,7 +36,7 @@ func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 		for _, s := range sets {
 			found := false
 			for _, x := range s {
-				if p.IsAncestorOrSelf(x) {
+				if IsAncestorOrSelf(p, x) {
 					found = true
 					break
 				}
@@ -46,7 +50,7 @@ func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 	lowestAC := func(x dewey.Code) dewey.Code {
 		for l := len(x); l >= 1; l-- {
 			if containsAll(x[:l]) {
-				return x[:l].Clone()
+				return slices.Clone(x[:l])
 			}
 		}
 		return nil
@@ -60,7 +64,7 @@ func ELCANaive(sets [][]dewey.Code) []dewey.Code {
 		for _, s := range sets {
 			witness := false
 			for _, x := range s {
-				if !v.IsAncestorOrSelf(x) {
+				if !IsAncestorOrSelf(v, x) {
 					continue
 				}
 				if la := lowestAC(x); la != nil && dewey.Equal(la, v) {
@@ -97,7 +101,7 @@ func SLCANaive(sets [][]dewey.Code) []dewey.Code {
 		for _, x := range s {
 			for l := 1; l <= len(x); l++ {
 				p := x[:l]
-				cands[p.Key()] = p.Clone()
+				cands[Key(p)] = slices.Clone(p)
 			}
 		}
 	}
@@ -105,7 +109,7 @@ func SLCANaive(sets [][]dewey.Code) []dewey.Code {
 		for _, s := range sets {
 			found := false
 			for _, x := range s {
-				if p.IsAncestorOrSelf(x) {
+				if IsAncestorOrSelf(p, x) {
 					found = true
 					break
 				}
@@ -126,7 +130,7 @@ func SLCANaive(sets [][]dewey.Code) []dewey.Code {
 	for _, v := range all {
 		minimal := true
 		for _, u := range all {
-			if v.IsAncestorOf(u) {
+			if IsAncestor(v, u) {
 				minimal = false
 				break
 			}

@@ -16,7 +16,11 @@
 // not depend on can reach it.
 package reference
 
-import "xks/internal/dewey"
+import (
+	"slices"
+
+	"xks/internal/dewey"
+)
 
 // fullMask is lca.FullMask, which this package cannot import: the low k
 // bits set, "all keywords".
@@ -102,7 +106,7 @@ func SLCA(sets [][]dewey.Code) []dewey.Code {
 				continue
 			}
 			u := closest(s, x)
-			x = dewey.LCA(x, u)
+			x = LCA(x, u)
 			if x == nil {
 				ok = false
 				break
@@ -147,7 +151,7 @@ func removeAncestors(sorted []dewey.Code) []dewey.Code {
 	for i, c := range sorted {
 		// In pre-order, a descendant of c (if any) appears at the next
 		// distinct position.
-		if i+1 < len(sorted) && c.IsAncestorOf(sorted[i+1]) {
+		if i+1 < len(sorted) && IsAncestor(c, sorted[i+1]) {
 			continue
 		}
 		out = append(out, c)
@@ -191,9 +195,9 @@ func SLCAScanEager(sets [][]dewey.Code) []dewey.Code {
 				break
 			}
 			if acc == nil {
-				acc = last[i].Clone()
+				acc = slices.Clone(last[i])
 			} else {
-				acc = dewey.LCA(acc, last[i])
+				acc = LCA(acc, last[i])
 			}
 		}
 		if ready && acc != nil {

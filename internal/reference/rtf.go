@@ -17,7 +17,11 @@
 
 package reference
 
-import "xks/internal/dewey"
+import (
+	"slices"
+
+	"xks/internal/dewey"
+)
 
 // RTF is one relaxed tightest fragment: its root (an interesting LCA node)
 // and the keyword nodes dispatched to it, in pre-order, each carrying the
@@ -33,7 +37,7 @@ type RTF struct {
 func (r *RTF) PathNodes() []dewey.Code {
 	seen := map[string]dewey.Code{}
 	add := func(c dewey.Code) {
-		k := c.Key()
+		k := Key(c)
 		if _, ok := seen[k]; !ok {
 			seen[k] = c
 		}
@@ -41,7 +45,7 @@ func (r *RTF) PathNodes() []dewey.Code {
 	add(r.Root)
 	for _, ev := range r.KeywordNodes {
 		for l := len(r.Root); l <= len(ev.Code); l++ {
-			add(ev.Code[:l].Clone())
+			add(slices.Clone(ev.Code[:l]))
 		}
 	}
 	out := make([]dewey.Code, 0, len(seen))
@@ -67,7 +71,7 @@ func (r *RTF) Mask() uint64 {
 func (r *RTF) IsSLCA(allRoots []dewey.Code) bool {
 	i := SearchGE(allRoots, r.Root)
 	// r.Root itself is at position i; a descendant root, if any, follows it.
-	if i+1 < len(allRoots) && r.Root.IsAncestorOf(allRoots[i+1]) {
+	if i+1 < len(allRoots) && IsAncestor(r.Root, allRoots[i+1]) {
 		return false
 	}
 	return true
@@ -89,7 +93,7 @@ func Build(lcas []dewey.Code, sets [][]dewey.Code) []*RTF {
 	out := make([]*RTF, 0, len(lcas))
 	for _, a := range lcas {
 		r := &RTF{Root: a}
-		byRoot[a.Key()] = r
+		byRoot[Key(a)] = r
 		out = append(out, r)
 	}
 
@@ -100,19 +104,19 @@ func Build(lcas []dewey.Code, sets [][]dewey.Code) []*RTF {
 	j := 0
 	for _, ev := range events {
 		for j < len(lcas) && dewey.Compare(lcas[j], ev.Code) <= 0 {
-			for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOrSelf(lcas[j]) {
+			for len(stack) > 0 && !IsAncestorOrSelf(stack[len(stack)-1], lcas[j]) {
 				stack = stack[:len(stack)-1]
 			}
 			stack = append(stack, lcas[j])
 			j++
 		}
-		for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOrSelf(ev.Code) {
+		for len(stack) > 0 && !IsAncestorOrSelf(stack[len(stack)-1], ev.Code) {
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) == 0 {
 			continue // keyword node outside every interesting LCA subtree
 		}
-		r := byRoot[stack[len(stack)-1].Key()]
+		r := byRoot[Key(stack[len(stack)-1])]
 		r.KeywordNodes = append(r.KeywordNodes, ev)
 	}
 
@@ -160,7 +164,7 @@ func BruteForce(sets [][]dewey.Code) []*RTF {
 		}
 		set := map[string]bool{}
 		for _, c := range v {
-			set[c.Key()] = true
+			set[Key(c)] = true
 		}
 		eligible = append(eligible, cand{v: v, lca: LCAAll(v...), set: set})
 	}
@@ -173,7 +177,7 @@ func BruteForce(sets [][]dewey.Code) []*RTF {
 			}
 			subset := true
 			for _, x := range c.v {
-				if !d.set[x.Key()] {
+				if !d.set[Key(x)] {
 					subset = false
 					break
 				}
@@ -215,7 +219,7 @@ func enumerateECTQ(sets [][]dewey.Code) [][]dewey.Code {
 			um := map[string]dewey.Code{}
 			for _, sub := range choice {
 				for _, c := range sub {
-					um[c.Key()] = c
+					um[Key(c)] = c
 				}
 			}
 			for _, c := range um {
@@ -224,7 +228,7 @@ func enumerateECTQ(sets [][]dewey.Code) [][]dewey.Code {
 			dewey.Sort(union)
 			key := ""
 			for _, c := range union {
-				key += c.Key() + "|"
+				key += Key(c) + "|"
 			}
 			if _, dup := seen[key]; !dup {
 				seen[key] = union
@@ -257,11 +261,11 @@ func enumerateECTQ(sets [][]dewey.Code) [][]dewey.Code {
 func projection(v []dewey.Code, di []dewey.Code) []dewey.Code {
 	inDi := map[string]bool{}
 	for _, c := range di {
-		inDi[c.Key()] = true
+		inDi[Key(c)] = true
 	}
 	var out []dewey.Code
 	for _, c := range v {
-		if inDi[c.Key()] {
+		if inDi[Key(c)] {
 			out = append(out, c)
 		}
 	}
@@ -340,7 +344,7 @@ func passesRules1And3(v []dewey.Code, sets [][]dewey.Code) bool {
 			replaced[i] = [][]dewey.Code{vPrime}
 			forEachProduct(replaced, func(pick [][]dewey.Code) bool {
 				l := lcaOfSubsets(pick...)
-				if l != nil && a.IsAncestorOf(l) {
+				if l != nil && IsAncestor(a, l) {
 					violated = true
 					return false
 				}

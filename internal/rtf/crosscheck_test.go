@@ -40,10 +40,10 @@ func TestBuildVsDefinitionRelationship(t *testing.T) {
 			}
 			fastSet := map[string]bool{}
 			for _, ev := range fast[i].KeywordNodes {
-				fastSet[ev.Code.Key()] = true
+				fastSet[reference.Key(ev.Code)] = true
 			}
 			for _, ev := range slow[i].KeywordNodes {
-				if !fastSet[ev.Code.Key()] {
+				if !fastSet[reference.Key(ev.Code)] {
 					t.Fatalf("trial %d: brute node %s missing from dispatch partition %s", trial, ev.Code, fast[i].Root)
 				}
 			}

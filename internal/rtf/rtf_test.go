@@ -200,7 +200,7 @@ func randomSets(rng *rand.Rand, k int) [][]dewey.Code {
 			for d := 1; d <= depth; d++ {
 				c[d] = uint32(rng.Intn(3))
 			}
-			m[c.Key()] = c
+			m[reference.Key(c)] = c
 		}
 		for _, c := range m {
 			sets[i] = append(sets[i], c)
@@ -232,16 +232,16 @@ func TestBuildInvariantsRandom(t *testing.T) {
 			if r.Mask() != full {
 				t.Fatalf("trial %d: RTF %s misses keywords: %b", trial, r.Root, r.Mask())
 			}
-			if seenRoot[r.Root.Key()] {
+			if seenRoot[reference.Key(r.Root)] {
 				t.Fatalf("trial %d: duplicate root %s", trial, r.Root)
 			}
-			seenRoot[r.Root.Key()] = true
+			seenRoot[reference.Key(r.Root)] = true
 			var all []dewey.Code
 			for _, ev := range r.KeywordNodes {
-				if prev, dup := seenNode[ev.Code.Key()]; dup {
+				if prev, dup := seenNode[reference.Key(ev.Code)]; dup {
 					t.Fatalf("trial %d: node %s in partitions %s and %s", trial, ev.Code, prev, r.Root)
 				}
-				seenNode[ev.Code.Key()] = r.Root.String()
+				seenNode[reference.Key(ev.Code)] = r.Root.String()
 				all = append(all, ev.Code)
 			}
 			if got := reference.LCAAll(all...); !dewey.Equal(got, r.Root) {
@@ -255,7 +255,7 @@ func TestBuildInvariantsRandom(t *testing.T) {
 			for _, ev := range r.KeywordNodes {
 				var deepest dewey.Code
 				for _, a := range lcas {
-					if a.IsAncestorOrSelf(ev.Code) && (deepest == nil || len(a) > len(deepest)) {
+					if reference.IsAncestorOrSelf(a, ev.Code) && (deepest == nil || len(a) > len(deepest)) {
 						deepest = a
 					}
 				}
@@ -277,14 +277,14 @@ func TestPathNodesAncestorClosed(t *testing.T) {
 			nodes := r.PathNodes()
 			keep := map[string]bool{}
 			for _, c := range nodes {
-				keep[c.Key()] = true
+				keep[reference.Key(c)] = true
 			}
-			if !keep[r.Root.Key()] {
+			if !keep[reference.Key(r.Root)] {
 				t.Fatalf("trial %d: root missing from PathNodes", trial)
 			}
 			for _, c := range nodes {
 				if len(c) > len(r.Root) {
-					if !keep[c[:len(c)-1].Key()] {
+					if !keep[reference.Key(c[:len(c)-1])] {
 						t.Fatalf("trial %d: parent of %s missing", trial, c)
 					}
 				}

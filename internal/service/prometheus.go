@@ -69,7 +69,7 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 	writeGauge(w, "xks_delta_merged_ids",
 		"IDs in the live merged-list overlays, base prefixes included.", float64(di.MergedIDs))
 	writeCounter(w, "xks_appends_total",
-		"Appends published (tail appends and renumbering rebuilds).", uint64(di.Appends))
+		"Appends published at the tail of a document.", uint64(di.Appends))
 	fmt.Fprintf(w, "# HELP xks_append_duration_seconds Wall time of published appends, parse to publish.\n"+
 		"# TYPE xks_append_duration_seconds summary\n"+
 		"xks_append_duration_seconds_sum %s\nxks_append_duration_seconds_count %d\n",

@@ -78,9 +78,8 @@ type Backend interface {
 	// whole backend.
 	VersionFor(req xks.Request) uint64
 	// AppendXML appends a parsed XML snippet under the identified parent
-	// node of the named document. The service runs appends beside searches,
-	// so implementations take only the snapshot-isolated tail path and
-	// refuse any other parent with xks.ErrOffSpine.
+	// node of the named document, beside running searches. A parent off the
+	// document's rightmost spine fails with xks.ErrOffSpine.
 	AppendXML(doc, parentDewey, snippet string) error
 	// Compact folds accumulated delta segments into the base index,
 	// returning how many were folded.
@@ -151,13 +150,13 @@ func (s SingleDoc) Documents() []xks.DocumentInfo {
 // document is the whole corpus, so request scoping adds nothing.
 func (s SingleDoc) VersionFor(req xks.Request) uint64 { return s.Engine.Generation() }
 
-// AppendXML tail-appends to the wrapped engine; doc must name it (or be
+// AppendXML appends to the wrapped engine; doc must name it (or be
 // empty).
 func (s SingleDoc) AppendXML(doc, parentDewey, snippet string) error {
 	if err := s.holds(doc); err != nil {
 		return err
 	}
-	return s.Engine.AppendTail(parentDewey, snippet)
+	return s.Engine.AppendXML(parentDewey, snippet)
 }
 
 // Compact folds the wrapped engine's delta segments.
@@ -212,7 +211,7 @@ func (sv *Service) Generation() uint64 { return sv.backend.VersionFor(xks.Reques
 func (sv *Service) Metrics() *Metrics { return &sv.metrics }
 
 // Append forwards a document append to the backend; the error reports
-// parents the tail path cannot take (xks.ErrOffSpine). Cache entries are
+// parents off the document's rightmost spine (xks.ErrOffSpine). Cache entries are
 // tagged with request-scoped version tokens, so only pages that could
 // observe the appended document go stale.
 func (sv *Service) Append(doc, parentDewey, snippet string) error {

@@ -289,11 +289,14 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 // TestCursorScrollStalenessAndMismatch covers the cursor lifecycle at the
 // serving layer: scroll page 1 → page 2 by cursor; a tail AppendXML does
 // NOT stale the cursor — it re-pins the snapshot it was issued at and
-// serves the same page 2 — while a non-tail append (a renumbering rebuild)
-// kills it with ErrStaleCursor; a cursor replayed under a different query
-// fails with ErrCursorMismatch. Failures are counted as request errors.
+// serves the same page 2 — nor does a refused off-spine append, while a
+// cursor the engine cannot resolve (issued on a longer history of the
+// document) fails with ErrStaleCursor; a cursor replayed under a different
+// query fails with ErrCursorMismatch. Failures are counted as request
+// errors.
 func TestCursorScrollStalenessAndMismatch(t *testing.T) {
-	e, err := xks.LoadString(`<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper><paper><title>search engines</title></paper></bib>`)
+	const doc = `<bib><paper><title>xml search</title></paper><paper><title>search trees</title></paper><paper><title>search engines</title></paper></bib>`
+	e, err := xks.LoadString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +336,37 @@ func TestCursorScrollStalenessAndMismatch(t *testing.T) {
 		t.Fatalf("pinned page 2 = %+v, want the pre-append page 2 (%s)", pinned.Fragments, page2.Fragments[0].Root)
 	}
 
-	// A non-tail append renumbers the whole document: the pinned snapshot
-	// is gone and the old cursor is 410 material, deterministically.
-	if err := e.AppendXML("0.0", `<note>search aside</note>`); err != nil {
+	// An off-spine append is refused and changes nothing: the version,
+	// the tree and the pinned page 2 are those from before it.
+	gen, size := e.Generation(), e.Tree().Size()
+	if err := sv.Append("bib", "0.0", `<note>search aside</note>`); !errors.Is(err, xks.ErrOffSpine) {
+		t.Fatalf("off-spine append: err = %v, want ErrOffSpine", err)
+	}
+	if e.Generation() != gen || e.Tree().Size() != size {
+		t.Fatalf("refused append moved version %d -> %d, tree size %d -> %d", gen, e.Generation(), size, e.Tree().Size())
+	}
+	again, _, err := sv.Search(context.Background(), xks.Request{Query: "search", Limit: 1, Cursor: page1.Cursor})
+	if err != nil || len(again.Fragments) != 1 || again.Fragments[0].Root != page2.Fragments[0].Root {
+		t.Fatalf("post-refusal page 2 = %+v, err %v; want the pre-append page 2 (%s)", again, err, page2.Fragments[0].Root)
+	}
+
+	// A cursor issued on a longer history of the document names a snapshot
+	// past this engine's head: 410 material, deterministically.
+	longer, err := xks.LoadString(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sv.Search(context.Background(), xks.Request{Query: "search", Limit: 1, Cursor: page1.Cursor}); !errors.Is(err, xks.ErrStaleCursor) {
-		t.Fatalf("post-rebuild cursor: err = %v, want ErrStaleCursor", err)
+	for range 2 {
+		if err := longer.AppendXML("0", `<paper><title>search elsewhere</title></paper>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ahead, err := longer.Search(context.Background(), xks.Request{Query: "search", Limit: 1})
+	if err != nil || ahead.Cursor == "" {
+		t.Fatalf("longer history page 1: cursor %q, err %v", ahead.Cursor, err)
+	}
+	if _, _, err := sv.Search(context.Background(), xks.Request{Query: "search", Limit: 1, Cursor: ahead.Cursor}); !errors.Is(err, xks.ErrStaleCursor) {
+		t.Fatalf("longer-history cursor: err = %v, want ErrStaleCursor", err)
 	}
 	// Restarting from the first page issues a fresh, working cursor.
 	fresh, _, err := sv.Search(context.Background(), xks.Request{Query: "search", Limit: 1})
@@ -381,7 +408,7 @@ type appendingBackend struct {
 func (b *appendingBackend) Search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	if b.armed {
 		b.armed = false
-		if err := b.Engine.AppendTail("0", "<b><t>xml search</t></b>"); err != nil {
+		if err := b.Engine.AppendXML("0", "<b><t>xml search</t></b>"); err != nil {
 			return nil, err
 		}
 	}

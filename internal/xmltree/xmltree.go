@@ -66,17 +66,27 @@ func (n *Node) String() string {
 
 // Tree is a parsed XML document with Dewey-coded nodes.
 type Tree struct {
-	Root  *Node
-	byKey map[string]*Node
-	size  int
+	Root *Node
+	size int
 }
 
 // Size returns the number of element nodes in the tree.
 func (t *Tree) Size() int { return t.size }
 
-// NodeAt returns the node with the given Dewey code, or nil.
+// NodeAt returns the node with the given Dewey code, or nil: it follows
+// the code's child ordinals down from the root, in O(depth).
 func (t *Tree) NodeAt(c dewey.Code) *Node {
-	return t.byKey[c.Key()]
+	if t.Root == nil || len(c) == 0 || c[0] != 0 {
+		return nil
+	}
+	n := t.Root
+	for _, o := range c[1:] {
+		if int(o) >= len(n.Children) {
+			return nil
+		}
+		n = n.Children[o]
+	}
+	return n
 }
 
 // Walk visits every node in pre-order. Returning false from fn prunes the
@@ -107,53 +117,41 @@ func (t *Tree) Nodes() []*Node {
 	return out
 }
 
-// rebuildIndex recomputes Dewey codes, parents and the code index for the
-// whole tree: after Parse, Build and Clone construct one.
+// rebuildIndex recomputes Dewey codes, parents and the size of the whole
+// tree: after Parse, Build and Clone construct one.
 func (t *Tree) rebuildIndex() {
-	t.byKey = make(map[string]*Node)
 	t.size = 0
-	if t.Root == nil {
-		return
+	if t.Root != nil {
+		t.Root.Parent = nil
+		t.code(t.Root, dewey.Code{0})
 	}
-	var rec func(n *Node, code dewey.Code)
-	rec = func(n *Node, code dewey.Code) {
-		n.Code = code
-		t.byKey[code.Key()] = n
-		t.size++
-		for i, c := range n.Children {
-			c.Parent = n
-			rec(c, code.Child(uint32(i)))
-		}
-	}
-	t.Root.Parent = nil
-	rec(t.Root, dewey.Code{0})
 }
 
-// AppendChild appends a new subtree under the given parent and indexes only
-// the new nodes — an O(new subtree) operation. Appending at the end of the
-// child list never renumbers existing nodes, which is what makes
+// code gives n the given Dewey code and its descendants theirs below it,
+// links their parents, and counts them into the tree's size.
+func (t *Tree) code(n *Node, code dewey.Code) {
+	n.Code = code
+	t.size++
+	for i, c := range n.Children {
+		c.Parent = n
+		t.code(c, code.Child(uint32(i)))
+	}
+}
+
+// AppendChild attaches the subtree rooted at n (a detached root, such as a
+// parsed snippet's, which the tree takes over) as the last child of parent
+// and codes only its nodes — an O(subtree) operation. Appending at the end
+// of the child list never renumbers existing nodes, which is what makes
 // incremental maintenance sound.
-func (t *Tree) AppendChild(parent dewey.Code, e E) (*Node, error) {
+func (t *Tree) AppendChild(parent dewey.Code, n *Node) error {
 	p := t.NodeAt(parent)
 	if p == nil {
-		return nil, fmt.Errorf("xmltree: no node at %s", parent)
+		return fmt.Errorf("xmltree: no node at %s", parent)
 	}
-	n := e.node()
 	n.Parent = p
-	ordinal := uint32(len(p.Children))
+	t.code(n, parent.Child(uint32(len(p.Children))))
 	p.Children = append(p.Children, n)
-	var rec func(node *Node, code dewey.Code)
-	rec = func(node *Node, code dewey.Code) {
-		node.Code = code
-		t.byKey[code.Key()] = node
-		t.size++
-		for i, c := range node.Children {
-			c.Parent = node
-			rec(c, code.Child(uint32(i)))
-		}
-	}
-	rec(n, parent.Child(ordinal))
-	return n, nil
+	return nil
 }
 
 // Clone returns a deep copy of the tree.

@@ -138,8 +138,8 @@ func TestContentPieces(t *testing.T) {
 func TestAppendChild(t *testing.T) {
 	tr, _ := ParseString(sampleXML)
 	before := tr.Size()
-	n, err := tr.AppendChild(dewey.MustParse("0.2"), E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}})
-	if err != nil {
+	n := Build(E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}}).Root
+	if err := tr.AppendChild(dewey.MustParse("0.2"), n); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != before+2 {
@@ -151,7 +151,7 @@ func TestAppendChild(t *testing.T) {
 	if tr.NodeAt(dewey.MustParse("0.2.1.0")).Text != "New" {
 		t.Error("grandchild not indexed")
 	}
-	if _, err := tr.AppendChild(dewey.MustParse("9.9"), E{Label: "x"}); err == nil {
+	if err := tr.AppendChild(dewey.MustParse("9.9"), Build(E{Label: "x"}).Root); err == nil {
 		t.Error("AppendChild at absent code should fail")
 	}
 }
@@ -241,7 +241,7 @@ func randomTree(rng *rand.Rand, maxKids, maxDepth int) *Tree {
 }
 
 // Property: for every node, Code of child i extends parent code with i, and
-// the byKey index is complete and consistent.
+// NodeAt finds it by its code.
 func TestDeweyAssignmentInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
@@ -250,7 +250,7 @@ func TestDeweyAssignmentInvariant(t *testing.T) {
 		tr.Walk(func(n *Node) bool {
 			count++
 			if got := tr.NodeAt(n.Code); got != n {
-				t.Fatalf("index lookup mismatch at %s", n.Code)
+				t.Fatalf("NodeAt mismatch at %s", n.Code)
 			}
 			for i, c := range n.Children {
 				want := n.Code.Child(uint32(i))
@@ -312,8 +312,8 @@ func TestAppendChildIncrementalMatchesReparse(t *testing.T) {
 	a, _ := ParseString(sampleXML)
 	b, _ := ParseString(strings.Replace(sampleXML, "</Articles>", "<article><title>New</title></article></Articles>", 1))
 	sub := E{Label: "article", Kids: []E{{Label: "title", Text: "New"}}}
-	na, err := a.AppendChild(dewey.MustParse("0.2"), sub)
-	if err != nil {
+	na := Build(sub).Root
+	if err := a.AppendChild(dewey.MustParse("0.2"), na); err != nil {
 		t.Fatal(err)
 	}
 	nb := b.NodeAt(dewey.MustParse("0.2.1"))
@@ -336,7 +336,7 @@ func TestAppendChildIncrementalMatchesReparse(t *testing.T) {
 	if a.NodeAt(dewey.MustParse("0.2.1.0")).Text != "New" {
 		t.Error("appended grandchild not indexed")
 	}
-	if _, err := a.AppendChild(dewey.MustParse("7.7"), sub); err == nil {
+	if err := a.AppendChild(dewey.MustParse("7.7"), Build(sub).Root); err == nil {
 		t.Error("append under missing parent should fail")
 	}
 }

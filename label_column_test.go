@@ -90,7 +90,7 @@ func TestAppendNewLabelMatchesFreshLoad(t *testing.T) {
 	if res := engineFragments(t, e, Request{Query: "note:keyword"}); len(res) != 0 {
 		t.Fatalf("note:keyword matches %d fragments before the append", len(res))
 	}
-	if err := e.AppendTail("0", newLabelRecord); err != nil {
+	if err := e.AppendXML("0", newLabelRecord); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AppendXML("pubs", "0", newLabelRecord); err != nil {
@@ -151,7 +151,7 @@ func TestLabelPredicateMatchesEachDictionaryLabel(t *testing.T) {
 	if got := engineFragments(t, e, Request{Query: "remark:xml"}); len(got) != 0 {
 		t.Fatalf("remark:xml matches %d fragments before any Remark exists", len(got))
 	}
-	if err := e.AppendTail("0", `<Book><Remark>xml erratum</Remark></Book>`); err != nil {
+	if err := e.AppendXML("0", `<Book><Remark>xml erratum</Remark></Book>`); err != nil {
 		t.Fatal(err)
 	}
 	got := engineFragments(t, e, Request{Query: "remark:xml"})

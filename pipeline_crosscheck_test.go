@@ -154,10 +154,10 @@ func eagerAssemble(src codeSource, r *reference.RTF, kept *prune.Result, allRoot
 	}
 	matched := map[string]uint64{}
 	for _, ev := range r.KeywordNodes {
-		matched[ev.Code.Key()] = ev.Mask
+		matched[reference.Key(ev.Code)] = ev.Mask
 	}
 	for _, c := range kept.Kept {
-		f.Nodes = append(f.Nodes, FragmentNode{Dewey: c.String(), mask: matched[c.Key()]})
+		f.Nodes = append(f.Nodes, FragmentNode{Dewey: c.String(), mask: matched[reference.Key(c)]})
 	}
 	return f
 }

@@ -30,10 +30,9 @@ import (
 // uses and publishes a longer state; rows below a published length are never
 // rewritten and a reader never indexes past the length of the state it
 // loaded. New labels go at the dictionary's tail the same way, so a reader
-// never finds a label ID its dictionary does not cover. A renumbering
-// rebuild publishes fresh arrays (refresh) and leaves the old ones to the
-// fragments that pinned them. A store-backed engine publishes one state: the
-// store's label column and table as they are (zero-copy under mmap).
+// never finds a label ID its dictionary does not cover. A store-backed
+// engine publishes one state: the store's label column and table as they
+// are (zero-copy under mmap).
 type srcState struct {
 	labels prune.Labels
 	nodes  []*xmltree.Node
@@ -51,9 +50,8 @@ func (s *srcState) content(id nid.ID) []string {
 	return s.words[id]
 }
 
-// refresh publishes source tables rebuilt from the whole tree — at
-// construction, and after an append renumbered IDs — and returns them.
-// Caller holds e.mu or has not yet shared e.
+// refresh publishes source tables built from the whole tree and returns
+// them. Called once, before e is shared.
 func (e *Engine) refresh() *srcState {
 	nodes := e.tree.Nodes()
 	st := &srcState{nodes: nodes, words: make([][]string, len(nodes))}

@@ -13,6 +13,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/nid"
 	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 )
 
@@ -147,7 +148,7 @@ func referenceStoreXML(st *store.Store, tab *nid.Table, kept []dewey.Code) strin
 		fmt.Fprintf(&b, "%s</%s>\n", strings.Repeat("  ", len(stack)), labelOf(top))
 	}
 	for _, c := range kept {
-		for len(stack) > 0 && !stack[len(stack)-1].IsAncestorOf(c) {
+		for len(stack) > 0 && !reference.IsAncestor(stack[len(stack)-1], c) {
 			closeTop()
 		}
 		id, _ := tab.Find(c)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xks/internal/dewey"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
@@ -33,7 +34,7 @@ var renderQueries = []string{
 func keepMap(f *Fragment) map[string]bool {
 	keep := make(map[string]bool, len(f.keptIDs))
 	for _, id := range f.keptIDs {
-		keep[f.v.snap.Table().Code(id).Key()] = true
+		keep[reference.Key(f.v.snap.Table().Code(id))] = true
 	}
 	return keep
 }
@@ -65,7 +66,7 @@ func fragmentXML(root *xmltree.Node, keep map[string]bool) string {
 		}
 		var kids []*xmltree.Node
 		for _, c := range n.Children {
-			if keep[c.Code.Key()] {
+			if keep[reference.Key(c.Code)] {
 				kids = append(kids, c)
 			}
 		}
@@ -85,7 +86,7 @@ func fragmentXML(root *xmltree.Node, keep map[string]bool) string {
 		}
 		fmt.Fprintf(&b, "%s</%s>\n", ind, n.Label)
 	}
-	if keep[root.Code.Key()] {
+	if keep[reference.Key(root.Code)] {
 		rec(root, 0)
 	}
 	return b.String()
@@ -97,9 +98,9 @@ func TestWriteFragmentXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := map[string]bool{
-		dewey.MustParse("0").Key():     true,
-		dewey.MustParse("0.1").Key():   true,
-		dewey.MustParse("0.1.0").Key(): true,
+		reference.Key(dewey.MustParse("0")):     true,
+		reference.Key(dewey.MustParse("0.1")):   true,
+		reference.Key(dewey.MustParse("0.1.0")): true,
 	}
 	want := `<lib name="a &amp; b">
   <shelf id="s2">
@@ -125,7 +126,7 @@ func asciiTree(root *xmltree.Node, keep map[string]bool) string {
 	var b strings.Builder
 	var rec func(n *xmltree.Node, depth int)
 	rec = func(n *xmltree.Node, depth int) {
-		if keep != nil && !keep[n.Code.Key()] {
+		if keep != nil && !keep[reference.Key(n.Code)] {
 			return
 		}
 		b.WriteString(strings.Repeat("  ", depth))
@@ -151,7 +152,7 @@ func TestASCIITree(t *testing.T) {
 	if !strings.Contains(full, `0.0.0.0 (title) "Alpha \"quoted\" <beta>"`) {
 		t.Errorf("asciiTree missing node:\n%s", full)
 	}
-	keep := map[string]bool{dewey.MustParse("0").Key(): true, dewey.MustParse("0.1").Key(): true}
+	keep := map[string]bool{reference.Key(dewey.MustParse("0")): true, reference.Key(dewey.MustParse("0.1")): true}
 	partial := asciiTree(tr.Root, keep)
 	if strings.Contains(partial, "Alpha") || !strings.Contains(partial, `0.1 (shelf)`) {
 		t.Errorf("asciiTree leaked a pruned node or lost a kept one:\n%s", partial)
@@ -200,8 +201,8 @@ func requireReference(t *testing.T, e *Engine, frags []*Fragment) []string {
 // TestTreeRenderMatchesReference pins the tree-backed renderers, byte for
 // byte, to xmltree.WriteFragmentXML and asciiTree over every algorithm and
 // semantics — on a parsed document, on a built one whose text is not valid
-// UTF-8, after tail appends, and for fragments materialized before an
-// off-spine append renumbered every ID behind them.
+// UTF-8, after tail appends, and for fragments materialized before a tail
+// append and a refused off-spine one.
 func TestTreeRenderMatchesReference(t *testing.T) {
 	e, err := LoadString(renderDoc)
 	if err != nil {
@@ -237,18 +238,12 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 	requireReference(t, e, frags)
 	requireReference(t, e, allFragments(t, e, renderQueries))
 
-	// Off the rightmost spine: the rebuild renumbers IDs, and the fragments
+	// Off the rightmost spine: the append is refused, and the fragments
 	// materialized before it render from the tables they pinned.
-	gen := e.Generation()
-	if err := e.AppendXML("0.0", `<book><title>alpha delta</title></book>`); err != nil {
-		t.Fatal(err)
-	}
-	if e.Generation()>>32 == gen>>32 {
-		t.Fatal("the append under 0.0 did not renumber")
-	}
+	requireOffSpineRefused(t, e, "0.0", `<book><title>alpha delta</title></book>`)
 	for i, got := range requireReference(t, e, frags) {
 		if got != before[i] {
-			t.Fatalf("fragment %s renders differently after a renumbering append:\n%s\n----\n%s", frags[i].Root, got, before[i])
+			t.Fatalf("fragment %s renders differently after a refused append:\n%s\n----\n%s", frags[i].Root, got, before[i])
 		}
 	}
 	requireReference(t, e, allFragments(t, e, renderQueries))
