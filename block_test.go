@@ -66,23 +66,24 @@ type blockBacking struct {
 
 var blockBackings = []blockBacking{
 	{"tree", func(_ *testing.T, n int) *Engine { return FromTree(paperTree(n)) }},
-	{"v3-heap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, StoreHeap) }},
-	{"v3-mmap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, StoreMmap) }},
+	{"v3-heap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, store.OpenHeap) }},
+	{"v3-mmap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, store.OpenMmap) }},
 }
 
-func shreddedEngine(t *testing.T, n int, mode StoreMode) *Engine {
+func shreddedEngine(t *testing.T, n int, mode store.OpenMode) *Engine {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "papers.xks")
 	if err := store.Shred(paperTree(n), analysis.New()).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	e, err := OpenStoreMode(path, mode)
+	st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
 	if err != nil {
-		if mode == StoreMmap {
+		if mode == store.OpenMmap {
 			t.Skipf("no mmap on this platform: %v", err)
 		}
 		t.Fatal(err)
 	}
+	e := FromStore(st)
 	t.Cleanup(func() { e.Close() })
 	return e
 }

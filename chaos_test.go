@@ -169,10 +169,11 @@ func TestChaosSlowStageBoundedByDeadline(t *testing.T) {
 		Action: fault.Action{Delay: 30 * time.Second},
 	})
 	req := Request{Query: paperdata.Q1}
-	req.Timeout = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 50*time.Millisecond)
+	defer cancel()
 
 	start := time.Now()
-	_, err := c.Search(fault.NewContext(context.Background(), plan), req)
+	_, err := c.Search(ctx, req)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -197,9 +198,10 @@ func TestChaosDeadlineSalvagesCandidates(t *testing.T) {
 	})
 	req := Request{Query: paperdata.Q1, Rank: true, Limit: 6}
 	req.Budget = BestEffort
-	req.Timeout = 150 * time.Millisecond
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 150*time.Millisecond)
+	defer cancel()
 
-	res, err := c.Search(fault.NewContext(context.Background(), plan), req)
+	res, err := c.Search(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +257,9 @@ func TestChaosDeadlineStorm(t *testing.T) {
 			defer wg.Done()
 			req := Request{Query: paperdata.Q1, Rank: true, Limit: 4}
 			req.Budget = BestEffort
-			req.Timeout = 80 * time.Millisecond
-			res, err := c.Search(fault.NewContext(context.Background(), plan), req)
+			ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 80*time.Millisecond)
+			defer cancel()
+			res, err := c.Search(ctx, req)
 			if err != nil {
 				errs <- err
 				return

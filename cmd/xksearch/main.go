@@ -80,7 +80,6 @@ func main() {
 		Rank:         *rankIt,
 		Limit:        *limit,
 		Cursor:       xks.Cursor(*cursor),
-		Timeout:      *timeout,
 		ExactContent: *exact,
 	}
 	if *bestEff {
@@ -142,6 +141,11 @@ func main() {
 		// Named by its base name, as xkserver names a -file or -store
 		// document, so both transports emit one format.
 		backend = service.SingleDoc{Name: filepath.Base(path), Engine: engine}
+	}
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
 	}
 	if *stream {
 		streamOut(backend.Stream(ctx, req))

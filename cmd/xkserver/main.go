@@ -46,7 +46,6 @@
 //	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&timeout=dur]
 //	           [&budget=best-effort][&snippets=1][&stream=1][&explain=1]
 //	GET /documents
-//	GET /stats
 //	GET /metrics
 //	GET /healthz
 //	POST /append   (with -allow-writes)
@@ -78,6 +77,7 @@ import (
 	"xks/internal/admission"
 	"xks/internal/httpapi"
 	"xks/internal/service"
+	"xks/internal/store"
 )
 
 func main() {
@@ -129,37 +129,37 @@ func main() {
 		backend = c
 		logger.Info("loaded corpus", slog.Int("documents", c.Len()), slog.String("dir", *dir))
 	case *storeF != "":
-		var mode xks.StoreMode
+		var mode store.OpenMode
 		switch *mmapMode {
 		case "auto":
-			mode = xks.StoreAuto
+			mode = store.OpenAuto
 		case "on":
-			mode = xks.StoreMmap
+			mode = store.OpenMmap
 		case "off":
-			mode = xks.StoreHeap
+			mode = store.OpenHeap
 		default:
 			fatal(fmt.Errorf("invalid -mmap mode %q (want auto, on or off)", *mmapMode))
 		}
 		start := time.Now()
-		engine, err := xks.OpenStoreMode(*storeF, mode)
+		st, err := store.OpenFile(*storeF, store.OpenOptions{Mode: mode})
 		if err != nil {
 			fatal(err)
 		}
+		engine := xks.FromStore(st)
 		elapsed := time.Since(start)
-		info := engine.StoreInfo()
 		openInfo = &service.StoreOpenInfo{
 			Seconds:     elapsed.Seconds(),
-			Mode:        info.Mode,
-			MappedBytes: info.MappedBytes,
-			HeapBytes:   info.FileBytes - info.MappedBytes,
+			Mode:        st.Mode(),
+			MappedBytes: st.MappedBytes(),
+			HeapBytes:   st.FileBytes() - st.MappedBytes(),
 		}
 		backend = service.SingleDoc{Name: filepath.Base(*storeF), Engine: engine}
 		logger.Info("loaded store",
 			slog.Int("words", engine.Index().NumWords()),
-			slog.String("mode", info.Mode),
+			slog.String("mode", st.Mode()),
 			slog.Duration("openTime", elapsed),
-			slog.Int64("mappedBytes", info.MappedBytes),
-			slog.Int64("fileBytes", info.FileBytes))
+			slog.Int64("mappedBytes", st.MappedBytes()),
+			slog.Int64("fileBytes", st.FileBytes()))
 	default:
 		engine, err := xks.LoadFile(*file)
 		if err != nil {

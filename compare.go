@@ -34,17 +34,15 @@ type Comparison struct {
 // head: an unlimited, unranked, Strict ValidRTF run, then the same run under
 // MaxMatch, so both sides pay the same candidate-stage costs, as the paper's
 // implementations do, and ValidElapsed and MaxElapsed are each run's
-// Stats.Elapsed. The fragments are paired by position. ctx cancellation (and
-// req.Timeout, one deadline over both runs) aborts either run with ctx.Err().
+// Stats.Elapsed. The fragments are paired by position. ctx cancellation or
+// deadline (one deadline over both runs) aborts either run with ctx.Err().
 func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := req.applyTimeout(ctx)
-	defer cancel()
 	// The ratios need every fragment, in document order, and never a
 	// truncated page.
-	req.Rank, req.Limit, req.Offset, req.Cursor, req.Budget, req.Timeout = false, 0, 0, "", Strict, 0
+	req.Rank, req.Limit, req.Offset, req.Cursor, req.Budget = false, 0, 0, "", Strict
 
 	h := e.head.Load()
 	run := func(alg Algorithm) ([]*Fragment, time.Duration, error) {

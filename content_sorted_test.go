@@ -58,15 +58,16 @@ func TestContentSetsAreSorted(t *testing.T) {
 	if err := shredded.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	for name, mode := range map[string]StoreMode{"store/v3-heap": StoreHeap, "store/v3-mmap": StoreMmap} {
-		opened, err := OpenStoreMode(path, mode)
+	for name, mode := range map[string]store.OpenMode{"store/v3-heap": store.OpenHeap, "store/v3-mmap": store.OpenMmap} {
+		st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
 		if err != nil {
-			if mode == StoreMmap {
+			if mode == store.OpenMmap {
 				t.Logf("mmap unavailable on this platform: %v", err)
 				continue
 			}
 			t.Fatal(err)
 		}
+		opened := FromStore(st)
 		requireSortedContent(t, name, opened)
 		opened.Close()
 	}

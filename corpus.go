@@ -413,7 +413,7 @@ func (r *Result) AsCorpus(doc string) *Results {
 // order is a strict total order (score, then document insertion order, then
 // document order), matching a stable score sort of the eagerly merged lists.
 //
-// ctx cancellation (and req.Timeout) stops the fan-out: no further
+// ctx cancellation or deadline stops the fan-out: no further
 // documents are dispatched, in-flight candidate stages abandon their merge
 // loops mid-stream, every worker goroutine is joined, and Search returns
 // ctx.Err(). With req.Budget set to BestEffort, a deadline that expires

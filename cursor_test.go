@@ -85,9 +85,10 @@ func TestResolveCursorValidation(t *testing.T) {
 			t.Errorf("mismatch %+v: err = %v, want ErrCursorMismatch", other.Query, err)
 		}
 	}
-	// The window and deadline are not part of the fingerprint: a client
-	// may change the page size or timeout mid-scroll.
-	resized := Request{Query: "  XML   Keyword ", Rank: true, Limit: 50, Timeout: 1, Budget: BestEffort, Cursor: tok}
+	// The window and budget are not part of the fingerprint: a client may
+	// change the page size or deadline handling mid-scroll (the deadline
+	// itself is the context's, outside the request).
+	resized := Request{Query: "  XML   Keyword ", Rank: true, Limit: 50, Budget: BestEffort, Cursor: tok}
 	if _, err := resized.ResolveCursor(7); err != nil {
 		t.Errorf("resized page: err = %v, want nil", err)
 	}

@@ -18,8 +18,8 @@
 //	}
 //
 // Every search takes a context.Context and a Request: cancelling the
-// context (or setting Request.Timeout) aborts the pipeline mid-stream, and
-// Request.Limit with the result's Cursor pages through large result sets.
+// context, or letting its deadline expire, aborts the pipeline mid-stream,
+// and Request.Limit with the result's Cursor pages through large result sets.
 package xks
 
 import (
@@ -253,67 +253,16 @@ func FromStore(st *store.Store) *Engine {
 	return e
 }
 
-// StoreMode selects how OpenStoreMode backs the store's memory.
-type StoreMode int
-
-const (
-	// StoreAuto maps the store file read-only where the platform supports
-	// it and falls back to the heap otherwise.
-	StoreAuto StoreMode = iota
-	// StoreMmap requires a memory-mapped v3 file and fails otherwise.
-	StoreMmap
-	// StoreHeap forces the heap path even when mmap is available.
-	StoreHeap
-)
-
-func (m StoreMode) storeMode() store.OpenMode {
-	switch m {
-	case StoreMmap:
-		return store.OpenMmap
-	case StoreHeap:
-		return store.OpenHeap
-	default:
-		return store.OpenAuto
-	}
-}
-
 // OpenStore loads a store file written by store.Save / cmd/xkshred and
 // builds an engine over it. v3 files open mmap-backed where the platform
-// supports it (StoreAuto); use OpenStoreMode to pin the backing.
+// supports it (store.OpenAuto); to pin the backing, open the file with
+// store.OpenFile and build the engine with FromStore.
 func OpenStore(path string) (*Engine, error) {
-	return OpenStoreMode(path, StoreAuto)
-}
-
-// OpenStoreMode is OpenStore with an explicit memory-backing mode.
-func OpenStoreMode(path string, mode StoreMode) (*Engine, error) {
-	st, err := store.OpenFile(path, store.OpenOptions{Mode: mode.storeMode()})
+	st, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenAuto})
 	if err != nil {
 		return nil, err
 	}
 	return FromStore(st), nil
-}
-
-// StoreInfo describes how a store-backed engine's data is resident.
-type StoreInfo struct {
-	// Mode is "v3-mmap" (v3 sections in a read-only file mapping),
-	// "v3-heap" (v3 columns on the heap: read whole from a file or shredded
-	// in memory), or "memory" for tree-backed engines.
-	Mode string
-	// MappedBytes is the size of the read-only file mapping, 0 unless
-	// Mode is "v3-mmap".
-	MappedBytes int64
-	// FileBytes is the on-disk size of the opened store file, 0 for
-	// engines built in memory.
-	FileBytes int64
-}
-
-// StoreInfo reports the engine's store backing (Mode "memory" for
-// tree-backed engines).
-func (e *Engine) StoreInfo() StoreInfo {
-	if e.st == nil {
-		return StoreInfo{Mode: "memory"}
-	}
-	return StoreInfo{Mode: e.st.Mode(), MappedBytes: e.st.MappedBytes(), FileBytes: e.st.FileBytes()}
 }
 
 // Close releases the engine's store mapping, if any. After Close the engine
@@ -503,7 +452,7 @@ type Result struct {
 // share a few exact-size backing arrays (see Fragment). The fragments are the
 // ones Stream yields, byte for byte.
 //
-// ctx cancellation (and req.Timeout) aborts the pipeline mid-stream with
+// ctx cancellation or deadline aborts the pipeline mid-stream with
 // ctx.Err(): the candidate stage checks the context every few thousand
 // merge events, materialization checks it before pruning each candidate.
 // With Rank and Limit set, selection runs before materialization: only the
@@ -639,8 +588,6 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 		docs[i].leak = fault.Inject(ctx, fault.PointSnapshotPin, docs[i].name) != nil
 	}
 	defer releaseAll(docs)
-	ctx, cancel := req.applyTimeout(ctx)
-	defer cancel()
 	// One child span per stage when the request is traced; a nil span (the
 	// untraced common case) makes every call below a free no-op.
 	sp := trace.SpanFromContext(ctx)

@@ -101,11 +101,12 @@ func servedThreeWays(t *testing.T, tree *xmltree.Tree) map[string]*Engine {
 		t.Fatal(err)
 	}
 	engines := map[string]*Engine{"tree": FromTree(tree)}
-	for name, mode := range map[string]StoreMode{"v3-heap": StoreHeap, "v3-mmap": StoreMmap} {
-		e, err := OpenStoreMode(path, mode)
+	for name, mode := range map[string]store.OpenMode{"v3-heap": store.OpenHeap, "v3-mmap": store.OpenMmap} {
+		st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := FromStore(st)
 		t.Cleanup(func() { e.Close() })
 		engines[name] = e
 	}

@@ -50,11 +50,10 @@ func serve(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder
 // requestOf parses path the way the handler does.
 func requestOf(t *testing.T, path string) (xks.Request, bool) {
 	t.Helper()
-	req, snippets, err := parseRequest(httptest.NewRequest(http.MethodGet, path, nil).URL.Query())
+	req, _, snippets, err := parseRequest(httptest.NewRequest(http.MethodGet, path, nil).URL.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Timeout = 0
 	return req, snippets
 }
 
@@ -233,8 +232,14 @@ func TestEmptyPageEncodesArray(t *testing.T) {
 	}
 }
 
-// encodes reads the page-encode counter.
-func encodes(svc *service.Service) uint64 { return svc.Metrics().Snapshot().ResponseEncodes }
+// encodes reads the page-encode counter off the service's exposition.
+func encodes(svc *service.Service) uint64 {
+	var b strings.Builder
+	svc.WritePrometheus(&b)
+	_, v, _ := strings.Cut(b.String(), "\nxks_response_encodes_total ")
+	n, _ := strconv.ParseUint(v[:strings.IndexByte(v, '\n')], 10, 64)
+	return n
+}
 
 // TestEncodeOnce: the miss that produced a page encodes it; hits — eight at
 // once, buffered or streamed — are served from those bytes. A page cached

@@ -28,7 +28,7 @@ func FuzzParseRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: raw}}
-		req, _, err := parseRequest(r.URL.Query())
+		req, timeout, _, err := parseRequest(r.URL.Query())
 		if err != nil {
 			return
 		}
@@ -38,8 +38,8 @@ func FuzzParseRequest(f *testing.F) {
 		if req.Limit < 0 || req.Limit > MaxPageParam {
 			t.Fatalf("%q: Limit %d outside [0, %d]", raw, req.Limit, MaxPageParam)
 		}
-		if req.Timeout < 0 || req.Timeout > MaxTimeout {
-			t.Fatalf("%q: Timeout %v outside [0, %v]", raw, req.Timeout, MaxTimeout)
+		if timeout <= 0 || timeout > MaxTimeout {
+			t.Fatalf("%q: timeout %v outside (0, %v]", raw, timeout, MaxTimeout)
 		}
 		if req.Offset != 0 {
 			t.Fatalf("%q: the wire set Offset %d", raw, req.Offset)

@@ -26,7 +26,6 @@
 //	           [&slca=1][&rank=1][&limit=N][&cursor=tok][&timeout=dur]
 //	           [&budget=best-effort][&snippets=1][&stream=1][&explain=1]
 //	GET /documents
-//	GET /stats
 //	GET /metrics
 //	GET /healthz
 //	POST /append  {"doc": name, "parent": dewey, "xml": snippet}
@@ -74,7 +73,8 @@
 // "explain" field of the response (or of the NDJSON trailer with
 // stream=1). GET /metrics serves the service counters, the request-latency
 // histogram, and the per-stage pipeline histograms in the Prometheus text
-// exposition format — the same atomics /stats reports as JSON. Every
+// exposition format — the server's one metrics surface (latency quantiles
+// are histogram_quantile over xks_request_duration_seconds_bucket). Every
 // request carries an X-Request-Id (the caller's, or a generated one), and
 // when Options.Logger is set each request emits one structured access
 // line; Options.SlowQuery additionally traces every search and logs the
@@ -220,22 +220,14 @@ type CompactResponse struct {
 // framing) so a client cannot stream an unbounded document at the decoder.
 const maxAppendBody = 8 << 20
 
-// StatsResponse is the JSON shape of /stats.
-type StatsResponse struct {
-	Documents    int    `json:"documents"`
-	Generation   uint64 `json:"generation"`
-	CacheEntries int    `json:"cacheEntries"`
-	// CacheBodyBytes is the encoded response bytes those entries retain.
-	CacheBodyBytes int64            `json:"cacheBodyBytes"`
-	Server         service.Snapshot `json:"server"`
-}
-
-// parseRequest builds the xks.Request from the parsed query parameters;
-// the error message is returned to the client with a 400.
-func parseRequest(q url.Values) (xks.Request, bool, error) {
-	req := xks.Request{Query: q.Get("q"), Document: q.Get("doc")}
+// parseRequest builds the xks.Request from the parsed query parameters,
+// beside the request's deadline — timeout=, capped at MaxTimeout and
+// MaxTimeout when absent — and whether snippets=1 was asked for; the error
+// message is returned to the client with a 400.
+func parseRequest(q url.Values) (req xks.Request, timeout time.Duration, withSnippets bool, err error) {
+	req = xks.Request{Query: q.Get("q"), Document: q.Get("doc")}
 	if req.Query == "" {
-		return req, false, fmt.Errorf(`missing "q" parameter: %w`, xks.ErrEmptyQuery)
+		return req, 0, false, fmt.Errorf(`missing "q" parameter: %w`, xks.ErrEmptyQuery)
 	}
 	switch q.Get("algo") {
 	case "", "validrtf":
@@ -244,7 +236,7 @@ func parseRequest(q url.Values) (xks.Request, bool, error) {
 	case "raw":
 		req.Algorithm = xks.RawRTF
 	default:
-		return req, false, errors.New("unknown algo")
+		return req, 0, false, errors.New("unknown algo")
 	}
 	if q.Get("slca") == "1" {
 		req.Semantics = xks.SLCAOnly
@@ -255,12 +247,12 @@ func parseRequest(q url.Values) (xks.Request, bool, error) {
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
 		if err != nil || n < 0 || n > MaxPageParam {
-			return req, false, errors.New("bad limit")
+			return req, 0, false, errors.New("bad limit")
 		}
 		req.Limit = n
 	}
 	if q.Has("offset") {
-		return req, false, errors.New(`offset= is not supported: page with the response's cursor as cursor=`)
+		return req, 0, false, errors.New(`offset= is not supported: page with the response's cursor as cursor=`)
 	}
 	if cur := q.Get("cursor"); cur != "" {
 		req.Cursor = xks.Cursor(cur)
@@ -270,16 +262,17 @@ func parseRequest(q url.Values) (xks.Request, bool, error) {
 	case "best-effort", "besteffort":
 		req.Budget = xks.BestEffort
 	default:
-		return req, false, errors.New("bad budget")
+		return req, 0, false, errors.New("bad budget")
 	}
+	timeout = MaxTimeout
 	if d := q.Get("timeout"); d != "" {
 		t, err := time.ParseDuration(d)
 		if err != nil || t <= 0 {
-			return req, false, errors.New("bad timeout")
+			return req, 0, false, errors.New("bad timeout")
 		}
-		req.Timeout = min(t, MaxTimeout)
+		timeout = min(t, MaxTimeout)
 	}
-	return req, q.Get("snippets") == "1", nil
+	return req, timeout, q.Get("snippets") == "1", nil
 }
 
 // status maps a search error to its HTTP status: 404 for unknown documents,
@@ -452,15 +445,6 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 	mux.HandleFunc("/documents", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, logger, DocumentsResponse{Documents: svc.Documents()})
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, logger, StatsResponse{
-			Documents:      len(svc.Documents()),
-			Generation:     svc.Generation(),
-			CacheEntries:   svc.CacheLen(),
-			CacheBodyBytes: svc.CacheBodyBytes(),
-			Server:         svc.Metrics().Snapshot(),
-		})
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		svc.WritePrometheus(w)
@@ -505,19 +489,13 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		params := r.URL.Query()
-		req, withSnippets, err := parseRequest(params)
+		req, timeout, withSnippets, err := parseRequest(params)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		// Apply the deadline here, at the serving boundary, so it holds for
-		// any backend behind the service; engines then see Timeout == 0
-		// and simply inherit this context.
-		timeout := req.Timeout
-		if timeout == 0 {
-			timeout = MaxTimeout
-		}
-		req.Timeout = 0
+		// The deadline lives on the context, set here at the serving
+		// boundary, so it holds for any backend behind the service.
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 

@@ -118,12 +118,9 @@ func TestSearchRepeatIsCacheHit(t *testing.T) {
 	if len(second.Fragments) != len(first.Fragments) {
 		t.Errorf("cached fragments = %d, want %d", len(second.Fragments), len(first.Fragments))
 	}
-	var stats StatsResponse
-	if code := decodeInto(t, srv.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats status = %d", code)
-	}
-	if stats.Server.CacheHits != 1 || stats.Server.CacheMisses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", stats.Server.CacheHits, stats.Server.CacheMisses)
+	m := scrape(t, srv.URL)
+	if m["xks_cache_hits_total"] != 1 || m["xks_cache_misses_total"] != 1 {
+		t.Errorf("hits/misses = %v/%v, want 1/1", m["xks_cache_hits_total"], m["xks_cache_misses_total"])
 	}
 }
 
@@ -227,6 +224,10 @@ func TestDocumentsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint: /metrics is the server's one metrics surface — GET
+// /stats is gone (404) — and it carries every figure the JSON endpoint
+// did: the corpus and cache gauges, the request counters, and the latency
+// histogram the average and quantiles derive from.
 func TestStatsEndpoint(t *testing.T) {
 	srv, c := corpusServer(t)
 	getJSON(t, srv.URL+"/search?q=name")
@@ -237,34 +238,36 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	resp.Body.Close() // error request
 
-	var out StatsResponse
-	if code := decodeInto(t, srv.URL+"/stats", &out); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	resp, err = http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Documents != 2 {
-		t.Errorf("documents = %d", out.Documents)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats: status %d, want 404", resp.StatusCode)
 	}
-	if out.Generation != c.Generation() {
-		t.Errorf("generation = %d, want %d", out.Generation, c.Generation())
+
+	m := scrape(t, srv.URL)
+	for series, want := range map[string]float64{
+		"xks_corpus_documents":               2,
+		"xks_corpus_generation":              float64(c.Generation()),
+		"xks_cache_entries":                  1,
+		"xks_response_encodes_total":         1, // the miss; the hit is served from its bytes
+		"xks_requests_total":                 3,
+		"xks_request_errors_total":           1,
+		"xks_cache_hits_total":               1,
+		"xks_cache_misses_total":             2,
+		"xks_request_duration_seconds_count": 3,
+	} {
+		if m[series] != want {
+			t.Errorf("%s = %v, want %v", series, m[series], want)
+		}
 	}
-	if out.CacheEntries != 1 {
-		t.Errorf("cacheEntries = %d, want 1", out.CacheEntries)
+	if m["xks_cache_body_bytes"] <= 0 {
+		t.Errorf("xks_cache_body_bytes = %v, want the one entry's encoded page", m["xks_cache_body_bytes"])
 	}
-	if out.CacheBodyBytes <= 0 {
-		t.Errorf("cacheBodyBytes = %d, want the one entry's encoded page", out.CacheBodyBytes)
-	}
-	s := out.Server
-	if s.ResponseEncodes != 1 {
-		t.Errorf("responseEncodes = %d, want 1 (the miss; the hit is served from its bytes)", s.ResponseEncodes)
-	}
-	if s.Requests != 3 || s.Errors != 1 || s.CacheHits != 1 || s.CacheMisses != 2 {
-		t.Errorf("server stats = %+v", s)
-	}
-	if s.CacheHitRate <= 0.3 || s.CacheHitRate >= 0.4 {
-		t.Errorf("hit rate = %v, want 1/3", s.CacheHitRate)
-	}
-	if s.P50LatencyMS < 0 || s.P99LatencyMS < s.P50LatencyMS {
-		t.Errorf("latency quantiles = %+v", s)
+	if m["xks_request_duration_seconds_sum"] < 0 || m[`xks_request_duration_seconds_bucket{le="+Inf"}`] != 3 {
+		t.Errorf("latency histogram: _sum %v, +Inf bucket %v", m["xks_request_duration_seconds_sum"], m[`xks_request_duration_seconds_bucket{le="+Inf"}`])
 	}
 }
 

@@ -9,12 +9,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"xks"
+	"xks/internal/admission"
 	"xks/internal/paperdata"
 	"xks/internal/service"
 	"xks/internal/trace"
@@ -29,6 +31,68 @@ var (
 	// the capture groups keep the test's parser small, not fully general.
 	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+-]+|\+Inf|NaN)$`)
 )
+
+// catalogueRow is one row of the README's metric catalogue: the family in
+// backticks, then its type.
+var catalogueRow = regexp.MustCompile("^\\| `(xks_[a-z_]+)` \\| (counter|gauge|histogram|summary) \\| .+ \\|$")
+
+// TestMetricCatalogue holds the README's metric catalogue to what /metrics
+// emits: every family the service and the admission controller write — the
+// store gauges included, which only a store-backed server writes — is a
+// row of the catalogue with its type, and every row names an emitted
+// family.
+func TestMetricCatalogue(t *testing.T) {
+	svc := service.New(service.SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, service.Config{CacheSize: 4})
+	svc.Metrics().SetStoreOpen(service.StoreOpenInfo{Mode: "v3-mmap"})
+	var b strings.Builder
+	svc.WritePrometheus(&b)
+	admission.New(admission.Config{MaxInFlight: 1}).WritePrometheus(&b)
+	emitted := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			emitted[m[1]] = m[2]
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]string{}
+	in := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "| family | type | what moves it |":
+			in = true
+		case !in || strings.HasPrefix(line, "|---"):
+		case !strings.HasPrefix(line, "|"):
+			in = false
+		default:
+			m := catalogueRow.FindStringSubmatch(line)
+			if m == nil {
+				t.Errorf("malformed catalogue row %q", line)
+				continue
+			}
+			listed[m[1]] = m[2]
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("README.md has no metric catalogue (a table headed | family | type | what moves it |)")
+	}
+	for family, typ := range emitted {
+		if got, ok := listed[family]; !ok {
+			t.Errorf("/metrics emits %s (%s), which the README's catalogue does not list", family, typ)
+		} else if got != typ {
+			t.Errorf("the README's catalogue lists %s as a %s; /metrics emits a %s", family, got, typ)
+		}
+	}
+	for family := range listed {
+		if _, ok := emitted[family]; !ok {
+			t.Errorf("the README's catalogue lists %s, which /metrics never emits", family)
+		}
+	}
+}
 
 // scrape fetches /metrics and parses it into name{labels} → value,
 // validating every line against the text exposition grammar.

@@ -57,12 +57,13 @@ func streamBackends() []streamBackend {
 			if err := store.Shred(wireTree(), analysis.New()).SaveFile(path); err != nil {
 				t.Fatal(err)
 			}
-			e, err := xks.OpenStore(path)
+			st, err := store.OpenFile(path, store.OpenOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			e := xks.FromStore(st)
 			t.Cleanup(func() { e.Close() })
-			if mode := e.StoreInfo().Mode; mode != "v3-mmap" && mode != "v3-heap" {
+			if mode := st.Mode(); mode != "v3-mmap" && mode != "v3-heap" {
 				t.Fatalf("store opened in mode %q, want v3", mode)
 			}
 			return service.SingleDoc{Name: "dblp", Engine: e}
@@ -87,6 +88,14 @@ func materializeDeadline(ctx context.Context) context.Context {
 		Count:  1,
 		Action: fault.Action{UntilDeadline: true},
 	}))
+}
+
+// within derives a context that expires after d, cancelled when the test
+// ends.
+func within(t *testing.T, ctx context.Context, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(ctx, d)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 // candidatesDeadline scripts every candidate stage to park until the
@@ -147,7 +156,8 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 			}
 			req, _ := requestOf(t, path)
 			if req.Budget == xks.BestEffort {
-				req.Timeout = 100 * time.Millisecond
+				script := ctx
+				ctx = func(c context.Context) context.Context { return within(t, script(c), 100*time.Millisecond) }
 				path += "&timeout=100ms"
 			}
 			page, cached, err := svc.SearchPage(ctx(t.Context()), req)

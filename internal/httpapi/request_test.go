@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"xks"
 	"xks/internal/fault"
@@ -144,15 +145,22 @@ func TestDeadlineExceededIs504(t *testing.T) {
 }
 
 // TestTimeoutParamCapped: timeout= beyond MaxTimeout is clamped, not
-// honored (the parse keeps the request well-formed).
+// honored (the parse keeps the request well-formed), and a request without
+// one gets MaxTimeout; a timeout within the cap is taken as given.
 func TestTimeoutParamCapped(t *testing.T) {
-	r := httptest.NewRequest(http.MethodGet, "/search?q=x&timeout=10h", nil)
-	req, _, err := parseRequest(r.URL.Query())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Timeout != MaxTimeout {
-		t.Fatalf("Timeout = %v, want clamped to %v", req.Timeout, MaxTimeout)
+	for query, want := range map[string]time.Duration{
+		"q=x&timeout=10h":   MaxTimeout,
+		"q=x":               MaxTimeout,
+		"q=x&timeout=250ms": 250 * time.Millisecond,
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/search?"+query, nil)
+		_, timeout, _, err := parseRequest(r.URL.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if timeout != want {
+			t.Fatalf("%s: timeout = %v, want %v", query, timeout, want)
+		}
 	}
 }
 

@@ -53,10 +53,11 @@ func TestBackendSearchIsTheDrainedStream(t *testing.T) {
 	if err := store.Shred(seamTree(1), analysis.New()).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := xks.OpenStoreMode(path, xks.StoreMmap)
+	st, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenMmap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapped := xks.FromStore(st)
 	t.Cleanup(func() { mapped.Close() })
 	corpus := xks.NewCorpus()
 	corpus.Add("a", xks.FromTree(seamTree(1)))
@@ -136,8 +137,10 @@ func TestBackendSearchIsTheDrainedStream(t *testing.T) {
 			// materialization cuts a block of 25 after two; its cursor
 			// resumes the truncated prefix.
 			cut := q
-			cut.Limit, cut.Budget, cut.Timeout = 25, xks.BestEffort, 30*time.Millisecond
-			prefix := compare("doc="+doc+" best-effort cut", cut, materializeDeadline)
+			cut.Limit, cut.Budget = 25, xks.BestEffort
+			prefix := compare("doc="+doc+" best-effort cut", cut, func(c context.Context) context.Context {
+				return within(t, materializeDeadline(c), 30*time.Millisecond)
+			})
 			if !prefix.Truncated || prefix.Truncation != xks.TruncMaterialize || len(prefix.Fragments) != 2 || prefix.Cursor == "" {
 				t.Fatalf("%s doc=%s: best-effort page: truncated=%t (%q), %d fragments, cursor %q",
 					b.name, doc, prefix.Truncated, prefix.Truncation, len(prefix.Fragments), prefix.Cursor)

@@ -333,7 +333,7 @@ func TestBestEffortBudgetIs200WhereStrict504s(t *testing.T) {
 	}
 }
 
-// TestStreamedStatsCounter: streamed requests show up in /stats.
+// TestStreamedStatsCounter: streamed requests show up on /metrics.
 func TestStreamedStatsCounter(t *testing.T) {
 	srv := testServer(t)
 	resp, err := http.Get(srv.URL + "/search?q=liu+keyword&stream=1")
@@ -341,11 +341,7 @@ func TestStreamedStatsCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	readNDJSON(t, resp)
-	var stats StatsResponse
-	if code := decodeInto(t, srv.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats status = %d", code)
-	}
-	if stats.Server.Streamed != 1 {
-		t.Errorf("streamed = %d, want 1", stats.Server.Streamed)
+	if n := scrape(t, srv.URL)["xks_streamed_requests_total"]; n != 1 {
+		t.Errorf("xks_streamed_requests_total = %v, want 1", n)
 	}
 }

@@ -1,8 +1,8 @@
 package service
 
 // Tests for the context-aware serving pieces: the length-prefixed cache
-// key (collision regression) and the singleflight group's detach/retry
-// behavior under cancellation.
+// key, xks.Request.Key (collision regression), and the singleflight group's
+// detach/retry behavior under cancellation.
 
 import (
 	"context"
@@ -29,18 +29,13 @@ func TestCacheKeyNoConcatenationCollisions(t *testing.T) {
 		{{Query: "a", Document: "b0"}, {Query: "a", Document: "b", Limit: 0}},
 	}
 	for _, p := range pairs {
-		if cacheKey(p[0]) == cacheKey(p[1]) {
-			t.Errorf("cacheKey collision: %+v and %+v -> %q", p[0], p[1], cacheKey(p[0]))
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("Key collision: %+v and %+v -> %q", p[0], p[1], p[0].Key())
 		}
 	}
 	// Pagination fields are part of the key: pages are distinct entries.
-	if cacheKey(xks.Request{Query: "q", Offset: 0}) == cacheKey(xks.Request{Query: "q", Offset: 10}) {
+	if (xks.Request{Query: "q", Offset: 0}).Key() == (xks.Request{Query: "q", Offset: 10}).Key() {
 		t.Error("offset must be part of the cache key")
-	}
-	// Timeout is not: a result is the same however long it was allowed to
-	// take.
-	if cacheKey(xks.Request{Query: "q"}) != cacheKey(xks.Request{Query: "q", Timeout: time.Second}) {
-		t.Error("timeout must not be part of the cache key")
 	}
 }
 
@@ -148,8 +143,8 @@ func TestServiceSearchPropagatesDeadline(t *testing.T) {
 	if cached || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cached=%t err=%v, want context.DeadlineExceeded", cached, err)
 	}
-	if s := sv.Metrics().Snapshot(); s.Errors != 1 {
-		t.Errorf("errors = %d, want 1", s.Errors)
+	if n := sv.metrics.errors.Load(); n != 1 {
+		t.Errorf("errors = %d, want 1", n)
 	}
 	// A failed execution must not poison the cache.
 	if sv.CacheLen() != 0 {

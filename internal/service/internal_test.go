@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"xks"
+	"xks/internal/paperdata"
 )
 
 func TestGroupCollapsesConcurrentCalls(t *testing.T) {
@@ -149,73 +152,95 @@ func TestGroupLeaderPanicReleasesJoinersWithError(t *testing.T) {
 }
 
 func TestCacheKeyNormalization(t *testing.T) {
-	base := cacheKey(xks.Request{Query: "xml keyword"})
-	if cacheKey(xks.Request{Query: "  XML   Keyword "}) != base {
+	base := xks.Request{Query: "xml keyword"}.Key()
+	if (xks.Request{Query: "  XML   Keyword "}).Key() != base {
 		t.Error("whitespace/case folding should not change the key")
 	}
-	if cacheKey(xks.Request{Query: "keyword xml"}) == base {
+	if (xks.Request{Query: "keyword xml"}).Key() == base {
 		t.Error("term order is part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Document: "doc.xml"}) == base {
+	if (xks.Request{Query: "xml keyword", Document: "doc.xml"}).Key() == base {
 		t.Error("document filter is part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Rank: true}) == base {
+	if (xks.Request{Query: "xml keyword", Rank: true}).Key() == base {
 		t.Error("options are part of the key")
 	}
-	if cacheKey(xks.Request{Query: "xml keyword", Limit: 3}) == base {
+	if (xks.Request{Query: "xml keyword", Limit: 3}).Key() == base {
 		t.Error("limit is part of the key")
 	}
 }
 
-// TestCacheKeyStrategy pins that how a request executes — its deadline,
-// and the plan the pipeline picks, which no request field names — is not
-// keyed: every execution of a request computes the same page.
+// TestCacheKeyStrategy pins that how a request executes — its deadline
+// handling, and the plan the pipeline picks, which no request field names —
+// is not keyed: every execution of a request computes the same page.
 func TestCacheKeyStrategy(t *testing.T) {
-	base := cacheKey(xks.Request{Query: "xml keyword"})
-	if cacheKey(xks.Request{Query: "xml keyword", Timeout: time.Second}) != base {
-		t.Error("timeout must not be part of the key")
+	base := xks.Request{Query: "xml keyword"}.Key()
+	if (xks.Request{Query: "xml keyword", Budget: xks.BestEffort}).Key() != base {
+		t.Error("budget must not be part of the key")
 	}
 }
 
+// TestMetricsHistogramQuantiles: the latency histogram's buckets on
+// /metrics are what histogram_quantile reads p50/p95/p99 from, so each
+// observation must land in its bucket: 90 requests at 80µs fall in
+// le="0.0001" (not le="5e-05"), 10 at 40ms in le="0.05" (not le="0.025"),
+// and _sum / _count is their average.
 func TestMetricsHistogramQuantiles(t *testing.T) {
-	var m Metrics
-	// 90 fast requests at ~80µs, 10 slow at ~40ms.
-	for i := 0; i < 90; i++ {
-		m.observe(80 * time.Microsecond)
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	for range 90 {
+		sv.metrics.observe(80 * time.Microsecond)
 	}
-	for i := 0; i < 10; i++ {
-		m.observe(40 * time.Millisecond)
+	for range 10 {
+		sv.metrics.observe(40 * time.Millisecond)
 	}
-	s := m.Snapshot()
-	if s.P50LatencyMS <= 0 || s.P50LatencyMS > 0.1 {
-		t.Errorf("p50 = %vms, want ~0.08ms", s.P50LatencyMS)
-	}
-	if s.P95LatencyMS < 25 || s.P95LatencyMS > 50 {
-		t.Errorf("p95 = %vms, want within the 25–50ms bucket", s.P95LatencyMS)
-	}
-	if s.P99LatencyMS < s.P95LatencyMS {
-		t.Errorf("p99 (%v) < p95 (%v)", s.P99LatencyMS, s.P95LatencyMS)
-	}
-	wantAvg := (90*0.08 + 10*40) / 100
-	if s.AvgLatencyMS < wantAvg*0.9 || s.AvgLatencyMS > wantAvg*1.1 {
-		t.Errorf("avg = %vms, want ~%vms", s.AvgLatencyMS, wantAvg)
+	for series, want := range map[string]float64{
+		`xks_request_duration_seconds_bucket{le="5e-05"}`:  0,
+		`xks_request_duration_seconds_bucket{le="0.0001"}`: 90,
+		`xks_request_duration_seconds_bucket{le="0.025"}`:  90,
+		`xks_request_duration_seconds_bucket{le="0.05"}`:   100,
+		`xks_request_duration_seconds_bucket{le="+Inf"}`:   100,
+		`xks_request_duration_seconds_sum`:                 90*80e-6 + 10*40e-3,
+		`xks_request_duration_seconds_count`:               100,
+	} {
+		if got := Sample(t, sv, series); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 
+// TestMetricsEmptySnapshot: a server that has observed nothing scrapes an
+// all-zero latency histogram (every bucket, _sum and _count).
 func TestMetricsEmptySnapshot(t *testing.T) {
-	var m Metrics
-	s := m.Snapshot()
-	if s.Requests != 0 || s.AvgLatencyMS != 0 || s.P99LatencyMS != 0 || s.CacheHitRate != 0 {
-		t.Errorf("empty snapshot = %+v", s)
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	n := 0
+	for series, v := range Samples(t, sv) {
+		if !strings.HasPrefix(series, "xks_request_duration_seconds") {
+			continue
+		}
+		n++
+		if v != 0 {
+			t.Errorf("empty histogram series %s = %v, want 0", series, v)
+		}
+	}
+	if want := numBuckets + 2; n != want {
+		t.Errorf("%d xks_request_duration_seconds series, want %d", n, want)
 	}
 }
 
+// TestMetricsOverflowBucket: an observation beyond the last bound (5s)
+// shows only in the +Inf bucket, and _sum still carries its full value.
 func TestMetricsOverflowBucket(t *testing.T) {
-	var m Metrics
-	m.observe(30 * time.Second) // beyond the last bound
-	s := m.Snapshot()
-	if s.P50LatencyMS != 5000 {
-		t.Errorf("overflow p50 = %v, want clamped to 5000ms", s.P50LatencyMS)
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	sv.metrics.observe(30 * time.Second)
+	for series, want := range map[string]float64{
+		`xks_request_duration_seconds_bucket{le="5"}`:    0,
+		`xks_request_duration_seconds_bucket{le="+Inf"}`: 1,
+		`xks_request_duration_seconds_sum`:               30,
+		`xks_request_duration_seconds_count`:             1,
+	} {
+		if got := Sample(t, sv, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
 }
 
@@ -292,7 +317,7 @@ func TestCacheBodyBytesIsTheWalk(t *testing.T) {
 		if i < 40 {
 			req = query(i)
 		}
-		if p, ok := sv.cache.Get(cacheKey(req), g.gen.Load()); ok && p.retained != nil {
+		if p, ok := sv.cache.Get(req.Key(), g.gen.Load()); ok && p.retained != nil {
 			if e := p.enc.Load(); e != nil {
 				walk += int64(len(e.Bytes))
 			}
@@ -301,7 +326,7 @@ func TestCacheBodyBytesIsTheWalk(t *testing.T) {
 	if got := sv.CacheBodyBytes(); got != walk || walk == 0 {
 		t.Fatalf("CacheBodyBytes = %d, the walk over the live entries = %d (want equal and > 0)", got, walk)
 	}
-	if s := sv.Metrics().Snapshot(); s.PartialResumes == 0 {
+	if sv.metrics.partialResumes.Load() == 0 {
 		t.Fatal("no truncated prefix was resumed: the traffic misses a replacement path")
 	}
 }

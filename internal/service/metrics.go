@@ -11,8 +11,9 @@ import (
 // latencyBounds are the histogram bucket upper bounds in microseconds,
 // roughly exponential from 50µs to 5s; a final implicit bucket catches
 // everything slower. One bucket layout backs every histogram the service
-// keeps — the request latency and the per-stage breakdowns — so the JSON
-// snapshot and the Prometheus exposition read from the same atomics.
+// keeps — the request latency and the per-stage breakdowns — and the
+// Prometheus exposition (WritePrometheus) is the one surface that reads
+// them: latency quantiles are histogram_quantile over its buckets.
 var latencyBounds = [...]uint64{
 	50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
@@ -29,7 +30,6 @@ const numBuckets = len(latencyBounds) + 1
 // the Prometheus writer derives count from the bucket sum so each scrape
 // is self-consistent).
 type histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64 // microseconds
 	buckets [numBuckets]atomic.Uint64
 }
@@ -40,7 +40,6 @@ func (h *histogram) observe(d time.Duration) {
 	if us < 0 {
 		us = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(uint64(us))
 	i := 0
 	for i < len(latencyBounds) && uint64(us) > latencyBounds[i] {
@@ -62,8 +61,9 @@ const (
 var stageNames = [numStages]string{"plan", "candidates", "select", "materialize"}
 
 // Metrics holds the live server counters. All fields are atomics, so the
-// hot path never takes a lock; Snapshot reads are lock-free and only
-// approximately consistent across counters, which is fine for monitoring.
+// hot path never takes a lock; a scrape (WritePrometheus) reads them
+// lock-free and only approximately consistently across counters, which is
+// fine for monitoring.
 type Metrics struct {
 	requests  atomic.Uint64
 	errors    atomic.Uint64
@@ -141,101 +141,4 @@ func (m *Metrics) observeStages(st xks.StageStats, truncated bool) {
 	if truncated {
 		m.truncated.Add(1)
 	}
-}
-
-// Snapshot is a point-in-time JSON-friendly view of the metrics.
-type Snapshot struct {
-	Requests     uint64  `json:"requests"`
-	Errors       uint64  `json:"errors"`
-	CacheHits    uint64  `json:"cacheHits"`
-	CacheMisses  uint64  `json:"cacheMisses"`
-	CacheHitRate float64 `json:"cacheHitRate"`
-	// Collapsed counts requests that joined an in-flight identical query
-	// (singleflight) instead of executing the pipeline themselves.
-	Collapsed uint64 `json:"collapsedRequests"`
-	// Streamed counts requests served through the streaming path
-	// (Service.Stream), whether they replayed a cached page or drove the
-	// pipeline's lazy materialization directly.
-	Streamed uint64 `json:"streamedRequests"`
-	// Truncated counts pipeline executions cut short by a BestEffort
-	// deadline (partial or empty page served with Results.Truncated set).
-	Truncated uint64 `json:"truncatedResults"`
-	// PanicsRecovered counts requests that failed with a recovered panic
-	// (xks.ErrInternal) instead of crashing the process.
-	PanicsRecovered uint64 `json:"panicsRecovered"`
-	// PartialResumes counts requests that resumed a truncated page from its
-	// cached prefix.
-	PartialResumes uint64 `json:"partialPageResumes"`
-	// ResponseEncodes counts result pages the API layer encoded; cache hits
-	// served from retained bytes do not add to it.
-	ResponseEncodes uint64  `json:"responseEncodes"`
-	AvgLatencyMS    float64 `json:"avgLatencyMs"`
-	P50LatencyMS    float64 `json:"p50LatencyMs"`
-	P95LatencyMS    float64 `json:"p95LatencyMs"`
-	P99LatencyMS    float64 `json:"p99LatencyMs"`
-}
-
-// Snapshot derives the aggregate view, estimating the latency percentiles
-// from the histogram by linear interpolation within the matched bucket.
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		Requests:        m.requests.Load(),
-		Errors:          m.errors.Load(),
-		CacheHits:       m.hits.Load(),
-		CacheMisses:     m.misses.Load(),
-		Collapsed:       m.collapsed.Load(),
-		Streamed:        m.streamed.Load(),
-		Truncated:       m.truncated.Load(),
-		PanicsRecovered: m.panics.Load(),
-		PartialResumes:  m.partialResumes.Load(),
-		ResponseEncodes: m.encodes.Load(),
-	}
-	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
-		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
-	}
-	count := m.latency.count.Load()
-	if count == 0 {
-		return s
-	}
-	s.AvgLatencyMS = float64(m.latency.sum.Load()) / float64(count) / 1000.0
-	var counts [numBuckets]uint64
-	total := uint64(0)
-	for i := range counts {
-		counts[i] = m.latency.buckets[i].Load()
-		total += counts[i]
-	}
-	s.P50LatencyMS = quantile(counts[:], total, 0.50)
-	s.P95LatencyMS = quantile(counts[:], total, 0.95)
-	s.P99LatencyMS = quantile(counts[:], total, 0.99)
-	return s
-}
-
-// quantile estimates the q-th latency quantile in milliseconds from the
-// bucket counts.
-func quantile(counts []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = float64(latencyBounds[i-1])
-			}
-			hi := lo
-			if i < len(latencyBounds) {
-				hi = float64(latencyBounds[i])
-			}
-			frac := (rank - cum) / float64(c)
-			return (lo + (hi-lo)*frac) / 1000.0
-		}
-		cum = next
-	}
-	return float64(latencyBounds[len(latencyBounds)-1]) / 1000.0
 }

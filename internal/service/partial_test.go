@@ -41,7 +41,6 @@ func truncatedFirstPage(t *testing.T, limit int) (*service.Service, xks.Request,
 
 	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: limit}
 	req.Budget = xks.BestEffort
-	req.Timeout = 200 * time.Millisecond
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointMaterialize,
@@ -49,7 +48,9 @@ func truncatedFirstPage(t *testing.T, limit int) (*service.Service, xks.Request,
 		Count:  1,
 		Action: fault.Action{UntilDeadline: true},
 	})
-	part, cached, err := sv.Search(fault.NewContext(context.Background(), plan), req)
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 200*time.Millisecond)
+	defer cancel()
+	part, cached, err := sv.Search(ctx, req)
 	if err != nil || cached {
 		t.Fatalf("truncated search: cached=%t err=%v", cached, err)
 	}
@@ -108,8 +109,8 @@ func TestPartialPageResumeStitchesAndPromotes(t *testing.T) {
 			t.Errorf("stitched fragment %d was re-materialized instead of reusing the cached prefix", i)
 		}
 	}
-	if s := sv.Metrics().Snapshot(); s.PartialResumes != 1 {
-		t.Errorf("partialPageResumes = %d, want 1", s.PartialResumes)
+	if n := service.Sample(t, sv, "xks_partial_resumes_total"); n != 1 {
+		t.Errorf("xks_partial_resumes_total = %v, want 1", n)
 	}
 
 	// The stitched page overwrote the prefix: one entry still, and it hits.
@@ -123,8 +124,8 @@ func TestPartialPageResumeStitchesAndPromotes(t *testing.T) {
 	if len(again.Fragments) != limit {
 		t.Fatalf("promoted page has %d fragments, want %d", len(again.Fragments), limit)
 	}
-	if s := sv.Metrics().Snapshot(); s.PartialResumes != 1 {
-		t.Errorf("partialPageResumes after cache hit = %d, want still 1", s.PartialResumes)
+	if n := service.Sample(t, sv, "xks_partial_resumes_total"); n != 1 {
+		t.Errorf("xks_partial_resumes_total after cache hit = %v, want still 1", n)
 	}
 }
 
@@ -152,8 +153,8 @@ func TestPartialPageResumeServesStream(t *testing.T) {
 	if tr := trailer(); tr.Truncated {
 		t.Fatalf("stream trailer still truncated (%q)", tr.Truncation)
 	}
-	if s := sv.Metrics().Snapshot(); s.PartialResumes != 1 {
-		t.Errorf("partialPageResumes = %d, want 1", s.PartialResumes)
+	if n := service.Sample(t, sv, "xks_partial_resumes_total"); n != 1 {
+		t.Errorf("xks_partial_resumes_total = %v, want 1", n)
 	}
 }
 
@@ -166,14 +167,15 @@ func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 
 	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: 6}
 	req.Budget = xks.BestEffort
-	req.Timeout = 150 * time.Millisecond
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointCandidates,
 		Label:  "j",
 		Action: fault.Action{UntilDeadline: true},
 	})
-	part, _, err := sv.Search(fault.NewContext(context.Background(), plan), req)
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 150*time.Millisecond)
+	defer cancel()
+	part, _, err := sv.Search(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 	if len(full.Fragments) != 6 {
 		t.Fatalf("retry page has %d fragments, want 6", len(full.Fragments))
 	}
-	if s := sv.Metrics().Snapshot(); s.PartialResumes != 0 {
-		t.Errorf("partialPageResumes = %d, want 0: salvage pages must not be kept as a prefix", s.PartialResumes)
+	if n := service.Sample(t, sv, "xks_partial_resumes_total"); n != 0 {
+		t.Errorf("xks_partial_resumes_total = %v, want 0: salvage pages must not be kept as a prefix", n)
 	}
 }

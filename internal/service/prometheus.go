@@ -9,9 +9,9 @@ import (
 // WritePrometheus writes the service's live metrics in the Prometheus text
 // exposition format (version 0.0.4): the request/error/cache counters, the
 // request-latency histogram, the per-stage pipeline histograms, and gauges
-// for the cache and corpus. The same atomics back the JSON snapshot
-// (/stats) and this exposition, so the two surfaces can never disagree
-// about what the server did.
+// for the cache and corpus. It is the service's one metrics surface: the
+// average latency is the histogram's _sum over its _count, and p50/p95/p99
+// are histogram_quantile over its buckets.
 //
 // Within one scrape each histogram is self-consistent — the _count and the
 // +Inf bucket are both derived from the same bucket reads — but concurrent

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -34,4 +35,37 @@ func TestStoreOpenGauges(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// Samples parses a scrape of sv — what GET /metrics serves — into each
+// series' value, keyed by its name and labels as the exposition spells
+// them; exported, like Buffered, for the service_test package.
+func Samples(t testing.TB, sv *Service) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	sv.WritePrometheus(&b)
+	out := map[string]float64{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// Sample reads one series off a scrape of sv, failing the test when the
+// exposition has no such series.
+func Sample(t testing.TB, sv *Service, series string) float64 {
+	t.Helper()
+	v, ok := Samples(t, sv)[series]
+	if !ok {
+		t.Fatalf("the exposition has no series %s", series)
+	}
+	return v
 }

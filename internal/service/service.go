@@ -11,8 +11,8 @@
 //     buffered page is the backend's Search, which materializes its page a
 //     block at a time; a streamed response (stream=1) is its Stream, handed on
 //     fragment by fragment. The two are the same fragments and envelope;
-//   - a sharded LRU query-result cache (internal/lru) keyed by the
-//     canonicalized Request with its cursor resolved into the window it
+//   - a sharded LRU query-result cache (internal/lru) keyed by
+//     xks.Request.Key with the request's cursor resolved into the window it
 //     names (Offset), invalidated by data generation: an append changes the
 //     version token, so stale entries die on their next lookup, and a cursor
 //     from an older token is served uncached from the snapshot it pins;
@@ -28,8 +28,10 @@
 //     thundering herd of the same request costs one pipeline execution —
 //     context-aware: a waiter whose own context ends detaches immediately
 //     with its ctx.Err() while the leader keeps computing for the others;
-//   - live server metrics (request/error/cache counters and a latency
-//     histogram with p50/p95/p99) behind atomic counters.
+//   - live server metrics behind atomic counters — request/error/cache
+//     counters, a request-latency histogram and per-stage histograms —
+//     exposed in the Prometheus text format (WritePrometheus), where
+//     p50/p95/p99 are histogram_quantile over the latency buckets.
 //
 // Cached pages (and the *xks.Results inside them) are shared between
 // callers and must be treated as immutable.
@@ -59,8 +61,8 @@ type Backend interface {
 	// Stream yields plus its trailer, fragment for fragment, materialized a
 	// block at a time. Every buffered page the service builds is a Search.
 	// The error wraps xks.ErrUnknownDocument for names the backend does not
-	// hold, and cancelling ctx (or req.Timeout) aborts the pipeline with
-	// ctx.Err().
+	// hold, and cancelling ctx (or its deadline expiring) aborts the
+	// pipeline with ctx.Err().
 	Search(ctx context.Context, req xks.Request) (*xks.Results, error)
 	// Stream runs the same request as a lazily materializing fragment
 	// iterator plus a trailer func that, once the loop ends, reports the
@@ -207,7 +209,8 @@ func (sv *Service) Documents() []xks.DocumentInfo { return sv.backend.Documents(
 // token of a request that can observe every document.
 func (sv *Service) Generation() uint64 { return sv.backend.VersionFor(xks.Request{}) }
 
-// Metrics exposes the live counters (read with Metrics().Snapshot()).
+// Metrics exposes the live counters' recording hooks (SetStoreOpen,
+// ObserveEncode); WritePrometheus reads them.
 func (sv *Service) Metrics() *Metrics { return &sv.metrics }
 
 // Append forwards a document append to the backend; the error reports
@@ -235,34 +238,6 @@ func (sv *Service) CacheLen() int {
 // cache entries (Page.Encoded): a maintained count, so a scrape walks
 // nothing.
 func (sv *Service) CacheBodyBytes() int64 { return sv.bodyBytes.Load() }
-
-// cacheKey derives the cache/singleflight key from the canonicalized
-// request (xks.Request.Canonical: whitespace-normalized, case-folded query;
-// clamped pagination; no timeout — deeper normalization such as stemming
-// happens inside the engine). The variable-length fields are
-// length-prefixed so no two distinct requests can concatenate to the same
-// key — with plain separators, a separator embedded in the query could
-// alias another request's document filter. The cursor is not keyed: admit
-// resolves it into Offset first, and a pinned request is never cached.
-//
-// The plan is not keyed either: the planner orders the merge, which never
-// changes the answer, and the statistics it reads only change with the
-// data, which already retires the entry through its version token. A
-// request is therefore planned once, by the pipeline, and a cache hit plans
-// nothing.
-func cacheKey(req xks.Request) string {
-	req = req.Canonical()
-	var b []byte
-	b = strconv.AppendInt(b, int64(len(req.Query)), 10)
-	b = append(b, ':')
-	b = append(b, req.Query...)
-	b = strconv.AppendInt(b, int64(len(req.Document)), 10)
-	b = append(b, ':')
-	b = append(b, req.Document...)
-	b = fmt.Appendf(b, "%d.%d.%t.%t.%d.%d",
-		req.Algorithm, req.Semantics, req.ExactContent, req.Rank, req.Limit, req.Offset)
-	return string(b)
-}
 
 // lookup is what the front half SearchPage and Stream share (admit) found
 // out about a request before anything executes.
@@ -307,7 +282,7 @@ func (sv *Service) admit(ctx context.Context, req xks.Request) (l lookup, err er
 		return l, err
 	}
 	l.req.Cursor = req.Cursor
-	l.key = cacheKey(l.req)
+	l.key = l.req.Key()
 	// Annotate the request's trace (when one is attached) with the serving
 	// decisions the pipeline itself cannot see; a nil span makes these
 	// free no-ops.
@@ -455,7 +430,7 @@ func (sv *Service) Search(ctx context.Context, req xks.Request) (res *xks.Result
 // cached one (cached is then set), or the backend's Search. The
 // returned page is shared with other callers — do not mutate it.
 //
-// ctx cancellation (and req.Timeout) aborts the request with ctx.Err():
+// ctx cancellation or deadline aborts the request with ctx.Err():
 // a cancelled cache hit is still served, a cancelled pipeline execution is
 // abandoned mid-stream, and a cancelled singleflight waiter detaches from
 // its leader immediately. A Truncated page (a BestEffort deadline expired

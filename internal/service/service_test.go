@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,12 +45,12 @@ func TestSearchCacheHit(t *testing.T) {
 	if _, cached, _ := sv.Search(context.Background(), xks.Request{Query: "liu keyword", Rank: true}); cached {
 		t.Error("different options must not share a cache entry")
 	}
-	s := sv.Metrics().Snapshot()
-	if s.CacheHits != 2 || s.CacheMisses != 2 {
-		t.Errorf("hits=%d misses=%d, want 2/2", s.CacheHits, s.CacheMisses)
+	s := service.Samples(t, sv)
+	if s["xks_cache_hits_total"] != 2 || s["xks_cache_misses_total"] != 2 {
+		t.Errorf("hits=%v misses=%v, want 2/2", s["xks_cache_hits_total"], s["xks_cache_misses_total"])
 	}
-	if s.Requests != 4 || s.Errors != 0 {
-		t.Errorf("requests=%d errors=%d", s.Requests, s.Errors)
+	if s["xks_requests_total"] != 4 || s["xks_request_errors_total"] != 0 {
+		t.Errorf("requests=%v errors=%v", s["xks_requests_total"], s["xks_request_errors_total"])
 	}
 }
 
@@ -80,8 +81,8 @@ func TestSearchDocumentFilter(t *testing.T) {
 	if !errors.Is(err, xks.ErrUnknownDocument) {
 		t.Errorf("unknown document error = %v", err)
 	}
-	if s := sv.Metrics().Snapshot(); s.Errors != 1 {
-		t.Errorf("errors = %d, want 1", s.Errors)
+	if n := service.Sample(t, sv, "xks_request_errors_total"); n != 1 {
+		t.Errorf("errors = %v, want 1", n)
 	}
 }
 
@@ -201,12 +202,12 @@ func TestSingleflightCollapsesHerd(t *testing.T) {
 	if got := cs.execs.Load(); got > 3 {
 		t.Errorf("underlying executions = %d, want <= 3 for a herd of %d", got, herd)
 	}
-	s := sv.Metrics().Snapshot()
-	if s.Collapsed < herd-3 {
-		t.Errorf("collapsed = %d, want >= %d", s.Collapsed, herd-3)
+	s := service.Samples(t, sv)
+	if s["xks_collapsed_requests_total"] < herd-3 {
+		t.Errorf("collapsed = %v, want >= %d", s["xks_collapsed_requests_total"], herd-3)
 	}
-	if s.Requests != herd {
-		t.Errorf("requests = %d", s.Requests)
+	if s["xks_requests_total"] != herd {
+		t.Errorf("requests = %v", s["xks_requests_total"])
 	}
 }
 
@@ -232,7 +233,7 @@ func TestConcurrentHammer(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					sv.Metrics().Snapshot()
+					sv.WritePrometheus(io.Discard)
 					sv.CacheLen()
 				}
 			}
@@ -246,14 +247,14 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := sv.Metrics().Snapshot()
-	if s.Requests != 16*50 {
-		t.Errorf("requests = %d, want %d", s.Requests, 16*50)
+	s := service.Samples(t, sv)
+	if s["xks_requests_total"] != 16*50 {
+		t.Errorf("requests = %v, want %d", s["xks_requests_total"], 16*50)
 	}
-	if s.Errors != 0 {
-		t.Errorf("errors = %d", s.Errors)
+	if s["xks_request_errors_total"] != 0 {
+		t.Errorf("errors = %v", s["xks_request_errors_total"])
 	}
-	if s.CacheHits == 0 {
+	if s["xks_cache_hits_total"] == 0 {
 		t.Error("hammer produced no cache hits")
 	}
 }
@@ -268,9 +269,9 @@ func TestCacheDisabled(t *testing.T) {
 	if sv.CacheLen() != 0 {
 		t.Errorf("CacheLen = %d", sv.CacheLen())
 	}
-	s := sv.Metrics().Snapshot()
-	if s.CacheHits != 0 || s.CacheMisses != 0 {
-		t.Errorf("disabled cache counted hits/misses: %+v", s)
+	s := service.Samples(t, sv)
+	if s["xks_cache_hits_total"] != 0 || s["xks_cache_misses_total"] != 0 {
+		t.Errorf("disabled cache counted hits/misses: %v/%v", s["xks_cache_hits_total"], s["xks_cache_misses_total"])
 	}
 }
 
@@ -379,8 +380,8 @@ func TestCursorScrollStalenessAndMismatch(t *testing.T) {
 	if _, _, err := sv.Search(context.Background(), xks.Request{Query: "search", Limit: 1, Cursor: fresh.Cursor}); err != nil {
 		t.Fatalf("fresh cursor: %v", err)
 	}
-	if s := sv.Metrics().Snapshot(); s.Errors != 2 {
-		t.Errorf("errors = %d, want 2 (one mismatch, one stale)", s.Errors)
+	if n := service.Sample(t, sv, "xks_request_errors_total"); n != 2 {
+		t.Errorf("errors = %v, want 2 (one mismatch, one stale)", n)
 	}
 }
 
@@ -655,15 +656,15 @@ func TestStreamServesCachesAndReplays(t *testing.T) {
 		t.Fatalf("unsearchable stream: err = %v, want ErrEmptyQuery", got)
 	}
 
-	s := sv.Metrics().Snapshot()
-	if s.Streamed != 5 {
-		t.Errorf("streamed = %d, want 5", s.Streamed)
+	s := service.Samples(t, sv)
+	if s["xks_streamed_requests_total"] != 5 {
+		t.Errorf("streamed = %v, want 5", s["xks_streamed_requests_total"])
 	}
-	if s.Errors != 1 {
-		t.Errorf("errors = %d, want 1", s.Errors)
+	if s["xks_request_errors_total"] != 1 {
+		t.Errorf("errors = %v, want 1", s["xks_request_errors_total"])
 	}
-	if s.CacheHits < 2 {
-		t.Errorf("cache hits = %d, want >= 2 (one buffered, one replay)", s.CacheHits)
+	if s["xks_cache_hits_total"] < 2 {
+		t.Errorf("cache hits = %v, want >= 2 (one buffered, one replay)", s["xks_cache_hits_total"])
 	}
 }
 
@@ -699,8 +700,8 @@ func TestStreamJoinsInflightBufferedQuery(t *testing.T) {
 	if got := cs.execs.Load(); got != 1 {
 		t.Errorf("underlying executions = %d, want 1 (stream joined the in-flight leader)", got)
 	}
-	if s := sv.Metrics().Snapshot(); s.Collapsed != 1 {
-		t.Errorf("collapsed = %d, want 1", s.Collapsed)
+	if n := service.Sample(t, sv, "xks_collapsed_requests_total"); n != 1 {
+		t.Errorf("collapsed = %v, want 1", n)
 	}
 }
 

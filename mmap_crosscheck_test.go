@@ -63,20 +63,22 @@ func TestMmapCrosscheck(t *testing.T) {
 	}
 	ref := FromTree(tree)
 	inMemory := FromStore(shredded)
-	heap, err := OpenStoreMode(path, StoreHeap)
+	heapSt, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
+	heap := FromStore(heapSt)
 	defer heap.Close()
 	engines := map[string]*Engine{"shred": inMemory, "v3-heap": heap}
-	if info := heap.StoreInfo(); info.Mode != "v3-heap" {
-		t.Fatalf("heap engine mode %q", info.Mode)
+	if mode := heapSt.Mode(); mode != "v3-heap" {
+		t.Fatalf("heap engine mode %q", mode)
 	}
-	mapped, err := OpenStoreMode(path, StoreMmap)
+	mappedSt, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenMmap})
 	if err == nil {
+		mapped := FromStore(mappedSt)
 		defer mapped.Close()
-		if info := mapped.StoreInfo(); info.Mode != "v3-mmap" || info.MappedBytes == 0 {
-			t.Fatalf("mmap engine info %+v", info)
+		if mode, n := mappedSt.Mode(), mappedSt.MappedBytes(); mode != "v3-mmap" || n == 0 {
+			t.Fatalf("mmap engine mode %q, %d mapped bytes", mode, n)
 		}
 		engines["v3-mmap"] = mapped
 	} else {
@@ -114,8 +116,8 @@ func TestOpenStoreLazyDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if info := e.StoreInfo(); info.Mode != "v3-mmap" && info.Mode != "v3-heap" {
-		t.Fatalf("v3 open produced mode %q", info.Mode)
+	if mode := e.st.Mode(); mode != "v3-mmap" && mode != "v3-heap" {
+		t.Fatalf("v3 open produced mode %q", mode)
 	}
 	if n := e.Index().DecodedLists(); n != 0 {
 		t.Fatalf("open decoded %d posting lists eagerly, want 0", n)

@@ -1,11 +1,11 @@
 package xks
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strings"
-	"time"
 
 	"xks/internal/concurrent"
 	"xks/internal/query"
@@ -37,12 +37,13 @@ type PanicError = concurrent.PanicError
 // Request describes one search: the query text, an optional document
 // filter, the algorithm knobs, and the pagination window. It is the unit of
 // serving — every search entrypoint (Engine and Corpus Search and Stream, the
-// service and HTTP layers) takes a context.Context and a Request, so one
-// value carries everything a request needs and cancellation or deadlines
-// propagate end to end.
+// service and HTTP layers) takes a context.Context and a Request. The
+// request says what to compute; its context says for how long: a deadline
+// or cancellation on the context propagates end to end, and Budget says
+// what an expired deadline yields.
 //
 // The zero value of every field is the default: ValidRTF pruning, AllLCA
-// semantics, document order, no limit, first page, no per-request timeout.
+// semantics, document order, no limit, first page, Strict budget.
 type Request struct {
 	// Query is the keyword query; terms may carry XSearch-style label
 	// predicates ("title:xml", "author:"). See internal/query.
@@ -76,14 +77,10 @@ type Request struct {
 	// request differ from the one it was issued for, ErrBadCursor when it
 	// does not decode. Empty means the first page.
 	Cursor Cursor
-	// Budget selects deadline behavior (default Strict): BestEffort turns
-	// a deadline that expires mid-materialization into a partial page with
-	// Results.Truncated set, instead of an error.
+	// Budget selects how the context's deadline is treated (default
+	// Strict): BestEffort turns a deadline that expires mid-materialization
+	// into a partial page with Results.Truncated set, instead of an error.
 	Budget Budget
-	// Timeout, when positive, derives a deadline from the caller's context
-	// for this request alone. It does not affect cache keys: a result is
-	// the same however long it was allowed to take.
-	Timeout time.Duration
 }
 
 // Budget selects how a request treats its deadline.
@@ -112,30 +109,58 @@ func (b Budget) String() string {
 // whitespace-normalized and case-folded (deeper normalization — stemming,
 // stop words — happens inside the engine) and negative Limit/Offset clamped
 // to zero. Two requests with equal canonical forms produce the same result,
-// which is what caching layers key on; Timeout and Budget are deliberately
-// not part of that equality and are cleared — a result is the same however
-// long it was allowed to take, and a BestEffort request that completes
-// equals its Strict twin (truncated partial pages are never cached).
+// which is what caching layers key on (Key); Budget is deliberately not part
+// of that equality and is cleared — a BestEffort request that completes
+// equals its Strict twin (truncated partial pages are never cached), and a
+// result is the same however long its context allowed it to take.
 // Cursor is left as-is: it resolves to an Offset only against a live data
 // generation (ResolveCursor), which serving layers do before keying.
 func (r Request) Canonical() Request {
 	r = r.clampPaging()
 	r.Query = strings.Join(strings.Fields(strings.ToLower(r.Query)), " ")
-	r.Timeout = 0
 	r.Budget = Strict
 	return r
 }
 
-// fingerprint hashes the order-defining request fields — everything that
-// determines the identity and ordering of the full result list, but not
-// the window (Limit/Offset/Cursor), the deadline, or the budget. Cursors
-// embed it so a token cannot be replayed against a different query.
-func (r Request) fingerprint() uint64 {
-	r = r.Canonical()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d:%s%d:%s%d.%d.%t.%t",
+// writeIdentity writes the canonical request's identity — the
+// order-defining fields, everything that determines the identity and
+// ordering of the full result list, but not the window (Limit/Offset/Cursor)
+// or the budget — as "len:query len:doc alg.sem.exact.rank". The query and
+// the document are length-prefixed, so no two distinct requests write the
+// same bytes: with plain separators, a separator embedded in the query
+// could alias another request's document filter. Key and the cursor
+// fingerprint are both this serialization, so a field added here reaches
+// the cache key and the cursor alike.
+func (r Request) writeIdentity(w io.Writer) {
+	fmt.Fprintf(w, "%d:%s%d:%s%d.%d.%t.%t",
 		len(r.Query), r.Query, len(r.Document), r.Document,
 		r.Algorithm, r.Semantics, r.ExactContent, r.Rank)
+}
+
+// Key is the request's cache and singleflight key: its canonical identity
+// (the bytes the cursor fingerprint hashes) followed by the window,
+// ".limit.offset". Two requests with equal keys produce the same page.
+//
+// The cursor is not keyed: a caching layer resolves it into Offset first
+// (ResolveCursor), and a request pinned to an older snapshot is never
+// cached. Nor is the plan: the planner orders the merge, which never
+// changes the answer, and the statistics it reads only change with the
+// data, which already retires the entry through its version token — so a
+// request is planned once, by the pipeline, and a cache hit plans nothing.
+func (r Request) Key() string {
+	r = r.Canonical()
+	var b bytes.Buffer
+	r.writeIdentity(&b)
+	fmt.Fprintf(&b, ".%d.%d", r.Limit, r.Offset)
+	return b.String()
+}
+
+// fingerprint hashes the canonical identity (writeIdentity): what Key holds
+// before the window. Cursors embed it so a token cannot be replayed against
+// a different query.
+func (r Request) fingerprint() uint64 {
+	h := fnv.New64a()
+	r.Canonical().writeIdentity(h)
 	return h.Sum64()
 }
 
@@ -181,15 +206,6 @@ func (r Request) foldCursor() (Request, uint64, error) {
 	}
 	r.Offset, r.Cursor = st.offset, ""
 	return r, st.gen, nil
-}
-
-// applyTimeout derives the request deadline from ctx when Timeout is set.
-// The returned cancel func is always non-nil.
-func (r Request) applyTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.Timeout > 0 {
-		return context.WithTimeout(ctx, r.Timeout)
-	}
-	return ctx, func() {}
 }
 
 // clampPaging zeroes negative Limit/Offset at the execution entrypoints,

@@ -5,24 +5,62 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"xks/internal/paperdata"
 )
 
 func TestRequestCanonical(t *testing.T) {
-	r := Request{Query: "  Liu   KEYWORD ", Limit: -3, Offset: -1, Timeout: time.Second}
+	r := Request{Query: "  Liu   KEYWORD ", Limit: -3, Offset: -1, Budget: BestEffort}
 	c := r.Canonical()
 	if c.Query != "liu keyword" {
 		t.Errorf("Query = %q", c.Query)
 	}
-	if c.Limit != 0 || c.Offset != 0 || c.Timeout != 0 {
-		t.Errorf("Limit/Offset/Timeout = %d/%d/%v, want zeros", c.Limit, c.Offset, c.Timeout)
+	if c.Limit != 0 || c.Offset != 0 || c.Budget != Strict {
+		t.Errorf("Limit/Offset/Budget = %d/%d/%v, want 0/0/Strict", c.Limit, c.Offset, c.Budget)
 	}
 	// Canonicalization is idempotent and preserves the algorithm knobs.
 	r2 := Request{Query: "a b", Algorithm: MaxMatch, Semantics: SLCAOnly, Rank: true, Limit: 4, Offset: 8}
 	if got := r2.Canonical(); got != r2 {
 		t.Errorf("Canonical() = %+v, want unchanged %+v", got, r2)
+	}
+}
+
+// TestRequestKeyGolden pins Key and the cursor fingerprint to the values
+// the service's own cache key and the cursor held before both became one
+// serialization (writeIdentity): a changed byte would orphan every cached
+// page or every outstanding cursor. The cases cover each order-defining
+// field, a document filter, a ':' inside the query and inside the document
+// name (length prefixes keep them apart), normalization, clamped negative
+// windows, and the fields a key leaves out (Budget, Cursor).
+func TestRequestKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		req Request
+		key string
+		fp  uint64
+	}{
+		{Request{Query: "xml keyword"}, "11:xml keyword0:0.0.false.false.0.0", 0x8828368574a684e1},
+		{Request{Query: "  XML   Keyword  "}, "11:xml keyword0:0.0.false.false.0.0", 0x8828368574a684e1},
+		{Request{Query: "keyword xml"}, "11:keyword xml0:0.0.false.false.0.0", 0xbf24bdd7e91d6dcd},
+		{Request{Query: "xml keyword", Document: "dblp.xml"}, "11:xml keyword8:dblp.xml0.0.false.false.0.0", 0xf75d7ae2004f506},
+		{Request{Query: "a:b", Document: "c"}, "3:a:b1:c0.0.false.false.0.0", 0x507a85d6ba0d1b09},
+		{Request{Query: "a", Document: "b:c"}, "1:a3:b:c0.0.false.false.0.0", 0xd8cc83abe77f274d},
+		{Request{Query: "xml keyword", Algorithm: MaxMatch}, "11:xml keyword0:1.0.false.false.0.0", 0x276aedb635804e22},
+		{Request{Query: "xml keyword", Algorithm: RawRTF}, "11:xml keyword0:2.0.false.false.0.0", 0xe59aa4e590d1a623},
+		{Request{Query: "xml keyword", Semantics: SLCAOnly}, "11:xml keyword0:0.1.false.false.0.0", 0xaea5f5a6ef625306},
+		{Request{Query: "xml keyword", ExactContent: true}, "11:xml keyword0:0.0.true.false.0.0", 0xfa652d429e9e79ec},
+		{Request{Query: "xml keyword", Rank: true}, "11:xml keyword0:0.0.false.true.0.0", 0x67700add8c808086},
+		{Request{Query: "title:xml author:liu", Rank: true, Limit: 10, Offset: 20}, "20:title:xml author:liu0:0.0.false.true.10.20", 0x4b56d58c2778d346},
+		{Request{Query: "xml keyword", Limit: -3, Offset: -1}, "11:xml keyword0:0.0.false.false.0.0", 0x8828368574a684e1},
+		{Request{Query: "xml keyword", Limit: 25, Budget: BestEffort, Cursor: "AgAB"}, "11:xml keyword0:0.0.false.false.25.0", 0x8828368574a684e1},
+		{Request{Query: "Liu Keyword", Document: "team", Algorithm: MaxMatch, Semantics: SLCAOnly, ExactContent: true, Rank: true, Limit: 1, Offset: 7},
+			"11:liu keyword4:team1.1.true.true.1.7", 0xe29e5cff23294eaf},
+	} {
+		if got := c.req.Key(); got != c.key {
+			t.Errorf("%+v: Key() = %q, want %q", c.req, got, c.key)
+		}
+		if got := c.req.fingerprint(); got != c.fp {
+			t.Errorf("%+v: fingerprint() = %#x, want %#x", c.req, got, c.fp)
+		}
 	}
 }
 
