@@ -7,6 +7,7 @@ import (
 
 	"xks/internal/delta"
 	"xks/internal/dewey"
+	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/xmltree"
 )
@@ -71,42 +72,30 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 		return fmt.Errorf("xks: %w: appending under %s would renumber the nodes after its subtree; append under a node whose subtree ends the document (the root always does)", ErrOffSpine, parent)
 	}
 
-	// One pre-order walk of the parsed subtree collects everything the
-	// publish needs before the tree changes: the Dewey codes its nodes will
-	// take under the parent's next child ordinal, for the table tail; the
-	// segment's posting lists (ascending by construction — IDs increase per
-	// node, each word at most once per node); and the source-table rows.
+	// Everything the publish needs is collected before the tree changes:
+	// the Dewey codes the subtree's nodes will take under the parent's next
+	// child ordinal, for the table tail; and, from one analysis of the
+	// subtree, the segment's posting lists and the source-table rows.
 	at := parent.Child(uint32(len(e.tree.NodeAt(parent).Children)))
 	start := nid.ID(h.Tab.Len())
-	var (
-		codes    []dewey.Code
-		nodes    []*xmltree.Node
-		words    [][]string
-		postings = map[string][]nid.ID{}
-	)
-	sub.Walk(func(n *xmltree.Node) bool {
-		id := start + nid.ID(len(codes))
-		codes = append(codes, append(at[:len(at):len(at)], n.Code[1:]...))
-		nodes = append(nodes, n)
-		ws := e.an.ContentSet(n.ContentPieces()...)
-		words = append(words, ws)
-		for _, w := range ws {
-			postings[w] = append(postings[w], id)
-		}
-		return true
-	})
+	nodes := sub.Nodes()
+	codes := make([]dewey.Code, len(nodes))
+	for i, n := range nodes {
+		codes[i] = append(at[:len(at):len(at)], n.Code[1:]...)
+	}
+	rows := index.Analyze(sub, e.an)
 	tab, _, err := h.Tab.Extend(codes)
 	if err != nil {
 		return err
 	}
-	seg, err := delta.NewSegment(start, nid.ID(tab.Len()), postings)
+	seg, err := delta.NewSegment(start, nid.ID(tab.Len()), rows.Postings(start))
 	if err != nil {
 		return err
 	}
 	if err := e.tree.AppendChild(parent, sub.Root); err != nil {
 		return err
 	}
-	e.extend(nodes, words)
+	e.extend(nodes, rows.Words())
 	e.head.Store(h.Append(tab, seg))
 	return nil
 }

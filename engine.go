@@ -235,7 +235,9 @@ func LoadFile(path string) (*Engine, error) {
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
 	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an)}
-	ix := index.BuildAnalyzed(t, an, e.refresh().words)
+	rows := index.Analyze(t, an)
+	ix := index.FromRows(t, an, rows)
+	e.refresh(rows.Words())
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }

@@ -7,12 +7,23 @@
 // lower-cased words as the node's content. This package reproduces that
 // pipeline with the standard library only: the stop list is the classic
 // Lucene/Smart English list.
+//
+// A word is a maximal run of Unicode letters and digits holding at least one
+// letter; one tokenizer (nextWord, with a byte-table fast path for ASCII)
+// finds the words for every caller. Queries analyse through the stateless
+// Analyzer (Normalize, Tokens). Builds — a document's index, a shredded
+// store, an appended snippet — analyse through a Vocab, which belongs to
+// that one build and is never shared with queries or other builds: it keeps
+// one string per distinct word and caches, per word as written, its ID or
+// its stop-word verdict, so a node's content set costs map lookups and no
+// allocation once its words have been seen.
 package analysis
 
 import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Analyzer turns raw text into content words. The zero value is not usable;
@@ -30,12 +41,7 @@ func New() *Analyzer {
 // purely numeric tokens (the way the paper's shredder only records
 // "interesting words"). Tokens preserve input order and may repeat.
 func (a *Analyzer) Tokens(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	a.appendTokens(&out, s)
-	return out
+	return a.appendTokens(nil, s)
 }
 
 // ContentSet returns the distinct content words of the given pieces of text
@@ -49,7 +55,7 @@ func (a *Analyzer) Tokens(s string) []string {
 func (a *Analyzer) ContentSet(pieces ...string) []string {
 	var toks []string
 	for _, p := range pieces {
-		a.appendTokens(&toks, p)
+		toks = a.appendTokens(toks, p)
 	}
 	if len(toks) == 0 {
 		return nil
@@ -69,35 +75,132 @@ func (a *Analyzer) Normalize(word string) string {
 	return toks[0]
 }
 
-func (a *Analyzer) appendTokens(dst *[]string, s string) {
-	start := -1
-	hasLetter := false
-	flush := func(end int) {
-		if start < 0 {
-			return
+func (a *Analyzer) appendTokens(dst []string, s string) []string {
+	for start, end := nextWord(s, 0); start < end; start, end = nextWord(s, end) {
+		if tok, ok := a.keep(s[start:end]); ok {
+			dst = append(dst, tok)
 		}
-		word, letters := s[start:end], hasLetter
-		start, hasLetter = -1, false
-		if !letters {
-			return
-		}
-		tok := strings.ToLower(word)
-		if _, stop := a.stop[tok]; stop {
-			return
-		}
-		*dst = append(*dst, tok)
 	}
-	for i, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+	return dst
+}
+
+// keep lower-cases a word and reports whether it is a content word (not a
+// stop word).
+func (a *Analyzer) keep(word string) (string, bool) {
+	tok := strings.ToLower(word)
+	_, stop := a.stop[tok]
+	return tok, !stop
+}
+
+// wordByte classifies ASCII bytes for nextWord: 1 for a letter, 2 for a
+// digit, 0 for a separator.
+var wordByte = func() (t [utf8.RuneSelf]uint8) {
+	for c := '0'; c <= '9'; c++ {
+		t[c] = 2
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = 1, 1
+	}
+	return t
+}()
+
+// nextWord returns the bounds of the first word of s at or after byte i —
+// a maximal run of letters and digits with at least one letter — or
+// start == end when there is none. Bytes that are not UTF-8 separate words.
+func nextWord(s string, i int) (start, end int) {
+	start = -1
+	letter := false
+	for i < len(s) {
+		var class uint8
+		size := 1
+		if c := s[i]; c < utf8.RuneSelf {
+			class = wordByte[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			if unicode.IsLetter(r) {
+				class = 1
+			} else if unicode.IsDigit(r) {
+				class = 2
+			}
+		}
+		switch {
+		case class != 0:
 			if start < 0 {
 				start = i
 			}
-			if unicode.IsLetter(r) {
-				hasLetter = true
-			}
-			continue
+			letter = letter || class == 1
+		case start >= 0 && letter:
+			return start, i
+		default:
+			start, letter = -1, false
 		}
-		flush(i)
+		i += size
 	}
-	flush(len(s))
+	if start >= 0 && letter {
+		return start, len(s)
+	}
+	return len(s), len(s)
 }
+
+// Vocab is the vocabulary of one build. It is not safe for concurrent use.
+type Vocab struct {
+	an      *Analyzer
+	written map[string]uint32 // a word as written → its ID, or stopWord
+	lower   map[string]uint32 // a lower-cased content word → its ID
+	words   []string          // ID → lower-cased content word
+}
+
+// stopWord is Vocab.written's verdict for a word that is not content.
+const stopWord = ^uint32(0)
+
+// NewVocab returns an empty vocabulary for one build.
+func (a *Analyzer) NewVocab() *Vocab {
+	return &Vocab{an: a, written: map[string]uint32{}, lower: map[string]uint32{}}
+}
+
+// AppendContent appends to dst the IDs of the distinct content words of
+// pieces in lexical order of the words: the IDs of a.ContentSet(pieces...).
+func (v *Vocab) AppendContent(dst []uint32, pieces ...string) []uint32 {
+	n := len(dst)
+	for _, p := range pieces {
+		for start, end := nextWord(p, 0); start < end; start, end = nextWord(p, end) {
+			if id := v.id(p[start:end]); id != stopWord {
+				dst = append(dst, id)
+			}
+		}
+	}
+	set := dst[n:]
+	if len(set) > 1 {
+		slices.SortFunc(set, func(x, y uint32) int { return strings.Compare(v.words[x], v.words[y]) })
+		set = slices.Compact(set)
+	}
+	return dst[:n+len(set)]
+}
+
+// id returns the ID of a word as written, or stopWord; a word not seen
+// before is lower-cased and checked once, and a new content word copied.
+func (v *Vocab) id(word string) uint32 {
+	if id, ok := v.written[word]; ok {
+		return id
+	}
+	word = strings.Clone(word) // the key must not pin the text it came from
+	tok, ok := v.an.keep(word)
+	id := stopWord
+	if ok {
+		var seen bool
+		if id, seen = v.lower[tok]; !seen {
+			id = uint32(len(v.words))
+			v.words = append(v.words, tok)
+			v.lower[tok] = id
+		}
+	}
+	v.written[word] = id
+	return id
+}
+
+// Word returns the lower-cased content word with the given ID.
+func (v *Vocab) Word(id uint32) string { return v.words[id] }
+
+// Len returns the number of distinct content words.
+func (v *Vocab) Len() int { return len(v.words) }

@@ -73,30 +73,85 @@ func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
 	}
-	return build(t, a, func(_ nid.ID, n *xmltree.Node) []string { return a.ContentSet(n.ContentPieces()...) })
+	return FromRows(t, a, Analyze(t, a))
 }
 
-// BuildAnalyzed is Build for a caller that has analysed the tree with a
-// already: words[i] is the content set of the i-th node in pre-order (the
-// engine keeps those rows as its source tables and tokenises once).
-func BuildAnalyzed(t *xmltree.Tree, a *analysis.Analyzer, words [][]string) *Index {
-	return build(t, a, func(id nid.ID, _ *xmltree.Node) []string { return words[id] })
+// Rows is the analysed content of a tree's nodes over the vocabulary of one
+// build: row i holds the IDs of the i-th node's content words (pre-order),
+// in lexical order of the words — its content set.
+type Rows struct {
+	Vocab *analysis.Vocab
+	Off   []uint32 // row i is IDs[Off[i]:Off[i+1]]
+	IDs   []uint32
 }
 
-func build(t *xmltree.Tree, a *analysis.Analyzer, contentOf func(nid.ID, *xmltree.Node) []string) *Index {
-	ix := &Index{analyzer: a, postings: make(map[string][]nid.ID)}
-	b := nid.NewBuilder(t.Size())
+// Analyze analyses every node of t with a new vocabulary of a.
+func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
+	r := Rows{Vocab: a.NewVocab(), Off: make([]uint32, 1, t.Size()+1)}
+	var pieces []string
 	t.Walk(func(n *xmltree.Node) bool {
-		ix.numNodes++
-		id := b.Add(n.Code)
-		for _, w := range contentOf(id, n) {
-			ix.postings[w] = append(ix.postings[w], id)
-		}
+		pieces = n.AppendContentPieces(pieces[:0])
+		r.IDs = r.Vocab.AppendContent(r.IDs, pieces...)
+		r.Off = append(r.Off, uint32(len(r.IDs)))
 		return true
 	})
-	// IDs are handed out in walk order, so every list is sorted already.
-	ix.tab = b.Table()
-	return ix
+	return r
+}
+
+// Words returns every row as its content set, the words sharing one array.
+func (r Rows) Words() [][]string {
+	flat := make([]string, len(r.IDs))
+	for i, id := range r.IDs {
+		flat[i] = r.Vocab.Word(id)
+	}
+	out := make([][]string, len(r.Off)-1)
+	for i := range out {
+		if lo, hi := r.Off[i], r.Off[i+1]; lo < hi {
+			out[i] = flat[lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// Postings returns each word's posting list, row i as node ID start+i:
+// ascending, since rows are in node order and a row holds a word at most
+// once. The lists share one array.
+func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
+	ends := make([]uint32, r.Vocab.Len()) // each list's end in the array
+	for _, id := range r.IDs {
+		ends[id]++
+	}
+	sum := uint32(0)
+	for id, n := range ends {
+		sum += n
+		ends[id] = sum
+	}
+	flat := make([]nid.ID, len(r.IDs))
+	for row := len(r.Off) - 2; row >= 0; row-- {
+		for _, id := range r.IDs[r.Off[row]:r.Off[row+1]] {
+			ends[id]--
+			flat[ends[id]] = start + nid.ID(row)
+		}
+	}
+	out := make(map[string][]nid.ID, len(ends))
+	for id, lo := range ends {
+		hi := uint32(len(flat))
+		if id+1 < len(ends) {
+			hi = ends[id+1]
+		}
+		out[r.Vocab.Word(uint32(id))] = flat[lo:hi:hi]
+	}
+	return out
+}
+
+// FromRows indexes t over rows, its nodes' content as Analyze returns it.
+func FromRows(t *xmltree.Tree, a *analysis.Analyzer, r Rows) *Index {
+	b := nid.NewBuilder(t.Size())
+	t.Walk(func(n *xmltree.Node) bool {
+		b.Add(n.Code)
+		return true
+	})
+	return &Index{analyzer: a, tab: b.Table(), postings: r.Postings(0), numNodes: t.Size()}
 }
 
 // FromSortedIDPostings constructs an index from posting lists the caller

@@ -66,15 +66,14 @@ type Store struct {
 // Shred builds the three tables from a document, analyzing content with the
 // given analyzer (nil for the default). The node table, the posting lists
 // and the planner statistics come from the in-memory index over the same
-// content sets, so a shredded store and a tree-backed engine agree by
+// content rows, so a shredded store and a tree-backed engine agree by
 // construction.
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
-	s := &Store{}
+	s := &Store{nodeLabels: make([]uint32, 0, t.Size())}
 	labelIDs := map[string]uint32{}
-	words := make([][]string, 0, t.Size())
 	t.Walk(func(n *xmltree.Node) bool {
 		id, ok := labelIDs[n.Label]
 		if !ok {
@@ -83,11 +82,18 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 			labelIDs[n.Label] = id
 		}
 		s.nodeLabels = append(s.nodeLabels, id)
-		words = append(words, an.ContentSet(n.ContentPieces()...))
 		return true
 	})
-	ix := index.BuildAnalyzed(t, an, words)
+	rows := index.Analyze(t, an)
+	ix := index.FromRows(t, an, rows)
 	s.tab, s.terms, s.stats = ix.Table(), ix.Words(), ix.Stats()
+	// A word's term ID is its rank in the sorted vocabulary: one search per
+	// distinct word, not per occurrence.
+	rank := make([]uint32, rows.Vocab.Len())
+	for id := range rank {
+		r, _ := slices.BinarySearch(s.terms, rows.Vocab.Word(uint32(id)))
+		rank[id] = uint32(r)
+	}
 	var blob []byte
 	offs := make([]int, len(s.terms)+1)
 	for i, w := range s.terms {
@@ -99,15 +105,12 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 		// FromBytes cannot fail on AppendEncode's output.
 		s.lists[i], _ = postings.FromBytes(blob[offs[i]:offs[i+1]])
 	}
-	// Content sets are sorted and so is the vocabulary, so each node's term
-	// IDs come out ascending.
-	s.wordOff = make([]uint32, len(words)+1)
-	for i, ws := range words {
-		for _, w := range ws {
-			id, _ := slices.BinarySearch(s.terms, w)
-			s.termIDs = append(s.termIDs, uint32(id))
-		}
-		s.wordOff[i+1] = uint32(len(s.termIDs))
+	// A row's words are in lexical order, so its term IDs come out
+	// ascending.
+	s.wordOff = rows.Off
+	s.termIDs = make([]uint32, len(rows.IDs))
+	for i, id := range rows.IDs {
+		s.termIDs[i] = rank[id]
 	}
 	return s
 }

@@ -6,18 +6,33 @@
 // element node itself rather than in separate text nodes: the content set Cv
 // of a node is derived from its label, attribute names/values and text.
 //
-// The package provides a streaming parser built on encoding/xml, a
-// programmatic builder used by tests and generators, pre-order navigation,
-// and serialization of whole trees or of fragments (arbitrary
-// ancestor-closed subsets of nodes).
+// The package provides a parser, a programmatic builder used by tests and
+// generators, pre-order navigation, and serialization of whole trees.
+//
+// Parse reads the whole input and builds the tree in one pass over its
+// bytes. It accepts exactly what encoding/xml's Decoder (strict, without a
+// CharsetReader or an entity map) tokenizes to the end and what the tree
+// model can hold, and the tests hold it to that Decoder as an oracle: names
+// are XML 1.0 names with at most one colon, and an element's or
+// attribute's local part must be re-serializable (a letter or '_', then
+// letters, digits, '-', '_', '.'); end tags repeat their start tag's name,
+// prefix included; attribute values are quoted; text and attribute values
+// are UTF-8 of XML characters, with the five predefined entities and
+// character references expanded and "\r\n" and "\r" read as "\n", and
+// "]]>" only ends a CDATA section; comments hold no "--" before their end;
+// an XML declaration names version 1.0 and UTF-8 if anything; there is one
+// root element and every element is closed. Text and markup outside the
+// root, comments, processing instructions and directives (DOCTYPE
+// included, whose entity declarations are not applied) leave no trace in
+// the tree, and namespace declarations are dropped from the attributes.
+// The tree holds copies of the text it keeps, never the input.
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
+	"io/fs"
 	"strings"
-	"unicode"
 	"unicode/utf8"
 
 	"xks/internal/dewey"
@@ -48,15 +63,19 @@ func (n *Node) Level() int { return n.Code.Level() }
 // ContentPieces returns the raw strings whose words form the node's content
 // set Cv: label, attribute names and values, and text.
 func (n *Node) ContentPieces() []string {
-	pieces := make([]string, 0, 2+2*len(n.Attrs))
-	pieces = append(pieces, n.Label)
+	return n.AppendContentPieces(make([]string, 0, 2+2*len(n.Attrs)))
+}
+
+// AppendContentPieces appends the node's ContentPieces to dst.
+func (n *Node) AppendContentPieces(dst []string) []string {
+	dst = append(dst, n.Label)
 	for _, a := range n.Attrs {
-		pieces = append(pieces, a.Name, a.Value)
+		dst = append(dst, a.Name, a.Value)
 	}
 	if n.Text != "" {
-		pieces = append(pieces, n.Text)
+		dst = append(dst, n.Text)
 	}
-	return pieces
+	return dst
 }
 
 // String renders the node as in the paper, e.g. "0.2.0.1 (title)".
@@ -177,85 +196,50 @@ func (t *Tree) Clone() *Tree {
 	return nt
 }
 
-// Parse reads an XML document and builds the tree. Character data is
-// trimmed and concatenated (space separated) onto the innermost open
-// element. Processing instructions, comments and directives are ignored.
+// Parse reads an XML document and builds the tree in one pass over its
+// bytes (see scanner for what it accepts). Character data is trimmed and
+// concatenated (space separated) onto the innermost open element.
+// Processing instructions, comments and directives are skipped.
 func Parse(r io.Reader) (*Tree, error) {
-	dec := xml.NewDecoder(r)
-	var (
-		root  *Node
-		stack []*Node
-	)
+	in, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	return parse(in)
+}
+
+// readAll is io.ReadAll with the buffer sized up front when r knows its
+// length (a file, a bytes or strings reader), so a document is read into
+// one allocation instead of a series of doublings.
+func readAll(r io.Reader) ([]byte, error) {
+	n := 512
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		n = v.Len() + 1
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			n = int(fi.Size()) + 1
+		}
+	}
+	b := make([]byte, 0, n)
 	for {
-		tok, err := dec.Token()
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
 		if err == io.EOF {
-			break
+			return b, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return nil, err
 		}
-		switch el := tok.(type) {
-		case xml.StartElement:
-			// encoding/xml splits prefixed names on the colon without
-			// validating the local part ("A:0" yields local name "0"), so
-			// names that are not well-formed XML slip through; reject them
-			// here, since they cannot be re-serialized.
-			if !validXMLName(el.Name.Local) {
-				return nil, fmt.Errorf("xmltree: invalid element name %q", el.Name.Local)
-			}
-			n := &Node{Label: el.Name.Local}
-			for _, a := range el.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				if !validXMLName(a.Name.Local) {
-					return nil, fmt.Errorf("xmltree: invalid attribute name %q", a.Name.Local)
-				}
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements")
-				}
-				root = n
-			} else {
-				top := stack[len(stack)-1]
-				n.Parent = top
-				top.Children = append(top.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %s", el.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue
-			}
-			txt := strings.TrimSpace(string(el))
-			if txt == "" {
-				continue
-			}
-			top := stack[len(stack)-1]
-			if top.Text == "" {
-				top.Text = txt
-			} else {
-				top.Text += " " + txt
-			}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
 		}
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: no root element")
-	}
-	t := &Tree{Root: root}
-	t.rebuildIndex()
-	return t, nil
 }
 
 // ParseString is Parse over a string.
 func ParseString(s string) (*Tree, error) {
-	return Parse(strings.NewReader(s))
+	return parse([]byte(s))
 }
 
 // E is a literal element description used to build trees programmatically.
@@ -324,27 +308,6 @@ func writeNode(w io.Writer, n *Node, depth int) error {
 	}
 	_, err := fmt.Fprintf(w, "%s</%s>\n", ind, n.Label)
 	return err
-}
-
-// validXMLName reports whether s can serve as a serializable XML name
-// (letter or underscore start, then letters, digits, '-', '_', '.').
-func validXMLName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		letter := unicode.IsLetter(r) || r == '_'
-		if i == 0 {
-			if !letter {
-				return false
-			}
-			continue
-		}
-		if !letter && !unicode.IsDigit(r) && r != '-' && r != '.' {
-			return false
-		}
-	}
-	return true
 }
 
 // AppendEscaped appends s to b as XML character data or an attribute

@@ -1,11 +1,10 @@
 package xks
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"xks/internal/concurrent"
 	"xks/internal/query"
@@ -117,12 +116,30 @@ func (b Budget) String() string {
 // generation (ResolveCursor), which serving layers do before keying.
 func (r Request) Canonical() Request {
 	r = r.clampPaging()
-	r.Query = strings.Join(strings.Fields(strings.ToLower(r.Query)), " ")
+	r.Query = canonicalQuery(r.Query)
 	r.Budget = Strict
 	return r
 }
 
-// writeIdentity writes the canonical request's identity — the
+// canonicalQuery is strings.Join(strings.Fields(strings.ToLower(q)), " "):
+// q itself, with no allocation, when q is lower-case ASCII words separated
+// by single spaces already.
+func canonicalQuery(q string) string {
+	for i := 0; i < len(q); i++ {
+		switch c := q[i]; {
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', '\t' <= c && c <= '\r':
+			// Not ASCII, upper case, or a space Fields splits on other than ' '.
+		case c == ' ' && (i == 0 || i == len(q)-1 || q[i+1] == ' '):
+			// A space at either end, or doubled.
+		default:
+			continue
+		}
+		return strings.Join(strings.Fields(strings.ToLower(q)), " ")
+	}
+	return q
+}
+
+// appendIdentity appends the canonical request's identity — the
 // order-defining fields, everything that determines the identity and
 // ordering of the full result list, but not the window (Limit/Offset/Cursor)
 // or the budget — as "len:query len:doc alg.sem.exact.rank". The query and
@@ -131,10 +148,15 @@ func (r Request) Canonical() Request {
 // could alias another request's document filter. Key and the cursor
 // fingerprint are both this serialization, so a field added here reaches
 // the cache key and the cursor alike.
-func (r Request) writeIdentity(w io.Writer) {
-	fmt.Fprintf(w, "%d:%s%d:%s%d.%d.%t.%t",
-		len(r.Query), r.Query, len(r.Document), r.Document,
-		r.Algorithm, r.Semantics, r.ExactContent, r.Rank)
+func (r Request) appendIdentity(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(len(r.Query)), 10)
+	b = append(append(b, ':'), r.Query...)
+	b = strconv.AppendInt(b, int64(len(r.Document)), 10)
+	b = append(append(b, ':'), r.Document...)
+	b = strconv.AppendInt(b, int64(r.Algorithm), 10)
+	b = strconv.AppendInt(append(b, '.'), int64(r.Semantics), 10)
+	b = strconv.AppendBool(append(b, '.'), r.ExactContent)
+	return strconv.AppendBool(append(b, '.'), r.Rank)
 }
 
 // Key is the request's cache and singleflight key: its canonical identity
@@ -149,19 +171,23 @@ func (r Request) writeIdentity(w io.Writer) {
 // request is planned once, by the pipeline, and a cache hit plans nothing.
 func (r Request) Key() string {
 	r = r.Canonical()
-	var b bytes.Buffer
-	r.writeIdentity(&b)
-	fmt.Fprintf(&b, ".%d.%d", r.Limit, r.Offset)
-	return b.String()
+	var buf [128]byte
+	b := r.appendIdentity(buf[:0])
+	b = strconv.AppendInt(append(b, '.'), int64(r.Limit), 10)
+	b = strconv.AppendInt(append(b, '.'), int64(r.Offset), 10)
+	return string(b)
 }
 
-// fingerprint hashes the canonical identity (writeIdentity): what Key holds
-// before the window. Cursors embed it so a token cannot be replayed against
-// a different query.
+// fingerprint hashes (64-bit FNV-1a) the canonical identity
+// (appendIdentity): what Key holds before the window. Cursors embed it so a
+// token cannot be replayed against a different query.
 func (r Request) fingerprint() uint64 {
-	h := fnv.New64a()
-	r.Canonical().writeIdentity(h)
-	return h.Sum64()
+	var buf [128]byte
+	h := uint64(14695981039346656037)
+	for _, c := range r.Canonical().appendIdentity(buf[:0]) {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 // ResolveCursor validates r.Cursor against the current data generation gen

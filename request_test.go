@@ -27,11 +27,12 @@ func TestRequestCanonical(t *testing.T) {
 
 // TestRequestKeyGolden pins Key and the cursor fingerprint to the values
 // the service's own cache key and the cursor held before both became one
-// serialization (writeIdentity): a changed byte would orphan every cached
+// serialization (appendIdentity): a changed byte would orphan every cached
 // page or every outstanding cursor. The cases cover each order-defining
 // field, a document filter, a ':' inside the query and inside the document
 // name (length prefixes keep them apart), normalization, clamped negative
-// windows, and the fields a key leaves out (Budget, Cursor).
+// windows, the fields a key leaves out (Budget, Cursor), and queries that
+// miss the allocation-free canonical form.
 func TestRequestKeyGolden(t *testing.T) {
 	for _, c := range []struct {
 		req Request
@@ -54,6 +55,15 @@ func TestRequestKeyGolden(t *testing.T) {
 		{Request{Query: "xml keyword", Limit: 25, Budget: BestEffort, Cursor: "AgAB"}, "11:xml keyword0:0.0.false.false.25.0", 0x8828368574a684e1},
 		{Request{Query: "Liu Keyword", Document: "team", Algorithm: MaxMatch, Semantics: SLCAOnly, ExactContent: true, Rank: true, Limit: 1, Offset: 7},
 			"11:liu keyword4:team1.1.true.true.1.7", 0xe29e5cff23294eaf},
+		// Queries off the canonical fast path: non-ASCII case folding,
+		// ASCII and Unicode white space, an edge space, the empty query
+		// and a byte that is not UTF-8.
+		{Request{Query: "Ünïcode  ÉTÉ"}, "15:ünïcode été0:0.0.false.false.0.0", 0x89d1f48a6171b2cb},
+		{Request{Query: "xml\tkeyword\n", Document: "d"}, "11:xml keyword1:d0.0.false.false.0.0", 0x67dcbc594f15a30a},
+		{Request{Query: "xml\u00a0keyword"}, "11:xml keyword0:0.0.false.false.0.0", 0x8828368574a684e1},
+		{Request{Query: " xml"}, "3:xml0:0.0.false.false.0.0", 0x17f23b12c40eeadf},
+		{Request{Query: ""}, "0:0:0.0.false.false.0.0", 0x1f3b885523361169},
+		{Request{Query: "xml\xffkeyword", Limit: 3}, "13:xml\uFFFDkeyword0:0.0.false.false.3.0", 0x2ed5c9cf5c407e06},
 	} {
 		if got := c.req.Key(); got != c.key {
 			t.Errorf("%+v: Key() = %q, want %q", c.req, got, c.key)

@@ -50,19 +50,17 @@ func (s *srcState) content(id nid.ID) []string {
 	return s.words[id]
 }
 
-// refresh publishes source tables built from the whole tree and returns
-// them. Called once, before e is shared.
-func (e *Engine) refresh() *srcState {
+// refresh publishes source tables built from the whole tree, with words
+// its nodes' content sets in pre-order. Called once, before e is shared.
+func (e *Engine) refresh(words [][]string) {
 	nodes := e.tree.Nodes()
-	st := &srcState{nodes: nodes, words: make([][]string, len(nodes))}
+	st := &srcState{nodes: nodes, words: words}
 	st.labels.IDs = make([]uint32, len(nodes))
 	e.dict = map[string]uint32{}
 	for i, n := range nodes {
-		st.words[i] = e.an.ContentSet(n.ContentPieces()...)
 		st.labels.IDs[i] = e.intern(&st.labels.Names, n.Label)
 	}
 	e.src.Store(st)
-	return st
 }
 
 // intern returns label's dictionary ID, appending label to *names when it
