@@ -28,6 +28,7 @@ import (
 	"xks/internal/datagen"
 	"xks/internal/exec"
 	"xks/internal/nid"
+	"xks/internal/paperdata"
 	"xks/internal/store"
 	"xks/internal/trace"
 	"xks/internal/workload"
@@ -343,9 +344,11 @@ func TestRankedPageHydratesIntoScratch(t *testing.T) {
 // exact object count. Engine.Search runs the request loop itself, not through
 // Stream's iterator, and hands it a one-entry document vector that stays on
 // its stack (only the corpus fan-out copies its vector for the workers); the
-// pipeline parameters carry no per-search closure besides the scorer's
-// Incremental and the pinned content reader: labels travel as the pinned label
-// column, and an untraced plan is never rendered for explain. A query that
+// pipeline parameters carry no per-search closure: the scorer travels as a
+// pointer, labels as the pinned label column and content as the lookup the
+// pinned source state built once (the two method values the parameters held
+// before were the 25th and 26th objects), and an untraced plan is never
+// rendered for explain. A query that
 // matches nothing stops after planning; an SLCA limit=10 page runs every
 // stage, with its roots in the candidate stage's pooled columns and handles
 // for its window of ten alone, hydrates its deferred events into the block's
@@ -360,7 +363,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 26},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 24},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -749,6 +752,20 @@ func TestNodeMatchedAllocs(t *testing.T) {
 	for _, i := range []int{1, 2} {
 		if allocs := testing.AllocsPerRun(100, func() { f.NodeMatched(i) }); allocs != 0 {
 			t.Errorf("NodeMatched of %s (%q) allocates %.0f objects, want 0", f.Nodes[i].Dewey, f.NodeMatched(i), allocs)
+		}
+	}
+}
+
+// TestCorpusVersionForAllocs: a serving layer asks for the version token on
+// every request, and the token is an FNV-1a fold over the pins, so neither
+// a document-filtered nor a corpus-wide token allocates.
+func TestCorpusVersionForAllocs(t *testing.T) {
+	c := NewCorpus()
+	c.Add("publications", FromTree(paperdata.Publications()))
+	c.Add("team", FromTree(paperdata.Team()))
+	for _, req := range []Request{{Query: "x"}, {Query: "x", Document: "team"}} {
+		if got := testing.AllocsPerRun(100, func() { c.VersionFor(req) }); got != 0 {
+			t.Errorf("VersionFor(document %q) allocates %.0f objects, want 0", req.Document, got)
 		}
 	}
 }

@@ -73,17 +73,16 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	}
 
 	// Everything the publish needs is collected before the tree changes:
-	// the Dewey codes the subtree's nodes will take under the parent's next
-	// child ordinal, for the table tail; and, from one analysis of the
-	// subtree, the segment's posting lists and the source-table rows.
+	// from one walk of the subtree, its rows (the segment's posting lists
+	// and the source columns' tail), and the Dewey codes its nodes will
+	// take under the parent's next child ordinal, for the table tail.
+	rows := index.Analyze(sub, e.an)
 	at := parent.Child(uint32(len(e.tree.NodeAt(parent).Children)))
 	start := nid.ID(h.Tab.Len())
-	nodes := sub.Nodes()
-	codes := make([]dewey.Code, len(nodes))
-	for i, n := range nodes {
+	codes := make([]dewey.Code, len(rows.Nodes))
+	for i, n := range rows.Nodes {
 		codes[i] = append(at[:len(at):len(at)], n.Code[1:]...)
 	}
-	rows := index.Analyze(sub, e.an)
 	tab, _, err := h.Tab.Extend(codes)
 	if err != nil {
 		return err
@@ -95,7 +94,7 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	if err := e.tree.AppendChild(parent, sub.Root); err != nil {
 		return err
 	}
-	e.extend(nodes, rows.Words())
+	e.publish(rows)
 	e.head.Store(h.Append(tab, seg))
 	return nil
 }

@@ -223,10 +223,10 @@ func TestTailAppendTokensArePinned(t *testing.T) {
 		record()
 	}
 	want := []string{
-		"20 AhQBAADhiZql19CNlIgB | 13547143800018946839 9707413277831106748 ApeWj4qq8MeAvAEBAADhiZql19CNlIgB",
-		"22 AhYBAADhiZql19CNlIgB | 12233467836919121447 14172044091766285566 AqeM7LXpxYDjqQEBAADhiZql19CNlIgB",
-		"25 AhkBAADhiZql19CNlIgB | 15156791431838860842 2542814103867258144 AqqMwuuMsO-r0gEBAADhiZql19CNlIgB",
-		"27 AhsBAADhiZql19CNlIgB | 7844442313574255714 7007444917802436962 AuKYjM2P18PubAEAAOGJmqXX0I2UiAE",
+		"20 AxQB4YmapdfQjZSIAQ | 13547143800018946839 9707413277831106748 A5eWj4qq8MeAvAEB4YmapdfQjZSIAQ",
+		"22 AxYB4YmapdfQjZSIAQ | 12233467836919121447 14172044091766285566 A6eM7LXpxYDjqQEB4YmapdfQjZSIAQ",
+		"25 AxkB4YmapdfQjZSIAQ | 15156791431838860842 2542814103867258144 A6qMwuuMsO-r0gEB4YmapdfQjZSIAQ",
+		"27 AxsB4YmapdfQjZSIAQ | 7844442313574255714 7007444917802436962 A-KYjM2P18PubAHhiZql19CNlIgB",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("tokens and cursors after each append:\n got %q\nwant %q", got, want)

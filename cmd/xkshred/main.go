@@ -39,7 +39,7 @@ func main() {
 			// The word is analyzed as a query keyword is (query.Parse), so
 			// "XML" finds the postings a search for it reads.
 			an := analysis.New()
-			ix := s.BuildIndex(an)
+			ix := s.BuildIndex()
 			ids := ix.LookupIDs(an.Normalize(*keyword))
 			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(ids))
 			for _, id := range ids {

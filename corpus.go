@@ -2,12 +2,13 @@ package xks
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"iter"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -173,18 +174,23 @@ func (c *Corpus) Documents() []DocumentInfo {
 // detect staleness. Compaction does not change it — folding delta segments
 // into the base is invisible to readers.
 func (c *Corpus) Generation() uint64 {
-	return vectorHash(c.currentVector())
+	h := uint64(fnvOffset)
+	for _, n := range c.names {
+		h = docSnap{name: n, reg: c.regIDs[n], ver: c.engines[n].Generation()}.hash(h)
+	}
+	return h
 }
 
 // VersionFor reports the version token serving layers should tag req's
 // cache entry with: the full snapshot-vector hash for corpus-wide
 // requests, and a document-scoped hash (name, registration nonce, engine
 // version) for document-filtered ones — so appending to document A never
-// invalidates cached pages that only touch document B.
+// invalidates cached pages that only touch document B. It allocates
+// nothing.
 func (c *Corpus) VersionFor(req Request) uint64 {
 	if req.Document != "" {
 		if e := c.engines[req.Document]; e != nil {
-			return vectorHash([]docSnap{{name: req.Document, reg: c.regIDs[req.Document], ver: e.Generation()}})
+			return docSnap{name: req.Document, reg: c.regIDs[req.Document], ver: e.Generation()}.hash(fnvOffset)
 		}
 	}
 	return c.Generation()
@@ -201,20 +207,23 @@ func (c *Corpus) currentVector() []docSnap {
 }
 
 // vectorHash condenses a snapshot vector into the uint64 version token
-// cursors and caches carry (FNV-64a over every pin).
+// cursors and caches carry (FNV-1a over every pin).
 func vectorHash(vec []docSnap) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(fnvOffset)
 	for _, ds := range vec {
-		fmt.Fprintf(h, "%d:%s", len(ds.name), ds.name)
-		for _, v := range [2]uint64{ds.reg, ds.ver} {
-			for i := range buf {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
+		h = ds.hash(h)
 	}
-	return h.Sum64()
+	return h
+}
+
+// hash folds the pin into the FNV-1a state h: the name's length in decimal,
+// a colon and the name, then the registration nonce and the engine version
+// as eight little-endian bytes each.
+func (ds docSnap) hash(h uint64) uint64 {
+	var buf [20]byte
+	h = fnv1a(h, append(strconv.AppendInt(buf[:0], int64(len(ds.name)), 10), ':'))
+	h = fnv1a(h, ds.name)
+	return fnv1a(h, binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(buf[:0], ds.reg), ds.ver))
 }
 
 // resolveSnapshot is the corpus entry point's cursor-and-snapshot

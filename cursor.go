@@ -18,8 +18,7 @@ import (
 //     it was issued against) and fails as ErrStaleCursor only when the
 //     snapshot is not resolvable (a node count past the engine's head,
 //     document replacement, or corpus registry eviction);
-//   - the resume position (the offset of the next unreturned fragment,
-//     plus the document/sequence key of the last one yielded);
+//   - the resume position (the offset of the next unreturned fragment);
 //   - a fingerprint of the order-defining request fields, so a cursor
 //     cannot be replayed against a different query (ErrCursorMismatch).
 //
@@ -51,7 +50,7 @@ var (
 // cursorVersion is the first byte of every encoded token; bump it when the
 // payload layout changes so old tokens fail as ErrBadCursor instead of
 // misparsing.
-const cursorVersion = 2
+const cursorVersion = 3
 
 // cursorState is the decoded payload of a Cursor.
 type cursorState struct {
@@ -63,20 +62,17 @@ type cursorState struct {
 	// honored only at the exact generation it was issued at (nothing
 	// mutated in between), the offset resumes the deterministic order
 	// exactly.
-	doc, seq int // resume key: last yielded candidate (diagnostics)
-	offset   int
+	offset int
 	// fp fingerprints the order-defining request fields.
 	fp uint64
 }
 
 // encodeCursor serializes the state as a base64url token.
 func encodeCursor(s cursorState) Cursor {
-	buf := make([]byte, 0, 1+5*binary.MaxVarintLen64)
+	buf := make([]byte, 0, 1+3*binary.MaxVarintLen64)
 	buf = append(buf, cursorVersion)
 	buf = binary.AppendUvarint(buf, s.gen)
 	buf = binary.AppendUvarint(buf, uint64(s.offset))
-	buf = binary.AppendUvarint(buf, uint64(s.doc))
-	buf = binary.AppendUvarint(buf, uint64(s.seq))
 	buf = binary.AppendUvarint(buf, s.fp)
 	return Cursor(base64.RawURLEncoding.EncodeToString(buf))
 }
@@ -93,24 +89,18 @@ func (c Cursor) decode() (cursorState, error) {
 		return cursorState{}, fmt.Errorf("%w: unknown version", ErrBadCursor)
 	}
 	raw = raw[1:]
-	var s cursorState
-	fields := []*uint64{&s.gen, nil, nil, nil, &s.fp}
-	ints := []*int{nil, &s.offset, &s.doc, &s.seq, nil}
-	for i := range fields {
-		v, n := binary.Uvarint(raw)
+	var v [3]uint64 // gen, offset, fp
+	for i := range v {
+		x, n := binary.Uvarint(raw)
 		if n <= 0 {
 			return cursorState{}, fmt.Errorf("%w: truncated payload", ErrBadCursor)
 		}
-		raw = raw[n:]
-		if fields[i] != nil {
-			*fields[i] = v
-		} else {
-			if v > uint64(maxInt) {
-				return cursorState{}, fmt.Errorf("%w: position overflows int", ErrBadCursor)
-			}
-			*ints[i] = int(v)
-		}
+		raw, v[i] = raw[n:], x
 	}
+	if v[1] > uint64(maxInt) {
+		return cursorState{}, fmt.Errorf("%w: position overflows int", ErrBadCursor)
+	}
+	s := cursorState{gen: v[0], offset: int(v[1]), fp: v[2]}
 	// One state, one token: trailing bytes, overlong varints and stray
 	// padding bits would otherwise decode too.
 	if encodeCursor(s) != c {
@@ -146,7 +136,7 @@ func (r *Results) ResumePoint(n int, req Request, gen uint64) *Results {
 	if st, err := r.Cursor.decode(); err == nil {
 		gen = st.gen
 	}
-	out.Cursor = pageCursor(req.clampPaging(), gen, n, r.Stats.NumLCAs, 0, 0, false)
+	out.Cursor = pageCursor(req.clampPaging(), gen, n, r.Stats.NumLCAs, false)
 	return &out
 }
 
@@ -161,20 +151,13 @@ func truncationCursor(req Request, gen uint64) Cursor {
 
 // pageCursor is the next-page cursor of a result envelope: yielded
 // fragments were returned starting at req.Offset, total is the candidate
-// count before paging, and lastDoc/lastSeq key the final candidate
-// materialized. A cursor is issued whenever unreturned results remain —
+// count before paging. A cursor is issued whenever unreturned results remain —
 // including a truncated page that yielded nothing, so a best-effort client
 // can retry from the same spot — and is empty otherwise.
-func pageCursor(req Request, gen uint64, yielded, total int, lastDoc, lastSeq int, truncated bool) Cursor {
+func pageCursor(req Request, gen uint64, yielded, total int, truncated bool) Cursor {
 	n := req.Offset + yielded
 	if n >= total || (yielded == 0 && !truncated) {
 		return ""
 	}
-	return encodeCursor(cursorState{
-		gen:    gen,
-		offset: n,
-		doc:    lastDoc,
-		seq:    lastSeq,
-		fp:     req.fingerprint(),
-	})
+	return encodeCursor(cursorState{gen: gen, offset: n, fp: req.fingerprint()})
 }

@@ -15,8 +15,8 @@ func FuzzCursorDecode(f *testing.F) {
 	req := Request{Query: "xml keyword", Rank: true, Limit: 5}
 	for _, st := range []cursorState{
 		{gen: 7, offset: 10, fp: req.fingerprint()},
-		{gen: 7, offset: 3, doc: 2, seq: 9, fp: req.fingerprint()},
-		{gen: ^uint64(0), offset: maxInt, seq: maxInt},
+		{gen: 7, offset: 3, fp: req.fingerprint()},
+		{gen: ^uint64(0), offset: maxInt},
 	} {
 		f.Add(string(encodeCursor(st)), uint64(7))
 	}

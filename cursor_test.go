@@ -14,7 +14,7 @@ import (
 )
 
 func TestCursorRoundTrip(t *testing.T) {
-	want := cursorState{gen: 42, offset: 17, doc: 3, seq: 9, fp: 0xdeadbeefcafe}
+	want := cursorState{gen: 42, offset: 17, fp: 0xdeadbeefcafe}
 	got, err := encodeCursor(want).decode()
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestCursorRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
 	// Extremes survive.
-	want = cursorState{gen: ^uint64(0), offset: maxInt, doc: 0, seq: maxInt, fp: 0}
+	want = cursorState{gen: ^uint64(0), offset: maxInt, fp: 0}
 	if got, err = encodeCursor(want).decode(); err != nil || got != want {
 		t.Fatalf("extreme round trip: got %+v err %v, want %+v", got, err, want)
 	}

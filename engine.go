@@ -121,14 +121,18 @@ type Engine struct {
 	tree *xmltree.Tree // nil for store-backed engines
 	st   *store.Store  // nil for tree-backed engines
 	src  atomic.Pointer[srcState]
-	// dict maps a tree's labels to their IDs in the published label
-	// dictionary; only the writer (refresh, extend, under mu) touches it.
-	dict map[string]uint32
-	an   *analysis.Analyzer
-	snip *snippet.Generator
+	// labels, content and nodes are a tree's source columns as the writer
+	// grows them (publish, under mu); each published srcState views a
+	// prefix of them. Store-backed engines leave them empty.
+	labels  index.LabelColumn
+	content index.Content
+	nodes   []*xmltree.Node
+	an      *analysis.Analyzer
+	snip    *snippet.Generator
 
 	// head is the current index state; mu serializes the writers that
-	// replace it and src, and that alone touch tree and dict. counters carries the delta subsystem's observability
+	// replace it and src, and that alone touch tree and the source
+	// columns. counters carries the delta subsystem's observability
 	// state (pinned snapshots, compactions).
 	head     atomic.Pointer[delta.Head]
 	mu       sync.Mutex
@@ -236,8 +240,8 @@ func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
 	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an)}
 	rows := index.Analyze(t, an)
-	ix := index.FromRows(t, an, rows)
-	e.refresh(rows.Words())
+	ix := index.FromRows(rows)
+	e.publish(rows)
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }
@@ -248,9 +252,12 @@ func FromTree(t *xmltree.Tree) *Engine {
 // content words (the store does not retain raw text).
 func FromStore(st *store.Store) *Engine {
 	an := analysis.New()
-	ix := st.BuildIndex(an)
+	ix := st.BuildIndex()
 	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an)}
-	e.src.Store(&srcState{labels: prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()}, store: st})
+	e.src.Store(&srcState{
+		labels:  prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()},
+		content: func(id nid.ID) []string { return st.ContentAt(int(id)) },
+	})
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }
@@ -626,14 +633,14 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 	matSp := sp.Child("materialize")
 	b := blockPool.Get().(*blockScratch)
 	defer b.release()
-	yielded, lastDoc, lastSeq := 0, 0, 0
+	yielded := 0
 	var prunedNodes int64
 	defer func() {
 		matSp.SetInt("fragments", int64(yielded))
 		matSp.SetInt("prunedNodes", prunedNodes)
 		matSp.End()
 		if !salvage {
-			res.Cursor = pageCursor(req, gen, yielded, res.Stats.NumLCAs, lastDoc, lastSeq, res.Truncated)
+			res.Cursor = pageCursor(req, gen, yielded, res.Stats.NumLCAs, res.Truncated)
 		}
 	}()
 	for len(selected) > 0 {
@@ -645,7 +652,7 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 		for i := range frags {
 			f, c := &frags[i], blk[i]
 			prunedNodes += int64(f.Pruned)
-			yielded, lastDoc, lastSeq = yielded+1, c.Doc, c.Seq
+			yielded++
 			if !yield(docs[c.Doc].name, f) {
 				return nil
 			}
@@ -923,14 +930,14 @@ func stampSnapshot(sp *trace.Span, v *view, c *delta.Counters) {
 // content sets pinned with it.
 func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 	return exec.Params{
-		Tab:         v.snap.Table(),
-		SLCAOnly:    req.Semantics == SLCAOnly,
-		Mode:        req.Algorithm.mode(),
-		Prune:       prune.Options{ExactContent: req.ExactContent},
-		Rank:        req.Rank,
-		Limit:       req.Limit,
-		Offset:      req.Offset,
-		Incremental: v.scorer.Incremental,
+		Tab:      v.snap.Table(),
+		SLCAOnly: req.Semantics == SLCAOnly,
+		Mode:     req.Algorithm.mode(),
+		Prune:    prune.Options{ExactContent: req.ExactContent},
+		Rank:     req.Rank,
+		Limit:    req.Limit,
+		Offset:   req.Offset,
+		Scorer:   v.scorer,
 		// A limited search materializes only one page: skip per-candidate
 		// event lists and hydrate the selected few lazily.
 		DeferEvents: req.Limit > 0,

@@ -276,13 +276,9 @@ func (s *Snapshot) Version() uint64 { return uint64(s.n) }
 // Table returns the node table view, with Len() == NumNodes().
 func (s *Snapshot) Table() *nid.Table { return s.tab }
 
-// NumNodes reports the indexed node count visible to the snapshot.
-func (s *Snapshot) NumNodes() int {
-	// The base's own count anchors store-backed shapes where indexed nodes
-	// and table rows differ; tail appends add rows and indexed nodes 1:1,
-	// and a base compacted past this snapshot subtracts back down.
-	return s.base.NumNodes() + (s.n - s.baseLen)
-}
+// NumNodes reports the indexed node count visible to the snapshot: every
+// row of its table.
+func (s *Snapshot) NumNodes() int { return s.n }
 
 // Segments reports how many delta segments the snapshot merges.
 func (s *Snapshot) Segments() int { return len(s.segs) }
@@ -364,8 +360,8 @@ func cutAt(list []nid.ID, n nid.ID) []nid.ID {
 
 // Fold merges the head's delta segments into a fresh base index over the
 // head's full table — the compactor's core. Posting lists no segment
-// touched are shared with the old base, and each touched word's list is the
-// overlay's, capped at its length so nothing can append into it (zero copy,
+// touched are shared with the old base as they are, decoded or not, so a
+// fold reads none of them; each touched word's list is the overlay's, capped at its length so nothing can append into it (zero copy,
 // zero writes either way — pinned snapshots may be reading them
 // concurrently). The old base remains valid and immutable for every pinned
 // snapshot. With no segments the base is returned unchanged.
@@ -374,21 +370,17 @@ func Fold(h *Head) *index.Index {
 		return h.Base
 	}
 	ov := h.merged()
-	merged := make(map[string][]nid.ID, h.Base.NumWords()+len(h.Segs))
-	for _, w := range h.Base.Words() {
-		merged[w] = h.Base.LookupIDs(w)
-	}
 	n := nid.ID(h.Tab.Len())
 	ov.mu.RLock()
+	touched := make(map[string][]nid.ID, len(ov.lists))
 	for w, list := range ov.lists {
 		// A later head of the epoch may already have appended past h.
 		if list = cutAt(list, n); len(list) > 0 {
-			merged[w] = list[:len(list):len(list)]
+			touched[w] = list[:len(list):len(list)]
 		}
 	}
 	ov.mu.RUnlock()
-	numNodes := h.Base.NumNodes() + (h.Tab.Len() - h.Base.Table().Len())
-	return index.FromSortedIDPostings(h.Tab, merged, numNodes, h.Base.Analyzer())
+	return h.Base.With(h.Tab, touched)
 }
 
 // Counters aggregates the delta subsystem's observability state for one

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
@@ -27,10 +26,10 @@ func ids(ns ...nid.ID) []nid.ID { return ns }
 func testHead(t *testing.T) *Head {
 	t.Helper()
 	baseTab := nid.FromCodes(codes("0", "0.0", "0.1"))
-	base := index.FromSortedIDPostings(baseTab, map[string][]nid.ID{
+	base := new(index.Index).With(baseTab, map[string][]nid.ID{
 		"alpha": ids(1),
 		"beta":  ids(1, 2),
-	}, baseTab.Len(), analysis.New())
+	})
 	tab, _, err := baseTab.Extend(codes("0.2", "0.2.0"))
 	if err != nil {
 		t.Fatal(err)

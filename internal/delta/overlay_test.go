@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
@@ -91,7 +90,7 @@ func newGrower(seed int64, records int) (*grower, *index.Index, map[string][]nid
 		roomy := slices.Repeat([]nid.ID{nid.None}, len(ids)+64)
 		postings[w] = roomy[:copy(roomy, ids)]
 	}
-	return g, index.FromSortedIDPostings(g.tab, postings, g.tab.Len(), analysis.New()), base
+	return g, new(index.Index).With(g.tab, postings), base
 }
 
 func baseUntouched(t *testing.T, base *index.Index) {

@@ -96,7 +96,7 @@ func (p Plan) KeywordNodes() int {
 }
 
 // Params configures candidate generation, selection and materialization for
-// one search. Tab, Incremental, Labels and ContentOf come from the owning
+// one search. Tab, Scorer, Labels and ContentOf come from the owning
 // engine's node table, scorer and document source.
 type Params struct {
 	// Tab is the document's node table; every ID in the plan's posting
@@ -115,10 +115,11 @@ type Params struct {
 	// Offset skips that many candidates of the selection order before the
 	// limit applies — the pagination window is [Offset, Offset+Limit).
 	Offset int
-	// Incremental returns a per-query incremental scorer (required when Rank
-	// is set): the candidate stage folds every root's keyword events into it,
-	// whether it keeps the events or, under DeferEvents, drops them.
-	Incremental func(words []string) *rank.IncrementalScorer
+	// Scorer scores the request's roots (required when Rank is set): the
+	// candidate stage folds every root's keyword events into the query's
+	// incremental scorer, whether it keeps the events or, under
+	// DeferEvents, drops them.
+	Scorer *rank.Scorer
 	// DeferEvents says a limit bounds the page: candidates carry no
 	// keyword-event lists, and materialization hydrates events for the few
 	// selected ones via rtf.EventsFor. A ranked stage still dispatches every
@@ -260,7 +261,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 		if gather {
 			err = rtf.DispatchWindows(rctx, t, roots, p.Sets, sc.buf, sink)
 		} else {
-			sc.scores, err = rtf.AppendScores(rctx, sc.scores[:0], &sc.scoring, t, roots, p.Sets, params.Incremental(p.IDFWords), d.Order, d.Skip)
+			sc.scores, err = rtf.AppendScores(rctx, sc.scores[:0], &sc.scoring, t, roots, p.Sets, params.Scorer.Incremental(p.IDFWords), d.Order, d.Skip)
 		}
 		rtfSp.End()
 	}
@@ -270,7 +271,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 	// runs[i] is now roots[i]'s run. A ranked stage folds it into the root's
 	// score; all but a page borrow it.
 	if params.Rank && gather {
-		inc := params.Incremental(p.IDFWords)
+		inc := params.Scorer.Incremental(p.IDFWords)
 		sc.acc = slices.Grow(sc.acc[:0], 2*inc.K())[:2*inc.K()]
 		sc.scores = sc.scores[:0]
 		for i, r := range sc.runs {

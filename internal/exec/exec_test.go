@@ -198,12 +198,12 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		column.IDs = append(column.IDs, names[l])
 	}
 	params := Params{
-		Tab:         tab,
-		Rank:        true,
-		Incremental: (&rank.Scorer{}).Incremental,
-		Labels:      column,
-		ContentOf:   func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
-		Mode:        prune.ValidContributor,
+		Tab:       tab,
+		Rank:      true,
+		Scorer:    &rank.Scorer{},
+		Labels:    column,
+		ContentOf: func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
+		Mode:      prune.ValidContributor,
 	}
 	cands, _, release, err := Candidates(context.Background(), p, params, 3)
 	if err != nil {

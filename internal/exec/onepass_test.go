@@ -82,7 +82,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 		idf[words[i]] = 0.5 + 4*rng.Float64()
 	}
 	scorer := &rank.Scorer{Decay: 0.8, IDF: func(w string) float64 { return idf[w] }}
-	params := Params{Tab: tab, Rank: true, Incremental: scorer.Incremental}
+	params := Params{Tab: tab, Rank: true, Scorer: scorer}
 	plan := Plan{IDFWords: words, Sets: sets, Decision: planner.Decision{Order: order, Skip: rng.Intn(2) == 0}}
 
 	for _, slca := range []bool{false, true} {

@@ -10,8 +10,6 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -105,32 +103,6 @@ func candidatesDeadline(ctx context.Context) context.Context {
 		Point:  fault.PointCandidates,
 		Action: fault.Action{UntilDeadline: true},
 	}))
-}
-
-// withoutResumeKey re-mints a cursor token without the resume key of the
-// last fragment yielded (a zero document and sequence), the dialect doc=
-// cursors were issued in before they carried one: the same snapshot, offset
-// and fingerprint.
-func withoutResumeKey(t *testing.T, tok xks.Cursor) string {
-	t.Helper()
-	raw, err := base64.RawURLEncoding.DecodeString(string(tok))
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("cursor %q does not decode: %v", tok, err)
-	}
-	out := raw[:1:1] // the layout version
-	raw = raw[1:]
-	for i := range 5 { // gen, offset, doc, seq, fingerprint
-		v, n := binary.Uvarint(raw)
-		if n <= 0 {
-			t.Fatalf("cursor %q: truncated payload", tok)
-		}
-		raw = raw[n:]
-		if i == 2 || i == 3 {
-			v = 0
-		}
-		out = binary.AppendUvarint(out, v)
-	}
-	return base64.RawURLEncoding.EncodeToString(out)
 }
 
 var elapsedMember = regexp.MustCompile(`"elapsedMs":[^,]+`)
@@ -263,8 +235,6 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 		}
 		docFollow := docPath + "&cursor=" + url.QueryEscape(string(one.Cursor))
 		docPage2 := check(svc, docFollow, nil)
-		// A doc= cursor minted without the resume key resumes to the same page.
-		samePage(t, b.name+" doc= cursor without its resume key", check(svc, docPath+"&cursor="+url.QueryEscape(withoutResumeKey(t, one.Cursor)), nil), docPage2)
 		// A BestEffort deadline in a lone document's candidate stage: an empty
 		// page that still reports the query's keywords and keyword nodes, the
 		// document with no candidates counted, and a cursor that resumes at

@@ -5,12 +5,22 @@
 // Postings are dense node IDs over a per-document node table (internal/nid)
 // — 4 bytes per entry, integer pre-order comparison — and the index hands
 // them out only in that form (LookupIDs); a caller wanting a node's Dewey
-// code reads it from the table (Table().Code). The index is immutable after
-// Build and safe for concurrent readers.
+// code reads it from the table (Table().Code). Every posting list has one
+// form: a list built in memory (FromRows) is born decoded, and one that
+// wraps a store's block-compressed bytes (FromCompressed) decodes once, on
+// first touch, and is decoded thereafter. The index is immutable after it
+// is built and safe for concurrent readers.
+//
+// One pre-order walk of a document (Analyze) yields everything a backing
+// publishes about its nodes: the node table, the label column, each node's
+// content set and from those the posting lists. The content column (Content)
+// and the label column (LabelColumn) have one form each, whichever backing
+// holds them.
 package index
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,17 +34,9 @@ import (
 
 // Index maps content words to keyword-node posting lists over a node table.
 type Index struct {
-	analyzer *analysis.Analyzer
-	tab      *nid.Table
-	postings map[string][]nid.ID
-	numNodes int
-
-	// lazy holds block-compressed posting lists (the store's v3 load path)
-	// that decode once, on first lookup. Exactly one of postings/lazy is
-	// non-nil; every accessor routes through the lazy arm when set, so
-	// opening a compressed store decodes nothing until a query asks.
-	lazy    map[string]*lazyList
-	decoded atomic.Int64 // lists decoded so far (observability + tests)
+	tab     *nid.Table
+	lists   map[string]*list
+	decoded atomic.Int64 // compressed lists decoded through this index
 
 	// Planner statistics, computed lazily by Stats or installed by
 	// SetStats on the store's load path. See stats.go.
@@ -43,27 +45,28 @@ type Index struct {
 	statsSet  bool
 }
 
-// lazyList is one compressed posting list plus its once-decoded form.
-type lazyList struct {
-	list postings.List
-	once sync.Once
+// list is one word's posting list: ids when born decoded, or enc, a store's
+// compressed list, which decodes into ids once, on first touch.
+type list struct {
 	ids  []nid.ID
+	enc  *postings.List
+	once sync.Once
 }
 
-// decode materializes the list exactly once (concurrent lookups of the
-// same term share the work) and bumps the index's decoded counter.
-func (lp *lazyList) decode(counter *atomic.Int64) []nid.ID {
-	lp.once.Do(func() {
-		ids, err := lp.list.Decode()
-		if err != nil {
-			// Unreachable through the CRC-guarded store open path; degrade
-			// to an empty list rather than panicking mid-query.
-			ids = nil
-		}
-		lp.ids = ids
-		counter.Add(1)
-	})
-	return lp.ids
+// decoded returns the list's IDs, decoding a compressed list exactly once
+// (concurrent lookups of the same word share the work) and counting the
+// decode into counter.
+func (l *list) decoded(counter *atomic.Int64) []nid.ID {
+	if l.enc != nil {
+		l.once.Do(func() {
+			// An error is unreachable through the CRC-guarded store open
+			// path; the list degrades to empty rather than panicking
+			// mid-query.
+			l.ids, _ = l.enc.Decode()
+			counter.Add(1)
+		})
+	}
+	return l.ids
 }
 
 // Build indexes every node of the tree. A node is a keyword node for w when
@@ -73,44 +76,47 @@ func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
 	}
-	return FromRows(t, a, Analyze(t, a))
+	return FromRows(Analyze(t, a))
 }
 
-// Rows is the analysed content of a tree's nodes over the vocabulary of one
-// build: row i holds the IDs of the i-th node's content words (pre-order),
-// in lexical order of the words — its content set.
+// Rows is what one pre-order walk of a tree yields, row i being the i-th
+// node: the nodes, their node table and label column, and their content
+// sets over the vocabulary of one build — row i's content word IDs are
+// IDs[Off[i]:Off[i+1]], in lexical order of the words.
 type Rows struct {
-	Vocab *analysis.Vocab
-	Off   []uint32 // row i is IDs[Off[i]:Off[i+1]]
-	IDs   []uint32
+	Nodes  []*xmltree.Node
+	Tab    *nid.Table
+	Labels LabelColumn
+	Vocab  *analysis.Vocab
+	Off    []uint32
+	IDs    []uint32
 }
 
-// Analyze analyses every node of t with a new vocabulary of a.
+// Analyze walks t once, analysing every node with a new vocabulary of a.
 func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
-	r := Rows{Vocab: a.NewVocab(), Off: make([]uint32, 1, t.Size()+1)}
+	nodes := t.Nodes()
+	b := nid.NewBuilder(len(nodes))
+	r := Rows{Nodes: nodes, Vocab: a.NewVocab(), Off: make([]uint32, 1, len(nodes)+1)}
+	r.Labels.IDs, r.Labels.dict = make([]uint32, 0, len(nodes)), map[string]uint32{}
 	var pieces []string
-	t.Walk(func(n *xmltree.Node) bool {
+	for _, n := range nodes {
+		b.Add(n.Code)
+		r.Labels.add(n.Label)
 		pieces = n.AppendContentPieces(pieces[:0])
 		r.IDs = r.Vocab.AppendContent(r.IDs, pieces...)
 		r.Off = append(r.Off, uint32(len(r.IDs)))
-		return true
-	})
+	}
+	r.Tab = b.Table()
 	return r
 }
 
-// Words returns every row as its content set, the words sharing one array.
-func (r Rows) Words() [][]string {
-	flat := make([]string, len(r.IDs))
+// Content returns the rows' content column; it shares Off with r.
+func (r Rows) Content() Content {
+	words := make([]string, len(r.IDs))
 	for i, id := range r.IDs {
-		flat[i] = r.Vocab.Word(id)
+		words[i] = r.Vocab.Word(id)
 	}
-	out := make([][]string, len(r.Off)-1)
-	for i := range out {
-		if lo, hi := r.Off[i], r.Off[i+1]; lo < hi {
-			out[i] = flat[lo:hi:hi]
-		}
-	}
-	return out
+	return Content{Off: r.Off, Words: words}
 }
 
 // Postings returns each word's posting list, row i as node ID start+i:
@@ -144,131 +150,98 @@ func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
 	return out
 }
 
-// FromRows indexes t over rows, its nodes' content as Analyze returns it.
-func FromRows(t *xmltree.Tree, a *analysis.Analyzer, r Rows) *Index {
-	b := nid.NewBuilder(t.Size())
-	t.Walk(func(n *xmltree.Node) bool {
-		b.Add(n.Code)
-		return true
-	})
-	return &Index{analyzer: a, tab: b.Table(), postings: r.Postings(0), numNodes: t.Size()}
-}
-
-// FromSortedIDPostings constructs an index from posting lists the caller
-// guarantees are already sorted and duplicate-free (the delta compactor's
-// fold path). Lists are retained exactly as given and never written, so
-// they may alias posting lists of another live index that concurrent
-// readers are using.
-func FromSortedIDPostings(tab *nid.Table, postings map[string][]nid.ID, numNodes int, a *analysis.Analyzer) *Index {
-	if a == nil {
-		a = analysis.New()
-	}
-	return &Index{analyzer: a, tab: tab, postings: postings, numNodes: numNodes}
-}
+// FromRows indexes the rows Analyze returned: their node table, and each
+// word's list born decoded.
+func FromRows(r Rows) *Index { return new(Index).With(r.Tab, r.Postings(0)) }
 
 // FromCompressed constructs an index over block-compressed posting lists
-// without decoding any of them — the store's v3 load path. words[i] names
-// lists[i]; each list decodes lazily on its first lookup and the decoded
-// form is cached for the index's lifetime. The lists (and the table) may
-// view mmap-ed memory; they must outlive the index.
-func FromCompressed(tab *nid.Table, words []string, lists []postings.List, numNodes int, a *analysis.Analyzer) *Index {
-	if a == nil {
-		a = analysis.New()
-	}
-	lazy := make(map[string]*lazyList, len(words))
+// without decoding any of them — the store's load path. words[i] names
+// lists[i]; each list decodes on its first lookup and stays decoded for
+// the index's lifetime. The lists (and the table) may view mmap-ed memory;
+// they must outlive the index.
+func FromCompressed(tab *nid.Table, words []string, lists []postings.List) *Index {
+	slab := make([]list, len(words))
+	m := make(map[string]*list, len(words))
 	for i, w := range words {
-		lazy[w] = &lazyList{list: lists[i]}
+		slab[i].enc = &lists[i]
+		m[w] = &slab[i]
 	}
-	return &Index{analyzer: a, tab: tab, lazy: lazy, numNodes: numNodes}
+	return &Index{tab: tab, lists: m}
 }
 
-// DecodedLists reports how many posting lists have been decoded so far —
-// zero right after a compressed open, exactly the queried terms afterwards.
-// Always zero for in-RAM indexes.
+// With returns the index over tab that holds ix's lists, with those of the
+// words in replaced taken from it, born decoded: the delta compactor's fold
+// and, over an empty index, FromRows. Every other list, decoded or not, is
+// shared with ix, so nothing is decoded or copied. The replacement lists
+// are retained as given and never written, so they may alias lists other
+// live indexes read.
+func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID) *Index {
+	lists := maps.Clone(ix.lists)
+	if lists == nil {
+		lists = make(map[string]*list, len(replaced))
+	}
+	slab := make([]list, 0, len(replaced))
+	for w, ids := range replaced {
+		slab = append(slab, list{ids: ids})
+		lists[w] = &slab[len(slab)-1]
+	}
+	return &Index{tab: tab, lists: lists}
+}
+
+// DecodedLists reports how many compressed posting lists have been decoded
+// through this index — zero right after a store opens, exactly the queried
+// words afterwards. Lists born decoded never count.
 func (ix *Index) DecodedLists() int64 { return ix.decoded.Load() }
 
 // LookupList returns the compressed posting list for the word when the
-// index is compressed-backed; ok is false for in-RAM indexes and unknown
-// words. Callers wanting to stream it build an Iterator from it instead of
-// forcing a full decode.
+// list wraps a store's bytes; ok is false for a list built in memory and
+// for an unknown word. Callers wanting to stream it build an Iterator from
+// it instead of forcing a full decode.
 func (ix *Index) LookupList(word string) (postings.List, bool) {
-	lp := ix.lazy[word]
-	if lp == nil {
-		return postings.List{}, false
+	if l := ix.lists[word]; l != nil && l.enc != nil {
+		return *l.enc, true
 	}
-	return lp.list, true
+	return postings.List{}, false
 }
-
-// eachList visits every posting list in decoded form (decoding compressed
-// lists on demand), in unspecified order.
-func (ix *Index) eachList(fn func(list []nid.ID)) {
-	if ix.lazy != nil {
-		for _, lp := range ix.lazy {
-			fn(lp.decode(&ix.decoded))
-		}
-		return
-	}
-	for _, list := range ix.postings {
-		fn(list)
-	}
-}
-
-// Analyzer returns the analyzer the index was built with.
-func (ix *Index) Analyzer() *analysis.Analyzer { return ix.analyzer }
 
 // Table returns the node table the posting IDs refer into.
 func (ix *Index) Table() *nid.Table { return ix.tab }
 
-// NumNodes returns the number of indexed nodes.
-func (ix *Index) NumNodes() int { return ix.numNodes }
+// NumNodes returns the number of indexed nodes: every row of the table.
+func (ix *Index) NumNodes() int { return ix.tab.Len() }
 
 // NumWords returns the vocabulary size.
-func (ix *Index) NumWords() int {
-	if ix.lazy != nil {
-		return len(ix.lazy)
-	}
-	return len(ix.postings)
-}
+func (ix *Index) NumWords() int { return len(ix.lists) }
 
 // LookupIDs returns the posting list Di for the (already normalized) word
 // as node IDs, or nil if the word does not occur. The returned slice is
-// shared; callers must not modify it. On a compressed-backed index the
-// first lookup of a term decodes its list (once; cached thereafter).
+// shared; callers must not modify it. The first lookup of a compressed
+// list decodes it.
 func (ix *Index) LookupIDs(word string) []nid.ID {
-	if ix.lazy != nil {
-		lp := ix.lazy[word]
-		if lp == nil {
-			return nil
-		}
-		return lp.decode(&ix.decoded)
+	if l := ix.lists[word]; l != nil {
+		return l.decoded(&ix.decoded)
 	}
-	return ix.postings[word]
+	return nil
 }
 
-// Frequency returns the number of keyword nodes containing the word. On a
-// compressed-backed index this reads the list header — no decode — so the
+// Frequency returns the number of keyword nodes containing the word. A
+// compressed list answers from its header, without decoding, so the
 // planner and scorer cost nothing at open time.
 func (ix *Index) Frequency(word string) int {
-	if ix.lazy != nil {
-		if lp := ix.lazy[word]; lp != nil {
-			return lp.list.Len()
-		}
+	l := ix.lists[word]
+	if l == nil {
 		return 0
+	} else if l.enc != nil {
+		return l.enc.Len()
 	}
-	return len(ix.postings[word])
+	return len(l.ids)
 }
 
 // Words returns the vocabulary in lexical order.
 func (ix *Index) Words() []string {
-	out := make([]string, 0, ix.NumWords())
-	if ix.lazy != nil {
-		for w := range ix.lazy {
-			out = append(out, w)
-		}
-	} else {
-		for w := range ix.postings {
-			out = append(out, w)
-		}
+	out := make([]string, 0, len(ix.lists))
+	for w := range ix.lists {
+		out = append(out, w)
 	}
 	sort.Strings(out)
 	return out

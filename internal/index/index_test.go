@@ -70,7 +70,7 @@ func TestAttributesMatchAsKeywords(t *testing.T) {
 // posting lists of its two keywords, two and three nodes long.
 func TestKeywordSetsQuery(t *testing.T) {
 	ix := pubIndex()
-	if got := ix.Analyzer().Tokens(paperdata.Q2); !slices.Equal(got, []string{"liu", "keyword"}) {
+	if got := analysis.New().Tokens(paperdata.Q2); !slices.Equal(got, []string{"liu", "keyword"}) {
 		t.Fatalf("words = %v", got)
 	}
 	if len(ix.LookupIDs("liu")) != 2 || len(ix.LookupIDs("keyword")) != 3 {
@@ -83,7 +83,7 @@ func TestKeywordSetsQuery(t *testing.T) {
 // *ErrNoMatch.
 func TestKeywordSetsErrors(t *testing.T) {
 	ix := pubIndex()
-	if got := ix.Analyzer().Tokens("the of and"); len(got) != 0 {
+	if got := analysis.New().Tokens("the of and"); len(got) != 0 {
 		t.Errorf("stop-word-only query has keywords %v", got)
 	}
 	if ix.LookupIDs("zebra") != nil || ix.Frequency("zebra") != 0 || slices.Contains(ix.Words(), "zebra") {
@@ -117,9 +117,6 @@ func TestFrequencyAndStats(t *testing.T) {
 		if words[i-1] >= words[i] {
 			t.Fatalf("Words not sorted at %d: %v", i, words)
 		}
-	}
-	if ix.Analyzer() == nil {
-		t.Error("Analyzer is nil")
 	}
 }
 

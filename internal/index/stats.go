@@ -43,9 +43,10 @@ func (ix *Index) computeStats() planner.Stats {
 	var depthSum int64
 	var hist [maxDepthBuckets]int64
 	maxBucket := 0
-	// On compressed-backed indexes this would decode every list; those are
-	// the store's, and it installs its persisted statistics via SetStats.
-	ix.eachList(func(list []nid.ID) {
+	// This decodes every compressed list; a store installs its persisted
+	// statistics via SetStats instead.
+	for _, l := range ix.lists {
+		list := l.decoded(&ix.decoded)
 		st.Postings += len(list)
 		if len(list) > st.MaxPostings {
 			st.MaxPostings = len(list)
@@ -62,7 +63,7 @@ func (ix *Index) computeStats() planner.Stats {
 				maxBucket = b
 			}
 		}
-	})
+	}
 	if st.Postings > 0 {
 		st.AvgDepth = float64(depthSum) / float64(st.Postings)
 		st.DepthHist = append([]int64(nil), hist[:maxBucket+1]...)

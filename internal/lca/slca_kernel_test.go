@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"xks/internal/analysis"
 	"xks/internal/delta"
 	"xks/internal/dewey"
 	"xks/internal/index"
@@ -153,7 +152,7 @@ func TestSLCAKernelOverDelta(t *testing.T) {
 		for i := range all {
 			all[i] = nid.ID(i)
 		}
-		h := &delta.Head{Tab: tab, Base: index.FromSortedIDPostings(tab, post(all[1:]), tab.Len(), analysis.New())}
+		h := &delta.Head{Tab: tab, Base: new(index.Index).With(tab, post(all[1:]))}
 		for range 1 + rng.Intn(4) {
 			top := dewey.Code{0, next}
 			next++

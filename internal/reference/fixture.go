@@ -4,19 +4,20 @@ import (
 	"fmt"
 	"slices"
 
+	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/index"
 )
 
 // KeywordSets states a query the way the Dewey-code references read it: the
-// query's keywords, analysed with the index's analyzer and deduplicated in
-// first-occurrence order, and their posting lists D1..Dk in query order, as
-// code views into the index's node table. It fails with *index.ErrNoMatch
+// query's keywords, analysed as every build analyses content and
+// deduplicated in first-occurrence order, and their posting lists D1..Dk in
+// query order, as code views into the index's node table. It fails with *index.ErrNoMatch
 // when a keyword matches nothing (no fragment can cover the query), and
 // with a plain error when the query analyses to no keyword or to more than
 // 64 (the keyword mask's width).
 func KeywordSets(ix *index.Index, query string) (words []string, sets [][]dewey.Code, err error) {
-	for _, w := range ix.Analyzer().Tokens(query) {
+	for _, w := range analysis.New().Tokens(query) {
 		if !slices.Contains(words, w) {
 			words = append(words, w)
 		}

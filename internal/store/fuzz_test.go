@@ -62,7 +62,7 @@ func FuzzLoad(f *testing.F) {
 			s.LabelAt(i)
 			s.ContentAt(i)
 		}
-		ix := s.BuildIndex(nil)
+		ix := s.BuildIndex()
 		for i, w := range s.terms {
 			want := s.lists[i].Len()
 			if want == 0 {

@@ -30,7 +30,7 @@ func TestStatsRoundTripV2(t *testing.T) {
 	if got := loaded.stats; !reflect.DeepEqual(got, want) {
 		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got, want)
 	}
-	ix := loaded.BuildIndex(analysis.New())
+	ix := loaded.BuildIndex()
 	if got := ix.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("BuildIndex stats:\n got %+v\nwant %+v", got, want)
 	}

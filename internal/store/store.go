@@ -12,12 +12,15 @@
 // see v3.go): the element table is a nid.Table of pre-order node IDs (Dewey
 // codes, parents, depths) plus a per-node label column; the value table is
 // the sorted vocabulary with one block-compressed posting list per keyword,
-// and its inverse, a node → keyword CSR. Shred builds the columns in memory,
-// Save writes them as CRC-guarded sections, and OpenFile maps (or reads)
-// them back without decoding a posting list. Keyword lookups — the only
-// query shape the algorithms issue — run off the sorted vocabulary exactly
-// like the paper's SQL SELECTs, and labels and content sets are served by
-// node ID.
+// and its inverse, a node → keyword CSR. Shred builds the columns in memory
+// from the one walk a tree-backed engine makes (index.Analyze), Save writes
+// them as CRC-guarded sections, and OpenFile maps (or reads) them back
+// without decoding a posting list. Keyword lookups — the only query shape
+// the algorithms issue — run off the sorted vocabulary exactly like the
+// paper's SQL SELECTs, and labels and content sets are served by node ID:
+// the content sets as the one content column form (index.Content) a
+// tree-backed engine publishes, its words resolved from the CSR on first
+// use.
 package store
 
 import (
@@ -49,10 +52,10 @@ type Store struct {
 	termIDs    []uint32        // ascending, so its words come out lexical
 	stats      planner.Stats
 
-	// nodeWords resolves termIDs to strings on first use, so ContentAt is a
-	// zero-copy sub-slice.
-	nodeWordsOnce sync.Once
-	nodeWords     []string
+	// content is the content column over wordOff, its words resolved from
+	// termIDs on first use, so ContentAt is a zero-copy row.
+	contentOnce sync.Once
+	content     index.Content
 
 	// data is the file image the views alias: a read-only file mapping
 	// (mapped, released by closer) or a heap buffer holding one whole-file
@@ -64,29 +67,18 @@ type Store struct {
 }
 
 // Shred builds the three tables from a document, analyzing content with the
-// given analyzer (nil for the default). The node table, the posting lists
-// and the planner statistics come from the in-memory index over the same
-// content rows, so a shredded store and a tree-backed engine agree by
-// construction.
+// given analyzer (nil for the default). The node table, the label column,
+// the posting lists and the planner statistics come from the one walk and
+// the in-memory index a tree-backed engine builds, so a shredded store and a
+// tree-backed engine agree by construction.
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
-	s := &Store{nodeLabels: make([]uint32, 0, t.Size())}
-	labelIDs := map[string]uint32{}
-	t.Walk(func(n *xmltree.Node) bool {
-		id, ok := labelIDs[n.Label]
-		if !ok {
-			id = uint32(len(s.labels))
-			s.labels = append(s.labels, n.Label)
-			labelIDs[n.Label] = id
-		}
-		s.nodeLabels = append(s.nodeLabels, id)
-		return true
-	})
 	rows := index.Analyze(t, an)
-	ix := index.FromRows(t, an, rows)
-	s.tab, s.terms, s.stats = ix.Table(), ix.Words(), ix.Stats()
+	ix := index.FromRows(rows)
+	s := &Store{labels: rows.Labels.Names, tab: rows.Tab, nodeLabels: rows.Labels.IDs}
+	s.terms, s.stats = ix.Words(), ix.Stats()
 	// A word's term ID is its rank in the sorted vocabulary: one search per
 	// distinct word, not per occurrence.
 	rank := make([]uint32, rows.Vocab.Len())
@@ -124,14 +116,6 @@ func (s *Store) NumLabels() int { return len(s.labels) }
 // NumValues returns the number of keyword-occurrence rows.
 func (s *Store) NumValues() int { return len(s.termIDs) }
 
-// Label resolves a label ID, or "" when out of range.
-func (s *Store) Label(id uint32) string {
-	if int(id) >= len(s.labels) {
-		return ""
-	}
-	return s.labels[id]
-}
-
 // LabelAt resolves the label of the i-th element row (element rows are in
 // pre-order, so the row index doubles as the node ID of the index built by
 // BuildIndex). It returns "" when out of range.
@@ -139,7 +123,7 @@ func (s *Store) LabelAt(i int) string {
 	if i < 0 || i >= len(s.nodeLabels) {
 		return ""
 	}
-	return s.Label(s.nodeLabels[i])
+	return s.labels[s.nodeLabels[i]]
 }
 
 // LabelIDs returns the element table's label column, by node ID: row i is
@@ -159,26 +143,28 @@ func (s *Store) Keywords() []string { return slices.Clone(s.terms) }
 // ID in constant time) and wraps the compressed lists directly: each list
 // decodes on its first lookup, so building the index is O(vocabulary). It
 // carries the store's statistics, so the planner never rescans postings.
-func (s *Store) BuildIndex(an *analysis.Analyzer) *index.Index {
-	ix := index.FromCompressed(s.tab, s.terms, s.lists, s.NumNodes(), an)
+func (s *Store) BuildIndex() *index.Index {
+	ix := index.FromCompressed(s.tab, s.terms, s.lists)
 	ix.SetStats(s.stats)
 	return ix
 }
 
-// ContentAt returns the content word set of the i-th element row as a
-// zero-copy sub-slice of the lazily resolved per-row word table. Words come
-// back in lexical order. Callers must not modify the result.
+// ContentAt returns the content word set of the i-th element row, a
+// capacity-capped row of the content column, or nil when out of range.
+// Words come back in lexical order. The column's words are resolved on the
+// first call. Callers must not modify the result.
 func (s *Store) ContentAt(i int) []string {
-	s.nodeWordsOnce.Do(func() {
-		s.nodeWords = make([]string, len(s.termIDs))
+	s.contentOnce.Do(func() {
+		words := make([]string, len(s.termIDs))
 		for j, t := range s.termIDs {
-			s.nodeWords[j] = s.terms[t]
+			words[j] = s.terms[t]
 		}
+		s.content = index.Content{Off: s.wordOff, Words: words}
 	})
 	if i < 0 || i >= s.NumNodes() {
 		return nil
 	}
-	return s.nodeWords[s.wordOff[i]:s.wordOff[i+1]]
+	return s.content.Row(nid.ID(i))
 }
 
 // SaveFile writes the store to a file.

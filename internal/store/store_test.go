@@ -48,7 +48,7 @@ func TestShredCounts(t *testing.T) {
 func TestPostingsMatchIndex(t *testing.T) {
 	s := pubStore()
 	ix := index.Build(paperdata.Publications(), analysis.New())
-	fromStore := s.BuildIndex(nil)
+	fromStore := s.BuildIndex()
 	for _, w := range ix.Words() {
 		_, want, errIx := reference.KeywordSets(ix, w)
 		_, got, errStore := reference.KeywordSets(fromStore, w)
@@ -118,12 +118,9 @@ func TestLabelHelpers(t *testing.T) {
 		t.Errorf("node labels %v, %d in the label table", used, s.NumLabels())
 	}
 	for id := range s.NumLabels() {
-		if !used[s.Label(uint32(id))] {
-			t.Errorf("label %d (%q) labels no node", id, s.Label(uint32(id)))
+		if !used[s.labels[id]] {
+			t.Errorf("label %d (%q) labels no node", id, s.labels[id])
 		}
-	}
-	if s.Label(9999) != "" {
-		t.Error("out-of-range label should be empty")
 	}
 }
 
@@ -198,7 +195,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 	s := pubStore()
 	an := analysis.New()
-	fromStore := s.BuildIndex(an)
+	fromStore := s.BuildIndex()
 	fromTree := index.Build(paperdata.Publications(), an)
 	_, setsA, errA := reference.KeywordSets(fromStore, paperdata.Q3)
 	_, setsB, errB := reference.KeywordSets(fromTree, paperdata.Q3)
@@ -219,7 +216,7 @@ func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 
 func TestShredNilAnalyzer(t *testing.T) {
 	s := Shred(paperdata.Team(), nil)
-	if got := len(s.BuildIndex(nil).LookupIDs("gassol")); got != 1 {
+	if got := len(s.BuildIndex().LookupIDs("gassol")); got != 1 {
 		t.Errorf("postings(gassol) = %d", got)
 	}
 }

@@ -32,8 +32,8 @@ func assertSameSurface(t *testing.T, a, b *Store) {
 			a.NumNodes(), b.NumNodes(), a.NumLabels(), b.NumLabels(), a.NumValues(), b.NumValues())
 	}
 	for i := 0; i < a.NumLabels(); i++ {
-		if a.Label(uint32(i)) != b.Label(uint32(i)) {
-			t.Fatalf("label %d: %q != %q", i, a.Label(uint32(i)), b.Label(uint32(i)))
+		if a.labels[i] != b.labels[i] {
+			t.Fatalf("label %d: %q != %q", i, a.labels[i], b.labels[i])
 		}
 	}
 	if sa, sb := a.stats, b.stats; !reflect.DeepEqual(sa, sb) {
@@ -43,7 +43,7 @@ func assertSameSurface(t *testing.T, a, b *Store) {
 	if !slices.Equal(ka, kb) {
 		t.Fatalf("keywords differ: %d vs %d", len(ka), len(kb))
 	}
-	ia, ib := a.BuildIndex(nil), b.BuildIndex(nil)
+	ia, ib := a.BuildIndex(), b.BuildIndex()
 	for _, w := range ka {
 		pa, pb := ia.LookupIDs(w), ib.LookupIDs(w)
 		if len(pa) == 0 || !slices.Equal(pa, pb) {

@@ -183,9 +183,16 @@ func (r Request) Key() string {
 // token cannot be replayed against a different query.
 func (r Request) fingerprint() uint64 {
 	var buf [128]byte
-	h := uint64(14695981039346656037)
-	for _, c := range r.Canonical().appendIdentity(buf[:0]) {
-		h = (h ^ uint64(c)) * 1099511628211
+	return fnv1a(fnvOffset, r.Canonical().appendIdentity(buf[:0]))
+}
+
+// fnvOffset is the 64-bit FNV-1a offset basis, the state fnv1a starts from.
+const fnvOffset = 14695981039346656037
+
+// fnv1a folds b's bytes into the 64-bit FNV-1a state h.
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
 	}
 	return h
 }

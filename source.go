@@ -5,19 +5,20 @@ import (
 	"strconv"
 	"sync"
 
+	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/prune"
-	"xks/internal/store"
 	"xks/internal/xmltree"
 )
 
 // srcState is the document source: one published version of the tables a
-// node table ID indexes. Both backings have the label column (4 bytes a
-// node) and dictionary. A tree's state adds the pre-order node list and each
-// node's analyzed content set (the engine's table is built over the same
-// pre-order walk); a store's adds the store, whose content column it reads
-// (node IDs equal element row indices, since store.BuildIndex shares the
-// store's node table).
+// node table ID indexes. Both backings publish the same two columns in the
+// same form: the label column (4 bytes a node) with its dictionary, and the
+// content column as the lookup pruning takes (a capacity-capped row of one
+// word array, allocation-free). A tree's state adds what a store does not
+// keep, each node's text and attributes, through the pre-order node list;
+// that is the one place the backings differ, and only the text accessor and
+// the renderers read it.
 //
 // A request pins the state current after its snapshot (view.src), and its
 // fragments read labels, texts and content sets and render from that state
@@ -25,71 +26,36 @@ import (
 // tree — so a fragment answers alike across later writes.
 //
 // A tree-backed engine publishes its states under the shared-backing
-// discipline of internal/delta's package comment: extend (one writer, under
-// the engine's write mutex) appends rows on the arrays the previous state
-// uses and publishes a longer state; rows below a published length are never
-// rewritten and a reader never indexes past the length of the state it
-// loaded. New labels go at the dictionary's tail the same way, so a reader
-// never finds a label ID its dictionary does not cover. A store-backed
-// engine publishes one state: the store's label column and table as they
-// are (zero-copy under mmap).
+// discipline of internal/delta's package comment: publish (one writer,
+// under the engine's write mutex) appends rows to the columns the previous
+// state views and publishes a longer state; rows below a published length
+// are never rewritten and a reader never indexes past the length of the
+// state it loaded. New labels go at the dictionary's tail the same way, so a
+// reader never finds a label ID its dictionary does not cover. A
+// store-backed engine publishes one state: the store's label column and
+// table as they are (zero-copy under mmap), and its content column.
 type srcState struct {
-	labels prune.Labels
-	nodes  []*xmltree.Node
-	words  [][]string
-	store  *store.Store
+	labels  prune.Labels
+	content prune.IDContentFunc
+	nodes   []*xmltree.Node // a tree's nodes in pre-order; nil for a store
 }
 
-// content returns node id's analyzed content set (sorted, read-only): a
-// tree's word row or the store's content column, a constant-time,
-// allocation-free lookup either way.
-func (s *srcState) content(id nid.ID) []string {
-	if s.store != nil {
-		return s.store.ContentAt(int(id))
-	}
-	return s.words[id]
-}
-
-// refresh publishes source tables built from the whole tree, with words
-// its nodes' content sets in pre-order. Called once, before e is shared.
-func (e *Engine) refresh(words [][]string) {
-	nodes := e.tree.Nodes()
-	st := &srcState{nodes: nodes, words: words}
-	st.labels.IDs = make([]uint32, len(nodes))
-	e.dict = map[string]uint32{}
-	for i, n := range nodes {
-		st.labels.IDs[i] = e.intern(&st.labels.Names, n.Label)
-	}
-	e.src.Store(st)
-}
-
-// intern returns label's dictionary ID, appending label to *names when it
-// is new. Caller holds e.mu.
-func (e *Engine) intern(names *[]string, label string) uint32 {
-	id, ok := e.dict[label]
-	if !ok {
-		id = uint32(len(*names))
-		*names = append(*names, label)
-		e.dict[label] = id
-	}
-	return id
-}
-
-// extend publishes a state with the new tail nodes appended — the delta
-// append path, where IDs of existing nodes are stable and only the tail
-// grows. The rows land on the previous state's arrays while their amortized
-// capacity lasts, so the cost is the appended rows, not the document.
-// Caller holds e.mu.
-func (e *Engine) extend(nodes []*xmltree.Node, words [][]string) {
-	st := e.src.Load()
-	labels := st.labels
-	for _, n := range nodes {
-		labels.IDs = append(labels.IDs, e.intern(&labels.Names, n.Label))
+// publish appends rows, the next nodes in pre-order, to the engine's source
+// columns and publishes the longer state; the first call adopts the rows of
+// the whole document. The cost is the rows, not the document, while the
+// columns' amortized capacity lasts. Caller holds e.mu or has not shared e.
+func (e *Engine) publish(rows index.Rows) {
+	e.labels.Append(rows.Labels)
+	e.content = e.content.Append(rows.Content())
+	if e.nodes == nil {
+		e.nodes = rows.Nodes
+	} else {
+		e.nodes = append(e.nodes, rows.Nodes...)
 	}
 	e.src.Store(&srcState{
-		labels: labels,
-		nodes:  append(st.nodes, nodes...),
-		words:  append(st.words, words...),
+		labels:  prune.Labels{IDs: e.labels.IDs, Names: e.labels.Names},
+		content: e.content.Row,
+		nodes:   e.nodes,
 	})
 }
 
@@ -134,9 +100,9 @@ func (s *srcState) writeXML(w io.Writer, tab *nid.Table, kept []nid.ID) error {
 		b = appendIndent(b, len(stack))
 		b = append(b, '<')
 		b = append(b, label...)
-		if s.store != nil {
+		if s.nodes == nil {
 			b = append(b, '>')
-			b = appendWords(b, s.store.ContentAt(int(id)))
+			b = appendWords(b, s.content(id))
 			b = append(b, '\n')
 			stack = append(stack, label)
 		} else {
@@ -190,8 +156,8 @@ func (s *srcState) ascii(tab *nid.Table, kept []nid.ID) string {
 		b = append(b, ' ', '(')
 		b = append(b, s.labels.Of(id)...)
 		b = append(b, ')')
-		if s.store != nil {
-			if words := s.store.ContentAt(int(id)); len(words) > 0 {
+		if s.nodes == nil {
+			if words := s.content(id); len(words) > 0 {
 				b = append(b, ' ', '{')
 				b = appendWords(b, words)
 				b = append(b, '}')
