@@ -15,7 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"xks/internal/analysis"
+	"xks/internal/index"
 	"xks/internal/paperdata"
+	"xks/internal/planner"
+	"xks/internal/xmltree"
 )
 
 const deltaBaseXML = `<bib>` +
@@ -87,6 +91,43 @@ func requireSameResults(t *testing.T, phase string, ref, grown *Engine) {
 			}
 			requireSameFragments(t, label, want.Fragments, got.Fragments)
 		}
+	}
+}
+
+// TestFoldedStatsEqualFreshBuild: after every tail append the planner
+// statistics of the engine's snapshot — base plus live segments — equal
+// those of an index built from the extended document, and so do the
+// statistics of the base Compact folds.
+func TestFoldedStatsEqualFreshBuild(t *testing.T) {
+	e, err := LoadString(deltaBaseXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want planner.Stats
+	for k, snippet := range deltaSnippets {
+		if err := e.AppendXML("0", snippet); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmltree.ParseString(strings.Replace(deltaBaseXML, "</bib>", strings.Join(deltaSnippets[:k+1], "")+"</bib>", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = index.Build(doc, analysis.New()).Stats()
+		h := e.head.Load()
+		snap, err := h.At(h.Tab.Len(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Stats(); got != want || snap.Segments() != k+1 {
+			t.Fatalf("after %d appends: snapshot Stats = %+v over %d segments, fresh build %+v", k+1, got, snap.Segments(), want)
+		}
+		snap.Release()
+	}
+	if _, err := e.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Index().Stats(); got != want {
+		t.Fatalf("compacted Stats = %+v, fresh build %+v", got, want)
 	}
 }
 

@@ -88,9 +88,12 @@ type Segment struct {
 	Postings map[string][]nid.ID
 	// Count is the total posting entries across all words.
 	Count int
-	// maxList is the longest posting list — with Count and len(Postings),
-	// all a snapshot's planner statistics need from the segment.
-	maxList int
+	// depths sums the postings' node depths: with Count, the segment's
+	// planner statistics. The head that publishes the segment fixes it
+	// (measure), from the table that covers the segment's IDs. It is atomic
+	// because a literal head may replay a segment another head published
+	// while that head's readers read it (both store the same sum).
+	depths atomic.Int64
 }
 
 // NewSegment validates and wraps one append batch. Every posting must lie
@@ -100,7 +103,7 @@ func NewSegment(start, end nid.ID, postings map[string][]nid.ID) (*Segment, erro
 	if end < start {
 		return nil, fmt.Errorf("delta: inverted segment range [%d, %d)", start, end)
 	}
-	count, maxList := 0, 0
+	count := 0
 	for w, ids := range postings {
 		for i, id := range ids {
 			if id < start || id >= end {
@@ -111,9 +114,19 @@ func NewSegment(start, end nid.ID, postings map[string][]nid.ID) (*Segment, erro
 			}
 		}
 		count += len(ids)
-		maxList = max(maxList, len(ids))
 	}
-	return &Segment{Start: start, End: end, Postings: postings, Count: count, maxList: maxList}, nil
+	return &Segment{Start: start, End: end, Postings: postings, Count: count}, nil
+}
+
+// measure fixes the segment's depth sum from tab, which covers its IDs.
+func (sg *Segment) measure(tab *nid.Table) {
+	var d int64
+	for _, ids := range sg.Postings {
+		for _, id := range ids {
+			d += int64(tab.Depth(id))
+		}
+	}
+	sg.depths.Store(d)
 }
 
 // Head is one engine's published index state: the immutable base index,
@@ -142,23 +155,26 @@ func (h *Head) Version() uint64 { return uint64(h.Tab.Len()) }
 // Append returns the head that follows h once seg — the postings of the
 // rows tab adds beyond h.Tab — is published: same base, the segment list
 // extended on its shared backing array, and the epoch's overlay with seg's
-// IDs appended to every list seg touches. The cost is proportional to the
-// segment (plus one copy of a base list the epoch touches for the first
-// time). h stays a valid head. Calls must be serialized and always extend
-// the newest head of the epoch.
+// IDs appended to every list seg touches; seg's statistics are fixed from
+// tab. The cost is proportional to the segment (plus one copy of a base
+// list the epoch touches for the first time). h stays a valid head. Calls
+// must be serialized and always extend the newest head of the epoch.
 func (h *Head) Append(tab *nid.Table, seg *Segment) *Head {
 	ov := h.merged()
+	seg.measure(tab)
 	ov.add(h.Base, seg)
 	return &Head{Tab: tab, Base: h.Base, Segs: append(h.Segs, seg), ov: ov}
 }
 
 // merged returns the head's overlay. A head that did not come from Append
-// replays its segments into a fresh one, once.
+// replays its segments into a fresh one, once, fixing their statistics
+// from its table as Append would have.
 func (h *Head) merged() *overlay {
 	h.ovOnce.Do(func() {
 		if h.ov == nil {
 			h.ov = &overlay{lists: map[string][]nid.ID{}}
 			for _, sg := range h.Segs {
+				sg.measure(h.Tab)
 				h.ov.add(h.Base, sg)
 			}
 		}
@@ -321,20 +337,19 @@ func (s *Snapshot) Frequency(word string) int {
 	return len(s.LookupIDs(word))
 }
 
-// Stats returns planner statistics for the merged view: the base's
-// statistics with the delta segments' node and posting mass overlaid.
-func (s *Snapshot) Stats() planner.Stats {
-	st := s.base.Stats()
-	if len(s.segs) == 0 {
-		return st
+// Stats returns planner statistics for the merged view: the base's plus
+// the visible segments'. A snapshot older than a compacted base reads the
+// base's whole statistics; they are advisory.
+func (s *Snapshot) Stats() planner.Stats { return sum(s.base, s.segs) }
+
+// sum adds the segments' statistics to the base's.
+func sum(base *index.Index, segs []*Segment) planner.Stats {
+	st := base.Stats()
+	for _, sg := range segs {
+		st.Postings += sg.Count
+		st.DepthSum += sg.depths.Load()
 	}
-	var postings, maxPostings, words int
-	for _, sg := range s.segs {
-		postings += sg.Count
-		words += len(sg.Postings)
-		maxPostings = max(maxPostings, sg.maxList)
-	}
-	return planner.Overlay(st, s.n-s.baseLen, words, postings, maxPostings)
+	return st
 }
 
 // Release unpins the snapshot. Idempotent; after the last release of the
@@ -363,7 +378,8 @@ func cutAt(list []nid.ID, n nid.ID) []nid.ID {
 // touched are shared with the old base as they are, decoded or not, so a
 // fold reads none of them; each touched word's list is the overlay's, capped at its length so nothing can append into it (zero copy,
 // zero writes either way — pinned snapshots may be reading them
-// concurrently). The old base remains valid and immutable for every pinned
+// concurrently). The new base's statistics are the old base's plus the
+// segments'. The old base remains valid and immutable for every pinned
 // snapshot. With no segments the base is returned unchanged.
 func Fold(h *Head) *index.Index {
 	if len(h.Segs) == 0 {
@@ -380,7 +396,7 @@ func Fold(h *Head) *index.Index {
 		}
 	}
 	ov.mu.RUnlock()
-	return h.Base.With(h.Tab, touched)
+	return h.Base.With(h.Tab, touched, sum(h.Base, h.Segs))
 }
 
 // Counters aggregates the delta subsystem's observability state for one

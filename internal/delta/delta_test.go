@@ -9,6 +9,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
+	"xks/internal/planner"
 )
 
 func codes(ss ...string) []dewey.Code {
@@ -21,12 +22,24 @@ func codes(ss ...string) []dewey.Code {
 
 func ids(ns ...nid.ID) []nid.ID { return ns }
 
+// indexOf indexes postings over tab, its statistics summed from the lists.
+func indexOf(tab *nid.Table, postings map[string][]nid.ID) *index.Index {
+	var st planner.Stats
+	for _, ids := range postings {
+		st.Postings += len(ids)
+		for _, id := range ids {
+			st.DepthSum += int64(tab.Depth(id))
+		}
+	}
+	return new(index.Index).With(tab, postings, st)
+}
+
 // testHead builds a 3-node base ("0", "0.0", "0.1") with base postings and
 // two tail segments extending the table to 7 nodes.
 func testHead(t *testing.T) *Head {
 	t.Helper()
 	baseTab := nid.FromCodes(codes("0", "0.0", "0.1"))
-	base := new(index.Index).With(baseTab, map[string][]nid.ID{
+	base := indexOf(baseTab, map[string][]nid.ID{
 		"alpha": ids(1),
 		"beta":  ids(1, 2),
 	})
@@ -184,21 +197,39 @@ func TestSnapshotMergesBaseAndSegments(t *testing.T) {
 	}
 }
 
+// TestSnapshotStatsOverlayDelta: a snapshot's statistics are the base's
+// plus exactly the visible segments' — the same whether the head was
+// written as a literal (its segments replayed) or derived with Append — and
+// a fold's base carries the full head's.
 func TestSnapshotStatsOverlayDelta(t *testing.T) {
 	h := testHead(t)
-	s, err := h.At(7, nil)
+	if base := h.Base.Stats(); base != (planner.Stats{Postings: 3, DepthSum: 3}) {
+		t.Fatalf("base Stats = %+v, want 3 postings at depth 1", base)
+	}
+	// Segment 1: alpha 0.2.0, gamma 0.2 and 0.2.0; segment 2: beta 0.3.0.
+	want := map[int]planner.Stats{
+		3: {Postings: 3, DepthSum: 3},
+		5: {Postings: 6, DepthSum: 8},
+		7: {Postings: 7, DepthSum: 10},
+	}
+	mid, err := h.Tab.Truncate(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, got := h.Base.Stats(), s.Stats()
-	if got.Nodes != base.Nodes+4 {
-		t.Errorf("Nodes = %d, want base+4 = %d", got.Nodes, base.Nodes+4)
-	}
-	if got.Postings != base.Postings+4 {
-		t.Errorf("Postings = %d, want base+4 = %d", got.Postings, base.Postings+4)
-	}
-	if got.MaxPostings < 2 {
-		t.Errorf("MaxPostings = %d, want at least the largest delta list", got.MaxPostings)
+	chained := (&Head{Tab: h.Base.Table(), Base: h.Base}).Append(mid, h.Segs[0]).Append(h.Tab, h.Segs[1])
+	for _, head := range []*Head{h, chained} {
+		for n, w := range want {
+			s, err := head.At(n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats(); got != w {
+				t.Errorf("%d-segment head at %d nodes: Stats = %+v, want %+v", len(head.Segs), n, got, w)
+			}
+		}
+		if got := Fold(head).Stats(); got != want[7] {
+			t.Errorf("folded Stats = %+v, want %+v", got, want[7])
+		}
 	}
 }
 

@@ -38,26 +38,24 @@ func (hi *history) lookup(word string, n int) []nid.ID {
 	return out
 }
 
-// stats is the planner view of head h at n nodes, by walking every visible
-// segment's posting map.
+// naiveStats is the planner view of head h at n nodes, by walking every
+// visible segment's posting map.
 func naiveStats(h *Head, n int) (st planner.Stats, segments, deltaPostings int) {
 	st = h.Base.Stats()
-	var postings, maxPostings, words int
 	for _, sg := range h.Segs {
 		if int(sg.End) > n {
 			break
 		}
 		segments++
-		words += len(sg.Postings)
 		for _, ids := range sg.Postings {
-			postings += len(ids)
-			maxPostings = max(maxPostings, len(ids))
+			deltaPostings += len(ids)
+			for _, id := range ids {
+				st.DepthSum += int64(h.Tab.Depth(id))
+			}
 		}
 	}
-	if segments == 0 {
-		return st, 0, 0
-	}
-	return planner.Overlay(st, n-h.Base.Table().Len(), words, postings, maxPostings), segments, postings
+	st.Postings += deltaPostings
+	return st, segments, deltaPostings
 }
 
 // grower extends one node table with random records under the root and
@@ -90,7 +88,7 @@ func newGrower(seed int64, records int) (*grower, *index.Index, map[string][]nid
 		roomy := slices.Repeat([]nid.ID{nid.None}, len(ids)+64)
 		postings[w] = roomy[:copy(roomy, ids)]
 	}
-	return g, new(index.Index).With(g.tab, postings), base
+	return g, indexOf(g.tab, postings), base
 }
 
 func baseUntouched(t *testing.T, base *index.Index) {

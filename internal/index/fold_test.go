@@ -11,6 +11,20 @@ import (
 	"xks/internal/store"
 )
 
+// TestStatsDecodeNothing: an index over a store's compressed lists, and
+// one With derives from it, answer Stats without decoding a list.
+func TestStatsDecodeNothing(t *testing.T) {
+	base := store.Shred(paperdata.Publications(), nil).BuildIndex()
+	want := base.Stats()
+	with := base.With(base.Table(), map[string][]nid.ID{"zebra": {3}}, want)
+	if got := with.Stats(); got != want || want.Postings == 0 {
+		t.Fatalf("With Stats = %+v, want the given %+v", got, want)
+	}
+	if base.DecodedLists() != 0 || with.DecodedLists() != 0 {
+		t.Fatalf("Stats decoded %d and %d lists, want 0", base.DecodedLists(), with.DecodedLists())
+	}
+}
+
 // TestFoldOverStoreDecodesTouchedListsOnly: folding delta segments into a
 // base built over a store's compressed lists decodes the lists of the words
 // the segments touched, the overlay's first touch, and no other: every
@@ -37,6 +51,15 @@ func TestFoldOverStoreDecodesTouchedListsOnly(t *testing.T) {
 		h = h.Append(tab, seg)
 	}
 	folded := delta.Fold(h)
+	// The folded statistics are the base's plus the segments' six postings,
+	// at 0.3, 0.3.0 and 0.3, then three times at 0.4; reading them decodes
+	// no list (checked below).
+	want := base.Stats()
+	want.Postings += 6
+	want.DepthSum += 1 + 2 + 1 + 3*1
+	if got := folded.Stats(); got != want {
+		t.Fatalf("folded Stats = %+v, want %+v", got, want)
+	}
 	if got := base.DecodedLists(); got != int64(len(touched)) {
 		t.Fatalf("the base decoded %d lists, want the %d touched words'", got, len(touched))
 	}

@@ -11,6 +11,12 @@
 // first touch, and is decoded thereafter. The index is immutable after it
 // is built and safe for concurrent readers.
 //
+// An index carries its planner statistics (Stats) from the moment it is
+// built: FromRows and FromCompressed sum them from the content column's row
+// offsets and the table's depths, and With takes them from its caller (a
+// fold's are the old base's plus the segments'), so no list is ever
+// scanned, or decoded, for them.
+//
 // One pre-order walk of a document (Analyze) yields everything a backing
 // publishes about its nodes: the node table, the label column, each node's
 // content set and from those the posting lists. The content column (Content)
@@ -37,12 +43,7 @@ type Index struct {
 	tab     *nid.Table
 	lists   map[string]*list
 	decoded atomic.Int64 // compressed lists decoded through this index
-
-	// Planner statistics, computed lazily by Stats or installed by
-	// SetStats on the store's load path. See stats.go.
-	statsOnce sync.Once
-	stats     planner.Stats
-	statsSet  bool
+	stats   planner.Stats
 }
 
 // list is one word's posting list: ids when born decoded, or enc, a store's
@@ -152,30 +153,44 @@ func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
 
 // FromRows indexes the rows Analyze returned: their node table, and each
 // word's list born decoded.
-func FromRows(r Rows) *Index { return new(Index).With(r.Tab, r.Postings(0)) }
+func FromRows(r Rows) *Index {
+	return new(Index).With(r.Tab, r.Postings(0), rowStats(r.Tab, r.Off))
+}
 
 // FromCompressed constructs an index over block-compressed posting lists
 // without decoding any of them — the store's load path. words[i] names
 // lists[i]; each list decodes on its first lookup and stays decoded for
-// the index's lifetime. The lists (and the table) may view mmap-ed memory;
-// they must outlive the index.
-func FromCompressed(tab *nid.Table, words []string, lists []postings.List) *Index {
+// the index's lifetime. contentOff is the content column's row offsets
+// (node i holds contentOff[i+1]-contentOff[i] words), which the statistics
+// are summed from. The lists (and the table) may view mmap-ed memory; they
+// must outlive the index.
+func FromCompressed(tab *nid.Table, words []string, lists []postings.List, contentOff []uint32) *Index {
 	slab := make([]list, len(words))
 	m := make(map[string]*list, len(words))
 	for i, w := range words {
 		slab[i].enc = &lists[i]
 		m[w] = &slab[i]
 	}
-	return &Index{tab: tab, lists: m}
+	return &Index{tab: tab, lists: m, stats: rowStats(tab, contentOff)}
+}
+
+// rowStats sums the planner statistics of a content column over tab: node
+// i is a keyword node of off[i+1]-off[i] words, each a posting at its depth.
+func rowStats(tab *nid.Table, off []uint32) planner.Stats {
+	st := planner.Stats{Postings: int(off[len(off)-1])}
+	for i := range tab.Len() {
+		st.DepthSum += int64(off[i+1]-off[i]) * int64(tab.Depth(nid.ID(i)))
+	}
+	return st
 }
 
 // With returns the index over tab that holds ix's lists, with those of the
-// words in replaced taken from it, born decoded: the delta compactor's fold
-// and, over an empty index, FromRows. Every other list, decoded or not, is
-// shared with ix, so nothing is decoded or copied. The replacement lists
-// are retained as given and never written, so they may alias lists other
-// live indexes read.
-func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID) *Index {
+// words in replaced taken from it, born decoded, and st as its statistics:
+// the delta compactor's fold and, over an empty index, FromRows. Every
+// other list, decoded or not, is shared with ix, so nothing is decoded or
+// copied. The replacement lists are retained as given and never written,
+// so they may alias lists other live indexes read.
+func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID, st planner.Stats) *Index {
 	lists := maps.Clone(ix.lists)
 	if lists == nil {
 		lists = make(map[string]*list, len(replaced))
@@ -185,8 +200,11 @@ func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID) *Index {
 		slab = append(slab, list{ids: ids})
 		lists[w] = &slab[len(slab)-1]
 	}
-	return &Index{tab: tab, lists: lists}
+	return &Index{tab: tab, lists: lists, stats: st}
 }
+
+// Stats returns the index's planner statistics, fixed when it was built.
+func (ix *Index) Stats() planner.Stats { return ix.stats }
 
 // DecodedLists reports how many compressed posting lists have been decoded
 // through this index — zero right after a store opens, exactly the queried

@@ -8,6 +8,7 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/paperdata"
+	"xks/internal/planner"
 	"xks/internal/xmltree"
 )
 
@@ -111,6 +112,18 @@ func TestFrequencyAndStats(t *testing.T) {
 	}
 	if ix.NumWords() == 0 {
 		t.Error("empty vocabulary")
+	}
+	// The statistics FromRows sums from the rows are those of a scan of
+	// every list.
+	var scan planner.Stats
+	for _, w := range ix.Words() {
+		for _, id := range ix.LookupIDs(w) {
+			scan.Postings++
+			scan.DepthSum += int64(ix.Table().Depth(id))
+		}
+	}
+	if st := ix.Stats(); st != scan || st.AvgDepth() <= 0 {
+		t.Errorf("Stats = %+v, scan %+v", st, scan)
 	}
 	words := ix.Words()
 	for i := 1; i < len(words); i++ {

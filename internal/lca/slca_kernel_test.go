@@ -11,6 +11,7 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
+	"xks/internal/planner"
 	"xks/internal/reference"
 )
 
@@ -152,7 +153,7 @@ func TestSLCAKernelOverDelta(t *testing.T) {
 		for i := range all {
 			all[i] = nid.ID(i)
 		}
-		h := &delta.Head{Tab: tab, Base: new(index.Index).With(tab, post(all[1:]))}
+		h := &delta.Head{Tab: tab, Base: new(index.Index).With(tab, post(all[1:]), planner.Stats{})}
 		for range 1 + rng.Intn(4) {
 			top := dewey.Code{0, next}
 			next++

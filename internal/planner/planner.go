@@ -1,7 +1,7 @@
-// Package planner implements the cost-based query planner: it aggregates
-// per-index statistics collected at build time and decides — per query — in
-// which order the posting lists feed the k-way merge and whether the RTF
-// dispatch gallops between roots. It also estimates a scan-merge and an
+// Package planner implements the cost-based query planner: from a query's
+// posting-list sizes and two additive counts an index sums when it is built
+// (Stats), it decides in which order the posting lists feed the k-way merge
+// and whether the RTF dispatch gallops between roots. It also estimates a scan-merge and an
 // indexed-lookup SLCA evaluation for explain output, but the engine no
 // longer runs what it picks: SLCA always runs the galloping indexed kernel
 // (internal/lca), ELCA the stack merge, and the decision carries what ran.
@@ -51,42 +51,23 @@ func (s Strategy) String() string {
 	}
 }
 
-// Stats aggregates the per-index statistics the planner consumes. They are
-// collected once per index (lazily at first use, or restored from a store
-// file without a rescan) and are advisory: plans never affect answers, so
-// slightly stale statistics after an append only cost performance.
+// Stats are the statistics the planner reads of an index or a snapshot:
+// how many keyword postings it holds and the sum of their nodes' depths.
+// Both add, so every structure gets them when it is built — an index from
+// its rows, a delta segment when it is published, a snapshot or a folded
+// base as the sum of its parts — and nothing ever scans for them. They are
+// advisory: plans never affect answers.
 type Stats struct {
-	Nodes    int // elements in the node table
-	Words    int // distinct indexed keywords
-	Postings int // total keyword postings across all lists
-
-	MaxPostings int     // length of the largest posting list
-	MaxDepth    int     // deepest keyword node
-	AvgDepth    float64 // mean keyword-node depth
-	AvgFanout   float64 // mean children per internal element
-
-	// DepthHist counts keyword postings per node depth; the last bucket
-	// absorbs deeper nodes. Probe-cost estimation uses the mean, but the
-	// histogram is persisted so future models can use the shape.
-	DepthHist []int64
-
-	// Docs is the number of distinct documents the statistics cover (1:
-	// an index holds one document; the store format persists the field).
-	Docs int
+	Postings int   // keyword postings across all lists
+	DepthSum int64 // sum of the postings' node depths
 }
 
-// Overlay folds a delta-segment summary into base statistics: counts add,
-// maxima take the larger, and the averaged shape metrics (depth, fanout,
-// histogram) stay the base's. Delta segments are small relative to the
-// base and the statistics are advisory — they steer cost estimates, never
-// answers — so the base's shape remains the better predictor. Docs is
-// unchanged: base and delta describe the same document.
-func Overlay(base Stats, nodes, words, postings, maxPostings int) Stats {
-	base.Nodes += nodes
-	base.Words += words // upper bound; base and delta vocabularies overlap
-	base.Postings += postings
-	base.MaxPostings = max(base.MaxPostings, maxPostings)
-	return base
+// AvgDepth is the mean keyword-node depth, 0 when there are no postings.
+func (s Stats) AvgDepth() float64 {
+	if s.Postings == 0 {
+		return 0
+	}
+	return float64(s.DepthSum) / float64(s.Postings)
 }
 
 // CostModel holds the calibrated unit costs the planner plugs into its
@@ -191,7 +172,7 @@ func Decide(sizes []int, st Stats, m CostModel) Decision {
 	// Indexed: each occurrence of the rarest term probes the k-1 other
 	// lists (binary search over the list, then parent-chain LCA walks of
 	// roughly the mean keyword depth).
-	probe := m.ProbeStep*math.Log2(float64(max(maxSize, 2))) + m.ChainStep*max(st.AvgDepth, 1)
+	probe := m.ProbeStep*math.Log2(float64(max(maxSize, 2))) + m.ChainStep*max(st.AvgDepth(), 1)
 	d.EstIndexed = float64(minSize) * float64(max(k-1, 1)) * probe
 
 	if k > 1 && d.EstIndexed < d.EstScan {

@@ -16,7 +16,7 @@ func TestRarestFirstOrdering(t *testing.T) {
 		{[]int{0, 9, 0}, []int{0, 2, 1}},
 	}
 	for _, c := range cases {
-		d := Decide(c.sizes, Stats{AvgDepth: 4}, Default)
+		d := Decide(c.sizes, Stats{Postings: 1, DepthSum: 4}, Default)
 		if len(d.Order) != len(c.want) {
 			t.Fatalf("sizes %v: order %v", c.sizes, d.Order)
 		}
@@ -54,7 +54,7 @@ func TestRarestFirstIsPermutation(t *testing.T) {
 }
 
 func TestDecideCrossover(t *testing.T) {
-	st := Stats{AvgDepth: 5}
+	st := Stats{Postings: 1, DepthSum: 5}
 	// Similar-magnitude lists: one scan beats per-occurrence probing.
 	d := Decide([]int{1000, 1200, 900}, st, Default)
 	if d.Strategy != ScanMerge {
@@ -83,7 +83,7 @@ func TestDecideCrossover(t *testing.T) {
 func TestDecideMonotoneInSkew(t *testing.T) {
 	// Shrinking the smallest list must never flip the decision from
 	// IndexedEager back to ScanMerge (estIndexed is monotone in minSize).
-	st := Stats{AvgDepth: 6}
+	st := Stats{Postings: 1, DepthSum: 6}
 	flipped := false
 	for minSize := 100000; minSize >= 1; minSize /= 2 {
 		d := Decide([]int{minSize, 100000}, st, Default)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"xks/internal/analysis"
@@ -23,6 +24,12 @@ func FuzzLoad(f *testing.F) {
 	binary.BigEndian.PutUint32(v2[len(magic):], 2)
 	f.Add(v3)
 	f.Add(v2)
+	// A file written while the format still carried a statistics section.
+	previous, err := os.ReadFile(previousFormat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(previous)
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))

@@ -15,18 +15,17 @@
 // and its inverse, a node → keyword CSR. Shred builds the columns in memory
 // from the one walk a tree-backed engine makes (index.Analyze), Save writes
 // them as CRC-guarded sections, and OpenFile maps (or reads) them back
-// without decoding a posting list. Keyword lookups — the only query shape
-// the algorithms issue — run off the sorted vocabulary exactly like the
-// paper's SQL SELECTs, and labels and content sets are served by node ID:
-// the content sets as the one content column form (index.Content) a
-// tree-backed engine publishes, its words resolved from the CSR on first
+// without decoding a posting list. The planner statistics are not stored:
+// the index BuildIndex wraps around the columns sums them from the node →
+// keyword CSR's offsets and the node depths. Keyword lookups — the only
+// query shape the algorithms issue — run off the sorted vocabulary exactly
+// like the paper's SQL SELECTs, and labels and content sets are served by
+// node ID: the content sets as the one content column form (index.Content)
+// a tree-backed engine publishes, its words resolved from the CSR on first
 // use.
 package store
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -34,7 +33,6 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/index"
 	"xks/internal/nid"
-	"xks/internal/planner"
 	"xks/internal/postings"
 	"xks/internal/xmltree"
 )
@@ -50,7 +48,6 @@ type Store struct {
 	lists      []postings.List // lists[i] is terms[i]'s compressed postings
 	wordOff    []uint32        // CSR: node i's terms are termIDs[wordOff[i]:wordOff[i+1]],
 	termIDs    []uint32        // ascending, so its words come out lexical
-	stats      planner.Stats
 
 	// content is the content column over wordOff, its words resolved from
 	// termIDs on first use, so ContentAt is a zero-copy row.
@@ -67,10 +64,10 @@ type Store struct {
 }
 
 // Shred builds the three tables from a document, analyzing content with the
-// given analyzer (nil for the default). The node table, the label column,
-// the posting lists and the planner statistics come from the one walk and
-// the in-memory index a tree-backed engine builds, so a shredded store and a
-// tree-backed engine agree by construction.
+// given analyzer (nil for the default). The node table, the label column
+// and the posting lists come from the one walk and the in-memory index a
+// tree-backed engine builds, so a shredded store and a tree-backed engine
+// agree by construction.
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
@@ -78,7 +75,7 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	rows := index.Analyze(t, an)
 	ix := index.FromRows(rows)
 	s := &Store{labels: rows.Labels.Names, tab: rows.Tab, nodeLabels: rows.Labels.IDs}
-	s.terms, s.stats = ix.Words(), ix.Stats()
+	s.terms = ix.Words()
 	// A word's term ID is its rank in the sorted vocabulary: one search per
 	// distinct word, not per occurrence.
 	rank := make([]uint32, rows.Vocab.Len())
@@ -141,12 +138,11 @@ func (s *Store) Keywords() []string { return slices.Clone(s.terms) }
 // without the original document. The index shares the store's node table
 // (its IDs are element row indices, so LabelAt/ContentAt serve lookups by
 // ID in constant time) and wraps the compressed lists directly: each list
-// decodes on its first lookup, so building the index is O(vocabulary). It
-// carries the store's statistics, so the planner never rescans postings.
+// decodes on its first lookup, so building the index is O(vocabulary +
+// nodes): its planner statistics are summed from the node → keyword CSR's
+// offsets and the node depths, never from a posting list.
 func (s *Store) BuildIndex() *index.Index {
-	ix := index.FromCompressed(s.tab, s.terms, s.lists)
-	ix.SetStats(s.stats)
-	return ix
+	return index.FromCompressed(s.tab, s.terms, s.lists, s.wordOff)
 }
 
 // ContentAt returns the content word set of the i-th element row, a
@@ -178,47 +174,4 @@ func (s *Store) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// statsLen is the fixed part of the stats encoding: six u32 counts, two
-// float64 averages and the histogram length.
-const statsLen = 6*4 + 2*8 + 4
-
-// appendStats appends the planner statistics in the stats-section encoding
-// (big-endian, unchanged since format v2).
-func appendStats(b []byte, st planner.Stats) []byte {
-	for _, v := range []int{st.Nodes, st.Words, st.Postings, st.MaxPostings, st.MaxDepth, st.Docs} {
-		b = binary.BigEndian.AppendUint32(b, uint32(v))
-	}
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.AvgDepth))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(st.AvgFanout))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(st.DepthHist)))
-	for _, h := range st.DepthHist {
-		b = binary.BigEndian.AppendUint64(b, uint64(h))
-	}
-	return b
-}
-
-// parseStats decodes appendStats' encoding; trailing bytes are ignored.
-func parseStats(b []byte) (planner.Stats, error) {
-	var st planner.Stats
-	if len(b) < statsLen {
-		return st, fmt.Errorf("truncated: %d bytes", len(b))
-	}
-	u := func(i int) int { return int(binary.BigEndian.Uint32(b[4*i:])) }
-	st.Nodes, st.Words, st.Postings = u(0), u(1), u(2)
-	st.MaxPostings, st.MaxDepth, st.Docs = u(3), u(4), u(5)
-	st.AvgDepth = math.Float64frombits(binary.BigEndian.Uint64(b[24:]))
-	st.AvgFanout = math.Float64frombits(binary.BigEndian.Uint64(b[32:]))
-	n := binary.BigEndian.Uint32(b[40:])
-	if uint64(n)*8 > uint64(len(b)-statsLen) {
-		return st, fmt.Errorf("depth histogram of %d buckets overruns %d bytes", n, len(b))
-	}
-	if n > 0 {
-		st.DepthHist = make([]int64, n)
-		for i := range st.DepthHist {
-			st.DepthHist[i] = int64(binary.BigEndian.Uint64(b[statsLen+8*i:]))
-		}
-	}
-	return st, nil
 }

@@ -19,13 +19,12 @@ package store
 // reinterpreted in place (cast.go) when the file is mmap-ed: opening a v3
 // store validates directory bounds, per-section CRCs and the structural
 // invariants of each section, but copies no node columns and decodes no
-// posting list. All multi-byte values inside sections are little-endian;
-// the stats section keeps its big-endian encoding from format v2.
+// posting list. All multi-byte values inside sections are little-endian.
 //
 // Files of other versions (the v1/v2 row streams) are rejected; they are
 // re-shredded from their XML with xkshred.
 //
-// Section payloads (ids secLabels..secStats below):
+// Section payloads (ids secLabels..secNodeWords below):
 //
 //	labels     u32 count, then per label {u32 len, bytes}
 //	nodes      u32 n, u32 arenaLen, parent i32[n], depth i32[n],
@@ -37,7 +36,12 @@ package store
 //	           postings.AppendEncode blobs (list i = blob[offs[i]:offs[i+1]])
 //	nodewords  u32 n, u32 total, wordOff u32[n+1], termIDs u32[total] —
 //	           CSR of each node's term IDs, ascending per node
-//	stats      planner statistics (appendStats)
+//
+// Files from earlier writers carry a seventh section, the planner
+// statistics, which BuildIndex sums from the nodewords offsets instead. It
+// is not written, and on read it is skipped like any unknown section.
+// Older readers, which require it, refuse files written without it
+// ("missing stats section").
 
 import (
 	"bufio"
@@ -65,10 +69,9 @@ const (
 	secTerms     = uint32(4)
 	secPostings  = uint32(5)
 	secNodeWords = uint32(6)
-	secStats     = uint32(7)
 )
 
-// maxSections bounds the directory a reader will parse; the writer emits 7.
+// maxSections bounds the directory a reader will parse; the writer emits 6.
 const maxSections = 64
 
 // OpenMode selects how OpenFile backs a store's memory.
@@ -253,7 +256,6 @@ func (s *Store) Save(w io.Writer) error {
 		{secTerms, termsSec},
 		{secPostings, postSec},
 		{secNodeWords, wordsSec},
-		{secStats, appendStats(nil, s.stats)},
 	}
 
 	// Header: magic + BE version, LE count, directory, header CRC, padding.
@@ -524,15 +526,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		}
 	}
 
-	// Statistics (mandatory in v3, so opening never rescans postings).
-	sec, err = need(secStats, "stats")
-	if err != nil {
-		return nil, err
-	}
-	st, err := parseStats(sec)
-	if err != nil {
-		return nil, fmt.Errorf("store: stats section: %w", err)
-	}
 	return &Store{
 		labels:     labels,
 		tab:        tab,
@@ -541,7 +534,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		lists:      lists,
 		wordOff:    wordOff,
 		termIDs:    termIDs,
-		stats:      st,
 		data:       data,
 	}, nil
 }

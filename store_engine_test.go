@@ -63,6 +63,31 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 	}
 }
 
+// TestPreviousFormatStoreAnswersAsShred: a store file written while the
+// format still carried a planner statistics section opens in every mode and
+// answers the paper queries — fragments, scores, renders — exactly as a
+// fresh Shred of the same document does.
+func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
+	fresh := storeEngine(t)
+	for _, mode := range []store.OpenMode{store.OpenAuto, store.OpenMmap, store.OpenHeap} {
+		st, err := store.OpenFile(filepath.Join("internal", "store", "testdata", "publications-stats-section.xks"), store.OpenOptions{Mode: mode})
+		if mode == store.OpenMmap && err != nil {
+			continue // no mmap on this platform
+		}
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		old := FromStore(st)
+		for _, q := range []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword} {
+			for _, opts := range crosscheckOptions() {
+				assertSameResults(t, fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit),
+					fresh, old, withQuery(opts, q), true)
+			}
+		}
+		old.Close()
+	}
+}
+
 func TestStoreBackedRendering(t *testing.T) {
 	e := storeEngine(t)
 	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
