@@ -111,35 +111,6 @@ func (c Cursor) decode() (cursorState, error) {
 
 const maxInt = int(^uint(0) >> 1)
 
-// ResumePoint returns a copy of the envelope re-pointed to resume after
-// the first n fragments of its page, with Fragments dropped (the consumer
-// already received them): Cursor is recomputed for position req.Offset+n.
-// A serving layer replaying a buffered page to a streaming consumer that
-// stopped early uses this to hand back an honest trailer — the original
-// page's cursor would skip the fragments the consumer never saw.
-//
-// The re-pointed cursor is stamped with the generation the page itself was
-// issued at (decoded from its own cursor) whenever the page carries one,
-// never the caller's newer snapshot: re-stamping an old page boundary with
-// a fresh generation would launder a stale cursor into one that validates
-// — the silent page shift cursors exist to prevent. Pages without a cursor
-// (the set was exhausted when issued) fall back to gen. n at or past the
-// page end keeps the page's own cursor; n == 0 returns no cursor (the
-// consumer consumed nothing, so resuming is reissuing the request). req
-// must be the resolved request that produced r.
-func (r *Results) ResumePoint(n int, req Request, gen uint64) *Results {
-	out := *r
-	out.Fragments = nil
-	if n >= len(r.Fragments) {
-		return &out
-	}
-	if st, err := r.Cursor.decode(); err == nil {
-		gen = st.gen
-	}
-	out.Cursor = pageCursor(req.clampPaging(), gen, n, r.Stats.NumLCAs, false)
-	return &out
-}
-
 // truncationCursor is the resume-here cursor of an envelope truncated
 // before selection finished (a BestEffort deadline expiring in the plan or
 // candidate stage): the total is unknown, but the resume position is

@@ -9,7 +9,6 @@ import (
 	"unicode/utf8"
 
 	"xks"
-	"xks/internal/service"
 )
 
 // encoder is the one writer of the /search wire format: it appends JSON to
@@ -216,31 +215,21 @@ func putBuf(bp *[]byte, b []byte) {
 }
 
 // encodeRecords encodes the fragments of one page. Each record is followed
-// by a newline and consecutive records are separated by a comma, so
-// Bytes as a whole is the inside of the buffered body's "fragments" array
-// and line(i) is one NDJSON line.
-func encodeRecords(frags []xks.CorpusFragment, withSnippets bool) *service.Encoded {
+// by a newline and consecutive records are separated by a comma, so the
+// bytes as a whole are the inside of the buffered body's "fragments" array,
+// and each record with its newline is the NDJSON line a stream writes for
+// that fragment.
+func encodeRecords(frags []xks.CorpusFragment, withSnippets bool) []byte {
 	bp := bufs.Get().(*[]byte)
 	e := encoder{buf: (*bp)[:0]}
-	ends := make([]int, len(frags))
 	for i, f := range frags {
 		if i > 0 {
 			e.raw(`,`)
 		}
 		e.record(f, withSnippets)
 		e.raw("\n")
-		ends[i] = len(e.buf)
 	}
-	enc := &service.Encoded{Bytes: append(make([]byte, 0, len(e.buf)), e.buf...), Ends: ends}
+	recs := append(make([]byte, 0, len(e.buf)), e.buf...)
 	putBuf(bp, e.buf)
-	return enc
-}
-
-// line returns record i of enc with its trailing newline.
-func line(enc *service.Encoded, i int) []byte {
-	start := 0
-	if i > 0 {
-		start = enc.Ends[i-1] + 1 // past the separating comma
-	}
-	return enc.Bytes[start:enc.Ends[i]]
+	return recs
 }

@@ -241,9 +241,9 @@ func encodes(svc *service.Service) uint64 {
 	return n
 }
 
-// TestEncodeOnce: the miss that produced a page encodes it; hits — eight at
-// once, buffered or streamed — are served from those bytes. A page cached
-// by a streamed miss is encoded by its first hit, once, however many race.
+// TestEncodeOnce: the miss that produced a page encodes it; buffered hits —
+// eight at once — are served from those bytes. A stream reads no entry and
+// fills none: it encodes its own lines, hit or miss.
 func TestEncodeOnce(t *testing.T) {
 	engine := xks.FromStore(store.Shred(wireTree(), analysis.New()))
 	svc := service.New(service.SingleDoc{Name: "dblp", Engine: engine}, service.Config{CacheSize: 64})
@@ -275,29 +275,24 @@ func TestEncodeOnce(t *testing.T) {
 	}
 	first := serve(t, h, path)
 	hitAtOnce(path, first.Body.Bytes())
-	streamed := serve(t, h, path+"&stream=1")
 	if n := encodes(svc); n != 1 {
-		t.Fatalf("encodes after 9 buffered hits and a streamed hit = %d, want still 1", n)
+		t.Fatalf("encodes after 9 buffered hits = %d, want still 1", n)
+	}
+	held := svc.CacheBodyBytes()
+	streamed := serve(t, h, path+"&stream=1")
+	if n := encodes(svc); n != 2 {
+		t.Fatalf("encodes after a stream of a cached page = %d, want 2 (the stream encodes its own lines)", n)
 	}
 	frags, _ := readLines(t, streamed.Body.Bytes())
 	if want := decodeBody(t, miss).Fragments; !reflect.DeepEqual(frags, want) {
-		t.Fatalf("streamed hit lines differ from the buffered fragments:\n%+v\n----\n%+v", frags, want)
+		t.Fatalf("streamed lines differ from the buffered fragments:\n%+v\n----\n%+v", frags, want)
 	}
 
-	// A streamed miss encodes its own lines and leaves the retained form to
-	// the first hit.
-	const other = "/search?q=alpha+beta&slca=1&limit=5"
-	serve(t, h, other+"&stream=1")
-	held := svc.CacheBodyBytes()
-	if n := encodes(svc); n != 2 {
-		t.Fatalf("encodes after a streamed miss = %d, want 2", n)
-	}
-	hitAtOnce(other, nil)
-	if n := encodes(svc); n != 3 {
-		t.Fatalf("encodes after 8 racing first hits = %d, want 3 (one fills the entry)", n)
-	}
-	if svc.CacheBodyBytes() <= held {
-		t.Fatal("the first hit of a streamed page did not retain its bytes")
+	// A stream of an uncached bounded page leaves no entry and no bytes.
+	serve(t, h, "/search?q=alpha+beta&slca=1&limit=5&stream=1")
+	if n := encodes(svc); n != 3 || svc.CacheLen() != 1 || svc.CacheBodyBytes() != held {
+		t.Fatalf("after a streamed miss: %d encodes, %d entries holding %d bytes; want 3, 1 and %d",
+			n, svc.CacheLen(), svc.CacheBodyBytes(), held)
 	}
 }
 

@@ -10,12 +10,12 @@
 // Encoding: one encoder (encode.go) writes every fragment record — the
 // buffered body's "fragments" elements and the NDJSON lines alike — with
 // the XML rendered straight into the record. A cached page is encoded at
-// most once: the request that first needs the records (for a buffered miss,
-// the miss itself) leaves them with the page's cache entry
-// (service.Page.Encoded), and every later hit, buffered or streamed, writes
+// most once: the buffered miss that produced it leaves its records with the
+// page's cache entry (service.Page.Encoded), and every later hit writes
 // those bytes behind a freshly encoded envelope. The bytes live and die
-// with the entry; snippets=1 responses and pages the cache does not hold
-// (truncated, pinned to an old snapshot) are encoded per request. Buffered
+// with the entry; snippets=1 responses, pages the cache does not hold
+// (truncated, pinned to an old snapshot) and stream=1 lines are encoded per
+// request. Buffered
 // responses carry a Content-Length, "fragments" is always an array, and
 // records escape only what JSON requires — '<', '>' and '&' in the XML are
 // not \u-escaped.
@@ -58,8 +58,9 @@
 //
 // Streaming: stream=1 switches /search to NDJSON chunked output — one
 // fragment object per line as the pipeline materializes it, with no page
-// buffering; the final line is a trailer record ({"trailer":true, ...})
-// carrying the cursor, stats, and the truncation marker. Lines are batched
+// buffering and no cache read or write; the final line is a trailer record
+// ({"trailer":true, ...}) carrying the cursor, stats, and the truncation
+// marker. Lines are batched
 // and flushed (when the ResponseWriter supports http.Flusher) after
 // fragments 1, 2, 4, 8, …: the first reaches the client before the second
 // materializes, fragment k by the time fragment 2^⌈log₂ k⌉ has (or once
@@ -586,7 +587,7 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 		}
 		// Only the envelope is encoded per request; the records are the
 		// page's own bytes, encoded once and retained by its cache entry.
-		recs := pageRecords(svc, page, withSnippets).Bytes
+		recs := pageRecords(svc, page, withSnippets)
 		var explainJSON []byte
 		if explain {
 			tr.Finish()
@@ -613,8 +614,8 @@ func NewHandler(svc *service.Service, opts *Options) http.Handler {
 // cache entry retains (encoded by the first request to need them, which for
 // a buffered miss is the miss itself), or a fresh encoding when the page
 // keeps none or the request wants snippets, which the retained form omits.
-func pageRecords(svc *service.Service, p *service.Page, withSnippets bool) *service.Encoded {
-	encode := func() *service.Encoded {
+func pageRecords(svc *service.Service, p *service.Page, withSnippets bool) []byte {
+	encode := func() []byte {
 		svc.Metrics().ObserveEncode()
 		return encodeRecords(p.Fragments, withSnippets)
 	}
@@ -626,17 +627,16 @@ func pageRecords(svc *service.Service, p *service.Page, withSnippets bool) *serv
 
 // streamSearch serves /search?stream=1: NDJSON chunked output driven
 // directly off the service's fragment iterator — one fragment per line,
-// then one StreamTrailer record. The lines collect in one batch that goes
-// to w once per flush point: written and flushed after fragments 1, 2, 4,
-// 8, … (fragment k is on the wire by the time fragment 2^⌈log₂ k⌉ has
-// materialized), written once it holds streamBatch bytes, and written with
-// the trailer at the end, which the handler's return flushes — so n
-// fragments cost bits.Len(n)+1 socket writes. A fragment replayed from a
-// ready page is served from that page's encoded records; a live one is
-// encoded as it arrives. Errors before the first fragment still map to
-// proper status codes (400/404/410/504); a failure after bytes are on the
-// wire becomes a trailer with its "error" field set. With explain set, the
-// trailer carries tr's finished span tree.
+// encoded as it arrives, then one StreamTrailer record. The lines collect
+// in one batch that goes to w once per flush point: written and flushed
+// after fragments 1, 2, 4, 8, … (fragment k is on the wire by the time
+// fragment 2^⌈log₂ k⌉ has materialized), written once it holds streamBatch
+// bytes, and written with the trailer at the end, which the handler's
+// return flushes — so n fragments cost bits.Len(n)+1 socket writes. Errors
+// before the first fragment still map to proper status codes
+// (400/404/410/504); a failure after bytes are on the wire becomes a
+// trailer with its "error" field set. With explain set, the trailer carries
+// tr's finished span tree.
 func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Service, logger *slog.Logger, req xks.Request, withSnippets, explain bool, tr *trace.Trace) {
 	seq, trailer := svc.Stream(ctx, req)
 	begin := func() {
@@ -644,12 +644,7 @@ func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Servi
 		w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	}
 	flusher, _ := w.(http.Flusher)
-	var (
-		replayed *service.Page    // the ready page recs belongs to
-		recs     *service.Encoded // its records
-		encoded  bool             // this response was counted as a page encode
-		n        int              // fragments in the body so far
-	)
+	n := 0 // fragments in the body so far
 	bp := bufs.Get().(*[]byte)
 	batch := encoder{buf: (*bp)[:0]} // the lines not yet handed to w
 	defer func() { putBuf(bp, batch.buf) }()
@@ -679,20 +674,10 @@ func streamSearch(ctx context.Context, w http.ResponseWriter, svc *service.Servi
 		}
 		if n == 0 {
 			begin()
+			svc.Metrics().ObserveEncode()
 		}
-		if f.Page != nil && !withSnippets {
-			if f.Page != replayed {
-				replayed, recs = f.Page, pageRecords(svc, f.Page, false)
-			}
-			batch.buf = append(batch.buf, line(recs, f.Index)...)
-		} else {
-			if !encoded {
-				encoded = true
-				svc.Metrics().ObserveEncode()
-			}
-			batch.record(f.CorpusFragment, withSnippets)
-			batch.raw("\n")
-		}
+		batch.record(f, withSnippets)
+		batch.raw("\n")
 		n++
 		if flush := n&(n-1) == 0; flush || len(batch.buf) >= streamBatch {
 			if !send(flush) {

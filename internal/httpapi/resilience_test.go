@@ -284,7 +284,7 @@ func TestPanicOverHTTPIs500Opaque(t *testing.T) {
 
 // TestMetricsExposesResilienceFamilies pins the /metrics families the CI
 // stream-smoke job greps for: the admission counters and gauges plus the
-// panic and partial-resume counters, present even when all are zero.
+// panic counter, present even when all are zero.
 func TestMetricsExposesResilienceFamilies(t *testing.T) {
 	adm := admission.New(admission.Config{MaxInFlight: 8})
 	srv := resilienceServer(t, &Options{Admission: adm}, nil)
@@ -303,7 +303,6 @@ func TestMetricsExposesResilienceFamilies(t *testing.T) {
 		"xks_admission_queue_depth",
 		"xks_admission_draining",
 		"xks_panic_recovered_total",
-		"xks_partial_resumes_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing %s", family)

@@ -80,14 +80,12 @@ func countedGet(tb testing.TB, srv *httptest.Server, writes *atomic.Int64, path 
 }
 
 // pageLines is what a stream of page must put on the wire: its records,
-// one line each, then the trailer for its envelope.
+// one line each, then the trailer for its envelope. A record holds no raw
+// newline (JSON escapes it), so the records' separating commas are the
+// ones that follow a newline.
 func pageLines(t *testing.T, page *service.Page) []byte {
 	t.Helper()
-	recs := encodeRecords(page.Fragments, false)
-	var out []byte
-	for i := range page.Fragments {
-		out = append(out, line(recs, i)...)
-	}
+	out := bytes.ReplaceAll(encodeRecords(page.Fragments, false), []byte("\n,"), []byte("\n"))
 	tr, err := json.Marshal(ToStreamTrailer(page.Results))
 	if err != nil {
 		t.Fatal(err)
@@ -97,38 +95,28 @@ func pageLines(t *testing.T, page *service.Page) []byte {
 
 // TestStreamWriteBudget: an n-fragment stream makes at most bits.Len(n)+1
 // socket writes (one per flush point, plus the last batch with the trailer
-// and the end of the chunked body), live or replayed from a cached page,
-// and its body is the buffered page's records and trailer byte for byte.
+// and the end of the chunked body), and its body is the buffered page's
+// records and trailer byte for byte.
 func TestStreamWriteBudget(t *testing.T) {
 	svc := service.New(service.SingleDoc{Name: "dblp", Engine: xks.FromTree(seamTree(1))}, service.Config{CacheSize: 16})
 	srv, writes := countingServer(t, NewHandler(svc, nil))
 	for _, limit := range []int{1, 5, 50} {
 		path := "/search?q=alpha+beta&slca=1&limit=" + strconv.Itoa(limit)
-		live, liveWrites := countedGet(t, srv, writes, path+"&stream=1") // a miss: the pipeline runs and fills the entry
-		hit, hitWrites := countedGet(t, srv, writes, path+"&stream=1")   // a hit: the page's records replay
+		body, n := countedGet(t, srv, writes, path+"&stream=1")
 		req, _ := requestOf(t, path)
 		page, cached, err := svc.SearchPage(t.Context(), req)
-		if err != nil || !cached {
-			t.Fatalf("%s: SearchPage after two streams: cached=%t err=%v", path, cached, err)
+		if err != nil || cached {
+			t.Fatalf("%s: SearchPage after a stream: cached=%t err=%v; a stream fills no entry", path, cached, err)
 		}
-		n := len(page.Fragments)
-		if n != limit {
-			t.Fatalf("%s: the page holds %d fragments", path, n)
+		if len(page.Fragments) != limit {
+			t.Fatalf("%s: the page holds %d fragments", path, len(page.Fragments))
 		}
-		want := withoutElapsed(pageLines(t, page))
-		budget := int64(bits.Len(uint(n)) + 1)
-		for _, s := range []struct {
-			name   string
-			body   []byte
-			writes int64
-		}{{"live", live, liveWrites}, {"replayed", hit, hitWrites}} {
-			t.Logf("limit=%d %s: %d fragments, %d conn writes", limit, s.name, n, s.writes)
-			if s.writes > budget {
-				t.Errorf("limit=%d %s: %d conn writes for %d fragments; want at most bits.Len(n)+1 = %d", limit, s.name, s.writes, n, budget)
-			}
-			if got := withoutElapsed(s.body); !bytes.Equal(got, want) {
-				t.Errorf("limit=%d %s: the body is not the page's records and trailer:\n%s\n----\n%s", limit, s.name, got, want)
-			}
+		t.Logf("limit=%d: %d conn writes", limit, n)
+		if budget := int64(bits.Len(uint(limit)) + 1); n > budget {
+			t.Errorf("limit=%d: %d conn writes for %d fragments; want at most bits.Len(n)+1 = %d", limit, n, limit, budget)
+		}
+		if got, want := withoutElapsed(body), withoutElapsed(pageLines(t, page)); !bytes.Equal(got, want) {
+			t.Errorf("limit=%d: the body is not the page's records and trailer:\n%s\n----\n%s", limit, got, want)
 		}
 	}
 }

@@ -113,6 +113,28 @@ func TestStreamNDJSON(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unsearchable stream: status = %d, want 400", resp.StatusCode)
 	}
+	// So does every failure the backend meets before the first line: a
+	// stream resolves its own cursor, document and deadline. (A stale
+	// cursor's 410 is TestCursorSurvivesAppendStaleOnRebuild's.)
+	_, page1 := getJSON(t, srv.URL+"/search?q=name&limit=1")
+	if page1.Cursor == "" {
+		t.Fatal("a one-fragment page issued no cursor")
+	}
+	for path, want := range map[string]int{
+		"/search?q=name&limit=1&stream=1&cursor=garbage%21":                      http.StatusBadRequest,
+		"/search?q=liu&limit=1&stream=1&cursor=" + url.QueryEscape(page1.Cursor): http.StatusBadRequest,
+		"/search?q=name&stream=1&doc=missing":                                    http.StatusNotFound,
+		"/search?q=name&stream=1&timeout=1ns":                                    http.StatusGatewayTimeout,
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 }
 
 // TestStreamCursorWalk scrolls a limited stream page by page via the

@@ -104,3 +104,39 @@ func TestColdMissAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamMissAllocs pins a live bounded stream — a limit=10
+// Service.Stream, drained, with the cache on — to what the backend's stream
+// costs: the service keys nothing, collects nothing and stores nothing. Two
+// requests alternate through a one-entry cache, so a service that cached
+// drained streams would miss on each of them too. The count fell from 71 to
+// 62 when streams stopped resolving a cache key and collecting their page
+// into a slice for the cache.
+func TestStreamMissAllocs(t *testing.T) {
+	engine := xks.FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 3, NumRecords: 400, Keywords: []datagen.KeywordSpec{
+		{Word: "alpha", Count: 200}, {Word: "beta", Count: 200},
+	}}))
+	sv := service.New(service.SingleDoc{Name: "dblp", Engine: engine}, service.Config{CacheSize: 1})
+	reqs := [2]xks.Request{
+		{Query: "alpha beta", Semantics: xks.SLCAOnly, Rank: true, Limit: 10},
+		{Query: "beta alpha", Semantics: xks.SLCAOnly, Rank: true, Limit: 10},
+	}
+	i := 0
+	got := testing.AllocsPerRun(50, func() {
+		seq, trailer := sv.Stream(context.Background(), reqs[i%2])
+		i++
+		n := 0
+		for _, err := range seq {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		if n != 10 || trailer().Cursor == "" {
+			t.Fatalf("the stream yielded %d fragments, cursor %q; want 10 and a next page", n, trailer().Cursor)
+		}
+	})
+	if want := 62.0; got > want {
+		t.Errorf("a drained limit=10 stream allocates %.0f objects, want at most %.0f", got, want)
+	}
+}

@@ -43,32 +43,6 @@ func notOurAnswer(c *call) bool {
 	return c.err == nil && c.val != nil && c.val.Truncated
 }
 
-// poll joins an in-flight execution of key when one exists, without ever
-// leading one: ok=false means nothing was in flight (or the leader died of
-// its own cancellation, which is not this caller's answer) and the caller
-// should execute itself. A waiter whose own ctx ends while the leader is
-// still computing detaches with ok=true and its ctx.Err(). The streaming
-// path uses this so a streamed request can collapse onto an identical
-// buffered query without forcing streams — which are consumer-paced — to
-// lead flights themselves.
-func (g *group) poll(ctx context.Context, key string) (val *Page, err error, ok bool) {
-	g.mu.Lock()
-	c, inFlight := g.calls[key]
-	g.mu.Unlock()
-	if !inFlight {
-		return nil, nil, false
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err(), true
-	case <-c.done:
-	}
-	if notOurAnswer(c) && ctx.Err() == nil {
-		return nil, nil, false
-	}
-	return c.val, c.err, true
-}
-
 // do runs fn once per key among concurrent callers. shared reports whether
 // this caller received another execution's result (a join, or a retry
 // after a cancelled leader); a waiter that detached on its own dead

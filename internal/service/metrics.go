@@ -77,9 +77,6 @@ type Metrics struct {
 	// with a rising panic counter is the signal panic isolation is doing
 	// its job and something underneath is broken.
 	panics atomic.Uint64
-	// partialResumes counts requests that resumed a truncated page from its
-	// cached prefix instead of recomputing the fragments already assembled.
-	partialResumes atomic.Uint64
 	// encodes counts result pages the API layer encoded (ObserveEncode). A
 	// cache hit served from its entry's retained bytes encodes nothing, so
 	// hits rising while this stands still is the sign hits are served from

@@ -11,10 +11,10 @@ import (
 )
 
 // fakeEncode stands in for the API layer's encoder: n bytes, counted.
-func fakeEncode(calls *atomic.Int64, n int) func() *service.Encoded {
-	return func() *service.Encoded {
+func fakeEncode(calls *atomic.Int64, n int) func() []byte {
+	return func() []byte {
 		calls.Add(1)
-		return &service.Encoded{Bytes: make([]byte, n)}
+		return make([]byte, n)
 	}
 }
 
@@ -29,7 +29,7 @@ func TestPageEncodedOncePerCacheEntry(t *testing.T) {
 		t.Fatalf("miss: cached=%t err=%v", cached, err)
 	}
 	var calls atomic.Int64
-	got := make([]*service.Encoded, 8)
+	got := make([][]byte, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
@@ -49,7 +49,7 @@ func TestPageEncodedOncePerCacheEntry(t *testing.T) {
 		t.Fatalf("encode ran %d times for one cache entry, want 1", calls.Load())
 	}
 	for i, e := range got {
-		if e != first {
+		if len(e) != len(first) || &e[0] != &first[0] {
 			t.Fatalf("caller %d got a different encoding than the others", i)
 		}
 	}
@@ -102,39 +102,5 @@ func TestEncodedBytesFollowTheEntry(t *testing.T) {
 	fill("xml", 9) // new generation: a new page, encoded again
 	if calls.Load() != 3 || sv.CacheBodyBytes() != 9 {
 		t.Fatalf("after the append: %d encodes, %d bytes; want 3 and 9", calls.Load(), sv.CacheBodyBytes())
-	}
-}
-
-// TestStreamReplayLocatesFragments: a fragment replayed from a ready page
-// says where in that page it sits; a live one belongs to no page.
-func TestStreamReplayLocatesFragments(t *testing.T) {
-	sv := service.New(testCorpus(t), service.Config{CacheSize: 8})
-	req := xks.Request{Query: "liu keyword", Limit: 10}
-	seq, _ := sv.Stream(context.Background(), req)
-	for f, err := range seq {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Page != nil {
-			t.Fatal("a live fragment claims a page")
-		}
-	}
-	page, cached, err := sv.SearchPage(context.Background(), req)
-	if err != nil || !cached {
-		t.Fatalf("the drained stream did not cache its page: cached=%t err=%v", cached, err)
-	}
-	n := 0
-	seq, _ = sv.Stream(context.Background(), req)
-	for f, err := range seq {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Page != page || f.Index != n || f.Fragment != page.Fragments[n].Fragment {
-			t.Fatalf("replayed fragment %d: page %p index %d, want page %p", n, f.Page, f.Index, page)
-		}
-		n++
-	}
-	if n == 0 || n != len(page.Fragments) {
-		t.Fatalf("replayed %d fragments of %d", n, len(page.Fragments))
 	}
 }

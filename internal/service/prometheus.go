@@ -34,8 +34,6 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 		"Pipeline executions cut short by a best-effort deadline.", m.truncated.Load())
 	writeCounter(w, "xks_panic_recovered_total",
 		"Requests that failed with a recovered pipeline panic instead of crashing the process.", m.panics.Load())
-	writeCounter(w, "xks_partial_resumes_total",
-		"Requests that resumed a truncated page from its cached prefix.", m.partialResumes.Load())
 	writeCounter(w, "xks_response_encodes_total",
 		"Result pages encoded by the API layer (cache hits served from retained bytes encode nothing).", m.encodes.Load())
 
@@ -82,7 +80,7 @@ func (sv *Service) WritePrometheus(w io.Writer) {
 		"Total wall time spent folding delta segments into base indexes.", di.CompactionSeconds)
 
 	writeGauge(w, "xks_cache_entries",
-		"Live entries in the query-result cache (full pages and resumable truncated prefixes).", float64(sv.CacheLen()))
+		"Live entries in the query-result cache (complete buffered pages).", float64(sv.CacheLen()))
 	writeGauge(w, "xks_cache_body_bytes",
 		"Encoded response bytes retained by query-result cache entries.", float64(sv.CacheBodyBytes()))
 	writeGauge(w, "xks_corpus_generation",

@@ -9,22 +9,23 @@
 //     list, tail appends, compaction and the delta gauges — implemented by
 //     *xks.Corpus and, for a single xks.Engine, by the SingleDoc adapter. A
 //     buffered page is the backend's Search, which materializes its page a
-//     block at a time; a streamed response (stream=1) is its Stream, handed on
-//     fragment by fragment. The two are the same fragments and envelope;
-//   - a sharded LRU query-result cache (internal/lru) keyed by
-//     xks.Request.Key with the request's cursor resolved into the window it
-//     names (Offset), invalidated by data generation: an append changes the
-//     version token, so stale entries die on their next lookup, and a cursor
-//     from an older token is served uncached from the snapshot it pins;
-//     the searches behind it run the staged pipeline (internal/exec), so
+//     block at a time; a streamed response (stream=1) is its Stream, run live
+//     and handed on fragment by fragment. The two are the same fragments and
+//     envelope;
+//   - a sharded LRU query-result cache (internal/lru) of buffered pages that
+//     completed, keyed by xks.Request.Key with the request's cursor resolved
+//     into the window it names (Offset), invalidated by data generation: an
+//     append changes the version token, so stale entries die on their next
+//     lookup, and a cursor from an older token is served uncached from the
+//     snapshot it pins; the searches behind it run the staged pipeline
+//     (internal/exec), so
 //     cached entries hold only the *selected* candidates in materialized
 //     form — a ranked Limit=10 corpus query caches 10 assembled fragments,
 //     and the API layer's encoding of them (Page.Encoded) is computed once
-//     and retained with the entry, so a hit is served from bytes. The same
-//     cache holds resumable prefixes: an entry whose page is Truncated is
-//     never served as a hit — an identical retry resumes materialization
-//     after it, and the completed page overwrites it under the same key;
-//   - singleflight collapsing of concurrent identical queries, so a
+//     and retained with the entry, so a hit is served from bytes. A
+//     Truncated page is never kept, and a stream neither reads nor fills the
+//     cache;
+//   - singleflight collapsing of concurrent identical buffered queries, so a
 //     thundering herd of the same request costs one pipeline execution —
 //     context-aware: a waiter whose own context ends detaches immediately
 //     with its ctx.Err() while the leader keeps computing for the others;
@@ -42,8 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"slices"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -181,9 +180,7 @@ const cacheShards = 16
 // Service wraps a Backend with caching, singleflight, and metrics.
 type Service struct {
 	backend Backend
-	// cache holds full pages (hits) and, under the same keys, Truncated
-	// prefixes of bounded pages that an identical retry resumes from; store
-	// decides what goes in.
+	// cache holds the buffered pages that completed; miss puts them in.
 	cache *lru.Cache[*Page]
 	// bodyBytes counts the encoded bytes the cache's entries retain: added
 	// by the one encode an entry keeps, subtracted when the cache drops it.
@@ -225,8 +222,8 @@ func (sv *Service) Append(doc, parentDewey, snippet string) error {
 // Version tokens do not change: cached pages and outstanding cursors survive.
 func (sv *Service) Compact(ctx context.Context) (int, error) { return sv.backend.Compact(ctx) }
 
-// CacheLen reports the number of live cache entries, resumable prefixes
-// included (0 when caching is disabled).
+// CacheLen reports the number of live cache entries (0 when caching is
+// disabled).
 func (sv *Service) CacheLen() int {
 	if sv.cache == nil {
 		return 0
@@ -239,8 +236,8 @@ func (sv *Service) CacheLen() int {
 // nothing.
 func (sv *Service) CacheBodyBytes() int64 { return sv.bodyBytes.Load() }
 
-// lookup is what the front half SearchPage and Stream share (admit) found
-// out about a request before anything executes.
+// lookup is what admit found out about a buffered request before anything
+// executes.
 type lookup struct {
 	// req is the request with its cursor resolved into Offset; it keeps the
 	// cursor, so the backend computes the page on the snapshot the cursor
@@ -257,17 +254,14 @@ type lookup struct {
 	// entry should replay an old snapshot — and only a genuinely
 	// unresolvable one surfaces xks.ErrStaleCursor.
 	key string
-	// hit is the cached page; prefix a cached Truncated prefix of it that a
-	// retry resumes from. At most one is set.
-	hit, prefix *Page
+	// hit is the cached page, when there is one.
+	hit *Page
 }
 
-func (l *lookup) pinned() bool { return l.key == "" }
-
-// admit is the front half of every request: version token → cursor
-// resolution → cache lookup. The token is captured before searching: if the
-// data mutates while the pipeline runs, the entry is stored under the old
-// token and dies on its next lookup instead of serving stale results
+// admit is the front half of every buffered request: version token →
+// cursor resolution → cache lookup. The token is captured before searching:
+// if the data mutates while the pipeline runs, the entry is stored under the
+// old token and dies on its next lookup instead of serving stale results
 // forever. A cursor is validated against that same token before any cache
 // lookup: a replay against a different query shape fails with
 // xks.ErrCursorMismatch, an undecodable one with xks.ErrBadCursor, and one
@@ -293,23 +287,19 @@ func (sv *Service) admit(ctx context.Context, req xks.Request) (l lookup, err er
 		return l, nil
 	}
 	if p, ok := sv.cache.Get(l.key, l.gen); ok {
-		if !p.Truncated {
-			sv.metrics.hits.Add(1)
-			sp.SetStr("cache", "hit")
-			l.hit = p
-			return l, nil
-		}
-		l.prefix = p
+		sv.metrics.hits.Add(1)
+		sp.SetStr("cache", "hit")
+		l.hit = p
+		return l, nil
 	}
 	sv.metrics.misses.Add(1)
 	sp.SetStr("cache", "miss")
 	return l, nil
 }
 
-// search and stream are the two places the backend executes, and the only
-// executions that feed the per-stage histograms: cache hits and collapsed
-// joins never ran the stages. search runs the backend's collected page for
-// req.
+// search runs the backend's collected page for req. It and Stream are the
+// two places the backend executes, and the only executions that feed the
+// per-stage histograms: cache hits and collapsed joins never ran the stages.
 func (sv *Service) search(ctx context.Context, req xks.Request) (*xks.Results, error) {
 	res, err := sv.backend.Search(ctx, req)
 	if err != nil {
@@ -317,103 +307,6 @@ func (sv *Service) search(ctx context.Context, req xks.Request) (*xks.Results, e
 	}
 	sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
 	return res, nil
-}
-
-// stream drives the backend's stream for req, handing each fragment to
-// yield as it materializes and collecting the page when collect is set, and
-// returns the stream's envelope — the collected page as its Fragments — and
-// whether the stream ran to its end rather than being abandoned by yield.
-func (sv *Service) stream(ctx context.Context, req xks.Request, collect bool, yield func(StreamedFragment, error) bool) (res *xks.Results, drained bool, err error) {
-	seq, trailer := sv.backend.Stream(ctx, req)
-	// The loop body is a closure the backend calls, so every variable it
-	// writes costs the request a heap allocation: it writes one.
-	var loop struct {
-		page      []xks.CorpusFragment
-		err       error
-		abandoned bool
-	}
-	for f, err := range seq {
-		if err != nil {
-			loop.err = err
-			break
-		}
-		if collect {
-			loop.page = append(loop.page, f)
-		}
-		if !yield(StreamedFragment{CorpusFragment: f}, nil) {
-			loop.abandoned = true
-			break
-		}
-	}
-	if loop.err != nil {
-		return nil, false, loop.err
-	}
-	res = trailer()
-	sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
-	res.Fragments = loop.page
-	return res, !loop.abandoned, nil
-}
-
-// buffered runs the backend's page for req under the singleflight group:
-// concurrent callers with the same flight key share one execution and the
-// page it stored for l.
-func (sv *Service) buffered(ctx context.Context, flightKey string, req xks.Request, l *lookup) (*Page, bool, error) {
-	return sv.flight.do(ctx, flightKey, func() (*Page, error) {
-		r, err := sv.search(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return sv.store(l, r), nil
-	})
-}
-
-// store puts one completed execution's page where an identical request
-// will find it and returns the page to serve: a full page becomes the key's
-// cache entry (and retains its encoding); a bounded page the deadline cut
-// short mid-materialization becomes the key's resumable prefix; anything
-// else — candidate-stage truncations, whose fragments were salvaged from a
-// partial corpus and are not a definitive prefix, unbounded pages — is not
-// kept. Nor is a page without a lookup: it is no request's whole answer.
-func (sv *Service) store(l *lookup, r *xks.Results) *Page {
-	p := &Page{Results: r}
-	switch {
-	case l == nil || sv.cache == nil:
-	case !r.Truncated:
-		p.retained = &sv.bodyBytes
-		sv.cache.Put(l.key, l.gen, p)
-	case r.Truncation == xks.TruncMaterialize && l.req.Limit > 0 &&
-		len(r.Fragments) > 0 && len(r.Fragments) < l.req.Limit:
-		sv.cache.Put(l.key, l.gen, p)
-	}
-	return p
-}
-
-// resume serves a request whose cache entry is a truncated prefix of its
-// page: the pipeline re-enters at the prefix's cursor — which resumes after
-// the prefix on the snapshot it was cut from — with Limit shrunk to the
-// remainder and a derived singleflight key so concurrent retries still
-// collapse, and the prefix is stitched onto
-// whatever the continuation yields, instead of reassembling the fragments
-// that already finished. A completed stitch overwrites the entry with the
-// full page; a still-truncated one with the longer prefix. The combined
-// envelope carries the continuation's cursor, truncation state, and stats
-// (the prefix's cost was paid — and reported — by the request that
-// assembled it).
-func (sv *Service) resume(ctx context.Context, l *lookup) (*Page, error) {
-	sv.metrics.partialResumes.Add(1)
-	prefix := l.prefix.Fragments
-	cont := l.req
-	cont.Offset += len(prefix)
-	cont.Limit -= len(prefix)
-	cont.Cursor = l.prefix.Cursor
-	tail, _, err := sv.buffered(ctx, l.key+"|partial:"+strconv.Itoa(len(prefix)), cont, nil)
-	if err != nil {
-		return nil, err
-	}
-	trace.SpanFromContext(ctx).SetStr("cache", "partial")
-	combined := *tail.Results
-	combined.Fragments = slices.Concat(prefix, tail.Fragments)
-	return sv.store(l, &combined), nil
 }
 
 // Search is SearchPage for callers that want only the results.
@@ -459,21 +352,32 @@ func (sv *Service) SearchPage(ctx context.Context, req xks.Request) (page *Page,
 	return page, false, err
 }
 
-// miss produces the buffered page of a request the cache could not answer.
-// It takes the lookup by value, so a hit never pays for moving one to the
-// heap.
+// miss produces the buffered page of a request the cache could not answer:
+// the backend's Search under the singleflight group, so concurrent callers
+// with the same key share one execution. A page that completed becomes the
+// key's cache entry and retains its encoding; a truncated one is served and
+// not kept. It takes the lookup by value, so a hit never pays for moving one
+// to the heap.
 func (sv *Service) miss(ctx context.Context, l lookup) (*Page, error) {
-	switch {
-	case l.pinned():
+	if l.key == "" {
 		res, err := sv.search(ctx, l.req)
 		if err != nil {
 			return nil, err
 		}
 		return &Page{Results: res}, nil
-	case l.prefix != nil:
-		return sv.resume(ctx, &l)
 	}
-	page, shared, err := sv.buffered(ctx, l.key, l.req, &l)
+	page, shared, err := sv.flight.do(ctx, l.key, func() (*Page, error) {
+		r, err := sv.search(ctx, l.req)
+		if err != nil {
+			return nil, err
+		}
+		p := &Page{Results: r}
+		if sv.cache != nil && !r.Truncated {
+			p.retained = &sv.bodyBytes
+			sv.cache.Put(l.key, l.gen, p)
+		}
+		return p, nil
+	})
 	if shared {
 		sv.metrics.collapsed.Add(1)
 		trace.SpanFromContext(ctx).SetBool("collapsed", true)
@@ -481,102 +385,37 @@ func (sv *Service) miss(ctx context.Context, l lookup) (*Page, error) {
 	return page, err
 }
 
-// Stream serves one request as a fragment stream: the iterator yields
-// fragments as the pipeline materializes them, and the trailer func — valid
-// once the loop ends — carries the envelope (cursor, stats, truncation) for
-// what was actually yielded; like the backend streams underneath, it never
-// retains the fragments themselves. Sources, in order:
-//
-//   - a cache hit replays the cached page fragment by fragment;
-//   - a miss with an identical buffered query already in flight joins it
-//     (singleflight) and replays its page;
-//   - a miss whose cache entry is a truncated prefix resumes it (buffered,
-//     like a hit) and replays the stitched page;
-//   - otherwise the backend's stream runs, lazily — a consumer that breaks
-//     early leaves the remaining candidates unmaterialized.
-//
-// A consumer that abandons a replayed page early still gets an honest
-// trailer, re-pointed to resume after the last fragment it received.
-//
-// A live stream with a bounded page (Limit > 0) that drains completely
-// caches its page, so the next identical request — buffered or streamed —
-// hits. Unbounded scrolls are not collected for caching, keeping server-side
-// memory O(1) however large the result set; an abandoned stream caches
-// nothing either way.
-func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[StreamedFragment, error], func() *xks.Results) {
+// Stream serves one request as a fragment stream: the backend's Stream,
+// run live, with the service's request, error and stage accounting around
+// it. The iterator yields fragments as the pipeline materializes them — a
+// consumer that breaks early leaves the remaining candidates
+// unmaterialized — and the trailer func, valid once the loop ends, carries
+// the envelope (cursor, stats, truncation) for what was actually yielded.
+// A stream neither reads nor fills the cache and never joins a flight: it
+// retains no fragment, so server-side memory stays O(1) however large the
+// result set. The backend resolves the cursor, so a bad, mismatched or
+// stale one, like an unknown document, is the error the iterator yields
+// first.
+func (sv *Service) Stream(ctx context.Context, req xks.Request) (iter.Seq2[xks.CorpusFragment, error], func() *xks.Results) {
 	res := &xks.Results{Query: req.Query}
-	seq := func(yield func(StreamedFragment, error) bool) {
-		if ctx == nil {
-			ctx = context.Background()
-		}
+	seq := func(yield func(xks.CorpusFragment, error) bool) {
 		start := time.Now()
 		sv.metrics.requests.Add(1)
 		sv.metrics.streamed.Add(1)
-		var err error
-		// Every failure below happens before the consumer could have
-		// stopped the loop, so the one error is yielded from here.
-		defer func() {
+		defer func() { sv.metrics.observe(time.Since(start)) }()
+		inner, trailer := sv.backend.Stream(ctx, req)
+		for f, err := range inner {
 			if err != nil {
 				sv.metrics.observeError(err)
-				yield(StreamedFragment{}, err)
-			}
-			sv.metrics.observe(time.Since(start))
-		}()
-
-		l, err := sv.admit(ctx, req)
-		if err != nil {
-			return
-		}
-		ready := l.hit
-		if ready == nil && !l.pinned() {
-			// Join an identical buffered execution already in flight
-			// instead of running the pipeline a second time; failing that,
-			// resume a truncated prefix of this exact page.
-			var joined bool
-			if ready, err, joined = sv.flight.poll(ctx, l.key); joined && err == nil {
-				sv.metrics.collapsed.Add(1)
-				trace.SpanFromContext(ctx).SetBool("collapsed", true)
-			} else if !joined && l.prefix != nil {
-				ready, err = sv.resume(ctx, &l)
-			}
-			if err != nil {
+				yield(f, err)
 				return
 			}
+			if !yield(f, nil) {
+				break
+			}
 		}
-		if ready != nil {
-			*res = *replay(ready, l.req, l.gen, yield)
-			return
-		}
-		// Collect the page for caching only when it is bounded: an
-		// unlimited scroll must not pin every streamed fragment in memory.
-		collect := sv.cache != nil && l.req.Limit > 0 && !l.pinned()
-		t, drained, err := sv.stream(ctx, l.req, collect, yield)
-		if err != nil {
-			return
-		}
-		*res = *t
-		res.Fragments = nil
-		if drained && collect {
-			sv.store(&l, t)
-		}
+		*res = *trailer()
+		sv.metrics.observeStages(res.Stats.Stages, res.Truncated)
 	}
 	return seq, func() *xks.Results { return res }
-}
-
-// replay yields a buffered page fragment by fragment and returns the
-// trailer envelope for what the consumer actually took: a full drain keeps
-// the page's own cursor, an early break gets one re-pointed to resume
-// after the last yielded fragment.
-func replay(p *Page, req xks.Request, gen uint64, yield func(StreamedFragment, error) bool) *xks.Results {
-	n := 0
-	for i, f := range p.Fragments {
-		// The fragment reaches the consumer even when it stops the loop —
-		// yield delivered it before returning false — so it counts as
-		// received either way.
-		n++
-		if !yield(StreamedFragment{CorpusFragment: f, Page: p, Index: i}, nil) {
-			break
-		}
-	}
-	return p.ResumePoint(n, req, gen)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xks"
+	"xks/internal/fault"
 	"xks/internal/paperdata"
 	"xks/internal/service"
 )
@@ -386,7 +387,8 @@ func TestCursorScrollStalenessAndMismatch(t *testing.T) {
 }
 
 // truncatingSearcher marks every result truncated, standing in for a
-// pipeline whose best-effort deadline always expires mid-page.
+// pipeline whose best-effort deadline always expires mid-page: a bounded
+// page is cut mid-materialization after one fragment.
 func truncatingSearcher(inner service.Backend) service.Backend {
 	return service.Buffered{Backend: inner, Page: func(ctx context.Context, req xks.Request) (*xks.Results, error) {
 		r, err := inner.Search(ctx, req)
@@ -394,6 +396,9 @@ func truncatingSearcher(inner service.Backend) service.Backend {
 			return nil, err
 		}
 		r.Truncated = true
+		if req.Limit > 0 {
+			r.Fragments, r.Truncation = r.Fragments[:1], xks.TruncMaterialize
+		}
 		return r, nil
 	}}
 }
@@ -461,24 +466,136 @@ func TestCursorPageReadsItsCursorSnapshot(t *testing.T) {
 	}
 }
 
-// TestTruncatedResultsNotCached: a partial (truncated) page must never be
-// served from the cache as if it were the full answer.
+// TestTruncatedResultsNotCached: a partial (truncated) page is neither served
+// from the cache as if it were the full answer nor kept there — also not a
+// bounded page the deadline cut mid-materialization after some fragments,
+// which an identical retry recomputes from the start.
 func TestTruncatedResultsNotCached(t *testing.T) {
-	sv := service.New(truncatingSearcher(testCorpus(t)), service.Config{CacheSize: 16})
-	for i := 0; i < 3; i++ {
-		res, cached, err := sv.Search(context.Background(), xks.Request{Query: "liu keyword", Budget: xks.BestEffort})
+	for _, req := range []xks.Request{
+		{Query: "liu keyword", Budget: xks.BestEffort},
+		{Query: "name", Limit: 10, Budget: xks.BestEffort},
+	} {
+		sv := service.New(truncatingSearcher(testCorpus(t)), service.Config{CacheSize: 16})
+		for i := 0; i < 3; i++ {
+			res, cached, err := sv.Search(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Truncated || len(res.Fragments) == 0 {
+				t.Fatalf("%q: searcher stub should truncate a non-empty page; %d fragments", req.Query, len(res.Fragments))
+			}
+			if cached {
+				t.Fatalf("%q: request %d served a truncated page from the cache", req.Query, i)
+			}
+		}
+		if n := sv.CacheLen(); n != 0 {
+			t.Errorf("%q: CacheLen = %d, want 0 — truncated pages must not be cached", req.Query, n)
+		}
+	}
+}
+
+// partialCorpus builds a ten-copy corpus (one matching fragment each for
+// the workload query): an injected deadline exhaustion on the fifth
+// fragment's materialization leaves a four-fragment partial page.
+func partialCorpus(t *testing.T) *xks.Corpus {
+	t.Helper()
+	c := xks.NewCorpus()
+	for _, n := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
+		c.Add(n, xks.FromTree(paperdata.Publications()))
+	}
+	return c
+}
+
+// TestPartialPageResumeServesStream: a page the deadline cut
+// mid-materialization is served and not kept, so a retry sent as a stream
+// runs the pipeline from the page's start and yields the whole page live
+// under an untruncated trailer, and still leaves the cache empty.
+func TestPartialPageResumeServesStream(t *testing.T) {
+	const limit = 8
+	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
+	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: limit, Budget: xks.BestEffort}
+
+	plan := fault.NewPlan(fault.Rule{
+		Point:  fault.PointMaterialize,
+		After:  4,
+		Count:  1,
+		Action: fault.Action{UntilDeadline: true},
+	})
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 200*time.Millisecond)
+	defer cancel()
+	part, cached, err := sv.Search(ctx, req)
+	if err != nil || cached {
+		t.Fatalf("truncated search: cached=%t err=%v", cached, err)
+	}
+	if !part.Truncated || part.Truncation != xks.TruncMaterialize {
+		t.Fatalf("truncation = (%v, %q), want (true, %q)", part.Truncated, part.Truncation, xks.TruncMaterialize)
+	}
+	if n := len(part.Fragments); n == 0 || n >= limit {
+		t.Fatalf("partial page has %d fragments, want a non-empty strict prefix of %d", n, limit)
+	}
+	if n := sv.CacheLen(); n != 0 {
+		t.Fatalf("CacheLen = %d after the truncated page, want 0", n)
+	}
+
+	seq, trailer := sv.Stream(context.Background(), req)
+	n := 0
+	for f, err := range seq {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Truncated {
-			t.Fatal("searcher stub should truncate")
+		if f.Fragment == nil {
+			t.Fatal("stream yielded a nil fragment")
 		}
-		if cached {
-			t.Fatalf("request %d served a truncated page from the cache", i)
-		}
+		n++
+	}
+	if n != limit {
+		t.Fatalf("stream yielded %d fragments, want the full page of %d", n, limit)
+	}
+	if tr := trailer(); tr.Truncated {
+		t.Fatalf("stream trailer still truncated (%q)", tr.Truncation)
 	}
 	if n := sv.CacheLen(); n != 0 {
-		t.Errorf("CacheLen = %d, want 0 — truncated pages must not be cached", n)
+		t.Fatalf("CacheLen = %d after the stream, want 0", n)
+	}
+}
+
+// TestSalvagedPageNotCachedAsPartial: a candidate-stage salvage page
+// (TruncCandidates) covers only the documents that finished, so it is not
+// kept — the retry runs the full pipeline and is not a hit.
+func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
+	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
+	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: 6, Budget: xks.BestEffort}
+
+	plan := fault.NewPlan(fault.Rule{
+		Point:  fault.PointCandidates,
+		Label:  "j",
+		Action: fault.Action{UntilDeadline: true},
+	})
+	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 150*time.Millisecond)
+	defer cancel()
+	part, _, err := sv.Search(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !part.Truncated || part.Truncation != xks.TruncCandidates {
+		t.Fatalf("truncation = (%v, %q), want (true, %q)", part.Truncated, part.Truncation, xks.TruncCandidates)
+	}
+	if n := sv.CacheLen(); n != 0 {
+		t.Fatalf("CacheLen = %d after the salvaged page, want 0: salvage pages are not kept", n)
+	}
+
+	full, cached, err := sv.Search(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatal("retry of a salvaged page must not hit any cache")
+	}
+	if full.Truncated {
+		t.Fatalf("fault-free retry still truncated (%q)", full.Truncation)
+	}
+	if len(full.Fragments) != 6 {
+		t.Fatalf("retry page has %d fragments, want 6", len(full.Fragments))
 	}
 }
 
@@ -552,98 +669,75 @@ func resumesAt(t *testing.T, sv *service.Service, req xks.Request, tok xks.Curso
 	return r.Offset
 }
 
-// TestStreamServesCachesAndReplays covers Service.Stream: a cold stream
-// drives the pipeline lazily and caches its fully-drained page, a warm one
-// replays the cached page, an abandoned one caches nothing, and the
-// trailer always carries the envelope.
+// TestStreamServesCachesAndReplays covers how Service.Stream serves against
+// the cache: a stream runs the backend's stream live — a drained bounded one
+// caches nothing and moves neither cache counter, and one sent after a
+// buffered hit replays nothing but runs the pipeline — an abandoned one
+// leaves a trailer that resumes after what it yielded, and errors surface
+// through the iterator.
 func TestStreamServesCachesAndReplays(t *testing.T) {
 	sv := service.New(testCorpus(t), service.Config{CacheSize: 16})
-	// Bounded page: only Limit > 0 streams are collected for caching (an
-	// unbounded scroll must not pin its whole result set server-side).
 	req := xks.Request{Query: "name", Rank: true, Limit: 10}
-
-	// Cold: live stream, page cached at drain.
-	var cold []xks.CorpusFragment
-	seq, trailer := sv.Stream(context.Background(), req)
-	for f, err := range seq {
-		if err != nil {
-			t.Fatal(err)
+	plans := func() float64 { return service.Sample(t, sv, `xks_stage_duration_seconds_count{stage="plan"}`) }
+	drain := func(req xks.Request) ([]xks.CorpusFragment, *xks.Results) {
+		t.Helper()
+		var frags []xks.CorpusFragment
+		seq, trailer := sv.Stream(context.Background(), req)
+		for f, err := range seq {
+			if err != nil {
+				t.Fatal(err)
+			}
+			frags = append(frags, f)
 		}
-		cold = append(cold, f.CorpusFragment)
+		return frags, trailer()
 	}
+
+	cold, ct := drain(req)
 	if len(cold) == 0 {
 		t.Fatal("stream yielded nothing")
 	}
-	ct := trailer()
 	if ct.Stats.NumLCAs != len(cold) || ct.Cursor != "" {
 		t.Fatalf("trailer: stats %+v cursor %q for a drained %d-fragment stream", ct.Stats, ct.Cursor, len(cold))
 	}
-	if sv.CacheLen() != 1 {
-		t.Fatalf("CacheLen = %d after a drained stream, want 1", sv.CacheLen())
+	s := service.Samples(t, sv)
+	if sv.CacheLen() != 0 || s["xks_cache_hits_total"] != 0 || s["xks_cache_misses_total"] != 0 {
+		t.Fatalf("a drained stream: CacheLen = %d, hits %v, misses %v; want 0, 0, 0",
+			sv.CacheLen(), s["xks_cache_hits_total"], s["xks_cache_misses_total"])
 	}
 
-	// The buffered path hits the stream-populated entry, and vice versa.
-	if _, cached, err := sv.Search(context.Background(), req); err != nil || !cached {
-		t.Fatalf("buffered after stream: cached=%t err=%v", cached, err)
-	}
-	var warm []xks.CorpusFragment
-	seq, _ = sv.Stream(context.Background(), req)
-	for f, err := range seq {
-		if err != nil {
-			t.Fatal(err)
+	// The buffered page is a miss, then a hit; a stream after the hit still
+	// runs the pipeline, and yields the page's fragments.
+	for i, want := range []bool{false, true} {
+		if _, cached, err := sv.Search(context.Background(), req); err != nil || cached != want {
+			t.Fatalf("buffered request %d: cached=%t err=%v, want cached=%t", i, cached, err, want)
 		}
-		warm = append(warm, f.CorpusFragment)
+	}
+	before := plans()
+	warm, _ := drain(req)
+	if plans() != before+1 {
+		t.Fatalf("plan stage count %v -> %v across a stream after a hit; want one more execution", before, plans())
 	}
 	if len(warm) != len(cold) {
-		t.Fatalf("replayed %d fragments, want %d", len(warm), len(cold))
+		t.Fatalf("second stream yielded %d fragments, want %d", len(warm), len(cold))
 	}
 	for i := range warm {
 		if warm[i].Root != cold[i].Root {
-			t.Fatalf("fragment %d: replay %s vs live %s", i, warm[i].Root, cold[i].Root)
+			t.Fatalf("fragment %d: %s vs %s", i, warm[i].Root, cold[i].Root)
 		}
 	}
 
-	// An abandoned stream caches nothing (its page is incomplete), and the
-	// trailer stays resumable from after the one fragment consumed.
+	// An abandoned stream's trailer stays resumable from after the one
+	// fragment consumed.
 	other := xks.Request{Query: "liu keyword", Limit: 10}
-	seq, trailer = sv.Stream(context.Background(), other)
+	seq, trailer := sv.Stream(context.Background(), other)
 	for _, err := range seq {
 		if err != nil {
 			t.Fatal(err)
 		}
 		break
 	}
-	if sv.CacheLen() != 1 {
-		t.Fatalf("CacheLen = %d after an abandoned stream, want still 1", sv.CacheLen())
-	}
 	if tr := trailer(); resumesAt(t, sv, other, tr.Cursor) != 1 {
 		t.Fatalf("abandoned trailer: Cursor=%q, want resumable at 1", tr.Cursor)
-	}
-
-	// Replaying the cached page to a consumer that breaks early re-points
-	// the trailer cursor after the last yielded fragment — never past the
-	// fragments it never received.
-	p1req := xks.Request{Query: "name", Rank: true, Limit: 2}
-	if _, _, err := sv.Search(context.Background(), p1req); err != nil { // prime the cache
-		t.Fatal(err)
-	}
-	seq, trailer = sv.Stream(context.Background(), p1req)
-	for _, err := range seq {
-		if err != nil {
-			t.Fatal(err)
-		}
-		break // take 1 of the cached page of 2
-	}
-	if tr := trailer(); resumesAt(t, sv, p1req, tr.Cursor) != 1 {
-		t.Fatalf("replayed early break: Cursor=%q, want re-pointed to 1", tr.Cursor)
-	}
-	// Resuming from that cursor yields the fragment the break skipped.
-	res2, _, err := sv.Search(context.Background(), xks.Request{Query: "name", Rank: true, Limit: 2, Cursor: trailer().Cursor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Fragments) == 0 {
-		t.Fatal("resume from re-pointed cursor yielded nothing")
 	}
 
 	// Errors surface through the iterator (and count in metrics).
@@ -656,52 +750,16 @@ func TestStreamServesCachesAndReplays(t *testing.T) {
 		t.Fatalf("unsearchable stream: err = %v, want ErrEmptyQuery", got)
 	}
 
-	s := service.Samples(t, sv)
-	if s["xks_streamed_requests_total"] != 5 {
-		t.Errorf("streamed = %v, want 5", s["xks_streamed_requests_total"])
+	s = service.Samples(t, sv)
+	if s["xks_streamed_requests_total"] != 4 {
+		t.Errorf("streamed = %v, want 4", s["xks_streamed_requests_total"])
 	}
 	if s["xks_request_errors_total"] != 1 {
 		t.Errorf("errors = %v, want 1", s["xks_request_errors_total"])
 	}
-	if s["xks_cache_hits_total"] < 2 {
-		t.Errorf("cache hits = %v, want >= 2 (one buffered, one replay)", s["xks_cache_hits_total"])
-	}
-}
-
-// TestStreamJoinsInflightBufferedQuery: a stream arriving while an
-// identical buffered query is mid-flight joins it (singleflight) and
-// replays its page instead of running the pipeline twice.
-func TestStreamJoinsInflightBufferedQuery(t *testing.T) {
-	cs := newCountingSearcher(testCorpus(t), 50*time.Millisecond)
-	sv := service.New(cs, service.Config{}) // cache off: only the flight can collapse
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, _, err := sv.Search(context.Background(), xks.Request{Query: "liu keyword"}); err != nil {
-			t.Error(err)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the buffered leader take off
-
-	n := 0
-	seq, _ := sv.Stream(context.Background(), xks.Request{Query: "liu keyword"})
-	for _, err := range seq {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	wg.Wait()
-	if n == 0 {
-		t.Fatal("joined stream yielded nothing")
-	}
-	if got := cs.execs.Load(); got != 1 {
-		t.Errorf("underlying executions = %d, want 1 (stream joined the in-flight leader)", got)
-	}
-	if n := service.Sample(t, sv, "xks_collapsed_requests_total"); n != 1 {
-		t.Errorf("collapsed = %v, want 1", n)
+	if s["xks_cache_hits_total"] != 1 || s["xks_cache_misses_total"] != 1 || sv.CacheLen() != 1 {
+		t.Errorf("hits %v, misses %v, CacheLen %d; want the buffered pair's 1, 1, 1",
+			s["xks_cache_hits_total"], s["xks_cache_misses_total"], sv.CacheLen())
 	}
 }
 
