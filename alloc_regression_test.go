@@ -86,7 +86,7 @@ func TestPlanStageAllocs(t *testing.T) {
 }
 
 // TestCandidateStageAllocs pins the candidate stage over every workload
-// query: getLCA and getRTF (one streamed merge + ID stack, runs borrowed
+// query: getLCA and getRTF (one mask merge + ID stack, runs borrowed
 // from one pooled buffer) and scoring must allocate only their results — no
 // per-posting, per-event or per-path-node garbage.
 func TestCandidateStageAllocs(t *testing.T) {
@@ -98,11 +98,13 @@ func TestCandidateStageAllocs(t *testing.T) {
 			t.Fatalf("plan(%q): %v", q, err)
 		}
 		n := len(stageCandidates(p, params))
-		// Budget: a fixed overhead (merger, stacks, root/count slices, the
-		// release) plus a small per-candidate share (IDRTF headers and the
-		// scored Candidate structs).
-		ceiling := 48 + 4*float64(n)
+		// Budget: a fixed overhead (the candidate window and the query's
+		// incremental scorer: 4 objects; the merge, its stacks and the root
+		// and run columns are pooled) plus a small per-candidate share
+		// (IDRTF headers and the scored Candidate structs).
+		ceiling := 4 + 4*float64(n)
 		allocs := testing.AllocsPerRun(20, func() { stageCandidates(p, params) })
+		t.Logf("MEASURE %q n=%d allocs=%.0f", q, n, allocs)
 		if allocs > ceiling {
 			t.Errorf("Candidates(%q) allocates %.0f objects per run for %d candidates, ceiling %.0f",
 				q, allocs, n, ceiling)

@@ -30,6 +30,7 @@ import (
 	"iter"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -881,8 +882,8 @@ func (e *Engine) planAt(v *view, queryText string) (exec.Plan, error) {
 }
 
 // decideAt resolves the planner decision for one planned query from the
-// snapshot's statistics and the calibrated cost model: the merge order and
-// dispatch galloping, plus the cost estimates explain shows. The strategy is
+// snapshot's statistics and the calibrated cost model: the term order and
+// the cost estimates explain shows. The strategy is
 // then stamped with what runs, keeping explain output honest: ELCA semantics
 // always evaluates via the stack merge (ScanMerge), SLCA via the galloping
 // indexed kernel (IndexedEager).
@@ -1052,6 +1053,7 @@ type blockScratch struct {
 	rtf    rtf.IDRTF // a hydrated candidate's RTF, as exec.Materialize reads it
 	pruned []prunedCand
 	slabs  slabs
+	path   []int // assemble's depth stack (see there)
 }
 
 // slabs are the backing arrays a request's fragments are carved from, and
@@ -1142,7 +1144,12 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 // accessors). Dewey codes surface only as zero-copy table views rendered into
 // the public strings. A fragment's Root
 // is its first node's Dewey string: the keep-set is ancestor-closed, so the
-// root is always kept, first.
+// root is always kept, first. Because the kept IDs are also in pre-order, a
+// node's parent is the last node kept one level up, so a kept node's Dewey
+// string is its parent's, a dot and its last component: the path stack
+// b.path holds, per depth below the root, the string length of the last
+// node kept there while the slab is sized, and its index while the strings
+// are written.
 func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 	nf, nk := len(b.pruned), len(b.kept)
 	if nf == 0 {
@@ -1151,10 +1158,20 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 	size, off := 0, 0
 	for _, p := range b.pruned {
 		tab := docs[p.c.Doc].params.Tab
-		for _, id := range b.kept[off : off+p.n] {
-			size += tab.Code(id).StringLen()
-		}
+		kept := b.kept[off : off+p.n]
 		off += p.n
+		root := len(tab.Code(kept[0]))
+		for _, id := range kept {
+			c := tab.Code(id)
+			n, d := 0, len(c)-root
+			if d == 0 {
+				n = c.StringLen()
+			} else {
+				n = b.path[d-1] + 1 + c[len(c)-1:].StringLen()
+			}
+			b.path = append(b.path[:d], n)
+			size += n
+		}
 	}
 	sl := &b.slabs
 	sl.nf, sl.nk, sl.bytes = sl.nf+nf, sl.nk+nk, sl.bytes+size
@@ -1180,10 +1197,19 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 		kept := ids[off : off+p.n : off+p.n]
 		fn := nodes[off : off+p.n : off+p.n]
 		off += p.n
-		events, j := p.events, 0
+		events, j, root := p.events, 0, len(tab.Code(kept[0]))
 		for k, id := range kept {
 			start := deweys.Len()
-			deweys.Write(tab.Code(id).AppendString(scratch[:0]))
+			c := tab.Code(id)
+			d := len(c) - root
+			if d == 0 {
+				deweys.Write(c.AppendString(scratch[:0]))
+			} else {
+				deweys.WriteString(fn[b.path[d-1]].Dewey)
+				deweys.WriteByte('.')
+				deweys.Write(strconv.AppendUint(scratch[:0], uint64(c[len(c)-1]), 10))
+			}
+			b.path = append(b.path[:d], k)
 			n := &fn[k]
 			n.Dewey = deweys.String()[start:]
 			for j < len(events) && events[j].ID < id {

@@ -79,10 +79,8 @@ type Plan struct {
 	Keywords []string
 	IDFWords []string
 	Sets     [][]nid.ID
-	// Decision is the planner's resolved plan for this query: evaluation
-	// strategy, merge order, dispatch galloping. The zero value preserves
-	// the pre-planner behavior (indexed SLCA, query order, no galloping),
-	// so callers that never plan — tests, benchmarks — are unaffected.
+	// Decision is the planner's resolved plan for this query, which explain
+	// output reports; no stage reads it, so the zero value answers the same.
 	Decision planner.Decision
 }
 
@@ -217,7 +215,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 	if err := ctx.Err(); err != nil {
 		return nil, 0, release, err
 	}
-	t, d := params.Tab, p.Decision
+	t := params.Tab
 	// deferred: the candidates carry no events. gather: every root's events
 	// are collected (all but an unranked page and a ranked SLCA one).
 	deferred := params.DeferEvents
@@ -249,7 +247,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 	if params.SLCAOnly {
 		sc.roots, err = lca.AppendSLCAIDs(lctx, sc.roots[:0], t, p.Sets)
 	} else {
-		sc.roots, err = lca.ELCAStackDispatch(lctx, sc.roots[:0], t, p.Sets, d.Order, sc.buf, sink)
+		sc.roots, err = lca.ELCAStackDispatch(lctx, sc.roots[:0], t, p.Sets, sc.buf, sink)
 		// The runs arrive in post-order.
 		slices.SortFunc(sc.runs, func(a, b rootRun) int { return cmp.Compare(a.root, b.root) })
 	}
@@ -261,7 +259,7 @@ func Candidates(ctx context.Context, p Plan, params Params, doc int) (cands []*C
 		if gather {
 			err = rtf.DispatchWindows(rctx, t, roots, p.Sets, sc.buf, sink)
 		} else {
-			sc.scores, err = rtf.AppendScores(rctx, sc.scores[:0], &sc.scoring, t, roots, p.Sets, params.Scorer.Incremental(p.IDFWords), d.Order, d.Skip)
+			sc.scores, err = rtf.AppendScores(rctx, sc.scores[:0], &sc.scoring, t, roots, p.Sets, params.Scorer.Incremental(p.IDFWords))
 		}
 		rtfSp.End()
 	}

@@ -96,7 +96,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 			}
 		} else {
 			roots, _ = lca.ELCAStackMergeIDsOrderedCtx(ctx, tab, sets, nil)
-			sinkRoots, err := lca.ELCAStackDispatch(ctx, nil, tab, sets, order, exactBuf(sets), collect(&got))
+			sinkRoots, err := lca.ELCAStackDispatch(ctx, nil, tab, sets, exactBuf(sets), collect(&got))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func randomForest(rng *rand.Rand, nodes, k int) (*nid.Table, [][]nid.ID) {
 	return tab, sets
 }
 
-// maybeOrder is a random loser-tree leaf order half the time, query order
+// maybeOrder is a random planner merge order half the time, query order
 // otherwise.
 func maybeOrder(rng *rand.Rand, k int) []int {
 	if rng.Intn(2) == 0 {

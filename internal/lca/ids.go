@@ -1,20 +1,25 @@
 // ID-based variants of the getLCA stage: the production hot path runs on
 // dense node IDs (internal/nid), LCA/ancestor tests are parent-chain walks on
 // the node table, and a stage allocates nothing but its result, which it
-// appends to the caller's slice. ELCA roots come from one stack pass over the
-// streamed k-way loser-tree merge, which given a sink is getRTF's dispatch as
-// well, so an ELCA request merges its posting lists once. SLCA roots come
-// from one kernel, whatever strategy was requested: Indexed Lookup Eager
-// driven by the smallest list S₁, with a forward-only galloping cursor per
-// other list instead of a binary search over the whole list per probe — cost
-// O(|S₁|·(k−1)·(log gap + depth)). The Dewey-code forms in internal/reference
-// are what the tests check them against.
+// appends to the caller's slice. The k posting lists are merged by Merge, a
+// windowed keyword-mask merge: postings are OR-ed into a per-ID mask array
+// and read back in ID order through a one-bit-per-ID summary, so a window
+// costs O(Σ|Dᵢ| + span/64) and compares nothing. ELCA roots come from one
+// stack pass over the merge of the lists' whole span, which given a sink is
+// getRTF's dispatch as well, so an ELCA request merges its posting lists
+// once. SLCA roots come from one kernel, whatever strategy was requested:
+// Indexed Lookup Eager driven by the smallest list S₁, with a forward-only
+// galloping cursor per other list instead of a binary search over the whole
+// list per probe — cost O(|S₁|·(k−1)·(log gap + depth)). The Dewey-code forms
+// in internal/reference are what the tests check them against.
 
 package lca
 
 import (
 	"context"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"xks/internal/nid"
 	"xks/internal/trace"
@@ -33,151 +38,133 @@ type IDEvent struct {
 	Mask uint64
 }
 
-// mergeSentinel orders after every valid ID (IDs are int32).
-const mergeSentinel = int64(1) << 40
-
-// Merger streams the pre-order merge of k ID posting lists, OR-ing the
-// masks of equal IDs — the DIL-style merged stream of XRank, without
-// materializing it. It is a classic loser tree over the (sentinel-padded)
-// lists: each Next pops the winner and replays one leaf-to-root path,
-// O(log k) comparisons per event, by pure slice indexing.
-type Merger struct {
-	lists [][]nid.ID
-	pos   []int
-	bit   []uint64 // nil = bit[s] is 1<<s; else per-leaf mask bit (ordered merge)
-	loser []int32  // internal nodes 1..n-1: loser of the match played there
-	win   int32    // current overall winner (list index)
-	n     int      // number of leaves (power of two >= len(lists))
+// Merge is the merged keyword-node stream of k sorted ID lists (at most 64;
+// list i sets mask bit i), read one ID window at a time: the DIL-style
+// merged stream of XRank, without comparisons. A window is loaded a chunk
+// of at most chunkIDs IDs at a time, each chunk starting at the window's
+// next posting: its postings are OR-ed into a per-ID mask array and their
+// IDs marked in a summary bitset of one bit per ID, and Next reads the
+// marked IDs back in ID order, clearing each entry as it goes. A window
+// costs its postings plus one summary word per 64 IDs of the chunks it
+// loads, whatever k is. The arrays come from a pool, are all zero between
+// uses (a window left unread is cleared by the next Window or by Release,
+// so an abandoned merge hands back clean memory) and hold chunkIDs masks
+// whatever the document's size.
+type Merge struct {
+	lists    [][]nid.ID
+	pos, end []int    // per list: the window's postings not yet loaded
+	masks    []uint64 // masks[id-base]: the bits of the lists holding id
+	seen     []uint64 // bit j of seen[w] is set when masks[64w+j] is nonzero
+	base, hi nid.ID   // the loaded chunk's first ID, and the window's end
+	w, nw    int      // summary words read, and the chunk's summary words
+	word     uint64   // the unread bits of summary word w-1
 }
 
-// NewMergerOrdered builds a merger whose loser-tree leaves hold the lists in
-// the given order (order[leaf] = original list index — the planner's
-// rarest-first permutation) while every emitted event still carries the
-// original-order mask bits. Because Next coalesces all lists heading the
-// same ID into one OR-ed event, the merged stream is identical for every
-// leaf permutation (property-tested); the order only decides which source
-// wins tournament ties. nil order means query order.
-func NewMergerOrdered(lists [][]nid.ID, order []int) *Merger {
-	k := len(lists)
-	n := 1
-	for n < k {
-		n *= 2
-	}
-	m := &Merger{
-		lists: lists,
-		pos:   make([]int, k),
-		loser: make([]int32, n),
-		n:     n,
-	}
-	if order != nil && len(order) == k {
-		permuted := make([][]nid.ID, k)
-		bit := make([]uint64, k)
-		for leaf, src := range order {
-			permuted[leaf] = lists[src]
-			bit[leaf] = 1 << uint(src)
-		}
-		m.lists = permuted
-		m.bit = bit
-	}
-	m.rebuild()
+// chunkIDs is the most IDs a merge loads at once, so its mask array stays
+// 32 KB: small enough to stay in cache, and wide enough that a chunk's
+// fixed cost, a look at each list's next posting, is spread over thousands
+// of IDs.
+const chunkIDs = 1 << 12
+
+var merges = sync.Pool{New: func() any {
+	return &Merge{masks: make([]uint64, chunkIDs), seen: make([]uint64, chunkIDs/64)}
+}}
+
+// NewMerge returns a pooled merge over lists, before its first window.
+// Release hands it back.
+func NewMerge(lists [][]nid.ID) *Merge {
+	m := merges.Get().(*Merge)
+	m.reset(lists)
 	return m
 }
 
-// rebuild replays the full tournament bottom-up from the current positions;
-// win[i] is the winner of the subtree rooted at internal node i, loser[i]
-// the loser of its match. O(n); allocation-free for k <= 64 (the query
-// layer's term cap, since masks are uint64).
-func (m *Merger) rebuild() {
-	var buf [128]int32
-	win := buf[:]
-	if 2*m.n > len(buf) {
-		win = make([]int32, 2*m.n)
+// reset retargets the merge to lists, dropping what the current window left
+// unread.
+func (m *Merge) reset(lists [][]nid.ID) {
+	m.drain()
+	m.lists = lists
+	m.pos = slices.Grow(m.pos[:0], len(lists))[:len(lists)]
+	m.end = slices.Grow(m.end[:0], len(lists))[:len(lists)]
+	clear(m.pos)
+}
+
+// Release clears what the merge left unread and returns it to the pool. The
+// merge must not be used after.
+func (m *Merge) Release() {
+	m.reset(nil)
+	merges.Put(m)
+}
+
+// Window starts the window of IDs [lo, hi). Windows must ascend and not
+// overlap: each list gallops forward from where the previous window left it,
+// so IDs below the previous window's hi are never read again. Events the
+// previous window left unread are dropped.
+func (m *Merge) Window(lo, hi nid.ID) {
+	m.drain()
+	m.hi = hi
+	for i, list := range m.lists {
+		p := gallopGE(list, m.pos[i], lo)
+		m.pos[i], m.end[i] = p, gallopGE(list, p, hi)
 	}
-	for s := 0; s < m.n; s++ {
-		win[m.n+s] = int32(s)
-	}
-	for i := m.n - 1; i >= 1; i-- {
-		a, b := win[2*i], win[2*i+1]
-		if m.less(a, b) {
-			win[i], m.loser[i] = a, b
-		} else {
-			win[i], m.loser[i] = b, a
+}
+
+// load loads the window's next chunk, starting at its first posting not yet
+// loaded; false when none is left.
+func (m *Merge) load() bool {
+	base := m.hi
+	for i, list := range m.lists {
+		if m.pos[i] < m.end[i] {
+			base = min(base, list[m.pos[i]])
 		}
 	}
-	m.win = win[1]
-}
-
-// SkipTo advances every list past all IDs below target (galloping from its
-// position) and replays the tournament, so the next event is the first with
-// ID >= target. The common case — the current winner already sits at or past
-// target — returns without touching the tree, so callers can invoke it
-// unconditionally.
-func (m *Merger) SkipTo(target nid.ID) {
-	if m.key(m.win) >= int64(target) {
-		return
+	if base == m.hi {
+		return false
 	}
-	for s, list := range m.lists {
-		m.pos[s] = gallopGE(list, m.pos[s], target)
-	}
-	m.rebuild()
-}
-
-// key returns the list's current head as an int64, or the sentinel when the
-// list (or padding leaf) is exhausted.
-func (m *Merger) key(s int32) int64 {
-	if int(s) >= len(m.lists) || m.pos[s] >= len(m.lists[s]) {
-		return mergeSentinel
-	}
-	return int64(m.lists[s][m.pos[s]])
-}
-
-// less orders lists by current key, ties by list index (which keeps the
-// merge deterministic; equal keys are coalesced by Next either way).
-func (m *Merger) less(a, b int32) bool {
-	ka, kb := m.key(a), m.key(b)
-	return ka < kb || (ka == kb && a < b)
-}
-
-// advance pops the current winner's head and replays its path to the root.
-func (m *Merger) advance() {
-	s := m.win
-	m.pos[s]++
-	cur := s
-	for i := (m.n + int(s)) / 2; i >= 1; i /= 2 {
-		if m.less(m.loser[i], cur) {
-			m.loser[i], cur = cur, m.loser[i]
+	span := min(int(m.hi-base), chunkIDs)
+	cut := base + nid.ID(span)
+	for i, list := range m.lists {
+		p, bit := m.pos[i], uint64(1)<<uint(i)
+		for ; p < m.end[i] && list[p] < cut; p++ {
+			x := int(list[p] - base)
+			m.masks[x] |= bit
+			m.seen[x>>6] |= 1 << uint(x&63)
 		}
+		m.pos[i] = p
 	}
-	m.win = cur
+	m.base, m.w, m.nw = base, 0, (span+63)>>6
+	return true
 }
 
-// Next returns the next event of the merged stream: the smallest unseen ID
-// with the OR of the masks of every list it heads. ok is false when the
-// stream is exhausted.
-func (m *Merger) Next() (ev IDEvent, ok bool) {
-	k := m.key(m.win)
-	if k == mergeSentinel {
-		return IDEvent{}, false
-	}
-	ev.ID = nid.ID(k)
-	if m.bit != nil {
-		for m.key(m.win) == k {
-			ev.Mask |= m.bit[m.win]
-			m.advance()
+// Next returns the window's next event: the smallest unread ID with the OR
+// of the mask bits of the lists holding it. ok is false when the window is
+// exhausted.
+func (m *Merge) Next() (ev IDEvent, ok bool) {
+	for m.word == 0 {
+		if m.w == m.nw && !m.load() {
+			return IDEvent{}, false
 		}
-	} else {
-		for m.key(m.win) == k {
-			ev.Mask |= 1 << uint(m.win)
-			m.advance()
-		}
+		m.word, m.seen[m.w] = m.seen[m.w], 0
+		m.w++
 	}
+	x := (m.w-1)<<6 | bits.TrailingZeros64(m.word)
+	m.word &= m.word - 1
+	ev = IDEvent{ID: m.base + nid.ID(x), Mask: m.masks[x]}
+	m.masks[x] = 0
 	return ev, true
 }
 
+// drain clears what the loaded chunk left unread and ends the window.
+func (m *Merge) drain() {
+	clear(m.end[:len(m.lists)])
+	for _, ok := m.Next(); ok; _, ok = m.Next() {
+	}
+}
+
 // ELCAStackMergeIDsOrderedCtx is ELCAStackDispatch without a sink: the ELCA
-// roots alone.
-func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, order []int) ([]nid.ID, error) {
-	return ELCAStackDispatch(ctx, nil, t, sets, order, nil, nil)
+// roots alone. The merge order it takes is the planner's, which the merge
+// does not need: its stream is the same for every order.
+func ELCAStackMergeIDsOrderedCtx(ctx context.Context, t *nid.Table, sets [][]nid.ID, _ []int) ([]nid.ID, error) {
+	return ELCAStackDispatch(ctx, nil, t, sets, nil, nil)
 }
 
 // SLCAScanMergeIDsCtx is SLCAIDsCtx under the signature of the retired
@@ -197,9 +184,10 @@ type elcaEntry struct {
 	residual, subtree uint64
 }
 
-// ELCAStackDispatch is the ELCA stack kernel: one pass over the streamed
-// merge of the posting lists, keeping the stack of path nodes from the root
-// to the current event, appending the ELCAs to dst in pre-order.
+// ELCAStackDispatch is the ELCA stack kernel: one pass over the merge of the
+// posting lists (one Merge window over their whole span), keeping the stack
+// of path nodes from the root to the current event, appending the ELCAs to
+// dst in pre-order.
 //
 // Given a sink it is getRTF's dispatch too. A keyword node belongs to its
 // deepest ELCA ancestor-or-self, and the stack pops deepest first, so when an
@@ -212,14 +200,13 @@ type elcaEntry struct {
 // sink writes no events.
 //
 // ctx is consulted every ctxCheckInterval events, abandoning the merge with
-// ctx.Err(), and its span gets the merge's counters. order is the planner's
-// loser-tree leaf order (nil = query order); the output is independent of it.
-func ELCAStackDispatch(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][]nid.ID, order []int, buf []IDEvent, sink func(root nid.ID, events []IDEvent)) ([]nid.ID, error) {
+// ctx.Err(), and its span gets the merge's counters.
+func ELCAStackDispatch(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][]nid.ID, buf []IDEvent, sink func(root nid.ID, events []IDEvent)) ([]nid.ID, error) {
 	k := len(sets)
 	if k == 0 {
 		return dst, nil
 	}
-	rarest := 0
+	rarest, lo, hi := 0, nid.ID(t.Len()), nid.ID(0)
 	for i, s := range sets {
 		if len(s) == 0 {
 			return dst, nil
@@ -227,11 +214,15 @@ func ELCAStackDispatch(ctx context.Context, dst []nid.ID, t *nid.Table, sets [][
 		if len(s) < len(sets[rarest]) {
 			rarest = i
 		}
+		lo, hi = min(lo, s[0]), max(hi, s[len(s)-1])
 	}
+	m := NewMerge(sets)
+	defer m.Release()
+	m.Window(lo, hi+1)
 	full := FullMask(k)
-	m := NewMergerOrdered(sets, order)
 	var (
-		stack []elcaEntry // stack[d] = path node at depth d
+		stackBuf [32]elcaEntry
+		stack    = stackBuf[:0] // stack[d] = path node at depth d
 		// Each ELCA holds a witness of every keyword that no other ELCA's
 		// residual holds, so there are at most |D_rarest| of them.
 		result     = slices.Grow(dst, len(sets[rarest]))

@@ -80,21 +80,16 @@ func sameCodeSlices(a, b []dewey.Code) bool {
 	return true
 }
 
-// TestMergerMatchesMergeSets: the streaming loser-tree merge yields exactly
-// the events of the materialized reference merge.
+// TestMergerMatchesMergeSets: the mask merge yields exactly the events of the
+// materialized reference merge.
 func TestMergerMatchesMergeSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		sets := randomCodeSets(rng, 1+rng.Intn(5))
 		h := harness(sets)
 		want := reference.MergeSets(sets)
-		m := NewMergerOrdered(h.sets, nil)
 		var got []reference.Event
-		for {
-			ev, ok := m.Next()
-			if !ok {
-				break
-			}
+		for _, ev := range mergeAll(h.sets) {
 			got = append(got, reference.Event{Code: h.tab.Code(ev.ID), Mask: ev.Mask})
 		}
 		if len(got) != len(want) {
@@ -154,7 +149,9 @@ func slcaIDs(t *nid.Table, sets [][]nid.ID) []nid.ID {
 // TestMergerSingleList: the k=1 degenerate shape streams the list as-is.
 func TestMergerSingleList(t *testing.T) {
 	h := harness([][]dewey.Code{{dewey.MustParse("0.0"), dewey.MustParse("0.1")}})
-	m := NewMergerOrdered(h.sets, nil)
+	m := NewMerge(h.sets)
+	defer m.Release()
+	m.Window(0, mergeEnd(h.sets))
 	for i := 0; i < 2; i++ {
 		ev, ok := m.Next()
 		if !ok || ev.Mask != 1 {

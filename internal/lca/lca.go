@@ -18,7 +18,11 @@
 //
 // Each semantics has one implementation, on node IDs (ids.go): ELCA roots
 // come from the stack merge ELCAStackDispatch, SLCA roots from the galloping
-// Indexed Lookup Eager kernel. Their Dewey-code forms and the naive
+// Indexed Lookup Eager kernel. The merged keyword-node stream, which the
+// ELCA kernel and getRTF read, is one primitive, Merge: inside an ID window
+// each list's postings are OR-ed into a per-ID mask array and read back in
+// ID order through a summary bitset, O(Σ|Dᵢ| + span/64) for k lists with no
+// comparisons, where a loser tree paid O(log k) comparisons per posting. Their Dewey-code forms and the naive
 // definitions live in internal/reference, which only tests import.
 package lca
 

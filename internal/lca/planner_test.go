@@ -39,81 +39,81 @@ func randomIDSets(rng *rand.Rand, nodes, k int) (*nid.Table, [][]nid.ID) {
 	return t, sets
 }
 
-func drain(m *Merger) []IDEvent {
-	var out []IDEvent
-	for {
-		ev, ok := m.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, ev)
-	}
+// mergeAll reads the merge of sets over their whole span.
+func mergeAll(sets [][]nid.ID) []IDEvent {
+	m := NewMerge(sets)
+	defer m.Release()
+	return appendWindow(m, nil, 0, mergeEnd(sets))
 }
 
-// The merged, coalesced event stream must be identical for every loser-tree
-// leaf permutation: rarest-first ordering is output-neutral by construction.
+// mergeEnd is one past the largest ID of sets.
+func mergeEnd(sets [][]nid.ID) nid.ID {
+	end := nid.ID(0)
+	for _, s := range sets {
+		if len(s) > 0 {
+			end = max(end, s[len(s)-1]+1)
+		}
+	}
+	return end
+}
+
+// The merged stream must not depend on the order the lists come in:
+// permuting the lists permutes each event's mask bits and nothing else, so
+// the planner's rarest-first order has nothing left to steer.
 func TestOrderedMergerStreamIndependentOfOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(6)
 		_, sets := randomIDSets(rng, 20+rng.Intn(200), k)
-		want := drain(NewMergerOrdered(sets, nil))
+		want := mergeAll(sets)
 		order := rng.Perm(k)
-		got := drain(NewMergerOrdered(sets, order))
+		permuted := make([][]nid.ID, k)
+		for i, src := range order {
+			permuted[i] = sets[src]
+		}
+		got := mergeAll(permuted)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d order %v: %d events, want %d", trial, order, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d order %v: event %d = %+v, want %+v", trial, order, i, got[i], want[i])
+			var mask uint64
+			for b, src := range order {
+				mask |= (got[i].Mask >> uint(b) & 1) << uint(src)
+			}
+			if got[i].ID != want[i].ID || mask != want[i].Mask {
+				t.Fatalf("trial %d order %v: event %d = %+v (mask %b in query order), want %+v", trial, order, i, got[i], mask, want[i])
 			}
 		}
 	}
 }
 
-// SkipTo must behave exactly like draining events below the target.
+// A window must behave exactly like draining the events below it: after a
+// window read only in part (or not at all), the next window yields every
+// event at or above its lo, and nothing from the one before.
 func TestMergerSkipToMatchesDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 100; trial++ {
 		k := 1 + rng.Intn(5)
 		tab, sets := randomIDSets(rng, 20+rng.Intn(150), k)
 		target := nid.ID(rng.Intn(tab.Len() + 1))
-
-		ref := NewMergerOrdered(sets, nil)
 		var want []IDEvent
-		for {
-			ev, ok := ref.Next()
-			if !ok {
-				break
-			}
+		for _, ev := range mergeAll(sets) {
 			if ev.ID >= target {
 				want = append(want, ev)
 			}
 		}
 
-		var order []int
-		if rng.Intn(2) == 0 {
-			order = rng.Perm(k)
-		}
-		m := NewMergerOrdered(sets, order)
-		// Consume a random prefix (still below target) before skipping, so
-		// SkipTo is exercised mid-stream, not only from the start.
+		m := NewMerge(sets)
+		m.Window(0, target)
 		for i := rng.Intn(4); i > 0; i-- {
-			ev, ok := m.Next()
-			if !ok || ev.ID >= target {
-				goto fresh // prefix crossed the target; restart plain
+			if ev, ok := m.Next(); ok && ev.ID >= target {
+				t.Fatalf("trial %d: event %d read past the window's end %d", trial, ev.ID, target)
 			}
 		}
-		m.SkipTo(target)
-		if got := drain(m); !sameEvents(got, want) {
-			t.Fatalf("trial %d: SkipTo(%d) stream diverged", trial, target)
-		}
-		continue
-	fresh:
-		m = NewMergerOrdered(sets, order)
-		m.SkipTo(target)
-		if got := drain(m); !sameEvents(got, want) {
-			t.Fatalf("trial %d: SkipTo(%d) from start diverged", trial, target)
+		got := appendWindow(m, nil, target, nid.ID(tab.Len()))
+		m.Release()
+		if !sameEvents(got, want) {
+			t.Fatalf("trial %d: window from %d = %v, want %v", trial, target, got, want)
 		}
 	}
 }

@@ -82,10 +82,18 @@ func (t *Table) IsAncestorOf(a, b ID) bool {
 
 // SubtreeEnd returns the ID one past the last descendant of i: because IDs
 // are assigned in pre-order, i's subtree occupies exactly the contiguous
-// range [i, SubtreeEnd(i)). Found by binary search over the monotone
-// predicate "is no longer inside i's subtree".
+// range [i, SubtreeEnd(i)). Found by galloping, then binary search, over the
+// monotone predicate "is no longer inside i's subtree", so a small subtree
+// costs a few ancestor tests however large the document is.
 func (t *Table) SubtreeEnd(i ID) ID {
-	lo, hi := int(i)+1, len(t.parent)
+	lo, hi := int(i)+1, len(t.parent) // [i, lo) is inside; hi is outside, or the end
+	for step := 1; lo+step <= hi; step *= 2 {
+		if !t.IsAncestorOrSelf(i, ID(lo+step-1)) {
+			hi = lo + step - 1
+			break
+		}
+		lo += step
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if t.IsAncestorOrSelf(i, ID(mid)) {

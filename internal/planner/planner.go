@@ -1,17 +1,15 @@
 // Package planner implements the cost-based query planner: from a query's
 // posting-list sizes and two additive counts an index sums when it is built
-// (Stats), it decides in which order the posting lists feed the k-way merge
-// and whether the RTF dispatch gallops between roots. It also estimates a scan-merge and an
-// indexed-lookup SLCA evaluation for explain output, but the engine no
-// longer runs what it picks: SLCA always runs the galloping indexed kernel
+// (Stats), it orders the terms rarest-first and estimates a scan-merge and
+// an indexed-lookup SLCA evaluation, all for explain output: the engine
+// runs neither pick. SLCA always runs the galloping indexed kernel
 // (internal/lca), ELCA the stack merge, and the decision carries what ran.
 //
-// The planner never changes answers: the rarest-first order is a leaf
-// permutation of the loser tree whose coalesced event stream is independent
-// of term order, and galloping skips only events that dispatch nowhere.
-// internal/exec's one-pass tests and internal/rtf's scored-build tests pin
-// that a random order and galloping leave roots, events and score bits
-// unchanged.
+// The planner never changes answers: the mask merge reads every list the
+// same way whatever the term order, and getRTF's dispatch reads only the
+// roots' subtree windows whatever the skip flag. internal/exec's one-pass
+// tests and internal/rtf's scored-build tests pin that a random order and
+// skip flag leave roots, events and score bits unchanged.
 package planner
 
 import (
@@ -33,8 +31,8 @@ const (
 	// Eager algorithm). Wins when list sizes are skewed: cost is governed
 	// by the smallest list, not the sum.
 	IndexedEager
-	// ScanMerge streams every posting list through the k-way loser-tree
-	// merge (the paper's Scan Eager family). Wins when the keyword
+	// ScanMerge streams every posting list through one merge (the paper's
+	// Scan Eager family). Wins when the keyword
 	// frequencies are of similar magnitude: one cheap pass over the data
 	// beats per-occurrence binary searches.
 	ScanMerge
@@ -75,8 +73,9 @@ func (s Stats) AvgDepth() float64 {
 // nanoseconds on the calibration machine); only their ratios matter for the
 // crossover.
 type CostModel struct {
-	// ScanEvent is the cost of pushing one posting through the loser-tree
-	// merge and the ELCA stack (per log2(k) comparison level).
+	// ScanEvent is the cost of pushing one posting through the merge and
+	// the ELCA stack (per log2(k) level, as calibrated on the loser tree
+	// the merge once was).
 	ScanEvent float64
 	// ProbeStep is the per-level cost of one binary-search step while the
 	// indexed strategy looks up the closest occurrence in another list.
@@ -101,16 +100,15 @@ var Default = CostModel{
 type Decision struct {
 	// Strategy is the resolved evaluation strategy; never Auto.
 	Strategy Strategy
-	// Order is the rarest-first permutation of term indices feeding the
-	// k-way merge (Order[leaf] = original term index). nil means query
-	// order — the planner-off baseline.
+	// Order is the rarest-first permutation of term indices (Order[i] =
+	// original term index); nil means query order. It only labels explain
+	// output (termOrder): the mask merge reads every list the same way
+	// whatever their order, so no stage reads it.
 	Order []int
-	// Skip enables subtree galloping in the RTF dispatch pass a ranked
-	// SLCA page scores with (every other request dispatches in its LCA
-	// pass or reads subtree windows): when an event lands outside every
-	// interesting root, all merge sources jump directly to the next root.
-	// Output-neutral (the skipped events dispatch nowhere); enabled by
-	// Decide.
+	// Skip once made the RTF dispatch gallop over the gaps between roots;
+	// the dispatch now reads only the roots' subtree windows, so nothing
+	// reads it. Both fields stay for the benchmark harness's replay, which
+	// passes them to lca and rtf entry points that ignore them.
 	Skip bool
 
 	// EstScan and EstIndexed are the model's cost estimates (work units)
@@ -143,9 +141,9 @@ func (d Decision) OrderString(n int) string {
 }
 
 // Decide resolves the plan for a query whose terms have the given
-// posting-list sizes. The returned decision orders the merge rarest-first,
-// enables dispatch galloping, and picks the strategy whose estimated cost
-// is lower under the model.
+// posting-list sizes. The returned decision orders the terms rarest-first,
+// sets Skip, and picks the strategy whose estimated cost is lower under the
+// model.
 func Decide(sizes []int, st Stats, m CostModel) Decision {
 	k := len(sizes)
 	d := Decision{Strategy: ScanMerge, Skip: true}
@@ -164,8 +162,8 @@ func Decide(sizes []int, st Stats, m CostModel) Decision {
 		d.Skew = float64(maxSize) / float64(minSize)
 	}
 
-	// Scan: every posting passes through the loser tree (log2 k comparison
-	// levels) and the ELCA stack.
+	// Scan: every posting passes through the merge (log2 k levels, as
+	// calibrated) and the ELCA stack.
 	levels := 1 + math.Log2(float64(max(k, 2)))
 	d.EstScan = m.ScanEvent * float64(total) * levels
 

@@ -9,8 +9,7 @@
 // value, so every delta is >= 1). A fixed-width skip table in front of the
 // data — one {last ID, byte offset} pair per block — lets an Iterator jump to
 // the first block that can contain a target ID without touching the bytes
-// in between, which is what makes the k-way merge's SkipTo galloping work on
-// compressed lists.
+// in between, which is what lets an Iterator seek on compressed lists.
 //
 // A List is a zero-copy view over the encoded bytes (typically a sub-slice
 // of an mmap-ed store section): constructing one validates only the O(1)

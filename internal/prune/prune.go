@@ -38,15 +38,18 @@
 // most events × depth; MaxMatch and the raw fragment read no content at all.
 // Each event adds O(1) whatever its content: content sets arrive sorted (the
 // IDContentFunc contract), so the (min,max) feature is the min and max of
-// the sets' first and last words. Filtering is O(children · 2^k) for k query
-// keywords: a child is tested against the at most 2^k distinct key numbers
-// of its label group, never against its siblings. A child finds its label
-// group in one slot per dictionary label, and the slots are epoch-stamped:
-// each parent bumps a counter, and a slot stamped by an earlier parent reads
-// as empty, so no parent and no fragment clears them and a parent costs
-// O(children) however many labels the document has. Rule 2(b)'s used cIDs
-// live in an open-addressed hash table, the only hashing filtering does. All
-// of it is pooled memory, so a wide sibling group costs a constant per child
+// the sets' first and last words. Filtering a parent is O(children + Σ d²)
+// for k query keywords, where d ≤ 2^k is the number of distinct key numbers
+// in one of its label groups: a child finds its group's chkList entry for
+// its key number in an open-addressed hash table sized for the parent's
+// children, never by testing its siblings, and rule 2(a) tests each
+// distinct key number against the others of its group, once. A child finds
+// its label group in one slot per dictionary label, and the slots are
+// epoch-stamped: each parent bumps a counter, and a slot stamped by an
+// earlier parent reads as empty, so no parent and no fragment clears them
+// and a parent costs O(children) however many labels the document has. Rule
+// 2(b)'s used cIDs live in the same table once the chkList is built. All of
+// it is pooled memory, so a wide sibling group costs a constant per child
 // and allocates nothing. The one exception is ExactContent, which reads
 // every word into per-node content sets while building and compares a
 // child's set with its kept equal-keyword siblings.
@@ -232,8 +235,9 @@ type scratch struct {
 	epoch   uint32
 	knums   []knum
 	cids    []usedCID // the current parent's cIDs computed for rule 2(b)
-	// table is an open-addressed hash table over the cids of the current
-	// parent (entry+1 per slot, 0 when free).
+	// table is an open-addressed hash table over the current parent's
+	// knums while its chkList is built, then over its cids (entry+1 per
+	// slot, 0 when free).
 	table []int32
 }
 
@@ -588,6 +592,9 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 	m := 0 // children of p
 	for c := first; c < end; c = nodes[c].end {
 		m++
+	}
+	s.resetTable(m)
+	for c := first; c < end; c = nodes[c].end {
 		g := int32(0)
 		if mode == ValidContributor {
 			l := &s.byLabel[f.labelID(c)]
@@ -647,17 +654,23 @@ func (f *Fragment) filter(p int32, mode Mode, exact bool) {
 }
 
 // knumOf returns the chkList entry of key number k in label group g, adding
-// it when k is new to the group.
+// it to the table and to the group's chain when k is new to the group.
 func (s *scratch) knumOf(g int32, k uint64) int32 {
-	for i := s.groups[g].first; i >= 0; i = s.knums[i].next {
-		if s.knums[i].k == k {
-			return i
+	h := (k + uint64(g)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	mask := uint64(len(s.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch e := s.table[i] - 1; {
+		case e < 0:
+			e = int32(len(s.knums))
+			s.table[i] = e + 1
+			s.knums = append(s.knums, knum{k: k, group: g, next: s.groups[g].first})
+			s.groups[g].first = e
+			return e
+		case s.knums[e].k == k && s.knums[e].group == g:
+			return e
 		}
 	}
-	i := int32(len(s.knums))
-	s.knums = append(s.knums, knum{k: k, group: g, next: s.groups[g].first})
-	s.groups[g].first = i
-	return i
 }
 
 // duplicateContent reports whether a kept sibling before c, of c's label

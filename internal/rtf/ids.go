@@ -10,6 +10,12 @@
 // (AppendScores); and a bounded page hydrates the events of the few
 // fragments it returns (EventsFor).
 //
+// Every producer here reads the posting lists through lca.Merge, one
+// outermost root's subtree window at a time, each list galloping to the
+// window: a window costs its postings plus one summary word per 64 IDs of
+// its span, O(Σ|Dᵢ ∩ window| + window/64) with no comparison between lists,
+// and a keyword node outside every root's subtree is skipped, never merged.
+//
 // BuildIDsPlanned is getRTF as a pass of its own: no request runs it, so it
 // is the tests' reference for the producers above and what the bench
 // harness replays, with BuildScoredIDsCtx, AppendScores' filtering form.
@@ -55,15 +61,11 @@ func (r *IDRTF) Mask() uint64 {
 // query, in pre-order of their roots. Identical output modulo
 // representation. It checks for cancellation periodically inside the
 // dispatch pass — every ctxCheckInterval merged events it consults ctx and
-// abandons the build mid-stream with ctx.Err() when the context is done —
-// and with the planner's merge order feeding the loser tree (nil = query
-// order) and, when skip is set, subtree galloping:
-// whenever an event lands outside every interesting LCA subtree, all merge
-// sources jump directly to the next LCA root instead of draining the gap
-// event by event. Both knobs are output-neutral (property-tested): skipped
-// events dispatch nowhere, and the coalesced merge stream is independent of
-// leaf order.
-func BuildIDsPlanned(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, order []int, skip bool) ([]*IDRTF, error) {
+// abandons the build mid-stream with ctx.Err() when the context is done.
+// The planner's merge order and skip flag, which the harness passes, steer
+// nothing: the merge's stream is the same for every order, and the dispatch
+// reads only the roots' subtree windows.
+func BuildIDsPlanned(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, _ []int, _ bool) ([]*IDRTF, error) {
 	if len(lcas) == 0 {
 		return nil, nil
 	}
@@ -71,7 +73,7 @@ func BuildIDsPlanned(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]
 	for i, a := range lcas {
 		rtfs[i].Root = a
 	}
-	total, err := dispatch(ctx, t, lcas, sets, order, skip, func(i int, ev lca.IDEvent) {
+	total, err := dispatch(ctx, t, lcas, sets, func(i int, ev lca.IDEvent) {
 		rtfs[i].KeywordNodes = append(rtfs[i].KeywordNodes, ev)
 	})
 	if err != nil {
@@ -92,51 +94,50 @@ func BuildIDsPlanned(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]
 	return kept, nil
 }
 
-// dispatch walks the streamed merge of the posting lists in pre-order,
-// keeping the stack of LCA nodes whose subtree contains the current event;
-// the stack top is the deepest, i.e. the dispatch target. It reports the
-// number of dispatched events. A nil ctx disables cancellation checks.
-func dispatch(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, order []int, skip bool, emit func(int, lca.IDEvent)) (int, error) {
-	m := lca.NewMergerOrdered(sets, order)
+// dispatch merges the posting lists one outermost root's subtree window at a
+// time — a keyword node outside every root's subtree dispatches nowhere, so
+// no other posting is read — keeping the stack of roots whose subtree
+// contains the current event; the stack top is the deepest, i.e. the
+// dispatch target. It reports the number of dispatched events. A nil ctx
+// disables cancellation checks.
+func dispatch(ctx context.Context, t *nid.Table, lcas []nid.ID, sets [][]nid.ID, emit func(int, lca.IDEvent)) (int, error) {
+	m := lca.NewMerge(sets)
+	defer m.Release()
 	var stackBuf [12]int32
-	stack := stackBuf[:0] // indices into lcas
-	j, total := 0, 0
-	for n := 0; ; n++ {
-		if ctx != nil && n%ctxCheckInterval == ctxCheckInterval-1 {
-			if err := ctx.Err(); err != nil {
-				return total, err
+	total, n := 0, 0
+	for j := 0; j < len(lcas); {
+		end := t.SubtreeEnd(lcas[j])
+		m.Window(lcas[j], end)
+		stack := append(stackBuf[:0], int32(j)) // indices into lcas
+		j++
+		for ; ; n++ {
+			if ctx != nil && n%ctxCheckInterval == ctxCheckInterval-1 {
+				if err := ctx.Err(); err != nil {
+					return total, err
+				}
 			}
-		}
-		ev, ok := m.Next()
-		if !ok {
-			break
-		}
-		for j < len(lcas) && lcas[j] <= ev.ID {
-			for len(stack) > 0 && !t.IsAncestorOrSelf(lcas[stack[len(stack)-1]], lcas[j]) {
+			ev, ok := m.Next()
+			if !ok {
+				break
+			}
+			// The window's root, stack[0], is an ancestor-or-self of every
+			// event and root in it, so it is never popped or tested.
+			for j < len(lcas) && lcas[j] <= ev.ID {
+				for len(stack) > 1 && !t.IsAncestorOrSelf(lcas[stack[len(stack)-1]], lcas[j]) {
+					stack = stack[:len(stack)-1]
+				}
+				stack = append(stack, int32(j))
+				j++
+			}
+			for len(stack) > 1 && !t.IsAncestorOrSelf(lcas[stack[len(stack)-1]], ev.ID) {
 				stack = stack[:len(stack)-1]
 			}
-			stack = append(stack, int32(j))
-			j++
+			emit(int(stack[len(stack)-1]), ev)
+			total++
 		}
-		for len(stack) > 0 && !t.IsAncestorOrSelf(lcas[stack[len(stack)-1]], ev.ID) {
-			stack = stack[:len(stack)-1]
+		for j < len(lcas) && lcas[j] < end {
+			j++ // a nested root after the window's last event gets nothing
 		}
-		if len(stack) == 0 {
-			// Keyword node outside every interesting LCA subtree. Safe to
-			// skip ahead: every root pushed so far was popped, and a popped
-			// root's contiguous pre-order subtree ends at or before the
-			// event that popped it, so no event below the next unseen root
-			// can dispatch anywhere.
-			if skip {
-				if j >= len(lcas) {
-					break
-				}
-				m.SkipTo(lcas[j])
-			}
-			continue
-		}
-		emit(int(stack[len(stack)-1]), ev)
-		total++
 	}
 	return total, nil
 }

@@ -9,14 +9,17 @@ import (
 	"xks/internal/workload"
 )
 
-// BenchmarkPageShapes is the in-process baseline of what an SLCA page costs
-// by shape: Engine.Search over the DBLP document the benchmark harness
-// calls "full" (12 000 records, generator seed 1, the paper's keyword
-// frequencies scaled to it), cycling through every 2- and 3-keyword set of
-// workload.DBLP() — the 1 330 sets serve-cold draws from. Each op is one
-// traced request; besides ns/op it reports the request's candidates and
-// materialize spans in ms/op and the fragments a page returns. Run it with
-// -benchtime=1330x, or a multiple, so every set weighs the same.
+// BenchmarkPageShapes is the in-process baseline of what a page costs by
+// shape: Engine.Search over the DBLP document the benchmark harness calls
+// "full" (12 000 records, generator seed 1, the paper's keyword frequencies
+// scaled to it). The SLCA shapes cycle through every 2- and 3-keyword set of
+// workload.DBLP() — the 1 330 sets serve-cold draws from; the fig5 shapes
+// are the DBLP half of Figure 5 as fig5-full runs it — the 20 queries of
+// workload.DBLP().ExpandAll(), ELCA, unranked and unlimited, under ValidRTF
+// and under MaxMatch. Each op is one traced request; besides ns/op it
+// reports the request's candidates and materialize spans in ms/op and the
+// fragments a page returns. Run it with -benchtime=2660x, or a multiple, so
+// every query weighs the same in every shape.
 func BenchmarkPageShapes(b *testing.B) {
 	w := workload.DBLP()
 	const records = 12000
@@ -40,15 +43,22 @@ func BenchmarkPageShapes(b *testing.B) {
 		}
 	}
 
+	fig5, err := w.ExpandAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+
 	for _, shape := range []struct {
-		name  string
-		rank  bool
-		limit int
+		name    string
+		queries []string
+		req     Request
 	}{
-		{"rank=1&limit=10", true, 10},
-		{"limit=25", false, 25},
-		{"limit=50", false, 50},
-		{"unlimited", false, 0},
+		{"rank=1&limit=10", sets, Request{Semantics: SLCAOnly, Rank: true, Limit: 10}},
+		{"limit=25", sets, Request{Semantics: SLCAOnly, Limit: 25}},
+		{"limit=50", sets, Request{Semantics: SLCAOnly, Limit: 50}},
+		{"unlimited", sets, Request{Semantics: SLCAOnly}},
+		{"fig5-ValidRTF", fig5, Request{Algorithm: ValidRTF}},
+		{"fig5-MaxMatch", fig5, Request{Algorithm: MaxMatch}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			traces := make([]*trace.Trace, b.N)
@@ -57,9 +67,9 @@ func BenchmarkPageShapes(b *testing.B) {
 			b.ResetTimer()
 			for i := range b.N {
 				tr := trace.New("search")
-				res, err := e.Search(trace.NewContext(context.Background(), tr), Request{
-					Query: sets[i%len(sets)], Semantics: SLCAOnly, Rank: shape.rank, Limit: shape.limit,
-				})
+				req := shape.req
+				req.Query = shape.queries[i%len(shape.queries)]
+				res, err := e.Search(trace.NewContext(context.Background(), tr), req)
 				if err != nil {
 					b.Fatal(err)
 				}
