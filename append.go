@@ -33,9 +33,9 @@ import (
 //
 // A parent off the spine fails with ErrOffSpine: its new child would splice
 // into the middle of the pre-order and renumber every later node. Any
-// failure leaves the tree, the source tables and the published head as
-// they were. Only tree-backed engines support appends (a store is a frozen
-// shredded snapshot).
+// failure leaves the source tables and the published head as they were.
+// An engine over a store takes appends too, and never writes to the store
+// or its file (see srcState).
 func (e *Engine) AppendXML(parentDewey, snippet string) error {
 	start := time.Now()
 	if err := e.appendXML(parentDewey, snippet); err != nil {
@@ -50,9 +50,6 @@ func (e *Engine) AppendXML(parentDewey, snippet string) error {
 var ErrOffSpine = errors.New("parent is off the document's rightmost spine")
 
 func (e *Engine) appendXML(parentDewey, snippet string) error {
-	if e.tree == nil {
-		return fmt.Errorf("xks: AppendXML requires a tree-backed engine")
-	}
 	parent, err := dewey.Parse(parentDewey)
 	if err != nil {
 		return fmt.Errorf("xks: bad parent code: %w", err)
@@ -72,16 +69,22 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 		return fmt.Errorf("xks: %w: appending under %s would renumber the nodes after its subtree; append under a node whose subtree ends the document (the root always does)", ErrOffSpine, parent)
 	}
 
-	// Everything the publish needs is collected before the tree changes:
+	// Everything the publish needs is collected before anything changes:
 	// from one walk of the subtree, its rows (the segment's posting lists
 	// and the source columns' tail), and the Dewey codes its nodes will
-	// take under the parent's next child ordinal, for the table tail.
+	// take under the parent's next child ordinal, for the table tail: the
+	// parent's subtree ends the table, so its last child is the last
+	// node's ancestor-or-self one level below the parent.
 	rows := index.Analyze(sub, e.an)
-	at := parent.Child(uint32(len(e.tree.NodeAt(parent).Children)))
+	next := uint32(0)
+	if last := nid.ID(h.Tab.Len() - 1); last != pid {
+		next = h.Tab.Code(last)[len(parent)] + 1
+	}
+	at := parent.Child(next)
 	start := nid.ID(h.Tab.Len())
-	codes := make([]dewey.Code, len(rows.Nodes))
-	for i, n := range rows.Nodes {
-		codes[i] = append(at[:len(at):len(at)], n.Code[1:]...)
+	codes := make([]dewey.Code, rows.Tab.Len())
+	for i := range codes {
+		codes[i] = append(at[:len(at):len(at)], rows.Tab.Code(nid.ID(i))[1:]...)
 	}
 	tab, _, err := h.Tab.Extend(codes)
 	if err != nil {
@@ -91,10 +94,12 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.tree.AppendChild(parent, sub.Root); err != nil {
-		return err
+	if e.tree != nil {
+		if err := e.tree.AppendChild(parent, sub.Root); err != nil {
+			return err
+		}
 	}
-	e.publish(rows)
+	e.publish(rows.Labels, rows.Content(), rows.Text, rows.Attrs)
 	e.head.Store(h.Append(tab, seg))
 	return nil
 }

@@ -1,14 +1,20 @@
 package xks
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"xks/internal/analysis"
+	"xks/internal/datagen"
 	"xks/internal/paperdata"
+	"xks/internal/store"
 	"xks/internal/xmltree"
 )
 
@@ -81,8 +87,8 @@ func TestAppendXMLNewKeywordBecomesSearchable(t *testing.T) {
 	if len(res.Fragments) != 1 || res.Fragments[0].Root != "0.1.3" {
 		t.Fatalf("fragments = %+v", fragmentRoots(res))
 	}
-	if e.Tree().Size() != 12+3 {
-		t.Errorf("tree size = %d", e.Tree().Size())
+	if n := e.head.Load().Tab.Len(); n != 12+3 {
+		t.Errorf("%d nodes after the append, want %d", n, 12+3)
 	}
 }
 
@@ -97,29 +103,77 @@ func TestAppendXMLErrors(t *testing.T) {
 	if err := e.AppendXML("0", `not xml`); err == nil {
 		t.Error("malformed snippet should fail")
 	}
-	se := storeEngine(t)
-	if err := se.AppendXML("0", `<x/>`); err == nil {
-		t.Error("store-backed append should fail")
+}
+
+// TestStoreBackedAppendsAnswerAsLoad: an engine over a store file, opened
+// heap-backed or mapped, takes three tail appends — one bringing a label
+// the document has not seen — and then answers and renders every request
+// as a fresh Load of the extended document does. Saving the store after
+// the appends still writes the file's own bytes: nothing was written
+// through the store's views.
+func TestStoreBackedAppendsAnswerAsLoad(t *testing.T) {
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 9, NumRecords: 60, Keywords: []datagen.KeywordSpec{
+		{Word: "xml", Count: 20}, {Word: "keyword", Count: 12},
+	}})
+	var image bytes.Buffer
+	if err := store.Shred(doc, analysis.New()).Save(&image); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "doc.xks")
+	if err := os.WriteFile(path, image.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appends := []string{
+		`<article key="new/1"><title>xml keyword fresh</title></article>`,
+		newLabelRecord,
+		`<inproceedings><author>xml writer</author><title>keyword search</title></inproceedings>`,
+	}
+	fresh := reloaded(t, doc, appends...)
+	for _, mode := range []store.OpenMode{store.OpenHeap, store.OpenMmap} {
+		st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := FromStore(st)
+		for _, rec := range appends {
+			if err := e.AppendXML("0", rec); err != nil {
+				t.Fatalf("%s: %v", st.Mode(), err)
+			}
+		}
+		for _, q := range append([]string{"xml keyword", "keyword search", "xml"}, newLabelQueries...) {
+			for _, opts := range crosscheckOptions() {
+				assertSameResults(t, fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit),
+					fresh, e, withQuery(opts, q), true)
+			}
+		}
+		var again bytes.Buffer
+		if err := st.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), image.Bytes()) {
+			t.Fatalf("%s: the store saves %d bytes after the appends, not the %d-byte file it opened", st.Mode(), again.Len(), image.Len())
+		}
+		e.Close()
 	}
 }
 
 // requireOffSpineRefused appends snippet under parent, which must lie off
 // the document's rightmost spine, and fails t unless AppendXML refuses it
-// with ErrOffSpine and leaves the engine's version and tree size as they
+// with ErrOffSpine and leaves the engine's version and source rows as they
 // were.
 func requireOffSpineRefused(t *testing.T, e *Engine, parent, snippet string) {
 	t.Helper()
-	gen, size := e.Generation(), e.Tree().Size()
+	gen, rows := e.Generation(), len(e.src.Load().labels.IDs)
 	if err := e.AppendXML(parent, snippet); !errors.Is(err, ErrOffSpine) {
 		t.Fatalf("AppendXML(%q) = %v, want ErrOffSpine", parent, err)
 	}
-	if e.Generation() != gen || e.Tree().Size() != size {
-		t.Fatalf("refused append changed the engine: version %d -> %d, tree size %d -> %d", gen, e.Generation(), size, e.Tree().Size())
+	if e.Generation() != gen || len(e.src.Load().labels.IDs) != rows {
+		t.Fatalf("refused append changed the engine: version %d -> %d, source rows %d -> %d", gen, e.Generation(), rows, len(e.src.Load().labels.IDs))
 	}
 }
 
 // An off-spine append is refused with ErrOffSpine and publishes nothing:
-// the version, the tree, the source tables and every answer are those from
+// the version, the source tables and every answer are those from
 // before the call, and a tail append still lands afterwards.
 func TestAppendXMLOffSpineLeavesEngineUntouched(t *testing.T) {
 	e := FromTree(paperdata.Publications())
@@ -139,14 +193,14 @@ func TestAppendXMLOffSpineLeavesEngineUntouched(t *testing.T) {
 		}
 		return out
 	}
-	before, rows, delta := answers(), len(e.src.Load().nodes), e.DeltaInfo()
+	before, rows, delta := answers(), len(e.src.Load().labels.IDs), e.DeltaInfo()
 	for _, parent := range []string{"0.0", "0.2", "0.2.0.0.0"} {
 		requireOffSpineRefused(t, e, parent, `<article><title>kong xml keyword</title></article>`)
 	}
 	if got := answers(); !slices.Equal(got, before) {
 		t.Fatalf("answers changed after refused appends:\n%q\nwant\n%q", got, before)
 	}
-	if got := len(e.src.Load().nodes); got != rows {
+	if got := len(e.src.Load().labels.IDs); got != rows {
 		t.Fatalf("source tables hold %d rows after refused appends, want %d", got, rows)
 	}
 	if got := e.DeltaInfo(); got.Segments != delta.Segments || got.Appends != delta.Appends {

@@ -10,22 +10,49 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	"xks/internal/analysis"
 	"xks/internal/fault"
+	"xks/internal/store"
+	"xks/internal/xmltree"
 )
 
-// TestChaosConcurrentAppendSearchCompact storms one engine with tail
-// appends, searches and compactions at once: no request may error, no
-// goroutine may leak, and at idle the pinned-snapshot refcount must be
-// zero — every query released the snapshot it pinned.
+// TestChaosConcurrentAppendSearchCompact storms an engine with tail
+// appends, searches that render their fragments, and compactions at once —
+// a loaded engine, and one over a mapped store, whose first append copies
+// the columns the searches read: no request may error, no goroutine may
+// leak, and at idle the pinned-snapshot refcount must be zero — every query
+// released the snapshot it pinned.
 func TestChaosConcurrentAppendSearchCompact(t *testing.T) {
 	leakCheck(t)
-	e, err := LoadString(deltaBaseXML)
+	loaded, err := LoadString(deltaBaseXML)
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc, err := xmltree.ParseString(deltaBaseXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.xks")
+	if err := store.Shred(doc, analysis.New()).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := FromStore(st)
+	defer mapped.Close()
+	for _, e := range []*Engine{loaded, mapped} {
+		appendSearchCompactStorm(t, e)
+	}
+}
+
+func appendSearchCompactStorm(t *testing.T, e *Engine) {
+	t.Helper()
 	const (
 		appenders = 2
 		searchers = 4
@@ -57,6 +84,9 @@ func TestChaosConcurrentAppendSearchCompact(t *testing.T) {
 				}
 				if len(res.Fragments) == 0 {
 					errs <- fmt.Errorf("search returned no fragments mid-storm")
+				}
+				for _, f := range res.Fragments {
+					f.XML()
 				}
 			}
 		}()

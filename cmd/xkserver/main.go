@@ -56,7 +56,9 @@
 // keep working, pinned to the snapshot they were issued at) and POST
 // /compact (fold delta segments into the base). -compact-interval runs
 // that fold on a background ticker so a write-heavy server never
-// accumulates unbounded segments.
+// accumulates unbounded segments. Every backing takes appends, -store
+// included: they live in memory only — a store file, like a -file
+// document, is never written, so appends do not survive a restart.
 package main
 
 import (

@@ -34,15 +34,13 @@ func requireSortedContent(t *testing.T, name string, e *Engine) {
 }
 
 // TestContentSetsAreSorted walks every source a fragment can be pruned from:
-// the tree's tables after a build, after a tail append and after a refused
-// off-spine append; a store as shredded and reopened as v3 on the heap and
-// mapped. (A reload from the v1 and v2 row formats is checked where those
+// the tables of a parsed document after a build, after a tail append and
+// after a refused off-spine append; a store as shredded, and reopened as v3
+// on the heap and mapped, before and after a tail append. (A reload from the v1 and v2 row formats is checked where those
 // can be written: internal/store's TestBackwardCompatV1V2.)
 func TestContentSetsAreSorted(t *testing.T) {
-	gen := func() *Engine {
-		return FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: 9, NumRecords: 120, Keywords: []datagen.KeywordSpec{{Word: "zeta", Count: 40}, {Word: "alpha", Count: 40}}}))
-	}
-	e := gen()
+	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 9, NumRecords: 120, Keywords: []datagen.KeywordSpec{{Word: "zeta", Count: 40}, {Word: "alpha", Count: 40}}})
+	e := FromTree(doc)
 	requireSortedContent(t, "tree/built", e)
 	const record = `<inproceedings key="zz top"><title>Zeta beta Alpha</title><author>Omega Mu</author></inproceedings>`
 	if err := e.AppendXML("0", record); err != nil {
@@ -52,7 +50,7 @@ func TestContentSetsAreSorted(t *testing.T) {
 	requireOffSpineRefused(t, e, "0.0", record)
 	requireSortedContent(t, "tree/off-spine-refused", e)
 
-	shredded := store.Shred(gen().tree, analysis.New())
+	shredded := store.Shred(doc, analysis.New())
 	requireSortedContent(t, "store/shredded", FromStore(shredded))
 	path := filepath.Join(t.TempDir(), "dblp.xks")
 	if err := shredded.SaveFile(path); err != nil {
@@ -69,6 +67,10 @@ func TestContentSetsAreSorted(t *testing.T) {
 		}
 		opened := FromStore(st)
 		requireSortedContent(t, name, opened)
+		if err := opened.AppendXML("0", record); err != nil {
+			t.Fatal(err)
+		}
+		requireSortedContent(t, name+"/tail-append", opened)
 		opened.Close()
 	}
 }

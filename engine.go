@@ -23,6 +23,7 @@
 package xks
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -112,24 +113,25 @@ func (s Semantics) String() string {
 }
 
 // Engine is a concurrency-safe search engine over one XML document: its
-// document source (srcState: the tables of the parsed tree or of the
-// shredded store) plus its inverted keyword index, each published
-// atomically — the index as a delta head (base index + append segments;
-// internal/delta). Reads pin a snapshot and the source tables at entry and
-// never block, and no read path walks the live tree; writes (AppendXML,
-// Compact) serialize on an internal mutex and publish new versions.
+// document source (srcState: the node columns, whether an engine built
+// them from a parsed document or opened them in a shredded store) plus its
+// inverted keyword index, each published atomically — the index as a delta
+// head (base index + append segments; internal/delta). Reads pin a
+// snapshot and the source columns at entry and never block; writes
+// (AppendXML, Compact) serialize on an internal mutex and publish new
+// versions. No engine holds a parsed tree.
 type Engine struct {
-	tree *xmltree.Tree // nil for store-backed engines
-	st   *store.Store  // nil for tree-backed engines
-	src  atomic.Pointer[srcState]
-	// labels, content and nodes are a tree's source columns as the writer
+	st  *store.Store // nil unless the engine opened a store
+	src atomic.Pointer[srcState]
+	// labels, content, text and attrs are the source columns as the writer
 	// grows them (publish, under mu); each published srcState views a
-	// prefix of them. Store-backed engines leave them empty.
-	labels  index.LabelColumn
-	content index.Content
-	nodes   []*xmltree.Node
-	an      *analysis.Analyzer
-	snip    *snippet.Generator
+	// prefix of them.
+	labels      index.LabelColumn
+	content     index.Content
+	text, attrs index.Strings
+	tree        *xmltree.Tree // Tree's, nil until its first call
+	an          *analysis.Analyzer
+	snip        *snippet.Generator
 
 	// head is the current index state; mu serializes the writers that
 	// replace it and src, and that alone touch tree and the source
@@ -235,30 +237,30 @@ func LoadFile(path string) (*Engine, error) {
 	return Load(f)
 }
 
-// FromTree builds an engine over an already-parsed tree. The tree must not
-// be mutated afterwards except through the engine's own AppendXML.
+// FromTree builds an engine over an already-parsed tree. One walk of the
+// tree publishes its columns (node table, labels, text, attributes,
+// content sets and posting lists), and the engine keeps no reference to
+// the tree or its nodes.
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
-	e := &Engine{tree: t, an: an, snip: snippet.NewGenerator(an)}
+	e := &Engine{an: an, snip: snippet.NewGenerator(an)}
 	rows := index.Analyze(t, an)
 	ix := index.FromRows(rows)
-	e.publish(rows)
+	e.publish(rows.Labels, rows.Content(), rows.Text, rows.Attrs)
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }
 
 // FromStore builds an engine over a shredded store — the paper's actual
 // architecture, where searches run off the three relational tables without
-// the original document. Fragment rendering shows the element skeleton and
-// content words (the store does not retain raw text).
+// the original document. It answers and renders as an engine over the
+// parsed document does, and takes appends alike: the store's columns stay
+// as they are, and the first append copies them (see srcState).
 func FromStore(st *store.Store) *Engine {
 	an := analysis.New()
 	ix := st.BuildIndex()
 	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an)}
-	e.src.Store(&srcState{
-		labels:  prune.Labels{IDs: st.LabelIDs(), Names: st.Labels()},
-		content: func(id nid.ID) []string { return st.ContentAt(int(id)) },
-	})
+	e.publish(st.Columns())
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
 }
@@ -285,9 +287,35 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Tree exposes the underlying document tree (read-only); nil when the
-// engine is store-backed.
-func (e *Engine) Tree() *xmltree.Tree { return e.tree }
+// Tree returns the document as a tree (read-only) for the benchmark
+// harness; nothing in the module calls it, and it goes once the harness
+// parses its own (ROADMAP 1(c)). The first call renders every node and
+// parses the result, taking each node's text from the text column as it is
+// (a parse trims it and reads invalid UTF-8 as U+FFFD); AppendXML keeps
+// the tree in step from then on. It is nil when the columns do not render
+// a well-formed document, as a store file's bytes need not.
+func (e *Engine) Tree() *xmltree.Tree {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tree == nil {
+		tab, src := e.head.Load().Tab, e.src.Load()
+		all := make([]nid.ID, tab.Len())
+		for i := range all {
+			all[i] = nid.ID(i)
+		}
+		var doc bytes.Buffer
+		src.writeXML(&doc, tab, all) // a Buffer's writes cannot fail
+		t, err := xmltree.Parse(&doc)
+		if err != nil {
+			return nil
+		}
+		for i, n := range t.Nodes() {
+			n.Text = src.text.Row(nid.ID(i))
+		}
+		e.tree = t
+	}
+	return e.tree
+}
 
 // Index exposes the underlying base inverted index (read-only). Postings
 // appended since the last compaction live in delta segments on top of it;

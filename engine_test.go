@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"xks/internal/datagen"
+	"xks/internal/dewey"
 	"xks/internal/exec"
 	"xks/internal/paperdata"
 	"xks/internal/rank"
@@ -323,8 +325,8 @@ func TestLoadVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Tree().Size() != 3 {
-		t.Errorf("tree size = %d", e2.Tree().Size())
+	if n := e2.Index().NumNodes(); n != 3 {
+		t.Errorf("%d nodes, want 3", n)
 	}
 	if _, err := LoadFile(filepath.Join(dir, "absent.xml")); err == nil {
 		t.Error("LoadFile on absent path should fail")
@@ -334,9 +336,70 @@ func TestLoadVariants(t *testing.T) {
 	}
 }
 
+// TestTreeBridge: Tree of a loaded engine is the parsed document — node for
+// node its Dewey code, label, attributes and text — and it stays so across
+// tail appends, which extend the tree Tree returned, whichever of them come
+// before Tree's first call.
+func TestTreeBridge(t *testing.T) {
+	var dblp strings.Builder
+	if err := xmltree.WriteXML(&dblp, datagen.DBLP(datagen.DBLPConfig{Seed: 2, NumRecords: 40}).Root); err != nil {
+		t.Fatal(err)
+	}
+	recs := []string{
+		`<article key="a&amp;b"><title>xml &lt;keyword&gt; search</title><empty/></article>`,
+		newLabelRecord,
+	}
+	for name, doc := range map[string]string{"renderDoc": renderDoc, "dblp": dblp.String()} {
+		e, err := LoadString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := xmltree.ParseString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendBoth := func(rec string) {
+			t.Helper()
+			if err := e.AppendXML("0", rec); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := xmltree.ParseString(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.AppendChild(dewey.Code{0}, sub.Root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendBoth(recs[0])
+		tree := e.Tree()
+		sameTree(t, name+" after an append", tree, want)
+		appendBoth(recs[1])
+		if e.Tree() != tree {
+			t.Fatalf("%s: Tree returned a new tree after an append", name)
+		}
+		sameTree(t, name+" after two appends", tree, want)
+	}
+}
+
+// sameTree fails unless got and want hold the same nodes in pre-order:
+// Dewey code, label, attributes and text.
+func sameTree(t *testing.T, label string, got, want *xmltree.Tree) {
+	t.Helper()
+	g, w := got.Nodes(), want.Nodes()
+	if len(g) != len(w) || got.Size() != want.Size() {
+		t.Fatalf("%s: %d nodes (size %d), want %d", label, len(g), got.Size(), len(w))
+	}
+	for i, n := range w {
+		if m := g[i]; !dewey.Equal(m.Code, n.Code) || m.Label != n.Label || m.Text != n.Text || !slices.Equal(m.Attrs, n.Attrs) {
+			t.Fatalf("%s: node %d is %s %q %v, want %s %q %v", label, i, m, m.Text, m.Attrs, n, n.Text, n.Attrs)
+		}
+	}
+}
+
 func TestEngineAccessors(t *testing.T) {
 	e := pubEngine(t)
-	if e.Tree() == nil || e.Index() == nil {
+	if e.Index() == nil {
 		t.Error("nil accessors")
 	}
 	if e.Index().Frequency("keyword") != 3 {

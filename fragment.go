@@ -75,14 +75,8 @@ func (f *Fragment) NodeLabel(i int) string { return f.v.src.labels.Of(f.keptIDs[
 // the pinned node table.
 func (f *Fragment) NodeLevel(i int) int { return int(f.v.snap.Table().Depth(f.keptIDs[i])) }
 
-// NodeText returns Nodes[i]'s own text, read from the pinned source tables
-// of a tree-backed engine; a store-backed engine keeps none and returns "".
-func (f *Fragment) NodeText(i int) string {
-	if nodes := f.v.src.nodes; nodes != nil {
-		return nodes[f.keptIDs[i]].Text
-	}
-	return ""
-}
+// NodeText returns Nodes[i]'s own text, read from the pinned text column.
+func (f *Fragment) NodeText(i int) string { return f.v.src.text.Row(f.keptIDs[i]) }
 
 // NodeMatched lists the query keywords Nodes[i] matched, in query order (nil
 // for a node that matched none). When the matched keywords are adjacent in
@@ -133,9 +127,9 @@ func (f *Fragment) Snippet() string {
 		}
 		text := f.NodeText(i)
 		if text == "" {
-			// Store-backed fragments have no raw text, and a keyword matched
-			// through a label or an attribute none of its own: use the
-			// content words the request pinned instead.
+			// A keyword matched through a label or an attribute has no
+			// text of its own: use the content words the request pinned
+			// instead.
 			text = strings.Join(f.v.src.content(f.keptIDs[i]), " ")
 		}
 		sources = append(sources, snippet.Source{Label: f.NodeLabel(i), Text: text})
@@ -144,12 +138,11 @@ func (f *Fragment) Snippet() string {
 }
 
 // ASCII renders the fragment as an indented tree in the style of the
-// paper's figures. Store-backed fragments show content words instead of
-// raw text.
+// paper's figures, each node with its quoted text.
 func (f *Fragment) ASCII() string { return f.v.src.ascii(f.v.snap.Table(), f.keptIDs) }
 
-// XML serializes the fragment as an XML snippet. Store-backed fragments
-// render the element skeleton with content words.
+// XML serializes the fragment as an XML snippet: the kept elements with
+// their attributes and text, as the document holds them.
 func (f *Fragment) XML() string {
 	var b strings.Builder
 	f.WriteXML(&b) // a Builder's writes cannot fail

@@ -61,12 +61,12 @@ func nodeTextRender(t *testing.T, e *Engine, reqs []Request) string {
 
 // TestNodeTextParity pins what fragments render from the tables their
 // request pinned — NodeText, Snippet, XML and ASCII — over two documents
-// served tree-backed, v3-heap and v3-mmap: a generated one, to the output
-// captured when each node still carried its text in a FragmentNode field
-// (testdata/nodetext), and renderDoc, whose attributes, markup to escape,
-// text beside kept children and empty leaves take every form a renderer
-// chooses between (testdata/renderdoc). Each directory has tree.golden, and
-// store.golden for both store modes.
+// served three ways (loaded, v3-heap and v3-mmap): a generated one, to the
+// output captured when each node still carried its text in a FragmentNode
+// field (testdata/nodetext), and renderDoc, whose attributes, markup to
+// escape, text beside kept children and empty leaves take every form the
+// renderer chooses between (testdata/renderdoc). Every engine answers the
+// one tree.golden of each directory.
 func TestNodeTextParity(t *testing.T) {
 	dblp := datagen.DBLP(datagen.DBLPConfig{Seed: 17, NumRecords: 30, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 9}, {Word: "keyword", Count: 6}, {Word: "search", Count: 5},
@@ -84,7 +84,7 @@ func TestNodeTextParity(t *testing.T) {
 		{"renderdoc", doc, renderDocQueries()},
 	} {
 		for name, e := range servedThreeWays(t, c.tree) {
-			file, want := golden(t, c.dir, name)
+			file, want := golden(t, c.dir)
 			if got := nodeTextRender(t, e, c.reqs); got != want {
 				t.Errorf("%s %s: rendered\n%s\nwant (%s)\n%s", c.dir, name, got, file, want)
 			}
@@ -92,8 +92,8 @@ func TestNodeTextParity(t *testing.T) {
 	}
 }
 
-// servedThreeWays serves tree tree-backed ("tree"), v3-heap and v3-mmap; the
-// stores close when the test ends.
+// servedThreeWays serves tree loaded ("tree"), and from its store file
+// v3-heap and v3-mmap; the stores close when the test ends.
 func servedThreeWays(t *testing.T, tree *xmltree.Tree) map[string]*Engine {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "doc.xks")
@@ -113,15 +113,12 @@ func servedThreeWays(t *testing.T, tree *xmltree.Tree) map[string]*Engine {
 	return engines
 }
 
-// golden reads the file of testdata/dir that the engine servedThreeWays
-// named name answers to: tree.golden, or store.golden for both store modes.
-func golden(t *testing.T, dir, name string) (file, text string) {
+// golden reads testdata/dir/tree.golden, which every engine servedThreeWays
+// answers.
+func golden(t *testing.T, dir string) (file, text string) {
 	t.Helper()
-	file = "store.golden"
-	if name == "tree" {
-		file = "tree.golden"
-	}
-	b, err := os.ReadFile(filepath.Join("testdata", dir, file))
+	file = filepath.Join("testdata", dir, "tree.golden")
+	b, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,16 +173,15 @@ func nodeFactsRender(t *testing.T, e *Engine) (out string, gap bool) {
 
 // TestNodeFactsParity pins what a kept node answers through the Fragment
 // accessors — Dewey, NodeLabel, NodeLevel, IsKeywordNode and NodeMatched —
-// over one generated document served tree-backed, v3-heap and v3-mmap, to
-// the output captured when each node still carried its label, level and
-// matched keywords in FragmentNode fields (testdata/nodefacts: tree.golden,
-// and store.golden for both store modes).
+// over one generated document served three ways (servedThreeWays), to the
+// output captured when each node still carried its label, level and
+// matched keywords in FragmentNode fields (testdata/nodefacts/tree.golden).
 func TestNodeFactsParity(t *testing.T) {
 	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 23, NumRecords: 30, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 12}, {Word: "keyword", Count: 6}, {Word: "search", Count: 10},
 	}})
 	for name, e := range servedThreeWays(t, tree) {
-		file, want := golden(t, "nodefacts", name)
+		file, want := golden(t, "nodefacts")
 		got, gap := nodeFactsRender(t, e)
 		if got != want {
 			t.Errorf("%s: node facts\n%s\nwant (%s)\n%s", name, got, file, want)

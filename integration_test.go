@@ -13,9 +13,17 @@ import (
 	"xks/internal/datagen"
 	"xks/internal/store"
 	"xks/internal/workload"
+	"xks/internal/xmltree"
 )
 
 func dblpTestEngine(t *testing.T) (*Engine, []string) {
+	t.Helper()
+	tree, queries := dblpTestTree(t)
+	return FromTree(tree), queries
+}
+
+// dblpTestTree is the document dblpTestEngine serves, with its queries.
+func dblpTestTree(t *testing.T) (*xmltree.Tree, []string) {
 	t.Helper()
 	w := workload.DBLP()
 	specs, err := w.Specs(0, 0.02)
@@ -27,7 +35,7 @@ func dblpTestEngine(t *testing.T) (*Engine, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FromTree(tree), queries
+	return tree, queries
 }
 
 func xmarkTestEngine(t *testing.T) (*Engine, []string) {
@@ -209,8 +217,9 @@ func TestIntegrationCompareConsistency(t *testing.T) {
 // Invariant 5: shred → save → load → search gives identical fragments to
 // searching the original tree, at dataset scale.
 func TestIntegrationStoreRoundTripAtScale(t *testing.T) {
-	engine, queries := dblpTestEngine(t)
-	st := store.Shred(engine.Tree(), analysis.New())
+	tree, queries := dblpTestTree(t)
+	engine := FromTree(tree)
+	st := store.Shred(tree, analysis.New())
 	fromStore := FromStore(st)
 	for _, q := range queries[:8] {
 		a, err := engine.Search(context.Background(), Request{Query: q})

@@ -21,9 +21,9 @@ import (
 )
 
 // TestStreamedXMLMatchesBuffered pins the streamed xml field byte-identical
-// to the buffered Fragment.XML for both document sources: tree-backed
-// (raw text values) and store-backed (multi-line skeleton rendering, the
-// case the escaper earns its keep on).
+// to the buffered Fragment.XML for an engine over the parsed document and
+// one over its store: multi-line renders with quoted and escaped text, the
+// case the escaper earns its keep on.
 func TestStreamedXMLMatchesBuffered(t *testing.T) {
 	st := store.Shred(paperdata.Publications(), analysis.New())
 	servers := map[string]*httptest.Server{"tree": testServer(t)}

@@ -1,6 +1,10 @@
 package index
 
-import "xks/internal/nid"
+import (
+	"unsafe"
+
+	"xks/internal/nid"
+)
 
 // LabelColumn is a document's label column as it is built: node i is
 // labelled Names[IDs[i]], a label's ID being its rank in order of first
@@ -14,8 +18,15 @@ type LabelColumn struct {
 	dict  map[string]uint32
 }
 
-// add appends a node labelled label.
+// add appends a node labelled label. The dictionary is built on first use,
+// so a column adopted without one (a store's) interns like any other.
 func (c *LabelColumn) add(label string) {
+	if c.dict == nil {
+		c.dict = make(map[string]uint32, len(c.Names))
+		for id, name := range c.Names {
+			c.dict[name] = uint32(id)
+		}
+	}
 	id, ok := c.dict[label]
 	if !ok {
 		id = uint32(len(c.Names))
@@ -58,10 +69,44 @@ func (c Content) Append(o Content) Content {
 	if len(c.Off) == 0 {
 		return o
 	}
-	base := uint32(len(c.Words))
-	for _, off := range o.Off[1:] {
-		c.Off = append(c.Off, base+off)
-	}
+	c.Off = appendOffsets(c.Off, o.Off, uint32(len(c.Words)))
 	c.Words = append(c.Words, o.Words...)
 	return c
+}
+
+// Strings is a column of byte strings: row i is Data[Off[i]:Off[i+1]]. It
+// holds each node's raw text, or its attributes as the renderer writes them
+// (` name="escaped value"`…).
+type Strings struct {
+	Off  []uint32
+	Data []byte
+}
+
+// Row returns node id's string without copying it: the string views Data,
+// which is sound because rows below a column's length are never rewritten.
+func (c Strings) Row(id nid.ID) string {
+	lo, hi := c.Off[id], c.Off[id+1]
+	if lo == hi {
+		return ""
+	}
+	return unsafe.String(&c.Data[lo], hi-lo)
+}
+
+// Append returns c with o's rows after its own, as Content.Append does.
+func (c Strings) Append(o Strings) Strings {
+	if len(c.Off) == 0 {
+		return o
+	}
+	c.Off = appendOffsets(c.Off, o.Off, uint32(len(c.Data)))
+	c.Data = append(c.Data, o.Data...)
+	return c
+}
+
+// appendOffsets appends the row ends of off (off[0] being 0) to dst,
+// shifted past base, the length of the array dst's rows index.
+func appendOffsets(dst, off []uint32, base uint32) []uint32 {
+	for _, o := range off[1:] {
+		dst = append(dst, base+o)
+	}
+	return dst
 }

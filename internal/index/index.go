@@ -17,11 +17,11 @@
 // fold's are the old base's plus the segments'), so no list is ever
 // scanned, or decoded, for them.
 //
-// One pre-order walk of a document (Analyze) yields everything a backing
-// publishes about its nodes: the node table, the label column, each node's
-// content set and from those the posting lists. The content column (Content)
-// and the label column (LabelColumn) have one form each, whichever backing
-// holds them.
+// One pre-order walk of a document (Analyze) yields everything an engine
+// publishes about its nodes: the node table, the label, text and attribute
+// columns, each node's content set and from those the posting lists. Each
+// column has one form (LabelColumn, Content, Strings), whichever backing
+// holds it.
 package index
 
 import (
@@ -81,28 +81,44 @@ func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 }
 
 // Rows is what one pre-order walk of a tree yields, row i being the i-th
-// node: the nodes, their node table and label column, and their content
-// sets over the vocabulary of one build — row i's content word IDs are
-// IDs[Off[i]:Off[i+1]], in lexical order of the words.
+// node: the node table and the label, text and attribute columns, and the
+// content sets over the vocabulary of one build — row i's content word IDs
+// are IDs[Off[i]:Off[i+1]], in lexical order of the words. The rows hold no
+// node of the tree.
 type Rows struct {
-	Nodes  []*xmltree.Node
-	Tab    *nid.Table
-	Labels LabelColumn
-	Vocab  *analysis.Vocab
-	Off    []uint32
-	IDs    []uint32
+	Tab         *nid.Table
+	Labels      LabelColumn
+	Text, Attrs Strings
+	Vocab       *analysis.Vocab
+	Off         []uint32
+	IDs         []uint32
 }
 
 // Analyze walks t once, analysing every node with a new vocabulary of a.
+// Collecting the nodes sizes the text and attribute bytes (the attributes'
+// before escaping), so those columns grow at most once.
 func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
-	nodes := t.Nodes()
+	nodes, text, attrs := make([]*xmltree.Node, 0, t.Size()), 0, 0
+	t.Walk(func(n *xmltree.Node) bool {
+		nodes, text = append(nodes, n), text+len(n.Text)
+		for _, at := range n.Attrs {
+			attrs += len(at.Name) + len(at.Value) + len(` =""`)
+		}
+		return true
+	})
 	b := nid.NewBuilder(len(nodes))
-	r := Rows{Nodes: nodes, Vocab: a.NewVocab(), Off: make([]uint32, 1, len(nodes)+1)}
-	r.Labels.IDs, r.Labels.dict = make([]uint32, 0, len(nodes)), map[string]uint32{}
+	r := Rows{Vocab: a.NewVocab(), Off: make([]uint32, 1, len(nodes)+1)}
+	r.Labels.IDs = make([]uint32, 0, len(nodes))
+	r.Text = Strings{Off: make([]uint32, 1, len(nodes)+1), Data: make([]byte, 0, text)}
+	r.Attrs = Strings{Off: make([]uint32, 1, len(nodes)+1), Data: make([]byte, 0, attrs)}
 	var pieces []string
 	for _, n := range nodes {
 		b.Add(n.Code)
 		r.Labels.add(n.Label)
+		r.Text.Data = append(r.Text.Data, n.Text...)
+		r.Attrs.Data = xmltree.AppendAttrs(r.Attrs.Data, n.Attrs)
+		r.Text.Off = append(r.Text.Off, uint32(len(r.Text.Data)))
+		r.Attrs.Off = append(r.Attrs.Off, uint32(len(r.Attrs.Data)))
 		pieces = n.AppendContentPieces(pieces[:0])
 		r.IDs = r.Vocab.AppendContent(r.IDs, pieces...)
 		r.Off = append(r.Off, uint32(len(r.IDs)))

@@ -74,8 +74,9 @@ func (s Stats) AvgDepth() float64 {
 // crossover.
 type CostModel struct {
 	// ScanEvent is the cost of pushing one posting through the merge and
-	// the ELCA stack (per log2(k) level, as calibrated on the loser tree
-	// the merge once was).
+	// the ELCA stack, paid once a posting whatever the number of lists:
+	// the windowed mask merge ORs each posting into a per-ID mask, with no
+	// comparisons between lists (O(Σ|Dᵢ| + span/64)).
 	ScanEvent float64
 	// ProbeStep is the per-level cost of one binary-search step while the
 	// indexed strategy looks up the closest occurrence in another list.
@@ -162,10 +163,8 @@ func Decide(sizes []int, st Stats, m CostModel) Decision {
 		d.Skew = float64(maxSize) / float64(minSize)
 	}
 
-	// Scan: every posting passes through the merge (log2 k levels, as
-	// calibrated) and the ELCA stack.
-	levels := 1 + math.Log2(float64(max(k, 2)))
-	d.EstScan = m.ScanEvent * float64(total) * levels
+	// Scan: every posting passes once through the merge and the ELCA stack.
+	d.EstScan = m.ScanEvent * float64(total)
 
 	// Indexed: each occurrence of the rarest term probes the k-1 other
 	// lists (binary search over the list, then parent-chain LCA walks of

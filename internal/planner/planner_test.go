@@ -109,3 +109,21 @@ func TestOrderString(t *testing.T) {
 		t.Errorf("empty OrderString = %q", got)
 	}
 }
+
+// TestEstScanChargesEachPostingOnce: the scan estimate is ScanEvent per
+// posting, whatever the number of lists the merge reads, for two keywords
+// as for eight.
+func TestEstScanChargesEachPostingOnce(t *testing.T) {
+	st := Stats{Postings: 1, DepthSum: 5}
+	for _, c := range []struct {
+		sizes []int
+		want  float64
+	}{
+		{[]int{300, 700}, 6 * 1000},
+		{[]int{100, 200, 300, 400, 500, 600, 700, 800}, 6 * 3600},
+	} {
+		if got := Decide(c.sizes, st, Default).EstScan; got != c.want {
+			t.Errorf("k=%d: EstScan = %v, want %v", len(c.sizes), got, c.want)
+		}
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"xks/internal/analysis"
+	"xks/internal/datagen"
+	"xks/internal/nid"
 	"xks/internal/paperdata"
 )
 
@@ -56,6 +58,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add(corrupt(24, 0x01, true))         // entry 0 offset → misaligned
 	f.Add(corrupt(32, 0xFF, true))         // entry 0 length → out of bounds
 	f.Add(corrupt(16+32*4+8, 0x7F, true))  // entry 4 offset
+	// A document with attributes, so both string sections hold rows, and
+	// its corrupted string sections, every CRC recomputed.
+	withAttrs, corruptions := stringSectionCorruptions(f)
+	f.Add(withAttrs)
+	for _, c := range corruptions {
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openV3FromBytes(data)
 		if err != nil {
@@ -65,9 +74,12 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("version %d image opened", v)
 		}
 		// A successfully opened store must be self-consistent.
+		_, _, text, attrs := s.Columns()
 		for i := 0; i < s.NumNodes(); i++ {
 			s.LabelAt(i)
 			s.ContentAt(i)
+			text.Row(nid.ID(i))
+			attrs.Row(nid.ID(i))
 		}
 		ix := s.BuildIndex()
 		for i, w := range s.terms {
@@ -84,4 +96,49 @@ func FuzzLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// stringSectionCorruptions returns the image of a small document with
+// attributes, so both string sections hold rows, and corruptions of its
+// text and attrs sections that keep every CRC valid, so they reach the
+// sections' own validation: non-monotone text offsets, an attribute offset
+// past its blob, and a text section of one row more than the node table.
+func stringSectionCorruptions(t testing.TB) (image []byte, corrupt map[string][]byte) {
+	t.Helper()
+	shred := func() *Store { return Shred(datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 3}), analysis.New()) }
+	image = saveBytes(t, shred())
+	edit := func(id uint32, change func(sec []byte)) []byte {
+		c := append([]byte(nil), image...)
+		count := int(binary.LittleEndian.Uint32(c[12:16]))
+		for i := range count {
+			e := c[16+32*i:]
+			if binary.LittleEndian.Uint32(e) != id {
+				continue
+			}
+			off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+			sec := c[off : off+n]
+			change(sec)
+			binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(sec))
+			dirEnd := 16 + 32*count
+			binary.LittleEndian.PutUint32(c[dirEnd:], crc32.ChecksumIEEE(c[:dirEnd]))
+			return c
+		}
+		t.Fatalf("image has no section %d", id)
+		return nil
+	}
+	// off(sec, i) is the i-th offset of a string section.
+	off := func(sec []byte, i int) []byte { return sec[8+4*i:] }
+	extraRow := shred()
+	extraRow.text.Off = append(extraRow.text.Off, extraRow.text.Off[len(extraRow.text.Off)-1])
+	return image, map[string][]byte{
+		"text offsets decrease": edit(secText, func(sec []byte) {
+			// Node 1 ends where the blob does; node 2, which has text to
+			// follow, ends before it.
+			copy(off(sec, 1), sec[4:8])
+		}),
+		"attribute offset past its blob": edit(secAttrs, func(sec []byte) {
+			binary.LittleEndian.PutUint32(off(sec, 1), binary.LittleEndian.Uint32(sec[4:])+1000)
+		}),
+		"text rows not the node count": saveBytes(t, extraRow),
+	}
 }

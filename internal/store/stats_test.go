@@ -52,8 +52,8 @@ func TestStatsRoundTripV2(t *testing.T) {
 	s := pubStore()
 	want := index.Build(paperdata.Publications(), analysis.New()).Stats()
 	data := saveBytes(t, s)
-	if len(sections(t, data)) != 6 {
-		t.Fatalf("Save wrote %d sections, want 6", len(sections(t, data)))
+	if secs := sections(t, data); len(secs) != 8 || secs[7] != nil {
+		t.Fatalf("Save wrote %d sections, want 8 and no statistics section", len(secs))
 	}
 	loaded, err := openV3FromBytes(data)
 	if err != nil {
@@ -96,9 +96,10 @@ func TestStoreStatsMatchIndexScan(t *testing.T) {
 	}
 }
 
-// TestPreviousFormatOpens: a file with the old statistics section opens in
-// every mode (the section is skipped), holds what a fresh Shred holds, and
-// derives the statistics its section persisted.
+// TestPreviousFormatOpens: a file with the old statistics section and
+// without the text and attrs sections opens in every mode (the statistics
+// section is skipped), holds what a fresh Shred holds with empty text and
+// no attributes, and derives the statistics its section persisted.
 func TestPreviousFormatOpens(t *testing.T) {
 	data, err := os.ReadFile(previousFormat)
 	if err != nil {
@@ -109,6 +110,8 @@ func TestPreviousFormatOpens(t *testing.T) {
 		t.Fatalf("%s has no statistics section", previousFormat)
 	}
 	fresh := pubStore()
+	fresh.text = index.Strings{Off: make([]uint32, fresh.NumNodes()+1)}
+	fresh.attrs = fresh.text
 	want := fresh.BuildIndex().Stats()
 	for _, mode := range []OpenMode{OpenAuto, OpenMmap, OpenHeap} {
 		s, err := OpenFile(previousFormat, OpenOptions{Mode: mode})

@@ -8,21 +8,21 @@
 //	         content feature)                             — one row per node
 //	value   (label, dewey, attribute, keyword)            — keyword postings
 //
-// Store holds those tables in the one column form searches read (format v3,
-// see v3.go): the element table is a nid.Table of pre-order node IDs (Dewey
-// codes, parents, depths) plus a per-node label column; the value table is
-// the sorted vocabulary with one block-compressed posting list per keyword,
-// and its inverse, a node → keyword CSR. Shred builds the columns in memory
-// from the one walk a tree-backed engine makes (index.Analyze), Save writes
-// them as CRC-guarded sections, and OpenFile maps (or reads) them back
-// without decoding a posting list. The planner statistics are not stored:
-// the index BuildIndex wraps around the columns sums them from the node →
-// keyword CSR's offsets and the node depths. Keyword lookups — the only
-// query shape the algorithms issue — run off the sorted vocabulary exactly
-// like the paper's SQL SELECTs, and labels and content sets are served by
-// node ID: the content sets as the one content column form (index.Content)
-// a tree-backed engine publishes, its words resolved from the CSR on first
-// use.
+// Store holds those tables in the one column form every engine reads
+// (format v3, see v3.go): the element table is a nid.Table of pre-order node
+// IDs (Dewey codes, parents, depths) plus per-node label, text and attribute
+// columns; the value table is the sorted vocabulary with one
+// block-compressed posting list per keyword, and its inverse, a node →
+// keyword CSR. Shred builds the columns in memory from the one walk an
+// engine makes of a parsed document (index.Analyze), Save writes them as
+// CRC-guarded sections, and OpenFile maps (or reads) them back without
+// decoding a posting list. The planner statistics are not stored: the index
+// BuildIndex wraps around the columns sums them from the node → keyword
+// CSR's offsets and the node depths. Keyword lookups — the only query shape
+// the algorithms issue — run off the sorted vocabulary exactly like the
+// paper's SQL SELECTs, and the columns are served by node ID in the forms of
+// internal/index (the content words resolved from the CSR on first use), so
+// an engine over a store answers and renders as one over the document does.
 package store
 
 import (
@@ -39,7 +39,8 @@ import (
 
 // Store holds the three shredded tables in column form. On a store opened
 // from a file every slice (labels and terms included) is a zero-copy view
-// into data.
+// into data. Every column is capacity-capped, so an engine appending to one
+// copies it rather than write into the store.
 type Store struct {
 	labels     []string        // label table: ID → label
 	tab        *nid.Table      // element table: node IDs in pre-order
@@ -48,6 +49,8 @@ type Store struct {
 	lists      []postings.List // lists[i] is terms[i]'s compressed postings
 	wordOff    []uint32        // CSR: node i's terms are termIDs[wordOff[i]:wordOff[i+1]],
 	termIDs    []uint32        // ascending, so its words come out lexical
+	text       index.Strings   // element table's text column, raw
+	attrs      index.Strings   // element table's attributes, as rendered
 
 	// content is the content column over wordOff, its words resolved from
 	// termIDs on first use, so ContentAt is a zero-copy row.
@@ -64,17 +67,18 @@ type Store struct {
 }
 
 // Shred builds the three tables from a document, analyzing content with the
-// given analyzer (nil for the default). The node table, the label column
-// and the posting lists come from the one walk and the in-memory index a
-// tree-backed engine builds, so a shredded store and a tree-backed engine
-// agree by construction.
+// given analyzer (nil for the default). The node table, the label, text
+// and attribute columns and the posting lists come from the one walk and
+// the in-memory index an engine over the parsed document builds, so the
+// two engines agree by construction.
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
 	rows := index.Analyze(t, an)
 	ix := index.FromRows(rows)
-	s := &Store{labels: rows.Labels.Names, tab: rows.Tab, nodeLabels: rows.Labels.IDs}
+	s := &Store{labels: slices.Clip(rows.Labels.Names), tab: rows.Tab, nodeLabels: rows.Labels.IDs, text: rows.Text, attrs: rows.Attrs}
+	s.text.Data, s.attrs.Data = slices.Clip(s.text.Data), slices.Clip(s.attrs.Data)
 	s.terms = ix.Words()
 	// A word's term ID is its rank in the sorted vocabulary: one search per
 	// distinct word, not per occurrence.
@@ -123,13 +127,15 @@ func (s *Store) LabelAt(i int) string {
 	return s.labels[s.nodeLabels[i]]
 }
 
-// LabelIDs returns the element table's label column, by node ID: row i is
-// labelled Labels()[LabelIDs()[i]]. It is the labelids section itself,
-// zero-copy under mmap; callers must not modify it.
-func (s *Store) LabelIDs() []uint32 { return s.nodeLabels }
-
-// Labels returns the label table, by label ID; callers must not modify it.
-func (s *Store) Labels() []string { return s.labels }
+// Columns returns the element table's per-node columns in the forms every
+// engine publishes: the label column over the label table, the content
+// sets, each node's raw text, and its attributes as a start tag holds them
+// (escaped). They are the sections themselves, zero-copy under mmap, but
+// for the content sets' words, resolved from the node → keyword CSR on the
+// first call. Callers must not modify them.
+func (s *Store) Columns() (labels index.LabelColumn, content index.Content, text, attrs index.Strings) {
+	return index.LabelColumn{IDs: s.nodeLabels, Names: s.labels}, s.contentColumn(), s.text, s.attrs
+}
 
 // Keywords returns the distinct keywords in lexical order.
 func (s *Store) Keywords() []string { return slices.Clone(s.terms) }
@@ -145,11 +151,9 @@ func (s *Store) BuildIndex() *index.Index {
 	return index.FromCompressed(s.tab, s.terms, s.lists, s.wordOff)
 }
 
-// ContentAt returns the content word set of the i-th element row, a
-// capacity-capped row of the content column, or nil when out of range.
-// Words come back in lexical order. The column's words are resolved on the
-// first call. Callers must not modify the result.
-func (s *Store) ContentAt(i int) []string {
+// contentColumn returns the content column over the node → keyword CSR,
+// its words resolved from the term IDs on the first call.
+func (s *Store) contentColumn() index.Content {
 	s.contentOnce.Do(func() {
 		words := make([]string, len(s.termIDs))
 		for j, t := range s.termIDs {
@@ -157,10 +161,17 @@ func (s *Store) ContentAt(i int) []string {
 		}
 		s.content = index.Content{Off: s.wordOff, Words: words}
 	})
+	return s.content
+}
+
+// ContentAt returns the content word set of the i-th element row, a
+// capacity-capped row of the content column, or nil when out of range.
+// Words come back in lexical order. Callers must not modify the result.
+func (s *Store) ContentAt(i int) []string {
 	if i < 0 || i >= s.NumNodes() {
 		return nil
 	}
-	return s.content.Row(nid.ID(i))
+	return s.contentColumn().Row(nid.ID(i))
 }
 
 // SaveFile writes the store to a file.

@@ -369,8 +369,9 @@ func TestLoadOversizedFieldsRejected(t *testing.T) {
 	}
 }
 
-// TestLabelColumnAccessors: LabelIDs and Labels are the label column and
-// table LabelAt reads, for a shredded store and one read back from its image.
+// TestLabelColumnAccessors: the label column Columns returns is the label
+// column and table LabelAt reads, for a shredded store and one read back
+// from its image.
 func TestLabelColumnAccessors(t *testing.T) {
 	shredded := pubStore()
 	read, err := openV3FromBytes(saveBytes(t, shredded))
@@ -378,7 +379,8 @@ func TestLabelColumnAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Store{shredded, read} {
-		ids, names := s.LabelIDs(), s.Labels()
+		labels, _, _, _ := s.Columns()
+		ids, names := labels.IDs, labels.Names
 		if len(ids) != s.NumNodes() || len(names) != s.NumLabels() {
 			t.Fatalf("%d label IDs for %d nodes, %d names for %d labels", len(ids), s.NumNodes(), len(names), s.NumLabels())
 		}

@@ -24,7 +24,7 @@ package store
 // Files of other versions (the v1/v2 row streams) are rejected; they are
 // re-shredded from their XML with xkshred.
 //
-// Section payloads (ids secLabels..secNodeWords below):
+// Section payloads (ids secLabels..secAttrs below):
 //
 //	labels     u32 count, then per label {u32 len, bytes}
 //	nodes      u32 n, u32 arenaLen, parent i32[n], depth i32[n],
@@ -36,12 +36,17 @@ package store
 //	           postings.AppendEncode blobs (list i = blob[offs[i]:offs[i+1]])
 //	nodewords  u32 n, u32 total, wordOff u32[n+1], termIDs u32[total] —
 //	           CSR of each node's term IDs, ascending per node
+//	text       the terms layout with n rows — node i's own text, raw
+//	attrs      the terms layout with n rows — node i's attributes as its
+//	           start tag holds them (` name="escaped value"`…)
 //
-// Files from earlier writers carry a seventh section, the planner
-// statistics, which BuildIndex sums from the nodewords offsets instead. It
-// is not written, and on read it is skipped like any unknown section.
-// Older readers, which require it, refuse files written without it
-// ("missing stats section").
+// The text and attrs sections (ids 8 and 9) came after the first v3
+// writers, which rendered an element skeleton: a file without them opens
+// as a document with empty text and no attributes. Files from those
+// writers may carry a seventh section, the planner statistics, which
+// BuildIndex sums from the nodewords offsets instead. It is not written,
+// and on read it is skipped like any unknown section. Older readers, which
+// require it, refuse files written without it ("missing stats section").
 
 import (
 	"bufio"
@@ -51,6 +56,7 @@ import (
 	"io"
 	"os"
 
+	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/postings"
 )
@@ -69,9 +75,12 @@ const (
 	secTerms     = uint32(4)
 	secPostings  = uint32(5)
 	secNodeWords = uint32(6)
+	// 7 was the planner statistics of earlier writers; it stays unused.
+	secText  = uint32(8)
+	secAttrs = uint32(9)
 )
 
-// maxSections bounds the directory a reader will parse; the writer emits 6.
+// maxSections bounds the directory a reader will parse; the writer emits 8.
 const maxSections = 64
 
 // OpenMode selects how OpenFile backs a store's memory.
@@ -219,16 +228,11 @@ func (s *Store) Save(w io.Writer) error {
 
 	labelIDsSec := appendU32sLE(nil, s.nodeLabels)
 
-	var termBlob []byte
-	termOffs := make([]uint32, len(s.terms)+1)
-	for i, t := range s.terms {
-		termBlob = append(termBlob, t...)
-		termOffs[i+1] = uint32(len(termBlob))
+	terms := index.Strings{Off: make([]uint32, 1, len(s.terms)+1)}
+	for _, t := range s.terms {
+		terms.Data = append(terms.Data, t...)
+		terms.Off = append(terms.Off, uint32(len(terms.Data)))
 	}
-	termsSec := appendU32LE(nil, uint32(len(s.terms)))
-	termsSec = appendU32LE(termsSec, uint32(len(termBlob)))
-	termsSec = appendU32sLE(termsSec, termOffs)
-	termsSec = append(termsSec, termBlob...)
 
 	var postBlob []byte
 	postOffs := make([]uint32, len(s.lists)+1)
@@ -253,9 +257,11 @@ func (s *Store) Save(w io.Writer) error {
 		{secLabels, labelsSec},
 		{secNodes, nodesSec},
 		{secLabelIDs, labelIDsSec},
-		{secTerms, termsSec},
+		{secTerms, appendStrings(nil, terms)},
 		{secPostings, postSec},
 		{secNodeWords, wordsSec},
+		{secText, appendStrings(nil, s.text)},
+		{secAttrs, appendStrings(nil, s.attrs)},
 	}
 
 	// Header: magic + BE version, LE count, directory, header CRC, padding.
@@ -297,6 +303,14 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 func align8(n int) int { return (n + 7) &^ 7 }
+
+// appendStrings appends the section of column c: the terms, text or attrs.
+func appendStrings(dst []byte, c index.Strings) []byte {
+	dst = appendU32LE(dst, uint32(len(c.Off)-1))
+	dst = appendU32LE(dst, uint32(len(c.Data)))
+	dst = appendU32sLE(dst, c.Off)
+	return append(dst, c.Data...)
+}
 
 // ---- v3 reader ----------------------------------------------------------
 
@@ -428,29 +442,16 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sec) < 8 {
-		return nil, fmt.Errorf("store: truncated terms section")
+	var termCol index.Strings
+	if termCol.Off, termCol.Data, err = offsets(sec, "terms", 1); err != nil {
+		return nil, err
 	}
-	tcount := binary.LittleEndian.Uint32(sec)
-	blobLen := binary.LittleEndian.Uint32(sec[4:])
-	if uint64(len(sec)) != 8+4*(uint64(tcount)+1)+uint64(blobLen) {
-		return nil, fmt.Errorf("store: terms section length %d inconsistent with count=%d blob=%d", len(sec), tcount, blobLen)
-	}
-	termOffs := u32view(sec[8 : 8+4*(int(tcount)+1)])
-	termBlob := sec[8+4*(int(tcount)+1):]
-	if termOffs[0] != 0 || termOffs[tcount] != blobLen {
-		return nil, fmt.Errorf("store: terms offsets do not span the blob")
-	}
+	tcount := uint32(len(termCol.Off) - 1)
 	terms := make([]string, tcount)
-	for i := uint32(0); i < tcount; i++ {
-		if termOffs[i+1] < termOffs[i] {
-			return nil, fmt.Errorf("store: terms offsets decrease at %d", i)
-		}
-		t := stringView(termBlob[termOffs[i]:termOffs[i+1]])
-		if i > 0 && t <= terms[i-1] {
+	for i := range terms {
+		if terms[i] = termCol.Row(nid.ID(i)); i > 0 && terms[i] <= terms[i-1] {
 			return nil, fmt.Errorf("store: terms not strictly sorted at %d", i)
 		}
-		terms[i] = t
 	}
 
 	// Postings: per-term lazy views; skip tables validated, payloads not.
@@ -499,30 +500,29 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(sec) < 8 {
-		return nil, fmt.Errorf("store: truncated nodewords section")
+	wordOff, ids, err := nodeRows(sec, "nodewords", 4, n)
+	if err != nil {
+		return nil, err
 	}
-	wn := binary.LittleEndian.Uint32(sec)
-	total := binary.LittleEndian.Uint32(sec[4:])
-	if wn != n {
-		return nil, fmt.Errorf("store: nodewords covers %d nodes of %d", wn, n)
-	}
-	if uint64(len(sec)) != 8+4*(uint64(wn)+1)+4*uint64(total) {
-		return nil, fmt.Errorf("store: nodewords section length %d inconsistent with n=%d total=%d", len(sec), wn, total)
-	}
-	wordOff := u32view(sec[8 : 8+4*(int(wn)+1)])
-	termIDs := u32view(sec[8+4*(int(wn)+1):])
-	if wordOff[0] != 0 || wordOff[wn] != total {
-		return nil, fmt.Errorf("store: nodewords offsets do not span the term IDs")
-	}
-	for i := uint32(0); i < wn; i++ {
-		if wordOff[i+1] < wordOff[i] {
-			return nil, fmt.Errorf("store: nodewords offsets decrease at %d", i)
-		}
-	}
+	termIDs := u32view(ids)
 	for i, id := range termIDs {
 		if id >= tcount {
 			return nil, fmt.Errorf("store: nodewords entry %d references term %d of %d", i, id, tcount)
+		}
+	}
+
+	// Text and attributes: an image without them holds n empty rows each.
+	text := index.Strings{Off: make([]uint32, n+1)}
+	attrs := text
+	for _, c := range []struct {
+		id   uint32
+		name string
+		col  *index.Strings
+	}{{secText, "text", &text}, {secAttrs, "attrs", &attrs}} {
+		if sec, ok := secs[c.id]; ok {
+			if c.col.Off, c.col.Data, err = nodeRows(sec, c.name, 1, n); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -534,6 +534,43 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		lists:      lists,
 		wordOff:    wordOff,
 		termIDs:    termIDs,
+		text:       text,
+		attrs:      attrs,
 		data:       data,
 	}, nil
+}
+
+// offsets validates sec, laid out as u32 count, u32 total, count+1 u32
+// offsets — from 0, never decreasing, to total — and total elements of
+// width bytes, and returns the offsets and the elements, zero-copy. The
+// elements are capacity-capped, like the offsets (u32view), so an engine
+// appending to a column copies it rather than write into the image.
+func offsets(sec []byte, name string, width uint64) ([]uint32, []byte, error) {
+	if len(sec) < 8 {
+		return nil, nil, fmt.Errorf("store: truncated %s section", name)
+	}
+	count, total := binary.LittleEndian.Uint32(sec), binary.LittleEndian.Uint32(sec[4:])
+	end := 8 + 4*(uint64(count)+1)
+	if uint64(len(sec)) != end+width*uint64(total) {
+		return nil, nil, fmt.Errorf("store: %s section length %d inconsistent with count=%d total=%d", name, len(sec), count, total)
+	}
+	off := u32view(sec[8:end])
+	if off[0] != 0 || off[count] != total {
+		return nil, nil, fmt.Errorf("store: %s offsets do not span the section", name)
+	}
+	for i := range count {
+		if off[i+1] < off[i] {
+			return nil, nil, fmt.Errorf("store: %s offsets decrease at %d", name, i)
+		}
+	}
+	return off, sec[end:len(sec):len(sec)], nil
+}
+
+// nodeRows is offsets for a section of one row a node, of an n-node image.
+func nodeRows(sec []byte, name string, width uint64, n uint32) ([]uint32, []byte, error) {
+	off, elems, err := offsets(sec, name, width)
+	if err == nil && len(off) != int(n)+1 {
+		err = fmt.Errorf("store: %s covers %d nodes of %d", name, len(off)-1, n)
+	}
+	return off, elems, err
 }

@@ -22,8 +22,8 @@ func shredPaper(t *testing.T) *Store {
 }
 
 // assertSameSurface pins the query surface of b to a: sizes, labels,
-// statistics, vocabulary, postings, and every node's code, label and
-// content set (sorted, the contract internal/prune builds on).
+// statistics, vocabulary, postings, and every node's code, label, content
+// set (sorted, the contract internal/prune builds on), text and attributes.
 func assertSameSurface(t *testing.T, a, b *Store) {
 	t.Helper()
 	if a.NumNodes() != b.NumNodes() || a.NumLabels() != b.NumLabels() || a.NumValues() != b.NumValues() {
@@ -59,6 +59,13 @@ func assertSameSurface(t *testing.T, a, b *Store) {
 		ca, cb := a.ContentAt(i), b.ContentAt(i)
 		if !slices.Equal(ca, cb) || !slices.IsSorted(cb) {
 			t.Fatalf("node %d: content %q != %q", i, ca, cb)
+		}
+		id := nid.ID(i)
+		if ta, tb := a.text.Row(id), b.text.Row(id); ta != tb {
+			t.Fatalf("node %d: text %q != %q", i, ta, tb)
+		}
+		if aa, ab := a.attrs.Row(id), b.attrs.Row(id); aa != ab {
+			t.Fatalf("node %d: attributes %q != %q", i, aa, ab)
 		}
 	}
 }
@@ -219,6 +226,25 @@ func TestOpenV3Corruption(t *testing.T) {
 	for name, data := range cases {
 		if _, err := openV3FromBytes(data); err == nil {
 			t.Errorf("%s: corrupted image opened without error", name)
+		}
+	}
+}
+
+// TestOpenRejectsStringSectionCorruption: the text and attrs sections are
+// validated at open like the others, so corruptions that keep every CRC
+// valid — non-monotone offsets, an offset past the blob, a node count that
+// is not the node table's — fail to open instead of serving a row out of
+// range.
+func TestOpenRejectsStringSectionCorruption(t *testing.T) {
+	image, corruptions := stringSectionCorruptions(t)
+	if _, err := openV3FromBytes(image); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range corruptions {
+		if s, err := openV3FromBytes(c); err == nil {
+			t.Errorf("%s: opened a store of %d nodes", name, s.NumNodes())
+		} else {
+			t.Logf("%s: %v", name, err)
 		}
 	}
 }

@@ -279,13 +279,7 @@ func writeNode(w io.Writer, n *Node, depth int) error {
 	ind := strings.Repeat("  ", depth)
 	b := append([]byte(ind), '<')
 	b = append(b, n.Label...)
-	for _, a := range n.Attrs {
-		b = append(b, ' ')
-		b = append(b, a.Name...)
-		b = append(b, '=', '"')
-		b = AppendEscaped(b, a.Value)
-		b = append(b, '"')
-	}
+	b = AppendAttrs(b, n.Attrs)
 	if n.Text == "" && len(n.Children) == 0 {
 		_, err := w.Write(append(b, "/>\n"...))
 		return err
@@ -308,6 +302,19 @@ func writeNode(w io.Writer, n *Node, depth int) error {
 	}
 	_, err := fmt.Fprintf(w, "%s</%s>\n", ind, n.Label)
 	return err
+}
+
+// AppendAttrs appends attrs as they follow an element's name in a start
+// tag: ` name="value"` each, the value escaped (AppendEscaped).
+func AppendAttrs(b []byte, attrs []Attr) []byte {
+	for _, a := range attrs {
+		b = append(b, ' ')
+		b = append(b, a.Name...)
+		b = append(b, '=', '"')
+		b = AppendEscaped(b, a.Value)
+		b = append(b, '"')
+	}
+	return b
 }
 
 // AppendEscaped appends s to b as XML character data or an attribute

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xks/internal/analysis"
+	"xks/internal/dewey"
 	"xks/internal/paperdata"
 	"xks/internal/store"
 	"xks/internal/xmltree"
@@ -19,12 +20,23 @@ const newLabelRecord = `<Errata><Note>xml keyword erratum</Note><erratum><Note>k
 
 var newLabelQueries = []string{"keyword", "xml keyword", "note:keyword", "liu keyword search"}
 
-// reloaded serializes e's tree and loads it afresh: the engine a document
-// holding the appended records from the start would have.
-func reloaded(t *testing.T, e *Engine) *Engine {
+// reloaded loads afresh the document doc becomes with recs appended under
+// its root, serialized: the engine a document holding the appended records
+// from the start would have. doc is not modified.
+func reloaded(t *testing.T, doc *xmltree.Tree, recs ...string) *Engine {
 	t.Helper()
+	doc = doc.Clone()
+	for _, rec := range recs {
+		sub, err := xmltree.ParseString(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.AppendChild(dewey.Code{0}, sub.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var b strings.Builder
-	if err := xmltree.WriteXML(&b, e.Tree().Root); err != nil {
+	if err := xmltree.WriteXML(&b, doc.Root); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := LoadString(b.String())
@@ -96,7 +108,7 @@ func TestAppendNewLabelMatchesFreshLoad(t *testing.T) {
 	if err := c.AppendXML("pubs", "0", newLabelRecord); err != nil {
 		t.Fatal(err)
 	}
-	want := reloaded(t, e)
+	want := reloaded(t, paperdata.Publications(), newLabelRecord)
 	check := func(stage string) {
 		t.Helper()
 		for _, req := range labelRequests() {
@@ -138,7 +150,11 @@ func TestLabelPredicateMatchesEachDictionaryLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := FromStore(store.Shred(e.Tree(), analysis.New()))
+	tree, err := xmltree.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := FromStore(store.Shred(tree, analysis.New()))
 	for _, eng := range []*Engine{e, st} {
 		var roots, labels []string
 		for _, f := range engineFragments(t, eng, Request{Query: "BOOKTITLE:xml"}) {

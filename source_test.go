@@ -12,11 +12,12 @@ import (
 	"xks/internal/xmltree"
 )
 
-// TestBackingsPublishOneSource: a tree-backed and a store-backed engine
-// over one document publish the same source columns — label IDs, label
-// dictionary and content rows, each row capacity-capped — and after tail
-// appends, some bringing labels the document has not seen, a tree-backed
-// engine's columns are those a fresh load of the extended document builds.
+// TestBackingsPublishOneSource: an engine over a parsed document and one
+// over its shredded store publish the same source columns — label IDs,
+// label dictionary, content rows (each capacity-capped), text and
+// attributes — and after tail appends, some bringing labels the document
+// has not seen, both engines' columns are those a fresh load of the
+// extended document builds.
 func TestBackingsPublishOneSource(t *testing.T) {
 	for _, doc := range []struct {
 		name string
@@ -31,17 +32,23 @@ func TestBackingsPublishOneSource(t *testing.T) {
 		fromStore := FromStore(store.Shred(tree, analysis.New()))
 		fromTree := FromTree(tree)
 		sameSource(t, doc.name, fromTree, fromStore)
-		for _, rec := range []string{newLabelRecord, `<article><title>xml keyword</title></article>`, newLabelRecord} {
-			if err := fromTree.AppendXML("0", rec); err != nil {
-				t.Fatal(err)
+		recs := []string{newLabelRecord, `<article><title>xml keyword</title></article>`, newLabelRecord}
+		for _, e := range []*Engine{fromTree, fromStore} {
+			for _, rec := range recs {
+				if err := e.AppendXML("0", rec); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		sameSource(t, doc.name+" after appends", fromTree, reloaded(t, fromTree))
+		fresh := reloaded(t, tree, recs...)
+		sameSource(t, doc.name+" after appends", fromTree, fresh)
+		sameSource(t, doc.name+" after appends to the store", fromStore, fresh)
 	}
 }
 
-// sameSource fails unless a and b publish equal label and content columns
-// over tables of equal length, every content row capped at its length.
+// sameSource fails unless a and b publish equal label, content, text and
+// attribute columns over tables of equal length, every content row capped
+// at its length.
 func sameSource(t *testing.T, label string, a, b *Engine) {
 	t.Helper()
 	n := a.head.Load().Tab.Len()
@@ -59,6 +66,12 @@ func sameSource(t *testing.T, label string, a, b *Engine) {
 		}
 		if cap(ra) != len(ra) || cap(rb) != len(rb) {
 			t.Fatalf("%s: node %d content rows not capped: cap %d/%d for %d words", label, id, cap(ra), cap(rb), len(ra))
+		}
+		if ta, tb := sa.text.Row(id), sb.text.Row(id); ta != tb {
+			t.Fatalf("%s: node %d text %q against %q", label, id, ta, tb)
+		}
+		if aa, ab := sa.attrs.Row(id), sb.attrs.Row(id); aa != ab {
+			t.Fatalf("%s: node %d attributes %q against %q", label, id, aa, ab)
 		}
 	}
 }

@@ -11,10 +11,9 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/dewey"
-	"xks/internal/nid"
 	"xks/internal/paperdata"
-	"xks/internal/reference"
 	"xks/internal/store"
+	"xks/internal/xmltree"
 )
 
 func storeEngine(t *testing.T) *Engine {
@@ -64,11 +63,19 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 }
 
 // TestPreviousFormatStoreAnswersAsShred: a store file written while the
-// format still carried a planner statistics section opens in every mode and
-// answers the paper queries — fragments, scores, renders — exactly as a
-// fresh Shred of the same document does.
+// format still carried a planner statistics section, and before it kept
+// text and attributes, opens in every mode and answers the paper queries —
+// fragments, scores, node facts — exactly as a fresh Shred of the same
+// document does, and renders them as the document with empty text and no
+// attributes: every NodeText is "", and XML and ASCII are the reference
+// writers' over the document stripped of both.
 func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 	fresh := storeEngine(t)
+	bare := paperdata.Publications()
+	bare.Walk(func(n *xmltree.Node) bool {
+		n.Text, n.Attrs = "", nil
+		return true
+	})
 	for _, mode := range []store.OpenMode{store.OpenAuto, store.OpenMmap, store.OpenHeap} {
 		st, err := store.OpenFile(filepath.Join("internal", "store", "testdata", "publications-stats-section.xks"), store.OpenOptions{Mode: mode})
 		if mode == store.OpenMmap && err != nil {
@@ -80,45 +87,54 @@ func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 		old := FromStore(st)
 		for _, q := range []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword} {
 			for _, opts := range crosscheckOptions() {
-				assertSameResults(t, fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit),
-					fresh, old, withQuery(opts, q), true)
+				label := fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit)
+				assertSameResults(t, label, fresh, old, withQuery(opts, q), false)
+				for _, f := range engineFragments(t, old, withQuery(opts, q)) {
+					root := bare.NodeAt(f.v.snap.Table().Code(f.keptIDs[0]))
+					if got, want := f.XML(), fragmentXML(root, keepMap(f)); got != want {
+						t.Fatalf("%s fragment %s: XML\n%s\nwant\n%s", label, f.Root, got, want)
+					}
+					if got, want := f.ASCII(), asciiTree(root, keepMap(f)); got != want {
+						t.Fatalf("%s fragment %s: ASCII\n%s\nwant\n%s", label, f.Root, got, want)
+					}
+					for i := range f.Nodes {
+						if text := f.NodeText(i); text != "" {
+							t.Fatalf("%s fragment %s node %d: text %q, want none", label, f.Root, i, text)
+						}
+					}
+				}
 			}
 		}
 		old.Close()
 	}
 }
 
+// TestStoreBackedRendering: a store-backed fragment renders the document's
+// text — in its XML, its ASCII tree and the snippet — exactly as
+// the engine over the parsed document renders it.
 func TestStoreBackedRendering(t *testing.T) {
-	e := storeEngine(t)
+	e, ref := storeEngine(t), FromTree(paperdata.Publications())
 	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := res.Fragments[0]
-	ascii := f.ASCII()
-	// Skeleton with labels and content words, no raw text.
-	if !strings.Contains(ascii, "(Publications)") || !strings.Contains(ascii, "vldb") {
-		t.Errorf("store ASCII rendering:\n%s", ascii)
+	want, err := ref.Search(context.Background(), Request{Query: paperdata.Q3})
+	if err != nil || len(want.Fragments) != len(res.Fragments) {
+		t.Fatalf("%v, err %v; want %d fragments", want, err, len(res.Fragments))
 	}
-	xmlOut := f.XML()
-	if !strings.Contains(xmlOut, "<Publications>") || !strings.Contains(xmlOut, "</Publications>") {
-		t.Errorf("store XML rendering:\n%s", xmlOut)
+	f, w := res.Fragments[0], want.Fragments[0]
+	xmlOut, ascii := f.XML(), f.ASCII()
+	if xmlOut != w.XML() || ascii != w.ASCII() || f.Snippet() != w.Snippet() {
+		t.Fatalf("store rendering\n%s%s%q\nwant\n%s%s%q", xmlOut, ascii, f.Snippet(), w.XML(), w.ASCII(), w.Snippet())
 	}
-	if !strings.Contains(xmlOut, "<ref>") {
-		t.Errorf("store XML missing kept leaf:\n%s", xmlOut)
+	if !strings.Contains(xmlOut, "<Publications>") || !strings.Contains(xmlOut, "</Publications>") || !strings.Contains(xmlOut, "<title>VLDB</title>") {
+		t.Errorf("store XML rendering lacks the kept elements' text:\n%s", xmlOut)
+	}
+	if !strings.Contains(ascii, `(title) "VLDB"`) {
+		t.Errorf("store ASCII rendering lacks the kept nodes' text:\n%s", ascii)
 	}
 	if strings.Contains(xmlOut, "Skyline") {
 		t.Errorf("pruned branch leaked:\n%s", xmlOut)
-	}
-}
-
-func TestStoreBackedTreeAccessorNil(t *testing.T) {
-	e := storeEngine(t)
-	if e.Tree() != nil {
-		t.Error("store-backed engine should have nil Tree")
-	}
-	if e.Index() == nil {
-		t.Error("Index should be available")
 	}
 }
 
@@ -156,39 +172,10 @@ func TestStoreBackedCompare(t *testing.T) {
 	}
 }
 
-// referenceStoreXML is the store renderer as first written — every node
-// resolved by Dewey code through the node table's Find, its label and
-// content read from the store's rows, formatted with fmt — kept as the
-// reference the append-based renderer must match byte for byte.
-func referenceStoreXML(st *store.Store, tab *nid.Table, kept []dewey.Code) string {
-	var b strings.Builder
-	var stack []dewey.Code
-	labelOf := func(c dewey.Code) string {
-		id, _ := tab.Find(c)
-		return st.LabelAt(int(id))
-	}
-	closeTop := func() {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		fmt.Fprintf(&b, "%s</%s>\n", strings.Repeat("  ", len(stack)), labelOf(top))
-	}
-	for _, c := range kept {
-		for len(stack) > 0 && !reference.IsAncestor(stack[len(stack)-1], c) {
-			closeTop()
-		}
-		id, _ := tab.Find(c)
-		fmt.Fprintf(&b, "%s<%s>%s\n", strings.Repeat("  ", len(stack)), labelOf(c), strings.Join(st.ContentAt(int(id)), " "))
-		stack = append(stack, c)
-	}
-	for len(stack) > 0 {
-		closeTop()
-	}
-	return b.String()
-}
-
 // TestStoreRenderMatchesReference pins XML and WriteXML of store-backed
 // fragments — small ones and one larger than the renderer's flush threshold
-// — to the reference rendering.
+// — to the recursive reference writer (fragmentXML) over the shredded
+// document, byte for byte.
 func TestStoreRenderMatchesReference(t *testing.T) {
 	tree := datagen.DBLP(datagen.DBLPConfig{
 		Seed:       3,
@@ -203,11 +190,7 @@ func TestStoreRenderMatchesReference(t *testing.T) {
 	}
 	largest := 0
 	for i, f := range res.Fragments {
-		kept := make([]dewey.Code, f.Len())
-		for j, n := range f.Nodes {
-			kept[j] = dewey.MustParse(n.Dewey)
-		}
-		want := referenceStoreXML(st, e.Index().Table(), kept)
+		want := fragmentXML(tree.NodeAt(dewey.MustParse(f.Root)), keepMap(f))
 		var streamed bytes.Buffer
 		if err := f.WriteXML(&streamed); err != nil {
 			t.Fatal(err)

@@ -40,10 +40,10 @@ func keepMap(f *Fragment) map[string]bool {
 }
 
 // referenceTreeXML is the rendering the tree source produced before it walked
-// kept IDs: fragmentXML over the live tree, filtered by the fragment's
-// Dewey-keyed keep map.
+// kept IDs: fragmentXML over the engine's document tree (Engine.Tree, which
+// AppendXML keeps in step), filtered by the fragment's Dewey-keyed keep map.
 func referenceTreeXML(e *Engine, f *Fragment) string {
-	return fragmentXML(e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+	return fragmentXML(e.Tree().NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
 }
 
 // fragmentXML serializes the nodes of the subtree rooted at root whose
@@ -114,9 +114,10 @@ func TestWriteFragmentXML(t *testing.T) {
 }
 
 // referenceTreeASCII is the ASCII rendering the tree source produced before
-// it walked kept IDs: asciiTree over the live tree and the keep map.
+// it walked kept IDs: asciiTree over the engine's document tree and the keep
+// map.
 func referenceTreeASCII(e *Engine, f *Fragment) string {
-	return asciiTree(e.tree.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+	return asciiTree(e.Tree().NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
 }
 
 // asciiTree renders the subtree rooted at root as an indented tree in the
