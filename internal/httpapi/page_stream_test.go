@@ -29,13 +29,11 @@ import (
 )
 
 // streamBackend is one backend of the differential: how to build it fresh
-// (shapes that append need their own copy), a document name for doc=, and
-// whether it takes appends (a store-backed engine does not).
+// (shapes that append need their own copy) and a document name for doc=.
 type streamBackend struct {
-	name    string
-	build   func(t *testing.T) service.Backend
-	doc     string
-	appends bool
+	name  string
+	build func(t *testing.T) service.Backend
+	doc   string
 }
 
 func streamBackends() []streamBackend {
@@ -47,7 +45,7 @@ func streamBackends() []streamBackend {
 		}))
 	}
 	return []streamBackend{
-		{name: "tree", doc: "dblp", appends: true, build: func(*testing.T) service.Backend {
+		{name: "tree", doc: "dblp", build: func(*testing.T) service.Backend {
 			return service.SingleDoc{Name: "dblp", Engine: tree(7)}
 		}},
 		{name: "store-v3", doc: "dblp", build: func(t *testing.T) service.Backend {
@@ -66,7 +64,7 @@ func streamBackends() []streamBackend {
 			}
 			return service.SingleDoc{Name: "dblp", Engine: e}
 		}},
-		{name: "corpus", doc: "b", appends: true, build: func(*testing.T) service.Backend {
+		{name: "corpus", doc: "b", build: func(*testing.T) service.Backend {
 			c := xks.NewCorpus()
 			c.Add("a", tree(7))
 			c.Add("b", tree(8))
@@ -251,9 +249,6 @@ func TestPageIsTheDrainedStream(t *testing.T) {
 				b.name, cut.Truncated, cut.Truncation, len(cut.Fragments), cut.Cursor)
 		}
 
-		if !b.appends {
-			continue
-		}
 		if other := otherDocument(svc, b.doc); other != "" {
 			// A tail append to another document does not shift a doc= scroll.
 			if err := svc.Append(other, "0", `<inproceedings><title>alpha beta elsewhere</title></inproceedings>`); err != nil {

@@ -40,10 +40,10 @@ func keepMap(f *Fragment) map[string]bool {
 }
 
 // referenceTreeXML is the rendering the tree source produced before it walked
-// kept IDs: fragmentXML over the engine's document tree (Engine.Tree, which
-// AppendXML keeps in step), filtered by the fragment's Dewey-keyed keep map.
-func referenceTreeXML(e *Engine, f *Fragment) string {
-	return fragmentXML(e.Tree().NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+// kept IDs: fragmentXML over doc, the test's own parse of the engine's
+// document, filtered by the fragment's Dewey-keyed keep map.
+func referenceTreeXML(doc *xmltree.Tree, f *Fragment) string {
+	return fragmentXML(doc.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
 }
 
 // fragmentXML serializes the nodes of the subtree rooted at root whose
@@ -114,10 +114,10 @@ func TestWriteFragmentXML(t *testing.T) {
 }
 
 // referenceTreeASCII is the ASCII rendering the tree source produced before
-// it walked kept IDs: asciiTree over the engine's document tree and the keep
-// map.
-func referenceTreeASCII(e *Engine, f *Fragment) string {
-	return asciiTree(e.Tree().NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
+// it walked kept IDs: asciiTree over doc, the test's own parse of the
+// engine's document, and the keep map.
+func referenceTreeASCII(doc *xmltree.Tree, f *Fragment) string {
+	return asciiTree(doc.NodeAt(f.v.snap.Table().Code(f.keptIDs[0])), keepMap(f))
 }
 
 // asciiTree renders the subtree rooted at root as an indented tree in the
@@ -178,12 +178,14 @@ func allFragments(t *testing.T, e *Engine, queries []string) []*Fragment {
 }
 
 // requireReference renders every fragment with WriteXML, XML and ASCII,
-// requires each to match its reference, and returns the XML renderings.
-func requireReference(t *testing.T, e *Engine, frags []*Fragment) []string {
+// requires each to match its reference over doc, a tree the test parsed or
+// built itself and keeps in step with the engine's appends, and returns the
+// XML renderings.
+func requireReference(t *testing.T, doc *xmltree.Tree, frags []*Fragment) []string {
 	t.Helper()
 	out := make([]string, len(frags))
 	for i, f := range frags {
-		want := referenceTreeXML(e, f)
+		want := referenceTreeXML(doc, f)
 		var streamed bytes.Buffer
 		if err := f.WriteXML(&streamed); err != nil {
 			t.Fatal(err)
@@ -191,7 +193,7 @@ func requireReference(t *testing.T, e *Engine, frags []*Fragment) []string {
 		if streamed.String() != want || f.XML() != want {
 			t.Fatalf("fragment %s: WriteXML or XML differs from the reference:\n%s\n----\n%s", f.Root, streamed.String(), want)
 		}
-		if got, want := f.ASCII(), referenceTreeASCII(e, f); got != want {
+		if got, want := f.ASCII(), referenceTreeASCII(doc, f); got != want {
 			t.Fatalf("fragment %s: ASCII differs from the reference:\n%s\n----\n%s", f.Root, got, want)
 		}
 		out[i] = want
@@ -209,11 +211,15 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc, err := xmltree.ParseString(renderDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	frags := allFragments(t, e, renderQueries)
 	if len(frags) < 40 {
 		t.Fatalf("only %d fragments; the queries no longer match the document", len(frags))
 	}
-	before := requireReference(t, e, frags)
+	before := requireReference(t, doc, frags)
 	forms := map[string]bool{}
 	for _, x := range before {
 		for _, form := range []string{`<empty/>`, `<tag k="v"/>`, `<note/>`, "mixed text &amp; more\n", `&lt;top &quot;shelf&quot;&gt;`, `Alpha &quot;quoted&quot; &lt;beta&gt;</title>`} {
@@ -226,26 +232,37 @@ func TestTreeRenderMatchesReference(t *testing.T) {
 		t.Fatalf("rendered forms seen: %v; want all six", forms)
 	}
 
-	built := FromTree(xmltree.Build(xmltree.E{Label: "r", Attrs: []xmltree.Attr{{Name: "a", Value: "x\xffy"}}, Kids: []xmltree.E{
-		{Label: "p", Text: "alpha \xc3\x28 café � <&>"}, {Label: "p", Text: "beta\xf0\x9f"},
-	}}))
-	requireReference(t, built, allFragments(t, built, []string{"alpha beta", "alpha", "x beta"}))
+	builtDoc := func() *xmltree.Tree {
+		return xmltree.Build(xmltree.E{Label: "r", Attrs: []xmltree.Attr{{Name: "a", Value: "x\xffy"}}, Kids: []xmltree.E{
+			{Label: "p", Text: "alpha \xc3\x28 café � <&>"}, {Label: "p", Text: "beta\xf0\x9f"},
+		}})
+	}
+	built := FromTree(builtDoc())
+	requireReference(t, builtDoc(), allFragments(t, built, []string{"alpha beta", "alpha", "x beta"}))
 
 	// Tail appends: fragments from before keep rendering what they kept, new
 	// ones see the new nodes.
-	if err := e.AppendXML("0", `<shelf id="s3"><book><title>alpha beta &amp; gamma</title></book></shelf>`); err != nil {
+	const shelf = `<shelf id="s3"><book><title>alpha beta &amp; gamma</title></book></shelf>`
+	if err := e.AppendXML("0", shelf); err != nil {
 		t.Fatal(err)
 	}
-	requireReference(t, e, frags)
-	requireReference(t, e, allFragments(t, e, renderQueries))
+	sub, err := xmltree.ParseString(shelf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.AppendChild(dewey.Code{0}, sub.Root); err != nil {
+		t.Fatal(err)
+	}
+	requireReference(t, doc, frags)
+	requireReference(t, doc, allFragments(t, e, renderQueries))
 
 	// Off the rightmost spine: the append is refused, and the fragments
 	// materialized before it render from the tables they pinned.
 	requireOffSpineRefused(t, e, "0.0", `<book><title>alpha delta</title></book>`)
-	for i, got := range requireReference(t, e, frags) {
+	for i, got := range requireReference(t, doc, frags) {
 		if got != before[i] {
 			t.Fatalf("fragment %s renders differently after a refused append:\n%s\n----\n%s", frags[i].Root, got, before[i])
 		}
 	}
-	requireReference(t, e, allFragments(t, e, renderQueries))
+	requireReference(t, doc, allFragments(t, e, renderQueries))
 }
