@@ -54,7 +54,7 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	if err != nil {
 		return fmt.Errorf("xks: bad parent code: %w", err)
 	}
-	sub, err := xmltree.ParseString(snippet)
+	rows, err := index.AnalyzeBytes([]byte(snippet), e.an)
 	if err != nil {
 		return fmt.Errorf("xks: bad snippet: %w", err)
 	}
@@ -70,12 +70,12 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 	}
 
 	// Everything the publish needs is collected before anything changes:
-	// from one walk of the subtree, its rows (the segment's posting lists
-	// and the source columns' tail), and the Dewey codes its nodes will
-	// take under the parent's next child ordinal, for the table tail: the
-	// parent's subtree ends the table, so its last child is the last
-	// node's ancestor-or-self one level below the parent.
-	rows := index.Analyze(sub, e.an)
+	// the snippet's rows (the segment's posting lists and the source
+	// columns' tail), the Dewey codes its nodes will take under the
+	// parent's next child ordinal, for the table tail (the parent's
+	// subtree ends the table, so its last child is the last node's
+	// ancestor-or-self one level below the parent), and, while the Tree
+	// bridge is live, the snippet's tree.
 	next := uint32(0)
 	if last := nid.ID(h.Tab.Len() - 1); last != pid {
 		next = h.Tab.Code(last)[len(parent)] + 1
@@ -95,6 +95,10 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 		return err
 	}
 	if e.tree != nil {
+		sub, err := xmltree.ParseString(snippet)
+		if err != nil {
+			return err
+		}
 		if err := e.tree.AppendChild(parent, sub.Root); err != nil {
 			return err
 		}

@@ -13,7 +13,7 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
@@ -21,7 +21,7 @@ import (
 // AppendXML makes the new content searchable and produces exactly the same
 // results as rebuilding the engine from scratch.
 func TestAppendXMLMatchesRebuild(t *testing.T) {
-	incremental := FromTree(paperdata.Publications())
+	incremental := FromTree(reference.Publications())
 	snippet := `<article>
 	  <authors><author><name>Kong Liu</name></author></authors>
 	  <title>Relaxed Tightest Fragments for keyword search</title>
@@ -30,7 +30,7 @@ func TestAppendXMLMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rebuilt := paperdata.Publications()
+	rebuilt := reference.Publications()
 	sub, err := xmltree.ParseString(snippet)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +38,11 @@ func TestAppendXMLMatchesRebuild(t *testing.T) {
 	if err := rebuilt.AppendChild(mustCode(t, "0.2"), sub.Root); err != nil {
 		t.Fatal(err)
 	}
-	reference := FromTree(rebuilt)
+	fresh := FromTree(rebuilt)
 
-	for _, q := range []string{paperdata.Q2, paperdata.Q3, "kong keyword", "liu keyword search"} {
+	for _, q := range []string{reference.Q2, reference.Q3, "kong keyword", "liu keyword search"} {
 		a, errA := incremental.Search(context.Background(), Request{Query: q, Rank: true})
-		b, errB := reference.Search(context.Background(), Request{Query: q, Rank: true})
+		b, errB := fresh.Search(context.Background(), Request{Query: q, Rank: true})
 		if errA != nil || errB != nil {
 			t.Fatalf("%q: %v / %v", q, errA, errB)
 		}
@@ -72,7 +72,7 @@ func mustCode(t *testing.T, s string) (c []uint32) {
 }
 
 func TestAppendXMLNewKeywordBecomesSearchable(t *testing.T) {
-	e := FromTree(paperdata.Team())
+	e := FromTree(reference.Team())
 	if res, _ := e.Search(context.Background(), Request{Query: "conley position"}); res != nil && len(res.Fragments) != 0 {
 		t.Fatal("conley should not match before append")
 	}
@@ -93,7 +93,7 @@ func TestAppendXMLNewKeywordBecomesSearchable(t *testing.T) {
 }
 
 func TestAppendXMLErrors(t *testing.T) {
-	e := FromTree(paperdata.Team())
+	e := FromTree(reference.Team())
 	if err := e.AppendXML("9.9", `<x/>`); err == nil {
 		t.Error("append under missing parent should fail")
 	}
@@ -176,13 +176,13 @@ func requireOffSpineRefused(t *testing.T, e *Engine, parent, snippet string) {
 // the version, the source tables and every answer are those from
 // before the call, and a tail append still lands afterwards.
 func TestAppendXMLOffSpineLeavesEngineUntouched(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	if err := e.AppendXML("0", `<article><title>xml keyword</title></article>`); err != nil {
 		t.Fatal(err)
 	}
 	answers := func() []string {
 		var out []string
-		for _, q := range []string{paperdata.Q2, paperdata.Q3, "xml keyword", "kong"} {
+		for _, q := range []string{reference.Q2, reference.Q3, "xml keyword", "kong"} {
 			res, err := e.Search(context.Background(), Request{Query: q, Rank: true})
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +217,7 @@ func TestAppendXMLOffSpineLeavesEngineUntouched(t *testing.T) {
 // Repeated appends keep data monotonicity: fragment counts never decrease
 // for a fixed query.
 func TestAppendXMLMonotone(t *testing.T) {
-	e := FromTree(paperdata.Team())
+	e := FromTree(reference.Team())
 	prev := 0
 	for i := 0; i < 5; i++ {
 		res, err := e.Search(context.Background(), Request{Query: "grizzlies position"})
@@ -241,10 +241,10 @@ func TestAppendXMLMonotone(t *testing.T) {
 // change meaning across releases: a cursor a client holds keeps resuming.
 func TestTailAppendTokensArePinned(t *testing.T) {
 	ctx := context.Background()
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	c := NewCorpus()
-	c.Add("pub", FromTree(paperdata.Publications()))
-	c.Add("team", FromTree(paperdata.Team()))
+	c.Add("pub", FromTree(reference.Publications()))
+	c.Add("team", FromTree(reference.Team()))
 	var got []string
 	record := func() {
 		t.Helper()

@@ -27,7 +27,7 @@ import (
 
 	"xks"
 	"xks/internal/dewey"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
@@ -225,15 +225,15 @@ func checkAll(base *xmltree.Tree, parent dewey.Code, sub xmltree.E, req xks.Requ
 // mutating a document and a query and watching the result set respond.
 func Example_axioms() {
 	ctx := context.Background()
-	tree := paperdata.Team()
+	tree := reference.Team()
 	engine := xks.FromTree(tree)
 
 	// Baseline: Q4 = "Grizzlies position".
-	res, err := engine.Search(ctx, xks.Request{Query: paperdata.Q4})
+	res, err := engine.Search(ctx, xks.Request{Query: reference.Q4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("baseline %q: %d fragment(s)\n", paperdata.Q4, len(res.Fragments))
+	fmt.Printf("baseline %q: %d fragment(s)\n", reference.Q4, len(res.Fragments))
 	fmt.Print(res.Fragments[0].ASCII())
 
 	// Data monotonicity + consistency: add a fourth player.
@@ -245,7 +245,7 @@ func Example_axioms() {
 	if err := extended.AppendChild(dewey.MustParse("0.1"), xmltree.Build(newPlayer).Root); err != nil {
 		log.Fatal(err)
 	}
-	after, err := xks.FromTree(extended).Search(ctx, xks.Request{Query: paperdata.Q4})
+	after, err := xks.FromTree(extended).Search(ctx, xks.Request{Query: reference.Q4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func Example_axioms() {
 		len(after.Fragments), len(res.Fragments))
 
 	// Query monotonicity: extend the query.
-	narrower, err := engine.Search(ctx, xks.Request{Query: paperdata.Q4 + " gassol"})
+	narrower, err := engine.Search(ctx, xks.Request{Query: reference.Q4 + " gassol"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func Example_axioms() {
 
 	// Run all four formal checkers.
 	verdicts, err := checkAll(tree, dewey.MustParse("0.1"), newPlayer,
-		xks.Request{Query: paperdata.Q4}, "gassol")
+		xks.Request{Query: reference.Q4}, "gassol")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -295,11 +295,11 @@ func Example_axioms() {
 }
 
 func TestDataMonotonicityOnPaperInstance(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	sub := xmltree.E{Label: "article", Kids: []xmltree.E{
 		{Label: "title", Text: "Another Liu keyword paper"},
 	}}
-	v, err := checkDataMonotonicity(tree, dewey.MustParse("0.2"), sub, xks.Request{Query: paperdata.Q2})
+	v, err := checkDataMonotonicity(tree, dewey.MustParse("0.2"), sub, xks.Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +309,11 @@ func TestDataMonotonicityOnPaperInstance(t *testing.T) {
 }
 
 func TestDataConsistencyOnPaperInstance(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	sub := xmltree.E{Label: "article", Kids: []xmltree.E{
 		{Label: "title", Text: "Liu on keyword search"},
 	}}
-	v, err := checkDataConsistency(tree, dewey.MustParse("0.2"), sub, xks.Request{Query: paperdata.Q2})
+	v, err := checkDataConsistency(tree, dewey.MustParse("0.2"), sub, xks.Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDataConsistencyOnPaperInstance(t *testing.T) {
 }
 
 func TestQueryMonotonicityOnPaperInstance(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	v, err := checkQueryMonotonicity(tree, xks.Request{Query: "keyword"}, "liu")
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestQueryMonotonicityOnPaperInstance(t *testing.T) {
 }
 
 func TestQueryConsistencyOnPaperInstance(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	v, err := checkQueryConsistency(tree, xks.Request{Query: "keyword"}, "liu")
 	if err != nil {
 		t.Fatal(err)
@@ -345,12 +345,12 @@ func TestQueryConsistencyOnPaperInstance(t *testing.T) {
 }
 
 func TestCheckAll(t *testing.T) {
-	tree := paperdata.Team()
+	tree := reference.Team()
 	sub := xmltree.E{Label: "player", Kids: []xmltree.E{
 		{Label: "name", Text: "Gay"},
 		{Label: "position", Text: "forward"},
 	}}
-	vs, err := checkAll(tree, dewey.MustParse("0.1"), sub, xks.Request{Query: paperdata.Q4}, "gassol")
+	vs, err := checkAll(tree, dewey.MustParse("0.1"), sub, xks.Request{Query: reference.Q4}, "gassol")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestVerdictFormatting(t *testing.T) {
 }
 
 func TestCheckersPropagateErrors(t *testing.T) {
-	tree := paperdata.Team()
+	tree := reference.Team()
 	// Insertion under a nonexistent parent.
 	if _, err := checkDataMonotonicity(tree, dewey.MustParse("9.9"), xmltree.E{Label: "x"}, xks.Request{Query: "position"}); err == nil {
 		t.Error("bad parent should error")

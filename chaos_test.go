@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"xks/internal/fault"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 // chaosCorpus builds a four-document corpus (copies of the paper's
@@ -30,7 +30,7 @@ func chaosCorpus(tb testing.TB) *Corpus {
 	tb.Helper()
 	c := NewCorpus()
 	for _, n := range []string{"a.xml", "b.xml", "c.xml", "d.xml"} {
-		c.Add(n, FromTree(paperdata.Publications()))
+		c.Add(n, FromTree(reference.Publications()))
 	}
 	return c
 }
@@ -61,7 +61,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 	})
 	ctx := fault.NewContext(context.Background(), plan)
 
-	_, err := c.Search(ctx, Request{Query: paperdata.Q1})
+	_, err := c.Search(ctx, Request{Query: reference.Q1})
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -78,7 +78,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 
 	// The same corpus still serves: the panic poisoned one request, not
 	// the engine.
-	res, err := c.Search(context.Background(), Request{Query: paperdata.Q1})
+	res, err := c.Search(context.Background(), Request{Query: reference.Q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestChaosWorkerPanicIsolated(t *testing.T) {
 func TestChaosMaterializePanicIsolated(t *testing.T) {
 	leakCheck(t)
 	c := chaosCorpus(t)
-	req := Request{Query: paperdata.Q1, Rank: true, Limit: 4}
+	req := Request{Query: reference.Q1, Rank: true, Limit: 4}
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointMaterialize,
@@ -148,7 +148,7 @@ func TestChaosStoreReadFault(t *testing.T) {
 		Count:  1,
 		Action: fault.Action{Err: fault.ErrInjected},
 	})
-	_, err := c.Search(fault.NewContext(context.Background(), plan), Request{Query: paperdata.Q1})
+	_, err := c.Search(fault.NewContext(context.Background(), plan), Request{Query: reference.Q1})
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want the injected sentinel", err)
 	}
@@ -168,7 +168,7 @@ func TestChaosSlowStageBoundedByDeadline(t *testing.T) {
 		Point:  fault.PointCandidates,
 		Action: fault.Action{Delay: 30 * time.Second},
 	})
-	req := Request{Query: paperdata.Q1}
+	req := Request{Query: reference.Q1}
 	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 50*time.Millisecond)
 	defer cancel()
 
@@ -196,7 +196,7 @@ func TestChaosDeadlineSalvagesCandidates(t *testing.T) {
 		Label:  "d.xml",
 		Action: fault.Action{UntilDeadline: true},
 	})
-	req := Request{Query: paperdata.Q1, Rank: true, Limit: 6}
+	req := Request{Query: reference.Q1, Rank: true, Limit: 6}
 	req.Budget = BestEffort
 	ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 150*time.Millisecond)
 	defer cancel()
@@ -255,7 +255,7 @@ func TestChaosDeadlineStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := Request{Query: paperdata.Q1, Rank: true, Limit: 4}
+			req := Request{Query: reference.Q1, Rank: true, Limit: 4}
 			req.Budget = BestEffort
 			ctx, cancel := context.WithTimeout(fault.NewContext(context.Background(), plan), 80*time.Millisecond)
 			defer cancel()

@@ -15,8 +15,8 @@ import (
 	"os"
 
 	"xks/internal/analysis"
+	"xks/internal/index"
 	"xks/internal/store"
-	"xks/internal/xmltree"
 )
 
 func main() {
@@ -50,16 +50,15 @@ func main() {
 		fmt.Printf("element rows: %d\nlabel rows:   %d\nvalue rows:   %d\ndistinct keywords: %d\n",
 			s.NumNodes(), s.NumLabels(), s.NumValues(), len(s.Keywords()))
 	case *in != "" && *out != "":
-		f, err := os.Open(*in)
+		doc, err := os.ReadFile(*in)
 		if err != nil {
 			fatal(err)
 		}
-		tree, err := xmltree.Parse(f)
-		f.Close()
+		rows, err := index.AnalyzeBytes(doc, analysis.New())
 		if err != nil {
 			fatal(err)
 		}
-		s := store.Shred(tree, analysis.New())
+		s := store.FromRows(rows)
 		if err := s.SaveFile(*out); err != nil {
 			fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 
 	"xks/internal/dewey"
 	"xks/internal/metrics"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 // TestCompareIsTwoSearches: Compare's NumRTFs and ratios are metrics.Compute
@@ -25,8 +25,8 @@ func TestCompareIsTwoSearches(t *testing.T) {
 		e       *Engine
 		queries []string
 	}{
-		{"publications", pubEngine(t), []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, "zebra keyword"}},
-		{"team", teamEngine(t), []string{paperdata.Q4, paperdata.Q5}},
+		{"publications", pubEngine(t), []string{reference.Q1, reference.Q2, reference.Q3, "zebra keyword"}},
+		{"team", teamEngine(t), []string{reference.Q4, reference.Q5}},
 		{"dblp", dblp, dblpQueries},
 		{"xmark", xmark, xmarkQueries},
 	} {

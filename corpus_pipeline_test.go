@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"xks/internal/analysis"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 	"xks/internal/workload"
 )
@@ -18,10 +18,10 @@ import (
 // relational layout) behind the same staged search path.
 func TestCorpusWithStoreBackedEngines(t *testing.T) {
 	c := NewCorpus()
-	c.Add("tree.xml", FromTree(paperdata.Publications()))
-	c.Add("store.xks", FromStore(store.Shred(paperdata.Publications(), analysis.New())))
+	c.Add("tree.xml", FromTree(reference.Publications()))
+	c.Add("store.xks", FromStore(store.Shred(reference.Publications(), analysis.New())))
 
-	res, err := c.Search(context.Background(), Request{Query: paperdata.Q1})
+	res, err := c.Search(context.Background(), Request{Query: reference.Q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 
 	// Ranked + limited across the mixed corpus still materializes only the
 	// selection, and store-backed fragments survive it.
-	ranked, err := c.Search(context.Background(), Request{Query: paperdata.Q1, Rank: true, Limit: 2})
+	ranked, err := c.Search(context.Background(), Request{Query: reference.Q1, Rank: true, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 	}
 
 	// A document-filtered search still reaches the store-backed engine.
-	oneReq := Request{Query: paperdata.Q1}
+	oneReq := Request{Query: reference.Q1}
 	oneReq.Document = "store.xks"
 	one, err := c.Search(context.Background(), oneReq)
 	if err != nil {

@@ -7,14 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func testCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	c := NewCorpus()
-	c.Add("publications", FromTree(paperdata.Publications()))
-	c.Add("team", FromTree(paperdata.Team()))
+	c.Add("publications", FromTree(reference.Publications()))
+	c.Add("team", FromTree(reference.Team()))
 	return c
 }
 
@@ -99,7 +99,7 @@ func TestCorpusUnsearchableQueryFails(t *testing.T) {
 
 func TestCorpusAddReplaces(t *testing.T) {
 	c := testCorpus(t)
-	c.Add("team", FromTree(paperdata.Publications()))
+	c.Add("team", FromTree(reference.Publications()))
 	if c.Len() != 2 {
 		t.Errorf("Len = %d after replacement", c.Len())
 	}
@@ -241,7 +241,7 @@ func TestCorpusDocumentsAndGeneration(t *testing.T) {
 	// contract — staleness detection is exact-token matching plus the
 	// snapshot registry).
 	g0 := c.Generation()
-	c.Add("extra", FromTree(paperdata.Team()))
+	c.Add("extra", FromTree(reference.Team()))
 	g1 := c.Generation()
 	if g1 == g0 {
 		t.Error("Add must change the generation")
@@ -257,7 +257,7 @@ func TestCorpusDocumentsAndGeneration(t *testing.T) {
 	// can never revisit a value the replaced document's cache entries or
 	// cursors were tagged with — even though the engine contents (and thus
 	// its own version token) are identical.
-	c.Add("extra", FromTree(paperdata.Team()))
+	c.Add("extra", FromTree(reference.Team()))
 	g3 := c.Generation()
 	if g3 == g2 || g3 == g1 || g3 == g0 {
 		t.Errorf("Generation after replacement = %d revisits an earlier token (%d %d %d)", g3, g0, g1, g2)

@@ -10,7 +10,7 @@ import (
 	"slices"
 	"testing"
 
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func TestCursorRoundTrip(t *testing.T) {
@@ -211,7 +211,7 @@ func TestCorpusCursorWalk(t *testing.T) {
 	if page1.Cursor == "" {
 		t.Fatal("page 1 issued no cursor")
 	}
-	c.Add("late.xml", FromTree(paperdata.Publications()))
+	c.Add("late.xml", FromTree(reference.Publications()))
 	pinned, err := c.Search(context.Background(), Request{Query: q, Rank: true, Limit: 3, Cursor: page1.Cursor})
 	if err != nil {
 		t.Fatalf("post-Add page 2: err = %v, want snapshot-pinned resume", err)
@@ -227,7 +227,7 @@ func TestCorpusCursorWalk(t *testing.T) {
 
 	// Replacing a document the cursor pinned destroys its snapshot: the
 	// cursor dies loudly instead of silently scrolling different data.
-	c.Add(c.Names()[0], FromTree(paperdata.Publications()))
+	c.Add(c.Names()[0], FromTree(reference.Publications()))
 	if _, err := c.Search(context.Background(), Request{Query: q, Rank: true, Limit: 3, Cursor: page1.Cursor}); !errors.Is(err, ErrStaleCursor) {
 		t.Fatalf("post-replace page 2: err = %v, want ErrStaleCursor", err)
 	}
@@ -300,16 +300,16 @@ func TestCursorMismatchIsOneError(t *testing.T) {
 	c := NewCorpus()
 	c.Add("pub.xml", e)
 	ctx := context.Background()
-	page, err := e.Search(ctx, Request{Query: paperdata.Q2, Limit: 1})
+	page, err := e.Search(ctx, Request{Query: reference.Q2, Limit: 1})
 	if err != nil || page.Cursor == "" {
 		t.Fatalf("page 1: cursor %q, err %v", page.Cursor, err)
 	}
-	cpage, err := c.Search(ctx, Request{Query: paperdata.Q2, Limit: 1})
+	cpage, err := c.Search(ctx, Request{Query: reference.Q2, Limit: 1})
 	if err != nil || cpage.Cursor == "" {
 		t.Fatalf("corpus page 1: cursor %q, err %v", cpage.Cursor, err)
 	}
-	other := Request{Query: paperdata.Q3, Limit: 1, Cursor: page.Cursor}
-	corpusOther := Request{Query: paperdata.Q3, Limit: 1, Cursor: cpage.Cursor}
+	other := Request{Query: reference.Q3, Limit: 1, Cursor: page.Cursor}
+	corpusOther := Request{Query: reference.Q3, Limit: 1, Cursor: cpage.Cursor}
 
 	_, errResolve := other.ResolveCursor(e.Generation())
 	_, errSearch := e.Search(ctx, other)

@@ -17,8 +17,8 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/index"
-	"xks/internal/paperdata"
 	"xks/internal/planner"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
@@ -188,14 +188,14 @@ func TestDeltaCorpusMatchesRebuilt(t *testing.T) {
 			e = rebuiltEngine(t)
 		}
 		c.Add("grow.xml", e)
-		c.Add("static.xml", FromTree(paperdata.Publications()))
+		c.Add("static.xml", FromTree(reference.Publications()))
 		return c
 	}
 	ref, live := build(false), build(true)
 
 	check := func(phase string) {
 		t.Helper()
-		queries := append([]string{paperdata.Q1, paperdata.QLiuKeyword}, deltaQueries...)
+		queries := append([]string{reference.Q1, reference.QLiuKeyword}, deltaQueries...)
 		for _, q := range queries {
 			for _, opts := range crosscheckOptions() {
 				label := fmt.Sprintf("%s corpus %q %s/%s rank=%v limit=%d",

@@ -213,13 +213,19 @@ func (e *Engine) resolveRequest(req Request) (Request, *view, error) {
 	return req, v, nil
 }
 
-// Load parses an XML document and builds the engine.
+// Load reads an XML document and builds the engine over its columns,
+// scanned straight from its bytes (index.AnalyzeBytes) without a tree.
 func Load(r io.Reader) (*Engine, error) {
-	t, err := xmltree.Parse(r)
+	in, err := xmltree.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
+	}
+	an := analysis.New()
+	rows, err := index.AnalyzeBytes(in, an)
 	if err != nil {
 		return nil, err
 	}
-	return FromTree(t), nil
+	return fromRows(an, rows), nil
 }
 
 // LoadString builds an engine from an XML string.
@@ -243,8 +249,12 @@ func LoadFile(path string) (*Engine, error) {
 // the tree or its nodes.
 func FromTree(t *xmltree.Tree) *Engine {
 	an := analysis.New()
+	return fromRows(an, index.Analyze(t, an))
+}
+
+// fromRows builds an engine that publishes a document's rows, analysed by an.
+func fromRows(an *analysis.Analyzer, rows index.Rows) *Engine {
 	e := &Engine{an: an, snip: snippet.NewGenerator(an)}
-	rows := index.Analyze(t, an)
 	ix := index.FromRows(rows)
 	e.publish(rows.Labels, rows.Content(), rows.Text, rows.Attrs)
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})

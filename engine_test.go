@@ -13,19 +13,19 @@ import (
 	"xks/internal/datagen"
 	"xks/internal/dewey"
 	"xks/internal/exec"
-	"xks/internal/paperdata"
 	"xks/internal/rank"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
 func pubEngine(t *testing.T) *Engine {
 	t.Helper()
-	return FromTree(paperdata.Publications())
+	return FromTree(reference.Publications())
 }
 
 func teamEngine(t *testing.T) *Engine {
 	t.Helper()
-	return FromTree(paperdata.Team())
+	return FromTree(reference.Team())
 }
 
 func fragmentRoots(res *Result) []string {
@@ -38,7 +38,7 @@ func fragmentRoots(res *Result) []string {
 
 func TestSearchQ3DefaultValidRTF(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSearchQ3DefaultValidRTF(t *testing.T) {
 
 func TestSearchQ3MaxMatch(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3, Algorithm: MaxMatch})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q3, Algorithm: MaxMatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSearchQ3MaxMatch(t *testing.T) {
 
 func TestSearchQ3Raw(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3, Algorithm: RawRTF})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q3, Algorithm: RawRTF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSearchQ3Raw(t *testing.T) {
 
 func TestSearchQ2TwoFragments(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSearchQ2TwoFragments(t *testing.T) {
 
 func TestSearchQ2SLCAOnly(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Semantics: SLCAOnly})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2, Semantics: SLCAOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSearchUnusableQueryErrors(t *testing.T) {
 
 func TestSearchRankOrdersBySpecificity(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Rank: true})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2, Rank: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSearchRankOrdersBySpecificity(t *testing.T) {
 
 func TestSearchLimit(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2, Limit: 1})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSearchLimit(t *testing.T) {
 
 func TestFragmentRendering(t *testing.T) {
 	e := teamEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFragmentRendering(t *testing.T) {
 
 func TestFragmentNodeMetadata(t *testing.T) {
 	e := teamEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFragmentNodeMetadata(t *testing.T) {
 
 func TestCompareQ4(t *testing.T) {
 	e := teamEngine(t)
-	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q4})
+	cmp, err := e.Compare(context.Background(), Request{Query: reference.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCompareQ4(t *testing.T) {
 
 func TestCompareQ5Identical(t *testing.T) {
 	e := teamEngine(t)
-	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q5})
+	cmp, err := e.Compare(context.Background(), Request{Query: reference.Q5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestAlgorithmAndSemanticsStrings(t *testing.T) {
 
 func TestConcurrentSearches(t *testing.T) {
 	e := pubEngine(t)
-	queries := []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword}
+	queries := []string{reference.Q1, reference.Q2, reference.Q3, reference.QLiuKeyword}
 	done := make(chan error, len(queries)*8)
 	for i := 0; i < 8; i++ {
 		for _, q := range queries {
@@ -461,7 +461,7 @@ func TestExactContentOption(t *testing.T) {
 
 func TestFragmentSnippet(t *testing.T) {
 	e := pubEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestFragmentSnippet(t *testing.T) {
 
 func TestFragmentSnippetStoreBacked(t *testing.T) {
 	e := storeEngine(t)
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}

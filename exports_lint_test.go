@@ -26,7 +26,8 @@ import (
 // so a non-test reference is not required of them.
 var testOnlyExports = map[string]bool{
 	// The Dewey-code reference implementations the crosschecks compare
-	// against; CI keeps every non-test package from importing it.
+	// against, and the paper's example documents, the fixtures of most
+	// tests; CI keeps every non-test package from importing it.
 	"xks/internal/reference": true,
 	// Fault plans and the goroutine-leak check are armed only by tests;
 	// production calls fault.Inject, which is a no-op without a plan.
@@ -34,7 +35,6 @@ var testOnlyExports = map[string]bool{
 	"xks/internal/fault.NewContext": true,
 	"xks/internal/fault.LeakCheck":  true,
 	// The paper's example documents, the fixtures of most tests.
-	"xks/internal/paperdata": true,
 	// Build a node table from Dewey codes and a code from its dotted form,
 	// the way the tests state their inputs and expected answers.
 	"xks/internal/nid.FromCodes":   true,

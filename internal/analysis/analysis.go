@@ -14,9 +14,10 @@
 // Analyzer (Normalize, Tokens). Builds — a document's index, a shredded
 // store, an appended snippet — analyse through a Vocab, which belongs to
 // that one build and is never shared with queries or other builds: it keeps
-// one string per distinct word and caches, per word as written, its ID or
-// its stop-word verdict, so a node's content set costs map lookups and no
-// allocation once its words have been seen.
+// each distinct word once, in shared chunks, and caches, per word as
+// written, its ID or its stop-word verdict, so a node's words cost map
+// lookups and no allocation once they have been seen. IDs are numbered as
+// words arrive; Sort ranks them lexically once, at the end of the build.
 package analysis
 
 import (
@@ -24,6 +25,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Analyzer turns raw text into content words. The zero value is not usable;
@@ -149,6 +151,7 @@ type Vocab struct {
 	written map[string]uint32 // a word as written → its ID, or stopWord
 	lower   map[string]uint32 // a lower-cased content word → its ID
 	words   []string          // ID → lower-cased content word
+	arena   []byte            // backs the written forms (copy)
 }
 
 // stopWord is Vocab.written's verdict for a word that is not content.
@@ -160,31 +163,54 @@ func (a *Analyzer) NewVocab() *Vocab {
 }
 
 // AppendContent appends to dst the IDs of the distinct content words of
-// pieces in lexical order of the words: the IDs of a.ContentSet(pieces...).
+// pieces in ascending order of ID: the words of a.ContentSet(pieces...),
+// in lexical order once the vocabulary is sorted (Sort).
 func (v *Vocab) AppendContent(dst []uint32, pieces ...string) []uint32 {
 	n := len(dst)
 	for _, p := range pieces {
-		for start, end := nextWord(p, 0); start < end; start, end = nextWord(p, end) {
-			if id := v.id(p[start:end]); id != stopWord {
-				dst = append(dst, id)
-			}
-		}
+		dst = v.AppendWords(dst, p)
 	}
 	set := dst[n:]
 	if len(set) > 1 {
-		slices.SortFunc(set, func(x, y uint32) int { return strings.Compare(v.words[x], v.words[y]) })
+		slices.Sort(set)
 		set = slices.Compact(set)
 	}
 	return dst[:n+len(set)]
 }
 
+// AppendWords appends to dst the IDs of the content words of s in text
+// order, repeats included.
+func (v *Vocab) AppendWords(dst []uint32, s string) []uint32 {
+	for start, end := nextWord(s, 0); start < end; start, end = nextWord(s, end) {
+		if id := v.id(s[start:end]); id != stopWord {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// Sort renumbers the vocabulary so that IDs ascend in lexical order of the
+// words, and returns the renumbering: the word that had ID id has rank[id].
+// A sorted vocabulary takes no more content.
+func (v *Vocab) Sort() (rank []uint32) {
+	words := slices.Clone(v.words)
+	slices.Sort(words)
+	rank = make([]uint32, len(words))
+	for r, w := range words {
+		rank[v.lower[w]] = uint32(r)
+	}
+	v.words, v.written, v.lower = words, nil, nil
+	return rank
+}
+
 // id returns the ID of a word as written, or stopWord; a word not seen
-// before is lower-cased and checked once, and a new content word copied.
+// before is copied (the key must not pin the text it came from),
+// lower-cased and checked once.
 func (v *Vocab) id(word string) uint32 {
 	if id, ok := v.written[word]; ok {
 		return id
 	}
-	word = strings.Clone(word) // the key must not pin the text it came from
+	word = v.copy(word)
 	tok, ok := v.an.keep(word)
 	id := stopWord
 	if ok {
@@ -197,6 +223,16 @@ func (v *Vocab) id(word string) uint32 {
 	}
 	v.written[word] = id
 	return id
+}
+
+// copy returns a copy of a non-empty s in the arena: chunks doubling up to
+// 16 KB, never moved, so a build allocates per chunk of words, not per word.
+func (v *Vocab) copy(s string) string {
+	if cap(v.arena)-len(v.arena) < len(s) {
+		v.arena = make([]byte, 0, max(min(2*cap(v.arena), 16<<10), 256, len(s)))
+	}
+	v.arena = append(v.arena, s...)
+	return unsafe.String(&v.arena[len(v.arena)-len(s)], len(s))
 }
 
 // Word returns the lower-cased content word with the given ID.

@@ -1,4 +1,4 @@
-package analysis
+package analysis_test
 
 import (
 	"slices"
@@ -7,21 +7,22 @@ import (
 	"testing/quick"
 	"unicode"
 
+	"xks/internal/analysis"
 	"xks/internal/datagen"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
 // referenceContentSet is the tokenizer the one-pass nextWord replaced: a
 // range over the runes, unicode.IsLetter/IsDigit on every one,
 // strings.ToLower and a stop-list lookup per word, then sort and compact.
-func referenceContentSet(a *Analyzer, pieces ...string) []string {
+func referenceContentSet(a *analysis.Analyzer, pieces ...string) []string {
 	var toks []string
 	for _, s := range pieces {
 		start, hasLetter := -1, false
 		flush := func(end int) {
 			if start >= 0 && hasLetter {
-				if tok := strings.ToLower(s[start:end]); !isStop(a, tok) {
+				if tok := strings.ToLower(s[start:end]); !analysis.IsStop(a, tok) {
 					toks = append(toks, tok)
 				}
 			}
@@ -46,55 +47,64 @@ func referenceContentSet(a *Analyzer, pieces ...string) []string {
 	return slices.Compact(toks)
 }
 
-func isStop(a *Analyzer, tok string) bool {
-	_, stop := a.stop[tok]
-	return stop
-}
-
-// vocabContentSet is the build path's content set: the vocabulary's IDs,
-// as words.
-func vocabContentSet(v *Vocab, pieces ...string) []string {
-	var out []string
-	for _, id := range v.AppendContent(nil, pieces...) {
-		out = append(out, v.Word(id))
+// finishedRows is what a build makes of the given nodes' content: one
+// vocabulary across all of them, each node's IDs appended (AppendContent),
+// then the vocabulary sorted and every row renumbered and sorted, as
+// index.Rows holds them — read back as words.
+func finishedRows(a *analysis.Analyzer, nodes ...[]string) [][]string {
+	v := a.NewVocab()
+	rows := make([][]uint32, len(nodes))
+	for i, pieces := range nodes {
+		rows[i] = v.AppendContent(nil, pieces...)
+	}
+	rank := v.Sort()
+	out := make([][]string, len(rows))
+	for i, row := range rows {
+		for j, id := range row {
+			row[j] = rank[id]
+		}
+		slices.Sort(row)
+		for _, id := range row {
+			out[i] = append(out[i], v.Word(id))
+		}
 	}
 	return out
 }
 
 // TestContentSetMatchesReference compares, node by node, the content set
 // of every node of the evaluation corpora and the paper's documents — by
-// Analyzer.ContentSet and by one build vocabulary across all nodes — with
-// the reference tokenizer, and the same on hand-picked pieces: mixed case,
-// non-ASCII letters and digits, case mappings that change a word's length,
-// digit-only words, stop words in any case, and bytes that are not UTF-8.
+// Analyzer.ContentSet against the reference tokenizer, and by the finished
+// rows of one build vocabulary across all nodes against ContentSet — and
+// the same on hand-picked pieces: mixed case, non-ASCII letters and digits,
+// case mappings that change a word's length, digit-only words, stop words
+// in any case, and bytes that are not UTF-8.
 func TestContentSetMatchesReference(t *testing.T) {
-	a := New()
-	v := a.NewVocab()
-	check := func(where string, pieces ...string) {
+	a := analysis.New()
+	var (
+		nodes [][]string
+		where []string
+	)
+	check := func(at string, pieces ...string) {
 		t.Helper()
 		want := referenceContentSet(a, pieces...)
 		if got := a.ContentSet(pieces...); !slices.Equal(got, want) {
-			t.Fatalf("%s: ContentSet(%q) = %q, reference %q", where, pieces, got, want)
+			t.Fatalf("%s: ContentSet(%q) = %q, reference %q", at, pieces, got, want)
 		}
-		if got := vocabContentSet(v, pieces...); !slices.Equal(got, want) {
-			t.Fatalf("%s: vocabulary content set of %q = %q, reference %q", where, pieces, got, want)
-		}
+		nodes, where = append(nodes, pieces), append(where, at)
 	}
-	nodes := 0
 	for name, tr := range map[string]*xmltree.Tree{
 		"dblp":         datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 3000}),
 		"xmark":        datagen.XMark(datagen.XMarkConfig{Seed: 2, Items: 600}),
-		"publications": paperdata.Publications(),
-		"team":         paperdata.Team(),
+		"publications": reference.Publications(),
+		"team":         reference.Team(),
 	} {
 		tr.Walk(func(n *xmltree.Node) bool {
-			nodes++
 			check(name+" "+n.Code.String(), n.ContentPieces()...)
 			return true
 		})
 	}
-	if nodes < 10000 {
-		t.Fatalf("compared %d nodes", nodes)
+	if len(nodes) < 10000 {
+		t.Fatalf("compared %d nodes", len(nodes))
 	}
 	for _, pieces := range [][]string{
 		{"XML Keyword SEARCH", "xml keyword search", "Xml"},
@@ -107,9 +117,14 @@ func TestContentSetMatchesReference(t *testing.T) {
 	} {
 		check("cases", pieces...)
 	}
+	for i, row := range finishedRows(a, nodes...) {
+		if want := a.ContentSet(nodes[i]...); !slices.Equal(row, want) {
+			t.Fatalf("%s: finished row of %q = %q, ContentSet %q", where[i], nodes[i], row, want)
+		}
+	}
 	f := func(p1, p2 string) bool {
-		return slices.Equal(a.ContentSet(p1, p2), referenceContentSet(a, p1, p2)) &&
-			slices.Equal(vocabContentSet(v, p1, p2), referenceContentSet(a, p1, p2))
+		want := referenceContentSet(a, p1, p2)
+		return slices.Equal(a.ContentSet(p1, p2), want) && slices.Equal(finishedRows(a, []string{p1, p2})[0], want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

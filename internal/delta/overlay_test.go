@@ -93,7 +93,7 @@ func newGrower(seed int64, records int) (*grower, *index.Index, map[string][]nid
 
 func baseUntouched(t *testing.T, base *index.Index) {
 	t.Helper()
-	for _, w := range base.Words() {
+	for _, w := range vocab {
 		list := base.LookupIDs(w)
 		for _, id := range list[len(list):cap(list)] {
 			if id != nid.None {
@@ -215,7 +215,7 @@ func TestOverlayMatchesNaiveConcatenation(t *testing.T) {
 							t.Fatalf("seed %d step %d: folded LookupIDs(%q) = %v, want %v", seed, step, w, got, want)
 						}
 					}
-					for _, w := range folded.Words() {
+					for _, w := range words {
 						if len(folded.LookupIDs(w)) > 0 {
 							nonEmpty++
 						}

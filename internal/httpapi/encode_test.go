@@ -21,7 +21,7 @@ import (
 	"xks"
 	"xks/internal/analysis"
 	"xks/internal/datagen"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 	"xks/internal/store"
 	"xks/internal/xmltree"
@@ -217,7 +217,7 @@ func TestWireEquivalence(t *testing.T) {
 // — buffered, and again from the cache.
 func TestEmptyPageEncodesArray(t *testing.T) {
 	svc := service.New(
-		service.SingleDoc{Name: "publications.xml", Engine: xks.FromTree(paperdata.Publications())},
+		service.SingleDoc{Name: "publications.xml", Engine: xks.FromTree(reference.Publications())},
 		service.Config{CacheSize: 8},
 	)
 	h := NewHandler(svc, nil)

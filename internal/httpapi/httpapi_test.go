@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"xks"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 )
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc := service.New(
-		service.SingleDoc{Name: "publications.xml", Engine: xks.FromTree(paperdata.Publications())},
+		service.SingleDoc{Name: "publications.xml", Engine: xks.FromTree(reference.Publications())},
 		service.Config{CacheSize: 64},
 	)
 	srv := httptest.NewServer(NewHandler(svc, nil))
@@ -26,8 +26,8 @@ func testServer(t *testing.T) *httptest.Server {
 func corpusServer(t *testing.T) (*httptest.Server, *xks.Corpus) {
 	t.Helper()
 	c := xks.NewCorpus()
-	c.Add("publications", xks.FromTree(paperdata.Publications()))
-	c.Add("team", xks.FromTree(paperdata.Team()))
+	c.Add("publications", xks.FromTree(reference.Publications()))
+	c.Add("team", xks.FromTree(reference.Team()))
 	svc := service.New(c, service.Config{CacheSize: 64})
 	srv := httptest.NewServer(NewHandler(svc, nil))
 	t.Cleanup(srv.Close)

@@ -17,7 +17,7 @@ import (
 
 	"xks"
 	"xks/internal/admission"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 	"xks/internal/trace"
 )
@@ -42,7 +42,7 @@ var catalogueRow = regexp.MustCompile("^\\| `(xks_[a-z_]+)` \\| (counter|gauge|h
 // row of the catalogue with its type, and every row names an emitted
 // family.
 func TestMetricCatalogue(t *testing.T) {
-	svc := service.New(service.SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, service.Config{CacheSize: 4})
+	svc := service.New(service.SingleDoc{Name: "d", Engine: xks.FromTree(reference.Publications())}, service.Config{CacheSize: 4})
 	svc.Metrics().SetStoreOpen(service.StoreOpenInfo{Mode: "v3-mmap"})
 	var b strings.Builder
 	svc.WritePrometheus(&b)
@@ -479,7 +479,7 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 	var buf strings.Builder
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	c := xks.NewCorpus()
-	c.Add("publications", xks.FromTree(paperdata.Publications()))
+	c.Add("publications", xks.FromTree(reference.Publications()))
 	svc := service.New(c, service.Config{CacheSize: 16})
 	srv := httptest.NewServer(NewHandler(svc, &Options{Logger: logger}))
 	defer srv.Close()
@@ -523,7 +523,7 @@ func TestSlowQueryLog(t *testing.T) {
 	var buf strings.Builder
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	c := xks.NewCorpus()
-	c.Add("publications", xks.FromTree(paperdata.Publications()))
+	c.Add("publications", xks.FromTree(reference.Publications()))
 	svc := service.New(c, service.Config{})
 	// A 1ns threshold makes every query slow, so the log must fire.
 	srv := httptest.NewServer(NewHandler(svc, &Options{Logger: logger, SlowQuery: 1}))

@@ -23,7 +23,7 @@ import (
 	"xks"
 	"xks/internal/admission"
 	"xks/internal/fault"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 )
 
@@ -51,8 +51,8 @@ func (s *syncBuffer) String() string {
 func resilienceServer(t *testing.T, opts *Options, plan *fault.Plan) *httptest.Server {
 	t.Helper()
 	c := xks.NewCorpus()
-	c.Add("publications", xks.FromTree(paperdata.Publications()))
-	c.Add("team", xks.FromTree(paperdata.Team()))
+	c.Add("publications", xks.FromTree(reference.Publications()))
+	c.Add("team", xks.FromTree(reference.Team()))
 	svc := service.New(c, service.Config{CacheSize: 64})
 	h := NewHandler(svc, opts)
 	if plan != nil {

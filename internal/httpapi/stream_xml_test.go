@@ -15,7 +15,7 @@ import (
 
 	"xks"
 	"xks/internal/analysis"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 	"xks/internal/store"
 )
@@ -25,7 +25,7 @@ import (
 // one over its store: multi-line renders with quoted and escaped text, the
 // case the escaper earns its keep on.
 func TestStreamedXMLMatchesBuffered(t *testing.T) {
-	st := store.Shred(paperdata.Publications(), analysis.New())
+	st := store.Shred(reference.Publications(), analysis.New())
 	servers := map[string]*httptest.Server{"tree": testServer(t)}
 	{
 		svc := service.New(
@@ -72,7 +72,7 @@ func TestStreamedXMLMatchesBuffered(t *testing.T) {
 // the Fragment that ToFragment builds — encoder.record and encoding/json
 // are allowed to differ only in JSON escaping choices.
 func TestRecordWireShape(t *testing.T) {
-	e := xks.FromStore(store.Shred(paperdata.Publications(), analysis.New()))
+	e := xks.FromStore(store.Shred(reference.Publications(), analysis.New()))
 	res, err := e.Search(t.Context(), xks.Request{Query: "xml keyword"})
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,10 @@ type LabelColumn struct {
 	dict  map[string]uint32
 }
 
-// add appends a node labelled label. The dictionary is built on first use,
-// so a column adopted without one (a store's) interns like any other.
-func (c *LabelColumn) add(label string) {
+// add appends a node labelled label and returns the label's ID. The
+// dictionary is built on first use, so a column adopted without one (a
+// store's) interns like any other.
+func (c *LabelColumn) add(label string) uint32 {
 	if c.dict == nil {
 		c.dict = make(map[string]uint32, len(c.Names))
 		for id, name := range c.Names {
@@ -34,6 +35,7 @@ func (c *LabelColumn) add(label string) {
 		c.dict[label] = id
 	}
 	c.IDs = append(c.IDs, id)
+	return id
 }
 
 // Append appends o's nodes, interning o's labels into c's dictionary. An

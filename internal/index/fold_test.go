@@ -7,14 +7,14 @@ import (
 	"xks/internal/delta"
 	"xks/internal/dewey"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 )
 
 // TestStatsDecodeNothing: an index over a store's compressed lists, and
 // one With derives from it, answer Stats without decoding a list.
 func TestStatsDecodeNothing(t *testing.T) {
-	base := store.Shred(paperdata.Publications(), nil).BuildIndex()
+	base := store.Shred(reference.Publications(), nil).BuildIndex()
 	want := base.Stats()
 	with := base.With(base.Table(), map[string][]nid.ID{"zebra": {3}}, want)
 	if got := with.Stats(); got != want || want.Postings == 0 {
@@ -31,7 +31,7 @@ func TestStatsDecodeNothing(t *testing.T) {
 // untouched list is shared with the base, still compressed, and decodes on
 // its first lookup through either index, once.
 func TestFoldOverStoreDecodesTouchedListsOnly(t *testing.T) {
-	base := store.Shred(paperdata.Publications(), nil).BuildIndex()
+	base := store.Shred(reference.Publications(), nil).BuildIndex()
 	h := &delta.Head{Tab: base.Table(), Base: base}
 	touched := []string{"xml", "keyword"}
 	for _, rec := range [][]dewey.Code{

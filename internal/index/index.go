@@ -17,17 +17,17 @@
 // fold's are the old base's plus the segments'), so no list is ever
 // scanned, or decoded, for them.
 //
-// One pre-order walk of a document (Analyze) yields everything an engine
-// publishes about its nodes: the node table, the label, text and attribute
-// columns, each node's content set and from those the posting lists. Each
-// column has one form (LabelColumn, Content, Strings), whichever backing
-// holds it.
+// One pass over a document yields everything an engine publishes about its
+// nodes (Rows): the node table, the label, text and attribute columns, each
+// node's content set and from those the posting lists. The pass is the
+// byte scanner driving the row builder (AnalyzeBytes), or a walk of a
+// parsed tree driving the same builder (Analyze). Each column has one form
+// (LabelColumn, Content, Strings), whichever backing holds it.
 package index
 
 import (
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -78,93 +78,6 @@ func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 		a = analysis.New()
 	}
 	return FromRows(Analyze(t, a))
-}
-
-// Rows is what one pre-order walk of a tree yields, row i being the i-th
-// node: the node table and the label, text and attribute columns, and the
-// content sets over the vocabulary of one build — row i's content word IDs
-// are IDs[Off[i]:Off[i+1]], in lexical order of the words. The rows hold no
-// node of the tree.
-type Rows struct {
-	Tab         *nid.Table
-	Labels      LabelColumn
-	Text, Attrs Strings
-	Vocab       *analysis.Vocab
-	Off         []uint32
-	IDs         []uint32
-}
-
-// Analyze walks t once, analysing every node with a new vocabulary of a.
-// Collecting the nodes sizes the text and attribute bytes (the attributes'
-// before escaping), so those columns grow at most once.
-func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
-	nodes, text, attrs := make([]*xmltree.Node, 0, t.Size()), 0, 0
-	t.Walk(func(n *xmltree.Node) bool {
-		nodes, text = append(nodes, n), text+len(n.Text)
-		for _, at := range n.Attrs {
-			attrs += len(at.Name) + len(at.Value) + len(` =""`)
-		}
-		return true
-	})
-	b := nid.NewBuilder(len(nodes))
-	r := Rows{Vocab: a.NewVocab(), Off: make([]uint32, 1, len(nodes)+1)}
-	r.Labels.IDs = make([]uint32, 0, len(nodes))
-	r.Text = Strings{Off: make([]uint32, 1, len(nodes)+1), Data: make([]byte, 0, text)}
-	r.Attrs = Strings{Off: make([]uint32, 1, len(nodes)+1), Data: make([]byte, 0, attrs)}
-	var pieces []string
-	for _, n := range nodes {
-		b.Add(n.Code)
-		r.Labels.add(n.Label)
-		r.Text.Data = append(r.Text.Data, n.Text...)
-		r.Attrs.Data = xmltree.AppendAttrs(r.Attrs.Data, n.Attrs)
-		r.Text.Off = append(r.Text.Off, uint32(len(r.Text.Data)))
-		r.Attrs.Off = append(r.Attrs.Off, uint32(len(r.Attrs.Data)))
-		pieces = n.AppendContentPieces(pieces[:0])
-		r.IDs = r.Vocab.AppendContent(r.IDs, pieces...)
-		r.Off = append(r.Off, uint32(len(r.IDs)))
-	}
-	r.Tab = b.Table()
-	return r
-}
-
-// Content returns the rows' content column; it shares Off with r.
-func (r Rows) Content() Content {
-	words := make([]string, len(r.IDs))
-	for i, id := range r.IDs {
-		words[i] = r.Vocab.Word(id)
-	}
-	return Content{Off: r.Off, Words: words}
-}
-
-// Postings returns each word's posting list, row i as node ID start+i:
-// ascending, since rows are in node order and a row holds a word at most
-// once. The lists share one array.
-func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
-	ends := make([]uint32, r.Vocab.Len()) // each list's end in the array
-	for _, id := range r.IDs {
-		ends[id]++
-	}
-	sum := uint32(0)
-	for id, n := range ends {
-		sum += n
-		ends[id] = sum
-	}
-	flat := make([]nid.ID, len(r.IDs))
-	for row := len(r.Off) - 2; row >= 0; row-- {
-		for _, id := range r.IDs[r.Off[row]:r.Off[row+1]] {
-			ends[id]--
-			flat[ends[id]] = start + nid.ID(row)
-		}
-	}
-	out := make(map[string][]nid.ID, len(ends))
-	for id, lo := range ends {
-		hi := uint32(len(flat))
-		if id+1 < len(ends) {
-			hi = ends[id+1]
-		}
-		out[r.Vocab.Word(uint32(id))] = flat[lo:hi:hi]
-	}
-	return out
 }
 
 // FromRows indexes the rows Analyze returned: their node table, and each
@@ -269,16 +182,6 @@ func (ix *Index) Frequency(word string) int {
 		return l.enc.Len()
 	}
 	return len(l.ids)
-}
-
-// Words returns the vocabulary in lexical order.
-func (ix *Index) Words() []string {
-	out := make([]string, 0, len(ix.lists))
-	for w := range ix.lists {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ErrNoMatch reports a query keyword with an empty posting list.

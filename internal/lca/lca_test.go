@@ -7,15 +7,14 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/index"
-	"xks/internal/paperdata"
 	"xks/internal/reference"
 )
 
 func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
 	t.Helper()
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	if !pub {
-		tree = paperdata.Team()
+		tree = reference.Team()
 	}
 	_, sets, err := reference.KeywordSets(index.Build(tree, analysis.New()), query)
 	if err != nil {
@@ -48,7 +47,7 @@ func wantCodes(t *testing.T, got []dewey.Code, want ...string) {
 // Paper, Example 1 [SLCA vs LCA]: for Q2 on Figure 1(a) the SLCA is the ref
 // node 0.2.0.3.0 and the article 0.2.0 is an additional interesting LCA.
 func TestQ2SLCAAndELCA(t *testing.T) {
-	sets := setsFor(t, paperdata.Q2, true)
+	sets := setsFor(t, reference.Q2, true)
 	wantCodes(t, reference.SLCA(sets), "0.2.0.3.0")
 	for name, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0.2.0", "0.2.0.3.0")
@@ -58,7 +57,7 @@ func TestQ2SLCAAndELCA(t *testing.T) {
 
 // Paper, Example 1/6: for Q3 the only interesting LCA (and SLCA) is the root.
 func TestQ3RootOnly(t *testing.T) {
-	sets := setsFor(t, paperdata.Q3, true)
+	sets := setsFor(t, reference.Q3, true)
 	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")
@@ -67,7 +66,7 @@ func TestQ3RootOnly(t *testing.T) {
 
 // Paper, Example 2 [false positive]: for Q1 the only SLCA is article 0.2.1.
 func TestQ1SLCA(t *testing.T) {
-	sets := setsFor(t, paperdata.Q1, true)
+	sets := setsFor(t, reference.Q1, true)
 	wantCodes(t, reference.SLCA(sets), "0.2.1")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0.2.1")
@@ -77,7 +76,7 @@ func TestQ1SLCA(t *testing.T) {
 // Paper, Example 2 [redundancy]: Q4 "Grizzlies position" on the team
 // segment; the root is the only LCA.
 func TestQ4TeamRoot(t *testing.T) {
-	sets := setsFor(t, paperdata.Q4, false)
+	sets := setsFor(t, reference.Q4, false)
 	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")
@@ -87,7 +86,7 @@ func TestQ4TeamRoot(t *testing.T) {
 // For Q5 "Grizzlies Gassol position" only the team root contains all three
 // keywords.
 func TestQ5TeamRoot(t *testing.T) {
-	sets := setsFor(t, paperdata.Q5, false)
+	sets := setsFor(t, reference.Q5, false)
 	wantCodes(t, reference.SLCA(sets), "0")
 	for _, f := range elcaImpls() {
 		wantCodes(t, f(sets), "0")

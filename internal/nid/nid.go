@@ -19,6 +19,7 @@ package nid
 
 import (
 	"fmt"
+	"slices"
 
 	"xks/internal/dewey"
 )
@@ -156,13 +157,15 @@ func (t *Table) searchGE(c dewey.Code) int {
 	return lo
 }
 
-// Builder assembles a Table from codes fed in pre-order. Missing ancestors
-// are synthesized, so any pre-order code stream yields an ancestor-closed
-// table. Adding a code equal to the previous one returns the existing ID.
+// Builder assembles a Table from nodes fed in pre-order, either as Dewey
+// codes (Add) or as depths (Push), not both. Add synthesizes missing
+// ancestors, so any pre-order code stream yields an ancestor-closed table;
+// adding a code equal to the previous one returns the existing ID.
 type Builder struct {
-	t    Table
-	prev dewey.Code
-	path []ID // path[d] = ID of the current rightmost node at depth d
+	t     Table
+	prev  dewey.Code
+	path  []ID // path[d] = ID of the current rightmost node at depth d
+	codes int  // the arena length of the pushed nodes' codes
 }
 
 // NewBuilder returns a Builder with capacity hints for n nodes.
@@ -175,6 +178,26 @@ func NewBuilder(n int) *Builder {
 		depth:  make([]int32, 0, n),
 		off:    make([]uint32, 0, n),
 	}}
+}
+
+// Push appends the next node in pre-order at the given depth — 0 for a
+// root, at most one below the previous node's — and returns its ID. Its
+// parent is the last node pushed one level up. Table lays the codes out in
+// one exact arena, each its parent's and the node's child ordinal, so no
+// code is compared or copied per push.
+func (b *Builder) Push(depth int) ID {
+	if depth < 0 || depth > len(b.path) {
+		panic(fmt.Sprintf("nid: Builder.Push at depth %d after a node at depth %d", depth, len(b.path)-1))
+	}
+	id, parent := ID(len(b.t.parent)), None
+	if depth > 0 {
+		parent = b.path[depth-1]
+	}
+	b.path = append(b.path[:depth], id)
+	b.t.parent = append(b.t.parent, parent)
+	b.t.depth = append(b.t.depth, int32(depth))
+	b.codes += depth + 1
+	return id
 }
 
 // Add appends the node with code c, synthesizing any ancestors not yet
@@ -213,9 +236,29 @@ func (b *Builder) Add(c dewey.Code) ID {
 	return ID(len(b.t.parent) - 1)
 }
 
-// Table finalizes and returns the built table. The Builder must not be used
-// afterwards.
-func (b *Builder) Table() *Table { return &b.t }
+// Table finalizes and returns the built table, its columns capacity-capped
+// so that a store holding it is never written by an Extend. The Builder
+// must not be used afterwards.
+func (b *Builder) Table() *Table {
+	t := &b.t
+	if b.codes > 0 {
+		t.arena = make([]uint32, 0, b.codes)
+		kids := make([]uint32, len(t.parent)+1) // children so far by parent ID+1, the roots at 0
+		for _, p := range t.parent {
+			t.off = append(t.off, uint32(len(t.arena)))
+			if p != None {
+				t.arena = append(t.arena, t.Code(p)...)
+			}
+			t.arena = append(t.arena, kids[p+1])
+			kids[p+1]++
+		}
+	}
+	if cap(t.parent) > len(t.parent) { // the hint was not the node count
+		t.parent, t.depth, t.off = slices.Clone(t.parent), slices.Clone(t.depth), slices.Clone(t.off)
+	}
+	t.parent, t.depth, t.off, t.arena = slices.Clip(t.parent), slices.Clip(t.depth), slices.Clip(t.off), slices.Clip(t.arena)
+	return t
+}
 
 // Columns exposes the table's parallel columns and the shared Dewey arena
 // for serialization (the store's v3 writer persists them verbatim). The

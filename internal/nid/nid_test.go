@@ -72,3 +72,33 @@ func TestCodeZeroCopy(t *testing.T) {
 		t.Error("Code should return the same arena view on every call")
 	}
 }
+
+// TestPushMatchesAdd: a table pushed by depth is the one Add builds from
+// the same nodes' codes — parents, depths, codes — and a depth that skips
+// a level panics.
+func TestPushMatchesAdd(t *testing.T) {
+	cs := codes("0", "0.0", "0.0.0", "0.0.1", "0.1", "0.2", "0.2.0", "0.2.0.0", "0.3", "1", "1.0")
+	byCode, byDepth := NewBuilder(0), NewBuilder(len(cs))
+	for _, c := range cs {
+		byCode.Add(c)
+		byDepth.Push(c.Level())
+	}
+	want, got := byCode.Table(), byDepth.Table()
+	if got.Len() != want.Len() {
+		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	}
+	for i := range want.Len() {
+		id := ID(i)
+		if !dewey.Equal(got.Code(id), want.Code(id)) || got.Parent(id) != want.Parent(id) || got.Depth(id) != want.Depth(id) {
+			t.Errorf("node %d: code %s parent %d depth %d, want %s %d %d", i, got.Code(id), got.Parent(id), got.Depth(id), want.Code(id), want.Parent(id), want.Depth(id))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Push two levels below the previous node did not panic")
+		}
+	}()
+	b := NewBuilder(2)
+	b.Push(0)
+	b.Push(2)
+}

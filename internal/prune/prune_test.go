@@ -11,7 +11,6 @@ import (
 	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
 	"xks/internal/reference"
 	"xks/internal/rtf"
 	"xks/internal/xmltree"
@@ -139,7 +138,7 @@ func sketch(f *Fragment, labelOf IDLabelFunc) string {
 // Figure 3(b): the raw RTF for Q1; ValidRTF keeps all of it (rule 1 saves
 // the uniquely-labelled title node — no false positive).
 func TestQ1ValidRTFKeepsTitle(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q1)
+	h := newHarness(t, reference.Publications(), reference.Q1)
 	f := h.fragment(t, 0, Options{})
 	res := f.Prune(ValidContributor, Options{})
 	assertKept(t, res,
@@ -150,7 +149,7 @@ func TestQ1ValidRTFKeepsTitle(t *testing.T) {
 // Figure 3(c): MaxMatch discards the title node for Q1 (the false positive
 // problem: dMatch(title) ⊂ dMatch(abstract)).
 func TestQ1MaxMatchDiscardsTitle(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q1)
+	h := newHarness(t, reference.Publications(), reference.Q1)
 	f := h.fragment(t, 0, Options{})
 	res := f.Prune(Contributor, Options{})
 	assertKept(t, res,
@@ -165,7 +164,7 @@ func TestQ1MaxMatchDiscardsTitle(t *testing.T) {
 // article 0.2.1 is discarded by rule 2(a), everything on the 0.2.0 branch
 // and the VLDB title node are kept.
 func TestQ3ValidRTFFigure2d(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q3)
+	h := newHarness(t, reference.Publications(), reference.Q3)
 	f := h.fragment(t, 0, Options{})
 	res := f.Prune(ValidContributor, Options{})
 	assertKept(t, res,
@@ -176,7 +175,7 @@ func TestQ3ValidRTFFigure2d(t *testing.T) {
 // branches (their keyword sets are strict subsets of the title's),
 // illustrating the false positive problem on deeper structures.
 func TestQ3MaxMatchOverprunes(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q3)
+	h := newHarness(t, reference.Publications(), reference.Q3)
 	f := h.fragment(t, 0, Options{})
 	res := f.Prune(Contributor, Options{})
 	assertKept(t, res, "0", "0.0", "0.2", "0.2.0", "0.2.0.1")
@@ -184,7 +183,7 @@ func TestQ3MaxMatchOverprunes(t *testing.T) {
 
 // NoPruning returns the raw RTF (Figure 2(c)).
 func TestQ3NoPruning(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q3)
+	h := newHarness(t, reference.Publications(), reference.Q3)
 	f := h.fragment(t, 0, Options{})
 	res := f.Prune(NoPruning, Options{})
 	assertKept(t, res,
@@ -194,7 +193,7 @@ func TestQ3NoPruning(t *testing.T) {
 // Figure 3(d) → Example 5 [redundancy]: for Q4 ValidRTF keeps one forward
 // and one guard player; MaxMatch keeps all three position branches.
 func TestQ4RedundancyProblem(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q4)
+	h := newHarness(t, reference.Team(), reference.Q4)
 	f := h.fragment(t, 0, Options{})
 
 	valid := f.Prune(ValidContributor, Options{})
@@ -208,7 +207,7 @@ func TestQ4RedundancyProblem(t *testing.T) {
 // Figure 3(a) → Example 5 [positive example]: for Q5 both mechanisms agree
 // and return the Gassol fragment inside the team.
 func TestQ5PositiveExample(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q5)
+	h := newHarness(t, reference.Team(), reference.Q5)
 	f := h.fragment(t, 0, Options{})
 	want := []string{"0", "0.0", "0.1", "0.1.0", "0.1.0.0", "0.1.0.1"}
 	assertKept(t, f.Prune(ValidContributor, Options{}), want...)
@@ -218,7 +217,7 @@ func TestQ5PositiveExample(t *testing.T) {
 // Q2 produces two fragments; both filtering mechanisms keep them whole
 // (Figures 2(a) and 2(b)).
 func TestQ2BothFragmentsStable(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q2)
+	h := newHarness(t, reference.Publications(), reference.Q2)
 	if len(h.rtfs) != 2 {
 		t.Fatalf("want 2 RTFs, got %d", len(h.rtfs))
 	}
@@ -235,7 +234,7 @@ func TestQ2BothFragmentsStable(t *testing.T) {
 // Figure 4(c)-style inspection of the constructed node data structure for
 // Q3: key numbers (our bit order: bit i = query keyword i) and label groups.
 func TestQ3NodeDataStructure(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q3)
+	h := newHarness(t, reference.Publications(), reference.Q3)
 	f := h.fragment(t, 0, Options{})
 
 	// Q3 = vldb(b0) title(b1) xml(b2) keyword(b3) search(b4).
@@ -271,7 +270,7 @@ func TestQ3NodeDataStructure(t *testing.T) {
 // cID features: the team players of Q4 have the content features the paper
 // derives in Example 5 (lower-cased by our analyzer).
 func TestQ4CIDFeatures(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q4)
+	h := newHarness(t, reference.Team(), reference.Q4)
 	f := h.fragment(t, 0, Options{})
 	p0 := f.cid(nodeAt(f, "0.1.0"))
 	if p0 != (CID{Min: "forward", Max: "position"}) {
@@ -288,7 +287,7 @@ func TestQ4CIDFeatures(t *testing.T) {
 // ExactContent mode agrees with the cID approximation on the paper data and
 // still prunes the duplicate forward player.
 func TestQ4ExactContent(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q4)
+	h := newHarness(t, reference.Team(), reference.Q4)
 	opts := Options{ExactContent: true}
 	f := h.fragment(t, 0, opts)
 	res := f.Prune(ValidContributor, opts)
@@ -327,7 +326,7 @@ func TestCIDApproximationVsExact(t *testing.T) {
 
 // Root is never pruned, even as a single keyword node fragment.
 func TestRootOnlyFragment(t *testing.T) {
-	h := newHarness(t, paperdata.Publications(), paperdata.Q2)
+	h := newHarness(t, reference.Publications(), reference.Q2)
 	ref := h.fragment(t, 1, Options{})
 	for _, mode := range []Mode{ValidContributor, Contributor, NoPruning} {
 		res := ref.Prune(mode, Options{})
@@ -360,7 +359,7 @@ func TestDiscardIsRecursive(t *testing.T) {
 // Prune leaves the fragment reusable: the same mode twice gives the same
 // result, another mode in between does not disturb it.
 func TestPruneRepeatable(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q4)
+	h := newHarness(t, reference.Team(), reference.Q4)
 	f := h.fragment(t, 0, Options{})
 	a := f.Prune(ValidContributor, Options{})
 	c := f.Prune(Contributor, Options{})
@@ -384,7 +383,7 @@ func TestModeString(t *testing.T) {
 }
 
 func TestFragmentAccessors(t *testing.T) {
-	h := newHarness(t, paperdata.Team(), paperdata.Q4)
+	h := newHarness(t, reference.Team(), reference.Q4)
 	f := h.fragment(t, 0, Options{})
 	if f.Size() != 9 {
 		t.Errorf("Size = %d, want 9", f.Size())

@@ -8,7 +8,6 @@ import (
 	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
 	"xks/internal/reference"
 )
 
@@ -36,7 +35,7 @@ func scoreCodes(s *Scorer, root dewey.Code, events []reference.Event, words []st
 }
 
 func TestNewScorerIDF(t *testing.T) {
-	ix := index.Build(paperdata.Publications(), analysis.New())
+	ix := index.Build(reference.Publications(), analysis.New())
 	s := NewScorerFrom(ix)
 	rare := s.IDF("vldb")      // frequency 1
 	common := s.IDF("keyword") // frequency 3

@@ -8,11 +8,10 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/index"
-	"xks/internal/paperdata"
 )
 
 func pubIndex() *index.Index {
-	return index.Build(paperdata.Publications(), analysis.New())
+	return index.Build(Publications(), analysis.New())
 }
 
 // TestKeywordSetsNormalizeQuery: the query's keywords are analysed, stop
@@ -30,7 +29,7 @@ func TestKeywordSetsNormalizeQuery(t *testing.T) {
 // TestKeywordSetsQuery: Q2 ("Liu keyword") states the posting lists of
 // Example 3 as Dewey codes, in query order.
 func TestKeywordSetsQuery(t *testing.T) {
-	words, sets, err := KeywordSets(pubIndex(), paperdata.Q2)
+	words, sets, err := KeywordSets(pubIndex(), Q2)
 	if err != nil {
 		t.Fatal(err)
 	}

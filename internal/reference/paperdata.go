@@ -1,6 +1,6 @@
-// Package paperdata reconstructs the two XML instances of Figure 1 of the
-// paper and its sample keyword queries Q1–Q5. These drive the tests that
-// reproduce Figures 2, 3 and 4 and Examples 1–7.
+// The paper's data: the two XML instances of Figure 1 and its sample
+// keyword queries Q1–Q5, reconstructed for the tests that reproduce
+// Figures 2, 3 and 4 and Examples 1–7.
 //
 // The instances are reconstructed from the Dewey codes, labels and keyword
 // assignments quoted throughout the paper:
@@ -13,7 +13,8 @@
 //   - Figure 1(b):(1), the basketball segment from [1]: a team "Grizzlies"
 //     with three players; player 0.1.0 is Gassol (forward), 0.1.1 a guard and
 //     0.1.2 another forward, giving MaxMatch its redundancy problem on Q4.
-package paperdata
+
+package reference
 
 import "xks/internal/xmltree"
 

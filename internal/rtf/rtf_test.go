@@ -9,15 +9,14 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/lca"
-	"xks/internal/paperdata"
 	"xks/internal/reference"
 )
 
 func setsFor(t *testing.T, query string, pub bool) [][]dewey.Code {
 	t.Helper()
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	if !pub {
-		tree = paperdata.Team()
+		tree = reference.Team()
 	}
 	_, sets, err := reference.KeywordSets(index.Build(tree, analysis.New()), query)
 	if err != nil {
@@ -62,7 +61,7 @@ func equalStrings(a, b []string) bool {
 // Paper, Example 4: for "Liu Keyword" on Figure 1(a) the two RTF partitions
 // are {r} (rooted at the ref node) and {n, t, a} (rooted at article 0.2.0).
 func TestExample4Partitions(t *testing.T) {
-	rs := buildFor(t, paperdata.QLiuKeyword, true)
+	rs := buildFor(t, reference.QLiuKeyword, true)
 	if !equalStrings(roots(rs), []string{"0.2.0", "0.2.0.3.0"}) {
 		t.Fatalf("roots = %v", roots(rs))
 	}
@@ -77,7 +76,7 @@ func TestExample4Partitions(t *testing.T) {
 // The brute-force Definition 1+2 enumeration agrees with getRTF on the
 // paper's running example.
 func TestExample4BruteForceAgrees(t *testing.T) {
-	sets := setsFor(t, paperdata.QLiuKeyword, true)
+	sets := setsFor(t, reference.QLiuKeyword, true)
 	fast := reference.Build(reference.ELCAStackMerge(sets), sets)
 	slow := reference.BruteForce(sets)
 	if len(fast) != len(slow) {
@@ -96,7 +95,7 @@ func TestExample4BruteForceAgrees(t *testing.T) {
 // Paper, Example 3: ECTQ for "Liu Keyword" has 11 elements (not 21, because
 // the ref node occurs in both posting lists).
 func TestExample3ECTQCount(t *testing.T) {
-	sets := setsFor(t, paperdata.QLiuKeyword, true)
+	sets := setsFor(t, reference.QLiuKeyword, true)
 	combos := reference.EnumerateECTQ(sets)
 	if len(combos) != 11 {
 		t.Fatalf("|ECTQ| = %d, want 11", len(combos))
@@ -111,7 +110,7 @@ func TestExample3ECTQCount(t *testing.T) {
 
 // Paper, Example 6: the single RTF for Q3 holds all five keyword nodes.
 func TestExample6RTF(t *testing.T) {
-	rs := buildFor(t, paperdata.Q3, true)
+	rs := buildFor(t, reference.Q3, true)
 	if !equalStrings(roots(rs), []string{"0"}) {
 		t.Fatalf("roots = %v", roots(rs))
 	}
@@ -133,7 +132,7 @@ func TestExample6RTF(t *testing.T) {
 // Q2 yields the two fragments of Figures 2(a) and 2(b); only the ref one is
 // SLCA-rooted.
 func TestQ2SLCAFlag(t *testing.T) {
-	rs := buildFor(t, paperdata.Q2, true)
+	rs := buildFor(t, reference.Q2, true)
 	if !equalStrings(roots(rs), []string{"0.2.0", "0.2.0.3.0"}) {
 		t.Fatalf("roots = %v", roots(rs))
 	}
@@ -149,7 +148,7 @@ func TestQ2SLCAFlag(t *testing.T) {
 // Q4 on the team: single RTF rooted at team with the Grizzlies name node and
 // the three position nodes (Figure 3(d) raw content).
 func TestQ4TeamRTF(t *testing.T) {
-	rs := buildFor(t, paperdata.Q4, false)
+	rs := buildFor(t, reference.Q4, false)
 	if !equalStrings(roots(rs), []string{"0"}) {
 		t.Fatalf("roots = %v", roots(rs))
 	}

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"xks"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func TestGroupCollapsesConcurrentCalls(t *testing.T) {
@@ -186,7 +186,7 @@ func TestCacheKeyStrategy(t *testing.T) {
 // le="0.0001" (not le="5e-05"), 10 at 40ms in le="0.05" (not le="0.025"),
 // and _sum / _count is their average.
 func TestMetricsHistogramQuantiles(t *testing.T) {
-	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(reference.Publications())}, Config{})
 	for range 90 {
 		sv.metrics.observe(80 * time.Microsecond)
 	}
@@ -211,7 +211,7 @@ func TestMetricsHistogramQuantiles(t *testing.T) {
 // TestMetricsEmptySnapshot: a server that has observed nothing scrapes an
 // all-zero latency histogram (every bucket, _sum and _count).
 func TestMetricsEmptySnapshot(t *testing.T) {
-	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(reference.Publications())}, Config{})
 	n := 0
 	for series, v := range Samples(t, sv) {
 		if !strings.HasPrefix(series, "xks_request_duration_seconds") {
@@ -230,7 +230,7 @@ func TestMetricsEmptySnapshot(t *testing.T) {
 // TestMetricsOverflowBucket: an observation beyond the last bound (5s)
 // shows only in the +Inf bucket, and _sum still carries its full value.
 func TestMetricsOverflowBucket(t *testing.T) {
-	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())}, Config{})
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(reference.Publications())}, Config{})
 	sv.metrics.observe(30 * time.Second)
 	for series, want := range map[string]float64{
 		`xks_request_duration_seconds_bucket{le="5"}`:    0,

@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"xks"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 // TestStoreOpenGauges pins the store cold-open exposition: absent until
 // SetStoreOpen, then one xks_store_open_seconds sample labelled with the
 // backing mode plus the mapped/heap byte gauges.
 func TestStoreOpenGauges(t *testing.T) {
-	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(paperdata.Publications())},
+	sv := New(SingleDoc{Name: "d", Engine: xks.FromTree(reference.Publications())},
 		Config{CacheSize: 4})
 	var before strings.Builder
 	sv.WritePrometheus(&before)

@@ -13,15 +13,15 @@ import (
 
 	"xks"
 	"xks/internal/fault"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/service"
 )
 
 func testCorpus(t *testing.T) *xks.Corpus {
 	t.Helper()
 	c := xks.NewCorpus()
-	c.Add("publications", xks.FromTree(paperdata.Publications()))
-	c.Add("team", xks.FromTree(paperdata.Team()))
+	c.Add("publications", xks.FromTree(reference.Publications()))
+	c.Add("team", xks.FromTree(reference.Team()))
 	return c
 }
 
@@ -88,7 +88,7 @@ func TestSearchDocumentFilter(t *testing.T) {
 }
 
 func TestSingleDocAdapter(t *testing.T) {
-	e := xks.FromTree(paperdata.Publications())
+	e := xks.FromTree(reference.Publications())
 	sv := service.New(service.SingleDoc{Name: "pubs.xml", Engine: e}, service.Config{CacheSize: 8})
 	res, _, err := sv.Search(context.Background(), xks.Request{Query: "liu keyword"})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestCorpusAddInvalidatesCache(t *testing.T) {
 	if _, _, err := sv.Search(context.Background(), xks.Request{Query: "name"}); err != nil {
 		t.Fatal(err)
 	}
-	c.Add("extra", xks.FromTree(paperdata.Publications()))
+	c.Add("extra", xks.FromTree(reference.Publications()))
 	if _, cached, _ := sv.Search(context.Background(), xks.Request{Query: "name"}); cached {
 		t.Error("Add must invalidate corpus-wide cached results")
 	}
@@ -501,7 +501,7 @@ func partialCorpus(t *testing.T) *xks.Corpus {
 	t.Helper()
 	c := xks.NewCorpus()
 	for _, n := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"} {
-		c.Add(n, xks.FromTree(paperdata.Publications()))
+		c.Add(n, xks.FromTree(reference.Publications()))
 	}
 	return c
 }
@@ -513,7 +513,7 @@ func partialCorpus(t *testing.T) *xks.Corpus {
 func TestPartialPageResumeServesStream(t *testing.T) {
 	const limit = 8
 	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
-	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: limit, Budget: xks.BestEffort}
+	req := xks.Request{Query: reference.Q1, Rank: true, Limit: limit, Budget: xks.BestEffort}
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointMaterialize,
@@ -564,7 +564,7 @@ func TestPartialPageResumeServesStream(t *testing.T) {
 // kept — the retry runs the full pipeline and is not a hit.
 func TestSalvagedPageNotCachedAsPartial(t *testing.T) {
 	sv := service.New(partialCorpus(t), service.Config{CacheSize: 32})
-	req := xks.Request{Query: paperdata.Q1, Rank: true, Limit: 6, Budget: xks.BestEffort}
+	req := xks.Request{Query: reference.Q1, Rank: true, Limit: 6, Budget: xks.BestEffort}
 
 	plan := fault.NewPlan(fault.Rule{
 		Point:  fault.PointCandidates,
@@ -788,7 +788,7 @@ func TestAppendDoesNotEvictOtherDocuments(t *testing.T) {
 	}
 	c := xks.NewCorpus()
 	c.Add("a.xml", a)
-	c.Add("b.xml", xks.FromTree(paperdata.Publications()))
+	c.Add("b.xml", xks.FromTree(reference.Publications()))
 	sv := service.New(c, service.Config{CacheSize: 64})
 
 	reqA := xks.Request{Query: "search", Document: "a.xml"}

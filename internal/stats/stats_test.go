@@ -4,12 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
 func TestAnalyzePublications(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	r := Analyze(tree, 0)
 	if r.Nodes != tree.Size() {
 		t.Errorf("Nodes = %d, want %d", r.Nodes, tree.Size())
@@ -45,7 +45,7 @@ func TestAnalyzePublications(t *testing.T) {
 }
 
 func TestTopLabelsSortedAndLimited(t *testing.T) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	r := Analyze(tree, 3)
 	if len(r.TopLabels) != 3 {
 		t.Fatalf("TopLabels = %d", len(r.TopLabels))
@@ -58,7 +58,7 @@ func TestTopLabelsSortedAndLimited(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Analyze(paperdata.Team(), 2)
+	r := Analyze(reference.Team(), 2)
 	out := r.String()
 	for _, want := range []string{"nodes:", "max depth:", "top labels:", "player"} {
 		if !strings.Contains(out, want) {

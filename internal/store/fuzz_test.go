@@ -10,7 +10,7 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 // FuzzLoad checks the v3 section-directory reader never panics on corrupted
@@ -18,7 +18,7 @@ import (
 // header of any other version must fail.
 func FuzzLoad(f *testing.F) {
 	var buf bytes.Buffer
-	if err := Shred(paperdata.Publications(), analysis.New()).Save(&buf); err != nil {
+	if err := Shred(reference.Publications(), analysis.New()).Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	v3 := buf.Bytes()

@@ -9,12 +9,12 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/index"
-	"xks/internal/paperdata"
 	"xks/internal/planner"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
-// previousFormat is the store xkshred wrote from paperdata.Publications
+// previousFormat is the store xkshred wrote from reference.Publications
 // while the format still persisted the planner statistics in a seventh
 // section (big-endian: six u32 counts, Postings the third, then AvgDepth as
 // float64 bits).
@@ -33,10 +33,11 @@ func sections(t *testing.T, data []byte) map[uint32][]byte {
 }
 
 // scanStats is the planner statistics of ix by the scan the index no
-// longer makes: every posting list decoded, every posting's depth summed.
-func scanStats(ix *index.Index) planner.Stats {
+// longer makes: every posting list of words decoded, every posting's depth
+// summed.
+func scanStats(ix *index.Index, words []string) planner.Stats {
 	var st planner.Stats
-	for _, w := range ix.Words() {
+	for _, w := range words {
 		for _, id := range ix.LookupIDs(w) {
 			st.Postings++
 			st.DepthSum += int64(ix.Table().Depth(id))
@@ -50,7 +51,7 @@ func scanStats(ix *index.Index) planner.Stats {
 // index answers them without decoding a posting list.
 func TestStatsRoundTripV2(t *testing.T) {
 	s := pubStore()
-	want := index.Build(paperdata.Publications(), analysis.New()).Stats()
+	want := index.Build(reference.Publications(), analysis.New()).Stats()
 	data := saveBytes(t, s)
 	if secs := sections(t, data); len(secs) != 8 || secs[7] != nil {
 		t.Fatalf("Save wrote %d sections, want 8 and no statistics section", len(secs))
@@ -76,8 +77,8 @@ func TestStatsRoundTripV2(t *testing.T) {
 // tree or a store.
 func TestStoreStatsMatchIndexScan(t *testing.T) {
 	for name, tree := range map[string]*xmltree.Tree{
-		"publications": paperdata.Publications(),
-		"team":         paperdata.Team(),
+		"publications": reference.Publications(),
+		"team":         reference.Team(),
 		"dblp":         datagen.DBLP(datagen.DBLPConfig{Seed: 3, NumRecords: 200}),
 		"xmark":        datagen.XMark(datagen.XMarkConfig{Seed: 3, Items: 60}),
 	} {
@@ -90,7 +91,7 @@ func TestStoreStatsMatchIndexScan(t *testing.T) {
 		if got := ix.Stats(); got != fromRows || got.Postings != opened.NumValues() {
 			t.Fatalf("%s: store %+v, FromRows %+v (%d value rows)", name, got, fromRows, opened.NumValues())
 		}
-		if scan := scanStats(ix); scan != fromRows {
+		if scan := scanStats(ix, opened.Keywords()); scan != fromRows {
 			t.Fatalf("%s: scan %+v, FromRows %+v", name, scan, fromRows)
 		}
 	}

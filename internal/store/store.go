@@ -13,12 +13,12 @@
 // IDs (Dewey codes, parents, depths) plus per-node label, text and attribute
 // columns; the value table is the sorted vocabulary with one
 // block-compressed posting list per keyword, and its inverse, a node →
-// keyword CSR. Shred builds the columns in memory from the one walk an
-// engine makes of a parsed document (index.Analyze), Save writes them as
-// CRC-guarded sections, and OpenFile maps (or reads) them back without
-// decoding a posting list. The planner statistics are not stored: the index
-// BuildIndex wraps around the columns sums them from the node → keyword
-// CSR's offsets and the node depths. Keyword lookups — the only query shape
+// keyword CSR. FromRows builds the columns in memory from the rows an
+// engine is built from (index.AnalyzeBytes, or Shred over a parsed tree),
+// Save writes them as CRC-guarded sections, and OpenFile maps (or reads)
+// them back without decoding a posting list. The planner statistics are
+// not stored: the index BuildIndex wraps around the columns sums them from
+// the node → keyword CSR's offsets and the node depths. Keyword lookups — the only query shape
 // the algorithms issue — run off the sorted vocabulary exactly like the
 // paper's SQL SELECTs, and the columns are served by node ID in the forms of
 // internal/index (the content words resolved from the CSR on first use), so
@@ -66,44 +66,39 @@ type Store struct {
 	fileSize int64
 }
 
-// Shred builds the three tables from a document, analyzing content with the
-// given analyzer (nil for the default). The node table, the label, text
-// and attribute columns and the posting lists come from the one walk and
-// the in-memory index an engine over the parsed document builds, so the
-// two engines agree by construction.
+// Shred builds the three tables from a parsed document (FromRows over
+// index.Analyze), analyzing content with an (nil for the default).
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
-	rows := index.Analyze(t, an)
-	ix := index.FromRows(rows)
-	s := &Store{labels: slices.Clip(rows.Labels.Names), tab: rows.Tab, nodeLabels: rows.Labels.IDs, text: rows.Text, attrs: rows.Attrs}
-	s.text.Data, s.attrs.Data = slices.Clip(s.text.Data), slices.Clip(s.attrs.Data)
-	s.terms = ix.Words()
-	// A word's term ID is its rank in the sorted vocabulary: one search per
-	// distinct word, not per occurrence.
-	rank := make([]uint32, rows.Vocab.Len())
-	for id := range rank {
-		r, _ := slices.BinarySearch(s.terms, rows.Vocab.Word(uint32(id)))
-		rank[id] = uint32(r)
-	}
+	return FromRows(index.Analyze(t, an))
+}
+
+// FromRows builds the three tables from a document's rows (index.Analyze,
+// index.AnalyzeBytes): the node table and the label, text and attribute
+// columns as they are, and the value table from the content sets, so an
+// engine over the store and one over the same rows agree by construction.
+// The rows' vocabulary is sorted, so a word's ID is its term ID and each
+// row's IDs are its node → keyword CSR row.
+func FromRows(rows index.Rows) *Store {
+	s := &Store{labels: slices.Clip(rows.Labels.Names), tab: rows.Tab, nodeLabels: slices.Clip(rows.Labels.IDs), text: rows.Text, attrs: rows.Attrs}
+	s.text.Off, s.text.Data = slices.Clip(s.text.Off), slices.Clip(s.text.Data)
+	s.attrs.Off, s.attrs.Data = slices.Clip(s.attrs.Off), slices.Clip(s.attrs.Data)
+	s.wordOff, s.termIDs = slices.Clip(rows.Off), slices.Clip(rows.IDs)
+	post := rows.Postings(0)
+	s.terms = make([]string, rows.Vocab.Len())
 	var blob []byte
 	offs := make([]int, len(s.terms)+1)
-	for i, w := range s.terms {
-		blob = postings.AppendEncode(blob, ix.LookupIDs(w))
+	for i := range s.terms {
+		s.terms[i] = rows.Vocab.Word(uint32(i))
+		blob = postings.AppendEncode(blob, post[s.terms[i]])
 		offs[i+1] = len(blob)
 	}
 	s.lists = make([]postings.List, len(s.terms))
 	for i := range s.lists {
 		// FromBytes cannot fail on AppendEncode's output.
 		s.lists[i], _ = postings.FromBytes(blob[offs[i]:offs[i+1]])
-	}
-	// A row's words are in lexical order, so its term IDs come out
-	// ascending.
-	s.wordOff = rows.Off
-	s.termIDs = make([]uint32, len(rows.IDs))
-	for i, id := range rows.IDs {
-		s.termIDs[i] = rank[id]
 	}
 	return s
 }

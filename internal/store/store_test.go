@@ -13,12 +13,11 @@ import (
 	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
 	"xks/internal/reference"
 )
 
 func pubStore() *Store {
-	return Shred(paperdata.Publications(), analysis.New())
+	return Shred(reference.Publications(), analysis.New())
 }
 
 // saveBytes returns the v3 image Save writes for s.
@@ -33,7 +32,7 @@ func saveBytes(t testing.TB, s *Store) []byte {
 
 func TestShredCounts(t *testing.T) {
 	s := pubStore()
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	if s.NumNodes() != tree.Size() {
 		t.Errorf("NumNodes = %d, want %d", s.NumNodes(), tree.Size())
 	}
@@ -47,9 +46,12 @@ func TestShredCounts(t *testing.T) {
 
 func TestPostingsMatchIndex(t *testing.T) {
 	s := pubStore()
-	ix := index.Build(paperdata.Publications(), analysis.New())
+	ix := index.Build(reference.Publications(), analysis.New())
 	fromStore := s.BuildIndex()
-	for _, w := range ix.Words() {
+	if len(s.Keywords()) != ix.NumWords() {
+		t.Fatalf("store has %d keywords, index %d", len(s.Keywords()), ix.NumWords())
+	}
+	for _, w := range s.Keywords() {
 		_, want, errIx := reference.KeywordSets(ix, w)
 		_, got, errStore := reference.KeywordSets(fromStore, w)
 		if errIx != nil || errStore != nil {
@@ -196,9 +198,9 @@ func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 	s := pubStore()
 	an := analysis.New()
 	fromStore := s.BuildIndex()
-	fromTree := index.Build(paperdata.Publications(), an)
-	_, setsA, errA := reference.KeywordSets(fromStore, paperdata.Q3)
-	_, setsB, errB := reference.KeywordSets(fromTree, paperdata.Q3)
+	fromTree := index.Build(reference.Publications(), an)
+	_, setsA, errA := reference.KeywordSets(fromStore, reference.Q3)
+	_, setsB, errB := reference.KeywordSets(fromTree, reference.Q3)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
@@ -215,14 +217,14 @@ func TestBuildIndexFromStoreSearchesEqually(t *testing.T) {
 }
 
 func TestShredNilAnalyzer(t *testing.T) {
-	s := Shred(paperdata.Team(), nil)
+	s := Shred(reference.Team(), nil)
 	if got := len(s.BuildIndex().LookupIDs("gassol")); got != 1 {
 		t.Errorf("postings(gassol) = %d", got)
 	}
 }
 
 func BenchmarkShred(b *testing.B) {
-	tree := paperdata.Publications()
+	tree := reference.Publications()
 	an := analysis.New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -13,12 +13,12 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/dewey"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func shredPaper(t *testing.T) *Store {
 	t.Helper()
-	return Shred(paperdata.Publications(), analysis.New())
+	return Shred(reference.Publications(), analysis.New())
 }
 
 // assertSameSurface pins the query surface of b to a: sizes, labels,

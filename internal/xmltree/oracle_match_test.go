@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"xks/internal/datagen"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
 
@@ -24,8 +24,8 @@ func TestParseMatchesEncodingXML(t *testing.T) {
 	for name, tr := range map[string]*xmltree.Tree{
 		"dblp-12000":   datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 12000}),
 		"xmark-2400":   datagen.XMark(datagen.XMarkConfig{Seed: 2, Items: 2400}),
-		"publications": paperdata.Publications(),
-		"team":         paperdata.Team(),
+		"publications": reference.Publications(),
+		"team":         reference.Team(),
 	} {
 		var b bytes.Buffer
 		if err := xmltree.WriteXML(&b, tr.Root); err != nil {

@@ -8,32 +8,46 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
-// scanner is Parse's one pass over a whole document held in memory. It
+// Sink receives a document's elements from Scan in document order: Start
+// for each start tag, Text for each run of character data inside the root,
+// End for each end tag (an empty element's End follows its Start). A scan
+// that fails stops sending, wherever it is.
+type Sink interface {
+	// Start opens an element as the last child of the innermost open one,
+	// or as the root when none is open. label and the attribute names are
+	// interned and may be kept; the attribute values, and attrs itself, are
+	// valid only during the call. Namespace declarations are left out.
+	Start(label string, attrs []Attr)
+	// Text adds a run of character data, trimmed and never empty, to the
+	// innermost open element; run is valid only during the call. An
+	// element's text is its runs joined by " ", complete at its End.
+	Text(run []byte)
+	// End closes the innermost open element.
+	End()
+}
+
+// scanner is Scan's one pass over a whole document held in memory. It
 // accepts exactly the documents encoding/xml's Decoder (strict mode, no
 // CharsetReader, no entity map) tokenizes to the end and xmltree's own
-// checks pass, and builds the tree as it goes: names checked and interned
-// once per distinct spelling, Dewey codes, child lists, attribute lists and
-// nodes carved from shared slabs, text and attribute values copied once out
-// of the input, which the tree never references.
+// checks pass, and drives its sink as it goes: names checked and interned
+// once per distinct spelling, attribute values and text decoded into
+// scratch the sink copies from if it keeps them.
 type scanner struct {
 	in  []byte
 	pos int
 
-	root  *Node
-	size  int
-	open  []openElem // the elements not yet closed, outermost first
-	kids  []*Node    // children of the open elements, each element's after its mark
-	ns    []nsBind   // xmlns:prefix bindings in scope
-	attrs []rawAttr  // the current start tag's attributes
-	buf   []byte     // decoded character data or attribute values
-	names map[string]*qname
-
-	nodes    slab[Node]
-	codes    slab[uint32]
-	children slab[*Node]
-	attrSlab slab[Attr]
+	sink   Sink
+	rooted bool      // the root element has started
+	open   []*qname  // the names of the elements not yet closed, outermost first
+	ns     []nsBind  // xmlns:prefix bindings in scope
+	attrs  []rawAttr // the current start tag's attributes
+	out    []Attr    // the current start tag's attributes as the sink gets them
+	vals   []byte    // the current start tag's decoded attribute values
+	buf    []byte    // decoded character data or attribute values
+	names  map[string]*qname
 }
 
 // qname is a name as spelled in the input, checked once: ok when it is an
@@ -41,17 +55,8 @@ type scanner struct {
 // prefix and local part when both sides of the colon are non-empty; valid
 // when the local part can be re-serialized (xmltree's own check).
 type qname struct {
-	space, local string
-	ok, valid    bool
-}
-
-// openElem is an element whose end tag is still to come: its node, where
-// its children start in scanner.kids, and its name as spelled (an end tag
-// must repeat it byte for byte, prefix included).
-type openElem struct {
-	n    *Node
-	mark int
-	name *qname
+	spelled, space, local string
+	ok, valid             bool
 }
 
 // nsBind is an xmlns:prefix declaration in scope: whether it binds the
@@ -64,34 +69,18 @@ type nsBind struct {
 	depth  int
 }
 
-// rawAttr is one attribute of the start tag being scanned.
+// rawAttr is one attribute of the start tag being scanned, its value a
+// view of scanner.vals.
 type rawAttr struct {
 	name  *qname
 	value string
 }
 
-// slab hands out exact-capacity slices carved from shared chunks that
-// double up to 4096 elements, so a parse allocates a chunk per few thousand
-// nodes instead of one object per node (and a snippet's few nodes little
-// more than they need), and an append to a carved slice reallocates instead
-// of overwriting its neighbour.
-type slab[T any] struct {
-	free []T
-	next int
-}
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.next = min(max(2*s.next, 8), 4096)
-		s.free = make([]T, max(n, s.next))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
-
-func parse(in []byte) (*Tree, error) {
-	s := &scanner{in: in, names: map[string]*qname{}}
+// Scan reads a whole document held in memory in one pass over its bytes
+// and drives sink with its elements. It accepts what Parse accepts (see the
+// package comment) and fails where Parse fails, with the same errors.
+func Scan(in []byte, sink Sink) error {
+	s := &scanner{in: in, sink: sink, names: map[string]*qname{}}
 	for s.pos < len(s.in) {
 		var err error
 		if s.in[s.pos] != '<' {
@@ -100,16 +89,16 @@ func parse(in []byte) (*Tree, error) {
 			err = s.markup()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: offset %d: %w", s.pos, err)
+			return fmt.Errorf("xmltree: parse: offset %d: %w", s.pos, err)
 		}
 	}
 	if len(s.open) > 0 {
-		return nil, fmt.Errorf("xmltree: parse: unexpected EOF inside <%s>", s.open[len(s.open)-1].n.Label)
+		return fmt.Errorf("xmltree: parse: unexpected EOF inside <%s>", s.open[len(s.open)-1].local)
 	}
-	if s.root == nil {
-		return nil, fmt.Errorf("xmltree: no root element")
+	if !s.rooted {
+		return fmt.Errorf("xmltree: no root element")
 	}
-	return &Tree{Root: s.root, size: s.size}, nil
+	return nil
 }
 
 var errEOF = errors.New("unexpected EOF")
@@ -139,21 +128,24 @@ func (s *scanner) space() {
 // of a multi-byte sequence — and returns it; empty when the cursor is at no
 // name byte.
 func (s *scanner) name() ([]byte, error) {
-	start := s.pos
-	for s.pos < len(s.in) {
-		c := s.in[s.pos]
-		if c < utf8.RuneSelf && !isNameByte(c) {
-			return s.in[start:s.pos], nil
-		}
-		s.pos++
+	start, end := s.pos, s.pos
+	for end < len(s.in) && nameByte[s.in[end]] {
+		end++
 	}
-	return nil, errEOF
+	if s.pos = end; end == len(s.in) {
+		return nil, errEOF
+	}
+	return s.in[start:end], nil
 }
 
-func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-'
-}
+// nameByte marks what name takes: ASCII name bytes, multi-byte sequences.
+var nameByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' ||
+			c == '_' || c == ':' || c == '.' || c == '-'
+	}
+	return t
+}()
 
 // qname reads a name and returns its checked, interned form.
 func (s *scanner) qname() (*qname, error) {
@@ -164,8 +156,9 @@ func (s *scanner) qname() (*qname, error) {
 	if q, ok := s.names[string(b)]; ok {
 		return q, nil
 	}
-	q := &qname{local: string(b)}
-	s.names[q.local] = q
+	q := &qname{spelled: string(b)}
+	q.local = q.spelled
+	s.names[q.spelled] = q
 	if !isName(b) || strings.Count(q.local, ":") > 1 {
 		return q, nil
 	}
@@ -240,7 +233,7 @@ func (s *scanner) startTag() error {
 	if !name.ok {
 		return fmt.Errorf("expected element name after <")
 	}
-	s.attrs = s.attrs[:0]
+	s.attrs, s.vals = s.attrs[:0], s.vals[:0]
 	empty := false
 	for {
 		s.space()
@@ -287,7 +280,9 @@ func (s *scanner) startTag() error {
 		if err != nil {
 			return err
 		}
-		a.value = string(v)
+		n := len(s.vals)
+		s.vals = append(s.vals, v...) // a reallocation leaves the views before it intact
+		a.value = unsafe.String(unsafe.SliceData(s.vals[n:]), len(v))
 		s.attrs = append(s.attrs, a)
 	}
 	if err := s.element(name); err != nil {
@@ -301,13 +296,13 @@ func (s *scanner) startTag() error {
 
 // element opens the element whose start tag was just scanned: namespace
 // bindings first (they apply to the tag's own attribute names), then the
-// node with its label, its attributes minus namespace declarations, its
-// parent and its Dewey code.
+// sink's Start with its label and its attributes minus namespace
+// declarations.
 func (s *scanner) element(name *qname) error {
 	if !name.valid {
 		return fmt.Errorf("invalid element name %q", name.local)
 	}
-	if len(s.open) == 0 && s.root != nil {
+	if len(s.open) == 0 && s.rooted {
 		return fmt.Errorf("multiple root elements")
 	}
 	depth := len(s.open)
@@ -316,7 +311,7 @@ func (s *scanner) element(name *qname) error {
 			s.ns = append(s.ns, nsBind{prefix: a.name.local, xmlns: a.value == "xmlns", depth: depth})
 		}
 	}
-	kept := 0
+	s.out = s.out[:0]
 	for _, a := range s.attrs {
 		if s.namespaceDecl(a.name) {
 			continue
@@ -324,31 +319,11 @@ func (s *scanner) element(name *qname) error {
 		if !a.name.valid {
 			return fmt.Errorf("invalid attribute name %q", a.name.local)
 		}
-		s.attrs[kept] = a
-		kept++
+		s.out = append(s.out, Attr{Name: a.name.local, Value: a.value})
 	}
-	n := &s.nodes.take(1)[0]
-	n.Label = name.local
-	if kept > 0 {
-		n.Attrs = s.attrSlab.take(kept)
-		for i, a := range s.attrs[:kept] {
-			n.Attrs[i] = Attr{Name: a.name.local, Value: a.value}
-		}
-	}
-	if depth == 0 {
-		s.root = n
-		n.Code = s.codes.take(1)
-	} else {
-		top := &s.open[depth-1]
-		n.Parent = top.n
-		pc := top.n.Code
-		n.Code = s.codes.take(len(pc) + 1)
-		copy(n.Code, pc)
-		n.Code[len(pc)] = uint32(len(s.kids) - top.mark)
-		s.kids = append(s.kids, n)
-	}
-	s.size++
-	s.open = append(s.open, openElem{n: n, mark: len(s.kids), name: name})
+	s.rooted = true
+	s.open = append(s.open, name)
+	s.sink.Start(name.local, s.out)
 	return nil
 }
 
@@ -371,28 +346,33 @@ func (s *scanner) namespaceDecl(q *qname) bool {
 	return false
 }
 
-// close ends the innermost open element: its children move to one
-// exact-size slice and its namespace bindings go out of scope.
+// close ends the innermost open element: its namespace bindings go out of
+// scope.
 func (s *scanner) close() {
-	top := s.open[len(s.open)-1]
 	s.open = s.open[:len(s.open)-1]
-	if k := s.kids[top.mark:]; len(k) > 0 {
-		top.n.Children = s.children.take(len(k))
-		copy(top.n.Children, k)
-		s.kids = s.kids[:top.mark]
-	}
 	for len(s.ns) > 0 && s.ns[len(s.ns)-1].depth == len(s.open) {
 		s.ns = s.ns[:len(s.ns)-1]
 	}
+	s.sink.End()
 }
 
 func (s *scanner) endTag() error {
-	name, err := s.qname()
-	if err != nil {
-		return err
+	// A well-formed end tag repeats its element's spelling: match it in place.
+	var name *qname
+	if n := len(s.open); n > 0 {
+		top := s.open[n-1]
+		if end := s.pos + len(top.spelled); end < len(s.in) && !nameByte[s.in[end]] && string(s.in[s.pos:end]) == top.spelled {
+			name, s.pos = top, end
+		}
 	}
-	if !name.ok {
-		return fmt.Errorf("expected element name after </")
+	if name == nil {
+		var err error
+		if name, err = s.qname(); err != nil {
+			return err
+		}
+		if !name.ok {
+			return fmt.Errorf("expected element name after </")
+		}
 	}
 	s.space()
 	c, err := s.must()
@@ -407,8 +387,8 @@ func (s *scanner) endTag() error {
 	}
 	// One spelling, one qname: the pointers are equal exactly when the
 	// names are, prefix included.
-	if top := s.open[len(s.open)-1]; top.name != name {
-		return fmt.Errorf("element <%s> closed by </%s>", top.name.local, name.local)
+	if top := s.open[len(s.open)-1]; top != name {
+		return fmt.Errorf("element <%s> closed by </%s>", top.local, name.local)
 	}
 	s.close()
 	return nil
@@ -577,20 +557,14 @@ func (s *scanner) charData() error {
 	return nil
 }
 
-// addText appends a run of character data, trimmed, to the innermost open
-// element's text, space-separated from the runs before it; runs outside the
-// root element are dropped.
+// addText hands a run of character data, trimmed, to the sink for the
+// innermost open element; runs outside the root element are dropped.
 func (s *scanner) addText(run []byte) {
 	run = bytes.TrimSpace(run)
 	if len(run) == 0 || len(s.open) == 0 {
 		return
 	}
-	top := s.open[len(s.open)-1].n
-	if top.Text == "" {
-		top.Text = string(run)
-	} else {
-		top.Text += " " + string(run)
-	}
+	s.sink.Text(run)
 }
 
 // text scans character data (quote 0: up to '<' or the end) or an
@@ -607,10 +581,14 @@ func (s *scanner) text(quote byte) ([]byte, error) {
 	for s.pos < len(s.in) {
 		b := s.in[s.pos]
 		if plainByte[b] {
-			if decoded {
-				s.buf = append(s.buf, b)
+			j := s.pos + 1 // a local index: the run's loop keeps it in a register
+			for j < len(s.in) && plainByte[s.in[j]] {
+				j++
 			}
-			s.pos++
+			if decoded {
+				s.buf = append(s.buf, s.in[s.pos:j]...)
+			}
+			s.pos = j
 			continue
 		}
 		switch {

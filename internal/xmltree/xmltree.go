@@ -1,16 +1,18 @@
-// Package xmltree models an XML document as the labelled tree
-// T = (r, V, E, Σ, λ) of the paper and assigns every node a Dewey code.
+// Package xmltree reads XML documents and models one as the labelled tree
+// T = (r, V, E, Σ, λ) of the paper, every node with a Dewey code.
 //
 // Nodes carry a label (the element name), optional attributes and optional
 // text. Following the paper's model (Figure 1(a)), text values live on the
 // element node itself rather than in separate text nodes: the content set Cv
 // of a node is derived from its label, attribute names/values and text.
 //
-// The package provides a parser, a programmatic builder used by tests and
-// generators, pre-order navigation, and serialization of whole trees.
+// One byte scanner reads every document: Scan drives a Sink with each
+// element's start, text runs and end. The index's row builder is one sink,
+// so a document loads into columns without a tree; Parse's builder is the
+// other. The Tree serves FromTree and Shred, the tests and generators, and
+// the benchmark's bridge, with pre-order navigation and serialization.
 //
-// Parse reads the whole input and builds the tree in one pass over its
-// bytes. It accepts exactly what encoding/xml's Decoder (strict, without a
+// Scan accepts exactly what encoding/xml's Decoder (strict, without a
 // CharsetReader or an entity map) tokenizes to the end and what the tree
 // model can hold, and the tests hold it to that Decoder as an oracle: names
 // are XML 1.0 names with at most one colon, and an element's or
@@ -23,9 +25,9 @@
 // an XML declaration names version 1.0 and UTF-8 if anything; there is one
 // root element and every element is closed. Text and markup outside the
 // root, comments, processing instructions and directives (DOCTYPE
-// included, whose entity declarations are not applied) leave no trace in
-// the tree, and namespace declarations are dropped from the attributes.
-// The tree holds copies of the text it keeps, never the input.
+// included, whose entity declarations are not applied) reach no sink, and
+// namespace declarations are dropped from the attributes. The tree holds
+// copies of the text it keeps, never the input.
 package xmltree
 
 import (
@@ -197,21 +199,116 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Parse reads an XML document and builds the tree in one pass over its
-// bytes (see scanner for what it accepts). Character data is trimmed and
+// bytes (see Scan for what it accepts). Character data is trimmed and
 // concatenated (space separated) onto the innermost open element.
 // Processing instructions, comments and directives are skipped.
 func Parse(r io.Reader) (*Tree, error) {
-	in, err := readAll(r)
+	in, err := ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
 	return parse(in)
 }
 
-// readAll is io.ReadAll with the buffer sized up front when r knows its
+func parse(in []byte) (*Tree, error) {
+	b := &treeBuilder{}
+	if err := Scan(in, b); err != nil {
+		return nil, err
+	}
+	return &Tree{Root: b.root, size: b.size}, nil
+}
+
+// treeBuilder is the Sink Parse builds its tree with: nodes, Dewey codes,
+// child lists and attribute lists carved from shared slabs, and text and
+// attribute values copied out of the scan, so the tree never references
+// the input.
+type treeBuilder struct {
+	root *Node
+	size int
+	open []openNode // the elements not yet closed, outermost first
+	kids []*Node    // children of the open elements, each element's after its mark
+
+	nodes    slab[Node]
+	codes    slab[uint32]
+	children slab[*Node]
+	attrs    slab[Attr]
+}
+
+// openNode is an element whose end tag is still to come, and where its
+// children start in treeBuilder.kids.
+type openNode struct {
+	n    *Node
+	mark int
+}
+
+func (b *treeBuilder) Start(label string, attrs []Attr) {
+	n := &b.nodes.take(1)[0]
+	n.Label = label
+	if len(attrs) > 0 {
+		n.Attrs = b.attrs.take(len(attrs))
+		for i, a := range attrs {
+			n.Attrs[i] = Attr{Name: a.Name, Value: strings.Clone(a.Value)}
+		}
+	}
+	if depth := len(b.open); depth == 0 {
+		b.root = n
+		n.Code = b.codes.take(1)
+	} else {
+		top := b.open[depth-1]
+		n.Parent = top.n
+		pc := top.n.Code
+		n.Code = b.codes.take(len(pc) + 1)
+		copy(n.Code, pc)
+		n.Code[len(pc)] = uint32(len(b.kids) - top.mark)
+		b.kids = append(b.kids, n)
+	}
+	b.size++
+	b.open = append(b.open, openNode{n: n, mark: len(b.kids)})
+}
+
+func (b *treeBuilder) Text(run []byte) {
+	if top := b.open[len(b.open)-1].n; top.Text == "" {
+		top.Text = string(run)
+	} else {
+		top.Text += " " + string(run)
+	}
+}
+
+// End moves the closed element's children to one exact-size slice.
+func (b *treeBuilder) End() {
+	top := b.open[len(b.open)-1]
+	b.open = b.open[:len(b.open)-1]
+	if k := b.kids[top.mark:]; len(k) > 0 {
+		top.n.Children = b.children.take(len(k))
+		copy(top.n.Children, k)
+		b.kids = b.kids[:top.mark]
+	}
+}
+
+// slab hands out exact-capacity slices carved from shared chunks that
+// double up to 4096 elements, so a parse allocates a chunk per few thousand
+// nodes instead of one object per node (and a snippet's few nodes little
+// more than they need), and an append to a carved slice reallocates instead
+// of overwriting its neighbour.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.next = min(max(2*s.next, 8), 4096)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// ReadAll is io.ReadAll with the buffer sized up front when r knows its
 // length (a file, a bytes or strings reader), so a document is read into
 // one allocation instead of a series of doublings.
-func readAll(r io.Reader) ([]byte, error) {
+func ReadAll(r io.Reader) ([]byte, error) {
 	n := 512
 	switch v := r.(type) {
 	case interface{ Len() int }:

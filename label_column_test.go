@@ -8,7 +8,7 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/dewey"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
@@ -96,9 +96,9 @@ func engineFragments(t *testing.T, e *Engine, req Request) []*Fragment {
 // answers every search exactly as a fresh load of the serialized tree does,
 // on the engine, through a Corpus, and after compaction.
 func TestAppendNewLabelMatchesFreshLoad(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	c := NewCorpus()
-	c.Add("pubs", FromTree(paperdata.Publications()))
+	c.Add("pubs", FromTree(reference.Publications()))
 	if res := engineFragments(t, e, Request{Query: "note:keyword"}); len(res) != 0 {
 		t.Fatalf("note:keyword matches %d fragments before the append", len(res))
 	}
@@ -108,7 +108,7 @@ func TestAppendNewLabelMatchesFreshLoad(t *testing.T) {
 	if err := c.AppendXML("pubs", "0", newLabelRecord); err != nil {
 		t.Fatal(err)
 	}
-	want := reloaded(t, paperdata.Publications(), newLabelRecord)
+	want := reloaded(t, reference.Publications(), newLabelRecord)
 	check := func(stage string) {
 		t.Helper()
 		for _, req := range labelRequests() {

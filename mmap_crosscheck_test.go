@@ -7,7 +7,7 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 )
 
@@ -102,7 +102,7 @@ func TestMmapCrosscheck(t *testing.T) {
 // statistics) decodes no posting list; the first k-keyword search decodes
 // exactly the k lists it touches.
 func TestOpenStoreLazyDecode(t *testing.T) {
-	s := store.Shred(paperdata.Publications(), analysis.New())
+	s := store.Shred(reference.Publications(), analysis.New())
 	path := filepath.Join(t.TempDir(), "paper.xks")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
 	"xks/internal/prune"
 	"xks/internal/reference"
 	"xks/internal/rtf"
@@ -275,10 +274,10 @@ func withQuery(shape Request, q string) Request {
 // DBLP document, for all algorithms and semantics.
 func TestPipelineMatchesEagerEngine(t *testing.T) {
 	engines := map[string]*Engine{
-		"publications": FromTree(paperdata.Publications()),
+		"publications": FromTree(reference.Publications()),
 		"dblp":         crosscheckDBLPEngine(t, 1),
 	}
-	queries := []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword}
+	queries := []string{reference.Q1, reference.Q2, reference.Q3, reference.QLiuKeyword}
 	for name, e := range engines {
 		for _, q := range queries {
 			for _, opts := range crosscheckOptions() {
@@ -320,7 +319,7 @@ func crosscheckDBLPEngine(t testing.TB, seed int64) *Engine {
 // including the bounded top-K merge — against the eager merge.
 func TestPipelineMatchesEagerCorpus(t *testing.T) {
 	c := NewCorpus()
-	c.Add("pubs.xml", FromTree(paperdata.Publications()))
+	c.Add("pubs.xml", FromTree(reference.Publications()))
 	c.Add("dblp-a.xml", crosscheckDBLPEngine(t, 2))
 	c.Add("dblp-b.xml", crosscheckDBLPEngine(t, 3))
 	c.Workers = 3
@@ -330,7 +329,7 @@ func TestPipelineMatchesEagerCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := []string{paperdata.Q1, paperdata.QLiuKeyword, q}
+	queries := []string{reference.Q1, reference.QLiuKeyword, q}
 	shapes := []Request{
 		{},
 		{Rank: true},

@@ -6,13 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 // "title:skyline" must match only the title node, not the abstract that
 // also contains "skyline".
 func TestLabelPredicateRestrictsMatches(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 
 	plain, err := e.Search(context.Background(), Request{Query: "wong skyline"})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestLabelPredicateRestrictsMatches(t *testing.T) {
 // A label-only term ("author:") anchors fragments at structures containing
 // that element.
 func TestLabelOnlyTerm(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	res, err := e.Search(context.Background(), Request{Query: "author: skyline"})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestLabelOnlyTerm(t *testing.T) {
 // Predicates that match nothing produce an empty result, like plain
 // keywords that match nothing.
 func TestPredicateNoMatch(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	res, err := e.Search(context.Background(), Request{Query: "abstract:wong"}) // "wong" only in a name node
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestPredicateNoMatch(t *testing.T) {
 
 // Malformed predicate terms are errors.
 func TestPredicateErrors(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	for _, bad := range []string{":", "a:b:c", "title:the"} {
 		if _, err := e.Search(context.Background(), Request{Query: bad}); err == nil {
 			t.Errorf("Search(%q) should fail", bad)
@@ -98,7 +98,7 @@ func TestPredicateErrors(t *testing.T) {
 
 // Predicate labels are case-insensitive.
 func TestPredicateLabelCaseInsensitive(t *testing.T) {
-	e := FromTree(paperdata.Publications())
+	e := FromTree(reference.Publications())
 	res, err := e.Search(context.Background(), Request{Query: "TITLE:skyline wong"})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestPredicateLabelCaseInsensitive(t *testing.T) {
 // Predicates compose with the rest of the pipeline: ranking, comparison and
 // the store-backed engine.
 func TestPredicateIntegration(t *testing.T) {
-	eTree := FromTree(paperdata.Publications())
+	eTree := FromTree(reference.Publications())
 	res, err := eTree.Search(context.Background(), Request{Query: "title:skyline wong", Rank: true})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestPredicateIntegration(t *testing.T) {
 }
 
 func TestPredicateAgainstStoreEngine(t *testing.T) {
-	eTree := FromTree(paperdata.Publications())
+	eTree := FromTree(reference.Publications())
 	eStore := storeEngine(t)
 	for _, q := range []string{"title:skyline wong", "author: skyline", "ref:liu keyword"} {
 		a, errA := eTree.Search(context.Background(), Request{Query: q})
@@ -156,8 +156,8 @@ func TestPredicateAgainstStoreEngine(t *testing.T) {
 // The Q3 result is unchanged when written with explicit predicates that
 // mirror the plain semantics.
 func TestPredicateEquivalentToPlainWhenUnrestrictive(t *testing.T) {
-	e := FromTree(paperdata.Publications())
-	plain, err := e.Search(context.Background(), Request{Query: paperdata.Q2})
+	e := FromTree(reference.Publications())
+	plain, err := e.Search(context.Background(), Request{Query: reference.Q2})
 	if err != nil {
 		t.Fatal(err)
 	}

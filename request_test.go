@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 )
 
 func TestRequestCanonical(t *testing.T) {
@@ -240,8 +240,8 @@ func TestHugePaginationWindowIsSafe(t *testing.T) {
 // and an unknown name fails with ErrUnknownDocument.
 func TestCorpusSearchDocumentFilter(t *testing.T) {
 	c := NewCorpus()
-	c.Add("pubs", FromTree(paperdata.Publications()))
-	c.Add("team", FromTree(paperdata.Team()))
+	c.Add("pubs", FromTree(reference.Publications()))
+	c.Add("team", FromTree(reference.Team()))
 
 	via, err := c.Search(context.Background(), Request{Query: "liu keyword", Document: "pubs"})
 	if err != nil {

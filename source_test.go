@@ -7,7 +7,7 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/nid"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
@@ -23,8 +23,8 @@ func TestBackingsPublishOneSource(t *testing.T) {
 		name string
 		tree func() *xmltree.Tree
 	}{
-		{"publications", paperdata.Publications},
-		{"team", paperdata.Team},
+		{"publications", reference.Publications},
+		{"team", reference.Team},
 		{"dblp", func() *xmltree.Tree { return datagen.DBLP(datagen.DBLPConfig{Seed: 3, NumRecords: 150}) }},
 		{"xmark", func() *xmltree.Tree { return datagen.XMark(datagen.XMarkConfig{Seed: 4, Items: 40}) }},
 	} {

@@ -11,23 +11,23 @@ import (
 	"xks/internal/analysis"
 	"xks/internal/datagen"
 	"xks/internal/dewey"
-	"xks/internal/paperdata"
+	"xks/internal/reference"
 	"xks/internal/store"
 	"xks/internal/xmltree"
 )
 
 func storeEngine(t *testing.T) *Engine {
 	t.Helper()
-	return FromStore(store.Shred(paperdata.Publications(), analysis.New()))
+	return FromStore(store.Shred(reference.Publications(), analysis.New()))
 }
 
 // Store-backed search returns exactly the same fragments (roots and kept
 // node sets) as tree-backed search, across all paper queries and both
 // algorithms.
 func TestStoreBackedSearchMatchesTree(t *testing.T) {
-	fromTree := FromTree(paperdata.Publications())
+	fromTree := FromTree(reference.Publications())
 	fromStore := storeEngine(t)
-	queries := []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword}
+	queries := []string{reference.Q1, reference.Q2, reference.Q3, reference.QLiuKeyword}
 	for _, q := range queries {
 		for _, algo := range []Algorithm{ValidRTF, MaxMatch, RawRTF} {
 			opts := Request{Algorithm: algo}
@@ -71,7 +71,7 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 // writers' over the document stripped of both.
 func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 	fresh := storeEngine(t)
-	bare := paperdata.Publications()
+	bare := reference.Publications()
 	bare.Walk(func(n *xmltree.Node) bool {
 		n.Text, n.Attrs = "", nil
 		return true
@@ -85,7 +85,7 @@ func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 			t.Fatalf("mode %d: %v", mode, err)
 		}
 		old := FromStore(st)
-		for _, q := range []string{paperdata.Q1, paperdata.Q2, paperdata.Q3, paperdata.QLiuKeyword} {
+		for _, q := range []string{reference.Q1, reference.Q2, reference.Q3, reference.QLiuKeyword} {
 			for _, opts := range crosscheckOptions() {
 				label := fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit)
 				assertSameResults(t, label, fresh, old, withQuery(opts, q), false)
@@ -113,12 +113,12 @@ func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 // text — in its XML, its ASCII tree and the snippet — exactly as
 // the engine over the parsed document renders it.
 func TestStoreBackedRendering(t *testing.T) {
-	e, ref := storeEngine(t), FromTree(paperdata.Publications())
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q3})
+	e, ref := storeEngine(t), FromTree(reference.Publications())
+	res, err := e.Search(context.Background(), Request{Query: reference.Q3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Search(context.Background(), Request{Query: paperdata.Q3})
+	want, err := ref.Search(context.Background(), Request{Query: reference.Q3})
 	if err != nil || len(want.Fragments) != len(res.Fragments) {
 		t.Fatalf("%v, err %v; want %d fragments", want, err, len(res.Fragments))
 	}
@@ -139,7 +139,7 @@ func TestStoreBackedRendering(t *testing.T) {
 }
 
 func TestOpenStoreRoundTrip(t *testing.T) {
-	s := store.Shred(paperdata.Team(), analysis.New())
+	s := store.Shred(reference.Team(), analysis.New())
 	path := filepath.Join(t.TempDir(), "team.xks")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(context.Background(), Request{Query: paperdata.Q4})
+	res, err := e.Search(context.Background(), Request{Query: reference.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestOpenStoreRoundTrip(t *testing.T) {
 }
 
 func TestStoreBackedCompare(t *testing.T) {
-	e := FromStore(store.Shred(paperdata.Team(), analysis.New()))
-	cmp, err := e.Compare(context.Background(), Request{Query: paperdata.Q4})
+	e := FromStore(store.Shred(reference.Team(), analysis.New()))
+	cmp, err := e.Compare(context.Background(), Request{Query: reference.Q4})
 	if err != nil {
 		t.Fatal(err)
 	}
