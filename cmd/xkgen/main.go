@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"xks/internal/datagen"
-	xstats "xks/internal/stats"
 	"xks/internal/workload"
 	"xks/internal/xmltree"
 )
@@ -79,7 +78,7 @@ func main() {
 		fatal(err)
 	}
 	if *stats {
-		fmt.Fprint(os.Stderr, xstats.Analyze(tree, 10).String())
+		fmt.Fprint(os.Stderr, analyze(tree, 10).String())
 	}
 }
 

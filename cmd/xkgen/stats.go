@@ -1,8 +1,4 @@
-// Package stats computes structural statistics of XML datasets — the
-// numbers one quotes when describing an evaluation corpus (§5.1 of the
-// paper quotes sizes and keyword frequencies): node counts, depth
-// distribution, label histogram, fan-out and keyword frequencies.
-package stats
+package main
 
 import (
 	"fmt"
@@ -12,8 +8,11 @@ import (
 	"xks/internal/xmltree"
 )
 
-// Report summarizes one dataset.
-type Report struct {
+// report holds the structural statistics of one dataset, what -stats prints:
+// node counts, depth distribution, label histogram and fan-out — the
+// numbers one quotes when describing an evaluation corpus (§5.1 of the
+// paper quotes sizes and keyword frequencies).
+type report struct {
 	Nodes        int
 	MaxDepth     int
 	AvgDepth     float64
@@ -21,23 +20,22 @@ type Report struct {
 	MaxFanOut    int
 	AvgFanOut    float64 // over internal nodes
 	Labels       int
-	TopLabels    []LabelCount
+	TopLabels    []labelCount
 	DepthCounts  []int // index = depth
 	TextNodes    int
 	TotalTextLen int
 }
 
-// LabelCount is one label histogram entry.
-type LabelCount struct {
+// labelCount is one label histogram entry.
+type labelCount struct {
 	Label string
 	Count int
 }
 
-// Analyze walks the tree once and fills a report. topN limits TopLabels
-// (0 = all labels).
-func Analyze(t *xmltree.Tree, topN int) *Report {
-	r := &Report{}
-	hist := map[string]int{}
+// analyze walks the tree and fills a report. topN limits TopLabels (0 = all
+// labels).
+func analyze(t *xmltree.Tree, topN int) *report {
+	r := &report{}
 	var depthSum, internal, fanSum int
 	t.Walk(func(n *xmltree.Node) bool {
 		r.Nodes++
@@ -52,7 +50,6 @@ func Analyze(t *xmltree.Tree, topN int) *Report {
 		if d > r.MaxDepth {
 			r.MaxDepth = d
 		}
-		hist[n.Label]++
 		if n.IsLeaf() {
 			r.Leaves++
 		} else {
@@ -74,9 +71,10 @@ func Analyze(t *xmltree.Tree, topN int) *Report {
 	if internal > 0 {
 		r.AvgFanOut = float64(fanSum) / float64(internal)
 	}
+	hist := t.LabelHistogram()
 	r.Labels = len(hist)
 	for l, c := range hist {
-		r.TopLabels = append(r.TopLabels, LabelCount{Label: l, Count: c})
+		r.TopLabels = append(r.TopLabels, labelCount{Label: l, Count: c})
 	}
 	sort.Slice(r.TopLabels, func(i, j int) bool {
 		if r.TopLabels[i].Count != r.TopLabels[j].Count {
@@ -91,7 +89,7 @@ func Analyze(t *xmltree.Tree, topN int) *Report {
 }
 
 // String renders the report as an aligned text block.
-func (r *Report) String() string {
+func (r *report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "nodes:        %d\n", r.Nodes)
 	fmt.Fprintf(&b, "max depth:    %d (avg %.2f)\n", r.MaxDepth, r.AvgDepth)

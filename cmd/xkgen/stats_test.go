@@ -1,4 +1,4 @@
-package stats
+package main
 
 import (
 	"strings"
@@ -10,7 +10,7 @@ import (
 
 func TestAnalyzePublications(t *testing.T) {
 	tree := reference.Publications()
-	r := Analyze(tree, 0)
+	r := analyze(tree, 0)
 	if r.Nodes != tree.Size() {
 		t.Errorf("Nodes = %d, want %d", r.Nodes, tree.Size())
 	}
@@ -46,7 +46,7 @@ func TestAnalyzePublications(t *testing.T) {
 
 func TestTopLabelsSortedAndLimited(t *testing.T) {
 	tree := reference.Publications()
-	r := Analyze(tree, 3)
+	r := analyze(tree, 3)
 	if len(r.TopLabels) != 3 {
 		t.Fatalf("TopLabels = %d", len(r.TopLabels))
 	}
@@ -58,7 +58,7 @@ func TestTopLabelsSortedAndLimited(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Analyze(reference.Team(), 2)
+	r := analyze(reference.Team(), 2)
 	out := r.String()
 	for _, want := range []string{"nodes:", "max depth:", "top labels:", "player"} {
 		if !strings.Contains(out, want) {
@@ -69,7 +69,7 @@ func TestReportString(t *testing.T) {
 
 func TestAnalyzeSingleNode(t *testing.T) {
 	tree := xmltree.Build(xmltree.E{Label: "only"})
-	r := Analyze(tree, 0)
+	r := analyze(tree, 0)
 	if r.Nodes != 1 || r.Leaves != 1 || r.MaxDepth != 0 || r.MaxFanOut != 0 {
 		t.Errorf("single node report = %+v", r)
 	}

@@ -4,8 +4,8 @@
 // generation-based invalidation, singleflight collapsing of concurrent
 // identical queries, and live server metrics. Directory corpora execute
 // queries through the staged pipeline (internal/exec) — per-document
-// workers produce lightweight candidates that merge through a streaming
-// top-K heap, and only the fragments a request returns are assembled.
+// workers produce lightweight candidates for their windows, one selection
+// picks the page from them, and only the fragments it returns are assembled.
 //
 // Usage:
 //

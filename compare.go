@@ -37,9 +37,6 @@ type Comparison struct {
 // Stats.Elapsed. The fragments are paired by position. ctx cancellation or
 // deadline (one deadline over both runs) aborts either run with ctx.Err().
 func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// The ratios need every fragment, in document order, and never a
 	// truncated page.
 	req.Rank, req.Limit, req.Offset, req.Cursor, req.Budget = false, 0, 0, "", Strict

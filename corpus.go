@@ -412,12 +412,12 @@ func (r *Result) AsCorpus(doc string) *Results {
 // words).
 //
 // Execution is staged (internal/exec): per-document workers run only the
-// cheap plan and candidate stages; candidates stream into a shared merge —
-// a bounded top-K heap when ranking with a limit — and fragments are
-// materialized only for the merged selection, in blocks of up to 64 as in
-// Engine.Search (Stream materializes one at a time; the fragments are the
-// same, byte for byte). A ranked search over N documents with Limit=10
-// assembles exactly 10 fragments.
+// cheap plan and candidate stages, each keeping the handles of its first
+// Offset+Limit roots in selection order; one selection over those windows
+// (a sort when ranking) picks the page, and fragments are materialized only
+// for it, in blocks of up to 64 as in Engine.Search (Stream materializes one
+// at a time; the fragments are the same, byte for byte). A ranked search
+// over N documents with Limit=10 assembles exactly 10 fragments.
 // Ordering is deterministic regardless of worker interleaving: the ranked
 // order is a strict total order (score, then document insertion order, then
 // document order), matching a stable score sort of the eagerly merged lists.
@@ -444,25 +444,15 @@ func (c *Corpus) Search(ctx context.Context, req Request) (*Results, error) {
 }
 
 // Stream is the one way a request executes on a corpus — the corpus-level
-// mirror of Engine.Stream: the fragment iterator plus a trailer. The
-// candidate stage and the shared (top-K) selection run eagerly when the loop
-// starts (selection needs every document's candidates), but fragments
-// materialize one by one (a block of one) as the iterator is consumed, in
-// result order. Breaking out of the loop early — a disconnecting client, a
-// filled page, a deadline — leaves every unvisited candidate unassembled:
-// pruneRTF and node/string assembly run only for the fragments actually
-// yielded. As in Engine.Stream, the fragments are carved from slabs sized for
-// windows of 1, 2, 4, … up to 64 fragments, and a retained fragment keeps its
-// window's slabs alive. A non-nil error is yielded once (with a zero
-// CorpusFragment) and ends the sequence. Once the loop ends (drained, broken,
-// errored, or truncated) the trailer func returns the Results envelope for
-// the fragments actually yielded — stats, the Truncated marker, and the
-// Cursor resuming after the last yielded fragment, so an abandoned stream is
-// still resumable. The yielded fragments themselves are not retained in the
-// trailer, so consuming an unbounded result set stays O(1) server-side. The
-// trailer's value is unspecified while the iterator is still running.
-// Request.Document narrows the snapshot vector to the named document; its
-// cursors carry the corpus token like any other.
+// mirror of Engine.Stream, under the same contract: the candidate stage and
+// the selection across documents run eagerly when the loop starts (selection
+// needs every document's candidates), fragments materialize one by one, in
+// result order, as the iterator is consumed, a non-nil error is yielded once
+// (with a zero CorpusFragment) and ends the sequence, and once the loop ends
+// the trailer returns the Results envelope of the fragments actually yielded,
+// whose Cursor resumes after the last of them. Request.Document narrows the
+// snapshot vector to the named document; its cursors carry the corpus token
+// like any other.
 func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragment, error], func() *Results) {
 	res := &Results{Query: req.Query, PerDocument: map[string]int{}}
 	seq := func(yield func(CorpusFragment, error) bool) {
@@ -481,9 +471,6 @@ func (c *Corpus) Stream(ctx context.Context, req Request) (iter.Seq2[CorpusFragm
 // materializing block candidates at a time, filling res's envelope as it
 // goes.
 func (c *Corpus) run(ctx context.Context, req Request, block int, res *Results, yield func(string, *Fragment) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	req, docs, gen, err := c.resolveSnapshot(req)
 	if err != nil {
 		return err

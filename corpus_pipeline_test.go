@@ -222,8 +222,8 @@ func TestCorpusSearchAssemblyCounts(t *testing.T) {
 
 // TestCorpusRankedLimitedDeterministic runs the same ranked+limited search
 // concurrently and repeatedly over a multi-worker corpus and asserts the
-// streamed top-K merge always yields the same ordered result (run under
-// -race in CI).
+// selection across documents always yields the same ordered result (run
+// under -race in CI).
 func TestCorpusRankedLimitedDeterministic(t *testing.T) {
 	c := NewCorpus()
 	for i := int64(0); i < 5; i++ {

@@ -42,8 +42,6 @@ var testOnlyExports = map[string]bool{
 	// The axioms tests extend a copy of a document and compare the answers
 	// before and after.
 	"xks/internal/xmltree.Tree.Clone": true,
-	// The dataset-shape tests of datagen, stats and store count labels.
-	"xks/internal/xmltree.Tree.LabelHistogram": true,
 }
 
 // standardMethod reports whether a method name is one a standard library

@@ -6,7 +6,6 @@ import (
 
 	"xks/internal/analysis"
 	"xks/internal/index"
-	"xks/internal/stats"
 	"xks/internal/xmltree"
 )
 
@@ -52,7 +51,7 @@ func TestDBLPShape(t *testing.T) {
 	if hist["author"] < 200 {
 		t.Errorf("author count = %d, want >= 200", hist["author"])
 	}
-	if d := stats.Analyze(tree, 0).MaxDepth; d != 2 {
+	if d := maxDepth(tree); d != 2 {
 		t.Errorf("DBLP depth = %d, want 2 (shallow records)", d)
 	}
 	kinds := hist["article"] + hist["inproceedings"] + hist["phdthesis"]
@@ -96,7 +95,7 @@ func TestXMarkDeterministicAndShape(t *testing.T) {
 	if hist["open_auction"] != 30 || hist["closed_auction"] != 15 {
 		t.Errorf("auctions = %d/%d", hist["open_auction"], hist["closed_auction"])
 	}
-	if d := stats.Analyze(a, 0).MaxDepth; d < 5 {
+	if d := maxDepth(a); d < 5 {
 		t.Errorf("XMark depth = %d, want >= 5 (deep records)", d)
 	}
 	// All six regions present.
@@ -239,4 +238,14 @@ func BenchmarkXMark(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		XMark(cfg)
 	}
+}
+
+// maxDepth is the greatest node level of t, the root's being 0.
+func maxDepth(t *xmltree.Tree) int {
+	d := 0
+	t.Walk(func(n *xmltree.Node) bool {
+		d = max(d, n.Level())
+		return true
+	})
+	return d
 }

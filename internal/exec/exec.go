@@ -14,10 +14,10 @@
 //	              defers the events (Params.DeferEvents): ranked, they
 //	              are folded into scores and dropped; unranked, the
 //	              roots alone are the candidates and getRTF does not run
-//	select      — top-K under (score desc, doc asc, seq asc) when ranking
-//	              with a limit (a bounded heap, streamable across
-//	              concurrent per-document producers), full ordering when
-//	              ranking without one, document order otherwise
+//	select      — the ranked order (score desc, doc asc, seq asc) when
+//	              ranking, document order otherwise, then the page's
+//	              window, over the per-document windows Candidates
+//	              returns: one sort, whatever the limit
 //	materialize — the expensive per-fragment work (pruneRTF:
 //	              BuildFragment + AppendKeptIDs, then node/string
 //	              assembly in the xks package), run only for the
@@ -29,7 +29,7 @@
 // Offset+Limit roots of the selection order alone, so selection, pruning and
 // assembly costs scale with the number of *returned* fragments, not the
 // number of matching fragments. Ranked corpus search over N documents with
-// Limit=10 offers at most 10 handles per document, prunes and assembles
+// Limit=10 selects over at most 10 handles per document, prunes and assembles
 // exactly 10 fragments, and any limited search gathers keyword events for
 // those 10 only (rtf.AppendEventsFor at materialization). Every ELCA/SLCA
 // root covers the query, so the candidate count — the envelope's total — is
@@ -59,7 +59,6 @@ import (
 
 	"xks/internal/lca"
 	"xks/internal/nid"
-	"xks/internal/planner"
 	"xks/internal/prune"
 	"xks/internal/rank"
 	"xks/internal/rtf"
@@ -74,14 +73,12 @@ const scoreCheckInterval = 256
 // Plan is the resolved form of one query: the display keywords, the words
 // used for IDF scoring, and the posting sets D1..Dk as node-ID lists over
 // the owning document's node table, all in mask-bit order. An empty Sets
-// means the query cannot match (some keyword had no postings).
+// means the query cannot match (some keyword had no postings). It holds only
+// what the stages read: the planner's decision labels explain output alone.
 type Plan struct {
 	Keywords []string
 	IDFWords []string
 	Sets     [][]nid.ID
-	// Decision is the planner's resolved plan for this query, which explain
-	// output reports; no stage reads it, so the zero value answers the same.
-	Decision planner.Decision
 }
 
 // KeywordNodes returns the total number of postings the plan consulted.
@@ -454,11 +451,11 @@ func Materialize(dst []nid.ID, r *rtf.IDRTF, params Params) (kept []nid.ID, visi
 }
 
 // TopK is a bounded, concurrency-safe accumulator of the K best candidates
-// under the ranked total order. Per-document workers Offer their candidates
-// as they produce them — at most their window of Offset+Limit each, which
-// is K; because the order is strict (Doc, Seq break every tie), the
-// surviving set is independent of arrival order, so concurrent corpus
-// searches stay deterministic.
+// under the ranked total order; because the order is strict (Doc, Seq break
+// every tie), the surviving set is independent of arrival order. No request
+// runs it: a page is selected by sorting the documents' windows, each
+// already cut to Offset+Limit, and only the benchmark's layer timing calls
+// it.
 type TopK struct {
 	mu sync.Mutex
 	h  boundedHeap[*Candidate]
@@ -479,17 +476,6 @@ func (t *TopK) Offer(cands ...*Candidate) {
 	for _, c := range cands {
 		t.h.offer(c)
 	}
-}
-
-// Ranked returns the surviving candidates best-first. The accumulator is
-// drained; further Offer calls start from empty.
-func (t *TopK) Ranked() []*Candidate {
-	t.mu.Lock()
-	out := t.h.h
-	t.h.h = nil
-	t.mu.Unlock()
-	SortRanked(out)
-	return out
 }
 
 // boundedHeap keeps the k best of the elements offered, under their better

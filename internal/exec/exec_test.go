@@ -26,6 +26,14 @@ func keys(cands []*Candidate) [][3]float64 {
 	return out
 }
 
+// ranked drains t's survivors best-first, once its producers are done.
+func ranked(t *TopK) []*Candidate {
+	out := t.h.h
+	t.h.h = nil
+	SortRanked(out)
+	return out
+}
+
 func TestTopKMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -59,7 +67,7 @@ func TestTopKMatchesStableSort(t *testing.T) {
 			perm = perm[n:]
 			topk.Offer(chunk...)
 		}
-		got := topk.Ranked()
+		got := ranked(topk)
 
 		if !reflect.DeepEqual(keys(ref), keys(got)) {
 			t.Fatalf("trial %d (k=%d):\n got %v\nwant %v", trial, k, keys(got), keys(ref))
@@ -90,7 +98,7 @@ func TestTopKConcurrentOfferDeterministic(t *testing.T) {
 			}(doc)
 		}
 		wg.Wait()
-		got := topk.Ranked()
+		got := ranked(topk)
 		if !reflect.DeepEqual(keys(want), keys(got)) {
 			t.Fatalf("trial %d:\n got %v\nwant %v", trial, keys(got), keys(want))
 		}

@@ -22,7 +22,6 @@ import (
 	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
-	"xks/internal/planner"
 	"xks/internal/rank"
 	"xks/internal/reference"
 	"xks/internal/rtf"
@@ -83,7 +82,8 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 	}
 	scorer := &rank.Scorer{Decay: 0.8, IDF: func(w string) float64 { return idf[w] }}
 	params := Params{Tab: tab, Rank: true, Scorer: scorer}
-	plan := Plan{IDFWords: words, Sets: sets, Decision: planner.Decision{Order: order, Skip: rng.Intn(2) == 0}}
+	plan := Plan{IDFWords: words, Sets: sets}
+	skip := rng.Intn(2) == 0
 
 	for _, slca := range []bool{false, true} {
 		label := fmt.Sprintf("%s slca=%t", label, slca)
@@ -151,7 +151,7 @@ func checkOnePass(t *testing.T, label string, tab *nid.Table, sets [][]nid.ID, o
 			t.Fatal(err)
 		}
 		release()
-		scored, err := rtf.BuildScoredIDsCtx(ctx, tab, roots, sets, scorer.Incremental(words), order, plan.Decision.Skip)
+		scored, err := rtf.BuildScoredIDsCtx(ctx, tab, roots, sets, scorer.Incremental(words), order, skip)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,23 +58,22 @@ func (s codeSource) idRTF(r *reference.RTF) *rtf.IDRTF {
 	return out
 }
 
-// resolveSets is the Dewey-code view of resolveIDSetsAt over the newest
-// state.
+// resolveSets is the Dewey-code view of planAt over the newest state.
 func (s codeSource) resolveSets(queryText string) (display, idfWords []string, sets [][]dewey.Code, err error) {
 	v := s.e.currentView()
 	defer v.release()
-	display, idfWords, idSets, err := s.e.resolveIDSetsAt(v, queryText)
+	p, err := s.e.planAt(v, queryText)
 	if err != nil {
-		return display, idfWords, nil, err
+		return p.Keywords, p.IDFWords, nil, err
 	}
-	sets = make([][]dewey.Code, len(idSets))
-	for i, ids := range idSets {
+	sets = make([][]dewey.Code, len(p.Sets))
+	for i, ids := range p.Sets {
 		sets[i] = make([]dewey.Code, len(ids))
 		for j, id := range ids {
 			sets[i][j] = s.tab.Code(id)
 		}
 	}
-	return display, idfWords, sets, nil
+	return p.Keywords, p.IDFWords, sets, nil
 }
 
 // eagerSearch is the pre-refactor Engine.Search: assemble every fragment,
@@ -315,8 +314,8 @@ func crosscheckDBLPEngine(t testing.TB, seed int64) *Engine {
 	return FromTree(datagen.DBLP(datagen.DBLPConfig{Seed: seed, NumRecords: 400, Keywords: specs}))
 }
 
-// TestPipelineMatchesEagerCorpus crosschecks the streaming Corpus.Search —
-// including the bounded top-K merge — against the eager merge.
+// TestPipelineMatchesEagerCorpus crosschecks the staged Corpus.Search —
+// including the ranked selection across documents — against the eager merge.
 func TestPipelineMatchesEagerCorpus(t *testing.T) {
 	c := NewCorpus()
 	c.Add("pubs.xml", FromTree(reference.Publications()))

@@ -141,8 +141,8 @@ func TestEnginePagination(t *testing.T) {
 	}
 }
 
-// TestCorpusPagination does the same walk over the streamed corpus merge,
-// where ranked pages come out of the bounded top-K heap.
+// TestCorpusPagination does the same walk over the corpus, where ranked
+// pages are selected across the documents' windows.
 func TestCorpusPagination(t *testing.T) {
 	c, q := corpusForCancel(t)
 	for _, rank := range []bool{false, true} {
@@ -218,10 +218,10 @@ func TestNegativePagingClampedAtExecution(t *testing.T) {
 	}
 }
 
-// TestHugePaginationWindowIsSafe is the regression test for the top-K
+// TestHugePaginationWindowIsSafe is the regression test for window-sized
 // preallocation: a request paging absurdly far past the result set — up to
 // an Offset+Limit that overflows int — must return an empty page cheaply,
-// not preallocate a window-sized heap or panic.
+// not preallocate a window-sized array or panic.
 func TestHugePaginationWindowIsSafe(t *testing.T) {
 	c, q := corpusForCancel(t)
 	for _, off := range []int{1 << 30, int(^uint(0) >> 1)} { // 1Gi, MaxInt

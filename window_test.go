@@ -109,7 +109,6 @@ func oracle(t *testing.T, docs []docRead, req Request) ([]pick, []int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Decision = d.eng.decideAt(d.v, req, p)
 		params := d.eng.paramsAt(d.v, req)
 		params.Limit, params.Offset = 0, 0
 		cands, n, release, err := exec.Candidates(context.Background(), p, params, i)
@@ -138,11 +137,11 @@ func checkWindow(t *testing.T, tg windowTarget, req Request) {
 	}
 
 	res := &Results{PerDocument: map[string]int{}}
-	topk, _, err := candidates(context.Background(), req, docs, 1, res)
+	_, err := candidates(context.Background(), req, docs, 1, res)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got := picksOf(docs, selectAcross(topk, docs, req))
+	got := picksOf(docs, selectAcross(docs, req))
 	releaseAll(docs)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: window selects\n%v\nthe unlimited stage\n%v", label, got, want)
