@@ -20,6 +20,7 @@ import (
 	"io"
 	"iter"
 	"math/bits"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
@@ -351,7 +352,8 @@ func TestRankedPageHydratesIntoScratch(t *testing.T) {
 // pointer, labels as the pinned label column and content as the lookup the
 // pinned source state built once (the two method values the parameters held
 // before were the 25th and 26th objects), and an untraced plan is never
-// rendered for explain. A query that
+// rendered for explain — nor decided: the planner's decision, which only
+// explain reads, was the page's 23rd and 24th objects. A query that
 // matches nothing stops after planning; an SLCA limit=10 page runs every
 // stage, with its roots in the candidate stage's pooled columns and handles
 // for its window of ten alone, hydrates its deferred events into the block's
@@ -366,7 +368,7 @@ func TestSingleDocumentSearchAllocs(t *testing.T) {
 		want float64
 	}{
 		{Request{Query: "zzzunmatched"}, 14},
-		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 24},
+		{Request{Query: queries[0], Semantics: SLCAOnly, Limit: 10}, 22},
 	} {
 		got := testing.AllocsPerRun(100, func() {
 			if _, err := e.Search(context.Background(), c.req); err != nil {
@@ -793,5 +795,49 @@ func TestLoadAllocs(t *testing.T) {
 	})
 	if per := allocs / float64(tr.Size()); per > 0.2 {
 		t.Errorf("loading %d elements allocates %.0f objects, %.2f an element; want at most 0.2", tr.Size(), allocs, per)
+	}
+}
+
+// TestMappedFromStoreAllocsDoNotScale: an engine over a mapped store views
+// the store's columns where they lie — the content column too, term IDs over
+// the vocabulary, with no string header a posting — so opening one costs the
+// vocabulary (the index's list table) and not the postings. Two documents
+// whose postings differ eightfold over a saturated vocabulary open for the
+// same object count, and the bytes the larger costs beyond the smaller stay
+// below one a posting (a materialised string column cost sixteen).
+func TestMappedFromStoreAllocsDoNotScale(t *testing.T) {
+	type cost struct{ bytes, objects, postings uint64 }
+	open := func(records int) cost {
+		path := filepath.Join(t.TempDir(), "dblp.xks")
+		doc := datagen.DBLP(datagen.DBLPConfig{Seed: 5, NumRecords: records})
+		if err := store.Shred(doc, analysis.New()).SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenMmap})
+		if err != nil {
+			t.Skipf("mmap unavailable on this platform: %v", err)
+		}
+		defer st.Close()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e := FromStore(st)
+		runtime.ReadMemStats(&after)
+		_, want, _, _ := st.Columns()
+		if got := e.src.Load().content.IDs; unsafe.SliceData(got) != unsafe.SliceData(want.IDs) {
+			t.Fatalf("%d records: the engine's content column is a copy, not the store's section", records)
+		}
+		return cost{after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, uint64(st.NumValues())}
+	}
+	small, large := open(1000), open(8000)
+	if large.postings < 7*small.postings {
+		t.Fatalf("postings %d and %d; want about eightfold", small.postings, large.postings)
+	}
+	if large.objects > small.objects+2 {
+		t.Errorf("FromStore allocates %d objects over %d postings and %d over %d", small.objects, small.postings, large.objects, large.postings)
+	}
+	if extra := large.bytes - min(large.bytes, small.bytes); extra >= large.postings-small.postings {
+		t.Errorf("FromStore allocates %d bytes over %d postings and %d over %d: %d more for %d more postings, want under one a posting",
+			small.bytes, small.postings, large.bytes, large.postings, extra, large.postings-small.postings)
 	}
 }

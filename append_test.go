@@ -105,12 +105,28 @@ func TestAppendXMLErrors(t *testing.T) {
 	}
 }
 
+// wordOrderRecord brings content words the document has not seen: one that
+// sorts before every word of the document's vocabulary, one between two of
+// them and one after all of them (%s is the vocabulary's first word). The
+// engine's dictionary gets them at its tail, so their IDs follow every
+// base word's while their rows stay in word order. Its first two authors
+// have equal (min,max) cIDs, which rule 2(b) prunes to one, but their IDs
+// begin with different base words: a row taken in ID order would keep both.
+const wordOrderRecord = `<article key="new/order"><title>xml order</title>` +
+	`<author>00aardvark keyword zzzyzx</author><author>00aardvark %s keyword zzzyzx</author>` +
+	`<author>keyword mmmquux</author><author>mmmquux zzzyzx keyword xml</author></article>`
+
+// wordOrderWords are wordOrderRecord's new words: before, between and after
+// the vocabulary.
+var wordOrderWords = [3]string{"00aardvark", "mmmquux", "zzzyzx"}
+
 // TestStoreBackedAppendsAnswerAsLoad: an engine over a store file, opened
-// heap-backed or mapped, takes three tail appends — one bringing a label
-// the document has not seen — and then answers and renders every request
-// as a fresh Load of the extended document does. Saving the store after
-// the appends still writes the file's own bytes: nothing was written
-// through the store's views.
+// heap-backed or mapped, takes tail appends — one bringing a label the
+// document has not seen, two bringing words that sort before, between and
+// after its whole vocabulary — and then answers and renders every request,
+// with ExactContent on and off, as a fresh Load of the extended document
+// does. Saving the store after the appends still writes the file's own
+// bytes: nothing was written through the store's views.
 func TestStoreBackedAppendsAnswerAsLoad(t *testing.T) {
 	doc := datagen.DBLP(datagen.DBLPConfig{Seed: 9, NumRecords: 60, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 20}, {Word: "keyword", Count: 12},
@@ -123,10 +139,19 @@ func TestStoreBackedAppendsAnswerAsLoad(t *testing.T) {
 	if err := os.WriteFile(path, image.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	vocab := store.Shred(doc, analysis.New()).Keywords()
+	before, between, after := wordOrderWords[0], wordOrderWords[1], wordOrderWords[2]
+	_, known := slices.BinarySearch(vocab, between)
+	if before >= vocab[0] || known || between < vocab[0] || between > vocab[len(vocab)-1] || after <= vocab[len(vocab)-1] {
+		t.Fatalf("%q, %q and %q do not fall before, between and after the vocabulary %q … %q", before, between, after, vocab[0], vocab[len(vocab)-1])
+	}
+	order := fmt.Sprintf(wordOrderRecord, vocab[0])
 	appends := []string{
 		`<article key="new/1"><title>xml keyword fresh</title></article>`,
 		newLabelRecord,
+		order,
 		`<inproceedings><author>xml writer</author><title>keyword search</title></inproceedings>`,
+		order, // every word already in the dictionary, the new ones at its tail
 	}
 	fresh := reloaded(t, doc, appends...)
 	for _, mode := range []store.OpenMode{store.OpenHeap, store.OpenMmap} {
@@ -140,10 +165,13 @@ func TestStoreBackedAppendsAnswerAsLoad(t *testing.T) {
 				t.Fatalf("%s: %v", st.Mode(), err)
 			}
 		}
-		for _, q := range append([]string{"xml keyword", "keyword search", "xml"}, newLabelQueries...) {
+		for _, q := range append([]string{"xml keyword", "keyword search", "xml", "keyword " + between, "order keyword"}, newLabelQueries...) {
 			for _, opts := range crosscheckOptions() {
-				assertSameResults(t, fmt.Sprintf("%s %q %s/%s rank=%v limit=%d", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit),
-					fresh, e, withQuery(opts, q), true)
+				for _, exact := range []bool{false, true} {
+					opts.ExactContent = exact
+					assertSameResults(t, fmt.Sprintf("%s %q %s/%s rank=%v limit=%d exact=%v", st.Mode(), q, opts.Algorithm, opts.Semantics, opts.Rank, opts.Limit, exact),
+						fresh, e, withQuery(opts, q), true)
+				}
 			}
 		}
 		var again bytes.Buffer

@@ -139,16 +139,16 @@ func (e *Engine) candidateStage(ctx context.Context, v *view, req Request, label
 	planSp := sp.Child("plan")
 	planStart := time.Now()
 	st.plan, err = e.planAt(v, req.Query)
-	var d planner.Decision // explain's alone: no stage reads it
 	if err == nil {
-		d = e.decideAt(v, req, st.plan)
 		v.words, v.keywords = st.plan.IDFWords, st.plan.Keywords
 	}
 	st.planTime = time.Since(planStart)
 	planSp.SetInt("keywordNodes", int64(st.plan.KeywordNodes()))
 	planSp.SetInt("terms", int64(len(st.plan.Keywords)))
-	if err == nil {
-		stampPlan(planSp, d, len(st.plan.Sets))
+	if err == nil && planSp != nil {
+		// The decision is explain's alone: no stage reads it, so an
+		// untraced search does not make it.
+		stampPlan(planSp, e.decideAt(v, req, st.plan), len(st.plan.Sets))
 	}
 	stampSnapshot(planSp, v, &e.counters)
 	planSp.End()
@@ -250,9 +250,6 @@ func (e *Engine) decideAt(v *view, req Request, p exec.Plan) planner.Decision {
 // k terms — the chosen algorithm, the merge order, and the model's cost
 // estimates, next to the actual event counters the downstream stages report.
 func stampPlan(sp *trace.Span, d planner.Decision, k int) {
-	if sp == nil {
-		return // untraced: OrderString would allocate for nobody
-	}
 	sp.SetStr("algorithm", d.Strategy.String())
 	sp.SetStr("termOrder", d.OrderString(k))
 	sp.SetInt("estScan", int64(d.EstScan))
@@ -288,6 +285,6 @@ func (e *Engine) paramsAt(v *view, req Request) exec.Params {
 		// event lists and hydrate the selected few lazily.
 		DeferEvents: req.Limit > 0,
 		Labels:      v.src.labels,
-		ContentOf:   v.src.content,
+		Content:     v.src.content,
 	}
 }

@@ -12,15 +12,16 @@ import (
 )
 
 // requireSortedContent asserts the contract internal/prune builds on
-// (prune.IDContentFunc): the source hands every node's content set back in
-// lexical order.
+// (index.Content): every row of the source's content column holds its
+// node's content set in the lexical order of its words, whatever the order
+// of its term IDs.
 func requireSortedContent(t *testing.T, name string, e *Engine) {
 	t.Helper()
 	tab := e.head.Load().Tab
 	sets := 0
 	for i := range tab.Len() {
 		id := nid.ID(i)
-		words := e.src.Load().content(id)
+		words := e.src.Load().content.RowWords(id)
 		if !slices.IsSorted(words) {
 			t.Fatalf("%s: node %s: content set %q is not sorted", name, tab.Code(id), words)
 		}

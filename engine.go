@@ -110,17 +110,11 @@ func (s Semantics) String() string {
 // (AppendXML, Compact) serialize on an internal mutex and publish new
 // versions. No engine holds a parsed tree.
 type Engine struct {
-	st  *store.Store // nil unless the engine opened a store
-	src atomic.Pointer[srcState]
-	// labels, content, text and attrs are the source columns as the writer
-	// grows them (publish, under mu); each published srcState views a
-	// prefix of them.
-	labels      index.LabelColumn
-	content     index.Content
-	text, attrs index.Strings
-	tree        *xmltree.Tree // Tree's, nil until its first call
-	an          *analysis.Analyzer
-	snip        *snippet.Generator
+	st   *store.Store             // nil unless the engine opened a store
+	src  atomic.Pointer[srcState] // grown by publish, under mu
+	tree *xmltree.Tree            // Tree's, nil until its first call
+	an   *analysis.Analyzer
+	snip *snippet.Generator
 
 	// head is the current index state; mu serializes the writers that
 	// replace it and src, and that alone touch tree and the source

@@ -130,7 +130,14 @@ func (f *Fragment) Snippet() string {
 			// A keyword matched through a label or an attribute has no
 			// text of its own: use the content words the request pinned
 			// instead.
-			text = strings.Join(f.v.src.content(f.keptIDs[i]), " ")
+			var b strings.Builder
+			for j, w := range f.v.src.content.Row(f.keptIDs[i]) {
+				if j > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(f.v.src.content.Words[w])
+			}
+			text = b.String()
 		}
 		sources = append(sources, snippet.Source{Label: f.NodeLabel(i), Text: text})
 	}

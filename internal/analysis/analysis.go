@@ -189,18 +189,19 @@ func (v *Vocab) AppendWords(dst []uint32, s string) []uint32 {
 	return dst
 }
 
-// Sort renumbers the vocabulary so that IDs ascend in lexical order of the
-// words, and returns the renumbering: the word that had ID id has rank[id].
-// A sorted vocabulary takes no more content.
-func (v *Vocab) Sort() (rank []uint32) {
-	words := slices.Clone(v.words)
+// Sort ends the build: it returns the lower-cased content words in lexical
+// order and the renumbering that makes a word's ID its rank there — the
+// word that had ID id is words[rank[id]]. A sorted vocabulary takes no more
+// content.
+func (v *Vocab) Sort() (words []string, rank []uint32) {
+	words = slices.Clone(v.words)
 	slices.Sort(words)
 	rank = make([]uint32, len(words))
 	for r, w := range words {
 		rank[v.lower[w]] = uint32(r)
 	}
-	v.words, v.written, v.lower = words, nil, nil
-	return rank
+	v.words, v.written, v.lower = nil, nil, nil
+	return words, rank
 }
 
 // id returns the ID of a word as written, or stopWord; a word not seen
@@ -234,9 +235,3 @@ func (v *Vocab) copy(s string) string {
 	v.arena = append(v.arena, s...)
 	return unsafe.String(&v.arena[len(v.arena)-len(s)], len(s))
 }
-
-// Word returns the lower-cased content word with the given ID.
-func (v *Vocab) Word(id uint32) string { return v.words[id] }
-
-// Len returns the number of distinct content words.
-func (v *Vocab) Len() int { return len(v.words) }

@@ -57,7 +57,7 @@ func finishedRows(a *analysis.Analyzer, nodes ...[]string) [][]string {
 	for i, pieces := range nodes {
 		rows[i] = v.AppendContent(nil, pieces...)
 	}
-	rank := v.Sort()
+	words, rank := v.Sort()
 	out := make([][]string, len(rows))
 	for i, row := range rows {
 		for j, id := range row {
@@ -65,7 +65,7 @@ func finishedRows(a *analysis.Analyzer, nodes ...[]string) [][]string {
 		}
 		slices.Sort(row)
 		for _, id := range row {
-			out[i] = append(out[i], v.Word(id))
+			out[i] = append(out[i], words[id])
 		}
 	}
 	return out

@@ -54,9 +54,9 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 	"sync"
 
+	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/prune"
@@ -91,7 +91,7 @@ func (p Plan) KeywordNodes() int {
 }
 
 // Params configures candidate generation, selection and materialization for
-// one search. Tab, Scorer, Labels and ContentOf come from the owning
+// one search. Tab, Scorer, Labels and Content come from the owning
 // engine's node table, scorer and document source.
 type Params struct {
 	// Tab is the document's node table; every ID in the plan's posting
@@ -121,11 +121,11 @@ type Params struct {
 	// event once, folding it into its root's score; an unranked one takes
 	// the LCA roots as its candidates and runs no dispatch at all.
 	DeferEvents bool
-	// Labels is the document's label column, pinned with the request's
-	// snapshot, and ContentOf resolves content word sets: what the pruning
-	// step groups children by and reads cIDs from.
-	Labels    prune.Labels
-	ContentOf prune.IDContentFunc
+	// Labels and Content are the document's label and content columns,
+	// pinned with the request's snapshot: what the pruning step groups
+	// children by and reads cIDs from.
+	Labels  index.LabelColumn
+	Content index.Content
 }
 
 // Candidate is one fragment root surviving the candidate stage: everything
@@ -403,15 +403,13 @@ func (sc *runScratch) window(params Params, doc int) []*Candidate {
 // selection order and a positive limit truncates — the pagination window
 // [Offset, Offset+Limit) of the full ordering. Candidates' window holds the
 // first Offset+Limit of that ordering, so selecting over it pages exactly
-// as selecting over every root would.
+// as selecting over every root would. A ranked selection sorts cands in
+// place.
 func Select(cands []*Candidate, params Params) []*Candidate {
-	if !params.Rank {
-		return Page(cands, params.Offset, params.Limit)
+	if params.Rank {
+		SortRanked(cands)
 	}
-	out := make([]*Candidate, len(cands))
-	copy(out, cands)
-	SortRanked(out)
-	return Page(out, params.Offset, params.Limit)
+	return Page(cands, params.Offset, params.Limit)
 }
 
 // Page slices the pagination window [offset, offset+limit) out of an
@@ -430,9 +428,18 @@ func Page(ordered []*Candidate, offset, limit int) []*Candidate {
 	return ordered
 }
 
-// SortRanked orders candidates best-first under the ranked total order.
+// SortRanked orders candidates best-first, in place, in ranked order; it is
+// strict (Doc and Seq break every tie), so the order is unique.
 func SortRanked(cands []*Candidate) {
-	sort.Slice(cands, func(i, j int) bool { return cands[i].better(cands[j]) })
+	slices.SortFunc(cands, func(a, b *Candidate) int {
+		switch {
+		case a.better(b):
+			return -1
+		case b.better(a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // Materialize runs the expensive half of the pipeline for one selected
@@ -444,7 +451,7 @@ func SortRanked(cands []*Candidate) {
 // package) turns them into rendered Fragments. The fragment tree lives in
 // pooled memory handed back here.
 func Materialize(dst []nid.ID, r *rtf.IDRTF, params Params) (kept []nid.ID, visited int) {
-	f := prune.BuildFragment(params.Tab, r, params.Labels, params.ContentOf, params.Prune)
+	f := prune.BuildFragment(params.Tab, r, params.Labels, params.Content, params.Prune)
 	kept, visited = f.AppendKeptIDs(dst, params.Mode, params.Prune)
 	f.Release()
 	return kept, visited

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xks/internal/dewey"
+	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/prune"
 	"xks/internal/rank"
@@ -144,7 +145,9 @@ func TestSelectOffsetPaging(t *testing.T) {
 	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 2 {
 		t.Fatalf("ranked page: got %v", keys(got))
 	}
-	// Unranked paging slices document order.
+	// Unranked paging slices document order (a ranked Select sorted cands
+	// in place).
+	cands = []*Candidate{mkCand(0, 0, 1), mkCand(0, 1, 3), mkCand(0, 2, 2), mkCand(0, 3, 3)}
 	got = Select(cands, Params{Limit: 2, Offset: 2})
 	if len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 3 {
 		t.Fatalf("unranked page: got %v", keys(got))
@@ -195,7 +198,10 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 		"0": "root", "0.0": "item", "0.1": "item",
 		"0.0.0": "x", "0.0.1": "y", "0.1.0": "x", "0.1.1": "y",
 	}
-	var column prune.Labels
+	// A node's content set is its label, so both columns share the one
+	// dictionary.
+	var column index.LabelColumn
+	content := index.Content{Off: []uint32{0}}
 	names := map[string]uint32{}
 	for id := range nid.ID(tab.Len()) {
 		l := labels[tab.Code(id).String()]
@@ -204,14 +210,17 @@ func TestCandidatesAndMaterialize(t *testing.T) {
 			column.Names = append(column.Names, l)
 		}
 		column.IDs = append(column.IDs, names[l])
+		content.IDs = append(content.IDs, names[l])
+		content.Off = append(content.Off, uint32(len(content.IDs)))
 	}
+	content.Words = column.Names
 	params := Params{
-		Tab:       tab,
-		Rank:      true,
-		Scorer:    &rank.Scorer{},
-		Labels:    column,
-		ContentOf: func(id nid.ID) []string { return []string{labels[tab.Code(id).String()]} },
-		Mode:      prune.ValidContributor,
+		Tab:     tab,
+		Rank:    true,
+		Scorer:  &rank.Scorer{},
+		Labels:  column,
+		Content: content,
+		Mode:    prune.ValidContributor,
 	}
 	cands, _, release, err := Candidates(context.Background(), p, params, 3)
 	if err != nil {

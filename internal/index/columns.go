@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"unsafe"
 
 	"xks/internal/nid"
@@ -17,6 +18,9 @@ type LabelColumn struct {
 	Names []string
 	dict  map[string]uint32
 }
+
+// Of returns the label of the node with table ID id.
+func (c LabelColumn) Of(id nid.ID) string { return c.Names[c.IDs[id]] }
 
 // add appends a node labelled label and returns the label's ID. The
 // dictionary is built on first use, so a column adopted without one (a
@@ -50,29 +54,71 @@ func (c *LabelColumn) Append(o LabelColumn) {
 	}
 }
 
-// Content is a content column: row i, the content set of node i in lexical
-// order, is Words[Off[i]:Off[i+1]]. Rows share the one word array.
+// Content is a content column: row i, the content set of node i, is the
+// term IDs IDs[Off[i]:Off[i+1]] over the word dictionary Words, in the
+// lexical order of their words. Rows share the one ID array and the one
+// dictionary. A column as built (Rows.Content, a store's Columns) has its
+// whole dictionary in lexical order, so its rows also ascend by ID; Append
+// keeps that sorted base and puts the words appends bring at the tail, so
+// an appended row is in word order but its IDs need not ascend.
 type Content struct {
 	Off   []uint32
+	IDs   []uint32
 	Words []string
+	tail  map[string]uint32 // the words appends put past the sorted base → their IDs
 }
 
-// Row returns node id's content set, capacity-capped so that an append
-// through it cannot reach the next row. Callers must not modify it.
-func (c Content) Row(id nid.ID) []string {
+// Row returns node id's content set as term IDs, capacity-capped so that an
+// append through it cannot reach the next row. Callers must not modify it.
+func (c Content) Row(id nid.ID) []uint32 {
 	lo, hi := c.Off[id], c.Off[id+1]
-	return c.Words[lo:hi:hi]
+	return c.IDs[lo:hi:hi]
+}
+
+// RowWords returns node id's content set as its words, in lexical order, in
+// a fresh slice.
+func (c Content) RowWords(id nid.ID) []string {
+	row := c.Row(id)
+	words := make([]string, len(row))
+	for i, w := range row {
+		words[i] = c.Words[w]
+	}
+	return words
 }
 
 // Append returns c with o's rows after its own, on c's arrays while their
-// capacity lasts (rows below c's length are never rewritten). An empty c
-// returns o.
+// capacity lasts (rows below c's length are never rewritten), each of o's
+// words mapped to its ID in c's dictionary: found by binary search in the
+// sorted base, or in the map of the words earlier appends brought, or
+// added at the tail. A word keeps its place in its row's word order, so
+// o's rows stay sorted. An empty c adopts o as it is, o's dictionary as
+// the sorted base.
 func (c Content) Append(o Content) Content {
 	if len(c.Off) == 0 {
 		return o
 	}
-	c.Off = appendOffsets(c.Off, o.Off, uint32(len(c.Words)))
-	c.Words = append(c.Words, o.Words...)
+	if c.tail == nil {
+		c.tail = map[string]uint32{}
+	}
+	base := c.Words[:len(c.Words)-len(c.tail)]
+	to := make([]uint32, len(o.Words))
+	for i, w := range o.Words {
+		if at, ok := slices.BinarySearch(base, w); ok {
+			to[i] = uint32(at)
+			continue
+		}
+		id, ok := c.tail[w]
+		if !ok {
+			id = uint32(len(c.Words))
+			c.Words = append(c.Words, w)
+			c.tail[w] = id
+		}
+		to[i] = id
+	}
+	c.Off = appendOffsets(c.Off, o.Off, uint32(len(c.IDs)))
+	for _, id := range o.IDs {
+		c.IDs = append(c.IDs, to[id])
+	}
 	return c
 }
 
@@ -94,7 +140,8 @@ func (c Strings) Row(id nid.ID) string {
 	return unsafe.String(&c.Data[lo], hi-lo)
 }
 
-// Append returns c with o's rows after its own, as Content.Append does.
+// Append returns c with o's rows after its own, on c's arrays while their
+// capacity lasts (rows below c's length are never rewritten).
 func (c Strings) Append(o Strings) Strings {
 	if len(c.Off) == 0 {
 		return o

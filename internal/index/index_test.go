@@ -19,12 +19,7 @@ func pubIndex() *index.Index {
 
 // pubWords returns the Figure 1(a) vocabulary, read from its rows.
 func pubWords() []string {
-	rows := index.Analyze(reference.Publications(), analysis.New())
-	words := make([]string, rows.Vocab.Len())
-	for i := range words {
-		words[i] = rows.Vocab.Word(uint32(i))
-	}
-	return words
+	return index.Analyze(reference.Publications(), analysis.New()).Words
 }
 
 // lookup returns the word's posting list as dotted Dewey codes, read

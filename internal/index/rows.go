@@ -13,14 +13,14 @@ import (
 // Rows is what one pass over a document yields, row i being the i-th node
 // in pre-order: the node table and the label, text and attribute columns,
 // and the content sets over the vocabulary of one build — row i's content
-// word IDs are IDs[Off[i]:Off[i+1]], ascending. The vocabulary is sorted,
-// so an ID is its word's rank in lexical order and a row's words come out
+// word IDs are IDs[Off[i]:Off[i+1]], ascending. Words is the vocabulary in
+// lexical order, so an ID is its word's rank and a row's words come out
 // lexical. The rows hold no node of a tree and no byte of the input.
 type Rows struct {
 	Tab         *nid.Table
 	Labels      LabelColumn
 	Text, Attrs Strings
-	Vocab       *analysis.Vocab
+	Words       []string
 	Off         []uint32
 	IDs         []uint32
 }
@@ -66,6 +66,7 @@ func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
 // row order once the vocabulary is ranked (rows).
 type rowBuilder struct {
 	r     Rows
+	vocab *analysis.Vocab
 	tab   *nid.Builder
 	open  []openRow
 	text  []byte     // the open rows' text, innermost last
@@ -91,12 +92,12 @@ func newRowBuilder(a *analysis.Analyzer, n, in int) *rowBuilder {
 	offsets := func() []uint32 { return make([]uint32, 1, n+1) }
 	return &rowBuilder{
 		r: Rows{
-			Vocab:  a.NewVocab(),
 			Labels: LabelColumn{IDs: make([]uint32, 0, n)},
 			Text:   Strings{Off: offsets()},
 			Attrs:  Strings{Off: offsets(), Data: make([]byte, 0, in/8)},
 			Off:    offsets(),
 		},
+		vocab:     a.NewVocab(),
 		tab:       nid.NewBuilder(n),
 		doneText:  make([]byte, 0, in/2),
 		doneWords: make([]uint32, 0, 6*n),
@@ -111,12 +112,12 @@ func (b *rowBuilder) Start(label string, attrs []xmltree.Attr) {
 	r := &b.r
 	id := r.Labels.add(label)
 	if int(id) == len(b.label) {
-		b.label = append(b.label, r.Vocab.AppendContent(nil, label))
+		b.label = append(b.label, b.vocab.AppendContent(nil, label))
 	}
 	b.words = append(b.words, b.label[id]...)
 	for _, at := range attrs {
-		b.words = r.Vocab.AppendWords(b.words, at.Name)
-		b.words = r.Vocab.AppendWords(b.words, at.Value)
+		b.words = b.vocab.AppendWords(b.words, at.Name)
+		b.words = b.vocab.AppendWords(b.words, at.Value)
 	}
 	r.Attrs.Data = xmltree.AppendAttrs(r.Attrs.Data, attrs)
 	r.Attrs.Off = append(r.Attrs.Off, uint32(len(r.Attrs.Data)))
@@ -133,7 +134,7 @@ func (b *rowBuilder) Text(run []byte) {
 		b.text = append(b.text, ' ')
 	}
 	b.text = append(b.text, run...)
-	b.words = b.r.Vocab.AppendWords(b.words, unsafe.String(&run[0], len(run)))
+	b.words = b.vocab.AppendWords(b.words, unsafe.String(&run[0], len(run)))
 }
 
 // End finishes the innermost open row: its text and its content words,
@@ -172,36 +173,37 @@ func (b *rowBuilder) rows() Rows {
 		r.Text.Data = append(r.Text.Data, b.doneText[at:at+r.Text.Off[i+1]]...)
 		r.Text.Off[i+1] = uint32(len(r.Text.Data))
 	}
-	rank := r.Vocab.Sort()
-	r.IDs = make([]uint32, len(b.doneWords))
+	var rank []uint32
+	r.Words, rank = b.vocab.Sort()
 	end := uint32(0)
-	for i, at := range b.wordsAt {
-		row := r.IDs[end : end+r.Off[i+1]]
-		for j, id := range b.doneWords[at : at+uint32(len(row))] {
+	for i, at := range b.wordsAt { // rank, sort and compact each row in place
+		row := b.doneWords[at : at+r.Off[i+1]]
+		for j, id := range row {
 			row[j] = rank[id]
 		}
 		slices.Sort(row)
-		end += uint32(len(slices.Compact(row)))
-		r.Off[i+1] = end
+		r.Off[i+1] = uint32(len(slices.Compact(row)))
+		end += r.Off[i+1]
 	}
-	r.IDs = r.IDs[:end]
+	r.IDs = make([]uint32, 0, end)
+	for i, at := range b.wordsAt {
+		r.IDs = append(r.IDs, b.doneWords[at:at+r.Off[i+1]]...)
+		r.Off[i+1] = uint32(len(r.IDs))
+	}
 	return r
 }
 
-// Content returns the rows' content column; it shares Off with r.
+// Content returns the rows' content column; it shares Off, IDs and Words
+// with r.
 func (r Rows) Content() Content {
-	words := make([]string, len(r.IDs))
-	for i, id := range r.IDs {
-		words[i] = r.Vocab.Word(id)
-	}
-	return Content{Off: r.Off, Words: words}
+	return Content{Off: r.Off, IDs: r.IDs, Words: r.Words}
 }
 
 // Postings returns each word's posting list, row i as node ID start+i:
 // ascending, since rows are in node order and a row holds a word at most
 // once. The lists share one array.
 func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
-	ends := make([]uint32, r.Vocab.Len()) // each list's end in the array
+	ends := make([]uint32, len(r.Words)) // each list's end in the array
 	for _, id := range r.IDs {
 		ends[id]++
 	}
@@ -223,7 +225,7 @@ func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
 		if id+1 < len(ends) {
 			hi = ends[id+1]
 		}
-		out[r.Vocab.Word(uint32(id))] = flat[lo:hi:hi]
+		out[r.Words[id]] = flat[lo:hi:hi]
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func TestPruneScratchReuseAllocBytes(t *testing.T) {
 	const slack = 16 << 10
 	s := sameLabelChildren(25000)
 	run := func() (nodes, kept int) {
-		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
+		f := BuildFragment(s.tab, s.idRTF, s.column, s.content, Options{})
 		ids, nodes := f.AppendKeptIDs(nil, ValidContributor, Options{})
 		f.Release()
 		return nodes, len(ids)

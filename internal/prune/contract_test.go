@@ -10,37 +10,60 @@ import (
 	"unsafe"
 
 	"xks/internal/dewey"
+	"xks/internal/index"
 	"xks/internal/nid"
 )
 
-// TestMain holds every test of the package to the sorted-set contract of
-// IDContentFunc: a content set that a cID reads out of order
-// fails the run, naming the set.
+// TestMain holds every test of the package to the word-order contract of
+// content rows (index.Content, IDContentFunc): a row that a cID reads out
+// of its words' lexical order fails the run, naming its words.
 func TestMain(m *testing.M) {
-	checkContent = func(words []string) {
-		if !slices.IsSorted(words) {
-			panic(fmt.Sprintf("prune: content set %q is not sorted (IDContentFunc contract)", words))
+	checkContent = func(row []uint32, dict []string) {
+		for i := 1; i < len(row); i++ {
+			if dict[row[i]] < dict[row[i-1]] {
+				words := make([]string, len(row))
+				for j, id := range row {
+					words[j] = dict[id]
+				}
+				panic(fmt.Sprintf("prune: content set %q is not sorted (index.Content contract)", words))
+			}
 		}
 	}
 	os.Exit(m.Run())
 }
 
 // TestUnsortedContentSetIsCaught: content is read where rule 2(b) reads a
-// cID, and that is where the contract hook stops an unsorted set. The three
-// same-label articles have key numbers 1, 2 and 3, so the third reaches rule
-// 2(b) and its title's set is read; building and MaxMatch read none.
+// cID, and that is where the contract hook stops an unsorted set, whether
+// it comes through BuildFragmentIDs' function or as a column row whose IDs
+// ascend but whose words do not. The three same-label articles have key
+// numbers 1, 2 and 3, so the third reaches rule 2(b) and its title's set
+// is read; building and MaxMatch read none.
 func TestUnsortedContentSetIsCaught(t *testing.T) {
 	s := sameLabelChildren(3)
-	f := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, func(nid.ID) []string { return []string{"b", "a"} }, Options{})
-	defer f.Release()
-	f.AppendKeptIDs(nil, Contributor, Options{})
-	f.AppendKeptIDs(nil, NoPruning, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("an unsorted content set went through rule 2(b) unnoticed")
-		}
-	}()
-	f.AppendKeptIDs(nil, ValidContributor, Options{})
+	column := index.Content{Off: []uint32{0}, Words: []string{"b", "a"}}
+	for range s.tab.Len() {
+		column.IDs = append(column.IDs, 0, 1)
+		column.Off = append(column.Off, uint32(len(column.IDs)))
+	}
+	for name, build := range map[string]func() *Fragment{
+		"function": func() *Fragment {
+			return BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, func(nid.ID) []string { return []string{"b", "a"} }, Options{})
+		},
+		"column": func() *Fragment { return BuildFragment(s.tab, s.idRTF, s.column, column, Options{}) },
+	} {
+		f := build()
+		f.AppendKeptIDs(nil, Contributor, Options{})
+		f.AppendKeptIDs(nil, NoPruning, Options{})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: an unsorted content set went through rule 2(b) unnoticed", name)
+				}
+			}()
+			f.AppendKeptIDs(nil, ValidContributor, Options{})
+		}()
+		f.Release()
+	}
 }
 
 // TestEndsFoldEqualsFullScan: on a sorted set, taking only the first and

@@ -10,7 +10,7 @@
 // events are one contiguous run of the RTF's. The cID (the (min,max)
 // word-pair feature approximating the tree content set) is read off that run
 // when rule 2(b) asks for it, and only then. A node's label is an integer,
-// its ID in the document's label column (Labels), read only for the
+// its ID in the document's label column (index.LabelColumn), read only for the
 // children ValidContributor filtering groups; Dewey codes are resolved only
 // for the results. The "Children Info" of §4.1 — per label, the child count
 // and the distinct child key numbers (chkList) — is computed while
@@ -36,9 +36,10 @@
 // child with a same-label sibling and a key number no such sibling covers —
 // have one computed, so cIDs cost O(events under rule-2(b) children), at
 // most events × depth; MaxMatch and the raw fragment read no content at all.
-// Each event adds O(1) whatever its content: content sets arrive sorted (the
-// IDContentFunc contract), so the (min,max) feature is the min and max of
-// the sets' first and last words. Filtering a parent is O(children + Σ d²)
+// Each event adds O(1) whatever its content: a content set is a row of term
+// IDs in the lexical order of its words (index.Content), so the (min,max)
+// feature is the min and max of the rows' first and last words, one
+// dictionary index each. Filtering a parent is O(children + Σ d²)
 // for k query keywords, where d ≤ 2^k is the number of distinct key numbers
 // in one of its label groups: a child finds its group's chkList entry for
 // its key number in an open-addressed hash table sized for the parent's
@@ -55,10 +56,11 @@
 // child's set with its kept equal-keyword siblings.
 //
 // A fragment is built from an rtf.IDRTF over a node table and the
-// document's label column (BuildFragment) and filtered in one pass, which
-// AppendKeptIDs appends to a caller's buffer as node IDs (the engine path)
-// and Prune also returns as Dewey codes. BuildFragmentIDs is the same build for a caller holding a label
-// function instead of a column.
+// document's label and content columns (BuildFragment) and filtered in one
+// pass, which AppendKeptIDs appends to a caller's buffer as node IDs (the
+// engine path) and Prune also returns as Dewey codes. BuildFragmentIDs is
+// the same build for a caller holding a label and a content function
+// instead of columns.
 //
 // Pooling. The Fragment handle, the node slice and the filtering pass's
 // working arrays come from a sync.Pool; Release hands them back whatever
@@ -82,6 +84,7 @@ import (
 	"sync"
 
 	"xks/internal/dewey"
+	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/rtf"
@@ -159,29 +162,19 @@ type node struct {
 	klist  uint64 // tree keyword set TKv; its integer value is the key number
 }
 
-// Labels is a document's label column: the node with table ID id is labelled
-// Names[IDs[id]], and every ID in IDs is below len(Names). Both slices are
-// read-only.
-type Labels struct {
-	IDs   []uint32 // label ID per table ID
-	Names []string // the label dictionary
-}
-
-// Of returns the label of the node with table ID id.
-func (l Labels) Of(id nid.ID) string { return l.Names[l.IDs[id]] }
-
 // IDLabelFunc resolves a node's label from its table ID.
 type IDLabelFunc func(nid.ID) string
 
 // IDContentFunc resolves the content word set Cv of a keyword node from its
-// table ID. The set must come back in lexical order (duplicates are
-// harmless), as analysis.ContentSet and the store's ContentAt
-// return it: a cID takes words[0] and words[len-1] and reads nothing
-// between. An unsorted set does not fail, it yields a wrong cID and with it
-// a wrong rule 2(b) decision; this package's tests run under a hook that
-// rejects one where a cID reads it. Only ExactContent reads every word, and
-// without it the function is called only for the keyword nodes under
-// children that reach rule 2(b).
+// table ID, for BuildFragmentIDs. The set must come back in lexical order
+// (duplicates are harmless), as analysis.ContentSet and the store's
+// ContentAt return it, for the same reason a content column's rows must
+// be in word order: a cID takes the first and the last word and reads
+// nothing between. An unsorted set or row does not fail, it yields a wrong
+// cID and with it a wrong rule 2(b) decision; this package's tests run
+// under a hook that rejects one where a cID reads it. Only ExactContent
+// reads every word, and without it a row or set is read only for the
+// keyword nodes under children that reach rule 2(b).
 type IDContentFunc func(nid.ID) []string
 
 // group is the "Children Info" of one label under the current parent.
@@ -288,19 +281,24 @@ type Fragment struct {
 
 	// Codes resolve through the node table, labels through the label
 	// column (labels, by table ID; s.local, by node index, when labels is
-	// nil), content sets through the RTF's keyword events. Every label ID is
-	// below nlabels.
-	tab       *nid.Table
-	labels    []uint32
-	nlabels   int
-	idEvents  []lca.IDEvent
-	idContent IDContentFunc
+	// nil), content sets through the RTF's keyword events and the content
+	// column. Every label ID is below nlabels.
+	tab      *nid.Table
+	labels   []uint32
+	nlabels  int
+	idEvents []lca.IDEvent
+	column   index.Content
+	// contentOf and dict are BuildFragmentIDs': each read resolves a set
+	// through contentOf and interns its words into column.Words.
+	contentOf IDContentFunc
+	dict      map[string]uint32
+	row       []uint32
 
 	events int32 // keyword events matched so far: all of them once built
 
-	// content holds every node's full tree content set, parallel to
-	// s.nodes; nil unless built with ExactContent.
-	content []map[string]struct{}
+	// content holds every node's full tree content set as term IDs,
+	// parallel to s.nodes; nil unless built with ExactContent.
+	content []map[uint32]struct{}
 }
 
 func newFragment(events int, opts Options) *Fragment {
@@ -312,7 +310,7 @@ func newFragment(events int, opts Options) *Fragment {
 	s.nodes, s.stack = s.nodes[:0], s.stack[:0]
 	s.frag = Fragment{s: s}
 	if opts.ExactContent {
-		s.frag.content = make([]map[string]struct{}, 0, cap(s.nodes))
+		s.frag.content = make([]map[uint32]struct{}, 0, cap(s.nodes))
 	}
 	return &s.frag
 }
@@ -322,14 +320,20 @@ func newFragment(events int, opts Options) *Fragment {
 // maintaining the path stack from the RTF root to the current node, so every
 // path node is created exactly once, in document order. Keyword masks are
 // then transferred to every ancestor up to the RTF root (the paper's lines
-// 11–12). labels must cover every table ID of the fragment; contentOf must
-// resolve a keyword node's content set, and is called only where a cID is
-// read (or for every keyword node under ExactContent). The fragment reads
-// r's events and the label column until it is released.
-func BuildFragment(t *nid.Table, r *rtf.IDRTF, labels Labels, contentOf IDContentFunc, opts Options) *Fragment {
+// 11–12). labels and content must cover every table ID of the fragment;
+// a keyword node's content row is read only where a cID is read (or for
+// every keyword node under ExactContent). The fragment reads r's events
+// and the columns until it is released.
+func BuildFragment(t *nid.Table, r *rtf.IDRTF, labels index.LabelColumn, content index.Content, opts Options) *Fragment {
+	return build(t, r, labels, content, nil, opts)
+}
+
+// build is BuildFragment, reading content through contentOf when it is
+// not nil.
+func build(t *nid.Table, r *rtf.IDRTF, labels index.LabelColumn, content index.Content, contentOf IDContentFunc, opts Options) *Fragment {
 	f := newFragment(len(r.KeywordNodes), opts)
 	f.tab, f.labels, f.nlabels = t, labels.IDs, len(labels.Names)
-	f.idEvents, f.idContent = r.KeywordNodes, contentOf
+	f.idEvents, f.column, f.contentOf = r.KeywordNodes, content, contentOf
 	s := f.s
 	rootDepth := t.Depth(r.Root)
 	f.push(r.Root)
@@ -354,12 +358,14 @@ func BuildFragment(t *nid.Table, r *rtf.IDRTF, labels Labels, contentOf IDConten
 	return f
 }
 
-// BuildFragmentIDs is BuildFragment for a caller that resolves labels one
-// node at a time: labelOf's strings for the fragment's nodes are interned
-// into a column of the fragment's own, and filtering groups through it as it
-// groups through a document's.
+// BuildFragmentIDs is BuildFragment for a caller that resolves labels and
+// content sets one node at a time: labelOf's strings for the fragment's
+// nodes are interned into a label column of the fragment's own, and
+// filtering groups through it as it groups through a document's; each read
+// of a content set calls contentOf and interns its words into a dictionary
+// of the fragment's own, so rows compare by ID as a column's do.
 func BuildFragmentIDs(t *nid.Table, r *rtf.IDRTF, labelOf IDLabelFunc, contentOf IDContentFunc, opts Options) *Fragment {
-	f := BuildFragment(t, r, Labels{}, contentOf, opts)
+	f := build(t, r, index.LabelColumn{}, index.Content{}, contentOf, opts)
 	s := f.s
 	s.local = resize(s.local, len(s.nodes))
 	ids := map[string]uint32{}
@@ -426,25 +432,44 @@ func (f *Fragment) fold() {
 }
 
 // contentSet returns node i's tree content set, creating it when absent.
-func (f *Fragment) contentSet(i int32) map[string]struct{} {
+func (f *Fragment) contentSet(i int32) map[uint32]struct{} {
 	if f.content[i] == nil {
-		f.content[i] = make(map[string]struct{})
+		f.content[i] = make(map[uint32]struct{})
 	}
 	return f.content[i]
 }
 
-// words returns the content set of keyword event e.
-func (f *Fragment) words(e int32) []string {
-	return f.idContent(f.idEvents[e].ID)
+// words returns the content set of keyword event e as term IDs over
+// f.column.Words, in the lexical order of their words. Under
+// BuildFragmentIDs the row is the fragment's, valid until the next call.
+func (f *Fragment) words(e int32) []uint32 {
+	id := f.idEvents[e].ID
+	if f.contentOf == nil {
+		return f.column.Row(id)
+	}
+	if f.dict == nil {
+		f.dict = map[string]uint32{}
+	}
+	f.row = f.row[:0]
+	for _, w := range f.contentOf(id) {
+		t, ok := f.dict[w]
+		if !ok {
+			t = uint32(len(f.column.Words))
+			f.column.Words = append(f.column.Words, w)
+			f.dict[w] = t
+		}
+		f.row = append(f.row, t)
+	}
+	return f.row
 }
 
 // checkContent is nil outside this package's tests, which set it to fail on a
-// content set that breaks the sorted-set contract of IDContentFunc.
-var checkContent func(words []string)
+// content row whose words (over dictionary words) are out of lexical order.
+var checkContent func(row []uint32, words []string)
 
 // cid computes node i's cID, the (min,max) of its tree content set, from its
-// subtree's run of keyword events: each content set is sorted, so its ends
-// are its own (min,max).
+// subtree's run of keyword events: each content row is in word order, so
+// its ends are its own (min,max).
 func (f *Fragment) cid(i int32) CID {
 	nodes := f.s.nodes
 	last := f.events
@@ -453,12 +478,12 @@ func (f *Fragment) cid(i int32) CID {
 	}
 	var c CID
 	for e := nodes[i].ev; e < last; e++ {
-		words := f.words(e)
+		row := f.words(e)
 		if checkContent != nil {
-			checkContent(words)
+			checkContent(row, f.column.Words)
 		}
-		if len(words) > 0 {
-			c.merge(CID{Min: words[0], Max: words[len(words)-1]})
+		if len(row) > 0 {
+			c.merge(CID{Min: f.column.Words[row[0]], Max: f.column.Words[row[len(row)-1]]})
 		}
 	}
 	return c

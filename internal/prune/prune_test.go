@@ -292,7 +292,10 @@ func TestQ4ExactContent(t *testing.T) {
 	f := h.fragment(t, 0, opts)
 	res := f.Prune(ValidContributor, opts)
 	assertKept(t, res, "0", "0.0", "0.1", "0.1.0", "0.1.0.1", "0.1.1", "0.1.1.1")
-	p0 := f.content[nodeAt(f, "0.1.0")]
+	p0 := map[string]struct{}{}
+	for id := range f.content[nodeAt(f, "0.1.0")] {
+		p0[f.column.Words[id]] = struct{}{}
+	}
 	if _, guard := p0["guard"]; guard || len(p0) == 0 {
 		t.Errorf("exact content set wrong for player 0: %v", p0)
 	}

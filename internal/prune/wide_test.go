@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xks/internal/dewey"
+	"xks/internal/index"
 	"xks/internal/lca"
 	"xks/internal/nid"
 	"xks/internal/rtf"
@@ -48,12 +49,13 @@ func (n *refNode) annotate() {
 
 // synthetic is a generated fragment over its own node table.
 type synthetic struct {
-	root   *refNode
-	tab    *nid.Table
-	idRTF  *rtf.IDRTF
-	labels []string   // by table ID
-	column Labels     // labels interned: the label column BuildFragment reads
-	words  [][]string // by table ID
+	root    *refNode
+	tab     *nid.Table
+	idRTF   *rtf.IDRTF
+	labels  []string          // by table ID
+	column  index.LabelColumn // labels interned: the label column BuildFragment reads
+	words   [][]string        // by table ID
+	content index.Content     // words interned: the content column BuildFragment reads
 }
 
 func (s *synthetic) labelOfID(id nid.ID) string     { return s.labels[id] }
@@ -81,13 +83,14 @@ func finish(root *refNode) *synthetic {
 	s.add(root, &codes)
 	s.tab = nid.FromCodes(codes)
 	s.column = internLabels(s.labels, nil)
+	s.content = internContent(s.words, nil)
 	return s
 }
 
 // internLabels builds the label column of labels (by table ID) over a
 // dictionary that starts with extra, unused names.
-func internLabels(labels, extra []string) Labels {
-	col := Labels{Names: slices.Clone(extra)}
+func internLabels(labels, extra []string) index.LabelColumn {
+	col := index.LabelColumn{Names: slices.Clone(extra)}
 	ids := map[string]uint32{}
 	for _, l := range labels {
 		id, ok := ids[l]
@@ -97,6 +100,34 @@ func internLabels(labels, extra []string) Labels {
 			ids[l] = id
 		}
 		col.IDs = append(col.IDs, id)
+	}
+	return col
+}
+
+// internContent builds the content column of words (by table ID, each row
+// sorted) over their sorted dictionary, or over order when it is not nil: a
+// permutation of the dictionary, as appends leave one whose IDs do not
+// ascend with the words.
+func internContent(words [][]string, order func(dict []string)) index.Content {
+	var dict []string
+	for _, ws := range words {
+		dict = append(dict, ws...)
+	}
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
+	if order != nil {
+		order(dict)
+	}
+	ids := map[string]uint32{}
+	for id, w := range dict {
+		ids[w] = uint32(id)
+	}
+	col := index.Content{Off: []uint32{0}, Words: dict}
+	for _, ws := range words {
+		for _, w := range ws {
+			col.IDs = append(col.IDs, ids[w])
+		}
+		col.Off = append(col.Off, uint32(len(col.IDs)))
 	}
 	return col
 }
@@ -118,7 +149,7 @@ func randomWide(rng *rand.Rand, n, labels, k int) *synthetic {
 				n.words = append(n.words, w)
 			}
 		}
-		slices.Sort(n.words) // the sorted-set contract of IDContentFunc
+		slices.Sort(n.words) // content rows are in word order (index.Content)
 	}
 	root := &refNode{code: dewey.Code{0}, label: "root"}
 	for i := range n {
@@ -406,7 +437,7 @@ func TestWideGroupsMatchNaive(t *testing.T) {
 		s := randomWide(rng, n, labels, 1+rng.Intn(6))
 		for _, exact := range []bool{false, true} {
 			opts := Options{ExactContent: exact}
-			f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, opts)
+			f := BuildFragment(s.tab, s.idRTF, s.column, s.content, opts)
 			for _, mode := range allModes {
 				want := naiveKept(s.root, mode, exact)
 				got := f.Prune(mode, opts)
@@ -459,7 +490,7 @@ func TestResultsOutliveScratch(t *testing.T) {
 				i := (round*7 + g*5) % len(frags)
 				check(i)
 				s := frags[i]
-				f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
+				f := BuildFragment(s.tab, s.idRTF, s.column, s.content, Options{})
 				retained[i] = f.Prune(allModes[i%len(allModes)], Options{})
 				f.Release()
 			}
@@ -495,7 +526,7 @@ func BenchmarkBuildAndPrune(b *testing.B) {
 	run := func(b *testing.B, s *synthetic, mode Mode) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
+			f := BuildFragment(s.tab, s.idRTF, s.column, s.content, Options{})
 			sink = f.Prune(mode, Options{})
 			f.Release()
 		}
@@ -514,7 +545,9 @@ func BenchmarkBuildAndPrune(b *testing.B) {
 // column and through BuildFragmentIDs' interning of label strings keeps the
 // same nodes and visits as many, in every mode and both content modes. The
 // column's dictionary is shuffled and padded with labels no node carries, so
-// its IDs share nothing with the adapter's first-come numbering.
+// its IDs share nothing with the adapter's first-come numbering. The content
+// column's dictionary is shuffled too, as appends leave one: its rows stay
+// in word order while their IDs do not ascend.
 func TestLabelColumnMatchesStringAdapter(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for n, s := range syntheticFragments(rng) {
@@ -524,16 +557,19 @@ func TestLabelColumnMatchesStringAdapter(t *testing.T) {
 		}
 		col := internLabels(s.labels, extra)
 		perm := rng.Perm(len(col.Names))
-		shuffled := Labels{Names: make([]string, len(col.Names))}
+		shuffled := index.LabelColumn{Names: make([]string, len(col.Names))}
 		for old, name := range col.Names {
 			shuffled.Names[perm[old]] = name
 		}
 		for _, id := range col.IDs {
 			shuffled.IDs = append(shuffled.IDs, uint32(perm[id]))
 		}
+		content := internContent(s.words, func(dict []string) {
+			rng.Shuffle(len(dict), func(i, j int) { dict[i], dict[j] = dict[j], dict[i] })
+		})
 		for _, exact := range []bool{false, true} {
 			opts := Options{ExactContent: exact}
-			byColumn := BuildFragment(s.tab, s.idRTF, shuffled, s.contentOfID, opts)
+			byColumn := BuildFragment(s.tab, s.idRTF, shuffled, content, opts)
 			byString := BuildFragmentIDs(s.tab, s.idRTF, s.labelOfID, s.contentOfID, opts)
 			for _, mode := range allModes {
 				got, gotVisited := byColumn.AppendKeptIDs(nil, mode, opts)
@@ -555,7 +591,7 @@ func TestLabelColumnMatchesStringAdapter(t *testing.T) {
 func TestLabelStampsSurviveWraparound(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for n, s := range syntheticFragments(rng) {
-		f := BuildFragment(s.tab, s.idRTF, s.column, s.contentOfID, Options{})
+		f := BuildFragment(s.tab, s.idRTF, s.column, s.content, Options{})
 		want, _ := f.AppendKeptIDs(nil, ValidContributor, Options{})
 		for range 2 {
 			slots := f.s.byLabel[:cap(f.s.byLabel)]
@@ -577,7 +613,7 @@ func TestLabelStampsSurviveWraparound(t *testing.T) {
 func BenchmarkPruneSmallFragmentManyLabels(b *testing.B) {
 	s := randomWide(rand.New(rand.NewSource(5)), 9, 3, 3)
 	for _, size := range []int{100, 100000} {
-		col := Labels{Names: make([]string, size)}
+		col := index.LabelColumn{Names: make([]string, size)}
 		for i := range col.Names {
 			col.Names[i] = fmt.Sprintf("l%d", i)
 		}
@@ -589,7 +625,7 @@ func BenchmarkPruneSmallFragmentManyLabels(b *testing.B) {
 		b.Run(fmt.Sprintf("labels=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f := BuildFragment(s.tab, s.idRTF, col, s.contentOfID, Options{})
+				f := BuildFragment(s.tab, s.idRTF, col, s.content, Options{})
 				sinkIDs, _ = f.AppendKeptIDs(nil, ValidContributor, Options{})
 				f.Release()
 			}

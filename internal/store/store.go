@@ -21,14 +21,14 @@
 // the node → keyword CSR's offsets and the node depths. Keyword lookups — the only query shape
 // the algorithms issue — run off the sorted vocabulary exactly like the
 // paper's SQL SELECTs, and the columns are served by node ID in the forms of
-// internal/index (the content words resolved from the CSR on first use), so
-// an engine over a store answers and renders as one over the document does.
+// internal/index (the content column is the CSR over the vocabulary, as the
+// paper's value table is keyed by term), so an engine over a store answers
+// and renders as one over the document does.
 package store
 
 import (
 	"os"
 	"slices"
-	"sync"
 
 	"xks/internal/analysis"
 	"xks/internal/index"
@@ -52,11 +52,6 @@ type Store struct {
 	text       index.Strings   // element table's text column, raw
 	attrs      index.Strings   // element table's attributes, as rendered
 
-	// content is the content column over wordOff, its words resolved from
-	// termIDs on first use, so ContentAt is a zero-copy row.
-	contentOnce sync.Once
-	content     index.Content
-
 	// data is the file image the views alias: a read-only file mapping
 	// (mapped, released by closer) or a heap buffer holding one whole-file
 	// read. Shredded stores leave all four zero.
@@ -79,20 +74,19 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 // index.AnalyzeBytes): the node table and the label, text and attribute
 // columns as they are, and the value table from the content sets, so an
 // engine over the store and one over the same rows agree by construction.
-// The rows' vocabulary is sorted, so a word's ID is its term ID and each
-// row's IDs are its node → keyword CSR row.
+// The rows' words are the sorted vocabulary, so a word's ID is its term ID
+// and each row's IDs are its node → keyword CSR row.
 func FromRows(rows index.Rows) *Store {
 	s := &Store{labels: slices.Clip(rows.Labels.Names), tab: rows.Tab, nodeLabels: slices.Clip(rows.Labels.IDs), text: rows.Text, attrs: rows.Attrs}
 	s.text.Off, s.text.Data = slices.Clip(s.text.Off), slices.Clip(s.text.Data)
 	s.attrs.Off, s.attrs.Data = slices.Clip(s.attrs.Off), slices.Clip(s.attrs.Data)
 	s.wordOff, s.termIDs = slices.Clip(rows.Off), slices.Clip(rows.IDs)
 	post := rows.Postings(0)
-	s.terms = make([]string, rows.Vocab.Len())
+	s.terms = slices.Clip(rows.Words)
 	var blob []byte
 	offs := make([]int, len(s.terms)+1)
-	for i := range s.terms {
-		s.terms[i] = rows.Vocab.Word(uint32(i))
-		blob = postings.AppendEncode(blob, post[s.terms[i]])
+	for i, w := range s.terms {
+		blob = postings.AppendEncode(blob, post[w])
 		offs[i+1] = len(blob)
 	}
 	s.lists = make([]postings.List, len(s.terms))
@@ -124,12 +118,12 @@ func (s *Store) LabelAt(i int) string {
 
 // Columns returns the element table's per-node columns in the forms every
 // engine publishes: the label column over the label table, the content
-// sets, each node's raw text, and its attributes as a start tag holds them
-// (escaped). They are the sections themselves, zero-copy under mmap, but
-// for the content sets' words, resolved from the node → keyword CSR on the
-// first call. Callers must not modify them.
+// column (the node → keyword CSR over the vocabulary), each node's raw
+// text, and its attributes as a start tag holds them (escaped). They are
+// the sections themselves, zero-copy under mmap. Callers must not modify
+// them.
 func (s *Store) Columns() (labels index.LabelColumn, content index.Content, text, attrs index.Strings) {
-	return index.LabelColumn{IDs: s.nodeLabels, Names: s.labels}, s.contentColumn(), s.text, s.attrs
+	return index.LabelColumn{IDs: s.nodeLabels, Names: s.labels}, index.Content{Off: s.wordOff, IDs: s.termIDs, Words: s.terms}, s.text, s.attrs
 }
 
 // Keywords returns the distinct keywords in lexical order.
@@ -146,27 +140,15 @@ func (s *Store) BuildIndex() *index.Index {
 	return index.FromCompressed(s.tab, s.terms, s.lists, s.wordOff)
 }
 
-// contentColumn returns the content column over the node → keyword CSR,
-// its words resolved from the term IDs on the first call.
-func (s *Store) contentColumn() index.Content {
-	s.contentOnce.Do(func() {
-		words := make([]string, len(s.termIDs))
-		for j, t := range s.termIDs {
-			words[j] = s.terms[t]
-		}
-		s.content = index.Content{Off: s.wordOff, Words: words}
-	})
-	return s.content
-}
-
-// ContentAt returns the content word set of the i-th element row, a
-// capacity-capped row of the content column, or nil when out of range.
-// Words come back in lexical order. Callers must not modify the result.
+// ContentAt returns the content word set of the i-th element row, resolved
+// into a fresh slice, or nil when out of range. Words come back in lexical
+// order.
 func (s *Store) ContentAt(i int) []string {
 	if i < 0 || i >= s.NumNodes() {
 		return nil
 	}
-	return s.contentColumn().Row(nid.ID(i))
+	_, content, _, _ := s.Columns()
+	return content.RowWords(nid.ID(i))
 }
 
 // SaveFile writes the store to a file.

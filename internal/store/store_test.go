@@ -287,9 +287,10 @@ func TestContentOf(t *testing.T) {
 	if got := s.ContentAt(s.NumNodes()); got != nil {
 		t.Errorf("ContentAt out of range = %v", got)
 	}
-	// The lazily resolved word table is stable across calls.
-	if again := s.ContentAt(int(id)); len(again) != 2 {
-		t.Errorf("second ContentAt = %v", again)
+	// Each call resolves the row into a fresh slice.
+	a, b := s.ContentAt(int(id)), s.ContentAt(int(id))
+	if !reflect.DeepEqual(a, b) || &a[0] == &b[0] {
+		t.Errorf("two ContentAt calls = %v at %p, %v at %p; want equal, distinct slices", a, &a[0], b, &b[0])
 	}
 }
 

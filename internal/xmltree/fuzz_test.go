@@ -92,11 +92,14 @@ func rowsDiff(got, want index.Rows) string {
 	gc, wc := got.Content(), want.Content()
 	for i := range want.Tab.Len() {
 		id := nid.ID(i)
-		g := fmt.Sprintf("%s %q %q %q %q", got.Tab.Code(id), got.Labels.Names[got.Labels.IDs[i]], got.Text.Row(id), got.Attrs.Row(id), gc.Row(id))
-		w := fmt.Sprintf("%s %q %q %q %q", want.Tab.Code(id), want.Labels.Names[want.Labels.IDs[i]], want.Text.Row(id), want.Attrs.Row(id), wc.Row(id))
+		g := fmt.Sprintf("%s %q %q %q %q", got.Tab.Code(id), got.Labels.Names[got.Labels.IDs[i]], got.Text.Row(id), got.Attrs.Row(id), gc.RowWords(id))
+		w := fmt.Sprintf("%s %q %q %q %q", want.Tab.Code(id), want.Labels.Names[want.Labels.IDs[i]], want.Text.Row(id), want.Attrs.Row(id), wc.RowWords(id))
 		if g != w {
 			return fmt.Sprintf("row %d: %s, want %s", i, g, w)
 		}
+	}
+	if !slices.Equal(got.Words, want.Words) {
+		return "word dictionaries differ"
 	}
 	if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Off, want.Off) {
 		return "content IDs differ"

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xks/internal/datagen"
+	"xks/internal/nid"
 	"xks/internal/reference"
 	"xks/internal/xmltree"
 )
@@ -71,26 +72,32 @@ func TestLoadMatchesFromTree(t *testing.T) {
 func assertSameColumns(t *testing.T, name string, want, got *Engine) []string {
 	t.Helper()
 	wt, gt := want.head.Load().Tab, got.head.Load().Tab
+	ws, gs := want.src.Load(), got.src.Load()
 	wp, wd, wo, wa := wt.Columns()
 	gp, gd, gof, ga := gt.Columns()
 	if !slices.Equal(wp, gp) || !slices.Equal(wd, gd) || !slices.Equal(wo, gof) || !slices.Equal(wa, ga) {
 		t.Fatalf("%s: node tables differ", name)
 	}
-	if !slices.Equal(want.labels.IDs, got.labels.IDs) || !slices.Equal(want.labels.Names, got.labels.Names) {
+	if !slices.Equal(ws.labels.IDs, gs.labels.IDs) || !slices.Equal(ws.labels.Names, gs.labels.Names) {
 		t.Fatalf("%s: label columns differ", name)
 	}
-	if !slices.Equal(want.content.Off, got.content.Off) || !slices.Equal(want.content.Words, got.content.Words) {
-		t.Fatalf("%s: content columns differ", name)
+	if !slices.Equal(ws.content.Off, gs.content.Off) {
+		t.Fatalf("%s: content row offsets differ", name)
 	}
-	for _, c := range [][2][]byte{{want.text.Data, got.text.Data}, {want.attrs.Data, got.attrs.Data}} {
+	for id := range nid.ID(wt.Len()) {
+		if w, g := ws.content.RowWords(id), gs.content.RowWords(id); !slices.Equal(w, g) {
+			t.Fatalf("%s: node %d content %q against %q", name, id, w, g)
+		}
+	}
+	for _, c := range [][2][]byte{{ws.text.Data, gs.text.Data}, {ws.attrs.Data, gs.attrs.Data}} {
 		if !bytes.Equal(c[0], c[1]) {
 			t.Fatalf("%s: text or attribute bytes differ", name)
 		}
 	}
-	if !slices.Equal(want.text.Off, got.text.Off) || !slices.Equal(want.attrs.Off, got.attrs.Off) {
+	if !slices.Equal(ws.text.Off, gs.text.Off) || !slices.Equal(ws.attrs.Off, gs.attrs.Off) {
 		t.Fatalf("%s: text or attribute offsets differ", name)
 	}
-	words := slices.Compact(slices.Sorted(slices.Values(want.content.Words)))
+	words := slices.Compact(slices.Sorted(slices.Values(ws.content.Words)))
 	wix, gix := want.Index(), got.Index()
 	if wix.NumWords() != len(words) || gix.NumWords() != len(words) {
 		t.Fatalf("%s: %d and %d posting lists for %d words", name, wix.NumWords(), gix.NumWords(), len(words))

@@ -110,7 +110,7 @@ func eagerSearch(e *Engine, queryText string, opts Request) (*Result, error) {
 		allRoots[i] = r.Root
 	}
 	for _, r := range rtfs {
-		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.Load().labels.Of, e.src.Load().content, pruneOpts)
+		f := prune.BuildFragmentIDs(src.tab, src.idRTF(r), e.src.Load().labels.Of, e.src.Load().content.RowWords, pruneOpts)
 		kept := f.Prune(opts.Algorithm.mode(), pruneOpts)
 		res.Fragments = append(res.Fragments, eagerAssemble(src, r, kept, allRoots, words, idfWords))
 	}

@@ -321,7 +321,7 @@ func runRequest(ctx context.Context, req Request, gen uint64, docs []docRead, wo
 // documents' windows. Each window holds the first Offset+Limit roots of its
 // document's selection order, so the concatenation holds every root the page
 // takes. A lone document's window is its stage's slice, which exec.Select
-// copies to sort; several are concatenated into one presized slice, sorted in
+// sorts in place; several are concatenated into one presized slice, sorted in
 // place.
 func selectAcross(docs []docRead, req Request) []*exec.Candidate {
 	if len(docs) == 1 {

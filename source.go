@@ -7,14 +7,14 @@ import (
 
 	"xks/internal/index"
 	"xks/internal/nid"
-	"xks/internal/prune"
 	"xks/internal/xmltree"
 )
 
 // srcState is the document source: one published version of the columns a
 // node table ID indexes, in one form whatever backs them — the label column
-// (4 bytes a node) with its dictionary, the content column as the lookup
-// pruning takes (a capacity-capped row of one word array), and the text and
+// (4 bytes a node) with its dictionary, the content column (4 bytes a
+// posting: term IDs over the engine's one word dictionary, a row in the
+// lexical order of its words) that pruning reads cIDs from, and the text and
 // attribute columns the renderers and NodeText read; no row read allocates.
 //
 // A request pins the state current after its snapshot (view.src), and its
@@ -27,32 +27,31 @@ import (
 // engine's write mutex) appends rows to the columns the previous state
 // views and publishes a longer state; rows below a published length are
 // never rewritten and a reader never indexes past the length of the state
-// it loaded. New labels go at the dictionary's tail the same way, so a
-// reader never finds a label ID its dictionary does not cover. An engine
-// over a store starts from the store's columns as they are: zero-copy under
-// mmap, and capacity-capped, so its first append copies them rather than
-// write into the store.
+// it loaded. New labels and new content words go at their dictionaries'
+// tails the same way, so a reader never finds an ID its dictionary does
+// not cover. An engine over a store starts from the store's columns as
+// they are: zero-copy under mmap, and capacity-capped, so its first append
+// copies them rather than write into the store.
 type srcState struct {
-	labels      prune.Labels
-	content     prune.IDContentFunc
+	labels      index.LabelColumn
+	content     index.Content
 	text, attrs index.Strings
 }
 
-// publish appends the next nodes' rows, in pre-order, to the engine's
-// source columns and publishes the longer state; an engine's first call
+// publish appends the next nodes' rows, in pre-order, to the columns of
+// the current state and publishes the longer state; an engine's first call
 // adopts the columns of the whole document (parsed, or a store's). The
 // cost is the rows, not the document, while the columns' amortized
 // capacity lasts. Caller holds e.mu or has not shared e.
 func (e *Engine) publish(labels index.LabelColumn, content index.Content, text, attrs index.Strings) {
-	e.labels.Append(labels)
-	e.content = e.content.Append(content)
-	e.text, e.attrs = e.text.Append(text), e.attrs.Append(attrs)
-	e.src.Store(&srcState{
-		labels:  prune.Labels{IDs: e.labels.IDs, Names: e.labels.Names},
-		content: e.content.Row,
-		text:    e.text,
-		attrs:   e.attrs,
-	})
+	var s srcState
+	if cur := e.src.Load(); cur != nil {
+		s = *cur
+	}
+	s.labels.Append(labels)
+	s.content = s.content.Append(content)
+	s.text, s.attrs = s.text.Append(text), s.attrs.Append(attrs)
+	e.src.Store(&s)
 }
 
 // renderBufs recycles writeXML's output buffers; renderFlush is the size at
