@@ -625,10 +625,10 @@ func TestStoreWriteXMLAllocsDoNotScale(t *testing.T) {
 	}
 }
 
-// TestTreeWriteXMLAllocsDoNotScale: a tree-backed WriteXML walks the kept
-// nodes by ID and appends into a pooled buffer — no keep map, no Dewey key
-// per child of a kept node — so a three-node fragment allocates the same
-// (nothing) under a root with 100 children and under one with 10 000.
+// TestTreeWriteXMLAllocsDoNotScale: WriteXML walks the kept nodes by ID
+// and appends into a pooled buffer — no keep map, no Dewey key per child
+// of a kept node — so a three-node fragment allocates the same (nothing)
+// under a root with 100 children and under one with 10 000.
 func TestTreeWriteXMLAllocsDoNotScale(t *testing.T) {
 	measure := func(n int) float64 {
 		kids := []xmltree.E{{Label: "item", Text: "alpha"}, {Label: "item", Text: "beta"}}
@@ -648,14 +648,14 @@ func TestTreeWriteXMLAllocsDoNotScale(t *testing.T) {
 	}
 	small, large := measure(100), measure(10000)
 	if small > 1 || large > 1 { // slack for a collection emptying the pool mid-measurement
-		t.Errorf("WriteXML of a 3-node tree-backed fragment allocates %.0f objects under a 100-child root and %.0f under a 10 000-child root, want none", small, large)
+		t.Errorf("WriteXML of a 3-node fragment allocates %.0f objects under a 100-child root and %.0f under a 10 000-child root, want none", small, large)
 	}
 }
 
 // TestEncodedPageAllocsNoMemo: the serving layer encodes a collected page
 // through WriteXML, which renders from the fragment's view into pooled
 // buffers, so a page searched and then written fragment by fragment
-// allocates what the search alone does, tree- and store-backed.
+// allocates what the search alone does, in every backing.
 func TestEncodedPageAllocsNoMemo(t *testing.T) {
 	for _, backing := range blockBackings {
 		e := backing.build(t, 200)
@@ -839,5 +839,45 @@ func TestMappedFromStoreAllocsDoNotScale(t *testing.T) {
 	if extra := large.bytes - min(large.bytes, small.bytes); extra >= large.postings-small.postings {
 		t.Errorf("FromStore allocates %d bytes over %d postings and %d over %d: %d more for %d more postings, want under one a posting",
 			small.bytes, small.postings, large.bytes, large.postings, extra, large.postings-small.postings)
+	}
+}
+
+// TestHeldAllocsAfterAppendAndCompact: an engine holds the columns and
+// lists it reads, not the tables it copied away from. Its first append
+// copies the store's label, content, text and attribute columns and node
+// table rather than write into them, and Compact drops the base index
+// over the old table; after both, the engine holds little more than Load
+// did. An engine that kept its store would keep both generations (2.06×
+// on 12 000 records, against 1.25×).
+func TestHeldAllocsAfterAppendAndCompact(t *testing.T) {
+	var doc bytes.Buffer
+	if err := xmltree.WriteXML(&doc, datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 12000}).Root); err != nil {
+		t.Fatal(err)
+	}
+	held := func(base uint64) uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc - min(m.HeapAlloc, base)
+	}
+	base := held(0)
+	e, err := Load(bytes.NewReader(doc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := held(base)
+	if err := e.AppendXML("0", `<article><title>held heap after an append</title></article>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	compacted := held(base)
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(doc.Bytes()) // in base, so live throughout
+	t.Logf("held after Load %.2f MB, after an append and Compact %.2f MB (%.2f×)", float64(loaded)/1e6, float64(compacted)/1e6, float64(compacted)/float64(loaded))
+	if float64(compacted) > 1.35*float64(loaded) {
+		t.Errorf("after an append and Compact the engine holds %d bytes, %.2f× the %d it held after Load; want at most 1.35×", compacted, float64(compacted)/float64(loaded), loaded)
 	}
 }

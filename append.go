@@ -34,8 +34,8 @@ import (
 // A parent off the spine fails with ErrOffSpine: its new child would splice
 // into the middle of the pre-order and renumber every later node. Any
 // failure leaves the source tables and the published head as they were.
-// An engine over a store takes appends too, and never writes to the store
-// or its file (see srcState).
+// An append never writes to the engine's store or the store's file (see
+// srcState).
 func (e *Engine) AppendXML(parentDewey, snippet string) error {
 	start := time.Now()
 	if err := e.appendXML(parentDewey, snippet); err != nil {

@@ -13,13 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"xks/internal/analysis"
 	"xks/internal/fault"
 	"xks/internal/store"
 	"xks/internal/xmltree"
@@ -58,34 +56,17 @@ func paperTree(n int) *xmltree.Tree {
 	return xmltree.Build(xmltree.E{Label: "proceedings", Kids: kids})
 }
 
-// blockBacking builds an engine over a paperTree of n papers in one backing.
+// blockBacking builds an engine over a paperTree of n papers in one backing:
+// the in-memory store image, or its file round trip on the heap or mapped.
 type blockBacking struct {
 	name  string
 	build func(t *testing.T, n int) *Engine
 }
 
 var blockBackings = []blockBacking{
-	{"tree", func(_ *testing.T, n int) *Engine { return FromTree(paperTree(n)) }},
-	{"v3-heap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, store.OpenHeap) }},
-	{"v3-mmap", func(t *testing.T, n int) *Engine { return shreddedEngine(t, n, store.OpenMmap) }},
-}
-
-func shreddedEngine(t *testing.T, n int, mode store.OpenMode) *Engine {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "papers.xks")
-	if err := store.Shred(paperTree(n), analysis.New()).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
-	if err != nil {
-		if mode == store.OpenMmap {
-			t.Skipf("no mmap on this platform: %v", err)
-		}
-		t.Fatal(err)
-	}
-	e := FromStore(st)
-	t.Cleanup(func() { e.Close() })
-	return e
+	{"image", func(_ *testing.T, n int) *Engine { return FromTree(paperTree(n)) }},
+	{"v3-heap", func(t *testing.T, n int) *Engine { return reopened(t, store.Shred(paperTree(n), nil), store.OpenHeap) }},
+	{"v3-mmap", func(t *testing.T, n int) *Engine { return reopened(t, store.Shred(paperTree(n), nil), store.OpenMmap) }},
 }
 
 // blockPage is one page as either front returns it.
@@ -220,10 +201,10 @@ func blockFronts(t *testing.T, b blockBacking, n int) []blockFront {
 }
 
 // TestBlockSearchMatchesStream: a collected page equals the drained stream,
-// over ELCA/SLCA × ValidRTF/MaxMatch, tree and both store backings, the
-// engine, a corpus and doc=, unlimited, a limit=25 cursor walk and
-// rank=1&limit=10, on pages of 1, 63, 64, 65 and 129 fragments — one block
-// less one, exactly one, one plus one, and two plus one.
+// over ELCA/SLCA × ValidRTF/MaxMatch, the store image and both its file
+// round trips, the engine, a corpus and doc=, unlimited, a limit=25 cursor
+// walk and rank=1&limit=10, on pages of 1, 63, 64, 65 and 129 fragments —
+// one block less one, exactly one, one plus one, and two plus one.
 func TestBlockSearchMatchesStream(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{1, 63, 64, 65, 129} {

@@ -13,13 +13,13 @@ import (
 	"xks/internal/workload"
 )
 
-// TestCorpusWithStoreBackedEngines exercises a mixed corpus: one
-// tree-backed document and one store-backed document (the paper's shredded
-// relational layout) behind the same staged search path.
+// TestCorpusWithStoreBackedEngines exercises a mixed corpus: one document
+// from its in-memory store image and one from a store file (the paper's
+// shredded relational layout) behind the same staged search path.
 func TestCorpusWithStoreBackedEngines(t *testing.T) {
 	c := NewCorpus()
 	c.Add("tree.xml", FromTree(reference.Publications()))
-	c.Add("store.xks", FromStore(store.Shred(reference.Publications(), analysis.New())))
+	c.Add("store.xks", reopened(t, store.Shred(reference.Publications(), analysis.New()), store.OpenAuto))
 
 	res, err := c.Search(context.Background(), Request{Query: reference.Q1})
 	if err != nil {
@@ -29,7 +29,7 @@ func TestCorpusWithStoreBackedEngines(t *testing.T) {
 		t.Fatalf("expected fragments from both documents, got %v", res.PerDocument)
 	}
 	if res.PerDocument["tree.xml"] != res.PerDocument["store.xks"] {
-		t.Fatalf("tree and store shred the same document; fragment counts differ: %v", res.PerDocument)
+		t.Fatalf("the image and the file hold the same document; fragment counts differ: %v", res.PerDocument)
 	}
 	byDoc := map[string][]CorpusFragment{}
 	for _, f := range res.Fragments {

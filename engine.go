@@ -101,20 +101,20 @@ func (s Semantics) String() string {
 	return "AllLCA"
 }
 
-// Engine is a concurrency-safe search engine over one XML document: its
-// document source (srcState: the node columns, whether an engine built
-// them from a parsed document or opened them in a shredded store) plus its
-// inverted keyword index, each published atomically — the index as a delta
-// head (base index + append segments; internal/delta). Reads pin a
-// snapshot and the source columns at entry and never block; writes
-// (AppendXML, Compact) serialize on an internal mutex and publish new
-// versions. No engine holds a parsed tree.
+// Engine is a concurrency-safe search engine over one shredded XML
+// document (a store.Store, built in memory or opened from a file): its
+// document source (srcState: the store's node columns) plus its inverted
+// keyword index, each published atomically — the index as a delta head
+// (base index + append segments; internal/delta). Reads pin a snapshot and
+// the source columns at entry and never block; writes (AppendXML, Compact)
+// serialize on an internal mutex and publish new versions. The engine
+// keeps the store's mapping (Close), not the store, and no parsed tree.
 type Engine struct {
-	st   *store.Store             // nil unless the engine opened a store
-	src  atomic.Pointer[srcState] // grown by publish, under mu
-	tree *xmltree.Tree            // Tree's, nil until its first call
-	an   *analysis.Analyzer
-	snip *snippet.Generator
+	mapping io.Closer                // store.Mapping
+	src     atomic.Pointer[srcState] // grown by publish, under mu
+	tree    *xmltree.Tree            // Tree's, nil until its first call
+	an      *analysis.Analyzer
+	snip    *snippet.Generator
 
 	// head is the current index state; mu serializes the writers that
 	// replace it and src, and that alone touch tree and the source
@@ -196,19 +196,18 @@ func (e *Engine) resolveRequest(req Request) (Request, *view, error) {
 	return req, v, nil
 }
 
-// Load reads an XML document and builds the engine over its columns,
-// scanned straight from its bytes (index.AnalyzeBytes) without a tree.
+// Load reads an XML document, scans it into a store in memory without a
+// tree (index.AnalyzeBytes, store.FromRows) and builds the engine over it.
 func Load(r io.Reader) (*Engine, error) {
 	in, err := xmltree.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
-	an := analysis.New()
-	rows, err := index.AnalyzeBytes(in, an)
+	rows, err := index.AnalyzeBytes(in, analysis.New())
 	if err != nil {
 		return nil, err
 	}
-	return fromRows(an, rows), nil
+	return FromStore(store.FromRows(rows)), nil
 }
 
 // LoadString builds an engine from an XML string.
@@ -226,33 +225,21 @@ func LoadFile(path string) (*Engine, error) {
 	return Load(f)
 }
 
-// FromTree builds an engine over an already-parsed tree. One walk of the
-// tree publishes its columns (node table, labels, text, attributes,
-// content sets and posting lists), and the engine keeps no reference to
-// the tree or its nodes.
+// FromTree builds an engine over an already-parsed tree's store, shredded
+// in memory; the engine keeps no reference to the tree or its nodes.
 func FromTree(t *xmltree.Tree) *Engine {
-	an := analysis.New()
-	return fromRows(an, index.Analyze(t, an))
-}
-
-// fromRows builds an engine that publishes a document's rows, analysed by an.
-func fromRows(an *analysis.Analyzer, rows index.Rows) *Engine {
-	e := &Engine{an: an, snip: snippet.NewGenerator(an)}
-	ix := index.FromRows(rows)
-	e.publish(rows.Labels, rows.Content(), rows.Text, rows.Attrs)
-	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
-	return e
+	return FromStore(store.Shred(t, nil))
 }
 
 // FromStore builds an engine over a shredded store — the paper's actual
-// architecture, where searches run off the three relational tables without
-// the original document. It answers and renders as an engine over the
-// parsed document does, and takes appends alike: the store's columns stay
-// as they are, and the first append copies them (see srcState).
+// architecture, where searches run off the three relational tables — and
+// every constructor ends here. Each posting list decodes on its first
+// lookup; the first append copies the columns rather than write into the
+// store (see srcState). The engine keeps the store's Mapping, not the store.
 func FromStore(st *store.Store) *Engine {
 	an := analysis.New()
 	ix := st.BuildIndex()
-	e := &Engine{st: st, an: an, snip: snippet.NewGenerator(an)}
+	e := &Engine{mapping: st.Mapping(), an: an, snip: snippet.NewGenerator(an)}
 	e.publish(st.Columns())
 	e.head.Store(&delta.Head{Tab: ix.Table(), Base: ix})
 	return e
@@ -270,15 +257,10 @@ func OpenStore(path string) (*Engine, error) {
 	return FromStore(st), nil
 }
 
-// Close releases the engine's store mapping, if any. After Close the engine
-// must not be used: a mapped store's index and fragments view unmapped
-// memory. Engines without a file mapping close as a no-op.
-func (e *Engine) Close() error {
-	if e.st != nil {
-		return e.st.Close()
-	}
-	return nil
-}
+// Close releases the engine's store mapping (store.Mapping). After Close
+// the engine must not be used: a mapped store's index and fragments view
+// unmapped memory. Over a heap-backed store Close is a no-op.
+func (e *Engine) Close() error { return e.mapping.Close() }
 
 // Tree returns the document as a tree (read-only) for the benchmark
 // harness; nothing in the module calls it, and it goes once the harness

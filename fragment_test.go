@@ -92,25 +92,17 @@ func TestNodeTextParity(t *testing.T) {
 	}
 }
 
-// servedThreeWays serves tree loaded ("tree"), and from its store file
-// v3-heap and v3-mmap; the stores close when the test ends.
+// servedThreeWays serves tree from its in-memory store ("image") and from
+// that image's file round trips, v3-heap and v3-mmap; the stores close when
+// the test ends.
 func servedThreeWays(t *testing.T, tree *xmltree.Tree) map[string]*Engine {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "doc.xks")
-	if err := store.Shred(tree, analysis.New()).SaveFile(path); err != nil {
-		t.Fatal(err)
+	image := store.Shred(tree, analysis.New())
+	return map[string]*Engine{
+		"image":   FromStore(image),
+		"v3-heap": reopened(t, image, store.OpenHeap),
+		"v3-mmap": reopened(t, image, store.OpenMmap),
 	}
-	engines := map[string]*Engine{"tree": FromTree(tree)}
-	for name, mode := range map[string]store.OpenMode{"v3-heap": store.OpenHeap, "v3-mmap": store.OpenMmap} {
-		st, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := FromStore(st)
-		t.Cleanup(func() { e.Close() })
-		engines[name] = e
-	}
-	return engines
 }
 
 // golden reads testdata/dir/tree.golden, which every engine servedThreeWays

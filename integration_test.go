@@ -215,12 +215,12 @@ func TestIntegrationCompareConsistency(t *testing.T) {
 }
 
 // Invariant 5: shred → save → load → search gives identical fragments to
-// searching the original tree, at dataset scale.
+// searching the in-memory shred, at dataset scale.
 func TestIntegrationStoreRoundTripAtScale(t *testing.T) {
 	tree, queries := dblpTestTree(t)
-	engine := FromTree(tree)
 	st := store.Shred(tree, analysis.New())
-	fromStore := FromStore(st)
+	engine := FromStore(st)
+	fromStore := reopened(t, st, store.OpenHeap)
 	for _, q := range queries[:8] {
 		a, err := engine.Search(context.Background(), Request{Query: q})
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -142,19 +143,29 @@ const escapesXML = `<r>` +
 	`<p a="x&quot;y"><t>alpha</t><u>beta</u></p>` +
 	`</r>`
 
-// TestWireEquivalence: over algorithms × semantics × page shapes × tree and
-// store backings, the body decodes equal to the reference, the miss and the
-// hit differ in nothing but "cached", and every NDJSON line decodes equal
-// to ToFragment.
+// TestWireEquivalence: over algorithms × semantics × page shapes × the
+// backings — a store image and its file round trip — the body decodes equal
+// to the reference, the miss and the hit differ in nothing but "cached", and
+// every NDJSON line decodes equal to ToFragment.
 func TestWireEquivalence(t *testing.T) {
-	tree := wireTree()
+	image := store.Shred(wireTree(), analysis.New())
+	path := filepath.Join(t.TempDir(), "dblp.xks")
+	if err := image.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	file, err := store.OpenFile(path, store.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile := xks.FromStore(file)
+	defer fromFile.Close()
 	escapes, err := xks.LoadString(escapesXML)
 	if err != nil {
 		t.Fatal(err)
 	}
 	backings := map[string]*xks.Engine{
-		"tree":    xks.FromTree(tree),
-		"store":   xks.FromStore(store.Shred(tree, analysis.New())),
+		"image":   xks.FromStore(image),
+		"file":    fromFile,
 		"escapes": escapes,
 	}
 	for name, engine := range backings {

@@ -5,19 +5,20 @@
 // Postings are dense node IDs over a per-document node table (internal/nid)
 // — 4 bytes per entry, integer pre-order comparison — and the index hands
 // them out only in that form (LookupIDs); a caller wanting a node's Dewey
-// code reads it from the table (Table().Code). Every posting list has one
-// form: a list built in memory (FromRows) is born decoded, and one that
-// wraps a store's block-compressed bytes (FromCompressed) decodes once, on
-// first touch, and is decoded thereafter. The index is immutable after it
-// is built and safe for concurrent readers.
+// code reads it from the table (Table().Code). A base index wraps
+// block-compressed lists (FromCompressed) — an engine's are its store's,
+// in memory or opened from a file — and each list decodes once, on first
+// touch, and is decoded thereafter. Only the lists a fold replaces (With)
+// are born decoded. The index is immutable after it is built and safe for
+// concurrent readers.
 //
 // An index carries its planner statistics (Stats) from the moment it is
-// built: FromRows and FromCompressed sum them from the content column's row
+// built: Build and FromCompressed sum them from the content column's row
 // offsets and the table's depths, and With takes them from its caller (a
 // fold's are the old base's plus the segments'), so no list is ever
 // scanned, or decoded, for them.
 //
-// One pass over a document yields everything an engine publishes about its
+// One pass over a document yields everything a store holds about its
 // nodes (Rows): the node table, the label, text and attribute columns, each
 // node's content set and from those the posting lists. The pass is the
 // byte scanner driving the row builder (AnalyzeBytes), or a walk of a
@@ -70,20 +71,16 @@ func (l *list) decoded(counter *atomic.Int64) []nid.ID {
 	return l.ids
 }
 
-// Build indexes every node of the tree. A node is a keyword node for w when
-// w appears among the words of its label, attributes or text. The node
-// table covers every tree node, with IDs equal to pre-order positions.
+// Build indexes every node of the tree, its rows' lists encoded as a
+// store's are (FromCompressed). A node is a keyword node for w when w
+// appears among the words of its label, attributes or text. The node table
+// covers every tree node, with IDs equal to pre-order positions.
 func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
 	}
-	return FromRows(Analyze(t, a))
-}
-
-// FromRows indexes the rows Analyze returned: their node table, and each
-// word's list born decoded.
-func FromRows(r Rows) *Index {
-	return new(Index).With(r.Tab, r.Postings(0), rowStats(r.Tab, r.Off))
+	r := Analyze(t, a)
+	return FromCompressed(r.Tab, r.Words, postings.EncodeAll(r.Lists(0)), r.Off)
 }
 
 // FromCompressed constructs an index over block-compressed posting lists
@@ -115,15 +112,13 @@ func rowStats(tab *nid.Table, off []uint32) planner.Stats {
 
 // With returns the index over tab that holds ix's lists, with those of the
 // words in replaced taken from it, born decoded, and st as its statistics:
-// the delta compactor's fold and, over an empty index, FromRows. Every
-// other list, decoded or not, is shared with ix, so nothing is decoded or
-// copied. The replacement lists are retained as given and never written,
-// so they may alias lists other live indexes read.
+// the delta compactor's fold and, over an empty index, an index of the
+// lists given. Every other list, decoded or not, is shared with ix, so
+// nothing is decoded or copied. The replacement lists are retained as
+// given and never written, so they may alias lists other live indexes read.
 func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID, st planner.Stats) *Index {
-	lists := maps.Clone(ix.lists)
-	if lists == nil {
-		lists = make(map[string]*list, len(replaced))
-	}
+	lists := make(map[string]*list, len(ix.lists)+len(replaced))
+	maps.Copy(lists, ix.lists)
 	slab := make([]list, 0, len(replaced))
 	for w, ids := range replaced {
 		slab = append(slab, list{ids: ids})
@@ -136,14 +131,14 @@ func (ix *Index) With(tab *nid.Table, replaced map[string][]nid.ID, st planner.S
 func (ix *Index) Stats() planner.Stats { return ix.stats }
 
 // DecodedLists reports how many compressed posting lists have been decoded
-// through this index — zero right after a store opens, exactly the queried
+// through this index — zero right after it is built, exactly the queried
 // words afterwards. Lists born decoded never count.
 func (ix *Index) DecodedLists() int64 { return ix.decoded.Load() }
 
-// LookupList returns the compressed posting list for the word when the
-// list wraps a store's bytes; ok is false for a list built in memory and
-// for an unknown word. Callers wanting to stream it build an Iterator from
-// it instead of forcing a full decode.
+// LookupList returns the compressed posting list for the word; ok is false
+// for a list a fold replaced (born decoded) and for an unknown word.
+// Callers wanting to stream it build an Iterator from it instead of forcing
+// a full decode.
 func (ix *Index) LookupList(word string) (postings.List, bool) {
 	if l := ix.lists[word]; l != nil && l.enc != nil {
 		return *l.enc, true

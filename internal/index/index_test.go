@@ -119,7 +119,7 @@ func TestFrequencyAndStats(t *testing.T) {
 	if ix.NumWords() == 0 {
 		t.Error("empty vocabulary")
 	}
-	// The statistics FromRows sums from the rows are those of a scan of
+	// The statistics Build sums from the rows are those of a scan of
 	// every list.
 	var scan planner.Stats
 	words := pubWords()

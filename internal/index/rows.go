@@ -199,33 +199,35 @@ func (r Rows) Content() Content {
 	return Content{Off: r.Off, IDs: r.IDs, Words: r.Words}
 }
 
-// Postings returns each word's posting list, row i as node ID start+i:
-// ascending, since rows are in node order and a row holds a word at most
-// once. The lists share one array.
-func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
-	ends := make([]uint32, len(r.Words)) // each list's end in the array
+// Lists returns each term's posting list, by term ID, row i as node ID
+// start+i: ascending, since rows are in node order and a row holds a term
+// at most once. A counting sort lays the lists out in one array.
+func (r Rows) Lists(start nid.ID) [][]nid.ID {
+	at := make([]uint32, len(r.Words)+1) // term id's list is flat[at[id]:at[id+1]]
 	for _, id := range r.IDs {
-		ends[id]++
+		at[id+1]++
 	}
-	sum := uint32(0)
-	for id, n := range ends {
-		sum += n
-		ends[id] = sum
+	for id := range r.Words {
+		at[id+1] += at[id]
 	}
 	flat := make([]nid.ID, len(r.IDs))
-	for row := len(r.Off) - 2; row >= 0; row-- {
+	lists := make([][]nid.ID, len(r.Words))
+	for id := range lists {
+		lists[id] = flat[at[id]:at[id]:at[id+1]]
+	}
+	for row := range len(r.Off) - 1 {
 		for _, id := range r.IDs[r.Off[row]:r.Off[row+1]] {
-			ends[id]--
-			flat[ends[id]] = start + nid.ID(row)
+			lists[id] = append(lists[id], start+nid.ID(row))
 		}
 	}
-	out := make(map[string][]nid.ID, len(ends))
-	for id, lo := range ends {
-		hi := uint32(len(flat))
-		if id+1 < len(ends) {
-			hi = ends[id+1]
-		}
-		out[r.Words[id]] = flat[lo:hi:hi]
+	return lists
+}
+
+// Postings returns Lists keyed by their words.
+func (r Rows) Postings(start nid.ID) map[string][]nid.ID {
+	out := make(map[string][]nid.ID, len(r.Words))
+	for id, ids := range r.Lists(start) {
+		out[r.Words[id]] = ids
 	}
 	return out
 }

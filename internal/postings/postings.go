@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"xks/internal/nid"
@@ -46,14 +47,12 @@ const skipEntrySize = 8
 // valid list exceeds it anyway.
 const maxCount = math.MaxInt32
 
-// List is a read-only, zero-copy view of one encoded posting list. The
-// zero List is valid and empty. Lists index into the caller's byte slice
-// (for store-backed lists, the mapped postings section), so they stay valid
-// only as long as that backing memory does.
+// List is a read-only, zero-copy view of one encoded posting list (header,
+// skip table, varint area). The zero List is valid and empty. Lists index
+// into the caller's byte slice (for store-backed lists, the mapped postings
+// section), so they stay valid only as long as that backing memory does.
 type List struct {
-	count int
-	skips []byte // numBlocks * skipEntrySize bytes
-	data  []byte // varint area
+	b []byte
 }
 
 // numBlocks returns the block count for n IDs.
@@ -75,7 +74,6 @@ func AppendEncode(dst []byte, ids []nid.ID) []byte {
 	dst = append(dst, make([]byte, nb*skipEntrySize)...)
 	dataStart := len(dst)
 	prev := int64(-1)
-	var varint [binary.MaxVarintLen64]byte
 	for b := 0; b < nb; b++ {
 		lo, hi := b*BlockSize, min((b+1)*BlockSize, n)
 		entry := dst[skipStart+b*skipEntrySize:]
@@ -85,8 +83,7 @@ func AppendEncode(dst []byte, ids []nid.ID) []byte {
 			if int64(id) <= prev {
 				panic(fmt.Sprintf("postings: AppendEncode called with non-increasing ID %d after %d", id, prev))
 			}
-			w := binary.PutUvarint(varint[:], uint64(int64(id)-prev))
-			dst = append(dst, varint[:w]...)
+			dst = binary.AppendUvarint(dst, uint64(int64(id)-prev))
 			prev = int64(id)
 		}
 	}
@@ -94,22 +91,37 @@ func AppendEncode(dst []byte, ids []nid.ID) []byte {
 	return dst
 }
 
+// EncodeAll encodes lists, in order, into one blob sized exactly from the
+// lists' uvarint widths, and returns each list's view of it.
+func EncodeAll(lists [][]nid.ID) []List {
+	size := 0
+	for _, ids := range lists {
+		size += headerSize + numBlocks(len(ids))*skipEntrySize
+		prev := int64(-1)
+		for _, id := range ids {
+			size += (bits.Len64(uint64(int64(id)-prev)) + 6) / 7
+			prev = int64(id)
+		}
+	}
+	blob := make([]byte, 0, size)
+	out := make([]List, len(lists))
+	for i, ids := range lists {
+		at := len(blob)
+		blob = AppendEncode(blob, ids)
+		out[i], _ = FromBytes(blob[at:]) // cannot fail on AppendEncode's output
+	}
+	return out
+}
+
 // EncodedLen returns the number of bytes the encoded form of a List
 // occupies, so callers slicing a concatenated blob can recover section
 // boundaries.
-func (l List) EncodedLen() int { return headerSize + len(l.skips) + len(l.data) }
+func (l List) EncodedLen() int { return len(l.b) }
 
 // AppendBytes appends the list's encoded form (header, skip table, varint
 // data) to dst and returns the extended slice — the store's re-save path,
 // which must round-trip lists it never decoded.
-func (l List) AppendBytes(dst []byte) []byte {
-	var fixed [headerSize]byte
-	binary.LittleEndian.PutUint32(fixed[0:], uint32(l.count))
-	binary.LittleEndian.PutUint32(fixed[4:], uint32(len(l.data)))
-	dst = append(dst, fixed[:]...)
-	dst = append(dst, l.skips...)
-	return append(dst, l.data...)
-}
+func (l List) AppendBytes(dst []byte) []byte { return append(dst, l.b...) }
 
 // FromBytes validates the header and skip table of an encoded list and
 // returns the zero-copy view. b must hold at least the encoded bytes;
@@ -132,11 +144,7 @@ func FromBytes(b []byte) (List, error) {
 	if need < 0 || len(b) < need {
 		return List{}, fmt.Errorf("postings: truncated list: %d bytes, need %d", len(b), need)
 	}
-	l := List{
-		count: int(count),
-		skips: b[headerSize : headerSize+nb*skipEntrySize],
-		data:  b[headerSize+nb*skipEntrySize : need],
-	}
+	l := List{b: b[:need]}
 	if count == 0 {
 		if dataLen != 0 {
 			return List{}, fmt.Errorf("postings: empty list with %d data bytes", dataLen)
@@ -155,7 +163,7 @@ func FromBytes(b []byte) (List, error) {
 		if i == 0 && off != 0 {
 			return List{}, fmt.Errorf("postings: first block offset %d, want 0", off)
 		}
-		if (i > 0 && off <= prevOff) || off >= len(l.data) {
+		if (i > 0 && off <= prevOff) || off >= int(dataLen) {
 			return List{}, fmt.Errorf("postings: skip table offsets not increasing at block %d", i)
 		}
 		prevLast, prevOff = int64(last), off
@@ -165,28 +173,36 @@ func FromBytes(b []byte) (List, error) {
 
 // skipEntry returns block b's last ID and data offset from the skip table.
 func (l List) skipEntry(b int) (last uint32, off int) {
-	e := l.skips[b*skipEntrySize:]
+	e := l.b[headerSize+b*skipEntrySize:]
 	return binary.LittleEndian.Uint32(e[0:]), int(binary.LittleEndian.Uint32(e[4:]))
 }
 
 // Len returns the number of IDs in the list without decoding anything —
 // the term-frequency read the planner and scorer issue per query.
-func (l List) Len() int { return l.count }
+func (l List) Len() int {
+	if len(l.b) == 0 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(l.b))
+}
 
 // Blocks returns the number of compressed blocks.
-func (l List) Blocks() int { return numBlocks(l.count) }
+func (l List) Blocks() int { return numBlocks(l.Len()) }
+
+// data returns the list's varint area.
+func (l List) data() []byte { return l.b[headerSize+l.Blocks()*skipEntrySize:] }
 
 // blockBounds returns the byte range of block b inside the data area and
 // the number of IDs it holds.
 func (l List) blockBounds(b int) (lo, hi, n int) {
 	_, lo = l.skipEntry(b)
-	hi = len(l.data)
+	hi = len(l.data())
 	if b+1 < l.Blocks() {
 		_, hi = l.skipEntry(b + 1)
 	}
 	n = BlockSize
 	if b == l.Blocks()-1 {
-		n = l.count - b*BlockSize
+		n = l.Len() - b*BlockSize
 	}
 	return lo, hi, n
 }
@@ -207,7 +223,7 @@ func (l List) blockBase(b int) int64 {
 // panic.
 func (l List) decodeBlock(b int, buf []nid.ID) (int, error) {
 	lo, hi, n := l.blockBounds(b)
-	data := l.data[lo:hi]
+	data := l.data()[lo:hi]
 	prev := l.blockBase(b)
 	pos := 0
 	for i := 0; i < n; i++ {
@@ -246,7 +262,7 @@ func (l List) AppendDecode(dst []nid.ID) ([]nid.ID, error) {
 
 // Decode returns the fully decoded list.
 func (l List) Decode() ([]nid.ID, error) {
-	return l.AppendDecode(make([]nid.ID, 0, l.count))
+	return l.AppendDecode(make([]nid.ID, 0, l.Len()))
 }
 
 // Iterator streams a List in increasing ID order, decoding one block at a

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,8 @@ func TestRoundTrip(t *testing.T) {
 		randomList(r, BlockSize+1, 3),
 		randomList(r, 2*BlockSize, 1000),
 		randomList(r, 10*BlockSize+17, 7),
+		randomList(r, 300, 1<<22),
+		{0, 1 << 7, 1 << 14, 1 << 21, 1 << 28},
 	}
 	for ci, ids := range cases {
 		enc := AppendEncode(nil, ids)
@@ -69,6 +72,17 @@ func TestRoundTrip(t *testing.T) {
 		if it.Err() != nil {
 			t.Fatalf("case %d: drained iterator Err = %v", ci, it.Err())
 		}
+	}
+	// EncodeAll lays the same encodings out in one blob, sized exactly: the
+	// last list ends at the blob's capacity.
+	all := EncodeAll(cases)
+	for ci, ids := range cases {
+		if got := all[ci].AppendBytes(nil); !bytes.Equal(got, AppendEncode(nil, ids)) {
+			t.Fatalf("case %d: EncodeAll's list differs from AppendEncode's", ci)
+		}
+	}
+	if last := all[len(all)-1].b; cap(last) != len(last) {
+		t.Fatalf("EncodeAll's blob has %d bytes of slack", cap(last)-len(last))
 	}
 }
 

@@ -72,9 +72,8 @@ func TestStatsRoundTripV2(t *testing.T) {
 }
 
 // TestStoreStatsMatchIndexScan: the statistics a store derives at open
-// equal FromRows' over the same document and the scan of every posting
-// list, so the planner decides identically whether the engine came from a
-// tree or a store.
+// equal those index.Build sums over the same document's rows and the scan
+// of every posting list.
 func TestStoreStatsMatchIndexScan(t *testing.T) {
 	for name, tree := range map[string]*xmltree.Tree{
 		"publications": reference.Publications(),
@@ -82,17 +81,17 @@ func TestStoreStatsMatchIndexScan(t *testing.T) {
 		"dblp":         datagen.DBLP(datagen.DBLPConfig{Seed: 3, NumRecords: 200}),
 		"xmark":        datagen.XMark(datagen.XMarkConfig{Seed: 3, Items: 60}),
 	} {
-		fromRows := index.FromRows(index.Analyze(tree, analysis.New())).Stats()
+		built := index.Build(tree, analysis.New()).Stats()
 		opened, err := openV3FromBytes(saveBytes(t, Shred(tree, analysis.New())))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ix := opened.BuildIndex()
-		if got := ix.Stats(); got != fromRows || got.Postings != opened.NumValues() {
-			t.Fatalf("%s: store %+v, FromRows %+v (%d value rows)", name, got, fromRows, opened.NumValues())
+		if got := ix.Stats(); got != built || got.Postings != opened.NumValues() {
+			t.Fatalf("%s: store %+v, Build %+v (%d value rows)", name, got, built, opened.NumValues())
 		}
-		if scan := scanStats(ix, opened.Keywords()); scan != fromRows {
-			t.Fatalf("%s: scan %+v, FromRows %+v", name, scan, fromRows)
+		if scan := scanStats(ix, opened.Keywords()); scan != built {
+			t.Fatalf("%s: scan %+v, Build %+v", name, scan, built)
 		}
 	}
 }

@@ -8,22 +8,22 @@
 //	         content feature)                             — one row per node
 //	value   (label, dewey, attribute, keyword)            — keyword postings
 //
-// Store holds those tables in the one column form every engine reads
-// (format v3, see v3.go): the element table is a nid.Table of pre-order node
-// IDs (Dewey codes, parents, depths) plus per-node label, text and attribute
-// columns; the value table is the sorted vocabulary with one
-// block-compressed posting list per keyword, and its inverse, a node →
-// keyword CSR. FromRows builds the columns in memory from the rows an
-// engine is built from (index.AnalyzeBytes, or Shred over a parsed tree),
-// Save writes them as CRC-guarded sections, and OpenFile maps (or reads)
-// them back without decoding a posting list. The planner statistics are
-// not stored: the index BuildIndex wraps around the columns sums them from
-// the node → keyword CSR's offsets and the node depths. Keyword lookups — the only query shape
-// the algorithms issue — run off the sorted vocabulary exactly like the
-// paper's SQL SELECTs, and the columns are served by node ID in the forms of
-// internal/index (the content column is the CSR over the vocabulary, as the
-// paper's value table is keyed by term), so an engine over a store answers
-// and renders as one over the document does.
+// Store holds those tables in the one column form every engine reads, each
+// engine being over a store (format v3, see v3.go): the element table is a
+// nid.Table of pre-order node IDs (Dewey codes, parents, depths) plus
+// per-node label, text and attribute columns; the value table is the sorted
+// vocabulary with one block-compressed posting list per keyword, and its
+// inverse, a node → keyword CSR. FromRows builds the columns in memory from
+// a document's rows (index.AnalyzeBytes, as xks.Load does, or Shred over a
+// parsed tree), Save writes them as CRC-guarded sections, and OpenFile maps
+// (or reads) them back without decoding a posting list. The planner
+// statistics are not stored: the index BuildIndex wraps around the columns
+// sums them from the node → keyword CSR's offsets and the node depths.
+// Keyword lookups — the only query shape the algorithms issue — run off the
+// sorted vocabulary exactly like the paper's SQL SELECTs, and the columns
+// are served by node ID in the forms of internal/index (the content column
+// is the CSR over the vocabulary, as the paper's value table is keyed by
+// term), so an image in memory and its file round trip answer alike.
 package store
 
 import (
@@ -39,7 +39,7 @@ import (
 
 // Store holds the three shredded tables in column form. On a store opened
 // from a file every slice (labels and terms included) is a zero-copy view
-// into data. Every column is capacity-capped, so an engine appending to one
+// into the file's image. Every column is capacity-capped, so an engine appending to one
 // copies it rather than write into the store.
 type Store struct {
 	labels     []string        // label table: ID → label
@@ -52,13 +52,21 @@ type Store struct {
 	text       index.Strings   // element table's text column, raw
 	attrs      index.Strings   // element table's attributes, as rendered
 
-	// data is the file image the views alias: a read-only file mapping
-	// (mapped, released by closer) or a heap buffer holding one whole-file
-	// read. Shredded stores leave all four zero.
-	data     []byte
-	closer   func() error
-	mapped   bool
+	// unmap releases the read-only file mapping the views alias, once; it
+	// is nil when they lie on the heap (built in memory, or read whole
+	// from a file). fileSize is the size of the file opened.
+	unmap    closer
 	fileSize int64
+}
+
+// closer is a release function as an io.Closer; a nil one closes as a no-op.
+type closer func() error
+
+func (c closer) Close() error {
+	if c == nil {
+		return nil
+	}
+	return c()
 }
 
 // Shred builds the three tables from a parsed document (FromRows over
@@ -72,28 +80,16 @@ func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 
 // FromRows builds the three tables from a document's rows (index.Analyze,
 // index.AnalyzeBytes): the node table and the label, text and attribute
-// columns as they are, and the value table from the content sets, so an
-// engine over the store and one over the same rows agree by construction.
-// The rows' words are the sorted vocabulary, so a word's ID is its term ID
-// and each row's IDs are its node → keyword CSR row.
+// columns as they are, and the value table from the content sets, its
+// lists encoded (in term ID order) into one blob. The rows' words are the
+// sorted vocabulary, so a word's ID is its term ID and each row's IDs are
+// its node → keyword CSR row.
 func FromRows(rows index.Rows) *Store {
 	s := &Store{labels: slices.Clip(rows.Labels.Names), tab: rows.Tab, nodeLabels: slices.Clip(rows.Labels.IDs), text: rows.Text, attrs: rows.Attrs}
 	s.text.Off, s.text.Data = slices.Clip(s.text.Off), slices.Clip(s.text.Data)
 	s.attrs.Off, s.attrs.Data = slices.Clip(s.attrs.Off), slices.Clip(s.attrs.Data)
 	s.wordOff, s.termIDs = slices.Clip(rows.Off), slices.Clip(rows.IDs)
-	post := rows.Postings(0)
-	s.terms = slices.Clip(rows.Words)
-	var blob []byte
-	offs := make([]int, len(s.terms)+1)
-	for i, w := range s.terms {
-		blob = postings.AppendEncode(blob, post[w])
-		offs[i+1] = len(blob)
-	}
-	s.lists = make([]postings.List, len(s.terms))
-	for i := range s.lists {
-		// FromBytes cannot fail on AppendEncode's output.
-		s.lists[i], _ = postings.FromBytes(blob[offs[i]:offs[i+1]])
-	}
+	s.terms, s.lists = slices.Clip(rows.Words), postings.EncodeAll(rows.Lists(0))
 	return s
 }
 

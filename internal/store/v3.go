@@ -55,6 +55,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 
 	"xks/internal/index"
 	"xks/internal/nid"
@@ -127,14 +128,14 @@ func OpenFile(path string, opts OpenOptions) (*Store, error) {
 		return nil, fmt.Errorf("store: mmap requested but not supported on this platform")
 	}
 	if mmapSupported && opts.Mode != OpenHeap {
-		data, closer, err := mmapFile(f, size)
+		data, unmap, err := mmapFile(f, size)
 		if err == nil {
 			s, err := openV3FromBytes(data)
 			if err != nil {
-				closer()
+				unmap()
 				return nil, err
 			}
-			s.closer, s.mapped, s.fileSize = closer, true, size
+			s.unmap, s.fileSize = sync.OnceValue(unmap), size
 			return s, nil
 		}
 		if opts.Mode == OpenMmap {
@@ -170,7 +171,7 @@ func checkHeader(head []byte) error {
 // read-only file mapping) or "v3-heap" (columns on the heap, shredded in
 // memory or read whole from a file).
 func (s *Store) Mode() string {
-	if s.mapped {
+	if s.unmap != nil {
 		return "v3-mmap"
 	}
 	return "v3-heap"
@@ -179,8 +180,8 @@ func (s *Store) Mode() string {
 // MappedBytes returns the size of the read-only file mapping backing this
 // store, or 0 when it is heap-backed.
 func (s *Store) MappedBytes() int64 {
-	if s.mapped {
-		return int64(len(s.data))
+	if s.unmap != nil {
+		return s.fileSize
 	}
 	return 0
 }
@@ -193,14 +194,12 @@ func (s *Store) FileBytes() int64 { return s.fileSize }
 // a mapped store — codes, labels, keywords, posting lists and any index
 // built from it — becomes invalid after Close. Heap-backed stores close as
 // a no-op. Close is not safe to call concurrently with queries.
-func (s *Store) Close() error {
-	c := s.closer
-	s.closer = nil
-	if c != nil {
-		return c()
-	}
-	return nil
-}
+func (s *Store) Close() error { return s.unmap.Close() }
+
+// Mapping returns what Close releases, as a Closer of its own (closing
+// either unmaps the file once), so an owner can release the mapping
+// without keeping the store and the tables it has copied away from.
+func (s *Store) Mapping() io.Closer { return s.unmap }
 
 // ---- v3 writer ----------------------------------------------------------
 
@@ -536,7 +535,6 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		termIDs:    termIDs,
 		text:       text,
 		attrs:      attrs,
-		data:       data,
 	}, nil
 }
 

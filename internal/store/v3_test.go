@@ -132,11 +132,14 @@ func TestOpenFileRejectsV1V2(t *testing.T) {
 
 // TestOpenFileModes exercises the three open modes: mode strings,
 // mapped- and file-byte accounting for each way a store is created, and
-// Close.
+// Close, through the store and through its Mapping.
 func TestOpenFileModes(t *testing.T) {
 	s := shredPaper(t)
 	if s.Mode() != "v3-heap" || s.MappedBytes() != 0 || s.FileBytes() != 0 {
 		t.Fatalf("shredded: mode %q mapped %d file %d", s.Mode(), s.MappedBytes(), s.FileBytes())
+	}
+	if err := s.Mapping().Close(); err != nil {
+		t.Fatal("a heap store's Mapping must close as a no-op, got", err)
 	}
 	path := filepath.Join(t.TempDir(), "v3.xks")
 	if err := s.SaveFile(path); err != nil {
@@ -176,11 +179,14 @@ func TestOpenFileModes(t *testing.T) {
 	if mapped.Mode() != "v3-mmap" || mapped.MappedBytes() != size || mapped.FileBytes() != size {
 		t.Fatalf("mmap open: mode %q mapped %d file %d, want %d", mapped.Mode(), mapped.MappedBytes(), mapped.FileBytes(), size)
 	}
-	if err := mapped.Close(); err != nil {
+	if err := mapped.Mapping().Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := mapped.Close(); err != nil {
-		t.Fatal("second Close must be a no-op, got", err)
+		t.Fatal("Close after the Mapping's must be a no-op, got", err)
+	}
+	if err := mapped.Mapping().Close(); err != nil {
+		t.Fatal("a second close of the Mapping must be a no-op, got", err)
 	}
 	auto, err := OpenFile(path, OpenOptions{})
 	if err != nil {

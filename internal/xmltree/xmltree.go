@@ -8,9 +8,10 @@
 //
 // One byte scanner reads every document: Scan drives a Sink with each
 // element's start, text runs and end. The index's row builder is one sink,
-// so a document loads into columns without a tree; Parse's builder is the
-// other. The Tree serves FromTree and Shred, the tests and generators, and
-// the benchmark's bridge, with pre-order navigation and serialization.
+// so a document loads into a store's columns without a tree; Parse's
+// builder is the other. The Tree serves Shred (and FromTree, which shreds
+// it), the tests and generators, and the benchmark's bridge, with
+// pre-order navigation and serialization.
 //
 // Scan accepts exactly what encoding/xml's Decoder (strict, without a
 // CharsetReader or an entity map) tokenizes to the end and what the tree

@@ -1,6 +1,7 @@
 package xks
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"xks/internal/datagen"
 	"xks/internal/reference"
 	"xks/internal/store"
+	"xks/internal/xmltree"
 )
 
 // assertSameResults pins two engines' search results identical for one
@@ -46,43 +48,38 @@ func assertSameResults(t *testing.T, label string, want, got *Engine, req Reques
 	}
 }
 
-// TestMmapCrosscheck pins every store backing — shredded in memory (never
-// persisted), v3-heap and v3-mmap — to the tree-backed engine over the same
-// document, for every algorithm and both semantics, on a corpus large
-// enough to exercise multi-block compressed postings, answers and renders
-// alike.
+// reopened is the file round trip of the in-memory store st: st saved,
+// the file opened in mode and an engine built over it, closed when the
+// test ends. OpenMmap skips the test on a platform that cannot map.
+func reopened(t testing.TB, st *store.Store, mode store.OpenMode) *Engine {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "doc.xks")
+	if err := st.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := store.OpenFile(path, store.OpenOptions{Mode: mode})
+	if err != nil {
+		if mode == store.OpenMmap {
+			t.Skipf("no mmap on this platform: %v", err)
+		}
+		t.Fatal(err)
+	}
+	e := FromStore(opened)
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// TestMmapCrosscheck pins the file round trips of an in-memory store —
+// v3-heap and v3-mmap — to the engine over the image itself, for every
+// algorithm and both semantics, on a corpus large enough to exercise
+// multi-block compressed postings, answers and renders alike.
 func TestMmapCrosscheck(t *testing.T) {
 	tree := datagen.DBLP(datagen.DBLPConfig{Seed: 11, NumRecords: 300, Keywords: []datagen.KeywordSpec{
 		{Word: "xml", Count: 160}, {Word: "keyword", Count: 90}, {Word: "search", Count: 40},
 	}})
-	shredded := store.Shred(tree, analysis.New())
-	path := filepath.Join(t.TempDir(), "dblp.xks")
-	if err := shredded.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	ref := FromTree(tree)
-	inMemory := FromStore(shredded)
-	heapSt, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenHeap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := FromStore(heapSt)
-	defer heap.Close()
-	engines := map[string]*Engine{"shred": inMemory, "v3-heap": heap}
-	if mode := heapSt.Mode(); mode != "v3-heap" {
-		t.Fatalf("heap engine mode %q", mode)
-	}
-	mappedSt, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenMmap})
-	if err == nil {
-		mapped := FromStore(mappedSt)
-		defer mapped.Close()
-		if mode, n := mappedSt.Mode(), mappedSt.MappedBytes(); mode != "v3-mmap" || n == 0 {
-			t.Fatalf("mmap engine mode %q, %d mapped bytes", mode, n)
-		}
-		engines["v3-mmap"] = mapped
-	} else {
-		t.Logf("mmap unavailable on this platform: %v", err)
-	}
+	image := store.Shred(tree, analysis.New())
+	ref := FromStore(image)
+	engines := map[string]*Engine{"v3-heap": reopened(t, image, store.OpenHeap), "v3-mmap": reopened(t, image, store.OpenMmap)}
 	queries := []string{"xml keyword", "xml keyword search", "xml"}
 	for name, e := range engines {
 		for _, q := range queries {
@@ -98,30 +95,41 @@ func TestMmapCrosscheck(t *testing.T) {
 }
 
 // TestOpenStoreLazyDecode is the acceptance check for the disk-native open
-// path: opening a v3 store (and building its engine, scorer and planner
-// statistics) decodes no posting list; the first k-keyword search decodes
-// exactly the k lists it touches.
+// path, and for Load, which opens a store built in memory: building the
+// engine (its index, scorer and planner statistics) decodes no posting
+// list; the first k-keyword search decodes exactly the k lists it touches.
 func TestOpenStoreLazyDecode(t *testing.T) {
 	s := store.Shred(reference.Publications(), analysis.New())
 	path := filepath.Join(t.TempDir(), "paper.xks")
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	e, err := OpenStore(path)
+	st, err := store.OpenFile(path, store.OpenOptions{Mode: store.OpenAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if mode := e.st.Mode(); mode != "v3-mmap" && mode != "v3-heap" {
+	if mode := st.Mode(); mode != "v3-mmap" && mode != "v3-heap" {
 		t.Fatalf("v3 open produced mode %q", mode)
 	}
-	if n := e.Index().DecodedLists(); n != 0 {
-		t.Fatalf("open decoded %d posting lists eagerly, want 0", n)
-	}
-	if _, err := e.Search(context.Background(), Request{Query: "xml keyword"}); err != nil {
+	opened := FromStore(st)
+	defer opened.Close()
+	var doc bytes.Buffer
+	if err := xmltree.WriteXML(&doc, reference.Publications().Root); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Index().DecodedLists(); n != 2 {
-		t.Fatalf("2-keyword search decoded %d lists, want 2", n)
+	loaded, err := Load(&doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"OpenFile": opened, "Load": loaded} {
+		if n := e.Index().DecodedLists(); n != 0 {
+			t.Fatalf("%s: building the engine decoded %d posting lists eagerly, want 0", name, n)
+		}
+		if _, err := e.Search(context.Background(), Request{Query: "xml keyword"}); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Index().DecodedLists(); n != 2 {
+			t.Fatalf("%s: 2-keyword search decoded %d lists, want 2", name, n)
+		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"xks/internal/xmltree"
 )
 
-// srcState is the document source: one published version of the columns a
-// node table ID indexes, in one form whatever backs them — the label column
-// (4 bytes a node) with its dictionary, the content column (4 bytes a
-// posting: term IDs over the engine's one word dictionary, a row in the
-// lexical order of its words) that pruning reads cIDs from, and the text and
-// attribute columns the renderers and NodeText read; no row read allocates.
+// srcState is the document source: one published version of the store's
+// columns a node table ID indexes — the label column (4 bytes a node) with
+// its dictionary, the content column (4 bytes a posting: term IDs over the
+// engine's one word dictionary, a row in the lexical order of its words)
+// that pruning reads cIDs from, and the text and attribute columns the
+// renderers and NodeText read; no row read allocates.
 //
 // A request pins the state current after its snapshot (view.src), and its
 // fragments read labels, texts and content sets and render from that state
@@ -29,9 +29,10 @@ import (
 // never rewritten and a reader never indexes past the length of the state
 // it loaded. New labels and new content words go at their dictionaries'
 // tails the same way, so a reader never finds an ID its dictionary does
-// not cover. An engine over a store starts from the store's columns as
-// they are: zero-copy under mmap, and capacity-capped, so its first append
-// copies them rather than write into the store.
+// not cover. An engine starts from its store's columns as they are:
+// zero-copy under mmap, and capacity-capped, so its first append copies
+// them rather than write into the store, and holds no reference that keeps
+// the store's alive once no pinned state reads them.
 type srcState struct {
 	labels      index.LabelColumn
 	content     index.Content
@@ -40,9 +41,9 @@ type srcState struct {
 
 // publish appends the next nodes' rows, in pre-order, to the columns of
 // the current state and publishes the longer state; an engine's first call
-// adopts the columns of the whole document (parsed, or a store's). The
-// cost is the rows, not the document, while the columns' amortized
-// capacity lasts. Caller holds e.mu or has not shared e.
+// adopts its store's columns, the whole document. The cost is the rows,
+// not the document, while the columns' amortized capacity lasts. Caller
+// holds e.mu or has not shared e.
 func (e *Engine) publish(labels index.LabelColumn, content index.Content, text, attrs index.Strings) {
 	var s srcState
 	if cur := e.src.Load(); cur != nil {

@@ -12,8 +12,8 @@ import (
 	"xks/internal/xmltree"
 )
 
-// TestBackingsPublishOneSource: an engine over a parsed document and one
-// over its shredded store publish the same source columns — label IDs,
+// TestBackingsPublishOneSource: an engine over an in-memory store image and
+// one over its file round trip publish the same source columns — label IDs,
 // label dictionary, content rows (each capacity-capped), text and
 // attributes — and after tail appends, some bringing labels the document
 // has not seen, both engines' columns are those a fresh load of the
@@ -29,11 +29,11 @@ func TestBackingsPublishOneSource(t *testing.T) {
 		{"xmark", func() *xmltree.Tree { return datagen.XMark(datagen.XMarkConfig{Seed: 4, Items: 40}) }},
 	} {
 		tree := doc.tree()
-		fromStore := FromStore(store.Shred(tree, analysis.New()))
-		fromTree := FromTree(tree)
-		sameSource(t, doc.name, fromTree, fromStore)
+		image := store.Shred(tree, analysis.New())
+		fromImage, fromFile := FromStore(image), reopened(t, image, store.OpenAuto)
+		sameSource(t, doc.name, fromImage, fromFile)
 		recs := []string{newLabelRecord, `<article><title>xml keyword</title></article>`, newLabelRecord}
-		for _, e := range []*Engine{fromTree, fromStore} {
+		for _, e := range []*Engine{fromImage, fromFile} {
 			for _, rec := range recs {
 				if err := e.AppendXML("0", rec); err != nil {
 					t.Fatal(err)
@@ -41,8 +41,8 @@ func TestBackingsPublishOneSource(t *testing.T) {
 			}
 		}
 		fresh := reloaded(t, tree, recs...)
-		sameSource(t, doc.name+" after appends", fromTree, fresh)
-		sameSource(t, doc.name+" after appends to the store", fromStore, fresh)
+		sameSource(t, doc.name+" after appends to the image", fromImage, fresh)
+		sameSource(t, doc.name+" after appends to the file", fromFile, fresh)
 	}
 }
 

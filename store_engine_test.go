@@ -16,14 +16,16 @@ import (
 	"xks/internal/xmltree"
 )
 
+// storeEngine serves the paper's document from a store file: the file
+// round trip of its in-memory image.
 func storeEngine(t *testing.T) *Engine {
 	t.Helper()
-	return FromStore(store.Shred(reference.Publications(), analysis.New()))
+	return reopened(t, store.Shred(reference.Publications(), analysis.New()), store.OpenAuto)
 }
 
-// Store-backed search returns exactly the same fragments (roots and kept
-// node sets) as tree-backed search, across all paper queries and both
-// algorithms.
+// Search over a store file returns exactly the same fragments (roots and
+// kept node sets) as search over the in-memory image it was saved from,
+// across all paper queries and both algorithms.
 func TestStoreBackedSearchMatchesTree(t *testing.T) {
 	fromTree := FromTree(reference.Publications())
 	fromStore := storeEngine(t)
@@ -70,7 +72,7 @@ func TestStoreBackedSearchMatchesTree(t *testing.T) {
 // attributes: every NodeText is "", and XML and ASCII are the reference
 // writers' over the document stripped of both.
 func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
-	fresh := storeEngine(t)
+	fresh := FromStore(store.Shred(reference.Publications(), analysis.New()))
 	bare := reference.Publications()
 	bare.Walk(func(n *xmltree.Node) bool {
 		n.Text, n.Attrs = "", nil
@@ -109,8 +111,8 @@ func TestPreviousFormatStoreAnswersAsShred(t *testing.T) {
 	}
 }
 
-// TestStoreBackedRendering: a store-backed fragment renders the document's
-// text — in its XML, its ASCII tree and the snippet — exactly as
+// TestStoreBackedRendering: a fragment of a store file renders the
+// document's text — in its XML, its ASCII tree and the snippet — exactly as
 // the engine over the parsed document renders it.
 func TestStoreBackedRendering(t *testing.T) {
 	e, ref := storeEngine(t), FromTree(reference.Publications())
