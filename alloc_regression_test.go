@@ -881,3 +881,25 @@ func TestHeldAllocsAfterAppendAndCompact(t *testing.T) {
 		t.Errorf("after an append and Compact the engine holds %d bytes, %.2f× the %d it held after Load; want at most 1.35×", compacted, float64(compacted)/float64(loaded), loaded)
 	}
 }
+
+// TestNodeTableAllocs: the node table a Load engine holds is three columns
+// — parent (4 bytes), depth (2) and ordinal (4) — so it costs at most 10
+// bytes a node. The Dewey arena it replaced cost 4 bytes a level a node
+// more, and a 4-byte offset into it (22 a node on this input).
+func TestNodeTableAllocs(t *testing.T) {
+	var doc bytes.Buffer
+	if err := xmltree.WriteXML(&doc, datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 12000}).Root); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Load(bytes.NewReader(doc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := e.head.Load().Tab
+	parent, depth, ordinal := tab.Columns()
+	held := cap(parent)*int(unsafe.Sizeof(parent[0])) + cap(depth)*int(unsafe.Sizeof(depth[0])) + cap(ordinal)*int(unsafe.Sizeof(ordinal[0]))
+	t.Logf("node table: %d bytes over %d nodes (%.2f a node)", held, tab.Len(), float64(held)/float64(tab.Len()))
+	if held > 10*tab.Len() {
+		t.Errorf("the node table holds %d bytes over %d nodes; want at most 10 a node", held, tab.Len())
+	}
+}

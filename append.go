@@ -71,24 +71,13 @@ func (e *Engine) appendXML(parentDewey, snippet string) error {
 
 	// Everything the publish needs is collected before anything changes:
 	// the snippet's rows (the segment's posting lists and the source
-	// columns' tail), the Dewey codes its nodes will take under the
-	// parent's next child ordinal, for the table tail (the parent's
-	// subtree ends the table, so its last child is the last node's
-	// ancestor-or-self one level below the parent), and, while the Tree
+	// columns' tail), the table tail — the snippet's nodes under the
+	// parent's next child ordinal (ExtendUnder) — and, while the Tree
 	// bridge is live, the snippet's tree.
-	next := uint32(0)
-	if last := nid.ID(h.Tab.Len() - 1); last != pid {
-		next = h.Tab.Code(last)[len(parent)] + 1
-	}
-	at := parent.Child(next)
 	start := nid.ID(h.Tab.Len())
-	codes := make([]dewey.Code, rows.Tab.Len())
-	for i := range codes {
-		codes[i] = append(at[:len(at):len(at)], rows.Tab.Code(nid.ID(i))[1:]...)
-	}
-	tab, _, err := h.Tab.Extend(codes)
+	tab, err := h.Tab.ExtendUnder(pid, rows.Tab)
 	if err != nil {
-		return err
+		return fmt.Errorf("xks: bad snippet: %w", err)
 	}
 	seg, err := delta.NewSegment(start, nid.ID(tab.Len()), rows.Postings(start))
 	if err != nil {

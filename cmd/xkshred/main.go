@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"xks/internal/analysis"
+	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/store"
 )
@@ -42,8 +43,10 @@ func main() {
 			ix := s.BuildIndex()
 			ids := ix.LookupIDs(an.Normalize(*keyword))
 			fmt.Printf("keyword %q: %d nodes\n", *keyword, len(ids))
+			var code dewey.Code
 			for _, id := range ids {
-				fmt.Printf("  %s (%s)\n", ix.Table().Code(id), s.LabelAt(int(id)))
+				code = ix.Table().AppendCode(code[:0], id)
+				fmt.Printf("  %s (%s)\n", code, s.LabelAt(int(id)))
 			}
 			return
 		}

@@ -85,13 +85,6 @@ func (e *Engine) Compare(ctx context.Context, req Request) (*Comparison, error) 
 	}, nil
 }
 
-// codes returns the fragment's keep-set as zero-copy views into its pinned
+// codes returns the fragment's keep-set as codes derived from its pinned
 // node table, in pre-order.
-func (f *Fragment) codes() []dewey.Code {
-	tab := f.v.snap.Table()
-	out := make([]dewey.Code, len(f.keptIDs))
-	for i, id := range f.keptIDs {
-		out[i] = tab.Code(id)
-	}
-	return out
-}
+func (f *Fragment) codes() []dewey.Code { return f.v.snap.Table().Codes(f.keptIDs) }

@@ -232,7 +232,7 @@ func Example_predicates() {
 	//   [0.76.5 ee] ee: doi coba model [xml] [retrieval]
 	// "title:xml retrieval": 5 fragments; the last of the top three:
 	//   [0.356 inproceedings] title: … lusowajo brastedroga secure [xml] pattern … year: y1998 data [retrieval]
-	// shredded store: 6064 element rows, 27931 value rows, 651152 bytes on disk
+	// shredded store: 6064 element rows, 27931 value rows, 569464 bytes on disk
 	// store-backed search: 5 fragments, the first rooted at 0 (dblp)
 	// after AppendXML: 1 fragment for the narrowed query
 }

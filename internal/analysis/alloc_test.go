@@ -43,3 +43,12 @@ func TestContentSetAllocs(t *testing.T) {
 		t.Errorf("analysing %d nodes with content allocates %.0f objects; want at most one a node", withContent, allocs)
 	}
 }
+
+// TestNewAllocs: every Analyzer shares one read-only stop set, built once,
+// so New allocates the Analyzer and nothing else.
+func TestNewAllocs(t *testing.T) {
+	analysis.New()
+	if allocs := testing.AllocsPerRun(100, func() { analysis.New() }); allocs > 1 {
+		t.Errorf("New allocates %.0f objects; want at most 1", allocs)
+	}
+}

@@ -31,7 +31,7 @@ import (
 // Analyzer turns raw text into content words. The zero value is not usable;
 // construct one with New.
 type Analyzer struct {
-	stop map[string]struct{}
+	stop map[string]struct{} // shared by every Analyzer: read, never written
 }
 
 // New returns an Analyzer with the default English stop list.

@@ -1,5 +1,7 @@
 package analysis
 
+import "sync"
+
 // englishStopWords is the classic English stop list shipped with Lucene's
 // StandardAnalyzer plus the common SMART additions, matching the filtering
 // the paper applies while shredding ("the stop-word filtering function in
@@ -31,10 +33,12 @@ var englishStopWords = []string{
 	"it", "no", "not", "s", "t", "will", "just", "now",
 }
 
-func defaultStopSet() map[string]struct{} {
+// defaultStopSet is the stop list as a set, built once per process and
+// shared by every Analyzer, which only reads it.
+var defaultStopSet = sync.OnceValue(func() map[string]struct{} {
 	m := make(map[string]struct{}, len(englishStopWords))
 	for _, w := range englishStopWords {
 		m[w] = struct{}{}
 	}
 	return m
-}
+})

@@ -74,12 +74,17 @@ func (l *list) decoded(counter *atomic.Int64) []nid.ID {
 // Build indexes every node of the tree, its rows' lists encoded as a
 // store's are (FromCompressed). A node is a keyword node for w when w
 // appears among the words of its label, attributes or text. The node table
-// covers every tree node, with IDs equal to pre-order positions.
+// covers every tree node, with IDs equal to pre-order positions. Build
+// panics with Analyze's error on a tree that nests deeper than
+// nid.MaxDepth, which xmltree.Parse never returns.
 func Build(t *xmltree.Tree, a *analysis.Analyzer) *Index {
 	if a == nil {
 		a = analysis.New()
 	}
-	r := Analyze(t, a)
+	r, err := Analyze(t, a)
+	if err != nil {
+		panic(err)
+	}
 	return FromCompressed(r.Tab, r.Words, postings.EncodeAll(r.Lists(0)), r.Off)
 }
 

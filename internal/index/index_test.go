@@ -19,7 +19,11 @@ func pubIndex() *index.Index {
 
 // pubWords returns the Figure 1(a) vocabulary, read from its rows.
 func pubWords() []string {
-	return index.Analyze(reference.Publications(), analysis.New()).Words
+	rows, err := index.Analyze(reference.Publications(), analysis.New())
+	if err != nil {
+		panic(err)
+	}
+	return rows.Words
 }
 
 // lookup returns the word's posting list as dotted Dewey codes, read

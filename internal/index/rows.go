@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"unsafe"
 
@@ -38,24 +39,34 @@ func AnalyzeBytes(in []byte, a *analysis.Analyzer) (Rows, error) {
 }
 
 // Analyze walks t once, analysing every node with a new vocabulary of a:
-// the walk drives the row builder AnalyzeBytes scans into.
-func Analyze(t *xmltree.Tree, a *analysis.Analyzer) Rows {
+// the walk drives the row builder AnalyzeBytes scans into. It refuses a
+// tree that nests deeper than nid.MaxDepth, as xmltree.Scan refuses such a
+// document: a tree built by hand can.
+func Analyze(t *xmltree.Tree, a *analysis.Analyzer) (Rows, error) {
 	b := newRowBuilder(a, t.Size(), 0)
-	var walk func(n *xmltree.Node)
-	walk = func(n *xmltree.Node) {
+	var walk func(n *xmltree.Node) error
+	walk = func(n *xmltree.Node) error {
+		if len(b.open) > nid.MaxDepth {
+			return fmt.Errorf("index: element <%s> nests deeper than %d levels below the root", n.Label, nid.MaxDepth)
+		}
 		b.Start(n.Label, n.Attrs)
 		if n.Text != "" {
 			b.Text(unsafe.Slice(unsafe.StringData(n.Text), len(n.Text)))
 		}
 		for _, c := range n.Children {
-			walk(c)
+			if err := walk(c); err != nil {
+				return err
+			}
 		}
 		b.End()
+		return nil
 	}
 	if t.Root != nil {
-		walk(t.Root)
+		if err := walk(t.Root); err != nil {
+			return Rows{}, err
+		}
 	}
-	return b.rows()
+	return b.rows(), nil
 }
 
 // rowBuilder is the xmltree.Sink that writes a document's rows as its

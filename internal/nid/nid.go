@@ -2,23 +2,28 @@
 // table with dense document-order (pre-order) int32 IDs — the node-ID layer
 // under the query pipeline.
 //
-// A Table stores, per node, its parent ID, its depth and the offset of its
-// Dewey code inside a single shared []uint32 arena. Posting lists over IDs
-// cost 4 bytes per entry (instead of a 24-byte slice header plus backing
-// array per dewey.Code), pre-order comparison is integer comparison, and
-// LCA/ancestor tests are short parent-chain walks that allocate nothing.
-// Code(id) returns the node's Dewey code as a zero-copy sub-slice of the
-// arena, so converting back to dewey.Code at the public API boundary is
-// free. The design follows the node-numbering used by the Indexed Stack /
-// DIL-style XML keyword systems (Xu & Papakonstantinou EDBT 2008, XRank).
+// A Table stores three columns per node: its parent ID (int32), its depth
+// (uint16) and its ordinal (uint32), the last component of its Dewey code —
+// 10 bytes a node. Posting lists over IDs cost 4 bytes per entry (instead
+// of a 24-byte slice header plus backing array per dewey.Code), pre-order
+// comparison is integer comparison, and LCA/ancestor tests are short
+// parent-chain walks that allocate nothing. A node's Dewey code is derived
+// on demand: AppendCode walks the parent chain into the caller's buffer,
+// one ordinal a level, and Find binary-searches the pre-order IDs against
+// codes built that way. The paper's algorithms only compare codes and take
+// their prefixes, which parents and depths answer. The design follows the
+// node numbering of the Indexed Stack / DIL-style XML keyword systems (Xu &
+// Papakonstantinou EDBT 2008, XRank), where a node is its pre-order number
+// and its Dewey label is derived from it.
 //
 // A Table is never mutated after it is built: a tail append derives a new
-// table with Extend (snapshot.go), which shares the old one's backing arrays
-// and leaves every existing ID where it was.
+// table with ExtendUnder (or Extend, snapshot.go), which shares the old
+// one's backing arrays and leaves every existing ID where it was.
 package nid
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"xks/internal/dewey"
@@ -30,31 +35,66 @@ type ID int32
 // None is the null ID (no parent, no node).
 const None ID = -1
 
-// Table is the flat node table: parallel parent/depth/offset columns over a
-// shared Dewey arena. Node IDs are dense and assigned in pre-order, so
-// id(a) < id(b) exactly when a precedes b in document order.
+// MaxDepth is the deepest node a Table holds (the root is at depth 0): the
+// depth column is a uint16. Builders panic past it, ExtendUnder and
+// FromColumns refuse it, and the document readers (xmltree.Scan,
+// index.Analyze) refuse a document that nests deeper with an error.
+const MaxDepth = math.MaxUint16
+
+// Table is the flat node table: parallel parent, depth and ordinal columns.
+// Node IDs are dense and assigned in pre-order, so id(a) < id(b) exactly
+// when a precedes b in document order.
 type Table struct {
-	parent []ID
-	depth  []int32 // root is depth 0; code length is depth+1
-	off    []uint32
-	arena  []uint32
+	parent  []ID
+	depth   []uint16 // root is depth 0; code length is depth+1
+	ordinal []uint32 // the last component of the node's Dewey code
 }
 
 // Len returns the number of nodes in the table.
 func (t *Table) Len() int { return len(t.parent) }
 
-// Code returns the node's Dewey code as a zero-copy sub-slice of the arena.
-// Callers must not modify it.
-func (t *Table) Code(i ID) dewey.Code {
-	o := t.off[i]
-	return dewey.Code(t.arena[o : o+uint32(t.depth[i])+1])
+// AppendCode appends the node's Dewey code to dst, walked from the node up
+// its parent chain, and returns the extended slice. It allocates only when
+// dst lacks room for depth+1 components.
+func (t *Table) AppendCode(dst dewey.Code, i ID) dewey.Code {
+	n := len(dst)
+	d := int(t.depth[i])
+	dst = slices.Grow(dst, d+1)[:n+d+1]
+	for k := n + d; k >= n; k-- {
+		dst[k] = t.ordinal[i]
+		i = t.parent[i]
+	}
+	return dst
 }
+
+// Code returns the node's Dewey code in a fresh slice (AppendCode to nil).
+func (t *Table) Code(i ID) dewey.Code { return t.AppendCode(nil, i) }
+
+// Codes returns the codes of the given nodes, each a capacity-capped slice
+// of one buffer sized for them all.
+func (t *Table) Codes(ids []ID) []dewey.Code {
+	size := 0
+	for _, id := range ids {
+		size += int(t.depth[id]) + 1
+	}
+	flat, out := make(dewey.Code, 0, size), make([]dewey.Code, len(ids))
+	for i, id := range ids {
+		start := len(flat)
+		flat = t.AppendCode(flat, id)
+		out[i] = flat[start:len(flat):len(flat)]
+	}
+	return out
+}
+
+// Ordinal returns the last component of the node's Dewey code: its
+// position among its parent's children, or among the roots.
+func (t *Table) Ordinal(i ID) uint32 { return t.ordinal[i] }
 
 // Parent returns the node's parent ID, or None for a root.
 func (t *Table) Parent(i ID) ID { return t.parent[i] }
 
 // Depth returns the node's depth (root = 0).
-func (t *Table) Depth(i ID) int32 { return t.depth[i] }
+func (t *Table) Depth(i ID) int32 { return int32(t.depth[i]) }
 
 // AncestorAt returns the ancestor-or-self of i at depth d, or None when d
 // exceeds the node's depth or the parent chain ends early.
@@ -62,10 +102,10 @@ func (t *Table) AncestorAt(i ID, d int32) ID {
 	if d < 0 {
 		return None
 	}
-	for i != None && t.depth[i] > d {
+	for i != None && int32(t.depth[i]) > d {
 		i = t.parent[i]
 	}
-	if i == None || t.depth[i] != d {
+	if i == None || int32(t.depth[i]) != d {
 		return None
 	}
 	return i
@@ -73,7 +113,7 @@ func (t *Table) AncestorAt(i ID, d int32) ID {
 
 // IsAncestorOrSelf reports whether a is an ancestor of b or b itself.
 func (t *Table) IsAncestorOrSelf(a, b ID) bool {
-	return t.AncestorAt(b, t.depth[a]) == a
+	return t.AncestorAt(b, int32(t.depth[a])) == a
 }
 
 // IsAncestorOf reports whether a is a proper ancestor of b.
@@ -130,31 +170,29 @@ func (t *Table) LCADepth(a, b ID) int32 {
 	if l == None {
 		return -1
 	}
-	return t.depth[l]
+	return int32(t.depth[l])
 }
 
 // Find locates the node with the given Dewey code by binary search over the
-// pre-order table.
+// pre-order IDs, each probed node's code built from its parent chain into
+// one stack buffer: O(log n · depth), allocating nothing for codes of up to
+// 32 levels.
 func (t *Table) Find(c dewey.Code) (ID, bool) {
-	i := t.searchGE(c)
-	if i < len(t.parent) && dewey.Equal(t.Code(ID(i)), c) {
-		return ID(i), true
-	}
-	return None, false
-}
-
-// searchGE returns the index of the first node whose code is >= c.
-func (t *Table) searchGE(c dewey.Code) int {
+	var stack [32]uint32
+	buf := dewey.Code(stack[:0])
 	lo, hi := 0, len(t.parent)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if dewey.Compare(t.Code(ID(mid)), c) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if buf = t.AppendCode(buf[:0], ID(mid)); dewey.Compare(buf, c) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	if lo < len(t.parent) && int(t.depth[lo]) == len(c)-1 && dewey.Equal(t.AppendCode(buf[:0], ID(lo)), c) {
+		return ID(lo), true
+	}
+	return None, false
 }
 
 // Builder assembles a Table from nodes fed in pre-order, either as Dewey
@@ -162,51 +200,63 @@ func (t *Table) searchGE(c dewey.Code) int {
 // ancestors, so any pre-order code stream yields an ancestor-closed table;
 // adding a code equal to the previous one returns the existing ID.
 type Builder struct {
-	t     Table
-	prev  dewey.Code
-	path  []ID // path[d] = ID of the current rightmost node at depth d
-	codes int  // the arena length of the pushed nodes' codes
+	t    Table
+	prev dewey.Code // the code Add added last
+	path []ID       // path[d] = ID of the current rightmost node at depth d
+	next []uint32   // next[d] = the ordinal Push gives the next node at depth d
 }
 
 // NewBuilder returns a Builder with capacity hints for n nodes.
 func NewBuilder(n int) *Builder {
-	if n < 0 {
-		n = 0
-	}
+	n = max(n, 0)
 	return &Builder{t: Table{
-		parent: make([]ID, 0, n),
-		depth:  make([]int32, 0, n),
-		off:    make([]uint32, 0, n),
+		parent:  make([]ID, 0, n),
+		depth:   make([]uint16, 0, n),
+		ordinal: make([]uint32, 0, n),
 	}}
 }
 
 // Push appends the next node in pre-order at the given depth — 0 for a
-// root, at most one below the previous node's — and returns its ID. Its
-// parent is the last node pushed one level up. Table lays the codes out in
-// one exact arena, each its parent's and the node's child ordinal, so no
-// code is compared or copied per push.
+// root, at most one below the previous node's, at most MaxDepth — and
+// returns its ID. Its parent is the last node pushed one level up, and its
+// ordinal the count of the nodes pushed before it under that parent.
 func (b *Builder) Push(depth int) ID {
-	if depth < 0 || depth > len(b.path) {
+	if depth < 0 || depth > len(b.path) || depth > MaxDepth {
 		panic(fmt.Sprintf("nid: Builder.Push at depth %d after a node at depth %d", depth, len(b.path)-1))
 	}
 	id, parent := ID(len(b.t.parent)), None
 	if depth > 0 {
 		parent = b.path[depth-1]
 	}
+	if depth == len(b.next) {
+		b.next = append(b.next, 0)
+	}
+	ord := b.next[depth]
 	b.path = append(b.path[:depth], id)
-	b.t.parent = append(b.t.parent, parent)
-	b.t.depth = append(b.t.depth, int32(depth))
-	b.codes += depth + 1
+	b.next = append(b.next[:depth], ord+1)
+	b.t.append(parent, depth, ord)
 	return id
 }
 
+// append adds one row at the tail.
+func (t *Table) append(parent ID, depth int, ordinal uint32) {
+	t.parent = append(t.parent, parent)
+	t.depth = append(t.depth, uint16(depth))
+	t.ordinal = append(t.ordinal, ordinal)
+}
+
 // Add appends the node with code c, synthesizing any ancestors not yet
-// present, and returns its ID. Codes must arrive in pre-order (equal to or
-// after the previously added code); Add panics otherwise, since a
-// mis-ordered stream would silently break the dense-ID invariant.
+// present, and returns its ID; every node takes its own code's last
+// component as its ordinal, so a sparse code set round-trips. Codes must
+// arrive in pre-order (equal to or after the previously added code) and be
+// at most MaxDepth+1 long; Add panics otherwise, since a mis-ordered stream
+// would silently break the dense-ID invariant.
 func (b *Builder) Add(c dewey.Code) ID {
 	if len(c) == 0 {
 		return None
+	}
+	if len(c)-1 > MaxDepth {
+		panic(fmt.Sprintf("nid: Builder.Add of a code %d levels deep", len(c)))
 	}
 	cmp := dewey.Compare(b.prev, c)
 	if cmp > 0 {
@@ -222,17 +272,10 @@ func (b *Builder) Add(c dewey.Code) ID {
 		if l >= 2 {
 			parent = b.path[l-2]
 		}
-		b.t.parent = append(b.t.parent, parent)
-		b.t.depth = append(b.t.depth, int32(l-1))
-		b.t.off = append(b.t.off, uint32(len(b.t.arena)))
-		b.t.arena = append(b.t.arena, c[:l]...)
-		if len(b.path) < l {
-			b.path = append(b.path, id)
-		} else {
-			b.path[l-1] = id
-		}
+		b.t.append(parent, l-1, c[l-1])
+		b.path = append(b.path[:l-1], id)
 	}
-	b.prev = b.t.Code(ID(len(b.t.parent) - 1))
+	b.prev = append(b.prev[:0], c...)
 	return ID(len(b.t.parent) - 1)
 }
 
@@ -241,45 +284,34 @@ func (b *Builder) Add(c dewey.Code) ID {
 // must not be used afterwards.
 func (b *Builder) Table() *Table {
 	t := &b.t
-	if b.codes > 0 {
-		t.arena = make([]uint32, 0, b.codes)
-		kids := make([]uint32, len(t.parent)+1) // children so far by parent ID+1, the roots at 0
-		for _, p := range t.parent {
-			t.off = append(t.off, uint32(len(t.arena)))
-			if p != None {
-				t.arena = append(t.arena, t.Code(p)...)
-			}
-			t.arena = append(t.arena, kids[p+1])
-			kids[p+1]++
-		}
-	}
 	if cap(t.parent) > len(t.parent) { // the hint was not the node count
-		t.parent, t.depth, t.off = slices.Clone(t.parent), slices.Clone(t.depth), slices.Clone(t.off)
+		t.parent, t.depth, t.ordinal = slices.Clone(t.parent), slices.Clone(t.depth), slices.Clone(t.ordinal)
 	}
-	t.parent, t.depth, t.off, t.arena = slices.Clip(t.parent), slices.Clip(t.depth), slices.Clip(t.off), slices.Clip(t.arena)
+	t.parent, t.depth, t.ordinal = slices.Clip(t.parent), slices.Clip(t.depth), slices.Clip(t.ordinal)
 	return t
 }
 
-// Columns exposes the table's parallel columns and the shared Dewey arena
-// for serialization (the store's v3 writer persists them verbatim). The
-// slices are the table's own backing arrays; callers must not modify them.
-func (t *Table) Columns() (parent []ID, depth []int32, off, arena []uint32) {
-	return t.parent, t.depth, t.off, t.arena
+// Columns exposes the table's parallel columns for serialization (the
+// store's writer persists them verbatim). The slices are the table's own
+// backing arrays; callers must not modify them.
+func (t *Table) Columns() (parent []ID, depth []uint16, ordinal []uint32) {
+	return t.parent, t.depth, t.ordinal
 }
 
-// FromColumns adopts pre-built columns without copying — the store's v3
+// FromColumns adopts pre-built columns without copying — the store's
 // zero-copy load path, where the slices view an mmap-ed (or heap-loaded)
 // file section. It validates the structural invariants every table
 // operation relies on for memory safety — column lengths agree, parents
-// precede their children with depth parent+1, roots sit at depth 0, and
-// every code window stays inside the arena — so a table built from
-// CRC-valid but adversarial bytes can return wrong answers, never index
-// out of bounds. Deeper semantic invariants (pre-order code ordering) are
-// not checked; they cost a full scan and only affect result correctness.
-func FromColumns(parent []ID, depth []int32, off, arena []uint32) (*Table, error) {
+// precede their children with depth parent+1 (summed in int, so a child
+// of a node at MaxDepth cannot wrap to 0), roots sit at depth 0 — so a
+// table built from CRC-valid but adversarial bytes can return wrong
+// answers, never index out of bounds. Deeper semantic invariants (sibling
+// ordinals ascending in pre-order) are not checked; they cost a full scan
+// and only affect result correctness.
+func FromColumns(parent []ID, depth []uint16, ordinal []uint32) (*Table, error) {
 	n := len(parent)
-	if len(depth) != n || len(off) != n {
-		return nil, fmt.Errorf("nid: column lengths disagree: parent %d, depth %d, off %d", n, len(depth), len(off))
+	if len(depth) != n || len(ordinal) != n {
+		return nil, fmt.Errorf("nid: column lengths disagree: parent %d, depth %d, ordinal %d", n, len(depth), len(ordinal))
 	}
 	for i := 0; i < n; i++ {
 		p := parent[i]
@@ -290,15 +322,11 @@ func FromColumns(parent []ID, depth []int32, off, arena []uint32) (*Table, error
 			}
 		case p < 0 || int(p) >= i:
 			return nil, fmt.Errorf("nid: node %d has invalid parent %d", i, p)
-		case depth[i] != depth[p]+1:
+		case int(depth[i]) != int(depth[p])+1:
 			return nil, fmt.Errorf("nid: node %d depth %d under parent depth %d", i, depth[i], depth[p])
 		}
-		end := uint64(off[i]) + uint64(depth[i]) + 1
-		if end > uint64(len(arena)) {
-			return nil, fmt.Errorf("nid: node %d code window [%d,%d) exceeds arena length %d", i, off[i], end, len(arena))
-		}
 	}
-	return &Table{parent: parent, depth: depth, off: off, arena: arena}, nil
+	return &Table{parent: parent, depth: depth, ordinal: ordinal}, nil
 }
 
 // FromCodes builds a Table from an arbitrary set of codes: the input is

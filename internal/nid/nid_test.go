@@ -15,8 +15,7 @@ func codes(ss ...string) []dewey.Code {
 }
 
 // TestFromCodesClosure: the table is the sorted ancestor closure of the
-// input, with pre-order IDs, correct parents and depths, and zero-copy
-// codes.
+// input, with pre-order IDs and correct parents, depths and codes.
 func TestFromCodesClosure(t *testing.T) {
 	tab := FromCodes(codes("0.2.0.1", "0.0", "0.2.0.1", "0.1.3"))
 	want := []string{"0", "0.0", "0.1", "0.1.3", "0.2", "0.2.0", "0.2.0.1"}
@@ -60,17 +59,6 @@ func TestBuilderOutOfOrderPanics(t *testing.T) {
 	b := NewBuilder(2)
 	b.Add(dewey.MustParse("0.1"))
 	b.Add(dewey.MustParse("0.0"))
-}
-
-// TestCodeZeroCopy: Code returns stable views into one shared arena, not
-// per-call copies.
-func TestCodeZeroCopy(t *testing.T) {
-	tab := FromCodes(codes("0.0.1", "0.0.2"))
-	a, _ := tab.Find(dewey.MustParse("0.0.1"))
-	c1, c2 := tab.Code(a), tab.Code(a)
-	if &c1[0] != &c2[0] {
-		t.Error("Code should return the same arena view on every call")
-	}
 }
 
 // TestPushMatchesAdd: a table pushed by depth is the one Add builds from

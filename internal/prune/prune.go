@@ -534,10 +534,7 @@ type Result struct {
 // so several modes can be applied to the same fragment in turn.
 func (f *Fragment) Prune(mode Mode, opts Options) *Result {
 	ids, visited := f.AppendKeptIDs(nil, mode, opts)
-	res := &Result{Kept: make([]dewey.Code, len(ids)), KeptIDs: ids, Visited: visited}
-	for j, id := range ids {
-		res.Kept[j] = f.tab.Code(id)
-	}
+	res := &Result{Kept: f.tab.Codes(ids), KeptIDs: ids, Visited: visited}
 	res.Root = res.Kept[0]
 	return res
 }

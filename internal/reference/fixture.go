@@ -35,10 +35,7 @@ func KeywordSets(ix *index.Index, query string) (words []string, sets [][]dewey.
 		if len(ids) == 0 {
 			return nil, nil, &index.ErrNoMatch{Word: w}
 		}
-		sets[i] = make([]dewey.Code, len(ids))
-		for j, id := range ids {
-			sets[i][j] = tab.Code(id)
-		}
+		sets[i] = tab.Codes(ids)
 	}
 	return words, sets, nil
 }

@@ -17,50 +17,25 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// u32view reinterprets b (length a multiple of 4) as []uint32 without
-// copying when the host is little-endian and the data is 4-byte aligned
-// (the v3 writer 8-aligns every section, so views over file sections
-// always are); otherwise it decodes a copy.
-func u32view(b []byte) []uint32 {
+// view reinterprets b (a whole number of Ts, little-endian) as []T without
+// copying when the host is little-endian and b is aligned for T — views
+// over file sections always are: the v3 writer 8-aligns every section and
+// pads inside one to each column's width — and decodes a copy otherwise.
+func view[T uint16 | uint32 | int32 | nid.ID](b []byte) []T {
+	size := int(unsafe.Sizeof(T(0)))
 	if len(b) == 0 {
 		return nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/size)
 	}
-	out := make([]uint32, len(b)/4)
+	out := make([]T, len(b)/size)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-// i32view is u32view for []int32.
-func i32view(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// idView is u32view for []nid.ID (int32 underneath).
-func idView(b []byte) []nid.ID {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*nid.ID)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	out := make([]nid.ID, len(b)/4)
-	for i := range out {
-		out[i] = nid.ID(int32(binary.LittleEndian.Uint32(b[i*4:])))
+		if size == 2 {
+			out[i] = T(binary.LittleEndian.Uint16(b[2*i:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+		}
 	}
 	return out
 }
@@ -76,33 +51,15 @@ func stringView(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// appendU32sLE appends vals to dst in little-endian order (the v3 section
+// appendLE appends vals to dst in little-endian order (the v3 section
 // writer's bulk array form).
-func appendU32sLE(dst []byte, vals []uint32) []byte {
-	var buf [4]byte
+func appendLE[T uint16 | uint32 | nid.ID](dst []byte, vals []T) []byte {
 	for _, v := range vals {
-		binary.LittleEndian.PutUint32(buf[:], v)
-		dst = append(dst, buf[:]...)
-	}
-	return dst
-}
-
-// appendI32sLE appends int32 values to dst in little-endian order.
-func appendI32sLE(dst []byte, vals []int32) []byte {
-	var buf [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		dst = append(dst, buf[:]...)
-	}
-	return dst
-}
-
-// appendIDsLE appends node IDs to dst in little-endian order.
-func appendIDsLE(dst []byte, vals []nid.ID) []byte {
-	var buf [4]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint32(buf[:], uint32(int32(v)))
-		dst = append(dst, buf[:]...)
+		if unsafe.Sizeof(v) == 2 {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(v))
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+		}
 	}
 	return dst
 }

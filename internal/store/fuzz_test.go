@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"xks/internal/analysis"
 	"xks/internal/datagen"
+	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/reference"
 )
@@ -65,6 +67,12 @@ func FuzzLoad(f *testing.F) {
 	for _, c := range corruptions {
 		f.Add(c)
 	}
+	// A nodes section at the depth bound, and corrupted under valid CRCs.
+	deep, corruptions := nodeSectionCorruptions(f)
+	f.Add(deep)
+	for _, c := range corruptions {
+		f.Add(c)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := openV3FromBytes(data)
 		if err != nil {
@@ -98,6 +106,65 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
+// editSection returns a copy of image with section id changed by change,
+// its checksum and the header's recomputed, so the change reaches the
+// section's own validation.
+func editSection(t testing.TB, image []byte, id uint32, change func(sec []byte)) []byte {
+	t.Helper()
+	c := append([]byte(nil), image...)
+	count := int(binary.LittleEndian.Uint32(c[12:16]))
+	for i := range count {
+		e := c[16+32*i:]
+		if binary.LittleEndian.Uint32(e) != id {
+			continue
+		}
+		off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		sec := c[off : off+n]
+		change(sec)
+		binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(sec))
+		dirEnd := 16 + 32*count
+		binary.LittleEndian.PutUint32(c[dirEnd:], crc32.ChecksumIEEE(c[:dirEnd]))
+		return c
+	}
+	t.Fatalf("image has no section %d", id)
+	return nil
+}
+
+// nodeSectionCorruptions returns the image of a document whose last two
+// nodes sit at depth nid.MaxDepth, and corruptions of its nodes section
+// that keep every CRC valid: the last node re-parented under the node
+// before it with its depth wrapped to 0 — what a uint16 sum would take for
+// parent+1 — and a parent ID past the node; and the previous format's
+// nodes section with a depth whose code window overruns its Dewey arena.
+func nodeSectionCorruptions(t testing.TB) (image []byte, corrupt map[string][]byte) {
+	t.Helper()
+	doc := strings.Repeat("<a>", nid.MaxDepth) + "<b/><c/>" + strings.Repeat("</a>", nid.MaxDepth)
+	rows, err := index.AnalyzeBytes([]byte(doc), analysis.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	image = saveBytes(t, FromRows(rows))
+	n := rows.Tab.Len()
+	parent := func(sec []byte, i int) []byte { return sec[8+4*i:] }
+	depth := func(sec []byte, i int) []byte { return sec[8+4*n+2*i:] }
+	previous, err := os.ReadFile(previousFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image, map[string][]byte{
+		"previous format's code window past its arena": editSection(t, previous, secDeweyNodes, func(sec []byte) {
+			binary.LittleEndian.PutUint32(sec[8+4*binary.LittleEndian.Uint32(sec)+4:], 1<<20)
+		}),
+		"child depth wraps past the uint16 range": editSection(t, image, secNodes, func(sec []byte) {
+			binary.LittleEndian.PutUint32(parent(sec, n-1), uint32(n-2))
+			binary.LittleEndian.PutUint16(depth(sec, n-1), 0)
+		}),
+		"parent after its child": editSection(t, image, secNodes, func(sec []byte) {
+			binary.LittleEndian.PutUint32(parent(sec, n-2), uint32(n-1))
+		}),
+	}
+}
+
 // stringSectionCorruptions returns the image of a small document with
 // attributes, so both string sections hold rows, and corruptions of its
 // text and attrs sections that keep every CRC valid, so they reach the
@@ -107,25 +174,7 @@ func stringSectionCorruptions(t testing.TB) (image []byte, corrupt map[string][]
 	t.Helper()
 	shred := func() *Store { return Shred(datagen.DBLP(datagen.DBLPConfig{Seed: 1, NumRecords: 3}), analysis.New()) }
 	image = saveBytes(t, shred())
-	edit := func(id uint32, change func(sec []byte)) []byte {
-		c := append([]byte(nil), image...)
-		count := int(binary.LittleEndian.Uint32(c[12:16]))
-		for i := range count {
-			e := c[16+32*i:]
-			if binary.LittleEndian.Uint32(e) != id {
-				continue
-			}
-			off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-			sec := c[off : off+n]
-			change(sec)
-			binary.LittleEndian.PutUint32(e[4:], crc32.ChecksumIEEE(sec))
-			dirEnd := 16 + 32*count
-			binary.LittleEndian.PutUint32(c[dirEnd:], crc32.ChecksumIEEE(c[:dirEnd]))
-			return c
-		}
-		t.Fatalf("image has no section %d", id)
-		return nil
-	}
+	edit := func(id uint32, change func(sec []byte)) []byte { return editSection(t, image, id, change) }
 	// off(sec, i) is the i-th offset of a string section.
 	off := func(sec []byte, i int) []byte { return sec[8+4*i:] }
 	extraRow := shred()

@@ -10,8 +10,9 @@
 //
 // Store holds those tables in the one column form every engine reads, each
 // engine being over a store (format v3, see v3.go): the element table is a
-// nid.Table of pre-order node IDs (Dewey codes, parents, depths) plus
-// per-node label, text and attribute columns; the value table is the sorted
+// nid.Table of pre-order node IDs — parents, depths and ordinals, a node's
+// Dewey code derived from its parent chain — plus per-node label, text and
+// attribute columns; the value table is the sorted
 // vocabulary with one block-compressed posting list per keyword, and its
 // inverse, a node → keyword CSR. FromRows builds the columns in memory from
 // a document's rows (index.AnalyzeBytes, as xks.Load does, or Shred over a
@@ -70,12 +71,18 @@ func (c closer) Close() error {
 }
 
 // Shred builds the three tables from a parsed document (FromRows over
-// index.Analyze), analyzing content with an (nil for the default).
+// index.Analyze), analyzing content with an (nil for the default). It
+// panics with Analyze's error on a tree that nests deeper than
+// nid.MaxDepth, which xmltree.Parse refuses to build.
 func Shred(t *xmltree.Tree, an *analysis.Analyzer) *Store {
 	if an == nil {
 		an = analysis.New()
 	}
-	return FromRows(index.Analyze(t, an))
+	rows, err := index.Analyze(t, an)
+	if err != nil {
+		panic(err)
+	}
+	return FromRows(rows)
 }
 
 // FromRows builds the three tables from a document's rows (index.Analyze,

@@ -3,9 +3,9 @@ package store
 // Format v3 — the only store format.
 //
 // A v3 file persists the query-time representation directly — the
-// nid.Table columns (parent/depth/offset plus the shared Dewey arena) and
-// block-compressed posting lists (internal/postings) — as aligned,
-// CRC-guarded sections behind a section directory:
+// nid.Table columns (parent, depth and ordinal a node) and block-compressed
+// posting lists (internal/postings) — as aligned, CRC-guarded sections
+// behind a section directory:
 //
 //	offset 0   magic "XKSSTORE"                  (8 bytes)
 //	offset 8   version u32 big-endian = 3
@@ -24,11 +24,12 @@ package store
 // Files of other versions (the v1/v2 row streams) are rejected; they are
 // re-shredded from their XML with xkshred.
 //
-// Section payloads (ids secLabels..secAttrs below):
+// Section payloads (ids secLabels..secNodes below):
 //
 //	labels     u32 count, then per label {u32 len, bytes}
-//	nodes      u32 n, u32 arenaLen, parent i32[n], depth i32[n],
-//	           off u32[n], arena u32[arenaLen]
+//	nodes      u32 n, u32 reserved (0), parent i32[n], depth u16[n]
+//	           zero-padded to 4 bytes, ordinal u32[n] — the last component
+//	           of each node's Dewey code, which nid.Table derives from them
 //	labelids   u32[n] — element-table label column, node-ID order
 //	terms      u32 count, u32 blobLen, offs u32[count+1], blob bytes
 //	           (terms strictly increasing; term i = blob[offs[i]:offs[i+1]])
@@ -39,6 +40,14 @@ package store
 //	text       the terms layout with n rows — node i's own text, raw
 //	attrs      the terms layout with n rows — node i's attributes as its
 //	           start tag holds them (` name="escaped value"`…)
+//
+// The nodes section is id 10. Earlier writers stored the node table as
+// section 2 instead — u32 n, u32 arenaLen, parent i32[n], depth i32[n],
+// off u32[n] and a Dewey arena u32[arenaLen], node i's code being
+// arena[off[i]:off[i]+depth[i]+1] — and a file that carries it is converted
+// once at open into the three columns, on the heap (deweyNodeColumns);
+// Save writes section 10. Readers that predate section 10 refuse a file
+// without section 2 ("missing nodes section").
 //
 // The text and attrs sections (ids 8 and 9) came after the first v3
 // writers, which rendered an element skeleton: a file without them opens
@@ -70,15 +79,18 @@ const (
 // Section IDs of the v3 directory. Unknown IDs are ignored on open, so
 // future versions can add sections without breaking this reader.
 const (
-	secLabels    = uint32(1)
-	secNodes     = uint32(2)
-	secLabelIDs  = uint32(3)
-	secTerms     = uint32(4)
-	secPostings  = uint32(5)
-	secNodeWords = uint32(6)
+	secLabels = uint32(1)
+	// 2 was the nodes section of earlier writers, a Dewey arena; it is
+	// converted at open (deweyNodeColumns).
+	secDeweyNodes = uint32(2)
+	secLabelIDs   = uint32(3)
+	secTerms      = uint32(4)
+	secPostings   = uint32(5)
+	secNodeWords  = uint32(6)
 	// 7 was the planner statistics of earlier writers; it stays unused.
 	secText  = uint32(8)
 	secAttrs = uint32(9)
+	secNodes = uint32(10)
 )
 
 // maxSections bounds the directory a reader will parse; the writer emits 8.
@@ -217,15 +229,15 @@ func (s *Store) Save(w io.Writer) error {
 		labelsSec = append(labelsSec, l...)
 	}
 
-	parent, depth, off, arena := s.tab.Columns()
+	parent, depth, ordinal := s.tab.Columns()
 	nodesSec := appendU32LE(nil, uint32(s.tab.Len()))
-	nodesSec = appendU32LE(nodesSec, uint32(len(arena)))
-	nodesSec = appendIDsLE(nodesSec, parent)
-	nodesSec = appendI32sLE(nodesSec, depth)
-	nodesSec = appendU32sLE(nodesSec, off)
-	nodesSec = appendU32sLE(nodesSec, arena)
+	nodesSec = appendU32LE(nodesSec, 0)
+	nodesSec = appendLE(nodesSec, parent)
+	nodesSec = appendLE(nodesSec, depth)
+	nodesSec = append(nodesSec, make([]byte, len(depth)%2*2)...) // to 4 bytes
+	nodesSec = appendLE(nodesSec, ordinal)
 
-	labelIDsSec := appendU32sLE(nil, s.nodeLabels)
+	labelIDsSec := appendLE(nil, s.nodeLabels)
 
 	terms := index.Strings{Off: make([]uint32, 1, len(s.terms)+1)}
 	for _, t := range s.terms {
@@ -241,13 +253,13 @@ func (s *Store) Save(w io.Writer) error {
 	}
 	postSec := appendU32LE(nil, uint32(len(s.lists)))
 	postSec = appendU32LE(postSec, 0)
-	postSec = appendU32sLE(postSec, postOffs)
+	postSec = appendLE(postSec, postOffs)
 	postSec = append(postSec, postBlob...)
 
 	wordsSec := appendU32LE(nil, uint32(len(s.wordOff)-1))
 	wordsSec = appendU32LE(wordsSec, uint32(len(s.termIDs)))
-	wordsSec = appendU32sLE(wordsSec, s.wordOff)
-	wordsSec = appendU32sLE(wordsSec, s.termIDs)
+	wordsSec = appendLE(wordsSec, s.wordOff)
+	wordsSec = appendLE(wordsSec, s.termIDs)
 
 	secs := []struct {
 		id   uint32
@@ -307,7 +319,7 @@ func align8(n int) int { return (n + 7) &^ 7 }
 func appendStrings(dst []byte, c index.Strings) []byte {
 	dst = appendU32LE(dst, uint32(len(c.Off)-1))
 	dst = appendU32LE(dst, uint32(len(c.Data)))
-	dst = appendU32sLE(dst, c.Off)
+	dst = appendLE(dst, c.Off)
 	return append(dst, c.Data...)
 }
 
@@ -398,28 +410,20 @@ func openV3FromBytes(data []byte) (*Store, error) {
 		labels = append(labels, lab)
 	}
 
-	// Nodes → nid.Table (zero-copy columns).
-	sec, err = need(secNodes, "nodes")
+	// Nodes → nid.Table: zero-copy columns, or an earlier writer's Dewey
+	// arena converted once.
+	var tab *nid.Table
+	if sec, ok := secs[secNodes]; ok {
+		tab, err = nodeColumns(sec)
+	} else if sec, ok := secs[secDeweyNodes]; ok {
+		tab, err = deweyNodeColumns(sec)
+	} else {
+		err = fmt.Errorf("store: missing nodes section")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(sec) < 8 {
-		return nil, fmt.Errorf("store: truncated nodes section")
-	}
-	n := binary.LittleEndian.Uint32(sec)
-	arenaLen := binary.LittleEndian.Uint32(sec[4:])
-	if uint64(len(sec)) != 8+12*uint64(n)+4*uint64(arenaLen) {
-		return nil, fmt.Errorf("store: nodes section length %d inconsistent with n=%d arena=%d", len(sec), n, arenaLen)
-	}
-	p := sec[8:]
-	parent := idView(p[:4*n])
-	depth := i32view(p[4*n : 8*n])
-	offCol := u32view(p[8*n : 12*n])
-	arena := u32view(p[12*n:])
-	tab, err := nid.FromColumns(parent, depth, offCol, arena)
-	if err != nil {
-		return nil, fmt.Errorf("store: nodes section: %w", err)
-	}
+	n := uint32(tab.Len())
 
 	// Per-node label IDs.
 	sec, err = need(secLabelIDs, "labelids")
@@ -429,7 +433,7 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	if uint64(len(sec)) != 4*uint64(n) {
 		return nil, fmt.Errorf("store: labelids section length %d, want %d", len(sec), 4*n)
 	}
-	nodeLabels := u32view(sec)
+	nodeLabels := view[uint32](sec)
 	for i, id := range nodeLabels {
 		if id >= nLabels {
 			return nil, fmt.Errorf("store: node %d references label %d of %d", i, id, nLabels)
@@ -468,7 +472,7 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	if uint64(len(sec)) < 8+4*(uint64(pcount)+1) {
 		return nil, fmt.Errorf("store: truncated postings offsets")
 	}
-	postOffs := u32view(sec[8 : 8+4*(int(pcount)+1)])
+	postOffs := view[uint32](sec[8 : 8+4*(int(pcount)+1)])
 	postBlob := sec[8+4*(int(pcount)+1):]
 	if postOffs[0] != 0 || uint64(postOffs[pcount]) != uint64(len(postBlob)) {
 		return nil, fmt.Errorf("store: postings offsets do not span the blob")
@@ -503,7 +507,7 @@ func openV3FromBytes(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	termIDs := u32view(ids)
+	termIDs := view[uint32](ids)
 	for i, id := range termIDs {
 		if id >= tcount {
 			return nil, fmt.Errorf("store: nodewords entry %d references term %d of %d", i, id, tcount)
@@ -541,7 +545,7 @@ func openV3FromBytes(data []byte) (*Store, error) {
 // offsets validates sec, laid out as u32 count, u32 total, count+1 u32
 // offsets — from 0, never decreasing, to total — and total elements of
 // width bytes, and returns the offsets and the elements, zero-copy. The
-// elements are capacity-capped, like the offsets (u32view), so an engine
+// elements are capacity-capped, like the offsets (view), so an engine
 // appending to a column copies it rather than write into the image.
 func offsets(sec []byte, name string, width uint64) ([]uint32, []byte, error) {
 	if len(sec) < 8 {
@@ -552,7 +556,7 @@ func offsets(sec []byte, name string, width uint64) ([]uint32, []byte, error) {
 	if uint64(len(sec)) != end+width*uint64(total) {
 		return nil, nil, fmt.Errorf("store: %s section length %d inconsistent with count=%d total=%d", name, len(sec), count, total)
 	}
-	off := u32view(sec[8:end])
+	off := view[uint32](sec[8:end])
 	if off[0] != 0 || off[count] != total {
 		return nil, nil, fmt.Errorf("store: %s offsets do not span the section", name)
 	}
@@ -571,4 +575,52 @@ func nodeRows(sec []byte, name string, width uint64, n uint32) ([]uint32, []byte
 		err = fmt.Errorf("store: %s covers %d nodes of %d", name, len(off)-1, n)
 	}
 	return off, elems, err
+}
+
+// nodeColumns views a nodes section as a node table, zero-copy.
+func nodeColumns(sec []byte) (*nid.Table, error) {
+	if len(sec) < 8 {
+		return nil, fmt.Errorf("store: truncated nodes section")
+	}
+	n := uint64(binary.LittleEndian.Uint32(sec))
+	depthAt := 8 + 4*n
+	ordinalAt := (depthAt + 2*n + 3) &^ 3
+	if uint64(len(sec)) != ordinalAt+4*n {
+		return nil, fmt.Errorf("store: nodes section length %d inconsistent with n=%d", len(sec), n)
+	}
+	tab, err := nid.FromColumns(view[nid.ID](sec[8:depthAt]), view[uint16](sec[depthAt:depthAt+2*n]), view[uint32](sec[ordinalAt:]))
+	if err != nil {
+		return nil, fmt.Errorf("store: nodes section: %w", err)
+	}
+	return tab, nil
+}
+
+// deweyNodeColumns converts the nodes section of earlier writers — u32 n,
+// u32 arenaLen, parent i32[n], depth i32[n], off u32[n], arena
+// u32[arenaLen], node i's Dewey code being arena[off[i]:off[i]+depth[i]+1]
+// — into a node table on the heap: each node's ordinal is its code's last
+// component.
+func deweyNodeColumns(sec []byte) (*nid.Table, error) {
+	if len(sec) < 8 {
+		return nil, fmt.Errorf("store: truncated nodes section")
+	}
+	n := uint64(binary.LittleEndian.Uint32(sec))
+	arenaLen := uint64(binary.LittleEndian.Uint32(sec[4:]))
+	if uint64(len(sec)) != 8+12*n+4*arenaLen {
+		return nil, fmt.Errorf("store: nodes section length %d inconsistent with n=%d arena=%d", len(sec), n, arenaLen)
+	}
+	p := sec[8:]
+	depth32, off, arena := view[int32](p[4*n:8*n]), view[uint32](p[8*n:12*n]), view[uint32](p[12*n:])
+	depth, ordinal := make([]uint16, n), make([]uint32, n)
+	for i, d := range depth32 {
+		if d < 0 || d > nid.MaxDepth || uint64(off[i])+uint64(d) >= arenaLen {
+			return nil, fmt.Errorf("store: nodes section: node %d at depth %d has no code in the arena", i, d)
+		}
+		depth[i], ordinal[i] = uint16(d), arena[off[i]+uint32(d)]
+	}
+	tab, err := nid.FromColumns(view[nid.ID](p[:4*n]), depth, ordinal)
+	if err != nil {
+		return nil, fmt.Errorf("store: nodes section: %w", err)
+	}
+	return tab, nil
 }

@@ -254,3 +254,45 @@ func TestOpenRejectsStringSectionCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenRejectsNodeSectionCorruption: the nodes section is validated at
+// open — depths summed in int, so a child of a node at nid.MaxDepth whose
+// depth wrapped to 0 is refused, as is a parent that follows its child —
+// while the image it was cut from, two nodes at the bound, opens.
+func TestOpenRejectsNodeSectionCorruption(t *testing.T) {
+	image, corruptions := nodeSectionCorruptions(t)
+	s, err := openV3FromBytes(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := nid.ID(s.NumNodes() - 1); s.tab.Depth(last) != nid.MaxDepth {
+		t.Fatalf("last node at depth %d, want %d", s.tab.Depth(last), nid.MaxDepth)
+	}
+	for name, c := range corruptions {
+		if _, err := openV3FromBytes(c); err == nil {
+			t.Errorf("%s: opened", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestViewDecodesMisaligned: bytes not aligned for the column's type decode
+// into a copy that reads as an aligned view does, negative IDs included.
+func TestViewDecodesMisaligned(t *testing.T) {
+	ids := []nid.ID{nid.None, 0, 7, 1 << 30}
+	depths := []uint16{0, 1, 65535}
+	for _, off := range []int{0, 1} {
+		b := append(make([]byte, off, 64), appendLE(nil, ids)...)
+		if got := view[nid.ID](b[off:]); !slices.Equal(got, ids) {
+			t.Errorf("offset %d: IDs %v, want %v", off, got, ids)
+		}
+		if got := view[int32](b[off:]); got[0] != -1 || got[3] != 1<<30 {
+			t.Errorf("offset %d: int32s %v", off, got)
+		}
+		b = append(make([]byte, off, 64), appendLE(nil, depths)...)
+		if got := view[uint16](b[off:]); !slices.Equal(got, depths) {
+			t.Errorf("offset %d: depths %v, want %v", off, got, depths)
+		}
+	}
+}

@@ -9,6 +9,8 @@ import (
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
+
+	"xks/internal/nid"
 )
 
 // Sink receives a document's elements from Scan in document order: Start
@@ -306,6 +308,9 @@ func (s *scanner) element(name *qname) error {
 		return fmt.Errorf("multiple root elements")
 	}
 	depth := len(s.open)
+	if depth > nid.MaxDepth {
+		return fmt.Errorf("element <%s> nests deeper than %d levels below the root", name.local, nid.MaxDepth)
+	}
 	for _, a := range s.attrs {
 		if a.name.space == "xmlns" {
 			s.ns = append(s.ns, nsBind{prefix: a.name.local, xmlns: a.value == "xmlns", depth: depth})

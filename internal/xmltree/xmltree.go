@@ -24,7 +24,9 @@
 // character references expanded and "\r\n" and "\r" read as "\n", and
 // "]]>" only ends a CDATA section; comments hold no "--" before their end;
 // an XML declaration names version 1.0 and UTF-8 if anything; there is one
-// root element and every element is closed. Text and markup outside the
+// root element, every element is closed, and none nests more than
+// nid.MaxDepth levels below the root (the node table's depth column is a
+// uint16). Text and markup outside the
 // root, comments, processing instructions and directives (DOCTYPE
 // included, whose entity declarations are not applied) reach no sink, and
 // namespace declarations are dropped from the attributes. The tree holds

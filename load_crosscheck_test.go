@@ -73,9 +73,9 @@ func assertSameColumns(t *testing.T, name string, want, got *Engine) []string {
 	t.Helper()
 	wt, gt := want.head.Load().Tab, got.head.Load().Tab
 	ws, gs := want.src.Load(), got.src.Load()
-	wp, wd, wo, wa := wt.Columns()
-	gp, gd, gof, ga := gt.Columns()
-	if !slices.Equal(wp, gp) || !slices.Equal(wd, gd) || !slices.Equal(wo, gof) || !slices.Equal(wa, ga) {
+	wp, wd, wo := wt.Columns()
+	gp, gd, gof := gt.Columns()
+	if !slices.Equal(wp, gp) || !slices.Equal(wd, gd) || !slices.Equal(wo, gof) {
 		t.Fatalf("%s: node tables differ", name)
 	}
 	if !slices.Equal(ws.labels.IDs, gs.labels.IDs) || !slices.Equal(ws.labels.Names, gs.labels.Names) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"xks/internal/concurrent"
+	"xks/internal/dewey"
 	"xks/internal/exec"
 	"xks/internal/fault"
 	"xks/internal/lca"
@@ -68,7 +69,8 @@ type blockScratch struct {
 	rtf    rtf.IDRTF // a hydrated candidate's RTF, as exec.Materialize reads it
 	pruned []prunedCand
 	slabs  slabs
-	path   []int // assemble's depth stack (see there)
+	path   []int      // assemble's depth stack (see there)
+	code   dewey.Code // a fragment root's code, walked from the node table
 }
 
 // slabs are the backing arrays a request's fragments are carved from, and
@@ -156,12 +158,11 @@ func (b *blockScratch) prune(ctx context.Context, c *exec.Candidate, d *docRead)
 // its keyword mask, from a two-pointer merge of the (sorted) kept IDs and
 // keyword events; its label, depth, text and matched keywords are read later,
 // by ID, from the view its request pinned (Fragment.NodeLabel and the other
-// accessors). Dewey codes surface only as zero-copy table views rendered into
-// the public strings. A fragment's Root
-// is its first node's Dewey string: the keep-set is ancestor-closed, so the
-// root is always kept, first. Because the kept IDs are also in pre-order, a
-// node's parent is the last node kept one level up, so a kept node's Dewey
-// string is its parent's, a dot and its last component: the path stack
+// accessors). A fragment's Root is its first node's Dewey string, the one
+// code assembly walks from the node table: the keep-set is ancestor-closed,
+// so the root is always kept, first. Because the kept IDs are also in
+// pre-order, a node's parent is the last node kept one level up, so a kept
+// node's Dewey string is its parent's, a dot and its ordinal: the path stack
 // b.path holds, per depth below the root, the string length of the last
 // node kept there while the slab is sized, and its index while the strings
 // are written.
@@ -175,14 +176,14 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 		tab := docs[p.c.Doc].params.Tab
 		kept := b.kept[off : off+p.n]
 		off += p.n
-		root := len(tab.Code(kept[0]))
+		root := tab.Depth(kept[0])
 		for _, id := range kept {
-			c := tab.Code(id)
-			n, d := 0, len(c)-root
+			n, d := 0, int(tab.Depth(id)-root)
 			if d == 0 {
-				n = c.StringLen()
+				b.code = tab.AppendCode(b.code[:0], id)
+				n = b.code.StringLen()
 			} else {
-				n = b.path[d-1] + 1 + c[len(c)-1:].StringLen()
+				n = b.path[d-1] + 1 + dewey.Code{tab.Ordinal(id)}.StringLen()
 			}
 			b.path = append(b.path[:d], n)
 			size += n
@@ -212,17 +213,17 @@ func (b *blockScratch) assemble(docs []docRead, rest int) []Fragment {
 		kept := ids[off : off+p.n : off+p.n]
 		fn := nodes[off : off+p.n : off+p.n]
 		off += p.n
-		events, j, root := p.events, 0, len(tab.Code(kept[0]))
+		events, j, root := p.events, 0, tab.Depth(kept[0])
 		for k, id := range kept {
 			start := deweys.Len()
-			c := tab.Code(id)
-			d := len(c) - root
+			d := int(tab.Depth(id) - root)
 			if d == 0 {
-				deweys.Write(c.AppendString(scratch[:0]))
+				b.code = tab.AppendCode(b.code[:0], id)
+				deweys.Write(b.code.AppendString(scratch[:0]))
 			} else {
 				deweys.WriteString(fn[b.path[d-1]].Dewey)
 				deweys.WriteByte('.')
-				deweys.Write(strconv.AppendUint(scratch[:0], uint64(c[len(c)-1]), 10))
+				deweys.Write(strconv.AppendUint(scratch[:0], uint64(tab.Ordinal(id)), 10))
 			}
 			b.path = append(b.path[:d], k)
 			n := &fn[k]

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 
+	"xks/internal/dewey"
 	"xks/internal/index"
 	"xks/internal/nid"
 	"xks/internal/xmltree"
@@ -129,10 +130,12 @@ func (s *srcState) writeXML(w io.Writer, tab *nid.Table, kept []nid.ID) error {
 // in the node's quoted text when it has any.
 func (s *srcState) ascii(tab *nid.Table, kept []nid.ID) string {
 	var b []byte
+	var code dewey.Code
 	rootDepth := tab.Depth(kept[0])
 	for _, id := range kept {
 		b = appendIndent(b, int(tab.Depth(id)-rootDepth))
-		b = tab.Code(id).AppendString(b)
+		code = tab.AppendCode(code[:0], id)
+		b = code.AppendString(b)
 		b = append(b, ' ', '(')
 		b = append(b, s.labels.Of(id)...)
 		b = append(b, ')')
